@@ -154,7 +154,7 @@ fn write_section(path: &PathBuf, seed: u64, section: &str) {
             format!("{base}{MARKER}{section}}}")
         }
         Err(_) => JsonObject::new()
-            .field_u64("pr", 10)
+            .field_u64("pr", 13)
             .field_str("bench", "serving")
             .field_u64("seed", seed)
             .field_raw("serving", section)

@@ -80,7 +80,7 @@
 //! ```text
 //! cargo run -p unidm-bench --release --bin throughput            # paper scale
 //! cargo run -p unidm-bench --release --bin throughput -- --quick # smoke scale
-//! cargo run -p unidm-bench --release --bin throughput -- --bench-json out/BENCH_10.json
+//! cargo run -p unidm-bench --release --bin throughput -- --bench-json out/BENCH_13.json
 //! cargo run -p unidm-bench --release --bin throughput -- --faults heavy --rate-limit 200
 //! cargo run -p unidm-bench --release --bin throughput -- --route 4 # fleet behind the standard regimes
 //! cargo run -p unidm-bench --release --bin throughput -- --scale-only --scale-rows 100000
@@ -1525,7 +1525,7 @@ fn main() {
         .finish();
     let regime_json: Vec<String> = regimes.iter().map(Regime::to_json).collect();
     let mut doc = JsonObject::new()
-        .field_u64("pr", 10)
+        .field_u64("pr", 13)
         .field_str("bench", "throughput")
         .field_str("model", llm.name())
         .field_u64("seed", config.seed)

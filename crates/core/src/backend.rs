@@ -9,13 +9,17 @@
 //!
 //! ```text
 //! PromptCache                  (hits stop here: zero rate-limit budget)
-//!   └─ ResilientBackend
-//!        ├─ concurrency gate   (bounded in-flight attempts)
+//!   └─ ResilientBackend        (= RoutedBackend over one untagged endpoint)
+//!        ├─ concurrency gate   (bounded in-flight calls)
 //!        ├─ circuit breaker    (fail fast while the endpoint is down)
 //!        ├─ token bucket       (client-side rate limiting, waits not errors)
 //!        └─ retry loop         (exponential backoff, seeded jitter, deadline)
 //!             └─ endpoint      (SimBackend fault injector → MockLlm, offline)
 //! ```
+//!
+//! Breaker, bucket and backoff come from the crate's one resilience
+//! kernel, and the loop that drives them is [`RoutedBackend`]'s; the
+//! [`Dispatcher`] schedules the same decisions on a timer wheel.
 //!
 //! The cache sits *above* the backend, so hits never consume rate-limit
 //! budget or retry attempts; misses flow down through the stack. Because
@@ -54,11 +58,10 @@
 //! assert!(stats.attempts >= 1);
 //! ```
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use unidm_llm::{
-    Clock, Completion, Dice, FaultPlan, FaultStats, LanguageModel, LlmError, SimBackend, Usage,
-    VirtualClock,
+    Clock, Completion, FaultPlan, FaultStats, LanguageModel, LlmError, Usage, VirtualClock,
 };
 
 use crate::dispatch::{Dispatcher, HedgePolicy};
@@ -165,8 +168,8 @@ pub struct BackendConfig {
     /// [`LlmError::DeadlineExceeded`] instead of retrying further.
     pub deadline_us: u64,
     /// Optional fault-injection plan: when set, [`BackendConfig::wrap`]
-    /// interposes a [`SimBackend`] between the retry loop and the inner
-    /// model, sharing the backend's clock.
+    /// interposes a [`unidm_llm::SimBackend`] between the retry loop and
+    /// the inner model, sharing the backend's clock.
     pub faults: Option<FaultPlan>,
     /// Route calls through the event-driven dispatcher
     /// ([`crate::dispatch::Dispatcher`]) instead of the blocking stack:
@@ -174,7 +177,8 @@ pub struct BackendConfig {
     /// requests overlap in virtual time instead of summing it, and an
     /// in-flight *budget* (not a thread count) bounds concurrency. The
     /// dispatcher implements rate pacing, retries and request coalescing;
-    /// the breaker and per-call deadline remain blocking-stack features.
+    /// the breaker and per-call deadline apply only to the blocking loop
+    /// ([`ResilientBackend`], [`RoutedBackend`]).
     pub pipelined: bool,
     /// Hedged-request policy (implies the dispatcher): stragglers
     /// exceeding the observed attempt-latency quantile get a duplicate
@@ -534,114 +538,17 @@ impl BackendStats {
     }
 }
 
-/// One micro-token: the token bucket accounts in millionths of a token so
-/// refill arithmetic is exact integers at any rate. Shared with the
-/// dispatcher's virtual-scheduling bucket (`crate::dispatch`).
-pub(crate) const TOKEN: u64 = 1_000_000;
-
-#[derive(Debug)]
-struct TokenBucket {
-    /// Current content in micro-tokens.
-    units: u64,
-    /// Clock time of the last refill.
-    last_us: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerHealth {
-    Closed,
-    Open,
-    HalfOpen,
-}
-
-#[derive(Debug)]
-struct BreakerState {
-    health: BreakerHealth,
-    consecutive_failures: u32,
-    open_until_us: u64,
-}
-
-/// The endpoint under the protection stack: the caller's model directly,
-/// or a fault injector owned by the backend when
-/// [`BackendConfig::faults`] is set.
-enum Endpoint<'a> {
-    Direct(&'a dyn LanguageModel),
-    // Boxed: the injector carries its plan and counters, and the direct
-    // path should not pay its footprint.
-    Sim(Box<SimBackend<'a>>),
-}
-
-impl Endpoint<'_> {
-    fn model(&self) -> &dyn LanguageModel {
-        match self {
-            Endpoint::Direct(m) => *m,
-            Endpoint::Sim(sim) => sim.as_ref(),
-        }
-    }
-}
-
-/// A semaphore bounding concurrent in-flight attempts.
-struct Gate {
-    limit: u32,
-    in_flight: Mutex<u32>,
-    freed: Condvar,
-}
-
-impl Gate {
-    fn new(limit: u32) -> Self {
-        Gate {
-            limit,
-            in_flight: Mutex::new(0),
-            freed: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) -> GatePermit<'_> {
-        let mut count = self.in_flight.lock().expect("gate lock poisoned");
-        while *count >= self.limit {
-            count = self.freed.wait(count).expect("gate lock poisoned");
-        }
-        *count += 1;
-        GatePermit { gate: self }
-    }
-}
-
-struct GatePermit<'g> {
-    gate: &'g Gate,
-}
-
-impl Drop for GatePermit<'_> {
-    fn drop(&mut self) {
-        let mut count = self.gate.in_flight.lock().expect("gate lock poisoned");
-        *count -= 1;
-        self.gate.freed.notify_one();
-    }
-}
-
 /// The resilient client layer: bounded concurrency, token-bucket rate
 /// limiting, exponential-backoff retry with seeded jitter, a circuit
 /// breaker and per-call deadlines over any [`LanguageModel`].
 ///
-/// See the [module docs](self) for the layering and determinism story.
+/// It is [`RoutedBackend`]'s blocking attempt loop over one *untagged*
+/// endpoint, so the two stacks cannot drift apart. See the
+/// [module docs](self) for the layering and determinism story.
+#[derive(Debug)]
 pub struct ResilientBackend<'a> {
-    endpoint: Endpoint<'a>,
     config: BackendConfig,
-    clock: Arc<dyn Clock>,
-    dice: Dice,
-    bucket: Option<Mutex<TokenBucket>>,
-    breaker: Option<Mutex<BreakerState>>,
-    gate: Option<Gate>,
-    stats: Mutex<BackendStats>,
-}
-
-impl std::fmt::Debug for ResilientBackend<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResilientBackend")
-            .field("endpoint", &self.endpoint.model().name())
-            .field("config", &self.config)
-            .field("stats", &self.stats())
-            .finish()
-    }
+    router: RoutedBackend<'a>,
 }
 
 impl<'a> ResilientBackend<'a> {
@@ -657,33 +564,9 @@ impl<'a> ResilientBackend<'a> {
         config: BackendConfig,
         clock: Arc<dyn Clock>,
     ) -> Self {
-        let endpoint = match config.faults {
-            Some(plan) => {
-                Endpoint::Sim(Box::new(SimBackend::with_clock(inner, plan, clock.clone())))
-            }
-            None => Endpoint::Direct(inner),
-        };
-        let now = clock.now_micros();
         ResilientBackend {
-            endpoint,
-            clock,
-            dice: Dice::new(config.seed),
-            bucket: config.rate.map(|rate| {
-                Mutex::new(TokenBucket {
-                    units: rate.burst * TOKEN,
-                    last_us: now,
-                })
-            }),
-            breaker: config.breaker.map(|_| {
-                Mutex::new(BreakerState {
-                    health: BreakerHealth::Closed,
-                    consecutive_failures: 0,
-                    open_until_us: 0,
-                })
-            }),
-            gate: (config.max_in_flight > 0).then(|| Gate::new(config.max_in_flight)),
+            router: RoutedBackend::single(inner, &config, clock),
             config,
-            stats: Mutex::new(BackendStats::default()),
         }
     }
 
@@ -694,228 +577,44 @@ impl<'a> ResilientBackend<'a> {
 
     /// The clock every timing decision runs on.
     pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
+        self.router.clock()
     }
 
     /// A snapshot of the backend counters.
     pub fn stats(&self) -> BackendStats {
-        *self.stats.lock().expect("backend stats lock poisoned")
+        self.router.backend_stats()
     }
 
     /// Injection counters of the owned fault injector, when
     /// [`BackendConfig::faults`] is set.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        match &self.endpoint {
-            Endpoint::Sim(sim) => Some(sim.stats()),
-            Endpoint::Direct(_) => None,
-        }
-    }
-
-    fn lock_stats(&self) -> MutexGuard<'_, BackendStats> {
-        self.stats.lock().expect("backend stats lock poisoned")
-    }
-
-    /// Checks the breaker gate: `Ok` to proceed, `Err(remaining cooldown)`
-    /// to fail fast. An expired cooldown half-opens the breaker, letting
-    /// the caller through as a probe.
-    fn breaker_check(&self) -> Result<(), u64> {
-        let Some(breaker) = &self.breaker else {
-            return Ok(());
-        };
-        let mut state = breaker.lock().expect("breaker lock poisoned");
-        match state.health {
-            BreakerHealth::Closed | BreakerHealth::HalfOpen => Ok(()),
-            BreakerHealth::Open => {
-                let now = self.clock.now_micros();
-                if now >= state.open_until_us {
-                    state.health = BreakerHealth::HalfOpen;
-                    Ok(())
-                } else {
-                    Err(state.open_until_us - now)
-                }
-            }
-        }
-    }
-
-    fn breaker_success(&self) {
-        if let Some(breaker) = &self.breaker {
-            let mut state = breaker.lock().expect("breaker lock poisoned");
-            state.health = BreakerHealth::Closed;
-            state.consecutive_failures = 0;
-        }
-    }
-
-    /// Records an attempt failure; returns whether the breaker tripped
-    /// (transitioned to open) on this failure.
-    fn breaker_failure(&self) -> bool {
-        let (Some(breaker), Some(policy)) = (&self.breaker, self.config.breaker) else {
-            return false;
-        };
-        let mut state = breaker.lock().expect("breaker lock poisoned");
-        state.consecutive_failures += 1;
-        let should_open = state.health == BreakerHealth::HalfOpen
-            || state.consecutive_failures >= policy.failure_threshold;
-        if !should_open {
-            return false;
-        }
-        let tripped = state.health != BreakerHealth::Open;
-        state.health = BreakerHealth::Open;
-        state.open_until_us = self.clock.now_micros() + policy.cooldown_us;
-        tripped
-    }
-
-    /// Takes one rate-limit token, waiting on the clock if the bucket is
-    /// empty. Returns the time waited, in microseconds.
-    fn acquire_token(&self) -> u64 {
-        let Some(bucket) = &self.bucket else {
-            return 0;
-        };
-        let rate = self.config.rate.expect("bucket implies rate");
-        let mut waited = 0u64;
-        loop {
-            {
-                let mut b = bucket.lock().expect("bucket lock poisoned");
-                let now = self.clock.now_micros();
-                let elapsed = now.saturating_sub(b.last_us);
-                let refill = u128::from(elapsed) * u128::from(rate.tokens_per_sec);
-                let cap = u128::from(rate.burst) * u128::from(TOKEN);
-                b.units = (u128::from(b.units) + refill).min(cap) as u64;
-                b.last_us = now;
-                if b.units >= TOKEN {
-                    b.units -= TOKEN;
-                    return waited;
-                }
-                // Not enough: wait exactly until one token has dripped in.
-                let deficit = TOKEN - b.units;
-                let wait = deficit.div_ceil(rate.tokens_per_sec);
-                drop(b);
-                self.clock.sleep_micros(wait);
-                waited += wait;
-            }
-        }
-    }
-
-    /// Backoff before retry `n` (1-based) of `prompt`: exponential from
-    /// the policy base, capped, then jittered into `[50%, 100%]` by a
-    /// deterministic draw.
-    fn backoff_us(&self, prompt: &str, retry: u32) -> u64 {
-        let policy = self.config.retry;
-        let doubled = policy
-            .base_backoff_us
-            .saturating_mul(1u64 << (retry - 1).min(32));
-        let ceiling = doubled.min(policy.max_backoff_us);
-        let jitter = self.dice.uniform(prompt, &format!("backoff-{retry}"));
-        ceiling / 2 + ((ceiling / 2) as f64 * jitter) as u64
+        self.router.fault_stats()
     }
 }
 
 impl LanguageModel for ResilientBackend<'_> {
     fn name(&self) -> &str {
-        self.endpoint.model().name()
+        self.router.name()
     }
 
     fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-        self.lock_stats().calls += 1;
-        let start = self.clock.now_micros();
-        let deadline = (self.config.deadline_us > 0).then(|| start + self.config.deadline_us);
-        let _permit = self.gate.as_ref().map(Gate::acquire);
-
-        let mut retry = 0u32;
-        loop {
-            if let Some(d) = deadline {
-                if self.clock.now_micros() >= d {
-                    let mut stats = self.lock_stats();
-                    stats.deadline_exceeded += 1;
-                    stats.failures += 1;
-                    return Err(LlmError::DeadlineExceeded {
-                        deadline_us: self.config.deadline_us,
-                    });
-                }
-            }
-            let err = match self.breaker_check() {
-                Err(cooldown_us) => {
-                    self.lock_stats().breaker_fast_fails += 1;
-                    LlmError::CircuitOpen { cooldown_us }
-                }
-                Ok(()) => {
-                    let waited = self.acquire_token();
-                    {
-                        let mut stats = self.lock_stats();
-                        if waited > 0 {
-                            stats.throttle_waits += 1;
-                            stats.throttle_wait_us += waited;
-                        }
-                        if self.bucket.is_some() {
-                            stats.rate_tokens += 1;
-                        }
-                        stats.attempts += 1;
-                    }
-                    let attempt_start = self.clock.now_micros();
-                    match self.endpoint.model().complete(prompt) {
-                        Ok(completion) => {
-                            self.breaker_success();
-                            let now = self.clock.now_micros();
-                            let mut stats = self.lock_stats();
-                            stats.attempt_latency.record(now - attempt_start);
-                            stats.request_latency.record(now - start);
-                            return Ok(completion);
-                        }
-                        Err(e) if e.is_transient() => {
-                            {
-                                let mut stats = self.lock_stats();
-                                match &e {
-                                    LlmError::Timeout { .. } => stats.timeouts += 1,
-                                    LlmError::RateLimited { .. } => stats.rate_limited += 1,
-                                    LlmError::Transient { .. } => stats.transients += 1,
-                                    _ => {}
-                                }
-                            }
-                            if self.breaker_failure() {
-                                self.lock_stats().breaker_trips += 1;
-                            }
-                            e
-                        }
-                        Err(e) => {
-                            // Permanent: retrying the identical call cannot
-                            // succeed, so surface it immediately.
-                            self.lock_stats().failures += 1;
-                            return Err(e);
-                        }
-                    }
-                }
-            };
-            if retry >= self.config.retry.max_retries {
-                self.lock_stats().failures += 1;
-                return Err(err);
-            }
-            retry += 1;
-            self.lock_stats().retries += 1;
-            let mut backoff = self.backoff_us(prompt, retry);
-            // Honor server hints and breaker cooldowns: sleeping less than
-            // either would burn a retry on a guaranteed rejection.
-            match err {
-                LlmError::RateLimited { retry_after_us } => backoff = backoff.max(retry_after_us),
-                LlmError::CircuitOpen { cooldown_us } => backoff = backoff.max(cooldown_us),
-                _ => {}
-            }
-            self.clock.sleep_micros(backoff);
-        }
+        self.router.complete(prompt)
     }
 
     fn usage(&self) -> Usage {
-        self.endpoint.model().usage()
+        self.router.usage()
     }
 
     fn reset_usage(&self) {
-        self.endpoint.model().reset_usage();
+        self.router.reset_usage();
     }
 
     fn context_window(&self) -> usize {
-        self.endpoint.model().context_window()
+        self.router.context_window()
     }
 
     fn latency_profile(&self) -> unidm_llm::LatencyProfile {
-        self.endpoint.model().latency_profile()
+        self.router.latency_profile()
     }
 }
 
@@ -999,6 +698,8 @@ impl<'a> AttachedBackend<'a> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU32, Ordering};
+
     use super::*;
     use unidm_llm::{LlmProfile, MockLlm};
     use unidm_world::World;
@@ -1128,29 +829,35 @@ mod tests {
         assert_eq!(stats.failures, 0, "every call still completes");
     }
 
+    /// The blocking stack and its one-replica routed twin: the shared
+    /// attempt loop applies the deadline and the in-flight gate to both.
+    fn plain_and_routed(config: BackendConfig) -> [BackendConfig; 2] {
+        [config, config.with_route(RoutePlan::replicas(1))]
+    }
+
     #[test]
     fn deadline_exceeded_is_a_clean_permanent_error() {
         let llm = model();
-        let backend = ResilientBackend::new(
-            &llm,
-            BackendConfig::resilient(1)
-                .without_breaker()
-                .with_faults(FaultPlan::always_faulty(1, 8))
-                .with_deadline_us(200_000),
-        );
-        // Every attempt faults and costs >= base latency (50ms), so the
-        // 200ms deadline expires before the forced success at attempt 9.
-        let err = backend.complete("doomed prompt").unwrap_err();
-        assert_eq!(
-            err,
-            LlmError::DeadlineExceeded {
-                deadline_us: 200_000
-            }
-        );
-        assert!(!err.is_transient());
-        let stats = backend.stats();
-        assert_eq!(stats.deadline_exceeded, 1);
-        assert_eq!(stats.failures, 1);
+        let config = BackendConfig::resilient(1)
+            .without_breaker()
+            .with_faults(FaultPlan::always_faulty(1, 8))
+            .with_deadline_us(200_000);
+        for config in plain_and_routed(config) {
+            let backend = config.wrap(&llm);
+            // Every attempt faults and costs >= base latency (50ms), so the
+            // 200ms deadline expires before the forced success at attempt 9.
+            let err = backend.model().complete("doomed prompt").unwrap_err();
+            assert_eq!(
+                err,
+                LlmError::DeadlineExceeded {
+                    deadline_us: 200_000
+                }
+            );
+            assert!(!err.is_transient());
+            let stats = backend.stats().unwrap();
+            assert_eq!(stats.deadline_exceeded, 1);
+            assert_eq!(stats.failures, 1);
+        }
     }
 
     #[test]
@@ -1163,28 +870,69 @@ mod tests {
         assert_eq!(stats.failures, 1);
     }
 
+    /// An endpoint that records how many calls are inside it at once.
+    struct PeakProbe<'a> {
+        inner: &'a MockLlm,
+        inside: AtomicU32,
+        peak: AtomicU32,
+    }
+
+    impl LanguageModel for PeakProbe<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
+            let inside = self.inside.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(inside, Ordering::SeqCst);
+            std::thread::yield_now(); // invite an overlap the gate must refuse
+            let result = self.inner.complete(prompt);
+            self.inside.fetch_sub(1, Ordering::SeqCst);
+            result
+        }
+
+        fn usage(&self) -> Usage {
+            self.inner.usage()
+        }
+
+        fn reset_usage(&self) {
+            self.inner.reset_usage();
+        }
+
+        fn context_window(&self) -> usize {
+            self.inner.context_window()
+        }
+    }
+
     #[test]
     fn bounded_concurrency_gate_admits_everything_eventually() {
         let llm = model();
-        let backend = ResilientBackend::new(
-            &llm,
-            BackendConfig::resilient(2)
-                .with_max_in_flight(2)
-                .with_faults(FaultPlan::light(2)),
-        );
-        std::thread::scope(|scope| {
-            for t in 0..6 {
-                let backend = &backend;
-                scope.spawn(move || {
-                    for i in 0..5 {
-                        backend.complete(&format!("gated {t}-{i}")).unwrap();
-                    }
-                });
-            }
-        });
-        let stats = backend.stats();
-        assert_eq!(stats.calls, 30);
-        assert_eq!(stats.failures, 0);
+        let config = BackendConfig::resilient(2)
+            .with_max_in_flight(2)
+            .with_faults(FaultPlan::light(2));
+        for config in plain_and_routed(config) {
+            let probe = PeakProbe {
+                inner: &llm,
+                inside: AtomicU32::new(0),
+                peak: AtomicU32::new(0),
+            };
+            let backend = config.wrap(&probe);
+            std::thread::scope(|scope| {
+                for t in 0..6 {
+                    let backend = &backend;
+                    scope.spawn(move || {
+                        for i in 0..5 {
+                            let prompt = format!("gated {t}-{i}");
+                            backend.model().complete(&prompt).unwrap();
+                        }
+                    });
+                }
+            });
+            let stats = backend.stats().unwrap();
+            assert_eq!(stats.calls, 30);
+            assert_eq!(stats.failures, 0);
+            assert!(probe.peak.load(Ordering::SeqCst) <= 2, "gate must bound");
+        }
     }
 
     #[test]

@@ -9,13 +9,17 @@
 //! count, and on a [`VirtualClock`] every concurrent sleep *adds* (elapsed
 //! virtual time is total latency, never the makespan). The [`Dispatcher`]
 //! replaces sleeping with scheduling: each attempt is *sampled*
-//! ([`SimBackend::sample_attempt`] commits a fault-schedule slot without
-//! sleeping) and its completion is placed on a [`TimerWheel`] at
+//! ([`unidm_llm::SimBackend::sample_attempt`] commits a fault-schedule
+//! slot without sleeping) and its completion is placed on a [`TimerWheel`] at
 //! `now + latency_us`; the reactor advances the clock with
 //! [`VirtualClock::advance_to_micros`] to the next pending deadline, so
 //! overlapped requests overlap and elapsed time measures the makespan.
 //! Concurrency is bounded by [`crate::backend::BackendConfig::max_in_flight`]
 //! — an in-flight *budget*, not a thread count.
+//!
+//! What it schedules is decided elsewhere: retry backoff, rate-limit grant
+//! times, endpoint sampling and fault tallies come from the resilience
+//! kernel the blocking attempt loop sleeps on, so the two cannot disagree.
 //!
 //! # The quiescence protocol
 //!
@@ -73,10 +77,12 @@ use std::time::Duration;
 
 use unidm_llm::{
     AttemptSample, Clock, Completion, Dice, FaultStats, LanguageModel, LatencyProfile, LlmError,
-    SimBackend, TimerWheel, Usage, VirtualClock,
+    TimerWheel, Usage, VirtualClock,
 };
 
-use crate::backend::{BackendConfig, BackendStats, TOKEN};
+use crate::backend::{BackendConfig, BackendStats};
+use crate::resilience::{backoff_us, tally_fault, Bucket, Endpoint};
+use crate::route::AimdPolicy;
 
 /// How long a parked thread waits (wall time) before suspecting that a
 /// registered peer is blocked outside the dispatcher and force-driving the
@@ -143,41 +149,6 @@ impl Default for HedgePolicy {
     }
 }
 
-/// The endpoint the reactor samples attempts from.
-enum Endpoint<'a> {
-    /// No fault plan: call the model immediately and derive the attempt's
-    /// virtual latency from its [`LatencyProfile`].
-    Direct {
-        model: &'a dyn LanguageModel,
-        profile: LatencyProfile,
-    },
-    /// A fault plan: the injector commits schedule slots without sleeping.
-    Sim(Box<SimBackend<'a>>),
-}
-
-impl Endpoint<'_> {
-    fn model(&self) -> &dyn LanguageModel {
-        match self {
-            Endpoint::Direct { model, .. } => *model,
-            Endpoint::Sim(sim) => sim.as_ref(),
-        }
-    }
-
-    fn sample(&self, prompt: &str) -> AttemptSample {
-        match self {
-            Endpoint::Sim(sim) => sim.sample_attempt(prompt),
-            Endpoint::Direct { model, profile } => {
-                let result = model.complete(prompt);
-                let latency_us = match &result {
-                    Ok(c) => profile.latency_us(c.usage),
-                    Err(_) => profile.base_us,
-                };
-                AttemptSample { latency_us, result }
-            }
-        }
-    }
-}
-
 /// One attempt copy in flight: its completion timer and what it will
 /// deliver when that timer fires.
 struct InFlightCopy {
@@ -211,14 +182,6 @@ enum Event {
     Retry(u64),
 }
 
-/// Token bucket in virtual-scheduling form: instead of sleeping for a
-/// token, [`Dispatcher`] computes the future grant time at which the token
-/// will have dripped in and schedules the dispatch there.
-struct PaceBucket {
-    units: u64,
-    last_us: u64,
-}
-
 /// Everything the reactor mutates, under one mutex.
 struct Core {
     wheel: TimerWheel,
@@ -239,7 +202,8 @@ struct Core {
     in_flight: u32,
     registered: HashSet<ThreadId>,
     parked: usize,
-    bucket: Option<PaceBucket>,
+    /// Rate-limit bucket; its grant times become `Dispatch` events.
+    bucket: Option<Bucket>,
     stats: BackendStats,
     next_id: u64,
 }
@@ -276,23 +240,13 @@ impl std::fmt::Debug for Dispatcher<'_> {
 
 impl<'a> Dispatcher<'a> {
     /// Builds a dispatcher over `inner` on a fresh [`VirtualClock`]. When
-    /// [`BackendConfig::faults`] is set, a [`SimBackend`] sharing that
-    /// clock is interposed and attempts are sampled from its schedule;
+    /// [`BackendConfig::faults`] is set, a [`unidm_llm::SimBackend`] sharing
+    /// that clock is interposed and attempts are sampled from its schedule;
     /// otherwise latencies come from the model's [`LatencyProfile`].
     pub fn new(inner: &'a dyn LanguageModel, config: BackendConfig) -> Self {
         let clock = Arc::new(VirtualClock::new());
-        let endpoint = match config.faults {
-            Some(plan) => {
-                let shared: Arc<dyn Clock> = clock.clone();
-                Endpoint::Sim(Box::new(SimBackend::with_clock(inner, plan, shared)))
-            }
-            None => Endpoint::Direct {
-                model: inner,
-                profile: inner.latency_profile(),
-            },
-        };
         Dispatcher {
-            endpoint,
+            endpoint: Endpoint::new(inner, config.faults, clock.clone(), None),
             clock,
             dice: Dice::new(config.seed),
             core: Mutex::new(Core {
@@ -306,10 +260,9 @@ impl<'a> Dispatcher<'a> {
                 in_flight: 0,
                 registered: HashSet::new(),
                 parked: 0,
-                bucket: config.rate.map(|rate| PaceBucket {
-                    units: rate.burst * TOKEN,
-                    last_us: 0,
-                }),
+                bucket: config
+                    .rate
+                    .map(|rate| Bucket::new(AimdPolicy::fixed(rate.tokens_per_sec, rate.burst), 0)),
                 stats: BackendStats::default(),
                 next_id: 0,
             }),
@@ -338,10 +291,7 @@ impl<'a> Dispatcher<'a> {
     /// Injection counters of the owned fault injector, when
     /// [`BackendConfig::faults`] is set.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        match &self.endpoint {
-            Endpoint::Sim(sim) => Some(sim.stats()),
-            Endpoint::Direct { .. } => None,
-        }
+        self.endpoint.fault_stats()
     }
 
     /// Registers the current thread as long-lived for the quiescence
@@ -369,51 +319,17 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// Backoff before retry `n` (1-based) of `prompt`: exponential from
-    /// the policy base, capped, jittered into `[50%, 100%]` by a
-    /// deterministic draw — identical math to the blocking stack.
-    fn backoff_us(&self, prompt: &str, retry: u32) -> u64 {
-        let policy = self.config.retry;
-        let doubled = policy
-            .base_backoff_us
-            .saturating_mul(1u64 << (retry - 1).min(32));
-        let ceiling = doubled.min(policy.max_backoff_us);
-        let jitter = self.dice.uniform(prompt, &format!("backoff-{retry}"));
-        ceiling / 2 + ((ceiling / 2) as f64 * jitter) as u64
-    }
-
     /// Consumes one rate-limit token, returning the virtual time at which
     /// the dispatch may start (`now` when a token is available, the future
     /// drip-in time otherwise — the event-driven analogue of sleeping on
     /// the bucket).
     fn pace_grant(&self, core: &mut Core) -> u64 {
         let now = self.clock.now_micros();
-        let Some(rate) = self.config.rate else {
+        let Some(bucket) = core.bucket.as_mut() else {
             return now;
         };
-        let bucket = core.bucket.as_mut().expect("rate limit implies bucket");
-        let cap = u128::from(rate.burst) * u128::from(TOKEN);
-        // `last_us` is the horizon the bucket is accounted through; grants
-        // issued into the future push it ahead of `now`, and it never
-        // rewinds (tokens committed to future grants stay committed).
-        if now > bucket.last_us {
-            let refill = u128::from(now - bucket.last_us) * u128::from(rate.tokens_per_sec);
-            bucket.units = (u128::from(bucket.units) + refill).min(cap) as u64;
-            bucket.last_us = now;
-        }
+        let grant = bucket.grant(now);
         core.stats.rate_tokens += 1;
-        let grant = if bucket.units >= TOKEN {
-            bucket.units -= TOKEN;
-            bucket.last_us
-        } else {
-            let wait = (TOKEN - bucket.units).div_ceil(rate.tokens_per_sec);
-            // Consume the token that will have dripped in by the grant.
-            let dripped =
-                u128::from(bucket.units) + u128::from(wait) * u128::from(rate.tokens_per_sec);
-            bucket.units = (dripped.min(cap) as u64) - TOKEN;
-            bucket.last_us += wait;
-            bucket.last_us
-        };
         if grant > now {
             core.stats.throttle_waits += 1;
             core.stats.throttle_wait_us += grant - now;
@@ -447,11 +363,9 @@ impl<'a> Dispatcher<'a> {
         let prompt = core.requests[&id].prompt.clone();
         core.stats.attempts += 1;
         let sample = self.endpoint.sample(&prompt);
-        match &sample.result {
-            Err(LlmError::Timeout { .. }) => core.stats.timeouts += 1,
-            Err(LlmError::RateLimited { .. }) => core.stats.rate_limited += 1,
-            Err(LlmError::Transient { .. }) => core.stats.transients += 1,
-            _ => {}
+        if let Err(err) = &sample.result {
+            let s = &mut core.stats;
+            tally_fault(err, &mut s.timeouts, &mut s.rate_limited, &mut s.transients);
         }
         let deadline = self.clock.now_micros() + sample.latency_us;
         let timer = core.wheel.schedule(deadline);
@@ -560,10 +474,13 @@ impl<'a> Dispatcher<'a> {
                 req.retries += 1;
                 core.stats.retries += 1;
                 self.cancel_hedge_timer(core, &mut req);
-                let mut backoff = self.backoff_us(&req.prompt, req.retries);
-                if let LlmError::RateLimited { retry_after_us } = err {
-                    backoff = backoff.max(retry_after_us);
-                }
+                let backoff = backoff_us(
+                    self.config.retry,
+                    &self.dice,
+                    &req.prompt,
+                    req.retries,
+                    &err,
+                );
                 let seq = core.wheel.schedule(self.clock.now_micros() + backoff);
                 core.events.insert(seq, Event::Retry(id));
                 0

@@ -126,6 +126,7 @@ pub mod html;
 pub mod parsing;
 pub mod pipeline;
 pub mod prompting;
+mod resilience;
 pub mod retrieval;
 pub mod route;
 pub mod serve;

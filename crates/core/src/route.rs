@@ -17,15 +17,18 @@
 //! ```
 //!
 //! [`RoutedBackend`] implements [`LanguageModel`] over N weighted
-//! endpoints. Each endpoint carries its own circuit breaker, latency
-//! sketch and an AIMD-adapted token bucket: observed `RateLimited` (429)
-//! errors halve the endpoint's admission rate (multiplicative decrease,
-//! floored), successes add it back one step at a time (additive
-//! increase, capped) — all in integer micro-tokens, so rate trajectories
-//! are exactly reproducible. A prompt is routed by a seeded weighted draw
-//! over the endpoints whose breakers admit it; retries re-draw with the
-//! attempt index mixed in, so a failing endpoint sheds traffic to its
-//! healthy peers even before its breaker opens.
+//! endpoints, and its `complete` is the crate's one blocking attempt loop
+//! ([`crate::backend::ResilientBackend`] is this router over a single
+//! endpoint). Each endpoint carries its own circuit breaker, latency
+//! sketch and an AIMD-adapted token bucket — the resilience kernel's state
+//! machines, which the router feeds the clock and sleeps on. Observed
+//! `RateLimited` (429) errors halve the endpoint's admission rate
+//! (multiplicative decrease, floored), successes add it back one step at
+//! a time (additive increase, capped) — all in integer micro-tokens, so
+//! rate trajectories are exactly reproducible. A prompt is routed by a
+//! seeded weighted draw over the endpoints whose breakers admit it;
+//! retries re-draw with the attempt index mixed in, so a failing endpoint
+//! sheds traffic to its healthy peers even before its breaker opens.
 //!
 //! [`CascadeBackend`] stacks the cost policy on top: every prompt goes to
 //! the cheap tier first, and escalates to the large tier only when the
@@ -37,11 +40,12 @@
 //! # Determinism
 //!
 //! Routing decisions are pure functions of `(seed, prompt, attempt)`;
-//! fault schedules are endpoint-aware (each replica's [`SimBackend`] mixes
-//! its endpoint id into the slot draw); successes always return the inner
-//! model's completion. Answers are therefore bit-identical to a direct
-//! call whatever the fleet does, and a serial rerun reproduces
-//! [`RouterStats`] — including per-endpoint call counts — exactly.
+//! fault schedules are endpoint-aware (each replica's
+//! [`unidm_llm::SimBackend`] mixes its endpoint id into the slot draw);
+//! successes always return the inner model's completion. Answers are
+//! therefore bit-identical to a direct call whatever the fleet does, and a
+//! serial rerun reproduces [`RouterStats`] — including per-endpoint call
+//! counts — exactly.
 //!
 //! # Examples
 //!
@@ -64,16 +68,15 @@
 //! assert_eq!(stats.endpoints.len(), 2);
 //! ```
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use unidm_llm::{
-    Clock, Completion, Dice, FaultPlan, FaultStats, LanguageModel, LlmError, LlmProfile,
-    SimBackend, Usage, VirtualClock,
+    Clock, Completion, Dice, FaultPlan, FaultStats, LanguageModel, LlmError, LlmProfile, Usage,
+    VirtualClock,
 };
 
-use crate::backend::{
-    BackendConfig, BackendStats, BreakerPolicy, LatencySketch, RetryPolicy, TOKEN,
-};
+use crate::backend::{BackendConfig, BackendStats, BreakerPolicy, LatencySketch, RetryPolicy};
+use crate::resilience::{backoff_us, tally_fault, Breaker, Bucket, Endpoint};
 
 /// Hard cap on endpoints a [`RoutePlan`] can describe (the plan stores a
 /// fixed-size weight array to stay `Copy`/`Eq`/`Hash`). A `RoutedBackend`
@@ -192,9 +195,10 @@ impl RoutePlan {
 pub struct EndpointConfig {
     /// Routing weight relative to the other endpoints (0 is treated as 1).
     pub weight: u32,
-    /// Fault-injection plan: when set, the router owns a [`SimBackend`]
-    /// over the endpoint's model, tagged with this endpoint's id so
-    /// replicas sharing a plan draw independent fault schedules.
+    /// Fault-injection plan: when set, the router owns a
+    /// [`unidm_llm::SimBackend`] over the endpoint's model, tagged with
+    /// this endpoint's id so replicas sharing a plan draw independent
+    /// fault schedules.
     pub faults: Option<FaultPlan>,
     /// Circuit breaker for this endpoint (`None` = none).
     pub breaker: Option<BreakerPolicy>,
@@ -330,6 +334,13 @@ impl EndpointStats {
     pub fn tokens(&self) -> u64 {
         self.prompt_tokens + self.completion_tokens
     }
+
+    /// Bills `completion`'s tokens at `cost_micro_per_token`.
+    fn bill(&mut self, completion: &Completion, cost_micro_per_token: u64) {
+        self.prompt_tokens += completion.usage.prompt_tokens as u64;
+        self.completion_tokens += completion.usage.completion_tokens as u64;
+        self.billed_micro += completion.usage.total() as u64 * cost_micro_per_token;
+    }
 }
 
 /// Exact counters of everything a router (or cascade) did, mirroring
@@ -344,6 +355,9 @@ pub struct RouterStats {
     pub answers: u64,
     /// Calls that ultimately returned an error.
     pub failures: u64,
+    /// Calls that failed with [`LlmError::DeadlineExceeded`] (counted in
+    /// `failures` too).
+    pub deadline_exceeded: u64,
     /// Retries across all calls.
     pub retries: u64,
     /// Selections that found *every* endpoint's breaker open (the call
@@ -375,6 +389,7 @@ impl RouterStats {
         self.calls += other.calls;
         self.answers += other.answers;
         self.failures += other.failures;
+        self.deadline_exceeded += other.deadline_exceeded;
         self.retries += other.retries;
         self.all_open += other.all_open;
         self.escalations += other.escalations;
@@ -437,6 +452,7 @@ impl RouterStats {
             calls: self.calls,
             retries: self.retries,
             failures: self.failures,
+            deadline_exceeded: self.deadline_exceeded,
             request_latency: self.request_latency,
             ..BackendStats::default()
         };
@@ -456,98 +472,15 @@ impl RouterStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Health {
-    Closed,
-    Open,
-    HalfOpen,
-}
-
-#[derive(Debug)]
-struct Breaker {
-    policy: BreakerPolicy,
-    health: Health,
-    consecutive_failures: u32,
-    open_until_us: u64,
-}
-
-impl Breaker {
-    fn new(policy: BreakerPolicy) -> Self {
-        Breaker {
-            policy,
-            health: Health::Closed,
-            consecutive_failures: 0,
-            open_until_us: 0,
-        }
-    }
-
-    /// `Ok` to route here, `Err(remaining cooldown)` to skip. An expired
-    /// cooldown half-opens the breaker, admitting the caller as a probe.
-    fn admit(&mut self, now_us: u64) -> Result<(), u64> {
-        match self.health {
-            Health::Closed | Health::HalfOpen => Ok(()),
-            Health::Open => {
-                if now_us >= self.open_until_us {
-                    self.health = Health::HalfOpen;
-                    Ok(())
-                } else {
-                    Err(self.open_until_us - now_us)
-                }
-            }
-        }
-    }
-
-    fn success(&mut self) {
-        self.health = Health::Closed;
-        self.consecutive_failures = 0;
-    }
-
-    /// Records a failure; returns whether the breaker tripped
-    /// (transitioned to open) on this failure.
-    fn failure(&mut self, now_us: u64) -> bool {
-        self.consecutive_failures += 1;
-        let should_open = self.health == Health::HalfOpen
-            || self.consecutive_failures >= self.policy.failure_threshold;
-        if !should_open {
-            return false;
-        }
-        let tripped = self.health != Health::Open;
-        self.health = Health::Open;
-        self.open_until_us = now_us + self.policy.cooldown_us;
-        tripped
-    }
-}
-
-#[derive(Debug)]
-struct AimdBucket {
-    rate_per_sec: u64,
-    units: u64,
-    last_us: u64,
-}
-
-enum EndpointModel<'a> {
-    Direct(&'a dyn LanguageModel),
-    Sim(Box<SimBackend<'a>>),
-}
-
-impl EndpointModel<'_> {
-    fn model(&self) -> &dyn LanguageModel {
-        match self {
-            EndpointModel::Direct(m) => *m,
-            EndpointModel::Sim(sim) => sim.as_ref(),
-        }
-    }
-}
-
 struct EndpointState<'a> {
-    model: EndpointModel<'a>,
+    model: Endpoint<'a>,
     /// Address of the caller-supplied model, for usage deduplication:
     /// replicas over one shared inner model share one usage counter.
     origin: usize,
     weight: u64,
     cost_micro_per_token: u64,
     breaker: Option<Mutex<Breaker>>,
-    aimd: Option<(AimdPolicy, Mutex<AimdBucket>)>,
+    bucket: Option<Mutex<Bucket>>,
     stats: Mutex<EndpointStats>,
 }
 
@@ -555,72 +488,50 @@ impl EndpointState<'_> {
     fn lock_stats(&self) -> MutexGuard<'_, EndpointStats> {
         self.stats.lock().expect("endpoint stats lock poisoned")
     }
+}
 
-    /// Takes one AIMD token, waiting on the clock if the bucket is empty.
-    /// Returns the time waited, in microseconds.
-    fn acquire_token(&self, clock: &Arc<dyn Clock>) -> u64 {
-        let Some((policy, bucket)) = &self.aimd else {
-            return 0;
-        };
-        let mut waited = 0u64;
-        loop {
-            let wait = {
-                let mut b = bucket.lock().expect("aimd bucket lock poisoned");
-                let now = clock.now_micros();
-                let elapsed = now.saturating_sub(b.last_us);
-                let refill = u128::from(elapsed) * u128::from(b.rate_per_sec);
-                let cap = u128::from(policy.burst) * u128::from(TOKEN);
-                b.units = (u128::from(b.units) + refill).min(cap) as u64;
-                b.last_us = now;
-                if b.units >= TOKEN {
-                    b.units -= TOKEN;
-                    return waited;
-                }
-                let deficit = TOKEN - b.units;
-                deficit.div_ceil(b.rate_per_sec.max(1))
-            };
-            clock.sleep_micros(wait);
-            waited += wait;
+/// Locks an endpoint's optional breaker or bucket.
+fn lock<T>(slot: &Option<Mutex<T>>) -> Option<MutexGuard<'_, T>> {
+    Some(slot.as_ref()?.lock().expect("endpoint lock poisoned"))
+}
+
+/// A semaphore bounding concurrent in-flight calls.
+struct Gate {
+    limit: u32,
+    in_flight: Mutex<u32>,
+    freed: Condvar,
+}
+
+impl Gate {
+    fn new(limit: u32) -> Self {
+        Gate {
+            limit,
+            in_flight: Mutex::new(0),
+            freed: Condvar::new(),
         }
     }
 
-    /// Additive increase on success; returns whether a step was applied.
-    fn aimd_success(&self) -> bool {
-        let Some((policy, bucket)) = &self.aimd else {
-            return false;
-        };
-        if policy.increase_per_sec == 0 {
-            return false;
+    fn acquire(&self) -> GatePermit<'_> {
+        let mut count = self.in_flight.lock().expect("gate lock poisoned");
+        while *count >= self.limit {
+            count = self.freed.wait(count).expect("gate lock poisoned");
         }
-        let mut b = bucket.lock().expect("aimd bucket lock poisoned");
-        if b.rate_per_sec >= policy.max_per_sec {
-            return false;
-        }
-        b.rate_per_sec = (b.rate_per_sec + policy.increase_per_sec).min(policy.max_per_sec);
-        true
+        *count += 1;
+        GatePermit { gate: self }
     }
+}
 
-    /// Multiplicative decrease on an observed 429; returns whether the
-    /// rate actually moved.
-    fn aimd_decrease(&self) -> bool {
-        let Some((policy, bucket)) = &self.aimd else {
-            return false;
-        };
-        let mut b = bucket.lock().expect("aimd bucket lock poisoned");
-        if b.rate_per_sec <= policy.min_per_sec {
-            return false;
-        }
-        b.rate_per_sec = (b.rate_per_sec / 2).max(policy.min_per_sec);
-        true
-    }
+struct GatePermit<'g> {
+    gate: &'g Gate,
+}
 
-    fn record_success(&self, completion: &Completion, latency_us: u64) {
-        let mut stats = self.lock_stats();
-        stats.successes += 1;
-        stats.latency.record(latency_us);
-        stats.prompt_tokens += completion.usage.prompt_tokens as u64;
-        stats.completion_tokens += completion.usage.completion_tokens as u64;
-        stats.billed_micro += completion.usage.total() as u64 * self.cost_micro_per_token;
+impl Drop for GatePermit<'_> {
+    fn drop(&mut self) {
+        // A bare counter is valid at every step, so a poisoned lock is
+        // recovered rather than panicking inside `drop`.
+        let in_flight = &self.gate.in_flight;
+        *in_flight.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.gate.freed.notify_one();
     }
 }
 
@@ -634,6 +545,9 @@ pub struct RoutedBackend<'a> {
     name: String,
     endpoints: Vec<EndpointState<'a>>,
     retry: RetryPolicy,
+    /// Per-call deadline in microseconds (0 = none).
+    deadline_us: u64,
+    gate: Option<Gate>,
     dice: Dice,
     clock: Arc<dyn Clock>,
     scalars: Mutex<RouterStats>,
@@ -658,6 +572,8 @@ impl<'a> RoutedBackend<'a> {
             name: "routed[]".to_string(),
             endpoints: Vec::new(),
             retry: RetryPolicy::default(),
+            deadline_us: 0,
+            gate: None,
             dice: Dice::new(seed),
             clock: Arc::new(VirtualClock::new()),
             scalars: Mutex::new(RouterStats::default()),
@@ -688,64 +604,84 @@ impl<'a> RoutedBackend<'a> {
 
     /// Adds an endpoint (builder-style). The endpoint id is its index in
     /// insertion order; a [`FaultPlan`] in `config` becomes an owned
-    /// [`SimBackend`] tagged with that id, so replicas sharing a plan
-    /// draw independent fault schedules.
+    /// [`unidm_llm::SimBackend`] tagged with that id, so replicas sharing
+    /// a plan draw independent fault schedules.
     pub fn endpoint(mut self, model: &'a dyn LanguageModel, config: EndpointConfig) -> Self {
         let id = self.endpoints.len() as u64;
-        let origin = model as *const dyn LanguageModel as *const () as usize;
-        let endpoint_model = match config.faults {
-            Some(plan) => EndpointModel::Sim(Box::new(
-                SimBackend::with_clock(model, plan, self.clock.clone()).with_endpoint(id),
-            )),
-            None => EndpointModel::Direct(model),
-        };
+        self.push(model, config, Some(id));
+        self.name = self.display_name();
+        self
+    }
+
+    fn push(&mut self, model: &'a dyn LanguageModel, config: EndpointConfig, tag: Option<u64>) {
         let now = self.clock.now_micros();
         self.endpoints.push(EndpointState {
-            model: endpoint_model,
-            origin,
+            model: Endpoint::new(model, config.faults, self.clock.clone(), tag),
+            origin: model as *const dyn LanguageModel as *const () as usize,
             weight: u64::from(config.weight.max(1)),
             cost_micro_per_token: config.cost_micro_per_token,
             breaker: config
                 .breaker
                 .map(|policy| Mutex::new(Breaker::new(policy))),
-            aimd: config.aimd.map(|policy| {
-                (
-                    policy,
-                    Mutex::new(AimdBucket {
-                        rate_per_sec: policy.initial_per_sec.max(1),
-                        units: policy.burst.max(1) * TOKEN,
-                        last_us: now,
-                    }),
-                )
-            }),
+            bucket: config
+                .aimd
+                .map(|policy| Mutex::new(Bucket::new(policy, now))),
             stats: Mutex::new(EndpointStats::default()),
         });
-        self.name = self.display_name();
-        self
+    }
+
+    /// An empty router carrying `config`'s seed, retry policy, per-call
+    /// deadline and in-flight bound.
+    fn configured(config: &BackendConfig, clock: Arc<dyn Clock>) -> Self {
+        let mut router = RoutedBackend::new(config.seed)
+            .with_clock(clock)
+            .with_retry(config.retry);
+        router.deadline_us = config.deadline_us;
+        router.gate = (config.max_in_flight > 0).then(|| Gate::new(config.max_in_flight));
+        router
     }
 
     /// Builds a replica fleet over one shared `inner` model from
     /// `config.route` (identity plan when unset): each replica gets the
     /// plan's breaker and AIMD policies plus an endpoint-aware copy of
-    /// `config.faults`. `config.deadline_us` and `config.max_in_flight`
-    /// are blocking-stack features and are not applied here.
+    /// `config.faults`; `config.deadline_us` and `config.max_in_flight`
+    /// bound each call across the whole fleet.
     pub fn from_plan(inner: &'a dyn LanguageModel, config: BackendConfig) -> Self {
         let plan = config.route.unwrap_or_else(|| RoutePlan::replicas(1));
         let replicas = plan.replicas.clamp(1, MAX_ROUTE_ENDPOINTS as u32) as usize;
-        let mut router = RoutedBackend::new(config.seed).with_retry(config.retry);
+        let mut router = Self::configured(&config, Arc::new(VirtualClock::new()));
         for i in 0..replicas {
-            let mut endpoint = EndpointConfig::new().with_weight(u32::from(plan.weights[i].max(1)));
-            if let Some(faults) = config.faults {
-                endpoint = endpoint.with_faults(faults);
-            }
-            if let Some(breaker) = plan.breaker {
-                endpoint = endpoint.with_breaker(breaker);
-            }
-            if let Some(aimd) = plan.aimd {
-                endpoint = endpoint.with_aimd(aimd);
-            }
+            let endpoint = EndpointConfig {
+                weight: u32::from(plan.weights[i].max(1)),
+                faults: config.faults,
+                breaker: plan.breaker,
+                aimd: plan.aimd,
+                ..EndpointConfig::new()
+            };
             router = router.endpoint(inner, endpoint);
         }
+        router
+    }
+
+    /// The stack behind [`crate::backend::ResilientBackend`]: one
+    /// *untagged* endpoint (fault-slot keys carry no endpoint id) named
+    /// after `inner`, `config`'s breaker, its rate limit as a fixed bucket.
+    pub(crate) fn single(
+        inner: &'a dyn LanguageModel,
+        config: &BackendConfig,
+        clock: Arc<dyn Clock>,
+    ) -> Self {
+        let mut router = Self::configured(config, clock);
+        let endpoint = EndpointConfig {
+            faults: config.faults,
+            breaker: config.breaker,
+            aimd: config
+                .rate
+                .map(|rate| AimdPolicy::fixed(rate.tokens_per_sec, rate.burst)),
+            ..EndpointConfig::new()
+        };
+        router.push(inner, endpoint, None);
+        router.name = inner.name().to_string();
         router
     }
 
@@ -776,11 +712,7 @@ impl<'a> RoutedBackend<'a> {
 
     /// A snapshot of the router counters, per-endpoint stats included.
     pub fn stats(&self) -> RouterStats {
-        let mut stats = self
-            .scalars
-            .lock()
-            .expect("router stats lock poisoned")
-            .clone();
+        let mut stats = self.lock_scalars().clone();
         stats.endpoints = self.endpoints.iter().map(|e| *e.lock_stats()).collect();
         stats
     }
@@ -793,86 +725,115 @@ impl<'a> RoutedBackend<'a> {
     /// Merged fault-injection counters across all endpoint injectors
     /// (`None` when no endpoint has a fault plan).
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        let mut merged: Option<FaultStats> = None;
-        for endpoint in &self.endpoints {
-            if let EndpointModel::Sim(sim) = &endpoint.model {
-                let stats = sim.stats();
-                match &mut merged {
-                    Some(m) => m.merge(&stats),
-                    None => merged = Some(stats),
-                }
-            }
-        }
-        merged
+        self.endpoints
+            .iter()
+            .filter_map(|e| e.model.fault_stats())
+            .reduce(|mut merged, stats| {
+                merged.merge(&stats);
+                merged
+            })
     }
 
     /// The current AIMD rate of endpoint `index`, attempts per second
     /// (`None` when the endpoint has no bucket or does not exist).
     pub fn current_rate_per_sec(&self, index: usize) -> Option<u64> {
-        let (_, bucket) = self.endpoints.get(index)?.aimd.as_ref()?;
-        Some(
-            bucket
-                .lock()
-                .expect("aimd bucket lock poisoned")
-                .rate_per_sec,
-        )
+        Some(lock(&self.endpoints.get(index)?.bucket)?.rate_per_sec())
     }
 
     fn lock_scalars(&self) -> MutexGuard<'_, RouterStats> {
         self.scalars.lock().expect("router stats lock poisoned")
     }
 
-    /// Picks an endpoint for attempt `attempt` of `prompt`: a seeded
-    /// weighted draw over the endpoints whose breakers admit traffic.
-    /// `Err(min remaining cooldown)` when every breaker is open.
-    fn select(&self, prompt: &str, attempt: u64) -> Result<usize, u64> {
+    /// Picks an endpoint for attempt `retry` (0-based) of `prompt`: a
+    /// seeded weighted draw over the endpoints whose breakers admit
+    /// traffic. `Err(min remaining cooldown)` when every breaker is open.
+    fn select(&self, prompt: &str, retry: u32) -> Result<usize, u64> {
         let now = self.clock.now_micros();
-        let mut admissible: Vec<usize> = Vec::with_capacity(self.endpoints.len());
+        // Open breakers are the exception, so the *skipped* endpoints are
+        // what gets collected: a healthy fleet selects without allocating.
+        let mut skipped: Vec<usize> = Vec::new();
         let mut min_cooldown = u64::MAX;
+        let mut total = 0u64;
         for (i, endpoint) in self.endpoints.iter().enumerate() {
-            let admitted = match &endpoint.breaker {
-                None => Ok(()),
-                Some(breaker) => breaker.lock().expect("breaker lock poisoned").admit(now),
-            };
+            let admitted = lock(&endpoint.breaker).map_or(Ok(()), |mut b| b.admit(now));
             match admitted {
-                Ok(()) => admissible.push(i),
+                Ok(()) => total += endpoint.weight,
                 Err(remaining) => {
                     endpoint.lock_stats().breaker_open_skips += 1;
                     min_cooldown = min_cooldown.min(remaining);
+                    skipped.push(i);
                 }
             }
         }
-        if admissible.is_empty() {
-            return Err(if min_cooldown == u64::MAX {
-                0
-            } else {
-                min_cooldown
-            });
-        }
-        let total: u64 = admissible.iter().map(|&i| self.endpoints[i].weight).sum();
-        let roll = (self.dice.uniform(prompt, &format!("route-{attempt}")) * total as f64) as u64;
-        let roll = roll.min(total - 1);
-        let mut cumulative = 0u64;
-        for &i in &admissible {
-            cumulative += self.endpoints[i].weight;
-            if roll < cumulative {
-                return Ok(i);
+        let mut admissible = (0..self.endpoints.len()).filter(|i| !skipped.contains(i));
+        match self.endpoints.len() - skipped.len() {
+            0 => Err(min_cooldown),
+            // One candidate decides the draw; `Dice` draws are stateless,
+            // so skipping this one moves no other.
+            1 => Ok(admissible.next().expect("one endpoint is admissible")),
+            _ => {
+                let draw = self.dice.uniform(prompt, &format!("route-{retry}"));
+                let roll = ((draw * total as f64) as u64).min(total - 1);
+                let mut cumulative = 0u64;
+                let pick = admissible.find(|&i| {
+                    cumulative += self.endpoints[i].weight;
+                    roll < cumulative
+                });
+                Ok(pick.expect("the roll is below the total weight"))
             }
         }
-        Ok(*admissible.last().expect("admissible is non-empty"))
     }
 
-    /// Backoff before retry `n` (1-based) of `prompt`: exponential from
-    /// the policy base, capped, then jittered into `[50%, 100%]` by a
-    /// deterministic draw — the same scheme as the blocking stack.
-    fn backoff_us(&self, prompt: &str, retry: u32) -> u64 {
-        let policy = self.retry;
-        let doubled = policy
-            .base_backoff_us
-            .saturating_mul(1u64 << (retry - 1).min(32));
-        let ceiling = doubled.min(policy.max_backoff_us);
-        let jitter = self.dice.uniform(prompt, &format!("backoff-{retry}"));
-        ceiling / 2 + ((ceiling / 2) as f64 * jitter) as u64
+    /// One attempt of `prompt` on `endpoint`: wait for a rate token, call,
+    /// and feed the outcome to the endpoint's breaker, bucket and
+    /// counters. `first` marks the call's first attempt.
+    fn attempt(
+        &self,
+        endpoint: &EndpointState<'_>,
+        prompt: &str,
+        first: bool,
+    ) -> Result<Arc<Completion>, LlmError> {
+        let now = self.clock.now_micros();
+        let waited = lock(&endpoint.bucket).map_or(0, |mut b| b.grant(now) - now);
+        if waited > 0 {
+            self.clock.sleep_micros(waited);
+        }
+        {
+            let mut stats = endpoint.lock_stats();
+            stats.calls += u64::from(first);
+            stats.throttle_waits += u64::from(waited > 0);
+            stats.throttle_wait_us += waited;
+            stats.rate_tokens += u64::from(endpoint.bucket.is_some());
+            stats.attempts += 1;
+        }
+        let attempt_start = self.clock.now_micros();
+        let result = endpoint.model.model().complete(prompt);
+        let end = self.clock.now_micros();
+        match &result {
+            Ok(completion) => {
+                if let Some(mut breaker) = lock(&endpoint.breaker) {
+                    breaker.success();
+                }
+                let increased = lock(&endpoint.bucket).is_some_and(|mut b| b.on_success());
+                let mut stats = endpoint.lock_stats();
+                stats.aimd_increases += u64::from(increased);
+                stats.successes += 1;
+                stats.latency.record(end - attempt_start);
+                stats.bill(completion, endpoint.cost_micro_per_token);
+            }
+            Err(e) if e.is_transient() => {
+                let decreased = matches!(e, LlmError::RateLimited { .. })
+                    && lock(&endpoint.bucket).is_some_and(|mut b| b.on_rate_limited());
+                let tripped = lock(&endpoint.breaker).is_some_and(|mut b| b.failure(end));
+                let mut stats = endpoint.lock_stats();
+                let s = &mut *stats;
+                tally_fault(e, &mut s.timeouts, &mut s.rate_limited, &mut s.transients);
+                s.aimd_decreases += u64::from(decreased);
+                s.breaker_trips += u64::from(tripped);
+            }
+            Err(_) => {}
+        }
+        result
     }
 }
 
@@ -881,6 +842,9 @@ impl LanguageModel for RoutedBackend<'_> {
         &self.name
     }
 
+    /// The blocking attempt loop: deadline check, breaker-aware endpoint
+    /// selection, one attempt, then — on a transient failure with retries
+    /// left — a kernel backoff slept on the clock.
     fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
         assert!(
             !self.endpoints.is_empty(),
@@ -888,77 +852,38 @@ impl LanguageModel for RoutedBackend<'_> {
         );
         self.lock_scalars().calls += 1;
         let start = self.clock.now_micros();
+        let _permit = self.gate.as_ref().map(Gate::acquire);
         let mut retry = 0u32;
-        let mut attempt = 0u64;
         loop {
-            let err = match self.select(prompt, attempt) {
+            if self.deadline_us > 0 && self.clock.now_micros() >= start + self.deadline_us {
+                let mut scalars = self.lock_scalars();
+                scalars.deadline_exceeded += 1;
+                scalars.failures += 1;
+                return Err(LlmError::DeadlineExceeded {
+                    deadline_us: self.deadline_us,
+                });
+            }
+            let err = match self.select(prompt, retry) {
                 Err(cooldown_us) => {
                     self.lock_scalars().all_open += 1;
                     LlmError::CircuitOpen { cooldown_us }
                 }
-                Ok(index) => {
-                    let endpoint = &self.endpoints[index];
-                    if attempt == 0 {
-                        endpoint.lock_stats().calls += 1;
+                Ok(index) => match self.attempt(&self.endpoints[index], prompt, retry == 0) {
+                    Ok(completion) => {
+                        let mut scalars = self.lock_scalars();
+                        scalars.answers += 1;
+                        let elapsed = self.clock.now_micros() - start;
+                        scalars.request_latency.record(elapsed);
+                        return Ok(completion);
                     }
-                    let waited = endpoint.acquire_token(&self.clock);
-                    {
-                        let mut stats = endpoint.lock_stats();
-                        if waited > 0 {
-                            stats.throttle_waits += 1;
-                            stats.throttle_wait_us += waited;
-                        }
-                        if endpoint.aimd.is_some() {
-                            stats.rate_tokens += 1;
-                        }
-                        stats.attempts += 1;
+                    Err(e) if e.is_transient() => e,
+                    Err(e) => {
+                        // Permanent: no endpoint can succeed on the
+                        // identical call, so surface it immediately.
+                        self.lock_scalars().failures += 1;
+                        return Err(e);
                     }
-                    let attempt_start = self.clock.now_micros();
-                    match endpoint.model.model().complete(prompt) {
-                        Ok(completion) => {
-                            if let Some(breaker) = &endpoint.breaker {
-                                breaker.lock().expect("breaker lock poisoned").success();
-                            }
-                            if endpoint.aimd_success() {
-                                endpoint.lock_stats().aimd_increases += 1;
-                            }
-                            let now = self.clock.now_micros();
-                            endpoint.record_success(&completion, now - attempt_start);
-                            let mut scalars = self.lock_scalars();
-                            scalars.answers += 1;
-                            scalars.request_latency.record(now - start);
-                            return Ok(completion);
-                        }
-                        Err(e) if e.is_transient() => {
-                            {
-                                let mut stats = endpoint.lock_stats();
-                                match &e {
-                                    LlmError::Timeout { .. } => stats.timeouts += 1,
-                                    LlmError::RateLimited { .. } => stats.rate_limited += 1,
-                                    LlmError::Transient { .. } => stats.transients += 1,
-                                    _ => {}
-                                }
-                            }
-                            if matches!(e, LlmError::RateLimited { .. }) && endpoint.aimd_decrease()
-                            {
-                                endpoint.lock_stats().aimd_decreases += 1;
-                            }
-                            if let Some(breaker) = &endpoint.breaker {
-                                let now = self.clock.now_micros();
-                                if breaker.lock().expect("breaker lock poisoned").failure(now) {
-                                    endpoint.lock_stats().breaker_trips += 1;
-                                }
-                            }
-                            e
-                        }
-                        Err(e) => {
-                            // Permanent: no endpoint can succeed on the
-                            // identical call, so surface it immediately.
-                            self.lock_scalars().failures += 1;
-                            return Err(e);
-                        }
-                    }
-                }
+                },
             };
             if retry >= self.retry.max_retries {
                 self.lock_scalars().failures += 1;
@@ -966,17 +891,8 @@ impl LanguageModel for RoutedBackend<'_> {
             }
             retry += 1;
             self.lock_scalars().retries += 1;
-            let mut backoff = self.backoff_us(prompt, retry);
-            // Honor server hints and breaker cooldowns, as the blocking
-            // stack does: sleeping less burns a retry on a guaranteed
-            // rejection.
-            match err {
-                LlmError::RateLimited { retry_after_us } => backoff = backoff.max(retry_after_us),
-                LlmError::CircuitOpen { cooldown_us } => backoff = backoff.max(cooldown_us),
-                _ => {}
-            }
-            self.clock.sleep_micros(backoff);
-            attempt += 1;
+            self.clock
+                .sleep_micros(backoff_us(self.retry, &self.dice, prompt, retry, &err));
         }
     }
 
@@ -1183,13 +1099,6 @@ impl<'a> CascadeBackend<'a> {
             .lock()
             .expect("cascade tier lock poisoned")
     }
-
-    fn record_tokens(&self, index: usize, completion: &Completion, cost_micro: u64) {
-        let mut tier = self.tier(index);
-        tier.prompt_tokens += completion.usage.prompt_tokens as u64;
-        tier.completion_tokens += completion.usage.completion_tokens as u64;
-        tier.billed_micro += completion.usage.total() as u64 * cost_micro;
-    }
 }
 
 /// Cheap tier index in [`CascadeBackend::stats`].
@@ -1211,7 +1120,7 @@ impl LanguageModel for CascadeBackend<'_> {
         }
         match self.cheap.complete(prompt) {
             Ok(completion) => {
-                self.record_tokens(CHEAP, &completion, self.cheap_cost_micro);
+                self.tier(CHEAP).bill(&completion, self.cheap_cost_micro);
                 let confidence = answer_confidence_permille(&completion.text);
                 if confidence >= self.policy.gate_permille {
                     self.tier(CHEAP).successes += 1;
@@ -1243,7 +1152,7 @@ impl LanguageModel for CascadeBackend<'_> {
         }
         match self.large.complete(prompt) {
             Ok(completion) => {
-                self.record_tokens(LARGE, &completion, self.large_cost_micro);
+                self.tier(LARGE).bill(&completion, self.large_cost_micro);
                 self.tier(LARGE).successes += 1;
                 self.lock_scalars().answers += 1;
                 Ok(completion)

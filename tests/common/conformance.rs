@@ -22,6 +22,12 @@
 //!    one attempt per call.
 //! 5. **Stats-merge commutativity** — wrapper stats merge like
 //!    `BackendStats`: exact, commutative, with `default()` as identity.
+//! 6. **Pinned counters** — one fixed serial workload reproduces a
+//!    committed golden ledger (every counter, the injector's, the clock),
+//!    so a change that shifts every run the same way is still caught.
+//!
+//! Invariants 1–5 run at the fault seed in `UNIDM_FAULT_SEED` (the CI
+//! matrix runs two), 7 otherwise; the golden ledger is pinned at seed 9.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,12 +36,17 @@ use unidm::backend::BackendStats;
 use unidm_llm::{Completion, FaultPlan, LanguageModel, LlmError, LlmProfile, MockLlm, Usage};
 use unidm_world::World;
 
+use super::fault_seed;
+
 /// What a conformance check asks of the wrapper it drives.
 pub trait BackendUnderTest {
     /// The wrapped model calls go through.
     fn model(&self) -> &dyn LanguageModel;
     /// The wrapper's counters in the flat `BackendStats` shape.
     fn stats(&self) -> BackendStats;
+    /// Everything the wrapper counted, rendered for the golden pin: its
+    /// own stats, its fault injectors' and its clock.
+    fn ledger(&self) -> String;
 }
 
 /// The knobs a check turns; factories translate these into their
@@ -123,9 +134,10 @@ pub fn check_determinism_and_transparency(factory: Factory, label: &str) {
         .iter()
         .map(|p| llm.complete(p).expect("direct call succeeds").text.clone())
         .collect();
+    let seed = fault_seed();
     let scenario = Scenario {
-        seed: 7,
-        faults: Some(FaultPlan::moderate(7)),
+        seed,
+        faults: Some(FaultPlan::moderate(seed)),
         rate: None,
     };
     let run = || {
@@ -164,7 +176,7 @@ pub fn check_determinism_and_transparency(factory: Factory, label: &str) {
 pub fn check_error_propagation(factory: Factory, label: &str) {
     let llm = inner_model();
     let scenario = Scenario {
-        seed: 7,
+        seed: fault_seed(),
         faults: None,
         rate: None,
     };
@@ -189,7 +201,7 @@ pub fn check_no_memoized_errors(factory: Factory, label: &str) {
     let llm = inner_model();
     let counter = CountingModel::new(&llm);
     let scenario = Scenario {
-        seed: 7,
+        seed: fault_seed(),
         faults: None,
         rate: None,
     };
@@ -215,7 +227,7 @@ pub fn check_no_memoized_errors(factory: Factory, label: &str) {
 pub fn check_rate_token_exactness(factory: Factory, label: &str) {
     let llm = inner_model();
     let scenario = Scenario {
-        seed: 7,
+        seed: fault_seed(),
         faults: None,
         rate: Some((500, 10)),
     };
@@ -261,8 +273,8 @@ pub fn check_stats_merge_commutativity(factory: Factory, label: &str) {
         }
         wrapper.stats()
     };
-    let a = stats_for("merge-a", 7);
-    let b = stats_for("merge-b", 1337);
+    let a = stats_for("merge-a", fault_seed());
+    let b = stats_for("merge-b", fault_seed() ^ 0x5eed);
     let mut ab = a;
     ab.merge(&b);
     let mut ba = b;
@@ -278,4 +290,34 @@ pub fn check_stats_merge_commutativity(factory: Factory, label: &str) {
     let mut id = a;
     id.merge(&BackendStats::default());
     assert_eq!(id, a, "{label}: merging a default is the identity");
+}
+
+/// Invariant 6: a fixed serial workload — 40 prompts under
+/// `FaultPlan::heavy(9)` — reproduces the committed golden ledgers
+/// exactly: first behind a 50/s burst-10 rate limit (never throttles, so
+/// retries and breakers set the timeline), then behind 4/s burst 2
+/// (the bucket sets it).
+pub fn check_pinned_counters(factory: Factory, label: &str, goldens: [&str; 2]) {
+    let llm = inner_model();
+    for (rate, golden) in [(50, 10), (4, 2)].into_iter().zip(goldens) {
+        let wrapper = factory(
+            &llm,
+            Scenario {
+                seed: 9,
+                faults: Some(FaultPlan::heavy(9)),
+                rate: Some(rate),
+            },
+        );
+        for p in &prompts("pinned", 40) {
+            wrapper
+                .model()
+                .complete(p)
+                .unwrap_or_else(|e| panic!("{label}: {p:?} must survive faults: {e}"));
+        }
+        assert_eq!(
+            wrapper.ledger(),
+            golden,
+            "{label}: pinned ledger moved at rate {rate:?}"
+        );
+    }
 }

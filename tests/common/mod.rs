@@ -16,6 +16,15 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+/// The fault-schedule seed: `UNIDM_FAULT_SEED` when set (the CI matrix
+/// runs two), 7 otherwise.
+pub fn fault_seed() -> u64 {
+    std::env::var("UNIDM_FAULT_SEED")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(7)
+}
+
 /// Character pool approximating proptest's `.` (any char) strategy:
 /// printable ASCII plus a few multi-byte code points to exercise UTF-8
 /// handling.
