@@ -1,5 +1,5 @@
 //! Open-loop serving bench — the standing `serving` perf regime of the
-//! committed baseline (`BENCH_10.json`).
+//! committed baseline (`BENCH_<pr>.json`).
 //!
 //! Where the `throughput` bench is closed-loop (push a batch as fast as
 //! it goes, report makespan), this binary drives the resilient backend
@@ -40,7 +40,7 @@ use std::path::PathBuf;
 
 use unidm::serve::{ArrivalProcess, ServeConfig, ServeReport, ServeSim, TenantSpec};
 use unidm::{BackendConfig, CacheStore, CanonLevel, PromptCache, StoreConfig};
-use unidm_bench::{json_array, JsonObject};
+use unidm_bench::{json_array, JsonObject, BASELINE_PR};
 use unidm_eval::streams::{record_streams, PromptStream};
 use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm};
 use unidm_world::World;
@@ -154,7 +154,7 @@ fn write_section(path: &PathBuf, seed: u64, section: &str) {
             format!("{base}{MARKER}{section}}}")
         }
         Err(_) => JsonObject::new()
-            .field_u64("pr", 13)
+            .field_u64("pr", BASELINE_PR)
             .field_str("bench", "serving")
             .field_u64("seed", seed)
             .field_raw("serving", section)
@@ -177,7 +177,7 @@ fn main() {
         .unwrap_or(7);
     let path = arg_value(&args, "--bench-json")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_10.json"));
+        .unwrap_or_else(|| PathBuf::from(format!("BENCH_{BASELINE_PR}.json")));
     let store_path = arg_value(&args, "--store").map(PathBuf::from);
     let (stream_queries, requests_per_tenant) = if quick { (3, 30) } else { (6, 150) };
 

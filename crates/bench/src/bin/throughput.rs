@@ -1,12 +1,13 @@
 //! Throughput of the batch execution engine — and the machine-readable
-//! perf baseline (`BENCH_10.json`) every future PR has to beat.
+//! perf baseline (the committed `BENCH_<pr>.json`) every future PR has to
+//! beat.
 //!
 //! Regimes:
 //!
 //! * **serial / batched / cold cache / warm cache** — the classic ladder:
 //!   one worker, the work-stealing pool, the pool over a cold sharded
-//!   [`PromptCache`] at [`CanonLevel::TableStem`], and the pool over a
-//!   fresh cache restored from the cold run's snapshot.
+//!   [`PromptCache`] at [`CanonLevel::TableStem`], and a second pass of
+//!   the pool over that now-warm cache.
 //! * **cold store / warm store** — the tiered store: the same workload
 //!   with a [`CacheStore`] disk tier beneath the cache. The cold run
 //!   populates a fresh `UDMCACHE1` file (every unique key admitted); the
@@ -80,7 +81,7 @@
 //! ```text
 //! cargo run -p unidm-bench --release --bin throughput            # paper scale
 //! cargo run -p unidm-bench --release --bin throughput -- --quick # smoke scale
-//! cargo run -p unidm-bench --release --bin throughput -- --bench-json out/BENCH_13.json
+//! cargo run -p unidm-bench --release --bin throughput -- --bench-json out/BENCH.json
 //! cargo run -p unidm-bench --release --bin throughput -- --faults heavy --rate-limit 200
 //! cargo run -p unidm-bench --release --bin throughput -- --route 4 # fleet behind the standard regimes
 //! cargo run -p unidm-bench --release --bin throughput -- --scale-only --scale-rows 100000
@@ -96,7 +97,7 @@ use unidm::{
     Task,
 };
 use unidm_bench::alloc_counter::{self, AllocationDelta};
-use unidm_bench::{config_from_args, CallCounter, JsonObject};
+use unidm_bench::{config_from_args, CallCounter, JsonObject, BASELINE_PR};
 use unidm_llm::{Clock, Completion, FaultPlan, LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
 use unidm_synthdata::scale::{ScaleSpec, TABLE_NAME as SCALE_TABLE};
@@ -154,6 +155,18 @@ impl Regime {
     }
 }
 
+/// What one pass added to a cache's counters: `after - before`, field by
+/// field.
+fn stats_since(after: unidm::CacheStats, before: unidm::CacheStats) -> unidm::CacheStats {
+    unidm::CacheStats {
+        hits: after.hits - before.hits,
+        misses: after.misses - before.misses,
+        coalesced: after.coalesced - before.coalesced,
+        evictions: after.evictions - before.evictions,
+        tokens_saved: after.tokens_saved - before.tokens_saved,
+    }
+}
+
 fn print_shards(shards: &[unidm::CacheStats]) {
     for (i, s) in shards.iter().enumerate() {
         if s.lookups() == 0 {
@@ -179,7 +192,7 @@ fn bench_json_path() -> PathBuf {
         .and_then(|pos| args.get(pos + 1))
         .filter(|path| !path.starts_with("--"))
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_10.json"))
+        .unwrap_or_else(|| PathBuf::from(format!("BENCH_{BASELINE_PR}.json")))
 }
 
 /// Parses `--scale-only` and `--scale-rows N` (default 10^6, or 10^5
@@ -374,10 +387,6 @@ fn main() {
         .collect();
     let pipeline = PipelineConfig::paper_default().with_seed(config.seed);
     let workers = BatchRunner::new(&llm, pipeline).workers();
-    let snapshot_path = config.cache.snapshot_dir.as_ref().map(|dir| {
-        let _ = std::fs::create_dir_all(dir);
-        dir.join(format!("throughput-seed{}.promptcache", config.seed))
-    });
 
     println!(
         "Batch throughput: {} imputation tasks (Restaurant), {} workers, model {}, \
@@ -396,6 +405,9 @@ fn main() {
      -> (Regime, unidm::BatchReport) {
         llm.reset_usage();
         llm.reset_calls();
+        // Counters are reported per pass, so a regime that re-runs over an
+        // already-used cache shows only its own traffic.
+        let shards_before = cache.map(PromptCache::shard_stats).unwrap_or_default();
         let model: &dyn LanguageModel = match cache {
             Some(cache) => cache,
             None => &llm,
@@ -411,6 +423,18 @@ fn main() {
             .iter()
             .map(|r| r.as_ref().map(|o| o.answer.clone()).unwrap_or_default())
             .collect();
+        let shard_stats: Vec<unidm::CacheStats> = cache
+            .map(PromptCache::shard_stats)
+            .unwrap_or_default()
+            .into_iter()
+            .zip(shards_before)
+            .map(|(after, before)| stats_since(after, before))
+            .collect();
+        let stats = cache.map(|_| {
+            let mut total = unidm::CacheStats::default();
+            shard_stats.iter().for_each(|shard| total.merge(*shard));
+            total
+        });
         (
             Regime {
                 name,
@@ -418,8 +442,8 @@ fn main() {
                 elapsed_secs,
                 model_tokens: llm.usage().total(),
                 model_calls: llm.calls(),
-                stats: cache.map(PromptCache::stats),
-                shard_stats: cache.map(PromptCache::shard_stats).unwrap_or_default(),
+                stats,
+                shard_stats,
             },
             report,
         )
@@ -428,33 +452,13 @@ fn main() {
     let (serial, _) = run("serial", None, &tasks, 1, false);
     let (batched, _) = run("batched", None, &tasks, workers, false);
 
-    // Cold cache: canonicalized, sharded, starting empty (or from a prior
-    // invocation's snapshot when --cache-dir is given).
+    // Cold cache: canonicalized, sharded, starting empty.
     let cold_cache = PromptCache::unbounded(&llm).with_canonicalization(CanonLevel::TableStem);
-    if let Some(path) = &snapshot_path {
-        if path.exists() {
-            match cold_cache.load_from(path) {
-                Ok(n) => println!("(loaded {n} entries from {})", path.display()),
-                Err(e) => println!("(cold start: {e})"),
-            }
-        }
-    }
     let (cold, _) = run("cold cache", Some(&cold_cache), &tasks, workers, false);
 
-    // Warm cache: a fresh cache restored from the cold run's snapshot —
-    // the state a repeated eval run starts from.
-    let snapshot = cold_cache.snapshot();
-    let warm_cache = PromptCache::unbounded(&llm).with_canonicalization(CanonLevel::TableStem);
-    warm_cache
-        .restore(&snapshot)
-        .expect("snapshot written by this process must restore");
-    let (warm, _) = run("warm cache", Some(&warm_cache), &tasks, workers, false);
-    if let Some(path) = &snapshot_path {
-        match warm_cache.save_to(path) {
-            Ok(()) => println!("(saved snapshot to {})", path.display()),
-            Err(e) => println!("(snapshot not saved: {e})"),
-        }
-    }
+    // Warm cache: the same tasks again over the now-populated cache — the
+    // tier-0 state a repeated eval run reaches once its store has replayed.
+    let (warm, _) = run("warm cache", Some(&cold_cache), &tasks, workers, false);
 
     // ── Duplicate-heavy regimes ─────────────────────────────────────────
     // The same tasks, each repeated DUP_FACTOR times, interleaved — the
@@ -1447,8 +1451,6 @@ fn main() {
         regimes[3].model_tokens,
         regimes[2].model_tokens,
     );
-    // >= rather than >: with --cache-dir, a repeat invocation's "cold"
-    // regime loads the persisted snapshot and both regimes hit 100%.
     assert!(
         warm_stats.hit_rate() >= cold_stats.hit_rate(),
         "warm hit rate should not trail cold: {:.2} vs {:.2}",
@@ -1465,7 +1467,7 @@ fn main() {
     // ── Out-of-core scale regime ────────────────────────────────────────
     let scale_json = run_scale(&llm, config.seed, scale_rows);
 
-    // ── BENCH_10.json: the machine-readable baseline ────────────────────
+    // ── BENCH_<pr>.json: the machine-readable baseline ──────────────────
     let store_section = |s: &unidm::StoreStats| {
         JsonObject::new()
             .field_u64("hits", s.hits as u64)
@@ -1525,7 +1527,7 @@ fn main() {
         .finish();
     let regime_json: Vec<String> = regimes.iter().map(Regime::to_json).collect();
     let mut doc = JsonObject::new()
-        .field_u64("pr", 13)
+        .field_u64("pr", BASELINE_PR)
         .field_str("bench", "throughput")
         .field_str("model", llm.name())
         .field_u64("seed", config.seed)

@@ -13,9 +13,9 @@
 //! pipeline stages, substrate operations, and the canonicalizer hot path.
 //!
 //! The crate also hosts the perf-baseline instrumentation the `throughput`
-//! binary uses to emit `BENCH_9.json`: a counting global allocator
-//! ([`alloc_counter`]), an endpoint-call counter ([`CallCounter`]), and a
-//! dependency-free JSON writer ([`JsonObject`]).
+//! binary uses to emit the committed `BENCH_<pr>.json`: a counting global
+//! allocator ([`alloc_counter`]), an endpoint-call counter
+//! ([`CallCounter`]), and a dependency-free JSON writer ([`JsonObject`]).
 
 // `deny` rather than `forbid`: the counting global allocator must
 // implement `GlobalAlloc`, which is an unsafe trait; that one module opts
@@ -30,6 +30,12 @@ use unidm_eval::{BackendConfig, CacheConfig, ExperimentConfig, RoutePlan};
 use unidm_llm::{Completion, FaultPlan, LanguageModel, LlmError, Usage};
 
 pub mod alloc_counter;
+
+/// The PR whose perf baseline the `throughput` and `serving` binaries
+/// emit: they stamp it into the document and default `--bench-json` to
+/// `BENCH_<BASELINE_PR>.json`, so a run without the flag can never
+/// overwrite an earlier PR's committed baseline.
+pub const BASELINE_PR: u64 = 14;
 
 /// Route every allocation of the bench binaries through the counting
 /// allocator, so perf regimes can assert exact allocation counts (the
@@ -188,8 +194,8 @@ pub fn json_escape(text: &str) -> String {
 /// * `--seed N` overrides the seed;
 /// * `--cache` routes driver traffic through a canonicalizing sharded
 ///   prompt cache (in-memory);
-/// * `--cache-dir DIR` additionally persists per-scenario snapshots under
-///   `DIR`, so repeating the same bench invocation starts warm;
+/// * `--cache-dir DIR` additionally persists per-scenario store files
+///   under `DIR`, so repeating the same bench invocation starts warm;
 /// * `--faults [none|light|moderate|heavy]` routes driver traffic through
 ///   the resilient backend over a seeded fault injector (`moderate` when
 ///   the level is omitted);
@@ -218,11 +224,14 @@ pub fn config_from_args() -> ExperimentConfig {
     if let Some(pos) = args.iter().position(|a| a == "--cache-dir") {
         match args.get(pos + 1) {
             Some(dir) if !dir.starts_with("--") => {
-                config.cache = CacheConfig::enabled().with_snapshot_dir(dir);
+                config.cache = CacheConfig {
+                    store_dir: Some(dir.into()),
+                    ..CacheConfig::enabled()
+                };
             }
             _ => eprintln!(
                 "warning: --cache-dir requires a directory argument; \
-                 snapshot persistence disabled"
+                 persistence disabled"
             ),
         }
     }

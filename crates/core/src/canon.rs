@@ -590,7 +590,7 @@ impl PromptKey {
     /// selection.
     ///
     /// Stable across runs and platforms (it hashes the canonical text's
-    /// bytes, not `Hasher` state), so persisted snapshots reload into the
+    /// bytes, not `Hasher` state), so persisted completions reload into the
     /// same shards. Because canonicalization is idempotent, the canonical
     /// text determines the key — hashing the text alone is collision-free
     /// across distinct keys up to FNV collisions.

@@ -1,42 +1,13 @@
 //! Parallel batch execution: a work-stealing worker pool fanning
-//! [`UniDm`] runs over many tasks, and a sharded, canonicalizing,
-//! single-flight, persistable prompt cache deduplicating repeated LLM
-//! calls.
+//! [`UniDm`] runs over many tasks.
 //!
 //! The paper's experiments (Tables 1–11) execute thousands of independent
-//! pipeline runs per dataset. Two properties of the pipeline make batch
-//! execution profitable:
-//!
-//! * **Independence** — each run is a pure function of `(model, config,
-//!   lake, task)`, so runs can execute on any thread in any order and still
-//!   produce bit-identical answers and per-run usage
-//!   ([`BatchRunner`]).
-//! * **Redundancy** — tasks on the same table issue near-identical
-//!   retrieval (`p_rm`, `p_ri`) and parsing (`p_dp`) prompts; a
-//!   prompt-level memo turns that redundancy into saved tokens and
-//!   throughput ([`PromptCache`]).
-//!
-//! The cache composes four mechanisms, each independently tunable:
-//!
-//! * **Canonical keys** ([`crate::canon`]) — prompts are keyed by their
-//!   canonical text, so whitespace variants and (at
-//!   [`CanonLevel::TableStem`]) per-row retrieval preambles share entries.
-//!   The lookup path runs [`CanonicalPrompt::canonicalize`], which borrows
-//!   already-canonical prompts instead of copying them — a warm hit
-//!   performs **zero heap allocations**.
-//! * **Sharding** — the memo is split across N independently locked maps
-//!   selected by key hash, so concurrent [`BatchRunner`] workers contend on
-//!   1/N of the lock traffic.
-//! * **Single-flight coalescing** — each shard keeps an in-flight table of
-//!   canonical keys currently being completed. Concurrent duplicate
-//!   lookups issue exactly **one** endpoint call: the first arrival leads,
-//!   the rest block on the slot and share the leader's completion
-//!   ([`CacheStats::coalesced`] counts them). Because misses complete the
-//!   canonical text against a deterministic substrate, coalesced answers
-//!   are bit-identical to what each caller would have fetched itself.
-//! * **Persistence** — [`PromptCache::save_to`] / [`PromptCache::load_from`]
-//!   snapshot the memo in a versioned text format, so a second eval run
-//!   starts warm and answers its first prompts without any model call.
+//! pipeline runs per dataset. Each run is a pure function of `(model,
+//! config, lake, task)`, so runs can execute on any thread in any order
+//! and still produce bit-identical answers and per-run usage
+//! ([`BatchRunner`]). The redundancy between runs — tasks on the same
+//! table issue near-identical retrieval and parsing prompts — is handled
+//! one layer down, by putting a [`crate::PromptCache`] under the runner.
 //!
 //! [`BatchRunner`] adds scheduler-level deduplication on top: a
 //! pre-dispatch planner groups byte-identical tasks, runs one
@@ -68,1096 +39,16 @@
 //! ```
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
-use unidm_llm::{Completion, LanguageModel, LlmError, Usage};
+use unidm_llm::LanguageModel;
 use unidm_tablestore::DataLake;
 
-use crate::canon::{CanonLevel, CanonicalPrompt};
 use crate::dispatch::Dispatcher;
 use crate::pipeline::{RunOutput, UniDm};
-use crate::store::{CacheStore, StoreStats};
 use crate::task::Task;
 use crate::{PipelineConfig, UniDmError};
-
-/// Hit/miss/saving statistics of a [`PromptCache`] (or of one shard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Completions served from the cache.
-    pub hits: usize,
-    /// Completions that had to go to the model. With single-flight
-    /// coalescing this counts **leaders only**, so for a fixed workload it
-    /// equals the number of unique canonical keys completed — exactly,
-    /// under every interleaving.
-    pub misses: usize,
-    /// Lookups that arrived while the same canonical key was already in
-    /// flight and shared the leader's completion instead of issuing their
-    /// own endpoint call. In a serial run this is always zero; under
-    /// parallelism, `hits + coalesced` is exact while the split between
-    /// the two depends on timing.
-    pub coalesced: usize,
-    /// Entries evicted to stay within capacity.
-    pub evictions: usize,
-    /// Tokens (prompt + completion) the model did not have to process
-    /// because a hit — or a coalesced wait — short-circuited the call.
-    pub tokens_saved: usize,
-}
-
-impl CacheStats {
-    /// Hit rate in `[0, 1]` (zero when nothing was looked up). Coalesced
-    /// lookups count toward the numerator: they were served without an
-    /// endpoint call of their own.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.coalesced + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            (self.hits + self.coalesced) as f64 / total as f64
-        }
-    }
-
-    /// Total lookups accounted (hits, coalesced waits, and misses).
-    pub fn lookups(&self) -> usize {
-        self.hits + self.coalesced + self.misses
-    }
-
-    /// Adds another stats snapshot into this one (used to aggregate
-    /// per-shard statistics).
-    pub fn merge(&mut self, other: CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.coalesced += other.coalesced;
-        self.evictions += other.evictions;
-        self.tokens_saved += other.tokens_saved;
-    }
-}
-
-/// One memoized completion: the shared payload plus its last-use stamp.
-#[derive(Debug)]
-struct CacheEntry {
-    completion: Arc<Completion>,
-    /// Last-use stamp from the cache-wide clock; comparable across shards,
-    /// which is what lets snapshot compaction keep the globally
-    /// most-recent entries.
-    stamp: u64,
-    /// Second-chance bit: set on every hit, cleared when the clock hand
-    /// sweeps past. An entry is evicted only if the hand finds the bit
-    /// clear — i.e. it was not used for a whole revolution.
-    referenced: bool,
-}
-
-/// State of a single-flight slot.
-enum SlotState {
-    /// The leader is still completing the canonical text.
-    Pending,
-    /// The leader finished; every waiter shares this result.
-    Done(Result<Arc<Completion>, LlmError>),
-    /// The leader panicked before filling the slot; waiters must retry
-    /// (and one of them becomes the new leader).
-    Abandoned,
-}
-
-/// A single-flight slot: the rendezvous between the leader completing a
-/// canonical key and the coalesced waiters blocked on it.
-struct InFlight {
-    state: Mutex<SlotState>,
-    ready: Condvar,
-}
-
-impl InFlight {
-    fn new() -> Arc<InFlight> {
-        Arc::new(InFlight {
-            state: Mutex::new(SlotState::Pending),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Publishes the leader's result and wakes every waiter.
-    fn fill(&self, result: Result<Arc<Completion>, LlmError>) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *state = SlotState::Done(result);
-        drop(state);
-        self.ready.notify_all();
-    }
-
-    /// Marks the slot abandoned (leader panicked) and wakes every waiter.
-    fn abandon(&self) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *state = SlotState::Abandoned;
-        drop(state);
-        self.ready.notify_all();
-    }
-
-    /// Blocks until the leader publishes; `None` means the slot was
-    /// abandoned and the caller should retry its lookup.
-    fn wait(&self) -> Option<Result<Arc<Completion>, LlmError>> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            match &*state {
-                SlotState::Pending => {
-                    state = self
-                        .ready
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                SlotState::Done(result) => return Some(result.clone()),
-                SlotState::Abandoned => return None,
-            }
-        }
-    }
-}
-
-#[derive(Default)]
-struct CacheInner {
-    /// canonical prompt text → memoized completion. Keyed by the owned
-    /// text but probed with a borrowed `&str`, so a warm hit allocates
-    /// nothing. `Arc<str>` so the eviction ring shares the key without a
-    /// second copy of the text.
-    entries: HashMap<Arc<str>, CacheEntry>,
-    /// Second-chance eviction ring: every resident key, in insertion
-    /// order, with `hand` pointing at the next eviction candidate. An
-    /// evicted slot is reused in place by the entry that displaced it, so
-    /// the ring never reallocates once the shard is full.
-    ring: Vec<Arc<str>>,
-    hand: usize,
-    /// canonical prompt text → single-flight slot for keys currently
-    /// being completed by a leader.
-    inflight: HashMap<Box<str>, Arc<InFlight>>,
-    stats: CacheStats,
-}
-
-impl CacheInner {
-    /// Inserts (or refreshes) `text` at `stamp`, evicting one entry by
-    /// second-chance when the shard is at `capacity`.
-    ///
-    /// Eviction is O(1) amortized: the clock hand sweeps the ring,
-    /// clearing reference bits until it finds an entry not used since the
-    /// last revolution — each resident entry is touched at most once per
-    /// revolution, however full the shard is. (The previous policy
-    /// scanned every entry for the minimum stamp on each over-capacity
-    /// miss: O(entries) per miss, quadratic under sustained load.) The
-    /// hit path still refreshes recency by overwriting the stamp and the
-    /// reference bit in place — no ordered index, no allocation.
-    ///
-    /// Victim choice is deterministic for a deterministic operation
-    /// order: the hand position and every reference bit are pure
-    /// functions of the insert/hit sequence. `stats.evictions` stays
-    /// exact — exactly one eviction per insert beyond capacity.
-    fn insert(&mut self, text: &str, completion: Arc<Completion>, capacity: usize, stamp: u64) {
-        if let Some(entry) = self.entries.get_mut(text) {
-            // Refresh in place (re-admission or a racing co-leader): the
-            // key keeps its ring slot.
-            entry.completion = completion;
-            entry.stamp = stamp;
-            entry.referenced = true;
-            return;
-        }
-        let key: Arc<str> = Arc::from(text);
-        let entry = CacheEntry {
-            completion,
-            stamp,
-            // A fresh entry starts unreferenced: it earns its second
-            // chance on first re-use, so a one-pass scan of cold keys
-            // cannot flush the referenced working set.
-            referenced: false,
-        };
-        if self.entries.len() >= capacity {
-            let slot = self.evict_one();
-            self.ring[slot] = key.clone();
-        } else {
-            self.ring.push(key.clone());
-        }
-        self.entries.insert(key, entry);
-    }
-
-    /// Runs the clock hand until it claims a victim; removes the victim
-    /// from the map and returns its (now free) ring slot.
-    fn evict_one(&mut self) -> usize {
-        debug_assert!(!self.ring.is_empty(), "eviction needs a resident entry");
-        loop {
-            if self.hand >= self.ring.len() {
-                self.hand = 0;
-            }
-            let key = self.ring[self.hand].clone();
-            let entry = self
-                .entries
-                .get_mut(key.as_ref())
-                .expect("every ring key is resident");
-            if entry.referenced {
-                entry.referenced = false;
-                self.hand += 1;
-            } else {
-                let slot = self.hand;
-                self.entries.remove(key.as_ref());
-                self.stats.evictions += 1;
-                self.hand += 1;
-                return slot;
-            }
-        }
-    }
-
-    /// Drops every entry and resets the eviction ring (statistics kept).
-    fn clear_entries(&mut self) {
-        self.entries.clear();
-        self.ring.clear();
-        self.hand = 0;
-    }
-}
-
-/// First line of every [`PromptCache`] snapshot; bumped whenever the format
-/// changes incompatibly.
-pub const SNAPSHOT_HEADER: &str = "unidm-prompt-cache v1";
-
-/// Why a snapshot could not be saved or restored.
-#[derive(Debug)]
-pub enum SnapshotError {
-    /// Reading or writing the snapshot file failed.
-    Io(std::io::Error),
-    /// The snapshot text is not a well-formed `unidm-prompt-cache`
-    /// document (wrong header, truncated entry, unparseable counts).
-    Parse {
-        /// 1-based line number the parser gave up on.
-        line: usize,
-        /// What was wrong.
-        message: String,
-    },
-    /// The snapshot was taken over a different model, so its memoized
-    /// completions would be wrong for this cache's inner model.
-    ModelMismatch {
-        /// The inner model of the cache being restored.
-        expected: String,
-        /// The model recorded in the snapshot.
-        found: String,
-    },
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
-            SnapshotError::Parse { line, message } => {
-                write!(f, "snapshot parse error at line {line}: {message}")
-            }
-            SnapshotError::ModelMismatch { expected, found } => write!(
-                f,
-                "snapshot model mismatch: cache wraps {expected:?} but snapshot was taken over \
-                 {found:?}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SnapshotError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e)
-    }
-}
-
-/// A concurrent prompt → completion memo layered over any
-/// [`LanguageModel`].
-///
-/// The cache is itself a `LanguageModel`, so it slots transparently under
-/// [`UniDm`] or [`BatchRunner`]: repeated prompts — retrieval and parsing
-/// calls shared by tasks on the same table, duplicate final claims —
-/// are answered from memory without consuming model tokens.
-///
-/// # Keying and canonicalization
-///
-/// Lookups go through [`CanonicalPrompt::canonicalize`] at the cache's
-/// [`CanonLevel`] (default [`CanonLevel::Verbatim`], i.e. exact
-/// memoization). At higher levels a miss completes the *canonical* prompt
-/// text rather than the raw variant, which makes the memo a pure function
-/// of the canonical key: whichever worker populates an entry, the stored
-/// completion is identical, so serial and parallel batches stay
-/// bit-for-bit equal even when many raw prompts fold into one entry.
-///
-/// # The warm hit path allocates nothing
-///
-/// An already-canonical prompt (every re-lookup of a canonical text, and
-/// every rendered prompt that needs no rewriting) is borrowed by the
-/// canonicalizer, hashed in the same scan, probed against the shard map by
-/// `&str`, refreshed by overwriting its recency stamp in place, and
-/// answered by bumping the reference count of the stored
-/// [`Arc<Completion>`]. No `String`, no node, no clone — zero heap
-/// allocations end to end, which the bench suite asserts with a counting
-/// allocator.
-///
-/// # Sharding and single-flight coalescing
-///
-/// Entries are distributed over [`PromptCache::shards`] independently
-/// locked maps by key hash, cutting lock contention under
-/// [`BatchRunner`] parallelism. Each shard also keeps an **in-flight
-/// table**: when a miss is already being completed by another worker,
-/// later arrivals of the same canonical key do not issue a second endpoint
-/// call — they block on the leader's slot and share its completion
-/// ([`CacheStats::coalesced`]). Statistics are counted per shard (exactly
-/// — every counter update happens under its shard's lock) and aggregated
-/// by [`PromptCache::stats`]; [`PromptCache::shard_stats`] exposes the
-/// per-shard breakdown. Lookups never block on the underlying model except
-/// when coalescing onto the same key: the shard lock is released while a
-/// miss is being completed.
-///
-/// # Persistence
-///
-/// [`PromptCache::snapshot`] serializes the memo to a deterministic,
-/// versioned text document (header [`SNAPSHOT_HEADER`], the inner model's
-/// name, then one escaped prompt/completion/usage triplet per entry);
-/// [`PromptCache::restore`] loads one back, re-canonicalizing and
-/// re-sharding every entry under the receiving cache's configuration.
-/// [`PromptCache::save_to`] / [`PromptCache::load_from`] do the same
-/// through a file, which is how repeated eval runs start warm.
-///
-/// # Disk tier
-///
-/// [`PromptCache::with_store`] attaches a [`CacheStore`] — the merged,
-/// versioned, append-only disk segment shared across scenarios — beneath
-/// the shards. Tier-0 misses probe the store before reaching the model
-/// (a disk hit populates tier 0 and costs zero model calls), and fresh
-/// completions are offered back through the store's TinyLFU admission
-/// filter, so a sequential scan cannot flush the disk-resident hot set.
-/// Tier-0 hits never touch the store, preserving the zero-allocation
-/// warm-hit path, and disk traffic is accounted separately in
-/// [`StoreStats`] so [`CacheStats`] exactness is unaffected. The v1 text
-/// snapshots remain readable; [`CacheStore::import_v1`] migrates them.
-///
-/// # Determinism and accounting
-///
-/// The deterministic substrate returns the same completion for the same
-/// prompt, so serving a memoized (or coalesced) completion changes nothing
-/// about answers or per-run usage — only about what the *inner* model
-/// actually processed. Cached completions report the usage of the original
-/// call, which keeps per-run accounting via [`unidm_llm::UsageMeter`]
-/// identical with and without the cache; the inner model's own counter
-/// only grows on leader misses, and the difference is tracked as
-/// [`CacheStats::tokens_saved`]. For a fixed workload,
-/// [`CacheStats::misses`] equals the number of unique canonical keys
-/// completed — exactly, under every interleaving — because the in-flight
-/// table guarantees one leader per key.
-///
-/// # Examples
-///
-/// ```
-/// use unidm::{CanonLevel, PromptCache};
-/// use unidm_llm::{LanguageModel, LlmProfile, MockLlm};
-/// use unidm_world::World;
-///
-/// let world = World::generate(42);
-/// let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 1);
-/// let cache = PromptCache::unbounded(&llm)
-///     .with_shards(4)
-///     .with_canonicalization(CanonLevel::Whitespace);
-///
-/// let a = cache.complete("The quick  brown fox").unwrap();
-/// let b = cache.complete("The quick brown fox").unwrap(); // whitespace variant: hit
-/// assert_eq!(a, b);
-/// assert_eq!(cache.stats().hits, 1);
-/// assert_eq!(cache.stats().tokens_saved, a.usage.total());
-/// ```
-pub struct PromptCache<'a> {
-    inner: &'a dyn LanguageModel,
-    capacity: usize,
-    shard_capacity: usize,
-    level: CanonLevel,
-    single_flight: bool,
-    shards: Box<[Mutex<CacheInner>]>,
-    /// Cache-wide monotonic use counter: stamps are comparable across
-    /// shards, so LRU order is global (snapshot compaction relies on it).
-    clock: AtomicU64,
-    /// Optional disk tier ([`CacheStore`]): tier-0 misses probe it before
-    /// reaching the model, and fresh completions are offered back through
-    /// its admission filter. The tier-0 hit path never touches it, so the
-    /// zero-allocation warm hit is unchanged.
-    store: Option<CacheStore>,
-}
-
-impl std::fmt::Debug for PromptCache<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PromptCache")
-            .field("inner", &self.inner.name())
-            .field("capacity", &self.capacity)
-            .field("shards", &self.shards.len())
-            .field("level", &self.level)
-            .field("stats", &self.stats())
-            .field("store", &self.store.as_ref().map(|s| s.path()))
-            .finish()
-    }
-}
-
-/// Default shard count: enough to keep eight batch workers off each
-/// other's locks without fragmenting small caches.
-const DEFAULT_SHARDS: usize = 8;
-
-/// The shard count new caches start with: the `UNIDM_SHARDS` environment
-/// variable when set to a positive integer (rounded up to a power of two —
-/// this is how CI exercises shard-count sensitivity across the whole
-/// suite) is authoritative; otherwise the count self-tunes to the machine,
-/// [`std::thread::available_parallelism`] rounded up to a power of two and
-/// clamped to `[`[`DEFAULT_SHARDS`]`, 64]` — wide boxes get proportionally
-/// more locks, small caches never fragment below the historical default.
-fn default_shards() -> usize {
-    std::env::var("UNIDM_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|n| *n > 0)
-        .map(usize::next_power_of_two)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get().next_power_of_two())
-                .unwrap_or(DEFAULT_SHARDS)
-                .clamp(DEFAULT_SHARDS, 64)
-        })
-}
-
-fn build_shards(n: usize) -> Box<[Mutex<CacheInner>]> {
-    (0..n).map(|_| Mutex::new(CacheInner::default())).collect()
-}
-
-/// Disarms the in-flight slot if the leader unwinds before filling it, so
-/// a panicking worker cannot wedge every thread coalesced onto its key.
-struct LeaderGuard<'c> {
-    shard: &'c Mutex<CacheInner>,
-    slot: &'c Arc<InFlight>,
-    text: &'c str,
-    armed: bool,
-}
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let mut state = self.shard.lock().unwrap_or_else(PoisonError::into_inner);
-        state.inflight.remove(self.text);
-        drop(state);
-        self.slot.abandon();
-    }
-}
-
-impl<'a> PromptCache<'a> {
-    /// Creates a cache holding at most `capacity` completions (LRU
-    /// eviction), split across the default shard count (the
-    /// `UNIDM_SHARDS` environment variable when set; otherwise
-    /// self-tuned from [`std::thread::available_parallelism`], at least
-    /// 8).
-    ///
-    /// The capacity budget is divided evenly across shards (each shard
-    /// gets at least one slot), so with very small capacities the
-    /// effective bound is `shards × 1`; use [`PromptCache::with_shards`]
-    /// to control the split. [`PromptCache::snapshot`] re-applies the
-    /// *total* capacity, so persisted state never exceeds it even when
-    /// per-shard rounding lets the in-memory maps run slightly over.
-    pub fn new(inner: &'a dyn LanguageModel, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let mut cache = PromptCache {
-            inner,
-            capacity,
-            shard_capacity: 0,
-            level: CanonLevel::Verbatim,
-            single_flight: true,
-            shards: build_shards(default_shards()),
-            clock: AtomicU64::new(0),
-            store: None,
-        };
-        cache.shard_capacity = cache.capacity_per_shard();
-        cache
-    }
-
-    /// Creates a cache that never evicts.
-    pub fn unbounded(inner: &'a dyn LanguageModel) -> Self {
-        Self::new(inner, usize::MAX)
-    }
-
-    /// Sets the shard count (rounded up to a power of two, minimum 1) and
-    /// redistributes any existing entries. Builder-style; intended at
-    /// construction time.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        let entries = self.drain_entries();
-        // Statistics survive the rebuild: fold the old shard counters into
-        // the first new shard (aggregate stats stay exact; the per-shard
-        // attribution of pre-rebuild traffic is no longer meaningful).
-        let stats = self.stats();
-        self.shards = build_shards(n);
-        self.shard_capacity = self.capacity_per_shard();
-        self.lock_shard(&self.shards[0]).stats = stats;
-        self.readmit(entries);
-        self
-    }
-
-    /// Sets the canonicalization level and re-keys any existing entries.
-    /// Builder-style; intended at construction time.
-    pub fn with_canonicalization(mut self, level: CanonLevel) -> Self {
-        let entries = self.drain_entries();
-        self.level = level;
-        self.readmit(entries);
-        self
-    }
-
-    /// Enables or disables cache-level single-flight coalescing (enabled
-    /// by default). Builder-style; intended at construction time.
-    ///
-    /// Disable it when the cache sits above a pipelined
-    /// [`crate::Dispatcher`]: dispatcher-registered workers must never
-    /// block outside the dispatcher, and a single-flight waiter blocks in
-    /// a cache slot the dispatcher's quiescence detection cannot see. The
-    /// dispatcher performs its own per-prompt single-flight and memoizes
-    /// successes, so endpoint calls still equal unique canonical keys —
-    /// the coalescing just happens one layer lower. With single-flight
-    /// off, [`CacheStats::misses`] counts every concurrent co-leader of a
-    /// key rather than exactly one leader per key, so its exactness
-    /// guarantee only holds in the default mode (or one layer lower, in
-    /// [`crate::BackendStats`]).
-    pub fn with_single_flight(mut self, single_flight: bool) -> Self {
-        self.single_flight = single_flight;
-        self
-    }
-
-    /// Attaches a disk tier ([`CacheStore`]) beneath the in-memory shards.
-    /// Builder-style; intended at construction time.
-    ///
-    /// Tier-0 misses probe the store before reaching the model (a disk hit
-    /// populates tier 0 and never calls the model), and fresh completions
-    /// are offered back to the store through its TinyLFU admission filter.
-    /// Tier-0 hits never touch the store, so the zero-allocation warm hit
-    /// is unchanged. Disk-tier traffic is accounted in [`StoreStats`]
-    /// (via [`PromptCache::store_stats`]), not [`CacheStats`]: the two
-    /// tiers keep independent exact counters, and a disk hit counts as a
-    /// tier-0 miss exactly like any other completion the cache had to
-    /// fetch from below.
-    pub fn with_store(mut self, store: CacheStore) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// The attached disk tier, if any.
-    pub fn store(&self) -> Option<&CacheStore> {
-        self.store.as_ref()
-    }
-
-    /// A snapshot of the disk tier's counters, if a store is attached.
-    pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store.as_ref().map(|s| s.stats())
-    }
-
-    /// Whether cache-level single-flight coalescing is enabled.
-    pub fn single_flight(&self) -> bool {
-        self.single_flight
-    }
-
-    /// The canonicalization level lookups run at.
-    pub fn level(&self) -> CanonLevel {
-        self.level
-    }
-
-    /// The number of independently locked shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The total completion capacity across all shards.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn capacity_per_shard(&self) -> usize {
-        if self.capacity == usize::MAX {
-            usize::MAX
-        } else {
-            self.capacity.div_ceil(self.shards.len()).max(1)
-        }
-    }
-
-    /// Resolves a tier-0 miss from the layers below: the disk tier first
-    /// (a hit there never calls the model), then the inner model, offering
-    /// a fresh completion back to the store's admission filter. Runs
-    /// without any shard lock held.
-    fn fetch_below(&self, text: &str) -> Result<Arc<Completion>, LlmError> {
-        if let Some(store) = &self.store {
-            if let Some(completion) = store.get(text) {
-                return Ok(completion);
-            }
-        }
-        let result = self.inner.complete(text);
-        if let (Some(store), Ok(completion)) = (&self.store, &result) {
-            store.offer(text, completion);
-        }
-        result
-    }
-
-    fn shard_for_hash(&self, hash: u64) -> &Mutex<CacheInner> {
-        // Shard count is a power of two, so masking the stable FNV hash
-        // picks a shard uniformly.
-        let index = (hash as usize) & (self.shards.len() - 1);
-        &self.shards[index]
-    }
-
-    /// Locks a shard, recovering from poison: the shard state is a plain
-    /// map plus counters, valid at every instruction boundary, so a worker
-    /// that panicked while holding the lock cannot leave it corrupt — and
-    /// must not wedge every other worker of the batch.
-    fn lock_shard<'s>(&self, shard: &'s Mutex<CacheInner>) -> MutexGuard<'s, CacheInner> {
-        shard.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The next globally ordered recency stamp.
-    fn next_stamp(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Removes every entry, returning them sorted by canonical prompt (so
-    /// rebuilds are deterministic). Statistics are kept.
-    fn drain_entries(&mut self) -> Vec<(Arc<str>, Arc<Completion>)> {
-        let mut entries = Vec::new();
-        for shard in self.shards.iter() {
-            let mut state = self.lock_shard(shard);
-            entries.extend(
-                state
-                    .entries
-                    .drain()
-                    .map(|(text, entry)| (text, entry.completion)),
-            );
-            state.ring.clear();
-            state.hand = 0;
-        }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries
-    }
-
-    /// Re-inserts drained entries under the current level/shard layout.
-    fn readmit(&self, entries: Vec<(Arc<str>, Arc<Completion>)>) {
-        for (text, completion) in entries {
-            self.admit(&text, completion);
-        }
-    }
-
-    /// Inserts a known-good completion under the canonical key of
-    /// `prompt` without touching hit/miss counters.
-    fn admit(&self, prompt: &str, completion: Arc<Completion>) {
-        let canonical = CanonicalPrompt::canonicalize(prompt, self.level);
-        let shard = self.shard_for_hash(canonical.hash64());
-        let stamp = self.next_stamp();
-        self.lock_shard(shard)
-            .insert(canonical.text(), completion, self.shard_capacity, stamp);
-    }
-
-    /// A snapshot of the aggregated hit/miss/eviction statistics.
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in self.shards.iter() {
-            total.merge(self.lock_shard(shard).stats);
-        }
-        total
-    }
-
-    /// Per-shard statistics, in shard order.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards
-            .iter()
-            .map(|shard| self.lock_shard(shard).stats)
-            .collect()
-    }
-
-    /// The canonical prompt texts currently memoized, sorted — the keys a
-    /// warm lookup hits verbatim. Deterministic for a deterministic
-    /// workload, whatever the shard layout.
-    pub fn canonical_prompts(&self) -> Vec<String> {
-        let mut texts: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                self.lock_shard(shard)
-                    .entries
-                    .keys()
-                    .map(|text| text.to_string())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        texts.sort();
-        texts
-    }
-
-    /// Number of completions currently held across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| self.lock_shard(shard).entries.len())
-            .sum()
-    }
-
-    /// Whether the cache holds no completions.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all entries (statistics are kept).
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            self.lock_shard(shard).clear_entries();
-        }
-    }
-
-    /// Serializes the memo to the versioned snapshot text format,
-    /// compacted to the cache's configured capacity.
-    ///
-    /// The output is deterministic (entries sorted by canonical prompt)
-    /// and records the inner model's name, so [`PromptCache::restore`]
-    /// can refuse snapshots taken over a different model. Statistics are
-    /// not persisted — a restored cache starts with fresh counters.
-    ///
-    /// Compaction keeps the most-recently-used `capacity` entries: recency
-    /// stamps come from one cache-wide clock, so LRU order is global even
-    /// across shards. This is what bounds snapshot files across repeated
-    /// scenario runs — per-shard capacity rounding can let the in-memory
-    /// maps briefly exceed the total budget, but persisted state never
-    /// does. (An unbounded cache persists everything.)
-    pub fn snapshot(&self) -> String {
-        let mut entries: Vec<(Arc<str>, Arc<Completion>, u64)> = Vec::new();
-        for shard in self.shards.iter() {
-            let state = self.lock_shard(shard);
-            entries.extend(
-                state
-                    .entries
-                    .iter()
-                    .map(|(text, entry)| (text.clone(), entry.completion.clone(), entry.stamp)),
-            );
-        }
-        if self.capacity != usize::MAX && entries.len() > self.capacity {
-            entries.sort_by_key(|entry| std::cmp::Reverse(entry.2));
-            entries.truncate(self.capacity);
-        }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut out = format!(
-            "{SNAPSHOT_HEADER}\nmodel {}\nentries {}\n",
-            self.inner.name(),
-            entries.len()
-        );
-        for (prompt, completion, _) in &entries {
-            out.push_str("p ");
-            out.push_str(&escape(prompt));
-            out.push_str("\nc ");
-            out.push_str(&escape(&completion.text));
-            out.push('\n');
-            out.push_str(&format!(
-                "u {} {}\n",
-                completion.usage.prompt_tokens, completion.usage.completion_tokens
-            ));
-        }
-        out
-    }
-
-    /// Restores entries from snapshot text produced by
-    /// [`PromptCache::snapshot`], returning how many were admitted.
-    ///
-    /// Entries are re-canonicalized and re-sharded under this cache's
-    /// configuration, so a snapshot can be loaded into a cache with a
-    /// different shard count or canonicalization level. Restoring does not
-    /// count as hits or misses; subsequent lookups of restored prompts are
-    /// hits served before any model call.
-    ///
-    /// Restoration is atomic with respect to errors: the document is
-    /// parsed in full before anything is admitted, so a truncated,
-    /// garbled, wrong-version or wrong-model snapshot leaves the cache
-    /// exactly as it was.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Parse`] for malformed documents and
-    /// [`SnapshotError::ModelMismatch`] when the snapshot was taken over a
-    /// model with a different name.
-    pub fn restore(&self, snapshot: &str) -> Result<usize, SnapshotError> {
-        let parse_err = |line: usize, message: &str| SnapshotError::Parse {
-            line,
-            message: message.to_string(),
-        };
-        let mut lines = snapshot.lines();
-        let header = lines.next().ok_or_else(|| parse_err(1, "empty snapshot"))?;
-        if header != SNAPSHOT_HEADER {
-            return Err(parse_err(
-                1,
-                &format!("expected header {SNAPSHOT_HEADER:?}"),
-            ));
-        }
-        let model_line = lines
-            .next()
-            .ok_or_else(|| parse_err(2, "missing model line"))?;
-        let found = model_line
-            .strip_prefix("model ")
-            .ok_or_else(|| parse_err(2, "expected `model <name>`"))?;
-        if found != self.inner.name() {
-            return Err(SnapshotError::ModelMismatch {
-                expected: self.inner.name().to_string(),
-                found: found.to_string(),
-            });
-        }
-        let count_line = lines
-            .next()
-            .ok_or_else(|| parse_err(3, "missing entries line"))?;
-        let declared: usize = count_line
-            .strip_prefix("entries ")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| parse_err(3, "expected `entries <count>`"))?;
-        // Parse every declared entry before admitting anything, so a
-        // malformed tail cannot leave the cache half-restored.
-        let mut parsed: Vec<(String, Completion)> = Vec::new();
-        for index in 0..declared {
-            let entry_line = 4 + index * 3;
-            let p_line = lines
-                .next()
-                .ok_or_else(|| parse_err(entry_line, "truncated entry"))?;
-            let prompt = p_line
-                .strip_prefix("p ")
-                .ok_or_else(|| parse_err(entry_line, "expected `p <prompt>`"))?;
-            let c_line = lines
-                .next()
-                .ok_or_else(|| parse_err(entry_line + 1, "truncated entry (missing completion)"))?;
-            let text = c_line
-                .strip_prefix("c ")
-                .ok_or_else(|| parse_err(entry_line + 1, "expected `c <completion>`"))?;
-            let u_line = lines
-                .next()
-                .ok_or_else(|| parse_err(entry_line + 2, "truncated entry (missing usage)"))?;
-            let usage = u_line
-                .strip_prefix("u ")
-                .and_then(|u| u.split_once(' '))
-                .and_then(|(p, c)| Some((p.parse().ok()?, c.parse().ok()?)))
-                .map(|(prompt_tokens, completion_tokens)| Usage {
-                    prompt_tokens,
-                    completion_tokens,
-                })
-                .ok_or_else(|| {
-                    parse_err(
-                        entry_line + 2,
-                        "expected `u <prompt-tokens> <completion-tokens>`",
-                    )
-                })?;
-            parsed.push((
-                unescape(prompt),
-                Completion {
-                    text: unescape(text),
-                    usage,
-                },
-            ));
-        }
-        if lines.next().is_some() {
-            return Err(parse_err(
-                4 + declared * 3,
-                "trailing data after the declared entries",
-            ));
-        }
-        let admitted = parsed.len();
-        for (prompt, completion) in parsed {
-            self.admit(&prompt, Arc::new(completion));
-        }
-        Ok(admitted)
-    }
-
-    /// Writes [`PromptCache::snapshot`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] when the file cannot be written.
-    pub fn save_to(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.snapshot())?;
-        Ok(())
-    }
-
-    /// Restores a snapshot file written by [`PromptCache::save_to`],
-    /// returning how many entries were admitted.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] when the file cannot be read, plus every
-    /// error [`PromptCache::restore`] can produce.
-    pub fn load_from(&self, path: impl AsRef<Path>) -> Result<usize, SnapshotError> {
-        let text = std::fs::read_to_string(path)?;
-        self.restore(&text)
-    }
-}
-
-/// Escapes a prompt or completion for the line-oriented snapshot format.
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(ch),
-        }
-    }
-    out
-}
-
-/// Inverse of [`escape`]. Unknown escapes pass through verbatim.
-fn unescape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '\\' {
-            out.push(ch);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('\\') => out.push('\\'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-impl LanguageModel for PromptCache<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-        let canonical = CanonicalPrompt::canonicalize(prompt, self.level);
-        let completion = self.complete_canonical(&canonical)?;
-        // A v2 fold that reordered this request replays the canonical
-        // completion permutation-corrected into the request's own element
-        // order (identity-ordered requests — every canonical prompt, so
-        // the whole warm fast path — skip this branch entirely).
-        Ok(match canonical.replay() {
-            None => completion,
-            Some(fold) => Arc::new(fold.adapt(&completion)),
-        })
-    }
-
-    fn usage(&self) -> Usage {
-        // Tokens the inner model actually processed; cache hits do not
-        // appear here. Per-run attribution happens in `UniDm::run`.
-        self.inner.usage()
-    }
-
-    fn reset_usage(&self) {
-        self.inner.reset_usage();
-    }
-
-    fn context_window(&self) -> usize {
-        self.inner.context_window()
-    }
-}
-
-impl PromptCache<'_> {
-    /// Completes the canonical text of `canonical` through the tiered
-    /// cache: tier-0 hit, single-flight coalescing, disk-tier probe, and
-    /// finally the model. The memoized entry is always the canonical
-    /// completion — replay adaptation happens in
-    /// [`LanguageModel::complete`] above, outside every lock.
-    fn complete_canonical(
-        &self,
-        canonical: &CanonicalPrompt<'_>,
-    ) -> Result<Arc<Completion>, LlmError> {
-        let shard = self.shard_for_hash(canonical.hash64());
-        let text = canonical.text();
-        if !self.single_flight {
-            // Coalescing disabled (the layer below — a pipelined
-            // dispatcher — handles it): hit or straight to the model, no
-            // in-flight slot a registered worker could block on.
-            {
-                let stamp = self.next_stamp();
-                let mut state = self.lock_shard(shard);
-                if let Some(entry) = state.entries.get_mut(text) {
-                    entry.stamp = stamp;
-                    entry.referenced = true;
-                    let completion = entry.completion.clone();
-                    state.stats.hits += 1;
-                    state.stats.tokens_saved += completion.usage.total();
-                    return Ok(completion);
-                }
-                state.stats.misses += 1;
-            }
-            let result = self.fetch_below(text);
-            let stamp = self.next_stamp();
-            if let Ok(completion) = &result {
-                let mut state = self.lock_shard(shard);
-                state.insert(text, completion.clone(), self.shard_capacity, stamp);
-            }
-            return result;
-        }
-        let slot = loop {
-            // One locked section decides hit / coalesce / lead; everything
-            // slow (waiting, completing) happens outside it.
-            let waiting = {
-                let stamp = self.next_stamp();
-                let mut state = self.lock_shard(shard);
-                if let Some(entry) = state.entries.get_mut(text) {
-                    entry.stamp = stamp;
-                    entry.referenced = true;
-                    let completion = entry.completion.clone();
-                    state.stats.hits += 1;
-                    state.stats.tokens_saved += completion.usage.total();
-                    return Ok(completion);
-                }
-                match state.inflight.get(text) {
-                    Some(slot) => {
-                        let slot = slot.clone();
-                        state.stats.coalesced += 1;
-                        slot
-                    }
-                    None => {
-                        let slot = InFlight::new();
-                        state.inflight.insert(text.into(), slot.clone());
-                        state.stats.misses += 1;
-                        break slot;
-                    }
-                }
-            };
-            match waiting.wait() {
-                Some(Ok(completion)) => {
-                    // The leader's endpoint call covered this lookup too:
-                    // account the share like a hit's saving.
-                    self.lock_shard(shard).stats.tokens_saved += completion.usage.total();
-                    return Ok(completion);
-                }
-                Some(Err(e)) => return Err(e),
-                // Leader panicked before publishing: retry the lookup (one
-                // of the waiters becomes the new leader).
-                None => continue,
-            }
-        };
-        // Leader: complete the canonical text without holding any lock —
-        // concurrent workers on *other* keys must not serialize on the
-        // model. The guard un-wedges waiters if this unwinds.
-        let mut guard = LeaderGuard {
-            shard,
-            slot: &slot,
-            text,
-            armed: true,
-        };
-        let result = self.fetch_below(text);
-        let stamp = self.next_stamp();
-        {
-            let mut state = self.lock_shard(shard);
-            if let Ok(completion) = &result {
-                state.insert(text, completion.clone(), self.shard_capacity, stamp);
-            }
-            // Errors are not memoized: clearing the slot lets the next
-            // lookup retry the model.
-            state.inflight.remove(text);
-        }
-        guard.armed = false;
-        slot.fill(result.clone());
-        result
-    }
-}
 
 /// What the pre-dispatch planner and the work-stealing pool did for one
 /// batch, alongside the per-task results.
@@ -1440,9 +331,9 @@ impl<'a> BatchRunner<'a> {
     /// the dispatcher at all.
     ///
     /// The `llm` this runner drives must bottom out in `dispatcher` — that
-    /// is how worker calls become reactor events. Any [`PromptCache`]
+    /// is how worker calls become reactor events. Any [`crate::PromptCache`]
     /// layered between them must have cache-level single-flight disabled
-    /// ([`PromptCache::with_single_flight`]): registered workers must
+    /// ([`crate::PromptCache::with_single_flight`]): registered workers must
     /// never block outside the dispatcher, and the dispatcher coalesces
     /// duplicate prompts itself.
     pub fn with_pipeline(mut self, dispatcher: &'a Dispatcher<'a>) -> Self {
@@ -1735,6 +626,7 @@ impl<'a> BatchRunner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PromptCache;
     use unidm_llm::protocol::SerializedRecord;
     use unidm_llm::{LlmProfile, MockLlm};
     use unidm_synthdata::{imputation, tableqa};
@@ -1906,22 +798,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_without_single_flight_still_hits_and_skips_memoizing_errors() {
-        let (_, llm) = setup();
-        let cache = PromptCache::unbounded(&llm).with_single_flight(false);
-        assert!(!cache.single_flight());
-        let a = cache.complete("The quick brown fox").unwrap();
-        let b = cache.complete("The quick brown fox").unwrap();
-        assert_eq!(a, b, "hit must return the memoized completion verbatim");
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(llm.usage(), a.usage, "inner model completed exactly once");
-        assert!(cache.complete("  ").is_err());
-        assert!(cache.complete("  ").is_err(), "errors are not memoized");
-        assert_eq!(cache.stats().misses, 3);
-    }
-
-    #[test]
     fn runner_defaults_self_tune_from_the_machine() {
         let (_, llm) = setup();
         let runner = BatchRunner::new(&llm, PipelineConfig::paper_default());
@@ -1953,392 +829,6 @@ mod tests {
                     "index {index} of {total} over {workers} workers"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn cache_hits_repeated_prompts_and_saves_tokens() {
-        let (_, llm) = setup();
-        let cache = PromptCache::unbounded(&llm);
-        let a = cache.complete("The quick brown fox").unwrap();
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                misses: 1,
-                ..CacheStats::default()
-            }
-        );
-        let b = cache.complete("The quick brown fox").unwrap();
-        assert_eq!(a, b, "hit must return the memoized completion verbatim");
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.tokens_saved, a.usage.total());
-        // The inner model processed the prompt exactly once.
-        assert_eq!(llm.usage(), a.usage);
-    }
-
-    #[test]
-    fn disk_tier_serves_cold_process_without_model_calls() {
-        use crate::store::{CacheStore, StoreConfig};
-        let dir = std::env::temp_dir().join(format!("udm-exec-tier-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.udmstore");
-        let _ = std::fs::remove_file(&path);
-        let (_, llm) = setup();
-
-        // First process: misses go to the model and are offered to the
-        // disk tier (admit-all below capacity).
-        let warm = {
-            let store = CacheStore::open(&path, llm.name(), StoreConfig::default()).unwrap();
-            let cache = PromptCache::unbounded(&llm).with_store(store);
-            let a = cache.complete("The quick brown fox").unwrap();
-            let b = cache.complete("The quick brown fox").unwrap();
-            assert_eq!(a, b);
-            let stats = cache.store_stats().unwrap();
-            assert_eq!(
-                (stats.hits, stats.misses, stats.admitted),
-                (0, 1, 1),
-                "tier-0 hit must not touch the store"
-            );
-            a
-        };
-        let calls_after_first = llm.usage();
-
-        // Second process (fresh tier 0, same file): the disk tier answers
-        // and the model is never called.
-        let store = CacheStore::open(&path, llm.name(), StoreConfig::default()).unwrap();
-        let cache = PromptCache::unbounded(&llm).with_store(store);
-        let replay = cache.complete("The quick brown fox").unwrap();
-        assert_eq!(replay.text, warm.text);
-        assert_eq!(replay.usage, warm.usage, "disk hit replays original usage");
-        assert_eq!(
-            llm.usage(),
-            calls_after_first,
-            "warm replay from disk uses zero model calls"
-        );
-        let stats = cache.stats();
-        assert_eq!(
-            (stats.hits, stats.misses),
-            (0, 1),
-            "a disk hit is a tier-0 miss: CacheStats stays tier-0-exact"
-        );
-        assert_eq!(cache.store_stats().unwrap().hits, 1);
-        // The disk hit populated tier 0: the next lookup is a warm hit.
-        let again = cache.complete("The quick brown fox").unwrap();
-        assert_eq!(again, replay);
-        assert_eq!(cache.stats().hits, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_evicts_least_recently_used() {
-        let (_, llm) = setup();
-        // One shard so the LRU policy is global and observable.
-        let cache = PromptCache::new(&llm, 2).with_shards(1);
-        cache.complete("prompt one").unwrap();
-        cache.complete("prompt two").unwrap();
-        // Touch "prompt one" so "prompt two" becomes the LRU victim.
-        cache.complete("prompt one").unwrap();
-        cache.complete("prompt three").unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        // "one" and "three" hit; "two" was evicted and misses again.
-        let before = cache.stats();
-        cache.complete("prompt one").unwrap();
-        cache.complete("prompt three").unwrap();
-        cache.complete("prompt two").unwrap();
-        let after = cache.stats();
-        assert_eq!(after.hits - before.hits, 2);
-        assert_eq!(after.misses - before.misses, 1);
-    }
-
-    #[test]
-    fn eviction_is_second_chance_exact_and_deterministic() {
-        let (_, llm) = setup();
-        // One shard, capacity 4: the clock hand's sweep is observable.
-        let cache = PromptCache::new(&llm, 4).with_shards(1);
-        for p in ["alpha", "beta", "gamma", "delta"] {
-            cache.complete(p).unwrap();
-        }
-        // Touch alpha: its reference bit buys one revolution of survival.
-        cache.complete("alpha").unwrap();
-        cache.complete("epsilon").unwrap();
-        // Hand: alpha referenced (bit spent), beta unreferenced -> victim.
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(
-            cache.canonical_prompts(),
-            vec!["alpha", "delta", "epsilon", "gamma"],
-            "beta is the second-chance victim"
-        );
-        // Touch gamma, insert another: hand clears gamma, claims delta.
-        cache.complete("gamma").unwrap();
-        cache.complete("zeta").unwrap();
-        assert_eq!(cache.stats().evictions, 2);
-        assert_eq!(
-            cache.canonical_prompts(),
-            vec!["alpha", "epsilon", "gamma", "zeta"],
-            "delta is the next victim; referenced gamma survives"
-        );
-
-        // Exactness under a distinct-key scan: one eviction per insert
-        // beyond capacity, the occupancy pinned at capacity — however
-        // long the scan runs (the old min-stamp scan was O(entries) per
-        // miss; the hand is O(1) amortized).
-        let scan = PromptCache::new(&llm, 4).with_shards(1);
-        for i in 0..100 {
-            scan.complete(&format!("scan key {i}")).unwrap();
-        }
-        assert_eq!(scan.len(), 4);
-        assert_eq!(scan.stats().evictions, 96, "exactly inserts - capacity");
-
-        // Determinism: the victim sequence is a pure function of the
-        // operation order.
-        let replay = || {
-            let cache = PromptCache::new(&llm, 4).with_shards(1);
-            for i in 0..40 {
-                cache.complete(&format!("det key {}", i % 11)).unwrap();
-                if i % 3 == 0 {
-                    cache
-                        .complete(&format!("det key {}", (i + 1) % 11))
-                        .unwrap();
-                }
-            }
-            (cache.canonical_prompts(), cache.stats().evictions)
-        };
-        assert_eq!(replay(), replay(), "same ops, same survivors");
-    }
-
-    #[test]
-    fn cache_propagates_model_errors() {
-        let (_, llm) = setup();
-        let cache = PromptCache::unbounded(&llm);
-        assert!(cache.complete("  ").is_err());
-        assert_eq!(cache.len(), 0, "errors must not be memoized");
-        // The in-flight slot is cleared, so a retry reaches the model
-        // again rather than deadlocking or caching the error.
-        assert!(cache.complete("  ").is_err());
-        assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
-    fn sharded_cache_distributes_entries_and_aggregates_stats() {
-        let (_, llm) = setup();
-        let cache = PromptCache::unbounded(&llm).with_shards(4);
-        assert_eq!(cache.shards(), 4);
-        for i in 0..32 {
-            cache
-                .complete(&format!("distinct prompt number {i}"))
-                .unwrap();
-        }
-        for i in 0..32 {
-            cache
-                .complete(&format!("distinct prompt number {i}"))
-                .unwrap();
-        }
-        let per_shard = cache.shard_stats();
-        assert_eq!(per_shard.len(), 4);
-        assert!(
-            per_shard.iter().filter(|s| s.misses > 0).count() >= 2,
-            "32 distinct prompts should spread over several shards: {per_shard:?}"
-        );
-        let mut folded = CacheStats::default();
-        for s in &per_shard {
-            folded.merge(*s);
-        }
-        assert_eq!(folded, cache.stats(), "aggregate must equal shard sum");
-        assert_eq!((folded.hits, folded.misses), (32, 32));
-        assert_eq!(cache.len(), 32);
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        let (_, llm) = setup();
-        assert_eq!(PromptCache::unbounded(&llm).with_shards(3).shards(), 4);
-        assert_eq!(PromptCache::unbounded(&llm).with_shards(1).shards(), 1);
-        assert_eq!(PromptCache::unbounded(&llm).with_shards(0).shards(), 1);
-        // The startup default honors UNIDM_SHARDS (the CI matrix sets it).
-        assert_eq!(PromptCache::unbounded(&llm).shards(), default_shards());
-        assert!(default_shards().is_power_of_two());
-    }
-
-    #[test]
-    fn snapshot_compacts_to_capacity_in_global_lru_order() {
-        let (_, llm) = setup();
-        // Capacity 4 over 4 shards: per-shard rounding gives each shard a
-        // slot, so the in-memory map can briefly hold more than 4 entries,
-        // but the snapshot must compact to the 4 most recently used.
-        let cache = PromptCache::new(&llm, 4).with_shards(4);
-        for i in 0..8 {
-            cache.complete(&format!("compaction prompt {i}")).unwrap();
-        }
-        // Refresh two early prompts so recency, not insertion order,
-        // decides survival.
-        cache.complete("compaction prompt 0").unwrap();
-        cache.complete("compaction prompt 1").unwrap();
-        let snapshot = cache.snapshot();
-        let kept: Vec<&str> = snapshot
-            .lines()
-            .filter_map(|l| l.strip_prefix("p "))
-            .collect();
-        assert_eq!(kept.len(), 4, "snapshot bounded by total capacity");
-        for p in ["compaction prompt 0", "compaction prompt 1"] {
-            assert!(
-                kept.contains(&p),
-                "recently touched {p:?} must survive compaction: {kept:?}"
-            );
-        }
-        // The compacted snapshot round-trips.
-        let restored = PromptCache::new(&llm, 4).with_shards(1);
-        assert_eq!(restored.restore(&snapshot).unwrap(), 4);
-    }
-
-    #[test]
-    fn restore_is_atomic_on_malformed_input() {
-        let (_, llm) = setup();
-        let source = PromptCache::unbounded(&llm);
-        source.complete("alpha").unwrap();
-        source.complete("beta").unwrap();
-        let snapshot = source.snapshot();
-
-        // Truncate inside the second entry: nothing may be admitted.
-        let truncated = snapshot.lines().take(6).collect::<Vec<_>>().join("\n");
-        let target = PromptCache::unbounded(&llm);
-        target.complete("pre-existing entry").unwrap();
-        assert!(matches!(
-            target.restore(&truncated),
-            Err(SnapshotError::Parse { .. })
-        ));
-        assert_eq!(
-            target.len(),
-            1,
-            "failed restore must not admit a partial prefix"
-        );
-
-        // Trailing garbage after the declared entries is rejected whole.
-        let trailing = format!("{snapshot}unexpected trailing line\n");
-        assert!(matches!(
-            target.restore(&trailing),
-            Err(SnapshotError::Parse { .. })
-        ));
-        assert_eq!(target.len(), 1);
-    }
-
-    #[test]
-    fn rebuilding_shards_keeps_entries() {
-        let (_, llm) = setup();
-        let cache = PromptCache::unbounded(&llm);
-        cache.complete("alpha").unwrap();
-        cache.complete("beta").unwrap();
-        cache.complete("alpha").unwrap();
-        let stats_before = cache.stats();
-        let cache = cache
-            .with_shards(2)
-            .with_canonicalization(CanonLevel::Whitespace);
-        assert_eq!(cache.len(), 2, "entries survive reconfiguration");
-        assert_eq!(
-            cache.stats(),
-            stats_before,
-            "statistics survive reconfiguration"
-        );
-        let before = llm.usage();
-        cache.complete("alpha").unwrap();
-        assert_eq!(llm.usage(), before, "re-keyed entry still hits");
-    }
-
-    #[test]
-    fn canonicalized_cache_folds_whitespace_variants() {
-        let (_, llm) = setup();
-        let cache = PromptCache::unbounded(&llm).with_canonicalization(CanonLevel::Whitespace);
-        let a = cache.complete("The quick  brown fox").unwrap();
-        let b = cache.complete(" The quick brown fox ").unwrap();
-        assert_eq!(a, b);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip_serves_hits_without_model_calls() {
-        let (world, llm) = setup();
-        let cache = PromptCache::unbounded(&llm);
-        cache.complete("alpha prompt").unwrap();
-        cache.complete("beta prompt\nwith a second line").unwrap();
-        let snapshot = cache.snapshot();
-        assert!(snapshot.starts_with(SNAPSHOT_HEADER));
-
-        let fresh_llm = MockLlm::new(&world, LlmProfile::gpt4_turbo(), 1);
-        let restored = PromptCache::unbounded(&fresh_llm).with_shards(2);
-        assert_eq!(restored.restore(&snapshot).unwrap(), 2);
-        assert_eq!(restored.len(), 2);
-        let reply = restored
-            .complete("beta prompt\nwith a second line")
-            .unwrap();
-        assert_eq!(
-            fresh_llm.usage(),
-            Usage::default(),
-            "restored entry must answer before any model call"
-        );
-        assert_eq!(
-            reply.text,
-            cache
-                .complete("beta prompt\nwith a second line")
-                .unwrap()
-                .text
-        );
-        assert_eq!(restored.stats().hits, 1);
-    }
-
-    #[test]
-    fn snapshot_is_deterministic() {
-        let (_, llm) = setup();
-        let a = PromptCache::unbounded(&llm).with_shards(1);
-        let b = PromptCache::unbounded(&llm).with_shards(8);
-        for prompt in ["one", "two", "three"] {
-            a.complete(prompt).unwrap();
-            b.complete(prompt).unwrap();
-        }
-        assert_eq!(
-            a.snapshot(),
-            b.snapshot(),
-            "snapshot must not depend on shard layout"
-        );
-    }
-
-    #[test]
-    fn restore_rejects_other_models_and_garbage() {
-        let (world, llm) = setup();
-        let cache = PromptCache::unbounded(&llm);
-        cache.complete("alpha").unwrap();
-        let snapshot = cache.snapshot();
-
-        let other = MockLlm::new(&world, LlmProfile::gpt3_175b(), 1);
-        let mismatched = PromptCache::unbounded(&other);
-        assert!(matches!(
-            mismatched.restore(&snapshot),
-            Err(SnapshotError::ModelMismatch { .. })
-        ));
-        assert!(mismatched.is_empty());
-
-        assert!(matches!(
-            cache.restore("not a snapshot"),
-            Err(SnapshotError::Parse { line: 1, .. })
-        ));
-        let truncated = snapshot.lines().take(4).collect::<Vec<_>>().join("\n");
-        assert!(matches!(
-            cache.restore(&truncated),
-            Err(SnapshotError::Parse { .. })
-        ));
-    }
-
-    #[test]
-    fn escape_roundtrips_control_characters() {
-        for text in [
-            "plain",
-            "two\nlines",
-            "back\\slash",
-            "\r\n mixed \\n literal",
-        ] {
-            assert_eq!(unescape(&escape(text)), text);
         }
     }
 

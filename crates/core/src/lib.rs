@@ -22,7 +22,8 @@
 //! # Batch execution
 //!
 //! One evaluation regenerates thousands of independent pipeline runs, so
-//! the crate ships a parallel batch engine ([`exec`]):
+//! the crate ships a parallel batch engine ([`exec`]) over a two-tier
+//! prompt cache ([`cache`], [`store`]):
 //!
 //! * [`BatchRunner`] fans a `Vec<Task>` out across a scoped worker pool
 //!   sharing one `&dyn LanguageModel` (the trait requires `Send + Sync`).
@@ -44,16 +45,14 @@
 //!   blocks that differ only in row order and reorderings of `p_ri`
 //!   instance lists. The cache is sharded across independently locked
 //!   maps keyed by [`PromptKey::hash64`].
-//! * [`store`] is the disk tier beneath the in-memory shards: one merged,
-//!   versioned, append-only `UDMCACHE1` segment ([`CacheStore`]) shared by
-//!   every scenario of a model, with TinyLFU admission control (so a table
-//!   scan cannot flush the hot set), compaction and max-age eviction.
+//! * [`store`] is the disk tier beneath the in-memory shards: a
+//!   versioned, checksummed, append-only `UDMCACHE1` segment
+//!   ([`CacheStore`]) with TinyLFU admission control (so a table scan
+//!   cannot flush the hot set), compaction and max-age eviction.
 //!   Attach it with [`PromptCache::with_store`]; misses probe the disk
 //!   tier before reaching the model, so a warm replay — even into a cold
-//!   process — uses zero model calls. The legacy per-scenario v1 text
-//!   snapshots ([`PromptCache::save_to`] / [`PromptCache::load_from`])
-//!   remain readable and migrate via [`CacheStore::import_v1`].
-//!
+//!   process — uses zero model calls. It is the only way a completion
+//!   outlives the process.
 //! * [`backend`] is the resilient client layer beneath the cache:
 //!   bounded-concurrency dispatch, token-bucket rate limiting,
 //!   exponential-backoff retry with seeded jitter, a circuit breaker and
@@ -117,6 +116,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod cache;
 pub mod canon;
 mod config;
 pub mod dispatch;
@@ -137,14 +137,12 @@ pub use backend::{
     AttachedBackend, BackendConfig, BackendStats, BreakerPolicy, LatencySketch, RateLimit,
     ResilientBackend, RetryPolicy,
 };
+pub use cache::{CacheStats, PromptCache};
 pub use canon::{CanonLevel, CanonicalPrompt, PromptKey, ReplayFold};
 pub use config::PipelineConfig;
 pub use dispatch::{DispatchRegistration, Dispatcher, HedgePolicy};
 pub use error::UniDmError;
-pub use exec::{
-    BatchReport, BatchRunner, CacheStats, PromptCache, SnapshotError, StreamReport,
-    DEFAULT_PARTITION_TASKS,
-};
+pub use exec::{BatchReport, BatchRunner, StreamReport, DEFAULT_PARTITION_TASKS};
 pub use pipeline::{RunOutput, Trace, UniDm};
 pub use route::{
     AimdPolicy, CascadeBackend, CascadePolicy, EndpointConfig, EndpointStats, RoutePlan,

@@ -1,12 +1,10 @@
-//! Tiered prompt-cache store: one merged, versioned, append-only disk
-//! segment backing every [`crate::PromptCache`] — with TinyLFU admission
-//! control so a table scan cannot flush the hot working set.
+//! Tiered prompt-cache store: a versioned, append-only disk segment
+//! beneath a [`crate::PromptCache`] — with TinyLFU admission control so a
+//! table scan cannot flush the hot working set.
 //!
 //! The official UniDM repo persists every completion in a single sqlite
-//! cache; our reproduction historically scattered one text snapshot per
-//! eval scenario. [`CacheStore`] replaces those per-scenario
-//! `.promptcache` files with a single `UDMCACHE1` segment shared by all
-//! scenarios of one model:
+//! cache. [`CacheStore`] is this reproduction's one persistence path: a
+//! `UDMCACHE1` file guarded by the model name it was written over.
 //!
 //! ```text
 //! lookup ──▶ tier 0: sharded in-memory PromptCache (zero-alloc warm hit)
@@ -41,7 +39,7 @@
 //! holding completions resident. A truncated or garbled tail, a wrong
 //! version, or a wrong model name fails the open with a clean
 //! [`StoreError`] and **no mutation of the file**, so callers can fall
-//! back cold exactly like the v1 snapshot path did.
+//! back to a cold cache and leave the evidence intact.
 //!
 //! # Admission control (TinyLFU)
 //!
@@ -78,10 +76,6 @@ use unidm_llm::{Completion, Usage};
 pub const STORE_MAGIC: &[u8; 8] = b"UDMCACHE";
 /// Current store format version (the `1` of `UDMCACHE1`).
 pub const STORE_VERSION: u32 = 1;
-
-/// First line of the legacy v1 text snapshots [`CacheStore::import_v1`]
-/// migrates (deprecated; kept readable for one-shot conversion).
-pub const V1_SNAPSHOT_HEADER: &str = "unidm-prompt-cache v1";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -891,38 +885,6 @@ impl CacheStore {
         prompts.sort();
         prompts
     }
-
-    /// One-shot migration from the deprecated v1 text snapshot format
-    /// (`unidm-prompt-cache v1`, the per-scenario `.promptcache` files):
-    /// parses the whole document, validates its model guard against this
-    /// store's, and admits every entry **bypassing the admission filter**
-    /// — a migration must preserve warm-start behavior byte-for-byte, so
-    /// nothing is allowed to gate it. Entries already resident are
-    /// skipped (their first admission wins, matching v1 restore
-    /// semantics). Returns how many entries were imported.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Format`] for malformed snapshots,
-    /// [`StoreError::ModelMismatch`] when the snapshot was taken over a
-    /// different model. Parsing completes before anything is appended, so
-    /// a malformed document leaves the store untouched.
-    pub fn import_v1(&self, snapshot: &str) -> Result<usize, StoreError> {
-        let entries = parse_v1_snapshot(snapshot, &self.inner.model)?;
-        let mut state = self.lock();
-        let mut imported = 0usize;
-        for (prompt, completion) in entries {
-            if state.index.contains_key(prompt.as_str()) {
-                continue;
-            }
-            let completion = Arc::new(completion);
-            state.filter.touch(fnv1a(prompt.as_bytes()));
-            self.append_frame(&mut state, &prompt, &completion)?;
-            state.stats.admitted += 1;
-            imported += 1;
-        }
-        Ok(imported)
-    }
 }
 
 /// What scanning an existing store file yields.
@@ -1015,103 +977,6 @@ fn read_frame(
         return Err(StoreError::format("checksum mismatch on frame read"));
     }
     decode_payload(payload)
-}
-
-/// Parses a legacy v1 text snapshot (the exact `unidm-prompt-cache v1`
-/// line format), enforcing the model guard. Returns the entries in
-/// document order.
-fn parse_v1_snapshot(snapshot: &str, model: &str) -> Result<Vec<(String, Completion)>, StoreError> {
-    let parse_err =
-        |line: usize, message: &str| StoreError::format(format!("v1 line {line}: {message}"));
-    let mut lines = snapshot.lines();
-    let header = lines.next().ok_or_else(|| parse_err(1, "empty snapshot"))?;
-    if header != V1_SNAPSHOT_HEADER {
-        return Err(parse_err(1, "expected `unidm-prompt-cache v1` header"));
-    }
-    let model_line = lines
-        .next()
-        .ok_or_else(|| parse_err(2, "missing model line"))?;
-    let found = model_line
-        .strip_prefix("model ")
-        .ok_or_else(|| parse_err(2, "expected `model <name>`"))?;
-    if found != model {
-        return Err(StoreError::ModelMismatch {
-            expected: model.to_string(),
-            found: found.to_string(),
-        });
-    }
-    let count_line = lines
-        .next()
-        .ok_or_else(|| parse_err(3, "missing entries line"))?;
-    let declared: usize = count_line
-        .strip_prefix("entries ")
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| parse_err(3, "expected `entries <count>`"))?;
-    let mut parsed = Vec::with_capacity(declared);
-    for index in 0..declared {
-        let entry_line = 4 + index * 3;
-        let prompt = lines
-            .next()
-            .and_then(|l| l.strip_prefix("p "))
-            .ok_or_else(|| parse_err(entry_line, "expected `p <prompt>`"))?;
-        let text = lines
-            .next()
-            .and_then(|l| l.strip_prefix("c "))
-            .ok_or_else(|| parse_err(entry_line + 1, "expected `c <completion>`"))?;
-        let usage = lines
-            .next()
-            .and_then(|l| l.strip_prefix("u "))
-            .and_then(|u| u.split_once(' '))
-            .and_then(|(p, c)| Some((p.parse().ok()?, c.parse().ok()?)))
-            .map(|(prompt_tokens, completion_tokens)| Usage {
-                prompt_tokens,
-                completion_tokens,
-            })
-            .ok_or_else(|| {
-                parse_err(
-                    entry_line + 2,
-                    "expected `u <prompt-tokens> <completion-tokens>`",
-                )
-            })?;
-        parsed.push((
-            v1_unescape(prompt),
-            Completion {
-                text: v1_unescape(text),
-                usage,
-            },
-        ));
-    }
-    if lines.next().is_some() {
-        return Err(parse_err(
-            4 + declared * 3,
-            "trailing data after the declared entries",
-        ));
-    }
-    Ok(parsed)
-}
-
-/// Inverse of the v1 snapshot escape (`\n`, `\r`, `\\`); unknown escapes
-/// pass through verbatim.
-fn v1_unescape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '\\' {
-            out.push(ch);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('\\') => out.push('\\'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1308,34 +1173,6 @@ mod tests {
                 Err(other) => panic!("unexpected error class at cut {cut}: {other}"),
             }
         }
-        cleanup(&path);
-    }
-
-    #[test]
-    fn v1_import_preserves_entries_and_rejects_mismatches() {
-        let path = temp_path("v1import");
-        let store = CacheStore::open(&path, "mock", StoreConfig::default()).unwrap();
-        let snapshot = "unidm-prompt-cache v1\nmodel mock\nentries 2\n\
-                        p alpha\\nline\nc answer one\nu 10 5\n\
-                        p beta\nc answer two\nu 4 2\n";
-        assert_eq!(store.import_v1(snapshot).unwrap(), 2);
-        assert_eq!(store.get("alpha\nline").unwrap().text, "answer one");
-        assert_eq!(store.get("beta").unwrap().usage.completion_tokens, 2);
-        // Re-import is idempotent (first admission wins).
-        assert_eq!(store.import_v1(snapshot).unwrap(), 0);
-
-        let wrong_model = snapshot.replace("model mock", "model other");
-        assert!(matches!(
-            store.import_v1(&wrong_model),
-            Err(StoreError::ModelMismatch { .. })
-        ));
-        let len_before = store.len();
-        let truncated = &snapshot[..snapshot.len() - 10];
-        assert!(matches!(
-            store.import_v1(truncated),
-            Err(StoreError::Format(_))
-        ));
-        assert_eq!(store.len(), len_before, "failed import admits nothing");
         cleanup(&path);
     }
 

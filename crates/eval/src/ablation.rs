@@ -153,7 +153,6 @@ fn imputation_ablation(config: ExperimentConfig, dataset: &str, title: &str) -> 
         let acc = unidm_accuracy(llm, &ds, row.config(config.seed), config.queries);
         report.push(row.label(), vec![acc.percent()]);
     }
-    cached.finish();
     report
 }
 
@@ -205,7 +204,6 @@ pub fn table10(config: ExperimentConfig) -> TableReport {
             .collect();
         report.push(row.label(), cells);
     }
-    cached.finish();
     report
 }
 

@@ -3,31 +3,18 @@
 //! Every table driver builds its model, then calls
 //! [`CacheConfig::attach`] with a scenario name. When caching is enabled
 //! the driver's LLM traffic flows through a sharded, canonicalizing
-//! [`PromptCache`]; when a snapshot directory is configured the cache is
-//! warm-started from (and persisted back to) a per-scenario snapshot
-//! file, so repeating an eval run answers its repeated prompts before any
-//! model call.
+//! [`PromptCache`]; when a store directory is configured the cache sits
+//! over a per-scenario [`CacheStore`] file, so repeating an eval run
+//! answers its repeated prompts before any model call.
 //!
-//! Snapshots are keyed by scenario name — which embeds the table, the
+//! Store files are keyed by scenario name — which embeds the table, the
 //! model, and the seed — and additionally carry the model name inside the
-//! file, so a snapshot taken over one model is never served to another
-//! (see [`unidm::SnapshotError::ModelMismatch`]).
-//!
-//! # Tiered store
-//!
-//! [`CacheConfig::with_store_path`] attaches the merged disk tier
-//! ([`unidm::CacheStore`]) beneath every scenario's in-memory cache: one
-//! versioned, append-only `UDMCACHE1` file shared by all ten drivers of a
-//! model, with TinyLFU admission control, compaction and max-age
-//! eviction. When both a store and a snapshot directory are configured,
-//! any legacy per-scenario `.promptcache` v1 snapshot is imported into
-//! the store on attach (one-shot, idempotent — existing store entries
-//! win), so warm-start behavior carries over byte-for-byte. The v1
-//! per-scenario snapshots are deprecated in favor of the store.
+//! file, so completions recorded over one model are never served to
+//! another (see [`unidm::StoreError::ModelMismatch`]).
 //!
 //! Caching is off by default: the paper tables are regenerated with exact
 //! memoization semantics unless the caller opts in (the bench binaries
-//! expose this as `--cache` / `--cache-dir` / `--store`).
+//! expose this as `--cache` / `--cache-dir`).
 
 use std::path::PathBuf;
 
@@ -41,37 +28,15 @@ pub struct CacheConfig {
     pub enabled: bool,
     /// Canonicalization level of the attached caches.
     pub level: CanonLevel,
-    /// Shard count (0 selects the cache's default).
-    pub shards: usize,
-    /// Total completion capacity (0 means unbounded).
-    pub capacity: usize,
-    /// Disable cache-level single-flight coalescing
-    /// ([`PromptCache::with_single_flight`]). Required when the model
-    /// beneath the cache is a pipelined `unidm::Dispatcher`: registered
-    /// workers must never block in a cache slot the dispatcher cannot
-    /// see, and the dispatcher coalesces duplicate prompts itself.
-    pub no_single_flight: bool,
-    /// Directory for per-scenario snapshot files; `None` keeps caches
-    /// in-memory only. Deprecated in favor of [`CacheConfig::store_path`]
-    /// (legacy snapshots still load, and are migrated into the store when
-    /// both are configured).
-    pub snapshot_dir: Option<PathBuf>,
-    /// Path of the shared `UDMCACHE1` disk-tier file; `None` disables the
-    /// disk tier.
-    pub store_path: Option<PathBuf>,
-    /// Disk-tier entry capacity (0 means unbounded). At capacity the
-    /// TinyLFU filter gates admission, so one-touch scan keys cannot
-    /// displace the hot set.
-    pub store_capacity: usize,
-    /// Maximum generations (opens) a disk-tier entry survives untouched
-    /// (0 means no age limit).
-    pub store_max_age: u64,
+    /// Directory of per-scenario `UDMCACHE1` store files (created on first
+    /// use); `None` keeps caches in-memory only.
+    pub store_dir: Option<PathBuf>,
 }
 
 impl CacheConfig {
     /// Caching enabled at [`CanonLevel::TableStem`] — the level that folds
     /// per-row retrieval prompts and lifts imputation hit rates an order
-    /// of magnitude — with default sharding and no persistence.
+    /// of magnitude — with no persistence.
     pub fn enabled() -> Self {
         CacheConfig {
             enabled: true,
@@ -80,98 +45,28 @@ impl CacheConfig {
         }
     }
 
-    /// Adds cross-run persistence: snapshots are loaded from and saved to
-    /// `dir` (created on first use), one file per scenario.
-    pub fn with_snapshot_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.snapshot_dir = Some(dir.into());
-        self
-    }
-
-    /// Attaches the shared disk tier at `path` (created on first use,
-    /// parent directories included). All scenarios of a model share this
-    /// one file; a store written for one model is never served to another
-    /// ([`unidm::StoreError::ModelMismatch`]).
-    pub fn with_store_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.store_path = Some(path.into());
-        self
-    }
-
-    fn store_config(&self) -> StoreConfig {
-        let mut config = StoreConfig::default();
-        if self.store_capacity > 0 {
-            config = config.with_max_entries(self.store_capacity);
-        }
-        if self.store_max_age > 0 {
-            config = config.with_max_age(self.store_max_age);
-        }
-        config
-    }
-
     /// Wraps `llm` according to this configuration.
     ///
     /// `scenario` names the workload (e.g. `"table1-seed42"`) and becomes
-    /// the snapshot file name; if a snapshot for it exists it is restored
-    /// before the first lookup. Load failures (missing file, mismatched
-    /// model, stale format) fall back to a cold cache — a warm start is an
+    /// the store file name, `<store_dir>/<scenario>.udmstore`; completions
+    /// an earlier run appended there are served before any model call.
+    /// Open failures (unwritable directory, mismatched model, corrupt
+    /// file) fall back to a cold in-memory cache — a warm start is an
     /// optimization, never a correctness requirement.
     pub fn attach<'a>(&self, scenario: &str, llm: &'a dyn LanguageModel) -> AttachedCache<'a> {
         if !self.enabled {
             return AttachedCache {
                 fallback: llm,
                 cache: None,
-                snapshot_path: None,
-                loaded: 0,
-                migrated: 0,
             };
         }
-        let mut cache = if self.capacity == 0 {
-            PromptCache::unbounded(llm)
-        } else {
-            PromptCache::new(llm, self.capacity)
-        };
-        if self.shards > 0 {
-            cache = cache.with_shards(self.shards);
-        }
-        if self.no_single_flight {
-            cache = cache.with_single_flight(false);
-        }
-        let mut cache = cache.with_canonicalization(self.level);
-        let snapshot_path = self.snapshot_dir.as_ref().map(|dir| {
-            let _ = std::fs::create_dir_all(dir);
-            dir.join(format!("{scenario}.promptcache"))
-        });
-        let mut loaded = 0;
-        if let Some(path) = &snapshot_path {
-            if path.exists() {
-                match cache.load_from(path) {
-                    Ok(n) => loaded = n,
-                    Err(e) => eprintln!("warning: cold-starting {scenario}: {e}"),
-                }
-            }
-        }
-        let mut migrated = 0;
-        if let Some(path) = &self.store_path {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            match CacheStore::open(path, llm.name(), self.store_config()) {
-                Ok(store) => {
-                    // One-shot migration: fold any legacy v1 snapshot into
-                    // the shared store. Idempotent — existing store
-                    // entries win, so re-attaching re-imports nothing.
-                    if let Some(snapshot) = snapshot_path.as_ref().filter(|p| p.exists()) {
-                        match std::fs::read_to_string(snapshot)
-                            .map_err(unidm::StoreError::from)
-                            .and_then(|text| store.import_v1(&text))
-                        {
-                            Ok(n) => migrated = n,
-                            Err(e) => {
-                                eprintln!("warning: not migrating {scenario} snapshot: {e}")
-                            }
-                        }
-                    }
-                    cache = cache.with_store(store);
-                }
+        let mut cache = PromptCache::unbounded(llm).with_canonicalization(self.level);
+        if let Some(dir) = &self.store_dir {
+            let path = dir.join(format!("{scenario}.udmstore"));
+            // `open` creates missing parent directories, so a directory
+            // that cannot be created surfaces here too.
+            match CacheStore::open(&path, llm.name(), StoreConfig::default()) {
+                Ok(store) => cache = cache.with_store(store),
                 Err(e) => eprintln!(
                     "warning: disk tier disabled for {scenario} ({}): {e}",
                     path.display()
@@ -181,9 +76,6 @@ impl CacheConfig {
         AttachedCache {
             fallback: llm,
             cache: Some(cache),
-            snapshot_path,
-            loaded,
-            migrated,
         }
     }
 }
@@ -193,13 +85,6 @@ impl CacheConfig {
 pub struct AttachedCache<'a> {
     fallback: &'a dyn LanguageModel,
     cache: Option<PromptCache<'a>>,
-    snapshot_path: Option<PathBuf>,
-    /// Entries restored from the scenario snapshot (0 on a cold start).
-    pub loaded: usize,
-    /// Legacy v1 snapshot entries imported into the disk tier on attach
-    /// (0 when no store or no snapshot is configured, or when the store
-    /// already held every entry).
-    pub migrated: usize,
 }
 
 impl<'a> AttachedCache<'a> {
@@ -221,21 +106,6 @@ impl<'a> AttachedCache<'a> {
     pub fn store_stats(&self) -> Option<StoreStats> {
         self.cache.as_ref().and_then(PromptCache::store_stats)
     }
-
-    /// Persists the cache to its scenario snapshot file, if both caching
-    /// and a snapshot directory are configured. Failures are reported on
-    /// stderr and otherwise ignored — eval results never depend on the
-    /// snapshot being written.
-    pub fn finish(&self) {
-        if let (Some(cache), Some(path)) = (&self.cache, &self.snapshot_path) {
-            if let Err(e) = cache.save_to(path) {
-                eprintln!(
-                    "warning: could not persist prompt cache to {}: {e}",
-                    path.display()
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -248,6 +118,13 @@ mod tests {
         MockLlm::new(&World::generate(7), LlmProfile::gpt3_175b(), 7)
     }
 
+    fn persisted(dir: &std::path::Path) -> CacheConfig {
+        CacheConfig {
+            store_dir: Some(dir.to_path_buf()),
+            ..CacheConfig::enabled()
+        }
+    }
+
     #[test]
     fn disabled_config_passes_the_model_through() {
         let model = llm();
@@ -255,87 +132,89 @@ mod tests {
         assert!(attached.stats().is_none());
         attached.model().complete("hello").unwrap();
         assert!(model.usage().total() > 0);
-        attached.finish();
     }
 
     #[test]
     fn enabled_config_caches_and_persists_per_scenario() {
         let dir = std::env::temp_dir().join(format!("unidm-cache-test-{}", std::process::id()));
-        let config = CacheConfig::enabled().with_snapshot_dir(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = persisted(&dir);
 
         let model = llm();
         let cold = config.attach("scenario-a", &model);
-        assert_eq!(cold.loaded, 0, "first run starts cold");
         cold.model().complete("a repeated prompt").unwrap();
         cold.model().complete("a repeated prompt").unwrap();
         assert_eq!(cold.stats().unwrap().hits, 1);
-        cold.finish();
+        let stats = cold.store_stats().unwrap();
+        assert_eq!(
+            (stats.hits, stats.admitted),
+            (0, 1),
+            "first run starts cold"
+        );
+        drop(cold);
 
         let fresh = llm();
         let warm = config.attach("scenario-a", &fresh);
-        assert!(warm.loaded > 0, "second run restores the snapshot");
         warm.model().complete("a repeated prompt").unwrap();
         assert_eq!(
             fresh.usage().total(),
             0,
             "warm run answers before any model call"
         );
-        assert_eq!(warm.stats().unwrap().hits, 1);
-
-        // A different scenario does not see scenario-a's snapshot.
-        let other = config.attach("scenario-b", &fresh);
-        assert_eq!(other.loaded, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn store_path_shares_completions_across_scenarios_and_migrates_v1() {
-        let dir = std::env::temp_dir().join(format!("unidm-cache-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Run one scenario with the legacy snapshot flow only.
-        let legacy = CacheConfig::enabled().with_snapshot_dir(&dir);
-        let model = llm();
-        let first = legacy.attach("scenario-a", &model);
-        first.model().complete("a migrated prompt").unwrap();
-        first.finish();
-
-        // Attach with a store: the v1 snapshot is imported one-shot.
-        let config = legacy.clone().with_store_path(dir.join("merged.udmstore"));
-        let second = config.attach("scenario-a", &model);
-        assert_eq!(second.migrated, 1, "v1 snapshot migrates into the store");
-        let third = config.attach("scenario-a", &model);
-        assert_eq!(third.migrated, 0, "migration is idempotent");
-
-        // A different scenario (no snapshot of its own, fresh tier 0)
-        // reads the shared store and never calls the model.
-        let fresh = llm();
-        let other = CacheConfig::enabled()
-            .with_store_path(dir.join("merged.udmstore"))
-            .attach("scenario-b", &fresh);
-        assert_eq!(other.loaded, 0);
-        other.model().complete("a migrated prompt").unwrap();
         assert_eq!(
-            fresh.usage().total(),
-            0,
-            "shared store answers across scenarios with zero model calls"
+            warm.store_stats().unwrap().hits,
+            1,
+            "second run reads what the first persisted"
         );
-        assert_eq!(other.store_stats().unwrap().hits, 1);
+
+        // A different scenario does not see scenario-a's completions.
+        let other = config.attach("scenario-b", &fresh);
+        other.model().complete("a repeated prompt").unwrap();
+        assert_eq!(other.store_stats().unwrap().hits, 0);
+        assert!(fresh.usage().total() > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn mismatched_model_snapshot_falls_back_to_cold() {
         let dir = std::env::temp_dir().join(format!("unidm-cache-mm-{}", std::process::id()));
-        let config = CacheConfig::enabled().with_snapshot_dir(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = persisted(&dir);
         let gpt3 = llm();
         let first = config.attach("shared", &gpt3);
         first.model().complete("alpha").unwrap();
-        first.finish();
+        drop(first);
 
         let gpt4 = MockLlm::new(&World::generate(7), LlmProfile::gpt4_turbo(), 7);
         let second = config.attach("shared", &gpt4);
-        assert_eq!(second.loaded, 0, "wrong-model snapshot must not load");
+        assert!(
+            second.store_stats().is_none(),
+            "a store written over another model must not attach"
+        );
+        second.model().complete("alpha").unwrap();
+        assert!(gpt4.usage().total() > 0, "the run proceeds cold");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn uncreatable_store_dir_runs_cold_with_correct_answers() {
+        let dir = std::env::temp_dir().join(format!("unidm-cache-nodir-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let blocker = dir.join("a-regular-file");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+
+        let model = llm();
+        let expected = model.complete("a repeated prompt").unwrap();
+        model.reset_usage();
+
+        let attached = persisted(&blocker.join("stores")).attach("scenario-a", &model);
+        assert!(attached.store_stats().is_none(), "no disk tier attached");
+        let first = attached.model().complete("a repeated prompt").unwrap();
+        let second = attached.model().complete("a repeated prompt").unwrap();
+        assert_eq!(first, expected);
+        assert_eq!(second, expected);
+        assert_eq!(attached.stats().unwrap().hits, 1, "tier 0 still caches");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

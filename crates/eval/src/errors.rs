@@ -153,7 +153,6 @@ pub fn table3(config: ExperimentConfig) -> TableReport {
             })
             .collect(),
     );
-    cached.finish();
     report
 }
 

@@ -99,7 +99,6 @@ pub fn table11(config: ExperimentConfig) -> TableReport {
             ) * 100.0,
         ],
     );
-    cached.finish();
     report
 }
 

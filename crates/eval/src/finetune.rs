@@ -4,8 +4,8 @@
 //! a prompt → completion memo is only valid for the exact model that
 //! produced it — so this driver attaches one cache **per variant**, with
 //! the variant's model name embedded in the scenario (the same pattern
-//! the Table 6 model zoo uses). Snapshots stay model-guarded (see
-//! [`unidm::SnapshotError::ModelMismatch`]), and because `fine_tune`
+//! the Table 6 model zoo uses). Store files stay model-guarded (see
+//! [`unidm::StoreError::ModelMismatch`]), and because `fine_tune`
 //! renames its output, a tuned variant can never be served the base
 //! model's completions.
 
@@ -43,7 +43,7 @@ pub fn table5(config: ExperimentConfig) -> TableReport {
     // Every variant runs behind the full backend + cache stack when the
     // config enables them. Caching is per-variant: the scenario name
     // embeds the variant's model name, so each model gets its own memo
-    // (and its own model-guarded snapshot) — sharing one cache across
+    // (and its own model-guarded store file) — sharing one cache across
     // variants would serve one model's completions to another.
     let eval_pair = |llm: &MockLlm| -> (f64, f64) {
         let backend = config.backend.wrap(llm);
@@ -61,7 +61,6 @@ pub fn table5(config: ExperimentConfig) -> TableReport {
         )
         .f1()
             * 100.0;
-        cached.finish();
         (fm_score, unidm_score)
     };
 

@@ -163,7 +163,6 @@ pub fn table1(config: ExperimentConfig) -> TableReport {
         },
         &mut report,
     );
-    cached.finish();
     report
 }
 
@@ -172,14 +171,34 @@ mod tests {
     use super::*;
     use crate::CacheConfig;
 
+    /// Byte length of every store file under `dir`, by file name. A rerun
+    /// that leaves these unchanged made no model call: every completion
+    /// the model returns is offered to the (unbounded) store and appended.
+    fn store_sizes(dir: &std::path::Path) -> std::collections::BTreeMap<String, u64> {
+        std::fs::read_dir(dir)
+            .expect("store dir exists")
+            .map(|entry| {
+                let entry = entry.unwrap();
+                (
+                    entry.file_name().to_string_lossy().into_owned(),
+                    entry.metadata().unwrap().len(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn table1_with_cache_warm_starts_and_reproduces_itself() {
         let dir = std::env::temp_dir().join(format!("unidm-table1-cache-{}", std::process::id()));
-        let config =
-            ExperimentConfig::quick().with_cache(CacheConfig::enabled().with_snapshot_dir(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ExperimentConfig::quick().with_cache(CacheConfig {
+            store_dir: Some(dir.clone()),
+            ..CacheConfig::enabled()
+        });
 
         let cold = table1(config.clone());
-        let warm = table1(config);
+        let after_cold = store_sizes(&dir);
+        let warm = table1(config.clone());
         for ds in ["Restaurant", "Buy"] {
             for row in ["UniDM", "UniDM (random)", "FM (random)", "FM (manual)"] {
                 assert_eq!(
@@ -196,8 +215,28 @@ mod tests {
             );
         }
         assert!(
-            dir.join(format!("table1-seed{}.promptcache", 42)).exists(),
-            "snapshot persisted per scenario"
+            after_cold["table1-seed42.udmstore"] > 0,
+            "store persisted per scenario"
+        );
+        assert_eq!(store_sizes(&dir), after_cold, "the rerun is model-free");
+
+        // Table 6 runs one model per variant: each needs its own
+        // model-guarded file for its rerun to start warm.
+        let cold = crate::zoo::table6(config.clone());
+        let after_cold = store_sizes(&dir);
+        let warm = crate::zoo::table6(config);
+        assert_eq!(cold, warm, "a warm-started rerun reproduces Table 6");
+        for profile in unidm_llm::LlmProfile::zoo() {
+            let file = format!("table6-{}-seed42.udmstore", profile.name);
+            assert!(
+                after_cold.get(&file).is_some_and(|len| *len > 0),
+                "{file}: every variant persists its own store"
+            );
+        }
+        assert_eq!(
+            store_sizes(&dir),
+            after_cold,
+            "every variant's rerun is model-free"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -153,7 +153,6 @@ pub fn fig5(config: ExperimentConfig) -> SweepReport {
         ),
         &thresholds,
     );
-    cached.finish();
     SweepReport {
         title: "Figure 5. F1-score, precision and recall on join discovery (NextiaJD subset)."
             .to_string(),

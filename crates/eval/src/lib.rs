@@ -7,7 +7,7 @@
 //!
 //! Drivers route their LLM traffic through the batch engine's prompt
 //! cache when [`ExperimentConfig::cache`] opts in (see [`CacheConfig`]):
-//! with a snapshot directory configured, a repeated run of the same
+//! with a store directory configured, a repeated run of the same
 //! table/seed/model scenario starts warm and serves its repeated prompts
 //! without touching the model.
 //!

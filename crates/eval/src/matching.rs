@@ -182,7 +182,6 @@ pub fn table4(config: ExperimentConfig) -> TableReport {
             })
             .collect(),
     );
-    cached.finish();
     report
 }
 

@@ -118,7 +118,6 @@ pub fn table7(config: ExperimentConfig) -> TableReport {
             })
             .collect(),
     );
-    cached.finish();
     report
 }
 

@@ -110,7 +110,6 @@ pub fn table2(config: ExperimentConfig) -> TableReport {
             })
             .collect(),
     );
-    cached.finish();
     report
 }
 

@@ -40,7 +40,6 @@ pub fn table6(config: ExperimentConfig) -> TableReport {
                 .percent()
             })
             .collect();
-        cached.finish();
         report.push(profile.name, cells);
     }
     report

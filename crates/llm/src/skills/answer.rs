@@ -346,7 +346,7 @@ fn impute(
     // 5. Desperate guess: the most common context value for the attribute.
     // Ties break lexicographically, never by HashMap iteration order —
     // the same prompt must produce the same completion in every process
-    // (prompt-cache snapshots replay completions across runs).
+    // (the prompt-cache store replays completions across runs).
     let mut counts: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
     for f in facts.iter().filter(|f| attr_matches(&f.attr, attr)) {
         *counts.entry(f.value.as_str()).or_insert(0) += 1;

@@ -4,7 +4,7 @@
 //! more than ubiquitous ones ("the") when deciding whether two product
 //! descriptions refer to the same entity.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::tokenize::words;
 
@@ -84,8 +84,11 @@ impl TfIdf {
         (dot / (na * nb)).clamp(0.0, 1.0)
     }
 
-    fn vectorize(&self, text: &str) -> HashMap<String, f64> {
-        let mut tf: HashMap<String, f64> = HashMap::new();
+    /// Token → weight, in token order: the float sums in
+    /// [`TfIdf::similarity`] must add in the same order on every run, or
+    /// near-tied scores rank differently from one process to the next.
+    fn vectorize(&self, text: &str) -> BTreeMap<String, f64> {
+        let mut tf: BTreeMap<String, f64> = BTreeMap::new();
         for w in words(text) {
             *tf.entry(w).or_insert(0.0) += 1.0;
         }

@@ -1,21 +1,21 @@
 //! Batched quickstart: run a whole imputation workload through the
 //! parallel batch engine with a canonicalizing prompt cache, then rerun it
-//! warm from a snapshot.
+//! warm from the cache's disk tier.
 //!
 //! Where `quickstart` runs one task through `UniDm::run`, this example
 //! builds a batch of tasks over one table, layers a [`PromptCache`] over
 //! the model — sharded, and canonicalized at [`CanonLevel::TableStem`] so
 //! every row shares the table-level retrieval entry — and fans the batch
-//! out across the worker pool with [`BatchRunner`]. It then saves the
-//! cache to a snapshot file and replays the same workload through a fresh
-//! cache warm-started from that snapshot: the second run answers entirely
-//! from memory, before any model call.
+//! out across the worker pool with [`BatchRunner`]. The cache sits over a
+//! [`CacheStore`] file, so replaying the same workload through a fresh
+//! cache over the same file answers entirely from the store, before any
+//! model call.
 //!
 //! ```text
 //! cargo run --example batch_quickstart
 //! ```
 
-use unidm::{BatchRunner, CanonLevel, PipelineConfig, PromptCache, Task};
+use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
 use unidm_llm::{LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -44,10 +44,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The cache is itself a `LanguageModel`, so the runner threads it
     // under every worker transparently. Table-stem canonicalization folds
-    // the per-row retrieval preambles into shared entries.
+    // the per-row retrieval preambles into shared entries. The store
+    // beneath it appends every fresh completion to a model-guarded file.
+    let store_path = std::env::temp_dir().join(format!(
+        "unidm-batch-quickstart-{}.udmstore",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&store_path);
     let cache = PromptCache::unbounded(&llm)
         .with_shards(8)
-        .with_canonicalization(CanonLevel::TableStem);
+        .with_canonicalization(CanonLevel::TableStem)
+        .with_store(CacheStore::open(
+            &store_path,
+            llm.name(),
+            StoreConfig::default(),
+        )?);
     let runner = BatchRunner::new(&cache, PipelineConfig::paper_default().with_seed(42));
     println!(
         "Running {} imputation tasks on {} worker(s)...\n",
@@ -85,27 +96,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.tokens_saved,
     );
 
-    // Persist the memo and warm-start a second run from the snapshot —
-    // what a repeated eval run does with `--cache-dir`.
-    let snapshot_path = std::env::temp_dir().join("unidm-batch-quickstart.promptcache");
-    cache.save_to(&snapshot_path)?;
-    println!("\nSnapshot saved to {}", snapshot_path.display());
+    // Warm-start a second run — fresh model, fresh tier 0 — from the same
+    // store file: what a repeated eval run does with `--cache-dir`.
+    drop(cache);
+    println!("\nCompletions persisted to {}", store_path.display());
 
     let fresh_llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 42);
     let warm = PromptCache::unbounded(&fresh_llm)
         .with_shards(8)
-        .with_canonicalization(CanonLevel::TableStem);
-    let restored = warm.load_from(&snapshot_path)?;
+        .with_canonicalization(CanonLevel::TableStem)
+        .with_store(CacheStore::open(
+            &store_path,
+            fresh_llm.name(),
+            StoreConfig::default(),
+        )?);
     let warm_runner = BatchRunner::new(&warm, PipelineConfig::paper_default().with_seed(42));
     let warm_outputs = warm_runner.run(&lake, &tasks);
-    let warm_stats = warm.stats();
+    let store_stats = warm.store_stats().expect("store attached");
     println!(
-        "Warm start: {restored} entries restored; rerun hit {} / missed {} \
-         ({:.0}% hit rate) with {} model tokens",
-        warm_stats.hits,
-        warm_stats.misses,
-        warm_stats.hit_rate() * 100.0,
+        "Warm start: {} entries on disk; rerun hit the store {} times / missed {} \
+         with {} model tokens",
+        warm.store().expect("store attached").len(),
+        store_stats.hits,
+        store_stats.misses,
         fresh_llm.usage().total(),
+    );
+    assert_eq!(
+        fresh_llm.usage().total(),
+        0,
+        "the rerun costs 0 model tokens"
     );
     for (cold, warm) in outputs.iter().zip(&warm_outputs) {
         assert_eq!(
@@ -114,6 +133,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "warm answers must match the cold run bit-for-bit"
         );
     }
-    let _ = std::fs::remove_file(&snapshot_path);
+    let _ = std::fs::remove_file(&store_path);
     Ok(())
 }

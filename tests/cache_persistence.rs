@@ -1,12 +1,12 @@
 //! Acceptance tests for the cache-aware prompting subsystem:
 //! canonicalized keys must lift the imputation-workload hit rate an order
-//! of magnitude (≥ 20%, up from ~2% verbatim), snapshots must warm-start a
-//! second run so it reports cache hits before any model call, sharded
+//! of magnitude (≥ 20%, up from ~2% verbatim), the disk tier must
+//! warm-start a second run so it answers before any model call, sharded
 //! statistics must stay exact under seeded concurrent access, and
 //! serial/parallel answers must remain bit-for-bit identical with
 //! canonicalization on.
 
-use unidm::{BatchRunner, CanonLevel, PipelineConfig, PromptCache, Task};
+use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
 use unidm_llm::{LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -84,39 +84,58 @@ fn serial_and_parallel_stay_identical_with_canonicalization_on() {
     }
 }
 
+/// A fresh temp-file path for one test's store.
+fn store_path(tag: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "unidm-cache-persistence-{tag}-{}.udmstore",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+fn open_store(path: &std::path::Path, llm: &dyn LanguageModel) -> CacheStore {
+    CacheStore::open(path, llm.name(), StoreConfig::default()).expect("store opens")
+}
+
 #[test]
 fn snapshot_warm_starts_a_second_eval_run_before_any_model_call() {
     let (world, llm, lake, tasks) = workload();
     let config = PipelineConfig::paper_default().with_seed(42);
-    let path = std::env::temp_dir().join(format!(
-        "unidm-cache-persistence-{}.promptcache",
-        std::process::id()
-    ));
+    let path = store_path("warm");
 
     // Cold run: populate and persist.
-    let cold_cache = canonical_cache(&llm);
+    let cold_cache = canonical_cache(&llm).with_store(open_store(&path, &llm));
     let cold = BatchRunner::new(&cold_cache, config).run(&lake, &tasks);
     let cold_model_tokens = llm.usage().total();
     assert!(cold_model_tokens > 0);
-    cold_cache.save_to(&path).expect("snapshot saves");
+    drop(cold_cache);
 
-    // Warm run: a fresh model + cache restored from the snapshot. The
-    // first completions are hits — the model is never consulted.
+    // Warm run: a fresh model + fresh tier 0 over the persisted file. The
+    // first completions come from the store — the model is never consulted.
     let fresh_llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 42);
-    let warm_cache = canonical_cache(&fresh_llm);
-    let loaded = warm_cache.load_from(&path).expect("snapshot restores");
-    assert!(loaded > 0, "warm run must restore entries");
-    assert_eq!(fresh_llm.usage(), Usage::default(), "restore is model-free");
+    let store = open_store(&path, &fresh_llm);
+    assert!(!store.is_empty(), "warm run must find persisted entries");
+    let warm_cache = canonical_cache(&fresh_llm).with_store(store);
+    assert_eq!(fresh_llm.usage(), Usage::default(), "opening is model-free");
 
     let warm = BatchRunner::new(&warm_cache, config).run(&lake, &tasks);
     let warm_stats = warm_cache.stats();
+    let store_stats = warm_cache.store_stats().expect("store attached");
     assert!(warm_stats.hits > 0, "warm run must report cache hits");
+    assert!(
+        store_stats.hits > 0,
+        "warm run must be served from the store"
+    );
     assert_eq!(
         fresh_llm.usage(),
         Usage::default(),
         "a fully warm run answers every prompt before any model call"
     );
-    assert_eq!(warm_stats.misses, 0, "nothing should miss on a warm replay");
+    assert_eq!(
+        store_stats.misses, 0,
+        "nothing should miss the store on a warm replay"
+    );
 
     // Bit-for-bit agreement between the cold and warm runs.
     for (c, w) in cold.iter().zip(&warm) {
@@ -129,17 +148,25 @@ fn snapshot_warm_starts_a_second_eval_run_before_any_model_call() {
 }
 
 #[test]
-fn snapshot_text_is_deterministic_across_identical_runs() {
+fn compacted_store_is_deterministic_across_identical_runs() {
     let (_, llm, lake, tasks) = workload();
     let config = PipelineConfig::paper_default().with_seed(42);
-    let snapshots: Vec<String> = (0..2)
-        .map(|_| {
-            let cache = canonical_cache(&llm);
+    // Append order follows scheduling; compaction sorts by canonical
+    // prompt, so the compacted bytes depend on the workload alone.
+    let files: Vec<Vec<u8>> = ["det-a", "det-b"]
+        .iter()
+        .map(|tag| {
+            let path = store_path(tag);
+            let cache = canonical_cache(&llm).with_store(open_store(&path, &llm));
             BatchRunner::new(&cache, config).run(&lake, &tasks);
-            cache.snapshot()
+            cache.store().unwrap().compact().expect("store compacts");
+            let bytes = std::fs::read(&path).expect("store file readable");
+            let _ = std::fs::remove_file(&path);
+            bytes
         })
         .collect();
-    assert_eq!(snapshots[0], snapshots[1]);
+    assert!(files[0].len() > 64, "the workload persisted completions");
+    assert_eq!(files[0], files[1]);
 }
 
 #[test]

@@ -181,8 +181,8 @@ fn hash_is_pinned_to_golden_values() {
     // Cross-run and cross-platform stability: `hash64` is specified as
     // FNV-1a over the canonical text's bytes (canonicalization is
     // idempotent, so the text determines the key and no stem/suffix
-    // framing is needed). Persisted snapshots re-shard by this hash, so
-    // it must never drift.
+    // framing is needed). A reopened store re-shards its entries by this
+    // hash, so it must never drift.
     let fox = PromptKey::canonicalize("The quick  brown fox", CanonLevel::Whitespace);
     assert_eq!(fox.hash64(), 0x2374_316b_9b44_9782);
     let unidm = PromptKey::canonicalize("unidm", CanonLevel::Whitespace);
@@ -192,25 +192,31 @@ fn hash_is_pinned_to_golden_values() {
 #[test]
 fn hash_is_stable_across_shard_counts() {
     // The same workload memoized into caches of every shard width must
-    // produce identical snapshots (entries keyed and hashed identically);
+    // hold identical contents (entries keyed and hashed identically);
     // only the shard *mask* changes with the count, never the hash.
     let world = World::generate(11);
     let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 11);
     let mut g = Gen::new(0xca05);
     let prompts: Vec<String> = (0..24).map(|_| random_prompt(&mut g)).collect();
 
-    let snapshot_at = |shards: usize| {
+    let contents_at = |shards: usize| {
         let cache = PromptCache::unbounded(&llm)
             .with_shards(shards)
             .with_canonicalization(CanonLevel::Whitespace);
         for p in &prompts {
             cache.complete(p).expect("prompt completes");
         }
-        cache.snapshot()
+        let keys = cache.canonical_prompts();
+        let completions: Vec<_> = keys
+            .iter()
+            .map(|key| cache.complete(key).expect("memoized key hits"))
+            .collect();
+        assert_eq!(cache.stats().misses, keys.len(), "re-lookups all hit");
+        (keys, completions)
     };
-    let one = snapshot_at(1);
-    assert_eq!(one, snapshot_at(2));
-    assert_eq!(one, snapshot_at(8));
+    let one = contents_at(1);
+    assert_eq!(one, contents_at(2));
+    assert_eq!(one, contents_at(8));
 
     // And the canonical keys themselves spread over shards rather than
     // piling onto one (masking a uniform 64-bit hash).

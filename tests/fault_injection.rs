@@ -13,7 +13,7 @@
 //! push.
 
 use unidm::backend::{BackendConfig, BackendStats, RetryPolicy};
-use unidm::{BatchRunner, CanonLevel, PipelineConfig, PromptCache, Task};
+use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
 use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -173,31 +173,43 @@ fn cache_hits_consume_zero_rate_limit_budget() {
     let pipeline = PipelineConfig::paper_default().with_seed(42);
     let seed = fault_seed();
 
-    // Cold run: populate the cache through the full faulty stack.
+    let path = std::env::temp_dir().join(format!(
+        "unidm-fault-injection-{}.udmstore",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let open_store =
+        || CacheStore::open(&path, llm.name(), StoreConfig::default()).expect("store opens");
+
+    // Cold run: populate the cache, and the store beneath it, through the
+    // full faulty stack.
     let cold_backend = stack_config(seed, FaultPlan::moderate(seed)).wrap(&llm);
-    let cold_cache =
-        PromptCache::unbounded(cold_backend.model()).with_canonicalization(CanonLevel::TableStem);
+    let cold_cache = PromptCache::unbounded(cold_backend.model())
+        .with_canonicalization(CanonLevel::TableStem)
+        .with_store(open_store());
     let cold = BatchRunner::new(&cold_cache, pipeline)
         .with_workers(4)
         .answers(&lake, &tasks);
     assert!(cold_backend.stats().expect("enabled").attempts > 0);
-    let snapshot = cold_cache.snapshot();
+    drop(cold_cache);
 
-    // Warm run: a fresh model, backend and cache restored from the
-    // snapshot. Every lookup hits, so nothing may reach the backend — no
-    // calls, no attempts, no rate-limit tokens, no retries.
+    // Warm run: a fresh model, backend and cache over the same store
+    // file. Every lookup is served by tier 0 or the store, so nothing may
+    // reach the backend — no calls, no attempts, no rate-limit tokens, no
+    // retries.
     let fresh_llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 42);
     let warm_backend = stack_config(seed, FaultPlan::moderate(seed)).wrap(&fresh_llm);
-    let warm_cache =
-        PromptCache::unbounded(warm_backend.model()).with_canonicalization(CanonLevel::TableStem);
-    warm_cache.restore(&snapshot).expect("snapshot restores");
+    let warm_cache = PromptCache::unbounded(warm_backend.model())
+        .with_canonicalization(CanonLevel::TableStem)
+        .with_store(open_store());
     let warm = BatchRunner::new(&warm_cache, pipeline)
         .with_workers(4)
         .answers(&lake, &tasks);
 
     assert_eq!(warm, cold, "warm answers match the cold faulty run");
-    assert!(warm_cache.stats().hits > 0, "warm run must hit");
-    assert_eq!(warm_cache.stats().misses, 0, "fully warm replay");
+    let store_stats = warm_cache.store_stats().expect("store attached");
+    assert!(store_stats.hits > 0, "warm run must hit");
+    assert_eq!(store_stats.misses, 0, "fully warm replay");
     assert_eq!(
         warm_backend.stats().expect("enabled"),
         BackendStats::default(),
@@ -208,6 +220,7 @@ fn cache_hits_consume_zero_rate_limit_budget() {
         Usage::default(),
         "the inner model is never consulted on a warm run"
     );
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

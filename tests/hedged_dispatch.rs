@@ -18,7 +18,7 @@
 
 use unidm::backend::BackendConfig;
 use unidm::dispatch::{Dispatcher, HedgePolicy};
-use unidm::{BatchRunner, CanonLevel, PipelineConfig, PromptCache, Task};
+use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
 use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -139,11 +139,11 @@ fn hedged_answers_bit_identical_across_seeds_and_worker_counts() {
     }
 }
 
-/// Losers are never memoized: after a hedged batch, a snapshot of the
-/// `PromptCache` replayed over the bare model answers the whole workload
-/// with **zero** model calls and answers bit-identical to the fault-free
-/// reference — so everything the hedged run memoized is a winner's
-/// completion, and nothing else was inserted.
+/// Losers are never memoized: after a hedged batch, the store the
+/// `PromptCache` persisted to, replayed over the bare model, answers the
+/// whole workload with **zero** model calls and answers bit-identical to
+/// the fault-free reference — so everything the hedged run memoized is a
+/// winner's completion, and nothing else was inserted.
 #[test]
 fn losing_copies_are_never_memoized() {
     let (llm, lake, tasks) = workload();
@@ -155,9 +155,17 @@ fn losing_copies_are_never_memoized() {
     let seed = fault_seed();
     let dispatcher = Dispatcher::new(&llm, hedged_config(seed));
     warm_estimator(&dispatcher, &llm, 8);
+    let path = std::env::temp_dir().join(format!(
+        "unidm-hedged-dispatch-{}.udmstore",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let open_store =
+        || CacheStore::open(&path, llm.name(), StoreConfig::default()).expect("store opens");
     let cache = PromptCache::unbounded(&dispatcher)
         .with_canonicalization(CanonLevel::TableStem)
-        .with_single_flight(false);
+        .with_single_flight(false)
+        .with_store(open_store());
     BatchRunner::new(&cache, pipeline)
         .with_workers(8)
         .with_pipeline(&dispatcher)
@@ -185,12 +193,14 @@ fn losing_copies_are_never_memoized() {
     );
     assert_eq!(dispatcher.stats().dispatch_coalesced, memo_hit + 1);
 
-    // The cache above the dispatcher holds only winners too: its snapshot
-    // replayed over the *bare* model serves the entire workload without a
-    // single model call, bit-identical to the fault-free reference.
-    let snapshot = cache.snapshot();
-    let warm = PromptCache::unbounded(&llm).with_canonicalization(CanonLevel::TableStem);
-    warm.restore(&snapshot).expect("snapshot restores");
+    // The cache above the dispatcher holds only winners too: what it
+    // persisted, replayed over the *bare* model, serves the entire
+    // workload without a single model call, bit-identical to the
+    // fault-free reference.
+    drop(cache);
+    let warm = PromptCache::unbounded(&llm)
+        .with_canonicalization(CanonLevel::TableStem)
+        .with_store(open_store());
     llm.reset_usage();
     let warm_answers = BatchRunner::new(&warm, pipeline)
         .with_workers(1)
@@ -204,6 +214,7 @@ fn losing_copies_are_never_memoized() {
         0,
         "the warm replay never reaches the model"
     );
+    let _ = std::fs::remove_file(&path);
 }
 
 /// Hedge duplicates take an in-flight slot but no rate-limit token: with

@@ -2,15 +2,16 @@
 //! one-touch scan over a 10^5-row synthetic lake must not displace the
 //! hot set (pinned hit-rate floor, deterministic across shard counts and
 //! reruns), corrupt store files must surface a clean [`StoreError`] —
-//! never a panic — and leave the file untouched, and the tier statistics
+//! never a panic — and leave the file untouched, repeated runs of one
+//! scenario must not grow its file, and the tier statistics
 //! ([`StoreStats`], [`unidm::CacheStats`]) must merge exactly and
-//! order-independently, mirroring `tests/snapshot_robustness.rs` for the
-//! v1 text snapshots.
+//! order-independently.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use unidm::{CacheStats, CacheStore, CanonLevel, PromptCache, StoreConfig, StoreError, StoreStats};
+use unidm_eval::CacheConfig;
 use unidm_llm::{Completion, LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_world::World;
 
@@ -151,7 +152,7 @@ fn scan_outcome_is_deterministic_across_shard_counts_and_reruns() {
     assert_eq!(eight, rerun, "rerun must reproduce the outcome exactly");
 }
 
-// ── Corruption robustness (mirrors tests/snapshot_robustness.rs) ───────
+// ── Corruption robustness ──────────────────────────────────────────────
 
 /// A store file holding three completions, returned as raw bytes.
 fn populated_store_bytes(tag: &str) -> Vec<u8> {
@@ -291,6 +292,51 @@ fn wrong_version_wrong_model_and_garbled_frames_are_clean_errors() {
     let store = CacheStore::open(&path, &model_name, StoreConfig::default()).expect("opens");
     assert_eq!(store.len(), 3);
     let _ = std::fs::remove_file(&path);
+}
+
+// ── Bounded growth across reruns ───────────────────────────────────────
+
+#[test]
+fn repeated_scenario_runs_do_not_grow_the_store_file() {
+    // The append-only file must only grow by completions it does not hold
+    // yet: rerunning a deterministic scenario finds every prompt on disk,
+    // so nothing is admitted and the file keeps its length.
+    let dir = std::env::temp_dir().join(format!("unidm-store-rerun-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = CacheConfig {
+        store_dir: Some(dir.clone()),
+        ..CacheConfig::enabled()
+    };
+    let file = dir.join("rerun-scenario.udmstore");
+    let model = llm();
+
+    let mut lengths = Vec::new();
+    for run in 0..4 {
+        let attached = config.attach("rerun-scenario", &model);
+        for i in 0..15 {
+            attached
+                .model()
+                .complete(&hot_prompt(i))
+                .expect("scenario prompt completes");
+        }
+        let stats = attached.store_stats().expect("store attached");
+        if run == 0 {
+            assert_eq!(stats.admitted, 15, "the first run persists every prompt");
+        } else {
+            assert_eq!(
+                (stats.admitted, stats.hits),
+                (0, 15),
+                "run {run} is a replay"
+            );
+        }
+        drop(attached);
+        lengths.push(std::fs::metadata(&file).expect("store file exists").len());
+    }
+    assert!(
+        lengths.iter().all(|len| *len == lengths[0]),
+        "reruns must not grow the file: {lengths:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ── Order-independent tier statistics ──────────────────────────────────
