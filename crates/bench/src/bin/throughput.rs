@@ -281,6 +281,7 @@ fn run_scale(llm: &CallCounter<'_>, seed: u64, rows: usize) -> String {
         .with_dedup(false)
         .with_partition_tasks(SCALE_PARTITION_TASKS);
     let start = Instant::now();
+    let stream_allocs = AllocationDelta::start();
     let (mut answers, mut errors) = (0u64, 0u64);
     let mut answer_fnv = 0xcbf2_9ce4_8422_2325u64;
     let scale_report = runner.run_streaming(&lake, tasks, |_, result| match result {
@@ -293,6 +294,7 @@ fn run_scale(llm: &CallCounter<'_>, seed: u64, rows: usize) -> String {
         }
         Err(_) => errors += 1,
     });
+    let allocs_per_task = stream_allocs.allocations() / SCALE_TASKS as u64;
     let elapsed_secs = start.elapsed().as_secs_f64();
     let peak = alloc_counter::peak_live_bytes().saturating_sub(baseline);
     let resident = lake
@@ -330,7 +332,8 @@ fn run_scale(llm: &CallCounter<'_>, seed: u64, rows: usize) -> String {
         scale_report.tasks as f64 / elapsed_secs.max(1e-9),
     );
     println!(
-        "  peak live allocation {:.2} MiB (budget {} MiB, row-count independent); \
+        "  {allocs_per_task} allocations per task; peak live allocation {:.2} MiB \
+         (budget {} MiB, row-count independent); \
          streaming == materialized verified at 4000 rows ({} tasks, {} coalesced).",
         peak as f64 / (1024.0 * 1024.0),
         SCALE_PEAK_BUDGET_BYTES / (1024 * 1024),
@@ -351,6 +354,7 @@ fn run_scale(llm: &CallCounter<'_>, seed: u64, rows: usize) -> String {
         .field_u64("errors", errors)
         .field_u64("model_calls", llm.calls())
         .field_u64("answer_fnv", answer_fnv)
+        .field_u64("allocs_per_task", allocs_per_task)
         .field_u64("peak_live_bytes", peak)
         .field_u64("peak_budget_bytes", SCALE_PEAK_BUDGET_BYTES)
         .field_f64("wall_s", elapsed_secs)

@@ -139,7 +139,7 @@ pub fn instance_wise(
         Ok(SerializedRecord::new(pairs))
     };
 
-    let chosen: Vec<usize> = if config.instance_retrieval {
+    let records: Vec<SerializedRecord> = if config.instance_retrieval {
         let mut instances = Vec::with_capacity(sampled.len());
         for &row in &sampled {
             instances.push(serialize_row(row)?);
@@ -158,24 +158,24 @@ pub fn instance_wise(
             fit += 1;
         }
         let instances = &instances[..fit.max(1).min(instances.len())];
-        let sampled = &sampled[..instances.len()];
         let prompt = render_pri(task, query, instances);
         let reply = llm.complete(&prompt)?;
         let mut scores = parse_pri_response(&reply.text);
         scores.sort_by_key(|&(i, s)| (std::cmp::Reverse(s), i));
+        // `instances[i]` is already row `sampled[i]` serialized: reading the
+        // table again would re-fault chunks the sample walk just evicted.
         scores
             .into_iter()
             .take(config.top_k)
-            .filter_map(|(i, _)| sampled.get(i).copied())
+            .filter_map(|(i, _)| instances.get(i).cloned())
             .collect()
     } else {
-        sampled.into_iter().take(config.top_k).collect()
+        sampled
+            .into_iter()
+            .take(config.top_k)
+            .map(serialize_row)
+            .collect::<Result<_, _>>()?
     };
-
-    let mut records = Vec::with_capacity(chosen.len());
-    for row in chosen {
-        records.push(serialize_row(row)?);
-    }
     Ok(Context {
         attrs: attrs.to_vec(),
         records,

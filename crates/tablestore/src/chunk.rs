@@ -2,10 +2,13 @@
 //!
 //! A [`Chunk`] holds one fixed-size row partition of a table, stored
 //! column-major: one [`ColumnChunk`] per attribute. Text columns are
-//! dictionary-encoded (one `u32` code per cell, distinct strings stored
-//! once), integer columns are stored as flat `i64` arrays with a
-//! present-mask, and anything heterogeneous falls back to a plain value
-//! vector. Per-column [`ColumnStats`] are computed once when the chunk is
+//! dictionary-encoded: one `u32` code per cell, the distinct strings stored
+//! once in a [`StringPool`] (one UTF-8 blob plus an end-offset array — the
+//! bytes a spill segment holds, so paging a chunk in copies the dictionary
+//! rather than rebuilding it string by string). Integer columns are flat
+//! `i64` arrays with a present-mask, and anything heterogeneous falls back
+//! to a plain value vector. Per-column [`ColumnStats`] are computed once
+//! when the chunk is
 //! sealed at ingest and folded by [`Table::column_stats`] instead of
 //! rescanning the column.
 //!
@@ -18,10 +21,92 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
+use crate::value::canonical_key;
 use crate::{ColumnStats, Record, Value};
 
 /// Dictionary code marking a null cell in a [`ColumnChunk::Dict`] column.
 pub const NULL_CODE: u32 = u32::MAX;
+
+/// The distinct strings of a dictionary column as one allocation pair:
+/// string `i` is `blob[ends[i - 1]..ends[i]]` (from `0` for the first).
+///
+/// The fields are private because every reader slices the blob at the
+/// offsets without re-checking them: they ascend, the last one is the blob
+/// length, and each falls on a UTF-8 character boundary.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct StringPool {
+    blob: String,
+    ends: Vec<u32>,
+}
+
+impl StringPool {
+    /// Builds a pool from raw parts (the segment page-in path), checking
+    /// everything [`StringPool::get`] relies on.
+    ///
+    /// # Errors
+    ///
+    /// Returns what is wrong with the parts: invalid UTF-8, descending
+    /// offsets, a last offset that is not the blob length, or an offset
+    /// inside a multi-byte character.
+    pub fn from_parts(blob: Vec<u8>, ends: Vec<u32>) -> Result<StringPool, &'static str> {
+        let blob = String::from_utf8(blob).map_err(|_| "invalid utf-8 in dictionary blob")?;
+        if !ends.is_sorted() {
+            return Err("dictionary end offsets descend");
+        }
+        if ends.last().map_or(0, |&e| e as usize) != blob.len() {
+            return Err("dictionary end offsets do not cover the blob");
+        }
+        if !ends.iter().all(|&e| blob.is_char_boundary(e as usize)) {
+            return Err("dictionary end offset inside a character");
+        }
+        Ok(StringPool { blob, ends })
+    }
+
+    /// Appends `s` and returns its code, or `None` (pool unchanged) when
+    /// the blob would outgrow its `u32` offsets.
+    fn push(&mut self, s: &str) -> Option<u32> {
+        let end = u32::try_from(self.blob.len() + s.len()).ok()?;
+        let code = self.ends.len() as u32;
+        self.blob.push_str(s);
+        self.ends.push(end);
+        Some(code)
+    }
+
+    /// Number of strings in the pool.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True if the pool holds no strings.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The string with code `code`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `code >= len()`.
+    pub fn get(&self, code: usize) -> &str {
+        let start = if code == 0 { 0 } else { self.ends[code - 1] };
+        &self.blob[start as usize..self.ends[code] as usize]
+    }
+
+    /// The strings in code order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        (0..self.len()).map(|code| self.get(code))
+    }
+
+    /// Every string back to back (the segment writes this verbatim).
+    pub fn blob(&self) -> &str {
+        &self.blob
+    }
+
+    /// End offset of each string inside [`StringPool::blob`].
+    pub fn ends(&self) -> &[u32] {
+        &self.ends
+    }
+}
 
 /// One column of one row partition, in its most compact encoding.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +115,7 @@ pub enum ColumnChunk {
     /// [`NULL_CODE`] marks a null cell.
     Dict {
         /// Distinct strings in first-appearance order.
-        dict: Vec<String>,
+        dict: StringPool,
         /// One code per row.
         codes: Vec<u32>,
     },
@@ -49,32 +134,14 @@ impl ColumnChunk {
     /// Encodes a column of values into the most compact representation:
     /// all-text columns dictionary-encode, all-integer columns pack into
     /// `i64`s, anything mixed (floats, bools, text+numbers) stays as
-    /// values.
+    /// values — as does a text column whose distinct strings exceed the
+    /// pool's 4 GiB of offsets.
     pub fn encode(values: Vec<Value>) -> ColumnChunk {
         let all_text = values
             .iter()
             .all(|v| matches!(v, Value::Null | Value::Text(_)));
         if all_text {
-            let mut dict: Vec<String> = Vec::new();
-            let mut index: HashMap<&str, u32> = HashMap::new();
-            let mut codes = Vec::with_capacity(values.len());
-            for v in &values {
-                match v {
-                    Value::Null => codes.push(NULL_CODE),
-                    Value::Text(s) => {
-                        if let Some(&code) = index.get(s.as_str()) {
-                            codes.push(code);
-                        } else {
-                            let code = dict.len() as u32;
-                            index.insert(s.as_str(), code);
-                            dict.push(s.clone());
-                            codes.push(code);
-                        }
-                    }
-                    _ => unreachable!("all_text checked above"),
-                }
-            }
-            return ColumnChunk::Dict { dict, codes };
+            return Self::encode_dict(&values).unwrap_or(ColumnChunk::Mixed(values));
         }
         let all_int = values
             .iter()
@@ -102,6 +169,30 @@ impl ColumnChunk {
         ColumnChunk::Mixed(values)
     }
 
+    /// Dictionary-encodes a column of text and nulls; `None` when the pool
+    /// overflows.
+    fn encode_dict(values: &[Value]) -> Option<ColumnChunk> {
+        let mut dict = StringPool::default();
+        let mut index: HashMap<&str, u32> = HashMap::new();
+        let mut codes = Vec::with_capacity(values.len());
+        for v in values {
+            match v {
+                Value::Null => codes.push(NULL_CODE),
+                Value::Text(s) => {
+                    if let Some(&code) = index.get(s.as_str()) {
+                        codes.push(code);
+                    } else {
+                        let code = dict.push(s)?;
+                        index.insert(s.as_str(), code);
+                        codes.push(code);
+                    }
+                }
+                _ => unreachable!("caller checked the column is text and nulls"),
+            }
+        }
+        Some(ColumnChunk::Dict { dict, codes })
+    }
+
     /// Number of cells in the column.
     pub fn len(&self) -> usize {
         match self {
@@ -126,7 +217,7 @@ impl ColumnChunk {
         match self {
             ColumnChunk::Dict { dict, codes } => match codes[row] {
                 NULL_CODE => Value::Null,
-                code => Value::Text(dict[code as usize].clone()),
+                code => Value::text(dict.get(code as usize)),
             },
             ColumnChunk::Ints { values, present } => {
                 if present[row] {
@@ -154,7 +245,7 @@ impl ColumnChunk {
                 let matching: Vec<u32> = dict
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| Value::text(s.as_str()).answer_key() == key)
+                    .filter(|(_, s)| canonical_key(s) == key)
                     .map(|(i, _)| i as u32)
                     .collect();
                 if matching.is_empty() && !key.is_empty() {
@@ -199,7 +290,7 @@ impl ColumnChunk {
                 let mut stats = ColumnStats::with_counts(codes.len(), nulls);
                 for (i, &n) in per_code.iter().enumerate() {
                     if n > 0 {
-                        stats.add_key(Value::text(dict[i].as_str()).answer_key(), n);
+                        stats.add_key(canonical_key(dict.get(i)), n);
                     }
                 }
                 stats
@@ -350,13 +441,37 @@ mod tests {
         ]);
         match &col {
             ColumnChunk::Dict { dict, codes } => {
-                assert_eq!(dict, &vec!["CET".to_string(), "GMT".to_string()]);
+                assert_eq!(dict.iter().collect::<Vec<_>>(), ["CET", "GMT"]);
+                assert_eq!((dict.blob(), dict.ends()), ("CETGMT", &[3, 6][..]));
                 assert_eq!(codes, &vec![0, 1, 0, NULL_CODE]);
             }
             other => panic!("expected dict encoding, got {other:?}"),
         }
         assert_eq!(col.value(1), Value::text("GMT"));
         assert_eq!(col.value(3), Value::Null);
+    }
+
+    #[test]
+    fn pool_from_parts_checks_what_get_relies_on() {
+        let pool = StringPool::from_parts("éab".into(), vec![2, 2, 4]).unwrap();
+        assert_eq!(pool.iter().collect::<Vec<_>>(), ["é", "", "ab"]);
+        assert_eq!(
+            StringPool::from_parts(Vec::new(), Vec::new()),
+            Ok(StringPool::default())
+        );
+        for (blob, ends) in [
+            (&b"\xffab"[..], vec![1, 3]),   // invalid UTF-8
+            ("éab".as_bytes(), vec![4, 2]), // descending
+            ("éab".as_bytes(), vec![2, 5]), // past the blob
+            ("éab".as_bytes(), vec![2, 3]), // short of the blob
+            ("éab".as_bytes(), vec![]),     // no offsets for a blob
+            ("éab".as_bytes(), vec![1, 4]), // inside 'é'
+        ] {
+            assert!(
+                StringPool::from_parts(blob.to_vec(), ends.clone()).is_err(),
+                "{blob:?} {ends:?}"
+            );
+        }
     }
 
     #[test]

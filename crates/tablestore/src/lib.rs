@@ -9,7 +9,8 @@
 //! * [`Schema`] / [`Column`] — ordered attribute lists.
 //! * [`Record`] — one tuple, aligned with a schema.
 //! * [`Table`] — named schema + rows over chunked columnar storage
-//!   ([`Chunk`] / [`ColumnChunk`]): dictionary-encoded text, packed ints,
+//!   ([`Chunk`] / [`ColumnChunk`]): dictionary-encoded text (one
+//!   [`StringPool`] per column chunk), packed ints,
 //!   per-chunk statistics computed at ingest, `Arc`-shared immutable
 //!   chunks, with builders, projection, sampling and per-column statistics.
 //! * [`SegmentWriter`] / [`Pager`] — a spill-to-disk segment format and a
@@ -49,7 +50,7 @@ mod stats;
 mod table;
 mod value;
 
-pub use chunk::{Chunk, ColumnChunk, NULL_CODE};
+pub use chunk::{Chunk, ColumnChunk, StringPool, NULL_CODE};
 pub use error::TableError;
 pub use lake::DataLake;
 pub use record::Record;

@@ -4,20 +4,43 @@
 //! a lake larger than RAM can page row partitions in and out on demand:
 //!
 //! ```text
-//! ┌────────────────────────────────────────────────────────────┐
-//! │ magic "UDMSEG1\0"                                          │
-//! │ header: table name, schema (names + dtypes), chunk_rows    │
-//! │ chunk 0 payload │ chunk 1 payload │ ... │ chunk N payload  │
-//! │ directory: per-chunk (offset, byte len, row count)         │
-//! │ u64 directory offset (last 8 bytes)                        │
-//! └────────────────────────────────────────────────────────────┘
+//! ┌──────────────────────────────────────────────────────────────────┐
+//! │ magic "UDMSEG2\0" │ u32 header length                            │
+//! │ header: table name, schema (names + dtypes), u64 chunk_rows      │
+//! │ chunk 0 payload │ chunk 1 payload │ ... │ chunk N payload        │
+//! │ directory: u64 chunk count, per chunk (offset, bytes, rows) u64s │
+//! │ u64 directory offset (last 8 bytes)                              │
+//! └──────────────────────────────────────────────────────────────────┘
+//!
+//! chunk payload = u64 rows, then one column after another:
+//!   0 Dict   u32 n │ u32 end × n │ blob (end[n-1] bytes) │ u32 code × rows
+//!   1 Ints   i64 value × rows │ u8 present × rows
+//!   2 Mixed  per cell: u8 tag, then nothing / u32 len + bytes / 8 / 8 / 1
 //! ```
 //!
-//! Each chunk payload stores its columns in the same encodings
-//! [`ColumnChunk`] uses in memory (dictionary codes, packed ints, tagged
-//! values), so paging a chunk back in is a straight decode with no row
-//! materialization. All integers are little-endian; the format is
-//! versioned by the magic and dependency-free.
+//! A `Dict` or `Ints` column is the in-memory [`ColumnChunk`] byte for byte
+//! (the dictionary is the [`StringPool`]'s blob and end offsets), so paging
+//! a chunk in is a few bulk little-endian copies and one UTF-8 pass over
+//! the blob, with no per-cell parsing and no per-string allocation. All
+//! integers are little-endian; the format is versioned by the magic and
+//! dependency-free.
+//!
+//! A segment is scratch: written by one process, read back by the same
+//! build, never committed. The format is therefore *replaced, never
+//! migrated* — a file with any other magic (`UDMSEG1` included) is
+//! rejected by name, there is no second reader.
+//!
+//! Everything read from the file is checked before it sizes an allocation
+//! or indexes anything, and a failed check is a [`TableError::Segment`]:
+//!
+//! * open: magic; header length, directory offset and chunk count against
+//!   the file length; every chunk inside the payload region; every chunk
+//!   but the last exactly `chunk_rows` long, the last at most that;
+//! * page-in: payload row count against the directory's, before any
+//!   column is decoded; each column against the bytes that remain;
+//!   dictionary offsets ascending, ending at the blob length and on
+//!   character boundaries; the blob valid UTF-8; every non-null code
+//!   inside the dictionary; no bytes left over.
 //!
 //! [`SegmentWriter`] streams rows chunk-by-chunk (peak memory: one chunk),
 //! and [`Pager`] serves random chunk reads through an LRU cache bounded by
@@ -26,14 +49,19 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::chunk::{Chunk, ColumnChunk};
+use crate::chunk::{Chunk, ColumnChunk, StringPool, NULL_CODE};
 use crate::{DataType, Record, Schema, TableError, Value};
 
-const MAGIC: &[u8; 8] = b"UDMSEG1\0";
+const MAGIC: &[u8; 8] = b"UDMSEG2\0";
+/// Magic plus the header length field.
+const PREAMBLE: usize = MAGIC.len() + 4;
+/// Bytes of one directory entry: offset, byte length, row count.
+const ENTRY_BYTES: usize = 24;
 
 /// Default number of chunks a spilled table keeps resident.
 pub const DEFAULT_PAGE_BUDGET: usize = 16;
@@ -44,6 +72,10 @@ fn io_err(context: &str, e: std::io::Error) -> TableError {
 
 fn format_err(msg: impl Into<String>) -> TableError {
     TableError::Segment(msg.into())
+}
+
+fn to_usize(v: u64) -> Result<usize, TableError> {
+    usize::try_from(v).map_err(|_| format_err("segment length exceeds the address space"))
 }
 
 // ── Little-endian primitives ────────────────────────────────────────────
@@ -72,15 +104,33 @@ impl<'a> Cursor<'a> {
         Cursor { buf, pos: 0 }
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], TableError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format_err("truncated segment payload"))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
+        if n > self.remaining() {
+            return Err(format_err("truncated segment payload"));
+        }
+        let slice = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
         Ok(slice)
+    }
+
+    /// `n` fixed-width cells as one slice, failing before anything is
+    /// allocated for them if the buffer cannot hold that many.
+    fn cells(&mut self, n: usize, width: usize) -> Result<&'a [u8], TableError> {
+        let bytes = n
+            .checked_mul(width)
+            .ok_or_else(|| format_err("truncated segment payload"))?;
+        self.take(bytes)
+    }
+
+    fn finish(self) -> Result<(), TableError> {
+        if self.remaining() != 0 {
+            return Err(format_err("trailing bytes in segment payload"));
+        }
+        Ok(())
     }
 
     fn u8(&mut self) -> Result<u8, TableError> {
@@ -101,6 +151,20 @@ impl<'a> Cursor<'a> {
 
     fn f64(&mut self) -> Result<f64, TableError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    fn u32s(&mut self, n: usize) -> Result<Vec<u32>, TableError> {
+        let cells = self.cells(n, 4)?.chunks_exact(4);
+        Ok(cells
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect())
+    }
+
+    fn i64s(&mut self, n: usize) -> Result<Vec<i64>, TableError> {
+        let cells = self.cells(n, 8)?.chunks_exact(8);
+        Ok(cells
+            .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
+            .collect())
     }
 
     fn str(&mut self) -> Result<String, TableError> {
@@ -127,21 +191,14 @@ fn encode_column(out: &mut Vec<u8>, col: &ColumnChunk) {
         ColumnChunk::Dict { dict, codes } => {
             out.push(TAG_DICT);
             put_u32(out, dict.len() as u32);
-            for entry in dict {
-                put_str(out, entry);
-            }
-            for &code in codes {
-                put_u32(out, code);
-            }
+            out.extend(dict.ends().iter().flat_map(|e| e.to_le_bytes()));
+            out.extend_from_slice(dict.blob().as_bytes());
+            out.extend(codes.iter().flat_map(|c| c.to_le_bytes()));
         }
         ColumnChunk::Ints { values, present } => {
             out.push(TAG_INTS);
-            for &v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            for &p in present {
-                out.push(u8::from(p));
-            }
+            out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+            out.extend(present.iter().map(|&p| u8::from(p)));
         }
         ColumnChunk::Mixed(values) => {
             out.push(TAG_MIXED);
@@ -173,33 +230,32 @@ fn encode_column(out: &mut Vec<u8>, col: &ColumnChunk) {
 fn decode_column(cur: &mut Cursor<'_>, rows: usize) -> Result<ColumnChunk, TableError> {
     match cur.u8()? {
         TAG_DICT => {
-            let dict_len = cur.u32()? as usize;
-            let mut dict = Vec::with_capacity(dict_len);
-            for _ in 0..dict_len {
-                dict.push(cur.str()?);
-            }
-            let mut codes = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                let code = cur.u32()?;
-                if code != crate::chunk::NULL_CODE && code as usize >= dict_len {
-                    return Err(format_err("dictionary code out of range"));
-                }
-                codes.push(code);
+            let n = cur.u32()? as usize;
+            let ends = cur.u32s(n)?;
+            let blob = cur.take(ends.last().map_or(0, |&e| e as usize))?;
+            let dict = StringPool::from_parts(blob.to_vec(), ends).map_err(format_err)?;
+            let codes = cur.u32s(rows)?;
+            // One branch-free pass (it vectorizes; a short-circuiting scan
+            // does not): `NULL_CODE + 1` wraps to 0, every other code to
+            // one past itself, so the largest is the dictionary size a
+            // column of these codes needs.
+            const _: () = assert!(NULL_CODE == u32::MAX);
+            let needs = codes.iter().fold(0, |m, c| c.wrapping_add(1).max(m));
+            if needs as usize > dict.len() {
+                return Err(format_err("dictionary code out of range"));
             }
             Ok(ColumnChunk::Dict { dict, codes })
         }
         TAG_INTS => {
-            let mut values = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                values.push(cur.i64()?);
-            }
-            let mut present = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                present.push(cur.u8()? != 0);
-            }
+            let values = cur.i64s(rows)?;
+            let present = cur.take(rows)?.iter().map(|&p| p != 0).collect();
             Ok(ColumnChunk::Ints { values, present })
         }
         TAG_MIXED => {
+            // A cell is at least its tag byte.
+            if rows > cur.remaining() {
+                return Err(format_err("truncated segment payload"));
+            }
             let mut values = Vec::with_capacity(rows);
             for _ in 0..rows {
                 values.push(match cur.u8()? {
@@ -227,13 +283,20 @@ fn encode_chunk(chunk: &Chunk) -> Vec<u8> {
     out
 }
 
-fn decode_chunk(buf: &[u8], width: usize) -> Result<Chunk, TableError> {
+/// Decodes a payload the directory says holds `rows` rows of `width`
+/// columns.
+fn decode_chunk(buf: &[u8], width: usize, rows: usize) -> Result<Chunk, TableError> {
     let mut cur = Cursor::new(buf);
-    let rows = cur.u64()? as usize;
+    if cur.u64()? != rows as u64 {
+        return Err(format_err(
+            "chunk row count differs from its directory entry",
+        ));
+    }
     let mut columns = Vec::with_capacity(width);
     for _ in 0..width {
         columns.push(Arc::new(decode_column(&mut cur, rows)?));
     }
+    cur.finish()?;
     Ok(Chunk::from_columns(rows, columns))
 }
 
@@ -256,25 +319,49 @@ fn dtype_from_tag(tag: u8) -> Result<DataType, TableError> {
     })
 }
 
+/// Magic, header length, header.
 fn encode_header(name: &str, schema: &Schema, chunk_rows: usize) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    put_str(&mut out, name);
-    put_u32(&mut out, schema.len() as u32);
+    let mut header = Vec::new();
+    put_str(&mut header, name);
+    put_u32(&mut header, schema.len() as u32);
     for col in schema.columns() {
-        put_str(&mut out, col.name());
-        out.push(dtype_tag(col.dtype()));
+        put_str(&mut header, col.name());
+        header.push(dtype_tag(col.dtype()));
     }
-    put_u64(&mut out, chunk_rows as u64);
+    put_u64(&mut header, chunk_rows as u64);
+    let mut out = MAGIC.to_vec();
+    put_u32(&mut out, header.len() as u32);
+    out.extend_from_slice(&header);
     out
 }
 
-/// Location of one chunk inside a segment file.
+fn decode_header(buf: &[u8]) -> Result<(String, Schema, usize), TableError> {
+    let mut cur = Cursor::new(buf);
+    let name = cur.str()?;
+    let ncols = cur.u32()? as usize;
+    // A column is at least its name length and dtype tag.
+    if ncols > cur.remaining() / 5 {
+        return Err(format_err("truncated segment payload"));
+    }
+    let mut columns = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        let col_name = cur.str()?;
+        let dtype = dtype_from_tag(cur.u8()?)?;
+        columns.push(crate::Column::typed(col_name, dtype));
+    }
+    let schema = Schema::new(columns)?;
+    let chunk_rows = to_usize(cur.u64()?)?;
+    cur.finish()?;
+    Ok((name, schema, chunk_rows.max(1)))
+}
+
+/// Location of one chunk inside a segment file. A reader's entries have
+/// passed [`SegmentReader::open`]'s checks.
 #[derive(Debug, Clone, Copy)]
 struct ChunkEntry {
     offset: u64,
-    bytes: u64,
-    rows: u64,
+    bytes: usize,
+    rows: usize,
 }
 
 // ── Writer ──────────────────────────────────────────────────────────────
@@ -339,7 +426,7 @@ impl SegmentWriter {
 
     /// Rows accepted so far.
     pub fn rows_written(&self) -> usize {
-        self.entries.iter().map(|e| e.rows as usize).sum::<usize>() + self.buffer.len()
+        self.entries.iter().map(|e| e.rows).sum::<usize>() + self.buffer.len()
     }
 
     /// Appends one row, sealing and writing a chunk whenever the buffer
@@ -374,8 +461,8 @@ impl SegmentWriter {
             .map_err(|e| io_err("write chunk", e))?;
         self.entries.push(ChunkEntry {
             offset: self.offset,
-            bytes: payload.len() as u64,
-            rows: chunk.len() as u64,
+            bytes: payload.len(),
+            rows: chunk.len(),
         });
         self.offset += payload.len() as u64;
         self.buffer.clear();
@@ -395,8 +482,8 @@ impl SegmentWriter {
         put_u64(&mut dir, self.entries.len() as u64);
         for e in &self.entries {
             put_u64(&mut dir, e.offset);
-            put_u64(&mut dir, e.bytes);
-            put_u64(&mut dir, e.rows);
+            put_u64(&mut dir, e.bytes as u64);
+            put_u64(&mut dir, e.rows as u64);
         }
         put_u64(&mut dir, self.offset); // directory offset, last 8 bytes
         self.file
@@ -410,99 +497,107 @@ impl SegmentWriter {
 
 // ── Reader / pager ──────────────────────────────────────────────────────
 
-/// An open segment file: header metadata plus random chunk reads.
+/// An open segment file: header metadata plus random chunk reads. Reads
+/// are positional (`pread`), so threads faulting different chunks do not
+/// wait on one another.
 #[derive(Debug)]
 pub struct SegmentReader {
-    file: Mutex<File>,
+    file: File,
     path: PathBuf,
     name: String,
     schema: Schema,
     chunk_rows: usize,
     entries: Vec<ChunkEntry>,
+    rows: usize,
 }
 
 impl SegmentReader {
-    /// Opens a segment and reads its header and directory.
+    /// Opens a segment and reads its header and directory, reading exactly
+    /// those bytes.
     ///
     /// # Errors
     ///
     /// Returns [`TableError::Segment`] on I/O failure or a malformed file.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TableError> {
         let path = path.as_ref().to_path_buf();
-        let mut file = File::open(&path).map_err(|e| io_err("open segment", e))?;
+        let file = File::open(&path).map_err(|e| io_err("open segment", e))?;
         let file_len = file
             .metadata()
             .map_err(|e| io_err("stat segment", e))?
             .len();
-        if file_len < (MAGIC.len() + 8) as u64 {
+        // Preamble, an empty directory's chunk count, the directory offset.
+        if file_len < (PREAMBLE + 16) as u64 {
             return Err(format_err("segment file too short"));
         }
+        let read_at = |len: u64, offset: u64, what: &str| -> Result<Vec<u8>, TableError> {
+            let mut buf = vec![0u8; to_usize(len)?];
+            file.read_exact_at(&mut buf, offset)
+                .map_err(|e| io_err(what, e))?;
+            Ok(buf)
+        };
 
-        // Header.
-        let mut head = vec![0u8; MAGIC.len()];
-        file.read_exact(&mut head)
-            .map_err(|e| io_err("read magic", e))?;
-        if head != MAGIC {
-            return Err(format_err("bad segment magic (not a UDMSEG1 file)"));
+        let preamble = read_at(PREAMBLE as u64, 0, "read magic")?;
+        let (magic, header_len) = preamble.split_at(MAGIC.len());
+        if magic != MAGIC {
+            return Err(format_err(format!(
+                "not a UDMSEG2 segment (magic {:?}): segments are scratch files of one \
+                 format, spill the table again",
+                String::from_utf8_lossy(magic)
+            )));
         }
-        let mut rest = Vec::new();
-        // Read the remainder of the header region lazily: header fields are
-        // small, so read a bounded prefix and parse with a cursor.
-        let header_budget = (file_len as usize - MAGIC.len()).min(1 << 20);
-        rest.resize(header_budget, 0);
-        file.read_exact(&mut rest)
-            .map_err(|e| io_err("read header", e))?;
-        let mut cur = Cursor::new(&rest);
-        let name = cur.str()?;
-        let ncols = cur.u32()? as usize;
-        let mut columns = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let col_name = cur.str()?;
-            let dtype = dtype_from_tag(cur.u8()?)?;
-            columns.push(crate::Column::typed(col_name, dtype));
-        }
-        let schema = Schema::new(columns)?;
-        let chunk_rows = cur.u64()? as usize;
+        let header_len = u64::from(u32::from_le_bytes(header_len.try_into().unwrap()));
+        let payload_start = PREAMBLE as u64 + header_len;
 
-        // Directory: offset in the last 8 bytes.
-        file.seek(SeekFrom::End(-8))
-            .map_err(|e| io_err("seek directory offset", e))?;
-        let mut tail = [0u8; 8];
-        file.read_exact(&mut tail)
-            .map_err(|e| io_err("read directory offset", e))?;
-        let dir_offset = u64::from_le_bytes(tail);
-        if dir_offset >= file_len {
-            return Err(format_err("directory offset out of range"));
+        // Directory offset in the last 8 bytes; the directory runs from
+        // there to them.
+        let tail = read_at(8, file_len - 8, "read directory offset")?;
+        let dir_offset = u64::from_le_bytes(tail.try_into().unwrap());
+        if dir_offset < payload_start || dir_offset > file_len - 16 {
+            return Err(format_err("header or directory offset out of range"));
         }
-        file.seek(SeekFrom::Start(dir_offset))
-            .map_err(|e| io_err("seek directory", e))?;
-        let mut dir = vec![0u8; (file_len - 8 - dir_offset) as usize];
-        file.read_exact(&mut dir)
-            .map_err(|e| io_err("read directory", e))?;
+        let (name, schema, chunk_rows) =
+            decode_header(&read_at(header_len, PREAMBLE as u64, "read header")?)?;
+
+        let dir = read_at(file_len - 8 - dir_offset, dir_offset, "read directory")?;
         let mut cur = Cursor::new(&dir);
-        let nchunks = cur.u64()? as usize;
+        let nchunks = to_usize(cur.u64()?)?;
+        if nchunks.checked_mul(ENTRY_BYTES) != Some(cur.remaining()) {
+            return Err(format_err("chunk count differs from the directory's size"));
+        }
         let mut entries = Vec::with_capacity(nchunks);
-        for _ in 0..nchunks {
-            let offset = cur.u64()?;
-            let bytes = cur.u64()?;
-            let rows = cur.u64()?;
-            if offset.checked_add(bytes).is_none_or(|end| end > file_len) {
+        let mut total_rows = 0usize;
+        while cur.remaining() > 0 {
+            let (offset, bytes, rows) = (cur.u64()?, cur.u64()?, cur.u64()?);
+            if offset < payload_start
+                || offset.checked_add(bytes).is_none_or(|end| end > dir_offset)
+            {
                 return Err(format_err("chunk entry out of range"));
             }
+            // `Table` addresses a row as (index / chunk_rows, index %
+            // chunk_rows): only the last chunk may be short.
+            let last = cur.remaining() == 0;
+            if rows > chunk_rows as u64 || (!last && rows != chunk_rows as u64) {
+                return Err(format_err("chunk row count differs from chunk_rows"));
+            }
+            let rows = rows as usize;
+            total_rows = total_rows
+                .checked_add(rows)
+                .ok_or_else(|| format_err("segment row count overflows"))?;
             entries.push(ChunkEntry {
                 offset,
-                bytes,
+                bytes: to_usize(bytes)?,
                 rows,
             });
         }
 
         Ok(SegmentReader {
-            file: Mutex::new(file),
+            file,
             path,
             name,
             schema,
-            chunk_rows: chunk_rows.max(1),
+            chunk_rows,
             entries,
+            rows: total_rows,
         })
     }
 
@@ -528,12 +623,12 @@ impl SegmentReader {
 
     /// Rows in chunk `idx`.
     pub fn chunk_len(&self, idx: usize) -> usize {
-        self.entries[idx].rows as usize
+        self.entries[idx].rows
     }
 
     /// Total rows across all chunks.
     pub fn row_count(&self) -> usize {
-        self.entries.iter().map(|e| e.rows as usize).sum()
+        self.rows
     }
 
     /// The segment file path.
@@ -552,19 +647,11 @@ impl SegmentReader {
             .entries
             .get(idx)
             .ok_or_else(|| format_err(format!("chunk {idx} out of range")))?;
-        let mut buf = vec![0u8; entry.bytes as usize];
-        {
-            let mut file = self.file.lock().expect("segment file lock");
-            file.seek(SeekFrom::Start(entry.offset))
-                .map_err(|e| io_err("seek chunk", e))?;
-            file.read_exact(&mut buf)
-                .map_err(|e| io_err("read chunk", e))?;
-        }
-        let chunk = decode_chunk(&buf, self.schema.len())?;
-        if chunk.len() != entry.rows as usize {
-            return Err(format_err("chunk row count mismatch"));
-        }
-        Ok(chunk)
+        let mut buf = vec![0u8; entry.bytes];
+        self.file
+            .read_exact_at(&mut buf, entry.offset)
+            .map_err(|e| io_err("read chunk", e))?;
+        decode_chunk(&buf, self.schema.len(), entry.rows)
     }
 }
 
@@ -627,8 +714,8 @@ impl Pager {
                 return Ok(chunk.clone());
             }
         }
-        // Miss: read outside the cache lock (the reader serializes file
-        // access itself), then insert. A racing thread may have inserted
+        // Miss: read outside the cache lock (positional reads need no lock
+        // of their own), then insert. A racing thread may have inserted
         // the same chunk meanwhile; either copy is identical.
         let chunk = Arc::new(self.segment.read_chunk(idx)?);
         let mut cache = self.cache.lock().expect("pager lock");

@@ -212,7 +212,8 @@ impl Table {
 
     /// Splits a validated row index into (sealed slot, offset) or a tail
     /// offset. Valid because every sealed chunk is full except possibly the
-    /// last one of a spilled table (which has no tail).
+    /// last one of a spilled table (which has no tail) — `SegmentReader::open`
+    /// rejects a directory that says otherwise.
     fn locate(&self, index: usize) -> Result<RowAddr, TableError> {
         if index < self.sealed_rows {
             Ok(RowAddr::Sealed {
@@ -509,19 +510,15 @@ impl Table {
     /// Returns [`TableError::Segment`] on I/O failure or a malformed file.
     pub fn open_segment(path: impl AsRef<Path>, budget: usize) -> Result<Table, TableError> {
         let reader = SegmentReader::open(path)?;
-        let mut sealed = Vec::with_capacity(reader.chunk_count());
-        let mut sealed_rows = 0usize;
-        for idx in 0..reader.chunk_count() {
-            let rows = reader.chunk_len(idx);
-            sealed_rows += rows;
-            sealed.push(Slot::spilled(rows));
-        }
+        let sealed = (0..reader.chunk_count())
+            .map(|idx| Slot::spilled(reader.chunk_len(idx)))
+            .collect();
         Ok(Table {
             name: reader.name().to_string(),
             schema: reader.schema().clone(),
             chunk_rows: reader.chunk_rows(),
             sealed,
-            sealed_rows,
+            sealed_rows: reader.row_count(),
             tail: Vec::new(),
             pager: Some(Arc::new(Pager::new(reader, budget))),
         })

@@ -100,7 +100,7 @@ impl Value {
     }
 }
 
-fn canonical_key(s: &str) -> String {
+pub(crate) fn canonical_key(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut last_space = true;
     for ch in s.trim().chars() {

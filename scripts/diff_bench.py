@@ -253,6 +253,10 @@ def main(argv):
                         f"scale: {key} drifted {o_scale.get(key)} -> "
                         f"{n_scale.get(key)} (exact-pinned counter)"
                     )
+            # Heap allocations per streamed task (PR 15+), from the
+            # counting allocator: exact for a given build, may fall, never
+            # rise.
+            must_not_increase("scale", "allocs_per_task", o_scale, n_scale)
             print(
                 f"  info      scale: peak_live_bytes "
                 f"{o_scale.get('peak_live_bytes')} -> {n_scale.get('peak_live_bytes')} "
