@@ -131,6 +131,9 @@ struct Regime {
     model_calls: u64,
     stats: Option<unidm::CacheStats>,
     shard_stats: Vec<unidm::CacheStats>,
+    /// Heap allocations per task, for one-worker regimes only: there the
+    /// whole pass runs on the calling thread and the count is exact.
+    allocs_per_task: Option<u64>,
 }
 
 impl Regime {
@@ -150,6 +153,9 @@ impl Regime {
                 .field_u64("cache_misses", stats.misses as u64)
                 .field_u64("cache_coalesced", stats.coalesced as u64)
                 .field_u64("tokens_saved", stats.tokens_saved as u64);
+        }
+        if let Some(allocs) = self.allocs_per_task {
+            obj = obj.field_u64("allocs_per_task", allocs);
         }
         obj.finish()
     }
@@ -419,9 +425,12 @@ fn main() {
         let runner = BatchRunner::new(model, pipeline)
             .with_workers(workers)
             .with_dedup(dedup);
+        let section = AllocationDelta::start();
         let start = Instant::now();
         let report = runner.run_report(&lake, task_list);
         let elapsed_secs = start.elapsed().as_secs_f64();
+        let allocs_per_task =
+            (workers == 1).then(|| section.allocations() / task_list.len().max(1) as u64);
         let answers = report
             .results
             .iter()
@@ -448,6 +457,7 @@ fn main() {
                 model_calls: llm.calls(),
                 stats,
                 shard_stats,
+                allocs_per_task,
             },
             report,
         )
@@ -1046,6 +1056,7 @@ fn main() {
                 // stats, so the cache split is omitted from the baseline.
                 stats: None,
                 shard_stats: Vec::new(),
+                allocs_per_task: None,
             },
             stats,
             fault_attempts,

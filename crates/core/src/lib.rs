@@ -122,6 +122,7 @@ mod config;
 pub mod dispatch;
 mod error;
 pub mod exec;
+mod frame;
 pub mod html;
 pub mod parsing;
 pub mod pipeline;

@@ -7,6 +7,10 @@
 //! [`crate::BatchRunner`]. Per-run token cost is metered locally (see
 //! [`UniDm::run`]), so neither caching nor scheduling changes what a run
 //! reports.
+//!
+//! A `UniDm` also owns the record frame (`frame.rs`): what it has
+//! serialized of a table (or of an entity-resolution pool) for one task it
+//! reuses for the next, without ever changing a prompt.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -18,7 +22,8 @@ use unidm_llm::protocol::{
 use unidm_llm::{LanguageModel, Usage, UsageMeter};
 use unidm_tablestore::{DataLake, Table};
 
-use crate::retrieval::{instance_wise, meta_wise, Context};
+use crate::frame::{FrameRow, Frames, LabelledPair};
+use crate::retrieval::{instance_wise_in, meta_wise, score_candidates, Context};
 use crate::task::Task;
 use crate::{parsing, prompting, PipelineConfig, UniDmError};
 
@@ -53,6 +58,7 @@ pub struct RunOutput {
 pub struct UniDm<'a> {
     llm: &'a dyn LanguageModel,
     config: PipelineConfig,
+    frames: Frames,
 }
 
 impl std::fmt::Debug for UniDm<'_> {
@@ -67,12 +73,23 @@ impl std::fmt::Debug for UniDm<'_> {
 impl<'a> UniDm<'a> {
     /// Creates a pipeline.
     pub fn new(llm: &'a dyn LanguageModel, config: PipelineConfig) -> Self {
-        UniDm { llm, config }
+        UniDm {
+            llm,
+            config,
+            frames: Frames::default(),
+        }
     }
 
     /// The pipeline's configuration.
     pub fn config(&self) -> &PipelineConfig {
         &self.config
+    }
+
+    /// The record frame's footprint for the table named `table`: the
+    /// [`Table::version`] its rows were serialized at and how many rows
+    /// each projection holds. `None` until a run has sampled the table.
+    pub fn frame_rows(&self, table: &str) -> Option<(u64, Vec<usize>)> {
+        self.frames.footprint(table)
     }
 
     /// Runs the pipeline on `task` over `lake` (Algorithm 1).
@@ -192,7 +209,8 @@ impl<'a> UniDm<'a> {
             attr,
         )?;
         let instance_query = claim_query_imputation(&record, attr);
-        let context = instance_wise(
+        let context = instance_wise_in(
+            &self.frames,
             llm,
             &self.config,
             unidm_llm::protocol::TaskKind::Imputation,
@@ -260,7 +278,8 @@ impl<'a> UniDm<'a> {
             attr,
         )?;
         let key_attr = table.schema().names().next().unwrap_or(attr).to_string();
-        let context = instance_wise(
+        let context = instance_wise_in(
+            &self.frames,
             llm,
             &self.config,
             unidm_llm::protocol::TaskKind::ErrorDetection,
@@ -285,81 +304,58 @@ impl<'a> UniDm<'a> {
         llm: &dyn LanguageModel,
         a: &SerializedRecord,
         b: &SerializedRecord,
-        pool: &[(SerializedRecord, SerializedRecord, bool)],
+        pool: &[LabelledPair],
     ) -> Result<(String, Trace), UniDmError> {
-        let nat = |r: &SerializedRecord| naturalize_record(r).trim_end_matches('.').to_string();
+        let nat = |r: &SerializedRecord| {
+            let mut text = naturalize_record(r);
+            text.truncate(text.trim_end_matches('.').len());
+            text
+        };
+        let (a, b) = (nat(a), nat(b));
         // Demonstration retrieval: the labelled pool plays the role of the
-        // data lake; pick the pairs most relevant to the query pair.
-        let query_text = format!("{} versus {}", nat(a), nat(b));
-        let mut demo_records: Vec<SerializedRecord> = pool
-            .iter()
-            .map(|(da, db, label)| {
-                SerializedRecord::new(vec![
-                    (
-                        "entities".to_string(),
-                        format!("{} versus {}", nat(da), nat(db)),
-                    ),
-                    (
-                        "label".to_string(),
-                        if *label {
-                            "the same".to_string()
-                        } else {
-                            "different".to_string()
-                        },
-                    ),
-                ])
-            })
-            .collect();
-        let context = if demo_records.is_empty() {
-            Context::default()
-        } else if self.config.instance_retrieval {
-            let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xE12);
-            demo_records.shuffle(&mut rng);
-            demo_records.truncate(self.config.sample_size);
-            // Respect the model's context window (entity pairs are long).
-            let budget = llm.context_window().saturating_sub(256);
-            let mut used = unidm_text::count_tokens(&query_text) + 64;
-            let mut fit = 0usize;
-            for rec in &demo_records {
-                let cost = unidm_text::count_tokens(&rec.render()) + 4;
-                if used + cost > budget {
-                    break;
-                }
-                used += cost;
-                fit += 1;
-            }
-            demo_records.truncate(fit.max(1));
-            let prompt = unidm_llm::protocol::render_pri(
-                unidm_llm::protocol::TaskKind::EntityResolution,
-                &query_text,
-                &demo_records,
-            );
-            let reply = llm.complete(&prompt)?;
-            let mut scores = unidm_llm::protocol::parse_pri_response(&reply.text);
-            scores.sort_by_key(|&(i, s)| (std::cmp::Reverse(s), i));
-            let records = scores
-                .into_iter()
-                .take(self.config.top_k)
-                .filter_map(|(i, _)| demo_records.get(i).cloned())
+        // data lake; pick the pairs most relevant to the query pair. The
+        // candidates and their seeded order depend on the pool alone.
+        let demos = self.frames.demos(pool, || {
+            let mut demos: Vec<FrameRow> = pool
+                .iter()
+                .map(|(da, db, label)| {
+                    let label = if *label { "the same" } else { "different" };
+                    FrameRow::new(SerializedRecord::new(vec![
+                        (
+                            "entities".to_string(),
+                            format!("{} versus {}", nat(da), nat(db)),
+                        ),
+                        ("label".to_string(), label.to_string()),
+                    ]))
+                })
                 .collect();
-            Context {
-                attrs: Vec::new(),
-                records,
-            }
+            demos.shuffle(&mut StdRng::seed_from_u64(self.config.seed ^ 0xE12));
+            demos
+        });
+        let records = if demos.is_empty() {
+            Vec::new()
+        } else if self.config.instance_retrieval {
+            // Entity pairs are long: scoring respects the context window.
+            score_candidates(
+                llm,
+                &self.config,
+                unidm_llm::protocol::TaskKind::EntityResolution,
+                &format!("{a} versus {b}"),
+                &demos[..self.config.sample_size.min(demos.len())],
+            )?
         } else {
-            let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xE12);
-            demo_records.shuffle(&mut rng);
-            demo_records.truncate(self.config.top_k);
-            Context {
-                attrs: Vec::new(),
-                records: demo_records,
-            }
+            let kept = demos.iter().take(self.config.top_k);
+            kept.map(|demo| demo.record.clone()).collect()
+        };
+        let context = Context {
+            attrs: Vec::new(),
+            records,
         };
         let context_text = parsing::parse_context(llm, &self.config, &context.records)?;
         let claim = Claim {
             task: unidm_llm::protocol::TaskKind::EntityResolution,
             context: context_text,
-            query: claim_query_er(&nat(a), &nat(b)),
+            query: claim_query_er(&a, &b),
         };
         self.finish(llm, claim, Vec::new(), &context)
     }
@@ -389,7 +385,8 @@ impl<'a> UniDm<'a> {
             [only] => (only.clone(), only.clone()),
             [first, .., last] => (first.clone(), last.clone()),
         };
-        let context = instance_wise(
+        let context = instance_wise_in(
+            &self.frames,
             llm,
             &self.config,
             unidm_llm::protocol::TaskKind::TableQa,

@@ -12,15 +12,23 @@
 //! [`crate::CanonLevel::TableStem`] and every row of a table shares one
 //! `p_rm` cache entry. `p_ri` is genuinely per-row — relevance is judged
 //! against the target record — and is never folded.
+//!
+//! What *is* shared under `p_ri` is its raw material: the candidates'
+//! serialization comes from the pipeline's record frame (`frame.rs`).
+
+use std::borrow::Borrow;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use unidm_llm::protocol::{parse_pri_response, render_pri, render_prm, SerializedRecord, TaskKind};
+use unidm_llm::protocol::{
+    parse_pri_response, render_pri_lines, render_prm, SerializedRecord, TaskKind,
+};
 use unidm_llm::LanguageModel;
 use unidm_tablestore::Table;
 
+use crate::frame::{FrameRow, Frames};
 use crate::{PipelineConfig, UniDmError};
 
 /// The retrieved tabular context `C`.
@@ -68,12 +76,17 @@ pub fn meta_wise(
     }
     let prompt = render_prm(task, query, &candidates);
     let reply = llm.complete(&prompt)?;
-    let mut picked: Vec<String> = reply
-        .text
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| candidates.iter().any(|c| c.eq_ignore_ascii_case(s)))
-        .collect();
+    // The schema's spelling, each attribute once, in order of first mention:
+    // the picks name columns from here on, whatever the model wrote.
+    let mut picked: Vec<String> = Vec::new();
+    for mention in reply.text.split(',') {
+        let mention = mention.trim();
+        if let Some(name) = candidates.iter().find(|c| c.eq_ignore_ascii_case(mention)) {
+            if !picked.contains(name) {
+                picked.push(name.clone());
+            }
+        }
+    }
     if picked.is_empty() {
         picked.push(candidates[0].clone());
     }
@@ -86,6 +99,10 @@ pub fn meta_wise(
 ///
 /// The returned records are projected on `key ∪ attrs ∪ target` so that
 /// the context both identifies its subjects and exhibits target values.
+///
+/// This free function serializes its candidates into a record frame it
+/// throws away; [`crate::UniDm::run`] is the same code over the frame the
+/// pipeline keeps across tasks.
 ///
 /// # Errors
 ///
@@ -102,84 +119,108 @@ pub fn instance_wise(
     target_attr: &str,
     key_attr: &str,
 ) -> Result<Context, UniDmError> {
-    // Projection: key first (subject), then helper attrs, then the target.
-    let mut proj: Vec<String> = Vec::new();
-    let push_unique = |p: &mut Vec<String>, a: &str| {
-        if !p.iter().any(|x| x.eq_ignore_ascii_case(a)) {
-            if let Some(name) = table.schema().names().find(|n| n.eq_ignore_ascii_case(a)) {
-                p.push(name.to_string());
-            }
+    instance_wise_in(
+        &Frames::default(),
+        llm,
+        config,
+        task,
+        query,
+        table,
+        exclude_row,
+        attrs,
+        target_attr,
+        key_attr,
+    )
+}
+
+/// [`instance_wise`] with the candidates' serialization read from (and
+/// left in) `frames`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn instance_wise_in(
+    frames: &Frames,
+    llm: &dyn LanguageModel,
+    config: &PipelineConfig,
+    task: TaskKind,
+    query: &str,
+    table: &Table,
+    exclude_row: Option<usize>,
+    attrs: &[String],
+    target_attr: &str,
+    key_attr: &str,
+) -> Result<Context, UniDmError> {
+    // Projection: the key (subject), the helper attrs and the target, each
+    // once, presented in schema order — the table's own column order is the
+    // natural "logical order" the parsing step expects.
+    let mut cols: Vec<usize> = Vec::with_capacity(attrs.len() + 2);
+    let wanted = [key_attr]
+        .into_iter()
+        .chain(attrs.iter().map(String::as_str))
+        .chain([target_attr]);
+    for attr in wanted {
+        let col = table
+            .schema()
+            .names()
+            .position(|n| n.eq_ignore_ascii_case(attr));
+        if let Some(col) = col.filter(|col| !cols.contains(col)) {
+            cols.push(col);
         }
-    };
-    push_unique(&mut proj, key_attr);
-    for a in attrs {
-        push_unique(&mut proj, a);
     }
-    push_unique(&mut proj, target_attr);
-    // Present attributes in schema order: the table's own column order is
-    // the natural "logical order" the parsing step expects.
-    proj.sort_by_key(|a| table.schema().index_of(a).unwrap_or(usize::MAX));
+    cols.sort_unstable();
 
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x1457);
-    let exclude: Vec<usize> = exclude_row.into_iter().collect();
-    let sampled = table.sample_rows(&mut rng, config.sample_size, &exclude);
-    if sampled.is_empty() {
-        return Ok(Context {
-            attrs: attrs.to_vec(),
-            records: Vec::new(),
-        });
-    }
-
-    let serialize_row = |row: usize| -> Result<SerializedRecord, UniDmError> {
-        let mut pairs = Vec::with_capacity(proj.len());
-        for attr in &proj {
-            let v = table.cell_value(row, attr)?;
-            pairs.push(((*attr).to_string(), v.to_string()));
-        }
-        Ok(SerializedRecord::new(pairs))
-    };
-
-    let records: Vec<SerializedRecord> = if config.instance_retrieval {
-        let mut instances = Vec::with_capacity(sampled.len());
-        for &row in &sampled {
-            instances.push(serialize_row(row)?);
-        }
-        // Keep the scoring prompt inside the model's context window: drop
-        // trailing candidates when the window is small (e.g. GPT-J's 2k).
-        let budget = llm.context_window().saturating_sub(256);
-        let mut used = unidm_text::count_tokens(query) + 64;
-        let mut fit = 0usize;
-        for inst in &instances {
-            let cost = unidm_text::count_tokens(&inst.render()) + 4;
-            if used + cost > budget {
-                break;
-            }
-            used += cost;
-            fit += 1;
-        }
-        let instances = &instances[..fit.max(1).min(instances.len())];
-        let prompt = render_pri(task, query, instances);
-        let reply = llm.complete(&prompt)?;
-        let mut scores = parse_pri_response(&reply.text);
-        scores.sort_by_key(|&(i, s)| (std::cmp::Reverse(s), i));
-        // `instances[i]` is already row `sampled[i]` serialized: reading the
-        // table again would re-fault chunks the sample walk just evicted.
-        scores
-            .into_iter()
-            .take(config.top_k)
-            .filter_map(|(i, _)| instances.get(i).cloned())
-            .collect()
+    let mut sampled = table.sample_rows(&mut rng, config.sample_size, exclude_row.as_slice());
+    let records = if sampled.is_empty() {
+        Vec::new()
+    } else if config.instance_retrieval {
+        // The candidates keep what the sample walk read: scoring never
+        // goes back to the table, which would re-fault evicted chunks.
+        let candidates = frames.rows(table, &cols, &sampled)?;
+        score_candidates(llm, config, task, query, &candidates)?
     } else {
-        sampled
-            .into_iter()
-            .take(config.top_k)
-            .map(serialize_row)
-            .collect::<Result<_, _>>()?
+        sampled.truncate(config.top_k);
+        let kept = frames.rows(table, &cols, &sampled)?;
+        kept.iter().map(|row| row.record.clone()).collect()
     };
     Ok(Context {
         attrs: attrs.to_vec(),
         records,
     })
+}
+
+/// Scores `candidates` against `query` with `p_ri` and returns the top
+/// `config.top_k` records — shared by table rows and entity-resolution
+/// demonstrations.
+pub(crate) fn score_candidates<R: Borrow<FrameRow>>(
+    llm: &dyn LanguageModel,
+    config: &PipelineConfig,
+    task: TaskKind,
+    query: &str,
+    candidates: &[R],
+) -> Result<Vec<SerializedRecord>, UniDmError> {
+    // Keep the scoring prompt inside the model's context window: drop
+    // trailing candidates when the window is small (e.g. GPT-J's 2k).
+    let budget = llm.context_window().saturating_sub(256);
+    let mut used = unidm_text::count_tokens(query) + 64;
+    let mut fit = 0usize;
+    for candidate in candidates {
+        let cost = candidate.borrow().tokens + 4;
+        if used + cost > budget {
+            break;
+        }
+        used += cost;
+        fit += 1;
+    }
+    let candidates = &candidates[..fit.max(1).min(candidates.len())];
+    let lines = candidates.iter().map(|c| c.borrow().line.as_str());
+    let reply = llm.complete(&render_pri_lines(task, query, lines))?;
+    let mut scores = parse_pri_response(&reply.text);
+    scores.sort_by_key(|&(i, s)| (std::cmp::Reverse(s), i));
+    Ok(scores
+        .into_iter()
+        .take(config.top_k)
+        .filter_map(|(i, _)| candidates.get(i))
+        .map(|c| c.borrow().record.clone())
+        .collect())
 }
 
 #[cfg(test)]
@@ -213,6 +254,50 @@ mod tests {
             picked.iter().any(|a| a == "addr" || a == "phone"),
             "informative attribute expected, got {picked:?}"
         );
+    }
+
+    /// A model that answers every prompt with one fixed text.
+    struct Says(&'static str);
+
+    impl LanguageModel for Says {
+        fn name(&self) -> &str {
+            "says"
+        }
+
+        fn complete(
+            &self,
+            _prompt: &str,
+        ) -> Result<std::sync::Arc<unidm_llm::Completion>, unidm_llm::LlmError> {
+            let usage = unidm_llm::Usage::default();
+            Ok(unidm_llm::Completion::shared(self.0.to_string(), usage))
+        }
+
+        fn usage(&self) -> unidm_llm::Usage {
+            unidm_llm::Usage::default()
+        }
+
+        fn reset_usage(&self) {}
+    }
+
+    #[test]
+    fn meta_wise_picks_are_schema_names_each_once() {
+        let table = imputation::restaurant_table(&World::generate(7));
+        let config = PipelineConfig::paper_default();
+        let pick = |reply| {
+            meta_wise(
+                &Says(reply),
+                &config,
+                TaskKind::Imputation,
+                "q",
+                &table,
+                "city",
+            )
+        };
+        assert_eq!(
+            pick("ADDR, addr , Phone,addr, city, zip").unwrap(),
+            ["addr", "phone"]
+        );
+        assert_eq!(pick("nothing usable").unwrap(), ["name"], "first candidate");
     }
 
     #[test]

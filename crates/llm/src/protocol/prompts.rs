@@ -1,5 +1,7 @@
 //! The pipeline prompts: `p_rm`, `p_ri`, `p_dp`, `p_cq`.
 
+use std::fmt::Write as _;
+
 use super::record::SerializedRecord;
 use super::{bracketed_after, TaskKind};
 
@@ -62,14 +64,43 @@ pub struct PriRequest {
 /// Renders `p_ri` (paper §4.2): the relevance-scoring prompt over numbered
 /// candidate instances.
 pub fn render_pri(task: TaskKind, query: &str, instances: &[SerializedRecord]) -> String {
-    let mut out = format!(
-        "The task is [{}]. The target query is [{}]. Score the relevance (range from 0 to 3) \
-         of the given instances based on the task and the query:",
-        task.description(),
-        query
+    // Every instance goes into one scratch buffer; the lines are its slices.
+    let mut scratch = String::new();
+    let mut ends = Vec::with_capacity(instances.len());
+    for inst in instances {
+        inst.render_into(&mut scratch);
+        ends.push(scratch.len());
+    }
+    let lines = ends.iter().scan(0, |start, &end| {
+        let line = &scratch[*start..end];
+        *start = end;
+        Some(line)
+    });
+    render_pri_lines(task, query, lines)
+}
+
+/// [`render_pri`] over instances that are already rendered
+/// ([`SerializedRecord::render`]), spliced into one pre-sized buffer.
+pub fn render_pri_lines<'a, I>(task: TaskKind, query: &str, lines: I) -> String
+where
+    I: IntoIterator<Item = &'a str>,
+    I::IntoIter: Clone,
+{
+    const HEAD: &str = "The task is [";
+    const MID: &str = "]. The target query is [";
+    const TAIL: &str = "]. Score the relevance (range from 0 to 3) of the given instances \
+                        based on the task and the query:";
+    let lines = lines.into_iter();
+    let task = task.description();
+    // "\n<number>. " is at most 8 bytes for any realistic candidate count.
+    let body: usize = lines.clone().map(|line| line.len() + 8).sum();
+    let mut out = String::with_capacity(
+        HEAD.len() + task.len() + MID.len() + query.len() + TAIL.len() + body,
     );
-    for (i, inst) in instances.iter().enumerate() {
-        out.push_str(&format!("\n{}. {}", i + 1, inst.render()));
+    out.extend([HEAD, task, MID, query, TAIL]);
+    for (i, line) in lines.enumerate() {
+        let _ = write!(out, "\n{}. ", i + 1);
+        out.push_str(line);
     }
     out
 }
@@ -253,6 +284,28 @@ mod tests {
         let req = parse_pri(&p).unwrap();
         assert_eq!(req.instances.len(), 2);
         assert_eq!(req.instances[1].get("city"), Some("Florence"));
+    }
+
+    #[test]
+    fn pri_text_is_pinned_and_lines_variant_agrees() {
+        let p = render_pri(TaskKind::Imputation, "Copenhagen, timezone", &recs());
+        assert_eq!(
+            p,
+            "The task is [data imputation]. The target query is [Copenhagen, timezone]. Score \
+             the relevance (range from 0 to 3) of the given instances based on the task and the \
+             query:\n1. city: Alicante; country: Spain\n2. city: Florence; country: Italy"
+        );
+        let lines: Vec<String> = recs().iter().map(SerializedRecord::render).collect();
+        let spliced = render_pri_lines(
+            TaskKind::Imputation,
+            "Copenhagen, timezone",
+            lines.iter().map(String::as_str),
+        );
+        assert_eq!(spliced, p);
+        assert!(
+            spliced.capacity() <= p.len() + 8 * lines.len(),
+            "one pre-sized buffer, never regrown"
+        );
     }
 
     #[test]

@@ -40,12 +40,24 @@ impl SerializedRecord {
     /// The `; ` separator (rather than the paper's `, `) keeps values that
     /// contain commas unambiguous; an LLM is indifferent, a parser is not.
     pub fn render(&self) -> String {
-        self.pairs
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(a, v)| format!("{a}: {v}"))
-            .collect::<Vec<_>>()
-            .join("; ")
+        let len = self.pairs.iter().map(|(a, v)| a.len() + v.len() + 4).sum();
+        let mut out = String::with_capacity(len);
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Appends [`SerializedRecord::render`]'s text to `out`.
+    pub fn render_into(&self, out: &mut String) {
+        let mut first = true;
+        for (attr, value) in self.pairs.iter().filter(|(_, v)| !v.is_empty()) {
+            if !first {
+                out.push_str("; ");
+            }
+            first = false;
+            out.push_str(attr);
+            out.push_str(": ");
+            out.push_str(value);
+        }
     }
 
     /// Parses a `attr: value; attr: value` line.
@@ -116,10 +128,21 @@ const CLAUSES: &[(&str, &str)] = &[
 ];
 
 fn clause_for(attr: &str) -> Option<&'static str> {
-    let key = attr.to_lowercase();
+    // Schema names are ASCII, which matches in place; anything else is
+    // lowercased first because a few non-ASCII letters lowercase *to* ASCII.
+    let lowered;
+    let key = if attr.is_ascii() {
+        attr.as_bytes()
+    } else {
+        lowered = attr.to_lowercase();
+        lowered.as_bytes()
+    };
     CLAUSES
         .iter()
-        .find(|(k, _)| key.contains(k))
+        .find(|(k, _)| {
+            key.windows(k.len())
+                .any(|w| w.eq_ignore_ascii_case(k.as_bytes()))
+        })
         .map(|(_, c)| *c)
 }
 
@@ -133,8 +156,10 @@ pub fn naturalize_record(rec: &SerializedRecord) -> String {
     let Some(subject) = rec.subject() else {
         return String::new();
     };
-    let mut clauses = Vec::new();
+    let mut out = String::with_capacity(128);
+    out.push_str(subject);
     let mut subject_seen = false;
+    let mut joiner = " ";
     for (attr, value) in &rec.pairs {
         if value.is_empty() {
             continue;
@@ -143,16 +168,20 @@ pub fn naturalize_record(rec: &SerializedRecord) -> String {
             subject_seen = true;
             continue;
         }
-        let clause = clause_for(attr)
-            .map(|c| format!("{c} {value}"))
-            .unwrap_or_else(|| format!("has {attr} {value}"));
-        clauses.push(clause);
+        out.push_str(joiner);
+        joiner = " and ";
+        match clause_for(attr) {
+            Some(clause) => out.push_str(clause),
+            None => {
+                out.push_str("has ");
+                out.push_str(attr);
+            }
+        }
+        out.push(' ');
+        out.push_str(value);
     }
-    if clauses.is_empty() {
-        format!("{subject}.")
-    } else {
-        format!("{subject} {}.", clauses.join(" and "))
-    }
+    out.push('.');
+    out
 }
 
 /// Parses a sentence produced by [`naturalize_record`] back into pairs.
@@ -293,6 +322,96 @@ mod tests {
         assert!(text.contains("has color blue"));
         let back = parse_natural_sentence(&text).unwrap();
         assert_eq!(back.get("color"), Some("blue"));
+    }
+
+    /// `naturalize_record` as it was when every pair allocated a lowercased
+    /// attribute name and a formatted clause: the oracle for the rewrite.
+    fn naturalize_reference(rec: &SerializedRecord) -> String {
+        let clause_for = |attr: &str| {
+            let key = attr.to_lowercase();
+            CLAUSES
+                .iter()
+                .find(|(k, _)| key.contains(k))
+                .map(|(_, c)| *c)
+        };
+        let Some(subject) = rec.subject() else {
+            return String::new();
+        };
+        let mut clauses = Vec::new();
+        let mut subject_seen = false;
+        for (attr, value) in &rec.pairs {
+            if value.is_empty() {
+                continue;
+            }
+            if !subject_seen && value == subject {
+                subject_seen = true;
+                continue;
+            }
+            clauses.push(
+                clause_for(attr)
+                    .map(|c| format!("{c} {value}"))
+                    .unwrap_or_else(|| format!("has {attr} {value}")),
+            );
+        }
+        if clauses.is_empty() {
+            format!("{subject}.")
+        } else {
+            format!("{subject} {}.", clauses.join(" and "))
+        }
+    }
+
+    #[test]
+    fn naturalize_matches_reference_over_every_synthdata_schema() {
+        use unidm_synthdata::{errors, extraction, imputation, joins, matching, tableqa};
+        let world = unidm_world::World::generate(7);
+        let mut names: Vec<String> = Vec::new();
+        let mut schema = |s: &unidm_tablestore::Schema| names.extend(s.names().map(String::from));
+        schema(imputation::restaurant_table(&world).schema());
+        schema(imputation::buy_table(&world).schema());
+        schema(errors::hospital(&world, 3, 0.05).table.schema());
+        schema(errors::adult(&world, 3, 40, 0.05).table.schema());
+        schema(tableqa::medals(&world, 3, 8, 2).table.schema());
+        schema(&unidm_synthdata::ScaleSpec::schema());
+        for ds in [
+            matching::beer(&world, 3),
+            matching::amazon_google(&world, 3),
+            matching::itunes_amazon(&world, 3),
+            matching::walmart_amazon(&world, 3),
+        ] {
+            schema(&ds.schema);
+        }
+        names.extend(extraction::nba_players(&world, 3).attrs);
+        for pair in joins::nextiajd(&world, 3, 12).pairs {
+            names.extend([pair.left_name, pair.right_name]);
+        }
+        // The pipeline's own pseudo-attributes, then spellings no schema
+        // uses today: other cases, and letters that lowercase to ASCII.
+        names.extend(["before", "after", "entities", "label"].map(String::from));
+        let mut variants = names.clone();
+        variants.extend(names.iter().map(|n| n.to_uppercase()));
+        variants.extend(names.iter().map(|n| format!("Src_{n}_2")));
+        variants.extend(["ran\u{212A}", "C\u{130}ty", "pri\u{e7}e", ""].map(String::from));
+        assert!(variants.len() > 150, "{} names", variants.len());
+        // The Kelvin sign lowercases to `k`: still the `rank` template.
+        assert_eq!(clause_for("ran\u{212A}"), Some("is ranked"));
+
+        let pairs_of = |attr: &String| (attr.clone(), format!("value of {attr}"));
+        for attr in &variants {
+            let rec = SerializedRecord::new(vec![
+                ("name".to_string(), "Subject".to_string()),
+                pairs_of(attr),
+                ("gap".to_string(), String::new()),
+            ]);
+            assert_eq!(
+                naturalize_record(&rec),
+                naturalize_reference(&rec),
+                "{attr}"
+            );
+        }
+        let all = SerializedRecord::new(variants.iter().map(pairs_of).collect());
+        assert_eq!(naturalize_record(&all), naturalize_reference(&all));
+        let lone = SerializedRecord::new(vec![("name".to_string(), "Only".to_string())]);
+        assert_eq!(naturalize_record(&lone), naturalize_reference(&lone));
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use std::collections::HashSet;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use rand::seq::SliceRandom;
@@ -39,6 +40,13 @@ pub const DEFAULT_CHUNK_ROWS: usize = 256;
 /// sampling. Kept high enough that every evaluation-scale table takes the
 /// shuffle path, so sampled prompts are unchanged by the columnar refactor.
 const SAMPLE_SHUFFLE_MAX: usize = 4096;
+
+/// Draws a content stamp no other table state in this process has had.
+/// The counter publishes nothing but its own value, hence `Relaxed`.
+fn fresh_version() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// One sealed row partition: either resident in memory or paged from the
 /// spill segment on demand. The `view` pins decoded rows for the borrowing
@@ -86,6 +94,7 @@ pub struct Table {
     sealed_rows: usize,
     tail: Vec<Record>,
     pager: Option<Arc<Pager>>,
+    version: u64,
 }
 
 impl Table {
@@ -106,6 +115,7 @@ impl Table {
             sealed_rows: 0,
             tail: Vec::new(),
             pager: None,
+            version: fresh_version(),
         }
     }
 
@@ -152,6 +162,15 @@ impl Table {
         }
     }
 
+    /// A process-unique stamp of this table's content: clones share it,
+    /// every successful [`Table::push_row`] / [`Table::set_cell`] draws a
+    /// fresh one, and no two tables built separately ever share one. Equal
+    /// stamps therefore mean equal name, schema and rows (the converse does
+    /// not hold), which is what lets a cache keyed by it never go stale.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     /// Number of rows.
     pub fn row_count(&self) -> usize {
         self.sealed_rows + self.tail.len()
@@ -184,6 +203,7 @@ impl Table {
         if self.tail.len() >= self.chunk_rows {
             self.seal_tail();
         }
+        self.version = fresh_version();
         Ok(())
     }
 
@@ -315,7 +335,7 @@ impl Table {
         match self.locate(row)? {
             RowAddr::Tail(i) => {
                 let schema = self.schema.clone();
-                self.tail[i].set_field(&schema, attr, value)
+                self.tail[i].set_field(&schema, attr, value)?;
             }
             RowAddr::Sealed { slot, offset } => {
                 let col = self.schema.require(attr)?;
@@ -324,9 +344,10 @@ impl Table {
                 let rebuilt = Chunk::from_rows(self.schema.len(), &rows);
                 rebuilt.all_stats();
                 self.sealed[slot] = Slot::resident(Arc::new(rebuilt));
-                Ok(())
             }
         }
+        self.version = fresh_version();
+        Ok(())
     }
 
     /// Iterator over all rows in order, decoding chunk-by-chunk (owned
@@ -422,11 +443,16 @@ impl Table {
     /// instead of `O(rows)` on out-of-core tables.
     pub fn sample_rows<R: Rng>(&self, rng: &mut R, k: usize, exclude: &[usize]) -> Vec<usize> {
         let n = self.row_count();
-        let excl: HashSet<usize> = exclude.iter().copied().collect();
-        let available = n - excl.iter().filter(|&&i| i < n).count();
+        // Call sites exclude zero or one row, so a slice scan beats hashing.
+        let excluded = exclude
+            .iter()
+            .enumerate()
+            .filter(|&(at, &i)| i < n && !exclude[..at].contains(&i))
+            .count();
+        let available = n - excluded;
         let want = k.min(available);
         if n <= SAMPLE_SHUFFLE_MAX || want * 2 >= available {
-            let mut candidates: Vec<usize> = (0..n).filter(|i| !excl.contains(i)).collect();
+            let mut candidates: Vec<usize> = (0..n).filter(|i| !exclude.contains(i)).collect();
             candidates.shuffle(rng);
             candidates.truncate(k);
             return candidates;
@@ -437,7 +463,7 @@ impl Table {
         let mut seen = HashSet::with_capacity(want * 2);
         while chosen.len() < want {
             let i = rng.gen_range(0..n);
-            if !excl.contains(&i) && seen.insert(i) {
+            if !exclude.contains(&i) && seen.insert(i) {
                 chosen.push(i);
             }
         }
@@ -521,12 +547,14 @@ impl Table {
             sealed_rows: reader.row_count(),
             tail: Vec::new(),
             pager: Some(Arc::new(Pager::new(reader, budget))),
+            version: fresh_version(),
         })
     }
 }
 
 /// Cloning shares sealed chunks and the pager by reference count — no cell
-/// data is copied. Pinned views are dropped (the clone re-decodes on
+/// data is copied — and keeps the [`Table::version`] stamp, since the content
+/// is the same. Pinned views are dropped (the clone re-decodes on
 /// demand), which is what lets [`DataLake`](crate::DataLake) refresh
 /// entries without deep-copying tables.
 impl Clone for Table {
@@ -546,6 +574,7 @@ impl Clone for Table {
             sealed_rows: self.sealed_rows,
             tail: self.tail.clone(),
             pager: self.pager.clone(),
+            version: self.version,
         }
     }
 }
@@ -874,6 +903,69 @@ mod tests {
         let distinct: HashSet<usize> = s.iter().copied().collect();
         assert_eq!(distinct.len(), 10);
         assert!(s.iter().all(|&i| i > 2 && i < t.row_count()));
+    }
+
+    /// Draws recorded from the `HashSet`-filtering implementation: every
+    /// sampled prompt downstream depends on this exact order.
+    #[test]
+    fn sample_draw_order_is_pinned_on_both_paths() {
+        let table_of = |n: usize| {
+            let mut t = Table::builder("big").column("n").chunk_rows(512).build();
+            for i in 0..n {
+                t.push_row(vec![Value::Int(i as i64)]).unwrap();
+            }
+            t
+        };
+        let draw = |t: &Table, seed: u64, exclude: &[usize]| {
+            t.sample_rows(&mut StdRng::seed_from_u64(seed), 8, exclude)
+        };
+        let shuffled = table_of(40);
+        assert_eq!(draw(&shuffled, 7, &[]), [21, 26, 27, 22, 31, 33, 29, 14]);
+        assert_eq!(draw(&shuffled, 7, &[5]), [10, 11, 19, 18, 33, 27, 26, 28]);
+        assert_eq!(draw(&shuffled, 11, &[]), [18, 25, 16, 29, 36, 26, 10, 15]);
+        assert_eq!(draw(&shuffled, 11, &[5]), [10, 34, 1, 35, 12, 0, 31, 15]);
+        // Excluding twice is excluding once.
+        assert_eq!(draw(&shuffled, 11, &[5, 5]), draw(&shuffled, 11, &[5]));
+        let sparse = table_of(SAMPLE_SHUFFLE_MAX + 100);
+        assert_eq!(
+            draw(&sparse, 7, &[]),
+            [3707, 1504, 2190, 2007, 2014, 1589, 634, 2150]
+        );
+        // The excluded row is one the seed draws: it is skipped, the rest
+        // keep their order and one more draw fills the sample.
+        assert_eq!(
+            draw(&sparse, 7, &[2190]),
+            [3707, 1504, 2007, 2014, 1589, 634, 2150, 781]
+        );
+        assert_eq!(
+            draw(&sparse, 11, &[]),
+            [3117, 2317, 1657, 3312, 2076, 262, 852, 490]
+        );
+        assert_eq!(
+            draw(&sparse, 11, &[1657]),
+            [3117, 2317, 3312, 2076, 262, 852, 490, 2934]
+        );
+    }
+
+    #[test]
+    fn version_is_shared_by_clones_and_fresh_after_every_write() {
+        let mut t = chunked_city_table();
+        let clone = t.clone();
+        assert_eq!(clone.version(), t.version());
+        assert_ne!(chunked_city_table().version(), t.version());
+        let before = t.version();
+        t.set_cell(0, "timezone", Value::text("WET")).unwrap();
+        assert_ne!(t.version(), before);
+        assert_eq!(clone.version(), before, "the clone did not change");
+        let before = t.version();
+        t.push_row(vec![Value::Null, Value::Null, Value::Null])
+            .unwrap();
+        assert_ne!(t.version(), before);
+        let before = t.version();
+        assert!(t.set_cell(0, "nope", Value::Null).is_err());
+        assert!(t.push_row(vec![Value::Null]).is_err());
+        assert_eq!(t.version(), before, "a refused write changes nothing");
+        assert_ne!(t.project(&["city"]).unwrap().version(), before);
     }
 
     #[test]

@@ -94,7 +94,9 @@ def main(argv):
     for name in shared:
         o, n = old_regimes[name], new_regimes[name]
         scope = f"regime '{name}'"
-        for key in ("model_calls", "model_tokens", "cache_misses"):
+        # allocs_per_task (PR 16+, one-worker regimes only) is exact like
+        # scale's: a PR that serializes per task again fails here.
+        for key in ("model_calls", "model_tokens", "cache_misses", "allocs_per_task"):
             must_not_increase(scope, key, o, n)
         if "cache_hits" in o and "cache_hits" in n:
             must_not_decrease(

@@ -4,7 +4,10 @@
 //! fewer model tokens — and per-run usage must come from the run's own
 //! meter, never from the model's global counter.
 
-use unidm::{BatchRunner, PipelineConfig, PromptCache, Task, UniDm};
+mod common;
+
+use common::{task_mix, PromptLog};
+use unidm::{BatchRunner, PipelineConfig, PromptCache, RunOutput, Task, UniDm};
 use unidm_llm::{LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -114,5 +117,54 @@ fn parallel_equals_serial_on_the_workload() {
         let p = p.as_ref().expect("parallel ok");
         assert_eq!(s.answer, p.answer);
         assert_eq!(s.usage, p.usage);
+    }
+}
+
+/// The record frame's identity promise: a `UniDm` that has served a
+/// hundred tasks sends the model exactly what a new one would.
+#[test]
+fn long_lived_pipeline_sends_the_prompts_a_fresh_one_would() {
+    let world = World::generate(42);
+    let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 42);
+    let (lake, grouped) = task_mix(&world, 42, 10);
+    // Kind after kind every frame and the pool memo hit; striding by 11
+    // switches table, projection and pool on nearly every task.
+    let strided = (0..grouped.len()).map(|i| grouped[i * 11 % grouped.len()].clone());
+    let tasks: Vec<Task> = grouped.iter().cloned().chain(strided).collect();
+    let kinds: std::collections::HashSet<_> = tasks.iter().map(std::mem::discriminant).collect();
+    assert_eq!(
+        (kinds.len(), grouped.len()),
+        (7, 80),
+        "ten a kind, ER twice"
+    );
+    for config in [PipelineConfig::paper_default(), PipelineConfig::all_off()] {
+        let config = config.with_seed(42);
+        let shared_log = PromptLog::new(&llm);
+        let shared = UniDm::new(&shared_log, config);
+        let kept: Vec<RunOutput> = tasks
+            .iter()
+            .map(|t| shared.run(&lake, t).expect("shared run ok"))
+            .collect();
+        let fresh_log = PromptLog::new(&llm);
+        let fresh: Vec<RunOutput> = tasks
+            .iter()
+            .map(|t| {
+                UniDm::new(&fresh_log, config)
+                    .run(&lake, t)
+                    .expect("fresh run ok")
+            })
+            .collect();
+        assert!(
+            shared_log.prompts() == fresh_log.prompts(),
+            "prompts differ"
+        );
+        assert!(kept == fresh, "outputs differ");
+        for workers in [1, 8] {
+            let batched = BatchRunner::new(&llm, config)
+                .with_workers(workers)
+                .run(&lake, &tasks);
+            let batched: Vec<RunOutput> = batched.into_iter().map(|r| r.expect("ok")).collect();
+            assert!(batched == kept, "{workers} workers differ");
+        }
     }
 }

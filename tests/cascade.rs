@@ -15,69 +15,17 @@
 //! cost (`LlmProfile::cost_micro_per_token`-weighted tokens), both
 //! asserted strictly here.
 
-use std::sync::{Arc, Mutex};
+mod common;
 
+use common::PromptLog;
 use unidm::route::{answer_confidence_permille, CascadeBackend, CascadePolicy};
 use unidm::{BatchRunner, PipelineConfig, Task};
-use unidm_llm::{Completion, LanguageModel, LlmError, LlmProfile, MockLlm, Usage};
+use unidm_llm::{LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
 use unidm_world::World;
 
 const WORKLOAD: usize = 30;
-
-/// Records every prompt that reaches the inner model, in call order.
-struct Recorder<'a> {
-    inner: &'a dyn LanguageModel,
-    prompts: Mutex<Vec<String>>,
-}
-
-impl<'a> Recorder<'a> {
-    fn new(inner: &'a dyn LanguageModel) -> Self {
-        Recorder {
-            inner,
-            prompts: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The recorded prompts, deduplicated in first-seen order.
-    fn unique_prompts(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for p in self.prompts.lock().unwrap().iter() {
-            if !seen.contains(p) {
-                seen.push(p.clone());
-            }
-        }
-        seen
-    }
-}
-
-impl LanguageModel for Recorder<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-        self.prompts.lock().unwrap().push(prompt.to_string());
-        self.inner.complete(prompt)
-    }
-
-    fn usage(&self) -> Usage {
-        self.inner.usage()
-    }
-
-    fn reset_usage(&self) {
-        self.inner.reset_usage();
-    }
-
-    fn context_window(&self) -> usize {
-        self.inner.context_window()
-    }
-
-    fn latency_profile(&self) -> unidm_llm::LatencyProfile {
-        self.inner.latency_profile()
-    }
-}
 
 /// The eval workload's prompt stream: every unique prompt a serial
 /// paper-default imputation batch issues to the large model.
@@ -96,11 +44,17 @@ fn eval_prompts(world: &World, large: &MockLlm) -> Vec<String> {
             )
         })
         .collect();
-    let recorder = Recorder::new(large);
-    BatchRunner::new(&recorder, PipelineConfig::paper_default().with_seed(42))
+    let log = PromptLog::new(large);
+    BatchRunner::new(&log, PipelineConfig::paper_default().with_seed(42))
         .with_workers(1)
         .answers(&lake, &tasks);
-    let prompts = recorder.unique_prompts();
+    // Deduplicated in first-seen order.
+    let mut prompts: Vec<String> = Vec::new();
+    for prompt in log.prompts() {
+        if !prompts.contains(&prompt) {
+            prompts.push(prompt);
+        }
+    }
     assert!(
         prompts.len() > 50,
         "the eval workload must produce a real prompt stream: {}",

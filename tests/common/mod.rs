@@ -106,3 +106,169 @@ impl Gen {
         }
     }
 }
+
+/// A model wrapper that logs every prompt it forwards, in call order.
+pub struct PromptLog<'a> {
+    inner: &'a dyn unidm_llm::LanguageModel,
+    prompts: std::sync::Mutex<Vec<String>>,
+}
+
+impl<'a> PromptLog<'a> {
+    /// Wraps `inner`.
+    pub fn new(inner: &'a dyn unidm_llm::LanguageModel) -> Self {
+        PromptLog {
+            inner,
+            prompts: std::sync::Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Every prompt seen so far.
+    pub fn prompts(&self) -> Vec<String> {
+        self.prompts.lock().expect("log lock").clone()
+    }
+}
+
+impl unidm_llm::LanguageModel for PromptLog<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn complete(
+        &self,
+        prompt: &str,
+    ) -> Result<std::sync::Arc<unidm_llm::Completion>, unidm_llm::LlmError> {
+        self.prompts
+            .lock()
+            .expect("log lock")
+            .push(prompt.to_string());
+        self.inner.complete(prompt)
+    }
+
+    fn usage(&self) -> unidm_llm::Usage {
+        self.inner.usage()
+    }
+
+    fn reset_usage(&self) {
+        self.inner.reset_usage()
+    }
+
+    fn context_window(&self) -> usize {
+        self.inner.context_window()
+    }
+
+    fn latency_profile(&self) -> unidm_llm::LatencyProfile {
+        self.inner.latency_profile()
+    }
+}
+
+/// `per_kind` tasks of each of the seven task kinds over one lake
+/// (Restaurant, Hospital and the medal table; two entity-resolution
+/// datasets with one cloned pool each), kind after kind.
+pub fn task_mix(
+    world: &unidm_world::World,
+    seed: u64,
+    per_kind: usize,
+) -> (unidm_tablestore::DataLake, Vec<unidm::Task>) {
+    use unidm::Task;
+    use unidm_eval::matching::to_serialized;
+    use unidm_synthdata::{
+        errors, extraction, imputation, joins, matching, tableqa, transformation,
+    };
+
+    let restaurant = imputation::restaurant(world, seed, per_kind);
+    let hospital = errors::hospital(world, seed, 0.05);
+    let medals = tableqa::medals(world, seed, 12, per_kind);
+    let mut kinds: Vec<Vec<Task>> = Vec::new();
+    kinds.push(
+        restaurant
+            .targets
+            .iter()
+            .map(|t| {
+                Task::imputation(
+                    restaurant.table.name(),
+                    t.row,
+                    restaurant.target_attr.clone(),
+                    restaurant.key_attr.clone(),
+                )
+            })
+            .collect(),
+    );
+    kinds.push(
+        transformation::stackoverflow(world, seed, per_kind)
+            .cases
+            .iter()
+            .map(|case| Task::Transformation {
+                examples: case.examples.clone(),
+                input: case.input.clone(),
+            })
+            .collect(),
+    );
+    kinds.push(
+        hospital
+            .cells
+            .iter()
+            .map(|cell| Task::error_detection(hospital.table.name(), cell.row, cell.attr.clone()))
+            .collect(),
+    );
+    for ds in [
+        matching::beer(world, seed),
+        matching::walmart_amazon(world, seed),
+    ] {
+        let side = |r| to_serialized(&ds.schema, r);
+        let pool = ds.train.iter().take(40);
+        let pool: Vec<_> = pool.map(|p| (side(&p.a), side(&p.b), p.is_match)).collect();
+        kinds.push(
+            ds.pairs
+                .iter()
+                .map(|pair| Task::EntityResolution {
+                    a: side(&pair.a),
+                    b: side(&pair.b),
+                    pool: pool.clone(),
+                })
+                .collect(),
+        );
+    }
+    kinds.push(
+        medals
+            .questions
+            .iter()
+            .map(|q| Task::TableQa {
+                table: medals.table.name().to_string(),
+                question: q.question.clone(),
+            })
+            .collect(),
+    );
+    kinds.push(
+        joins::nextiajd(world, seed, per_kind)
+            .pairs
+            .into_iter()
+            .map(|pair| Task::JoinDiscovery {
+                left_name: pair.left_name,
+                left_values: pair.left_values,
+                right_name: pair.right_name,
+                right_values: pair.right_values,
+            })
+            .collect(),
+    );
+    let documents = extraction::nba_players(world, seed);
+    kinds.push(
+        documents
+            .docs
+            .iter()
+            .zip(documents.attrs.iter().cycle())
+            .map(|(doc, attr)| Task::Extraction {
+                document: doc.text.clone(),
+                attr: attr.clone(),
+            })
+            .collect(),
+    );
+
+    let tasks = kinds
+        .into_iter()
+        .flat_map(|kind| kind.into_iter().take(per_kind))
+        .collect();
+    let lake = [restaurant.table, hospital.table, medals.table]
+        .into_iter()
+        .collect();
+    (lake, tasks)
+}

@@ -6,12 +6,15 @@
 
 mod common;
 
-use common::{Gen, ANY};
+use common::{Gen, PromptLog, ANY};
 
+use unidm::{PipelineConfig, RunOutput, Task, UniDm};
 use unidm_baselines::tde;
 use unidm_eval::metrics::{at_threshold, text_f1, Confusion};
-use unidm_llm::{Dice, KnowledgeBase};
-use unidm_tablestore::{csv, Table, Value};
+use unidm_llm::protocol::SerializedRecord;
+use unidm_llm::{Dice, KnowledgeBase, LlmProfile, MockLlm};
+use unidm_synthdata::{imputation, ScaleSpec};
+use unidm_tablestore::{csv, DataLake, Table, Value};
 use unidm_text::distance::{jaccard, jaro_winkler, levenshtein, normalized_levenshtein};
 use unidm_text::Embedder;
 
@@ -80,6 +83,147 @@ fn token_count_monotone() {
         let b = g.string(ANY, 60);
         let joined = format!("{a}{b}");
         assert!(unidm_text::count_tokens(&joined) + 1 >= unidm_text::count_tokens(&a));
+    }
+}
+
+/// The streaming counter against the tokens it no longer builds.
+#[test]
+fn token_count_equals_the_lexed_oracle() {
+    let oracle = |s: &str| -> usize {
+        let lexed = unidm_text::tokenize::lex(s);
+        let cost = |t: &String| t.chars().count().div_ceil(4).max(1);
+        lexed.iter().map(cost).sum()
+    };
+    // ASCII words and digits; multi-byte letters; combining marks (not
+    // alphanumeric, so they split words); punctuation and whitespace runs.
+    const POOLS: [&str; 4] = [
+        "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ",
+        "éüñßçøаяжλωאب日本語한글０９Ⅻ ",
+        "ae\u{301}o\u{308}n\u{303}\u{20dd} ",
+        ".,:;!?…—«»()[]{}<>@#$%^&*+=|~ \t\n\u{a0}\u{2003}",
+    ];
+    let mut g = Gen::new(0x70c2);
+    for case in 0..4 * CASES {
+        let text = if case % 5 == 4 {
+            let mut mixed = String::new();
+            for _ in 0..4 {
+                let pool = POOLS[g.usize(0, 4)];
+                mixed.push_str(&g.string(pool, 12));
+            }
+            mixed
+        } else {
+            g.string(POOLS[case % 4], 48)
+        };
+        assert_eq!(unidm_text::count_tokens(&text), oracle(&text), "{text:?}");
+    }
+    let long = "supercalifragilisticexpialidocious".repeat(40);
+    assert_eq!(unidm_text::count_tokens(&long), oracle(&long));
+}
+
+/// Imputation tasks over `rows` of the one table in `lake`.
+fn impute_rows(lake: &DataLake, rows: impl Iterator<Item = usize>) -> Vec<Task> {
+    let name = lake.names().next().expect("one table");
+    rows.map(|row| Task::imputation(name, row, "city", "name"))
+        .collect()
+}
+
+fn run_all(unidm: &UniDm<'_>, lake: &DataLake, tasks: &[Task]) -> Vec<RunOutput> {
+    let run = |task| unidm.run(lake, task).expect("run ok");
+    tasks.iter().map(run).collect()
+}
+
+/// The record frame's freshness promise: whatever happens to a table
+/// between two runs, a long-lived pipeline answers like a new one.
+#[test]
+fn record_frame_follows_every_table_change() {
+    let world = unidm_world::World::generate(3);
+    let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 3);
+    let log = PromptLog::new(&llm);
+    let config = PipelineConfig::paper_default().with_seed(3);
+    let ds = imputation::restaurant(&world, 3, 6);
+    let name = ds.table.name().to_string();
+    let mut lake: DataLake = [ds.table.clone()].into_iter().collect();
+    let tasks = impute_rows(&lake, ds.targets.iter().map(|t| t.row));
+    let fresh = |lake: &DataLake| run_all(&UniDm::new(&llm, config), lake, &tasks);
+    let version = |lake: &DataLake| lake.table(&name).expect("present").version();
+
+    let unidm = UniDm::new(&log, config);
+    let first = run_all(&unidm, &lake, &tasks);
+    assert!(first == fresh(&lake));
+    assert_eq!(unidm.frame_rows(&name).expect("filled").0, version(&lake));
+
+    // `set_cell` on a row the frame holds: task 0 retrieved it.
+    let retrieved = SerializedRecord::parse(&first[0].trace.context_records[0]).expect("pairs");
+    let key = Value::text(retrieved.get("name").expect("key projected"));
+    let row = lake
+        .table(&name)
+        .expect("present")
+        .find("name", &key)
+        .unwrap()[0];
+    let edit = |lake: &mut DataLake, text: &str| {
+        let table = lake.table_mut(&name).expect("present");
+        table.set_cell(row, "name", Value::text(text)).unwrap();
+    };
+    edit(&mut lake, "Edited Diner");
+    let edited = run_all(&unidm, &lake, &tasks);
+    assert!(edited == fresh(&lake) && edited != first);
+    let seen = |text: &str| log.prompts().iter().any(|p| p.contains(text));
+    assert!(seen("Edited Diner"), "the edited row was sampled again");
+    let (at, rows) = unidm.frame_rows(&name).expect("filled");
+    assert_eq!(at, version(&lake), "frames of the old version are gone");
+    assert!(
+        rows.iter().all(|&n| n <= 2 * config.sample_size),
+        "{rows:?}"
+    );
+
+    // Clone-then-diverge: two tables, one name, one pipeline, alternating.
+    let mut diverged = lake.clone();
+    assert_eq!(version(&diverged), version(&lake), "clones share the stamp");
+    edit(&mut diverged, "Diverged Diner");
+    for _ in 0..2 {
+        assert!(run_all(&unidm, &diverged, &tasks) == fresh(&diverged));
+        assert_eq!(unidm.frame_rows(&name).unwrap().0, version(&diverged));
+        assert!(run_all(&unidm, &lake, &tasks) == edited);
+        assert_eq!(unidm.frame_rows(&name).unwrap().0, version(&lake));
+    }
+    assert!(seen("Diverged Diner"));
+
+    // `push_row`, then `DataLake::add` replacing the table wholesale.
+    let appended = vec![Value::text("Appended Diner"); 5];
+    lake.table_mut(&name).unwrap().push_row(appended).unwrap();
+    assert!(run_all(&unidm, &lake, &tasks) == fresh(&lake));
+    let other = imputation::restaurant_table(&unidm_world::World::generate(4));
+    assert!(lake.add(other).is_some(), "same name: replaced");
+    assert!(run_all(&unidm, &lake, &tasks) == fresh(&lake));
+    let (at, rows) = unidm.frame_rows(&name).expect("filled");
+    assert_eq!(at, version(&lake));
+    assert!(
+        rows.iter().all(|&n| n <= 2 * config.sample_size),
+        "{rows:?}"
+    );
+}
+
+/// The record frame's size promise, on both sampler paths: 500 tasks over
+/// one table leave at most 2 × `sample_size` rows per projection.
+#[test]
+fn record_frame_is_bounded_by_the_sample_not_the_task_count() {
+    let world = unidm_world::World::generate(5);
+    let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 5);
+    let config = PipelineConfig::paper_default().with_seed(5);
+    let shuffled = imputation::restaurant_table(&world);
+    let sparse = ScaleSpec::new(5000, 5).users_table();
+    for table in [shuffled, sparse] {
+        let (name, rows) = (table.name().to_string(), table.row_count());
+        let lake: DataLake = [table].into_iter().collect();
+        let tasks = impute_rows(&lake, (0..500).map(|i| (i * 7) % rows));
+        let unidm = UniDm::new(&llm, config);
+        run_all(&unidm, &lake, &tasks);
+        let (_, held) = unidm.frame_rows(&name).expect("filled");
+        assert!(!held.is_empty() && held.len() <= 8, "{name}: {held:?}");
+        assert!(
+            held.iter().all(|&n| n <= 2 * config.sample_size),
+            "{name} ({rows} rows): {held:?}"
+        );
     }
 }
 
