@@ -1,12 +1,14 @@
-//! Microbenchmarks of the canonicalizer hot path: the one-pass
-//! borrow-and-hash canonicalization against a reimplementation of the old
-//! two-pass scheme (normalize into a fresh `String`, then hash the
-//! structured stem/splice/suffix framing separately), and the raw
-//! `hash64` cost.
+//! Microbenchmarks of the canonicalizer hot path: the borrowed
+//! canonicalization against a reimplementation of the old two-pass scheme
+//! (normalize into a fresh `String`, then hash the structured
+//! stem/splice/suffix framing separately), and the content hash alone, in
+//! ns per kB at three prompt sizes.
 //!
 //! ```text
 //! cargo bench -p unidm-bench --bench canon
 //! ```
+
+use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -119,22 +121,23 @@ fn bench_canon(c: &mut Criterion) {
     });
     group.finish();
 
-    let mut group = c.benchmark_group("hash64");
+    // The content hash alone: `Verbatim` canonicalization is exactly one
+    // hash pass. Every sample hashes 1 000 kB in total, so a median printed
+    // in µs reads directly as ns per kB.
+    let mut group = c.benchmark_group("content_hash_ns_per_kb");
     group.sample_size(50);
-    let keys: Vec<PromptKey> = prompts
-        .iter()
-        .map(|p| PromptKey::canonicalize(p, CanonLevel::TableStem))
-        .collect();
-    group.bench_function("precomputed", |b| {
-        b.iter(|| keys.iter().map(PromptKey::hash64).fold(0u64, |a, h| a ^ h))
-    });
-    group.bench_function("recomputed_two_pass", |b| {
-        b.iter(|| {
-            keys.iter()
-                .map(|k| two_pass::structured_hash(k.stem(), k.suffix().len(), k.suffix()))
-                .fold(0u64, |a, h| a ^ h)
-        })
-    });
+    let line = "city: Alicante; country: Spain; timezone: Central European Time\n";
+    for (id, bytes) in [("0.2kB", 200), ("2kB", 2_000), ("6kB", 6_000)] {
+        let text: String = line.chars().cycle().take(bytes).collect();
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                (0..1_000_000 / bytes).fold(0u64, |acc, _| {
+                    acc ^ CanonicalPrompt::canonicalize(black_box(&text), CanonLevel::Verbatim)
+                        .hash64()
+                })
+            })
+        });
+    }
     group.finish();
 }
 

@@ -21,7 +21,10 @@
 //!   deterministically reordered variant of each, completed at
 //!   [`CanonLevel::TableStem`] and [`CanonLevel::Semantic`]: the v2 fold
 //!   must turn every reordered variant into a hit, strictly beating the
-//!   TableStem hit rate on the same stream.
+//!   TableStem hit rate on the same stream. The Semantic cache then
+//!   re-looks up its own canonical texts (**zero** allocations, asserted)
+//!   and the reordered variants (allocations per folded lookup, pinned in
+//!   the baseline).
 //! * **sync / pipelined / pipelined hedged heavy-tail** — the same
 //!   workload against an endpoint where 3% of attempts take 2s of virtual
 //!   time. The synchronous path blocks through the resilient backend one
@@ -812,6 +815,7 @@ fn main() {
         "the workload must contain reorderable p_dp/p_ri prompts"
     );
     let mut canon_stats = Vec::new();
+    let (mut semantic_warm_allocs, mut semantic_fold_allocs) = (0u64, 0u64);
     for level in [CanonLevel::TableStem, CanonLevel::Semantic] {
         let cache = PromptCache::unbounded(&llm).with_canonicalization(level);
         for (original, _) in &foldable {
@@ -821,6 +825,34 @@ fn main() {
             let _ = cache.complete(variant);
         }
         canon_stats.push(cache.stats());
+        if !level.folds_lists() {
+            continue;
+        }
+        // The warm-path allocation budget holds at Semantic too: a text
+        // the fold produced is already sorted, which the fold must notice
+        // before it allocates anything. Rounded up, so one stray
+        // allocation anywhere reads 1, not 0.
+        let folded_texts = cache.canonical_prompts();
+        let section = AllocationDelta::start();
+        for text in &folded_texts {
+            let _ = cache.complete(text);
+        }
+        semantic_warm_allocs = section
+            .allocations()
+            .div_ceil(folded_texts.len().max(1) as u64);
+        assert_eq!(
+            semantic_warm_allocs, 0,
+            "warm Semantic lookups must perform zero heap allocations"
+        );
+        // The reordered variants again: each is a hit that folds on the
+        // way in and replays on the way out. What that may allocate is
+        // the fold's scratch and text, the replay's scratch and text and
+        // the adapted completion — a handful, not one per list element.
+        let section = AllocationDelta::start();
+        for (_, variant) in &foldable {
+            let _ = cache.complete(variant);
+        }
+        semantic_fold_allocs = section.allocations().div_ceil(foldable.len() as u64);
     }
     let (stem_stats2, semantic_stats2) = (canon_stats[0], canon_stats[1]);
     assert!(
@@ -834,7 +866,9 @@ fn main() {
     );
     println!(
         "Canon v2: {} reorderable p_dp/p_ri prompts; TableStem {} hits / {} misses, \
-         Semantic {} hits / {} misses on originals + reordered variants.",
+         Semantic {} hits / {} misses on originals + reordered variants; Semantic warm \
+         lookups × {semantic_warm_allocs} allocations, folded lookups × \
+         {semantic_fold_allocs}.",
         foldable.len(),
         stem_stats2.hits,
         stem_stats2.misses,
@@ -1539,6 +1573,8 @@ fn main() {
         .field_u64("foldable_prompts", foldable.len() as u64)
         .field_raw("tablestem", &canon_level_json(&stem_stats2))
         .field_raw("semantic", &canon_level_json(&semantic_stats2))
+        .field_u64("semantic_warm_allocs_per_lookup", semantic_warm_allocs)
+        .field_u64("semantic_fold_allocs_per_lookup", semantic_fold_allocs)
         .finish();
     let regime_json: Vec<String> = regimes.iter().map(Regime::to_json).collect();
     let mut doc = JsonObject::new()

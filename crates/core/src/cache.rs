@@ -12,6 +12,17 @@
 //!   The lookup path runs [`CanonicalPrompt::canonicalize`], which borrows
 //!   already-canonical prompts instead of copying them — a warm hit
 //!   performs **zero heap allocations**.
+//! * **One content hash per lookup** — the canonicalizer hashes the
+//!   canonical text once ([`CanonicalPrompt::hash64`]: word-at-a-time,
+//!   deterministic, unkeyed, in memory only) and everything here reuses
+//!   it: the shard is selected by it, and the resident, eviction-ring and
+//!   in-flight keys carry it, so the maps hash those 8 bytes (under std's
+//!   keyed `RandomState`) instead of the text. A hit is one normality
+//!   pass, one hash pass, one 8-byte table hash and one text compare; a
+//!   miss additionally copies the text once, into the `Arc<str>` its
+//!   in-flight slot and its resident entry share. Texts with equal
+//!   content hashes share a probe chain — every probe compares the full
+//!   text, so answers stay right and only lookup time degrades.
 //! * **Sharding** — the memo is split across N independently locked maps
 //!   selected by key hash, so concurrent [`crate::BatchRunner`] workers
 //!   contend on 1/N of the lock traffic.
@@ -27,7 +38,9 @@
 //!   before the model and fresh completions are appended to it, so a
 //!   second run over the same file answers without any model call.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use unidm_llm::{Completion, LanguageModel, LlmError, Usage};
@@ -158,27 +171,125 @@ impl InFlight {
     }
 }
 
+/// What a probe needs of a key: the content hash the canonicalizer
+/// computed and the canonical text. The maps are keyed by [`Key`] and
+/// probed through `&dyn KeyView`, so a lookup borrows its
+/// [`CanonicalPrompt`] instead of building an owned key.
+trait KeyView {
+    fn hash64(&self) -> u64;
+    fn text(&self) -> &str;
+}
+
+impl KeyView for CanonicalPrompt<'_> {
+    fn hash64(&self) -> u64 {
+        CanonicalPrompt::hash64(self)
+    }
+
+    fn text(&self) -> &str {
+        CanonicalPrompt::text(self)
+    }
+}
+
+/// Hashing a key writes only the precomputed content hash — the text is
+/// never hashed again after canonicalization.
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash64());
+    }
+}
+
+/// Key equality is always decided by the full canonical text; the hash
+/// comparison in front of it only skips the `memcmp` for chain neighbours.
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash64() == other.hash64() && self.text() == other.text()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+/// An owned map key: the canonical text, shared (`Arc<str>`) between the
+/// resident entry, its eviction-ring slot and the in-flight slot that
+/// preceded them, plus its content hash.
+#[derive(Clone)]
+struct Key {
+    hash: u64,
+    text: Arc<str>,
+}
+
+impl Key {
+    /// The one copy of the canonical text a miss makes.
+    fn of(canonical: &CanonicalPrompt<'_>) -> Key {
+        Key {
+            hash: canonical.hash64(),
+            text: Arc::from(canonical.text()),
+        }
+    }
+}
+
+impl KeyView for Key {
+    fn hash64(&self) -> u64 {
+        self.hash
+    }
+
+    fn text(&self) -> &str {
+        &self.text
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+// `Borrow` requires the owned key to hash and compare exactly like its
+// borrowed view.
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn KeyView).hash(state);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        (self as &dyn KeyView) == (other as &dyn KeyView)
+    }
+}
+
+impl Eq for Key {}
+
 #[derive(Default)]
 struct CacheInner {
-    /// canonical prompt text → memoized completion. Keyed by the owned
-    /// text but probed with a borrowed `&str`, so a warm hit allocates
-    /// nothing. `Arc<str>` so the eviction ring shares the key without a
-    /// second copy of the text.
-    entries: HashMap<Arc<str>, CacheEntry>,
+    /// canonical key → memoized completion. Probed through a borrowed
+    /// [`KeyView`], so a warm hit allocates nothing.
+    entries: HashMap<Key, CacheEntry>,
     /// Second-chance eviction ring: every resident key, in insertion
     /// order, with `hand` pointing at the next eviction candidate. An
     /// evicted slot is reused in place by the entry that displaced it, so
     /// the ring never reallocates once the shard is full.
-    ring: Vec<Arc<str>>,
+    ring: Vec<Key>,
     hand: usize,
-    /// canonical prompt text → single-flight slot for keys currently
-    /// being completed by a leader.
-    inflight: HashMap<Box<str>, Arc<InFlight>>,
+    /// canonical key → single-flight slot for keys currently being
+    /// completed by a leader.
+    inflight: HashMap<Key, Arc<InFlight>>,
     stats: CacheStats,
 }
 
 impl CacheInner {
-    /// Inserts (or refreshes) `text`, evicting one entry by second-chance
+    /// Serves `key` from the resident entries: refreshes its recency bit
+    /// in place, accounts the hit and bumps the stored completion's
+    /// reference count.
+    fn hit(&mut self, key: &dyn KeyView) -> Option<Arc<Completion>> {
+        let entry = self.entries.get_mut(key)?;
+        entry.referenced = true;
+        let completion = entry.completion.clone();
+        self.stats.hits += 1;
+        self.stats.tokens_saved += completion.usage.total();
+        Some(completion)
+    }
+
+    /// Inserts (or refreshes) `key`, evicting one entry by second-chance
     /// when the shard is at `capacity`.
     ///
     /// Eviction is O(1) amortized: the clock hand sweeps the ring,
@@ -192,15 +303,14 @@ impl CacheInner {
     /// order: the hand position and every reference bit are pure
     /// functions of the insert/hit sequence. `stats.evictions` stays
     /// exact — exactly one eviction per insert beyond capacity.
-    fn insert(&mut self, text: &str, completion: Arc<Completion>, capacity: usize) {
-        if let Some(entry) = self.entries.get_mut(text) {
+    fn insert(&mut self, key: Key, completion: Arc<Completion>, capacity: usize) {
+        if let Some(entry) = self.entries.get_mut(&key) {
             // Refresh in place (re-admission or a racing co-leader): the
             // key keeps its ring slot.
             entry.completion = completion;
             entry.referenced = true;
             return;
         }
-        let key: Arc<str> = Arc::from(text);
         let entry = CacheEntry {
             completion,
             // A fresh entry starts unreferenced: it earns its second
@@ -228,14 +338,14 @@ impl CacheInner {
             let key = self.ring[self.hand].clone();
             let entry = self
                 .entries
-                .get_mut(key.as_ref())
+                .get_mut(&key)
                 .expect("every ring key is resident");
             if entry.referenced {
                 entry.referenced = false;
                 self.hand += 1;
             } else {
                 let slot = self.hand;
-                self.entries.remove(key.as_ref());
+                self.entries.remove(&key);
                 self.stats.evictions += 1;
                 self.hand += 1;
                 return slot;
@@ -267,12 +377,13 @@ impl CacheInner {
 ///
 /// An already-canonical prompt (every re-lookup of a canonical text, and
 /// every rendered prompt that needs no rewriting) is borrowed by the
-/// canonicalizer, hashed in the same scan, probed against the shard map by
-/// `&str`, refreshed by setting its reference bit in place, and
-/// answered by bumping the reference count of the stored
+/// canonicalizer and hashed once; the shard map is probed with that hash
+/// and the borrowed text (compared in full against the resident key), the
+/// entry is refreshed by setting its reference bit in place, and the
+/// lookup is answered by bumping the reference count of the stored
 /// [`Arc<Completion>`]. No `String`, no node, no clone — zero heap
-/// allocations end to end, which the bench suite asserts with a counting
-/// allocator.
+/// allocations end to end at every [`CanonLevel`], which the bench suite
+/// asserts with a counting allocator.
 ///
 /// # Sharding and single-flight coalescing
 ///
@@ -396,7 +507,7 @@ fn build_shards(n: usize) -> Box<[Mutex<CacheInner>]> {
 struct LeaderGuard<'c> {
     shard: &'c Mutex<CacheInner>,
     slot: &'c Arc<InFlight>,
-    text: &'c str,
+    key: &'c Key,
     armed: bool,
 }
 
@@ -406,7 +517,7 @@ impl Drop for LeaderGuard<'_> {
             return;
         }
         let mut state = self.shard.lock().unwrap_or_else(PoisonError::into_inner);
-        state.inflight.remove(self.text);
+        state.inflight.remove(self.key);
         drop(state);
         self.slot.abandon();
     }
@@ -561,8 +672,9 @@ impl<'a> PromptCache<'a> {
     }
 
     fn shard_for_hash(&self, hash: u64) -> &Mutex<CacheInner> {
-        // Shard count is a power of two, so masking the stable FNV hash
-        // picks a shard uniformly.
+        // Shard count is a power of two, so masking the content hash
+        // picks a shard uniformly. The maps inside a shard re-hash it under
+        // a keyed `RandomState`, so bucket choice does not reuse these bits.
         let index = (hash as usize) & (self.shards.len() - 1);
         &self.shards[index]
     }
@@ -585,7 +697,7 @@ impl<'a> PromptCache<'a> {
                 state
                     .entries
                     .drain()
-                    .map(|(text, entry)| (text, entry.completion)),
+                    .map(|(key, entry)| (key.text, entry.completion)),
             );
             state.ring.clear();
             state.hand = 0;
@@ -607,7 +719,7 @@ impl<'a> PromptCache<'a> {
         let canonical = CanonicalPrompt::canonicalize(prompt, self.level);
         let shard = self.shard_for_hash(canonical.hash64());
         self.lock_shard(shard)
-            .insert(canonical.text(), completion, self.shard_capacity);
+            .insert(Key::of(&canonical), completion, self.shard_capacity);
     }
 
     /// A snapshot of the aggregated hit/miss/eviction statistics.
@@ -638,7 +750,7 @@ impl<'a> PromptCache<'a> {
                 self.lock_shard(shard)
                     .entries
                     .keys()
-                    .map(|text| text.to_string())
+                    .map(|key| key.text.to_string())
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -711,45 +823,41 @@ impl PromptCache<'_> {
             // in-flight slot a registered worker could block on.
             {
                 let mut state = self.lock_shard(shard);
-                if let Some(entry) = state.entries.get_mut(text) {
-                    entry.referenced = true;
-                    let completion = entry.completion.clone();
-                    state.stats.hits += 1;
-                    state.stats.tokens_saved += completion.usage.total();
+                if let Some(completion) = state.hit(canonical) {
                     return Ok(completion);
                 }
                 state.stats.misses += 1;
             }
             let result = self.fetch_below(text);
             if let Ok(completion) = &result {
-                let mut state = self.lock_shard(shard);
-                state.insert(text, completion.clone(), self.shard_capacity);
+                let key = Key::of(canonical);
+                self.lock_shard(shard)
+                    .insert(key, completion.clone(), self.shard_capacity);
             }
             return result;
         }
-        let slot = loop {
+        let (key, slot) = loop {
             // One locked section decides hit / coalesce / lead; everything
             // slow (waiting, completing) happens outside it.
             let waiting = {
                 let mut state = self.lock_shard(shard);
-                if let Some(entry) = state.entries.get_mut(text) {
-                    entry.referenced = true;
-                    let completion = entry.completion.clone();
-                    state.stats.hits += 1;
-                    state.stats.tokens_saved += completion.usage.total();
+                if let Some(completion) = state.hit(canonical) {
                     return Ok(completion);
                 }
-                match state.inflight.get(text) {
+                match state.inflight.get(canonical as &dyn KeyView) {
                     Some(slot) => {
                         let slot = slot.clone();
                         state.stats.coalesced += 1;
                         slot
                     }
                     None => {
+                        // The miss's one copy of the text: the in-flight
+                        // slot holds it now, the resident entry later.
+                        let key = Key::of(canonical);
                         let slot = InFlight::new();
-                        state.inflight.insert(text.into(), slot.clone());
+                        state.inflight.insert(key.clone(), slot.clone());
                         state.stats.misses += 1;
-                        break slot;
+                        break (key, slot);
                     }
                 }
             };
@@ -772,18 +880,18 @@ impl PromptCache<'_> {
         let mut guard = LeaderGuard {
             shard,
             slot: &slot,
-            text,
+            key: &key,
             armed: true,
         };
         let result = self.fetch_below(text);
         {
             let mut state = self.lock_shard(shard);
             if let Ok(completion) = &result {
-                state.insert(text, completion.clone(), self.shard_capacity);
+                state.insert(key.clone(), completion.clone(), self.shard_capacity);
             }
             // Errors are not memoized: clearing the slot lets the next
             // lookup retry the model.
-            state.inflight.remove(text);
+            state.inflight.remove(&key);
         }
         guard.armed = false;
         slot.fill(result.clone());

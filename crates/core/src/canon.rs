@@ -31,12 +31,32 @@
 //! hot-path entry point: it borrows the input (`Cow::Borrowed`) whenever
 //! the prompt is **already canonical** — whitespace-normal, and (at
 //! [`CanonLevel::TableStem`]) with its retrieval query already in
-//! table-level form — and computes the stable FNV-1a content hash in the
-//! same single scan that checks normality. No intermediate `String` is
-//! built on that path; the only allocations happen when a prompt genuinely
-//! needs rewriting. [`PromptKey`] is the owned form; its table-level stems
-//! are interned as `Arc<str>`, so all rows of a table share one stem
-//! allocation.
+//! table-level form, and (at [`CanonLevel::Semantic`]) with its list body
+//! already sorted. Such a prompt costs two passes over its bytes and no
+//! allocation: one branch-free normality pass over adjacent byte pairs
+//! (compiled to vector compares) and one pass of the content hash below;
+//! the shape tests between them are prefix checks and substring searches.
+//! The only allocations happen when a prompt genuinely needs rewriting,
+//! and the folds discover "already sorted" by streaming comparison before
+//! they allocate anything. [`PromptKey`] is the owned form; its
+//! table-level stems are interned as `Arc<str>`, so all rows of a table
+//! share one stem allocation.
+//!
+//! # The content hash
+//!
+//! [`CanonicalPrompt::hash64`] is a word-at-a-time multiply-fold hash of
+//! the canonical text, computed **once** per canonicalization: 32 bytes
+//! per step as four little-endian words on two independent lanes, each
+//! lane folding a 64×64→128-bit product back to 64 bits, with the text
+//! length mixed into the seed and the tail zero-padded (so `"a"` and
+//! `"a\0"` differ). It is deterministic and **unkeyed** — the same text
+//! hashes the same in every process and on every platform, which keeps
+//! shard placement, and so per-shard eviction, reproducible — and it lives
+//! **in memory only**: the cache selects a shard and keys its maps by it,
+//! nothing persists it (the disk tier stores canonical text under its own
+//! checksum). Being unkeyed, texts can in principle be constructed to
+//! share a 64-bit hash; they would then share a probe chain, which costs
+//! lookup time only — every probe still compares the full text.
 //!
 //! # Examples
 //!
@@ -148,25 +168,53 @@ impl std::fmt::Display for CanonLevel {
     }
 }
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Multipliers of the content hash: the first 256 fractional bits of π.
+const HASH_KEYS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
 
-/// Folds `bytes` into a running FNV-1a state.
+/// The 64×64→128-bit product of `a` and `b`, folded back to 64 bits.
 #[inline]
-fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let wide = u128::from(a) * u128::from(b);
+    (wide as u64) ^ ((wide >> 64) as u64)
 }
 
-/// FNV-1a of `text` from the offset basis.
+/// One 32-byte step of the content hash: two independent lanes, each
+/// folding 16 bytes (two little-endian words) into its running state.
 #[inline]
-fn fnv1a(text: &str) -> u64 {
-    fnv1a_extend(FNV_OFFSET, text.as_bytes())
+fn hash_block(lanes: (u64, u64), block: &[u8; 32]) -> (u64, u64) {
+    let word = |at: usize| {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(&block[at..at + 8]);
+        u64::from_le_bytes(le)
+    };
+    (
+        folded_multiply(word(0) ^ lanes.0, word(8) ^ HASH_KEYS[2]),
+        folded_multiply(word(16) ^ lanes.1, word(24) ^ HASH_KEYS[3]),
+    )
+}
+
+/// The content hash of a canonical text (see the module docs): word at a
+/// time, deterministic, unkeyed, never persisted.
+fn content_hash(text: &str) -> u64 {
+    let bytes = text.as_bytes();
+    let len = bytes.len() as u64;
+    let mut lanes = (HASH_KEYS[0] ^ len, HASH_KEYS[1]);
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        lanes = hash_block(lanes, block.try_into().expect("chunks_exact(32)"));
+    }
+    // The tail is zero-padded to one block; the length in the seed keeps
+    // a text apart from the same text with trailing NULs.
+    let rest = blocks.remainder();
+    let mut tail = [0u8; 32];
+    tail[..rest.len()].copy_from_slice(rest);
+    lanes = hash_block(lanes, &tail);
+    folded_multiply(lanes.0 ^ HASH_KEYS[1], lanes.1 ^ len)
 }
 
 /// How a completion of the canonical (sorted) form of a folded prompt is
@@ -234,12 +282,14 @@ fn remap_pri_scores(text: &str, perm: &[usize]) -> Option<String> {
     if seen != perm.len() {
         return None;
     }
+    // The indices are the same 1..n at the same positions, so the
+    // remapped list is exactly as long as the canonical one.
     let mut out = String::with_capacity(text.len());
     for (k, score) in scores.iter().enumerate() {
         if k > 0 {
             out.push_str(", ");
         }
-        out.push_str(&(k + 1).to_string());
+        push_decimal(&mut out, k + 1);
         out.push(':');
         out.push_str(score);
     }
@@ -249,27 +299,42 @@ fn remap_pri_scores(text: &str, perm: &[usize]) -> Option<String> {
 /// Reorders the lines of a per-record completion through `perm`. `None`
 /// when the line count does not match the fold's element count.
 fn remap_lines(text: &str, perm: &[usize]) -> Option<String> {
-    let lines: Vec<&str> = text.split('\n').collect();
-    if lines.len() != perm.len() {
+    if text.split('\n').count() != perm.len() {
         return None;
     }
     let mut out: Vec<&str> = vec![""; perm.len()];
-    for (j, line) in lines.iter().enumerate() {
-        out[perm[j]] = line;
+    for (line, &slot) in text.split('\n').zip(perm) {
+        out[slot] = line;
     }
     Some(out.join("\n"))
 }
 
+/// Appends `n` in decimal — `to_string` without its `String`.
+fn push_decimal(out: &mut String, mut n: usize) {
+    // usize::MAX has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
 /// The borrowed, hot-path form of a canonical prompt: the canonical text
 /// (borrowed from the input whenever no rewrite was needed), the location
-/// of the per-row suffix inside it, and the stable content hash — computed
-/// in the same single pass that checks the input for normality.
+/// of the per-row suffix inside it, and its content hash — computed once,
+/// here, and reused by everything downstream.
 ///
 /// This is what the prompt cache keys its lookups on: a hit needs only the
-/// canonical text (for the map probe) and the hash (for shard selection),
-/// neither of which allocates when the incoming prompt is already
-/// canonical. [`CanonicalPrompt::into_key`] materializes the owned
-/// [`PromptKey`] when one is needed.
+/// hash (for shard selection and the map probe) and the canonical text
+/// (for the equality check), neither of which allocates when the incoming
+/// prompt is already canonical. [`CanonicalPrompt::into_key`] materializes
+/// the owned [`PromptKey`] when one is needed.
 #[derive(Debug, Clone)]
 pub struct CanonicalPrompt<'a> {
     /// The canonical prompt text (suffix embedded at the splice point).
@@ -278,7 +343,7 @@ pub struct CanonicalPrompt<'a> {
     splice: usize,
     /// Byte length of the per-row suffix.
     suffix_len: usize,
-    /// FNV-1a hash of the canonical text.
+    /// Content hash of the canonical text.
     hash: u64,
     /// How completions of the canonical text are adapted back into this
     /// request's element order (`None` when no v2 fold reordered it).
@@ -300,7 +365,7 @@ impl<'a> CanonicalPrompt<'a> {
                 text: Cow::Borrowed(prompt),
                 splice: 0,
                 suffix_len: prompt.len(),
-                hash: fnv1a(prompt),
+                hash: content_hash(prompt),
                 replay: None,
             };
         }
@@ -320,7 +385,7 @@ impl<'a> CanonicalPrompt<'a> {
                 Cow::Borrowed(_) => CanonicalPrompt {
                     splice: query_start,
                     suffix_len: query_end - query_start,
-                    hash: hash_of(&norm),
+                    hash: content_hash(&norm),
                     text: norm,
                     replay: None,
                 },
@@ -330,7 +395,7 @@ impl<'a> CanonicalPrompt<'a> {
                     text.push_str(&general);
                     text.push_str(&norm[query_end..]);
                     CanonicalPrompt {
-                        hash: fnv1a(&text),
+                        hash: content_hash(&text),
                         splice: query_start,
                         suffix_len: general.len(),
                         text: Cow::Owned(text),
@@ -352,7 +417,7 @@ impl<'a> CanonicalPrompt<'a> {
             if let Some(pos) = rendered.find(QUERY_MARKER) {
                 let splice = pos + QUERY_MARKER.len();
                 return CanonicalPrompt {
-                    hash: fnv1a(&rendered),
+                    hash: content_hash(&rendered),
                     splice,
                     suffix_len: query.len(),
                     text: Cow::Owned(rendered),
@@ -372,7 +437,7 @@ impl<'a> CanonicalPrompt<'a> {
                         return CanonicalPrompt {
                             splice: pos,
                             suffix_len,
-                            hash: fnv1a(&folded),
+                            hash: content_hash(&folded),
                             text: Cow::Owned(folded),
                             replay: Some(ReplayFold::PriScores(perm)),
                         };
@@ -382,7 +447,7 @@ impl<'a> CanonicalPrompt<'a> {
                 return CanonicalPrompt {
                     splice: pos,
                     suffix_len,
-                    hash: hash_of(&norm),
+                    hash: content_hash(&norm),
                     text: norm,
                     replay: None,
                 };
@@ -396,7 +461,7 @@ impl<'a> CanonicalPrompt<'a> {
                 return CanonicalPrompt {
                     splice: pos,
                     suffix_len,
-                    hash: hash_of(&norm),
+                    hash: content_hash(&norm),
                     text: norm,
                     replay: None,
                 };
@@ -407,21 +472,18 @@ impl<'a> CanonicalPrompt<'a> {
         // At Semantic, record blocks that differ only in row order fold:
         // the record lines sort to one canonical block (order-insensitive
         // record digest — a no-op, hence borrowed, when already sorted).
-        if let Some(pos) = norm.find(PDP_MARKER) {
-            if norm.ends_with(']') {
+        // The one-byte tail check runs first: most prompts that are not
+        // `p_dp` skip the marker search over their whole text.
+        if norm.ends_with(']') {
+            if let Some(pos) = norm.find(PDP_MARKER) {
                 let splice = pos + PDP_MARKER.len();
                 let suffix_len = norm.len() - 1 - splice;
                 if level.folds_lists() {
-                    let body = &norm[splice..norm.len() - 1];
-                    if let Some((sorted, perm)) = sort_lines(body) {
-                        let mut text = String::with_capacity(norm.len());
-                        text.push_str(&norm[..splice]);
-                        text.push_str(&sorted);
-                        text.push(']');
+                    if let Some((text, perm)) = fold_pdp_records(&norm, splice) {
                         return CanonicalPrompt {
-                            hash: fnv1a(&text),
+                            hash: content_hash(&text),
                             splice,
-                            suffix_len: sorted.len(),
+                            suffix_len,
                             text: Cow::Owned(text),
                             replay: Some(ReplayFold::PdpLines(perm)),
                         };
@@ -430,7 +492,7 @@ impl<'a> CanonicalPrompt<'a> {
                 return CanonicalPrompt {
                     splice,
                     suffix_len,
-                    hash: hash_of(&norm),
+                    hash: content_hash(&norm),
                     text: norm,
                     replay: None,
                 };
@@ -442,7 +504,7 @@ impl<'a> CanonicalPrompt<'a> {
         CanonicalPrompt {
             splice: 0,
             suffix_len,
-            hash: hash_of(&norm),
+            hash: content_hash(&norm),
             text: norm,
             replay: None,
         }
@@ -465,8 +527,9 @@ impl<'a> CanonicalPrompt<'a> {
         &self.text[self.splice..self.splice + self.suffix_len]
     }
 
-    /// The stable FNV-1a hash of the canonical text, used for shard
-    /// selection. Equal canonical texts always hash equal.
+    /// The content hash of the canonical text (see the module docs): what
+    /// the cache selects a shard and keys its maps by. Equal canonical
+    /// texts always hash equal.
     pub fn hash64(&self) -> u64 {
         self.hash
     }
@@ -586,14 +649,17 @@ impl PromptKey {
         out
     }
 
-    /// A stable 64-bit FNV-1a hash of the canonical text, used for shard
-    /// selection.
+    /// The 64-bit content hash of the canonical text (see the module
+    /// docs), used for shard selection and as the cache maps' key hash.
     ///
     /// Stable across runs and platforms (it hashes the canonical text's
-    /// bytes, not `Hasher` state), so persisted completions reload into the
-    /// same shards. Because canonicalization is idempotent, the canonical
-    /// text determines the key — hashing the text alone is collision-free
-    /// across distinct keys up to FNV collisions.
+    /// bytes, not `Hasher` state), so a bounded cache — which evicts per
+    /// shard — behaves the same everywhere. It is never persisted: the
+    /// disk tier stores canonical text under its own checksum, and a
+    /// reopened store's entries are re-hashed when they are read back into
+    /// memory. Because canonicalization is idempotent, the canonical text
+    /// determines the key — hashing the text alone is collision-free
+    /// across distinct keys up to 64-bit collisions.
     pub fn hash64(&self) -> u64 {
         self.hash
     }
@@ -625,39 +691,40 @@ fn intern_stem(stem: &str) -> Arc<str> {
     shared
 }
 
-/// Hash of an intermediate canonical text.
-#[inline]
-fn hash_of(text: &str) -> u64 {
-    fnv1a(text)
-}
-
 /// Whether `prompt` is already in whitespace-normal form: no tabs or
 /// carriage returns (the normalizer treats both as blanks, so its output
 /// never contains them — which is what makes it a fixpoint), no double
 /// blanks, no blanks or blank lines at line edges or the prompt's ends.
+///
+/// With blank = space or newline, that is: the ends are not blank, no byte
+/// is a tab or CR, and no two adjacent bytes are both blank unless both
+/// are `\n` (an interior empty line survives normalization).
 fn is_whitespace_normal(prompt: &str) -> bool {
     let bytes = prompt.as_bytes();
-    if bytes.is_empty() {
+    let (Some(&first), Some(&last)) = (bytes.first(), bytes.last()) else {
         return true;
-    }
-    if bytes[0] == b' ' || bytes[0] == b'\n' {
+    };
+    if matches!(first, b' ' | b'\n' | b'\t' | b'\r') || matches!(last, b' ' | b'\n') {
         return false;
     }
-    let last = bytes[bytes.len() - 1];
-    if last == b' ' || last == b'\n' {
-        return false;
-    }
-    let mut prev = 0u8;
-    for &b in bytes {
-        match b {
-            b'\t' | b'\r' => return false,
-            b' ' if prev == b' ' || prev == b'\n' => return false,
-            b'\n' if prev == b' ' => return false,
-            _ => {}
-        }
-        prev = b;
-    }
-    true
+    // Every adjacent pair `(bytes[i], bytes[i + 1])`, a fixed block at a
+    // time. Inside a block there is no branch and no early exit, so the
+    // loop compiles to vector compares; an abnormal prompt stops the scan
+    // at a block boundary.
+    const BLOCK: usize = 64;
+    let block_is_normal = |(prev, next): (&[u8], &[u8])| {
+        let abnormal = prev.iter().zip(next).fold(0u8, |bad, (&p, &n)| {
+            let blank_p = (p == b' ') | (p == b'\n');
+            let blank_n = (n == b' ') | (n == b'\n');
+            let a_space = (p == b' ') | (n == b' ');
+            bad | u8::from((n == b'\t') | (n == b'\r') | (blank_p & blank_n & a_space))
+        });
+        abnormal == 0
+    };
+    let (prevs, nexts) = (&bytes[..bytes.len() - 1], &bytes[1..]);
+    let (prev_blocks, next_blocks) = (prevs.chunks_exact(BLOCK), nexts.chunks_exact(BLOCK));
+    block_is_normal((prev_blocks.remainder(), next_blocks.remainder()))
+        && prev_blocks.zip(next_blocks).all(block_is_normal)
 }
 
 /// Collapses runs of blanks (spaces, tabs, stray carriage returns),
@@ -697,20 +764,45 @@ fn normalize_whitespace(prompt: &str) -> Cow<'_, str> {
     Cow::Owned(out.split_off(out.len() - trimmed_start))
 }
 
-/// Returns the lines of `body` sorted (joined by `\n`) plus the fold's
-/// permutation (`perm[sorted_pos] = original_pos`) when a rewrite is
-/// needed, `None` when the lines are already in sorted order — the
-/// borrowed fast path of the v2 `p_dp` fold. Byte-wise ordering, stable
-/// for equal lines: exact, deterministic, locale-free.
-fn sort_lines(body: &str) -> Option<(String, Vec<usize>)> {
-    let lines: Vec<&str> = body.split('\n').collect();
-    if lines.windows(2).all(|w| w[0] <= w[1]) {
+/// The order that sorts `items` byte-wise, ties by position
+/// (`perm[sorted_pos] = original_pos`): what a stable sort gives, without
+/// its scratch buffer. Exact, deterministic, locale-free.
+fn sorted_order(items: &[&str]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_unstable_by(|&a, &b| items[a].cmp(items[b]).then(a.cmp(&b)));
+    order
+}
+
+/// Rebuilds a whitespace-normal `p_dp` prompt (record block at
+/// `norm[splice..len - 1]`) with its record lines sorted — the v2 fold
+/// that makes the key insensitive to row order — plus the fold's
+/// permutation. `None` when the lines are already in sorted order: the
+/// borrowed fast path, found by streaming comparison before anything is
+/// allocated.
+fn fold_pdp_records(norm: &str, splice: usize) -> Option<(String, Vec<usize>)> {
+    let records = || norm[splice..norm.len() - 1].split('\n');
+    let (mut count, mut sorted, mut prev) = (0usize, true, "");
+    for line in records() {
+        count += 1;
+        sorted &= prev <= line;
+        prev = line;
+    }
+    if sorted {
         return None;
     }
-    let mut order: Vec<usize> = (0..lines.len()).collect();
-    order.sort_by_key(|&i| lines[i]);
-    let sorted: Vec<&str> = order.iter().map(|&i| lines[i]).collect();
-    Some((sorted.join("\n"), order))
+    let mut lines: Vec<&str> = Vec::with_capacity(count);
+    lines.extend(records());
+    let order = sorted_order(&lines);
+    let mut text = String::with_capacity(norm.len());
+    text.push_str(&norm[..splice]);
+    for (i, &slot) in order.iter().enumerate() {
+        if i > 0 {
+            text.push('\n');
+        }
+        text.push_str(lines[slot]);
+    }
+    text.push(']');
+    Some((text, order))
 }
 
 /// Rebuilds a whitespace-normal `p_ri` prompt with its numbered instance
@@ -723,33 +815,36 @@ fn sort_lines(body: &str) -> Option<(String, Vec<usize>)> {
 /// numbered sequentially — the borrowed fast path) or when the prompt's
 /// instance block is not in the renderer's `"{i}. {instance}"` shape
 /// (fold refused; the unfolded v1 split still applies, so unrecognized
-/// variants lose nothing).
+/// variants lose nothing). Either is found by a streaming pass before
+/// anything is allocated.
 fn fold_pri_instances(norm: &str) -> Option<(String, Vec<usize>)> {
     let (header, rest) = norm.split_once('\n')?;
-    let mut bodies: Vec<&str> = Vec::new();
-    let mut sorted = true;
-    for (i, line) in rest.split('\n').enumerate() {
+    let (mut count, mut sorted, mut prev) = (0usize, true, "");
+    for line in rest.split('\n') {
         let (number, body) = line.split_once(". ")?;
-        if number.parse::<usize>().ok()? != i + 1 {
+        count += 1;
+        if number.parse::<usize>().ok()? != count {
             return None;
         }
-        if let Some(prev) = bodies.last() {
-            if *prev > body {
-                sorted = false;
-            }
-        }
-        bodies.push(body);
+        sorted &= prev <= body;
+        prev = body;
     }
-    if bodies.is_empty() || sorted {
+    if sorted {
         return None;
     }
-    let mut order: Vec<usize> = (0..bodies.len()).collect();
-    order.sort_by_key(|&i| bodies[i]);
+    let mut bodies: Vec<&str> = Vec::with_capacity(count);
+    bodies.extend(rest.split('\n').map(|line| {
+        let (_, body) = line.split_once(". ").expect("shape checked above");
+        body
+    }));
+    let order = sorted_order(&bodies);
+    // Renumbering permutes the same 1..n, so the folded prompt is exactly
+    // as long as the request.
     let mut out = String::with_capacity(norm.len());
     out.push_str(header);
     for (i, &slot) in order.iter().enumerate() {
         out.push('\n');
-        out.push_str(&(i + 1).to_string());
+        push_decimal(&mut out, i + 1);
         out.push_str(". ");
         out.push_str(bodies[slot]);
     }
@@ -1177,6 +1272,90 @@ mod tests {
             key.hash64(),
             "whitespace variants fold to the same canonical hash"
         );
+    }
+
+    /// `is_whitespace_normal` as it was before the pair scan: one byte at
+    /// a time, a branch per byte. Kept as the oracle.
+    fn is_whitespace_normal_reference(prompt: &str) -> bool {
+        let bytes = prompt.as_bytes();
+        if bytes.is_empty() {
+            return true;
+        }
+        if bytes[0] == b' ' || bytes[0] == b'\n' {
+            return false;
+        }
+        let last = bytes[bytes.len() - 1];
+        if last == b' ' || last == b'\n' {
+            return false;
+        }
+        let mut prev = 0u8;
+        for &b in bytes {
+            match b {
+                b'\t' | b'\r' => return false,
+                b' ' if prev == b' ' || prev == b'\n' => return false,
+                b'\n' if prev == b' ' => return false,
+                _ => {}
+            }
+            prev = b;
+        }
+        true
+    }
+
+    #[test]
+    fn whitespace_normality_scan_matches_the_byte_serial_reference() {
+        // Every string of length 0–3 over the bytes the check tells apart.
+        let mut patterns = vec![String::new()];
+        for len in 0..3 {
+            let longer: Vec<String> = patterns
+                .iter()
+                .filter(|p| p.len() == len)
+                .flat_map(|p| [' ', '\n', '\t', '\r', 'a'].map(|c| format!("{p}{c}")))
+                .collect();
+            patterns.extend(longer);
+        }
+        assert_eq!(patterns.len(), 1 + 5 + 25 + 125);
+        // A normal prompt long enough to span three scan blocks, with
+        // single spaces, line breaks and an empty line around the planted
+        // patterns.
+        let long = ["The quick brown fox", "jumps over", "", "the lazy dog,"]
+            .join("\n")
+            .repeat(5);
+        assert!(long.len() > 200 && is_whitespace_normal_reference(&long));
+        let check = |case: &str| {
+            assert_eq!(
+                is_whitespace_normal(case),
+                is_whitespace_normal_reference(case),
+                "pair scan disagrees with the byte-serial reference on {case:?}"
+            );
+        };
+        check(&long);
+        for pattern in &patterns {
+            check(pattern);
+            // Straddling the scan's block boundaries (pairs 63|64, 127|128).
+            for offset in (62..=66).chain(126..=130) {
+                let mut planted = long.clone();
+                planted.replace_range(offset..offset + pattern.len(), pattern);
+                check(&planted);
+            }
+        }
+    }
+
+    #[test]
+    fn content_hash_sees_every_byte_and_the_length() {
+        // A zero-padded tail is told apart by the length in the seed.
+        assert_ne!(content_hash("a"), content_hash("a\0"));
+        assert_ne!(content_hash(""), content_hash("\0"));
+        // One changed byte at every position of a text spanning several
+        // 32-byte steps, and every prefix length.
+        let text = "0123456789abcdefghijklmnopqrstuvwxyz".repeat(3);
+        let hash = content_hash(&text);
+        for at in 0..text.len() {
+            let mut changed = text.clone().into_bytes();
+            changed[at] ^= 1;
+            let changed = String::from_utf8(changed).expect("ascii");
+            assert_ne!(content_hash(&changed), hash, "byte {at} ignored");
+            assert_ne!(content_hash(&text[..at]), hash, "prefix {at} collides");
+        }
     }
 
     #[test]

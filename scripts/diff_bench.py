@@ -6,7 +6,7 @@ Usage: diff_bench.py [--allow-workload-change] OLD.json NEW.json
 The throughput bench emits two kinds of numbers:
 
 * **Exact counters** — model calls, cache misses, tokens saved, endpoint
-  calls, warm-path allocations, cascade billing. The whole stack is
+  calls, warm-path and folded-lookup allocations, cascade billing. The whole stack is
   deterministic, so for an unchanged workload these must not regress
   between consecutive baselines: a new PR may make them better, never
   worse. Any regression fails this script (exit 1).
@@ -324,9 +324,19 @@ def main(argv):
 
     # Canon v2 section (PR 10+): on the same recorded duplicate stream the
     # Semantic fold must keep beating TableStem, and fold hits may only
-    # grow between baselines.
+    # grow between baselines. From BENCH_17 on it also carries two exact
+    # allocation counters: warm Semantic lookups must stay at zero (a hard
+    # gate of the new baseline, like the store's), and allocations per
+    # folded lookup are gated like allocs_per_task — a PR that brings back
+    # a `to_string` per list index or a `Vec` built before the sortedness
+    # check fails here, not just in a timing run.
     o_canon, n_canon = old.get("canon_v2"), new.get("canon_v2")
     if n_canon:
+        if n_canon.get("semantic_warm_allocs_per_lookup", 0) != 0:
+            failures.append(
+                f"canon_v2: warm Semantic lookups allocated "
+                f"{n_canon['semantic_warm_allocs_per_lookup']} times each (must be 0)"
+            )
         sem_hits = n_canon.get("semantic", {}).get("hits", 0)
         stem_hits = n_canon.get("tablestem", {}).get("hits", 0)
         if sem_hits <= stem_hits:
@@ -357,6 +367,8 @@ def main(argv):
                 o_canon.get("semantic", {}),
                 n_canon.get("semantic", {}),
             )
+            for key in ("semantic_warm_allocs_per_lookup", "semantic_fold_allocs_per_lookup"):
+                must_not_increase("canon_v2", key, o_canon, n_canon)
     elif n_canon and not o_canon:
         print("  notice    canon_v2: new section (no old baseline to compare)")
 

@@ -7,88 +7,13 @@
 
 mod common;
 
-use common::Gen;
+use common::{mangle_whitespace, random_prompt, Gen};
 
-use unidm::{CanonLevel, PromptCache, PromptKey};
-use unidm_llm::protocol::{
-    render_pcq, render_pdp, render_pri, render_prm, Claim, SerializedRecord, TaskKind,
-};
+use unidm::{CanonLevel, CanonicalPrompt, PromptCache, PromptKey};
 use unidm_llm::{LanguageModel, LlmProfile, MockLlm};
 use unidm_world::World;
 
 const CASES: usize = 128;
-
-/// A random prompt in one of the recognized shapes (or an unstructured
-/// one), built from protocol-safe attribute/value strings.
-fn random_prompt(g: &mut Gen) -> String {
-    let task = *[
-        TaskKind::Imputation,
-        TaskKind::ErrorDetection,
-        TaskKind::TableQa,
-    ]
-    .get(g.usize(0, 3))
-    .unwrap();
-    let records = || -> Vec<SerializedRecord> {
-        vec![SerializedRecord::new(vec![
-            ("city".into(), "Alicante".into()),
-            ("country".into(), "Spain".into()),
-        ])]
-    };
-    match g.usize(0, 5) {
-        0 => {
-            let candidates = vec![g.attr(), g.attr()];
-            render_prm(task, &format!("{}, {}", g.value(), g.attr()), &candidates)
-        }
-        1 => render_pri(task, &g.value(), &records()),
-        2 => render_pdp(&records()),
-        3 => render_pcq(&Claim {
-            task,
-            context: format!("{} belongs to the country {}.", g.value(), g.value()),
-            query: format!("city: {}; country: ?", g.value()),
-        }),
-        _ => {
-            let mut lines = Vec::new();
-            for _ in 0..g.usize(1, 4) {
-                lines.push(format!("{} {}", g.value(), g.value()));
-            }
-            lines.join("\n")
-        }
-    }
-}
-
-/// Mangles only *insignificant* whitespace: inflates blank runs, pads line
-/// edges, and wraps the prompt in blank lines — exactly what
-/// `CanonLevel::Whitespace` normalization is specified to erase.
-fn mangle_whitespace(g: &mut Gen, prompt: &str) -> String {
-    let mut out = String::new();
-    for _ in 0..g.usize(0, 3) {
-        out.push('\n');
-    }
-    for (i, line) in prompt.lines().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        for _ in 0..g.usize(0, 3) {
-            out.push(if g.bool() { ' ' } else { '\t' });
-        }
-        for ch in line.chars() {
-            if ch == ' ' {
-                for _ in 0..g.usize(1, 4) {
-                    out.push(if g.bool() { ' ' } else { '\t' });
-                }
-            } else {
-                out.push(ch);
-            }
-        }
-        for _ in 0..g.usize(0, 3) {
-            out.push(' ');
-        }
-    }
-    for _ in 0..g.usize(0, 3) {
-        out.push('\n');
-    }
-    out
-}
 
 #[test]
 fn canonicalization_is_idempotent_on_random_prompts() {
@@ -163,7 +88,7 @@ fn hash_is_equal_for_equal_keys_and_separates_distinct_ones() {
             if *other == key {
                 assert_eq!(hash, *other_hash, "equal keys, equal hashes");
             } else {
-                // FNV-1a over short distinct strings: collisions are
+                // A 64-bit hash over distinct strings: collisions are
                 // astronomically unlikely at this sample size, and any
                 // real one would repro deterministically from the seed.
                 assert_ne!(
@@ -178,15 +103,67 @@ fn hash_is_equal_for_equal_keys_and_separates_distinct_ones() {
 
 #[test]
 fn hash_is_pinned_to_golden_values() {
-    // Cross-run and cross-platform stability: `hash64` is specified as
-    // FNV-1a over the canonical text's bytes (canonicalization is
-    // idempotent, so the text determines the key and no stem/suffix
-    // framing is needed). A reopened store re-shards its entries by this
-    // hash, so it must never drift.
+    // Cross-run and cross-platform stability: `hash64` is the unkeyed
+    // content hash of the canonical text's bytes, read as little-endian
+    // words (canonicalization is idempotent, so the text determines the
+    // key and no stem/suffix framing is needed). Nothing persists it — the
+    // store keeps canonical text under its own checksum — but it selects
+    // the shard, and a bounded cache evicts per shard, so a drift would
+    // change which entries survive from one platform or build to the next.
     let fox = PromptKey::canonicalize("The quick  brown fox", CanonLevel::Whitespace);
-    assert_eq!(fox.hash64(), 0x2374_316b_9b44_9782);
+    assert_eq!(fox.hash64(), 0xbfb4_4517_61f2_3313);
     let unidm = PromptKey::canonicalize("unidm", CanonLevel::Whitespace);
-    assert_eq!(unidm.hash64(), 0x4b41_5b4e_9aa3_742e);
+    assert_eq!(unidm.hash64(), 0xd4a3_551e_1d05_7518);
+    // Longer than one 32-byte step, with a partial tail.
+    let long = PromptKey::canonicalize(&"0123456789abcdef".repeat(5)[..75], CanonLevel::Verbatim);
+    assert_eq!(long.hash64(), 0x7518_3882_1b0e_603f);
+}
+
+#[test]
+fn hash_tells_apart_single_byte_and_length_only_changes() {
+    let hash = |text: &str| CanonicalPrompt::canonicalize(text, CanonLevel::Verbatim).hash64();
+    // The tail of a text is zero-padded to a whole step; the length keeps
+    // padding from colliding with real NULs.
+    assert_ne!(hash("a"), hash("a\0"));
+    assert_ne!(hash("a\0"), hash("a\0\0"));
+    assert_ne!(hash(""), hash("\0"));
+    let mut g = Gen::new(0xca08);
+    for _ in 0..CASES {
+        let prompt = random_prompt(&mut g);
+        let base = hash(&prompt);
+        let at = g.usize(0, prompt.len());
+        let mut bytes = prompt.clone().into_bytes();
+        bytes[at] ^= 1;
+        if let Ok(changed) = String::from_utf8(bytes) {
+            assert_ne!(hash(&changed), base, "byte {at} of {prompt:?}");
+        }
+        assert_ne!(hash(&prompt[..prompt.len() - 1]), base, "one byte shorter");
+        assert_ne!(hash(&format!("{prompt}\0")), base, "one NUL longer");
+    }
+}
+
+#[test]
+fn hash_spreads_rendered_prompts_over_shards_without_collisions() {
+    // 4 096 distinct canonical texts: no two share a 64-bit hash, and
+    // the low bits the cache masks for shard selection put every one of 8
+    // shards within 2x of an even share.
+    let mut g = Gen::new(0xca09);
+    let mut hash_of = std::collections::BTreeMap::new();
+    while hash_of.len() < 4096 {
+        let key = PromptKey::canonicalize(&random_prompt(&mut g), CanonLevel::TableStem);
+        hash_of.insert(key.text(), key.hash64());
+    }
+    let distinct: std::collections::HashSet<u64> = hash_of.values().copied().collect();
+    assert_eq!(distinct.len(), hash_of.len(), "a 64-bit collision");
+    let mut per_shard = [0usize; 8];
+    for hash in &distinct {
+        per_shard[(hash & 7) as usize] += 1;
+    }
+    let even = distinct.len() / 8;
+    assert!(
+        per_shard.iter().all(|&n| n >= even / 2 && n <= even * 2),
+        "shard occupancy {per_shard:?} strays beyond 2x of {even}"
+    );
 }
 
 #[test]
@@ -217,6 +194,7 @@ fn hash_is_stable_across_shard_counts() {
     let one = contents_at(1);
     assert_eq!(one, contents_at(2));
     assert_eq!(one, contents_at(8));
+    assert_eq!(one, contents_at(64));
 
     // And the canonical keys themselves spread over shards rather than
     // piling onto one (masking a uniform 64-bit hash).

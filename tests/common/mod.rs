@@ -107,6 +107,81 @@ impl Gen {
     }
 }
 
+/// A random prompt in one of the recognized shapes (or an unstructured
+/// one), built from protocol-safe attribute/value strings.
+pub fn random_prompt(g: &mut Gen) -> String {
+    use unidm_llm::protocol::{
+        render_pcq, render_pdp, render_pri, render_prm, Claim, SerializedRecord, TaskKind,
+    };
+    let task = *[
+        TaskKind::Imputation,
+        TaskKind::ErrorDetection,
+        TaskKind::TableQa,
+    ]
+    .get(g.usize(0, 3))
+    .unwrap();
+    let records = || -> Vec<SerializedRecord> {
+        vec![SerializedRecord::new(vec![
+            ("city".into(), "Alicante".into()),
+            ("country".into(), "Spain".into()),
+        ])]
+    };
+    match g.usize(0, 5) {
+        0 => {
+            let candidates = vec![g.attr(), g.attr()];
+            render_prm(task, &format!("{}, {}", g.value(), g.attr()), &candidates)
+        }
+        1 => render_pri(task, &g.value(), &records()),
+        2 => render_pdp(&records()),
+        3 => render_pcq(&Claim {
+            task,
+            context: format!("{} belongs to the country {}.", g.value(), g.value()),
+            query: format!("city: {}; country: ?", g.value()),
+        }),
+        _ => {
+            let mut lines = Vec::new();
+            for _ in 0..g.usize(1, 4) {
+                lines.push(format!("{} {}", g.value(), g.value()));
+            }
+            lines.join("\n")
+        }
+    }
+}
+
+/// Mangles only *insignificant* whitespace: inflates blank runs, pads line
+/// edges, and wraps the prompt in blank lines — exactly what
+/// `CanonLevel::Whitespace` normalization is specified to erase.
+pub fn mangle_whitespace(g: &mut Gen, prompt: &str) -> String {
+    let mut out = String::new();
+    for _ in 0..g.usize(0, 3) {
+        out.push('\n');
+    }
+    for (i, line) in prompt.lines().enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        for _ in 0..g.usize(0, 3) {
+            out.push(if g.bool() { ' ' } else { '\t' });
+        }
+        for ch in line.chars() {
+            if ch == ' ' {
+                for _ in 0..g.usize(1, 4) {
+                    out.push(if g.bool() { ' ' } else { '\t' });
+                }
+            } else {
+                out.push(ch);
+            }
+        }
+        for _ in 0..g.usize(0, 3) {
+            out.push(' ');
+        }
+    }
+    for _ in 0..g.usize(0, 3) {
+        out.push('\n');
+    }
+    out
+}
+
 /// A model wrapper that logs every prompt it forwards, in call order.
 pub struct PromptLog<'a> {
     inner: &'a dyn unidm_llm::LanguageModel,
