@@ -5,7 +5,7 @@
 //! Regimes:
 //!
 //! * **serial / batched / cold cache / warm cache** — the classic ladder:
-//!   one worker, the work-stealing pool, the pool over a cold sharded
+//!   one worker, the worker pool, the pool over a cold sharded
 //!   [`PromptCache`] at [`CanonLevel::TableStem`], and a second pass of
 //!   the pool over that now-warm cache.
 //! * **cold store / warm store** — the tiered store: the same workload
@@ -927,14 +927,13 @@ fn main() {
     );
     println!(
         "Duplicate-heavy ({} tasks, {} unique): {} unique canonical keys, exactly {} \
-         endpoint calls in every regime; planner coalesced {} tasks with {} steals; \
+         endpoint calls in every regime; planner coalesced {} tasks; \
          warm-path lookups: {} × 0 allocations.",
         dup_tasks.len(),
         tasks.len(),
         unique_keys,
         unique_keys,
         planner_report.coalesced_tasks,
-        planner_report.steals,
         canonical_texts.len(),
     );
 
@@ -1597,7 +1596,6 @@ fn main() {
                     "planner_coalesced_tasks",
                     planner_report.coalesced_tasks as u64,
                 )
-                .field_u64("planner_steals", planner_report.steals as u64)
                 .finish(),
         )
         .field_raw(

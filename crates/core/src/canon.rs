@@ -9,13 +9,14 @@
 //! the model's answer ("which attributes help?") is a property of the
 //! *table*, not the row.
 //!
-//! [`PromptKey::canonicalize`] closes that gap. It normalizes whitespace
-//! and splits each recognized prompt into a reusable **table-level stem**
-//! (retrieval preambles, demonstration blocks, parsing instructions) plus a
-//! **per-row suffix** (the target query, the claim, the record list). At
-//! [`CanonLevel::TableStem`] it additionally rewrites the per-row part of
-//! retrieval queries to their table-level form (`"Copenhagen, timezone"` →
-//! `"*, timezone"`), so every row of a table shares one `p_rm` cache entry.
+//! [`CanonicalPrompt::canonicalize`] closes that gap. It normalizes
+//! whitespace, and at [`CanonLevel::TableStem`] it additionally rewrites
+//! the per-row part of a `p_rm` retrieval query to its table-level form
+//! (`"Copenhagen, timezone"` → `"*, timezone"`), so every row of a table
+//! shares one `p_rm` cache entry; at [`CanonLevel::Semantic`] it also
+//! sorts the list bodies of `p_ri` and `p_dp` prompts. A canonical prompt
+//! is three things: the canonical text, its content hash, and — when a
+//! list was reordered — how to map a completion back ([`ReplayFold`]).
 //!
 //! Correctness under canonicalization is preserved by construction: the
 //! cache completes the *canonical* prompt text on a miss (never the raw
@@ -38,9 +39,7 @@
 //! the shape tests between them are prefix checks and substring searches.
 //! The only allocations happen when a prompt genuinely needs rewriting,
 //! and the folds discover "already sorted" by streaming comparison before
-//! they allocate anything. [`PromptKey`] is the owned form; its
-//! table-level stems are interned as `Arc<str>`, so all rows of a table
-//! share one stem allocation.
+//! they allocate anything.
 //!
 //! # The content hash
 //!
@@ -63,7 +62,7 @@
 //! Two rows of the same table fold to one key at table-stem level:
 //!
 //! ```
-//! use unidm::{CanonLevel, PromptKey};
+//! use unidm::{CanonLevel, CanonicalPrompt};
 //! use unidm_llm::protocol::{render_prm, TaskKind};
 //!
 //! let candidates = vec!["country".to_string(), "population".to_string()];
@@ -71,31 +70,29 @@
 //! let row_b = render_prm(TaskKind::Imputation, "Florence, timezone", &candidates);
 //! assert_ne!(row_a, row_b, "verbatim prompts differ per row");
 //!
-//! let key_a = PromptKey::canonicalize(&row_a, CanonLevel::TableStem);
-//! let key_b = PromptKey::canonicalize(&row_b, CanonLevel::TableStem);
-//! assert_eq!(key_a, key_b, "canonical keys fold the per-row target key");
-//! assert_eq!(key_a.suffix(), "*, timezone");
+//! let key_a = CanonicalPrompt::canonicalize(&row_a, CanonLevel::TableStem);
+//! let key_b = CanonicalPrompt::canonicalize(&row_b, CanonLevel::TableStem);
+//! assert_eq!(key_a.text(), key_b.text(), "canonical keys fold the per-row target key");
+//! assert_eq!(key_a.hash64(), key_b.hash64());
+//! assert!(key_a.text().contains("[*, timezone]"));
 //! ```
 //!
 //! An already-canonical prompt is borrowed, not copied:
 //!
 //! ```
-//! use std::borrow::Cow;
 //! use unidm::{CanonLevel, CanonicalPrompt};
 //!
 //! let canon = CanonicalPrompt::canonicalize("already canonical", CanonLevel::TableStem);
-//! assert!(matches!(canon.text_cow(), Cow::Borrowed(_)));
+//! assert!(canon.is_borrowed());
 //! ```
 
 use std::borrow::Cow;
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use unidm_llm::protocol::{parse_prm, render_prm, TaskKind};
 use unidm_llm::Completion;
 
-/// How aggressively [`PromptKey::canonicalize`] normalizes a prompt before
-/// it is used as a cache key.
+/// How aggressively [`CanonicalPrompt::canonicalize`] normalizes a prompt
+/// before it is used as a cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CanonLevel {
     /// The key is the verbatim prompt: byte-identical prompts share an
@@ -104,9 +101,8 @@ pub enum CanonLevel {
     #[default]
     Verbatim,
     /// Whitespace is normalized (runs of blanks collapse, line edges trim)
-    /// and the prompt is split into stem + suffix, but no per-row content
-    /// is rewritten. Prompts differing only in insignificant whitespace
-    /// share an entry.
+    /// but no per-row content is rewritten. Prompts differing only in
+    /// insignificant whitespace share an entry.
     Whitespace,
     /// Everything `Whitespace` does, plus per-row retrieval queries are
     /// rewritten to their table-level form: the `p_rm` query of an
@@ -325,24 +321,40 @@ fn push_decimal(out: &mut String, mut n: usize) {
     out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
-/// The borrowed, hot-path form of a canonical prompt: the canonical text
-/// (borrowed from the input whenever no rewrite was needed), the location
-/// of the per-row suffix inside it, and its content hash — computed once,
-/// here, and reused by everything downstream.
+/// A canonical prompt: the canonical text (borrowed from the input
+/// whenever no rewrite was needed), its content hash — computed once,
+/// here, and reused by everything downstream — and the replay of a fold.
 ///
 /// This is what the prompt cache keys its lookups on: a hit needs only the
 /// hash (for shard selection and the map probe) and the canonical text
 /// (for the equality check), neither of which allocates when the incoming
-/// prompt is already canonical. [`CanonicalPrompt::into_key`] materializes
-/// the owned [`PromptKey`] when one is needed.
+/// prompt is already canonical.
+///
+/// # Examples
+///
+/// A `p_cq` prompt is dominated by a demonstration block that is the same
+/// in every cloze-construction prompt; what makes two of them one entry
+/// is that context and query coincide, never a rewrite:
+///
+/// ```
+/// use unidm::{CanonLevel, CanonicalPrompt};
+/// use unidm_llm::protocol::{render_pcq, Claim, TaskKind};
+///
+/// let claim = Claim {
+///     task: TaskKind::Imputation,
+///     context: "Florence belongs to the country Italy.".into(),
+///     query: "city: Copenhagen; country: ?".into(),
+/// };
+/// let prompt = render_pcq(&claim);
+/// let spaced = prompt.replace("Claim: ", "Claim:   ");
+/// let canon = CanonicalPrompt::canonicalize(&spaced, CanonLevel::Semantic);
+/// assert_eq!(canon.text(), prompt, "only the whitespace is normalized");
+/// assert!(canon.replay().is_none());
+/// ```
 #[derive(Debug, Clone)]
 pub struct CanonicalPrompt<'a> {
-    /// The canonical prompt text (suffix embedded at the splice point).
+    /// The canonical prompt text.
     text: Cow<'a, str>,
-    /// Byte offset where the per-row suffix starts inside `text`.
-    splice: usize,
-    /// Byte length of the per-row suffix.
-    suffix_len: usize,
     /// Content hash of the canonical text.
     hash: u64,
     /// How completions of the canonical text are adapted back into this
@@ -351,6 +363,14 @@ pub struct CanonicalPrompt<'a> {
 }
 
 impl<'a> CanonicalPrompt<'a> {
+    fn new(text: Cow<'a, str>, replay: Option<ReplayFold>) -> Self {
+        CanonicalPrompt {
+            hash: content_hash(&text),
+            text,
+            replay,
+        }
+    }
+
     /// Canonicalizes `prompt` at `level`, borrowing the input whenever it
     /// is already canonical.
     ///
@@ -359,50 +379,31 @@ impl<'a> CanonicalPrompt<'a> {
     /// whitespace-normal prompts whose retrieval query is already in
     /// table-level form at [`CanonLevel::TableStem`]. Everything else
     /// falls back to the allocating rewrite.
+    ///
+    /// Canonicalization is idempotent: canonicalizing
+    /// [`CanonicalPrompt::text`] again at the same level borrows it back
+    /// unchanged.
     pub fn canonicalize(prompt: &'a str, level: CanonLevel) -> CanonicalPrompt<'a> {
         if level == CanonLevel::Verbatim {
-            return CanonicalPrompt {
-                text: Cow::Borrowed(prompt),
-                splice: 0,
-                suffix_len: prompt.len(),
-                hash: content_hash(prompt),
-                replay: None,
-            };
+            return Self::new(Cow::Borrowed(prompt), None);
         }
         let norm = normalize_whitespace(prompt);
-        // p_rm — the query is the suffix, spliced mid-stem. The borrowed
-        // scanner accepts only prompts in the renderer's exact shape, so
-        // taking its split is provably identical to a parse + re-render.
+        // p_rm — the per-row part is the query. The borrowed scanner
+        // accepts only prompts in the renderer's exact shape, so splicing
+        // at its query range is provably identical to a parse + re-render.
         if let Some(scan) = scan_prm_exact(&norm) {
             let (query_start, query_end) = scan.query;
             let query = &norm[query_start..query_end];
-            let rewritten = if level.generalizes_queries() {
-                generalize_query(scan.task, query)
-            } else {
-                Cow::Borrowed(query)
-            };
-            return match rewritten {
-                Cow::Borrowed(_) => CanonicalPrompt {
-                    splice: query_start,
-                    suffix_len: query_end - query_start,
-                    hash: content_hash(&norm),
-                    text: norm,
-                    replay: None,
-                },
-                Cow::Owned(general) => {
+            if level.generalizes_queries() {
+                if let Cow::Owned(general) = generalize_query(scan.task, query) {
                     let mut text = String::with_capacity(norm.len() - query.len() + general.len());
                     text.push_str(&norm[..query_start]);
                     text.push_str(&general);
                     text.push_str(&norm[query_end..]);
-                    CanonicalPrompt {
-                        hash: content_hash(&text),
-                        splice: query_start,
-                        suffix_len: general.len(),
-                        text: Cow::Owned(text),
-                        replay: None,
-                    }
+                    return Self::new(Cow::Owned(text), None);
                 }
-            };
+            }
+            return Self::new(norm, None);
         }
         // Oddly spaced p_rm variants the exact scanner refused: re-render
         // around the (possibly generalized) query so the key is
@@ -414,100 +415,40 @@ impl<'a> CanonicalPrompt<'a> {
                 req.query.clone()
             };
             let rendered = render_prm(req.task, &query, &req.candidates);
-            if let Some(pos) = rendered.find(QUERY_MARKER) {
-                let splice = pos + QUERY_MARKER.len();
-                return CanonicalPrompt {
-                    hash: content_hash(&rendered),
-                    splice,
-                    suffix_len: query.len(),
-                    text: Cow::Owned(rendered),
-                    replay: None,
-                };
-            }
+            return Self::new(Cow::Owned(rendered), None);
         }
-        // p_ri — the task header is the stem; query and candidate
-        // instances are per-row. At Semantic, reorderings of one instance
-        // list fold: lines sort and renumber to one canonical list (a
-        // no-op — hence borrowed — when the list is already sorted).
-        if norm.contains("Score the relevance") {
-            if let Some(pos) = norm.find("The target query is") {
-                if level.folds_lists() {
-                    if let Some((folded, perm)) = fold_pri_instances(&norm) {
-                        let suffix_len = folded.len() - pos;
-                        return CanonicalPrompt {
-                            splice: pos,
-                            suffix_len,
-                            hash: content_hash(&folded),
-                            text: Cow::Owned(folded),
-                            replay: Some(ReplayFold::PriScores(perm)),
-                        };
-                    }
+        if !level.folds_lists() {
+            return Self::new(norm, None);
+        }
+        // p_ri — reorderings of one instance list fold: lines sort and
+        // renumber to one canonical list (a no-op — hence borrowed — when
+        // the list is already sorted). A prompt in this shape is not
+        // looked at again, whether or not its list folds.
+        if norm.contains("Score the relevance") && norm.contains("The target query is") {
+            return match fold_pri_instances(&norm) {
+                Some((folded, perm)) => {
+                    Self::new(Cow::Owned(folded), Some(ReplayFold::PriScores(perm)))
                 }
-                let suffix_len = norm.len() - pos;
-                return CanonicalPrompt {
-                    splice: pos,
-                    suffix_len,
-                    hash: content_hash(&norm),
-                    text: norm,
-                    replay: None,
-                };
-            }
+                None => Self::new(norm, None),
+            };
         }
-        // p_cq — instruction and demonstration block are the stem; the
-        // final claim is per-row.
-        if norm.starts_with("Write the claim as a cloze question.") {
-            if let Some(pos) = norm.rfind("\nClaim:") {
-                let suffix_len = norm.len() - pos;
-                return CanonicalPrompt {
-                    splice: pos,
-                    suffix_len,
-                    hash: content_hash(&norm),
-                    text: norm,
-                    replay: None,
-                };
-            }
-        }
-        // p_dp — the parsing instruction is the stem; the bracketed record
-        // block is per-retrieval (the closing bracket stays in the stem).
-        // At Semantic, record blocks that differ only in row order fold:
-        // the record lines sort to one canonical block (order-insensitive
-        // record digest — a no-op, hence borrowed, when already sorted).
-        // The one-byte tail check runs first: most prompts that are not
-        // `p_dp` skip the marker search over their whole text.
-        if norm.ends_with(']') {
+        // p_dp — record blocks that differ only in row order fold: the
+        // record lines between the marker and the closing bracket sort to
+        // one canonical block (order-insensitive record digest — a no-op,
+        // hence borrowed, when already sorted). The one-byte tail check
+        // runs first: most prompts that are not `p_dp` skip the searches
+        // over their whole text. A cloze-construction prompt (`p_cq`) is
+        // never a record block, whatever its claim ends with.
+        if norm.ends_with(']') && !is_pcq(&norm) {
             if let Some(pos) = norm.find(PDP_MARKER) {
-                let splice = pos + PDP_MARKER.len();
-                let suffix_len = norm.len() - 1 - splice;
-                if level.folds_lists() {
-                    if let Some((text, perm)) = fold_pdp_records(&norm, splice) {
-                        return CanonicalPrompt {
-                            hash: content_hash(&text),
-                            splice,
-                            suffix_len,
-                            text: Cow::Owned(text),
-                            replay: Some(ReplayFold::PdpLines(perm)),
-                        };
-                    }
+                if let Some((text, perm)) = fold_pdp_records(&norm, pos + PDP_MARKER.len()) {
+                    return Self::new(Cow::Owned(text), Some(ReplayFold::PdpLines(perm)));
                 }
-                return CanonicalPrompt {
-                    splice,
-                    suffix_len,
-                    hash: content_hash(&norm),
-                    text: norm,
-                    replay: None,
-                };
             }
         }
-        // Target prompts (cloze questions, flat claims) and anything
-        // unrecognized: wholly per-row.
-        let suffix_len = norm.len();
-        CanonicalPrompt {
-            splice: 0,
-            suffix_len,
-            hash: content_hash(&norm),
-            text: norm,
-            replay: None,
-        }
+        // Target prompts (cloze questions, flat claims), claims to rewrite
+        // and anything unrecognized: the normalized text is the key.
+        Self::new(norm, None)
     }
 
     /// The canonical prompt text — what a canonicalizing cache completes
@@ -516,20 +457,16 @@ impl<'a> CanonicalPrompt<'a> {
         &self.text
     }
 
-    /// The canonical text as the underlying `Cow` (borrowed when the
-    /// input was already canonical).
-    pub fn text_cow(&self) -> &Cow<'a, str> {
-        &self.text
-    }
-
-    /// The per-row suffix slice of the canonical text.
-    pub fn suffix(&self) -> &str {
-        &self.text[self.splice..self.splice + self.suffix_len]
-    }
-
     /// The content hash of the canonical text (see the module docs): what
     /// the cache selects a shard and keys its maps by. Equal canonical
     /// texts always hash equal.
+    ///
+    /// Stable across runs and platforms (it hashes the canonical text's
+    /// bytes, not `Hasher` state), so a bounded cache — which evicts per
+    /// shard — behaves the same everywhere. It is never persisted: the
+    /// disk tier stores canonical text under its own checksum, and a
+    /// reopened store's entries are re-hashed when they are read back into
+    /// memory.
     pub fn hash64(&self) -> u64 {
         self.hash
     }
@@ -547,23 +484,6 @@ impl<'a> CanonicalPrompt<'a> {
         self.replay.as_ref()
     }
 
-    /// Materializes the owned [`PromptKey`]: the stem (text minus the
-    /// suffix range) is interned as a shared `Arc<str>`, so all rows of a
-    /// table reuse one allocation.
-    pub fn into_key(self) -> PromptKey {
-        let text = self.text.as_ref();
-        let suffix_end = self.splice + self.suffix_len;
-        let mut stem = String::with_capacity(text.len() - self.suffix_len);
-        stem.push_str(&text[..self.splice]);
-        stem.push_str(&text[suffix_end..]);
-        PromptKey {
-            stem: intern_stem(&stem),
-            suffix: text[self.splice..suffix_end].into(),
-            splice: self.splice,
-            hash: self.hash,
-        }
-    }
-
     /// Takes ownership of the canonical text (allocating only when it was
     /// still borrowed).
     pub fn into_text(self) -> String {
@@ -571,124 +491,11 @@ impl<'a> CanonicalPrompt<'a> {
     }
 }
 
-/// A canonical cache key: a reusable (interned) stem, a per-row suffix,
-/// and the splice point where the suffix sits inside the stem.
-///
-/// The canonical prompt text — what the cache actually sends to the model
-/// on a miss — is reconstructed by [`PromptKey::text`]: the suffix inserted
-/// into the stem at the splice offset. For most prompt shapes the suffix
-/// trails the stem; for `p_rm` it is the query spliced into the middle of
-/// the preamble. Stems are table-level and shared across all rows of a
-/// table, so they are interned: every `PromptKey` over the same table
-/// points at one `Arc<str>`.
-///
-/// # Examples
-///
-/// The `p_cq` demonstration block (several hundred tokens, identical in
-/// every cloze-construction prompt) lands in the stem; only the final claim
-/// is per-row:
-///
-/// ```
-/// use unidm::{CanonLevel, PromptKey};
-/// use unidm_llm::protocol::{render_pcq, Claim, TaskKind};
-///
-/// let claim = Claim {
-///     task: TaskKind::Imputation,
-///     context: "Florence belongs to the country Italy.".into(),
-///     query: "city: Copenhagen; country: ?".into(),
-/// };
-/// let prompt = render_pcq(&claim);
-/// let key = PromptKey::canonicalize(&prompt, CanonLevel::Whitespace);
-/// assert!(key.stem().contains("Punch! Home Design"), "demos in the stem");
-/// assert!(key.suffix().contains("Copenhagen"), "claim in the suffix");
-/// assert_eq!(key.text(), prompt, "text reconstructs the prompt");
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PromptKey {
-    stem: Arc<str>,
-    suffix: Box<str>,
-    splice: usize,
-    hash: u64,
-}
-
-impl PromptKey {
-    /// Canonicalizes `prompt` at the given level.
-    ///
-    /// At [`CanonLevel::Verbatim`] the key is the prompt itself (empty
-    /// stem). At higher levels whitespace is normalized, recognized prompt
-    /// shapes (`p_rm`, `p_ri`, `p_dp`, `p_cq`) are split into stem +
-    /// suffix, and — at [`CanonLevel::TableStem`] — retrieval queries are
-    /// generalized to their table-level form.
-    ///
-    /// Canonicalization is idempotent: canonicalizing [`PromptKey::text`]
-    /// again at the same level yields an equal key. This is the owned
-    /// entry point; the cache's lookup path uses
-    /// [`CanonicalPrompt::canonicalize`], which borrows instead of
-    /// allocating whenever the input is already canonical.
-    pub fn canonicalize(prompt: &str, level: CanonLevel) -> PromptKey {
-        CanonicalPrompt::canonicalize(prompt, level).into_key()
-    }
-
-    /// The reusable (table-level) part of the key.
-    pub fn stem(&self) -> &str {
-        &self.stem
-    }
-
-    /// The per-row part of the key.
-    pub fn suffix(&self) -> &str {
-        &self.suffix
-    }
-
-    /// The canonical prompt text: the suffix spliced into the stem. This
-    /// is the string a canonicalizing cache completes on a miss.
-    pub fn text(&self) -> String {
-        let mut out = String::with_capacity(self.stem.len() + self.suffix.len());
-        out.push_str(&self.stem[..self.splice]);
-        out.push_str(&self.suffix);
-        out.push_str(&self.stem[self.splice..]);
-        out
-    }
-
-    /// The 64-bit content hash of the canonical text (see the module
-    /// docs), used for shard selection and as the cache maps' key hash.
-    ///
-    /// Stable across runs and platforms (it hashes the canonical text's
-    /// bytes, not `Hasher` state), so a bounded cache — which evicts per
-    /// shard — behaves the same everywhere. It is never persisted: the
-    /// disk tier stores canonical text under its own checksum, and a
-    /// reopened store's entries are re-hashed when they are read back into
-    /// memory. Because canonicalization is idempotent, the canonical text
-    /// determines the key — hashing the text alone is collision-free
-    /// across distinct keys up to 64-bit collisions.
-    pub fn hash64(&self) -> u64 {
-        self.hash
-    }
-}
-
-const QUERY_MARKER: &str = "The target query is [";
 const PDP_MARKER: &str = "logical order: [";
 
-/// Upper bound on distinct interned stems; beyond it new stems are handed
-/// out uninterned so a pathological workload cannot grow the table without
-/// bound. Real workloads hold a few stems per (table, prompt shape).
-const INTERN_CAP: usize = 4096;
-
-/// Returns a shared `Arc<str>` for `stem`, reusing the existing allocation
-/// when the same stem was interned before.
-fn intern_stem(stem: &str) -> Arc<str> {
-    static INTERNER: OnceLock<Mutex<HashSet<Arc<str>>>> = OnceLock::new();
-    let mut set = INTERNER
-        .get_or_init(|| Mutex::new(HashSet::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if let Some(shared) = set.get(stem) {
-        return shared.clone();
-    }
-    let shared: Arc<str> = Arc::from(stem);
-    if set.len() < INTERN_CAP {
-        set.insert(shared.clone());
-    }
-    shared
+/// Whether a whitespace-normal prompt is in the shape of `render_pcq`.
+fn is_pcq(norm: &str) -> bool {
+    norm.starts_with("Write the claim as a cloze question.") && norm.contains("\nClaim:")
 }
 
 /// Whether `prompt` is already in whitespace-normal form: no tabs or
@@ -774,13 +581,13 @@ fn sorted_order(items: &[&str]) -> Vec<usize> {
 }
 
 /// Rebuilds a whitespace-normal `p_dp` prompt (record block at
-/// `norm[splice..len - 1]`) with its record lines sorted — the v2 fold
+/// `norm[block..len - 1]`) with its record lines sorted — the v2 fold
 /// that makes the key insensitive to row order — plus the fold's
 /// permutation. `None` when the lines are already in sorted order: the
 /// borrowed fast path, found by streaming comparison before anything is
 /// allocated.
-fn fold_pdp_records(norm: &str, splice: usize) -> Option<(String, Vec<usize>)> {
-    let records = || norm[splice..norm.len() - 1].split('\n');
+fn fold_pdp_records(norm: &str, block: usize) -> Option<(String, Vec<usize>)> {
+    let records = || norm[block..norm.len() - 1].split('\n');
     let (mut count, mut sorted, mut prev) = (0usize, true, "");
     for line in records() {
         count += 1;
@@ -794,7 +601,7 @@ fn fold_pdp_records(norm: &str, splice: usize) -> Option<(String, Vec<usize>)> {
     lines.extend(records());
     let order = sorted_order(&lines);
     let mut text = String::with_capacity(norm.len());
-    text.push_str(&norm[..splice]);
+    text.push_str(&norm[..block]);
     for (i, &slot) in order.iter().enumerate() {
         if i > 0 {
             text.push('\n');
@@ -987,29 +794,36 @@ mod tests {
         ]
     }
 
+    /// What the cache keys an entry by: the canonical text and its hash.
+    fn key(prompt: &str, level: CanonLevel) -> (String, u64) {
+        let canon = CanonicalPrompt::canonicalize(prompt, level);
+        (canon.text().to_string(), canon.hash64())
+    }
+
     #[test]
     fn verbatim_is_identity() {
-        let key = PromptKey::canonicalize("  spaced   out  ", CanonLevel::Verbatim);
-        assert_eq!(key.text(), "  spaced   out  ");
-        assert_eq!(key.stem(), "");
+        let canon = CanonicalPrompt::canonicalize("  spaced   out  ", CanonLevel::Verbatim);
+        assert_eq!(canon.text(), "  spaced   out  ");
+        assert!(canon.is_borrowed());
     }
 
     #[test]
     fn whitespace_normalization_folds_variants() {
-        let a = PromptKey::canonicalize("The quick  brown fox \n jumps", CanonLevel::Whitespace);
-        let b = PromptKey::canonicalize("The quick brown fox\njumps\n", CanonLevel::Whitespace);
+        let a = key("The quick  brown fox \n jumps", CanonLevel::Whitespace);
+        let b = key("The quick brown fox\njumps\n", CanonLevel::Whitespace);
         assert_eq!(a, b);
-        assert_eq!(a.text(), "The quick brown fox\njumps");
+        assert_eq!(a.0, "The quick brown fox\njumps");
     }
 
+    /// Below `TableStem` the per-row query is found but kept.
     #[test]
     fn prm_splits_query_into_suffix() {
         let candidates = vec!["country".to_string(), "population".to_string()];
         let p = render_prm(TaskKind::Imputation, "Copenhagen, timezone", &candidates);
-        let key = PromptKey::canonicalize(&p, CanonLevel::Whitespace);
-        assert_eq!(key.suffix(), "Copenhagen, timezone");
-        assert!(key.stem().contains("candidate attributes"));
-        assert_eq!(key.text(), p, "whitespace level must not rewrite content");
+        let canon = CanonicalPrompt::canonicalize(&p, CanonLevel::Whitespace);
+        assert!(canon.text().contains("[Copenhagen, timezone]"));
+        assert_eq!(canon.text(), p, "whitespace level must not rewrite content");
+        assert!(canon.is_borrowed());
     }
 
     #[test]
@@ -1017,12 +831,11 @@ mod tests {
         let candidates = vec!["country".to_string(), "population".to_string()];
         let a = render_prm(TaskKind::Imputation, "Copenhagen, timezone", &candidates);
         let b = render_prm(TaskKind::Imputation, "Florence, timezone", &candidates);
-        let ka = PromptKey::canonicalize(&a, CanonLevel::TableStem);
-        let kb = PromptKey::canonicalize(&b, CanonLevel::TableStem);
-        assert_eq!(ka, kb);
-        assert_eq!(ka.suffix(), "*, timezone");
+        let ka = key(&a, CanonLevel::TableStem);
+        assert_eq!(ka, key(&b, CanonLevel::TableStem));
+        assert!(ka.0.contains("[*, timezone]"));
         // The canonical text is still a well-formed p_rm prompt.
-        let req = parse_prm(&ka.text()).expect("canonical p_rm parses");
+        let req = parse_prm(&ka.0).expect("canonical p_rm parses");
         assert_eq!(req.query, "*, timezone");
         assert_eq!(req.candidates, candidates);
     }
@@ -1033,8 +846,8 @@ mod tests {
         let a = render_prm(TaskKind::Imputation, "Copenhagen, timezone", &candidates);
         let b = render_prm(TaskKind::Imputation, "Copenhagen, population", &candidates);
         assert_ne!(
-            PromptKey::canonicalize(&a, CanonLevel::TableStem),
-            PromptKey::canonicalize(&b, CanonLevel::TableStem),
+            key(&a, CanonLevel::TableStem),
+            key(&b, CanonLevel::TableStem),
             "different target attributes must not share an entry"
         );
     }
@@ -1044,41 +857,41 @@ mod tests {
         let candidates = vec!["addr".to_string()];
         let a = render_prm(TaskKind::ErrorDetection, "city: sheffxeld?", &candidates);
         let b = render_prm(TaskKind::ErrorDetection, "city: chicago?", &candidates);
-        let ka = PromptKey::canonicalize(&a, CanonLevel::TableStem);
-        assert_eq!(ka, PromptKey::canonicalize(&b, CanonLevel::TableStem));
-        assert_eq!(ka.suffix(), "city: *?");
+        let ka = key(&a, CanonLevel::TableStem);
+        assert_eq!(ka, key(&b, CanonLevel::TableStem));
+        assert!(ka.0.contains("[city: *?]"));
     }
 
     #[test]
     fn table_stem_leaves_tableqa_questions_alone() {
         let candidates = vec!["gold".to_string()];
         let q = "Which nation won the most gold medals?";
-        let key = PromptKey::canonicalize(
-            &render_prm(TaskKind::TableQa, q, &candidates),
-            CanonLevel::TableStem,
-        );
-        assert_eq!(key.suffix(), q, "questions determine the answer");
+        let p = render_prm(TaskKind::TableQa, q, &candidates);
+        let canon = CanonicalPrompt::canonicalize(&p, CanonLevel::TableStem);
+        assert_eq!(canon.text(), p, "questions determine the answer");
     }
 
     #[test]
     fn pri_query_and_instances_are_per_row() {
         let p = render_pri(TaskKind::Imputation, "Copenhagen, timezone", &recs());
-        let key = PromptKey::canonicalize(&p, CanonLevel::TableStem);
-        assert!(key.stem().starts_with("The task is"));
-        assert!(key.suffix().contains("Copenhagen"));
-        assert!(key.suffix().contains("Florence"));
-        assert_eq!(key.text(), p);
+        let canon = CanonicalPrompt::canonicalize(&p, CanonLevel::TableStem);
+        assert!(canon.text().contains("[Copenhagen, timezone]"));
+        assert!(canon.text().contains("Florence"));
+        assert_eq!(canon.text(), p, "relevance is judged against the row");
     }
 
+    /// Below `Semantic` a record block keys in the order it came in.
     #[test]
     fn pdp_record_block_is_the_suffix() {
-        let p = render_pdp(&recs());
-        let key = PromptKey::canonicalize(&p, CanonLevel::Whitespace);
-        assert!(key.stem().contains("convert the items"));
-        assert!(key.suffix().contains("Alicante"));
-        assert_eq!(key.text(), p);
+        let p = render_pdp(&reversed_recs());
+        for level in [CanonLevel::Whitespace, CanonLevel::TableStem] {
+            let canon = CanonicalPrompt::canonicalize(&p, level);
+            assert_eq!(canon.text(), p, "{level}");
+            assert!(canon.is_borrowed() && canon.replay().is_none(), "{level}");
+        }
     }
 
+    /// Demonstration block and claim alike: no level rewrites a `p_cq`.
     #[test]
     fn pcq_demonstrations_land_in_the_stem() {
         let claim = Claim {
@@ -1087,11 +900,16 @@ mod tests {
             query: "city: Copenhagen; country: ?".into(),
         };
         let p = render_pcq(&claim);
-        let key = PromptKey::canonicalize(&p, CanonLevel::TableStem);
-        assert!(key.stem().contains("Punch! Home Design"));
-        assert!(!key.suffix().contains("Punch! Home Design"));
-        assert!(key.suffix().contains("Copenhagen"));
-        assert_eq!(key.text(), p);
+        assert!(p.contains("Punch! Home Design") && p.contains("Copenhagen"));
+        // Not even one whose claim ends like a record block.
+        let bracketed = format!("{p} logical order: [b\na]");
+        for level in [CanonLevel::TableStem, CanonLevel::Semantic] {
+            for prompt in [&p, &bracketed] {
+                let canon = CanonicalPrompt::canonicalize(prompt, level);
+                assert_eq!(canon.text(), prompt.as_str(), "{level}");
+                assert!(canon.is_borrowed() && canon.replay().is_none(), "{level}");
+            }
+        }
     }
 
     #[test]
@@ -1110,8 +928,8 @@ mod tests {
             CanonLevel::Semantic,
         ] {
             for p in &prompts {
-                let once = PromptKey::canonicalize(p, level);
-                let twice = PromptKey::canonicalize(&once.text(), level);
+                let once = key(p, level);
+                let twice = key(&once.0, level);
                 assert_eq!(once, twice, "idempotence failed at {level} for {p:?}");
             }
         }
@@ -1137,7 +955,7 @@ mod tests {
             CanonLevel::Semantic,
         ] {
             for p in &prompts {
-                let canonical = PromptKey::canonicalize(p, level).text();
+                let canonical = CanonicalPrompt::canonicalize(p, level).into_text();
                 let again = CanonicalPrompt::canonicalize(&canonical, level);
                 assert!(
                     again.is_borrowed(),
@@ -1160,16 +978,18 @@ mod tests {
         let b = render_pdp(&reversed_recs());
         assert_ne!(a, b, "reordered records render differently");
         assert_ne!(
-            PromptKey::canonicalize(&a, CanonLevel::TableStem),
-            PromptKey::canonicalize(&b, CanonLevel::TableStem),
+            key(&a, CanonLevel::TableStem),
+            key(&b, CanonLevel::TableStem),
             "v1 levels keep row orderings apart"
         );
-        let ka = PromptKey::canonicalize(&a, CanonLevel::Semantic);
-        let kb = PromptKey::canonicalize(&b, CanonLevel::Semantic);
+        let ka = key(&a, CanonLevel::Semantic);
+        let kb = key(&b, CanonLevel::Semantic);
         assert_eq!(ka, kb, "v2 folds record blocks differing only in row order");
         // The canonical block is the sorted one, still a well-formed p_dp.
-        assert_eq!(ka.text(), a, "recs() renders in sorted order already");
-        let sorted_lines: Vec<&str> = ka.suffix().split('\n').collect();
+        assert_eq!(ka.0, a, "recs() renders in sorted order already");
+        let (_, block) = ka.0.split_once(PDP_MARKER).expect("still a p_dp");
+        let sorted_lines: Vec<&str> = block.trim_end_matches(']').split('\n').collect();
+        assert_eq!(sorted_lines.len(), 2);
         assert!(sorted_lines.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -1182,15 +1002,14 @@ mod tests {
             &reversed_recs(),
         );
         assert_ne!(
-            PromptKey::canonicalize(&a, CanonLevel::TableStem),
-            PromptKey::canonicalize(&b, CanonLevel::TableStem)
+            key(&a, CanonLevel::TableStem),
+            key(&b, CanonLevel::TableStem)
         );
-        let ka = PromptKey::canonicalize(&a, CanonLevel::Semantic);
-        let kb = PromptKey::canonicalize(&b, CanonLevel::Semantic);
+        let ka = key(&a, CanonLevel::Semantic);
+        let kb = key(&b, CanonLevel::Semantic);
         assert_eq!(ka, kb, "v2 folds instance-list reorderings");
         // The canonical list is sorted and renumbered 1..n.
-        let canonical = ka.text();
-        for (i, line) in canonical.lines().skip(1).enumerate() {
+        for (i, line) in ka.0.lines().skip(1).enumerate() {
             assert!(
                 line.starts_with(&format!("{}. ", i + 1)),
                 "renumbered sequentially: {line:?}"
@@ -1198,19 +1017,20 @@ mod tests {
         }
         // Distinct instance sets must not fold together.
         let other = render_pri(TaskKind::Imputation, "Copenhagen, timezone", &recs()[..1]);
-        assert_ne!(ka, PromptKey::canonicalize(&other, CanonLevel::Semantic));
+        assert_ne!(ka, key(&other, CanonLevel::Semantic));
     }
 
     #[test]
     fn semantic_fold_refuses_malformed_instance_blocks() {
-        // Numbering that is not 1..n: the fold is refused, but the v1
-        // stem/suffix split still applies.
+        // Numbering that is not 1..n: the fold is refused and the prompt
+        // keys as it stands.
         let odd = "The task is [x]. The target query is [q]. Score the relevance (range from 0 \
                    to 3) of the given instances based on the task and the query:\n7. zeta\n1. \
                    alpha";
-        let key = PromptKey::canonicalize(odd, CanonLevel::Semantic);
-        assert!(key.suffix().contains("7. zeta\n1. alpha"), "order kept");
-        assert_eq!(key.text(), odd);
+        let canon = CanonicalPrompt::canonicalize(odd, CanonLevel::Semantic);
+        assert!(canon.text().contains("7. zeta\n1. alpha"), "order kept");
+        assert_eq!(canon.text(), odd);
+        assert!(canon.replay().is_none());
     }
 
     #[test]
@@ -1244,32 +1064,15 @@ mod tests {
     }
 
     #[test]
-    fn interned_stems_are_shared_across_rows() {
-        let candidates = vec!["country".to_string(), "population".to_string()];
-        let a = render_prm(TaskKind::Imputation, "Copenhagen, timezone", &candidates);
-        let b = render_prm(TaskKind::Imputation, "Florence, timezone", &candidates);
-        let ka = PromptKey::canonicalize(&a, CanonLevel::Whitespace);
-        let kb = PromptKey::canonicalize(&b, CanonLevel::Whitespace);
-        assert_ne!(ka, kb, "whitespace level keeps per-row queries distinct");
-        assert!(
-            Arc::ptr_eq(&ka.stem, &kb.stem),
-            "rows of one table must share one interned stem allocation"
-        );
-    }
-
-    #[test]
     fn hash_is_stable_and_separates_keys() {
-        let key = PromptKey::canonicalize("hello world", CanonLevel::Whitespace);
-        assert_eq!(key.hash64(), key.hash64());
-        let other = PromptKey::canonicalize("hello worlds", CanonLevel::Whitespace);
-        assert_ne!(key.hash64(), other.hash64());
+        let hash = |p| CanonicalPrompt::canonicalize(p, CanonLevel::Whitespace).hash64();
+        assert_eq!(hash("hello world"), hash("hello world"));
+        assert_ne!(hash("hello world"), hash("hello worlds"));
         // The hash is a pure function of the canonical text: the borrowed
-        // and owned paths must agree.
-        let canonical = CanonicalPrompt::canonicalize("hello world", CanonLevel::Whitespace);
-        assert_eq!(canonical.hash64(), key.hash64());
+        // and the rewriting paths must agree.
         assert_eq!(
-            CanonicalPrompt::canonicalize("  hello   world ", CanonLevel::Whitespace).hash64(),
-            key.hash64(),
+            hash("  hello   world "),
+            hash("hello world"),
             "whitespace variants fold to the same canonical hash"
         );
     }

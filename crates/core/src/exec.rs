@@ -1,5 +1,5 @@
-//! Parallel batch execution: a work-stealing worker pool fanning
-//! [`UniDm`] runs over many tasks.
+//! Parallel batch execution: a worker pool fanning [`UniDm`] runs over
+//! many tasks.
 //!
 //! The paper's experiments (Tables 1–11) execute thousands of independent
 //! pipeline runs per dataset. Each run is a pure function of `(model,
@@ -11,9 +11,16 @@
 //!
 //! [`BatchRunner`] adds scheduler-level deduplication on top: a
 //! pre-dispatch planner groups byte-identical tasks, runs one
-//! representative per group on the work-stealing pool, and copies the
-//! representative's output to every duplicate slot — so duplicate tasks
-//! never even reach the cache.
+//! representative per group on the pool, and copies the representative's
+//! output to every duplicate slot — so duplicate tasks never even reach
+//! the cache.
+//!
+//! The pool is one loop whatever the mode: each worker builds its own
+//! [`UniDm`], claims the next representative from a shared cursor
+//! (`fetch_add`) and fills that representative's slot. One worker runs the
+//! loop on the calling thread; more run it under [`std::thread::scope`];
+//! in pipelined mode ([`BatchRunner::with_pipeline`]) each worker also
+//! holds a [`Dispatcher`] registration while it runs.
 //!
 //! ```
 //! use unidm::{BatchRunner, PipelineConfig, PromptCache, Task};
@@ -39,7 +46,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use unidm_llm::LanguageModel;
@@ -50,8 +57,8 @@ use crate::pipeline::{RunOutput, UniDm};
 use crate::task::Task;
 use crate::{PipelineConfig, UniDmError};
 
-/// What the pre-dispatch planner and the work-stealing pool did for one
-/// batch, alongside the per-task results.
+/// What the pre-dispatch planner did for one batch, alongside the
+/// per-task results.
 #[derive(Debug)]
 pub struct BatchReport {
     /// One result per task, in task order — bit-for-bit identical to a
@@ -63,8 +70,9 @@ pub struct BatchReport {
     /// Tasks that duplicated an earlier task byte-for-byte and received a
     /// copy of its representative's output instead of executing.
     pub coalesced_tasks: usize,
-    /// Range-steal operations the work-stealing scheduler performed
-    /// (0 in serial runs; timing-dependent under parallelism).
+    /// Always 0: workers claim tasks from one shared cursor, and nothing
+    /// is stolen. The field is kept only because the repository benchmark
+    /// (`benchmark/`, which a PR may not edit) reads it.
     pub steals: usize,
 }
 
@@ -85,108 +93,6 @@ pub struct StreamReport {
     /// Tasks answered from an earlier identical task's output without
     /// executing (equals [`BatchReport::coalesced_tasks`]).
     pub coalesced_tasks: usize,
-    /// Range-steal operations across all partitions (timing-dependent
-    /// under parallelism, like [`BatchReport::steals`]).
-    pub steals: usize,
-}
-
-/// A work-stealing task queue over indices `0..total`: the index space is
-/// pre-split into one contiguous range per worker, each packed into an
-/// `AtomicU64` as `(cursor, end)`. Owners claim single indices from their
-/// own range with a CAS; a worker whose range runs dry steals the upper
-/// half of the fattest remaining victim range. Every index is claimed
-/// exactly once under any interleaving, so results stay deterministic; the
-/// stealing only changes *which worker* executes an index.
-struct StealQueue {
-    ranges: Vec<AtomicU64>,
-    steals: AtomicUsize,
-}
-
-#[inline]
-fn pack(cursor: u32, end: u32) -> u64 {
-    (u64::from(cursor) << 32) | u64::from(end)
-}
-
-#[inline]
-fn unpack(packed: u64) -> (u32, u32) {
-    ((packed >> 32) as u32, packed as u32)
-}
-
-impl StealQueue {
-    /// Splits `total` indices evenly across `workers` ranges.
-    fn new(total: usize, workers: usize) -> StealQueue {
-        assert!(total <= u32::MAX as usize, "batch too large for the queue");
-        let total = total as u32;
-        let workers = workers.max(1) as u32;
-        let base = total / workers;
-        let extra = total % workers;
-        let mut ranges = Vec::with_capacity(workers as usize);
-        let mut start = 0u32;
-        for w in 0..workers {
-            let len = base + u32::from(w < extra);
-            ranges.push(AtomicU64::new(pack(start, start + len)));
-            start += len;
-        }
-        StealQueue {
-            ranges,
-            steals: AtomicUsize::new(0),
-        }
-    }
-
-    /// Claims the next index for worker `me`: from its own range while one
-    /// lasts, then by stealing the upper half of the fattest victim.
-    /// `None` means no work was visible anywhere — the caller can exit
-    /// (remaining indices, if any, are owned by live workers).
-    fn claim(&self, me: usize) -> Option<usize> {
-        loop {
-            // Drain the worker's own range first: sequential indices keep
-            // a worker on one contiguous slice of the batch.
-            let own = &self.ranges[me];
-            let mut packed = own.load(Ordering::Acquire);
-            loop {
-                let (cursor, end) = unpack(packed);
-                if cursor >= end {
-                    break;
-                }
-                match own.compare_exchange_weak(
-                    packed,
-                    pack(cursor + 1, end),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => return Some(cursor as usize),
-                    Err(now) => packed = now,
-                }
-            }
-            // Own range dry: pick the victim with the most remaining work.
-            let mut best: Option<(usize, u32, u32)> = None;
-            for (victim, range) in self.ranges.iter().enumerate() {
-                if victim == me {
-                    continue;
-                }
-                let (cursor, end) = unpack(range.load(Ordering::Acquire));
-                if cursor < end && best.is_none_or(|(_, c, e)| end - cursor > e - c) {
-                    best = Some((victim, cursor, end));
-                }
-            }
-            let (victim, cursor, end) = best?;
-            // Steal the upper half [mid, end); the victim keeps [cursor,
-            // mid). A failed CAS means the victim's range moved — rescan.
-            let mid = cursor + (end - cursor) / 2;
-            if self.ranges[victim]
-                .compare_exchange(
-                    pack(cursor, end),
-                    pack(cursor, mid),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                self.ranges[me].store(pack(mid, end), Ordering::Release);
-            }
-        }
-    }
 }
 
 /// A parallel batch executor for [`UniDm`] runs.
@@ -196,11 +102,10 @@ impl StealQueue {
 /// one representative per group executes and every duplicate slot receives
 /// a copy of its output — duplicate tasks cost zero model calls and zero
 /// cache lookups. The representatives then fan out across a pool of scoped
-/// worker threads sharing one model reference, scheduled by a
-/// **work-stealing queue**: each worker owns a contiguous range of the
-/// unique tasks and steals half of the fattest remaining range when its
-/// own runs dry, so a straggler range cannot serialize the tail of a
-/// batch. Results come back in task order, each carrying its own
+/// worker threads sharing one model reference and one **cursor**: a worker
+/// claims the next unique task the moment it finishes its previous one, so
+/// a straggler task cannot serialize the tail of a batch. Results come
+/// back in task order, each carrying its own
 /// [`RunOutput::usage`] metered per run — never diffed from the model's
 /// global counter — so the output is bit-for-bit identical to running the
 /// same tasks serially, whatever the interleaving.
@@ -371,8 +276,7 @@ impl<'a> BatchRunner<'a> {
         self.run_report(lake, tasks).results
     }
 
-    /// Like [`BatchRunner::run`], but also reports what the planner and
-    /// the work-stealing scheduler did.
+    /// Like [`BatchRunner::run`], but also reports what the planner did.
     pub fn run_report(&self, lake: &DataLake, tasks: &[Task]) -> BatchReport {
         // Pre-dispatch dedup: group byte-identical tasks (`Task: Eq +
         // Hash`) so each group executes exactly once. The plan depends
@@ -398,7 +302,7 @@ impl<'a> BatchRunner<'a> {
         let unique_tasks = reps.len();
         let coalesced_tasks = tasks.len() - unique_tasks;
 
-        let (rep_results, steals) = self.execute_reps(lake, tasks, &reps);
+        let rep_results = self.execute_reps(lake, tasks, &reps);
 
         let results = if coalesced_tasks == 0 {
             rep_results
@@ -412,112 +316,64 @@ impl<'a> BatchRunner<'a> {
             results,
             unique_tasks,
             coalesced_tasks,
-            steals,
+            steals: 0,
         }
     }
 
-    /// Executes the representative tasks `reps` (indices into `tasks`) on
-    /// the configured execution path — serial, pipelined-dispatcher, or
-    /// work-stealing pool — returning one result per representative in
-    /// representative order plus the steal count. Shared by the
-    /// materialized ([`BatchRunner::run_report`]) and streaming
-    /// ([`BatchRunner::run_streaming`]) drivers, which is what keeps their
-    /// answers byte-identical.
+    /// Executes the representative tasks `reps` (indices into `tasks`),
+    /// returning one result per representative in representative order.
+    /// Shared by the materialized ([`BatchRunner::run_report`]) and
+    /// streaming ([`BatchRunner::run_streaming`]) drivers, which is what
+    /// keeps their answers byte-identical.
     fn execute_reps(
         &self,
         lake: &DataLake,
         tasks: &[Task],
         reps: &[usize],
-    ) -> (Vec<Result<RunOutput, UniDmError>>, usize) {
-        let workers = self.workers.min(reps.len());
-        if workers <= 1 {
-            // Serial runs register too when pipelined: a lone long-lived
-            // registration is equivalent to transient registration, and it
-            // keeps the two modes symmetrical.
-            let _registration = self.pipeline.map(|dispatcher| dispatcher.register());
+    ) -> Vec<Result<RunOutput, UniDmError>> {
+        let slots: Vec<OnceLock<Result<RunOutput, UniDmError>>> =
+            reps.iter().map(|_| OnceLock::new()).collect();
+        let cursor = AtomicUsize::new(0);
+        // A shared cursor hands each worker the next unique task as soon
+        // as it finishes the previous one, so a freshly ready task flows
+        // into an open in-flight slot while stragglers are still pending.
+        // In pipelined mode a worker holds its dispatcher registration for
+        // the whole batch, so the reactor only advances virtual time when
+        // every worker is parked inside it (quiescence).
+        let worker = || {
+            let _registration = self.pipeline.map(Dispatcher::register);
             let unidm = UniDm::new(self.llm, self.config);
-            (
-                reps.iter()
-                    .map(|&index| unidm.run(lake, &tasks[index]))
-                    .collect::<Vec<_>>(),
-                0,
-            )
-        } else if let Some(dispatcher) = self.pipeline {
-            // Pipelined mode: no range ownership, no stealing — a single
-            // shared cursor hands each worker the next unique task as soon
-            // as it finishes the previous one, so a freshly ready task
-            // flows into an open in-flight slot while stragglers are still
-            // pending. Workers hold dispatcher registrations for the whole
-            // batch, so the reactor only advances virtual time when every
-            // worker is parked inside it (quiescence).
-            let slots: Vec<OnceLock<Result<RunOutput, UniDmError>>> =
-                reps.iter().map(|_| OnceLock::new()).collect();
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
+            loop {
+                let position = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&index) = reps.get(position) else {
+                    break;
+                };
+                let result = unidm.run(lake, &tasks[index]);
+                slots[position]
+                    .set(result)
+                    .expect("slot claimed exactly once");
+            }
+        };
+        match self.workers.min(reps.len()) {
+            0 | 1 => worker(),
+            workers => std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    let cursor = &cursor;
-                    let slots = &slots;
-                    let reps = &reps;
-                    scope.spawn(move || {
-                        let _registration = dispatcher.register();
-                        let unidm = UniDm::new(self.llm, self.config);
-                        loop {
-                            let position = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&index) = reps.get(position) else {
-                                break;
-                            };
-                            let result = unidm.run(lake, &tasks[index]);
-                            slots[position]
-                                .set(result)
-                                .expect("slot claimed exactly once");
-                        }
-                    });
+                    scope.spawn(worker);
                 }
-            });
-            (
-                slots
-                    .into_iter()
-                    .map(|slot| slot.into_inner().expect("every slot filled"))
-                    .collect(),
-                0,
-            )
-        } else {
-            let slots: Vec<OnceLock<Result<RunOutput, UniDmError>>> =
-                reps.iter().map(|_| OnceLock::new()).collect();
-            let queue = StealQueue::new(reps.len(), workers);
-            std::thread::scope(|scope| {
-                for me in 0..workers {
-                    let queue = &queue;
-                    let slots = &slots;
-                    let reps = &reps;
-                    scope.spawn(move || {
-                        let unidm = UniDm::new(self.llm, self.config);
-                        while let Some(position) = queue.claim(me) {
-                            let result = unidm.run(lake, &tasks[reps[position]]);
-                            slots[position]
-                                .set(result)
-                                .expect("slot claimed exactly once");
-                        }
-                    });
-                }
-            });
-            (
-                slots
-                    .into_iter()
-                    .map(|slot| slot.into_inner().expect("every slot filled"))
-                    .collect(),
-                queue.steals.load(Ordering::Relaxed),
-            )
+            }),
         }
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every slot filled"))
+            .collect()
     }
 
     /// Runs a task **stream** partition-by-partition under bounded memory
     /// instead of materializing the full task vector: at most
     /// [`BatchRunner::partition_tasks`] tasks are resident at a time, each
     /// window is planned and dispatched on the same execution path as
-    /// [`BatchRunner::run_report`] (serial, pipelined dispatcher, or
-    /// work-stealing pool), and every result is handed to `sink` with its
-    /// global task index, in task order, as soon as its partition
+    /// [`BatchRunner::run_report`], and every result is handed to `sink`
+    /// with its global task index, in task order, as soon as its partition
     /// completes.
     ///
     /// With the dedup planner enabled, duplicates are coalesced across
@@ -546,7 +402,6 @@ impl<'a> BatchRunner<'a> {
         let mut next_index = 0usize;
         let mut partitions = 0usize;
         let mut unique_tasks = 0usize;
-        let mut steals = 0usize;
         loop {
             buffer.clear();
             while buffer.len() < self.partition_tasks {
@@ -560,38 +415,44 @@ impl<'a> BatchRunner<'a> {
             }
             partitions += 1;
 
+            if !self.dedup {
+                // Every task runs and nothing else reads its output: each
+                // goes to the sink by value, never copied.
+                let reps: Vec<usize> = (0..buffer.len()).collect();
+                unique_tasks += reps.len();
+                for result in self.execute_reps(lake, &buffer, &reps) {
+                    sink(next_index, result);
+                    next_index += 1;
+                }
+                continue;
+            }
+
             // Per-partition plan: same first-occurrence-is-representative
             // rule as the materialized planner, with the memo extending it
             // across partition boundaries.
             let mut plan: Vec<Plan> = Vec::with_capacity(buffer.len());
             let mut reps: Vec<usize> = Vec::new();
-            if self.dedup {
-                let mut local: HashMap<&Task, usize> = HashMap::new();
-                for (i, task) in buffer.iter().enumerate() {
-                    if let Some(cached) = memo.get(task) {
-                        plan.push(Plan::Memo(cached.clone()));
-                    } else if let Some(&position) = local.get(task) {
-                        plan.push(Plan::Rep(position));
-                    } else {
-                        local.insert(task, reps.len());
-                        plan.push(Plan::Rep(reps.len()));
-                        reps.push(i);
-                    }
+            let mut local: HashMap<&Task, usize> = HashMap::new();
+            for (i, task) in buffer.iter().enumerate() {
+                if let Some(cached) = memo.get(task) {
+                    plan.push(Plan::Memo(cached.clone()));
+                } else if let Some(&position) = local.get(task) {
+                    plan.push(Plan::Rep(position));
+                } else {
+                    local.insert(task, reps.len());
+                    plan.push(Plan::Rep(reps.len()));
+                    reps.push(i);
                 }
-            } else {
-                reps = (0..buffer.len()).collect();
-                plan = (0..buffer.len()).map(Plan::Rep).collect();
             }
             unique_tasks += reps.len();
 
-            let (rep_results, partition_steals) = self.execute_reps(lake, &buffer, &reps);
-            steals += partition_steals;
-            let rep_results: Vec<Arc<Result<RunOutput, UniDmError>>> =
-                rep_results.into_iter().map(Arc::new).collect();
-            if self.dedup {
-                for (position, &i) in reps.iter().enumerate() {
-                    memo.insert(buffer[i].clone(), rep_results[position].clone());
-                }
+            let rep_results: Vec<Arc<Result<RunOutput, UniDmError>>> = self
+                .execute_reps(lake, &buffer, &reps)
+                .into_iter()
+                .map(Arc::new)
+                .collect();
+            for (position, &i) in reps.iter().enumerate() {
+                memo.insert(buffer[i].clone(), rep_results[position].clone());
             }
 
             for slot in plan {
@@ -608,7 +469,6 @@ impl<'a> BatchRunner<'a> {
             partitions,
             unique_tasks,
             coalesced_tasks: next_index - unique_tasks,
-            steals,
         }
     }
 
@@ -785,7 +645,6 @@ mod tests {
             answers, reference,
             "pipelined continuous admission must not change answers"
         );
-        assert_eq!(report.steals, 0, "pipelined mode does not range-steal");
 
         // Exact accounting through the stack: every cache miss became one
         // dispatcher call, and every call either launched a fresh request
@@ -807,28 +666,41 @@ mod tests {
     }
 
     #[test]
-    fn steal_queue_claims_every_index_exactly_once() {
-        for (total, workers) in [(0usize, 3usize), (1, 4), (7, 2), (64, 8), (100, 3)] {
-            let queue = StealQueue::new(total, workers);
-            let claimed: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
-            std::thread::scope(|scope| {
-                for me in 0..workers {
-                    let queue = &queue;
-                    let claimed = &claimed;
-                    scope.spawn(move || {
-                        while let Some(index) = queue.claim(me) {
-                            claimed[index].fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-            });
-            for (index, count) in claimed.iter().enumerate() {
-                assert_eq!(
-                    count.load(Ordering::Relaxed),
-                    1,
-                    "index {index} of {total} over {workers} workers"
-                );
-            }
+    fn every_worker_count_and_mode_matches_the_serial_run() {
+        let (world, llm) = setup();
+        let ds = imputation::restaurant(&world, 3, 6);
+        let lake: DataLake = [ds.table.clone()].into_iter().collect();
+        let tasks = imputation_tasks(&ds, 6);
+        let config = PipelineConfig::paper_default();
+        let serial = BatchRunner::new(&llm, config)
+            .with_workers(1)
+            .run(&lake, &tasks);
+        assert_eq!(serial.len(), tasks.len());
+
+        // 1, 2 and 8 workers, and more workers than there are tasks.
+        for workers in [1, 2, 8, tasks.len() + 3] {
+            let pool = BatchRunner::new(&llm, config).with_workers(workers);
+            assert_eq!(pool.run(&lake, &tasks), serial, "pool, {workers} workers");
+            assert!(pool.run(&lake, &[]).is_empty(), "zero tasks, {workers}");
+
+            let backend = crate::BackendConfig::resilient(7)
+                .without_breaker()
+                .with_pipelined();
+            let dispatcher = Dispatcher::new(&llm, backend);
+            let pipelined = BatchRunner::new(&dispatcher, config)
+                .with_workers(workers)
+                .with_pipeline(&dispatcher);
+            assert_eq!(
+                pipelined.run(&lake, &tasks),
+                serial,
+                "pipelined, {workers} workers"
+            );
+            assert!(
+                pipelined.run(&lake, &[]).is_empty(),
+                "zero tasks, {workers}"
+            );
+            let stats = dispatcher.stats();
+            assert!(stats.calls > 0 && stats.failures == 0, "{stats:?}");
         }
     }
 

@@ -37,14 +37,14 @@
 //!   the cache under a batch deduplicates those calls; [`CacheStats`]
 //!   reports hits, misses, evictions and tokens saved — per shard and in
 //!   aggregate.
-//! * [`canon`] canonicalizes prompts into cache keys ([`PromptKey`]):
-//!   whitespace normalization, a table-level-stem / per-row-suffix split,
-//!   and (at [`CanonLevel::TableStem`]) generalization of per-row
-//!   retrieval queries, which lifts imputation-workload hit rates from ~2%
-//!   to ≥20%; [`CanonLevel::Semantic`] additionally folds `p_dp` record
-//!   blocks that differ only in row order and reorderings of `p_ri`
-//!   instance lists. The cache is sharded across independently locked
-//!   maps keyed by [`PromptKey::hash64`].
+//! * [`canon`] canonicalizes prompts into cache keys
+//!   ([`CanonicalPrompt`]): whitespace normalization and (at
+//!   [`CanonLevel::TableStem`]) generalization of per-row retrieval
+//!   queries, which lifts imputation-workload hit rates from ~2% to ≥20%;
+//!   [`CanonLevel::Semantic`] additionally folds `p_dp` record blocks that
+//!   differ only in row order and reorderings of `p_ri` instance lists.
+//!   The cache is sharded across independently locked maps keyed by
+//!   [`CanonicalPrompt::hash64`].
 //! * [`store`] is the disk tier beneath the in-memory shards: a
 //!   versioned, checksummed, append-only `UDMCACHE1` segment
 //!   ([`CacheStore`]) with TinyLFU admission control (so a table scan
@@ -139,7 +139,7 @@ pub use backend::{
     ResilientBackend, RetryPolicy,
 };
 pub use cache::{CacheStats, PromptCache};
-pub use canon::{CanonLevel, CanonicalPrompt, PromptKey, ReplayFold};
+pub use canon::{CanonLevel, CanonicalPrompt, ReplayFold};
 pub use config::PipelineConfig;
 pub use dispatch::{DispatchRegistration, Dispatcher, HedgePolicy};
 pub use error::UniDmError;

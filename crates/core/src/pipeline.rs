@@ -1,4 +1,14 @@
-//! The UniDM pipeline: Algorithm 1 of the paper.
+//! The UniDM pipeline: Algorithm 1 of the paper, written once.
+//!
+//! [`UniDm::run`] is the whole procedure for all seven task kinds. A task
+//! is first lowered (`task.rs`) to the unified form of paper §3 — the kind
+//! `T`, the claim query `Q`, and the source step 1 reads its candidates
+//! from — and then goes through the same steps whatever its kind:
+//! meta-wise retrieval, instance-wise retrieval, context parsing, claim,
+//! target prompt, answer. A step is skipped when the *source* has nothing
+//! for it (a labelled pool has no attributes to pick among; text the task
+//! brought needs neither retrieval nor parsing), never because of the
+//! kind, so this file does not match on [`Task`].
 //!
 //! A [`UniDm`] holds a `&dyn LanguageModel`, so the whole pipeline composes
 //! with the execution substrates in [`crate::exec`]: hand it a
@@ -12,19 +22,13 @@
 //! serialized of a table (or of an entity-resolution pool) for one task it
 //! reuses for the next, without ever changing a prompt.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
-use unidm_llm::protocol::{
-    claim_query_er, claim_query_imputation, naturalize_record, Claim, SerializedRecord,
-};
+use unidm_llm::protocol::{Claim, SerializedRecord};
 use unidm_llm::{LanguageModel, Usage, UsageMeter};
-use unidm_tablestore::{DataLake, Table};
+use unidm_tablestore::DataLake;
 
-use crate::frame::{FrameRow, Frames, LabelledPair};
-use crate::retrieval::{instance_wise_in, meta_wise, score_candidates, Context};
-use crate::task::Task;
+use crate::frame::Frames;
+use crate::retrieval::{instance_wise_in, meta_wise, score_candidates};
+use crate::task::{demonstrations, versus, Source, Task, Unified};
 use crate::{parsing, prompting, PipelineConfig, UniDmError};
 
 /// What the pipeline did on one run — retrieved attributes and records, the
@@ -86,8 +90,9 @@ impl<'a> UniDm<'a> {
     }
 
     /// The record frame's footprint for the table named `table`: the
-    /// [`Table::version`] its rows were serialized at and how many rows
-    /// each projection holds. `None` until a run has sampled the table.
+    /// [`unidm_tablestore::Table::version`] its rows were serialized at
+    /// and how many rows each projection holds. `None` until a run has
+    /// sampled the table.
     pub fn frame_rows(&self, table: &str) -> Option<(u64, Vec<usize>)> {
         self.frames.footprint(table)
     }
@@ -106,349 +111,93 @@ impl<'a> UniDm<'a> {
     /// and propagates LLM/table errors.
     pub fn run(&self, lake: &DataLake, task: &Task) -> Result<RunOutput, UniDmError> {
         let meter = UsageMeter::new(self.llm);
-        let (answer, trace) = self.dispatch(&meter, lake, task)?;
+        let llm: &dyn LanguageModel = &meter;
+        let config = &self.config;
+        let Unified {
+            kind,
+            query,
+            source,
+        } = task.lower(lake, config.seed)?;
+
+        // Step 1 — context retrieval, over whatever the source offers to
+        // choose among.
+        let (selected_attrs, records, brought) = match source {
+            Source::Table {
+                table,
+                meta_query,
+                exclude_row,
+                roles,
+            } => {
+                let meta_query = meta_query.as_deref().unwrap_or(&query);
+                let target = roles.map_or("", |(target, _)| target);
+                let attrs = meta_wise(llm, config, kind, meta_query, table, target)?;
+                // A task that names no target and key (table QA) takes the
+                // last and the first pick.
+                let picks = attrs.last().zip(attrs.first());
+                let (target, key) = roles
+                    .or(picks.map(|(last, first)| (last.as_str(), first.as_str())))
+                    .ok_or_else(|| {
+                        UniDmError::InvalidTask("no attributes selected for table QA".into())
+                    })?;
+                let context = instance_wise_in(
+                    &self.frames,
+                    llm,
+                    config,
+                    kind,
+                    &query,
+                    table,
+                    exclude_row,
+                    &attrs,
+                    target,
+                    key,
+                )?;
+                (attrs, context.records, None)
+            }
+            Source::Pool { pool, pair } => {
+                let demos = self
+                    .frames
+                    .demos(pool, || demonstrations(pool, config.seed));
+                let records = if demos.is_empty() {
+                    Vec::new()
+                } else if config.instance_retrieval {
+                    // Entity pairs are long: scoring respects the context
+                    // window.
+                    let sampled = &demos[..config.sample_size.min(demos.len())];
+                    score_candidates(llm, config, kind, &versus(&pair.0, &pair.1), sampled)?
+                } else {
+                    let kept = demos.iter().take(config.top_k);
+                    kept.map(|demo| demo.record.clone()).collect()
+                };
+                (Vec::new(), records, None)
+            }
+            Source::Records(records) => (Vec::new(), records, None),
+            Source::Text(text) => (Vec::new(), Vec::new(), Some(text)),
+        };
+
+        // Step 2 — context parsing; text the task brought is its own `C'`.
+        let context = match brought {
+            Some(text) => text,
+            None => parsing::parse_context(llm, config, &records)?,
+        };
+
+        // Step 3 — the claim `(T, C', Q)`, its target prompt, the answer.
+        let claim = Claim {
+            task: kind,
+            context,
+            query,
+        };
+        let target_prompt = prompting::build_target_prompt(llm, config, &claim)?;
+        let answer = prompting::answer(llm, &target_prompt)?;
         Ok(RunOutput {
             answer,
             usage: meter.used(),
-            trace,
-        })
-    }
-
-    fn dispatch(
-        &self,
-        llm: &dyn LanguageModel,
-        lake: &DataLake,
-        task: &Task,
-    ) -> Result<(String, Trace), UniDmError> {
-        match task {
-            Task::Imputation {
-                table,
-                row,
-                attr,
-                key_attr,
-            } => self.run_imputation(llm, lake, table, *row, attr, key_attr),
-            Task::Transformation { examples, input } => {
-                self.run_transformation(llm, examples, input)
-            }
-            Task::ErrorDetection { table, row, attr } => {
-                self.run_error_detection(llm, lake, table, *row, attr)
-            }
-            Task::EntityResolution { a, b, pool } => self.run_er(llm, a, b, pool),
-            Task::TableQa { table, question } => self.run_tableqa(llm, lake, table, question),
-            Task::JoinDiscovery {
-                left_name,
-                left_values,
-                right_name,
-                right_values,
-            } => self.run_join(llm, left_name, left_values, right_name, right_values),
-            Task::Extraction { document, attr } => self.run_extraction(llm, document, attr),
-        }
-    }
-
-    fn finish(
-        &self,
-        llm: &dyn LanguageModel,
-        claim: Claim,
-        selected_attrs: Vec<String>,
-        context: &Context,
-    ) -> Result<(String, Trace), UniDmError> {
-        let target_prompt = prompting::build_target_prompt(llm, &self.config, &claim)?;
-        let answer = prompting::answer(llm, &target_prompt)?;
-        Ok((
-            answer,
-            Trace {
+            trace: Trace {
                 selected_attrs,
-                context_records: context
-                    .records
-                    .iter()
-                    .map(SerializedRecord::render)
-                    .collect(),
+                context_records: records.iter().map(SerializedRecord::render).collect(),
                 context_text: claim.context,
                 target_prompt,
             },
-        ))
-    }
-
-    fn target_record(
-        table: &Table,
-        row: usize,
-        attr: &str,
-    ) -> Result<SerializedRecord, UniDmError> {
-        let rec = table.row_at(row)?;
-        let mut pairs = Vec::new();
-        for (i, name) in table.schema().names().enumerate() {
-            let v = rec.get(i).map(|v| v.to_string()).unwrap_or_default();
-            if name.eq_ignore_ascii_case(attr) || v.is_empty() {
-                continue;
-            }
-            pairs.push((name.to_string(), v));
-        }
-        Ok(SerializedRecord::new(pairs))
-    }
-
-    fn run_imputation(
-        &self,
-        llm: &dyn LanguageModel,
-        lake: &DataLake,
-        table: &str,
-        row: usize,
-        attr: &str,
-        key_attr: &str,
-    ) -> Result<(String, Trace), UniDmError> {
-        let table = lake.require(table)?;
-        table.schema().require(attr)?;
-        let record = Self::target_record(table, row, attr)?;
-        let key = record.get(key_attr).unwrap_or_default().to_string();
-        let meta_query = format!("{key}, {attr}");
-        let attrs = meta_wise(
-            llm,
-            &self.config,
-            unidm_llm::protocol::TaskKind::Imputation,
-            &meta_query,
-            table,
-            attr,
-        )?;
-        let instance_query = claim_query_imputation(&record, attr);
-        let context = instance_wise_in(
-            &self.frames,
-            llm,
-            &self.config,
-            unidm_llm::protocol::TaskKind::Imputation,
-            &instance_query,
-            table,
-            Some(row),
-            &attrs,
-            attr,
-            key_attr,
-        )?;
-        let context_text = parsing::parse_context(llm, &self.config, &context.records)?;
-        let claim = Claim {
-            task: unidm_llm::protocol::TaskKind::Imputation,
-            context: context_text,
-            query: instance_query,
-        };
-        self.finish(llm, claim, attrs, &context)
-    }
-
-    fn run_transformation(
-        &self,
-        llm: &dyn LanguageModel,
-        examples: &[(String, String)],
-        input: &str,
-    ) -> Result<(String, Trace), UniDmError> {
-        let records: Vec<SerializedRecord> = examples
-            .iter()
-            .map(|(i, o)| {
-                SerializedRecord::new(vec![
-                    ("before".to_string(), i.clone()),
-                    ("after".to_string(), o.clone()),
-                ])
-            })
-            .collect();
-        let context = Context {
-            attrs: Vec::new(),
-            records,
-        };
-        let context_text = parsing::parse_context(llm, &self.config, &context.records)?;
-        let claim = Claim {
-            task: unidm_llm::protocol::TaskKind::Transformation,
-            context: context_text,
-            query: format!("{input}: ?"),
-        };
-        self.finish(llm, claim, Vec::new(), &context)
-    }
-
-    fn run_error_detection(
-        &self,
-        llm: &dyn LanguageModel,
-        lake: &DataLake,
-        table: &str,
-        row: usize,
-        attr: &str,
-    ) -> Result<(String, Trace), UniDmError> {
-        let table = lake.require(table)?;
-        let value = table.cell_value(row, attr)?.to_string();
-        let query = format!("{attr}: {value}?");
-        let attrs = meta_wise(
-            llm,
-            &self.config,
-            unidm_llm::protocol::TaskKind::ErrorDetection,
-            &query,
-            table,
-            attr,
-        )?;
-        let key_attr = table.schema().names().next().unwrap_or(attr).to_string();
-        let context = instance_wise_in(
-            &self.frames,
-            llm,
-            &self.config,
-            unidm_llm::protocol::TaskKind::ErrorDetection,
-            &query,
-            table,
-            Some(row),
-            &attrs,
-            attr,
-            &key_attr,
-        )?;
-        let context_text = parsing::parse_context(llm, &self.config, &context.records)?;
-        let claim = Claim {
-            task: unidm_llm::protocol::TaskKind::ErrorDetection,
-            context: context_text,
-            query,
-        };
-        self.finish(llm, claim, attrs, &context)
-    }
-
-    fn run_er(
-        &self,
-        llm: &dyn LanguageModel,
-        a: &SerializedRecord,
-        b: &SerializedRecord,
-        pool: &[LabelledPair],
-    ) -> Result<(String, Trace), UniDmError> {
-        let nat = |r: &SerializedRecord| {
-            let mut text = naturalize_record(r);
-            text.truncate(text.trim_end_matches('.').len());
-            text
-        };
-        let (a, b) = (nat(a), nat(b));
-        // Demonstration retrieval: the labelled pool plays the role of the
-        // data lake; pick the pairs most relevant to the query pair. The
-        // candidates and their seeded order depend on the pool alone.
-        let demos = self.frames.demos(pool, || {
-            let mut demos: Vec<FrameRow> = pool
-                .iter()
-                .map(|(da, db, label)| {
-                    let label = if *label { "the same" } else { "different" };
-                    FrameRow::new(SerializedRecord::new(vec![
-                        (
-                            "entities".to_string(),
-                            format!("{} versus {}", nat(da), nat(db)),
-                        ),
-                        ("label".to_string(), label.to_string()),
-                    ]))
-                })
-                .collect();
-            demos.shuffle(&mut StdRng::seed_from_u64(self.config.seed ^ 0xE12));
-            demos
-        });
-        let records = if demos.is_empty() {
-            Vec::new()
-        } else if self.config.instance_retrieval {
-            // Entity pairs are long: scoring respects the context window.
-            score_candidates(
-                llm,
-                &self.config,
-                unidm_llm::protocol::TaskKind::EntityResolution,
-                &format!("{a} versus {b}"),
-                &demos[..self.config.sample_size.min(demos.len())],
-            )?
-        } else {
-            let kept = demos.iter().take(self.config.top_k);
-            kept.map(|demo| demo.record.clone()).collect()
-        };
-        let context = Context {
-            attrs: Vec::new(),
-            records,
-        };
-        let context_text = parsing::parse_context(llm, &self.config, &context.records)?;
-        let claim = Claim {
-            task: unidm_llm::protocol::TaskKind::EntityResolution,
-            context: context_text,
-            query: claim_query_er(&a, &b),
-        };
-        self.finish(llm, claim, Vec::new(), &context)
-    }
-
-    fn run_tableqa(
-        &self,
-        llm: &dyn LanguageModel,
-        lake: &DataLake,
-        table: &str,
-        question: &str,
-    ) -> Result<(String, Trace), UniDmError> {
-        let table = lake.require(table)?;
-        let attrs = meta_wise(
-            llm,
-            &self.config,
-            unidm_llm::protocol::TaskKind::TableQa,
-            question,
-            table,
-            "",
-        )?;
-        let (key, target) = match attrs.as_slice() {
-            [] => {
-                return Err(UniDmError::InvalidTask(
-                    "no attributes selected for table QA".into(),
-                ))
-            }
-            [only] => (only.clone(), only.clone()),
-            [first, .., last] => (first.clone(), last.clone()),
-        };
-        let context = instance_wise_in(
-            &self.frames,
-            llm,
-            &self.config,
-            unidm_llm::protocol::TaskKind::TableQa,
-            question,
-            table,
-            None,
-            &attrs,
-            &target,
-            &key,
-        )?;
-        let context_text = parsing::parse_context(llm, &self.config, &context.records)?;
-        let claim = Claim {
-            task: unidm_llm::protocol::TaskKind::TableQa,
-            context: context_text,
-            query: question.to_string(),
-        };
-        self.finish(llm, claim, attrs, &context)
-    }
-
-    fn run_join(
-        &self,
-        llm: &dyn LanguageModel,
-        left_name: &str,
-        left_values: &[String],
-        right_name: &str,
-        right_values: &[String],
-    ) -> Result<(String, Trace), UniDmError> {
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x7014);
-        let sample = |vals: &[String], rng: &mut StdRng| -> Vec<String> {
-            let mut v: Vec<String> = vals.to_vec();
-            v.shuffle(rng);
-            v.truncate(20);
-            v
-        };
-        let left_sample = sample(left_values, &mut rng);
-        let right_sample = sample(right_values, &mut rng);
-        let context_text = format!(
-            "Column \"{left_name}\" contains {}.\nColumn \"{right_name}\" contains {}.",
-            left_sample.join("; "),
-            right_sample.join("; "),
-        );
-        let claim = Claim {
-            task: unidm_llm::protocol::TaskKind::JoinDiscovery,
-            context: context_text,
-            query: format!("{left_name} VERSUS {right_name}"),
-        };
-        self.finish(llm, claim, Vec::new(), &Context::default())
-    }
-
-    fn run_extraction(
-        &self,
-        llm: &dyn LanguageModel,
-        document: &str,
-        attr: &str,
-    ) -> Result<(String, Trace), UniDmError> {
-        let text = crate::html::strip_tags(document);
-        let claim = Claim {
-            task: unidm_llm::protocol::TaskKind::Extraction,
-            context: text,
-            query: attr.to_string(),
-        };
-        self.finish(llm, claim, Vec::new(), &Context::default())
+        })
     }
 }
 

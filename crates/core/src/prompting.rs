@@ -6,10 +6,10 @@
 //! back to the LLM for the final answer.
 //!
 //! Caching note: the `p_cq` prompt is dominated by a fixed demonstration
-//! block (paper appendix A), which [`crate::canon`] places in the
-//! reusable stem of the cache key; only the final claim is the per-row
-//! suffix. Two runs whose context and query coincide therefore share one
-//! cloze-construction entry under a canonicalizing [`crate::PromptCache`].
+//! block (paper appendix A); only the final claim varies, and
+//! [`crate::canon`] never rewrites it. Two runs share one
+//! cloze-construction entry under a [`crate::PromptCache`] exactly when
+//! their context and query coincide.
 
 use unidm_llm::protocol::{render_pcq, render_simple, Claim};
 use unidm_llm::LanguageModel;

@@ -1,6 +1,22 @@
-//! Task specifications: the `(R, S, T)` triples of the unified framework.
+//! Task specifications: the `(R, S, T)` triples of the unified framework,
+//! and their lowering to the one form Algorithm 1 runs on.
+//!
+//! Everything that differs between the seven task kinds is decided here,
+//! in [`Task::lower`]: which query each prompt carries and where step 1
+//! finds its candidates ([`Source`]). [`crate::UniDm::run`] sees only the
+//! lowered [`Unified`] value and never matches on a `Task`.
 
-use unidm_llm::protocol::{SerializedRecord, TaskKind};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+
+use unidm_llm::protocol::{
+    claim_query_er, claim_query_imputation, naturalize_record, SerializedRecord, TaskKind,
+};
+use unidm_tablestore::{DataLake, Table};
+
+use crate::frame::{FrameRow, LabelledPair};
+use crate::UniDmError;
 
 /// A data-manipulation task in the unified form of paper §3: a task kind
 /// plus the records `R` and attributes `S` it touches.
@@ -111,36 +127,249 @@ impl Task {
         }
     }
 
-    /// Whether this task uses the context-retrieval step at all (the paper
-    /// skips it for transformation, which brings its own examples, and for
-    /// extraction, whose instance is user-provided).
-    pub fn uses_retrieval(&self) -> bool {
-        !matches!(self, Task::Transformation { .. } | Task::Extraction { .. })
+    /// Lowers the task to the unified form `Y = F_T(R, S, D)` of paper §3,
+    /// borrowing from the task and from `lake`. `seed` seeds the sampling
+    /// a task does of what it brought (join discovery's column values).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`UniDmError::Table`] of a table, attribute or row the
+    /// lake does not have, before any prompt is sent.
+    pub(crate) fn lower<'t>(
+        &'t self,
+        lake: &'t DataLake,
+        seed: u64,
+    ) -> Result<Unified<'t>, UniDmError> {
+        let (query, source) = match self {
+            Task::Imputation {
+                table,
+                row,
+                attr,
+                key_attr,
+            } => {
+                let table = lake.require(table)?;
+                // The attribute is checked before the row is read: a task
+                // wrong in both reports the attribute.
+                table.schema().require(attr)?;
+                let record = target_record(table, *row, attr)?;
+                let key = record.get(key_attr).unwrap_or_default();
+                let source = Source::Table {
+                    table,
+                    meta_query: Some(format!("{key}, {attr}")),
+                    exclude_row: Some(*row),
+                    roles: Some((attr, key_attr)),
+                };
+                (claim_query_imputation(&record, attr), source)
+            }
+            Task::Transformation { examples, input } => {
+                let pair = |(before, after): &(String, String)| {
+                    SerializedRecord::new(vec![
+                        ("before".to_string(), before.clone()),
+                        ("after".to_string(), after.clone()),
+                    ])
+                };
+                let records = examples.iter().map(pair).collect();
+                (format!("{input}: ?"), Source::Records(records))
+            }
+            Task::ErrorDetection { table, row, attr } => {
+                let table = lake.require(table)?;
+                let value = table.cell_value(*row, attr)?;
+                // The table's first column names the subject of a row.
+                let key = table.schema().names().next().unwrap_or(attr);
+                let source = Source::Table {
+                    table,
+                    meta_query: None,
+                    exclude_row: Some(*row),
+                    roles: Some((attr, key)),
+                };
+                (format!("{attr}: {value}?"), source)
+            }
+            Task::EntityResolution { a, b, pool } => {
+                let pair = (naturalized(a), naturalized(b));
+                let query = claim_query_er(&pair.0, &pair.1);
+                (query, Source::Pool { pool, pair })
+            }
+            Task::TableQa { table, question } => {
+                let source = Source::Table {
+                    table: lake.require(table)?,
+                    meta_query: None,
+                    exclude_row: None,
+                    roles: None,
+                };
+                (question.clone(), source)
+            }
+            Task::JoinDiscovery {
+                left_name,
+                left_values,
+                right_name,
+                right_values,
+            } => {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x7014);
+                let mut sample = |values: &[String]| {
+                    let mut values = values.to_vec();
+                    values.shuffle(&mut rng);
+                    values.truncate(20);
+                    values.join("; ")
+                };
+                let (left, right) = (sample(left_values), sample(right_values));
+                let text = format!(
+                    "Column \"{left_name}\" contains {left}.\nColumn \"{right_name}\" contains \
+                     {right}."
+                );
+                let query = format!("{left_name} VERSUS {right_name}");
+                (query, Source::Text(text))
+            }
+            Task::Extraction { document, attr } => {
+                let text = crate::html::strip_tags(document);
+                (attr.clone(), Source::Text(text))
+            }
+        };
+        Ok(Unified {
+            kind: self.kind(),
+            query,
+            source,
+        })
     }
+}
+
+/// A task in the unified form Algorithm 1 runs on: the kind `T`, the
+/// claim query `Q`, and where step 1 reads its candidates.
+pub(crate) struct Unified<'t> {
+    pub(crate) kind: TaskKind,
+    /// The claim query `Q`. Instance-wise retrieval over a table scores
+    /// its rows against it too.
+    pub(crate) query: String,
+    pub(crate) source: Source<'t>,
+}
+
+/// Where step 1 of Algorithm 1 reads its candidates — and so which of
+/// steps 1 and 2 have anything to do.
+pub(crate) enum Source<'t> {
+    /// A lake table: meta-wise retrieval picks among its attributes,
+    /// instance-wise retrieval among its rows.
+    Table {
+        table: &'t Table,
+        /// What `p_rm` asks about when that is not `Q` (imputation asks
+        /// by row key, its claim by the whole record).
+        meta_query: Option<String>,
+        /// The row under repair, never its own context.
+        exclude_row: Option<usize>,
+        /// The `(target, key)` attributes the context is projected on,
+        /// the target left out of the meta-wise candidates. `None` when
+        /// the task names neither (table QA): the last and the first
+        /// meta-wise pick then play the roles.
+        roles: Option<(&'t str, &'t str)>,
+    },
+    /// A labelled pool of entity pairs: the demonstrations most relevant
+    /// to the naturalized `pair` under judgement are the context.
+    Pool {
+        pool: &'t [LabelledPair],
+        pair: (String, String),
+    },
+    /// Records the task brought (transformation's examples): nothing to
+    /// retrieve, only to parse.
+    Records(Vec<SerializedRecord>),
+    /// Context text the task brought (join discovery's column samples,
+    /// extraction's document): nothing to retrieve or to parse.
+    Text(String),
+}
+
+/// The record of `row` as a claim states it: every non-empty cell but the
+/// attribute under imputation.
+fn target_record(table: &Table, row: usize, attr: &str) -> Result<SerializedRecord, UniDmError> {
+    let rec = table.row_at(row)?;
+    let mut pairs = Vec::new();
+    for (i, name) in table.schema().names().enumerate() {
+        let v = rec.get(i).map(|v| v.to_string()).unwrap_or_default();
+        if name.eq_ignore_ascii_case(attr) || v.is_empty() {
+            continue;
+        }
+        pairs.push((name.to_string(), v));
+    }
+    Ok(SerializedRecord::new(pairs))
+}
+
+/// An entity as a sentence fragment: naturalized, without the full stop.
+fn naturalized(record: &SerializedRecord) -> String {
+    let mut text = naturalize_record(record);
+    text.truncate(text.trim_end_matches('.').len());
+    text
+}
+
+/// How an entity pair reads, in a demonstration and in the `p_ri` query
+/// the demonstrations are scored against.
+pub(crate) fn versus(a: &str, b: &str) -> String {
+    format!("{a} versus {b}")
+}
+
+/// The candidates of a labelled pool, in scoring order: one labelled
+/// `versus` record per pair, shuffled by `seed`. They depend on the pool
+/// alone, so [`crate::frame::Frames::demos`] keeps them across tasks.
+pub(crate) fn demonstrations(pool: &[LabelledPair], seed: u64) -> Vec<FrameRow> {
+    let mut demos: Vec<FrameRow> = pool
+        .iter()
+        .map(|(a, b, same)| {
+            let label = if *same { "the same" } else { "different" };
+            FrameRow::new(SerializedRecord::new(vec![
+                (
+                    "entities".to_string(),
+                    versus(&naturalized(a), &naturalized(b)),
+                ),
+                ("label".to_string(), label.to_string()),
+            ]))
+        })
+        .collect();
+    demos.shuffle(&mut StdRng::seed_from_u64(seed ^ 0xE12));
+    demos
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Whether steps 1 and 2 have candidates to retrieve is read off the
+    /// lowered source; the prompts that follow are pinned per kind in
+    /// `tests/pipeline_goldens.rs`.
     #[test]
     fn kinds_and_retrieval_flags() {
-        let t = Task::imputation("t", 0, "city", "name");
-        assert_eq!(t.kind(), TaskKind::Imputation);
-        assert!(t.uses_retrieval());
+        let lake = DataLake::new();
+        let retrieves = |task: &Task| {
+            let source = task
+                .lower(&lake, 0)
+                .expect("nothing read from the lake")
+                .source;
+            matches!(source, Source::Table { .. } | Source::Pool { .. })
+        };
+
+        let t = Task::EntityResolution {
+            a: SerializedRecord::default(),
+            b: SerializedRecord::default(),
+            pool: Vec::new(),
+        };
+        assert_eq!(t.kind(), TaskKind::EntityResolution);
+        assert!(retrieves(&t));
 
         let t = Task::Transformation {
             examples: vec![],
             input: "x".into(),
         };
         assert_eq!(t.kind(), TaskKind::Transformation);
-        assert!(!t.uses_retrieval());
+        assert!(!retrieves(&t));
 
         let t = Task::Extraction {
             document: "<html/>".into(),
             attr: "player".into(),
         };
-        assert!(!t.uses_retrieval());
+        assert!(!retrieves(&t));
+
+        // Join discovery brings its column values: nothing is retrieved.
+        let t = Task::JoinDiscovery {
+            left_name: "l".into(),
+            left_values: vec!["1".into()],
+            right_name: "r".into(),
+            right_values: vec!["2".into()],
+        };
+        assert!(!retrieves(&t));
     }
 
     #[test]

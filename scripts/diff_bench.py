@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
-"""Diff two committed BENCH_*.json perf baselines.
+"""Diff committed BENCH_*.json perf baselines, each against the next.
 
-Usage: diff_bench.py [--allow-workload-change] OLD.json NEW.json
+Usage: diff_bench.py [--allow-workload-change] OLDEST.json ... NEWEST.json
+
+Given two files it diffs them; given more it diffs every consecutive
+pair, in the order given, and fails if any pair regresses — CI passes the
+committed baselines in PR order, so a PR adds its baseline to the gate by
+committing the file.
 
 The throughput bench emits two kinds of numbers:
 
@@ -44,14 +49,28 @@ def load(path):
 def main(argv):
     args = list(argv[1:])
     allow_workload_change = "--allow-workload-change" in args
-    args = [a for a in args if a != "--allow-workload-change"]
-    if len(args) != 2:
+    paths = [a for a in args if a != "--allow-workload-change"]
+    if len(paths) < 2:
         print(
-            "usage: diff_bench.py [--allow-workload-change] OLD.json NEW.json",
+            "usage: diff_bench.py [--allow-workload-change] "
+            "OLDEST.json ... NEWEST.json",
             file=sys.stderr,
         )
         return 2
-    old_path, new_path = args
+    regressed = [
+        f"{old_path} -> {new_path}"
+        for old_path, new_path in zip(paths, paths[1:])
+        if diff_pair(old_path, new_path, allow_workload_change) != 0
+    ]
+    if len(paths) > 2:
+        print(f"\n{len(paths) - 1} pairs diffed, {len(regressed)} regressed.")
+        for pair in regressed:
+            print(f"  REGRESSED {pair}", file=sys.stderr)
+    return 1 if regressed else 0
+
+
+def diff_pair(old_path, new_path, allow_workload_change):
+    """Diffs one baseline against the next; 0 when no counter regressed."""
     old, new = load(old_path), load(new_path)
 
     workload = ("tasks", "seed", "model")
@@ -122,11 +141,6 @@ def main(argv):
             "planner_coalesced_tasks",
             o_dup.get("planner_coalesced_tasks", 0),
             n_dup.get("planner_coalesced_tasks", 0),
-        )
-        # planner_steals is timing-dependent: informational only.
-        print(
-            f"  info      duplicate_heavy: planner_steals "
-            f"{o_dup.get('planner_steals')} -> {n_dup.get('planner_steals')}"
         )
 
     o_warm, n_warm = old.get("warm_lookups"), new.get("warm_lookups")

@@ -2,9 +2,12 @@
 //! canonicalizer as it was before the word-at-a-time hash, the pair-scan
 //! normality check, the streaming folds and the no-alloc decimal push is
 //! kept below as [`reference`], and the shipped one must agree with it
-//! byte for byte — canonical text, suffix, borrowedness, fold permutation
-//! and replayed completion — on every prompt the seven task kinds send and
-//! on seeded random and whitespace-mangled prompts, at all four levels.
+//! byte for byte — canonical text, borrowedness, fold permutation and
+//! replayed completion — on every prompt the seven task kinds send and on
+//! seeded random and whitespace-mangled prompts, at all four levels.
+//! The reference keeps every shape test of the old canonicalizer, in its
+//! order — that order decides which odd prompts fold — but no longer
+//! records the stem / suffix splice point those tests also yielded.
 
 mod common;
 
@@ -19,9 +22,9 @@ use unidm_llm::protocol::{
 use unidm_llm::{Completion, LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_world::World;
 
-/// `unidm::canon` as of the parent commit, minus the hash and the owned
-/// `PromptKey`: byte-serial normality check, folds that collect before
-/// they look, `to_string` per index.
+/// `unidm::canon` as of PR 16, minus the hash and the owned key type:
+/// byte-serial normality check, folds that collect before they look,
+/// `to_string` per index.
 mod reference {
     use std::borrow::Cow;
 
@@ -35,15 +38,7 @@ mod reference {
     /// What the old `CanonicalPrompt` held, hash aside.
     pub struct Reference<'a> {
         pub text: Cow<'a, str>,
-        pub splice: usize,
-        pub suffix_len: usize,
         pub replay: Option<ReplayFold>,
-    }
-
-    impl Reference<'_> {
-        pub fn suffix(&self) -> &str {
-            &self.text[self.splice..self.splice + self.suffix_len]
-        }
     }
 
     /// The old `ReplayFold::adapt`.
@@ -109,8 +104,6 @@ mod reference {
         if level == CanonLevel::Verbatim {
             return Reference {
                 text: Cow::Borrowed(prompt),
-                splice: 0,
-                suffix_len: prompt.len(),
                 replay: None,
             };
         }
@@ -128,8 +121,6 @@ mod reference {
             };
             return match rewritten {
                 Cow::Borrowed(_) => Reference {
-                    splice: query_start,
-                    suffix_len: query_end - query_start,
                     text: norm,
                     replay: None,
                 },
@@ -139,8 +130,6 @@ mod reference {
                     text.push_str(&general);
                     text.push_str(&norm[query_end..]);
                     Reference {
-                        splice: query_start,
-                        suffix_len: general.len(),
                         text: Cow::Owned(text),
                         replay: None,
                     }
@@ -157,11 +146,8 @@ mod reference {
                 req.query.clone()
             };
             let rendered = render_prm(req.task, &query, &req.candidates);
-            if let Some(pos) = rendered.find(QUERY_MARKER) {
-                let splice = pos + QUERY_MARKER.len();
+            if rendered.contains(QUERY_MARKER) {
                 return Reference {
-                    splice,
-                    suffix_len: query.len(),
                     text: Cow::Owned(rendered),
                     replay: None,
                 };
@@ -171,40 +157,27 @@ mod reference {
         // instances are per-row. At Semantic, reorderings of one instance
         // list fold: lines sort and renumber to one canonical list (a
         // no-op — hence borrowed — when the list is already sorted).
-        if norm.contains("Score the relevance") {
-            if let Some(pos) = norm.find("The target query is") {
-                if level.folds_lists() {
-                    if let Some((folded, perm)) = fold_pri_instances(&norm) {
-                        let suffix_len = folded.len() - pos;
-                        return Reference {
-                            splice: pos,
-                            suffix_len,
-                            text: Cow::Owned(folded),
-                            replay: Some(ReplayFold::PriScores(perm)),
-                        };
-                    }
+        if norm.contains("Score the relevance") && norm.contains("The target query is") {
+            if level.folds_lists() {
+                if let Some((folded, perm)) = fold_pri_instances(&norm) {
+                    return Reference {
+                        text: Cow::Owned(folded),
+                        replay: Some(ReplayFold::PriScores(perm)),
+                    };
                 }
-                let suffix_len = norm.len() - pos;
-                return Reference {
-                    splice: pos,
-                    suffix_len,
-                    text: norm,
-                    replay: None,
-                };
             }
+            return Reference {
+                text: norm,
+                replay: None,
+            };
         }
         // p_cq — instruction and demonstration block are the stem; the
         // final claim is per-row.
-        if norm.starts_with("Write the claim as a cloze question.") {
-            if let Some(pos) = norm.rfind("\nClaim:") {
-                let suffix_len = norm.len() - pos;
-                return Reference {
-                    splice: pos,
-                    suffix_len,
-                    text: norm,
-                    replay: None,
-                };
-            }
+        if norm.starts_with("Write the claim as a cloze question.") && norm.contains("\nClaim:") {
+            return Reference {
+                text: norm,
+                replay: None,
+            };
         }
         // p_dp — the parsing instruction is the stem; the bracketed record
         // block is per-retrieval (the closing bracket stays in the stem).
@@ -214,7 +187,6 @@ mod reference {
         if let Some(pos) = norm.find(PDP_MARKER) {
             if norm.ends_with(']') {
                 let splice = pos + PDP_MARKER.len();
-                let suffix_len = norm.len() - 1 - splice;
                 if level.folds_lists() {
                     let body = &norm[splice..norm.len() - 1];
                     if let Some((sorted, perm)) = sort_lines(body) {
@@ -223,16 +195,12 @@ mod reference {
                         text.push_str(&sorted);
                         text.push(']');
                         return Reference {
-                            splice,
-                            suffix_len: sorted.len(),
                             text: Cow::Owned(text),
                             replay: Some(ReplayFold::PdpLines(perm)),
                         };
                     }
                 }
                 return Reference {
-                    splice,
-                    suffix_len,
                     text: norm,
                     replay: None,
                 };
@@ -240,10 +208,7 @@ mod reference {
         }
         // Target prompts (cloze questions, flat claims) and anything
         // unrecognized: wholly per-row.
-        let suffix_len = norm.len();
         Reference {
-            splice: 0,
-            suffix_len,
             text: norm,
             replay: None,
         }
@@ -543,7 +508,6 @@ fn assert_matches_reference(prompt: &str, model: &dyn LanguageModel) -> Option<&
         let new = CanonicalPrompt::canonicalize(prompt, level);
         let old = reference::canonicalize(prompt, level);
         assert_eq!(new.text(), old.text.as_ref(), "text at {level}: {prompt:?}");
-        assert_eq!(new.suffix(), old.suffix(), "suffix at {level}: {prompt:?}");
         assert_eq!(
             new.is_borrowed(),
             matches!(old.text, std::borrow::Cow::Borrowed(_)),
@@ -659,6 +623,12 @@ fn shuffled_lists_with_duplicates_fold_and_replay_as_before() {
         "Put in a logical order: []",
         "Put in a logical order: [b\na\nb\n\na]",
         "Put in a logical order: [b\na] trailing",
+        // A shape tested earlier shields the record-block fold, whether
+        // or not its own fold applies.
+        "Write the claim as a cloze question.\nClaim: x. Put in a logical order: [b\na]",
+        "Write the claim as a cloze question. No claim. Put in a logical order: [b\na]",
+        "The target query is [q]. Score the relevance:\n2. b\n1. a in a logical order: [b\na]",
+        "The target query is [q]. Score the relevance of a logical order: [b\na]",
     ] {
         assert_matches_reference(odd, &llm);
     }

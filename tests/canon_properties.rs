@@ -1,19 +1,26 @@
 //! Property tests for `unidm::canon`: seeded-generator checks that
 //! canonicalization is idempotent, insensitive to insignificant whitespace
-//! at `CanonLevel::Whitespace` and above, and that `PromptKey::hash64` is
-//! a pure, stable function of the key — equal for equal keys, unchanged by
-//! cache configuration such as shard count, and pinned to golden values so
-//! cross-run (and cross-platform) stability cannot silently regress.
+//! at `CanonLevel::Whitespace` and above, and that
+//! `CanonicalPrompt::hash64` is a pure, stable function of the canonical
+//! text — equal for equal keys, unchanged by cache configuration such as
+//! shard count, and pinned to golden values so cross-run (and
+//! cross-platform) stability cannot silently regress.
 
 mod common;
 
 use common::{mangle_whitespace, random_prompt, Gen};
 
-use unidm::{CanonLevel, CanonicalPrompt, PromptCache, PromptKey};
+use unidm::{CanonLevel, CanonicalPrompt, PromptCache};
 use unidm_llm::{LanguageModel, LlmProfile, MockLlm};
 use unidm_world::World;
 
 const CASES: usize = 128;
+
+/// What the cache keys an entry by: the canonical text and its hash.
+fn key(prompt: &str, level: CanonLevel) -> (String, u64) {
+    let canon = CanonicalPrompt::canonicalize(prompt, level);
+    (canon.text().to_string(), canon.hash64())
+}
 
 #[test]
 fn canonicalization_is_idempotent_on_random_prompts() {
@@ -26,13 +33,13 @@ fn canonicalization_is_idempotent_on_random_prompts() {
             CanonLevel::TableStem,
             CanonLevel::Semantic,
         ] {
-            let once = PromptKey::canonicalize(&prompt, level);
-            let twice = PromptKey::canonicalize(&once.text(), level);
-            assert_eq!(once, twice, "idempotence at {level} for {prompt:?}");
-            assert_eq!(
-                once.hash64(),
-                twice.hash64(),
-                "equal keys must hash equal at {level}"
+            let once = key(&prompt, level);
+            let again = CanonicalPrompt::canonicalize(&once.0, level);
+            assert_eq!(once.0, again.text(), "idempotence at {level}: {prompt:?}");
+            assert_eq!(once.1, again.hash64(), "equal keys hash equal at {level}");
+            assert!(
+                again.is_borrowed(),
+                "a canonical text is borrowed at {level}"
             );
         }
     }
@@ -49,43 +56,25 @@ fn whitespace_mangling_never_changes_the_key() {
             CanonLevel::TableStem,
             CanonLevel::Semantic,
         ] {
-            let clean = PromptKey::canonicalize(&prompt, level);
-            let noisy = PromptKey::canonicalize(&mangled, level);
             assert_eq!(
-                clean, noisy,
+                key(&prompt, level),
+                key(&mangled, level),
                 "{level}: whitespace noise must fold away\n  clean: {prompt:?}\n  noisy: {mangled:?}"
             );
-            assert_eq!(clean.hash64(), noisy.hash64());
         }
-    }
-}
-
-#[test]
-fn text_reconstructs_the_key_exactly() {
-    // stem/suffix/splice is a lossless decomposition: re-canonicalizing
-    // the reconstructed text must reproduce the stem and suffix, and at
-    // Whitespace level the text equals the normalized prompt.
-    let mut g = Gen::new(0xca03);
-    for _ in 0..CASES {
-        let prompt = random_prompt(&mut g);
-        let key = PromptKey::canonicalize(&prompt, CanonLevel::Whitespace);
-        let again = PromptKey::canonicalize(&key.text(), CanonLevel::Whitespace);
-        assert_eq!(key.stem(), again.stem());
-        assert_eq!(key.suffix(), again.suffix());
     }
 }
 
 #[test]
 fn hash_is_equal_for_equal_keys_and_separates_distinct_ones() {
     let mut g = Gen::new(0xca04);
-    let mut seen: Vec<(PromptKey, u64)> = Vec::new();
+    let mut seen: Vec<(String, u64)> = Vec::new();
     for _ in 0..CASES {
         let prompt = random_prompt(&mut g);
-        let key = PromptKey::canonicalize(&prompt, CanonLevel::TableStem);
-        let hash = key.hash64();
-        assert_eq!(hash, key.hash64(), "hashing must be pure");
+        let (text, hash) = key(&prompt, CanonLevel::TableStem);
+        assert_eq!(hash, key(&prompt, CanonLevel::TableStem).1, "pure");
         for (other, other_hash) in &seen {
-            if *other == key {
+            if *other == text {
                 assert_eq!(hash, *other_hash, "equal keys, equal hashes");
             } else {
                 // A 64-bit hash over distinct strings: collisions are
@@ -93,11 +82,11 @@ fn hash_is_equal_for_equal_keys_and_separates_distinct_ones() {
                 // real one would repro deterministically from the seed.
                 assert_ne!(
                     hash, *other_hash,
-                    "distinct keys collided: {key:?} vs {other:?}"
+                    "distinct keys collided: {text:?} vs {other:?}"
                 );
             }
         }
-        seen.push((key, hash));
+        seen.push((text, hash));
     }
 }
 
@@ -106,17 +95,17 @@ fn hash_is_pinned_to_golden_values() {
     // Cross-run and cross-platform stability: `hash64` is the unkeyed
     // content hash of the canonical text's bytes, read as little-endian
     // words (canonicalization is idempotent, so the text determines the
-    // key and no stem/suffix framing is needed). Nothing persists it — the
-    // store keeps canonical text under its own checksum — but it selects
-    // the shard, and a bounded cache evicts per shard, so a drift would
-    // change which entries survive from one platform or build to the next.
-    let fox = PromptKey::canonicalize("The quick  brown fox", CanonLevel::Whitespace);
-    assert_eq!(fox.hash64(), 0xbfb4_4517_61f2_3313);
-    let unidm = PromptKey::canonicalize("unidm", CanonLevel::Whitespace);
-    assert_eq!(unidm.hash64(), 0xd4a3_551e_1d05_7518);
+    // key). Nothing persists it — the store keeps canonical text under its
+    // own checksum — but it selects the shard, and a bounded cache evicts
+    // per shard, so a drift would change which entries survive from one
+    // platform or build to the next.
+    let fox = key("The quick  brown fox", CanonLevel::Whitespace);
+    assert_eq!(fox.1, 0xbfb4_4517_61f2_3313);
+    let unidm = key("unidm", CanonLevel::Whitespace);
+    assert_eq!(unidm.1, 0xd4a3_551e_1d05_7518);
     // Longer than one 32-byte step, with a partial tail.
-    let long = PromptKey::canonicalize(&"0123456789abcdef".repeat(5)[..75], CanonLevel::Verbatim);
-    assert_eq!(long.hash64(), 0x7518_3882_1b0e_603f);
+    let long = key(&"0123456789abcdef".repeat(5)[..75], CanonLevel::Verbatim);
+    assert_eq!(long.1, 0x7518_3882_1b0e_603f);
 }
 
 #[test]
@@ -150,8 +139,8 @@ fn hash_spreads_rendered_prompts_over_shards_without_collisions() {
     let mut g = Gen::new(0xca09);
     let mut hash_of = std::collections::BTreeMap::new();
     while hash_of.len() < 4096 {
-        let key = PromptKey::canonicalize(&random_prompt(&mut g), CanonLevel::TableStem);
-        hash_of.insert(key.text(), key.hash64());
+        let (text, hash) = key(&random_prompt(&mut g), CanonLevel::TableStem);
+        hash_of.insert(text, hash);
     }
     let distinct: std::collections::HashSet<u64> = hash_of.values().copied().collect();
     assert_eq!(distinct.len(), hash_of.len(), "a 64-bit collision");
@@ -200,7 +189,7 @@ fn hash_is_stable_across_shard_counts() {
     // piling onto one (masking a uniform 64-bit hash).
     let distinct: std::collections::HashSet<u64> = prompts
         .iter()
-        .map(|p| PromptKey::canonicalize(p, CanonLevel::Whitespace).hash64() & 7)
+        .map(|p| key(p, CanonLevel::Whitespace).1 & 7)
         .collect();
     assert!(
         distinct.len() >= 3,

@@ -143,7 +143,7 @@ fn streaming_produces_identical_cache_keys_and_stats() {
 }
 
 #[test]
-fn streaming_survives_the_steal_queue() {
+fn streaming_on_eight_workers_matches_the_serial_run() {
     let (llm, lake, tasks) = workload();
     let pipeline = PipelineConfig::paper_default().with_seed(42);
     let serial = BatchRunner::new(&llm, pipeline)
