@@ -34,12 +34,16 @@
 //! previous `serving` section; otherwise a minimal standalone document
 //! is written. `scripts/diff_bench.py` pins the section's exact counters
 //! (requests, errors, replay mismatches, SLO attainment) between
-//! consecutive committed baselines.
+//! consecutive committed baselines, and — from `BENCH_19` on — gates
+//! `allocs_per_request`: heap allocations per request of the 1-worker
+//! run, model included, which all happen on the calling thread and so
+//! count exactly.
 
 use std::path::PathBuf;
 
 use unidm::serve::{ArrivalProcess, ServeConfig, ServeReport, ServeSim, TenantSpec};
 use unidm::{BackendConfig, CacheStore, CanonLevel, PromptCache, StoreConfig};
+use unidm_bench::alloc_counter::AllocationDelta;
 use unidm_bench::{json_array, JsonObject, BASELINE_PR};
 use unidm_eval::streams::{record_streams, PromptStream};
 use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm};
@@ -98,7 +102,12 @@ fn build_sim(
     sim
 }
 
-fn serving_json(report: &ServeReport, seed: u64, fault_seed: u64) -> String {
+fn serving_json(
+    report: &ServeReport,
+    seed: u64,
+    fault_seed: u64,
+    allocs_per_request: u64,
+) -> String {
     let tenant_json: Vec<String> = report
         .tenants
         .iter()
@@ -132,6 +141,7 @@ fn serving_json(report: &ServeReport, seed: u64, fault_seed: u64) -> String {
         .field_u64("replay_mismatches", report.replay_mismatches)
         .field_u64("makespan_us", report.makespan_us)
         .field_u64("trace_fnv", report.trace_fnv())
+        .field_u64("allocs_per_request", allocs_per_request)
         .field_raw("tenants", &json_array(&tenant_json))
         .finish()
 }
@@ -191,11 +201,19 @@ fn main() {
         );
     }
 
-    let run = |workers: usize| -> ServeReport {
+    // Returns the report and how many heap allocations the simulation
+    // made, stack construction excluded.
+    let run = |workers: usize| -> (ServeReport, u64) {
         let world = World::generate(seed);
         let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), seed);
         let backend = BackendConfig::resilient(seed).with_faults(FaultPlan::moderate(fault_seed));
         let sim = build_sim(seed, workers, &streams, requests_per_tenant);
+        let run_counted = |model: &dyn LanguageModel| {
+            let stack = backend.wrap(model);
+            let section = AllocationDelta::start();
+            let report = sim.run(&stack);
+            (report, section.allocations())
+        };
         match &store_path {
             Some(store_file) => {
                 if let Some(parent) = store_file.parent() {
@@ -206,9 +224,9 @@ fn main() {
                 let cache = PromptCache::unbounded(&llm)
                     .with_canonicalization(CanonLevel::TableStem)
                     .with_store(store);
-                sim.run(&backend.wrap(&cache))
+                run_counted(&cache)
             }
-            None => sim.run(&backend.wrap(&llm)),
+            None => run_counted(&llm),
         }
     };
 
@@ -217,9 +235,9 @@ fn main() {
          moderate faults (seed {fault_seed})",
         streams.len()
     );
-    let serial = run(1);
-    let parallel = run(8);
-    let rerun = run(8);
+    let (serial, serial_allocs) = run(1);
+    let (parallel, _) = run(8);
+    let (rerun, _) = run(8);
     assert_eq!(
         serial, parallel,
         "replay worker count must not change the open-loop report"
@@ -237,6 +255,8 @@ fn main() {
         "determinism: 1-worker == 8-worker == rerun (trace fnv {:#018x})",
         serial.trace_fnv()
     );
+    let allocs_per_request = serial_allocs / serial.requests.max(1);
+    println!("1-worker run: {allocs_per_request} heap allocations per request, model included");
     if let Some(store_file) = &store_path {
         match CacheStore::open(
             store_file,
@@ -280,5 +300,9 @@ fn main() {
         serial.goodput_per_ks(),
     );
 
-    write_section(&path, seed, &serving_json(&serial, seed, fault_seed));
+    write_section(
+        &path,
+        seed,
+        &serving_json(&serial, seed, fault_seed, allocs_per_request),
+    );
 }

@@ -1,21 +1,31 @@
-//! The warm hit path allocates nothing, at every canonicalization level:
-//! re-looking up a cache's own canonical texts must not touch the heap.
+//! The warm paths allocate nothing. Re-looking up a cache's own canonical
+//! texts must not touch the heap, at every canonicalization level; and a
+//! repeat attempt on a prompt the fault injector has already seen adds no
+//! allocation to the inner model's own, whatever the schedule makes of it.
 //! Counted by `unidm_bench`'s global counting allocator, which is why this
 //! lives here (`unidm` itself forbids the `unsafe` an allocator needs).
 //!
-//! One test function on purpose: the counters are process-global, so a
-//! second test running beside it would show up in the count.
+//! The counters are process-global, so the tests take turns
+//! ([`QUIESCENT`]): one running beside another would show up in its count.
+
+use std::sync::{Arc, Mutex, PoisonError};
 
 use unidm::{CanonLevel, PromptCache};
 use unidm_bench::alloc_counter::AllocationDelta;
 use unidm_llm::protocol::{
     render_pcq, render_pdp, render_pri, render_prm, Claim, SerializedRecord, TaskKind,
 };
-use unidm_llm::{LanguageModel, LlmProfile, MockLlm};
+use unidm_llm::{
+    Completion, FaultPlan, LanguageModel, LlmError, LlmProfile, MockLlm, SimBackend, Usage,
+};
 use unidm_world::World;
+
+/// Held by each test for its whole body.
+static QUIESCENT: Mutex<()> = Mutex::new(());
 
 #[test]
 fn warm_hits_allocate_nothing_at_any_level() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
     let world = World::generate(42);
     let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 42);
     // Unsorted lists (so `Semantic` folds them on the way in), a
@@ -77,6 +87,78 @@ fn warm_hits_allocate_nothing_at_any_level() {
             (after.hits - before.hits, after.misses),
             (3 * canonical.len(), before.misses),
             "every re-lookup hit at {level}"
+        );
+    }
+}
+
+/// Hands every prompt the same shared completion: a model whose own
+/// allocation count is zero, so whatever a call through the injector
+/// allocates is the injector's.
+struct SharedAnswer(Arc<Completion>);
+
+impl LanguageModel for SharedAnswer {
+    fn name(&self) -> &str {
+        "shared-answer"
+    }
+
+    fn complete(&self, _prompt: &str) -> Result<Arc<Completion>, LlmError> {
+        Ok(self.0.clone())
+    }
+
+    fn usage(&self) -> Usage {
+        Usage::default()
+    }
+
+    fn reset_usage(&self) {}
+}
+
+#[test]
+fn repeat_attempts_through_the_fault_injector_allocate_nothing() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let model = SharedAnswer(Completion::shared("yes".to_string(), Usage::default()));
+    // Stream-sized prompts: a copy or a `format!` per attempt would show.
+    let prompts: Vec<String> = (0..24)
+        .map(|i| format!("{i}: {}", "Claim: the record's timezone is __. ".repeat(50)))
+        .collect();
+    for endpoint in [None, Some(3)] {
+        let sim = SimBackend::new(&model, FaultPlan::moderate(7));
+        let sim = match endpoint {
+            Some(id) => sim.with_endpoint(id),
+            None => sim,
+        };
+        // A prompt's first attempt files it; every later one is a repeat.
+        for prompt in &prompts {
+            let _ = sim.sample_attempt(prompt);
+        }
+        let before = sim.stats();
+        // The harness's own threads may allocate beside a pass; they can
+        // only add, so one clean pass proves the path. Every pass walks
+        // fresh schedule slots, 40 per prompt.
+        let fewest = (0..3)
+            .map(|_| {
+                let section = AllocationDelta::start();
+                for _ in 0..40 {
+                    for prompt in &prompts {
+                        let _ = std::hint::black_box(sim.sample_attempt(prompt));
+                    }
+                }
+                section.allocations()
+            })
+            .min();
+        assert_eq!(
+            fewest,
+            Some(0),
+            "repeat attempts allocated, endpoint {endpoint:?}"
+        );
+        let after = sim.stats();
+        assert!(
+            after.clean > before.clean
+                && after.slow > before.slow
+                && after.timeouts > before.timeouts
+                && after.rate_limits > before.rate_limits
+                && after.transients > before.transients
+                && after.forced_successes > before.forced_successes,
+            "every outcome kind was probed: {before:?} -> {after:?}"
         );
     }
 }

@@ -43,19 +43,17 @@
 //!
 //! # The content hash
 //!
-//! [`CanonicalPrompt::hash64`] is a word-at-a-time multiply-fold hash of
-//! the canonical text, computed **once** per canonicalization: 32 bytes
-//! per step as four little-endian words on two independent lanes, each
-//! lane folding a 64×64→128-bit product back to 64 bits, with the text
-//! length mixed into the seed and the tail zero-padded (so `"a"` and
-//! `"a\0"` differ). It is deterministic and **unkeyed** — the same text
-//! hashes the same in every process and on every platform, which keeps
-//! shard placement, and so per-shard eviction, reproducible — and it lives
-//! **in memory only**: the cache selects a shard and keys its maps by it,
-//! nothing persists it (the disk tier stores canonical text under its own
-//! checksum). Being unkeyed, texts can in principle be constructed to
-//! share a 64-bit hash; they would then share a probe chain, which costs
-//! lookup time only — every probe still compares the full text.
+//! [`CanonicalPrompt::hash64`] is [`unidm_text::hash::content_hash`] of
+//! the canonical text — the workspace's one word-at-a-time content hash —
+//! computed **once** per canonicalization. It is deterministic and
+//! **unkeyed** — the same text hashes the same in every process and on
+//! every platform, which keeps shard placement, and so per-shard eviction,
+//! reproducible — and it lives **in memory only**: the cache selects a
+//! shard and keys its maps by it, nothing persists it (the disk tier
+//! stores canonical text under its own checksum). Being unkeyed, texts can
+//! in principle be constructed to share a 64-bit hash; they would then
+//! share a probe chain, which costs lookup time only — every probe still
+//! compares the full text.
 //!
 //! # Examples
 //!
@@ -90,6 +88,7 @@ use std::borrow::Cow;
 
 use unidm_llm::protocol::{parse_prm, render_prm, TaskKind};
 use unidm_llm::Completion;
+use unidm_text::hash::content_hash;
 
 /// How aggressively [`CanonicalPrompt::canonicalize`] normalizes a prompt
 /// before it is used as a cache key.
@@ -162,55 +161,6 @@ impl std::fmt::Display for CanonLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
-}
-
-/// Multipliers of the content hash: the first 256 fractional bits of π.
-const HASH_KEYS: [u64; 4] = [
-    0x243f_6a88_85a3_08d3,
-    0x1319_8a2e_0370_7344,
-    0xa409_3822_299f_31d0,
-    0x082e_fa98_ec4e_6c89,
-];
-
-/// The 64×64→128-bit product of `a` and `b`, folded back to 64 bits.
-#[inline]
-fn folded_multiply(a: u64, b: u64) -> u64 {
-    let wide = u128::from(a) * u128::from(b);
-    (wide as u64) ^ ((wide >> 64) as u64)
-}
-
-/// One 32-byte step of the content hash: two independent lanes, each
-/// folding 16 bytes (two little-endian words) into its running state.
-#[inline]
-fn hash_block(lanes: (u64, u64), block: &[u8; 32]) -> (u64, u64) {
-    let word = |at: usize| {
-        let mut le = [0u8; 8];
-        le.copy_from_slice(&block[at..at + 8]);
-        u64::from_le_bytes(le)
-    };
-    (
-        folded_multiply(word(0) ^ lanes.0, word(8) ^ HASH_KEYS[2]),
-        folded_multiply(word(16) ^ lanes.1, word(24) ^ HASH_KEYS[3]),
-    )
-}
-
-/// The content hash of a canonical text (see the module docs): word at a
-/// time, deterministic, unkeyed, never persisted.
-fn content_hash(text: &str) -> u64 {
-    let bytes = text.as_bytes();
-    let len = bytes.len() as u64;
-    let mut lanes = (HASH_KEYS[0] ^ len, HASH_KEYS[1]);
-    let mut blocks = bytes.chunks_exact(32);
-    for block in &mut blocks {
-        lanes = hash_block(lanes, block.try_into().expect("chunks_exact(32)"));
-    }
-    // The tail is zero-padded to one block; the length in the seed keeps
-    // a text apart from the same text with trailing NULs.
-    let rest = blocks.remainder();
-    let mut tail = [0u8; 32];
-    tail[..rest.len()].copy_from_slice(rest);
-    lanes = hash_block(lanes, &tail);
-    folded_multiply(lanes.0 ^ HASH_KEYS[1], lanes.1 ^ len)
 }
 
 /// How a completion of the canonical (sorted) form of a folded prompt is
@@ -1140,24 +1090,6 @@ mod tests {
                 planted.replace_range(offset..offset + pattern.len(), pattern);
                 check(&planted);
             }
-        }
-    }
-
-    #[test]
-    fn content_hash_sees_every_byte_and_the_length() {
-        // A zero-padded tail is told apart by the length in the seed.
-        assert_ne!(content_hash("a"), content_hash("a\0"));
-        assert_ne!(content_hash(""), content_hash("\0"));
-        // One changed byte at every position of a text spanning several
-        // 32-byte steps, and every prefix length.
-        let text = "0123456789abcdefghijklmnopqrstuvwxyz".repeat(3);
-        let hash = content_hash(&text);
-        for at in 0..text.len() {
-            let mut changed = text.clone().into_bytes();
-            changed[at] ^= 1;
-            let changed = String::from_utf8(changed).expect("ascii");
-            assert_ne!(content_hash(&changed), hash, "byte {at} ignored");
-            assert_ne!(content_hash(&text[..at]), hash, "prefix {at} collides");
         }
     }
 

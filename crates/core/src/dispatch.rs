@@ -79,6 +79,7 @@ use unidm_llm::{
     AttemptSample, Clock, Completion, Dice, FaultStats, LanguageModel, LatencyProfile, LlmError,
     TimerWheel, Usage, VirtualClock,
 };
+use unidm_text::hash::PromptMap;
 
 use crate::backend::{BackendConfig, BackendStats};
 use crate::resilience::{backoff_us, tally_fault, Bucket, Endpoint};
@@ -188,12 +189,12 @@ struct Core {
     events: HashMap<u64, Event>,
     requests: HashMap<u64, Request>,
     /// Pending (unresolved) requests by prompt — request-level single-flight.
-    by_prompt: HashMap<String, u64>,
+    by_prompt: PromptMap<u64>,
     /// Resolved successes by prompt: late arrivals after resolution are
     /// answered here, which keeps endpoint calls == unique prompts even
     /// with no cache above the dispatcher. Unbounded, like the fault
     /// injector's per-prompt schedule state.
-    memo: HashMap<String, Arc<Completion>>,
+    memo: PromptMap<Arc<Completion>>,
     /// Newly submitted request ids, admitted in canonical (prompt-sorted)
     /// order at the next reactor step.
     fresh: Vec<u64>,
@@ -253,8 +254,8 @@ impl<'a> Dispatcher<'a> {
                 wheel: TimerWheel::new(),
                 events: HashMap::new(),
                 requests: HashMap::new(),
-                by_prompt: HashMap::new(),
-                memo: HashMap::new(),
+                by_prompt: PromptMap::default(),
+                memo: PromptMap::default(),
                 fresh: Vec::new(),
                 admit_queue: VecDeque::new(),
                 in_flight: 0,
@@ -360,9 +361,8 @@ impl<'a> Dispatcher<'a> {
     /// Samples one attempt copy of `id` and schedules its completion. The
     /// caller has already reserved the budget slot.
     fn launch_copy(&self, core: &mut Core, id: u64, is_hedge: bool) {
-        let prompt = core.requests[&id].prompt.clone();
         core.stats.attempts += 1;
-        let sample = self.endpoint.sample(&prompt);
+        let sample = self.endpoint.sample(&core.requests[&id].prompt);
         if let Err(err) = &sample.result {
             let s = &mut core.stats;
             tally_fault(err, &mut s.timeouts, &mut s.rate_limited, &mut s.transients);
@@ -474,13 +474,8 @@ impl<'a> Dispatcher<'a> {
                 req.retries += 1;
                 core.stats.retries += 1;
                 self.cancel_hedge_timer(core, &mut req);
-                let backoff = backoff_us(
-                    self.config.retry,
-                    &self.dice,
-                    &req.prompt,
-                    req.retries,
-                    &err,
-                );
+                let draws = self.dice.context(&req.prompt);
+                let backoff = backoff_us(self.config.retry, &draws, req.retries, &err);
                 let seq = core.wheel.schedule(self.clock.now_micros() + backoff);
                 core.events.insert(seq, Event::Retry(id));
                 0

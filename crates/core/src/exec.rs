@@ -45,7 +45,7 @@
 //! assert_eq!(outputs[0].as_ref().unwrap().answer, "Central European Time");
 //! ```
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -286,10 +286,12 @@ impl<'a> BatchRunner<'a> {
         if self.dedup {
             let mut positions: HashMap<&Task, usize> = HashMap::new();
             for (index, task) in tasks.iter().enumerate() {
-                match positions.get(task) {
-                    Some(&position) => assign.push(position),
-                    None => {
-                        positions.insert(task, reps.len());
+                // One hash of the whole task: the entry is both the
+                // lookup and the insert.
+                match positions.entry(task) {
+                    Entry::Occupied(seen) => assign.push(*seen.get()),
+                    Entry::Vacant(first) => {
+                        first.insert(reps.len());
                         assign.push(reps.len());
                         reps.push(index);
                     }
@@ -436,12 +438,15 @@ impl<'a> BatchRunner<'a> {
             for (i, task) in buffer.iter().enumerate() {
                 if let Some(cached) = memo.get(task) {
                     plan.push(Plan::Memo(cached.clone()));
-                } else if let Some(&position) = local.get(task) {
-                    plan.push(Plan::Rep(position));
-                } else {
-                    local.insert(task, reps.len());
-                    plan.push(Plan::Rep(reps.len()));
-                    reps.push(i);
+                    continue;
+                }
+                match local.entry(task) {
+                    Entry::Occupied(seen) => plan.push(Plan::Rep(*seen.get())),
+                    Entry::Vacant(first) => {
+                        first.insert(reps.len());
+                        plan.push(Plan::Rep(reps.len()));
+                        reps.push(i);
+                    }
                 }
             }
             unique_tasks += reps.len();

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use unidm_llm::{
-    AttemptSample, Clock, Dice, FaultPlan, FaultStats, LanguageModel, LlmError, SimBackend,
+    AttemptSample, Clock, DiceContext, FaultPlan, FaultStats, LanguageModel, LlmError, SimBackend,
 };
 
 use crate::backend::{BreakerPolicy, RetryPolicy};
@@ -20,15 +20,15 @@ use crate::route::AimdPolicy;
 /// arithmetic is exact integers at any rate.
 const TOKEN: u64 = 1_000_000;
 
-/// How long to wait before retry `retry` (1-based) of `prompt` after
+/// How long to wait before retry `retry` (1-based) of a prompt after
 /// `err`: exponential from the policy base, capped, jittered into
-/// `[50%, 100%]` by a draw keyed on `(seed, prompt, retry)` — then raised
-/// to the server's retry-after hint or the breaker's remaining cooldown,
-/// since waiting less than either burns a retry on a sure rejection.
+/// `[50%, 100%]` by a draw keyed on `(seed, prompt, retry)` — `draws` is
+/// the stack's dice with the prompt absorbed — then raised to the server's
+/// retry-after hint or the breaker's remaining cooldown, since waiting
+/// less than either burns a retry on a sure rejection.
 pub(crate) fn backoff_us(
     policy: RetryPolicy,
-    dice: &Dice,
-    prompt: &str,
+    draws: &DiceContext,
     retry: u32,
     err: &LlmError,
 ) -> u64 {
@@ -36,7 +36,7 @@ pub(crate) fn backoff_us(
         .base_backoff_us
         .saturating_mul(1u64 << (retry - 1).min(32));
     let ceiling = doubled.min(policy.max_backoff_us);
-    let jitter = dice.uniform(prompt, &format!("backoff-{retry}"));
+    let jitter = draws.uniform(format_args!("backoff-{retry}"));
     let backoff = ceiling / 2 + ((ceiling / 2) as f64 * jitter) as u64;
     match *err {
         LlmError::RateLimited { retry_after_us } => backoff.max(retry_after_us),
@@ -273,7 +273,7 @@ impl<'a> Endpoint<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unidm_llm::VirtualClock;
+    use unidm_llm::{Dice, VirtualClock};
 
     #[test]
     fn backoff_values_are_pinned_per_seed_prompt_and_retry() {
@@ -288,7 +288,8 @@ mod tests {
         for seed in [7u64, 1337] {
             for prompt in ["alpha", "The capital of Denmark is __."] {
                 for retry in [1u32, 2, 3, 8, 40] {
-                    got.push(backoff_us(policy, &Dice::new(seed), prompt, retry, &plain));
+                    let draws = Dice::new(seed).context(prompt);
+                    got.push(backoff_us(policy, &draws, retry, &plain));
                 }
             }
         }
@@ -297,8 +298,8 @@ mod tests {
 
     #[test]
     fn backoff_never_undercuts_a_server_hint_or_a_cooldown() {
-        let (policy, dice) = (RetryPolicy::default(), Dice::new(7));
-        let backoff = |err| backoff_us(policy, &dice, "alpha", 1, &err);
+        let (policy, draws) = (RetryPolicy::default(), Dice::new(7).context("alpha"));
+        let backoff = |err| backoff_us(policy, &draws, 1, &err);
         assert_eq!(backoff(LlmError::Transient { status: 503 }), 70398);
         let hint = LlmError::RateLimited {
             retry_after_us: 250_000,

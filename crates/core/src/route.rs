@@ -68,11 +68,12 @@
 //! assert_eq!(stats.endpoints.len(), 2);
 //! ```
 
+use std::cell::OnceCell;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use unidm_llm::{
-    Clock, Completion, Dice, FaultPlan, FaultStats, LanguageModel, LlmError, LlmProfile, Usage,
-    VirtualClock,
+    Clock, Completion, Dice, DiceContext, FaultPlan, FaultStats, LanguageModel, LlmError,
+    LlmProfile, Usage, VirtualClock,
 };
 
 use crate::backend::{BackendConfig, BackendStats, BreakerPolicy, LatencySketch, RetryPolicy};
@@ -744,10 +745,12 @@ impl<'a> RoutedBackend<'a> {
         self.scalars.lock().expect("router stats lock poisoned")
     }
 
-    /// Picks an endpoint for attempt `retry` (0-based) of `prompt`: a
+    /// Picks an endpoint for attempt `retry` (0-based) of a prompt: a
     /// seeded weighted draw over the endpoints whose breakers admit
-    /// traffic. `Err(min remaining cooldown)` when every breaker is open.
-    fn select(&self, prompt: &str, retry: u32) -> Result<usize, u64> {
+    /// traffic — `draws` yields the router's dice with the prompt absorbed,
+    /// and is only asked when there is a choice to make.
+    /// `Err(min remaining cooldown)` when every breaker is open.
+    fn select(&self, draws: impl Fn() -> DiceContext, retry: u32) -> Result<usize, u64> {
         let now = self.clock.now_micros();
         // Open breakers are the exception, so the *skipped* endpoints are
         // what gets collected: a healthy fleet selects without allocating.
@@ -772,7 +775,7 @@ impl<'a> RoutedBackend<'a> {
             // so skipping this one moves no other.
             1 => Ok(admissible.next().expect("one endpoint is admissible")),
             _ => {
-                let draw = self.dice.uniform(prompt, &format!("route-{retry}"));
+                let draw = draws().uniform(format_args!("route-{retry}"));
                 let roll = ((draw * total as f64) as u64).min(total - 1);
                 let mut cumulative = 0u64;
                 let pick = admissible.find(|&i| {
@@ -853,6 +856,10 @@ impl LanguageModel for RoutedBackend<'_> {
         self.lock_scalars().calls += 1;
         let start = self.clock.now_micros();
         let _permit = self.gate.as_ref().map(Gate::acquire);
+        // The prompt is absorbed into the router's dice at most once per
+        // call, by the first routing draw or backoff that needs it.
+        let absorbed = OnceCell::new();
+        let draws = || *absorbed.get_or_init(|| self.dice.context(prompt));
         let mut retry = 0u32;
         loop {
             if self.deadline_us > 0 && self.clock.now_micros() >= start + self.deadline_us {
@@ -863,7 +870,7 @@ impl LanguageModel for RoutedBackend<'_> {
                     deadline_us: self.deadline_us,
                 });
             }
-            let err = match self.select(prompt, retry) {
+            let err = match self.select(draws, retry) {
                 Err(cooldown_us) => {
                     self.lock_scalars().all_open += 1;
                     LlmError::CircuitOpen { cooldown_us }
@@ -892,7 +899,7 @@ impl LanguageModel for RoutedBackend<'_> {
             retry += 1;
             self.lock_scalars().retries += 1;
             self.clock
-                .sleep_micros(backoff_us(self.retry, &self.dice, prompt, retry, &err));
+                .sleep_micros(backoff_us(self.retry, &draws(), retry, &err));
         }
     }
 

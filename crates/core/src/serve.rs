@@ -30,10 +30,14 @@
 //!   serial by construction, and the `workers` knob instead drives a
 //!   parallel *replay verification* — requests are partitioned by prompt
 //!   hash (preserving per-prompt call order), re-issued, and compared
-//!   against the measured answers. The report is computed before the
-//!   replay runs, so traces and stats are byte-identical at any worker
-//!   count; `replay_mismatches` stays 0 for any prompt-deterministic
-//!   stack.
+//!   against the measured answers. The partition is a property of the
+//!   tenants' prompt streams, not of the requests: each stream prompt is
+//!   hashed once into a `prompt index → owner worker` table, and a worker
+//!   walks the request list skipping what the table gives to another.
+//!   Worker 0's share runs on the calling thread; only workers `1..n` are
+//!   spawned. The report is computed before the replay runs, so traces
+//!   and stats are byte-identical at any worker count;
+//!   `replay_mismatches` stays 0 for any prompt-deterministic stack.
 //!
 //! Reported per tenant: p50/p99/p999 end-to-end latency (via the exact
 //! [`LatencySketch`]), SLO attainment, and goodput (SLO-satisfying
@@ -74,8 +78,9 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
-use unidm_llm::{Dice, LanguageModel, TimerWheel, VirtualClock};
+use unidm_llm::{Completion, Dice, LanguageModel, TimerWheel, VirtualClock};
 
 use crate::backend::{AttachedBackend, LatencySketch};
 
@@ -146,7 +151,8 @@ fn goodput_per_ks(slo_met: u64, makespan_us: u64) -> u64 {
         .unwrap_or(0) as u64
 }
 
-/// 64-bit FNV-1a, the digest used for [`ServeReport::trace_fnv`].
+/// 64-bit FNV-1a: the digest behind [`ServeReport::trace_fnv`] and the
+/// replay partition's prompt hash.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -239,6 +245,12 @@ impl TenantSpec {
     /// The tenant's name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The prompt request `prompt_index` sends (empty for a tenant with
+    /// no prompts).
+    fn prompt(&self, prompt_index: usize) -> &str {
+        self.prompts.get(prompt_index).map_or("", String::as_str)
     }
 
     /// Mean inter-arrival gap implied by the configured rate.
@@ -450,11 +462,12 @@ struct Request {
     prompt_index: usize,
 }
 
-/// Measured outcome of one request.
+/// Measured outcome of one request. The answer is the completion the
+/// stack handed back, shared rather than copied.
 #[derive(Clone, Default)]
 struct Outcome {
     ok: bool,
-    answer: Option<String>,
+    answer: Option<Arc<Completion>>,
     done_us: u64,
 }
 
@@ -541,12 +554,7 @@ impl ServeSim {
                 seq: request.seq,
                 kind: EventKind::Start,
             });
-            let tenant = &self.tenants[request.tenant as usize];
-            let prompt = tenant
-                .prompts
-                .get(request.prompt_index)
-                .map(String::as_str)
-                .unwrap_or("");
+            let prompt = self.tenants[request.tenant as usize].prompt(request.prompt_index);
             let before_us = stack.elapsed_us();
             let result = model.complete(prompt);
             let metered_us = stack.elapsed_us().saturating_sub(before_us);
@@ -559,7 +567,7 @@ impl ServeSim {
             match result {
                 Ok(completion) => {
                     outcomes[index].ok = true;
-                    outcomes[index].answer = Some(completion.text.clone());
+                    outcomes[index].answer = Some(completion);
                 }
                 Err(_) => outcomes[index].ok = false,
             }
@@ -695,38 +703,49 @@ impl ServeSim {
             return 0;
         }
         let workers = self.config.workers.max(1) as u64;
+        // Which worker owns each stream prompt, per tenant: hashed once
+        // per prompt here, looked up per request below. A tenant with no
+        // prompts sends the empty prompt at index 0.
+        let owners: Vec<Vec<u64>> = self
+            .tenants
+            .iter()
+            .map(|tenant| {
+                (0..tenant.prompts.len().max(1))
+                    .map(|index| fnv1a64(tenant.prompt(index).as_bytes()) % workers)
+                    .collect()
+            })
+            .collect();
+        let share = |worker: u64| {
+            let mut mismatches = 0u64;
+            for (request, outcome) in requests.iter().zip(outcomes) {
+                let tenant = request.tenant as usize;
+                if owners[tenant][request.prompt_index] != worker {
+                    continue;
+                }
+                let Some(expected) = &outcome.answer else {
+                    continue;
+                };
+                let prompt = self.tenants[tenant].prompt(request.prompt_index);
+                if let Ok(got) = model.complete(prompt) {
+                    // A stack that memoizes hands back the very completion
+                    // it measured; only distinct ones need their text read.
+                    if !Arc::ptr_eq(&got, expected) && got.text != expected.text {
+                        mismatches += 1;
+                    }
+                }
+            }
+            mismatches
+        };
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    scope.spawn(move || {
-                        let mut mismatches = 0u64;
-                        for (request, outcome) in requests.iter().zip(outcomes) {
-                            let tenant = &self.tenants[request.tenant as usize];
-                            let prompt = tenant
-                                .prompts
-                                .get(request.prompt_index)
-                                .map(String::as_str)
-                                .unwrap_or("");
-                            if fnv1a64(prompt.as_bytes()) % workers != worker {
-                                continue;
-                            }
-                            let Some(expected) = &outcome.answer else {
-                                continue;
-                            };
-                            if let Ok(got) = model.complete(prompt) {
-                                if got.text != *expected {
-                                    mismatches += 1;
-                                }
-                            }
-                        }
-                        mismatches
-                    })
-                })
+            let spawned: Vec<_> = (1..workers)
+                .map(|worker| scope.spawn(move || share(worker)))
                 .collect();
-            handles
+            let own = share(0);
+            spawned
                 .into_iter()
-                .map(|h| h.join().expect("replay worker panicked"))
-                .sum()
+                .map(|handle| handle.join().expect("replay worker panicked"))
+                .sum::<u64>()
+                + own
         })
     }
 }
@@ -735,8 +754,8 @@ impl ServeSim {
 mod tests {
     use super::*;
     use crate::backend::BackendConfig;
-    use std::sync::Arc;
-    use unidm_llm::{Completion, LatencyProfile, LlmError, LlmProfile, Usage};
+    use std::sync::Mutex;
+    use unidm_llm::{LatencyProfile, LlmError, LlmProfile, Usage};
     use unidm_world::World;
 
     /// A prompt-pure model with a constant, profile-driven latency.
@@ -908,5 +927,70 @@ mod tests {
         assert_eq!(serial.trace_fnv(), parallel.trace_fnv());
         assert_eq!(serial.requests, 200);
         assert!(!serial.trace.is_empty());
+    }
+
+    /// Answers with how many times the prompt has been asked, modulo 3 —
+    /// deliberately *not* prompt-deterministic.
+    #[derive(Default)]
+    struct CountingModel {
+        asked: Mutex<HashMap<String, u64>>,
+    }
+
+    impl LanguageModel for CountingModel {
+        fn name(&self) -> &str {
+            "counting"
+        }
+
+        fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
+            let mut asked = self.asked.lock().expect("counting model lock");
+            let count = asked.entry(prompt.to_string()).or_default();
+            *count += 1;
+            Ok(Completion::shared(
+                (*count % 3).to_string(),
+                Usage::default(),
+            ))
+        }
+
+        fn usage(&self) -> Usage {
+            Usage::default()
+        }
+
+        fn reset_usage(&self) {}
+    }
+
+    #[test]
+    fn replay_still_sees_a_stack_whose_answers_depend_on_call_order() {
+        // A prompt asked n times in the measured run is asked n more times
+        // by the replay, in the same order on one worker: its i-th replayed
+        // answer is (n + i) % 3 against a measured i % 3, so exactly the
+        // prompts with n % 3 != 0 mismatch, on every request. Two tenants
+        // share the stream, so the partition has to be by prompt text; a
+        // prompt split across workers, replayed out of order or skipped
+        // would change the count.
+        let run = |workers| {
+            let model = CountingModel::default();
+            let stack = BackendConfig::default().wrap(&model);
+            let report = ServeSim::new(ServeConfig::new(5).with_servers(3).with_workers(workers))
+                .tenant(TenantSpec::new("poisson", prompts()).with_requests(120))
+                .tenant(
+                    TenantSpec::new("bursty", prompts())
+                        .with_arrival(ArrivalProcess::Bursty { burst: 8 })
+                        .with_requests(80),
+                )
+                .run(&stack);
+            let asked = model.asked.into_inner().expect("counting model lock");
+            let expected: u64 = asked
+                .values()
+                .map(|total| total / 2)
+                .filter(|measured| measured % 3 != 0)
+                .sum();
+            assert_eq!(report.replay_mismatches, expected, "{workers} workers");
+            report
+        };
+        let serial = run(1);
+        assert!(serial.replay_mismatches > 0, "the check must not be blind");
+        assert!(serial.replay_mismatches < serial.requests);
+        assert_eq!(serial, run(2));
+        assert_eq!(serial, run(8));
     }
 }

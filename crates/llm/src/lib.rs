@@ -57,7 +57,7 @@ pub mod sim;
 pub mod skills;
 
 pub use clock::{Clock, SystemClock, TimerWheel, VirtualClock};
-pub use determinism::Dice;
+pub use determinism::{Dice, DiceContext};
 pub use error::LlmError;
 pub use kb::KnowledgeBase;
 pub use mock::MockLlm;

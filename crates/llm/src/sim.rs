@@ -41,12 +41,13 @@
 //! assert_eq!(reply.unwrap().text, llm.complete("The capital of Denmark is __.").unwrap().text);
 //! ```
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+
+use unidm_text::hash::PromptMap;
 
 use crate::clock::{Clock, VirtualClock};
 use crate::model::{Completion, LanguageModel, Usage};
-use crate::{Dice, LlmError};
+use crate::{Dice, DiceContext, LlmError};
 
 /// A seeded schedule of injected faults.
 ///
@@ -184,7 +185,7 @@ enum Outcome {
     Slow,
     Timeout,
     RateLimited,
-    Transient,
+    Transient { status: u16 },
 }
 
 /// Counters of everything a [`SimBackend`] injected.
@@ -242,10 +243,12 @@ pub struct AttemptSample {
     pub result: Result<Arc<Completion>, LlmError>,
 }
 
-/// Per-prompt schedule state: the next attempt index and the current run
-/// of consecutive injected faults.
-#[derive(Debug, Default, Clone, Copy)]
+/// Per-prompt schedule state: the prompt's absorbed draw context (so no
+/// attempt after the first reads the prompt's bytes for a draw), the next
+/// attempt index and the current run of consecutive injected faults.
+#[derive(Debug, Clone, Copy)]
 struct PromptState {
+    draws: DiceContext,
     next_attempt: u64,
     consecutive_faults: u32,
 }
@@ -269,7 +272,7 @@ pub struct SimBackend<'a> {
     /// desynchronizes replicas that share a plan (see
     /// [`SimBackend::with_endpoint`]).
     endpoint: Option<u64>,
-    state: Mutex<HashMap<String, PromptState>>,
+    state: Mutex<PromptMap<PromptState>>,
     stats: Mutex<FaultStats>,
 }
 
@@ -302,7 +305,7 @@ impl<'a> SimBackend<'a> {
             dice: Dice::new(plan.seed),
             clock,
             endpoint: None,
-            state: Mutex::new(HashMap::new()),
+            state: Mutex::new(PromptMap::default()),
             stats: Mutex::new(FaultStats::default()),
         }
     }
@@ -315,15 +318,6 @@ impl<'a> SimBackend<'a> {
     pub fn with_endpoint(mut self, id: u64) -> Self {
         self.endpoint = Some(id);
         self
-    }
-
-    /// The fault-slot tag of attempt `attempt`: endpoint-aware when
-    /// tagged, the historical form otherwise.
-    fn fault_tag(&self, attempt: u64) -> String {
-        match self.endpoint {
-            Some(id) => format!("e{id}-fault-{attempt}"),
-            None => format!("fault-{attempt}"),
-        }
     }
 
     /// The plan driving the injection schedule.
@@ -346,10 +340,19 @@ impl<'a> SimBackend<'a> {
     /// The decision is made under the state lock so attempt indices are
     /// allocated exactly once; the outcome for index `i` is a pure
     /// function of `(seed, prompt, i)` and the (deterministic) run of
-    /// consecutive faults before it.
+    /// consecutive faults before it. The prompt's bytes are read once per
+    /// attempt, by the map probe's content hash; a prompt's first attempt
+    /// also copies it into the map and absorbs it into its draw context.
     fn next_outcome(&self, prompt: &str) -> Outcome {
         let mut state = self.state.lock().expect("sim state lock poisoned");
-        let entry = state.entry(prompt.to_string()).or_default();
+        let entry = match state.get_mut(prompt) {
+            Some(entry) => entry,
+            None => state.entry(prompt.to_string()).or_insert(PromptState {
+                draws: self.dice.context(prompt),
+                next_attempt: 0,
+                consecutive_faults: 0,
+            }),
+        };
         let attempt = entry.next_attempt;
         entry.next_attempt += 1;
 
@@ -357,7 +360,13 @@ impl<'a> SimBackend<'a> {
             entry.consecutive_faults = 0;
             return Outcome::Clean { forced: true };
         }
-        let roll = (self.dice.uniform(prompt, &self.fault_tag(attempt)) * 1000.0) as u32;
+        // Fault-slot tags are endpoint-aware when tagged, the historical
+        // form otherwise.
+        let draw = match self.endpoint {
+            Some(id) => entry.draws.uniform(format_args!("e{id}-fault-{attempt}")),
+            None => entry.draws.uniform(format_args!("fault-{attempt}")),
+        };
+        let roll = (draw * 1000.0) as u32;
         let mut threshold = self.plan.timeout_permille;
         let outcome = if roll < threshold {
             Outcome::Timeout
@@ -368,7 +377,13 @@ impl<'a> SimBackend<'a> {
             } else {
                 threshold += self.plan.transient_permille;
                 if roll < threshold {
-                    Outcome::Transient
+                    let pick = match self.endpoint {
+                        Some(id) => entry.draws.pick(format_args!("e{id}-status"), 3),
+                        None => entry.draws.pick("status", 3),
+                    };
+                    Outcome::Transient {
+                        status: [500u16, 502, 503][pick],
+                    }
                 } else {
                     threshold += self.plan.slow_permille;
                     if roll < threshold {
@@ -380,7 +395,7 @@ impl<'a> SimBackend<'a> {
             }
         };
         entry.consecutive_faults = match outcome {
-            Outcome::Timeout | Outcome::RateLimited | Outcome::Transient => {
+            Outcome::Timeout | Outcome::RateLimited | Outcome::Transient { .. } => {
                 entry.consecutive_faults + 1
             }
             Outcome::Clean { .. } | Outcome::Slow => 0,
@@ -440,16 +455,11 @@ impl<'a> SimBackend<'a> {
                     }),
                 }
             }
-            Outcome::Transient => {
+            Outcome::Transient { status } => {
                 stats.transients += 1;
                 AttemptSample {
                     latency_us: self.plan.base_latency_us,
-                    result: Err(LlmError::Transient {
-                        status: [500u16, 502, 503][match self.endpoint {
-                            Some(id) => self.dice.pick(prompt, &format!("e{id}-status"), 3),
-                            None => self.dice.pick(prompt, "status", 3),
-                        }],
-                    }),
+                    result: Err(LlmError::Transient { status }),
                 }
             }
         }

@@ -13,6 +13,9 @@
 //! * [`mod@format`] — string format signatures (digit/letter/punctuation shape)
 //!   used by the TDE baseline and the error-detection generators.
 //! * [`normalize`] — canonicalisation helpers.
+//! * [`hash`] — the workspace's one content hash (word at a time, unkeyed,
+//!   in memory only) and [`hash::PromptMap`], the map keyed by whole
+//!   prompts that hashes with it.
 //!
 //! # Examples
 //!
@@ -35,6 +38,7 @@
 pub mod distance;
 pub mod embed;
 pub mod format;
+pub mod hash;
 pub mod normalize;
 pub mod tfidf;
 pub mod tokenize;

@@ -182,7 +182,8 @@ def diff_pair(old_path, new_path, allow_workload_change):
 
     # Open-loop serving section (PR 8+): the simulator is deterministic
     # end to end, so its SLO counters are exact — a new PR may complete
-    # more requests within SLO, never fewer. Latency quantiles and
+    # more requests within SLO, never fewer — and so is its allocation
+    # count on one worker. Latency quantiles and
     # goodput depend on the regime definition and are informational; the
     # trace digest changes whenever any timing changes, so it is printed,
     # not compared.
@@ -200,6 +201,10 @@ def diff_pair(old_path, new_path, allow_workload_change):
         else:
             must_not_increase("serving", "errors", o_serve, n_serve)
             must_not_increase("serving", "replay_mismatches", o_serve, n_serve)
+            # Heap allocations per request of the 1-worker run (PR 19+),
+            # model included: exact like scale's allocs_per_task — a PR
+            # that copies or formats a prompt per attempt again fails here.
+            must_not_increase("serving", "allocs_per_request", o_serve, n_serve)
             must_not_decrease(
                 "serving",
                 "slo_met",
