@@ -578,7 +578,7 @@ fn fold_pri_instances(norm: &str) -> Option<(String, Vec<usize>)> {
     let (header, rest) = norm.split_once('\n')?;
     let (mut count, mut sorted, mut prev) = (0usize, true, "");
     for line in rest.split('\n') {
-        let (number, body) = line.split_once(". ")?;
+        let (number, body) = split_numbered(line)?;
         count += 1;
         if number.parse::<usize>().ok()? != count {
             return None;
@@ -591,7 +591,7 @@ fn fold_pri_instances(norm: &str) -> Option<(String, Vec<usize>)> {
     }
     let mut bodies: Vec<&str> = Vec::with_capacity(count);
     bodies.extend(rest.split('\n').map(|line| {
-        let (_, body) = line.split_once(". ").expect("shape checked above");
+        let (_, body) = split_numbered(line).expect("shape checked above");
         body
     }));
     let order = sorted_order(&bodies);
@@ -606,6 +606,14 @@ fn fold_pri_instances(norm: &str) -> Option<(String, Vec<usize>)> {
         out.push_str(bodies[slot]);
     }
     Some((out, order))
+}
+
+/// `line.split_once(". ")` for a numbered list line, `"{number}. {body}"`:
+/// the separator sits a digit or two in, so a byte scan finds it before a
+/// string searcher is even built.
+fn split_numbered(line: &str) -> Option<(&str, &str)> {
+    let at = line.as_bytes().windows(2).position(|pair| pair == b". ")?;
+    Some((&line[..at], &line[at + 2..]))
 }
 
 /// A borrowed scan of a `p_rm` prompt in the renderer's exact shape.

@@ -45,7 +45,9 @@
 //! assert_eq!(outputs[0].as_ref().unwrap().answer, "Central European Time");
 //! ```
 
+use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -93,6 +95,24 @@ pub struct StreamReport {
     /// Tasks answered from an earlier identical task's output without
     /// executing (equals [`BatchReport::coalesced_tasks`]).
     pub coalesced_tasks: usize,
+}
+
+/// A task as the dedup planner's maps key it: hashed by
+/// [`Task::fingerprint`], compared whole.
+///
+/// The planner hashes every task of every batch and almost never finds a
+/// duplicate, so the hash is what it costs; the fingerprint skips the one
+/// expensive part (an entity-resolution task's labelled pool). Tasks that
+/// differ only there share a bucket and are told apart by `Eq`, which is
+/// the derived `Task: Eq` — grouping is exactly what hashing whole tasks
+/// gave. Borrowed in a per-batch plan, owned in the streaming memo.
+#[derive(PartialEq, Eq)]
+struct TaskKey<'t>(Cow<'t, Task>);
+
+impl Hash for TaskKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.fingerprint(state);
+    }
 }
 
 /// A parallel batch executor for [`UniDm`] runs.
@@ -284,11 +304,12 @@ impl<'a> BatchRunner<'a> {
         let mut reps: Vec<usize> = Vec::new();
         let mut assign: Vec<usize> = Vec::with_capacity(tasks.len());
         if self.dedup {
-            let mut positions: HashMap<&Task, usize> = HashMap::new();
+            // Sized up front: growing re-hashes every key.
+            let mut positions: HashMap<TaskKey, usize> = HashMap::with_capacity(tasks.len());
             for (index, task) in tasks.iter().enumerate() {
-                // One hash of the whole task: the entry is both the
-                // lookup and the insert.
-                match positions.entry(task) {
+                // One hash per task: the entry is both the lookup and the
+                // insert.
+                match positions.entry(TaskKey(Cow::Borrowed(task))) {
                     Entry::Occupied(seen) => assign.push(*seen.get()),
                     Entry::Vacant(first) => {
                         first.insert(reps.len());
@@ -398,7 +419,8 @@ impl<'a> BatchRunner<'a> {
             Rep(usize),
         }
 
-        let mut memo: HashMap<Task, Arc<Result<RunOutput, UniDmError>>> = HashMap::new();
+        let mut memo: HashMap<TaskKey<'static>, Arc<Result<RunOutput, UniDmError>>> =
+            HashMap::new();
         let mut source = tasks.into_iter();
         let mut buffer: Vec<Task> = Vec::with_capacity(self.partition_tasks);
         let mut next_index = 0usize;
@@ -434,13 +456,14 @@ impl<'a> BatchRunner<'a> {
             // across partition boundaries.
             let mut plan: Vec<Plan> = Vec::with_capacity(buffer.len());
             let mut reps: Vec<usize> = Vec::new();
-            let mut local: HashMap<&Task, usize> = HashMap::new();
+            let mut local: HashMap<TaskKey, usize> = HashMap::with_capacity(buffer.len());
             for (i, task) in buffer.iter().enumerate() {
-                if let Some(cached) = memo.get(task) {
+                let key = TaskKey(Cow::Borrowed(task));
+                if let Some(cached) = memo.get(&key) {
                     plan.push(Plan::Memo(cached.clone()));
                     continue;
                 }
-                match local.entry(task) {
+                match local.entry(key) {
                     Entry::Occupied(seen) => plan.push(Plan::Rep(*seen.get())),
                     Entry::Vacant(first) => {
                         first.insert(reps.len());
@@ -456,8 +479,10 @@ impl<'a> BatchRunner<'a> {
                 .into_iter()
                 .map(Arc::new)
                 .collect();
+            memo.reserve(reps.len());
             for (position, &i) in reps.iter().enumerate() {
-                memo.insert(buffer[i].clone(), rep_results[position].clone());
+                let key = TaskKey(Cow::Owned(buffer[i].clone()));
+                memo.insert(key, rep_results[position].clone());
             }
 
             for slot in plan {

@@ -11,6 +11,10 @@
 //!
 //! * **Owner.** One `Frames` per [`crate::UniDm`]; [`crate::BatchRunner`]
 //!   builds one `UniDm` per worker, so nothing is shared across threads.
+//! * **Access.** Rows are lent, not handed out: [`Frames::with_rows`] runs
+//!   its caller over `&FrameRow`s that stay where they are, and the caller
+//!   copies out the little it keeps (a kept row's rendered line). Showing
+//!   the model fifty candidates touches no reference count.
 //! * **Freshness.** Frames are keyed by [`Table::version`], a stamp that
 //!   changes on every `push_row` / `set_cell` and differs between tables
 //!   built separately, so a stale row cannot be served; a table name seen
@@ -22,13 +26,14 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use unidm_llm::protocol::SerializedRecord;
-use unidm_tablestore::{Table, TableError};
+use unidm_tablestore::{Table, TableError, Value};
 
 /// One candidate, as every prompt that shows it needs it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct FrameRow {
     /// The candidate projected on the task-relevant attributes.
     pub(crate) record: SerializedRecord,
@@ -53,8 +58,39 @@ impl FrameRow {
 /// A labelled entity pair of an entity-resolution demonstration pool.
 pub(crate) type LabelledPair = (SerializedRecord, SerializedRecord, bool);
 
-/// The rows one projection of a table has shown so far, by row index.
-type Frame = HashMap<usize, Arc<FrameRow>>;
+/// A cell as a record states it, the text of a text cell moved, not copied.
+pub(crate) fn cell_text(value: Value) -> String {
+    match value {
+        Value::Text(text) => text,
+        other => other.to_string(),
+    }
+}
+
+/// Hashes a row index with one multiply. The keys are positions a seeded
+/// sampler drew, never outside input, and a frame is probed fifty times a
+/// task: SipHash was most of what a lookup cost.
+#[derive(Default)]
+struct RowHasher(u64);
+
+impl Hasher for RowHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a row index hashes through write_usize");
+    }
+
+    fn write_usize(&mut self, row: usize) {
+        // 2^64 / φ: consecutive rows land far apart in the high bits the
+        // table reads its tags from, and stay distinct in the low ones.
+        self.0 = (row as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The rows one projection of a table has shown so far, by row index,
+/// held in the map itself: a probe reaches the row without a second hop.
+type Frame = HashMap<usize, FrameRow, BuildHasherDefault<RowHasher>>;
 
 /// The frames of one table name, all filled at one version.
 #[derive(Debug, Clone)]
@@ -81,23 +117,27 @@ pub(crate) struct Frames {
 }
 
 impl Frames {
-    /// Rows `rows` of `table` projected on columns `cols`, serializing the
-    /// ones this version of the table has not shown yet.
-    pub(crate) fn rows(
+    /// Lends `read` rows `rows` of `table` projected on columns `cols`, in
+    /// that order, serializing first the ones this version of the table has
+    /// not shown yet. The rows stay in the frame — a caller copies out what
+    /// it keeps — and the frame stays borrowed while `read` runs.
+    pub(crate) fn with_rows<T>(
         &self,
         table: &Table,
         cols: &[usize],
         rows: &[usize],
-    ) -> Result<Vec<Arc<FrameRow>>, TableError> {
+        read: impl FnOnce(&[&FrameRow]) -> T,
+    ) -> Result<T, TableError> {
         let mut tables = self.tables.borrow_mut();
-        if !tables.contains_key(table.name()) {
-            let empty = TableFrames {
-                version: table.version(),
-                projections: Vec::new(),
-            };
-            tables.insert(table.name().to_string(), empty);
-        }
-        let frames = tables.get_mut(table.name()).expect("inserted above");
+        let frames = match tables.get_mut(table.name()) {
+            Some(frames) => frames,
+            None => tables
+                .entry(table.name().to_string())
+                .or_insert(TableFrames {
+                    version: table.version(),
+                    projections: Vec::new(),
+                }),
+        };
         if frames.version != table.version() {
             frames.version = table.version();
             frames.projections.clear();
@@ -105,27 +145,26 @@ impl Frames {
         let at = match frames.projections.iter().position(|(key, _)| key == cols) {
             Some(at) => at,
             None => {
-                frames.projections.push((cols.to_vec(), HashMap::new()));
+                frames.projections.push((cols.to_vec(), Frame::default()));
                 frames.projections.len() - 1
             }
         };
         let frame = &mut frames.projections[at].1;
         let columns = table.schema().columns();
-        rows.iter()
-            .map(|&row| {
-                if let Some(hit) = frame.get(&row) {
-                    return Ok(hit.clone());
-                }
-                let mut pairs = Vec::with_capacity(cols.len());
-                for &col in cols {
-                    let name = columns[col].name();
-                    pairs.push((name.to_string(), table.cell_value(row, name)?.to_string()));
-                }
-                let filled = Arc::new(FrameRow::new(SerializedRecord::new(pairs)));
-                frame.insert(row, filled.clone());
-                Ok(filled)
-            })
-            .collect()
+        for &row in rows {
+            if frame.contains_key(&row) {
+                continue;
+            }
+            // One read of the row (one pager visit), projected here.
+            let mut cells = table.row_at(row)?.into_values();
+            let pairs = cols.iter().map(|&col| {
+                let cell = std::mem::take(&mut cells[col]);
+                (columns[col].name().to_string(), cell_text(cell))
+            });
+            frame.insert(row, FrameRow::new(SerializedRecord::new(pairs.collect())));
+        }
+        let shown: Vec<&FrameRow> = rows.iter().map(|row| &frame[row]).collect();
+        Ok(read(&shown))
     }
 
     /// The candidates of demonstration pool `pool`: the memoized ones when

@@ -4,19 +4,27 @@
 //! pairs; when parsing is enabled, prompt `p_dp` asks the LLM to rewrite
 //! the pairs as fluent sentences `C'`.
 
-use unidm_llm::protocol::{render_pdp, SerializedRecord};
+use unidm_llm::protocol::{render_pdp_lines, SerializedRecord};
 use unidm_llm::LanguageModel;
 
 use crate::{PipelineConfig, UniDmError};
 
 /// Serializes records to the pair text `V` (one record per line).
 pub fn serialize(records: &[SerializedRecord]) -> String {
-    records
+    join_lines(&rendered(records))
+}
+
+fn rendered(records: &[SerializedRecord]) -> Vec<String> {
+    records.iter().map(SerializedRecord::render).collect()
+}
+
+/// `V` from rendered records: a record without a value has no line.
+fn join_lines(lines: &[String]) -> String {
+    let stated = lines
         .iter()
-        .map(SerializedRecord::render)
-        .filter(|l| !l.is_empty())
-        .collect::<Vec<_>>()
-        .join("\n")
+        .map(String::as_str)
+        .filter(|line| !line.is_empty());
+    stated.collect::<Vec<_>>().join("\n")
 }
 
 /// Produces the context text: `C'` via `p_dp` when parsing is enabled, the
@@ -30,13 +38,23 @@ pub fn parse_context(
     config: &PipelineConfig,
     records: &[SerializedRecord],
 ) -> Result<String, UniDmError> {
-    if records.is_empty() {
+    parse_lines(llm, config, &rendered(records))
+}
+
+/// [`parse_context`] over records that are already rendered, which is how
+/// [`crate::UniDm::run`] holds them.
+pub(crate) fn parse_lines(
+    llm: &dyn LanguageModel,
+    config: &PipelineConfig,
+    lines: &[String],
+) -> Result<String, UniDmError> {
+    if lines.is_empty() {
         return Ok(String::new());
     }
     if !config.context_parsing {
-        return Ok(serialize(records));
+        return Ok(join_lines(lines));
     }
-    let prompt = render_pdp(records);
+    let prompt = render_pdp_lines(lines.iter().map(String::as_str));
     let reply = llm.complete(&prompt)?;
     Ok(reply.text.clone())
 }

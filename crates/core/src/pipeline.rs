@@ -22,11 +22,11 @@
 //! serialized of a table (or of an entity-resolution pool) for one task it
 //! reuses for the next, without ever changing a prompt.
 
-use unidm_llm::protocol::{Claim, SerializedRecord};
+use unidm_llm::protocol::Claim;
 use unidm_llm::{LanguageModel, Usage, UsageMeter};
 use unidm_tablestore::DataLake;
 
-use crate::frame::Frames;
+use crate::frame::{FrameRow, Frames};
 use crate::retrieval::{instance_wise_in, meta_wise, score_candidates};
 use crate::task::{demonstrations, versus, Source, Task, Unified};
 use crate::{parsing, prompting, PipelineConfig, UniDmError};
@@ -120,8 +120,9 @@ impl<'a> UniDm<'a> {
         } = task.lower(lake, config.seed)?;
 
         // Step 1 — context retrieval, over whatever the source offers to
-        // choose among.
-        let (selected_attrs, records, brought) = match source {
+        // choose among. A kept record is its frame row's rendered line
+        // from here on: nothing below renders or clones a record.
+        let (selected_attrs, context_records, brought) = match source {
             Source::Table {
                 table,
                 meta_query,
@@ -139,7 +140,7 @@ impl<'a> UniDm<'a> {
                     .ok_or_else(|| {
                         UniDmError::InvalidTask("no attributes selected for table QA".into())
                     })?;
-                let context = instance_wise_in(
+                let records = instance_wise_in(
                     &self.frames,
                     llm,
                     config,
@@ -150,8 +151,9 @@ impl<'a> UniDm<'a> {
                     &attrs,
                     target,
                     key,
+                    line,
                 )?;
-                (attrs, context.records, None)
+                (attrs, records, None)
             }
             Source::Pool { pool, pair } => {
                 let demos = self
@@ -163,10 +165,11 @@ impl<'a> UniDm<'a> {
                     // Entity pairs are long: scoring respects the context
                     // window.
                     let sampled = &demos[..config.sample_size.min(demos.len())];
-                    score_candidates(llm, config, kind, &versus(&pair.0, &pair.1), sampled)?
+                    let query = versus(&pair.0, &pair.1);
+                    let kept = score_candidates(llm, config, kind, &query, sampled)?;
+                    kept.into_iter().map(|at| line(&sampled[at])).collect()
                 } else {
-                    let kept = demos.iter().take(config.top_k);
-                    kept.map(|demo| demo.record.clone()).collect()
+                    demos.iter().take(config.top_k).map(line).collect()
                 };
                 (Vec::new(), records, None)
             }
@@ -177,7 +180,7 @@ impl<'a> UniDm<'a> {
         // Step 2 — context parsing; text the task brought is its own `C'`.
         let context = match brought {
             Some(text) => text,
-            None => parsing::parse_context(llm, config, &records)?,
+            None => parsing::parse_lines(llm, config, &context_records)?,
         };
 
         // Step 3 — the claim `(T, C', Q)`, its target prompt, the answer.
@@ -193,12 +196,17 @@ impl<'a> UniDm<'a> {
             usage: meter.used(),
             trace: Trace {
                 selected_attrs,
-                context_records: records.iter().map(SerializedRecord::render).collect(),
+                context_records,
                 context_text: claim.context,
                 target_prompt,
             },
         })
     }
+}
+
+/// A kept row as the rest of a run holds it: its rendered line.
+fn line(kept: &FrameRow) -> String {
+    kept.line.clone()
 }
 
 #[cfg(test)]

@@ -119,7 +119,9 @@ pub fn instance_wise(
     target_attr: &str,
     key_attr: &str,
 ) -> Result<Context, UniDmError> {
-    instance_wise_in(
+    // The one place a kept row is copied out of its frame: the public
+    // `Context` owns its records.
+    let records = instance_wise_in(
         &Frames::default(),
         llm,
         config,
@@ -130,13 +132,18 @@ pub fn instance_wise(
         attrs,
         target_attr,
         key_attr,
-    )
+        |row| row.record.clone(),
+    )?;
+    Ok(Context {
+        attrs: attrs.to_vec(),
+        records,
+    })
 }
 
 /// [`instance_wise`] with the candidates' serialization read from (and
-/// left in) `frames`.
+/// left in) `frames`: what `keep` takes of each kept row, best first.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn instance_wise_in(
+pub(crate) fn instance_wise_in<T>(
     frames: &Frames,
     llm: &dyn LanguageModel,
     config: &PipelineConfig,
@@ -147,7 +154,8 @@ pub(crate) fn instance_wise_in(
     attrs: &[String],
     target_attr: &str,
     key_attr: &str,
-) -> Result<Context, UniDmError> {
+    keep: impl Fn(&FrameRow) -> T,
+) -> Result<Vec<T>, UniDmError> {
     // Projection: the key (subject), the helper attrs and the target, each
     // once, presented in schema order — the table's own column order is the
     // natural "logical order" the parsing step expects.
@@ -169,34 +177,34 @@ pub(crate) fn instance_wise_in(
 
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x1457);
     let mut sampled = table.sample_rows(&mut rng, config.sample_size, exclude_row.as_slice());
-    let records = if sampled.is_empty() {
-        Vec::new()
-    } else if config.instance_retrieval {
-        // The candidates keep what the sample walk read: scoring never
-        // goes back to the table, which would re-fault evicted chunks.
-        let candidates = frames.rows(table, &cols, &sampled)?;
-        score_candidates(llm, config, task, query, &candidates)?
-    } else {
+    if sampled.is_empty() {
+        return Ok(Vec::new());
+    }
+    if !config.instance_retrieval {
         sampled.truncate(config.top_k);
-        let kept = frames.rows(table, &cols, &sampled)?;
-        kept.iter().map(|row| row.record.clone()).collect()
-    };
-    Ok(Context {
-        attrs: attrs.to_vec(),
-        records,
-    })
+    }
+    // The candidates keep what the sample walk read: scoring never goes
+    // back to the table, which would re-fault evicted chunks.
+    frames.with_rows(table, &cols, &sampled, |candidates| {
+        let kept = if config.instance_retrieval {
+            score_candidates(llm, config, task, query, candidates)?
+        } else {
+            (0..candidates.len()).collect()
+        };
+        Ok(kept.into_iter().map(|at| keep(candidates[at])).collect())
+    })?
 }
 
-/// Scores `candidates` against `query` with `p_ri` and returns the top
-/// `config.top_k` records — shared by table rows and entity-resolution
-/// demonstrations.
+/// Scores `candidates` against `query` with `p_ri` and returns the
+/// positions of the top `config.top_k`, best first — shared by table rows
+/// and entity-resolution demonstrations.
 pub(crate) fn score_candidates<R: Borrow<FrameRow>>(
     llm: &dyn LanguageModel,
     config: &PipelineConfig,
     task: TaskKind,
     query: &str,
     candidates: &[R],
-) -> Result<Vec<SerializedRecord>, UniDmError> {
+) -> Result<Vec<usize>, UniDmError> {
     // Keep the scoring prompt inside the model's context window: drop
     // trailing candidates when the window is small (e.g. GPT-J's 2k).
     let budget = llm.context_window().saturating_sub(256);
@@ -210,17 +218,21 @@ pub(crate) fn score_candidates<R: Borrow<FrameRow>>(
         used += cost;
         fit += 1;
     }
-    let candidates = &candidates[..fit.max(1).min(candidates.len())];
-    let lines = candidates.iter().map(|c| c.borrow().line.as_str());
+    let shown = fit.max(1).min(candidates.len());
+    let lines = candidates[..shown].iter().map(|c| c.borrow().line.as_str());
     let reply = llm.complete(&render_pri_lines(task, query, lines))?;
     let mut scores = parse_pri_response(&reply.text);
-    scores.sort_by_key(|&(i, s)| (std::cmp::Reverse(s), i));
-    Ok(scores
-        .into_iter()
-        .take(config.top_k)
-        .filter_map(|(i, _)| candidates.get(i))
-        .map(|c| c.borrow().record.clone())
-        .collect())
+    // Best score first, earliest candidate first among equals. Equal keys
+    // are equal entries, so selecting the top k and sorting those alone is
+    // the head of the whole list sorted.
+    let rank = |&(i, s): &(usize, u8)| (std::cmp::Reverse(s), i);
+    if config.top_k < scores.len() {
+        scores.select_nth_unstable_by_key(config.top_k, rank);
+        scores.truncate(config.top_k);
+    }
+    scores.sort_unstable_by_key(rank);
+    let kept = scores.into_iter().map(|(i, _)| i);
+    Ok(kept.filter(|&i| i < shown).collect())
 }
 
 #[cfg(test)]

@@ -713,8 +713,9 @@ impl CacheStore {
     /// Corrupt frames discovered at read time (the file changed under
     /// us) drop the entry and miss, never panic.
     pub fn get(&self, prompt: &str) -> Option<Arc<Completion>> {
-        let mut state = self.lock();
-        let Some(mut entry) = state.index.get(prompt).copied() else {
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        let Some(entry) = state.index.get_mut(prompt) else {
             state.stats.misses += 1;
             // Missed probes still teach the filter: the second sighting
             // of a key is what earns it admission at capacity.
@@ -725,7 +726,6 @@ impl CacheStore {
             Ok((_, stored_prompt, completion)) if stored_prompt == prompt => {
                 state.stats.hits += 1;
                 entry.generation = self.inner.generation;
-                state.index.insert(prompt.into(), entry);
                 state.filter.touch(fnv1a(prompt.as_bytes()));
                 Some(Arc::new(completion))
             }

@@ -6,6 +6,8 @@
 //! finds its candidates ([`Source`]). [`crate::UniDm::run`] sees only the
 //! lowered [`Unified`] value and never matches on a `Task`.
 
+use std::hash::{Hash, Hasher};
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -15,15 +17,16 @@ use unidm_llm::protocol::{
 };
 use unidm_tablestore::{DataLake, Table};
 
-use crate::frame::{FrameRow, LabelledPair};
+use crate::frame::{cell_text, FrameRow, LabelledPair};
 use crate::UniDmError;
 
 /// A data-manipulation task in the unified form of paper §3: a task kind
 /// plus the records `R` and attributes `S` it touches.
 ///
 /// `Eq + Hash` because the batch dedup planner groups byte-identical
-/// tasks by hashing them directly (a run is a pure function of the task,
-/// so equal tasks produce equal outputs).
+/// tasks (a run is a pure function of the task, so equal tasks produce
+/// equal outputs): it compares whole tasks and hashes a cheap fingerprint
+/// of each (`Task::fingerprint`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Task {
     /// Fill the missing `attr` of row `row` in table `table`.
@@ -127,6 +130,18 @@ impl Task {
         }
     }
 
+    /// Feeds `state` enough of the task to tell most tasks apart, cheaply:
+    /// equal tasks feed it the same, so a map may hash this and compare
+    /// with `Eq`. Entity resolution is the one kind whose derived hash is
+    /// expensive — every task of a dataset carries the whole labelled pool
+    /// — so it hashes the pair under judgement and the pool's length only.
+    pub(crate) fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        match self {
+            Task::EntityResolution { a, b, pool } => (a, b, pool.len()).hash(state),
+            other => other.hash(state),
+        }
+    }
+
     /// Lowers the task to the unified form `Y = F_T(R, S, D)` of paper §3,
     /// borrowing from the task and from `lake`. `seed` seeds the sampling
     /// a task does of what it brought (join discovery's column values).
@@ -162,13 +177,14 @@ impl Task {
                 (claim_query_imputation(&record, attr), source)
             }
             Task::Transformation { examples, input } => {
-                let pair = |(before, after): &(String, String)| {
+                let line = |(before, after): &(String, String)| {
                     SerializedRecord::new(vec![
                         ("before".to_string(), before.clone()),
                         ("after".to_string(), after.clone()),
                     ])
+                    .render()
                 };
-                let records = examples.iter().map(pair).collect();
+                let records = examples.iter().map(line).collect();
                 (format!("{input}: ?"), Source::Records(records))
             }
             Task::ErrorDetection { table, row, attr } => {
@@ -266,9 +282,9 @@ pub(crate) enum Source<'t> {
         pool: &'t [LabelledPair],
         pair: (String, String),
     },
-    /// Records the task brought (transformation's examples): nothing to
-    /// retrieve, only to parse.
-    Records(Vec<SerializedRecord>),
+    /// Records the task brought (transformation's examples), rendered:
+    /// nothing to retrieve, only to parse.
+    Records(Vec<String>),
     /// Context text the task brought (join discovery's column samples,
     /// extraction's document): nothing to retrieve or to parse.
     Text(String),
@@ -277,14 +293,16 @@ pub(crate) enum Source<'t> {
 /// The record of `row` as a claim states it: every non-empty cell but the
 /// attribute under imputation.
 fn target_record(table: &Table, row: usize, attr: &str) -> Result<SerializedRecord, UniDmError> {
-    let rec = table.row_at(row)?;
-    let mut pairs = Vec::new();
-    for (i, name) in table.schema().names().enumerate() {
-        let v = rec.get(i).map(|v| v.to_string()).unwrap_or_default();
-        if name.eq_ignore_ascii_case(attr) || v.is_empty() {
+    let cells = table.row_at(row)?.into_values();
+    let mut pairs = Vec::with_capacity(cells.len());
+    for (name, cell) in table.schema().names().zip(cells) {
+        if name.eq_ignore_ascii_case(attr) {
             continue;
         }
-        pairs.push((name.to_string(), v));
+        let text = cell_text(cell);
+        if !text.is_empty() {
+            pairs.push((name.to_string(), text));
+        }
     }
     Ok(SerializedRecord::new(pairs))
 }

@@ -199,14 +199,17 @@ fn push_context(lines: &mut Vec<String>, context: &str) {
 
 /// Encodes an imputation query: the target record with `attr: ?`.
 pub fn claim_query_imputation(record: &SerializedRecord, attr: &str) -> String {
-    let mut pairs: Vec<(String, String)> = record
-        .pairs
-        .iter()
-        .filter(|(a, v)| !a.eq_ignore_ascii_case(attr) && !v.is_empty())
-        .cloned()
-        .collect();
-    pairs.push((attr.to_string(), "?".to_string()));
-    SerializedRecord::new(pairs).render()
+    let known = || {
+        let pairs = record.pairs.iter();
+        pairs.filter(|(a, v)| !a.eq_ignore_ascii_case(attr) && !v.is_empty())
+    };
+    let len: usize = known().map(|(a, v)| a.len() + v.len() + 4).sum();
+    let mut out = String::with_capacity(len + attr.len() + 3);
+    for (a, v) in known() {
+        out.extend([a.as_str(), ": ", v.as_str(), "; "]);
+    }
+    out.extend([attr, ": ?"]);
+    out
 }
 
 /// Encodes an entity-resolution query from two descriptions.

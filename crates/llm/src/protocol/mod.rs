@@ -31,7 +31,8 @@ pub use fm::{
 };
 pub use prompts::{
     parse_pcq, parse_pdp, parse_pri, parse_pri_response, parse_prm, render_pcq, render_pdp,
-    render_pri, render_pri_lines, render_prm, Claim, PdpRequest, PriRequest, PrmRequest,
+    render_pdp_lines, render_pri, render_pri_lines, render_prm, Claim, PdpRequest, PriRequest,
+    PrmRequest,
 };
 pub use record::{naturalize_record, parse_natural_sentence, SerializedRecord};
 

@@ -129,19 +129,83 @@ pub fn parse_pri(prompt: &str) -> Option<PriRequest> {
 }
 
 /// Parses the `p_ri` *response*: `"1:3, 2:0, ..."` → 0-based `(index, score)`.
+///
+/// An entry is `index:score` between commas, blanks allowed around either
+/// number and a leading `+` on it; scores clamp to 3. Entries that are not
+/// that — no colon, no digits, index 0, a number out of range — are skipped.
 pub fn parse_pri_response(text: &str) -> Vec<(usize, u8)> {
-    let mut out = Vec::new();
-    for chunk in text.split(',') {
-        let Some((i, s)) = chunk.trim().split_once(':') else {
-            continue;
-        };
-        if let (Ok(i), Ok(s)) = (i.trim().parse::<usize>(), s.trim().parse::<u8>()) {
-            if i >= 1 {
-                out.push((i - 1, s.min(3)));
+    // Sized for the reply the model is asked for, `"1:3, 2:0, ..."`: five
+    // bytes an entry or more.
+    let mut out = Vec::with_capacity(text.len() / 5 + 1);
+    // From the start of the entry being read to the end of the text.
+    let mut rest = text.as_bytes();
+    loop {
+        let (entry, after) = match scan_pri_entry(rest) {
+            Some((entry, after)) => (Some(entry), after),
+            None => {
+                // Only Unicode blanks make an entry the byte scan refuses
+                // readable: those go the long way round, `trim` and `parse`.
+                let start = text.len() - rest.len();
+                let len = rest.iter().position(|&b| b == b',').unwrap_or(rest.len());
+                let chunk = &text[start..start + len];
+                let entry = if chunk.is_ascii() {
+                    None
+                } else {
+                    chunk.trim().split_once(':').and_then(|(index, score)| {
+                        Some((index.trim().parse().ok()?, score.trim().parse().ok()?))
+                    })
+                };
+                (entry, &rest[len..])
             }
+        };
+        if let Some((index @ 1.., score)) = entry {
+            out.push((index - 1, u8::min(score, 3)));
+        }
+        match after {
+            [_comma, next @ ..] => rest = next,
+            [] => return out,
         }
     }
-    out
+}
+
+/// Scans one ASCII `index:score` entry off the front of `bytes`, up to the
+/// comma that ends it or the end of the text; returns the entry and the
+/// bytes from there on. `None` for anything else.
+fn scan_pri_entry(bytes: &[u8]) -> Option<((usize, u8), &[u8])> {
+    let (index, bytes) = scan_number(bytes)?;
+    let [b':', bytes @ ..] = bytes else {
+        return None;
+    };
+    let (score, bytes) = scan_number(bytes)?;
+    let score = u8::try_from(score).ok()?;
+    matches!(bytes, [] | [b',', ..]).then_some(((index, score), bytes))
+}
+
+/// Scans `blank* [+] digit+ blank*` off the front of `bytes`, reading ASCII
+/// as `str::trim` and `usize::from_str` do: `None` without a digit or past
+/// `usize::MAX`.
+fn scan_number(bytes: &[u8]) -> Option<(usize, &[u8])> {
+    fn skip_blanks(mut bytes: &[u8]) -> &[u8] {
+        while let [b'\t'..=b'\r' | b' ', rest @ ..] = bytes {
+            bytes = rest;
+        }
+        bytes
+    }
+    let mut bytes = skip_blanks(bytes);
+    if let [b'+', rest @ ..] = bytes {
+        bytes = rest;
+    }
+    let [b'0'..=b'9', ..] = bytes else {
+        return None;
+    };
+    let mut value = 0usize;
+    while let [digit @ b'0'..=b'9', rest @ ..] = bytes {
+        value = value
+            .checked_mul(10)?
+            .checked_add(usize::from(digit - b'0'))?;
+        bytes = rest;
+    }
+    Some((value, skip_blanks(bytes)))
 }
 
 /// A parsed context-data-parsing request (`p_dp`).
@@ -156,15 +220,32 @@ pub struct PdpRequest {
 /// > Given the data, convert the items into a textual format that
 /// > encompasses all relevant information in a logical order: \[V\]
 pub fn render_pdp(records: &[SerializedRecord]) -> String {
-    let body = records
-        .iter()
-        .map(SerializedRecord::render)
-        .collect::<Vec<_>>()
-        .join("\n");
-    format!(
-        "Given the data, convert the items into a textual format that encompasses all \
-         relevant information in a logical order: [{body}]"
-    )
+    let lines: Vec<String> = records.iter().map(SerializedRecord::render).collect();
+    render_pdp_lines(lines.iter().map(String::as_str))
+}
+
+/// [`render_pdp`] over records that are already rendered
+/// ([`SerializedRecord::render`]), spliced into one pre-sized buffer. A
+/// record without a non-empty value is an empty line, as in `render_pdp`.
+pub fn render_pdp_lines<'a, I>(lines: I) -> String
+where
+    I: IntoIterator<Item = &'a str>,
+    I::IntoIter: Clone,
+{
+    const HEAD: &str = "Given the data, convert the items into a textual format that \
+                        encompasses all relevant information in a logical order: [";
+    let lines = lines.into_iter();
+    let body: usize = lines.clone().map(|line| line.len() + 1).sum();
+    let mut out = String::with_capacity(HEAD.len() + body + 1);
+    out.push_str(HEAD);
+    for (i, line) in lines.enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        out.push_str(line);
+    }
+    out.push(']');
+    out
 }
 
 /// Parses a `p_dp` prompt.
