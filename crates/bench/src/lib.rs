@@ -12,9 +12,9 @@
 //! (`pipeline`, `substrates`, `canon`) measure wall-clock costs of the
 //! pipeline stages, substrate operations, and the canonicalizer hot path.
 //!
-//! The crate also hosts the perf-baseline instrumentation the `throughput`
-//! binary uses to emit the committed `BENCH_<pr>.json`: a counting global
-//! allocator ([`alloc_counter`]), an endpoint-call counter
+//! The crate also hosts the instrumentation the `throughput` binary uses
+//! to emit the committed exact-counter ledger `BENCH_<pr>.json`: a counting
+//! global allocator ([`alloc_counter`]), an endpoint-call counter
 //! ([`CallCounter`]), and a dependency-free JSON writer ([`JsonObject`]).
 
 // `deny` rather than `forbid`: the counting global allocator must
@@ -31,11 +31,11 @@ use unidm_llm::{Completion, FaultPlan, LanguageModel, LlmError, Usage};
 
 pub mod alloc_counter;
 
-/// The PR whose perf baseline the `throughput` and `serving` binaries
-/// emit: they stamp it into the document and default `--bench-json` to
-/// `BENCH_<BASELINE_PR>.json`, so a run without the flag can never
-/// overwrite an earlier PR's committed baseline.
-pub const BASELINE_PR: u64 = 20;
+/// The PR whose ledger the `throughput` binary emits: it stamps it into
+/// the document and defaults `--bench-json` to `BENCH_<BASELINE_PR>.json`,
+/// so a run without the flag can never overwrite an earlier PR's committed
+/// baseline.
+pub const BASELINE_PR: u64 = 21;
 
 /// Route every allocation of the bench binaries through the counting
 /// allocator, so perf regimes can assert exact allocation counts (the
@@ -126,14 +126,6 @@ impl JsonObject {
     pub fn field_u64(mut self, name: &str, value: u64) -> Self {
         self.key(name);
         self.out.push_str(&value.to_string());
-        self
-    }
-
-    /// Adds a float field (6 decimal places — microsecond resolution on
-    /// values measured in seconds).
-    pub fn field_f64(mut self, name: &str, value: f64) -> Self {
-        self.key(name);
-        self.out.push_str(&format!("{value:.6}"));
         self
     }
 

@@ -45,18 +45,22 @@
 //!   guaranteed serially.
 //! * **Long-lived** — [`Dispatcher::register`] returns an RAII guard; a
 //!   registered worker counts toward quiescence even between calls. This
-//!   is what [`crate::BatchRunner`]'s pipelined mode uses: with every
-//!   worker registered for the whole batch, the timeline is deterministic
-//!   at any worker count. The contract is that registered threads must not
-//!   block on anything *outside* the dispatcher — in particular, a
+//!   is what [`crate::BatchRunner`]'s pipelined mode uses, and it seats
+//!   every worker before any of them issues a call: the timeline is
+//!   deterministic at any worker count *because* seats precede work — a
+//!   worker that registered and ran while its peers were still being
+//!   spawned would be quiescent alone and drive the clock on whatever
+//!   the OS had started so far. The contract is that registered threads
+//!   must not block on anything *outside* the dispatcher — in particular, a
 //!   [`crate::PromptCache`] layered above a pipelined dispatcher must have
 //!   cache-level single-flight disabled
 //!   ([`crate::PromptCache::with_single_flight`]); the dispatcher's own
 //!   request-level single-flight and memo provide the same guarantee
 //!   (endpoint calls == unique prompts). As a last-resort escape valve, a
 //!   parked thread that has waited ~250ms of *wall* time with no progress
-//!   force-drives the reactor: a mis-wired composition degrades to slow
-//!   nondeterministic timelines instead of hanging.
+//!   — no peer entering `complete` — force-drives the reactor: a mis-wired
+//!   composition degrades to slow nondeterministic timelines instead of
+//!   hanging.
 //!
 //! # Hedged requests
 //!
@@ -584,12 +588,17 @@ impl<'a> Dispatcher<'a> {
                 self.drive(&mut core);
                 continue;
             }
+            // A peer that entered `complete` while we waited is progress,
+            // not a stall: under load a wave of workers can take longer
+            // than the escape interval to park one by one.
+            let calls_before = core.stats.calls;
             let (guard, timeout) = self
                 .wakeup
                 .wait_timeout(core, STALL_ESCAPE)
                 .unwrap_or_else(PoisonError::into_inner);
             core = guard;
             if timeout.timed_out()
+                && core.stats.calls == calls_before
                 && core.parked < core.registered.len()
                 && core.requests.get(&id).is_some_and(|r| r.resolved.is_none())
             {

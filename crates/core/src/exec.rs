@@ -20,7 +20,8 @@
 //! (`fetch_add`) and fills that representative's slot. One worker runs the
 //! loop on the calling thread; more run it under [`std::thread::scope`];
 //! in pipelined mode ([`BatchRunner::with_pipeline`]) each worker also
-//! holds a [`Dispatcher`] registration while it runs.
+//! holds a [`Dispatcher`] registration while it runs, taken before any
+//! worker starts.
 //!
 //! ```
 //! use unidm::{BatchRunner, PipelineConfig, PromptCache, Task};
@@ -49,7 +50,7 @@ use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock};
 
 use unidm_llm::LanguageModel;
 use unidm_tablestore::DataLake;
@@ -252,8 +253,11 @@ impl<'a> BatchRunner<'a> {
     /// whole batch and claims the next unique task from a shared cursor
     /// the moment its previous one finishes — continuous admission into
     /// the dispatcher's in-flight window instead of whole-batch barriers.
-    /// The dedup planner still runs first, so duplicate tasks never reach
-    /// the dispatcher at all.
+    /// No worker issues a call until all of them are registered, so the
+    /// dispatcher's virtual timeline (makespan, hedges, every counter) is a
+    /// function of the task list and the worker count, never of the order
+    /// the OS started the threads in. The dedup planner still runs first,
+    /// so duplicate tasks never reach the dispatcher at all.
     ///
     /// The `llm` this runner drives must bottom out in `dispatcher` — that
     /// is how worker calls become reactor events. Any [`crate::PromptCache`]
@@ -362,9 +366,18 @@ impl<'a> BatchRunner<'a> {
         // into an open in-flight slot while stragglers are still pending.
         // In pipelined mode a worker holds its dispatcher registration for
         // the whole batch, so the reactor only advances virtual time when
-        // every worker is parked inside it (quiescence).
+        // every worker is parked inside it (quiescence) — and no worker
+        // issues a call until all of them are seated: a worker that ran
+        // ahead of its unspawned peers would be quiescent alone and drive
+        // the clock on an OS-scheduling-dependent request set.
+        let workers = self.workers.min(reps.len()).max(1);
+        let seated = Barrier::new(workers);
         let worker = || {
-            let _registration = self.pipeline.map(Dispatcher::register);
+            let _registration = self.pipeline.map(|dispatcher| {
+                let registration = dispatcher.register();
+                seated.wait();
+                registration
+            });
             let unidm = UniDm::new(self.llm, self.config);
             loop {
                 let position = cursor.fetch_add(1, Ordering::Relaxed);
@@ -377,8 +390,8 @@ impl<'a> BatchRunner<'a> {
                     .expect("slot claimed exactly once");
             }
         };
-        match self.workers.min(reps.len()) {
-            0 | 1 => worker(),
+        match workers {
+            1 => worker(),
             workers => std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(worker);

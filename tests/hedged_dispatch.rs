@@ -19,7 +19,7 @@
 use unidm::backend::BackendConfig;
 use unidm::dispatch::{Dispatcher, HedgePolicy};
 use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
-use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm};
+use unidm_llm::{Clock, FaultPlan, LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
 use unidm_world::World;
@@ -36,9 +36,13 @@ fn fault_seed() -> u64 {
 }
 
 fn workload() -> (MockLlm, DataLake, Vec<Task>) {
+    workload_of(WORKLOAD)
+}
+
+fn workload_of(queries: usize) -> (MockLlm, DataLake, Vec<Task>) {
     let world = World::generate(42);
     let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 42);
-    let ds = imputation::restaurant(&world, 42, WORKLOAD);
+    let ds = imputation::restaurant(&world, 42, queries);
     let lake: DataLake = [ds.table.clone()].into_iter().collect();
     let tasks: Vec<Task> = ds
         .targets
@@ -134,6 +138,59 @@ fn hedged_answers_bit_identical_across_seeds_and_worker_counts() {
             assert_eq!(
                 stats.hedges_cancelled, stats.hedges_issued,
                 "no errors, so every issued hedge has exactly one cancelled loser"
+            );
+        }
+    }
+}
+
+/// Seats precede work: a pipelined `BatchRunner` registers all 64 workers
+/// with the dispatcher before any of them issues a call, so the virtual
+/// timeline — makespan and the full `BackendStats`, latency sketches
+/// included — is a function of the request set, not of which OS thread
+/// started first. Plain and hedged, straight onto the dispatcher and
+/// through the single-flight-off cache the ledger's regimes use, five runs
+/// each, all identical.
+#[test]
+fn pipelined_batch_timeline_is_identical_across_runs() {
+    // One task per worker, so all 64 are spawned.
+    let (llm, lake, tasks) = workload_of(64);
+    let pipeline = PipelineConfig::paper_default();
+    let seed = fault_seed();
+    let timeline = |hedged: bool, cached: bool| {
+        let mut config = BackendConfig::resilient(seed)
+            .without_breaker()
+            .with_faults(FaultPlan::heavy_tail(seed))
+            .with_pipelined();
+        if hedged {
+            config = config.with_hedge(HedgePolicy::at_quantile(900).with_min_samples(8));
+        }
+        let dispatcher = Dispatcher::new(&llm, config);
+        warm_estimator(&dispatcher, &llm, 8);
+        let cache = PromptCache::unbounded(&dispatcher)
+            .with_canonicalization(CanonLevel::TableStem)
+            .with_single_flight(false);
+        let model: &dyn LanguageModel = if cached { &cache } else { &dispatcher };
+        BatchRunner::new(model, pipeline)
+            .with_workers(64)
+            .with_pipeline(&dispatcher)
+            .run_report(&lake, &tasks);
+        let mut stats = dispatcher.stats();
+        if cached {
+            // Woken workers race the winner's cache insert: a repeat of a
+            // resolved prompt is a cache hit or a dispatcher memo hit, both
+            // immediate. Only their sum is a function of the request set.
+            stats.calls -= stats.dispatch_coalesced;
+            stats.dispatch_coalesced = 0;
+        }
+        (dispatcher.clock().now_micros(), stats)
+    };
+    for (hedged, cached) in [(false, false), (true, false), (false, true), (true, true)] {
+        let first = timeline(hedged, cached);
+        for rerun in 1..5 {
+            assert_eq!(
+                timeline(hedged, cached),
+                first,
+                "rerun {rerun} (hedged: {hedged}, cached: {cached}) moved the virtual timeline"
             );
         }
     }
