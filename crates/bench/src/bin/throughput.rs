@@ -73,6 +73,7 @@ use unidm_llm::{Clock, Completion, FaultPlan, LanguageModel, LlmProfile, MockLlm
 use unidm_synthdata::imputation;
 use unidm_synthdata::scale::{ScaleSpec, TABLE_NAME as SCALE_TABLE};
 use unidm_tablestore::DataLake;
+use unidm_text::hash::{fnv1a64, fnv1a64_extend};
 use unidm_world::World;
 
 /// How many times each task repeats in the duplicate-heavy regimes.
@@ -623,12 +624,12 @@ fn dispatched(bench: &Bench<'_>, config: BackendConfig, warmup: u64, slots: usiz
     }
     bench.llm.reset_usage();
     bench.llm.reset_calls();
-    // Cache-level single-flight must be off above a pipelined dispatcher:
-    // seated workers never block outside the reactor, which coalesces
-    // duplicate prompts itself. The cache's hit/miss split then counts
-    // timing-dependent co-leaders, so the ledger reports the dispatcher's
-    // schedule-independent accounting instead.
-    let cache = bench.cache(&dispatcher).with_single_flight(false);
+    // Seated workers never wait in the cache's in-flight slot: they
+    // complete below and the reactor coalesces duplicate prompts itself.
+    // The cache's hit/miss split then counts timing-dependent co-leaders,
+    // so the ledger reports the dispatcher's schedule-independent
+    // accounting instead.
+    let cache = bench.cache(&dispatcher);
     let report = BatchRunner::new(&cache, bench.pipeline)
         .with_workers(slots)
         .with_pipeline(&dispatcher)
@@ -955,13 +956,11 @@ fn scale(bench: &Bench<'_>, rows: usize) -> String {
         .with_partition_tasks(SCALE_PARTITION_TASKS);
     let section = AllocationDelta::start();
     let (mut answers, mut errors) = (0u64, 0u64);
-    let mut answer_fnv = 0xcbf2_9ce4_8422_2325u64;
+    let mut answer_fnv = fnv1a64(b"");
     let report = runner.run_streaming(&lake, tasks, |_, result| match result {
         Ok(output) => {
             answers += 1;
-            for byte in output.answer.bytes() {
-                answer_fnv = (answer_fnv ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-            }
+            answer_fnv = fnv1a64_extend(answer_fnv, output.answer.as_bytes());
         }
         Err(_) => errors += 1,
     });

@@ -3,13 +3,13 @@
 //!
 //! The paper assumes a well-behaved LLM endpoint; a deployed system must
 //! survive timeouts, 429 rate limits and transient 5xx errors without
-//! corrupting results. [`ResilientBackend`] wraps any
-//! [`LanguageModel`] with the protection stack a hosted deployment needs,
-//! composed in this order:
+//! corrupting results. [`BackendConfig::wrap`] puts any [`LanguageModel`]
+//! behind the protection stack a hosted deployment needs, composed in this
+//! order:
 //!
 //! ```text
 //! PromptCache                  (hits stop here: zero rate-limit budget)
-//!   └─ ResilientBackend        (= RoutedBackend over one untagged endpoint)
+//!   └─ RoutedBackend::single   (the router over one untagged endpoint)
 //!        ├─ concurrency gate   (bounded in-flight calls)
 //!        ├─ circuit breaker    (fail fast while the endpoint is down)
 //!        ├─ token bucket       (client-side rate limiting, waits not errors)
@@ -33,8 +33,9 @@
 //! fast-fails consume retries in an order-sensitive way).
 //!
 //! All timing — token refill, backoff, breaker cooldown, injected latency
-//! — runs on a shared [`Clock`], by default a [`VirtualClock`], so tests
-//! replay multi-second fault schedules in microseconds of wall time.
+//! — runs on a shared [`Clock`], by default a [`unidm_llm::VirtualClock`],
+//! so tests replay multi-second fault schedules in microseconds of wall
+//! time.
 //!
 //! # Examples
 //!
@@ -58,11 +59,7 @@
 //! assert!(stats.attempts >= 1);
 //! ```
 
-use std::sync::Arc;
-
-use unidm_llm::{
-    Clock, Completion, FaultPlan, FaultStats, LanguageModel, LlmError, Usage, VirtualClock,
-};
+use unidm_llm::{Clock, FaultPlan, FaultStats, LanguageModel};
 
 use crate::dispatch::{Dispatcher, HedgePolicy};
 use crate::route::{RoutePlan, RoutedBackend, RouterStats};
@@ -165,7 +162,7 @@ pub struct BackendConfig {
     pub breaker: Option<BreakerPolicy>,
     /// Per-call deadline in microseconds (0 = none): once a call has spent
     /// this much clock time across attempts and backoffs, it fails with
-    /// [`LlmError::DeadlineExceeded`] instead of retrying further.
+    /// [`unidm_llm::LlmError::DeadlineExceeded`] instead of retrying further.
     pub deadline_us: u64,
     /// Optional fault-injection plan: when set, [`BackendConfig::wrap`]
     /// interposes a [`unidm_llm::SimBackend`] between the retry loop and
@@ -178,7 +175,7 @@ pub struct BackendConfig {
     /// in-flight *budget* (not a thread count) bounds concurrency. The
     /// dispatcher implements rate pacing, retries and request coalescing;
     /// the breaker and per-call deadline apply only to the blocking loop
-    /// ([`ResilientBackend`], [`RoutedBackend`]).
+    /// ([`RoutedBackend`]).
     pub pipelined: bool,
     /// Hedged-request policy (implies the dispatcher): stragglers
     /// exceeding the observed attempt-latency quantile get a duplicate
@@ -270,7 +267,8 @@ impl BackendConfig {
     /// disabled, a [`RoutedBackend`] replica fleet when
     /// [`BackendConfig::route`] is set, the event-driven dispatcher when
     /// [`BackendConfig::pipelined`] or a hedge policy is set, the blocking
-    /// protection stack otherwise (each on a fresh [`VirtualClock`]).
+    /// protection stack ([`RoutedBackend::single`]) otherwise — each on a
+    /// fresh [`unidm_llm::VirtualClock`].
     pub fn wrap<'a>(&self, inner: &'a dyn LanguageModel) -> AttachedBackend<'a> {
         if !self.enabled {
             return AttachedBackend::Passthrough(inner);
@@ -281,7 +279,7 @@ impl BackendConfig {
         if self.pipelined || self.hedge.is_some() {
             return AttachedBackend::Dispatched(Box::new(Dispatcher::new(inner, *self)));
         }
-        AttachedBackend::Resilient(Box::new(ResilientBackend::new(inner, *self)))
+        AttachedBackend::Routed(Box::new(RoutedBackend::single(inner, *self, None)))
     }
 }
 
@@ -450,7 +448,7 @@ impl LatencySketch {
 ///
 /// The hedge counters (`hedges_*`, `dispatch_coalesced`) are produced by
 /// the event-driven dispatcher (`unidm::dispatch`) and stay zero under
-/// the blocking [`ResilientBackend`]; under the dispatcher's pipelined
+/// the blocking [`RoutedBackend`]; under the dispatcher's pipelined
 /// mode they are fully deterministic. The two [`LatencySketch`] fields
 /// aggregate exactly (see [`BackendStats::merge`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -482,7 +480,7 @@ pub struct BackendStats {
     /// hedge duplicates never take a token, so under hedging this stays
     /// exactly one per winner (pinned by `tests/hedged_dispatch.rs`).
     pub rate_tokens: u64,
-    /// Calls that failed with [`LlmError::DeadlineExceeded`].
+    /// Calls that failed with [`unidm_llm::LlmError::DeadlineExceeded`].
     pub deadline_exceeded: u64,
     /// Calls that ultimately returned an error.
     pub failures: u64,
@@ -538,95 +536,12 @@ impl BackendStats {
     }
 }
 
-/// The resilient client layer: bounded concurrency, token-bucket rate
-/// limiting, exponential-backoff retry with seeded jitter, a circuit
-/// breaker and per-call deadlines over any [`LanguageModel`].
-///
-/// It is [`RoutedBackend`]'s blocking attempt loop over one *untagged*
-/// endpoint, so the two stacks cannot drift apart. See the
-/// [module docs](self) for the layering and determinism story.
-#[derive(Debug)]
-pub struct ResilientBackend<'a> {
-    config: BackendConfig,
-    router: RoutedBackend<'a>,
-}
-
-impl<'a> ResilientBackend<'a> {
-    /// Builds the stack over `inner` on a fresh [`VirtualClock`].
-    pub fn new(inner: &'a dyn LanguageModel, config: BackendConfig) -> Self {
-        Self::with_clock(inner, config, Arc::new(VirtualClock::new()))
-    }
-
-    /// Builds the stack over `inner` on a caller-provided clock (e.g. a
-    /// [`unidm_llm::SystemClock`] for a live endpoint).
-    pub fn with_clock(
-        inner: &'a dyn LanguageModel,
-        config: BackendConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        ResilientBackend {
-            router: RoutedBackend::single(inner, &config, clock),
-            config,
-        }
-    }
-
-    /// The configuration the stack runs with.
-    pub fn config(&self) -> &BackendConfig {
-        &self.config
-    }
-
-    /// The clock every timing decision runs on.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        self.router.clock()
-    }
-
-    /// A snapshot of the backend counters.
-    pub fn stats(&self) -> BackendStats {
-        self.router.backend_stats()
-    }
-
-    /// Injection counters of the owned fault injector, when
-    /// [`BackendConfig::faults`] is set.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.router.fault_stats()
-    }
-}
-
-impl LanguageModel for ResilientBackend<'_> {
-    fn name(&self) -> &str {
-        self.router.name()
-    }
-
-    fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-        self.router.complete(prompt)
-    }
-
-    fn usage(&self) -> Usage {
-        self.router.usage()
-    }
-
-    fn reset_usage(&self) {
-        self.router.reset_usage();
-    }
-
-    fn context_window(&self) -> usize {
-        self.router.context_window()
-    }
-
-    fn latency_profile(&self) -> unidm_llm::LatencyProfile {
-        self.router.latency_profile()
-    }
-}
-
-/// A model reference optionally wrapped in a configured
-/// [`ResilientBackend`] (see [`BackendConfig::wrap`]) — the shape the eval
-/// drivers thread between their raw model and their prompt cache.
+/// A model reference optionally wrapped in a configured backend stack (see
+/// [`BackendConfig::wrap`]) — the shape the eval drivers thread between
+/// their raw model and their prompt cache.
 pub enum AttachedBackend<'a> {
     /// Backend disabled: calls go straight to the inner model.
     Passthrough(&'a dyn LanguageModel),
-    /// The full protection stack (boxed — the stack carries limiter,
-    /// breaker and stats state the pass-through should not pay for).
-    Resilient(Box<ResilientBackend<'a>>),
     /// The event-driven dispatcher ([`BackendConfig::pipelined`] or a
     /// hedge policy): completions are scheduled events on a timer wheel,
     /// concurrent requests overlap in virtual time, and stragglers can be
@@ -634,9 +549,12 @@ pub enum AttachedBackend<'a> {
     /// dispatcher's self-driving mode, so existing eval drivers work
     /// unchanged.
     Dispatched(Box<Dispatcher<'a>>),
-    /// A replica-routing fleet ([`BackendConfig::route`]): calls are
-    /// spread over N weighted endpoints, each with its own breaker, AIMD
-    /// bucket and endpoint-aware fault injector.
+    /// The blocking stack (boxed — it carries limiter, breaker and stats
+    /// state the pass-through should not pay for): the protection stack
+    /// over one endpoint, or a replica-routing fleet
+    /// ([`BackendConfig::route`]) spreading calls over N weighted
+    /// endpoints, each with its own breaker, AIMD bucket and
+    /// endpoint-aware fault injector.
     Routed(Box<RoutedBackend<'a>>),
 }
 
@@ -646,7 +564,6 @@ impl<'a> AttachedBackend<'a> {
     pub fn model(&self) -> &dyn LanguageModel {
         match self {
             AttachedBackend::Passthrough(m) => *m,
-            AttachedBackend::Resilient(b) => b.as_ref(),
             AttachedBackend::Dispatched(d) => d.as_ref(),
             AttachedBackend::Routed(r) => r.as_ref(),
         }
@@ -658,7 +575,6 @@ impl<'a> AttachedBackend<'a> {
     pub fn stats(&self) -> Option<BackendStats> {
         match self {
             AttachedBackend::Passthrough(_) => None,
-            AttachedBackend::Resilient(b) => Some(b.stats()),
             AttachedBackend::Dispatched(d) => Some(d.stats()),
             AttachedBackend::Routed(r) => Some(r.backend_stats()),
         }
@@ -678,7 +594,6 @@ impl<'a> AttachedBackend<'a> {
     pub fn fault_stats(&self) -> Option<FaultStats> {
         match self {
             AttachedBackend::Passthrough(_) => None,
-            AttachedBackend::Resilient(b) => b.fault_stats(),
             AttachedBackend::Dispatched(d) => d.fault_stats(),
             AttachedBackend::Routed(r) => r.fault_stats(),
         }
@@ -689,7 +604,6 @@ impl<'a> AttachedBackend<'a> {
     pub fn elapsed_us(&self) -> u64 {
         match self {
             AttachedBackend::Passthrough(_) => 0,
-            AttachedBackend::Resilient(b) => b.clock().now_micros(),
             AttachedBackend::Dispatched(d) => d.clock().now_micros(),
             AttachedBackend::Routed(r) => r.clock().now_micros(),
         }
@@ -700,8 +614,10 @@ impl<'a> AttachedBackend<'a> {
 mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
 
+    use std::sync::Arc;
+
     use super::*;
-    use unidm_llm::{LlmProfile, MockLlm};
+    use unidm_llm::{Completion, LlmError, LlmProfile, MockLlm, Usage};
     use unidm_world::World;
 
     fn model() -> MockLlm {
@@ -724,13 +640,14 @@ mod tests {
         let llm = model();
         let truth = llm.complete("The capital of Denmark is __.").unwrap();
         for seed in [1, 2, 3] {
-            let backend = ResilientBackend::new(
+            let backend = RoutedBackend::single(
                 &llm,
                 BackendConfig::resilient(seed).with_faults(FaultPlan::heavy(seed)),
+                None,
             );
             let reply = backend.complete("The capital of Denmark is __.").unwrap();
             assert_eq!(reply, truth, "seed {seed}");
-            let stats = backend.stats();
+            let stats = backend.backend_stats();
             assert_eq!(stats.calls, 1);
             assert_eq!(stats.failures, 0);
             assert_eq!(
@@ -745,14 +662,15 @@ mod tests {
     fn retries_are_reproducible_per_seed() {
         let llm = model();
         let run = || {
-            let backend = ResilientBackend::new(
+            let backend = RoutedBackend::single(
                 &llm,
                 BackendConfig::resilient(9).with_faults(FaultPlan::heavy(9)),
+                None,
             );
             for i in 0..25 {
                 backend.complete(&format!("prompt number {i}")).unwrap();
             }
-            (backend.stats(), backend.fault_stats().unwrap())
+            (backend.backend_stats(), backend.fault_stats().unwrap())
         };
         assert_eq!(run(), run(), "same seed must reproduce every counter");
     }
@@ -761,12 +679,15 @@ mod tests {
     fn rate_limiter_paces_attempts_on_the_clock() {
         let llm = model();
         // 10 attempts/sec, burst 1: 20 calls need >= 1.9 virtual seconds.
-        let backend =
-            ResilientBackend::new(&llm, BackendConfig::resilient(1).with_rate_limit(10, 1));
+        let backend = RoutedBackend::single(
+            &llm,
+            BackendConfig::resilient(1).with_rate_limit(10, 1),
+            None,
+        );
         for i in 0..20 {
             backend.complete(&format!("paced prompt {i}")).unwrap();
         }
-        let stats = backend.stats();
+        let stats = backend.backend_stats();
         assert_eq!(stats.attempts, 20);
         assert_eq!(stats.throttle_waits, 19, "everything after the burst waits");
         assert!(
@@ -788,25 +709,21 @@ mod tests {
             max_consecutive_faults: 2,
             ..FaultPlan::none(3)
         };
-        let backend = ResilientBackend::new(
-            &llm,
-            BackendConfig::resilient(3)
-                .without_breaker()
-                .with_faults(plan),
-        );
+        let config = BackendConfig::resilient(3)
+            .without_breaker()
+            .with_faults(plan);
+        let backend = RoutedBackend::single(&llm, config, None);
         backend.complete("throttled prompt").unwrap();
-        let stats = backend.stats();
+        let stats = backend.backend_stats();
         assert_eq!(stats.rate_limited, 2, "two 429s before the forced success");
         // Each retry slept at least the server's retry-after hint.
-        assert!(
-            backend.clock().now_micros() >= 2 * backend.config().retry.base_backoff_us.min(250_000),
-        );
+        assert!(backend.clock().now_micros() >= 2 * config.retry.base_backoff_us.min(250_000));
     }
 
     #[test]
     fn breaker_trips_fast_fails_and_recovers() {
         let llm = model();
-        let backend = ResilientBackend::new(
+        let backend = RoutedBackend::single(
             &llm,
             BackendConfig::resilient(5)
                 .with_breaker(BreakerPolicy {
@@ -814,13 +731,14 @@ mod tests {
                     cooldown_us: 500_000,
                 })
                 .with_faults(FaultPlan::always_faulty(5, 4)),
+            None,
         );
         // Every prompt needs 4 faults absorbed; threshold 2 trips the
         // breaker mid-call, fast-fails once, then recovers via a probe.
         for i in 0..6 {
             backend.complete(&format!("stormy prompt {i}")).unwrap();
         }
-        let stats = backend.stats();
+        let stats = backend.backend_stats();
         assert!(stats.breaker_trips >= 1, "breaker must trip: {stats:?}");
         assert!(
             stats.breaker_fast_fails >= 1,
@@ -863,9 +781,9 @@ mod tests {
     #[test]
     fn permanent_errors_are_not_retried() {
         let llm = model();
-        let backend = ResilientBackend::new(&llm, BackendConfig::resilient(1));
+        let backend = RoutedBackend::single(&llm, BackendConfig::resilient(1), None);
         assert_eq!(backend.complete("  "), Err(LlmError::EmptyPrompt));
-        let stats = backend.stats();
+        let stats = backend.backend_stats();
         assert_eq!((stats.attempts, stats.retries), (1, 0));
         assert_eq!(stats.failures, 1);
     }
@@ -938,7 +856,7 @@ mod tests {
     #[test]
     fn backend_forwards_identity_and_usage() {
         let llm = model();
-        let backend = ResilientBackend::new(&llm, BackendConfig::resilient(1));
+        let backend = RoutedBackend::single(&llm, BackendConfig::resilient(1), None);
         assert_eq!(backend.name(), llm.name());
         assert_eq!(backend.context_window(), llm.context_window());
         backend.complete("hello").unwrap();
@@ -1062,18 +980,19 @@ mod tests {
         let llm = model();
         // Two independent faulty backends produce two non-trivial stats.
         let run = |seed: u64| {
-            let backend = ResilientBackend::new(
+            let backend = RoutedBackend::single(
                 &llm,
                 BackendConfig::resilient(seed)
                     .without_breaker()
                     .with_faults(FaultPlan::moderate(seed)),
+                None,
             );
             for i in 0..10 {
                 backend
                     .complete(&format!("merge probe {seed}-{i}"))
                     .unwrap();
             }
-            backend.stats()
+            backend.backend_stats()
         };
         let a = run(7);
         let b = run(1337);

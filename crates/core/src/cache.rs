@@ -32,7 +32,8 @@
 //!   the rest block on the slot and share the leader's completion
 //!   ([`CacheStats::coalesced`] counts them). Because misses complete the
 //!   canonical text against a deterministic substrate, coalesced answers
-//!   are bit-identical to what each caller would have fetched itself.
+//!   are bit-identical to what each caller would have fetched itself. (A
+//!   worker seated at a [`crate::Dispatcher`] never waits: see below.)
 //! * **Persistence** — [`PromptCache::with_store`] attaches a
 //!   [`CacheStore`] beneath the shards: tier-0 misses probe the file
 //!   before the model and fresh completions are appended to it, so a
@@ -46,6 +47,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use unidm_llm::{Completion, LanguageModel, LlmError, Usage};
 
 use crate::canon::{CanonLevel, CanonicalPrompt};
+use crate::dispatch;
 use crate::store::{CacheStore, StoreStats};
 
 /// Hit/miss/saving statistics of a [`PromptCache`] (or of one shard).
@@ -400,6 +402,15 @@ impl CacheInner {
 /// when coalescing onto the same key: the shard lock is released while a
 /// miss is being completed.
 ///
+/// A thread seated at a [`crate::Dispatcher`] ([`crate::Dispatcher::register`]
+/// — every worker of [`crate::BatchRunner::with_pipeline`]) never waits in
+/// a slot: the reactor advances only once every seated thread is parked
+/// inside it, so waiting up here on a leader parked down there would stall
+/// both. After a tier-0 miss it completes below as a co-leader and the
+/// dispatcher coalesces instead, so endpoint calls still equal unique
+/// canonical keys; [`CacheStats::misses`] then counts every co-leader of a
+/// key, and the exact count is [`crate::BackendStats`]'s.
+///
 /// # Persistence
 ///
 /// [`PromptCache::with_store`] attaches a [`CacheStore`] — a versioned,
@@ -451,7 +462,6 @@ pub struct PromptCache<'a> {
     capacity: usize,
     shard_capacity: usize,
     level: CanonLevel,
-    single_flight: bool,
     shards: Box<[Mutex<CacheInner>]>,
     /// Optional disk tier ([`CacheStore`]): tier-0 misses probe it before
     /// reaching the model, and fresh completions are offered back through
@@ -541,7 +551,6 @@ impl<'a> PromptCache<'a> {
             capacity,
             shard_capacity: 0,
             level: CanonLevel::Verbatim,
-            single_flight: true,
             shards: build_shards(default_shards()),
             store: None,
         };
@@ -580,25 +589,6 @@ impl<'a> PromptCache<'a> {
         self
     }
 
-    /// Enables or disables cache-level single-flight coalescing (enabled
-    /// by default). Builder-style; intended at construction time.
-    ///
-    /// Disable it when the cache sits above a pipelined
-    /// [`crate::Dispatcher`]: dispatcher-registered workers must never
-    /// block outside the dispatcher, and a single-flight waiter blocks in
-    /// a cache slot the dispatcher's quiescence detection cannot see. The
-    /// dispatcher performs its own per-prompt single-flight and memoizes
-    /// successes, so endpoint calls still equal unique canonical keys —
-    /// the coalescing just happens one layer lower. With single-flight
-    /// off, [`CacheStats::misses`] counts every concurrent co-leader of a
-    /// key rather than exactly one leader per key, so its exactness
-    /// guarantee only holds in the default mode (or one layer lower, in
-    /// [`crate::BackendStats`]).
-    pub fn with_single_flight(mut self, single_flight: bool) -> Self {
-        self.single_flight = single_flight;
-        self
-    }
-
     /// Attaches a disk tier ([`CacheStore`]) beneath the in-memory shards.
     /// Builder-style; intended at construction time.
     ///
@@ -624,11 +614,6 @@ impl<'a> PromptCache<'a> {
     /// A snapshot of the disk tier's counters, if a store is attached.
     pub fn store_stats(&self) -> Option<StoreStats> {
         self.store.as_ref().map(|s| s.stats())
-    }
-
-    /// Whether cache-level single-flight coalescing is enabled.
-    pub fn single_flight(&self) -> bool {
-        self.single_flight
     }
 
     /// The canonicalization level lookups run at.
@@ -817,25 +802,6 @@ impl PromptCache<'_> {
     ) -> Result<Arc<Completion>, LlmError> {
         let shard = self.shard_for_hash(canonical.hash64());
         let text = canonical.text();
-        if !self.single_flight {
-            // Coalescing disabled (the layer below — a pipelined
-            // dispatcher — handles it): hit or straight to the model, no
-            // in-flight slot a registered worker could block on.
-            {
-                let mut state = self.lock_shard(shard);
-                if let Some(completion) = state.hit(canonical) {
-                    return Ok(completion);
-                }
-                state.stats.misses += 1;
-            }
-            let result = self.fetch_below(text);
-            if let Ok(completion) = &result {
-                let key = Key::of(canonical);
-                self.lock_shard(shard)
-                    .insert(key, completion.clone(), self.shard_capacity);
-            }
-            return result;
-        }
         let (key, slot) = loop {
             // One locked section decides hit / coalesce / lead; everything
             // slow (waiting, completing) happens outside it.
@@ -843,6 +809,18 @@ impl PromptCache<'_> {
                 let mut state = self.lock_shard(shard);
                 if let Some(completion) = state.hit(canonical) {
                     return Ok(completion);
+                }
+                if dispatch::seated() {
+                    // Co-leader: no in-flight slot taken, none waited on.
+                    state.stats.misses += 1;
+                    drop(state);
+                    let result = self.fetch_below(text);
+                    if let Ok(completion) = &result {
+                        let key = Key::of(canonical);
+                        self.lock_shard(shard)
+                            .insert(key, completion.clone(), self.shard_capacity);
+                    }
+                    return result;
                 }
                 match state.inflight.get(canonical as &dyn KeyView) {
                     Some(slot) => {
@@ -902,6 +880,9 @@ impl PromptCache<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BackendConfig, Dispatcher};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
     use unidm_llm::{LlmProfile, MockLlm};
     use unidm_world::World;
 
@@ -911,11 +892,19 @@ mod tests {
         (world, llm)
     }
 
+    fn pipelined(llm: &MockLlm) -> Dispatcher<'_> {
+        Dispatcher::new(llm, BackendConfig::resilient(1).with_pipelined())
+    }
+
     #[test]
     fn cache_without_single_flight_still_hits_and_skips_memoizing_errors() {
         let (_, llm) = setup();
-        let cache = PromptCache::unbounded(&llm).with_single_flight(false);
-        assert!(!cache.single_flight());
+        // The lookups run from a thread holding a dispatcher seat, which
+        // is what takes the cache's co-leader path.
+        let dispatcher = pipelined(&llm);
+        let _seat = dispatcher.register();
+        assert!(dispatch::seated());
+        let cache = PromptCache::unbounded(&llm);
         let a = cache.complete("The quick brown fox").unwrap();
         let b = cache.complete("The quick brown fox").unwrap();
         assert_eq!(a, b, "hit must return the memoized completion verbatim");
@@ -925,6 +914,69 @@ mod tests {
         assert!(cache.complete("  ").is_err());
         assert!(cache.complete("  ").is_err(), "errors are not memoized");
         assert_eq!(cache.stats().misses, 3);
+    }
+
+    /// Holds its first caller inside `complete` until the test lets go.
+    struct HeldLeader<'a> {
+        inner: &'a MockLlm,
+        first: AtomicBool,
+        entered: Barrier,
+        release: Barrier,
+    }
+
+    impl LanguageModel for HeldLeader<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
+            if self.first.swap(false, Ordering::SeqCst) {
+                self.entered.wait();
+                self.release.wait();
+            }
+            self.inner.complete(prompt)
+        }
+
+        fn usage(&self) -> Usage {
+            self.inner.usage()
+        }
+
+        fn reset_usage(&self) {
+            self.inner.reset_usage();
+        }
+    }
+
+    #[test]
+    fn seated_thread_does_not_wait_on_an_unseated_leader() {
+        let (_, llm) = setup();
+        let held = HeldLeader {
+            inner: &llm,
+            first: AtomicBool::new(true),
+            entered: Barrier::new(2),
+            release: Barrier::new(2),
+        };
+        let cache = PromptCache::unbounded(&held);
+        let dispatcher = pipelined(&llm);
+        std::thread::scope(|scope| {
+            // Unseated: leads the key and is held below with its in-flight
+            // slot still open.
+            let leader = scope.spawn(|| cache.complete("The quick brown fox").unwrap());
+            held.entered.wait();
+            // Seated, arriving meanwhile: returns before the leader is
+            // released, having waited in no slot.
+            let seat = dispatcher.register();
+            let arrived = cache.complete("The quick brown fox").unwrap();
+            drop(seat);
+            let stats = cache.stats();
+            assert_eq!((stats.misses, stats.coalesced), (2, 0));
+            held.release.wait();
+            assert_eq!(leader.join().unwrap(), arrived);
+        });
+        assert_eq!(cache.len(), 1);
+        // Unseated again, the thread is served from the entry they both
+        // wrote.
+        cache.complete("The quick brown fox").unwrap();
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! # Why a reactor
 //!
-//! The blocking [`crate::backend::ResilientBackend`] parks one worker
+//! The blocking [`crate::route::RoutedBackend`] parks one worker
 //! thread per round-trip, so in-flight concurrency is capped by thread
 //! count, and on a [`VirtualClock`] every concurrent sleep *adds* (elapsed
 //! virtual time is total latency, never the makespan). The [`Dispatcher`]
@@ -50,17 +50,18 @@
 //!   deterministic at any worker count *because* seats precede work — a
 //!   worker that registered and ran while its peers were still being
 //!   spawned would be quiescent alone and drive the clock on whatever
-//!   the OS had started so far. The contract is that registered threads
-//!   must not block on anything *outside* the dispatcher — in particular, a
-//!   [`crate::PromptCache`] layered above a pipelined dispatcher must have
-//!   cache-level single-flight disabled
-//!   ([`crate::PromptCache::with_single_flight`]); the dispatcher's own
-//!   request-level single-flight and memo provide the same guarantee
-//!   (endpoint calls == unique prompts). As a last-resort escape valve, a
-//!   parked thread that has waited ~250ms of *wall* time with no progress
-//!   — no peer entering `complete` — force-drives the reactor: a mis-wired
-//!   composition degrades to slow nondeterministic timelines instead of
-//!   hanging.
+//!   the OS had started so far.
+//!
+//! Liveness needs no clock: a parked thread waits on the condvar until the
+//! last thread to park drives the reactor and wakes everyone, or a thread
+//! leaving makes the rest quiescent and wakes them to elect a driver. That
+//! holds as long as a seated thread between calls is running towards its
+//! next call or its exit, never waiting on a peer. The one place a worker
+//! waits on a peer is the in-flight slot of a [`crate::PromptCache`] above
+//! the dispatcher, and the cache rules it out itself: a seated thread that
+//! misses there completes below as a co-leader instead of waiting, and the
+//! dispatcher's request-level single-flight and memo coalesce one layer
+//! lower (endpoint calls == unique prompts).
 //!
 //! # Hedged requests
 //!
@@ -74,10 +75,11 @@
 //! delivered and never memoized. Hedging is fully accounted by the
 //! `hedges_*` counters and bit-for-bit deterministic under the seeded sim.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::marker::PhantomData;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, ThreadId};
-use std::time::Duration;
 
 use unidm_llm::{
     AttemptSample, Clock, Completion, Dice, FaultStats, LanguageModel, LatencyProfile, LlmError,
@@ -89,11 +91,17 @@ use crate::backend::{BackendConfig, BackendStats};
 use crate::resilience::{backoff_us, tally_fault, Bucket, Endpoint};
 use crate::route::AimdPolicy;
 
-/// How long a parked thread waits (wall time) before suspecting that a
-/// registered peer is blocked outside the dispatcher and force-driving the
-/// reactor. Generous: correctly-wired compositions reach quiescence in
-/// microseconds.
-const STALL_ESCAPE: Duration = Duration::from_millis(250);
+thread_local! {
+    /// Long-lived seats ([`Dispatcher::register`]) this thread holds.
+    static SEATS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Whether the calling thread holds a long-lived seat at some dispatcher:
+/// it counts toward quiescence between calls, so it must not wait on a
+/// peer anywhere but inside that dispatcher.
+pub(crate) fn seated() -> bool {
+    SEATS.get() > 0
+}
 
 /// When to issue a hedged duplicate for a straggling attempt.
 ///
@@ -120,11 +128,6 @@ pub struct HedgePolicy {
 }
 
 impl HedgePolicy {
-    /// Hedge at the observed P99 (suits tails rarer than 1%).
-    pub fn p99() -> Self {
-        Self::at_quantile(990)
-    }
-
     /// Hedge at an arbitrary observed quantile, in permille.
     pub fn at_quantile(quantile_permille: u32) -> Self {
         HedgePolicy {
@@ -140,17 +143,12 @@ impl HedgePolicy {
         self.min_samples = min_samples;
         self
     }
-
-    /// Replaces the minimum hedge delay (builder-style).
-    pub fn with_min_delay_us(mut self, min_delay_us: u64) -> Self {
-        self.min_delay_us = min_delay_us;
-        self
-    }
 }
 
 impl Default for HedgePolicy {
+    /// Hedge at the observed P99 (suits tails rarer than 1%).
     fn default() -> Self {
-        Self::p99()
+        Self::at_quantile(990)
     }
 }
 
@@ -165,7 +163,8 @@ struct InFlightCopy {
 /// One logical request: submitted once, possibly coalescing several
 /// callers, retried and hedged as needed, resolved exactly once.
 struct Request {
-    prompt: String,
+    /// Shared with the request's key in [`Core::prompts`].
+    prompt: Arc<str>,
     submitted_us: u64,
     retries: u32,
     hedged: u32,
@@ -173,6 +172,16 @@ struct Request {
     hedge_timer: Option<u64>,
     waiters: usize,
     resolved: Option<Result<Arc<Completion>, LlmError>>,
+}
+
+/// What the dispatcher holds for a prompt.
+enum PromptSlot {
+    /// The unresolved request identical prompts attach to (request-level
+    /// single-flight).
+    Pending(u64),
+    /// The memoized success late arrivals are answered from, which keeps
+    /// endpoint calls == unique prompts even with no cache above.
+    Done(Arc<Completion>),
 }
 
 /// What a popped timer means.
@@ -189,16 +198,11 @@ enum Event {
 
 /// Everything the reactor mutates, under one mutex.
 struct Core {
-    wheel: TimerWheel,
-    events: HashMap<u64, Event>,
+    wheel: TimerWheel<Event>,
     requests: HashMap<u64, Request>,
-    /// Pending (unresolved) requests by prompt — request-level single-flight.
-    by_prompt: PromptMap<u64>,
-    /// Resolved successes by prompt: late arrivals after resolution are
-    /// answered here, which keeps endpoint calls == unique prompts even
-    /// with no cache above the dispatcher. Unbounded, like the fault
-    /// injector's per-prompt schedule state.
-    memo: PromptMap<Arc<Completion>>,
+    /// Every prompt pending or resolved successfully (an error leaves no
+    /// entry). Unbounded, like the fault injector's per-prompt state.
+    prompts: PromptMap<PromptSlot, Arc<str>>,
     /// Newly submitted request ids, admitted in canonical (prompt-sorted)
     /// order at the next reactor step.
     fresh: Vec<u64>,
@@ -213,10 +217,16 @@ struct Core {
     next_id: u64,
 }
 
+impl Core {
+    fn request(&mut self, id: u64) -> &mut Request {
+        self.requests.get_mut(&id).expect("live request")
+    }
+}
+
 /// The event-driven dispatcher (see the [module docs](self)).
 ///
-/// Exposes [`LanguageModel`], so it slots in exactly where
-/// [`crate::backend::ResilientBackend`] does:
+/// Exposes [`LanguageModel`], so it slots in exactly where the blocking
+/// [`crate::route::RoutedBackend`] does:
 ///
 /// ```text
 /// PromptCache → Dispatcher (reactor: budget, pacing, retry, hedge) → SimBackend → MockLlm
@@ -256,10 +266,8 @@ impl<'a> Dispatcher<'a> {
             dice: Dice::new(config.seed),
             core: Mutex::new(Core {
                 wheel: TimerWheel::new(),
-                events: HashMap::new(),
                 requests: HashMap::new(),
-                by_prompt: PromptMap::default(),
-                memo: PromptMap::default(),
+                prompts: PromptMap::default(),
                 fresh: Vec::new(),
                 admit_queue: VecDeque::new(),
                 in_flight: 0,
@@ -274,11 +282,6 @@ impl<'a> Dispatcher<'a> {
             wakeup: Condvar::new(),
             config,
         }
-    }
-
-    /// The configuration the dispatcher runs with.
-    pub fn config(&self) -> &BackendConfig {
-        &self.config
     }
 
     /// The virtual clock the reactor advances; its elapsed time is the
@@ -300,16 +303,27 @@ impl<'a> Dispatcher<'a> {
     }
 
     /// Registers the current thread as long-lived for the quiescence
-    /// protocol until the returned guard drops. See the [module
-    /// docs](self) for the no-blocking-outside-the-dispatcher contract.
-    /// Re-registering an already-registered thread returns a no-op guard.
+    /// protocol until the returned guard drops, and marks it as seated
+    /// (see the [module docs](self)) for as long. Re-registering an
+    /// already-registered thread returns a no-op guard.
     pub fn register(&self) -> DispatchRegistration<'_, 'a> {
-        let tid = thread::current().id();
-        let active = self.lock().registered.insert(tid);
+        let active = self.lock().registered.insert(thread::current().id());
+        if active {
+            SEATS.set(SEATS.get() + 1);
+        }
         DispatchRegistration {
             dispatcher: self,
-            tid,
             active,
+            on_seated_thread: PhantomData,
+        }
+    }
+
+    /// Unregisters `tid`. If its departure leaves every remaining thread
+    /// parked, that is quiescence: wake them to elect a driver.
+    fn unregister(&self, core: &mut Core, tid: ThreadId) {
+        core.registered.remove(&tid);
+        if core.parked > 0 && core.parked == core.registered.len() {
+            self.wakeup.notify_all();
         }
     }
 
@@ -357,8 +371,7 @@ impl<'a> Dispatcher<'a> {
             };
             core.in_flight += 1;
             let grant = self.pace_grant(core);
-            let seq = core.wheel.schedule(grant);
-            core.events.insert(seq, Event::Dispatch(id));
+            core.wheel.schedule(grant, Event::Dispatch(id));
         }
     }
 
@@ -372,17 +385,12 @@ impl<'a> Dispatcher<'a> {
             tally_fault(err, &mut s.timeouts, &mut s.rate_limited, &mut s.transients);
         }
         let deadline = self.clock.now_micros() + sample.latency_us;
-        let timer = core.wheel.schedule(deadline);
-        core.events.insert(timer, Event::Complete(id));
-        core.requests
-            .get_mut(&id)
-            .expect("launched request exists")
-            .copies
-            .push(InFlightCopy {
-                timer,
-                sample,
-                is_hedge,
-            });
+        let timer = core.wheel.schedule(deadline, Event::Complete(id));
+        core.request(id).copies.push(InFlightCopy {
+            timer,
+            sample,
+            is_hedge,
+        });
     }
 
     /// A logical attempt's pacing grant arrived: launch the primary copy
@@ -393,11 +401,7 @@ impl<'a> Dispatcher<'a> {
             return;
         };
         let warm = core.stats.attempt_latency.samples() >= policy.min_samples;
-        let req = core
-            .requests
-            .get_mut(&id)
-            .expect("dispatched request exists");
-        if !warm || req.hedged >= policy.max_hedges {
+        if !warm || core.request(id).hedged >= policy.max_hedges {
             return;
         }
         let delay = core
@@ -405,28 +409,23 @@ impl<'a> Dispatcher<'a> {
             .attempt_latency
             .quantile_us(policy.quantile_permille)
             .max(policy.min_delay_us);
-        let seq = core.wheel.schedule(self.clock.now_micros() + delay);
-        core.events.insert(seq, Event::Hedge(id));
-        core.requests
-            .get_mut(&id)
-            .expect("request exists")
-            .hedge_timer = Some(seq);
+        let seq = core
+            .wheel
+            .schedule(self.clock.now_micros() + delay, Event::Hedge(id));
+        core.request(id).hedge_timer = Some(seq);
     }
 
     /// The hedge timer fired while the request was still pending: issue a
     /// duplicate if the budget has room (no rate-limit token is taken).
     fn on_hedge(&self, core: &mut Core, id: u64) {
-        core.requests
-            .get_mut(&id)
-            .expect("hedge timer implies pending request")
-            .hedge_timer = None;
+        core.request(id).hedge_timer = None;
         if core.in_flight >= self.budget() {
             core.stats.hedges_suppressed += 1;
             return;
         }
         core.in_flight += 1;
         core.stats.hedges_issued += 1;
-        core.requests.get_mut(&id).expect("request exists").hedged += 1;
+        core.request(id).hedged += 1;
         self.launch_copy(core, id, true);
     }
 
@@ -454,7 +453,6 @@ impl<'a> Dispatcher<'a> {
                 }
                 for loser in req.copies.drain(..) {
                     core.wheel.cancel(loser.timer);
-                    core.events.remove(&loser.timer);
                     core.in_flight -= 1;
                     core.stats.hedges_cancelled += 1;
                 }
@@ -463,8 +461,10 @@ impl<'a> Dispatcher<'a> {
                 core.stats
                     .request_latency
                     .record(self.clock.now_micros() - req.submitted_us);
-                core.by_prompt.remove(&req.prompt);
-                core.memo.insert(req.prompt.clone(), completion.clone());
+                *core
+                    .prompts
+                    .get_mut(&*req.prompt)
+                    .expect("pending prompt has a slot") = PromptSlot::Done(completion.clone());
                 req.resolved = Some(Ok(completion));
                 core.parked -= req.waiters;
                 1
@@ -480,8 +480,8 @@ impl<'a> Dispatcher<'a> {
                 self.cancel_hedge_timer(core, &mut req);
                 let draws = self.dice.context(&req.prompt);
                 let backoff = backoff_us(self.config.retry, &draws, req.retries, &err);
-                let seq = core.wheel.schedule(self.clock.now_micros() + backoff);
-                core.events.insert(seq, Event::Retry(id));
+                core.wheel
+                    .schedule(self.clock.now_micros() + backoff, Event::Retry(id));
                 0
             }
             Err(err) => {
@@ -490,7 +490,7 @@ impl<'a> Dispatcher<'a> {
                 // a fresh request.
                 self.cancel_hedge_timer(core, &mut req);
                 core.stats.failures += 1;
-                core.by_prompt.remove(&req.prompt);
+                core.prompts.remove(&*req.prompt);
                 req.resolved = Some(Err(err));
                 core.parked -= req.waiters;
                 1
@@ -505,13 +505,12 @@ impl<'a> Dispatcher<'a> {
     fn cancel_hedge_timer(&self, core: &mut Core, req: &mut Request) {
         if let Some(seq) = req.hedge_timer.take() {
             core.wheel.cancel(seq);
-            core.events.remove(&seq);
         }
     }
 
     /// One reactor run: admit fresh submissions in canonical order, then
     /// advance deadline by deadline until at least one request resolves.
-    /// Must only be called at quiescence (or from the stall escape valve).
+    /// Must only be called at quiescence.
     fn drive(&self, core: &mut Core) {
         if !core.fresh.is_empty() {
             let mut fresh = std::mem::take(&mut core.fresh);
@@ -530,8 +529,8 @@ impl<'a> Dispatcher<'a> {
             };
             self.clock.advance_to_micros(deadline);
             while core.wheel.next_deadline() == Some(deadline) {
-                let (_, seq) = core.wheel.pop_next().expect("peeked deadline pops");
-                match core.events.remove(&seq).expect("event for live timer") {
+                let (_, seq, event) = core.wheel.pop_next().expect("peeked deadline pops");
+                match event {
                     Event::Dispatch(id) => self.on_dispatch(core, id),
                     Event::Retry(id) => self.admit(core, id),
                     Event::Hedge(id) => self.on_hedge(core, id),
@@ -541,28 +540,37 @@ impl<'a> Dispatcher<'a> {
         }
         self.wakeup.notify_all();
     }
+}
 
-    fn complete_inner(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
+impl LanguageModel for Dispatcher<'_> {
+    fn name(&self) -> &str {
+        self.endpoint.model().name()
+    }
+
+    fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
         let tid = thread::current().id();
         let mut core = self.lock();
         core.stats.calls += 1;
-        if let Some(hit) = core.memo.get(prompt).cloned() {
-            core.stats.dispatch_coalesced += 1;
-            return Ok(hit);
-        }
-        let transient = core.registered.insert(tid);
-        let id = match core.by_prompt.get(prompt) {
-            Some(&id) => {
+        let id = match core.prompts.get(prompt) {
+            Some(PromptSlot::Done(hit)) => {
+                let hit = hit.clone();
+                core.stats.dispatch_coalesced += 1;
+                return Ok(hit);
+            }
+            Some(&PromptSlot::Pending(id)) => {
                 core.stats.dispatch_coalesced += 1;
                 id
             }
             None => {
                 let id = core.next_id;
                 core.next_id += 1;
+                // The one copy of the prompt: the request and its slot's
+                // key share it.
+                let prompt: Arc<str> = Arc::from(prompt);
                 core.requests.insert(
                     id,
                     Request {
-                        prompt: prompt.to_string(),
+                        prompt: prompt.clone(),
                         submitted_us: self.clock.now_micros(),
                         retries: 0,
                         hedged: 0,
@@ -572,12 +580,13 @@ impl<'a> Dispatcher<'a> {
                         resolved: None,
                     },
                 );
-                core.by_prompt.insert(prompt.to_string(), id);
+                core.prompts.insert(prompt, PromptSlot::Pending(id));
                 core.fresh.push(id);
                 id
             }
         };
-        core.requests.get_mut(&id).expect("request exists").waiters += 1;
+        let transient = core.registered.insert(tid);
+        core.request(id).waiters += 1;
         core.parked += 1;
         let result = loop {
             if let Some(resolved) = core.requests.get(&id).and_then(|r| r.resolved.clone()) {
@@ -588,53 +597,20 @@ impl<'a> Dispatcher<'a> {
                 self.drive(&mut core);
                 continue;
             }
-            // A peer that entered `complete` while we waited is progress,
-            // not a stall: under load a wave of workers can take longer
-            // than the escape interval to park one by one.
-            let calls_before = core.stats.calls;
-            let (guard, timeout) = self
+            core = self
                 .wakeup
-                .wait_timeout(core, STALL_ESCAPE)
+                .wait(core)
                 .unwrap_or_else(PoisonError::into_inner);
-            core = guard;
-            if timeout.timed_out()
-                && core.stats.calls == calls_before
-                && core.parked < core.registered.len()
-                && core.requests.get(&id).is_some_and(|r| r.resolved.is_none())
-            {
-                // Escape valve: a registered peer appears to be blocked
-                // outside the dispatcher (mis-wired composition). Drive
-                // anyway — answers stay correct, the timeline stops being
-                // schedule-independent.
-                self.drive(&mut core);
-            }
         };
-        {
-            let req = core.requests.get_mut(&id).expect("request exists");
-            req.waiters -= 1;
-            if req.waiters == 0 {
-                core.requests.remove(&id);
-            }
+        let req = core.request(id);
+        req.waiters -= 1;
+        if req.waiters == 0 {
+            core.requests.remove(&id);
         }
         if transient {
-            core.registered.remove(&tid);
-            if core.parked > 0 && core.parked == core.registered.len() {
-                // Our departure created quiescence for the remaining
-                // parked threads; elect a driver among them.
-                self.wakeup.notify_all();
-            }
+            self.unregister(&mut core, tid);
         }
         result
-    }
-}
-
-impl LanguageModel for Dispatcher<'_> {
-    fn name(&self) -> &str {
-        self.endpoint.model().name()
-    }
-
-    fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-        self.complete_inner(prompt)
     }
 
     fn usage(&self) -> Usage {
@@ -657,8 +633,9 @@ impl LanguageModel for Dispatcher<'_> {
 /// RAII guard of a long-lived registration (see [`Dispatcher::register`]).
 pub struct DispatchRegistration<'d, 'a> {
     dispatcher: &'d Dispatcher<'a>,
-    tid: ThreadId,
     active: bool,
+    /// A seat is its thread's: the guard must drop where it was taken.
+    on_seated_thread: PhantomData<*const ()>,
 }
 
 impl Drop for DispatchRegistration<'_, '_> {
@@ -666,11 +643,10 @@ impl Drop for DispatchRegistration<'_, '_> {
         if !self.active {
             return;
         }
+        SEATS.set(SEATS.get() - 1);
         let mut core = self.dispatcher.lock();
-        core.registered.remove(&self.tid);
-        if core.parked > 0 && core.parked == core.registered.len() {
-            self.dispatcher.wakeup.notify_all();
-        }
+        self.dispatcher
+            .unregister(&mut core, thread::current().id());
     }
 }
 

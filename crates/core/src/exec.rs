@@ -260,11 +260,10 @@ impl<'a> BatchRunner<'a> {
     /// so duplicate tasks never reach the dispatcher at all.
     ///
     /// The `llm` this runner drives must bottom out in `dispatcher` — that
-    /// is how worker calls become reactor events. Any [`crate::PromptCache`]
-    /// layered between them must have cache-level single-flight disabled
-    /// ([`crate::PromptCache::with_single_flight`]): registered workers must
-    /// never block outside the dispatcher, and the dispatcher coalesces
-    /// duplicate prompts itself.
+    /// is how worker calls become reactor events. A [`crate::PromptCache`]
+    /// may sit between them as it is: a seated worker never waits in the
+    /// cache's in-flight slot, and the dispatcher coalesces duplicate
+    /// prompts itself.
     pub fn with_pipeline(mut self, dispatcher: &'a Dispatcher<'a>) -> Self {
         self.pipeline = Some(dispatcher);
         self
@@ -674,7 +673,7 @@ mod tests {
             .without_breaker()
             .with_pipelined();
         let dispatcher = Dispatcher::new(&llm, backend);
-        let cache = PromptCache::unbounded(&dispatcher).with_single_flight(false);
+        let cache = PromptCache::unbounded(&dispatcher);
         let report = BatchRunner::new(&cache, config)
             .with_workers(4)
             .with_pipeline(&dispatcher)

@@ -136,7 +136,7 @@ mod task;
 
 pub use backend::{
     AttachedBackend, BackendConfig, BackendStats, BreakerPolicy, LatencySketch, RateLimit,
-    ResilientBackend, RetryPolicy,
+    RetryPolicy,
 };
 pub use cache::{CacheStats, PromptCache};
 pub use canon::{CanonLevel, CanonicalPrompt, ReplayFold};

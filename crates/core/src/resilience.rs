@@ -368,7 +368,7 @@ mod tests {
     #[test]
     fn fixed_bucket_grants_reproduce_the_old_take_or_wait_sequence() {
         // 3/s burst 2; `(waited, now)` recorded from the pre-kernel
-        // `ResilientBackend::acquire_token` over the same idle gaps.
+        // blocking backend's `acquire_token` over the same idle gaps.
         let gaps = [0, 0, 0, 100_000, 0, 700_000, 0, 0, 2_000_000, 0, 0, 0];
         let golden = [
             (0, 0),

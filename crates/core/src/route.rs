@@ -18,8 +18,8 @@
 //!
 //! [`RoutedBackend`] implements [`LanguageModel`] over N weighted
 //! endpoints, and its `complete` is the crate's one blocking attempt loop
-//! ([`crate::backend::ResilientBackend`] is this router over a single
-//! endpoint). Each endpoint carries its own circuit breaker, latency
+//! (the single-endpoint protection stack is this router built by
+//! [`RoutedBackend::single`]). Each endpoint carries its own circuit breaker, latency
 //! sketch and an AIMD-adapted token bucket — the resilience kernel's state
 //! machines, which the router feeds the clock and sleeps on. Observed
 //! `RateLimited` (429) errors halve the endpoint's admission rate
@@ -205,21 +205,16 @@ pub struct EndpointConfig {
     pub breaker: Option<BreakerPolicy>,
     /// AIMD rate adaptation for this endpoint (`None` = unlimited).
     pub aimd: Option<AimdPolicy>,
-    /// Billing cost per token in integer micro-units (see
-    /// [`LlmProfile::cost_micro_per_token`]); 0 when cost is untracked.
-    pub cost_micro_per_token: u64,
 }
 
 impl EndpointConfig {
-    /// Weight-1 endpoint: no faults, no breaker, no rate adaptation,
-    /// untracked cost.
+    /// Weight-1 endpoint: no faults, no breaker, no rate adaptation.
     pub fn new() -> Self {
         EndpointConfig {
             weight: 1,
             faults: None,
             breaker: None,
             aimd: None,
-            cost_micro_per_token: 0,
         }
     }
 
@@ -244,19 +239,6 @@ impl EndpointConfig {
     /// Adds AIMD rate adaptation (builder-style).
     pub fn with_aimd(mut self, aimd: AimdPolicy) -> Self {
         self.aimd = Some(aimd);
-        self
-    }
-
-    /// Sets the per-token billing cost from a model profile
-    /// (builder-style).
-    pub fn with_cost_of(mut self, profile: &LlmProfile) -> Self {
-        self.cost_micro_per_token = profile.cost_micro_per_token();
-        self
-    }
-
-    /// Sets the per-token billing cost directly (builder-style).
-    pub fn with_cost_micro_per_token(mut self, cost: u64) -> Self {
-        self.cost_micro_per_token = cost;
         self
     }
 }
@@ -446,7 +428,7 @@ impl RouterStats {
     }
 
     /// The router's counters folded into the flat [`BackendStats`] shape,
-    /// so routers aggregate alongside resilient backends and dispatchers
+    /// so routers aggregate alongside dispatchers
     /// (open-breaker skips map to `breaker_fast_fails`).
     pub fn backend_stats(&self) -> BackendStats {
         let mut out = BackendStats {
@@ -479,7 +461,6 @@ struct EndpointState<'a> {
     /// replicas over one shared inner model share one usage counter.
     origin: usize,
     weight: u64,
-    cost_micro_per_token: u64,
     breaker: Option<Mutex<Breaker>>,
     bucket: Option<Mutex<Bucket>>,
     stats: Mutex<EndpointStats>,
@@ -620,7 +601,6 @@ impl<'a> RoutedBackend<'a> {
             model: Endpoint::new(model, config.faults, self.clock.clone(), tag),
             origin: model as *const dyn LanguageModel as *const () as usize,
             weight: u64::from(config.weight.max(1)),
-            cost_micro_per_token: config.cost_micro_per_token,
             breaker: config
                 .breaker
                 .map(|policy| Mutex::new(Breaker::new(policy))),
@@ -657,22 +637,24 @@ impl<'a> RoutedBackend<'a> {
                 faults: config.faults,
                 breaker: plan.breaker,
                 aimd: plan.aimd,
-                ..EndpointConfig::new()
             };
             router = router.endpoint(inner, endpoint);
         }
         router
     }
 
-    /// The stack behind [`crate::backend::ResilientBackend`]: one
-    /// *untagged* endpoint (fault-slot keys carry no endpoint id) named
-    /// after `inner`, `config`'s breaker, its rate limit as a fixed bucket.
-    pub(crate) fn single(
+    /// The blocking protection stack over one endpoint, on `clock` (e.g. a
+    /// [`unidm_llm::SystemClock`] for a live endpoint) or, given `None`, a
+    /// fresh [`VirtualClock`]: one *untagged* endpoint (fault-slot keys
+    /// carry no endpoint id) named after `inner`, `config`'s breaker, its
+    /// rate limit as a fixed bucket.
+    pub fn single(
         inner: &'a dyn LanguageModel,
-        config: &BackendConfig,
-        clock: Arc<dyn Clock>,
+        config: BackendConfig,
+        clock: Option<Arc<dyn Clock>>,
     ) -> Self {
-        let mut router = Self::configured(config, clock);
+        let clock = clock.unwrap_or_else(|| Arc::new(VirtualClock::new()));
+        let mut router = Self::configured(&config, clock);
         let endpoint = EndpointConfig {
             faults: config.faults,
             breaker: config.breaker,
@@ -704,11 +686,6 @@ impl<'a> RoutedBackend<'a> {
     /// The clock every routing decision and wait runs on.
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
-    }
-
-    /// Number of endpoints.
-    pub fn endpoints(&self) -> usize {
-        self.endpoints.len()
     }
 
     /// A snapshot of the router counters, per-endpoint stats included.
@@ -822,7 +799,8 @@ impl<'a> RoutedBackend<'a> {
                 stats.aimd_increases += u64::from(increased);
                 stats.successes += 1;
                 stats.latency.record(end - attempt_start);
-                stats.bill(completion, endpoint.cost_micro_per_token);
+                // A router bills nothing: cost is the cascade's to track.
+                stats.bill(completion, 0);
             }
             Err(e) if e.is_transient() => {
                 let decreased = matches!(e, LlmError::RateLimited { .. })
@@ -1011,8 +989,8 @@ impl Default for CascadePolicy {
 /// what the large model is for), except [`LlmError::EmptyPrompt`], which
 /// no tier can fix and surfaces immediately.
 ///
-/// Either tier can be a raw model, a [`crate::ResilientBackend`], or a
-/// [`RoutedBackend`] fleet. [`CascadeBackend::stats`] reports the same
+/// Either tier can be a raw model or a [`RoutedBackend`] (one endpoint or
+/// a fleet). [`CascadeBackend::stats`] reports the same
 /// exact [`RouterStats`] shape as the router, with endpoint 0 = cheap
 /// tier and endpoint 1 = large tier.
 pub struct CascadeBackend<'a> {
@@ -1066,13 +1044,6 @@ impl<'a> CascadeBackend<'a> {
     pub fn with_costs_of(mut self, cheap: &LlmProfile, large: &LlmProfile) -> Self {
         self.cheap_cost_micro = cheap.cost_micro_per_token();
         self.large_cost_micro = large.cost_micro_per_token();
-        self
-    }
-
-    /// Sets per-token billing costs directly (builder-style).
-    pub fn with_costs_micro(mut self, cheap: u64, large: u64) -> Self {
-        self.cheap_cost_micro = cheap;
-        self.large_cost_micro = large;
         self
     }
 

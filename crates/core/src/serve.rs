@@ -77,10 +77,11 @@
 //! assert_eq!(report.trace_fnv(), rerun.trace_fnv());
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use unidm_llm::{Completion, Dice, LanguageModel, TimerWheel, VirtualClock};
+use unidm_text::hash::fnv1a64;
 
 use crate::backend::{AttachedBackend, LatencySketch};
 
@@ -149,17 +150,6 @@ fn goodput_per_ks(slo_met: u64, makespan_us: u64) -> u64 {
     (u128::from(slo_met) * 1_000_000_000)
         .checked_div(u128::from(makespan_us))
         .unwrap_or(0) as u64
-}
-
-/// 64-bit FNV-1a: the digest behind [`ServeReport::trace_fnv`] and the
-/// replay partition's prompt hash.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// How a tenant's requests arrive in virtual time.
@@ -424,7 +414,7 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// FNV-1a digest of the event trace — the cheap handle for "these
+    /// [`fnv1a64`] digest of the event trace — the cheap handle for "these
     /// two runs were bit-identical".
     pub fn trace_fnv(&self) -> u64 {
         let mut bytes = Vec::with_capacity(self.trace.len() * 18);
@@ -530,9 +520,8 @@ impl ServeSim {
         let model = stack.model();
 
         let clock = VirtualClock::new();
-        let mut wheel = TimerWheel::new();
-        // TimerWheel sequence number -> request index, for completions.
-        let mut in_service: HashMap<u64, usize> = HashMap::new();
+        // Completion timers, each carrying the index of its request.
+        let mut wheel: TimerWheel<usize> = TimerWheel::new();
         let mut queue: VecDeque<usize> = VecDeque::new();
         let mut free_servers = self.config.servers;
         let mut trace: Vec<ServeEvent> = Vec::with_capacity(requests.len() * 3);
@@ -543,8 +532,7 @@ impl ServeSim {
         // cost, and schedules the completion event.
         let start_service = |index: usize,
                              now_us: u64,
-                             wheel: &mut TimerWheel,
-                             in_service: &mut HashMap<u64, usize>,
+                             wheel: &mut TimerWheel<usize>,
                              trace: &mut Vec<ServeEvent>,
                              outcomes: &mut Vec<Outcome>| {
             let request = &requests[index];
@@ -571,8 +559,7 @@ impl ServeSim {
                 }
                 Err(_) => outcomes[index].ok = false,
             }
-            let wheel_seq = wheel.schedule(now_us + service_us);
-            in_service.insert(wheel_seq, index);
+            wheel.schedule(now_us + service_us, index);
         };
 
         let mut next_arrival = 0usize;
@@ -588,11 +575,8 @@ impl ServeSim {
                 (Some(a), Some(c)) => c <= a,
             };
             if take_completion {
-                let (deadline_us, wheel_seq) = wheel.pop_next().expect("deadline was pending");
+                let (deadline_us, _, index) = wheel.pop_next().expect("deadline was pending");
                 clock.advance_to_micros(deadline_us);
-                let index = in_service
-                    .remove(&wheel_seq)
-                    .expect("completion was in service");
                 let request = &requests[index];
                 outcomes[index].done_us = deadline_us;
                 trace.push(ServeEvent {
@@ -604,14 +588,7 @@ impl ServeSim {
                     },
                 });
                 if let Some(next) = queue.pop_front() {
-                    start_service(
-                        next,
-                        deadline_us,
-                        &mut wheel,
-                        &mut in_service,
-                        &mut trace,
-                        &mut outcomes,
-                    );
+                    start_service(next, deadline_us, &mut wheel, &mut trace, &mut outcomes);
                 } else {
                     free_servers += 1;
                 }
@@ -628,14 +605,7 @@ impl ServeSim {
                 });
                 if free_servers > 0 {
                     free_servers -= 1;
-                    start_service(
-                        index,
-                        request.at_us,
-                        &mut wheel,
-                        &mut in_service,
-                        &mut trace,
-                        &mut outcomes,
-                    );
+                    start_service(index, request.at_us, &mut wheel, &mut trace, &mut outcomes);
                 } else {
                     queue.push_back(index);
                 }
@@ -754,6 +724,7 @@ impl ServeSim {
 mod tests {
     use super::*;
     use crate::backend::BackendConfig;
+    use std::collections::HashMap;
     use std::sync::Mutex;
     use unidm_llm::{LatencyProfile, LlmError, LlmProfile, Usage};
     use unidm_world::World;

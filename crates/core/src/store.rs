@@ -28,7 +28,7 @@
 //! │ magic "UDMCACHE" · u32 version (1) · str model               │
 //! │ frame 0 │ frame 1 │ ...                                      │
 //! └──────────────────────────────────────────────────────────────┘
-//! frame := u32 payload_len · payload · u64 fnv1a(payload)
+//! frame := u32 payload_len · payload · u64 fnv1a64(payload)
 //! payload := u64 generation · str canonical prompt · str completion
 //!            · u32 prompt_tokens · u32 completion_tokens
 //! ```
@@ -71,24 +71,12 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use unidm_llm::{Completion, Usage};
+use unidm_text::hash::{fnv1a64, FNV_PRIME};
 
 /// Leading magic of every `UDMCACHE1` store file.
 pub const STORE_MAGIC: &[u8; 8] = b"UDMCACHE";
 /// Current store format version (the `1` of `UDMCACHE1`).
 pub const STORE_VERSION: u32 = 1;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 // ── Little-endian primitives (the `tablestore::segment` idiom) ──────────
 
@@ -520,7 +508,7 @@ fn encode_frame(generation: u64, prompt: &str, completion: &Completion) -> Vec<u
     put_str(&mut payload, &completion.text);
     put_u32(&mut payload, completion.usage.prompt_tokens as u32);
     put_u32(&mut payload, completion.usage.completion_tokens as u32);
-    let checksum = fnv1a(&payload);
+    let checksum = fnv1a64(&payload);
     let mut frame = Vec::with_capacity(payload.len() + 12);
     put_u32(&mut frame, payload.len() as u32);
     frame.extend_from_slice(&payload);
@@ -635,7 +623,7 @@ impl CacheStore {
                 expired += 1;
                 continue;
             }
-            filter.touch(fnv1a(prompt.as_bytes()));
+            filter.touch(fnv1a64(prompt.as_bytes()));
             if index
                 .insert(prompt.clone().into_boxed_str(), entry)
                 .is_none()
@@ -719,14 +707,14 @@ impl CacheStore {
             state.stats.misses += 1;
             // Missed probes still teach the filter: the second sighting
             // of a key is what earns it admission at capacity.
-            state.filter.touch(fnv1a(prompt.as_bytes()));
+            state.filter.touch(fnv1a64(prompt.as_bytes()));
             return None;
         };
         match read_frame(&mut state.file, entry.offset, entry.frame_len) {
             Ok((_, stored_prompt, completion)) if stored_prompt == prompt => {
                 state.stats.hits += 1;
                 entry.generation = self.inner.generation;
-                state.filter.touch(fnv1a(prompt.as_bytes()));
+                state.filter.touch(fnv1a64(prompt.as_bytes()));
                 Some(Arc::new(completion))
             }
             _ => {
@@ -758,7 +746,7 @@ impl CacheStore {
     /// optimization, never a correctness dependency).
     pub fn offer(&self, prompt: &str, completion: &Arc<Completion>) -> bool {
         let mut state = self.lock();
-        let hash = fnv1a(prompt.as_bytes());
+        let hash = fnv1a64(prompt.as_bytes());
         if state.index.contains_key(prompt) {
             // Already resident (a racing co-leader or a re-admission):
             // refresh the touch, keep the existing frame.
@@ -924,7 +912,7 @@ fn scan_store(bytes: &[u8], model: &str) -> Result<StoreScan, StoreError> {
         let payload_len = cur.u32()? as usize;
         let payload = cur.take(payload_len)?;
         let checksum = cur.u64()?;
-        if fnv1a(payload) != checksum {
+        if fnv1a64(payload) != checksum {
             return Err(StoreError::format(format!(
                 "checksum mismatch in frame at offset {offset}"
             )));
@@ -973,7 +961,7 @@ fn read_frame(
     }
     let payload = &frame[4..4 + payload_len];
     let checksum = u64::from_le_bytes(frame[4 + payload_len..].try_into().unwrap());
-    if fnv1a(payload) != checksum {
+    if fnv1a64(payload) != checksum {
         return Err(StoreError::format("checksum mismatch on frame read"));
     }
     decode_payload(payload)
@@ -1212,23 +1200,23 @@ mod tests {
         let mut f1 = TinyLfu::new(42, 64);
         let mut f2 = TinyLfu::new(42, 64);
         for i in 0..10_000u64 {
-            let h = fnv1a(format!("key {}", i % 64).as_bytes());
+            let h = fnv1a64(format!("key {}", i % 64).as_bytes());
             f1.touch(h);
             f2.touch(h);
         }
         for i in 0..64u64 {
-            let h = fnv1a(format!("key {i}").as_bytes());
+            let h = fnv1a64(format!("key {i}").as_bytes());
             assert_eq!(f1.estimate(h), f2.estimate(h), "same history, same filter");
             assert!(f1.estimate(h) >= 2, "hot keys estimate as repeats");
         }
         // A never-seen key estimates below the admission bar.
-        assert!(f1.estimate(fnv1a(b"cold key")) < 2);
+        assert!(f1.estimate(fnv1a64(b"cold key")) < 2);
         // A long one-touch scan must not promote its keys to "frequent":
         // aging every 10 × capacity touches keeps the doorkeeper sparse,
         // so first-sighting estimates stay below the admission bar.
         let mut false_frequent = 0usize;
         for k in 0..100_000u64 {
-            let h = fnv1a(format!("scan key {k}").as_bytes());
+            let h = fnv1a64(format!("scan key {k}").as_bytes());
             if f1.estimate(h) >= 2 {
                 false_frequent += 1;
             }

@@ -9,7 +9,7 @@
 //! 30-second rate-limit stall costs nothing in wall time — while
 //! [`SystemClock`] provides real-time semantics for live endpoints.
 
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -125,13 +125,15 @@ impl Clock for SystemClock {
 /// A pending-deadline queue for event-driven schedulers: the data
 /// structure behind `unidm::dispatch`'s reactor.
 ///
-/// Timers are identified by the `u64` sequence number [`TimerWheel::schedule`]
+/// Each timer carries a payload — what its firing means to the scheduler —
+/// and is identified by the `u64` sequence number [`TimerWheel::schedule`]
 /// returns. The wheel pops timers in `(deadline, sequence)` order — ties on
 /// the deadline break by scheduling order — so a reactor that schedules
-/// deterministically pops deterministically. Cancelled timers are dropped
-/// lazily on pop and **never** surface, which is what lets a hedged-request
-/// loser be cancelled without its (stale) deadline dragging the virtual
-/// clock forward.
+/// deterministically pops deterministically. A cancelled timer hands its
+/// payload back at once, its heap entry is dropped lazily on pop, and it
+/// **never** surfaces, which is what lets a hedged-request loser be
+/// cancelled without its (stale) deadline dragging the virtual clock
+/// forward.
 ///
 /// # Examples
 ///
@@ -139,54 +141,62 @@ impl Clock for SystemClock {
 /// use unidm_llm::TimerWheel;
 ///
 /// let mut wheel = TimerWheel::new();
-/// let early = wheel.schedule(100);
-/// let late = wheel.schedule(250);
-/// wheel.cancel(early);
-/// assert_eq!(wheel.pop_next(), Some((250, late)));
+/// let early = wheel.schedule(100, "hedge");
+/// let late = wheel.schedule(250, "complete");
+/// assert_eq!(wheel.cancel(early), Some("hedge"));
+/// assert_eq!(wheel.pop_next(), Some((250, late, "complete")));
 /// assert!(wheel.pop_next().is_none());
 /// ```
-#[derive(Debug, Default)]
-pub struct TimerWheel {
+#[derive(Debug)]
+pub struct TimerWheel<T> {
     // Min-heap via Reverse ordering on (deadline, seq).
     heap: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-    cancelled: HashSet<u64>,
+    /// The payload of every live timer by sequence number; a heap entry
+    /// whose number is absent was cancelled.
+    pending: HashMap<u64, T>,
     next_seq: u64,
-    live: usize,
 }
 
-impl TimerWheel {
+impl<T> Default for TimerWheel<T> {
+    fn default() -> Self {
+        TimerWheel {
+            heap: BinaryHeap::new(),
+            pending: HashMap::new(),
+            next_seq: 0,
+        }
+    }
+}
+
+impl<T> TimerWheel<T> {
     /// Creates an empty wheel.
     pub fn new() -> Self {
         TimerWheel::default()
     }
 
-    /// Schedules a timer at `deadline_us`, returning its sequence number.
-    pub fn schedule(&mut self, deadline_us: u64) -> u64 {
+    /// Schedules a timer carrying `payload` at `deadline_us`, returning its
+    /// sequence number.
+    pub fn schedule(&mut self, deadline_us: u64, payload: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(std::cmp::Reverse((deadline_us, seq)));
-        self.live += 1;
+        self.pending.insert(seq, payload);
         seq
     }
 
-    /// Cancels a pending timer. Cancelling an already-popped or unknown
-    /// sequence number is a no-op; the wheel never yields a cancelled
-    /// timer.
-    pub fn cancel(&mut self, seq: u64) {
-        if seq < self.next_seq && self.cancelled.insert(seq) {
-            self.live = self.live.saturating_sub(1);
-        }
+    /// Cancels a pending timer and returns its payload. Cancelling an
+    /// already-popped, already-cancelled or unknown sequence number is a
+    /// no-op returning `None`; the wheel never yields a cancelled timer.
+    pub fn cancel(&mut self, seq: u64) -> Option<T> {
+        self.pending.remove(&seq)
     }
 
-    /// Pops the earliest live timer as `(deadline_us, seq)`, skipping (and
-    /// forgetting) cancelled entries.
-    pub fn pop_next(&mut self) -> Option<(u64, u64)> {
+    /// Pops the earliest live timer as `(deadline_us, seq, payload)`,
+    /// skipping (and forgetting) cancelled entries.
+    pub fn pop_next(&mut self) -> Option<(u64, u64, T)> {
         while let Some(std::cmp::Reverse((deadline, seq))) = self.heap.pop() {
-            if self.cancelled.remove(&seq) {
-                continue;
+            if let Some(payload) = self.pending.remove(&seq) {
+                return Some((deadline, seq, payload));
             }
-            self.live -= 1;
-            return Some((deadline, seq));
         }
         None
     }
@@ -194,23 +204,22 @@ impl TimerWheel {
     /// The deadline of the earliest live timer, without popping it.
     pub fn next_deadline(&mut self) -> Option<u64> {
         while let Some(std::cmp::Reverse((deadline, seq))) = self.heap.peek().copied() {
-            if self.cancelled.remove(&seq) {
-                self.heap.pop();
-                continue;
+            if self.pending.contains_key(&seq) {
+                return Some(deadline);
             }
-            return Some(deadline);
+            self.heap.pop();
         }
         None
     }
 
     /// Live (scheduled and not yet popped or cancelled) timer count.
     pub fn len(&self) -> usize {
-        self.live
+        self.pending.len()
     }
 
     /// True when no live timer is pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.pending.is_empty()
     }
 }
 
@@ -258,13 +267,13 @@ mod tests {
     #[test]
     fn timer_wheel_pops_in_deadline_then_schedule_order() {
         let mut wheel = TimerWheel::new();
-        let a = wheel.schedule(300);
-        let b = wheel.schedule(100);
-        let c = wheel.schedule(100); // same deadline as b: b pops first
+        let a = wheel.schedule(300, 'a');
+        let b = wheel.schedule(100, 'b');
+        let c = wheel.schedule(100, 'c'); // same deadline as b: b pops first
         assert_eq!(wheel.len(), 3);
-        assert_eq!(wheel.pop_next(), Some((100, b)));
-        assert_eq!(wheel.pop_next(), Some((100, c)));
-        assert_eq!(wheel.pop_next(), Some((300, a)));
+        assert_eq!(wheel.pop_next(), Some((100, b, 'b')));
+        assert_eq!(wheel.pop_next(), Some((100, c, 'c')));
+        assert_eq!(wheel.pop_next(), Some((300, a, 'a')));
         assert!(wheel.is_empty());
         assert_eq!(wheel.pop_next(), None);
     }
@@ -272,18 +281,23 @@ mod tests {
     #[test]
     fn timer_wheel_cancellation_never_surfaces() {
         let mut wheel = TimerWheel::new();
-        let a = wheel.schedule(100);
-        let b = wheel.schedule(200);
-        let c = wheel.schedule(300);
-        wheel.cancel(b);
-        wheel.cancel(b); // double-cancel is a no-op
-        wheel.cancel(999); // unknown seq is a no-op
+        let a = wheel.schedule(100, 'a');
+        let b = wheel.schedule(200, 'b');
+        let c = wheel.schedule(300, 'c');
+        assert_eq!(wheel.cancel(b), Some('b'), "cancel returns the payload");
+        assert_eq!(wheel.cancel(b), None, "double-cancel is a no-op");
+        assert_eq!(wheel.cancel(999), None, "unknown seq is a no-op");
         assert_eq!(wheel.len(), 2);
         assert_eq!(wheel.next_deadline(), Some(100));
-        assert_eq!(wheel.pop_next(), Some((100, a)));
+        assert_eq!(wheel.pop_next(), Some((100, a, 'a')));
+        // Cancelling a timer that already popped is a no-op too: it must
+        // not be counted against the timers still live.
+        assert_eq!(wheel.cancel(a), None);
+        assert_eq!(wheel.len(), 1);
+        assert!(!wheel.is_empty());
         // b's deadline never shows up as the next pending event.
         assert_eq!(wheel.next_deadline(), Some(300));
-        assert_eq!(wheel.pop_next(), Some((300, c)));
+        assert_eq!(wheel.pop_next(), Some((300, c, 'c')));
         assert!(wheel.is_empty());
     }
 

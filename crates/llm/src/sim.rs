@@ -260,7 +260,7 @@ struct PromptState {
 /// layer stacks on top of this exactly as it would on a real endpoint:
 ///
 /// ```text
-/// PromptCache → ResilientBackend (limiter/retry/breaker) → SimBackend → MockLlm
+/// PromptCache → RoutedBackend (limiter/retry/breaker) → SimBackend → MockLlm
 /// ```
 pub struct SimBackend<'a> {
     inner: &'a dyn LanguageModel,

@@ -86,7 +86,9 @@ impl Embedding {
     }
 }
 
-/// FNV-1a 64-bit hash, implemented locally to stay dependency-free.
+/// FNV-1a in shape but **not** [`crate::hash::fnv1a64`]: the multiplier is
+/// `0x1000_0000_01b3`, one digit off the FNV prime `0x100_0000_01b3`, and its
+/// values pick every embedding dimension, so they reach table results.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

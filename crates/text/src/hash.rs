@@ -1,4 +1,5 @@
-//! The workspace's one content hash, and the map keyed by whole prompts.
+//! The workspace's two hashes — one for memory, one for bytes that leave
+//! the process — and the map keyed by whole prompts.
 //!
 //! [`content_hash`] is a word-at-a-time multiply-fold hash: 32 bytes per
 //! step as four little-endian words on two independent lanes, each lane
@@ -11,13 +12,18 @@
 //! chain, which costs lookup time only — every map that uses it still
 //! compares the full text.
 //!
+//! [`fnv1a64`] is the *persisted/digest* hash beside it: byte-serial 64-bit
+//! FNV-1a, written to disk (the cache store's frame checksum) and committed
+//! in ledgers (trace and answer digests), so it must never change.
+//!
 //! [`PromptMap`] is a `HashMap<String, V>` whose hasher spends one
 //! [`content_hash`] per key instead of a byte-serial SipHash: the layers
 //! that keep per-prompt state (the fault injector's schedule slots, the
-//! dispatcher's single-flight table and memo) key it by prompts of a
-//! kilobyte or two, where the hash *is* the lookup. It is for `String`
-//! keys only — a key whose `Hash` makes many small writes pays one padded
-//! block per write and is slower than SipHash.
+//! dispatcher's prompt table) key it by prompts of a kilobyte or two,
+//! where the hash *is* the lookup. It is for whole-prompt keys only —
+//! `String`, or an `Arc<str>` the map shares with another holder — a key
+//! whose `Hash` makes many small writes pays one padded block per write
+//! and is slower than SipHash.
 //!
 //! ```
 //! use unidm_text::hash::{content_hash, PromptMap};
@@ -87,6 +93,33 @@ pub fn content_hash(text: &str) -> u64 {
     hash_bytes(text.as_bytes())
 }
 
+/// The FNV-1a 64-bit prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// 64-bit FNV-1a of `bytes`: the hash for everything persisted or
+/// committed (see the [module docs](self)).
+///
+/// ```
+/// use unidm_text::hash::{fnv1a64, fnv1a64_extend};
+///
+/// assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+/// assert_eq!(fnv1a64_extend(fnv1a64(b"ab"), b"c"), fnv1a64(b"abc"));
+/// ```
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an [`fnv1a64`] digest: pieces digest as their concatenation.
+#[inline]
+pub fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
 /// The [`Hasher`] behind [`PromptMap`]: every `write` is one
 /// [`content_hash`] of the bytes written, folded into the running state.
 ///
@@ -116,7 +149,7 @@ impl Hasher for PromptHasher {
 /// A map keyed by whole prompt texts, hashed with [`content_hash`].
 /// Lookups borrow (`map.get(prompt: &str)`); equality still compares the
 /// full text. Build one with `PromptMap::default()`.
-pub type PromptMap<V> = HashMap<String, V, BuildHasherDefault<PromptHasher>>;
+pub type PromptMap<V, K = String> = HashMap<K, V, BuildHasherDefault<PromptHasher>>;
 
 #[cfg(test)]
 mod tests {

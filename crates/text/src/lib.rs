@@ -14,8 +14,9 @@
 //!   used by the TDE baseline and the error-detection generators.
 //! * [`normalize`] — canonicalisation helpers.
 //! * [`hash`] — the workspace's one content hash (word at a time, unkeyed,
-//!   in memory only) and [`hash::PromptMap`], the map keyed by whole
-//!   prompts that hashes with it.
+//!   in memory only), [`hash::PromptMap`], the map keyed by whole prompts
+//!   that hashes with it, and [`hash::fnv1a64`], the byte-serial hash for
+//!   checksums and digests that are persisted.
 //!
 //! # Examples
 //!

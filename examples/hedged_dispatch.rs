@@ -101,12 +101,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .complete(&format!("latency estimator warmup {i}"))
                 .expect("warmup completes");
         }
-        // Above a pipelined dispatcher the cache runs with single-flight
-        // off: registered workers never block outside the reactor, which
-        // coalesces duplicate prompts itself.
-        let cache = PromptCache::unbounded(&dispatcher)
-            .with_canonicalization(CanonLevel::TableStem)
-            .with_single_flight(false);
+        // Seated workers never wait in the cache's in-flight slot: they
+        // complete below, and the reactor coalesces duplicate prompts
+        // itself.
+        let cache =
+            PromptCache::unbounded(&dispatcher).with_canonicalization(CanonLevel::TableStem);
         let report = BatchRunner::new(&cache, pipeline)
             .with_workers(8)
             .with_pipeline(&dispatcher)

@@ -6,9 +6,9 @@
 //! The stack assembled here is the production shape:
 //!
 //! ```text
-//! BatchRunner → PromptCache → ResilientBackend → SimBackend → MockLlm
-//!                  (hits)       limiter/retry/      seeded       inner
-//!                  stop here     breaker            faults       model
+//! BatchRunner → PromptCache → RoutedBackend::single → SimBackend → MockLlm
+//!                  (hits)         limiter/retry/         seeded       inner
+//!                  stop here        breaker              faults       model
 //! ```
 //!
 //! Everything timing-related runs on a virtual clock, so the multi-second

@@ -1,6 +1,6 @@
 //! Backend-conformance suite: the invariants every `LanguageModel`
 //! wrapper in this repository must uphold, written once and run against
-//! each wrapper (`ResilientBackend`, `Dispatcher`, `RoutedBackend` — and
+//! each wrapper (`RoutedBackend::single`, `Dispatcher`, `RoutedBackend` — and
 //! whatever comes next).
 //!
 //! A wrapper under test is built by a [`Factory`]: a function from

@@ -1,7 +1,7 @@
 //! Runs the backend-conformance suite (`common::conformance`) against
 //! every `LanguageModel` wrapper in the repository: the blocking
-//! `ResilientBackend`, the event-driven `Dispatcher`, and the
-//! multi-endpoint `RoutedBackend`.
+//! single-endpoint stack (`RoutedBackend::single`), the event-driven
+//! `Dispatcher`, and the multi-endpoint `RoutedBackend`.
 //!
 //! Each wrapper supplies one [`Factory`] translating the suite's
 //! [`Scenario`] knobs into its own configuration; the suite then holds
@@ -13,25 +13,25 @@
 mod common;
 
 use common::conformance::{self as conf, BackendUnderTest, Scenario};
-use unidm::backend::{BackendConfig, BackendStats, ResilientBackend};
+use unidm::backend::{BackendConfig, BackendStats};
 use unidm::dispatch::Dispatcher;
 use unidm::route::{AimdPolicy, RoutePlan, RoutedBackend};
 use unidm_llm::{Clock, LanguageModel};
 
-struct Resilient<'a>(ResilientBackend<'a>);
+struct Resilient<'a>(RoutedBackend<'a>);
 
 impl BackendUnderTest for Resilient<'_> {
     fn model(&self) -> &dyn LanguageModel {
         &self.0
     }
     fn stats(&self) -> BackendStats {
-        self.0.stats()
+        self.0.backend_stats()
     }
     fn ledger(&self) -> String {
         let now = self.0.clock().now_micros();
         format!(
             "{:?}\n{:?}\nnow={now}",
-            self.0.stats(),
+            self.0.backend_stats(),
             self.0.fault_stats()
         )
     }
@@ -96,7 +96,11 @@ fn base_config(s: Scenario) -> BackendConfig {
 }
 
 fn resilient(inner: &dyn LanguageModel, s: Scenario) -> Box<dyn BackendUnderTest + '_> {
-    Box::new(Resilient(ResilientBackend::new(inner, base_config(s))))
+    Box::new(Resilient(RoutedBackend::single(
+        inner,
+        base_config(s),
+        None,
+    )))
 }
 
 fn dispatched(inner: &dyn LanguageModel, s: Scenario) -> Box<dyn BackendUnderTest + '_> {

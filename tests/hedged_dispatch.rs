@@ -100,7 +100,7 @@ fn fan_out(dispatcher: &Dispatcher<'_>, workers: usize, work: impl Fn(usize) + S
 }
 
 /// First-response-wins determinism: the full production shape
-/// (`BatchRunner` pipelined mode → single-flight-off `PromptCache` →
+/// (`BatchRunner` pipelined mode → `PromptCache` →
 /// `Dispatcher` with hedging → heavy-tail `SimBackend`) returns answers
 /// bit-identical to the fault-free serial run at 1 and 8 workers and at
 /// two fault seeds.
@@ -117,9 +117,8 @@ fn hedged_answers_bit_identical_across_seeds_and_worker_counts() {
         for workers in [1usize, 8] {
             let dispatcher = Dispatcher::new(&llm, hedged_config(seed));
             warm_estimator(&dispatcher, &llm, 8);
-            let cache = PromptCache::unbounded(&dispatcher)
-                .with_canonicalization(CanonLevel::TableStem)
-                .with_single_flight(false);
+            let cache =
+                PromptCache::unbounded(&dispatcher).with_canonicalization(CanonLevel::TableStem);
             let report = BatchRunner::new(&cache, pipeline)
                 .with_workers(workers)
                 .with_pipeline(&dispatcher)
@@ -143,54 +142,94 @@ fn hedged_answers_bit_identical_across_seeds_and_worker_counts() {
     }
 }
 
+/// Answers, virtual makespan and the full `BackendStats` of one batch.
+type Timeline = (Vec<String>, u64, unidm::BackendStats);
+
+/// One pipelined batch of `tasks` on 64 seated workers over a fresh,
+/// warmed dispatcher, driven directly or through a cache keyed at `cache`.
+fn timeline(
+    (llm, lake, tasks): &(MockLlm, DataLake, Vec<Task>),
+    hedged: bool,
+    cache: Option<CanonLevel>,
+) -> Timeline {
+    let seed = fault_seed();
+    let mut config = BackendConfig::resilient(seed)
+        .without_breaker()
+        .with_faults(FaultPlan::heavy_tail(seed))
+        .with_pipelined();
+    if hedged {
+        config = config.with_hedge(HedgePolicy::at_quantile(900).with_min_samples(8));
+    }
+    let dispatcher = Dispatcher::new(llm, config);
+    warm_estimator(&dispatcher, llm, 8);
+    let cache = cache.map(|level| PromptCache::unbounded(&dispatcher).with_canonicalization(level));
+    let model: &dyn LanguageModel = match &cache {
+        Some(cache) => cache,
+        None => &dispatcher,
+    };
+    let answers = BatchRunner::new(model, PipelineConfig::paper_default())
+        .with_workers(64)
+        .with_pipeline(&dispatcher)
+        .answers(lake, tasks);
+    (answers, dispatcher.clock().now_micros(), dispatcher.stats())
+}
+
+/// Under a cache, woken workers race the winner's cache insert: a repeat
+/// of a resolved prompt is a cache hit or a dispatcher memo hit, both
+/// immediate. Only their sum is a function of the request set (with no
+/// cache it is the memo's alone), so the repeats are folded out.
+fn without_repeats((answers, makespan_us, mut stats): Timeline) -> Timeline {
+    stats.calls -= stats.dispatch_coalesced;
+    stats.dispatch_coalesced = 0;
+    (answers, makespan_us, stats)
+}
+
 /// Seats precede work: a pipelined `BatchRunner` registers all 64 workers
 /// with the dispatcher before any of them issues a call, so the virtual
 /// timeline — makespan and the full `BackendStats`, latency sketches
 /// included — is a function of the request set, not of which OS thread
 /// started first. Plain and hedged, straight onto the dispatcher and
-/// through the single-flight-off cache the ledger's regimes use, five runs
-/// each, all identical.
+/// through the cache the ledger's regimes use, five runs each, all
+/// identical.
 #[test]
 fn pipelined_batch_timeline_is_identical_across_runs() {
     // One task per worker, so all 64 are spawned.
-    let (llm, lake, tasks) = workload_of(64);
-    let pipeline = PipelineConfig::paper_default();
-    let seed = fault_seed();
-    let timeline = |hedged: bool, cached: bool| {
-        let mut config = BackendConfig::resilient(seed)
-            .without_breaker()
-            .with_faults(FaultPlan::heavy_tail(seed))
-            .with_pipelined();
-        if hedged {
-            config = config.with_hedge(HedgePolicy::at_quantile(900).with_min_samples(8));
+    let workload = workload_of(64);
+    for cache in [None, Some(CanonLevel::TableStem)] {
+        for hedged in [false, true] {
+            let run = || match cache {
+                None => timeline(&workload, hedged, None),
+                Some(_) => without_repeats(timeline(&workload, hedged, cache)),
+            };
+            let first = run();
+            for rerun in 1..5 {
+                assert_eq!(
+                    run(),
+                    first,
+                    "rerun {rerun} (hedged: {hedged}, {cache:?}) moved the virtual timeline"
+                );
+            }
         }
-        let dispatcher = Dispatcher::new(&llm, config);
-        warm_estimator(&dispatcher, &llm, 8);
-        let cache = PromptCache::unbounded(&dispatcher)
-            .with_canonicalization(CanonLevel::TableStem)
-            .with_single_flight(false);
-        let model: &dyn LanguageModel = if cached { &cache } else { &dispatcher };
-        BatchRunner::new(model, pipeline)
-            .with_workers(64)
-            .with_pipeline(&dispatcher)
-            .run_report(&lake, &tasks);
-        let mut stats = dispatcher.stats();
-        if cached {
-            // Woken workers race the winner's cache insert: a repeat of a
-            // resolved prompt is a cache hit or a dispatcher memo hit, both
-            // immediate. Only their sum is a function of the request set.
-            stats.calls -= stats.dispatch_coalesced;
-            stats.dispatch_coalesced = 0;
-        }
-        (dispatcher.clock().now_micros(), stats)
-    };
-    for (hedged, cached) in [(false, false), (true, false), (false, true), (true, true)] {
-        let first = timeline(hedged, cached);
-        for rerun in 1..5 {
+    }
+}
+
+/// A cache nobody configured (`Verbatim` is the level it starts at: exact
+/// keys, so the dispatcher sees the prompts a direct run sends it) sits
+/// above a pipelined dispatcher without being told to: its seated workers
+/// never wait in an in-flight slot, so the reactor reaches quiescence on
+/// its own and the batch is the batch a direct run produces — answers,
+/// makespan and every backend counter — plain and hedged, five runs each.
+#[test]
+fn default_cache_above_a_pipelined_dispatcher_keeps_the_direct_timeline() {
+    let workload = workload_of(64);
+    for hedged in [false, true] {
+        let direct = without_repeats(timeline(&workload, hedged, None));
+        let default_cache = Some(CanonLevel::Verbatim);
+        for run in 0..5 {
             assert_eq!(
-                timeline(hedged, cached),
-                first,
-                "rerun {rerun} (hedged: {hedged}, cached: {cached}) moved the virtual timeline"
+                without_repeats(timeline(&workload, hedged, default_cache)),
+                direct,
+                "run {run} (hedged: {hedged}) through a default cache left the direct timeline"
             );
         }
     }
@@ -221,7 +260,6 @@ fn losing_copies_are_never_memoized() {
         || CacheStore::open(&path, llm.name(), StoreConfig::default()).expect("store opens");
     let cache = PromptCache::unbounded(&dispatcher)
         .with_canonicalization(CanonLevel::TableStem)
-        .with_single_flight(false)
         .with_store(open_store());
     BatchRunner::new(&cache, pipeline)
         .with_workers(8)

@@ -99,9 +99,8 @@ fn routed_answers_bit_identical_across_seeds_workers_and_modes() {
             let router = fleet(&llm, seed);
             let dispatcher =
                 Dispatcher::new(&router, BackendConfig::resilient(seed).with_pipelined());
-            let cache = PromptCache::unbounded(&dispatcher)
-                .with_canonicalization(CanonLevel::TableStem)
-                .with_single_flight(false);
+            let cache =
+                PromptCache::unbounded(&dispatcher).with_canonicalization(CanonLevel::TableStem);
             let answers = BatchRunner::new(&cache, pipeline)
                 .with_workers(workers)
                 .with_pipeline(&dispatcher)

@@ -224,11 +224,9 @@ fn streaming_through_the_pipelined_dispatcher_matches_blocking() {
             .with_faults(FaultPlan::heavy_tail(seed))
             .with_pipelined(),
     );
-    // Cache-level single-flight must be off above a pipelined dispatcher
-    // (the reactor coalesces duplicate prompts itself).
-    let cache = PromptCache::unbounded(&dispatcher)
-        .with_canonicalization(CanonLevel::TableStem)
-        .with_single_flight(false);
+    // Seated workers never wait in the cache's in-flight slot (the reactor
+    // coalesces duplicate prompts itself).
+    let cache = PromptCache::unbounded(&dispatcher).with_canonicalization(CanonLevel::TableStem);
     let runner = BatchRunner::new(&cache, pipeline)
         .with_workers(8)
         .with_dedup(true)
