@@ -1,7 +1,10 @@
 //! The warm paths allocate nothing. Re-looking up a cache's own canonical
 //! texts must not touch the heap, at every canonicalization level; and a
 //! repeat attempt on a prompt the fault injector has already seen adds no
-//! allocation to the inner model's own, whatever the schedule makes of it.
+//! allocation to the inner model's own, whatever the schedule makes of it —
+//! nor does a repeat call through a routed fleet of injectors, which keeps
+//! one copy of a prompt however many replicas see it, and none at all when
+//! it owns no injector.
 //! Counted by `unidm_bench`'s global counting allocator, which is why this
 //! lives here (`unidm` itself forbids the `unsafe` an allocator needs).
 //!
@@ -10,8 +13,8 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use unidm::{CanonLevel, PromptCache};
-use unidm_bench::alloc_counter::AllocationDelta;
+use unidm::{BackendConfig, CanonLevel, PromptCache, RoutePlan, RoutedBackend};
+use unidm_bench::alloc_counter::{live_bytes, AllocationDelta};
 use unidm_llm::protocol::{
     render_pcq, render_pdp, render_pri, render_prm, Claim, SerializedRecord, TaskKind,
 };
@@ -112,14 +115,25 @@ impl LanguageModel for SharedAnswer {
     fn reset_usage(&self) {}
 }
 
+/// `count` distinct stream-sized (2 kB) prompts, told apart by `tag`.
+fn stream_prompts(tag: &str, count: usize) -> Vec<String> {
+    (0..count)
+        .map(|i| {
+            let mut prompt = format!("{tag} {i}: ");
+            while prompt.len() < 2048 {
+                prompt.push_str("Claim: the record's timezone is __. ");
+            }
+            prompt
+        })
+        .collect()
+}
+
 #[test]
 fn repeat_attempts_through_the_fault_injector_allocate_nothing() {
     let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
     let model = SharedAnswer(Completion::shared("yes".to_string(), Usage::default()));
     // Stream-sized prompts: a copy or a `format!` per attempt would show.
-    let prompts: Vec<String> = (0..24)
-        .map(|i| format!("{i}: {}", "Claim: the record's timezone is __. ".repeat(50)))
-        .collect();
+    let prompts = stream_prompts("attempt", 24);
     for endpoint in [None, Some(3)] {
         let sim = SimBackend::new(&model, FaultPlan::moderate(7));
         let sim = match endpoint {
@@ -161,4 +175,95 @@ fn repeat_attempts_through_the_fault_injector_allocate_nothing() {
             "every outcome kind was probed: {before:?} -> {after:?}"
         );
     }
+}
+
+/// Three replicas behind `FaultPlan::moderate`, or — without `faults` —
+/// behind nothing. No breaker: a skipped replica is collected in a `Vec`.
+fn fleet(model: &dyn LanguageModel, faults: bool) -> RoutedBackend<'_> {
+    let config = BackendConfig::resilient(7).with_route(RoutePlan::replicas(3).without_breaker());
+    let faults = faults.then(|| FaultPlan::moderate(7));
+    RoutedBackend::from_plan(model, BackendConfig { faults, ..config })
+}
+
+#[test]
+fn repeat_calls_through_a_routed_fleet_allocate_nothing() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let model = SharedAnswer(Completion::shared("yes".to_string(), Usage::default()));
+    let prompts = stream_prompts("repeat", 24);
+    let router = fleet(&model, true);
+    // Retries re-route, so enough rounds file every prompt with every
+    // replica that will ever see it in the passes below.
+    for _ in 0..60 {
+        for prompt in &prompts {
+            router
+                .complete(prompt)
+                .expect("the retry budget covers the plan");
+        }
+    }
+    let before = router.stats();
+    let fewest = (0..3)
+        .map(|_| {
+            let section = AllocationDelta::start();
+            for _ in 0..10 {
+                for prompt in &prompts {
+                    let _ = std::hint::black_box(router.complete(prompt));
+                }
+            }
+            section.allocations()
+        })
+        .min();
+    assert_eq!(fewest, Some(0), "repeat routed calls allocated");
+    let after = router.stats();
+    assert!(
+        after.retries > before.retries
+            && (0..3).all(|i| after.endpoints[i].attempts > before.endpoints[i].attempts),
+        "every replica and the backoff were probed: {before:?} -> {after:?}"
+    );
+}
+
+#[test]
+fn a_routed_fleet_keeps_one_copy_of_a_prompt_and_a_direct_one_keeps_none() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let model = SharedAnswer(Completion::shared("yes".to_string(), Usage::default()));
+    // The harness's own threads may allocate beside a pass; they can only
+    // add, so the smallest growth over three fresh stacks is the stack's.
+    let growth = |faults: bool| {
+        (0..3)
+            .map(|pass| {
+                let prompts = stream_prompts(&format!("pass {pass}"), 200);
+                let text_bytes: usize = prompts.iter().map(String::len).sum();
+                let router = fleet(&model, faults);
+                let before = live_bytes();
+                // Sixty calls each: retries re-route, so every replica's
+                // injector comes to see nearly every prompt.
+                for _ in 0..60 {
+                    for prompt in &prompts {
+                        let _ = std::hint::black_box(router.complete(prompt));
+                    }
+                }
+                let grown = live_bytes().saturating_sub(before);
+                if faults {
+                    let seen: Vec<u64> = router
+                        .stats()
+                        .endpoints
+                        .iter()
+                        .map(|e| e.attempts)
+                        .collect();
+                    assert!(
+                        seen.iter().all(|&n| n > 200),
+                        "every replica served: {seen:?}"
+                    );
+                }
+                (grown, text_bytes as u64)
+            })
+            .min()
+            .expect("three passes")
+    };
+    let (grown, text_bytes) = growth(true);
+    assert!(
+        grown > text_bytes && grown < 2 * text_bytes,
+        "a stack with injectors holds one copy of each prompt: {grown} B over {text_bytes} B of text"
+    );
+    let (grown, _) = growth(false);
+    assert_eq!(grown, 0, "a router over direct endpoints retains no prompt");
 }

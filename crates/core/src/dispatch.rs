@@ -21,6 +21,13 @@
 //! times, endpoint sampling and fault tallies come from the resilience
 //! kernel the blocking attempt loop sleeps on, so the two cannot disagree.
 //!
+//! A request owns the stack's one copy of its prompt, as a
+//! [`StackPrompt`]: the memo's key and the fault injector's per-prompt
+//! state share its text, and the injector's first sight and every retry
+//! backoff share its one absorption into the stack's dice. Over an
+//! endpoint with no injector nothing draws until a retry does, so a
+//! request that never backs off never reads its prompt for a draw.
+//!
 //! # The quiescence protocol
 //!
 //! There is no reactor thread. Caller threads submit a request and park on
@@ -83,7 +90,7 @@ use std::thread::{self, ThreadId};
 
 use unidm_llm::{
     AttemptSample, Clock, Completion, Dice, FaultStats, LanguageModel, LatencyProfile, LlmError,
-    TimerWheel, Usage, VirtualClock,
+    StackPrompt, TimerWheel, Usage, VirtualClock,
 };
 use unidm_text::hash::PromptMap;
 
@@ -163,8 +170,11 @@ struct InFlightCopy {
 /// One logical request: submitted once, possibly coalescing several
 /// callers, retried and hedged as needed, resolved exactly once.
 struct Request {
-    /// Shared with the request's key in [`Core::prompts`].
-    prompt: Arc<str>,
+    /// The stack's copy of the prompt, shared with the request's key in
+    /// [`Core::prompts`] and lent to the endpoint and the retry backoff;
+    /// absorbed by whichever of them draws first, so a request over a
+    /// direct endpoint that never retries never is.
+    prompt: StackPrompt,
     submitted_us: u64,
     retries: u32,
     hedged: u32,
@@ -230,6 +240,7 @@ impl Core {
 ///
 /// ```text
 /// PromptCache → Dispatcher (reactor: budget, pacing, retry, hedge) → SimBackend → MockLlm
+///               Request: StackPrompt ─── memo key · backoff draws ──▶ state keyed by its Arc<str>
 /// ```
 ///
 /// Built by [`BackendConfig::wrap`] when
@@ -478,7 +489,7 @@ impl<'a> Dispatcher<'a> {
                 req.retries += 1;
                 core.stats.retries += 1;
                 self.cancel_hedge_timer(core, &mut req);
-                let draws = self.dice.context(&req.prompt);
+                let draws = req.prompt.draws(&self.dice);
                 let backoff = backoff_us(self.config.retry, &draws, req.retries, &err);
                 core.wheel
                     .schedule(self.clock.now_micros() + backoff, Event::Retry(id));
@@ -514,7 +525,7 @@ impl<'a> Dispatcher<'a> {
     fn drive(&self, core: &mut Core) {
         if !core.fresh.is_empty() {
             let mut fresh = std::mem::take(&mut core.fresh);
-            fresh.sort_unstable_by(|a, b| core.requests[a].prompt.cmp(&core.requests[b].prompt));
+            fresh.sort_unstable_by(|a, b| core.requests[a].prompt.cmp(&*core.requests[b].prompt));
             for id in fresh {
                 self.admit(core, id);
             }
@@ -564,13 +575,15 @@ impl LanguageModel for Dispatcher<'_> {
             None => {
                 let id = core.next_id;
                 core.next_id += 1;
-                // The one copy of the prompt: the request and its slot's
-                // key share it.
-                let prompt: Arc<str> = Arc::from(prompt);
+                // The stack's one copy of the prompt: the request, its
+                // slot's key and the injector's state share it.
+                let prompt = StackPrompt::new(prompt, self.dice);
+                core.prompts
+                    .insert(prompt.text().clone(), PromptSlot::Pending(id));
                 core.requests.insert(
                     id,
                     Request {
-                        prompt: prompt.clone(),
+                        prompt,
                         submitted_us: self.clock.now_micros(),
                         retries: 0,
                         hedged: 0,
@@ -580,7 +593,6 @@ impl LanguageModel for Dispatcher<'_> {
                         resolved: None,
                     },
                 );
-                core.prompts.insert(prompt, PromptSlot::Pending(id));
                 core.fresh.push(id);
                 id
             }

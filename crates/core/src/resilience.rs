@@ -10,7 +10,8 @@
 use std::sync::Arc;
 
 use unidm_llm::{
-    AttemptSample, Clock, DiceContext, FaultPlan, FaultStats, LanguageModel, LlmError, SimBackend,
+    AttemptSample, Clock, Completion, DiceContext, FaultPlan, FaultStats, LanguageModel, LlmError,
+    SimBackend, StackPrompt,
 };
 
 use crate::backend::{BreakerPolicy, RetryPolicy};
@@ -243,12 +244,21 @@ impl<'a> Endpoint<'a> {
         }
     }
 
+    /// One blocking attempt of the stack's `prompt`: the injector's next
+    /// schedule slot slept on its clock, or a direct call.
+    pub(crate) fn complete(&self, prompt: &StackPrompt) -> Result<Arc<Completion>, LlmError> {
+        match self {
+            Endpoint::Sim(sim) => sim.complete_prompt(prompt),
+            Endpoint::Direct(model) => model.complete(prompt),
+        }
+    }
+
     /// Commits one attempt without sleeping: the injector's next schedule
     /// slot, or a direct call whose virtual latency comes from the model's
     /// latency profile.
-    pub(crate) fn sample(&self, prompt: &str) -> AttemptSample {
+    pub(crate) fn sample(&self, prompt: &StackPrompt) -> AttemptSample {
         match self {
-            Endpoint::Sim(sim) => sim.sample_attempt(prompt),
+            Endpoint::Sim(sim) => sim.sample_prompt(prompt),
             Endpoint::Direct(model) => {
                 let profile = model.latency_profile();
                 let result = model.complete(prompt);

@@ -10,7 +10,7 @@
 //! PromptCache                       (hits stop here)
 //!   └─ CascadeBackend              (cheap tier first, escalate on weak answers)
 //!        ├─ RoutedBackend[cheap]   (N weighted replicas)
-//!        └─ RoutedBackend[large]
+//!        └─ RoutedBackend[large]   (prompt table: one StackPrompt per distinct prompt)
 //!             ├─ endpoint 0: breaker ── AIMD bucket ── SimBackend ── model
 //!             ├─ endpoint 1: breaker ── AIMD bucket ── SimBackend ── model
 //!             └─ endpoint 2: ...
@@ -36,6 +36,22 @@
 //! ([`answer_confidence_permille`]) — the paper-adjacent "model cascade"
 //! that buys most of the large model's accuracy at a fraction of its
 //! billed cost ([`LlmProfile::cost_micro_per_token`]).
+//!
+//! # One copy of a prompt per stack
+//!
+//! A router that owns a fault injector keeps a private prompt table: a
+//! call probes it once (one content hash and one compare) for the stack's
+//! [`StackPrompt`] — the prompt's one owned text and the router's dice with
+//! it absorbed — and lends that to the routing draw, every backoff and the
+//! routed endpoint's injector, which keys its own state by the same text.
+//! A distinct prompt is therefore copied once per stack however many
+//! replicas see it, and read for a draw once per stack however many calls
+//! repeat it (the injectors share the absorption when they are on the
+//! router's seed, as every [`BackendConfig::with_faults`] stack in the
+//! tree is). The table grows with the distinct prompts seen, exactly as
+//! the injectors' schedule state already does. A router over bare models
+//! keeps no table and no text: it absorbs a prompt lazily, at most once
+//! per call, and a live stack never grows per distinct prompt.
 //!
 //! # Determinism
 //!
@@ -73,8 +89,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use unidm_llm::{
     Clock, Completion, Dice, DiceContext, FaultPlan, FaultStats, LanguageModel, LlmError,
-    LlmProfile, Usage, VirtualClock,
+    LlmProfile, StackPrompt, Usage, VirtualClock,
 };
+use unidm_text::hash::PromptMap;
 
 use crate::backend::{BackendConfig, BackendStats, BreakerPolicy, LatencySketch, RetryPolicy};
 use crate::resilience::{backoff_us, tally_fault, Breaker, Bucket, Endpoint};
@@ -517,6 +534,30 @@ impl Drop for GatePermit<'_> {
     }
 }
 
+/// A call's hold on its prompt, for the routing draw, the backoffs and the
+/// endpoint.
+enum CallPrompt<'p> {
+    /// The stack's handle, out of the router's prompt table: absorbed at
+    /// the prompt's first sight, so no draw of the call reads its bytes.
+    Shared(StackPrompt),
+    /// The caller's text, under a router that keeps no table: absorbed at
+    /// most once per call, by the first routing draw or backoff that needs
+    /// it.
+    Lent {
+        text: &'p str,
+        absorbed: OnceCell<DiceContext>,
+    },
+}
+
+impl CallPrompt<'_> {
+    fn draws(&self, dice: &Dice) -> DiceContext {
+        match self {
+            CallPrompt::Shared(shared) => shared.draws(dice),
+            CallPrompt::Lent { text, absorbed } => *absorbed.get_or_init(|| dice.context(text)),
+        }
+    }
+}
+
 /// A weighted multi-endpoint router implementing [`LanguageModel`].
 ///
 /// See the [module docs](self) for the layering and determinism story.
@@ -532,6 +573,11 @@ pub struct RoutedBackend<'a> {
     gate: Option<Gate>,
     dice: Dice,
     clock: Arc<dyn Clock>,
+    /// The stack's prompt table: its one copy of every distinct prompt,
+    /// absorbed into `dice`. Present iff the router built a fault injector
+    /// — per-prompt state that grows without bound already, and keys off
+    /// these copies; a router over direct endpoints retains no prompt.
+    prompts: Option<Mutex<PromptMap<StackPrompt, Arc<str>>>>,
     scalars: Mutex<RouterStats>,
 }
 
@@ -558,6 +604,7 @@ impl<'a> RoutedBackend<'a> {
             gate: None,
             dice: Dice::new(seed),
             clock: Arc::new(VirtualClock::new()),
+            prompts: None,
             scalars: Mutex::new(RouterStats::default()),
         }
     }
@@ -597,6 +644,9 @@ impl<'a> RoutedBackend<'a> {
 
     fn push(&mut self, model: &'a dyn LanguageModel, config: EndpointConfig, tag: Option<u64>) {
         let now = self.clock.now_micros();
+        if config.faults.is_some() {
+            self.prompts.get_or_insert_with(Mutex::default);
+        }
         self.endpoints.push(EndpointState {
             model: Endpoint::new(model, config.faults, self.clock.clone(), tag),
             origin: model as *const dyn LanguageModel as *const () as usize,
@@ -764,13 +814,34 @@ impl<'a> RoutedBackend<'a> {
         }
     }
 
+    /// The call's hold on `prompt`. With a table: one probe per call and,
+    /// on first sight, the stack's one copy and one absorption — made
+    /// outside the lock, and absorbed before it is filed so every later
+    /// clone carries the context. Of two racing first sights the first
+    /// filed stays: the injectors may already key by its text.
+    fn hold<'p>(&self, prompt: &'p str) -> CallPrompt<'p> {
+        let Some(table) = &self.prompts else {
+            return CallPrompt::Lent {
+                text: prompt,
+                absorbed: OnceCell::new(),
+            };
+        };
+        let lock = || table.lock().expect("prompt table lock poisoned");
+        let seen = lock().get(prompt).cloned();
+        CallPrompt::Shared(seen.unwrap_or_else(|| {
+            let fresh = StackPrompt::new(prompt, self.dice);
+            fresh.draws(&self.dice);
+            lock().entry(fresh.text().clone()).or_insert(fresh).clone()
+        }))
+    }
+
     /// One attempt of `prompt` on `endpoint`: wait for a rate token, call,
     /// and feed the outcome to the endpoint's breaker, bucket and
     /// counters. `first` marks the call's first attempt.
     fn attempt(
         &self,
         endpoint: &EndpointState<'_>,
-        prompt: &str,
+        prompt: &CallPrompt<'_>,
         first: bool,
     ) -> Result<Arc<Completion>, LlmError> {
         let now = self.clock.now_micros();
@@ -787,7 +858,11 @@ impl<'a> RoutedBackend<'a> {
             stats.attempts += 1;
         }
         let attempt_start = self.clock.now_micros();
-        let result = endpoint.model.model().complete(prompt);
+        let result = match prompt {
+            CallPrompt::Shared(shared) => endpoint.model.complete(shared),
+            // No table means no injector: every endpoint is the bare model.
+            CallPrompt::Lent { text, .. } => endpoint.model.model().complete(text),
+        };
         let end = self.clock.now_micros();
         match &result {
             Ok(completion) => {
@@ -834,10 +909,8 @@ impl LanguageModel for RoutedBackend<'_> {
         self.lock_scalars().calls += 1;
         let start = self.clock.now_micros();
         let _permit = self.gate.as_ref().map(Gate::acquire);
-        // The prompt is absorbed into the router's dice at most once per
-        // call, by the first routing draw or backoff that needs it.
-        let absorbed = OnceCell::new();
-        let draws = || *absorbed.get_or_init(|| self.dice.context(prompt));
+        let prompt = self.hold(prompt);
+        let draws = || prompt.draws(&self.dice);
         let mut retry = 0u32;
         loop {
             if self.deadline_us > 0 && self.clock.now_micros() >= start + self.deadline_us {
@@ -853,7 +926,7 @@ impl LanguageModel for RoutedBackend<'_> {
                     self.lock_scalars().all_open += 1;
                     LlmError::CircuitOpen { cooldown_us }
                 }
-                Ok(index) => match self.attempt(&self.endpoints[index], prompt, retry == 0) {
+                Ok(index) => match self.attempt(&self.endpoints[index], &prompt, retry == 0) {
                     Ok(completion) => {
                         let mut scalars = self.lock_scalars();
                         scalars.answers += 1;

@@ -251,15 +251,17 @@ impl TenantSpec {
     /// Samples this tenant's full arrival schedule: `(arrival_us,
     /// prompt_index)` pairs, strictly increasing in time.
     fn sample_arrivals(&self, dice: &Dice) -> Vec<(u64, usize)> {
-        let ctx = format!("serve-{}", self.name);
+        // The tenant context is absorbed once; every draw renders its
+        // numbered tag straight into it.
+        let ctx = dice.context(&format!("serve-{}", self.name));
         let mean = self.mean_gap_us();
         let mut schedule = Vec::with_capacity(self.requests as usize);
         let mut at_us = 0u64;
         let mut draws = 0u64;
         let draw = |tag: &str, n: usize, draws: &mut u64| {
-            let tagged = format!("{tag}-{draws}");
+            let pick = ctx.pick(format_args!("{tag}-{draws}"), n);
             *draws += 1;
-            dice.pick(&ctx, &tagged, n)
+            pick
         };
         for i in 0..self.requests as usize {
             match self.arrival {
@@ -294,7 +296,7 @@ impl TenantSpec {
             let prompt = if self.prompts.is_empty() {
                 0
             } else {
-                dice.pick(&ctx, &format!("prompt-{i}"), self.prompts.len())
+                ctx.pick(format_args!("prompt-{i}"), self.prompts.len())
             };
             schedule.push((at_us, prompt));
         }
@@ -675,13 +677,18 @@ impl ServeSim {
         let workers = self.config.workers.max(1) as u64;
         // Which worker owns each stream prompt, per tenant: hashed once
         // per prompt here, looked up per request below. A tenant with no
-        // prompts sends the empty prompt at index 0.
+        // prompts sends the empty prompt at index 0. One worker owns every
+        // prompt, whatever it hashes to.
+        let owner = |prompt: &str| match workers {
+            1 => 0,
+            _ => fnv1a64(prompt.as_bytes()) % workers,
+        };
         let owners: Vec<Vec<u64>> = self
             .tenants
             .iter()
             .map(|tenant| {
                 (0..tenant.prompts.len().max(1))
-                    .map(|index| fnv1a64(tenant.prompt(index).as_bytes()) % workers)
+                    .map(|index| owner(tenant.prompt(index)))
                     .collect()
             })
             .collect();

@@ -63,4 +63,4 @@ pub use kb::KnowledgeBase;
 pub use mock::MockLlm;
 pub use model::{Completion, LanguageModel, Usage, UsageMeter};
 pub use profile::{LatencyProfile, LlmProfile};
-pub use sim::{AttemptSample, FaultPlan, FaultStats, SimBackend};
+pub use sim::{AttemptSample, FaultPlan, FaultStats, SimBackend, StackPrompt};

@@ -25,6 +25,18 @@
 //! fault-injection test suite assert bit-identical answers *and*
 //! reproducible retry counts across serial, parallel and re-run executions.
 //!
+//! # One copy of a prompt per stack
+//!
+//! The injector keeps per-prompt state, so it holds every distinct
+//! prompt's text and that text absorbed into its [`Dice`]. Called with a
+//! `&str` it makes both itself. A serving stack that owns injectors makes
+//! them once at its root instead, as a [`StackPrompt`], and hands that down
+//! ([`SimBackend::sample_prompt`], [`SimBackend::complete_prompt`]): every
+//! replica's injector, the router's routing draws and every backoff then
+//! share one allocation and — when the stack is built on one seed — one
+//! pass over the prompt's bytes. The two ways in consume one attempt
+//! counter per prompt; the draws are bit-identical either way.
+//!
 //! ```
 //! use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm, SimBackend};
 //! use unidm_world::World;
@@ -41,7 +53,8 @@
 //! assert_eq!(reply.unwrap().text, llm.complete("The capital of Denmark is __.").unwrap().text);
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use unidm_text::hash::PromptMap;
 
@@ -243,6 +256,76 @@ pub struct AttemptSample {
     pub result: Result<Arc<Completion>, LlmError>,
 }
 
+/// A serving stack's one copy of a prompt, with the stack's draws over it.
+///
+/// The layer at the root of a stack (the router, the dispatcher) copies a
+/// distinct prompt once and hands this handle down instead of `&str`:
+/// every layer below keys its per-prompt state by a clone of
+/// [`StackPrompt::text`] — one allocation per stack, not one per layer —
+/// and takes its draw context from [`StackPrompt::draws`], which reads the
+/// prompt's bytes at most once for the [`Dice`] the handle was made with.
+/// A stack built from one seed (`BackendConfig::resilient(seed)` with
+/// `FaultPlan::…(seed)`) therefore absorbs a prompt once, however many
+/// injectors, routes and backoffs draw over it.
+///
+/// Dereferences to the prompt text. A clone shares the text and carries the
+/// context if it was absorbed by then.
+///
+/// ```
+/// use unidm_llm::{Dice, StackPrompt};
+///
+/// let dice = Dice::new(7);
+/// let prompt = StackPrompt::new("a long prompt, read once", dice);
+/// assert_eq!(&*prompt, "a long prompt, read once");
+/// assert_eq!(prompt.draws(&dice), dice.context(&prompt));
+/// // Another seed's draws are its own: absorbed afresh, never stored.
+/// let other = Dice::new(8);
+/// assert_eq!(prompt.draws(&other), other.context(&prompt));
+/// ```
+#[derive(Debug, Clone)]
+pub struct StackPrompt {
+    text: Arc<str>,
+    dice: Dice,
+    /// `dice` with `text` absorbed, filled by the first draw that asks.
+    draws: OnceLock<DiceContext>,
+}
+
+impl StackPrompt {
+    /// Copies `text` — the stack's one copy — for a stack drawing from
+    /// `dice`. Nothing is absorbed until [`StackPrompt::draws`] asks.
+    pub fn new(text: &str, dice: Dice) -> Self {
+        StackPrompt {
+            text: Arc::from(text),
+            dice,
+            draws: OnceLock::new(),
+        }
+    }
+
+    /// The shared text, for keying per-prompt state without another copy.
+    pub fn text(&self) -> &Arc<str> {
+        &self.text
+    }
+
+    /// `dice` with this prompt absorbed: [`Dice::context`] of the text, to
+    /// the bit. Kept after the first call when `dice` is the handle's own;
+    /// any other dice reads the text again.
+    pub fn draws(&self, dice: &Dice) -> DiceContext {
+        if *dice == self.dice {
+            *self.draws.get_or_init(|| dice.context(&self.text))
+        } else {
+            dice.context(&self.text)
+        }
+    }
+}
+
+impl Deref for StackPrompt {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
 /// Per-prompt schedule state: the prompt's absorbed draw context (so no
 /// attempt after the first reads the prompt's bytes for a draw), the next
 /// attempt index and the current run of consecutive injected faults.
@@ -261,6 +344,7 @@ struct PromptState {
 ///
 /// ```text
 /// PromptCache → RoutedBackend (limiter/retry/breaker) → SimBackend → MockLlm
+///               prompt table: StackPrompt ─────────────▶ state keyed by its Arc<str>
 /// ```
 pub struct SimBackend<'a> {
     inner: &'a dyn LanguageModel,
@@ -272,7 +356,9 @@ pub struct SimBackend<'a> {
     /// desynchronizes replicas that share a plan (see
     /// [`SimBackend::with_endpoint`]).
     endpoint: Option<u64>,
-    state: Mutex<PromptMap<PromptState>>,
+    /// Keyed by the stack's copy of the prompt when a caller hands one
+    /// down ([`SimBackend::sample_prompt`]), by the injector's own otherwise.
+    state: Mutex<PromptMap<PromptState, Arc<str>>>,
     stats: Mutex<FaultStats>,
 }
 
@@ -342,16 +428,23 @@ impl<'a> SimBackend<'a> {
     /// function of `(seed, prompt, i)` and the (deterministic) run of
     /// consecutive faults before it. The prompt's bytes are read once per
     /// attempt, by the map probe's content hash; a prompt's first attempt
-    /// also copies it into the map and absorbs it into its draw context.
-    fn next_outcome(&self, prompt: &str) -> Outcome {
+    /// also files it under the key and draw context `first_sight` yields.
+    fn next_outcome(
+        &self,
+        prompt: &str,
+        first_sight: impl FnOnce() -> (Arc<str>, DiceContext),
+    ) -> Outcome {
         let mut state = self.state.lock().expect("sim state lock poisoned");
         let entry = match state.get_mut(prompt) {
             Some(entry) => entry,
-            None => state.entry(prompt.to_string()).or_insert(PromptState {
-                draws: self.dice.context(prompt),
-                next_attempt: 0,
-                consecutive_faults: 0,
-            }),
+            None => {
+                let (key, draws) = first_sight();
+                state.entry(key).or_insert(PromptState {
+                    draws,
+                    next_attempt: 0,
+                    consecutive_faults: 0,
+                })
+            }
         };
         let attempt = entry.next_attempt;
         entry.next_attempt += 1;
@@ -413,8 +506,45 @@ impl<'a> SimBackend<'a> {
     /// classic behaviour from `complete`; an event-driven caller samples
     /// here and schedules the completion at `now + latency_us` itself, so
     /// overlapped attempts overlap in virtual time.
+    ///
+    /// The injector copies and absorbs a prompt it has not seen; a stack
+    /// that already holds both hands them down through
+    /// [`SimBackend::sample_prompt`].
     pub fn sample_attempt(&self, prompt: &str) -> AttemptSample {
-        let outcome = self.next_outcome(prompt);
+        self.sample(prompt, || (Arc::from(prompt), self.dice.context(prompt)))
+    }
+
+    /// [`SimBackend::sample_attempt`] for a prompt the stack above already
+    /// holds: the same schedule slot from the same per-prompt attempt
+    /// counter, whichever entry point consumed the slots before it — but a
+    /// first sight keys the state by the handle's text instead of a copy,
+    /// and takes the handle's draw context, which reads no byte when the
+    /// handle was made with this plan's seed.
+    pub fn sample_prompt(&self, prompt: &StackPrompt) -> AttemptSample {
+        self.sample(prompt, || (prompt.text().clone(), prompt.draws(&self.dice)))
+    }
+
+    /// [`LanguageModel::complete`] for a prompt the stack above already
+    /// holds: [`SimBackend::sample_prompt`], then the injected latency
+    /// slept on the clock.
+    pub fn complete_prompt(&self, prompt: &StackPrompt) -> Result<Arc<Completion>, LlmError> {
+        self.deliver(self.sample_prompt(prompt))
+    }
+
+    /// The blocking path is the sampling path plus a sleep: both consume
+    /// the same schedule slots, so a blocking stack and the event-driven
+    /// dispatcher see identical outcome sequences per prompt.
+    fn deliver(&self, sample: AttemptSample) -> Result<Arc<Completion>, LlmError> {
+        self.clock.sleep_micros(sample.latency_us);
+        sample.result
+    }
+
+    fn sample(
+        &self,
+        prompt: &str,
+        first_sight: impl FnOnce() -> (Arc<str>, DiceContext),
+    ) -> AttemptSample {
+        let outcome = self.next_outcome(prompt, first_sight);
         let mut stats = self.stats.lock().expect("sim stats lock poisoned");
         stats.attempts += 1;
         match outcome {
@@ -472,12 +602,7 @@ impl LanguageModel for SimBackend<'_> {
     }
 
     fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-        // The blocking path is the sampling path plus a sleep: both consume
-        // the same schedule slots, so a blocking stack and the event-driven
-        // dispatcher see identical outcome sequences per prompt.
-        let sample = self.sample_attempt(prompt);
-        self.clock.sleep_micros(sample.latency_us);
-        sample.result
+        self.deliver(self.sample_attempt(prompt))
     }
 
     fn usage(&self) -> Usage {
