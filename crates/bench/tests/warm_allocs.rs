@@ -4,7 +4,9 @@
 //! allocation to the inner model's own, whatever the schedule makes of it —
 //! nor does a repeat call through a routed fleet of injectors, which keeps
 //! one copy of a prompt however many replicas see it, and none at all when
-//! it owns no injector.
+//! it owns no injector. The disk tier holds a prompt once as well: a hit
+//! copies out the completion and nothing of the prompt, and compaction
+//! streams the file instead of building it in memory.
 //! Counted by `unidm_bench`'s global counting allocator, which is why this
 //! lives here (`unidm` itself forbids the `unsafe` an allocator needs).
 //!
@@ -13,8 +15,12 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use unidm::{BackendConfig, CanonLevel, PromptCache, RoutePlan, RoutedBackend};
-use unidm_bench::alloc_counter::{live_bytes, AllocationDelta};
+use unidm::{
+    BackendConfig, CacheStore, CanonLevel, PromptCache, RoutePlan, RoutedBackend, StoreConfig,
+};
+use unidm_bench::alloc_counter::{
+    live_bytes, peak_live_bytes, reset_peak_to_live, AllocationDelta,
+};
 use unidm_llm::protocol::{
     render_pcq, render_pdp, render_pri, render_prm, Claim, SerializedRecord, TaskKind,
 };
@@ -266,4 +272,84 @@ fn a_routed_fleet_keeps_one_copy_of_a_prompt_and_a_direct_one_keeps_none() {
     );
     let (grown, _) = growth(false);
     assert_eq!(grown, 0, "a router over direct endpoints retains no prompt");
+}
+
+/// A fresh store at a per-process scratch path tagged `tag`.
+fn scratch_store(tag: &str) -> (CacheStore, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("unidm-warm-allocs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join(format!("{tag}.udmstore"));
+    let _ = std::fs::remove_file(&path);
+    let store = CacheStore::open(&path, "shared-answer", StoreConfig::default()).expect("opens");
+    (store, path)
+}
+
+#[test]
+fn a_disk_hit_allocates_nothing_for_the_prompt() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let prompts = stream_prompts("disk hit", 16);
+    let answer = Completion::shared("yes".to_string(), Usage::default());
+    let (store, path) = scratch_store("hit");
+    for prompt in &prompts {
+        assert!(store.offer(prompt, &answer));
+    }
+    // The first read sizes the store's frame buffer.
+    assert!(store.get(&prompts[0]).is_some());
+    // The harness's own threads may allocate beside a pass; they can only
+    // add, so one clean pass proves the path.
+    let (allocations, bytes) = (0..3)
+        .map(|_| {
+            let section = AllocationDelta::start();
+            for prompt in &prompts {
+                let hit = std::hint::black_box(store.get(prompt));
+                assert_eq!(hit.expect("resident").text, "yes");
+            }
+            (section.allocations(), section.bytes())
+        })
+        .min()
+        .expect("three passes");
+    // Per hit: the completion's text and the `Arc` it is returned in.
+    assert_eq!(
+        allocations,
+        2 * prompts.len() as u64,
+        "a hit allocated more than its completion"
+    );
+    assert!(
+        bytes < prompts[0].len() as u64,
+        "{} hits allocated {bytes} B, more than one {}-byte prompt",
+        prompts.len(),
+        prompts[0].len()
+    );
+    drop(store);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn compaction_streams_the_file_instead_of_holding_it() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let prompts = stream_prompts("compacted", 3_072);
+    let answer = Completion::shared("yes".to_string(), Usage::default());
+    // The harness's own threads may allocate beside a pass; they can only
+    // add, so the smallest rise over three fresh stores is compaction's.
+    let (rise, file_bytes) = (0..3)
+        .map(|pass| {
+            let (store, path) = scratch_store(&format!("compact-{pass}"));
+            for prompt in &prompts {
+                store.offer(prompt, &answer);
+            }
+            let file_bytes = std::fs::metadata(&path).expect("store file").len();
+            let baseline = reset_peak_to_live();
+            assert_eq!(store.compact().expect("compacts"), 0);
+            let rise = peak_live_bytes().saturating_sub(baseline);
+            assert_eq!(store.len(), prompts.len());
+            drop(store);
+            let _ = std::fs::remove_file(&path);
+            (rise, file_bytes)
+        })
+        .min()
+        .expect("three passes");
+    assert!(
+        rise < file_bytes,
+        "compacting a {file_bytes} B store raised peak live bytes by {rise} B"
+    );
 }

@@ -35,7 +35,8 @@
 //!   are bit-identical to what each caller would have fetched itself. (A
 //!   worker seated at a [`crate::Dispatcher`] never waits: see below.)
 //! * **Persistence** — [`PromptCache::with_store`] attaches a
-//!   [`CacheStore`] beneath the shards: tier-0 misses probe the file
+//!   [`CacheStore`] beneath the shards: tier-0 misses probe the file —
+//!   under the same content hash, which the store does not recompute —
 //!   before the model and fresh completions are appended to it, so a
 //!   second run over the same file answers without any model call.
 
@@ -176,8 +177,9 @@ impl InFlight {
 /// What a probe needs of a key: the content hash the canonicalizer
 /// computed and the canonical text. The maps are keyed by [`Key`] and
 /// probed through `&dyn KeyView`, so a lookup borrows its
-/// [`CanonicalPrompt`] instead of building an owned key.
-trait KeyView {
+/// [`CanonicalPrompt`] — or, in the disk tier's index, a `(hash, text)`
+/// pair — instead of building an owned key.
+pub(crate) trait KeyView {
     fn hash64(&self) -> u64;
     fn text(&self) -> &str;
 }
@@ -189,6 +191,17 @@ impl KeyView for CanonicalPrompt<'_> {
 
     fn text(&self) -> &str {
         CanonicalPrompt::text(self)
+    }
+}
+
+/// A text with its already-computed [`unidm_text::hash::content_hash`].
+impl KeyView for (u64, &str) {
+    fn hash64(&self) -> u64 {
+        self.0
+    }
+
+    fn text(&self) -> &str {
+        self.1
     }
 }
 
@@ -212,20 +225,27 @@ impl Eq for dyn KeyView + '_ {}
 
 /// An owned map key: the canonical text, shared (`Arc<str>`) between the
 /// resident entry, its eviction-ring slot and the in-flight slot that
-/// preceded them, plus its content hash.
+/// preceded them — or between the disk tier's index, FIFO queue and
+/// compaction order — plus its content hash.
 #[derive(Clone)]
-struct Key {
+pub(crate) struct Key {
     hash: u64,
     text: Arc<str>,
 }
 
 impl Key {
+    /// The one copy of `text` an owned key makes; `hash` is its content
+    /// hash.
+    pub(crate) fn new(hash: u64, text: &str) -> Key {
+        Key {
+            hash,
+            text: Arc::from(text),
+        }
+    }
+
     /// The one copy of the canonical text a miss makes.
     fn of(canonical: &CanonicalPrompt<'_>) -> Key {
-        Key {
-            hash: canonical.hash64(),
-            text: Arc::from(canonical.text()),
-        }
+        Key::new(canonical.hash64(), canonical.text())
     }
 }
 
@@ -414,7 +434,7 @@ impl CacheInner {
 /// # Persistence
 ///
 /// [`PromptCache::with_store`] attaches a [`CacheStore`] — a versioned,
-/// checksummed, append-only `UDMCACHE1` file — beneath the shards; it is
+/// checksummed, append-only `UDMCACHE2` file — beneath the shards; it is
 /// the only way a completion outlives the process. Tier-0 misses probe
 /// the store before reaching the model (a disk hit populates tier 0 and
 /// costs zero model calls), and fresh completions are offered back
@@ -641,17 +661,19 @@ impl<'a> PromptCache<'a> {
 
     /// Resolves a tier-0 miss from the layers below: the disk tier first
     /// (a hit there never calls the model), then the inner model, offering
-    /// a fresh completion back to the store's admission filter. Runs
-    /// without any shard lock held.
-    fn fetch_below(&self, text: &str) -> Result<Arc<Completion>, LlmError> {
+    /// a fresh completion back to the store's admission filter. The store
+    /// reuses the canonicalizer's content hash instead of hashing the text
+    /// again. Runs without any shard lock held.
+    fn fetch_below(&self, canonical: &CanonicalPrompt<'_>) -> Result<Arc<Completion>, LlmError> {
+        let (hash, text) = (canonical.hash64(), canonical.text());
         if let Some(store) = &self.store {
-            if let Some(completion) = store.get(text) {
+            if let Some(completion) = store.get_hashed(hash, text) {
                 return Ok(completion);
             }
         }
         let result = self.inner.complete(text);
         if let (Some(store), Ok(completion)) = (&self.store, &result) {
-            store.offer(text, completion);
+            store.offer_hashed(hash, text, completion);
         }
         result
     }
@@ -801,7 +823,6 @@ impl PromptCache<'_> {
         canonical: &CanonicalPrompt<'_>,
     ) -> Result<Arc<Completion>, LlmError> {
         let shard = self.shard_for_hash(canonical.hash64());
-        let text = canonical.text();
         let (key, slot) = loop {
             // One locked section decides hit / coalesce / lead; everything
             // slow (waiting, completing) happens outside it.
@@ -814,7 +835,7 @@ impl PromptCache<'_> {
                     // Co-leader: no in-flight slot taken, none waited on.
                     state.stats.misses += 1;
                     drop(state);
-                    let result = self.fetch_below(text);
+                    let result = self.fetch_below(canonical);
                     if let Ok(completion) = &result {
                         let key = Key::of(canonical);
                         self.lock_shard(shard)
@@ -861,7 +882,7 @@ impl PromptCache<'_> {
             key: &key,
             armed: true,
         };
-        let result = self.fetch_below(text);
+        let result = self.fetch_below(canonical);
         {
             let mut state = self.lock_shard(shard);
             if let Ok(completion) = &result {

@@ -46,7 +46,7 @@
 //!   The cache is sharded across independently locked maps keyed by
 //!   [`CanonicalPrompt::hash64`].
 //! * [`store`] is the disk tier beneath the in-memory shards: a
-//!   versioned, checksummed, append-only `UDMCACHE1` segment
+//!   versioned, checksummed, append-only `UDMCACHE2` segment
 //!   ([`CacheStore`]) with TinyLFU admission control (so a table scan
 //!   cannot flush the hot set), compaction and max-age eviction.
 //!   Attach it with [`PromptCache::with_store`]; misses probe the disk

@@ -4,19 +4,19 @@
 //!
 //! The official UniDM repo persists every completion in a single sqlite
 //! cache. [`CacheStore`] is this reproduction's one persistence path: a
-//! `UDMCACHE1` file guarded by the model name it was written over.
+//! `UDMCACHE2` file guarded by the model name it was written over.
 //!
 //! ```text
 //! lookup ──▶ tier 0: sharded in-memory PromptCache (zero-alloc warm hit)
 //!               │ miss
 //!               ▼
-//!            tier 1: CacheStore index probe ──▶ paged frame read (hit:
-//!               │ miss                           0 model calls)
+//!            tier 1: CacheStore index probe ──▶ one pread of the frame
+//!               │ miss                           (hit: 0 model calls)
 //!               ▼
 //!            model call ──▶ TinyLFU admission ──▶ append frame | reject
 //! ```
 //!
-//! # File format (`UDMCACHE1`)
+//! # File format (`UDMCACHE2`)
 //!
 //! The layout reuses the `tablestore::segment` writer/reader idiom:
 //! little-endian primitives, length-prefixed strings, a magic/version
@@ -25,21 +25,37 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
-//! │ magic "UDMCACHE" · u32 version (1) · str model               │
+//! │ magic "UDMCACHE" · u32 version (2) · str model               │
 //! │ frame 0 │ frame 1 │ ...                                      │
 //! └──────────────────────────────────────────────────────────────┘
-//! frame := u32 payload_len · payload · u64 fnv1a64(payload)
+//! frame := u32 payload_len · payload · u64 checksum64(payload)
 //! payload := u64 generation · str canonical prompt · str completion
 //!            · u32 prompt_tokens · u32 completion_tokens
 //! ```
 //!
+//! Version 2 changed the checksum only: `UDMCACHE1` sealed each frame with
+//! byte-serial FNV-1a, version 2 with [`unidm_text::hash::checksum64`] —
+//! the content hash's word-at-a-time fold under its own frozen constants,
+//! same width, same layout. A version-1 file fails the open with
+//! [`StoreError::Version`] and is left as it is.
+//!
+//! A truncated or garbled tail, a wrong version, or a wrong model name
+//! fails the open with a clean [`StoreError`] and **no mutation of the
+//! file**, so callers can fall back to a cold cache and leave the evidence
+//! intact.
+//!
+//! # One hash and one key copy per prompt
+//!
 //! Opening a store scans every frame once to build an in-memory index
-//! (canonical prompt → file offset); afterwards a disk hit is one seek +
-//! one bounded read through a single handle — paged access without
-//! holding completions resident. A truncated or garbled tail, a wrong
-//! version, or a wrong model name fails the open with a clean
-//! [`StoreError`] and **no mutation of the file**, so callers can fall
-//! back to a cold cache and leave the evidence intact.
+//! (canonical prompt → file offset). The index holds one shared `Arc<str>`
+//! per live prompt, beside its content hash; the FIFO victim queue and
+//! compaction's sorted order hold the same allocation. Every store call
+//! hashes its prompt once — [`crate::PromptCache`] hands down the hash its
+//! canonicalizer already computed — and that hash both probes the index
+//! and feeds the admission filter. A disk hit is one positioned read
+//! (`pread`) of exactly the indexed frame into a buffer the store reuses;
+//! the stored prompt is compared in place, so a hit copies out only the
+//! completion — paged access without holding completions resident.
 //!
 //! # Admission control (TinyLFU)
 //!
@@ -59,24 +75,32 @@
 //!
 //! Displaced and expired entries stay physically in the file (append-only
 //! writes are what keep the hot path one `write` call) until
-//! [`CacheStore::compact`] rewrites live frames — sorted by canonical
+//! [`CacheStore::compact`] rewrites the live frames — sorted by canonical
 //! prompt, so the compacted file is deterministic for a deterministic
-//! history. Entries untouched for more than `max_age` generations (one
-//! generation per open) are dropped at open and at compaction.
+//! history. Compaction streams: one frame at a time is read back, resealed
+//! with its refreshed generation and written through a buffered writer to
+//! a sibling temp file, which is then renamed over the store — it holds one
+//! frame in memory, not the file. Entries untouched for more than `max_age`
+//! generations (one generation per open) are dropped when the store is
+//! opened; the generation is fixed for the life of an open, so nothing
+//! expires within one.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use unidm_llm::{Completion, Usage};
-use unidm_text::hash::{fnv1a64, FNV_PRIME};
+use unidm_text::hash::{checksum64, content_hash, FNV_PRIME};
 
-/// Leading magic of every `UDMCACHE1` store file.
+use crate::cache::{Key, KeyView};
+
+/// Leading magic of every `UDMCACHE2` store file.
 pub const STORE_MAGIC: &[u8; 8] = b"UDMCACHE";
-/// Current store format version (the `1` of `UDMCACHE1`).
-pub const STORE_VERSION: u32 = 1;
+/// Current store format version (the `2` of `UDMCACHE2`).
+pub const STORE_VERSION: u32 = 2;
 
 // ── Little-endian primitives (the `tablestore::segment` idiom) ──────────
 
@@ -123,11 +147,16 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> Result<String, StoreError> {
+    /// A length-prefixed byte string, borrowed from the buffer.
+    fn bytes(&mut self) -> Result<&'a [u8], StoreError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::format("invalid utf-8 in store"))
+        self.take(len)
     }
+}
+
+/// `bytes` as text, or the format error a garbled string is.
+fn utf8(bytes: &[u8]) -> Result<&str, StoreError> {
+    std::str::from_utf8(bytes).map_err(|_| StoreError::format("invalid utf-8 in store"))
 }
 
 /// Why a [`CacheStore`] could not be opened, read, or written.
@@ -135,7 +164,7 @@ impl<'a> Cursor<'a> {
 pub enum StoreError {
     /// Reading or writing the store file failed.
     Io(std::io::Error),
-    /// The file is not a well-formed `UDMCACHE1` document (bad magic,
+    /// The file is not a well-formed `UDMCACHE2` document (bad magic,
     /// truncated frame, checksum mismatch, garbled payload).
     Format(String),
     /// The file carries an unsupported format version.
@@ -252,8 +281,9 @@ pub struct StoreConfig {
     /// append. `usize::MAX` never gates (and never evicts).
     pub max_entries: usize,
     /// Entries untouched for more than this many generations (one
-    /// generation per [`CacheStore::open`]) are dropped at open and at
-    /// compaction. `u64::MAX` disables the policy.
+    /// generation per [`CacheStore::open`]) are dropped when the store is
+    /// opened — the generation is fixed for the life of an open, so nothing
+    /// expires within one. `u64::MAX` disables the policy.
     pub max_age: u64,
     /// Seed of the admission filter's hash family. Fixed seed → fully
     /// deterministic admission decisions for a deterministic history.
@@ -341,8 +371,8 @@ impl TinyLfu {
     /// The i-th member of the seeded hash family for `hash`.
     #[inline]
     fn index(&self, hash: u64, i: u64) -> usize {
-        // One multiply-xor round per family member over the stable FNV
-        // key hash; the seed decorrelates the family from the shard mask.
+        // One multiply-xor round per family member over the key's content
+        // hash; the seed decorrelates the family from the shard mask.
         let mixed = (hash ^ self.seed.wrapping_mul(i.wrapping_add(1)))
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .rotate_left(31)
@@ -435,15 +465,36 @@ struct IndexEntry {
 
 struct StoreState {
     file: File,
-    index: HashMap<Box<str>, IndexEntry>,
+    /// Length of the file: where the next frame is appended.
+    end: u64,
+    /// Live prompt → its frame, keyed by the prompt's one shared copy and
+    /// probed by `(content hash, &str)`.
+    index: HashMap<Key, IndexEntry>,
     /// Admission order of resident keys: the deterministic FIFO victim
     /// queue. Displaced keys are removed lazily (the index is
     /// authoritative).
-    queue: VecDeque<Box<str>>,
+    queue: VecDeque<Key>,
     filter: TinyLfu,
     /// Frames physically in the file, live or dead — compaction trigger.
     frames: usize,
+    /// The one frame being read or written; reused by every call.
+    buf: Vec<u8>,
     stats: StoreStats,
+}
+
+impl StoreState {
+    fn new(file: File, end: u64, config: &StoreConfig) -> StoreState {
+        StoreState {
+            file,
+            end,
+            index: HashMap::new(),
+            queue: VecDeque::new(),
+            filter: TinyLfu::new(config.seed, config.max_entries),
+            frames: 0,
+            buf: Vec::new(),
+            stats: StoreStats::default(),
+        }
+    }
 }
 
 /// A tiered prompt-cache store handle: cheap to clone, safe to share —
@@ -500,44 +551,92 @@ impl std::fmt::Debug for CacheStore {
     }
 }
 
-/// Encodes one frame (length prefix + payload + checksum).
-fn encode_frame(generation: u64, prompt: &str, completion: &Completion) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(prompt.len() + completion.text.len() + 32);
-    put_u64(&mut payload, generation);
-    put_str(&mut payload, prompt);
-    put_str(&mut payload, &completion.text);
-    put_u32(&mut payload, completion.usage.prompt_tokens as u32);
-    put_u32(&mut payload, completion.usage.completion_tokens as u32);
-    let checksum = fnv1a64(&payload);
-    let mut frame = Vec::with_capacity(payload.len() + 12);
-    put_u32(&mut frame, payload.len() as u32);
-    frame.extend_from_slice(&payload);
-    put_u64(&mut frame, checksum);
-    frame
+/// Encodes one frame (length prefix + payload + checksum) into `out`.
+fn encode_frame(out: &mut Vec<u8>, generation: u64, prompt: &str, completion: &Completion) {
+    out.clear();
+    put_u32(out, 0); // the payload length, known once it is written
+    put_u64(out, generation);
+    put_str(out, prompt);
+    put_str(out, &completion.text);
+    put_u32(out, completion.usage.prompt_tokens as u32);
+    put_u32(out, completion.usage.completion_tokens as u32);
+    let payload_len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&payload_len.to_le_bytes());
+    seal(out);
 }
 
-/// Decodes one frame payload (already checksum-verified).
-fn decode_payload(payload: &[u8]) -> Result<(u64, String, Completion), StoreError> {
+/// Appends the checksum of `frame`'s payload (everything after its length
+/// prefix) to `frame`.
+fn seal(frame: &mut Vec<u8>) {
+    let checksum = checksum64(&frame[4..]);
+    put_u64(frame, checksum);
+}
+
+/// One frame's payload, borrowed from the bytes it was read into. The
+/// strings stay bytes: a hit compares the prompt in place and copies only
+/// the completion, so each caller validates what it keeps.
+struct Payload<'a> {
+    generation: u64,
+    prompt: &'a [u8],
+    text: &'a [u8],
+    usage: Usage,
+}
+
+impl Payload<'_> {
+    /// The stored completion, copied out of the frame.
+    fn completion(&self) -> Option<Completion> {
+        Some(Completion {
+            text: std::str::from_utf8(self.text).ok()?.to_owned(),
+            usage: self.usage,
+        })
+    }
+}
+
+/// Verifies one whole frame — its length prefix against its length, then
+/// its checksum — and splits its payload.
+fn parse_frame(frame: &[u8]) -> Result<Payload<'_>, StoreError> {
+    let mut cur = Cursor::new(frame);
+    let payload_len = cur.u32()? as usize;
+    let payload = cur.take(payload_len)?;
+    let checksum = cur.u64()?;
+    if cur.pos != frame.len() {
+        return Err(StoreError::format("frame length prefix mismatch"));
+    }
+    if checksum64(payload) != checksum {
+        return Err(StoreError::format("checksum mismatch"));
+    }
     let mut cur = Cursor::new(payload);
     let generation = cur.u64()?;
-    let prompt = cur.str()?;
-    let text = cur.str()?;
+    let prompt = cur.bytes()?;
+    let text = cur.bytes()?;
     let prompt_tokens = cur.u32()? as usize;
     let completion_tokens = cur.u32()? as usize;
     if cur.pos != payload.len() {
         return Err(StoreError::format("trailing bytes in store frame"));
     }
-    Ok((
+    Ok(Payload {
         generation,
         prompt,
-        Completion {
-            text,
-            usage: Usage {
-                prompt_tokens,
-                completion_tokens,
-            },
+        text,
+        usage: Usage {
+            prompt_tokens,
+            completion_tokens,
         },
-    ))
+    })
+}
+
+/// Reads the `frame_len`-byte frame at `offset` into `buf` with one
+/// positioned read, and verifies it.
+fn read_frame<'b>(
+    file: &File,
+    offset: u64,
+    frame_len: usize,
+    buf: &'b mut Vec<u8>,
+) -> Result<Payload<'b>, StoreError> {
+    buf.clear();
+    buf.resize(frame_len, 0);
+    file.read_exact_at(buf, offset)?;
+    parse_frame(buf)
 }
 
 fn encode_header(model: &str) -> Vec<u8> {
@@ -551,7 +650,7 @@ fn encode_header(model: &str) -> Vec<u8> {
 impl CacheStore {
     /// Opens (or creates) the store at `path` for `model`.
     ///
-    /// A fresh path is initialized with the `UDMCACHE1` header. An
+    /// A fresh path is initialized with the `UDMCACHE2` header. An
     /// existing file is validated — magic, version, model name, then
     /// every frame's length and checksum — and scanned once to build the
     /// in-memory index; entries whose age exceeds
@@ -563,18 +662,41 @@ impl CacheStore {
     /// # Errors
     ///
     /// [`StoreError::Format`] for truncated/garbled files,
-    /// [`StoreError::Version`] and [`StoreError::ModelMismatch`] for
-    /// mismatched headers, [`StoreError::Io`] for filesystem failures. On
-    /// error the file is **not modified** — a caller can fall back to a
-    /// cold cache and leave the evidence intact.
+    /// [`StoreError::Version`] (a `UDMCACHE1` file among them) and
+    /// [`StoreError::ModelMismatch`] for mismatched headers,
+    /// [`StoreError::Io`] for filesystem failures. On error the file is
+    /// **not modified** — a caller can fall back to a cold cache and leave
+    /// the evidence intact.
     pub fn open(
         path: impl AsRef<Path>,
         model: &str,
         config: StoreConfig,
     ) -> Result<CacheStore, StoreError> {
         let path = path.as_ref().to_path_buf();
-        let exists = path.exists();
-        if !exists {
+        let (generation, state) = if path.exists() {
+            // Validate and index the existing file without mutating it.
+            let bytes = std::fs::read(&path)?;
+            let scan = scan_store(&bytes, model)?;
+            let generation = scan.max_generation + 1;
+            let file = OpenOptions::new().read(true).append(true).open(&path)?;
+            let mut state = StoreState::new(file, bytes.len() as u64, &config);
+            state.index = scan.index;
+            state.frames = scan.frames;
+            for key in scan.order {
+                // Age = generations since last touch; `max_age`
+                // generations of silence expire an entry at open (none
+                // can exceed `u64::MAX`, the disabled policy).
+                let touched = state.index[&key].generation;
+                if generation.saturating_sub(touched) > config.max_age {
+                    state.index.remove(&key);
+                    state.stats.expired += 1;
+                    continue;
+                }
+                state.filter.touch(key.hash64());
+                state.queue.push_back(key);
+            }
+            (generation, state)
+        } else {
             if let Some(parent) = path.parent() {
                 if !parent.as_os_str().is_empty() {
                     std::fs::create_dir_all(parent)?;
@@ -583,66 +705,11 @@ impl CacheStore {
             let mut file = OpenOptions::new()
                 .create_new(true)
                 .read(true)
-                .write(true)
+                .append(true)
                 .open(&path)?;
-            file.write_all(&encode_header(model))?;
-            file.flush()?;
-            let state = StoreState {
-                file,
-                index: HashMap::new(),
-                queue: VecDeque::new(),
-                filter: TinyLfu::new(config.seed, config.max_entries),
-                frames: 0,
-                stats: StoreStats::default(),
-            };
-            return Ok(CacheStore {
-                inner: Arc::new(StoreInner {
-                    path,
-                    model: model.to_string(),
-                    config,
-                    generation: 1,
-                    state: Mutex::new(state),
-                }),
-            });
-        }
-
-        // Validate and index the existing file without mutating it.
-        let bytes = std::fs::read(&path)?;
-        let scan = scan_store(&bytes, model)?;
-        let generation = scan.max_generation + 1;
-        let mut index = HashMap::new();
-        let mut queue = VecDeque::new();
-        let mut filter = TinyLfu::new(config.seed, config.max_entries);
-        let mut expired = 0usize;
-        for (prompt, entry) in scan.entries {
-            // Age = generations since last touch; `max_age` generations
-            // of silence expire an entry at open.
-            if config.max_age != u64::MAX
-                && generation.saturating_sub(entry.generation) > config.max_age
-            {
-                expired += 1;
-                continue;
-            }
-            filter.touch(fnv1a64(prompt.as_bytes()));
-            if index
-                .insert(prompt.clone().into_boxed_str(), entry)
-                .is_none()
-            {
-                queue.push_back(prompt.into_boxed_str());
-            }
-        }
-        let file = OpenOptions::new().read(true).append(true).open(&path)?;
-        let stats = StoreStats {
-            expired,
-            ..StoreStats::default()
-        };
-        let state = StoreState {
-            file,
-            index,
-            queue,
-            filter,
-            frames: scan.frames,
-            stats,
+            let header = encode_header(model);
+            file.write_all(&header)?;
+            (1, StoreState::new(file, header.len() as u64, &config))
         };
         Ok(CacheStore {
             inner: Arc::new(StoreInner {
@@ -692,35 +759,46 @@ impl CacheStore {
         self.lock().stats
     }
 
-    /// Probes the disk tier for `prompt` (the canonical text): a hit
-    /// seeks to the indexed frame, reads exactly that frame, verifies its
-    /// checksum, and returns the completion — no model call, no resident
-    /// payload cache. The entry's generation is refreshed, so live use
-    /// keeps it out of max-age reach.
+    /// Probes the disk tier for `prompt` (the canonical text): a hit reads
+    /// exactly the indexed frame with one positioned read, verifies its
+    /// checksum, compares the stored prompt in place and returns the
+    /// completion — no model call, no resident payload cache. The entry's
+    /// generation is refreshed, so live use keeps it out of max-age reach.
     ///
     /// Corrupt frames discovered at read time (the file changed under
     /// us) drop the entry and miss, never panic.
     pub fn get(&self, prompt: &str) -> Option<Arc<Completion>> {
+        self.get_hashed(content_hash(prompt), prompt)
+    }
+
+    /// [`CacheStore::get`] for a prompt whose content hash the caller
+    /// already holds.
+    pub(crate) fn get_hashed(&self, hash: u64, prompt: &str) -> Option<Arc<Completion>> {
         let mut guard = self.lock();
         let state = &mut *guard;
-        let Some(entry) = state.index.get_mut(prompt) else {
+        let probe = (hash, prompt);
+        let Some(entry) = state.index.get_mut(&probe as &dyn KeyView) else {
             state.stats.misses += 1;
             // Missed probes still teach the filter: the second sighting
             // of a key is what earns it admission at capacity.
-            state.filter.touch(fnv1a64(prompt.as_bytes()));
+            state.filter.touch(hash);
             return None;
         };
-        match read_frame(&mut state.file, entry.offset, entry.frame_len) {
-            Ok((_, stored_prompt, completion)) if stored_prompt == prompt => {
+        let stored = read_frame(&state.file, entry.offset, entry.frame_len, &mut state.buf)
+            .ok()
+            .filter(|payload| payload.prompt == prompt.as_bytes())
+            .and_then(|payload| payload.completion());
+        match stored {
+            Some(completion) => {
                 state.stats.hits += 1;
                 entry.generation = self.inner.generation;
-                state.filter.touch(fnv1a64(prompt.as_bytes()));
+                state.filter.touch(hash);
                 Some(Arc::new(completion))
             }
-            _ => {
+            None => {
                 // The indexed frame no longer matches (external
                 // truncation/rewrite): drop it and miss cleanly.
-                state.index.remove(prompt);
+                state.index.remove(&probe as &dyn KeyView);
                 state.stats.misses += 1;
                 None
             }
@@ -745,9 +823,15 @@ impl CacheStore {
     /// Append failures are recorded as rejections (the store is an
     /// optimization, never a correctness dependency).
     pub fn offer(&self, prompt: &str, completion: &Arc<Completion>) -> bool {
-        let mut state = self.lock();
-        let hash = fnv1a64(prompt.as_bytes());
-        if state.index.contains_key(prompt) {
+        self.offer_hashed(content_hash(prompt), prompt, completion)
+    }
+
+    /// [`CacheStore::offer`] for a prompt whose content hash the caller
+    /// already holds.
+    pub(crate) fn offer_hashed(&self, hash: u64, prompt: &str, completion: &Completion) -> bool {
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        if state.index.contains_key(&(hash, prompt) as &dyn KeyView) {
             // Already resident (a racing co-leader or a re-admission):
             // refresh the touch, keep the existing frame.
             state.filter.touch(hash);
@@ -772,7 +856,7 @@ impl CacheStore {
         } else {
             state.filter.touch(hash);
         }
-        match self.append_frame(&mut state, prompt, completion) {
+        match self.append_frame(state, hash, prompt, completion) {
             Ok(()) => {
                 state.stats.admitted += 1;
                 true
@@ -787,23 +871,28 @@ impl CacheStore {
     fn append_frame(
         &self,
         state: &mut StoreState,
+        hash: u64,
         prompt: &str,
-        completion: &Arc<Completion>,
+        completion: &Completion,
     ) -> Result<(), StoreError> {
-        let frame = encode_frame(self.inner.generation, prompt, completion);
-        let offset = state.file.seek(SeekFrom::End(0))?;
-        state.file.write_all(&frame)?;
-        state.file.flush()?;
+        let generation = self.inner.generation;
+        encode_frame(&mut state.buf, generation, prompt, completion);
+        if let Err(e) = state.file.write_all(&state.buf) {
+            // A short write may have left a torn tail; the next frame is
+            // appended after whatever reached the file.
+            state.end = state.file.metadata().map_or(state.end, |m| m.len());
+            return Err(e.into());
+        }
+        let entry = IndexEntry {
+            offset: state.end,
+            frame_len: state.buf.len(),
+            generation,
+        };
+        state.end += state.buf.len() as u64;
         state.frames += 1;
-        state.index.insert(
-            prompt.into(),
-            IndexEntry {
-                offset,
-                frame_len: frame.len(),
-                generation: self.inner.generation,
-            },
-        );
-        state.queue.push_back(prompt.into());
+        let key = Key::new(hash, prompt);
+        state.index.insert(key.clone(), entry);
+        state.queue.push_back(key);
         Ok(())
     }
 
@@ -812,48 +901,47 @@ impl CacheStore {
     /// generations from the index. Returns how many dead frames were
     /// reclaimed.
     ///
-    /// The rewrite goes through a sibling temp file and an atomic rename,
-    /// so a crash mid-compaction leaves either the old file or the new
-    /// one, never a torn store.
+    /// The frames stream one at a time through a buffered writer into the
+    /// sibling `<name>.compact-tmp` file, which is then renamed over the
+    /// store, so a crash mid-compaction leaves either the old file or the
+    /// new one, never a torn store.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure, or a live frame that no longer verifies. The temp
+    /// file is removed, and the store file and index are left as they
+    /// were: every entry is still served.
     pub fn compact(&self) -> Result<usize, StoreError> {
-        let mut state = self.lock();
-        let mut live: Vec<(Box<str>, IndexEntry)> =
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        let mut live: Vec<(Key, IndexEntry)> =
             state.index.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        live.sort_by(|a, b| a.0.cmp(&b.0));
+        live.sort_unstable_by(|a, b| a.0.text().cmp(b.0.text()));
         let dropped = state.frames - live.len();
 
-        let mut out = encode_header(&self.inner.model);
-        let mut new_index = HashMap::with_capacity(live.len());
-        let mut new_queue = VecDeque::with_capacity(live.len());
-        for (prompt, entry) in &live {
-            let (_, stored_prompt, completion) =
-                read_frame(&mut state.file, entry.offset, entry.frame_len)?;
-            if stored_prompt.as_str() != prompt.as_ref() {
-                return Err(StoreError::format("index out of sync during compaction"));
+        let path = &self.inner.path;
+        let tmp = path.with_extension("compact-tmp");
+        let written = write_compacted(&tmp, &self.inner.model, state, &mut live).and_then(|end| {
+            std::fs::rename(&tmp, path)?;
+            Ok(end)
+        });
+        let end = match written {
+            Ok(end) => end,
+            Err(e) => {
+                let _ = std::fs::remove_file(&tmp);
+                return Err(e);
             }
-            let frame = encode_frame(entry.generation, prompt, &completion);
-            new_index.insert(
-                prompt.clone(),
-                IndexEntry {
-                    offset: out.len() as u64,
-                    frame_len: frame.len(),
-                    generation: entry.generation,
-                },
-            );
-            new_queue.push_back(prompt.clone());
-            out.extend_from_slice(&frame);
+        };
+        state.file = OpenOptions::new().read(true).append(true).open(path)?;
+        state.end = end;
+        for (key, moved) in &live {
+            if let Some(entry) = state.index.get_mut(key) {
+                *entry = *moved;
+            }
         }
-
-        let tmp = self.inner.path.with_extension("compact-tmp");
-        std::fs::write(&tmp, &out)?;
-        std::fs::rename(&tmp, &self.inner.path)?;
-        state.file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&self.inner.path)?;
-        state.frames = live.len();
-        state.index = new_index;
-        state.queue = new_queue;
+        state.queue.clear();
+        state.queue.extend(live.into_iter().map(|(key, _)| key));
+        state.frames = state.queue.len();
         state.stats.compactions += 1;
         state.stats.compacted_frames += dropped;
         Ok(dropped)
@@ -869,22 +957,55 @@ impl CacheStore {
     /// The live canonical prompts, sorted (diagnostics and tests).
     pub fn canonical_prompts(&self) -> Vec<String> {
         let state = self.lock();
-        let mut prompts: Vec<String> = state.index.keys().map(|k| k.to_string()).collect();
+        let mut prompts: Vec<String> = state.index.keys().map(|k| k.text().to_string()).collect();
         prompts.sort();
         prompts
     }
 }
 
+/// Streams the `live` frames, in order, from the store file into a fresh
+/// `tmp` file, each resealed with its entry's generation, and points every
+/// entry at its new offset. Returns the new file's length.
+fn write_compacted(
+    tmp: &Path,
+    model: &str,
+    state: &mut StoreState,
+    live: &mut [(Key, IndexEntry)],
+) -> Result<u64, StoreError> {
+    let mut out = BufWriter::new(File::create(tmp)?);
+    let header = encode_header(model);
+    out.write_all(&header)?;
+    let mut end = header.len() as u64;
+    let buf = &mut state.buf;
+    for (key, entry) in live.iter_mut() {
+        let payload = read_frame(&state.file, entry.offset, entry.frame_len, buf)?;
+        if payload.prompt != key.text().as_bytes() {
+            return Err(StoreError::format("index out of sync during compaction"));
+        }
+        // Persist the refreshed generation: patch it, then reseal.
+        buf[4..12].copy_from_slice(&entry.generation.to_le_bytes());
+        buf.truncate(buf.len() - 8);
+        seal(buf);
+        out.write_all(buf)?;
+        entry.offset = end;
+        end += buf.len() as u64;
+    }
+    out.flush()?;
+    Ok(end)
+}
+
 /// What scanning an existing store file yields.
 struct StoreScan {
-    /// Last-wins live entries, in file order of their winning frame.
-    entries: Vec<(String, IndexEntry)>,
+    /// Last-wins live entries.
+    index: HashMap<Key, IndexEntry>,
+    /// The index's keys in file order of their first frame.
+    order: Vec<Key>,
     /// Total frames physically present (live + superseded).
     frames: usize,
     max_generation: u64,
 }
 
-/// Validates `bytes` as a `UDMCACHE1` document for `model` and extracts
+/// Validates `bytes` as a `UDMCACHE2` document for `model` and extracts
 /// the live entry index. Pure — never touches the filesystem.
 fn scan_store(bytes: &[u8], model: &str) -> Result<StoreScan, StoreError> {
     if bytes.len() < STORE_MAGIC.len() || &bytes[..STORE_MAGIC.len()] != STORE_MAGIC {
@@ -896,75 +1017,49 @@ fn scan_store(bytes: &[u8], model: &str) -> Result<StoreScan, StoreError> {
     if version != STORE_VERSION {
         return Err(StoreError::Version { found: version });
     }
-    let found = cur.str()?;
+    let found = utf8(cur.bytes()?)?;
     if found != model {
         return Err(StoreError::ModelMismatch {
             expected: model.to_string(),
-            found,
+            found: found.to_string(),
         });
     }
-    let mut by_prompt: HashMap<String, usize> = HashMap::new();
-    let mut entries: Vec<(String, IndexEntry)> = Vec::new();
-    let mut frames = 0usize;
-    let mut max_generation = 0u64;
+    let mut scan = StoreScan {
+        index: HashMap::new(),
+        order: Vec::new(),
+        frames: 0,
+        max_generation: 0,
+    };
     while cur.pos < bytes.len() {
-        let offset = cur.pos as u64;
+        let offset = cur.pos;
         let payload_len = cur.u32()? as usize;
-        let payload = cur.take(payload_len)?;
-        let checksum = cur.u64()?;
-        if fnv1a64(payload) != checksum {
-            return Err(StoreError::format(format!(
-                "checksum mismatch in frame at offset {offset}"
-            )));
-        }
-        let (generation, prompt, _) = decode_payload(payload)?;
-        frames += 1;
-        max_generation = max_generation.max(generation);
+        cur.take(payload_len + 8)?;
+        let payload = parse_frame(&bytes[offset..cur.pos]).map_err(|e| match e {
+            StoreError::Format(msg) => StoreError::Format(format!("{msg} at offset {offset}")),
+            e => e,
+        })?;
+        let prompt = utf8(payload.prompt)?;
+        utf8(payload.text)?;
+        scan.frames += 1;
+        scan.max_generation = scan.max_generation.max(payload.generation);
         let entry = IndexEntry {
-            offset,
-            frame_len: 4 + payload_len + 8,
-            generation,
+            offset: offset as u64,
+            frame_len: cur.pos - offset,
+            generation: payload.generation,
         };
         // Last frame for a prompt wins (a re-admission after displacement
         // appends a fresh frame).
-        match by_prompt.get(&prompt) {
-            Some(&slot) => entries[slot].1 = entry,
+        let hash = content_hash(prompt);
+        match scan.index.get_mut(&(hash, prompt) as &dyn KeyView) {
+            Some(slot) => *slot = entry,
             None => {
-                by_prompt.insert(prompt.clone(), entries.len());
-                entries.push((prompt, entry));
+                let key = Key::new(hash, prompt);
+                scan.order.push(key.clone());
+                scan.index.insert(key, entry);
             }
         }
     }
-    Ok(StoreScan {
-        entries,
-        frames,
-        max_generation,
-    })
-}
-
-/// Seeks to `offset` and reads exactly one frame, verifying length and
-/// checksum.
-fn read_frame(
-    file: &mut File,
-    offset: u64,
-    frame_len: usize,
-) -> Result<(u64, String, Completion), StoreError> {
-    if frame_len < 12 {
-        return Err(StoreError::format("frame too short"));
-    }
-    file.seek(SeekFrom::Start(offset))?;
-    let mut frame = vec![0u8; frame_len];
-    file.read_exact(&mut frame)?;
-    let payload_len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
-    if payload_len + 12 != frame_len {
-        return Err(StoreError::format("frame length prefix mismatch"));
-    }
-    let payload = &frame[4..4 + payload_len];
-    let checksum = u64::from_le_bytes(frame[4 + payload_len..].try_into().unwrap());
-    if fnv1a64(payload) != checksum {
-        return Err(StoreError::format("checksum mismatch on frame read"));
-    }
-    decode_payload(payload)
+    Ok(scan)
 }
 
 #[cfg(test)]
@@ -1200,23 +1295,23 @@ mod tests {
         let mut f1 = TinyLfu::new(42, 64);
         let mut f2 = TinyLfu::new(42, 64);
         for i in 0..10_000u64 {
-            let h = fnv1a64(format!("key {}", i % 64).as_bytes());
+            let h = content_hash(&format!("key {}", i % 64));
             f1.touch(h);
             f2.touch(h);
         }
         for i in 0..64u64 {
-            let h = fnv1a64(format!("key {i}").as_bytes());
+            let h = content_hash(&format!("key {i}"));
             assert_eq!(f1.estimate(h), f2.estimate(h), "same history, same filter");
             assert!(f1.estimate(h) >= 2, "hot keys estimate as repeats");
         }
         // A never-seen key estimates below the admission bar.
-        assert!(f1.estimate(fnv1a64(b"cold key")) < 2);
+        assert!(f1.estimate(content_hash("cold key")) < 2);
         // A long one-touch scan must not promote its keys to "frequent":
         // aging every 10 × capacity touches keeps the doorkeeper sparse,
         // so first-sighting estimates stay below the admission bar.
         let mut false_frequent = 0usize;
         for k in 0..100_000u64 {
-            let h = fnv1a64(format!("scan key {k}").as_bytes());
+            let h = content_hash(&format!("scan key {k}"));
             if f1.estimate(h) >= 2 {
                 false_frequent += 1;
             }

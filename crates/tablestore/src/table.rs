@@ -452,7 +452,10 @@ impl Table {
         let available = n - excluded;
         let want = k.min(available);
         if n <= SAMPLE_SHUFFLE_MAX || want * 2 >= available {
-            let mut candidates: Vec<usize> = (0..n).filter(|i| !exclude.contains(i)).collect();
+            // Sized up front: a filtered range has no lower size hint, so
+            // `collect` would grow the list by doubling.
+            let mut candidates = Vec::with_capacity(available);
+            candidates.extend((0..n).filter(|i| !exclude.contains(i)));
             candidates.shuffle(rng);
             candidates.truncate(k);
             return candidates;

@@ -15,8 +15,9 @@
 //! * [`normalize`] — canonicalisation helpers.
 //! * [`hash`] — the workspace's one content hash (word at a time, unkeyed,
 //!   in memory only), [`hash::PromptMap`], the map keyed by whole prompts
-//!   that hashes with it, and [`hash::fnv1a64`], the byte-serial hash for
-//!   checksums and digests that are persisted.
+//!   that hashes with it, [`hash::checksum64`], the same fold under frozen
+//!   constants for checksums written to disk, and [`hash::fnv1a64`], the
+//!   byte-serial hash for digests committed in ledgers.
 //!
 //! # Examples
 //!

@@ -1,9 +1,11 @@
 //! Acceptance tests for the tiered cache store (`unidm::store`): a full
 //! one-touch scan over a 10^5-row synthetic lake must not displace the
 //! hot set (pinned hit-rate floor, deterministic across shard counts and
-//! reruns), corrupt store files must surface a clean [`StoreError`] —
-//! never a panic — and leave the file untouched, repeated runs of one
-//! scenario must not grow its file, and the tier statistics
+//! reruns), corrupt store files — a flipped bit anywhere, a torn tail, a
+//! `UDMCACHE1` header — must surface a clean [`StoreError`] — never a
+//! panic — and leave the file untouched, the persisted frame checksum is
+//! pinned, a failed compaction leaves the store as it was, repeated runs of
+//! one scenario must not grow its file, and the tier statistics
 //! ([`StoreStats`], [`unidm::CacheStats`]) must merge exactly and
 //! order-independently.
 
@@ -13,6 +15,7 @@ use std::sync::Arc;
 use unidm::{CacheStats, CacheStore, CanonLevel, PromptCache, StoreConfig, StoreError, StoreStats};
 use unidm_eval::CacheConfig;
 use unidm_llm::{Completion, LanguageModel, LlmProfile, MockLlm, Usage};
+use unidm_text::hash::checksum64;
 use unidm_world::World;
 
 /// Hot working set the scan must not displace.
@@ -291,6 +294,135 @@ fn wrong_version_wrong_model_and_garbled_frames_are_clean_errors() {
     std::fs::write(&path, &bytes).unwrap();
     let store = CacheStore::open(&path, &model_name, StoreConfig::default()).expect("opens");
     assert_eq!(store.len(), 3);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_flipped_bit_anywhere_is_a_clean_error_and_leaves_the_file() {
+    // Every bit of the header and of all three frames: magic, version and
+    // model fail their checks, a length prefix frames the wrong bytes, and
+    // a payload or checksum bit fails the frame's checksum.
+    let bytes = populated_store_bytes("flip");
+    assert_eq!(record_boundaries(&bytes).len(), 4, "header + three frames");
+    let model = llm();
+    let path = temp_store("flip-open");
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(&path, &flipped).unwrap();
+        let err = CacheStore::open(&path, model.name(), StoreConfig::default())
+            .expect_err("a flipped bit must fail the open");
+        assert!(
+            !matches!(err, StoreError::Io(_)),
+            "bit {bit}: a corrupt file is a format error, not {err}"
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            flipped,
+            "failed open must not modify the file (bit {bit})"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_version_one_store_is_refused_and_left_as_it_is() {
+    // A `UDMCACHE1` file sealed its frames with FNV-1a: it is the previous
+    // format, refused by version before any frame is read.
+    let mut bytes = populated_store_bytes("v1");
+    assert_eq!(&bytes[..12], b"UDMCACHE\x02\0\0\0", "written as UDMCACHE2");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert_rejected_and_untouched("v1-open", &bytes, |e| {
+        matches!(e, StoreError::Version { found: 1 })
+    });
+}
+
+#[test]
+fn the_persisted_frame_checksum_is_pinned() {
+    // The function: golden values on fixed inputs.
+    for (bytes, want) in [
+        (&b""[..], 0xadb9_abd8_ee60_6148u64),
+        (b"a", 0x85ec_83dc_8b40_a532),
+        (b"hello world", 0xf0e5_f28a_1ca8_c95b),
+    ] {
+        assert_eq!(checksum64(bytes), want, "checksum64 of {bytes:?}");
+    }
+    // The file: every frame is sealed with it, and one fixed frame is
+    // pinned whole.
+    let path = temp_store("golden");
+    let _ = std::fs::remove_file(&path);
+    let store = CacheStore::open(&path, "golden-model", StoreConfig::default()).expect("opens");
+    let answer = Arc::new(Completion {
+        text: "Rome".to_string(),
+        usage: Usage {
+            prompt_tokens: 5,
+            completion_tokens: 1,
+        },
+    });
+    assert!(store.offer("capital of Italy?", &answer));
+    drop(store);
+    let bytes = std::fs::read(&path).unwrap();
+    let boundaries = record_boundaries(&bytes);
+    assert_eq!(boundaries.len(), 2, "header + one frame");
+    let frame = &bytes[boundaries[0]..];
+    let sealed = frame.len() - 8;
+    let checksum = u64::from_le_bytes(frame[sealed..].try_into().unwrap());
+    assert_eq!(checksum, checksum64(&frame[4..sealed]));
+    assert_eq!(checksum, 0x6f56_8e04_8646_acd8, "the pinned frame checksum");
+    let _ = std::fs::remove_file(&path);
+}
+
+// ── Compaction failure ─────────────────────────────────────────────────
+
+#[test]
+fn a_failed_compaction_leaves_the_store_serving_and_the_file_unchanged() {
+    let path = temp_store("compact-fail");
+    let tmp = path.with_extension("compact-tmp");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&tmp);
+    let config = StoreConfig::default().with_max_entries(2);
+    let store = CacheStore::open(&path, "m", config).expect("opens");
+    let answer = |text: &str| {
+        Arc::new(Completion {
+            text: text.to_string(),
+            usage: Usage::default(),
+        })
+    };
+    store.offer("a", &answer("A"));
+    store.offer("b", &answer("B"));
+    // Three sightings earn "c" admission at capacity; it displaces "a".
+    for _ in 0..3 {
+        assert!(store.get("c").is_none());
+    }
+    assert!(store.offer("c", &answer("C")));
+    assert_eq!(store.dead_frames(), 1);
+    let before = std::fs::read(&path).unwrap();
+
+    // A directory where the temp file goes: the write cannot start.
+    std::fs::create_dir_all(&tmp).unwrap();
+    assert!(
+        store.compact().is_err(),
+        "compaction into a directory fails"
+    );
+    assert!(tmp.is_dir(), "the directory is not the store's to remove");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        before,
+        "store file unchanged"
+    );
+    assert_eq!(store.dead_frames(), 1, "index unchanged");
+    assert_eq!(store.stats().compactions, 0);
+    assert_eq!(store.get("b").unwrap().text, "B");
+    assert_eq!(store.get("c").unwrap().text, "C");
+
+    std::fs::remove_dir(&tmp).unwrap();
+    assert_eq!(store.compact().expect("compacts once the path is free"), 1);
+    assert!(!tmp.exists(), "the temp file was renamed over the store");
+    assert_eq!(store.get("b").unwrap().text, "B");
+    assert_eq!(store.get("c").unwrap().text, "C");
+    drop(store);
+    let reopened = CacheStore::open(&path, "m", config).expect("reopens");
+    assert_eq!(reopened.canonical_prompts(), vec!["b", "c"]);
     let _ = std::fs::remove_file(&path);
 }
 
