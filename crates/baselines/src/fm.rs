@@ -87,7 +87,10 @@ impl<'a> Fm<'a> {
         let mut demos = Vec::with_capacity(chosen.len());
         for r in chosen {
             let demo_rec = serialize_row(table, r, attr)?;
-            let answer = table.cell(r, attr).map_err(FmError::Table)?.to_string();
+            let answer = table
+                .cell_value(r, attr)
+                .map_err(FmError::Table)?
+                .to_string();
             demos.push((demo_rec, answer));
         }
         let prompt = render_fm_imputation(&demos, &record, attr);
@@ -137,7 +140,10 @@ impl<'a> Fm<'a> {
         attr: &str,
         demos: &[(String, String, bool)],
     ) -> Result<bool, FmError> {
-        let value = table.cell(row, attr).map_err(FmError::Table)?.to_string();
+        let value = table
+            .cell_value(row, attr)
+            .map_err(FmError::Table)?
+            .to_string();
         let prompt = render_fm_error_detection(demos, attr, &value);
         let reply = self.llm.complete(&prompt).map_err(FmError::Llm)?;
         Ok(reply.text.trim().eq_ignore_ascii_case("yes"))
@@ -214,7 +220,7 @@ impl std::error::Error for FmError {}
 
 /// Serializes one row without the target attribute (nulls skipped).
 fn serialize_row(table: &Table, row: usize, skip_attr: &str) -> Result<SerializedRecord, FmError> {
-    let rec = table.row(row).map_err(FmError::Table)?;
+    let rec = table.row_at(row).map_err(FmError::Table)?;
     let mut pairs = Vec::new();
     for (i, name) in table.schema().names().enumerate() {
         if name.eq_ignore_ascii_case(skip_attr) {

@@ -23,7 +23,7 @@ use unidm_tablestore::{Table, TableError, Value};
 /// Returns table errors for invalid references.
 pub fn impute(table: &Table, row: usize, attr: &str) -> Result<String, TableError> {
     let target_idx = table.schema().require(attr)?;
-    let record = table.row(row)?.clone();
+    let record = table.row_at(row)?;
     let mut votes: HashMap<String, f64> = HashMap::new();
     for (i, _name) in table.schema().names().enumerate() {
         if i == target_idx {
@@ -80,7 +80,7 @@ pub fn impute(table: &Table, row: usize, attr: &str) -> Result<String, TableErro
 ///
 /// Returns table errors for invalid references.
 pub fn detect_error(table: &Table, row: usize, attr: &str) -> Result<bool, TableError> {
-    let value = table.cell(row, attr)?.clone();
+    let value = table.cell_value(row, attr)?;
     if value.is_null() {
         return Ok(false);
     }

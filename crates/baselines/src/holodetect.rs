@@ -202,7 +202,7 @@ impl HoloDetect {
     ///
     /// Returns table errors for invalid references.
     pub fn score(&self, table: &Table, row: usize, attr: &str) -> Result<f64, TableError> {
-        let value = table.cell(row, attr)?;
+        let value = table.cell_value(row, attr)?;
         let Some(cm) = self.column_models.get(attr) else {
             return Ok(0.0);
         };

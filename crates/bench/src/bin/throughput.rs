@@ -748,8 +748,7 @@ fn heavy_tail(bench: &Bench<'_>, reference: &[String], regimes: &mut Vec<String>
         .timeline()
         .field_u64("hedges_issued", stats.hedges_issued)
         .field_u64("hedges_won", stats.hedges_won)
-        .field_u64("hedges_cancelled", stats.hedges_cancelled)
-        .field_u64("hedges_suppressed", stats.hedges_suppressed);
+        .field_u64("hedges_cancelled", stats.hedges_cancelled);
     JsonObject::new()
         .field_u64("unique_canonical_keys", unique)
         .field_u64("warmup_prompts", warmup)
@@ -808,7 +807,7 @@ fn routed(bench: &Bench<'_>, reference: &[String]) -> String {
     for (seed, stats, makespan) in &fleets {
         assert!(
             stats.endpoints.iter().all(|e| e.calls > 0),
-            "equal weights must spread traffic over all {replicas} replicas: {stats:?}"
+            "uniform routing must spread traffic over all {replicas} replicas: {stats:?}"
         );
         let aimd_decreases: u64 = stats.endpoints.iter().map(|e| e.aimd_decreases).sum();
         assert!(

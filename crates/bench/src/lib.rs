@@ -35,7 +35,7 @@ pub mod alloc_counter;
 /// the document and defaults `--bench-json` to `BENCH_<BASELINE_PR>.json`,
 /// so a run without the flag can never overwrite an earlier PR's committed
 /// baseline.
-pub const BASELINE_PR: u64 = 25;
+pub const BASELINE_PR: u64 = 26;
 
 /// Route every allocation of the bench binaries through the counting
 /// allocator, so perf regimes can assert exact allocation counts (the

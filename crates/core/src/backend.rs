@@ -10,10 +10,9 @@
 //! ```text
 //! PromptCache                  (hits stop here: zero rate-limit budget)
 //!   └─ RoutedBackend::single   (the router over one untagged endpoint)
-//!        ├─ concurrency gate   (bounded in-flight calls)
 //!        ├─ circuit breaker    (fail fast while the endpoint is down)
 //!        ├─ token bucket       (client-side rate limiting, waits not errors)
-//!        └─ retry loop         (exponential backoff, seeded jitter, deadline)
+//!        └─ retry loop         (exponential backoff, seeded jitter)
 //!             └─ endpoint      (SimBackend fault injector → MockLlm, offline)
 //! ```
 //!
@@ -62,7 +61,7 @@
 use unidm_llm::{Clock, FaultPlan, FaultStats, LanguageModel};
 
 use crate::dispatch::{Dispatcher, HedgePolicy};
-use crate::route::{RoutePlan, RoutedBackend, RouterStats};
+use crate::route::{AimdPolicy, RoutePlan, RoutedBackend, RouterStats};
 
 /// Retry policy: bounded exponential backoff with seeded jitter.
 ///
@@ -95,29 +94,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Token-bucket rate limit: `tokens_per_sec` sustained, `burst` tokens of
-/// headroom. One token is consumed per attempt that reaches the endpoint;
-/// an empty bucket makes the caller *wait* on the clock (it never errors),
-/// so client-side throttling cannot change answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RateLimit {
-    /// Sustained attempts per second. Must be at least 1.
-    pub tokens_per_sec: u64,
-    /// Bucket capacity (burst size). Must be at least 1.
-    pub burst: u64,
-}
-
-impl RateLimit {
-    /// A limit of `tokens_per_sec` with `burst` headroom (both clamped to
-    /// at least 1).
-    pub fn per_sec(tokens_per_sec: u64, burst: u64) -> Self {
-        RateLimit {
-            tokens_per_sec: tokens_per_sec.max(1),
-            burst: burst.max(1),
-        }
-    }
-}
-
 /// Circuit-breaker policy: after `failure_threshold` consecutive attempt
 /// failures the breaker opens for `cooldown_us`, rejecting calls without
 /// touching the endpoint; the first call after the cooldown half-opens the
@@ -143,27 +119,24 @@ impl Default for BreakerPolicy {
 ///
 /// Integer-only fields keep the config `Eq`/`Hash` and every timing
 /// decision exactly reproducible. The derived default is **disabled**
-/// (`enabled: false`, no rate limit, no breaker, no faults, no deadline)
-/// — wrapping with a disabled config is a pass-through, so existing eval
-/// paths are byte-identical unless a caller opts in.
+/// (`enabled: false`, no rate limit, no breaker, no faults) — wrapping
+/// with a disabled config is a pass-through, so existing eval paths are
+/// byte-identical unless a caller opts in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct BackendConfig {
     /// Whether [`BackendConfig::wrap`] builds the protection stack at all.
     pub enabled: bool,
     /// Seed for backoff jitter (and anything else the backend randomizes).
     pub seed: u64,
-    /// Maximum concurrent in-flight attempts (0 = unbounded).
-    pub max_in_flight: u32,
-    /// Client-side rate limit (`None` = unlimited).
-    pub rate: Option<RateLimit>,
+    /// Client-side rate limit, a fixed token bucket ([`AimdPolicy::fixed`];
+    /// `None` = unlimited). One token is consumed per attempt that reaches
+    /// the endpoint; an empty bucket makes the caller *wait* on the clock
+    /// (it never errors), so client-side throttling cannot change answers.
+    pub rate: Option<AimdPolicy>,
     /// Retry policy for transient failures.
     pub retry: RetryPolicy,
     /// Circuit breaker (`None` = disabled).
     pub breaker: Option<BreakerPolicy>,
-    /// Per-call deadline in microseconds (0 = none): once a call has spent
-    /// this much clock time across attempts and backoffs, it fails with
-    /// [`unidm_llm::LlmError::DeadlineExceeded`] instead of retrying further.
-    pub deadline_us: u64,
     /// Optional fault-injection plan: when set, [`BackendConfig::wrap`]
     /// interposes a [`unidm_llm::SimBackend`] between the retry loop and
     /// the inner model, sharing the backend's clock.
@@ -171,11 +144,9 @@ pub struct BackendConfig {
     /// Route calls through the event-driven dispatcher
     /// ([`crate::dispatch::Dispatcher`]) instead of the blocking stack:
     /// completions become scheduled events on a timer wheel, so concurrent
-    /// requests overlap in virtual time instead of summing it, and an
-    /// in-flight *budget* (not a thread count) bounds concurrency. The
+    /// requests overlap in virtual time instead of summing it. The
     /// dispatcher implements rate pacing, retries and request coalescing;
-    /// the breaker and per-call deadline apply only to the blocking loop
-    /// ([`RoutedBackend`]).
+    /// the breaker applies only to the blocking loop ([`RoutedBackend`]).
     pub pipelined: bool,
     /// Hedged-request policy (implies the dispatcher): stragglers
     /// exceeding the observed attempt-latency quantile get a duplicate
@@ -183,7 +154,7 @@ pub struct BackendConfig {
     pub hedge: Option<HedgePolicy>,
     /// Replica-routing plan (`None` = single endpoint): when set,
     /// [`BackendConfig::wrap`] builds a [`RoutedBackend`] fleet over the
-    /// inner model — N weighted replicas, each with its own breaker, AIMD
+    /// inner model — N replicas, each with its own breaker, AIMD
     /// bucket and endpoint-aware fault injector. Routing takes precedence
     /// over [`BackendConfig::pipelined`]; to pipeline *over* a fleet,
     /// build the router explicitly and hand it to a
@@ -203,9 +174,10 @@ impl BackendConfig {
         }
     }
 
-    /// Adds a token-bucket rate limit (builder-style).
+    /// Adds a token-bucket rate limit of `tokens_per_sec` sustained with
+    /// `burst` headroom, both clamped to at least 1 (builder-style).
     pub fn with_rate_limit(mut self, tokens_per_sec: u64, burst: u64) -> Self {
-        self.rate = Some(RateLimit::per_sec(tokens_per_sec, burst));
+        self.rate = Some(AimdPolicy::fixed(tokens_per_sec, burst));
         self
     }
 
@@ -224,18 +196,6 @@ impl BackendConfig {
     /// Disables the circuit breaker (builder-style).
     pub fn without_breaker(mut self) -> Self {
         self.breaker = None;
-        self
-    }
-
-    /// Sets the per-call deadline in microseconds (builder-style).
-    pub fn with_deadline_us(mut self, deadline_us: u64) -> Self {
-        self.deadline_us = deadline_us;
-        self
-    }
-
-    /// Bounds concurrent in-flight attempts (builder-style).
-    pub fn with_max_in_flight(mut self, max_in_flight: u32) -> Self {
-        self.max_in_flight = max_in_flight;
         self
     }
 
@@ -279,7 +239,7 @@ impl BackendConfig {
         if self.pipelined || self.hedge.is_some() {
             return AttachedBackend::Dispatched(Box::new(Dispatcher::new(inner, *self)));
         }
-        AttachedBackend::Routed(Box::new(RoutedBackend::single(inner, *self, None)))
+        AttachedBackend::Routed(Box::new(RoutedBackend::single(inner, *self)))
     }
 }
 
@@ -364,6 +324,10 @@ impl LatencySketch {
             return 0;
         }
         let e = (idx - 1) / 4;
+        if e < 2 {
+            // Below 4 µs a power of two is one bucket, `[2^e, 2^(e+1))`.
+            return (2 << e) - 1;
+        }
         let q = ((idx - 1) % 4) as u64;
         let base = 1u64 << e;
         base + ((q + 1) * base) / 4
@@ -480,8 +444,6 @@ pub struct BackendStats {
     /// hedge duplicates never take a token, so under hedging this stays
     /// exactly one per winner (pinned by `tests/hedged_dispatch.rs`).
     pub rate_tokens: u64,
-    /// Calls that failed with [`unidm_llm::LlmError::DeadlineExceeded`].
-    pub deadline_exceeded: u64,
     /// Calls that ultimately returned an error.
     pub failures: u64,
     /// Hedge duplicates issued (straggler exceeded the armed quantile).
@@ -491,9 +453,6 @@ pub struct BackendStats {
     /// Attempts cancelled because the other copy won — the "losers", never
     /// delivered and never memoized.
     pub hedges_cancelled: u64,
-    /// Hedge timers that fired while the in-flight budget was full; the
-    /// hedge was skipped rather than queued.
-    pub hedges_suppressed: u64,
     /// Logical calls the dispatcher served without a new endpoint
     /// dispatch: attached to an already-pending identical request
     /// (request-level single-flight) or answered from the dispatcher's
@@ -524,12 +483,10 @@ impl BackendStats {
         self.throttle_waits += other.throttle_waits;
         self.throttle_wait_us += other.throttle_wait_us;
         self.rate_tokens += other.rate_tokens;
-        self.deadline_exceeded += other.deadline_exceeded;
         self.failures += other.failures;
         self.hedges_issued += other.hedges_issued;
         self.hedges_won += other.hedges_won;
         self.hedges_cancelled += other.hedges_cancelled;
-        self.hedges_suppressed += other.hedges_suppressed;
         self.dispatch_coalesced += other.dispatch_coalesced;
         self.attempt_latency.merge(&other.attempt_latency);
         self.request_latency.merge(&other.request_latency);
@@ -552,7 +509,7 @@ pub enum AttachedBackend<'a> {
     /// The blocking stack (boxed — it carries limiter, breaker and stats
     /// state the pass-through should not pay for): the protection stack
     /// over one endpoint, or a replica-routing fleet
-    /// ([`BackendConfig::route`]) spreading calls over N weighted
+    /// ([`BackendConfig::route`]) spreading calls uniformly over N
     /// endpoints, each with its own breaker, AIMD bucket and
     /// endpoint-aware fault injector.
     Routed(Box<RoutedBackend<'a>>),
@@ -612,12 +569,8 @@ impl<'a> AttachedBackend<'a> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    use std::sync::Arc;
-
     use super::*;
-    use unidm_llm::{Completion, LlmError, LlmProfile, MockLlm, Usage};
+    use unidm_llm::{LlmError, LlmProfile, MockLlm, Usage};
     use unidm_world::World;
 
     fn model() -> MockLlm {
@@ -643,7 +596,6 @@ mod tests {
             let backend = RoutedBackend::single(
                 &llm,
                 BackendConfig::resilient(seed).with_faults(FaultPlan::heavy(seed)),
-                None,
             );
             let reply = backend.complete("The capital of Denmark is __.").unwrap();
             assert_eq!(reply, truth, "seed {seed}");
@@ -665,7 +617,6 @@ mod tests {
             let backend = RoutedBackend::single(
                 &llm,
                 BackendConfig::resilient(9).with_faults(FaultPlan::heavy(9)),
-                None,
             );
             for i in 0..25 {
                 backend.complete(&format!("prompt number {i}")).unwrap();
@@ -679,11 +630,8 @@ mod tests {
     fn rate_limiter_paces_attempts_on_the_clock() {
         let llm = model();
         // 10 attempts/sec, burst 1: 20 calls need >= 1.9 virtual seconds.
-        let backend = RoutedBackend::single(
-            &llm,
-            BackendConfig::resilient(1).with_rate_limit(10, 1),
-            None,
-        );
+        let backend =
+            RoutedBackend::single(&llm, BackendConfig::resilient(1).with_rate_limit(10, 1));
         for i in 0..20 {
             backend.complete(&format!("paced prompt {i}")).unwrap();
         }
@@ -712,7 +660,7 @@ mod tests {
         let config = BackendConfig::resilient(3)
             .without_breaker()
             .with_faults(plan);
-        let backend = RoutedBackend::single(&llm, config, None);
+        let backend = RoutedBackend::single(&llm, config);
         backend.complete("throttled prompt").unwrap();
         let stats = backend.backend_stats();
         assert_eq!(stats.rate_limited, 2, "two 429s before the forced success");
@@ -731,7 +679,6 @@ mod tests {
                     cooldown_us: 500_000,
                 })
                 .with_faults(FaultPlan::always_faulty(5, 4)),
-            None,
         );
         // Every prompt needs 4 faults absorbed; threshold 2 trips the
         // breaker mid-call, fast-fails once, then recovers via a probe.
@@ -747,116 +694,20 @@ mod tests {
         assert_eq!(stats.failures, 0, "every call still completes");
     }
 
-    /// The blocking stack and its one-replica routed twin: the shared
-    /// attempt loop applies the deadline and the in-flight gate to both.
-    fn plain_and_routed(config: BackendConfig) -> [BackendConfig; 2] {
-        [config, config.with_route(RoutePlan::replicas(1))]
-    }
-
-    #[test]
-    fn deadline_exceeded_is_a_clean_permanent_error() {
-        let llm = model();
-        let config = BackendConfig::resilient(1)
-            .without_breaker()
-            .with_faults(FaultPlan::always_faulty(1, 8))
-            .with_deadline_us(200_000);
-        for config in plain_and_routed(config) {
-            let backend = config.wrap(&llm);
-            // Every attempt faults and costs >= base latency (50ms), so the
-            // 200ms deadline expires before the forced success at attempt 9.
-            let err = backend.model().complete("doomed prompt").unwrap_err();
-            assert_eq!(
-                err,
-                LlmError::DeadlineExceeded {
-                    deadline_us: 200_000
-                }
-            );
-            assert!(!err.is_transient());
-            let stats = backend.stats().unwrap();
-            assert_eq!(stats.deadline_exceeded, 1);
-            assert_eq!(stats.failures, 1);
-        }
-    }
-
     #[test]
     fn permanent_errors_are_not_retried() {
         let llm = model();
-        let backend = RoutedBackend::single(&llm, BackendConfig::resilient(1), None);
+        let backend = RoutedBackend::single(&llm, BackendConfig::resilient(1));
         assert_eq!(backend.complete("  "), Err(LlmError::EmptyPrompt));
         let stats = backend.backend_stats();
         assert_eq!((stats.attempts, stats.retries), (1, 0));
         assert_eq!(stats.failures, 1);
     }
 
-    /// An endpoint that records how many calls are inside it at once.
-    struct PeakProbe<'a> {
-        inner: &'a MockLlm,
-        inside: AtomicU32,
-        peak: AtomicU32,
-    }
-
-    impl LanguageModel for PeakProbe<'_> {
-        fn name(&self) -> &str {
-            self.inner.name()
-        }
-
-        fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-            let inside = self.inside.fetch_add(1, Ordering::SeqCst) + 1;
-            self.peak.fetch_max(inside, Ordering::SeqCst);
-            std::thread::yield_now(); // invite an overlap the gate must refuse
-            let result = self.inner.complete(prompt);
-            self.inside.fetch_sub(1, Ordering::SeqCst);
-            result
-        }
-
-        fn usage(&self) -> Usage {
-            self.inner.usage()
-        }
-
-        fn reset_usage(&self) {
-            self.inner.reset_usage();
-        }
-
-        fn context_window(&self) -> usize {
-            self.inner.context_window()
-        }
-    }
-
-    #[test]
-    fn bounded_concurrency_gate_admits_everything_eventually() {
-        let llm = model();
-        let config = BackendConfig::resilient(2)
-            .with_max_in_flight(2)
-            .with_faults(FaultPlan::light(2));
-        for config in plain_and_routed(config) {
-            let probe = PeakProbe {
-                inner: &llm,
-                inside: AtomicU32::new(0),
-                peak: AtomicU32::new(0),
-            };
-            let backend = config.wrap(&probe);
-            std::thread::scope(|scope| {
-                for t in 0..6 {
-                    let backend = &backend;
-                    scope.spawn(move || {
-                        for i in 0..5 {
-                            let prompt = format!("gated {t}-{i}");
-                            backend.model().complete(&prompt).unwrap();
-                        }
-                    });
-                }
-            });
-            let stats = backend.stats().unwrap();
-            assert_eq!(stats.calls, 30);
-            assert_eq!(stats.failures, 0);
-            assert!(probe.peak.load(Ordering::SeqCst) <= 2, "gate must bound");
-        }
-    }
-
     #[test]
     fn backend_forwards_identity_and_usage() {
         let llm = model();
-        let backend = RoutedBackend::single(&llm, BackendConfig::resilient(1), None);
+        let backend = RoutedBackend::single(&llm, BackendConfig::resilient(1));
         assert_eq!(backend.name(), llm.name());
         assert_eq!(backend.context_window(), llm.context_window());
         backend.complete("hello").unwrap();
@@ -911,9 +762,10 @@ mod tests {
 
     #[test]
     fn latency_sketch_matches_sorted_sample_oracle() {
-        // Three sample shapes: uniform spread, heavy-tailed, and a
-        // single-bucket cluster (where the old rank math overshot p0).
-        let shapes: [Vec<u64>; 3] = [
+        // Four sample shapes: uniform spread, heavy-tailed, a single-bucket
+        // cluster (where the old rank math overshot p0), and samples in the
+        // unsplit 2..4 µs bucket (whose bound was once reported as 2).
+        let shapes: [Vec<u64>; 4] = [
             (0..500u64).map(|i| 17 + i * 911).collect(),
             (0..300u64)
                 .map(|i| {
@@ -925,6 +777,7 @@ mod tests {
                 })
                 .collect(),
             vec![50_001; 64],
+            vec![2, 3, 3, 100],
         ];
         for samples in &shapes {
             let mut sketch = LatencySketch::default();
@@ -938,7 +791,7 @@ mod tests {
             assert_eq!(sketch.min_us(), min, "p0 must be the exact minimum");
             assert_eq!(sketch.quantile_us(0), min, "p0 must be the exact minimum");
             assert_eq!(sketch.quantile_us(1000), max, "p100 is the exact maximum");
-            for permille in [1u32, 10, 100, 250, 500, 900, 990, 999] {
+            for permille in [1u32, 10, 100, 250, 500, 750, 900, 990, 999] {
                 let rank = ((sorted.len() as u64) * u64::from(permille)).div_ceil(1000);
                 let oracle = sorted[rank.max(1) as usize - 1];
                 let got = sketch.quantile_us(permille);
@@ -985,7 +838,6 @@ mod tests {
                 BackendConfig::resilient(seed)
                     .without_breaker()
                     .with_faults(FaultPlan::moderate(seed)),
-                None,
             );
             for i in 0..10 {
                 backend

@@ -583,29 +583,20 @@ impl<'a> PromptCache<'a> {
         Self::new(inner, usize::MAX)
     }
 
-    /// Sets the shard count (rounded up to a power of two, minimum 1) and
-    /// redistributes any existing entries. Builder-style; intended at
-    /// construction time.
+    /// Sets the shard count (rounded up to a power of two, minimum 1).
+    /// Builder-style, on an empty cache: entries are not migrated.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        let entries = self.drain_entries();
-        // Statistics survive the rebuild: fold the old shard counters into
-        // the first new shard (aggregate stats stay exact; the per-shard
-        // attribution of pre-rebuild traffic is no longer meaningful).
-        let stats = self.stats();
-        self.shards = build_shards(n);
+        debug_assert!(self.is_empty(), "configure a PromptCache before it serves");
+        self.shards = build_shards(shards.max(1).next_power_of_two());
         self.shard_capacity = self.capacity_per_shard();
-        self.lock_shard(&self.shards[0]).stats = stats;
-        self.readmit(entries);
         self
     }
 
-    /// Sets the canonicalization level and re-keys any existing entries.
-    /// Builder-style; intended at construction time.
+    /// Sets the canonicalization level. Builder-style, on an empty cache:
+    /// entries are not re-keyed.
     pub fn with_canonicalization(mut self, level: CanonLevel) -> Self {
-        let entries = self.drain_entries();
+        debug_assert!(self.is_empty(), "configure a PromptCache before it serves");
         self.level = level;
-        self.readmit(entries);
         self
     }
 
@@ -692,41 +683,6 @@ impl<'a> PromptCache<'a> {
     /// must not wedge every other worker of the batch.
     fn lock_shard<'s>(&self, shard: &'s Mutex<CacheInner>) -> MutexGuard<'s, CacheInner> {
         shard.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Removes every entry, returning them sorted by canonical prompt (so
-    /// rebuilds are deterministic). Statistics are kept.
-    fn drain_entries(&mut self) -> Vec<(Arc<str>, Arc<Completion>)> {
-        let mut entries = Vec::new();
-        for shard in self.shards.iter() {
-            let mut state = self.lock_shard(shard);
-            entries.extend(
-                state
-                    .entries
-                    .drain()
-                    .map(|(key, entry)| (key.text, entry.completion)),
-            );
-            state.ring.clear();
-            state.hand = 0;
-        }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries
-    }
-
-    /// Re-inserts drained entries under the current level/shard layout.
-    fn readmit(&self, entries: Vec<(Arc<str>, Arc<Completion>)>) {
-        for (text, completion) in entries {
-            self.admit(&text, completion);
-        }
-    }
-
-    /// Inserts a known-good completion under the canonical key of
-    /// `prompt` without touching hit/miss counters.
-    fn admit(&self, prompt: &str, completion: Arc<Completion>) {
-        let canonical = CanonicalPrompt::canonicalize(prompt, self.level);
-        let shard = self.shard_for_hash(canonical.hash64());
-        self.lock_shard(shard)
-            .insert(Key::of(&canonical), completion, self.shard_capacity);
     }
 
     /// A snapshot of the aggregated hit/miss/eviction statistics.
@@ -1202,28 +1158,6 @@ mod tests {
         // The startup default honors UNIDM_SHARDS (the CI matrix sets it).
         assert_eq!(PromptCache::unbounded(&llm).shards(), default_shards());
         assert!(default_shards().is_power_of_two());
-    }
-
-    #[test]
-    fn rebuilding_shards_keeps_entries() {
-        let (_, llm) = setup();
-        let cache = PromptCache::unbounded(&llm);
-        cache.complete("alpha").unwrap();
-        cache.complete("beta").unwrap();
-        cache.complete("alpha").unwrap();
-        let stats_before = cache.stats();
-        let cache = cache
-            .with_shards(2)
-            .with_canonicalization(CanonLevel::Whitespace);
-        assert_eq!(cache.len(), 2, "entries survive reconfiguration");
-        assert_eq!(
-            cache.stats(),
-            stats_before,
-            "statistics survive reconfiguration"
-        );
-        let before = llm.usage();
-        cache.complete("alpha").unwrap();
-        assert_eq!(llm.usage(), before, "re-keyed entry still hits");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! `now + latency_us`; the reactor advances the clock with
 //! [`VirtualClock::advance_to_micros`] to the next pending deadline, so
 //! overlapped requests overlap and elapsed time measures the makespan.
-//! Concurrency is bounded by [`crate::backend::BackendConfig::max_in_flight`]
-//! — an in-flight *budget*, not a thread count.
+//! Every admitted request dispatches at its pacing grant: concurrency is
+//! bounded by the rate-limit bucket and the callers, not by a thread count.
 //!
 //! What it schedules is decided elsewhere: retry backoff, rate-limit grant
 //! times, endpoint sampling and fault tallies come from the resilience
@@ -76,14 +76,14 @@
 //! timer at the observed attempt-latency quantile (the streaming
 //! [`crate::backend::LatencySketch`] in [`BackendStats`], integer
 //! microseconds only). If the attempt is still running when the timer
-//! fires, a duplicate attempt is issued — consuming an in-flight budget
-//! slot but **no** rate-limit token — and the first response wins: the
-//! loser's completion timer is cancelled, its (identical) result is never
-//! delivered and never memoized. Hedging is fully accounted by the
+//! fires, one duplicate attempt is issued — consuming **no** rate-limit
+//! token — and the first response wins: the loser's completion timer is
+//! cancelled, its (identical) result is never delivered and never
+//! memoized. Hedging is fully accounted by the
 //! `hedges_*` counters and bit-for-bit deterministic under the seeded sim.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, ThreadId};
@@ -96,7 +96,6 @@ use unidm_text::hash::PromptMap;
 
 use crate::backend::{BackendConfig, BackendStats};
 use crate::resilience::{backoff_us, tally_fault, Bucket, Endpoint};
-use crate::route::AimdPolicy;
 
 thread_local! {
     /// Long-lived seats ([`Dispatcher::register`]) this thread holds.
@@ -113,12 +112,12 @@ pub(crate) fn seated() -> bool {
 /// When to issue a hedged duplicate for a straggling attempt.
 ///
 /// The timer arms at the `quantile_permille`-th quantile of *observed*
-/// successful attempt latencies (clamped below by `min_delay_us`), once at
-/// least `min_samples` latencies have been recorded. Pick an arming
-/// quantile **above** the workload's tail mass: against a 3% heavy tail, a
-/// P99 estimate sits *on* the 2-second stragglers (hedging would arm too
-/// late to help), while P90 sits on the fast mode and catches every
-/// straggler — see `FaultPlan::heavy_tail`.
+/// successful attempt latencies (at least 1 ms), once at least
+/// `min_samples` latencies have been recorded; a request is hedged at most
+/// once. Pick an arming quantile **above** the workload's tail mass:
+/// against a 3% heavy tail, a P99 estimate sits *on* the 2-second
+/// stragglers (hedging would arm too late to help), while P90 sits on the
+/// fast mode and catches every straggler — see `FaultPlan::heavy_tail`.
 ///
 /// Integer-only fields keep the policy `Eq`/`Hash` and hedging decisions
 /// exactly reproducible.
@@ -128,11 +127,13 @@ pub struct HedgePolicy {
     pub quantile_permille: u32,
     /// Successful attempts observed before hedging arms at all.
     pub min_samples: u64,
-    /// Lower bound on the hedge delay, in microseconds.
-    pub min_delay_us: u64,
-    /// Maximum duplicates per logical request.
-    pub max_hedges: u32,
 }
+
+/// Lower bound on a hedge delay, in microseconds.
+const HEDGE_MIN_DELAY_US: u64 = 1_000;
+
+/// Duplicates a logical request may issue.
+const MAX_HEDGES: u32 = 1;
 
 impl HedgePolicy {
     /// Hedge at an arbitrary observed quantile, in permille.
@@ -140,8 +141,6 @@ impl HedgePolicy {
         HedgePolicy {
             quantile_permille: quantile_permille.min(1000),
             min_samples: 32,
-            min_delay_us: 1_000,
-            max_hedges: 1,
         }
     }
 
@@ -149,13 +148,6 @@ impl HedgePolicy {
     pub fn with_min_samples(mut self, min_samples: u64) -> Self {
         self.min_samples = min_samples;
         self
-    }
-}
-
-impl Default for HedgePolicy {
-    /// Hedge at the observed P99 (suits tails rarer than 1%).
-    fn default() -> Self {
-        Self::at_quantile(990)
     }
 }
 
@@ -216,9 +208,6 @@ struct Core {
     /// Newly submitted request ids, admitted in canonical (prompt-sorted)
     /// order at the next reactor step.
     fresh: Vec<u64>,
-    /// Requests waiting for an in-flight budget slot, FIFO.
-    admit_queue: VecDeque<u64>,
-    in_flight: u32,
     registered: HashSet<ThreadId>,
     parked: usize,
     /// Rate-limit bucket; its grant times become `Dispatch` events.
@@ -239,7 +228,7 @@ impl Core {
 /// [`crate::route::RoutedBackend`] does:
 ///
 /// ```text
-/// PromptCache → Dispatcher (reactor: budget, pacing, retry, hedge) → SimBackend → MockLlm
+/// PromptCache → Dispatcher (reactor: pacing, retry, hedge) → SimBackend → MockLlm
 ///               Request: StackPrompt ─── memo key · backoff draws ──▶ state keyed by its Arc<str>
 /// ```
 ///
@@ -280,13 +269,9 @@ impl<'a> Dispatcher<'a> {
                 requests: HashMap::new(),
                 prompts: PromptMap::default(),
                 fresh: Vec::new(),
-                admit_queue: VecDeque::new(),
-                in_flight: 0,
                 registered: HashSet::new(),
                 parked: 0,
-                bucket: config
-                    .rate
-                    .map(|rate| Bucket::new(AimdPolicy::fixed(rate.tokens_per_sec, rate.burst), 0)),
+                bucket: config.rate.map(|policy| Bucket::new(policy, 0)),
                 stats: BackendStats::default(),
                 next_id: 0,
             }),
@@ -342,13 +327,6 @@ impl<'a> Dispatcher<'a> {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn budget(&self) -> u32 {
-        match self.config.max_in_flight {
-            0 => u32::MAX,
-            n => n,
-        }
-    }
-
     /// Consumes one rate-limit token, returning the virtual time at which
     /// the dispatch may start (`now` when a token is available, the future
     /// drip-in time otherwise — the event-driven analogue of sleeping on
@@ -367,27 +345,14 @@ impl<'a> Dispatcher<'a> {
         grant
     }
 
-    /// Queues `id` for admission and admits as many queued requests as the
-    /// in-flight budget allows, each through a pacing grant.
+    /// Admits `id`: its next logical attempt dispatches at its pacing
+    /// grant.
     fn admit(&self, core: &mut Core, id: u64) {
-        core.admit_queue.push_back(id);
-        self.pump(core);
+        let grant = self.pace_grant(core);
+        core.wheel.schedule(grant, Event::Dispatch(id));
     }
 
-    fn pump(&self, core: &mut Core) {
-        let budget = self.budget();
-        while core.in_flight < budget {
-            let Some(id) = core.admit_queue.pop_front() else {
-                break;
-            };
-            core.in_flight += 1;
-            let grant = self.pace_grant(core);
-            core.wheel.schedule(grant, Event::Dispatch(id));
-        }
-    }
-
-    /// Samples one attempt copy of `id` and schedules its completion. The
-    /// caller has already reserved the budget slot.
+    /// Samples one attempt copy of `id` and schedules its completion.
     fn launch_copy(&self, core: &mut Core, id: u64, is_hedge: bool) {
         core.stats.attempts += 1;
         let sample = self.endpoint.sample(&core.requests[&id].prompt);
@@ -412,14 +377,14 @@ impl<'a> Dispatcher<'a> {
             return;
         };
         let warm = core.stats.attempt_latency.samples() >= policy.min_samples;
-        if !warm || core.request(id).hedged >= policy.max_hedges {
+        if !warm || core.request(id).hedged >= MAX_HEDGES {
             return;
         }
         let delay = core
             .stats
             .attempt_latency
             .quantile_us(policy.quantile_permille)
-            .max(policy.min_delay_us);
+            .max(HEDGE_MIN_DELAY_US);
         let seq = core
             .wheel
             .schedule(self.clock.now_micros() + delay, Event::Hedge(id));
@@ -427,14 +392,9 @@ impl<'a> Dispatcher<'a> {
     }
 
     /// The hedge timer fired while the request was still pending: issue a
-    /// duplicate if the budget has room (no rate-limit token is taken).
+    /// duplicate (no rate-limit token is taken).
     fn on_hedge(&self, core: &mut Core, id: u64) {
         core.request(id).hedge_timer = None;
-        if core.in_flight >= self.budget() {
-            core.stats.hedges_suppressed += 1;
-            return;
-        }
-        core.in_flight += 1;
         core.stats.hedges_issued += 1;
         core.request(id).hedged += 1;
         self.launch_copy(core, id, true);
@@ -453,7 +413,6 @@ impl<'a> Dispatcher<'a> {
             .position(|c| c.timer == timer)
             .expect("completion timer matches a copy");
         let copy = req.copies.swap_remove(idx);
-        core.in_flight -= 1;
 
         let resolutions = match copy.sample.result {
             Ok(completion) => {
@@ -464,7 +423,6 @@ impl<'a> Dispatcher<'a> {
                 }
                 for loser in req.copies.drain(..) {
                     core.wheel.cancel(loser.timer);
-                    core.in_flight -= 1;
                     core.stats.hedges_cancelled += 1;
                 }
                 self.cancel_hedge_timer(core, &mut req);
@@ -508,8 +466,6 @@ impl<'a> Dispatcher<'a> {
             }
         };
         core.requests.insert(id, req);
-        // The freed slot(s) may admit queued requests.
-        self.pump(core);
         resolutions
     }
 
@@ -534,7 +490,7 @@ impl<'a> Dispatcher<'a> {
         while resolutions == 0 {
             let Some(deadline) = core.wheel.next_deadline() else {
                 // Unreachable by the admission invariant: every unresolved
-                // request owns a pending event (or is queued behind one).
+                // request owns a pending event.
                 // Failing loudly beats spinning.
                 panic!("dispatcher stalled: pending requests but no scheduled events");
             };
@@ -746,26 +702,6 @@ mod tests {
         assert_eq!(stats.attempts, 1, "one endpoint attempt for nine calls");
         assert_eq!(stats.dispatch_coalesced, 8);
         assert_eq!(dispatcher.fault_stats().unwrap().attempts, 1);
-    }
-
-    #[test]
-    fn in_flight_budget_defers_admission_without_losing_requests() {
-        let llm = model();
-        let dispatcher = Dispatcher::new(
-            &llm,
-            pipelined(4)
-                .with_faults(FaultPlan::none(4))
-                .with_max_in_flight(2),
-        );
-        fan_out(&dispatcher, 10, |i| {
-            dispatcher
-                .complete(&format!("budgeted prompt {i}"))
-                .unwrap();
-        });
-        let stats = dispatcher.stats();
-        assert_eq!((stats.calls, stats.attempts, stats.failures), (10, 10, 0));
-        // Budget 2 over 10×50ms: the makespan is 5 serial waves.
-        assert_eq!(dispatcher.clock().now_micros(), 5 * 50_000);
     }
 
     #[test]

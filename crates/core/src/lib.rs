@@ -54,15 +54,15 @@
 //!   process — uses zero model calls. It is the only way a completion
 //!   outlives the process.
 //! * [`backend`] is the resilient client layer beneath the cache:
-//!   bounded-concurrency dispatch, token-bucket rate limiting,
-//!   exponential-backoff retry with seeded jitter, a circuit breaker and
-//!   per-call deadlines over any `LanguageModel` — all on a virtual clock,
-//!   and testable offline against the seeded fault injector
+//!   token-bucket rate limiting, exponential-backoff retry with seeded
+//!   jitter and a circuit breaker over any `LanguageModel` — blocking, or
+//!   as events on the [`dispatch`] reactor with optional hedging — all on
+//!   a virtual clock, and testable offline against the seeded fault injector
 //!   [`unidm_llm::SimBackend`]. Cache hits never reach the backend, so
 //!   they consume zero rate-limit budget; faulty runs return answers
 //!   bit-identical to fault-free ones.
 //! * [`route`] spreads traffic over a fleet: [`RoutedBackend`] routes
-//!   each call to one of N weighted endpoints — per-endpoint circuit
+//!   each call uniformly to one of N endpoints — per-endpoint circuit
 //!   breakers, latency sketches and AIMD rate adaptation driven by
 //!   observed 429s — and [`CascadeBackend`] sends every prompt to a cheap
 //!   model first, escalating to the large model only when the answer is
@@ -73,9 +73,9 @@
 //! through this engine (opt into caching with
 //! `unidm_eval::CacheConfig`, into the backend with
 //! `ExperimentConfig::backend`), and `cargo run -p unidm-bench --bin
-//! throughput` measures the serial / batched / cold-cache / warm-cache
-//! regimes against each other (plus a faulty-backend regime under
-//! `--faults`).
+//! throughput` writes the counters-only ledger `BENCH_<n>.json`: exact
+//! model calls, tokens, cache and backend counters and virtual-time
+//! timelines for every regime, byte-reproducible from the tree.
 //!
 //! # Quickstart
 //!
@@ -135,8 +135,7 @@ pub mod store;
 mod task;
 
 pub use backend::{
-    AttachedBackend, BackendConfig, BackendStats, BreakerPolicy, LatencySketch, RateLimit,
-    RetryPolicy,
+    AttachedBackend, BackendConfig, BackendStats, BreakerPolicy, LatencySketch, RetryPolicy,
 };
 pub use cache::{CacheStats, PromptCache};
 pub use canon::{CanonLevel, CanonicalPrompt, ReplayFold};

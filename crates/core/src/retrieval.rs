@@ -334,7 +334,7 @@ mod tests {
     fn instance_wise_returns_top_k_with_projection() {
         let (world, llm) = setup();
         let table = imputation::restaurant_table(&world);
-        let target_rec = table.row(0).unwrap();
+        let target_rec = table.row_at(0).unwrap();
         let addr = target_rec
             .field(table.schema(), "addr")
             .unwrap()

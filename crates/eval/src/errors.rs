@@ -48,7 +48,7 @@ pub fn fm_f1(
     for cell in ds.cells.iter().rev() {
         let value = ds
             .table
-            .cell(cell.row, &cell.attr)
+            .cell_value(cell.row, &cell.attr)
             .map(|v| v.to_string())
             .unwrap_or_default();
         if cell.is_error && demos.iter().filter(|(_, _, e)| *e).count() < 2 {

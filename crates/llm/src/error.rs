@@ -8,8 +8,8 @@ use std::fmt;
 /// The variants split into two classes that the resilient backend layer
 /// (`unidm::backend`) treats differently:
 ///
-/// * **Permanent** — [`LlmError::EmptyPrompt`], [`LlmError::PromptTooLong`]
-///   and [`LlmError::DeadlineExceeded`]: retrying the identical call cannot
+/// * **Permanent** — [`LlmError::EmptyPrompt`] and
+///   [`LlmError::PromptTooLong`]: retrying the identical call cannot
 ///   succeed, so they surface immediately.
 /// * **Transient** — [`LlmError::Timeout`], [`LlmError::RateLimited`],
 ///   [`LlmError::Transient`] and [`LlmError::CircuitOpen`]: the endpoint
@@ -50,18 +50,13 @@ pub enum LlmError {
         /// Microseconds until the breaker half-opens and allows a probe.
         cooldown_us: u64,
     },
-    /// The call's overall deadline passed before any attempt succeeded.
-    DeadlineExceeded {
-        /// The configured per-call deadline, in microseconds.
-        deadline_us: u64,
-    },
 }
 
 impl LlmError {
     /// Whether a later attempt of the identical call may succeed.
     ///
     /// Retry layers must only retry transient errors; permanent ones
-    /// (malformed input, exhausted deadline) surface immediately.
+    /// (malformed input) surface immediately.
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
@@ -95,9 +90,6 @@ impl fmt::Display for LlmError {
             LlmError::CircuitOpen { cooldown_us } => {
                 write!(f, "circuit breaker open (half-opens in {cooldown_us}us)")
             }
-            LlmError::DeadlineExceeded { deadline_us } => {
-                write!(f, "call deadline of {deadline_us}us exceeded")
-            }
         }
     }
 }
@@ -128,9 +120,6 @@ mod tests {
         assert!(LlmError::CircuitOpen { cooldown_us: 9 }
             .to_string()
             .contains("breaker"));
-        assert!(LlmError::DeadlineExceeded { deadline_us: 11 }
-            .to_string()
-            .contains("deadline"));
     }
 
     #[test]
@@ -145,7 +134,6 @@ mod tests {
             limit: 0
         }
         .is_transient());
-        assert!(!LlmError::DeadlineExceeded { deadline_us: 1 }.is_transient());
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn inject_typos(
     all.shuffle(&mut rng);
     let n_errors = ((all.len() as f64) * error_rate).round() as usize;
     for (i, (row, attr)) in all.into_iter().enumerate() {
-        let clean = table.cell(row, attr).expect("in range").clone();
+        let clean = table.cell_value(row, attr).expect("in range");
         let is_error = i < n_errors && !clean.is_null();
         if is_error {
             let dirty = corrupt(&mut rng, &clean);
@@ -201,11 +201,11 @@ mod tests {
     fn errors_differ_from_clean() {
         let ds = hospital(&world(), 3, 0.05);
         for c in &ds.cells {
-            let current = ds.table.cell(c.row, &c.attr).unwrap();
+            let current = ds.table.cell_value(c.row, &c.attr).unwrap();
             if c.is_error {
-                assert_ne!(current, &c.clean);
+                assert_ne!(current, c.clean);
             } else {
-                assert_eq!(current, &c.clean);
+                assert_eq!(current, c.clean);
             }
         }
     }
@@ -222,7 +222,7 @@ mod tests {
         let ds = adult(&world(), 3, 400, 0.05);
         for c in &ds.cells {
             if c.is_error && c.attr == "age" {
-                let v = ds.table.cell(c.row, "age").unwrap().as_f64().unwrap();
+                let v = ds.table.cell_value(c.row, "age").unwrap().as_f64().unwrap();
                 assert!(v > 90.0, "outlier age {v}");
             }
         }

@@ -104,7 +104,7 @@ pub fn buy(world: &World, seed: u64, n_targets: usize) -> ImputationDataset {
     let rows = table.row_count();
     for row in 0..rows {
         if rand::Rng::gen_bool(&mut rng, 0.55) {
-            let name = table.cell(row, "name").expect("in range").to_string();
+            let name = table.cell_value(row, "name").expect("in range").to_string();
             let category = name.split_whitespace().nth(1).unwrap_or("item").to_string();
             table
                 .set_cell(
@@ -132,7 +132,7 @@ fn mask(
     rows.sort_unstable();
     let mut targets = Vec::with_capacity(rows.len());
     for row in rows {
-        let truth = table.cell(row, target_attr).expect("in range").clone();
+        let truth = table.cell_value(row, target_attr).expect("in range");
         table
             .set_cell(row, target_attr, Value::Null)
             .expect("in range");
@@ -159,7 +159,7 @@ mod tests {
         let ds = restaurant(&world(), 3, 50);
         assert_eq!(ds.len(), 50);
         for t in &ds.targets {
-            assert!(ds.table.cell(t.row, "city").unwrap().is_null());
+            assert!(ds.table.cell_value(t.row, "city").unwrap().is_null());
             assert!(!t.truth.is_null());
         }
     }
@@ -170,7 +170,7 @@ mod tests {
         let ds = restaurant(&w, 3, 20);
         let full = restaurant_table(&w);
         for t in &ds.targets {
-            assert_eq!(full.cell(t.row, "city").unwrap(), &t.truth);
+            assert_eq!(full.cell_value(t.row, "city").unwrap(), t.truth);
         }
     }
 
@@ -180,7 +180,11 @@ mod tests {
         assert_eq!(ds.target_attr, "manufacturer");
         assert_eq!(ds.len(), 40);
         for t in &ds.targets {
-            assert!(ds.table.cell(t.row, "manufacturer").unwrap().is_null());
+            assert!(ds
+                .table
+                .cell_value(t.row, "manufacturer")
+                .unwrap()
+                .is_null());
         }
     }
 
@@ -213,8 +217,8 @@ mod tests {
         for row in 0..full.row_count() {
             if !masked.contains(&row) {
                 assert_eq!(
-                    ds.table.cell(row, "city").unwrap(),
-                    full.cell(row, "city").unwrap()
+                    ds.table.cell_value(row, "city").unwrap(),
+                    full.cell_value(row, "city").unwrap()
                 );
             }
         }

@@ -80,8 +80,16 @@ pub fn medals(world: &World, seed: u64, n: usize, n_questions: usize) -> TableQa
         };
         let (na, ..) = &rows[i];
         let (nb, ..) = &rows[j];
-        let va = t.cell(i, col).expect("in range").as_f64().expect("int");
-        let vb = t.cell(j, col).expect("in range").as_f64().expect("int");
+        let va = t
+            .cell_value(i, col)
+            .expect("in range")
+            .as_f64()
+            .expect("int");
+        let vb = t
+            .cell_value(j, col)
+            .expect("in range")
+            .as_f64()
+            .expect("int");
         questions.push(TableQaCase {
             question: format!("how many {col} medals did {na} and {nb} total?"),
             answer: Value::Int((va + vb) as i64),
@@ -116,7 +124,7 @@ mod tests {
             let sum: f64 = q
                 .relevant_rows
                 .iter()
-                .map(|&r| ds.table.cell(r, col).unwrap().as_f64().unwrap())
+                .map(|&r| ds.table.cell_value(r, col).unwrap().as_f64().unwrap())
                 .sum();
             assert_eq!(q.answer.as_f64().unwrap(), sum);
         }
@@ -127,10 +135,20 @@ mod tests {
         let w = World::generate(7);
         let ds = medals(&w, 5, 10, 1);
         for row in 0..ds.table.row_count() {
-            let g = ds.table.cell(row, "gold").unwrap().as_f64().unwrap();
-            let s = ds.table.cell(row, "silver").unwrap().as_f64().unwrap();
-            let b = ds.table.cell(row, "bronze").unwrap().as_f64().unwrap();
-            let tot = ds.table.cell(row, "total").unwrap().as_f64().unwrap();
+            let g = ds.table.cell_value(row, "gold").unwrap().as_f64().unwrap();
+            let s = ds
+                .table
+                .cell_value(row, "silver")
+                .unwrap()
+                .as_f64()
+                .unwrap();
+            let b = ds
+                .table
+                .cell_value(row, "bronze")
+                .unwrap()
+                .as_f64()
+                .unwrap();
+            let tot = ds.table.cell_value(row, "total").unwrap().as_f64().unwrap();
             assert_eq!(g + s + b, tot);
         }
     }
@@ -140,7 +158,7 @@ mod tests {
         let w = World::generate(7);
         let ds = medals(&w, 5, 10, 1);
         let golds: Vec<f64> = (0..ds.table.row_count())
-            .map(|r| ds.table.cell(r, "gold").unwrap().as_f64().unwrap())
+            .map(|r| ds.table.cell_value(r, "gold").unwrap().as_f64().unwrap())
             .collect();
         assert!(golds.windows(2).all(|w| w[0] >= w[1]));
     }

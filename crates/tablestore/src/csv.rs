@@ -301,8 +301,8 @@ mod tests {
         let csv = to_csv(&t);
         let back = from_csv("t", &csv).unwrap();
         assert_eq!(back.row_count(), 2);
-        assert_eq!(back.cell(0, "b").unwrap(), &Value::Int(1));
-        assert!(back.cell(1, "a").unwrap().is_null());
+        assert_eq!(back.cell_value(0, "b").unwrap(), Value::Int(1));
+        assert!(back.cell_value(1, "a").unwrap().is_null());
     }
 
     #[test]
@@ -311,14 +311,14 @@ mod tests {
         t.push_row(vec![Value::text("a,b \"c\"")]).unwrap();
         let csv = to_csv(&t);
         let back = from_csv("t", &csv).unwrap();
-        assert_eq!(back.cell(0, "q").unwrap(), &Value::text("a,b \"c\""));
+        assert_eq!(back.cell_value(0, "q").unwrap(), Value::text("a,b \"c\""));
     }
 
     #[test]
     fn embedded_newline() {
         let csv = "h\n\"line1\nline2\"\n";
         let t = from_csv("t", csv).unwrap();
-        assert_eq!(t.cell(0, "h").unwrap(), &Value::text("line1\nline2"));
+        assert_eq!(t.cell_value(0, "h").unwrap(), Value::text("line1\nline2"));
     }
 
     #[test]
@@ -343,7 +343,7 @@ mod tests {
     #[test]
     fn crlf_handled() {
         let t = from_csv("t", "a,b\r\n1,2\r\n").unwrap();
-        assert_eq!(t.cell(0, "a").unwrap(), &Value::Int(1));
+        assert_eq!(t.cell_value(0, "a").unwrap(), Value::Int(1));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!     .build();
 //! t.push_row(vec![Value::text("Florence"), Value::text("Italy")]).unwrap();
 //! assert_eq!(t.row_count(), 1);
-//! assert_eq!(t.cell(0, "country").unwrap().to_string(), "Italy");
+//! assert_eq!(t.cell_value(0, "country").unwrap().to_string(), "Italy");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -9,21 +9,15 @@
 //! [`Table::open_segment`]) after which chunks page in and out through a
 //! budget-bounded LRU [`Pager`] — spilled tables are read-only.
 //!
-//! Two accessor families coexist:
-//!
-//! * The original borrowing accessors ([`Table::row`], [`Table::cell`])
-//!   return references by pinning a decoded *chunk-resident view* of the
-//!   touched chunk for the table's lifetime. They keep every pre-columnar
-//!   call site working but are unsuitable for out-of-core scans.
-//! * The owned accessors ([`Table::row_at`], [`Table::cell_value`],
-//!   [`Table::iter_rows`], [`Table::column`]) decode on the fly and never
-//!   pin, so memory stays bounded by the pager budget regardless of table
-//!   size. Streaming paths use these exclusively.
+//! Every accessor ([`Table::row_at`], [`Table::cell_value`],
+//! [`Table::iter_rows`], [`Table::column`]) returns owned values decoded on
+//! the fly, so memory stays bounded by the pager budget regardless of table
+//! size.
 
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -49,13 +43,11 @@ fn fresh_version() -> u64 {
 }
 
 /// One sealed row partition: either resident in memory or paged from the
-/// spill segment on demand. The `view` pins decoded rows for the borrowing
-/// accessors; owned accessors never touch it.
+/// spill segment on demand.
 #[derive(Debug)]
 struct Slot {
     state: SlotState,
     rows: usize,
-    view: OnceLock<Box<[Record]>>,
 }
 
 #[derive(Debug)]
@@ -71,7 +63,6 @@ impl Slot {
         Slot {
             rows: chunk.len(),
             state: SlotState::Resident(chunk),
-            view: OnceLock::new(),
         }
     }
 
@@ -79,7 +70,6 @@ impl Slot {
         Slot {
             rows,
             state: SlotState::Spilled,
-            view: OnceLock::new(),
         }
     }
 }
@@ -250,35 +240,7 @@ impl Table {
         }
     }
 
-    /// The pinned decoded view of sealed slot `slot` (decoding it on first
-    /// touch). Once pinned, the rows stay resident for the table's
-    /// lifetime — this is what keeps the borrowing accessors alive on top
-    /// of columnar storage.
-    fn view(&self, slot: usize) -> Result<&[Record], TableError> {
-        if let Some(v) = self.sealed[slot].view.get() {
-            return Ok(v);
-        }
-        let decoded = self.chunk(slot)?.decode_rows().into_boxed_slice();
-        Ok(self.sealed[slot].view.get_or_init(|| decoded))
-    }
-
-    /// The row at `index`, borrowed from a chunk-resident view.
-    ///
-    /// Touching a row pins its whole chunk's decoded view in memory for the
-    /// table's lifetime; prefer [`Table::row_at`] on out-of-core paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TableError::RowOutOfBounds`] if `index >= row_count()`, or
-    /// [`TableError::Segment`] if a spilled chunk cannot be read.
-    pub fn row(&self, index: usize) -> Result<&Record, TableError> {
-        match self.locate(index)? {
-            RowAddr::Sealed { slot, offset } => Ok(&self.view(slot)?[offset]),
-            RowAddr::Tail(i) => Ok(&self.tail[i]),
-        }
-    }
-
-    /// The row at `index`, decoded on the fly (never pins a view).
+    /// The row at `index`, decoded on the fly.
     ///
     /// # Errors
     ///
@@ -291,18 +253,7 @@ impl Table {
         }
     }
 
-    /// The cell at (`row`, `attr`), borrowed from a chunk-resident view
-    /// (see [`Table::row`] for the pinning caveat).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TableError::RowOutOfBounds`],
-    /// [`TableError::UnknownAttribute`], or [`TableError::Segment`].
-    pub fn cell(&self, row: usize, attr: &str) -> Result<&Value, TableError> {
-        self.row(row)?.field(&self.schema, attr)
-    }
-
-    /// The cell at (`row`, `attr`), decoded on the fly (never pins).
+    /// The cell at (`row`, `attr`), decoded on the fly.
     ///
     /// # Errors
     ///
@@ -351,8 +302,8 @@ impl Table {
     }
 
     /// Iterator over all rows in order, decoding chunk-by-chunk (owned
-    /// records, never pins a view). For a spilled table, memory stays
-    /// bounded by the pager budget.
+    /// records). For a spilled table, memory stays bounded by the pager
+    /// budget.
     ///
     /// # Panics
     ///
@@ -366,7 +317,7 @@ impl Table {
     }
 
     /// Iterator over the values of one column, decoding cell-by-cell from
-    /// the encoded chunks (owned values, never pins a view).
+    /// the encoded chunks (owned values).
     ///
     /// # Errors
     ///
@@ -557,8 +508,7 @@ impl Table {
 
 /// Cloning shares sealed chunks and the pager by reference count — no cell
 /// data is copied — and keeps the [`Table::version`] stamp, since the content
-/// is the same. Pinned views are dropped (the clone re-decodes on
-/// demand), which is what lets [`DataLake`](crate::DataLake) refresh
+/// is the same, which is what lets [`DataLake`](crate::DataLake) refresh
 /// entries without deep-copying tables.
 impl Clone for Table {
     fn clone(&self) -> Self {
@@ -582,8 +532,8 @@ impl Clone for Table {
     }
 }
 
-/// Logical equality: same name, schema, and row sequence (chunking,
-/// spill state, and pinned views are representation details).
+/// Logical equality: same name, schema, and row sequence (chunking and
+/// spill state are representation details).
 impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
@@ -773,7 +723,7 @@ mod tests {
     fn push_and_access() {
         let t = city_table();
         assert_eq!(t.row_count(), 4);
-        assert_eq!(t.cell(1, "country").unwrap(), &Value::text("Spain"));
+        assert_eq!(t.cell_value(1, "country").unwrap(), Value::text("Spain"));
     }
 
     #[test]
@@ -783,11 +733,10 @@ mod tests {
         assert_eq!(b.chunk_count(), 2);
         assert!(b.tail.is_empty());
         for i in 0..a.row_count() {
-            assert_eq!(a.row(i).unwrap(), b.row(i).unwrap());
-            assert_eq!(b.row_at(i).unwrap(), *a.row(i).unwrap());
+            assert_eq!(a.row_at(i).unwrap(), b.row_at(i).unwrap());
             assert_eq!(
                 b.cell_value(i, "timezone").unwrap(),
-                *a.cell(i, "timezone").unwrap()
+                a.cell_value(i, "timezone").unwrap()
             );
         }
         assert_eq!(a, b, "logical equality ignores chunking");
@@ -805,9 +754,12 @@ mod tests {
     #[test]
     fn row_out_of_bounds() {
         let t = city_table();
-        assert!(matches!(t.row(99), Err(TableError::RowOutOfBounds { .. })));
         assert!(matches!(
             t.row_at(99),
+            Err(TableError::RowOutOfBounds { .. })
+        ));
+        assert!(matches!(
+            t.cell_value(99, "city"),
             Err(TableError::RowOutOfBounds { .. })
         ));
     }
@@ -816,7 +768,7 @@ mod tests {
     fn set_cell_roundtrip() {
         let mut t = city_table();
         t.set_cell(3, "timezone", Value::Null).unwrap();
-        assert!(t.cell(3, "timezone").unwrap().is_null());
+        assert!(t.cell_value(3, "timezone").unwrap().is_null());
     }
 
     #[test]
@@ -863,7 +815,7 @@ mod tests {
             vec!["timezone", "city"]
         );
         assert_eq!(p.row_count(), 4);
-        assert_eq!(p.cell(0, "city").unwrap(), &Value::text("Florence"));
+        assert_eq!(p.cell_value(0, "city").unwrap(), Value::text("Florence"));
     }
 
     #[test]

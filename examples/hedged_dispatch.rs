@@ -8,10 +8,9 @@
 //! ```text
 //! BatchRunner (pipelined) → PromptCache → Dispatcher → SimBackend → MockLlm
 //!    continuous admission    single-flight   reactor:     3% of       inner
-//!    into open in-flight     off — the       budget,      attempts    model
-//!    slots, no barriers      reactor         pacing,      stall 40×
-//!                            coalesces       retry,
-//!                                            hedge
+//!    into the reactor,       off — the       pacing,      attempts    model
+//!    no barriers             reactor         retry,       stall 40×
+//!                            coalesces       hedge
 //! ```
 //!
 //! Everything runs on a virtual clock: the reactor advances time deadline
@@ -81,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Regimes 2 and 3 — the event-driven dispatcher, without and with
     // hedging. Workers register with the reactor and feed ready tasks
-    // into open in-flight slots (continuous admission, no barriers);
+    // into it (continuous admission, no barriers);
     // completions are timer-wheel events, so overlapped attempts overlap
     // in virtual time. With a `HedgePolicy`, a straggler exceeding the
     // observed P90 attempt latency gets a duplicate — first response

@@ -1,5 +1,5 @@
-//! Routing and cascading quickstart: spread a batched workload over a
-//! weighted multi-endpoint fleet (per-endpoint breakers, fault schedules
+//! Routing and cascading quickstart: spread a batched workload uniformly
+//! over a multi-endpoint fleet (per-endpoint breakers, fault schedules
 //! and AIMD rate adaptation), then cut its bill with a small→large model
 //! cascade — all on the virtual clock, all deterministic, all asserted.
 //!
@@ -8,7 +8,7 @@
 //! ```text
 //! BatchRunner → PromptCache → RoutedBackend ─┬─ breaker ─ SimBackend e0 ─┐
 //!                 canonical     seeded        ├─ breaker ─ SimBackend e1 ─┼─ MockLlm
-//!                 single-flight weighted pick ├─ breaker ─ SimBackend e2 ─┘
+//!                 single-flight uniform pick  ├─ breaker ─ SimBackend e2 ─┘
 //!                               AIMD buckets  └─ (each its own schedule)
 //! ```
 //!
@@ -112,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(fleet_stats.failures, 0, "every routed call completed");
     assert!(
         fleet_stats.endpoints.iter().all(|e| e.calls > 0),
-        "equal weights spread traffic over every replica"
+        "uniform routing spreads traffic over every replica"
     );
     assert!(
         fleet_makespan < single_makespan,

@@ -21,9 +21,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Table question answering (Figure 3) ==\n");
     println!("Medals table ({} nations):", ds.table.row_count());
     for row in 0..ds.table.row_count().min(4) {
-        let nation = ds.table.cell(row, "nation")?;
-        let gold = ds.table.cell(row, "gold")?;
-        let total = ds.table.cell(row, "total")?;
+        let nation = ds.table.cell_value(row, "nation")?;
+        let gold = ds.table.cell_value(row, "gold")?;
+        let total = ds.table.cell_value(row, "total")?;
         println!("  {nation}: {gold} gold, {total} total");
     }
     println!("  ...\n");

@@ -96,11 +96,7 @@ fn base_config(s: Scenario) -> BackendConfig {
 }
 
 fn resilient(inner: &dyn LanguageModel, s: Scenario) -> Box<dyn BackendUnderTest + '_> {
-    Box::new(Resilient(RoutedBackend::single(
-        inner,
-        base_config(s),
-        None,
-    )))
+    Box::new(Resilient(RoutedBackend::single(inner, base_config(s))))
 }
 
 fn dispatched(inner: &dyn LanguageModel, s: Scenario) -> Box<dyn BackendUnderTest + '_> {
@@ -165,19 +161,19 @@ macro_rules! conformance_suite {
 // the three stacks became drivers over one resilience kernel (rate 50/10
 // first, then 4/2). They move only when behaviour does.
 const RESILIENT_PINNED: [&str; 2] = [
-    "BackendStats { calls: 40, attempts: 68, retries: 28, timeouts: 11, rate_limited: 11, transients: 6, breaker_trips: 0, breaker_fast_fails: 0, throttle_waits: 0, throttle_wait_us: 0, rate_tokens: 68, deadline_exceeded: 0, failures: 0, hedges_issued: 0, hedges_won: 0, hedges_cancelled: 0, hedges_suppressed: 0, dispatch_coalesced: 0, attempt_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 }, request_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 229376, p99_us: 3091203, max_us: 3091203 } }\n\
+    "BackendStats { calls: 40, attempts: 68, retries: 28, timeouts: 11, rate_limited: 11, transients: 6, breaker_trips: 0, breaker_fast_fails: 0, throttle_waits: 0, throttle_wait_us: 0, rate_tokens: 68, failures: 0, hedges_issued: 0, hedges_won: 0, hedges_cancelled: 0, dispatch_coalesced: 0, attempt_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 }, request_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 229376, p99_us: 3091203, max_us: 3091203 } }\n\
          Some(FaultStats { attempts: 68, clean: 33, slow: 7, timeouts: 11, rate_limits: 11, transients: 6, forced_successes: 0 })\n\
          now=32235488",
-    "BackendStats { calls: 40, attempts: 68, retries: 28, timeouts: 11, rate_limited: 11, transients: 6, breaker_trips: 0, breaker_fast_fails: 0, throttle_waits: 26, throttle_wait_us: 4278176, rate_tokens: 68, deadline_exceeded: 0, failures: 0, hedges_issued: 0, hedges_won: 0, hedges_cancelled: 0, hedges_suppressed: 0, dispatch_coalesced: 0, attempt_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 }, request_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 393216, p99_us: 3091203, max_us: 3091203 } }\n\
+    "BackendStats { calls: 40, attempts: 68, retries: 28, timeouts: 11, rate_limited: 11, transients: 6, breaker_trips: 0, breaker_fast_fails: 0, throttle_waits: 26, throttle_wait_us: 4278176, rate_tokens: 68, failures: 0, hedges_issued: 0, hedges_won: 0, hedges_cancelled: 0, dispatch_coalesced: 0, attempt_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 }, request_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 393216, p99_us: 3091203, max_us: 3091203 } }\n\
          Some(FaultStats { attempts: 68, clean: 33, slow: 7, timeouts: 11, rate_limits: 11, transients: 6, forced_successes: 0 })\n\
          now=36513664",
 ];
 
 const DISPATCHER_PINNED: [&str; 2] = [
-    "BackendStats { calls: 40, attempts: 68, retries: 28, timeouts: 11, rate_limited: 11, transients: 6, breaker_trips: 0, breaker_fast_fails: 0, throttle_waits: 0, throttle_wait_us: 0, rate_tokens: 68, deadline_exceeded: 0, failures: 0, hedges_issued: 0, hedges_won: 0, hedges_cancelled: 0, hedges_suppressed: 0, dispatch_coalesced: 0, attempt_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 }, request_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 229376, p99_us: 3091203, max_us: 3091203 } }\n\
+    "BackendStats { calls: 40, attempts: 68, retries: 28, timeouts: 11, rate_limited: 11, transients: 6, breaker_trips: 0, breaker_fast_fails: 0, throttle_waits: 0, throttle_wait_us: 0, rate_tokens: 68, failures: 0, hedges_issued: 0, hedges_won: 0, hedges_cancelled: 0, dispatch_coalesced: 0, attempt_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 }, request_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 229376, p99_us: 3091203, max_us: 3091203 } }\n\
          Some(FaultStats { attempts: 68, clean: 33, slow: 7, timeouts: 11, rate_limits: 11, transients: 6, forced_successes: 0 })\n\
          now=32235488",
-    "BackendStats { calls: 40, attempts: 68, retries: 28, timeouts: 11, rate_limited: 11, transients: 6, breaker_trips: 0, breaker_fast_fails: 0, throttle_waits: 26, throttle_wait_us: 4278176, rate_tokens: 68, deadline_exceeded: 0, failures: 0, hedges_issued: 0, hedges_won: 0, hedges_cancelled: 0, hedges_suppressed: 0, dispatch_coalesced: 0, attempt_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 }, request_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 393216, p99_us: 3091203, max_us: 3091203 } }\n\
+    "BackendStats { calls: 40, attempts: 68, retries: 28, timeouts: 11, rate_limited: 11, transients: 6, breaker_trips: 0, breaker_fast_fails: 0, throttle_waits: 26, throttle_wait_us: 4278176, rate_tokens: 68, failures: 0, hedges_issued: 0, hedges_won: 0, hedges_cancelled: 0, dispatch_coalesced: 0, attempt_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 }, request_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 393216, p99_us: 3091203, max_us: 3091203 } }\n\
          Some(FaultStats { attempts: 68, clean: 33, slow: 7, timeouts: 11, rate_limits: 11, transients: 6, forced_successes: 0 })\n\
          now=36513664",
 ];
@@ -186,13 +182,13 @@ const ROUTED_PINNED: [&str; 2] = [
     "calls=40 answers=40 failures=0 retries=29 all_open=0\n\
          EndpointStats { calls: 26, attempts: 40, successes: 21, timeouts: 5, rate_limited: 4, transients: 10, breaker_trips: 2, breaker_open_skips: 6, throttle_waits: 0, throttle_wait_us: 0, rate_tokens: 40, aimd_increases: 0, aimd_decreases: 0, prompt_tokens: 168, completion_tokens: 126, billed_micro: 0, latency: LatencySketch { samples: 21, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 } }\n\
          EndpointStats { calls: 14, attempts: 29, successes: 19, timeouts: 3, rate_limited: 6, transients: 1, breaker_trips: 0, breaker_open_skips: 0, throttle_waits: 0, throttle_wait_us: 0, rate_tokens: 29, aimd_increases: 0, aimd_decreases: 0, prompt_tokens: 152, completion_tokens: 114, billed_micro: 0, latency: LatencySketch { samples: 19, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 } }\n\
-         BackendStats { calls: 40, attempts: 69, retries: 29, timeouts: 8, rate_limited: 10, transients: 11, breaker_trips: 2, breaker_fast_fails: 6, throttle_waits: 0, throttle_wait_us: 0, rate_tokens: 69, deadline_exceeded: 0, failures: 0, hedges_issued: 0, hedges_won: 0, hedges_cancelled: 0, hedges_suppressed: 0, dispatch_coalesced: 0, attempt_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 }, request_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 3062520, max_us: 3062520 } }\n\
+         BackendStats { calls: 40, attempts: 69, retries: 29, timeouts: 8, rate_limited: 10, transients: 11, breaker_trips: 2, breaker_fast_fails: 6, throttle_waits: 0, throttle_wait_us: 0, rate_tokens: 69, failures: 0, hedges_issued: 0, hedges_won: 0, hedges_cancelled: 0, dispatch_coalesced: 0, attempt_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 }, request_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 3062520, max_us: 3062520 } }\n\
          Some(FaultStats { attempts: 69, clean: 36, slow: 4, timeouts: 8, rate_limits: 10, transients: 11, forced_successes: 0 })\n\
          now=25100238",
     "calls=40 answers=40 failures=0 retries=29 all_open=0\n\
          EndpointStats { calls: 26, attempts: 40, successes: 21, timeouts: 5, rate_limited: 4, transients: 10, breaker_trips: 2, breaker_open_skips: 6, throttle_waits: 9, throttle_wait_us: 1068770, rate_tokens: 40, aimd_increases: 0, aimd_decreases: 0, prompt_tokens: 168, completion_tokens: 126, billed_micro: 0, latency: LatencySketch { samples: 21, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 } }\n\
          EndpointStats { calls: 14, attempts: 29, successes: 19, timeouts: 3, rate_limited: 6, transients: 1, breaker_trips: 0, breaker_open_skips: 0, throttle_waits: 4, throttle_wait_us: 450505, rate_tokens: 29, aimd_increases: 0, aimd_decreases: 0, prompt_tokens: 152, completion_tokens: 114, billed_micro: 0, latency: LatencySketch { samples: 19, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 } }\n\
-         BackendStats { calls: 40, attempts: 69, retries: 29, timeouts: 8, rate_limited: 10, transients: 11, breaker_trips: 2, breaker_fast_fails: 6, throttle_waits: 13, throttle_wait_us: 1519275, rate_tokens: 69, deadline_exceeded: 0, failures: 0, hedges_issued: 0, hedges_won: 0, hedges_cancelled: 0, hedges_suppressed: 0, dispatch_coalesced: 0, attempt_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 }, request_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 114688, p99_us: 3062520, max_us: 3062520 } }\n\
+         BackendStats { calls: 40, attempts: 69, retries: 29, timeouts: 8, rate_limited: 10, transients: 11, breaker_trips: 2, breaker_fast_fails: 6, throttle_waits: 13, throttle_wait_us: 1519275, rate_tokens: 69, failures: 0, hedges_issued: 0, hedges_won: 0, hedges_cancelled: 0, dispatch_coalesced: 0, attempt_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 57344, p99_us: 2000000, max_us: 2000000 }, request_latency: LatencySketch { samples: 40, min_us: 50000, p50_us: 114688, p99_us: 3062520, max_us: 3062520 } }\n\
          Some(FaultStats { attempts: 69, clean: 36, slow: 4, timeouts: 8, rate_limits: 10, transients: 11, forced_successes: 0 })\n\
          now=26619513",
 ];

@@ -396,9 +396,11 @@ impl<'p> ReferenceInjector<'p> {
     }
 }
 
-/// The blocking attempt loop without breakers, buckets or a deadline:
-/// route by the one-loop draw, consume the routed injector's next slot,
-/// back off by the one-loop draw — all charged to one clock.
+/// The blocking attempt loop without breakers or buckets: route by the
+/// one-loop draw, consume the routed injector's next slot, back off by the
+/// one-loop draw — all charged to one clock. `route` is the cumulative
+/// weighted roll the router used before it lost its weights; at unit
+/// weights it must pick what the router's uniform pick does.
 struct ReferenceRouter<'p> {
     seed: u64,
     retry: RetryPolicy,
@@ -472,6 +474,12 @@ type Observed = (Result<String, LlmError>, u64, Vec<u64>);
 /// and whether it is a hedge.
 type Timer = (u64, u32, Option<(Attempt, bool)>);
 
+/// The dispatcher's hedge delay floor, in microseconds.
+const HEDGE_MIN_DELAY_US: u64 = 1_000;
+
+/// Duplicates the dispatcher issues per request.
+const MAX_HEDGES: u32 = 1;
+
 /// The event-driven dispatcher under one serial caller: memo, attempt
 /// waves with at most one hedge per request, first response wins, backoff
 /// by the one-loop draw. Timers fire earliest deadline first, ties in
@@ -523,11 +531,11 @@ impl<'p, E: FnMut(&'p str) -> Attempt> ReferenceDispatcher<'p, E> {
         loop {
             let mut timers: Vec<Timer> = Vec::new();
             self.launch(&mut timers, prompt, false);
-            if self.latency.samples() >= self.hedge.min_samples && hedged < self.hedge.max_hedges {
+            if self.latency.samples() >= self.hedge.min_samples && hedged < MAX_HEDGES {
                 let delay = self
                     .latency
                     .quantile_us(self.hedge.quantile_permille)
-                    .max(self.hedge.min_delay_us);
+                    .max(HEDGE_MIN_DELAY_US);
                 self.schedule(&mut timers, delay, None);
             }
             let err = loop {
@@ -612,8 +620,8 @@ fn stack_draws_equal_their_rederivation_whichever_layer_absorbed_the_prompt() {
     let prompts = stream_prompts(&mut g);
     let model = LengthModel;
     let seed = fault_seed();
-    let fleet_weights = [1u64, 3, 1];
-    let fleet = RoutePlan::replicas(3).without_breaker().with_weight(1, 3);
+    let fleet_weights = [1u64, 1, 1];
+    let fleet = RoutePlan::replicas(3).without_breaker();
     let hedge = HedgePolicy::at_quantile(900).with_min_samples(8);
     let calls = || (0..ROUNDS).flat_map(|_| prompts.iter());
     let (mut retried, mut hedges) = (0, 0);
@@ -624,7 +632,7 @@ fn stack_draws_equal_their_rederivation_whichever_layer_absorbed_the_prompt() {
         let pipelined = blocking.with_pipelined().with_hedge(hedge);
 
         // Blocking, untagged: the single-endpoint protection stack.
-        let router = RoutedBackend::single(&model, blocking, None);
+        let router = RoutedBackend::single(&model, blocking);
         let mut want = ReferenceRouter::new(&blocking, &[1], false);
         for (call, prompt) in calls().enumerate() {
             let got = observe_router(&router, router.complete(prompt));
@@ -633,7 +641,7 @@ fn stack_draws_equal_their_rederivation_whichever_layer_absorbed_the_prompt() {
         }
         retried += want.attempts[0] - (ROUNDS * prompts.len()) as u64;
 
-        // Blocking, tagged: three weighted replicas.
+        // Blocking, tagged: three replicas, routed uniformly.
         let router = RoutedBackend::from_plan(&model, blocking.with_route(fleet));
         let mut want = ReferenceRouter::new(&blocking, &fleet_weights, true);
         for (call, prompt) in calls().enumerate() {

@@ -6,8 +6,8 @@
 //! bit-identical to the fault-free serial run at every worker count and
 //! fault seed; losing copies are cancelled, never delivered and never
 //! memoized (neither in the dispatcher's memo nor in a `PromptCache`
-//! above it); a hedge duplicate consumes an in-flight slot but **no**
-//! rate-limit token, so the budget is charged exactly once per winner;
+//! above it); a hedge duplicate consumes **no** rate-limit token, so the
+//! budget is charged exactly once per winner;
 //! and because the reactor only advances virtual time at quiescence, the
 //! aggregate hedge counters are a pure function of the request set —
 //! independent of OS thread scheduling.
@@ -312,7 +312,7 @@ fn losing_copies_are_never_memoized() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Hedge duplicates take an in-flight slot but no rate-limit token: with
+/// Hedge duplicates take no rate-limit token: with
 /// a limiter configured, `rate_tokens` is exactly one per logical request
 /// (per winner), however many hedges were issued.
 #[test]

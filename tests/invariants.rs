@@ -300,7 +300,7 @@ fn csv_roundtrip() {
                 // Values re-parse by type; compare canonical text forms.
                 let expected = Value::parse(cell);
                 assert_eq!(
-                    back.cell(i, attr).unwrap().answer_key(),
+                    back.cell_value(i, attr).unwrap().answer_key(),
                     expected.answer_key()
                 );
             }

@@ -1,6 +1,6 @@
 //! Acceptance tests for the multi-endpoint router (`unidm::route`).
 //!
-//! The contract (ISSUE 7): a `RoutedBackend` fleet — weighted endpoints,
+//! The contract (ISSUE 7): a `RoutedBackend` fleet — uniformly routed endpoints,
 //! per-endpoint breakers, AIMD rate adaptation, endpoint-aware fault
 //! schedules — returns answers bit-identical to a fault-free direct run
 //! whatever the fleet does, across fault seeds, worker counts and both
@@ -90,7 +90,7 @@ fn routed_answers_bit_identical_across_seeds_workers_and_modes() {
             assert_eq!(stats.failures, 0, "every routed call completes");
             assert!(
                 stats.endpoints.iter().all(|e| e.calls > 0),
-                "equal weights must spread traffic over all replicas: {stats:?}"
+                "uniform routing must spread traffic over all replicas: {stats:?}"
             );
 
             // Pipelined: the event-driven dispatcher drives the same
