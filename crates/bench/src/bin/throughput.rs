@@ -69,7 +69,7 @@ use unidm::{
 use unidm_bench::alloc_counter::{self, AllocationDelta};
 use unidm_bench::{config_from_args, json_array, CallCounter, JsonObject, BASELINE_PR};
 use unidm_eval::streams::record_streams;
-use unidm_llm::{Clock, Completion, FaultPlan, LanguageModel, LlmProfile, MockLlm, Usage};
+use unidm_llm::{Completion, FaultPlan, LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
 use unidm_synthdata::scale::{ScaleSpec, TABLE_NAME as SCALE_TABLE};
 use unidm_tablestore::DataLake;

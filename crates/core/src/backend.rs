@@ -32,9 +32,11 @@
 //! fast-fails consume retries in an order-sensitive way).
 //!
 //! All timing — token refill, backoff, breaker cooldown, injected latency
-//! — runs on a shared [`Clock`], by default a [`unidm_llm::VirtualClock`],
-//! so tests replay multi-second fault schedules in microseconds of wall
-//! time.
+//! — runs on the stack's one [`unidm_llm::VirtualClock`], so tests replay
+//! multi-second fault schedules in microseconds of wall time and no stack
+//! reads the host's clock. A [`crate::BatchRunner`] runs one worker unless
+//! told otherwise, so an eval run's backend counters are the serial run's
+//! on every host.
 //!
 //! # Examples
 //!
@@ -58,7 +60,7 @@
 //! assert!(stats.attempts >= 1);
 //! ```
 
-use unidm_llm::{Clock, FaultPlan, FaultStats, LanguageModel};
+use unidm_llm::{FaultPlan, FaultStats, LanguageModel};
 
 use crate::dispatch::{Dispatcher, HedgePolicy};
 use crate::route::{AimdPolicy, RoutePlan, RoutedBackend, RouterStats};

@@ -24,8 +24,8 @@
 //!   content hashes share a probe chain — every probe compares the full
 //!   text, so answers stay right and only lookup time degrades.
 //! * **Sharding** — the memo is split across N independently locked maps
-//!   selected by key hash, so concurrent [`crate::BatchRunner`] workers
-//!   contend on 1/N of the lock traffic.
+//!   selected by key hash (8 unless [`PromptCache::with_shards`] says
+//!   otherwise), so concurrent workers contend on 1/N of the lock traffic.
 //! * **Single-flight coalescing** — each shard keeps an in-flight table of
 //!   canonical keys currently being completed. Concurrent duplicate
 //!   lookups issue exactly **one** endpoint call: the first arrival leads,
@@ -51,7 +51,7 @@ use crate::canon::{CanonLevel, CanonicalPrompt};
 use crate::dispatch;
 use crate::store::{CacheStore, StoreStats};
 
-/// Hit/miss/saving statistics of a [`PromptCache`] (or of one shard).
+/// Hit/miss/saving statistics of a [`PromptCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Completions served from the cache.
@@ -417,10 +417,9 @@ impl CacheInner {
 /// call — they block on the leader's slot and share its completion
 /// ([`CacheStats::coalesced`]). Statistics are counted per shard (exactly
 /// — every counter update happens under its shard's lock) and aggregated
-/// by [`PromptCache::stats`]; [`PromptCache::shard_stats`] exposes the
-/// per-shard breakdown. Lookups never block on the underlying model except
-/// when coalescing onto the same key: the shard lock is released while a
-/// miss is being completed.
+/// by [`PromptCache::stats`]. Lookups never block on the underlying model
+/// except when coalescing onto the same key: the shard lock is released
+/// while a miss is being completed.
 ///
 /// A thread seated at a [`crate::Dispatcher`] ([`crate::Dispatcher::register`]
 /// — every worker of [`crate::BatchRunner::with_pipeline`]) never waits in
@@ -447,16 +446,24 @@ impl CacheInner {
 /// # Determinism and accounting
 ///
 /// The deterministic substrate returns the same completion for the same
-/// prompt, so serving a memoized (or coalesced) completion changes nothing
-/// about answers or per-run usage — only about what the *inner* model
-/// actually processed. Cached completions report the usage of the original
-/// call, which keeps per-run accounting via [`unidm_llm::UsageMeter`]
-/// identical with and without the cache; the inner model's own counter
-/// only grows on leader misses, and the difference is tracked as
-/// [`CacheStats::tokens_saved`]. For a fixed workload,
-/// [`CacheStats::misses`] equals the number of unique canonical keys
-/// completed — exactly, under every interleaving — because the in-flight
-/// table guarantees one leader per key.
+/// prompt, so serving a memoized (or coalesced) completion changes no
+/// answer. A served completion reports the usage of the call that filled
+/// its entry, and that call completed the *canonical* text, so per-run
+/// accounting via [`unidm_llm::UsageMeter`] depends on the level:
+///
+/// * at [`CanonLevel::Verbatim`] the canonical text is the prompt itself,
+///   and per-run usage is identical with and without the cache;
+/// * above it, every lookup reports the canonical prompt's usage. Where
+///   canonicalization rewrote the text (a folded retrieval preamble at
+///   [`CanonLevel::TableStem`], say), that differs from what the raw
+///   prompt would have cost the model, by a few tokens per rewritten
+///   prompt.
+///
+/// The inner model's own counter only grows on leader misses, and the
+/// difference is tracked as [`CacheStats::tokens_saved`]. For a fixed
+/// workload, [`CacheStats::misses`] equals the number of unique canonical
+/// keys completed — exactly, under every interleaving — because the
+/// in-flight table guarantees one leader per key.
 ///
 /// # Examples
 ///
@@ -503,30 +510,9 @@ impl std::fmt::Debug for PromptCache<'_> {
     }
 }
 
-/// Default shard count: enough to keep eight batch workers off each
-/// other's locks without fragmenting small caches.
+/// The shard count [`PromptCache::new`] starts with: enough to keep eight
+/// workers off each other's locks without fragmenting small caches.
 const DEFAULT_SHARDS: usize = 8;
-
-/// The shard count new caches start with: the `UNIDM_SHARDS` environment
-/// variable when set to a positive integer (rounded up to a power of two —
-/// this is how CI exercises shard-count sensitivity across the whole
-/// suite) is authoritative; otherwise the count self-tunes to the machine,
-/// [`std::thread::available_parallelism`] rounded up to a power of two and
-/// clamped to `[`[`DEFAULT_SHARDS`]`, 64]` — wide boxes get proportionally
-/// more locks, small caches never fragment below the historical default.
-fn default_shards() -> usize {
-    std::env::var("UNIDM_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|n| *n > 0)
-        .map(usize::next_power_of_two)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get().next_power_of_two())
-                .unwrap_or(DEFAULT_SHARDS)
-                .clamp(DEFAULT_SHARDS, 64)
-        })
-}
 
 fn build_shards(n: usize) -> Box<[Mutex<CacheInner>]> {
     (0..n).map(|_| Mutex::new(CacheInner::default())).collect()
@@ -554,11 +540,8 @@ impl Drop for LeaderGuard<'_> {
 }
 
 impl<'a> PromptCache<'a> {
-    /// Creates a cache holding at most `capacity` completions (LRU
-    /// eviction), split across the default shard count (the
-    /// `UNIDM_SHARDS` environment variable when set; otherwise
-    /// self-tuned from [`std::thread::available_parallelism`], at least
-    /// 8).
+    /// Creates a cache holding at most `capacity` completions
+    /// (second-chance eviction), split across 8 shards.
     ///
     /// The capacity budget is divided evenly across shards (each shard
     /// gets at least one slot), so with very small capacities the
@@ -571,7 +554,7 @@ impl<'a> PromptCache<'a> {
             capacity,
             shard_capacity: 0,
             level: CanonLevel::Verbatim,
-            shards: build_shards(default_shards()),
+            shards: build_shards(DEFAULT_SHARDS),
             store: None,
         };
         cache.shard_capacity = cache.capacity_per_shard();
@@ -692,14 +675,6 @@ impl<'a> PromptCache<'a> {
             total.merge(self.lock_shard(shard).stats);
         }
         total
-    }
-
-    /// Per-shard statistics, in shard order.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards
-            .iter()
-            .map(|shard| self.lock_shard(shard).stats)
-            .collect()
     }
 
     /// The canonical prompt texts currently memoized, sorted — the keys a
@@ -1134,18 +1109,18 @@ mod tests {
                 .complete(&format!("distinct prompt number {i}"))
                 .unwrap();
         }
-        let per_shard = cache.shard_stats();
-        assert_eq!(per_shard.len(), 4);
+        let per_shard: Vec<usize> = cache
+            .shards
+            .iter()
+            .map(|shard| cache.lock_shard(shard).entries.len())
+            .collect();
         assert!(
-            per_shard.iter().filter(|s| s.misses > 0).count() >= 2,
+            per_shard.iter().filter(|&&n| n > 0).count() >= 2,
             "32 distinct prompts should spread over several shards: {per_shard:?}"
         );
-        let mut folded = CacheStats::default();
-        for s in &per_shard {
-            folded.merge(*s);
-        }
-        assert_eq!(folded, cache.stats(), "aggregate must equal shard sum");
-        assert_eq!((folded.hits, folded.misses), (32, 32));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (32, 32));
+        assert_eq!(stats.lookups(), 64);
         assert_eq!(cache.len(), 32);
     }
 
@@ -1155,9 +1130,9 @@ mod tests {
         assert_eq!(PromptCache::unbounded(&llm).with_shards(3).shards(), 4);
         assert_eq!(PromptCache::unbounded(&llm).with_shards(1).shards(), 1);
         assert_eq!(PromptCache::unbounded(&llm).with_shards(0).shards(), 1);
-        // The startup default honors UNIDM_SHARDS (the CI matrix sets it).
-        assert_eq!(PromptCache::unbounded(&llm).shards(), default_shards());
-        assert!(default_shards().is_power_of_two());
+        // The default is a constant, whatever the machine.
+        assert_eq!(PromptCache::unbounded(&llm).shards(), 8);
+        assert_eq!(PromptCache::new(&llm, 100).shards(), 8);
     }
 
     #[test]

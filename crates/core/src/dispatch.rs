@@ -1,5 +1,5 @@
-//! The event-driven dispatcher: a hand-rolled reactor over the
-//! [`Clock`] seam that overlaps hundreds of in-flight requests in
+//! The event-driven dispatcher: a hand-rolled reactor over a
+//! [`VirtualClock`] that overlaps hundreds of in-flight requests in
 //! virtual time — no async runtime, fully deterministic offline.
 //!
 //! # Why a reactor
@@ -89,7 +89,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, ThreadId};
 
 use unidm_llm::{
-    AttemptSample, Clock, Completion, Dice, FaultStats, LanguageModel, LatencyProfile, LlmError,
+    AttemptSample, Completion, Dice, FaultStats, LanguageModel, LatencyProfile, LlmError,
     StackPrompt, TimerWheel, Usage, VirtualClock,
 };
 use unidm_text::hash::PromptMap;

@@ -1,5 +1,5 @@
-//! Parallel batch execution: a worker pool fanning [`UniDm`] runs over
-//! many tasks.
+//! Batch execution: [`UniDm`] runs over many tasks, on the calling thread
+//! unless asked otherwise.
 //!
 //! The paper's experiments (Tables 1–11) execute thousands of independent
 //! pipeline runs per dataset. Each run is a pure function of `(model,
@@ -15,13 +15,17 @@
 //! output to every duplicate slot — so duplicate tasks never even reach
 //! the cache.
 //!
-//! The pool is one loop whatever the mode: each worker builds its own
-//! [`UniDm`], claims the next representative from a shared cursor
-//! (`fetch_add`) and fills that representative's slot. One worker runs the
-//! loop on the calling thread; more run it under [`std::thread::scope`];
-//! in pipelined mode ([`BatchRunner::with_pipeline`]) each worker also
-//! holds a [`Dispatcher`] registration while it runs, taken before any
-//! worker starts.
+//! A runner has one worker unless [`BatchRunner::with_workers`] sets more.
+//! The offline model answers in microseconds of CPU and a second worker
+//! has never beaten one on it, so the pool is for workers that *wait*: a
+//! [`Dispatcher`]'s seats ([`BatchRunner::with_pipeline`]), each one
+//! request in the reactor's in-flight window, or calls to a blocking
+//! endpoint with real latency. The pool is one loop whatever the mode:
+//! each worker builds its own [`UniDm`], claims the next representative
+//! from a shared cursor (`fetch_add`) and fills that representative's
+//! slot. One worker runs the loop on the calling thread; more run it under
+//! [`std::thread::scope`]; a pipelined worker also holds a [`Dispatcher`]
+//! registration while it runs, taken before any worker starts.
 //!
 //! ```
 //! use unidm::{BatchRunner, PipelineConfig, PromptCache, Task};
@@ -116,13 +120,14 @@ impl Hash for TaskKey<'_> {
     }
 }
 
-/// A parallel batch executor for [`UniDm`] runs.
+/// A batch executor for [`UniDm`] runs.
 ///
 /// Before anything executes, a **dedup planner** groups byte-identical
 /// tasks: each run is a pure function of `(model, config, lake, task)`, so
 /// one representative per group executes and every duplicate slot receives
 /// a copy of its output — duplicate tasks cost zero model calls and zero
-/// cache lookups. The representatives then fan out across a pool of scoped
+/// cache lookups. The representatives then run in order on the calling
+/// thread or, with [`BatchRunner::with_workers`], on a pool of scoped
 /// worker threads sharing one model reference and one **cursor**: a worker
 /// claims the next unique task the moment it finishes its previous one, so
 /// a straggler task cannot serialize the tail of a batch. Results come
@@ -149,11 +154,11 @@ impl Hash for TaskKey<'_> {
 /// let lake: DataLake = [cities].into_iter().collect();
 ///
 /// let tasks = vec![Task::imputation("cities", 1, "timezone", "city")];
-/// let serial = BatchRunner::new(&llm, PipelineConfig::paper_default()).with_workers(1);
-/// let parallel = serial.with_workers(4);
+/// let serial = BatchRunner::new(&llm, PipelineConfig::paper_default());
+/// let pooled = serial.with_workers(4);
 /// assert_eq!(
 ///     serial.answers(&lake, &tasks),
-///     parallel.answers(&lake, &tasks),
+///     pooled.answers(&lake, &tasks),
 ///     "scheduling must not change answers",
 /// );
 /// ```
@@ -183,34 +188,14 @@ impl std::fmt::Debug for BatchRunner<'_> {
 /// Default tasks-per-partition window for [`BatchRunner::run_streaming`].
 pub const DEFAULT_PARTITION_TASKS: usize = 256;
 
-/// The worker count new runners start with: the `UNIDM_WORKERS`
-/// environment variable when set to a positive integer is authoritative
-/// (no cap — an override means the operator knows the machine); otherwise
-/// one worker per available CPU, capped at 16 — the pipeline is
-/// compute-light, so past that point more threads only add contention on
-/// the shared model.
-fn default_workers() -> usize {
-    std::env::var("UNIDM_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|n| *n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(16)
-        })
-}
-
 impl<'a> BatchRunner<'a> {
-    /// Creates a runner with the self-tuned worker count (`UNIDM_WORKERS`
-    /// when set; otherwise one per available CPU, capped at 16) and the
-    /// dedup planner enabled.
+    /// Creates a runner with one worker (the calling thread) and the dedup
+    /// planner enabled.
     pub fn new(llm: &'a dyn LanguageModel, config: PipelineConfig) -> Self {
         BatchRunner {
             llm,
             config,
-            workers: default_workers(),
+            workers: 1,
             dedup: true,
             pipeline: None,
             partition_tasks: DEFAULT_PARTITION_TASKS,
@@ -232,8 +217,8 @@ impl<'a> BatchRunner<'a> {
         self.partition_tasks
     }
 
-    /// Overrides the worker count (`1` executes serially on the calling
-    /// thread).
+    /// Overrides the worker count (default and minimum `1`: serially on
+    /// the calling thread); the [module docs](self) say when more pay.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -699,11 +684,11 @@ mod tests {
     }
 
     #[test]
-    fn runner_defaults_self_tune_from_the_machine() {
+    fn runner_defaults_to_one_worker_whatever_the_machine() {
         let (_, llm) = setup();
         let runner = BatchRunner::new(&llm, PipelineConfig::paper_default());
-        assert_eq!(runner.workers(), default_workers());
-        assert!(runner.workers() >= 1);
+        assert_eq!(runner.workers(), 1);
+        assert!(runner.dedup());
         assert!(runner.pipeline().is_none());
     }
 

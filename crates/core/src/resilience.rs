@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use unidm_llm::{
-    AttemptSample, Clock, Completion, DiceContext, FaultPlan, FaultStats, LanguageModel, LlmError,
-    SimBackend, StackPrompt,
+    AttemptSample, Completion, DiceContext, FaultPlan, FaultStats, LanguageModel, LlmError,
+    SimBackend, StackPrompt, VirtualClock,
 };
 
 use crate::backend::{BreakerPolicy, RetryPolicy};
@@ -224,7 +224,7 @@ impl<'a> Endpoint<'a> {
     pub(crate) fn new(
         inner: &'a dyn LanguageModel,
         faults: Option<FaultPlan>,
-        clock: Arc<dyn Clock>,
+        clock: Arc<VirtualClock>,
         id: Option<u64>,
     ) -> Self {
         let Some(plan) = faults else {
@@ -283,7 +283,7 @@ impl<'a> Endpoint<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unidm_llm::{Dice, VirtualClock};
+    use unidm_llm::Dice;
 
     #[test]
     fn backoff_values_are_pinned_per_seed_prompt_and_retry() {

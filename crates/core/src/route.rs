@@ -88,8 +88,8 @@ use std::cell::OnceCell;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use unidm_llm::{
-    Clock, Completion, Dice, DiceContext, FaultPlan, FaultStats, LanguageModel, LlmError,
-    LlmProfile, StackPrompt, Usage, VirtualClock,
+    Completion, Dice, DiceContext, FaultPlan, FaultStats, LanguageModel, LlmError, LlmProfile,
+    StackPrompt, Usage, VirtualClock,
 };
 use unidm_text::hash::PromptMap;
 
@@ -481,7 +481,7 @@ pub struct RoutedBackend<'a> {
     endpoints: Vec<EndpointState<'a>>,
     retry: RetryPolicy,
     dice: Dice,
-    clock: Arc<dyn Clock>,
+    clock: Arc<VirtualClock>,
     /// The stack's prompt table: its one copy of every distinct prompt,
     /// absorbed into `dice`. Present iff the router built a fault injector
     /// — per-prompt state that grows without bound already, and keys off
@@ -601,7 +601,7 @@ impl<'a> RoutedBackend<'a> {
     }
 
     /// The clock every routing decision and wait runs on.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
+    pub fn clock(&self) -> &Arc<VirtualClock> {
         &self.clock
     }
 

@@ -18,10 +18,10 @@
 //!
 //! # File format (`UDMCACHE2`)
 //!
-//! The layout reuses the `tablestore::segment` writer/reader idiom:
-//! little-endian primitives, length-prefixed strings, a magic/version
-//! header — but record-framed instead of directory-indexed, because the
-//! store is append-only:
+//! The layout is written and read with [`unidm_tablestore::codec`], the
+//! segment format's codec: little-endian primitives, length-prefixed
+//! strings, a magic/version header — but record-framed instead of
+//! directory-indexed, because the store is append-only:
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
@@ -93,6 +93,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use unidm_llm::{Completion, Usage};
+use unidm_tablestore::codec::{put_str, put_u32, put_u64, Cursor, Truncated};
 use unidm_text::hash::{checksum64, content_hash, FNV_PRIME};
 
 use crate::cache::{Key, KeyView};
@@ -101,58 +102,6 @@ use crate::cache::{Key, KeyView};
 pub const STORE_MAGIC: &[u8; 8] = b"UDMCACHE";
 /// Current store format version (the `2` of `UDMCACHE2`).
 pub const STORE_VERSION: u32 = 2;
-
-// ── Little-endian primitives (the `tablestore::segment` idiom) ──────────
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// A cursor over a decoded byte buffer.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| StoreError::format("truncated store payload"))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A length-prefixed byte string, borrowed from the buffer.
-    fn bytes(&mut self) -> Result<&'a [u8], StoreError> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-}
 
 /// `bytes` as text, or the format error a garbled string is.
 fn utf8(bytes: &[u8]) -> Result<&str, StoreError> {
@@ -217,6 +166,12 @@ impl std::error::Error for StoreError {
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
+    }
+}
+
+impl From<Truncated> for StoreError {
+    fn from(_: Truncated) -> Self {
+        StoreError::format("truncated store payload")
     }
 }
 
@@ -599,7 +554,7 @@ fn parse_frame(frame: &[u8]) -> Result<Payload<'_>, StoreError> {
     let payload_len = cur.u32()? as usize;
     let payload = cur.take(payload_len)?;
     let checksum = cur.u64()?;
-    if cur.pos != frame.len() {
+    if cur.remaining() != 0 {
         return Err(StoreError::format("frame length prefix mismatch"));
     }
     if checksum64(payload) != checksum {
@@ -611,7 +566,7 @@ fn parse_frame(frame: &[u8]) -> Result<Payload<'_>, StoreError> {
     let text = cur.bytes()?;
     let prompt_tokens = cur.u32()? as usize;
     let completion_tokens = cur.u32()? as usize;
-    if cur.pos != payload.len() {
+    if cur.remaining() != 0 {
         return Err(StoreError::format("trailing bytes in store frame"));
     }
     Ok(Payload {
@@ -1008,11 +963,10 @@ struct StoreScan {
 /// Validates `bytes` as a `UDMCACHE2` document for `model` and extracts
 /// the live entry index. Pure — never touches the filesystem.
 fn scan_store(bytes: &[u8], model: &str) -> Result<StoreScan, StoreError> {
-    if bytes.len() < STORE_MAGIC.len() || &bytes[..STORE_MAGIC.len()] != STORE_MAGIC {
+    let mut cur = Cursor::new(bytes);
+    if cur.take(STORE_MAGIC.len()).ok() != Some(&STORE_MAGIC[..]) {
         return Err(StoreError::format("missing UDMCACHE magic"));
     }
-    let mut cur = Cursor::new(bytes);
-    cur.pos = STORE_MAGIC.len();
     let version = cur.u32()?;
     if version != STORE_VERSION {
         return Err(StoreError::Version { found: version });
@@ -1030,11 +984,11 @@ fn scan_store(bytes: &[u8], model: &str) -> Result<StoreScan, StoreError> {
         frames: 0,
         max_generation: 0,
     };
-    while cur.pos < bytes.len() {
-        let offset = cur.pos;
+    while cur.remaining() > 0 {
+        let offset = cur.pos();
         let payload_len = cur.u32()? as usize;
         cur.take(payload_len + 8)?;
-        let payload = parse_frame(&bytes[offset..cur.pos]).map_err(|e| match e {
+        let payload = parse_frame(&bytes[offset..cur.pos()]).map_err(|e| match e {
             StoreError::Format(msg) => StoreError::Format(format!("{msg} at offset {offset}")),
             e => e,
         })?;
@@ -1044,7 +998,7 @@ fn scan_store(bytes: &[u8], model: &str) -> Result<StoreScan, StoreError> {
         scan.max_generation = scan.max_generation.max(payload.generation);
         let entry = IndexEntry {
             offset: offset as u64,
-            frame_len: cur.pos - offset,
+            frame_len: cur.pos() - offset,
             generation: payload.generation,
         };
         // Last frame for a prompt wins (a re-admission after displacement

@@ -124,6 +124,8 @@ pub fn table7(config: ExperimentConfig) -> TableReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CacheConfig;
+    use unidm::CanonLevel;
 
     #[test]
     fn table7_shape_holds() {
@@ -140,6 +142,28 @@ mod tests {
             );
             assert!(no_retrieval < full, "{ds}: {no_retrieval} vs full {full}");
             assert!(full > fm * 5.0, "{ds}: full {full} should dwarf fm {fm}");
+        }
+    }
+
+    #[test]
+    fn cached_per_query_tokens_are_exact_at_verbatim_and_for_fm_above_it() {
+        let plain = table7(ExperimentConfig::quick());
+        let verbatim = table7(ExperimentConfig::quick().with_cache(CacheConfig {
+            level: CanonLevel::Verbatim,
+            ..CacheConfig::enabled()
+        }));
+        // TableStem: a lookup reports the canonical prompt's usage, which
+        // moves the UniDM rows (their retrieval preambles fold) but not FM.
+        let stem = table7(ExperimentConfig::quick().with_cache(CacheConfig::enabled()));
+        for ds in ["Restaurant", "Buy"] {
+            for row in ["FM", "UniDM (w/o retrieval)", "UniDM"] {
+                assert_eq!(
+                    verbatim.cell(row, ds),
+                    plain.cell(row, ds),
+                    "{row} on {ds}: a Verbatim cache must not move per-run usage"
+                );
+            }
+            assert_eq!(stem.cell("FM", ds), plain.cell("FM", ds), "FM on {ds}");
         }
     }
 }

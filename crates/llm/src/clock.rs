@@ -1,46 +1,32 @@
-//! Time sources for the backend substrate.
+//! The simulated serving layer's time source and pending-deadline queue.
 //!
 //! Everything in the resilient client layer that involves time — token
-//! refill, retry backoff, breaker cooldowns, injected latency — goes
-//! through the [`Clock`] trait instead of `std::time`, so the whole stack
-//! can run on a [`VirtualClock`]: a logical microsecond counter where
+//! refill, retry backoff, breaker cooldowns, injected latency — reads and
+//! advances one [`VirtualClock`]: a logical microsecond counter where
 //! "sleeping" simply advances the counter. That is what makes
 //! fault-injection tests deterministic and instantaneous — a simulated
-//! 30-second rate-limit stall costs nothing in wall time — while
-//! [`SystemClock`] provides real-time semantics for live endpoints.
+//! 30-second rate-limit stall costs nothing in wall time. No code in the
+//! workspace's crates reads the host's clock.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// A monotonic microsecond time source with a blocking sleep.
-///
-/// Implementations must be `Send + Sync`: one clock is shared by every
-/// worker of a batch, the rate limiter, the retry loop and the fault
-/// injector.
-pub trait Clock: Send + Sync + std::fmt::Debug {
-    /// Microseconds since the clock's origin.
-    fn now_micros(&self) -> u64;
-
-    /// Blocks (or, for virtual clocks, advances time) for `micros`
-    /// microseconds.
-    fn sleep_micros(&self, micros: u64);
-}
 
 /// A deterministic logical clock: an atomic microsecond counter that
-/// [`Clock::sleep_micros`] advances instantly.
+/// [`VirtualClock::sleep_micros`] advances instantly.
 ///
 /// Sleeping threads never block — they move shared time forward — so a
 /// simulated fault schedule full of multi-second stalls replays in
 /// microseconds of wall time. Under concurrency the counter is advanced
 /// atomically; interleavings may reorder *when* each sleep lands, but every
 /// sleep is fully accounted for, so total elapsed virtual time is the sum
-/// of all sleeps regardless of scheduling.
+/// of all sleeps regardless of scheduling. One clock is shared (as an
+/// `Arc`) by every worker of a batch, the rate limiter, the retry loop and
+/// the fault injector.
 ///
 /// # Examples
 ///
 /// ```
-/// use unidm_llm::{Clock, VirtualClock};
+/// use unidm_llm::VirtualClock;
 ///
 /// let clock = VirtualClock::new();
 /// assert_eq!(clock.now_micros(), 0);
@@ -58,67 +44,32 @@ impl VirtualClock {
         VirtualClock::default()
     }
 
+    /// Microseconds since the clock's origin.
+    pub fn now_micros(&self) -> u64 {
+        self.now_us.load(Ordering::SeqCst)
+    }
+
+    /// Advances the clock by `micros` microseconds and returns at once.
+    pub fn sleep_micros(&self, micros: u64) {
+        self.now_us.fetch_add(micros, Ordering::SeqCst);
+    }
+
     /// Total virtual time elapsed since construction, in microseconds.
     pub fn elapsed_micros(&self) -> u64 {
-        self.now_us.load(Ordering::SeqCst)
+        self.now_micros()
     }
 
     /// Advances the clock to `deadline_us` if it is ahead of the current
     /// time; a deadline in the past leaves the clock untouched (the clock
     /// is monotone).
     ///
-    /// This is the event-driven counterpart of [`Clock::sleep_micros`]:
+    /// This is the event-driven counterpart of [`VirtualClock::sleep_micros`]:
     /// where sleeps *add* (concurrent sleeps sum, so total elapsed time is
     /// total latency), `advance_to_micros` *jumps* to the next pending
     /// deadline of a [`TimerWheel`], so overlapped requests overlap in
     /// virtual time and elapsed time measures the makespan instead.
     pub fn advance_to_micros(&self, deadline_us: u64) {
         self.now_us.fetch_max(deadline_us, Ordering::SeqCst);
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now_micros(&self) -> u64 {
-        self.now_us.load(Ordering::SeqCst)
-    }
-
-    fn sleep_micros(&self, micros: u64) {
-        self.now_us.fetch_add(micros, Ordering::SeqCst);
-    }
-}
-
-/// Wall-clock time: [`Clock::now_micros`] measures from construction and
-/// [`Clock::sleep_micros`] really blocks the calling thread.
-///
-/// This is the clock a live hosted-endpoint deployment would run the
-/// backend on; tests and the offline simulation use [`VirtualClock`].
-#[derive(Debug)]
-pub struct SystemClock {
-    origin: Instant,
-}
-
-impl SystemClock {
-    /// Creates a clock whose origin is now.
-    pub fn new() -> Self {
-        SystemClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for SystemClock {
-    fn default() -> Self {
-        SystemClock::new()
-    }
-}
-
-impl Clock for SystemClock {
-    fn now_micros(&self) -> u64 {
-        u64::try_from(self.origin.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    fn sleep_micros(&self, micros: u64) {
-        std::thread::sleep(std::time::Duration::from_micros(micros));
     }
 }
 
@@ -299,22 +250,5 @@ mod tests {
         assert_eq!(wheel.next_deadline(), Some(300));
         assert_eq!(wheel.pop_next(), Some((300, c, 'c')));
         assert!(wheel.is_empty());
-    }
-
-    #[test]
-    fn system_clock_is_monotone() {
-        let clock = SystemClock::new();
-        let a = clock.now_micros();
-        clock.sleep_micros(1_000);
-        let b = clock.now_micros();
-        assert!(b >= a + 1_000, "slept {a} -> {b}");
-    }
-
-    #[test]
-    fn clocks_are_object_safe_send_sync() {
-        fn assert_clock<C: Clock + Send + Sync + ?Sized>() {}
-        assert_clock::<dyn Clock>();
-        assert_clock::<VirtualClock>();
-        assert_clock::<SystemClock>();
     }
 }

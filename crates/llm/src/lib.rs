@@ -56,7 +56,7 @@ pub mod protocol;
 pub mod sim;
 pub mod skills;
 
-pub use clock::{Clock, SystemClock, TimerWheel, VirtualClock};
+pub use clock::{TimerWheel, VirtualClock};
 pub use determinism::{Dice, DiceContext};
 pub use error::LlmError;
 pub use kb::KnowledgeBase;

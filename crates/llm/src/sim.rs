@@ -5,8 +5,7 @@
 //! transient 5xx errors, latency spikes — but this repository is offline.
 //! [`SimBackend`] closes the gap: it wraps any inner [`LanguageModel`] and
 //! injects a **seeded schedule** of faults in front of it, over a
-//! [`Clock`] (normally a [`crate::VirtualClock`], so multi-second stalls
-//! replay in microseconds).
+//! [`VirtualClock`] (so multi-second stalls replay in microseconds).
 //!
 //! # Determinism
 //!
@@ -58,7 +57,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use unidm_text::hash::PromptMap;
 
-use crate::clock::{Clock, VirtualClock};
+use crate::clock::VirtualClock;
 use crate::model::{Completion, LanguageModel, Usage};
 use crate::{Dice, DiceContext, LlmError};
 
@@ -350,7 +349,7 @@ pub struct SimBackend<'a> {
     inner: &'a dyn LanguageModel,
     plan: FaultPlan,
     dice: Dice,
-    clock: Arc<dyn Clock>,
+    clock: Arc<VirtualClock>,
     /// Endpoint id mixed into every schedule draw. `None` preserves the
     /// historical `(seed, prompt, attempt)` keying byte-for-byte; `Some`
     /// desynchronizes replicas that share a plan (see
@@ -383,7 +382,7 @@ impl<'a> SimBackend<'a> {
     pub fn with_clock(
         inner: &'a dyn LanguageModel,
         plan: FaultPlan,
-        clock: Arc<dyn Clock>,
+        clock: Arc<VirtualClock>,
     ) -> Self {
         SimBackend {
             inner,
@@ -412,7 +411,7 @@ impl<'a> SimBackend<'a> {
     }
 
     /// The clock injected latency is charged to.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
+    pub fn clock(&self) -> &Arc<VirtualClock> {
         &self.clock
     }
 

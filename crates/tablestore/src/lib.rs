@@ -18,6 +18,8 @@
 //!   out behind the same `Table` API ([`Table::spill_to`],
 //!   [`Table::open_segment`]).
 //! * [`DataLake`] — a named collection of tables.
+//! * [`codec`] — the little-endian primitives and bounds-checked cursor
+//!   the segment format and `unidm`'s prompt-cache store both encode with.
 //! * [`csv`] — a dependency-free CSV round-trip for fixtures and debugging,
 //!   including streaming chunk-by-chunk ingest ([`csv::from_csv_path`],
 //!   [`csv::csv_to_segment`]).
@@ -40,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod chunk;
+pub mod codec;
 pub mod csv;
 mod error;
 mod lake;

@@ -55,6 +55,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::chunk::{Chunk, ColumnChunk, StringPool, NULL_CODE};
+use crate::codec::{put_str, put_u32, put_u64, Cursor, Truncated};
 use crate::{DataType, Record, Schema, TableError, Value};
 
 const MAGIC: &[u8; 8] = b"UDMSEG2\0";
@@ -78,100 +79,24 @@ fn to_usize(v: u64) -> Result<usize, TableError> {
     usize::try_from(v).map_err(|_| format_err("segment length exceeds the address space"))
 }
 
-// ── Little-endian primitives ────────────────────────────────────────────
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl From<Truncated> for TableError {
+    fn from(_: Truncated) -> Self {
+        format_err("truncated segment payload")
+    }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Rejects a payload with bytes after its last field.
+fn finish(cur: &Cursor<'_>) -> Result<(), TableError> {
+    if cur.remaining() != 0 {
+        return Err(format_err("trailing bytes in segment payload"));
+    }
+    Ok(())
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// A cursor over a decoded byte buffer.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TableError> {
-        if n > self.remaining() {
-            return Err(format_err("truncated segment payload"));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    /// `n` fixed-width cells as one slice, failing before anything is
-    /// allocated for them if the buffer cannot hold that many.
-    fn cells(&mut self, n: usize, width: usize) -> Result<&'a [u8], TableError> {
-        let bytes = n
-            .checked_mul(width)
-            .ok_or_else(|| format_err("truncated segment payload"))?;
-        self.take(bytes)
-    }
-
-    fn finish(self) -> Result<(), TableError> {
-        if self.remaining() != 0 {
-            return Err(format_err("trailing bytes in segment payload"));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self) -> Result<u8, TableError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, TableError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, TableError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, TableError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, TableError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn u32s(&mut self, n: usize) -> Result<Vec<u32>, TableError> {
-        let cells = self.cells(n, 4)?.chunks_exact(4);
-        Ok(cells
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    fn i64s(&mut self, n: usize) -> Result<Vec<i64>, TableError> {
-        let cells = self.cells(n, 8)?.chunks_exact(8);
-        Ok(cells
-            .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    fn str(&mut self) -> Result<String, TableError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| format_err("invalid utf-8 in segment"))
-    }
+/// A length-prefixed string, or the error a garbled one is.
+fn read_str(cur: &mut Cursor<'_>) -> Result<String, TableError> {
+    let bytes = cur.bytes()?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| format_err("invalid utf-8 in segment"))
 }
 
 // ── Chunk payload encode/decode ─────────────────────────────────────────
@@ -231,10 +156,10 @@ fn decode_column(cur: &mut Cursor<'_>, rows: usize) -> Result<ColumnChunk, Table
     match cur.u8()? {
         TAG_DICT => {
             let n = cur.u32()? as usize;
-            let ends = cur.u32s(n)?;
+            let ends = cur.words(n, u32::from_le_bytes)?;
             let blob = cur.take(ends.last().map_or(0, |&e| e as usize))?;
             let dict = StringPool::from_parts(blob.to_vec(), ends).map_err(format_err)?;
-            let codes = cur.u32s(rows)?;
+            let codes = cur.words(rows, u32::from_le_bytes)?;
             // One branch-free pass (it vectorizes; a short-circuiting scan
             // does not): `NULL_CODE + 1` wraps to 0, every other code to
             // one past itself, so the largest is the dictionary size a
@@ -247,22 +172,22 @@ fn decode_column(cur: &mut Cursor<'_>, rows: usize) -> Result<ColumnChunk, Table
             Ok(ColumnChunk::Dict { dict, codes })
         }
         TAG_INTS => {
-            let values = cur.i64s(rows)?;
+            let values = cur.words(rows, i64::from_le_bytes)?;
             let present = cur.take(rows)?.iter().map(|&p| p != 0).collect();
             Ok(ColumnChunk::Ints { values, present })
         }
         TAG_MIXED => {
             // A cell is at least its tag byte.
             if rows > cur.remaining() {
-                return Err(format_err("truncated segment payload"));
+                return Err(Truncated.into());
             }
             let mut values = Vec::with_capacity(rows);
             for _ in 0..rows {
                 values.push(match cur.u8()? {
                     VTAG_NULL => Value::Null,
-                    VTAG_TEXT => Value::Text(cur.str()?),
-                    VTAG_INT => Value::Int(cur.i64()?),
-                    VTAG_FLOAT => Value::Float(cur.f64()?),
+                    VTAG_TEXT => Value::Text(read_str(cur)?),
+                    VTAG_INT => Value::Int(cur.u64()? as i64),
+                    VTAG_FLOAT => Value::Float(f64::from_bits(cur.u64()?)),
                     VTAG_BOOL => Value::Bool(cur.u8()? != 0),
                     tag => return Err(format_err(format!("unknown value tag {tag}"))),
                 });
@@ -296,7 +221,7 @@ fn decode_chunk(buf: &[u8], width: usize, rows: usize) -> Result<Chunk, TableErr
     for _ in 0..width {
         columns.push(Arc::new(decode_column(&mut cur, rows)?));
     }
-    cur.finish()?;
+    finish(&cur)?;
     Ok(Chunk::from_columns(rows, columns))
 }
 
@@ -337,21 +262,21 @@ fn encode_header(name: &str, schema: &Schema, chunk_rows: usize) -> Vec<u8> {
 
 fn decode_header(buf: &[u8]) -> Result<(String, Schema, usize), TableError> {
     let mut cur = Cursor::new(buf);
-    let name = cur.str()?;
+    let name = read_str(&mut cur)?;
     let ncols = cur.u32()? as usize;
     // A column is at least its name length and dtype tag.
     if ncols > cur.remaining() / 5 {
-        return Err(format_err("truncated segment payload"));
+        return Err(Truncated.into());
     }
     let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        let col_name = cur.str()?;
+        let col_name = read_str(&mut cur)?;
         let dtype = dtype_from_tag(cur.u8()?)?;
         columns.push(crate::Column::typed(col_name, dtype));
     }
     let schema = Schema::new(columns)?;
     let chunk_rows = to_usize(cur.u64()?)?;
-    cur.finish()?;
+    finish(&cur)?;
     Ok((name, schema, chunk_rows.max(1)))
 }
 

@@ -309,11 +309,7 @@ impl Table {
     ///
     /// The iterator panics if a spilled chunk cannot be read mid-scan.
     pub fn iter_rows(&self) -> RowIter<'_> {
-        RowIter {
-            table: self,
-            index: 0,
-            cached: None,
-        }
+        RowIter(ChunkWalk::new(self))
     }
 
     /// Iterator over the values of one column, decoding cell-by-cell from
@@ -329,10 +325,8 @@ impl Table {
     pub fn column(&self, attr: &str) -> Result<ColumnIter<'_>, TableError> {
         let col = self.schema.require(attr)?;
         Ok(ColumnIter {
-            table: self,
+            walk: ChunkWalk::new(self),
             col,
-            index: 0,
-            cached: None,
         })
     }
 
@@ -548,89 +542,93 @@ enum RowAddr {
     Tail(usize),
 }
 
-/// Chunk-wise row iterator returned by [`Table::iter_rows`].
+/// The walk [`RowIter`] and [`ColumnIter`] share: the next row index and
+/// the last sealed chunk it fell in, fetched once per chunk.
 #[derive(Debug)]
-pub struct RowIter<'a> {
+struct ChunkWalk<'a> {
     table: &'a Table,
     index: usize,
     cached: Option<(usize, Arc<Chunk>)>,
 }
 
-impl Iterator for RowIter<'_> {
-    type Item = Record;
-
-    fn next(&mut self) -> Option<Record> {
-        let t = self.table;
-        if self.index >= t.row_count() {
-            return None;
+impl<'a> ChunkWalk<'a> {
+    fn new(table: &'a Table) -> Self {
+        ChunkWalk {
+            table,
+            index: 0,
+            cached: None,
         }
-        let rec = if self.index < t.sealed_rows {
-            let slot = self.index / t.chunk_rows;
-            let offset = self.index % t.chunk_rows;
-            if self.cached.as_ref().is_none_or(|(s, _)| *s != slot) {
-                let chunk = t.chunk(slot).expect("segment read during row iteration");
-                self.cached = Some((slot, chunk));
+    }
+
+    /// Reads the next row through `sealed` (its chunk and offset) or
+    /// `tail` (its record), or `None` past the last row.
+    fn step<T>(
+        &mut self,
+        sealed: impl FnOnce(&Chunk, usize) -> T,
+        tail: impl FnOnce(&'a Record) -> T,
+    ) -> Option<T> {
+        let t = self.table;
+        let item = match t.locate(self.index).ok()? {
+            RowAddr::Sealed { slot, offset } => {
+                if self.cached.as_ref().is_none_or(|(s, _)| *s != slot) {
+                    let chunk = t.chunk(slot).expect("segment read during a scan");
+                    self.cached = Some((slot, chunk));
+                }
+                sealed(&self.cached.as_ref().expect("chunk cached above").1, offset)
             }
-            self.cached
-                .as_ref()
-                .expect("chunk cached above")
-                .1
-                .record(offset)
-        } else {
-            t.tail[self.index - t.sealed_rows].clone()
+            RowAddr::Tail(i) => tail(&t.tail[i]),
         };
         self.index += 1;
-        Some(rec)
+        Some(item)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         let left = self.table.row_count().saturating_sub(self.index);
         (left, Some(left))
+    }
+}
+
+/// Chunk-wise row iterator returned by [`Table::iter_rows`].
+#[derive(Debug)]
+pub struct RowIter<'a>(ChunkWalk<'a>);
+
+impl Iterator for RowIter<'_> {
+    type Item = Record;
+
+    fn next(&mut self) -> Option<Record> {
+        self.0
+            .step(|chunk, offset| chunk.record(offset), Record::clone)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
     }
 }
 
 /// Chunk-wise column iterator returned by [`Table::column`].
 #[derive(Debug)]
 pub struct ColumnIter<'a> {
-    table: &'a Table,
+    walk: ChunkWalk<'a>,
     col: usize,
-    index: usize,
-    cached: Option<(usize, Arc<Chunk>)>,
 }
 
 impl Iterator for ColumnIter<'_> {
     type Item = Value;
 
     fn next(&mut self) -> Option<Value> {
-        let t = self.table;
-        if self.index >= t.row_count() {
-            return None;
-        }
-        let value = if self.index < t.sealed_rows {
-            let slot = self.index / t.chunk_rows;
-            let offset = self.index % t.chunk_rows;
-            if self.cached.as_ref().is_none_or(|(s, _)| *s != slot) {
-                let chunk = t.chunk(slot).expect("segment read during column scan");
-                self.cached = Some((slot, chunk));
-            }
-            self.cached
-                .as_ref()
-                .expect("chunk cached above")
-                .1
-                .value(offset, self.col)
-        } else {
-            t.tail[self.index - t.sealed_rows]
-                .get(self.col)
-                .cloned()
-                .expect("tail row width checked on ingest")
-        };
-        self.index += 1;
-        Some(value)
+        let col = self.col;
+        self.walk.step(
+            |chunk, offset| chunk.value(offset, col),
+            |rec| {
+                rec.get(col)
+                    .cloned()
+                    .expect("tail row width checked on ingest")
+            },
+        )
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.table.row_count().saturating_sub(self.index);
-        (left, Some(left))
+        self.walk.size_hint()
     }
 }
 

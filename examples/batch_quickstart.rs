@@ -1,12 +1,12 @@
 //! Batched quickstart: run a whole imputation workload through the
-//! parallel batch engine with a canonicalizing prompt cache, then rerun it
-//! warm from the cache's disk tier.
+//! batch engine with a canonicalizing prompt cache, then rerun it warm
+//! from the cache's disk tier.
 //!
 //! Where `quickstart` runs one task through `UniDm::run`, this example
 //! builds a batch of tasks over one table, layers a [`PromptCache`] over
 //! the model — sharded, and canonicalized at [`CanonLevel::TableStem`] so
-//! every row shares the table-level retrieval entry — and fans the batch
-//! out across the worker pool with [`BatchRunner`]. The cache sits over a
+//! every row shares the table-level retrieval entry — and runs the batch
+//! with [`BatchRunner`], deduplicated, on one worker. The cache sits over a
 //! [`CacheStore`] file, so replaying the same workload through a fresh
 //! cache over the same file answers entirely from the store, before any
 //! model call.
@@ -42,8 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
-    // The cache is itself a `LanguageModel`, so the runner threads it
-    // under every worker transparently. Table-stem canonicalization folds
+    // The cache is itself a `LanguageModel`, so the runner drives it
+    // like any model. Table-stem canonicalization folds
     // the per-row retrieval preambles into shared entries. The store
     // beneath it appends every fresh completion to a model-guarded file.
     let store_path = std::env::temp_dir().join(format!(
@@ -61,9 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?);
     let runner = BatchRunner::new(&cache, PipelineConfig::paper_default().with_seed(42));
     println!(
-        "Running {} imputation tasks on {} worker(s)...\n",
-        tasks.len(),
-        runner.workers()
+        "Running {} imputation tasks on the calling thread...\n",
+        tasks.len()
     );
     let outputs = runner.run(&lake, &tasks);
 

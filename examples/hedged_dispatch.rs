@@ -26,7 +26,7 @@
 use unidm::backend::BackendConfig;
 use unidm::dispatch::{Dispatcher, HedgePolicy};
 use unidm::{BatchRunner, CanonLevel, PipelineConfig, PromptCache, Task};
-use unidm_llm::{Clock, FaultPlan, LanguageModel, LlmProfile, MockLlm};
+use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
 use unidm_world::World;

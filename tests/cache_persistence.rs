@@ -227,13 +227,6 @@ fn sharded_stats_stay_exact_under_seeded_concurrent_access() {
     assert_eq!(stats.evictions, 0, "unbounded cache must not evict");
     assert_eq!(stats.tokens_saved, expected_saved, "saved tokens exact");
     assert_eq!(cache.len(), THREADS * DISTINCT);
-
-    // Per-shard stats fold exactly into the aggregate.
-    let mut folded = unidm::CacheStats::default();
-    for s in cache.shard_stats() {
-        folded.merge(s);
-    }
-    assert_eq!(folded, stats);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Acceptance tests for single-flight request coalescing: a
-//! duplicate-heavy workload across 1/2/8 workers must issue **exactly
-//! one** endpoint call per unique canonical key, produce answers
+//! duplicate-heavy workload across 1/2/8 workers and 1/8 cache shards must
+//! issue **exactly one** endpoint call per unique canonical key, produce answers
 //! bit-identical to serial, and report exact `CacheStats` — including the
 //! new `coalesced` counter, pinned precisely under a forced-overlap
 //! schedule.
@@ -111,47 +111,51 @@ fn one_endpoint_call_per_unique_canonical_key_across_worker_counts() {
         assert_eq!(calls, 1, "serial: duplicate call for {prompt:?}");
     }
 
-    for workers in [2usize, 8] {
+    // One shard puts every leader and waiter on one lock; eight is the
+    // default.
+    for (workers, shards) in [(2usize, 1usize), (2, 8), (8, 1), (8, 8)] {
         let model = CountingModel::new(&llm);
-        let cache = PromptCache::unbounded(&model).with_canonicalization(CanonLevel::TableStem);
+        let cache = PromptCache::unbounded(&model)
+            .with_shards(shards)
+            .with_canonicalization(CanonLevel::TableStem);
         let answers = BatchRunner::new(&cache, config)
             .with_workers(workers)
             .with_dedup(false)
             .answers(&lake, &tasks);
         assert_eq!(
             answers, serial_answers,
-            "{workers} workers: answers must be bit-identical to serial"
+            "{workers} workers, {shards} shards: answers must be bit-identical to serial"
         );
         let per_prompt = model.per_prompt_calls();
         assert_eq!(
             per_prompt.len(),
             unique_keys,
-            "{workers} workers: endpoint must see exactly the unique canonical keys"
+            "{workers} workers, {shards} shards: endpoint must see exactly the unique canonical keys"
         );
         for (prompt, calls) in per_prompt {
             assert_eq!(
                 calls, 1,
-                "{workers} workers: single-flight must fold duplicate calls for {prompt:?}"
+                "{workers} workers, {shards} shards: single-flight must fold duplicate calls for {prompt:?}"
             );
         }
         let stats = cache.stats();
         assert_eq!(
             stats.misses, unique_keys,
-            "{workers} workers: misses count leaders only, one per unique key"
+            "{workers} workers, {shards} shards: misses count leaders only, one per unique key"
         );
         assert_eq!(
             stats.lookups(),
             serial_stats.lookups(),
-            "{workers} workers: total lookups are schedule-independent"
+            "{workers} workers, {shards} shards: total lookups are schedule-independent"
         );
         assert_eq!(
             stats.hits + stats.coalesced,
             serial_stats.hits,
-            "{workers} workers: every duplicate lookup is served without an endpoint call"
+            "{workers} workers, {shards} shards: every duplicate lookup is served without an endpoint call"
         );
         assert_eq!(
             stats.tokens_saved, serial_stats.tokens_saved,
-            "{workers} workers: tokens saved are exact whatever the hit/coalesce split"
+            "{workers} workers, {shards} shards: tokens saved are exact whatever the hit/coalesce split"
         );
     }
 }

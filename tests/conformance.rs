@@ -16,7 +16,7 @@ use common::conformance::{self as conf, BackendUnderTest, Scenario};
 use unidm::backend::{BackendConfig, BackendStats};
 use unidm::dispatch::Dispatcher;
 use unidm::route::{AimdPolicy, RoutePlan, RoutedBackend};
-use unidm_llm::{Clock, LanguageModel};
+use unidm_llm::LanguageModel;
 
 struct Resilient<'a>(RoutedBackend<'a>);
 

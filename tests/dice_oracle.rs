@@ -20,8 +20,8 @@ use unidm::backend::{BackendConfig, LatencySketch, RetryPolicy};
 use unidm::dispatch::{Dispatcher, HedgePolicy};
 use unidm::route::{RoutePlan, RoutedBackend};
 use unidm_llm::{
-    Clock, Completion, Dice, FaultPlan, LanguageModel, LatencyProfile, LlmError, SimBackend,
-    StackPrompt, Usage,
+    Completion, Dice, FaultPlan, LanguageModel, LatencyProfile, LlmError, SimBackend, StackPrompt,
+    Usage,
 };
 
 /// `Dice::uniform` as of PR 18: one chain over `context ‖ 0xff ‖ tag`.

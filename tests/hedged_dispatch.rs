@@ -19,7 +19,7 @@
 use unidm::backend::BackendConfig;
 use unidm::dispatch::{Dispatcher, HedgePolicy};
 use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
-use unidm_llm::{Clock, FaultPlan, LanguageModel, LlmProfile, MockLlm};
+use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
 use unidm_world::World;

@@ -7,9 +7,9 @@
 //! both dispatch modes (blocking and pipelined), and under seeded fault
 //! injection.
 //!
-//! The cache-shard count honors `UNIDM_SHARDS` and the fault-schedule
-//! seed honors `UNIDM_FAULT_SEED` (the CI matrix runs 1/8 shards and
-//! seeds 7/1337), so both axes are exercised on every push.
+//! The cache-key test sweeps 1 and 8 cache shards itself, and the
+//! fault-schedule seed honors `UNIDM_FAULT_SEED` (the CI matrix runs seeds
+//! 7/1337), so both axes are exercised on every push.
 
 use unidm::{
     BackendConfig, BatchRunner, CanonLevel, Dispatcher, PipelineConfig, PromptCache, RunOutput,
@@ -114,32 +114,36 @@ fn streaming_produces_identical_cache_keys_and_stats() {
     let (llm, lake, tasks) = workload();
     let pipeline = PipelineConfig::paper_default().with_seed(42);
 
-    // Materialized run over a fresh cache (shard count from UNIDM_SHARDS).
+    // Materialized run over a fresh cache at the default 8 shards.
     let reference_cache = PromptCache::unbounded(&llm).with_canonicalization(CanonLevel::TableStem);
     let report = BatchRunner::new(&reference_cache, pipeline)
         .with_workers(1)
         .with_dedup(true)
         .run_report(&lake, &tasks);
 
-    // Streaming run over another fresh cache: same canonical keys, same
-    // hit/miss/coalesced/saved statistics, same outputs.
-    let streaming_cache = PromptCache::unbounded(&llm).with_canonicalization(CanonLevel::TableStem);
-    let runner = BatchRunner::new(&streaming_cache, pipeline)
-        .with_workers(1)
-        .with_dedup(true)
-        .with_partition_tasks(8);
-    let (streamed, _) = stream_all(&runner, &lake, &tasks);
-    assert_eq!(streamed, report.results);
-    assert_eq!(
-        streaming_cache.canonical_prompts(),
-        reference_cache.canonical_prompts(),
-        "streaming must produce byte-identical canonical cache keys"
-    );
-    assert_eq!(
-        streaming_cache.stats(),
-        reference_cache.stats(),
-        "serial cache statistics must be execution-shape invariant"
-    );
+    // Streaming runs over fresh caches of 1 and 8 shards: same canonical
+    // keys, same hit/miss/coalesced/saved statistics, same outputs.
+    for shards in [1, 8] {
+        let streaming_cache = PromptCache::unbounded(&llm)
+            .with_shards(shards)
+            .with_canonicalization(CanonLevel::TableStem);
+        let runner = BatchRunner::new(&streaming_cache, pipeline)
+            .with_workers(1)
+            .with_dedup(true)
+            .with_partition_tasks(8);
+        let (streamed, _) = stream_all(&runner, &lake, &tasks);
+        assert_eq!(streamed, report.results, "{shards} shards");
+        assert_eq!(
+            streaming_cache.canonical_prompts(),
+            reference_cache.canonical_prompts(),
+            "streaming must produce byte-identical canonical cache keys ({shards} shards)"
+        );
+        assert_eq!(
+            streaming_cache.stats(),
+            reference_cache.stats(),
+            "serial cache statistics must be execution-shape invariant ({shards} shards)"
+        );
+    }
 }
 
 #[test]
