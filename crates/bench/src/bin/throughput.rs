@@ -330,7 +330,6 @@ fn store_stats_json(s: &StoreStats) -> String {
         .field_u64("admitted", s.admitted as u64)
         .field_u64("rejected", s.rejected as u64)
         .field_u64("evicted", s.evicted as u64)
-        .field_u64("expired", s.expired as u64)
         .field_u64("compactions", s.compactions as u64)
         .field_u64("compacted_frames", s.compacted_frames as u64)
         .finish()

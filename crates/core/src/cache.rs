@@ -433,7 +433,7 @@ impl CacheInner {
 /// # Persistence
 ///
 /// [`PromptCache::with_store`] attaches a [`CacheStore`] — a versioned,
-/// checksummed, append-only `UDMCACHE2` file — beneath the shards; it is
+/// checksummed, append-only `UDMCACHE3` file — beneath the shards; it is
 /// the only way a completion outlives the process. Tier-0 misses probe
 /// the store before reaching the model (a disk hit populates tier 0 and
 /// costs zero model calls), and fresh completions are offered back

@@ -46,9 +46,9 @@
 //!   The cache is sharded across independently locked maps keyed by
 //!   [`CanonicalPrompt::hash64`].
 //! * [`store`] is the disk tier beneath the in-memory shards: a
-//!   versioned, checksummed, append-only `UDMCACHE2` segment
+//!   versioned, checksummed, append-only `UDMCACHE3` segment
 //!   ([`CacheStore`]) with TinyLFU admission control (so a table scan
-//!   cannot flush the hot set), compaction and max-age eviction.
+//!   cannot flush the hot set) and compaction.
 //!   Attach it with [`PromptCache::with_store`]; misses probe the disk
 //!   tier before reaching the model, so a warm replay — even into a cold
 //!   process — uses zero model calls. It is the only way a completion

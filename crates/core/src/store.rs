@@ -4,7 +4,7 @@
 //!
 //! The official UniDM repo persists every completion in a single sqlite
 //! cache. [`CacheStore`] is this reproduction's one persistence path: a
-//! `UDMCACHE2` file guarded by the model name it was written over.
+//! `UDMCACHE3` file guarded by the model name it was written over.
 //!
 //! ```text
 //! lookup ──▶ tier 0: sharded in-memory PromptCache (zero-alloc warm hit)
@@ -16,7 +16,7 @@
 //!            model call ──▶ TinyLFU admission ──▶ append frame | reject
 //! ```
 //!
-//! # File format (`UDMCACHE2`)
+//! # File format (`UDMCACHE3`)
 //!
 //! The layout is written and read with [`unidm_tablestore::codec`], the
 //! segment format's codec: little-endian primitives, length-prefixed
@@ -25,19 +25,20 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
-//! │ magic "UDMCACHE" · u32 version (2) · str model               │
+//! │ magic "UDMCACHE" · u32 version (3) · str model               │
 //! │ frame 0 │ frame 1 │ ...                                      │
 //! └──────────────────────────────────────────────────────────────┘
 //! frame := u32 payload_len · payload · u64 checksum64(payload)
-//! payload := u64 generation · str canonical prompt · str completion
+//! payload := str canonical prompt · str completion
 //!            · u32 prompt_tokens · u32 completion_tokens
 //! ```
 //!
-//! Version 2 changed the checksum only: `UDMCACHE1` sealed each frame with
-//! byte-serial FNV-1a, version 2 with [`unidm_text::hash::checksum64`] —
-//! the content hash's word-at-a-time fold under its own frozen constants,
-//! same width, same layout. A version-1 file fails the open with
-//! [`StoreError::Version`] and is left as it is.
+//! A frame is immutable once appended. Each frame is sealed with
+//! [`unidm_text::hash::checksum64`], the content hash's word-at-a-time fold
+//! under its own frozen constants. A file of an earlier version —
+//! `UDMCACHE1` (byte-serial FNV-1a) or `UDMCACHE2` (a leading `u64` in
+//! every payload) — fails the open with [`StoreError::Version`] and is
+//! left as it is.
 //!
 //! A truncated or garbled tail, a wrong version, or a wrong model name
 //! fails the open with a clean [`StoreError`] and **no mutation of the
@@ -60,30 +61,26 @@
 //! # Admission control (TinyLFU)
 //!
 //! Appends are gated by a TinyLFU-style filter: a **doorkeeper** bloom
-//! filter in front of a **4-bit count-min sketch**, integer-only, seeded,
-//! and fully deterministic. While the store is below capacity every
-//! completion is admitted (a paper-scale workload persists wholesale, so
-//! a warm replay needs zero model calls). At capacity, a candidate must
-//! show evidence of a *prior* access (estimated frequency ≥ 3 — more
-//! than its own probe-plus-offer can contribute, even through a
+//! filter in front of a **4-bit count-min sketch**, integer-only, under a
+//! fixed seed, and fully deterministic. While the store is below capacity
+//! every completion is admitted (a paper-scale workload persists
+//! wholesale, so a warm replay needs zero model calls). At capacity, a
+//! candidate must show evidence of a *prior* access (estimated frequency
+//! ≥ 3 — more than its own probe-plus-offer can contribute, even through a
 //! doorkeeper collision) to displace the oldest resident entry — so the
 //! 10^5 one-touch prompts of a sequential scan are all rejected and the
 //! hot set stays resident. Sketch counters halve periodically (aging),
 //! keeping estimates fresh without floats or wall-clock time.
 //!
-//! # Compaction and max-age
+//! # Compaction
 //!
-//! Displaced and expired entries stay physically in the file (append-only
-//! writes are what keep the hot path one `write` call) until
-//! [`CacheStore::compact`] rewrites the live frames — sorted by canonical
-//! prompt, so the compacted file is deterministic for a deterministic
-//! history. Compaction streams: one frame at a time is read back, resealed
-//! with its refreshed generation and written through a buffered writer to
-//! a sibling temp file, which is then renamed over the store — it holds one
-//! frame in memory, not the file. Entries untouched for more than `max_age`
-//! generations (one generation per open) are dropped when the store is
-//! opened; the generation is fixed for the life of an open, so nothing
-//! expires within one.
+//! Displaced entries stay physically in the file (append-only writes are
+//! what keep the hot path one `write` call) until [`CacheStore::compact`]
+//! copies the live frames — sorted by canonical prompt, so the compacted
+//! file is deterministic for a deterministic history. Compaction streams:
+//! one frame at a time is read back, verified and copied byte for byte
+//! through a buffered writer to a sibling temp file, which is then renamed
+//! over the store — it holds one frame in memory, not the file.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -98,10 +95,10 @@ use unidm_text::hash::{checksum64, content_hash, FNV_PRIME};
 
 use crate::cache::{Key, KeyView};
 
-/// Leading magic of every `UDMCACHE2` store file.
+/// Leading magic of every `UDMCACHE3` store file.
 pub const STORE_MAGIC: &[u8; 8] = b"UDMCACHE";
-/// Current store format version (the `2` of `UDMCACHE2`).
-pub const STORE_VERSION: u32 = 2;
+/// Current store format version (the `3` of `UDMCACHE3`).
+pub const STORE_VERSION: u32 = 3;
 
 /// `bytes` as text, or the format error a garbled string is.
 fn utf8(bytes: &[u8]) -> Result<&str, StoreError> {
@@ -113,7 +110,7 @@ fn utf8(bytes: &[u8]) -> Result<&str, StoreError> {
 pub enum StoreError {
     /// Reading or writing the store file failed.
     Io(std::io::Error),
-    /// The file is not a well-formed `UDMCACHE2` document (bad magic,
+    /// The file is not a well-formed `UDMCACHE3` document (bad magic,
     /// truncated frame, checksum mismatch, garbled payload).
     Format(String),
     /// The file carries an unsupported format version.
@@ -194,12 +191,10 @@ pub struct StoreStats {
     pub rejected: usize,
     /// Resident entries displaced by an admitted candidate.
     pub evicted: usize,
-    /// Entries dropped because their age exceeded the max-age policy.
-    pub expired: usize,
     /// Compaction passes performed.
     pub compactions: usize,
-    /// Dead frames dropped by compaction (displaced, expired, or
-    /// superseded duplicates).
+    /// Dead frames dropped by compaction (displaced or superseded
+    /// duplicates).
     pub compacted_frames: usize,
 }
 
@@ -223,7 +218,6 @@ impl StoreStats {
         self.admitted += other.admitted;
         self.rejected += other.rejected;
         self.evicted += other.evicted;
-        self.expired += other.expired;
         self.compactions += other.compactions;
         self.compacted_frames += other.compacted_frames;
     }
@@ -235,22 +229,12 @@ pub struct StoreConfig {
     /// Maximum live entries; beyond it the admission filter gates every
     /// append. `usize::MAX` never gates (and never evicts).
     pub max_entries: usize,
-    /// Entries untouched for more than this many generations (one
-    /// generation per [`CacheStore::open`]) are dropped when the store is
-    /// opened — the generation is fixed for the life of an open, so nothing
-    /// expires within one. `u64::MAX` disables the policy.
-    pub max_age: u64,
-    /// Seed of the admission filter's hash family. Fixed seed → fully
-    /// deterministic admission decisions for a deterministic history.
-    pub seed: u64,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             max_entries: usize::MAX,
-            max_age: u64::MAX,
-            seed: 0x5eed_cafe,
         }
     }
 }
@@ -259,18 +243,6 @@ impl StoreConfig {
     /// Bounds the store to `max_entries` live completions.
     pub fn with_max_entries(mut self, max_entries: usize) -> Self {
         self.max_entries = max_entries.max(1);
-        self
-    }
-
-    /// Sets the max-age policy, in generations (opens).
-    pub fn with_max_age(mut self, max_age: u64) -> Self {
-        self.max_age = max_age;
-        self
-    }
-
-    /// Sets the admission filter seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 }
@@ -290,15 +262,17 @@ const DOORKEEPER_BITS: usize = 1 << 16;
 const AGING_PERIOD: u64 = 10 * SKETCH_COUNTERS as u64;
 /// 4-bit counters saturate here.
 const COUNTER_MAX: u8 = 15;
+/// Seed of the filter's hash family. Every admission decision depends on
+/// it, so changing it changes which completions a bounded store keeps.
+const FILTER_SEED: u64 = 0x5eed_cafe;
 
 /// TinyLFU frequency filter: doorkeeper bloom filter + 4-bit count-min
-/// sketch. Integer-only, seeded, deterministic — admission decisions are
-/// a pure function of the key-touch history.
+/// sketch. Integer-only, deterministic — admission decisions are a pure
+/// function of the key-touch history.
 struct TinyLfu {
     /// Packed 4-bit counters, two per byte.
     sketch: Vec<u8>,
     doorkeeper: Vec<u64>,
-    seed: u64,
     touches: u64,
     /// Touches per aging pass: `10 × capacity` for a bounded store
     /// (clamped into `[64, AGING_PERIOD]`), `AGING_PERIOD` otherwise.
@@ -306,7 +280,7 @@ struct TinyLfu {
 }
 
 impl TinyLfu {
-    fn new(seed: u64, max_entries: usize) -> TinyLfu {
+    fn new(max_entries: usize) -> TinyLfu {
         let sample_window = if max_entries == usize::MAX {
             AGING_PERIOD
         } else {
@@ -317,7 +291,6 @@ impl TinyLfu {
         TinyLfu {
             sketch: vec![0u8; SKETCH_COUNTERS / 2],
             doorkeeper: vec![0u64; DOORKEEPER_BITS / 64],
-            seed,
             touches: 0,
             sample_window,
         }
@@ -328,7 +301,7 @@ impl TinyLfu {
     fn index(&self, hash: u64, i: u64) -> usize {
         // One multiply-xor round per family member over the key's content
         // hash; the seed decorrelates the family from the shard mask.
-        let mixed = (hash ^ self.seed.wrapping_mul(i.wrapping_add(1)))
+        let mixed = (hash ^ FILTER_SEED.wrapping_mul(i.wrapping_add(1)))
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .rotate_left(31)
             .wrapping_mul(FNV_PRIME);
@@ -413,9 +386,6 @@ struct IndexEntry {
     /// Whole frame length (prefix + payload + checksum), for the bounded
     /// read.
     frame_len: usize,
-    /// Generation of the last touch (admission or disk hit); compaction
-    /// persists it.
-    generation: u64,
 }
 
 struct StoreState {
@@ -444,7 +414,7 @@ impl StoreState {
             end,
             index: HashMap::new(),
             queue: VecDeque::new(),
-            filter: TinyLfu::new(config.seed, config.max_entries),
+            filter: TinyLfu::new(config.max_entries),
             frames: 0,
             buf: Vec::new(),
             stats: StoreStats::default(),
@@ -490,7 +460,6 @@ struct StoreInner {
     path: PathBuf,
     model: String,
     config: StoreConfig,
-    generation: u64,
     state: Mutex<StoreState>,
 }
 
@@ -499,7 +468,6 @@ impl std::fmt::Debug for CacheStore {
         f.debug_struct("CacheStore")
             .field("path", &self.inner.path)
             .field("model", &self.inner.model)
-            .field("generation", &self.inner.generation)
             .field("len", &self.len())
             .field("stats", &self.stats())
             .finish()
@@ -507,31 +475,23 @@ impl std::fmt::Debug for CacheStore {
 }
 
 /// Encodes one frame (length prefix + payload + checksum) into `out`.
-fn encode_frame(out: &mut Vec<u8>, generation: u64, prompt: &str, completion: &Completion) {
+fn encode_frame(out: &mut Vec<u8>, prompt: &str, completion: &Completion) {
     out.clear();
     put_u32(out, 0); // the payload length, known once it is written
-    put_u64(out, generation);
     put_str(out, prompt);
     put_str(out, &completion.text);
     put_u32(out, completion.usage.prompt_tokens as u32);
     put_u32(out, completion.usage.completion_tokens as u32);
     let payload_len = (out.len() - 4) as u32;
     out[..4].copy_from_slice(&payload_len.to_le_bytes());
-    seal(out);
-}
-
-/// Appends the checksum of `frame`'s payload (everything after its length
-/// prefix) to `frame`.
-fn seal(frame: &mut Vec<u8>) {
-    let checksum = checksum64(&frame[4..]);
-    put_u64(frame, checksum);
+    let checksum = checksum64(&out[4..]);
+    put_u64(out, checksum);
 }
 
 /// One frame's payload, borrowed from the bytes it was read into. The
 /// strings stay bytes: a hit compares the prompt in place and copies only
 /// the completion, so each caller validates what it keeps.
 struct Payload<'a> {
-    generation: u64,
     prompt: &'a [u8],
     text: &'a [u8],
     usage: Usage,
@@ -561,7 +521,6 @@ fn parse_frame(frame: &[u8]) -> Result<Payload<'_>, StoreError> {
         return Err(StoreError::format("checksum mismatch"));
     }
     let mut cur = Cursor::new(payload);
-    let generation = cur.u64()?;
     let prompt = cur.bytes()?;
     let text = cur.bytes()?;
     let prompt_tokens = cur.u32()? as usize;
@@ -570,7 +529,6 @@ fn parse_frame(frame: &[u8]) -> Result<Payload<'_>, StoreError> {
         return Err(StoreError::format("trailing bytes in store frame"));
     }
     Ok(Payload {
-        generation,
         prompt,
         text,
         usage: Usage {
@@ -605,20 +563,18 @@ fn encode_header(model: &str) -> Vec<u8> {
 impl CacheStore {
     /// Opens (or creates) the store at `path` for `model`.
     ///
-    /// A fresh path is initialized with the `UDMCACHE2` header. An
+    /// A fresh path is initialized with the `UDMCACHE3` header. An
     /// existing file is validated — magic, version, model name, then
     /// every frame's length and checksum — and scanned once to build the
-    /// in-memory index; entries whose age exceeds
-    /// [`StoreConfig::max_age`] are dropped from the index (and reclaimed
-    /// by the next compaction). The admission filter is re-warmed from
-    /// the live entries in deterministic (file) order, so a reopened
-    /// store makes the same decisions a never-closed one would.
+    /// in-memory index. The admission filter is re-warmed from the live
+    /// entries in deterministic (file) order, so a reopened store makes
+    /// the same decisions a never-closed one would.
     ///
     /// # Errors
     ///
     /// [`StoreError::Format`] for truncated/garbled files,
-    /// [`StoreError::Version`] (a `UDMCACHE1` file among them) and
-    /// [`StoreError::ModelMismatch`] for mismatched headers,
+    /// [`StoreError::Version`] (a `UDMCACHE1` or `UDMCACHE2` file among
+    /// them) and [`StoreError::ModelMismatch`] for mismatched headers,
     /// [`StoreError::Io`] for filesystem failures. On error the file is
     /// **not modified** — a caller can fall back to a cold cache and leave
     /// the evidence intact.
@@ -628,29 +584,19 @@ impl CacheStore {
         config: StoreConfig,
     ) -> Result<CacheStore, StoreError> {
         let path = path.as_ref().to_path_buf();
-        let (generation, state) = if path.exists() {
+        let state = if path.exists() {
             // Validate and index the existing file without mutating it.
             let bytes = std::fs::read(&path)?;
             let scan = scan_store(&bytes, model)?;
-            let generation = scan.max_generation + 1;
             let file = OpenOptions::new().read(true).append(true).open(&path)?;
             let mut state = StoreState::new(file, bytes.len() as u64, &config);
             state.index = scan.index;
             state.frames = scan.frames;
             for key in scan.order {
-                // Age = generations since last touch; `max_age`
-                // generations of silence expire an entry at open (none
-                // can exceed `u64::MAX`, the disabled policy).
-                let touched = state.index[&key].generation;
-                if generation.saturating_sub(touched) > config.max_age {
-                    state.index.remove(&key);
-                    state.stats.expired += 1;
-                    continue;
-                }
                 state.filter.touch(key.hash64());
                 state.queue.push_back(key);
             }
-            (generation, state)
+            state
         } else {
             if let Some(parent) = path.parent() {
                 if !parent.as_os_str().is_empty() {
@@ -664,14 +610,13 @@ impl CacheStore {
                 .open(&path)?;
             let header = encode_header(model);
             file.write_all(&header)?;
-            (1, StoreState::new(file, header.len() as u64, &config))
+            StoreState::new(file, header.len() as u64, &config)
         };
         Ok(CacheStore {
             inner: Arc::new(StoreInner {
                 path,
                 model: model.to_string(),
                 config,
-                generation,
                 state: Mutex::new(state),
             }),
         })
@@ -694,11 +639,6 @@ impl CacheStore {
         &self.inner.model
     }
 
-    /// The session generation of this open (1 for a fresh store).
-    pub fn generation(&self) -> u64 {
-        self.inner.generation
-    }
-
     /// Live entries in the index.
     pub fn len(&self) -> usize {
         self.lock().index.len()
@@ -717,8 +657,7 @@ impl CacheStore {
     /// Probes the disk tier for `prompt` (the canonical text): a hit reads
     /// exactly the indexed frame with one positioned read, verifies its
     /// checksum, compares the stored prompt in place and returns the
-    /// completion — no model call, no resident payload cache. The entry's
-    /// generation is refreshed, so live use keeps it out of max-age reach.
+    /// completion — no model call, no resident payload cache.
     ///
     /// Corrupt frames discovered at read time (the file changed under
     /// us) drop the entry and miss, never panic.
@@ -732,7 +671,7 @@ impl CacheStore {
         let mut guard = self.lock();
         let state = &mut *guard;
         let probe = (hash, prompt);
-        let Some(entry) = state.index.get_mut(&probe as &dyn KeyView) else {
+        let Some(&entry) = state.index.get(&probe as &dyn KeyView) else {
             state.stats.misses += 1;
             // Missed probes still teach the filter: the second sighting
             // of a key is what earns it admission at capacity.
@@ -746,7 +685,6 @@ impl CacheStore {
         match stored {
             Some(completion) => {
                 state.stats.hits += 1;
-                entry.generation = self.inner.generation;
                 state.filter.touch(hash);
                 Some(Arc::new(completion))
             }
@@ -773,7 +711,8 @@ impl CacheStore {
     /// keys of a sequential scan cannot self-admit even when they
     /// collide in the doorkeeper, which is what keeps the hot set
     /// resident. The displaced victim is the oldest resident entry
-    /// (FIFO, deterministic).
+    /// (FIFO, deterministic), displaced only once the candidate's frame
+    /// is written.
     ///
     /// Append failures are recorded as rejections (the store is an
     /// optimization, never a correctness dependency).
@@ -800,27 +739,32 @@ impl CacheStore {
                 state.stats.rejected += 1;
                 return false;
             }
-            // Deterministic FIFO victim: the oldest still-live admission.
-            // (Stale queue entries — already displaced — are skipped.)
-            while let Some(victim) = state.queue.pop_front() {
-                if state.index.remove(&victim).is_some() {
-                    state.stats.evicted += 1;
-                    break;
-                }
+            // Drop stale queue entries (already displaced), so the front
+            // is the FIFO victim: the oldest still-live admission.
+            while state
+                .queue
+                .front()
+                .is_some_and(|key| !state.index.contains_key(key))
+            {
+                state.queue.pop_front();
             }
         } else {
             state.filter.touch(hash);
         }
-        match self.append_frame(state, hash, prompt, completion) {
-            Ok(()) => {
-                state.stats.admitted += 1;
-                true
-            }
-            Err(_) => {
-                state.stats.rejected += 1;
-                false
+        if self.append_frame(state, hash, prompt, completion).is_err() {
+            state.stats.rejected += 1;
+            return false;
+        }
+        // The candidate joined the back of the queue: the front is still
+        // the victim.
+        if at_capacity {
+            if let Some(victim) = state.queue.pop_front() {
+                state.index.remove(&victim);
+                state.stats.evicted += 1;
             }
         }
+        state.stats.admitted += 1;
+        true
     }
 
     fn append_frame(
@@ -830,8 +774,7 @@ impl CacheStore {
         prompt: &str,
         completion: &Completion,
     ) -> Result<(), StoreError> {
-        let generation = self.inner.generation;
-        encode_frame(&mut state.buf, generation, prompt, completion);
+        encode_frame(&mut state.buf, prompt, completion);
         if let Err(e) = state.file.write_all(&state.buf) {
             // A short write may have left a torn tail; the next frame is
             // appended after whatever reached the file.
@@ -841,7 +784,6 @@ impl CacheStore {
         let entry = IndexEntry {
             offset: state.end,
             frame_len: state.buf.len(),
-            generation,
         };
         state.end += state.buf.len() as u64;
         state.frames += 1;
@@ -852,9 +794,8 @@ impl CacheStore {
     }
 
     /// Rewrites the file with only the live frames, sorted by canonical
-    /// prompt — deterministic for a deterministic history — and refreshed
-    /// generations from the index. Returns how many dead frames were
-    /// reclaimed.
+    /// prompt — deterministic for a deterministic history — each copied
+    /// byte for byte. Returns how many dead frames were reclaimed.
     ///
     /// The frames stream one at a time through a buffered writer into the
     /// sibling `<name>.compact-tmp` file, which is then renamed over the
@@ -919,7 +860,7 @@ impl CacheStore {
 }
 
 /// Streams the `live` frames, in order, from the store file into a fresh
-/// `tmp` file, each resealed with its entry's generation, and points every
+/// `tmp` file — each verified, then copied as it is — and points every
 /// entry at its new offset. Returns the new file's length.
 fn write_compacted(
     tmp: &Path,
@@ -937,10 +878,6 @@ fn write_compacted(
         if payload.prompt != key.text().as_bytes() {
             return Err(StoreError::format("index out of sync during compaction"));
         }
-        // Persist the refreshed generation: patch it, then reseal.
-        buf[4..12].copy_from_slice(&entry.generation.to_le_bytes());
-        buf.truncate(buf.len() - 8);
-        seal(buf);
         out.write_all(buf)?;
         entry.offset = end;
         end += buf.len() as u64;
@@ -957,10 +894,9 @@ struct StoreScan {
     order: Vec<Key>,
     /// Total frames physically present (live + superseded).
     frames: usize,
-    max_generation: u64,
 }
 
-/// Validates `bytes` as a `UDMCACHE2` document for `model` and extracts
+/// Validates `bytes` as a `UDMCACHE3` document for `model` and extracts
 /// the live entry index. Pure — never touches the filesystem.
 fn scan_store(bytes: &[u8], model: &str) -> Result<StoreScan, StoreError> {
     let mut cur = Cursor::new(bytes);
@@ -982,7 +918,6 @@ fn scan_store(bytes: &[u8], model: &str) -> Result<StoreScan, StoreError> {
         index: HashMap::new(),
         order: Vec::new(),
         frames: 0,
-        max_generation: 0,
     };
     while cur.remaining() > 0 {
         let offset = cur.pos();
@@ -995,11 +930,9 @@ fn scan_store(bytes: &[u8], model: &str) -> Result<StoreScan, StoreError> {
         let prompt = utf8(payload.prompt)?;
         utf8(payload.text)?;
         scan.frames += 1;
-        scan.max_generation = scan.max_generation.max(payload.generation);
         let entry = IndexEntry {
             offset: offset as u64,
             frame_len: cur.pos() - offset,
-            generation: payload.generation,
         };
         // Last frame for a prompt wins (a re-admission after displacement
         // appends a fresh frame).
@@ -1058,7 +991,6 @@ mod tests {
         drop(store);
         let reopened = CacheStore::open(&path, "m", StoreConfig::default()).unwrap();
         assert_eq!(reopened.len(), 2);
-        assert_eq!(reopened.generation(), 2, "each open bumps the generation");
         let b = reopened.get("beta\nmultiline").unwrap();
         assert_eq!(b.text, "B");
         assert_eq!(b.usage.prompt_tokens, 20);
@@ -1128,6 +1060,27 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_append_at_capacity_keeps_the_victim() {
+        let path = temp_path("append-fail");
+        let config = StoreConfig::default().with_max_entries(2);
+        let store = CacheStore::open(&path, "m", config).unwrap();
+        store.offer("a", &completion("A", 1));
+        store.offer("b", &completion("B", 1));
+        // Three sightings make "c" frequent enough to displace "a".
+        for _ in 0..3 {
+            assert!(store.get("c").is_none());
+        }
+        // A read-only handle on the same file: the append cannot write.
+        store.lock().file = File::open(&path).unwrap();
+        assert!(!store.offer("c", &completion("C", 1)));
+        let stats = store.stats();
+        assert_eq!((stats.evicted, stats.rejected), (0, 1));
+        assert_eq!(store.len(), 2, "no live entry is lost");
+        assert_eq!(store.get("a").unwrap().text, "A", "the victim still serves");
+        cleanup(&path);
+    }
+
+    #[test]
     fn compaction_reclaims_dead_frames_and_roundtrips() {
         let path = temp_path("compact");
         let config = StoreConfig::default().with_max_entries(2);
@@ -1157,29 +1110,6 @@ mod tests {
         drop(store);
         let reopened = CacheStore::open(&path, "m", config).unwrap();
         assert_eq!(reopened.canonical_prompts(), vec!["c", "d"]);
-        cleanup(&path);
-    }
-
-    #[test]
-    fn max_age_expires_untouched_entries_across_opens() {
-        let path = temp_path("maxage");
-        let config = StoreConfig::default().with_max_age(1);
-        let store = CacheStore::open(&path, "m", config).unwrap();
-        store.offer("old", &completion("O", 1));
-        store.offer("fresh", &completion("F", 1));
-        drop(store);
-        // Open 2: touch only "fresh"; compaction persists the refreshed
-        // generation (touches refresh the in-memory index, the file
-        // itself is append-only).
-        let store = CacheStore::open(&path, "m", config).unwrap();
-        assert!(store.get("fresh").is_some());
-        store.compact().unwrap();
-        drop(store);
-        // Open 3: "old" was last touched at generation 1 → age 2 > 1.
-        let store = CacheStore::open(&path, "m", config).unwrap();
-        assert!(store.get("old").is_none(), "untouched entry expired");
-        assert!(store.get("fresh").is_some(), "touched entry survives");
-        assert_eq!(store.stats().expired, 1);
         cleanup(&path);
     }
 
@@ -1221,7 +1151,6 @@ mod tests {
             admitted: 2,
             rejected: 7,
             evicted: 1,
-            expired: 4,
             compactions: 1,
             compacted_frames: 9,
         };
@@ -1231,7 +1160,6 @@ mod tests {
             admitted: 17,
             rejected: 19,
             evicted: 23,
-            expired: 29,
             compactions: 31,
             compacted_frames: 37,
         };
@@ -1246,8 +1174,8 @@ mod tests {
 
     #[test]
     fn tinylfu_is_deterministic_and_scan_resistant() {
-        let mut f1 = TinyLfu::new(42, 64);
-        let mut f2 = TinyLfu::new(42, 64);
+        let mut f1 = TinyLfu::new(64);
+        let mut f2 = TinyLfu::new(64);
         for i in 0..10_000u64 {
             let h = content_hash(&format!("key {}", i % 64));
             f1.touch(h);

@@ -28,7 +28,7 @@ pub struct CacheConfig {
     pub enabled: bool,
     /// Canonicalization level of the attached caches.
     pub level: CanonLevel,
-    /// Directory of per-scenario `UDMCACHE2` store files (created on first
+    /// Directory of per-scenario `UDMCACHE3` store files (created on first
     /// use); `None` keeps caches in-memory only.
     pub store_dir: Option<PathBuf>,
 }

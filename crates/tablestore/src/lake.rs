@@ -127,7 +127,7 @@ mod tests {
         // deep-copying rows. Chunk sharing is observable through the
         // columnar API: a shared chunk serves identical data through both
         // handles, and Table::clone is documented to be an Arc bump.
-        let mut big = Table::builder("big").column("a").chunk_rows(2).build();
+        let mut big = Table::with_chunk_rows("big", Schema::from_names(["a"]).unwrap(), 2);
         for i in 0..10 {
             big.push_row(vec![Value::Int(i)]).unwrap();
         }

@@ -114,7 +114,6 @@ impl Table {
         TableBuilder {
             name: name.into(),
             columns: Vec::new(),
-            chunk_rows: DEFAULT_CHUNK_ROWS,
         }
     }
 
@@ -645,7 +644,6 @@ impl Iterator for ColumnIter<'_> {
 pub struct TableBuilder {
     name: String,
     columns: Vec<String>,
-    chunk_rows: usize,
 }
 
 impl TableBuilder {
@@ -665,13 +663,6 @@ impl TableBuilder {
         self
     }
 
-    /// Overrides the rows-per-chunk partition size (default
-    /// [`DEFAULT_CHUNK_ROWS`]).
-    pub fn chunk_rows(mut self, rows: usize) -> Self {
-        self.chunk_rows = rows.max(1);
-        self
-    }
-
     /// Finishes the builder.
     ///
     /// # Panics
@@ -680,7 +671,7 @@ impl TableBuilder {
     /// names where a duplicate is a programming error.
     pub fn build(self) -> Table {
         let schema = Schema::from_names(self.columns).expect("duplicate column name in builder");
-        Table::with_chunk_rows(self.name, schema, self.chunk_rows)
+        Table::new(self.name, schema)
     }
 }
 
@@ -846,7 +837,7 @@ mod tests {
 
     #[test]
     fn sample_large_table_is_bounded_and_distinct() {
-        let mut t = Table::builder("big").column("n").chunk_rows(512).build();
+        let mut t = Table::with_chunk_rows("big", Schema::from_names(["n"]).unwrap(), 512);
         for i in 0..(SAMPLE_SHUFFLE_MAX + 100) {
             t.push_row(vec![Value::Int(i as i64)]).unwrap();
         }
@@ -863,7 +854,7 @@ mod tests {
     #[test]
     fn sample_draw_order_is_pinned_on_both_paths() {
         let table_of = |n: usize| {
-            let mut t = Table::builder("big").column("n").chunk_rows(512).build();
+            let mut t = Table::with_chunk_rows("big", Schema::from_names(["n"]).unwrap(), 512);
             for i in 0..n {
                 t.push_row(vec![Value::Int(i as i64)]).unwrap();
             }
@@ -939,7 +930,7 @@ mod tests {
 
     #[test]
     fn find_matches_nulls_via_empty_key() {
-        let mut t = Table::builder("t").column("a").chunk_rows(2).build();
+        let mut t = Table::with_chunk_rows("t", Schema::from_names(["a"]).unwrap(), 2);
         t.push_row(vec![Value::Null]).unwrap();
         t.push_row(vec![Value::text("x")]).unwrap();
         t.push_row(vec![Value::Null]).unwrap();

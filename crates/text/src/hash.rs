@@ -16,7 +16,7 @@
 //! [`checksum64`] is the **persisted checksum**: the same fold under its
 //! own frozen constant set, so it runs at the content hash's speed (about
 //! 0.07 ns a byte against FNV-1a's 1.3) while the content hash stays free to
-//! change. The cache store seals every `UDMCACHE2` frame with it; golden
+//! change. The cache store seals every `UDMCACHE3` frame with it; golden
 //! values pin it, and changing it means a new store version.
 //!
 //! [`fnv1a64`] is the **digest** hash: byte-serial 64-bit FNV-1a, committed
@@ -54,7 +54,7 @@ const HASH_KEYS: [u64; 4] = [
 ];
 
 /// Multipliers of the persisted checksum: the next 256 fractional bits of
-/// π. Frozen — every `UDMCACHE2` frame on disk is sealed under them.
+/// π. Frozen — every `UDMCACHE3` frame on disk is sealed under them.
 const CHECKSUM_KEYS: [u64; 4] = [
     0x4528_21e6_38d0_1377,
     0xbe54_66cf_34e9_0c6c,
@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn checksum64_is_pinned_and_sees_every_bit() {
-        // Persisted: these values seal every `UDMCACHE2` frame on disk.
+        // Persisted: these values seal every `UDMCACHE3` frame on disk.
         let long = "0123456789abcdefghijklmnopqrstuvwxyz".repeat(5);
         let golden: [(&[u8], u64); 5] = [
             (b"", 0xadb9_abd8_ee60_6148),

@@ -1,11 +1,12 @@
 //! Acceptance tests for the tiered cache store (`unidm::store`): a full
 //! one-touch scan over a 10^5-row synthetic lake must not displace the
 //! hot set (pinned hit-rate floor, deterministic across shard counts and
-//! reruns), corrupt store files — a flipped bit anywhere, a torn tail, a
-//! `UDMCACHE1` header — must surface a clean [`StoreError`] — never a
-//! panic — and leave the file untouched, the persisted frame checksum is
-//! pinned, a failed compaction leaves the store as it was, repeated runs of
-//! one scenario must not grow its file, and the tier statistics
+//! reruns), corrupt store files — a flipped bit anywhere, a torn tail, the
+//! header of an earlier version — must surface a clean [`StoreError`] —
+//! never a panic — and leave the file untouched, the persisted frame
+//! checksum is pinned, compaction copies live frames byte for byte and a
+//! failed one leaves the store as it was, repeated runs of one scenario
+//! must not grow its file, and the tier statistics
 //! ([`StoreStats`], [`unidm::CacheStats`]) must merge exactly and
 //! order-independently.
 
@@ -236,7 +237,7 @@ fn truncation_at_every_byte_is_a_clean_error_or_a_valid_prefix() {
 
 /// Asserts that opening `bytes` fails with `expect` and leaves the file
 /// byte-identical.
-fn assert_rejected_and_untouched(tag: &str, bytes: &[u8], expect: fn(&StoreError) -> bool) {
+fn assert_rejected_and_untouched(tag: &str, bytes: &[u8], expect: impl Fn(&StoreError) -> bool) {
     let model = llm();
     let path = temp_store(tag);
     std::fs::write(&path, bytes).unwrap();
@@ -282,8 +283,8 @@ fn wrong_version_wrong_model_and_garbled_frames_are_clean_errors() {
 
     // One flipped payload byte in the first frame: checksum mismatch.
     let mut flipped = bytes.clone();
-    let frame_payload = header_end + 4 + 8; // length prefix + generation
-    flipped[frame_payload + 4] ^= 0x01;
+    let frame_payload = header_end + 4; // past the length prefix
+    flipped[frame_payload + 4] ^= 0x01; // a byte of the prompt
     assert_rejected_and_untouched("garble-checksum", &flipped, |e| {
         matches!(e, StoreError::Format(_))
     });
@@ -326,15 +327,21 @@ fn a_flipped_bit_anywhere_is_a_clean_error_and_leaves_the_file() {
 }
 
 #[test]
-fn a_version_one_store_is_refused_and_left_as_it_is() {
-    // A `UDMCACHE1` file sealed its frames with FNV-1a: it is the previous
-    // format, refused by version before any frame is read.
-    let mut bytes = populated_store_bytes("v1");
-    assert_eq!(&bytes[..12], b"UDMCACHE\x02\0\0\0", "written as UDMCACHE2");
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    assert_rejected_and_untouched("v1-open", &bytes, |e| {
-        matches!(e, StoreError::Version { found: 1 })
-    });
+fn earlier_version_stores_are_refused_and_left_as_they_are() {
+    // `UDMCACHE1` sealed its frames with FNV-1a and `UDMCACHE2` led each
+    // payload with a generation: both are refused by version before any
+    // frame is read.
+    let bytes = populated_store_bytes("old");
+    assert_eq!(&bytes[..12], b"UDMCACHE\x03\0\0\0", "written as UDMCACHE3");
+    for version in [1u32, 2] {
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&version.to_le_bytes());
+        assert_rejected_and_untouched(
+            &format!("v{version}-open"),
+            &old,
+            |e| matches!(e, StoreError::Version { found } if *found == version),
+        );
+    }
 }
 
 #[test]
@@ -368,11 +375,59 @@ fn the_persisted_frame_checksum_is_pinned() {
     let sealed = frame.len() - 8;
     let checksum = u64::from_le_bytes(frame[sealed..].try_into().unwrap());
     assert_eq!(checksum, checksum64(&frame[4..sealed]));
-    assert_eq!(checksum, 0x6f56_8e04_8646_acd8, "the pinned frame checksum");
+    assert_eq!(checksum, 0x7cd0_2edf_7eb1_678c, "the pinned frame checksum");
     let _ = std::fs::remove_file(&path);
 }
 
-// ── Compaction failure ─────────────────────────────────────────────────
+// ── Compaction ─────────────────────────────────────────────────────────
+
+#[test]
+fn compaction_copies_live_frames_byte_for_byte() {
+    // A frame is immutable once appended: reopening the store and hitting
+    // an entry rewrites nothing, so the compacted file is the header plus
+    // the live frames exactly as they were first appended.
+    let path = temp_store("compact-copy");
+    let _ = std::fs::remove_file(&path);
+    let config = StoreConfig::default().with_max_entries(2);
+    let answer = |text: &str| {
+        Arc::new(Completion {
+            text: text.to_string(),
+            usage: Usage {
+                prompt_tokens: 3,
+                completion_tokens: 1,
+            },
+        })
+    };
+    let appended = |store: &CacheStore, prompt: &str| {
+        let before = std::fs::read(&path).unwrap().len();
+        assert!(store.offer(prompt, &answer(&prompt.to_uppercase())));
+        std::fs::read(&path).unwrap()[before..].to_vec()
+    };
+    let store = CacheStore::open(&path, "m", config).expect("opens");
+    appended(&store, "b");
+    let a = appended(&store, "a");
+    drop(store);
+
+    let store = CacheStore::open(&path, "m", config).expect("reopens");
+    assert_eq!(store.get("a").unwrap().text, "A");
+    // Three sightings earn "c" admission at capacity; it displaces "b".
+    for _ in 0..3 {
+        assert!(store.get("c").is_none());
+    }
+    let c = appended(&store, "c");
+    let header_end = record_boundaries(&std::fs::read(&path).unwrap())[0];
+    assert_eq!(store.compact().expect("compacts"), 1);
+
+    let compacted = std::fs::read(&path).unwrap();
+    let boundaries = record_boundaries(&compacted);
+    assert_eq!(boundaries[0], header_end, "the header is unchanged");
+    let frames: Vec<&[u8]> = boundaries
+        .windows(2)
+        .map(|w| &compacted[w[0]..w[1]])
+        .collect();
+    assert_eq!(frames, [&a[..], &c[..]], "live frames, sorted, as appended");
+    let _ = std::fs::remove_file(&path);
+}
 
 #[test]
 fn a_failed_compaction_leaves_the_store_serving_and_the_file_unchanged() {
@@ -485,7 +540,6 @@ fn store_and_cache_stats_merge_exactly_in_any_order() {
             admitted: 40 + 3 * i,
             rejected: 1000 * i,
             evicted: i,
-            expired: 2 * i,
             compactions: i % 2,
             compacted_frames: 8 * i,
         })
