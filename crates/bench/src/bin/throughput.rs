@@ -948,8 +948,8 @@ fn scale(bench: &Bench<'_>, rows: usize) -> String {
         .map(|row| Task::imputation(SCALE_TABLE, row, "city", "name"));
     let runner = BatchRunner::new(bench.llm, pipeline)
         .with_workers(1)
-        // Dedup off: the cross-partition memo grows with unique tasks,
-        // and strict row-count independence is the property under test.
+        // Dedup off: the scale tasks are distinct, so the planner's map
+        // would only add allocations.
         .with_dedup(false)
         .with_partition_tasks(SCALE_PARTITION_TASKS);
     let section = AllocationDelta::start();

@@ -6,7 +6,8 @@
 //! one copy of a prompt however many replicas see it, and none at all when
 //! it owns no injector. The disk tier holds a prompt once as well: a hit
 //! copies out the completion and nothing of the prompt, and compaction
-//! streams the file instead of building it in memory.
+//! streams the file instead of building it in memory. A streamed batch
+//! holds one partition live, whatever the stream's length.
 //! Counted by `unidm_bench`'s global counting allocator, which is why this
 //! lives here (`unidm` itself forbids the `unsafe` an allocator needs).
 //!
@@ -16,7 +17,8 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use unidm::{
-    BackendConfig, CacheStore, CanonLevel, PromptCache, RoutePlan, RoutedBackend, StoreConfig,
+    BackendConfig, BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, RoutePlan,
+    RoutedBackend, StoreConfig, Task,
 };
 use unidm_bench::alloc_counter::{
     live_bytes, peak_live_bytes, reset_peak_to_live, AllocationDelta,
@@ -27,6 +29,7 @@ use unidm_llm::protocol::{
 use unidm_llm::{
     Completion, FaultPlan, LanguageModel, LlmError, LlmProfile, MockLlm, SimBackend, Usage,
 };
+use unidm_tablestore::DataLake;
 use unidm_world::World;
 
 /// Held by each test for its whole body.
@@ -351,5 +354,47 @@ fn compaction_streams_the_file_instead_of_holding_it() {
     assert!(
         rise < file_bytes,
         "compacting a {file_bytes} B store raised peak live bytes by {rise} B"
+    );
+}
+
+#[test]
+fn a_deduplicated_stream_holds_one_partition_whatever_its_length() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let world = World::generate(42);
+    let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 42);
+    let lake = DataLake::new();
+    let runner = BatchRunner::new(&llm, PipelineConfig::paper_default())
+        .with_dedup(true)
+        .with_partition_tasks(8);
+    // `count` distinct tasks, none repeated: nothing a run returns is
+    // needed once its result reaches the sink, which drops it.
+    let tasks = |count: usize| {
+        (0..count).map(|i| Task::Transformation {
+            examples: vec![
+                ("20000101".into(), "2000-01-01".into()),
+                ("19991231".into(), "1999-12-31".into()),
+            ],
+            input: format!("2021{:04}", 101 + i),
+        })
+    };
+    // The harness's own threads may allocate beside a pass; they can only
+    // add, so the smallest peak over three passes is the stream's.
+    let peak = |count: usize| {
+        (0..3)
+            .map(|_| {
+                let baseline = reset_peak_to_live();
+                let report = runner.run_streaming(&lake, tasks(count), |_, result| {
+                    drop(std::hint::black_box(result));
+                });
+                assert_eq!((report.tasks, report.unique_tasks), (count, count));
+                peak_live_bytes().saturating_sub(baseline)
+            })
+            .min()
+            .expect("three passes")
+    };
+    let (short, long) = (peak(64), peak(512));
+    assert!(
+        long < 2 * short,
+        "8x the tasks raised the stream's peak from {short} B to {long} B"
     );
 }

@@ -13,7 +13,9 @@
 //! pre-dispatch planner groups byte-identical tasks, runs one
 //! representative per group on the pool, and copies the representative's
 //! output to every duplicate slot — so duplicate tasks never even reach
-//! the cache.
+//! the cache. [`BatchRunner::run_streaming`] is that same batch run once
+//! per partition of a task stream, so what it holds live is bounded by
+//! the partition.
 //!
 //! A runner has one worker unless [`BatchRunner::with_workers`] sets more.
 //! The offline model answers in microseconds of CPU and a second worker
@@ -50,11 +52,10 @@
 //! assert_eq!(outputs[0].as_ref().unwrap().answer, "Central European Time");
 //! ```
 
-use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::{Barrier, OnceLock};
 
 use unidm_llm::LanguageModel;
 use unidm_tablestore::DataLake;
@@ -84,25 +85,24 @@ pub struct BatchReport {
 }
 
 /// What [`BatchRunner::run_streaming`] planned and executed across all
-/// partitions. The dedup counters are exact-equal to the
-/// [`BatchReport`] counters [`BatchRunner::run_report`] would produce for
-/// the same task sequence, whatever the partition size — duplicates are
-/// coalesced across partition boundaries through a global memo.
+/// partitions: the sums of the [`BatchReport`] counters of the
+/// [`BatchRunner::run_report`] each partition ran.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamReport {
     /// Total tasks consumed from the source.
     pub tasks: usize,
     /// Partitions the task stream was split into.
     pub partitions: usize,
-    /// Distinct tasks that actually executed (equals
-    /// [`BatchReport::unique_tasks`] over the whole sequence).
+    /// Tasks that actually executed: [`BatchReport::unique_tasks`] summed
+    /// over the partitions.
     pub unique_tasks: usize,
-    /// Tasks answered from an earlier identical task's output without
-    /// executing (equals [`BatchReport::coalesced_tasks`]).
+    /// Tasks answered from an identical task's output in the same
+    /// partition without executing: [`BatchReport::coalesced_tasks`]
+    /// summed over the partitions.
     pub coalesced_tasks: usize,
 }
 
-/// A task as the dedup planner's maps key it: hashed by
+/// A task as the dedup planner's map keys it: hashed by
 /// [`Task::fingerprint`], compared whole.
 ///
 /// The planner hashes every task of every batch and almost never finds a
@@ -110,9 +110,9 @@ pub struct StreamReport {
 /// expensive part (an entity-resolution task's labelled pool). Tasks that
 /// differ only there share a bucket and are told apart by `Eq`, which is
 /// the derived `Task: Eq` — grouping is exactly what hashing whole tasks
-/// gave. Borrowed in a per-batch plan, owned in the streaming memo.
+/// gave.
 #[derive(PartialEq, Eq)]
-struct TaskKey<'t>(Cow<'t, Task>);
+struct TaskKey<'t>(&'t Task);
 
 impl Hash for TaskKey<'_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -205,8 +205,8 @@ impl<'a> BatchRunner<'a> {
     /// Overrides the tasks-per-partition window
     /// [`BatchRunner::run_streaming`] plans and dispatches at a time
     /// (default [`DEFAULT_PARTITION_TASKS`], minimum 1). Smaller windows
-    /// lower peak memory; larger windows give each dispatch wave more
-    /// parallelism to chew on.
+    /// lower the peak of live bytes; larger windows give each dispatch wave
+    /// more parallelism to chew on.
     pub fn with_partition_tasks(mut self, tasks: usize) -> Self {
         self.partition_tasks = tasks.max(1);
         self
@@ -286,18 +286,21 @@ impl<'a> BatchRunner<'a> {
 
     /// Like [`BatchRunner::run`], but also reports what the planner did.
     pub fn run_report(&self, lake: &DataLake, tasks: &[Task]) -> BatchReport {
-        // Pre-dispatch dedup: group byte-identical tasks (`Task: Eq +
-        // Hash`) so each group executes exactly once. The plan depends
-        // only on the task list, never on scheduling.
+        // Pre-dispatch dedup: group byte-identical tasks so each group
+        // executes exactly once. The plan depends only on the task list,
+        // never on scheduling. `assign` (each task's representative) is
+        // read only when something coalesced, so it stays empty without
+        // dedup.
         let mut reps: Vec<usize> = Vec::new();
-        let mut assign: Vec<usize> = Vec::with_capacity(tasks.len());
+        let mut assign: Vec<usize> = Vec::new();
         if self.dedup {
+            assign.reserve_exact(tasks.len());
             // Sized up front: growing re-hashes every key.
             let mut positions: HashMap<TaskKey, usize> = HashMap::with_capacity(tasks.len());
             for (index, task) in tasks.iter().enumerate() {
                 // One hash per task: the entry is both the lookup and the
                 // insert.
-                match positions.entry(TaskKey(Cow::Borrowed(task))) {
+                match positions.entry(TaskKey(task)) {
                     Entry::Occupied(seen) => assign.push(*seen.get()),
                     Entry::Vacant(first) => {
                         first.insert(reps.len());
@@ -308,7 +311,6 @@ impl<'a> BatchRunner<'a> {
             }
         } else {
             reps = (0..tasks.len()).collect();
-            assign = (0..tasks.len()).collect();
         }
         let unique_tasks = reps.len();
         let coalesced_tasks = tasks.len() - unique_tasks;
@@ -333,9 +335,6 @@ impl<'a> BatchRunner<'a> {
 
     /// Executes the representative tasks `reps` (indices into `tasks`),
     /// returning one result per representative in representative order.
-    /// Shared by the materialized ([`BatchRunner::run_report`]) and
-    /// streaming ([`BatchRunner::run_streaming`]) drivers, which is what
-    /// keeps their answers byte-identical.
     fn execute_reps(
         &self,
         lake: &DataLake,
@@ -388,114 +387,44 @@ impl<'a> BatchRunner<'a> {
             .collect()
     }
 
-    /// Runs a task **stream** partition-by-partition under bounded memory
+    /// Runs a task **stream** partition-by-partition in bounded space
     /// instead of materializing the full task vector: at most
     /// [`BatchRunner::partition_tasks`] tasks are resident at a time, each
-    /// window is planned and dispatched on the same execution path as
-    /// [`BatchRunner::run_report`], and every result is handed to `sink`
-    /// with its global task index, in task order, as soon as its partition
-    /// completes.
+    /// window is one [`BatchRunner::run_report`], and every result is
+    /// handed to `sink` by value with its global task index, in task order,
+    /// as soon as its partition completes.
     ///
-    /// With the dedup planner enabled, duplicates are coalesced across
-    /// partition boundaries through a memo of each distinct task's output,
-    /// so the [`StreamReport`] counters — and every answer — are
-    /// exact-equal to what `run_report` would produce for the same
-    /// sequence. The memo grows with the number of *distinct* tasks; for
-    /// strictly row-count-independent memory over a lake-sized stream,
-    /// disable dedup ([`BatchRunner::with_dedup`]) and rely on the prompt
-    /// cache below.
+    /// The dedup planner sees one partition at a time: a task repeated in
+    /// a later partition runs again (through whatever cache sits below)
+    /// with the same answer, so what the stream holds live is bounded by
+    /// the partition whether dedup is on or off.
     pub fn run_streaming<I, F>(&self, lake: &DataLake, tasks: I, mut sink: F) -> StreamReport
     where
         I: IntoIterator<Item = Task>,
         F: FnMut(usize, Result<RunOutput, UniDmError>),
     {
-        enum Plan {
-            /// Answered by a previous partition's representative.
-            Memo(Arc<Result<RunOutput, UniDmError>>),
-            /// Position in this partition's representative list.
-            Rep(usize),
-        }
-
-        let mut memo: HashMap<TaskKey<'static>, Arc<Result<RunOutput, UniDmError>>> =
-            HashMap::new();
         let mut source = tasks.into_iter();
         let mut buffer: Vec<Task> = Vec::with_capacity(self.partition_tasks);
-        let mut next_index = 0usize;
-        let mut partitions = 0usize;
-        let mut unique_tasks = 0usize;
+        let mut stream = StreamReport {
+            tasks: 0,
+            partitions: 0,
+            unique_tasks: 0,
+            coalesced_tasks: 0,
+        };
         loop {
             buffer.clear();
-            while buffer.len() < self.partition_tasks {
-                match source.next() {
-                    Some(task) => buffer.push(task),
-                    None => break,
-                }
-            }
+            buffer.extend(source.by_ref().take(self.partition_tasks));
             if buffer.is_empty() {
-                break;
+                return stream;
             }
-            partitions += 1;
-
-            if !self.dedup {
-                // Every task runs and nothing else reads its output: each
-                // goes to the sink by value, never copied.
-                let reps: Vec<usize> = (0..buffer.len()).collect();
-                unique_tasks += reps.len();
-                for result in self.execute_reps(lake, &buffer, &reps) {
-                    sink(next_index, result);
-                    next_index += 1;
-                }
-                continue;
+            let report = self.run_report(lake, &buffer);
+            stream.partitions += 1;
+            stream.unique_tasks += report.unique_tasks;
+            stream.coalesced_tasks += report.coalesced_tasks;
+            for result in report.results {
+                sink(stream.tasks, result);
+                stream.tasks += 1;
             }
-
-            // Per-partition plan: same first-occurrence-is-representative
-            // rule as the materialized planner, with the memo extending it
-            // across partition boundaries.
-            let mut plan: Vec<Plan> = Vec::with_capacity(buffer.len());
-            let mut reps: Vec<usize> = Vec::new();
-            let mut local: HashMap<TaskKey, usize> = HashMap::with_capacity(buffer.len());
-            for (i, task) in buffer.iter().enumerate() {
-                let key = TaskKey(Cow::Borrowed(task));
-                if let Some(cached) = memo.get(&key) {
-                    plan.push(Plan::Memo(cached.clone()));
-                    continue;
-                }
-                match local.entry(key) {
-                    Entry::Occupied(seen) => plan.push(Plan::Rep(*seen.get())),
-                    Entry::Vacant(first) => {
-                        first.insert(reps.len());
-                        plan.push(Plan::Rep(reps.len()));
-                        reps.push(i);
-                    }
-                }
-            }
-            unique_tasks += reps.len();
-
-            let rep_results: Vec<Arc<Result<RunOutput, UniDmError>>> = self
-                .execute_reps(lake, &buffer, &reps)
-                .into_iter()
-                .map(Arc::new)
-                .collect();
-            memo.reserve(reps.len());
-            for (position, &i) in reps.iter().enumerate() {
-                let key = TaskKey(Cow::Owned(buffer[i].clone()));
-                memo.insert(key, rep_results[position].clone());
-            }
-
-            for slot in plan {
-                let result = match slot {
-                    Plan::Memo(cached) => (*cached).clone(),
-                    Plan::Rep(position) => (*rep_results[position]).clone(),
-                };
-                sink(next_index, result);
-                next_index += 1;
-            }
-        }
-        StreamReport {
-            tasks: next_index,
-            partitions,
-            unique_tasks,
-            coalesced_tasks: next_index - unique_tasks,
         }
     }
 

@@ -553,8 +553,9 @@ impl<'a> RoutedBackend<'a> {
 
     /// Builds a replica fleet over one shared `inner` model from
     /// `config.route` (identity plan when unset), on `config`'s seed and
-    /// retry policy: each replica gets the plan's breaker and AIMD
-    /// policies plus an endpoint-aware copy of `config.faults`.
+    /// retry policy: each replica gets the plan's breaker, the plan's AIMD
+    /// policy or else `config`'s rate limit, and an endpoint-aware copy of
+    /// `config.faults`.
     pub fn from_plan(inner: &'a dyn LanguageModel, config: BackendConfig) -> Self {
         let plan = config.route.unwrap_or_else(|| RoutePlan::replicas(1));
         let mut router = RoutedBackend::new(config.seed).with_retry(config.retry);
@@ -562,7 +563,7 @@ impl<'a> RoutedBackend<'a> {
             let endpoint = EndpointConfig {
                 faults: config.faults,
                 breaker: plan.breaker,
-                aimd: plan.aimd,
+                aimd: plan.aimd.or(config.rate),
             };
             router = router.endpoint(inner, endpoint);
         }
@@ -1477,5 +1478,29 @@ mod tests {
         assert_eq!(flat.calls, 1);
         assert!(attached.fault_stats().is_some());
         assert!(attached.elapsed_us() > 0);
+    }
+
+    #[test]
+    fn routed_replicas_keep_the_configured_rate_limit() {
+        let llm = model();
+        let attached = BackendConfig::resilient(7)
+            .with_rate_limit(10, 1)
+            .with_route(RoutePlan::replicas(2))
+            .wrap(&llm);
+        for i in 0..20 {
+            attached
+                .model()
+                .complete(&format!("routed paced prompt {i}"))
+                .unwrap();
+        }
+        let stats = attached.stats().expect("flat stats");
+        assert_eq!(
+            stats.rate_tokens, stats.attempts,
+            "every attempt takes a token"
+        );
+        assert!(
+            stats.throttle_waits > 0,
+            "a burst past 1 token waits: {stats:?}"
+        );
     }
 }

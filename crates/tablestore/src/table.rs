@@ -42,48 +42,30 @@ fn fresh_version() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// One sealed row partition: either resident in memory or paged from the
-/// spill segment on demand.
-#[derive(Debug)]
-struct Slot {
-    state: SlotState,
-    rows: usize,
-}
-
-#[derive(Debug)]
-enum SlotState {
-    /// Chunk lives in memory (shared, immutable).
-    Resident(Arc<Chunk>),
-    /// Chunk lives in the spill segment; fetched through the pager.
-    Spilled,
-}
-
-impl Slot {
-    fn resident(chunk: Arc<Chunk>) -> Slot {
-        Slot {
-            rows: chunk.len(),
-            state: SlotState::Resident(chunk),
-        }
-    }
-
-    fn spilled(rows: usize) -> Slot {
-        Slot {
-            rows,
-            state: SlotState::Spilled,
-        }
-    }
+/// Where a table's sealed chunks live: a table is either all resident or
+/// all paged from its spill segment.
+#[derive(Debug, Clone)]
+enum Sealed {
+    /// Chunks live in memory (shared, immutable).
+    Resident(Vec<Arc<Chunk>>),
+    /// Chunks live in the spill segment; fetched through the pager.
+    Paged(Arc<Pager>),
 }
 
 /// A named relational table over chunked columnar storage.
-#[derive(Debug)]
+///
+/// Cloning shares sealed chunks and the pager by reference count — no cell
+/// data is copied — and keeps the [`Table::version`] stamp, since the content
+/// is the same, which is what lets [`DataLake`](crate::DataLake) refresh
+/// entries without deep-copying tables.
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     chunk_rows: usize,
-    sealed: Vec<Slot>,
+    sealed: Sealed,
     sealed_rows: usize,
     tail: Vec<Record>,
-    pager: Option<Arc<Pager>>,
     version: u64,
 }
 
@@ -101,10 +83,9 @@ impl Table {
             name: name.into(),
             schema,
             chunk_rows: chunk_rows.max(1),
-            sealed: Vec::new(),
+            sealed: Sealed::Resident(Vec::new()),
             sealed_rows: 0,
             tail: Vec::new(),
-            pager: None,
             version: fresh_version(),
         }
     }
@@ -134,20 +115,23 @@ impl Table {
 
     /// Number of sealed chunks (excludes the row-major tail).
     pub fn chunk_count(&self) -> usize {
-        self.sealed.len()
+        match &self.sealed {
+            Sealed::Resident(chunks) => chunks.len(),
+            Sealed::Paged(pager) => pager.segment().chunk_count(),
+        }
     }
 
     /// True if the table's chunks live in a spill segment (read-only).
     pub fn is_spilled(&self) -> bool {
-        self.pager.is_some()
+        matches!(self.sealed, Sealed::Paged(_))
     }
 
     /// Number of chunks currently resident in memory: all of them for an
     /// in-memory table, the pager's cache occupancy for a spilled one.
     pub fn resident_chunks(&self) -> usize {
-        match &self.pager {
-            Some(p) => p.resident_chunks(),
-            None => self.sealed.len(),
+        match &self.sealed {
+            Sealed::Resident(chunks) => chunks.len(),
+            Sealed::Paged(pager) => pager.resident_chunks(),
         }
     }
 
@@ -179,9 +163,9 @@ impl Table {
     /// the schema width, or [`TableError::SpilledReadOnly`] for a spilled
     /// table.
     pub fn push_row(&mut self, values: Vec<Value>) -> Result<(), TableError> {
-        if self.is_spilled() {
+        let Sealed::Resident(chunks) = &mut self.sealed else {
             return Err(TableError::SpilledReadOnly);
-        }
+        };
         if values.len() != self.schema.len() {
             return Err(TableError::ArityMismatch {
                 got: values.len(),
@@ -190,32 +174,24 @@ impl Table {
         }
         self.tail.push(Record::new(values));
         if self.tail.len() >= self.chunk_rows {
-            self.seal_tail();
+            // Seal the full tail into a columnar chunk, computing its
+            // per-column statistics eagerly — the "stats at ingest" path
+            // that [`Table::column_stats`] folds instead of rescanning.
+            let chunk = Chunk::from_rows(self.schema.len(), &self.tail);
+            chunk.all_stats();
+            self.sealed_rows += chunk.len();
+            chunks.push(Arc::new(chunk));
+            self.tail.clear();
         }
         self.version = fresh_version();
         Ok(())
     }
 
-    /// Seals the (full) tail into a columnar chunk, computing its
-    /// per-column statistics eagerly — this is the "stats at ingest" path
-    /// that [`Table::column_stats`] folds instead of rescanning.
-    fn seal_tail(&mut self) {
-        let chunk = Chunk::from_rows(self.schema.len(), &self.tail);
-        chunk.all_stats();
-        self.sealed_rows += chunk.len();
-        self.sealed.push(Slot::resident(Arc::new(chunk)));
-        self.tail.clear();
-    }
-
     /// The chunk behind sealed slot `slot`, paging it in if spilled.
     fn chunk(&self, slot: usize) -> Result<Arc<Chunk>, TableError> {
-        match &self.sealed[slot].state {
-            SlotState::Resident(chunk) => Ok(chunk.clone()),
-            SlotState::Spilled => self
-                .pager
-                .as_ref()
-                .expect("spilled slot without pager")
-                .chunk(slot),
+        match &self.sealed {
+            Sealed::Resident(chunks) => Ok(chunks[slot].clone()),
+            Sealed::Paged(pager) => pager.chunk(slot),
         }
     }
 
@@ -279,21 +255,22 @@ impl Table {
     /// [`TableError::UnknownAttribute`], or
     /// [`TableError::SpilledReadOnly`] for a spilled table.
     pub fn set_cell(&mut self, row: usize, attr: &str, value: Value) -> Result<(), TableError> {
-        if self.is_spilled() {
+        let addr = self.locate(row);
+        let Sealed::Resident(chunks) = &mut self.sealed else {
             return Err(TableError::SpilledReadOnly);
-        }
-        match self.locate(row)? {
+        };
+        match addr? {
             RowAddr::Tail(i) => {
                 let schema = self.schema.clone();
                 self.tail[i].set_field(&schema, attr, value)?;
             }
             RowAddr::Sealed { slot, offset } => {
                 let col = self.schema.require(attr)?;
-                let mut rows = self.chunk(slot)?.decode_rows();
+                let mut rows = chunks[slot].decode_rows();
                 rows[offset].values_mut()[col] = value;
                 let rebuilt = Chunk::from_rows(self.schema.len(), &rows);
                 rebuilt.all_stats();
-                self.sealed[slot] = Slot::resident(Arc::new(rebuilt));
+                chunks[slot] = Arc::new(rebuilt);
             }
         }
         self.version = fresh_version();
@@ -341,7 +318,7 @@ impl Table {
     pub fn column_stats(&self, attr: &str) -> Result<ColumnStats, TableError> {
         let col = self.schema.require(attr)?;
         let mut folded = ColumnStats::default();
-        for slot in 0..self.sealed.len() {
+        for slot in 0..self.chunk_count() {
             folded.merge(self.chunk(slot)?.stats(col));
         }
         for rec in &self.tail {
@@ -366,16 +343,20 @@ impl Table {
             .iter()
             .map(|a| self.schema.require(a))
             .collect::<Result<_, _>>()?;
-        let mut t = Table::with_chunk_rows(self.name.clone(), schema, self.chunk_rows);
-        for slot in 0..self.sealed.len() {
-            let projected = Arc::new(self.chunk(slot)?.project(&cols));
-            t.sealed_rows += projected.len();
-            t.sealed.push(Slot::resident(projected));
-        }
-        for rec in &self.tail {
-            t.tail.push(rec.project(&self.schema, attrs)?);
-        }
-        Ok(t)
+        let chunks = (0..self.chunk_count())
+            .map(|slot| Ok(Arc::new(self.chunk(slot)?.project(&cols))))
+            .collect::<Result<_, TableError>>()?;
+        let tail = self
+            .tail
+            .iter()
+            .map(|rec| rec.project(&self.schema, attrs))
+            .collect::<Result<_, _>>()?;
+        Ok(Table {
+            sealed: Sealed::Resident(chunks),
+            sealed_rows: self.sealed_rows,
+            tail,
+            ..Table::with_chunk_rows(self.name.clone(), schema, self.chunk_rows)
+        })
     }
 
     /// Uniformly samples up to `k` distinct row indices, excluding
@@ -431,7 +412,7 @@ impl Table {
         let key = value.answer_key();
         let mut hits = Vec::new();
         let mut base = 0usize;
-        for slot in 0..self.sealed.len() {
+        for slot in 0..self.chunk_count() {
             let chunk = self.chunk(slot)?;
             let prunable = chunk
                 .stats_if_computed(col)
@@ -483,45 +464,15 @@ impl Table {
     /// Returns [`TableError::Segment`] on I/O failure or a malformed file.
     pub fn open_segment(path: impl AsRef<Path>, budget: usize) -> Result<Table, TableError> {
         let reader = SegmentReader::open(path)?;
-        let sealed = (0..reader.chunk_count())
-            .map(|idx| Slot::spilled(reader.chunk_len(idx)))
-            .collect();
         Ok(Table {
             name: reader.name().to_string(),
             schema: reader.schema().clone(),
             chunk_rows: reader.chunk_rows(),
-            sealed,
             sealed_rows: reader.row_count(),
             tail: Vec::new(),
-            pager: Some(Arc::new(Pager::new(reader, budget))),
+            sealed: Sealed::Paged(Arc::new(Pager::new(reader, budget))),
             version: fresh_version(),
         })
-    }
-}
-
-/// Cloning shares sealed chunks and the pager by reference count — no cell
-/// data is copied — and keeps the [`Table::version`] stamp, since the content
-/// is the same, which is what lets [`DataLake`](crate::DataLake) refresh
-/// entries without deep-copying tables.
-impl Clone for Table {
-    fn clone(&self) -> Self {
-        Table {
-            name: self.name.clone(),
-            schema: self.schema.clone(),
-            chunk_rows: self.chunk_rows,
-            sealed: self
-                .sealed
-                .iter()
-                .map(|s| match &s.state {
-                    SlotState::Resident(chunk) => Slot::resident(chunk.clone()),
-                    SlotState::Spilled => Slot::spilled(s.rows),
-                })
-                .collect(),
-            sealed_rows: self.sealed_rows,
-            tail: self.tail.clone(),
-            pager: self.pager.clone(),
-            version: self.version,
-        }
     }
 }
 
@@ -812,8 +763,8 @@ mod tests {
         let t = chunked_city_table();
         let p = t.project(&["city"]).unwrap();
         assert_eq!(p.chunk_count(), t.chunk_count());
-        let (orig, proj) = match (&t.sealed[0].state, &p.sealed[0].state) {
-            (SlotState::Resident(a), SlotState::Resident(b)) => (a.clone(), b.clone()),
+        let (orig, proj) = match (&t.sealed, &p.sealed) {
+            (Sealed::Resident(a), Sealed::Resident(b)) => (a[0].clone(), b[0].clone()),
             _ => panic!("expected resident chunks"),
         };
         assert!(Arc::ptr_eq(proj.column(0), orig.column(0)));
@@ -941,8 +892,8 @@ mod tests {
     fn clone_shares_chunks() {
         let t = chunked_city_table();
         let c = t.clone();
-        let (a, b) = match (&t.sealed[0].state, &c.sealed[0].state) {
-            (SlotState::Resident(a), SlotState::Resident(b)) => (a.clone(), b.clone()),
+        let (a, b) = match (&t.sealed, &c.sealed) {
+            (Sealed::Resident(a), Sealed::Resident(b)) => (a[0].clone(), b[0].clone()),
             _ => panic!("expected resident chunks"),
         };
         assert!(Arc::ptr_eq(&a, &b), "clone must share sealed chunks");
