@@ -67,14 +67,10 @@ impl<'a> Fm<'a> {
     pub fn impute(&self, table: &Table, row: usize, attr: &str) -> Result<String, FmError> {
         let record = serialize_row(table, row, attr)?;
         // Demonstration pool: rows with a known target value.
-        let idx = table.schema().require(attr).map_err(FmError::Table)?;
+        table.schema().require(attr).map_err(FmError::Table)?;
         let pool: Vec<usize> = (0..table.row_count())
             .filter(|&r| r != row)
-            .filter(|&r| {
-                table
-                    .row_at(r)
-                    .is_ok_and(|rec| rec.get(idx).is_some_and(|v| !v.is_null()))
-            })
+            .filter(|&r| table.cell_value(r, attr).is_ok_and(|v| !v.is_null()))
             .collect();
         let chosen = self.select(
             &pool,
@@ -175,17 +171,12 @@ impl<'a> Fm<'a> {
                 v
             }
             ContextStrategy::Manual => {
-                let model = TfIdf::fit(
-                    pool.iter()
-                        .map(&text_of)
-                        .collect::<Vec<_>>()
-                        .iter()
-                        .map(String::as_str),
-                );
-                let mut scored: Vec<(f64, usize)> = pool
+                let texts: Vec<String> = pool.iter().map(text_of).collect();
+                let model = TfIdf::fit(texts.iter().map(String::as_str));
+                let mut scored: Vec<(f64, usize)> = texts
                     .iter()
                     .enumerate()
-                    .map(|(i, t)| (model.similarity(query, &text_of(t)), i))
+                    .map(|(i, text)| (model.similarity(query, text), i))
                     .collect();
                 scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
                 scored

@@ -8,7 +8,7 @@
 
 use unidm_synthdata::matching::EntityPair;
 use unidm_tablestore::Record;
-use unidm_text::distance::{jaccard, normalized_levenshtein, overlap_coefficient};
+use unidm_text::distance::{normalized_levenshtein, WordSet};
 
 /// Magellan feature vector of a candidate pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,10 +33,11 @@ pub fn features(a: &Record, b: &Record) -> MagellanFeatures {
         .first()
         .map(|v| v.to_string())
         .unwrap_or_default();
+    let (wa, wb) = (WordSet::new(&a.text_blob()), WordSet::new(&b.text_blob()));
     MagellanFeatures {
-        jaccard: jaccard(&a.text_blob(), &b.text_blob()),
+        jaccard: wa.jaccard(&wb),
         edit: normalized_levenshtein(&fa.to_lowercase(), &fb.to_lowercase()),
-        overlap: overlap_coefficient(&a.text_blob(), &b.text_blob()),
+        overlap: wa.overlap(&wb),
     }
 }
 

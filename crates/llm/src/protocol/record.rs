@@ -184,6 +184,25 @@ pub fn naturalize_record(rec: &SerializedRecord) -> String {
     out
 }
 
+/// Where a naturalized sentence's subject ends: at the earliest
+/// `" {template} "` or `" has "`, i.e. the first space followed by a clause
+/// template and another space.
+fn subject_end(text: &str) -> Option<usize> {
+    let opens_clause = |rest: &str| {
+        CLAUSES
+            .iter()
+            .map(|(_, template)| *template)
+            .chain(["has"])
+            .any(|t| {
+                rest.strip_prefix(t)
+                    .is_some_and(|after| after.starts_with(' '))
+            })
+    };
+    text.match_indices(' ')
+        .map(|(pos, _)| pos)
+        .find(|&pos| opens_clause(&text[pos + 1..]))
+}
+
 /// Parses a sentence produced by [`naturalize_record`] back into pairs.
 ///
 /// The subject is returned under the pseudo-attribute `"@subject"`; clause
@@ -194,21 +213,7 @@ pub fn parse_natural_sentence(sentence: &str) -> Option<SerializedRecord> {
     if text.is_empty() {
         return None;
     }
-    // Find the earliest clause-template occurrence to split the subject off.
-    let mut first_clause = None;
-    for (_, template) in CLAUSES {
-        if let Some(pos) = text.find(&format!(" {template} ")) {
-            if first_clause.is_none_or(|(p, _)| pos < p) {
-                first_clause = Some((pos, *template));
-            }
-        }
-    }
-    if let Some(pos) = text.find(" has ") {
-        if first_clause.is_none_or(|(p, _)| pos < p) {
-            first_clause = Some((pos, "has"));
-        }
-    }
-    let Some((split, _)) = first_clause else {
+    let Some(split) = subject_end(text) else {
         return Some(SerializedRecord::new(vec![(
             "@subject".to_string(),
             text.to_string(),
@@ -412,6 +417,59 @@ mod tests {
         assert_eq!(naturalize_record(&all), naturalize_reference(&all));
         let lone = SerializedRecord::new(vec![("name".to_string(), "Only".to_string())]);
         assert_eq!(naturalize_record(&lone), naturalize_reference(&lone));
+    }
+
+    /// [`subject_end`] as it was when every template was formatted into a
+    /// `" {template} "` needle and searched for separately.
+    fn subject_end_reference(text: &str) -> Option<usize> {
+        let mut first: Option<usize> = None;
+        for (_, template) in CLAUSES {
+            if let Some(pos) = text.find(&format!(" {template} ")) {
+                if first.is_none_or(|p| pos < p) {
+                    first = Some(pos);
+                }
+            }
+        }
+        if let Some(pos) = text.find(" has ") {
+            if first.is_none_or(|p| pos < p) {
+                first = Some(pos);
+            }
+        }
+        first
+    }
+
+    #[test]
+    fn subject_end_matches_reference() {
+        let mut sentences: Vec<String> = [
+            "",
+            "Copenhagen",
+            "has color blue",
+            "Widget has has color blue",
+            "Widget  has color",
+            "Widget has",
+            "Widgethas color",
+            "A is ranked",
+            "A is ranked 3 and is located at 1 Main St",
+            "İ has x and is located in the city of Ærø",
+            "The is of style is of style IPA",
+            "Alpha belongs to the country X has y",
+        ]
+        .map(String::from)
+        .to_vec();
+        let values = ["Florence", "has", "is ranked", "a b", "é"];
+        for (i, (attr, _)) in CLAUSES.iter().enumerate() {
+            let value = values[i % values.len()];
+            let rec = SerializedRecord::new(vec![
+                ("name".into(), format!("Subject {value}")),
+                ((*attr).into(), value.into()),
+                ("color".into(), value.into()),
+            ]);
+            let text = naturalize_record(&rec);
+            sentences.push(text.trim_end_matches('.').to_string());
+        }
+        for text in &sentences {
+            assert_eq!(subject_end(text), subject_end_reference(text), "{text:?}");
+        }
     }
 
     #[test]

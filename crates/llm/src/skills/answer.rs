@@ -18,7 +18,7 @@
 //! Better context and better prompts mechanically raise the probability
 //! that step 1 or 3 succeeds; that is where UniDM's gains come from.
 
-use unidm_text::distance::{jaccard, jaro_winkler};
+use unidm_text::distance::{jaccard, jaro_winkler, WordSet};
 use unidm_world::Predicate;
 
 use crate::kb::KnowledgeBase;
@@ -26,7 +26,7 @@ use crate::profile::LlmProfile;
 use crate::protocol::{
     parse_natural_sentence, AnswerPayload, AnswerRequest, ContextKind, SerializedRecord,
 };
-use crate::skills::{context_kind_factor, prompt_form_factor};
+use crate::skills::{area_code, context_kind_factor, prompt_form_factor, street_base};
 use crate::Dice;
 
 use super::induce;
@@ -174,21 +174,6 @@ fn predicates_for_attr(attr: &str) -> Vec<Predicate> {
         out.push(Predicate::RestaurantCuisine);
     }
     out
-}
-
-/// The street part of an address ("224 S. Beverly Dr." → "s. beverly dr.").
-fn street_base(addr: &str) -> String {
-    addr.split_whitespace()
-        .skip_while(|w| w.chars().all(|c| c.is_ascii_digit()))
-        .collect::<Vec<_>>()
-        .join(" ")
-        .to_lowercase()
-}
-
-/// The leading area code of a phone number ("310/859-8744" → "310").
-fn area_code(phone: &str) -> Option<String> {
-    let code: String = phone.chars().take_while(|c| c.is_ascii_digit()).collect();
-    (code.len() >= 3).then_some(code)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -641,10 +626,11 @@ fn resolve_entities(
     // similar they are to the query pair, the better the calibration. This
     // is why FM (manual) beats FM (random) in Table 4.
     if !req.context_lines.is_empty() {
+        let pair = WordSet::new(&format!("{a} {b}"));
         let relevance = req
             .context_lines
             .iter()
-            .map(|l| jaccard(l, &format!("{a} {b}")))
+            .map(|l| WordSet::new(l).jaccard(&pair))
             .fold(0.0f64, f64::max);
         sigma *= 0.85 - 0.45 * relevance.min(1.0);
     }

@@ -41,6 +41,21 @@ pub fn prompt_form_factor(form: PromptForm) -> f64 {
     }
 }
 
+/// The street part of an address ("224 S. Beverly Dr." → "s. beverly dr.").
+pub(crate) fn street_base(addr: &str) -> String {
+    addr.split_whitespace()
+        .skip_while(|w| w.chars().all(|c| c.is_ascii_digit()))
+        .collect::<Vec<_>>()
+        .join(" ")
+        .to_lowercase()
+}
+
+/// The leading area code of a phone number ("310/859-8744" → "310").
+pub(crate) fn area_code(phone: &str) -> Option<String> {
+    let code: String = phone.chars().take_while(|c| c.is_ascii_digit()).collect();
+    (code.len() >= 3).then_some(code)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,12 +1,13 @@
 //! Retrieval skills: answering `p_rm` (attribute selection) and `p_ri`
 //! (instance relevance scoring).
 
-use unidm_text::distance::jaccard;
+use unidm_text::distance::WordSet;
 use unidm_text::Embedder;
 
+use super::{area_code, street_base};
 use crate::kb::KnowledgeBase;
 use crate::profile::LlmProfile;
-use crate::protocol::{PriRequest, PrmRequest, TaskKind};
+use crate::protocol::{PriRequest, PrmRequest, SerializedRecord, TaskKind};
 use crate::Dice;
 
 /// Attribute pairs a pretrained model "knows" to be semantically linked —
@@ -116,28 +117,30 @@ pub fn score_instances(
     req: &PriRequest,
     profile: &LlmProfile,
     dice: &Dice,
-    kb: &KnowledgeBase,
+    _kb: &KnowledgeBase,
 ) -> String {
     // The attribute the query marks as missing ("city: ?"): an instance
     // that lacks it cannot demonstrate anything, however similar it looks.
-    let missing_attr: Option<String> = crate::protocol::SerializedRecord::parse(&req.query)
-        .and_then(|r| {
-            r.pairs
-                .iter()
-                .find(|(_, v)| v == "?")
-                .map(|(a, _)| a.clone())
-        });
+    let query_rec = SerializedRecord::parse(&req.query);
+    let missing_attr: Option<&str> = query_rec
+        .as_ref()
+        .and_then(|r| r.pairs.iter().find(|(_, v)| v == "?"))
+        .map(|(a, _)| a.as_str());
+    let query_words = WordSet::new(&req.query);
+    let rendered: Vec<String> = req.instances.iter().map(|inst| inst.render()).collect();
     let mut sims: Vec<f64> = Vec::with_capacity(req.instances.len());
-    for inst in &req.instances {
-        let text = inst.render();
-        let mut sim = jaccard(&req.query, &text);
+    for (inst, text) in req.instances.iter().zip(&rendered) {
+        let mut sim = query_words.jaccard(&WordSet::new(text));
         // Semantic bonus: instances sharing a KB-linked value with the query
         // (e.g. same street, same brand) are more relevant than raw token
         // overlap suggests.
-        if shares_linked_value(&req.query, inst, kb, req.task) {
+        if query_rec
+            .as_ref()
+            .is_some_and(|q| shares_linked_value(q, inst, req.task))
+        {
             sim = (sim + 0.6).min(1.0);
         }
-        if let Some(attr) = &missing_attr {
+        if let Some(attr) = missing_attr {
             if inst.get(attr).is_none() {
                 sim *= 0.15;
             }
@@ -148,11 +151,10 @@ pub fn score_instances(
     // ranking instances against each other rather than on an absolute scale.
     let max_sim = sims.iter().copied().fold(0.0f64, f64::max).max(1e-9);
     let mut out: Vec<String> = Vec::with_capacity(req.instances.len());
-    for (i, (inst, sim)) in req.instances.iter().zip(&sims).enumerate() {
+    for (i, (text, sim)) in rendered.iter().zip(&sims).enumerate() {
         let rel = sim / max_sim;
         let noise_span = (1.0 - profile.effective_instruction()) * 1.5;
-        let noisy =
-            rel + noise_span * (dice.uniform(&format!("{}#{i}", inst.render()), "pri-noise") - 0.5);
+        let noisy = rel + noise_span * (dice.uniform(&format!("{text}#{i}"), "pri-noise") - 0.5);
         let score = (noisy * 3.4).floor().clamp(0.0, 3.0) as u8;
         out.push(format!("{}:{}", i + 1, score));
     }
@@ -164,19 +166,11 @@ pub fn score_instances(
 /// error detection) the same exact attribute value. Venue-type words like
 /// "Cafe" are deliberately not enough: relevance is judged per attribute,
 /// the way a model reading both records attribute-by-attribute would.
-fn shares_linked_value(
-    query: &str,
-    inst: &crate::protocol::SerializedRecord,
-    _kb: &KnowledgeBase,
-    task: TaskKind,
-) -> bool {
+fn shares_linked_value(query: &SerializedRecord, inst: &SerializedRecord, task: TaskKind) -> bool {
     if task != TaskKind::Imputation && task != TaskKind::ErrorDetection {
         return false;
     }
-    let Some(query_rec) = crate::protocol::SerializedRecord::parse(query) else {
-        return false;
-    };
-    for (attr, qv) in &query_rec.pairs {
+    for (attr, qv) in &query.pairs {
         if qv.is_empty() || qv == "?" {
             continue;
         }
@@ -201,21 +195,6 @@ fn shares_linked_value(
         }
     }
     false
-}
-
-/// The street part of an address ("224 S. Beverly Dr." → "s. beverly dr.").
-fn street_base(addr: &str) -> String {
-    addr.split_whitespace()
-        .skip_while(|w| w.chars().all(|c| c.is_ascii_digit()))
-        .collect::<Vec<_>>()
-        .join(" ")
-        .to_lowercase()
-}
-
-/// The leading area code of a phone number ("310/859-8744" → "310").
-fn area_code(phone: &str) -> Option<String> {
-    let code: String = phone.chars().take_while(|c| c.is_ascii_digit()).collect();
-    (code.len() >= 3).then_some(code)
 }
 
 #[cfg(test)]

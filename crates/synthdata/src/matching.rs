@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use unidm_tablestore::{Record, Schema, Value};
+use unidm_text::distance::WordSet;
 use unidm_world::World;
 
 /// One candidate pair of records.
@@ -247,6 +248,7 @@ fn build(
 ) -> MatchingDataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let total = n_eval + n_train;
+    let firsts: Vec<String> = records.iter().map(first_token).collect();
     let mut pairs = Vec::with_capacity(total);
     for i in 0..total {
         // Keep roughly 40% positives: candidate-pair sets in Magellan
@@ -261,16 +263,14 @@ fn build(
             // sharing the first token (same brand / same artist, and when
             // possible the same product line) — the adversarial candidates
             // blocking produces in the real Magellan benchmarks.
-            let first = first_token(&a);
+            let first = &firsts[idx];
+            let anchor = WordSet::new(&a.text_blob());
             let hard: Option<usize> = records
                 .iter()
                 .enumerate()
-                .filter(|(j, r)| *j != idx && first_token(r) == first)
-                .max_by(|(_, x), (_, y)| {
-                    let sx = unidm_text::distance::jaccard(&a.text_blob(), &x.text_blob());
-                    let sy = unidm_text::distance::jaccard(&a.text_blob(), &y.text_blob());
-                    sx.partial_cmp(&sy).unwrap_or(std::cmp::Ordering::Equal)
-                })
+                .filter(|&(j, _)| j != idx && firsts[j] == *first)
+                .map(|(j, r)| (j, anchor.jaccard(&WordSet::new(&r.text_blob()))))
+                .max_by(|(_, sx), (_, sy)| sx.partial_cmp(sy).unwrap_or(std::cmp::Ordering::Equal))
                 .map(|(j, _)| j);
             let j = match hard {
                 Some(j) if rng.gen_bool(hardness.hard_negative) => j,

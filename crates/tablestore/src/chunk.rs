@@ -405,6 +405,34 @@ impl Chunk {
         self.stats.get().map(|s| &s[col])
     }
 
+    /// This chunk with the cell at (`row`, `col`) replaced by `value`.
+    ///
+    /// Only column `col` is re-encoded, and its encoding and statistics are
+    /// what [`Chunk::from_rows`] would build from the edited rows: the
+    /// statistics are the old ones with the old cell taken out and the new
+    /// one counted. Every other column and its statistics are shared (`Arc`
+    /// bumps). The new chunk's statistics are always materialized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= len()` or `col >= width()`.
+    pub fn with_cell(&self, row: usize, col: usize, value: Value) -> Chunk {
+        let mut cells: Vec<Value> = self.columns[col].iter().collect();
+        let mut col_stats = ColumnStats::clone(self.stats(col));
+        col_stats.retract(&cells[row]);
+        col_stats.accumulate(&value);
+        cells[row] = value;
+        let mut stats = self.all_stats().to_vec();
+        stats[col] = Arc::new(col_stats);
+        let mut columns = self.columns.clone();
+        columns[col] = Arc::new(ColumnChunk::encode(cells));
+        Chunk {
+            len: self.len,
+            columns,
+            stats: OnceLock::from(stats),
+        }
+    }
+
     /// A chunk over a subset of columns, sharing the encoded column data
     /// (`Arc` bumps, no cell copies).
     pub fn project(&self, cols: &[usize]) -> Chunk {

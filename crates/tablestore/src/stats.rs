@@ -60,6 +60,25 @@ impl ColumnStats {
         }
     }
 
+    /// Takes one value back out of the statistics: the inverse of
+    /// [`ColumnStats::accumulate`] for a value that was accumulated.
+    pub(crate) fn retract(&mut self, v: &Value) {
+        self.total -= 1;
+        if v.is_null() {
+            self.nulls -= 1;
+            return;
+        }
+        let key = v.answer_key();
+        let n = self
+            .counts
+            .get_mut(&key)
+            .expect("retracted value was counted");
+        *n -= 1;
+        if *n == 0 {
+            self.counts.remove(&key);
+        }
+    }
+
     /// Merges another column's statistics into this one — the per-chunk
     /// fold behind [`Table::column_stats`]: chunk statistics are computed
     /// once at ingest and summed here instead of rescanning the column.

@@ -245,9 +245,11 @@ impl Table {
         }
     }
 
-    /// Overwrites the cell at (`row`, `attr`). Writes into a sealed chunk
-    /// re-encode that chunk copy-on-write (other tables sharing the old
-    /// chunk are unaffected).
+    /// Overwrites the cell at (`row`, `attr`). A write into a sealed chunk
+    /// is copy-on-write ([`Chunk::with_cell`]): the chunk is replaced by one
+    /// that re-encodes only the written column and shares every other
+    /// column and its statistics, so tables sharing the old chunk are
+    /// unaffected.
     ///
     /// # Errors
     ///
@@ -260,17 +262,10 @@ impl Table {
             return Err(TableError::SpilledReadOnly);
         };
         match addr? {
-            RowAddr::Tail(i) => {
-                let schema = self.schema.clone();
-                self.tail[i].set_field(&schema, attr, value)?;
-            }
+            RowAddr::Tail(i) => self.tail[i].set_field(&self.schema, attr, value)?,
             RowAddr::Sealed { slot, offset } => {
                 let col = self.schema.require(attr)?;
-                let mut rows = chunks[slot].decode_rows();
-                rows[offset].values_mut()[col] = value;
-                let rebuilt = Chunk::from_rows(self.schema.len(), &rows);
-                rebuilt.all_stats();
-                chunks[slot] = Arc::new(rebuilt);
+                chunks[slot] = Arc::new(chunks[slot].with_cell(offset, col, value));
             }
         }
         self.version = fresh_version();

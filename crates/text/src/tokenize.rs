@@ -19,18 +19,19 @@
 /// ```
 pub fn words(text: &str) -> Vec<String> {
     let mut out = Vec::new();
-    let mut cur = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            cur.extend(ch.to_lowercase());
-        } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        out.push(cur);
+    for raw in raw_words(text) {
+        let mut word = String::new();
+        word.extend(raw.chars().flat_map(char::to_lowercase));
+        out.push(word);
     }
     out
+}
+
+/// The word rule behind [`words`]: maximal runs of alphanumeric
+/// characters, as they appear in `text` (not yet lowercased).
+pub(crate) fn raw_words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|ch: char| !ch.is_alphanumeric())
+        .filter(|w| !w.is_empty())
 }
 
 /// Splits `text` into word and punctuation tokens, preserving case.

@@ -4,6 +4,9 @@
 //! A change to any retrieval, prompt, model or metric path that moves a
 //! single printed cell fails here, naming the first differing line and
 //! the table it sits in.
+//!
+//! To re-record after a change that is meant to move a cell:
+//! `cargo run --release -p unidm-bench --bin all_tables -- --quick > tests/golden/tables_quick.txt`.
 
 use unidm_eval::{
     ablation, errors, extraction, finetune, imputation, joins, matching, tokens, transformation,
