@@ -33,11 +33,6 @@ impl Record {
         &self.values
     }
 
-    /// Mutable access to the values by position.
-    pub fn values_mut(&mut self) -> &mut [Value] {
-        &mut self.values
-    }
-
     /// Consumes the record, yielding its values.
     pub fn into_values(self) -> Vec<Value> {
         self.values

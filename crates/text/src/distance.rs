@@ -17,9 +17,9 @@ use crate::tokenize::{char_ngrams, raw_words};
 
 /// The distinct lowercase words of a text, sorted by their bytes.
 ///
-/// A word is what [`words`](crate::tokenize::words) yields. All words live
-/// in one buffer, so building a set costs two allocations whatever the
-/// text's length.
+/// A word is what [`words`](crate::tokenize::words) yields. The words live
+/// back to back in one buffer beside a list of their spans, not in one
+/// `String` each.
 ///
 /// # Examples
 ///
@@ -31,7 +31,7 @@ use crate::tokenize::{char_ngrams, raw_words};
 /// assert_eq!(a.jaccard(&b), 1.0 / 3.0);
 /// assert_eq!(a.overlap(&b), 0.5);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct WordSet {
     buf: String,
     spans: Vec<Range<usize>>,
