@@ -578,9 +578,9 @@ fn canon_v2(bench: &Bench<'_>, canonical_texts: &[String]) -> String {
         warm_allocs, 0,
         "warm Semantic lookups must perform zero heap allocations"
     );
-    // The reordered variants again: each folds on the way in and replays
-    // on the way out — the fold's scratch and text, the replay's, and the
-    // adapted completion: a handful, not one per list element.
+    // The reordered variants again. Each was folded once by the stream
+    // above, and a repeat is served from the fold memo: no fold, no
+    // replay, nothing allocated. Only a first sighting pays the fold.
     let section = AllocationDelta::start();
     for (_, variant) in &foldable {
         let _ = semantic_cache.complete(variant);

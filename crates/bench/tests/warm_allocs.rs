@@ -1,5 +1,6 @@
 //! The warm paths allocate nothing. Re-looking up a cache's own canonical
-//! texts must not touch the heap, at every canonicalization level; and a
+//! texts must not touch the heap, at every canonicalization level, nor
+//! must a repeat of a reordered list the `Semantic` level has folded; and a
 //! repeat attempt on a prompt the fault injector has already seen adds no
 //! allocation to the inner model's own, whatever the schedule makes of it —
 //! nor does a repeat call through a routed fleet of injectors, which keeps
@@ -17,8 +18,8 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use unidm::{
-    BackendConfig, BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, RoutePlan,
-    RoutedBackend, StoreConfig, Task,
+    BackendConfig, BatchRunner, CacheStore, CanonLevel, CanonicalPrompt, PipelineConfig,
+    PromptCache, RoutePlan, RoutedBackend, StoreConfig, Task,
 };
 use unidm_bench::alloc_counter::{
     live_bytes, peak_live_bytes, reset_peak_to_live, AllocationDelta,
@@ -100,6 +101,25 @@ fn warm_hits_allocate_nothing_at_any_level() {
             (3 * canonical.len(), before.misses),
             "every re-lookup hit at {level}"
         );
+        if level == CanonLevel::Semantic {
+            // The unsorted lists as sent: each folded once above, so a
+            // repeat is served from the fold memo without folding again.
+            let reordered: Vec<&String> = prompts
+                .iter()
+                .filter(|p| CanonicalPrompt::canonicalize(p, level).replay().is_some())
+                .collect();
+            assert_eq!(reordered.len(), 2, "the p_ri and p_dp lists fold");
+            let fewest = (0..3)
+                .map(|_| {
+                    let section = AllocationDelta::start();
+                    for prompt in &reordered {
+                        let _ = std::hint::black_box(cache.complete(prompt));
+                    }
+                    section.allocations()
+                })
+                .min();
+            assert_eq!(fewest, Some(0), "repeated reordered lookups allocated");
+        }
     }
 }
 

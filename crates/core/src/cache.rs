@@ -10,8 +10,14 @@
 //!   canonical text, so whitespace variants and (at
 //!   [`CanonLevel::TableStem`]) per-row retrieval preambles share entries.
 //!   The lookup path runs [`CanonicalPrompt::canonicalize`], which borrows
-//!   already-canonical prompts instead of copying them — a warm hit
-//!   performs **zero heap allocations**.
+//!   already-canonical prompts instead of copying them — a warm hit on a
+//!   canonical prompt performs **zero heap allocations**.
+//! * **A fold memo** — at a level that folds lists, each shard also maps
+//!   a reordered raw prompt to what its fold produced: the resident
+//!   canonical key, the completion the answer was adapted from and the
+//!   adaptation. A repeat of that raw text is served without folding or
+//!   adapting again, and allocates nothing; only the first sighting pays
+//!   the fold's buffers and the memo entry.
 //! * **One content hash per lookup** — the canonicalizer hashes the
 //!   canonical text once ([`CanonicalPrompt::hash64`]: word-at-a-time,
 //!   deterministic, unkeyed, in memory only) and everything here reuses
@@ -46,6 +52,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use unidm_llm::{Completion, LanguageModel, LlmError, Usage};
+use unidm_text::hash::content_hash;
 
 use crate::canon::{CanonLevel, CanonicalPrompt};
 use crate::dispatch;
@@ -281,6 +288,16 @@ impl PartialEq for Key {
 
 impl Eq for Key {}
 
+/// What one reordered raw prompt folded to, kept by the fold memo: the
+/// resident canonical key, the canonical completion the answer was
+/// adapted from, and that adaptation.
+#[derive(Clone)]
+struct Folded {
+    canonical: Key,
+    from: Arc<Completion>,
+    adapted: Arc<Completion>,
+}
+
 #[derive(Default)]
 struct CacheInner {
     /// canonical key → memoized completion. Probed through a borrowed
@@ -295,6 +312,11 @@ struct CacheInner {
     /// canonical key → single-flight slot for keys currently being
     /// completed by a leader.
     inflight: HashMap<Key, Arc<InFlight>>,
+    /// The fold memo, at a level that folds lists: raw prompt (its own
+    /// content hash, compared in full) → what a fold that reordered it
+    /// produced. The shard is picked by the raw text's hash, not the
+    /// canonical one's. Cleared when it reaches the shard's capacity.
+    folds: HashMap<Key, Folded>,
     stats: CacheStats,
 }
 
@@ -303,7 +325,17 @@ impl CacheInner {
     /// in place, accounts the hit and bumps the stored completion's
     /// reference count.
     fn hit(&mut self, key: &dyn KeyView) -> Option<Arc<Completion>> {
-        let entry = self.entries.get_mut(key)?;
+        self.hit_if(key, |_| true)
+    }
+
+    /// [`CacheInner::hit`] on an entry whose completion passes `holds`;
+    /// an entry that fails it is left as it is, and nothing is counted.
+    fn hit_if(
+        &mut self,
+        key: &dyn KeyView,
+        holds: impl FnOnce(&Arc<Completion>) -> bool,
+    ) -> Option<Arc<Completion>> {
+        let entry = self.entries.get_mut(key).filter(|e| holds(&e.completion))?;
         entry.referenced = true;
         let completion = entry.completion.clone();
         self.stats.hits += 1;
@@ -395,17 +427,32 @@ impl CacheInner {
 /// completion is identical, so serial and parallel batches stay
 /// bit-for-bit equal even when many raw prompts fold into one entry.
 ///
-/// # The warm hit path allocates nothing
+/// # What a warm hit allocates
 ///
-/// An already-canonical prompt (every re-lookup of a canonical text, and
-/// every rendered prompt that needs no rewriting) is borrowed by the
-/// canonicalizer and hashed once; the shard map is probed with that hash
-/// and the borrowed text (compared in full against the resident key), the
-/// entry is refreshed by setting its reference bit in place, and the
-/// lookup is answered by bumping the reference count of the stored
-/// [`Arc<Completion>`]. No `String`, no node, no clone — zero heap
-/// allocations end to end at every [`CanonLevel`], which the bench suite
-/// asserts with a counting allocator.
+/// * **A canonical prompt: nothing.** An already-canonical prompt (every
+///   re-lookup of a canonical text, and every rendered prompt that needs
+///   no rewriting) is borrowed by the canonicalizer and hashed once; the
+///   shard map is probed with that hash and the borrowed text (compared in
+///   full against the resident key), the entry is refreshed by setting its
+///   reference bit in place, and the lookup is answered by bumping the
+///   reference count of the stored [`Arc<Completion>`]. No `String`, no
+///   node, no clone, at every [`CanonLevel`].
+/// * **A memoized reordered prompt: nothing.** At a level that folds lists
+///   ([`CanonLevel::folds_lists`]) every lookup first hashes the raw text
+///   and probes the fold memo. A raw prompt whose fold reordered it before
+///   is served from there while its canonical entry is resident and still
+///   holds the completion the memoized answer was adapted from: the hit is
+///   counted exactly as the folding path counts it, and the adaptation is
+///   returned by `Arc`. Any other lookup takes the folding path, which
+///   memoizes a reordered prompt afresh.
+/// * **A first-seen fold** pays the fold's buffers, the replay's and the
+///   adapted completion, plus the memo entry: one copy of the raw text.
+///   The memo keeps one entry per distinct reordered raw prompt in an
+///   unbounded cache; in a bounded one a memo shard is cleared when it
+///   reaches the shard's entry capacity. [`PromptCache::len`] and
+///   [`PromptCache::canonical_prompts`] never see memo entries.
+///
+/// The bench suite asserts the first two with a counting allocator.
 ///
 /// # Sharding and single-flight coalescing
 ///
@@ -716,16 +763,38 @@ impl LanguageModel for PromptCache<'_> {
     }
 
     fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
+        // At a level that folds lists, a reordered prompt seen before is
+        // served from the fold memo without folding it again.
+        let raw_hash = self.level.folds_lists().then(|| content_hash(prompt));
+        if let Some(served) = raw_hash.and_then(|hash| self.serve_memoized(hash, prompt)) {
+            return Ok(served);
+        }
         let canonical = CanonicalPrompt::canonicalize(prompt, self.level);
         let completion = self.complete_canonical(&canonical)?;
         // A v2 fold that reordered this request replays the canonical
         // completion permutation-corrected into the request's own element
         // order (identity-ordered requests — every canonical prompt, so
         // the whole warm fast path — skip this branch entirely).
-        Ok(match canonical.replay() {
-            None => completion,
-            Some(fold) => Arc::new(fold.adapt(&completion)),
-        })
+        let Some(fold) = canonical.replay() else {
+            return Ok(completion);
+        };
+        let adapted = Arc::new(fold.adapt(&completion));
+        // The memo shares the resident entry's key, so it never copies the
+        // canonical text; an entry that is not resident is not memoized.
+        let resident = self
+            .lock_shard(self.shard_for_hash(canonical.hash64()))
+            .entries
+            .get_key_value(&canonical as &dyn KeyView)
+            .map(|(key, _)| key.clone());
+        if let (Some(hash), Some(canonical)) = (raw_hash, resident) {
+            let folded = Folded {
+                canonical,
+                from: completion,
+                adapted: adapted.clone(),
+            };
+            self.memoize(hash, prompt, folded);
+        }
+        Ok(adapted)
     }
 
     fn usage(&self) -> Usage {
@@ -744,6 +813,40 @@ impl LanguageModel for PromptCache<'_> {
 }
 
 impl PromptCache<'_> {
+    /// Serves a reordered `prompt` (raw content hash `hash`) from the fold
+    /// memo while the canonical entry it folded to is resident and still
+    /// holds the completion the memoized answer was adapted from, counting
+    /// the hit exactly as the folding path would. The memo shard and the
+    /// entry's shard are locked one after the other. `None` (nothing
+    /// counted) sends the lookup down the folding path, which memoizes it
+    /// afresh.
+    fn serve_memoized(&self, hash: u64, prompt: &str) -> Option<Arc<Completion>> {
+        let memo = self
+            .lock_shard(self.shard_for_hash(hash))
+            .folds
+            .get(&(hash, prompt) as &dyn KeyView)?
+            .clone();
+        // `memo.from` keeps its allocation alive, so a refilled entry can
+        // never hold a completion at the same address.
+        self.lock_shard(self.shard_for_hash(memo.canonical.hash))
+            .hit_if(&memo.canonical, |held| Arc::ptr_eq(held, &memo.from))?;
+        Some(memo.adapted)
+    }
+
+    /// Records what `prompt` folded to, clearing its memo shard first
+    /// when the shard already holds a shard's capacity of folds.
+    fn memoize(&self, hash: u64, prompt: &str, folded: Folded) {
+        let mut memo = self.lock_shard(self.shard_for_hash(hash));
+        if let Some(slot) = memo.folds.get_mut(&(hash, prompt) as &dyn KeyView) {
+            *slot = folded;
+            return;
+        }
+        if memo.folds.len() >= self.shard_capacity {
+            memo.folds.clear();
+        }
+        memo.folds.insert(Key::new(hash, prompt), folded);
+    }
+
     /// Completes the canonical text of `canonical` through the tiered
     /// cache: tier-0 hit, single-flight coalescing, disk-tier probe, and
     /// finally the model. The memoized entry is always the canonical
@@ -1133,6 +1236,41 @@ mod tests {
         // The default is a constant, whatever the machine.
         assert_eq!(PromptCache::unbounded(&llm).shards(), 8);
         assert_eq!(PromptCache::new(&llm, 100).shards(), 8);
+    }
+
+    #[test]
+    fn the_fold_memo_keeps_one_entry_per_reordered_prompt_within_the_shard_capacity() {
+        use unidm_llm::protocol::{render_pdp, SerializedRecord};
+        let (_, llm) = setup();
+        let record = |city: String| SerializedRecord::new(vec![("city".into(), city)]);
+        // Ten two-record blocks, each sent in reverse order so it folds.
+        let reversed: Vec<String> = (0..10)
+            .map(|i| render_pdp(&[record(format!("Zagreb {i}")), record(format!("Aachen {i}"))]))
+            .collect();
+        let memo_sizes = |cache: &PromptCache<'_>| -> Vec<usize> {
+            let shards = cache.shards.iter();
+            shards.map(|s| cache.lock_shard(s).folds.len()).collect()
+        };
+        let unbounded = PromptCache::unbounded(&llm).with_canonicalization(CanonLevel::Semantic);
+        for prompt in reversed.iter().chain(&reversed) {
+            unbounded.complete(prompt).unwrap();
+        }
+        assert_eq!(memo_sizes(&unbounded).iter().sum::<usize>(), 10);
+        assert_eq!(unbounded.len(), 10, "memo keys are not entries");
+        let stats = unbounded.stats();
+        assert_eq!((stats.hits, stats.misses), (10, 10));
+
+        let bounded = PromptCache::new(&llm, 2)
+            .with_shards(1)
+            .with_canonicalization(CanonLevel::Semantic);
+        for prompt in &reversed {
+            bounded.complete(prompt).unwrap();
+            assert!(
+                memo_sizes(&bounded)[0] <= 2,
+                "a memo shard holds its capacity"
+            );
+        }
+        assert_eq!(bounded.len(), 2);
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! `all_tables --quick` stdout, pinned byte for byte. The test rebuilds
-//! every table through the same `unidm_eval` drivers the binary calls, in
-//! the same order, and compares against `tests/golden/tables_quick.txt`.
+//! `all_tables` stdout, pinned byte for byte at both scales. The tests
+//! rebuild every table through the same `unidm_eval` drivers the binary
+//! calls, in the same order, and compare against
+//! `tests/golden/tables_quick.txt` (`--quick`, one test) and
+//! `tests/golden/tables_paper.txt` (paper scale, one test per table).
 //! A change to any retrieval, prompt, model or metric path that moves a
 //! single printed cell fails here, naming the first differing line and
 //! the table it sits in.
@@ -44,25 +46,86 @@ fn header_above<'a>(lines: &[&'a str], at: usize) -> &'a str {
         .map_or("", |i| lines[i])
 }
 
-#[test]
-fn all_tables_quick_matches_golden() {
-    let actual = render_quick();
-    if actual == GOLDEN {
+/// Panics unless `actual` equals `golden`, naming the first differing
+/// line — numbered from `first_line` — and the table it sits in.
+fn assert_matches(what: &str, golden: &str, first_line: usize, actual: &str) {
+    if actual == golden {
         return;
     }
-    let want: Vec<&str> = GOLDEN.lines().collect();
+    let want: Vec<&str> = golden.lines().collect();
     let got: Vec<&str> = actual.lines().collect();
     let at = (0..want.len().max(got.len()))
         .find(|&i| want.get(i) != got.get(i))
         .unwrap_or(want.len());
     panic!(
-        "all_tables --quick drifted from tests/golden/tables_quick.txt at line {}\n\
+        "{what} at line {}\n\
          in: {}\n\
          golden: {:?}\n\
          actual: {:?}",
-        at + 1,
+        first_line + at,
         header_above(&want, at),
         want.get(at).copied().unwrap_or("<end of golden>"),
         got.get(at).copied().unwrap_or("<end of output>"),
     );
+}
+
+#[test]
+fn all_tables_quick_matches_golden() {
+    assert_matches(
+        "all_tables --quick drifted from tests/golden/tables_quick.txt",
+        GOLDEN,
+        1,
+        &render_quick(),
+    );
+}
+
+/// `all_tables` stdout at paper scale (`ExperimentConfig::paper()`), one
+/// block per table. To re-record after a change that is meant to move a
+/// cell: `cargo run --release -p unidm-bench --bin all_tables > tests/golden/tables_paper.txt`.
+const PAPER: &str = include_str!("golden/tables_paper.txt");
+
+/// Checks the `index`-th block of the paper-scale golden — one table's
+/// `Display` and the blank line after it — against `table`.
+fn assert_paper_block(index: usize, table: impl std::fmt::Display) {
+    let blocks: Vec<&str> = PAPER.split_inclusive("\n\n").collect();
+    assert_eq!(
+        blocks.len(),
+        12,
+        "tables_paper.txt holds one block per table"
+    );
+    let first_line = 1 + blocks[..index]
+        .iter()
+        .map(|b| b.lines().count())
+        .sum::<usize>();
+    assert_matches(
+        "all_tables drifted from tests/golden/tables_paper.txt",
+        blocks[index],
+        first_line,
+        &format!("{table}\n"),
+    );
+}
+
+/// One test per driver, so the paper-scale runs share the test threads.
+macro_rules! paper_goldens {
+    ($($test:ident: $index:expr => $driver:path;)*) => {$(
+        #[test]
+        fn $test() {
+            assert_paper_block($index, $driver(ExperimentConfig::paper()));
+        }
+    )*};
+}
+
+paper_goldens! {
+    paper_table1_matches_golden: 0 => imputation::table1;
+    paper_table2_matches_golden: 1 => transformation::table2;
+    paper_table3_matches_golden: 2 => errors::table3;
+    paper_table4_matches_golden: 3 => matching::table4;
+    paper_table5_matches_golden: 4 => finetune::table5;
+    paper_table6_matches_golden: 5 => zoo::table6;
+    paper_table7_matches_golden: 6 => tokens::table7;
+    paper_table8_matches_golden: 7 => ablation::table8;
+    paper_table9_matches_golden: 8 => ablation::table9;
+    paper_table10_matches_golden: 9 => ablation::table10;
+    paper_table11_matches_golden: 10 => extraction::table11;
+    paper_fig5_matches_golden: 11 => joins::fig5;
 }
