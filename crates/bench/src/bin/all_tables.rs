@@ -1,17 +1,49 @@
-//! Regenerates every table and figure in sequence.
+//! Regenerates every table and figure of the paper in sequence, or the
+//! one named by `--only NAME` (`table1` … `table11`, `fig5`).
+
+use unidm_eval::{Driver, TABLES};
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let tables = selected(&args);
+    if tables.is_empty() {
+        let names: Vec<&str> = TABLES.iter().map(|(name, _)| *name).collect();
+        eprintln!("error: --only takes one of: {}", names.join(", "));
+        std::process::exit(2);
+    }
     let config = unidm_bench::config_from_args();
-    println!("{}", unidm_eval::imputation::table1(config.clone()));
-    println!("{}", unidm_eval::transformation::table2(config.clone()));
-    println!("{}", unidm_eval::errors::table3(config.clone()));
-    println!("{}", unidm_eval::matching::table4(config.clone()));
-    println!("{}", unidm_eval::finetune::table5(config.clone()));
-    println!("{}", unidm_eval::zoo::table6(config.clone()));
-    println!("{}", unidm_eval::tokens::table7(config.clone()));
-    println!("{}", unidm_eval::ablation::table8(config.clone()));
-    println!("{}", unidm_eval::ablation::table9(config.clone()));
-    println!("{}", unidm_eval::ablation::table10(config.clone()));
-    println!("{}", unidm_eval::extraction::table11(config.clone()));
-    println!("{}", unidm_eval::joins::fig5(config));
+    for (_, driver) in tables {
+        println!("{}", driver(config.clone()));
+    }
+}
+
+/// The entries of [`TABLES`] to print: all of them, or the one named by
+/// `--only NAME` (none when the name is missing or unknown).
+fn selected(args: &[String]) -> Vec<&'static (&'static str, Driver)> {
+    let only = args
+        .iter()
+        .position(|a| a == "--only")
+        .map(|i| args.get(i + 1));
+    TABLES
+        .iter()
+        .filter(|(name, _)| only.is_none_or(|o| o.is_some_and(|o| o == name)))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(args: &[&str]) -> Vec<&'static str> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        selected(&args).iter().map(|(name, _)| *name).collect()
+    }
+
+    #[test]
+    fn only_selects_one_registered_table() {
+        assert_eq!(names(&["all_tables"]).len(), TABLES.len());
+        assert_eq!(names(&["all_tables", "--only", "table8"]), ["table8"]);
+        assert!(names(&["all_tables", "--only", "nope"]).is_empty());
+        assert!(names(&["all_tables", "--only"]).is_empty());
+    }
 }

@@ -1,16 +1,16 @@
 //! Benchmark harness for the UniDM reproduction.
 //!
-//! One binary per paper table/figure — `table1` through `table11` plus
-//! `fig5` — each printing the regenerated rows:
+//! `all_tables` prints every paper table and figure in the order of
+//! [`unidm_eval::TABLES`]; `--only NAME` prints one of them:
 //!
 //! ```text
-//! cargo run -p unidm-bench --release --bin table1            # paper scale
-//! cargo run -p unidm-bench --release --bin table1 -- --quick # smoke scale
+//! cargo run -p unidm-bench --release --bin all_tables                          # paper scale
+//! cargo run -p unidm-bench --release --bin all_tables -- --quick               # smoke scale
+//! cargo run -p unidm-bench --release --bin all_tables -- --only table1 --quick # Table 1 only
 //! ```
 //!
-//! `all_tables` runs everything in sequence. Wall-clock timing of the
-//! pipeline stages and the canonicalizer lives in the repository
-//! benchmark (`benchmark/`).
+//! Wall-clock timing of the pipeline stages and the canonicalizer lives in
+//! the repository benchmark (`benchmark/`).
 //!
 //! The crate also hosts the instrumentation the `throughput` binary uses
 //! to emit the committed exact-counter ledger `BENCH_<pr>.json`: a counting
@@ -180,7 +180,20 @@ pub fn json_escape(text: &str) -> String {
     out
 }
 
-/// Parses the common CLI of the bench binaries:
+/// Parses the common CLI of the bench binaries from the process arguments
+/// (see [`parse_config`]), printing each warning to stderr.
+pub fn config_from_args() -> ExperimentConfig {
+    let args: Vec<String> = std::env::args().collect();
+    let (config, warnings) = parse_config(&args);
+    for warning in warnings {
+        eprintln!("warning: {warning}");
+    }
+    config
+}
+
+/// Parses the common CLI of the bench binaries, returning the config and
+/// one warning per flag whose value was missing or bad (that flag then
+/// keeps its default). Unknown flags are ignored.
 ///
 /// * `--quick` selects the smoke configuration;
 /// * `--seed N` overrides the seed;
@@ -198,18 +211,28 @@ pub fn json_escape(text: &str) -> String {
 /// * `--route [N]` routes backend traffic through an `N`-replica
 ///   `RoutedBackend` fleet (3 when `N` is omitted) — each replica behind
 ///   its own breaker and, under `--faults`, its own fault schedule.
-pub fn config_from_args() -> ExperimentConfig {
-    let args: Vec<String> = std::env::args().collect();
+pub fn parse_config(args: &[String]) -> (ExperimentConfig, Vec<String>) {
+    let mut warnings = Vec::new();
     let mut config = if args.iter().any(|a| a == "--quick") {
         ExperimentConfig::quick()
     } else {
         ExperimentConfig::paper()
     };
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        if let Some(seed) = args.get(pos + 1).and_then(|s| s.parse().ok()) {
-            config.seed = seed;
-        }
-    }
+    let mut seed_flag = |flag: &str, default: u64| -> u64 {
+        let Some(pos) = args.iter().position(|a| a == flag) else {
+            return default;
+        };
+        args.get(pos + 1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| {
+                warnings.push(format!(
+                    "{flag} requires an unsigned integer argument; using {default}"
+                ));
+                default
+            })
+    };
+    config.seed = seed_flag("--seed", config.seed);
+    let fault_seed = seed_flag("--fault-seed", config.seed);
     if args.iter().any(|a| a == "--cache") {
         config.cache = CacheConfig::enabled();
     }
@@ -221,25 +244,17 @@ pub fn config_from_args() -> ExperimentConfig {
                     ..CacheConfig::enabled()
                 };
             }
-            _ => eprintln!(
-                "warning: --cache-dir requires a directory argument; \
-                 persistence disabled"
-            ),
+            _ => warnings
+                .push("--cache-dir requires a directory argument; persistence disabled".into()),
         }
     }
-    let fault_seed = args
-        .iter()
-        .position(|a| a == "--fault-seed")
-        .and_then(|pos| args.get(pos + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(config.seed);
     if let Some(pos) = args.iter().position(|a| a == "--faults") {
         let plan = args
             .get(pos + 1)
             .filter(|level| !level.starts_with("--"))
             .map(|level| {
                 FaultPlan::named(level, fault_seed).unwrap_or_else(|| {
-                    eprintln!("warning: unknown fault level {level:?}; using moderate");
+                    warnings.push(format!("unknown fault level {level:?}; using moderate"));
                     FaultPlan::moderate(fault_seed)
                 })
             })
@@ -256,9 +271,10 @@ pub fn config_from_args() -> ExperimentConfig {
                     .backend
                     .with_rate_limit(per_sec, (per_sec / 10).max(1));
             }
-            _ => eprintln!(
-                "warning: --rate-limit requires a positive attempts/sec argument; \
+            _ => warnings.push(
+                "--rate-limit requires a positive attempts/sec argument; \
                  rate limiting disabled"
+                    .into(),
             ),
         }
     }
@@ -273,18 +289,52 @@ pub fn config_from_args() -> ExperimentConfig {
         }
         config.backend = config.backend.with_route(RoutePlan::replicas(replicas));
     }
-    config
+    (config, warnings)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> (ExperimentConfig, Vec<String>) {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_config(&args)
+    }
+
     #[test]
-    fn default_config_is_paper_scale() {
-        // Without --quick in the test binary args, the parser should fall
-        // back to the paper configuration (args may contain test flags).
-        let c = config_from_args();
-        assert!(c.queries >= ExperimentConfig::quick().queries);
+    fn no_flags_is_paper_scale() {
+        assert_eq!(parse(&["all_tables"]), (ExperimentConfig::paper(), vec![]));
+    }
+
+    #[test]
+    fn quick_flag_is_smoke_scale() {
+        assert_eq!(
+            parse(&["all_tables", "--quick"]),
+            (ExperimentConfig::quick(), vec![])
+        );
+    }
+
+    #[test]
+    fn seed_flag_sets_the_seed() {
+        let (config, warnings) = parse(&["all_tables", "--seed", "7"]);
+        assert_eq!(config.seed, 7);
+        assert!(warnings.is_empty(), "{warnings:?}");
+    }
+
+    #[test]
+    fn bad_seed_warns_and_keeps_42() {
+        for args in [
+            &["all_tables", "--seed", "x"][..],
+            &["all_tables", "--seed"],
+            &["all_tables", "--fault-seed", "x", "--faults"],
+        ] {
+            let (config, warnings) = parse(args);
+            assert_eq!(config.seed, 42, "{args:?}");
+            assert_eq!(warnings.len(), 1, "{args:?}: {warnings:?}");
+            assert!(warnings[0].contains("seed"), "{warnings:?}");
+        }
+        // A bad --fault-seed falls back to the world seed.
+        let (bad, _) = parse(&["all_tables", "--fault-seed", "x", "--faults"]);
+        assert_eq!(bad, parse(&["all_tables", "--faults"]).0);
     }
 }

@@ -1,9 +1,10 @@
 //! Experiment runners regenerating every table and figure of the UniDM
 //! paper, plus the metrics they report.
 //!
-//! Each `table*` / `fig*` function returns a [`report::TableReport`] whose
-//! rows mirror the paper's rows; the `unidm-bench` binaries print them.
-//! Runners are deterministic functions of an [`ExperimentConfig`].
+//! Each `table*` function returns a [`report::TableReport`] whose rows
+//! mirror the paper's rows, and [`joins::fig5`] a [`joins::SweepReport`].
+//! [`TABLES`] lists them all once, in print order; `all_tables` prints
+//! them. Runners are deterministic functions of an [`ExperimentConfig`].
 //!
 //! Drivers route their LLM traffic through the batch engine's prompt
 //! cache when [`ExperimentConfig::cache`] opts in (see [`CacheConfig`]):
@@ -30,6 +31,7 @@
 //! | [`ablation::table8`] / [`ablation::table9`] / [`ablation::table10`] | Tables 8–10 — component ablations |
 //! | [`extraction::table11`] | Table 11 — information-extraction F1 |
 //! | [`joins::fig5`] | Figure 5 — join-discovery sweep |
+//! | [`TABLES`] | every row above as (name, driver), in print order |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +52,7 @@ pub mod transformation;
 pub mod zoo;
 
 pub use cache::{AttachedCache, CacheConfig};
+use report::Report;
 pub use unidm::backend::BackendConfig;
 pub use unidm::dispatch::HedgePolicy;
 pub use unidm::route::{AimdPolicy, RoutePlan};
@@ -111,6 +114,26 @@ impl Default for ExperimentConfig {
         Self::paper()
     }
 }
+
+/// A table or figure's driver: one run of its experiment.
+pub type Driver = fn(ExperimentConfig) -> Report;
+
+/// Every table and figure of the paper as (name, driver), in the order
+/// `all_tables` prints them. The names are what `all_tables --only` takes.
+pub const TABLES: &[(&str, Driver)] = &[
+    ("table1", |c| Report::Table(imputation::table1(c))),
+    ("table2", |c| Report::Table(transformation::table2(c))),
+    ("table3", |c| Report::Table(errors::table3(c))),
+    ("table4", |c| Report::Table(matching::table4(c))),
+    ("table5", |c| Report::Table(finetune::table5(c))),
+    ("table6", |c| Report::Table(zoo::table6(c))),
+    ("table7", |c| Report::Table(tokens::table7(c))),
+    ("table8", |c| Report::Table(ablation::table8(c))),
+    ("table9", |c| Report::Table(ablation::table9(c))),
+    ("table10", |c| Report::Table(ablation::table10(c))),
+    ("table11", |c| Report::Table(extraction::table11(c))),
+    ("fig5", |c| Report::Sweep(joins::fig5(c))),
+];
 
 #[cfg(test)]
 mod tests {

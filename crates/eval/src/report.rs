@@ -2,6 +2,27 @@
 
 use std::fmt;
 
+use crate::joins::SweepReport;
+
+/// What a driver in [`crate::TABLES`] returns: one of the paper's tables
+/// or its Figure 5 sweep. `Display` prints the inner report unchanged.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Report {
+    /// A table in the paper's row/column layout (Tables 1–11).
+    Table(TableReport),
+    /// A threshold sweep (Figure 5).
+    Sweep(SweepReport),
+}
+
+impl fmt::Display for Report {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Report::Table(table) => table.fmt(f),
+            Report::Sweep(sweep) => sweep.fmt(f),
+        }
+    }
+}
+
 /// A rendered experiment table in the paper's layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableReport {
