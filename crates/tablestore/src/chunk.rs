@@ -2,13 +2,14 @@
 //!
 //! A [`Chunk`] holds one fixed-size row partition of a table, stored
 //! column-major: one [`ColumnChunk`] per attribute. Text columns are
-//! dictionary-encoded: one `u32` code per cell, the distinct strings stored
-//! once in a [`StringPool`] (one UTF-8 blob plus an end-offset array — the
-//! bytes a spill segment holds, so paging a chunk in copies the dictionary
-//! rather than rebuilding it string by string). Integer columns are flat
-//! `i64` arrays with a present-mask, and anything heterogeneous falls back
-//! to a plain value vector. Per-column [`ColumnStats`] are computed once
-//! when the chunk is
+//! dictionary-encoded: the distinct strings stored once in a [`StringPool`]
+//! (one UTF-8 blob plus an end-offset array — the bytes a spill segment
+//! holds, so paging a chunk in copies the dictionary rather than
+//! rebuilding it string by string) and one code per cell. Integer columns
+//! are a base plus one offset per cell. Both keep their per-cell words in
+//! [`Words`], at the narrowest width the chunk's data needs, with word 0
+//! meaning null; anything heterogeneous falls back to a plain value
+//! vector. Per-column [`ColumnStats`] are computed once when the chunk is
 //! sealed at ingest and folded by [`Table::column_stats`] instead of
 //! rescanning the column.
 //!
@@ -24,8 +25,95 @@ use std::sync::{Arc, OnceLock};
 use crate::value::canonical_key;
 use crate::{ColumnStats, Record, Value};
 
-/// Dictionary code marking a null cell in a [`ColumnChunk::Dict`] column.
-pub const NULL_CODE: u32 = u32::MAX;
+/// One unsigned word per cell, stored at the narrowest of 1, 2, 4 or 8
+/// bytes that holds the largest word. [`ColumnChunk`] reserves word 0 for
+/// null.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Words {
+    /// Words up to `u8::MAX`.
+    U8(Vec<u8>),
+    /// Words up to `u16::MAX`.
+    U16(Vec<u16>),
+    /// Words up to `u32::MAX`.
+    U32(Vec<u32>),
+    /// Any word.
+    U64(Vec<u64>),
+}
+
+/// Runs `$body` with `$w` bound to the words' slice, one monomorphic copy
+/// per width (no per-word `match`).
+macro_rules! per_width {
+    ($words:expr, $w:ident => $body:expr) => {
+        match $words {
+            Words::U8($w) => $body,
+            Words::U16($w) => $body,
+            Words::U32($w) => $body,
+            // Widening a `u64` word to `u64` is a no-op, not a mistake.
+            #[allow(clippy::useless_conversion)]
+            Words::U64($w) => $body,
+        }
+    };
+}
+
+impl Words {
+    /// Packs `words`, none above `max`, at the narrowest width that holds
+    /// `max`.
+    pub fn pack(max: u64, words: impl Iterator<Item = u64>) -> Words {
+        if max <= u64::from(u8::MAX) {
+            Words::U8(words.map(|w| w as u8).collect())
+        } else if max <= u64::from(u16::MAX) {
+            Words::U16(words.map(|w| w as u16).collect())
+        } else if max <= u64::from(u32::MAX) {
+            Words::U32(words.map(|w| w as u32).collect())
+        } else {
+            Words::U64(words.collect())
+        }
+    }
+
+    /// Bytes per word: 1, 2, 4 or 8.
+    pub fn width(&self) -> usize {
+        match self {
+            Words::U8(_) => 1,
+            Words::U16(_) => 2,
+            Words::U32(_) => 4,
+            Words::U64(_) => 8,
+        }
+    }
+
+    /// Number of words.
+    pub fn len(&self) -> usize {
+        per_width!(self, w => w.len())
+    }
+
+    /// True if there are no words.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Word `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn get(&self, i: usize) -> u64 {
+        per_width!(self, w => w[i].into())
+    }
+
+    /// The largest word, or 0 if there are none (one branch-free pass; it
+    /// vectorizes).
+    pub fn max(&self) -> u64 {
+        per_width!(self, w => w.iter().fold(0, |m, &x| m.max(x)).into())
+    }
+
+    /// Calls `f(i, word)` for every word in order.
+    fn for_each(&self, mut f: impl FnMut(usize, usize)) {
+        per_width!(self, w => {
+            for (i, &x) in w.iter().enumerate() {
+                f(i, x as usize);
+            }
+        })
+    }
+}
 
 /// The distinct strings of a dictionary column as one allocation pair:
 /// string `i` is `blob[ends[i - 1]..ends[i]]` (from `0` for the first).
@@ -111,20 +199,21 @@ impl StringPool {
 /// One column of one row partition, in its most compact encoding.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnChunk {
-    /// Dictionary-encoded text: `codes[i]` indexes into `dict`;
-    /// [`NULL_CODE`] marks a null cell.
+    /// Dictionary-encoded text: word `w` of a cell is `dict` string
+    /// `w - 1`, and 0 is null.
     Dict {
         /// Distinct strings in first-appearance order.
         dict: StringPool,
-        /// One code per row.
-        codes: Vec<u32>,
+        /// One word per row, none above `dict.len()`.
+        codes: Words,
     },
-    /// Integers with a present-mask (`present[i] == false` means null).
+    /// Integers as offsets from the smallest: word `w` of a cell is
+    /// `base + (w - 1)`, and 0 is null.
     Ints {
-        /// One value per row (`0` where absent).
-        values: Vec<i64>,
-        /// One presence flag per row.
-        present: Vec<bool>,
+        /// The smallest value in the column.
+        base: i64,
+        /// One word per row.
+        words: Words,
     },
     /// Heterogeneous fallback: values stored directly.
     Mixed(Vec<Value>),
@@ -132,10 +221,12 @@ pub enum ColumnChunk {
 
 impl ColumnChunk {
     /// Encodes a column of values into the most compact representation:
-    /// all-text columns dictionary-encode, all-integer columns pack into
-    /// `i64`s, anything mixed (floats, bools, text+numbers) stays as
-    /// values — as does a text column whose distinct strings exceed the
-    /// pool's 4 GiB of offsets.
+    /// all-text columns dictionary-encode, all-integer columns pack as
+    /// offsets from their smallest value, anything mixed (floats, bools,
+    /// text+numbers) stays as values — as does a text column whose
+    /// distinct strings exceed the pool's 4 GiB of offsets, and an integer
+    /// column holding both `i64::MIN` and `i64::MAX` (its offsets and the
+    /// null word do not fit 64 bits).
     pub fn encode(values: Vec<Value>) -> ColumnChunk {
         let all_text = values
             .iter()
@@ -147,24 +238,7 @@ impl ColumnChunk {
             .iter()
             .all(|v| matches!(v, Value::Null | Value::Int(_)));
         if all_int {
-            let mut ints = Vec::with_capacity(values.len());
-            let mut present = Vec::with_capacity(values.len());
-            for v in &values {
-                match v {
-                    Value::Int(i) => {
-                        ints.push(*i);
-                        present.push(true);
-                    }
-                    _ => {
-                        ints.push(0);
-                        present.push(false);
-                    }
-                }
-            }
-            return ColumnChunk::Ints {
-                values: ints,
-                present,
-            };
+            return Self::encode_ints(&values).unwrap_or(ColumnChunk::Mixed(values));
         }
         ColumnChunk::Mixed(values)
     }
@@ -177,12 +251,12 @@ impl ColumnChunk {
         let mut codes = Vec::with_capacity(values.len());
         for v in values {
             match v {
-                Value::Null => codes.push(NULL_CODE),
+                Value::Null => codes.push(0),
                 Value::Text(s) => {
                     if let Some(&code) = index.get(s.as_str()) {
                         codes.push(code);
                     } else {
-                        let code = dict.push(s)?;
+                        let code = dict.push(s)?.checked_add(1)?;
                         index.insert(s.as_str(), code);
                         codes.push(code);
                     }
@@ -190,14 +264,37 @@ impl ColumnChunk {
                 _ => unreachable!("caller checked the column is text and nulls"),
             }
         }
+        let codes = Words::pack(dict.len() as u64, codes.iter().map(|&c| u64::from(c)));
         Some(ColumnChunk::Dict { dict, codes })
+    }
+
+    /// Packs a column of integers and nulls, at least one an integer (an
+    /// all-null column is text and nulls); `None` when its span leaves no
+    /// word for null.
+    fn encode_ints(values: &[Value]) -> Option<ColumnChunk> {
+        let (mut min, mut max) = (i64::MAX, i64::MIN);
+        for v in values {
+            if let Value::Int(i) = *v {
+                min = min.min(i);
+                max = max.max(i);
+            }
+        }
+        let top = (max.wrapping_sub(min) as u64).checked_add(1)?;
+        let words = Words::pack(
+            top,
+            values.iter().map(|v| match *v {
+                Value::Int(i) => i.wrapping_sub(min) as u64 + 1,
+                _ => 0,
+            }),
+        );
+        Some(ColumnChunk::Ints { base: min, words })
     }
 
     /// Number of cells in the column.
     pub fn len(&self) -> usize {
         match self {
             ColumnChunk::Dict { codes, .. } => codes.len(),
-            ColumnChunk::Ints { values, .. } => values.len(),
+            ColumnChunk::Ints { words, .. } => words.len(),
             ColumnChunk::Mixed(values) => values.len(),
         }
     }
@@ -215,17 +312,14 @@ impl ColumnChunk {
     /// the table before decoding.
     pub fn value(&self, row: usize) -> Value {
         match self {
-            ColumnChunk::Dict { dict, codes } => match codes[row] {
-                NULL_CODE => Value::Null,
-                code => Value::text(dict.get(code as usize)),
+            ColumnChunk::Dict { dict, codes } => match codes.get(row) {
+                0 => Value::Null,
+                w => Value::text(dict.get(w as usize - 1)),
             },
-            ColumnChunk::Ints { values, present } => {
-                if present[row] {
-                    Value::Int(values[row])
-                } else {
-                    Value::Null
-                }
-            }
+            ColumnChunk::Ints { base, words } => match words.get(row) {
+                0 => Value::Null,
+                w => Value::Int(base.wrapping_add((w - 1) as i64)),
+            },
             ColumnChunk::Mixed(values) => values[row].clone(),
         }
     }
@@ -242,27 +336,20 @@ impl ColumnChunk {
     pub fn find_key(&self, key: &str) -> Vec<usize> {
         match self {
             ColumnChunk::Dict { dict, codes } => {
-                let matching: Vec<u32> = dict
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| canonical_key(s) == key)
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                if matching.is_empty() && !key.is_empty() {
+                // hit[w]: whether a cell with word w matches (0 is null).
+                let mut hit = Vec::with_capacity(dict.len() + 1);
+                hit.push(key.is_empty());
+                hit.extend(dict.iter().map(|s| canonical_key(s) == key));
+                if !hit.contains(&true) {
                     return Vec::new();
                 }
-                codes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| {
-                        if **c == NULL_CODE {
-                            key.is_empty()
-                        } else {
-                            matching.contains(*c)
-                        }
-                    })
-                    .map(|(i, _)| i)
-                    .collect()
+                let mut rows = Vec::new();
+                codes.for_each(|i, w| {
+                    if hit[w] {
+                        rows.push(i);
+                    }
+                });
+                rows
             }
             _ => (0..self.len())
                 .filter(|&i| self.value(i).answer_key() == key)
@@ -275,22 +362,15 @@ impl ColumnChunk {
     pub fn stats(&self) -> ColumnStats {
         match self {
             ColumnChunk::Dict { dict, codes } => {
-                // Count per code first (integer keys), then fold codes that
-                // collide under the answer key — cheaper than hashing a
-                // string per row.
-                let mut per_code = vec![0usize; dict.len()];
-                let mut nulls = 0usize;
-                for &c in codes {
-                    if c == NULL_CODE {
-                        nulls += 1;
-                    } else {
-                        per_code[c as usize] += 1;
-                    }
-                }
-                let mut stats = ColumnStats::with_counts(codes.len(), nulls);
-                for (i, &n) in per_code.iter().enumerate() {
+                // Count per word first (integer keys), then fold strings
+                // that collide under the answer key — cheaper than hashing
+                // a string per row.
+                let mut per_word = vec![0usize; dict.len() + 1];
+                codes.for_each(|_, w| per_word[w] += 1);
+                let mut stats = ColumnStats::with_counts(codes.len(), per_word[0]);
+                for (s, &n) in dict.iter().zip(&per_word[1..]) {
                     if n > 0 {
-                        stats.add_key(canonical_key(dict.get(i)), n);
+                        stats.add_key(canonical_key(s), n);
                     }
                 }
                 stats
@@ -471,7 +551,7 @@ mod tests {
             ColumnChunk::Dict { dict, codes } => {
                 assert_eq!(dict.iter().collect::<Vec<_>>(), ["CET", "GMT"]);
                 assert_eq!((dict.blob(), dict.ends()), ("CETGMT", &[3, 6][..]));
-                assert_eq!(codes, &vec![0, 1, 0, NULL_CODE]);
+                assert_eq!(codes, &Words::U8(vec![1, 2, 1, 0]));
             }
             other => panic!("expected dict encoding, got {other:?}"),
         }
@@ -505,7 +585,13 @@ mod tests {
     #[test]
     fn int_columns_pack() {
         let col = ColumnChunk::encode(vec![Value::Int(7), Value::Null, Value::Int(-3)]);
-        assert!(matches!(col, ColumnChunk::Ints { .. }));
+        assert_eq!(
+            col,
+            ColumnChunk::Ints {
+                base: -3,
+                words: Words::U8(vec![11, 0, 1])
+            }
+        );
         assert_eq!(col.value(0), Value::Int(7));
         assert_eq!(col.value(1), Value::Null);
         assert_eq!(col.value(2), Value::Int(-3));

@@ -1,5 +1,5 @@
 //! The little-endian codec both on-disk formats share — this crate's
-//! `UDMSEG2` segments and `unidm`'s `UDMCACHE3` prompt store: writers
+//! `UDMSEG3` segments and `unidm`'s `UDMCACHE3` prompt store: writers
 //! append to a `Vec<u8>`, and a bounds-checked [`Cursor`] reads back,
 //! failing with [`Truncated`], which each format turns into its own error.
 

@@ -53,7 +53,7 @@ mod stats;
 mod table;
 mod value;
 
-pub use chunk::{Chunk, ColumnChunk, StringPool, NULL_CODE};
+pub use chunk::{Chunk, ColumnChunk, StringPool, Words};
 pub use error::TableError;
 pub use lake::DataLake;
 pub use record::Record;

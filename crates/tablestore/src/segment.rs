@@ -5,30 +5,34 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────────┐
-//! │ magic "UDMSEG2\0" │ u32 header length                            │
+//! │ magic "UDMSEG3\0" │ u32 header length                            │
 //! │ header: table name, schema (names + dtypes), u64 chunk_rows      │
 //! │ chunk 0 payload │ chunk 1 payload │ ... │ chunk N payload        │
-//! │ directory: u64 chunk count, per chunk (offset, bytes, rows) u64s │
+//! │ directory: u64 chunk count, per chunk (offset, bytes, rows,      │
+//! │            checksum64 of the payload) u64s                       │
 //! │ u64 directory offset (last 8 bytes)                              │
 //! └──────────────────────────────────────────────────────────────────┘
 //!
 //! chunk payload = u64 rows, then one column after another:
-//!   0 Dict   u32 n │ u32 end × n │ blob (end[n-1] bytes) │ u32 code × rows
-//!   1 Ints   i64 value × rows │ u8 present × rows
+//!   0 Dict   u32 n │ u32 end × n │ blob (end[n-1] bytes) │ words
+//!   1 Ints   i64 base │ words
 //!   2 Mixed  per cell: u8 tag, then nothing / u32 len + bytes / 8 / 8 / 1
+//! words = u8 width (1, 2, 4 or 8) │ width-byte word × rows
 //! ```
 //!
-//! A `Dict` or `Ints` column is the in-memory [`ColumnChunk`] byte for byte
-//! (the dictionary is the [`StringPool`]'s blob and end offsets), so paging
-//! a chunk in is a few bulk little-endian copies and one UTF-8 pass over
-//! the blob, with no per-cell parsing and no per-string allocation. All
-//! integers are little-endian; the format is versioned by the magic and
-//! dependency-free.
+//! A `Dict` or `Ints` column is the in-memory [`ColumnChunk`] byte for byte:
+//! the dictionary is the [`StringPool`]'s blob and end offsets, and the
+//! words are the [`Words`] at the width the column was sealed with (word 0
+//! is null, word `w` dictionary string `w - 1` or the value `base + w -
+//! 1`). Paging a chunk in is a few bulk little-endian copies (a `memcpy`
+//! for 1-byte words) and one UTF-8 pass over the blob, with no per-cell
+//! parsing and no per-string allocation. All integers are little-endian;
+//! the format is versioned by the magic.
 //!
 //! A segment is scratch: written by one process, read back by the same
 //! build, never committed. The format is therefore *replaced, never
-//! migrated* — a file with any other magic (`UDMSEG1` included) is
-//! rejected by name, there is no second reader.
+//! migrated* — a file with any other magic (`UDMSEG1` and `UDMSEG2`
+//! included) is rejected by name, there is no second reader.
 //!
 //! Everything read from the file is checked before it sizes an allocation
 //! or indexes anything, and a failed check is a [`TableError::Segment`]:
@@ -36,10 +40,12 @@
 //! * open: magic; header length, directory offset and chunk count against
 //!   the file length; every chunk inside the payload region; every chunk
 //!   but the last exactly `chunk_rows` long, the last at most that;
-//! * page-in: payload row count against the directory's, before any
-//!   column is decoded; each column against the bytes that remain;
-//!   dictionary offsets ascending, ending at the blob length and on
-//!   character boundaries; the blob valid UTF-8; every non-null code
+//! * page-in: the payload's `checksum64` against its directory entry's, so
+//!   a flipped bit is an error rather than a wrong cell; then the payload
+//!   row count against the directory's, before any column is decoded;
+//!   each column against the bytes that remain; every word width 1, 2, 4
+//!   or 8; dictionary offsets ascending, ending at the blob length and on
+//!   character boundaries; the blob valid UTF-8; every dictionary word
 //!   inside the dictionary; no bytes left over.
 //!
 //! [`SegmentWriter`] streams rows chunk-by-chunk (peak memory: one chunk),
@@ -54,15 +60,17 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::chunk::{Chunk, ColumnChunk, StringPool, NULL_CODE};
+use unidm_text::hash::checksum64;
+
+use crate::chunk::{Chunk, ColumnChunk, StringPool, Words};
 use crate::codec::{put_str, put_u32, put_u64, Cursor, Truncated};
 use crate::{DataType, Record, Schema, TableError, Value};
 
-const MAGIC: &[u8; 8] = b"UDMSEG2\0";
+const MAGIC: &[u8; 8] = b"UDMSEG3\0";
 /// Magic plus the header length field.
 const PREAMBLE: usize = MAGIC.len() + 4;
-/// Bytes of one directory entry: offset, byte length, row count.
-const ENTRY_BYTES: usize = 24;
+/// Bytes of one directory entry: offset, byte length, row count, checksum.
+const ENTRY_BYTES: usize = 32;
 
 /// Default number of chunks a spilled table keeps resident.
 pub const DEFAULT_PAGE_BUDGET: usize = 16;
@@ -111,6 +119,30 @@ const VTAG_INT: u8 = 2;
 const VTAG_FLOAT: u8 = 3;
 const VTAG_BOOL: u8 = 4;
 
+impl Words {
+    /// Appends the width byte, then every word at that width.
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.width() as u8);
+        match self {
+            Words::U8(w) => out.extend_from_slice(w),
+            Words::U16(w) => out.extend(w.iter().flat_map(|x| x.to_le_bytes())),
+            Words::U32(w) => out.extend(w.iter().flat_map(|x| x.to_le_bytes())),
+            Words::U64(w) => out.extend(w.iter().flat_map(|x| x.to_le_bytes())),
+        }
+    }
+
+    /// Reads `n` words as [`Words::put`] wrote them.
+    fn read(cur: &mut Cursor<'_>, n: usize) -> Result<Words, TableError> {
+        Ok(match cur.u8()? {
+            1 => Words::U8(cur.take(n)?.to_vec()),
+            2 => Words::U16(cur.words(n, u16::from_le_bytes)?),
+            4 => Words::U32(cur.words(n, u32::from_le_bytes)?),
+            8 => Words::U64(cur.words(n, u64::from_le_bytes)?),
+            w => return Err(format_err(format!("word width {w} is not 1, 2, 4 or 8"))),
+        })
+    }
+}
+
 fn encode_column(out: &mut Vec<u8>, col: &ColumnChunk) {
     match col {
         ColumnChunk::Dict { dict, codes } => {
@@ -118,12 +150,12 @@ fn encode_column(out: &mut Vec<u8>, col: &ColumnChunk) {
             put_u32(out, dict.len() as u32);
             out.extend(dict.ends().iter().flat_map(|e| e.to_le_bytes()));
             out.extend_from_slice(dict.blob().as_bytes());
-            out.extend(codes.iter().flat_map(|c| c.to_le_bytes()));
+            codes.put(out);
         }
-        ColumnChunk::Ints { values, present } => {
+        ColumnChunk::Ints { base, words } => {
             out.push(TAG_INTS);
-            out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
-            out.extend(present.iter().map(|&p| u8::from(p)));
+            out.extend_from_slice(&base.to_le_bytes());
+            words.put(out);
         }
         ColumnChunk::Mixed(values) => {
             out.push(TAG_MIXED);
@@ -159,22 +191,18 @@ fn decode_column(cur: &mut Cursor<'_>, rows: usize) -> Result<ColumnChunk, Table
             let ends = cur.words(n, u32::from_le_bytes)?;
             let blob = cur.take(ends.last().map_or(0, |&e| e as usize))?;
             let dict = StringPool::from_parts(blob.to_vec(), ends).map_err(format_err)?;
-            let codes = cur.words(rows, u32::from_le_bytes)?;
-            // One branch-free pass (it vectorizes; a short-circuiting scan
-            // does not): `NULL_CODE + 1` wraps to 0, every other code to
-            // one past itself, so the largest is the dictionary size a
-            // column of these codes needs.
-            const _: () = assert!(NULL_CODE == u32::MAX);
-            let needs = codes.iter().fold(0, |m, c| c.wrapping_add(1).max(m));
-            if needs as usize > dict.len() {
+            let codes = Words::read(cur, rows)?;
+            // Word w is string w - 1, so the largest word is the
+            // dictionary size a column of these words needs.
+            if codes.max() > dict.len() as u64 {
                 return Err(format_err("dictionary code out of range"));
             }
             Ok(ColumnChunk::Dict { dict, codes })
         }
         TAG_INTS => {
-            let values = cur.words(rows, i64::from_le_bytes)?;
-            let present = cur.take(rows)?.iter().map(|&p| p != 0).collect();
-            Ok(ColumnChunk::Ints { values, present })
+            let base = cur.u64()? as i64;
+            let words = Words::read(cur, rows)?;
+            Ok(ColumnChunk::Ints { base, words })
         }
         TAG_MIXED => {
             // A cell is at least its tag byte.
@@ -287,6 +315,8 @@ struct ChunkEntry {
     offset: u64,
     bytes: usize,
     rows: usize,
+    /// [`checksum64`] of the payload.
+    checksum: u64,
 }
 
 // ── Writer ──────────────────────────────────────────────────────────────
@@ -388,6 +418,7 @@ impl SegmentWriter {
             offset: self.offset,
             bytes: payload.len(),
             rows: chunk.len(),
+            checksum: checksum64(&payload),
         });
         self.offset += payload.len() as u64;
         self.buffer.clear();
@@ -409,6 +440,7 @@ impl SegmentWriter {
             put_u64(&mut dir, e.offset);
             put_u64(&mut dir, e.bytes as u64);
             put_u64(&mut dir, e.rows as u64);
+            put_u64(&mut dir, e.checksum);
         }
         put_u64(&mut dir, self.offset); // directory offset, last 8 bytes
         self.file
@@ -465,7 +497,7 @@ impl SegmentReader {
         let (magic, header_len) = preamble.split_at(MAGIC.len());
         if magic != MAGIC {
             return Err(format_err(format!(
-                "not a UDMSEG2 segment (magic {:?}): segments are scratch files of one \
+                "not a UDMSEG3 segment (magic {:?}): segments are scratch files of one \
                  format, spill the table again",
                 String::from_utf8_lossy(magic)
             )));
@@ -492,7 +524,7 @@ impl SegmentReader {
         let mut entries = Vec::with_capacity(nchunks);
         let mut total_rows = 0usize;
         while cur.remaining() > 0 {
-            let (offset, bytes, rows) = (cur.u64()?, cur.u64()?, cur.u64()?);
+            let (offset, bytes, rows, checksum) = (cur.u64()?, cur.u64()?, cur.u64()?, cur.u64()?);
             if offset < payload_start
                 || offset.checked_add(bytes).is_none_or(|end| end > dir_offset)
             {
@@ -512,6 +544,7 @@ impl SegmentReader {
                 offset,
                 bytes: to_usize(bytes)?,
                 rows,
+                checksum,
             });
         }
 
@@ -561,12 +594,13 @@ impl SegmentReader {
         &self.path
     }
 
-    /// Reads and decodes chunk `idx` from disk.
+    /// Reads chunk `idx` from disk, checks it against its checksum and
+    /// decodes it.
     ///
     /// # Errors
     ///
-    /// Returns [`TableError::Segment`] on I/O failure or a malformed
-    /// payload.
+    /// Returns [`TableError::Segment`] on I/O failure, a checksum
+    /// mismatch or a malformed payload.
     pub fn read_chunk(&self, idx: usize) -> Result<Chunk, TableError> {
         let entry = *self
             .entries
@@ -576,6 +610,11 @@ impl SegmentReader {
         self.file
             .read_exact_at(&mut buf, entry.offset)
             .map_err(|e| io_err("read chunk", e))?;
+        if checksum64(&buf) != entry.checksum {
+            return Err(format_err(format!(
+                "chunk {idx} fails its checksum: the payload is corrupt"
+            )));
+        }
         decode_chunk(&buf, self.schema.len(), entry.rows)
     }
 }
@@ -737,6 +776,30 @@ mod tests {
             SegmentReader::open(&path),
             Err(TableError::Segment(_))
         ));
+    }
+
+    #[test]
+    fn all_null_ints_and_full_range_ints_round_trip_through_a_payload() {
+        // `encode` seals an all-null column as an empty dictionary, but a
+        // file may hold an all-null `Ints` column, and it reads back.
+        let columns = vec![
+            Arc::new(ColumnChunk::Ints {
+                base: 0,
+                words: Words::U8(vec![0; 3]),
+            }),
+            Arc::new(ColumnChunk::encode(vec![
+                Value::Int(i64::MIN),
+                Value::Null,
+                Value::Int(i64::MAX),
+            ])),
+        ];
+        let chunk = Chunk::from_columns(3, columns);
+        let back = decode_chunk(&encode_chunk(&chunk), 2, 3).unwrap();
+        for c in 0..2 {
+            assert_eq!(back.column(c), chunk.column(c));
+        }
+        assert!(matches!(**back.column(1), ColumnChunk::Mixed(_)));
+        assert_eq!(back.value(1, 0), Value::Null);
     }
 
     #[test]

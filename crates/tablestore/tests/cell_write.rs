@@ -194,3 +194,24 @@ fn with_cell_equals_from_rows_and_shares_the_rest() {
         }
     }
 }
+
+#[test]
+fn a_write_that_grows_the_dictionary_widens_its_codes() {
+    // 255 distinct strings fill 1-byte words (0 is null); a 256th needs 2.
+    let mut rows: Vec<Record> = (0..256)
+        .map(|i| Record::new(vec![Value::text(format!("s{}", i % 255))]))
+        .collect();
+    let chunk = Chunk::from_rows(1, &rows);
+    let width = |c: &Chunk| match &**c.column(0) {
+        ColumnChunk::Dict { dict, codes } => (dict.len(), codes.width()),
+        other => panic!("expected dict encoding, got {other:?}"),
+    };
+    assert_eq!(width(&chunk), (255, 1));
+    let edited = chunk.with_cell(255, 0, Value::text("s255"));
+    rows[255] = Record::new(vec![Value::text("s255")]);
+    let expected = Chunk::from_rows(1, &rows);
+    assert_eq!(width(&edited), (256, 2));
+    assert_eq!(edited.column(0), expected.column(0));
+    assert_eq!(edited.stats(0), expected.stats(0));
+    assert_eq!(edited.decode_rows(), rows);
+}

@@ -1,15 +1,17 @@
-//! The `UDMSEG2` spill format, from outside the crate: what a writer
+//! The `UDMSEG3` spill format, from outside the crate: what a writer
 //! spills a reader pages back cell for cell, and a file that is not what a
-//! writer wrote — cut short anywhere, or with one field changed by hand —
-//! is a [`TableError::Segment`], never a panic, a wrong cell or an
-//! allocation sized by a garbage length.
+//! writer wrote — cut short anywhere, a payload bit flipped, or one field
+//! changed by hand — is a [`TableError::Segment`], never a panic, a wrong
+//! cell or an allocation sized by a garbage length.
 //!
 //! Generated inputs are seeded from `UNIDM_FAULT_SEED` (the CI matrix runs
 //! 7 and 1337); the default is 9 so a plain `cargo test` adds a third.
 //!
 //! The hand corruptions patch bytes at offsets computed from the layout
 //! documented in `crates/tablestore/src/segment.rs`; a layout change has to
-//! touch this file too, which is the point.
+//! touch this file too, which is the point. A hand corruption of a
+//! payload re-seals the chunk's checksum, so the check it names is the
+//! one that catches it.
 
 mod common;
 
@@ -17,6 +19,7 @@ use std::path::PathBuf;
 
 use common::{Gen, ANY};
 use unidm_tablestore::{Schema, SegmentReader, Table, TableError, Value};
+use unidm_text::hash::checksum64;
 
 fn seed() -> u64 {
     std::env::var("UNIDM_FAULT_SEED")
@@ -141,13 +144,18 @@ fn every_truncation_is_an_error_or_a_correct_prefix() {
 /// is rows `["é", "ab", "é", null]`, chunk 1 the single row `["z"]`.
 ///
 /// ```text
-/// chunk 0 payload, from its directory offset `p`:
-///   p      u64 rows = 4
-///   p+8    u8  tag  = 0 (Dict)
-///   p+9    u32 n    = 2
-///   p+13   u32 ends = [2, 4]
-///   p+21   blob     = C3 A9 'a' 'b'
-///   p+25   u32 codes = [0, 1, 0, NULL]
+/// chunk 0 payload, from its directory offset `p` (30 bytes):
+///   p      u64 rows  = 4
+///   p+8    u8  tag   = 0 (Dict)
+///   p+9    u32 n     = 2
+///   p+13   u32 ends  = [2, 4]
+///   p+21   blob      = C3 A9 'a' 'b'
+///   p+25   u8  width = 1
+///   p+26   u8  words = [1, 2, 1, 0]   (string w - 1; 0 is null)
+/// directory, from `dir`:
+///   dir    u64 chunk count = 2
+///   dir+8  chunk 0: u64 offset, u64 bytes, u64 rows, u64 checksum
+///   dir+40 chunk 1: the same
 /// ```
 struct Specimen {
     scratch: Scratch,
@@ -163,10 +171,19 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
 }
 
 fn specimen(tag: &str) -> Specimen {
+    let s = specimen_of(tag, &[Some("é"), Some("ab"), Some("é"), None]);
+    assert_eq!(u64_at(&s.bytes, s.dir + 16), 30, "chunk 0 payload bytes");
+    assert_eq!(&s.bytes[s.p + 21..s.p + 25], "éab".as_bytes());
+    assert_eq!(&s.bytes[s.p + 25..s.p + 30], [1, 1, 2, 1, 0]);
+    s
+}
+
+/// A specimen whose chunk 0 is `chunk0` and whose chunk 1 is `["z"]`.
+fn specimen_of(tag: &str, chunk0: &[Option<&str>]) -> Specimen {
     let scratch = Scratch(tmp(tag));
     let schema = Schema::from_names(["t"]).unwrap();
-    let mut table = Table::with_chunk_rows("specimen", schema, 4);
-    for cell in [Some("é"), Some("ab"), Some("é"), None, Some("z")] {
+    let mut table = Table::with_chunk_rows("specimen", schema, chunk0.len());
+    for cell in chunk0.iter().chain([&Some("z")]) {
         table
             .push_row(vec![cell.map_or(Value::Null, Value::text)])
             .unwrap();
@@ -176,8 +193,6 @@ fn specimen(tag: &str) -> Specimen {
     let dir = u64_at(&bytes, bytes.len() - 8) as usize;
     assert_eq!(u64_at(&bytes, dir), 2, "two chunks");
     let p = u64_at(&bytes, dir + 8) as usize;
-    assert_eq!(u64_at(&bytes, dir + 16), 41, "chunk 0 payload bytes");
-    assert_eq!(&bytes[p + 21..p + 25], "éab".as_bytes());
     Specimen {
         scratch,
         bytes,
@@ -192,9 +207,12 @@ impl Specimen {
         self
     }
 
-    /// Patches chunk 0's payload at `p + at`.
+    /// Patches chunk 0's payload at `p + at` and re-seals its checksum.
     fn patch_payload(&mut self, at: usize, with: &[u8]) -> &mut Self {
-        self.patch(self.p + at, with)
+        self.patch(self.p + at, with);
+        let len = u64_at(&self.bytes, self.dir + 16) as usize;
+        let checksum = checksum64(&self.bytes[self.p..self.p + len]);
+        self.patch_dir(32, &checksum.to_le_bytes())
     }
 
     /// Patches the directory at `dir + at`.
@@ -257,9 +275,44 @@ fn specimen_reads_back_before_any_patch() {
 }
 
 #[test]
+fn every_flipped_payload_bit_fails_the_checksum() {
+    let mut s = specimen("flip");
+    let len = u64_at(&s.bytes, s.dir + 16) as usize;
+    for at in s.p..s.p + len {
+        for bit in 0..8 {
+            s.bytes[at] ^= 1 << bit;
+            s.chunk0_fails("chunk 0 fails its checksum");
+            s.bytes[at] ^= 1 << bit;
+        }
+    }
+    // The checksum's own bytes are covered the same way.
+    for at in s.dir + 32..s.dir + 40 {
+        s.bytes[at] ^= 0x10;
+        s.chunk0_fails("chunk 0 fails its checksum");
+        s.bytes[at] ^= 0x10;
+    }
+}
+
+#[test]
+fn a_word_width_other_than_1_2_4_or_8_is_rejected() {
+    let mut s = specimen("width");
+    s.patch_payload(25, &[3]).chunk0_fails("word width 3");
+}
+
+#[test]
 fn dictionary_code_past_the_pool_is_rejected() {
+    // Width 1: the dictionary holds 2 strings, so word 3 is one past it.
     let mut s = specimen("code");
-    s.patch_payload(29, &2u32.to_le_bytes())
+    s.patch_payload(27, &[3]).chunk0_fails("code out of range");
+    // Width 2: 300 four-byte strings, so the words start after the 300
+    // ends, the 1 200-byte blob and the width byte.
+    let strings: Vec<String> = (0..300).map(|i| format!("w{i:03}")).collect();
+    let cells: Vec<Option<&str>> = strings.iter().map(|w| Some(w.as_str())).collect();
+    let mut s = specimen_of("code-wide", &cells);
+    let words = 13 + 4 * 300 + 1200;
+    assert_eq!(s.bytes[s.p + words], 2, "2-byte words");
+    assert_eq!(&s.bytes[s.p + words + 1..][..2], 1u16.to_le_bytes());
+    s.patch_payload(words + 1, &301u16.to_le_bytes())
         .chunk0_fails("code out of range");
 }
 
@@ -313,7 +366,7 @@ fn payload_rows_must_equal_directory_rows() {
     s.patch_dir(24, &3u64.to_le_bytes())
         .open_fails("row count differs from chunk_rows");
     s.patch_dir(24, &4u64.to_le_bytes())
-        .patch_dir(48, &5u64.to_le_bytes())
+        .patch_dir(56, &5u64.to_le_bytes())
         .open_fails("row count differs from chunk_rows");
 }
 
@@ -346,5 +399,6 @@ fn absurd_chunk_counts_and_lengths_are_rejected() {
 fn the_old_magic_is_rejected_by_name() {
     let mut s = specimen("magic");
     s.patch(0, b"UDMSEG1\0").open_fails("UDMSEG1");
-    s.patch(0, b"PARQUET1").open_fails("not a UDMSEG2 segment");
+    s.patch(0, b"UDMSEG2\0").open_fails("UDMSEG2");
+    s.patch(0, b"PARQUET1").open_fails("not a UDMSEG3 segment");
 }
