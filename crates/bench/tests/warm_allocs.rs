@@ -1,6 +1,7 @@
 //! The warm paths allocate nothing. Re-looking up a cache's own canonical
 //! texts must not touch the heap, at every canonicalization level, nor
-//! must a repeat of a reordered list the `Semantic` level has folded; and a
+//! must a repeat of a prompt the `Semantic` level has rewritten — a
+//! reordered list, a per-row `p_rm` query, loose whitespace; and a
 //! repeat attempt on a prompt the fault injector has already seen adds no
 //! allocation to the inner model's own, whatever the schedule makes of it —
 //! nor does a repeat call through a routed fleet of injectors, which keeps
@@ -102,23 +103,26 @@ fn warm_hits_allocate_nothing_at_any_level() {
             "every re-lookup hit at {level}"
         );
         if level == CanonLevel::Semantic {
-            // The unsorted lists as sent: each folded once above, so a
-            // repeat is served from the fold memo without folding again.
-            let reordered: Vec<&String> = prompts
+            // The prompts as sent, each rewritten once above — the unsorted
+            // lists folded, the per-row `p_rm` query generalized, the loose
+            // whitespace normalized — so a repeat is served from the fold
+            // memo without canonicalizing again.
+            let rewritten: Vec<&String> = prompts
                 .iter()
-                .filter(|p| CanonicalPrompt::canonicalize(p, level).replay().is_some())
+                .filter(|p| !CanonicalPrompt::canonicalize(p, level).is_borrowed())
                 .collect();
-            assert_eq!(reordered.len(), 2, "the p_ri and p_dp lists fold");
+            assert_eq!(rewritten.len(), 4, "p_rm, p_ri, p_dp and the loose prompt");
+            assert!(rewritten.contains(&&prompts[0]), "the per-row p_rm query");
             let fewest = (0..3)
                 .map(|_| {
                     let section = AllocationDelta::start();
-                    for prompt in &reordered {
+                    for prompt in &rewritten {
                         let _ = std::hint::black_box(cache.complete(prompt));
                     }
                     section.allocations()
                 })
                 .min();
-            assert_eq!(fewest, Some(0), "repeated reordered lookups allocated");
+            assert_eq!(fewest, Some(0), "repeated rewritten lookups allocated");
         }
     }
 }

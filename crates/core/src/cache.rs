@@ -9,26 +9,34 @@
 //! * **Canonical keys** ([`crate::canon`]) — prompts are keyed by their
 //!   canonical text, so whitespace variants and (at
 //!   [`CanonLevel::TableStem`]) per-row retrieval preambles share entries.
-//!   The lookup path runs [`CanonicalPrompt::canonicalize`], which borrows
-//!   already-canonical prompts instead of copying them — a warm hit on a
-//!   canonical prompt performs **zero heap allocations**.
+//!   A prompt equal to a resident key is served before anything
+//!   canonicalizes it: every resident key is canonical at the cache's
+//!   level and canonicalization is idempotent, so such a prompt is its own
+//!   canonical form. Other prompts go through
+//!   [`CanonicalPrompt::canonicalize`], which borrows already-canonical
+//!   prompts instead of copying them — a warm hit on a canonical prompt
+//!   performs **zero heap allocations**.
 //! * **A fold memo** — at a level that folds lists, each shard also maps
-//!   a reordered raw prompt to what its fold produced: the resident
-//!   canonical key, the completion the answer was adapted from and the
-//!   adaptation. A repeat of that raw text is served without folding or
-//!   adapting again, and allocates nothing; only the first sighting pays
-//!   the fold's buffers and the memo entry.
-//! * **One content hash per lookup** — the canonicalizer hashes the
-//!   canonical text once ([`CanonicalPrompt::hash64`]: word-at-a-time,
-//!   deterministic, unkeyed, in memory only) and everything here reuses
-//!   it: the shard is selected by it, and the resident, eviction-ring and
-//!   in-flight keys carry it, so the maps hash those 8 bytes (under std's
-//!   keyed `RandomState`) instead of the text. A hit is one normality
-//!   pass, one hash pass, one 8-byte table hash and one text compare; a
-//!   miss additionally copies the text once, into the `Arc<str>` its
-//!   in-flight slot and its resident entry share. Texts with equal
-//!   content hashes share a probe chain — every probe compares the full
-//!   text, so answers stay right and only lookup time degrades.
+//!   a rewritten raw prompt (a reordered list, a per-row `p_rm` query,
+//!   loose whitespace) to what canonicalization produced: the resident
+//!   canonical key, the completion the answer came from and the answer. A
+//!   repeat of that raw text is served without canonicalizing or adapting
+//!   again, and allocates nothing; only the first sighting pays the
+//!   rewrite's buffers and the memo entry.
+//! * **One content hash per text** — a lookup hashes the raw prompt once
+//!   ([`unidm_text::hash::content_hash`]: word-at-a-time, deterministic,
+//!   unkeyed, in memory only) and everything here reuses it: the shard is
+//!   selected by it, and the resident, eviction-ring and in-flight keys
+//!   carry it, so the maps hash those 8 bytes (under std's keyed
+//!   `RandomState`) instead of the text. A warm lookup is that hash pass,
+//!   one 8-byte table hash and one text compare (a memo hit adds a probe
+//!   of the canonical entry, whose key it shares by `Arc`, so no second
+//!   compare). A lookup that misses both canonicalizes, reusing the raw
+//!   hash when the canonical text is the prompt itself and hashing only a
+//!   rewritten text; a miss additionally copies the text once, into the
+//!   `Arc<str>` its in-flight slot and its resident entry share. Texts
+//!   with equal content hashes share a probe chain — every probe compares
+//!   the full text, so answers stay right and only lookup time degrades.
 //! * **Sharding** — the memo is split across N independently locked maps
 //!   selected by key hash (8 unless [`PromptCache::with_shards`] says
 //!   otherwise), so concurrent workers contend on 1/N of the lock traffic.
@@ -120,7 +128,7 @@ struct CacheEntry {
     referenced: bool,
 }
 
-/// State of a single-flight slot.
+/// Outcome of a single-flight slot.
 enum SlotState {
     /// The leader is still completing the canonical text.
     Pending,
@@ -131,48 +139,68 @@ enum SlotState {
     Abandoned,
 }
 
+/// What a single-flight slot's mutex guards: its outcome, and how many
+/// coalesced lookups are blocked on it.
+struct Slot {
+    state: SlotState,
+    waiters: usize,
+}
+
 /// A single-flight slot: the rendezvous between the leader completing a
 /// canonical key and the coalesced waiters blocked on it.
 struct InFlight {
-    state: Mutex<SlotState>,
+    slot: Mutex<Slot>,
     ready: Condvar,
 }
 
 impl InFlight {
     fn new() -> Arc<InFlight> {
         Arc::new(InFlight {
-            state: Mutex::new(SlotState::Pending),
+            slot: Mutex::new(Slot {
+                state: SlotState::Pending,
+                waiters: 0,
+            }),
             ready: Condvar::new(),
         })
     }
 
     /// Publishes the leader's result and wakes every waiter.
     fn fill(&self, result: Result<Arc<Completion>, LlmError>) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *state = SlotState::Done(result);
-        drop(state);
-        self.ready.notify_all();
+        self.publish(SlotState::Done(result));
     }
 
     /// Marks the slot abandoned (leader panicked) and wakes every waiter.
     fn abandon(&self) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *state = SlotState::Abandoned;
-        drop(state);
-        self.ready.notify_all();
+        self.publish(SlotState::Abandoned);
+    }
+
+    /// Sets the outcome, then notifies only if someone waits: a waiter
+    /// counts itself under the mutex before it sleeps, so a count of zero
+    /// here means nobody can miss the outcome, and the uncontended miss
+    /// skips the wake-up syscall.
+    fn publish(&self, state: SlotState) {
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.state = state;
+        let waited = slot.waiters > 0;
+        drop(slot);
+        if waited {
+            self.ready.notify_all();
+        }
     }
 
     /// Blocks until the leader publishes; `None` means the slot was
     /// abandoned and the caller should retry its lookup.
     fn wait(&self) -> Option<Result<Arc<Completion>, LlmError>> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            match &*state {
+            match &slot.state {
                 SlotState::Pending => {
-                    state = self
+                    slot.waiters += 1;
+                    slot = self
                         .ready
-                        .wait(state)
+                        .wait(slot)
                         .unwrap_or_else(PoisonError::into_inner);
+                    slot.waiters -= 1;
                 }
                 SlotState::Done(result) => return Some(result.clone()),
                 SlotState::Abandoned => return None,
@@ -181,11 +209,11 @@ impl InFlight {
     }
 }
 
-/// What a probe needs of a key: the content hash the canonicalizer
-/// computed and the canonical text. The maps are keyed by [`Key`] and
-/// probed through `&dyn KeyView`, so a lookup borrows its
-/// [`CanonicalPrompt`] — or, in the disk tier's index, a `(hash, text)`
-/// pair — instead of building an owned key.
+/// What a probe needs of a key: a content hash and the text it hashes.
+/// The maps are keyed by [`Key`] and probed through `&dyn KeyView`, so a
+/// lookup borrows its [`CanonicalPrompt`] — or a `(hash, text)` pair: the
+/// raw prompt, or the disk tier's index text — instead of building an
+/// owned key.
 pub(crate) trait KeyView {
     fn hash64(&self) -> u64;
     fn text(&self) -> &str;
@@ -220,11 +248,13 @@ impl Hash for dyn KeyView + '_ {
     }
 }
 
-/// Key equality is always decided by the full canonical text; the hash
-/// comparison in front of it only skips the `memcmp` for chain neighbours.
+/// Key equality is always decided by the full text; the hash comparison
+/// in front of it only skips the `memcmp` for chain neighbours, and the
+/// pointer comparison skips it for two keys sharing one `Arc<str>`.
 impl PartialEq for dyn KeyView + '_ {
     fn eq(&self, other: &Self) -> bool {
-        self.hash64() == other.hash64() && self.text() == other.text()
+        let (a, b) = (self.text(), other.text());
+        self.hash64() == other.hash64() && (std::ptr::eq(a, b) || a == b)
     }
 }
 
@@ -288,14 +318,15 @@ impl PartialEq for Key {
 
 impl Eq for Key {}
 
-/// What one reordered raw prompt folded to, kept by the fold memo: the
-/// resident canonical key, the canonical completion the answer was
-/// adapted from, and that adaptation.
+/// What one rewritten raw prompt canonicalized to, kept by the fold memo:
+/// the resident canonical key, the canonical completion the answer came
+/// from, and the answer — the fold's adaptation of it, or the completion
+/// itself when nothing was reordered.
 #[derive(Clone)]
 struct Folded {
     canonical: Key,
     from: Arc<Completion>,
-    adapted: Arc<Completion>,
+    answer: Arc<Completion>,
 }
 
 #[derive(Default)]
@@ -313,9 +344,10 @@ struct CacheInner {
     /// completed by a leader.
     inflight: HashMap<Key, Arc<InFlight>>,
     /// The fold memo, at a level that folds lists: raw prompt (its own
-    /// content hash, compared in full) → what a fold that reordered it
-    /// produced. The shard is picked by the raw text's hash, not the
-    /// canonical one's. Cleared when it reaches the shard's capacity.
+    /// content hash, compared in full) → what canonicalization that
+    /// rewrote it produced. The shard is picked by the raw text's hash,
+    /// not the canonical one's. Cleared when it reaches the shard's
+    /// capacity.
     folds: HashMap<Key, Folded>,
     stats: CacheStats,
 }
@@ -419,9 +451,13 @@ impl CacheInner {
 ///
 /// # Keying and canonicalization
 ///
-/// Lookups go through [`CanonicalPrompt::canonicalize`] at the cache's
+/// Lookups are keyed by [`CanonicalPrompt::canonicalize`] at the cache's
 /// [`CanonLevel`] (default [`CanonLevel::Verbatim`], i.e. exact
-/// memoization). At higher levels a miss completes the *canonical* prompt
+/// memoization). The level is fixed before the cache serves
+/// ([`PromptCache::with_canonicalization`] panics on a cache that holds
+/// an entry), so every resident key is canonical at it, and a prompt
+/// equal to one is served without canonicalizing it again. At higher
+/// levels a miss completes the *canonical* prompt
 /// text rather than the raw variant, which makes the memo a pure function
 /// of the canonical key: whichever worker populates an entry, the stored
 /// completion is identical, so serial and parallel batches stay
@@ -431,26 +467,28 @@ impl CacheInner {
 ///
 /// * **A canonical prompt: nothing.** An already-canonical prompt (every
 ///   re-lookup of a canonical text, and every rendered prompt that needs
-///   no rewriting) is borrowed by the canonicalizer and hashed once; the
-///   shard map is probed with that hash and the borrowed text (compared in
-///   full against the resident key), the entry is refreshed by setting its
-///   reference bit in place, and the lookup is answered by bumping the
-///   reference count of the stored [`Arc<Completion>`]. No `String`, no
-///   node, no clone, at every [`CanonLevel`].
-/// * **A memoized reordered prompt: nothing.** At a level that folds lists
-///   ([`CanonLevel::folds_lists`]) every lookup first hashes the raw text
-///   and probes the fold memo. A raw prompt whose fold reordered it before
-///   is served from there while its canonical entry is resident and still
-///   holds the completion the memoized answer was adapted from: the hit is
-///   counted exactly as the folding path counts it, and the adaptation is
-///   returned by `Arc`. Any other lookup takes the folding path, which
-///   memoizes a reordered prompt afresh.
-/// * **A first-seen fold** pays the fold's buffers, the replay's and the
-///   adapted completion, plus the memo entry: one copy of the raw text.
-///   The memo keeps one entry per distinct reordered raw prompt in an
-///   unbounded cache; in a bounded one a memo shard is cleared when it
-///   reaches the shard's entry capacity. [`PromptCache::len`] and
-///   [`PromptCache::canonical_prompts`] never see memo entries.
+///   no rewriting) is hashed once; the shard map is probed with that hash
+///   and the prompt itself (compared in full against the resident key),
+///   the entry is refreshed by setting its reference bit in place, and the
+///   lookup is answered by bumping the reference count of the stored
+///   [`Arc<Completion>`]. Nothing canonicalizes it. No `String`, no node,
+///   no clone, at every [`CanonLevel`].
+/// * **A memoized rewritten prompt: nothing.** At a level that folds lists
+///   ([`CanonLevel::folds_lists`]) a prompt that is not a resident key is
+///   looked up, under the same hash, in the fold memo. A raw prompt that
+///   canonicalization rewrote before (reordered, generalized or
+///   whitespace-normalized) is served from there while its canonical entry
+///   is resident and still holds the completion the memoized answer came
+///   from: the hit is counted exactly as the canonicalizing path counts
+///   it, and the answer is returned by `Arc`. Any other lookup takes the
+///   canonicalizing path, which memoizes a rewritten prompt afresh.
+/// * **A first-seen rewrite** pays the rewrite's buffers — for a fold,
+///   the replay's and the adapted completion too — plus the memo entry:
+///   one copy of the raw text. The memo keeps one entry per distinct
+///   rewritten raw prompt in an unbounded cache; in a bounded one a memo
+///   shard is cleared when it reaches the shard's entry capacity.
+///   [`PromptCache::len`] and [`PromptCache::canonical_prompts`] never see
+///   memo entries.
 ///
 /// The bench suite asserts the first two with a counting allocator.
 ///
@@ -615,17 +653,26 @@ impl<'a> PromptCache<'a> {
 
     /// Sets the shard count (rounded up to a power of two, minimum 1).
     /// Builder-style, on an empty cache: entries are not migrated.
+    ///
+    /// # Panics
+    ///
+    /// If the cache already holds an entry.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        debug_assert!(self.is_empty(), "configure a PromptCache before it serves");
+        assert!(self.is_empty(), "configure a PromptCache before it serves");
         self.shards = build_shards(shards.max(1).next_power_of_two());
         self.shard_capacity = self.capacity_per_shard();
         self
     }
 
     /// Sets the canonicalization level. Builder-style, on an empty cache:
-    /// entries are not re-keyed.
+    /// entries are not re-keyed, and a lookup trusts that every resident
+    /// key is canonical at the cache's level.
+    ///
+    /// # Panics
+    ///
+    /// If the cache already holds an entry.
     pub fn with_canonicalization(mut self, level: CanonLevel) -> Self {
-        debug_assert!(self.is_empty(), "configure a PromptCache before it serves");
+        assert!(self.is_empty(), "configure a PromptCache before it serves");
         self.level = level;
         self
     }
@@ -763,22 +810,24 @@ impl LanguageModel for PromptCache<'_> {
     }
 
     fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-        // At a level that folds lists, a reordered prompt seen before is
-        // served from the fold memo without folding it again.
-        let raw_hash = self.level.folds_lists().then(|| content_hash(prompt));
-        if let Some(served) = raw_hash.and_then(|hash| self.serve_memoized(hash, prompt)) {
+        // The one hash of the raw text: a warm prompt is served by it
+        // alone, and a borrowed canonical text reuses it.
+        let hash = content_hash(prompt);
+        if let Some(served) = self.serve_warm(hash, prompt) {
             return Ok(served);
         }
-        let canonical = CanonicalPrompt::canonicalize(prompt, self.level);
+        let canonical = CanonicalPrompt::canonicalize_hashed(prompt, self.level, hash);
         let completion = self.complete_canonical(&canonical)?;
         // A v2 fold that reordered this request replays the canonical
         // completion permutation-corrected into the request's own element
-        // order (identity-ordered requests — every canonical prompt, so
-        // the whole warm fast path — skip this branch entirely).
-        let Some(fold) = canonical.replay() else {
-            return Ok(completion);
+        // order.
+        let answer = match canonical.replay() {
+            Some(fold) => Arc::new(fold.adapt(&completion)),
+            None => completion.clone(),
         };
-        let adapted = Arc::new(fold.adapt(&completion));
+        if canonical.is_borrowed() || !self.level.folds_lists() {
+            return Ok(answer);
+        }
         // The memo shares the resident entry's key, so it never copies the
         // canonical text; an entry that is not resident is not memoized.
         let resident = self
@@ -786,15 +835,15 @@ impl LanguageModel for PromptCache<'_> {
             .entries
             .get_key_value(&canonical as &dyn KeyView)
             .map(|(key, _)| key.clone());
-        if let (Some(hash), Some(canonical)) = (raw_hash, resident) {
+        if let Some(canonical) = resident {
             let folded = Folded {
                 canonical,
                 from: completion,
-                adapted: adapted.clone(),
+                answer: answer.clone(),
             };
             self.memoize(hash, prompt, folded);
         }
-        Ok(adapted)
+        Ok(answer)
     }
 
     fn usage(&self) -> Usage {
@@ -813,28 +862,39 @@ impl LanguageModel for PromptCache<'_> {
 }
 
 impl PromptCache<'_> {
-    /// Serves a reordered `prompt` (raw content hash `hash`) from the fold
-    /// memo while the canonical entry it folded to is resident and still
-    /// holds the completion the memoized answer was adapted from, counting
-    /// the hit exactly as the folding path would. The memo shard and the
-    /// entry's shard are locked one after the other. `None` (nothing
-    /// counted) sends the lookup down the folding path, which memoizes it
-    /// afresh.
-    fn serve_memoized(&self, hash: u64, prompt: &str) -> Option<Arc<Completion>> {
-        let memo = self
-            .lock_shard(self.shard_for_hash(hash))
-            .folds
-            .get(&(hash, prompt) as &dyn KeyView)?
-            .clone();
+    /// Serves `prompt` (raw content hash `hash`) without canonicalizing
+    /// it, counting the hit exactly as the canonicalizing path would:
+    ///
+    /// * a prompt equal to a resident key is served from that entry. Every
+    ///   resident key is canonical at the cache's level and
+    ///   canonicalization is idempotent, so such a prompt is its own
+    ///   canonical form, and its raw hash is the key's;
+    /// * otherwise, a rewritten prompt in the fold memo is served while the
+    ///   canonical entry it maps to is resident and still holds the
+    ///   completion its memoized answer came from.
+    ///
+    /// The raw hash's shard is probed for both, then the entry's shard is
+    /// locked for the second, one after the other. `None` (nothing
+    /// counted) sends the lookup down the canonicalizing path, which
+    /// memoizes a rewritten prompt afresh.
+    fn serve_warm(&self, hash: u64, prompt: &str) -> Option<Arc<Completion>> {
+        let memo = {
+            let raw = (hash, prompt);
+            let mut shard = self.lock_shard(self.shard_for_hash(hash));
+            if let Some(completion) = shard.hit(&raw) {
+                return Some(completion);
+            }
+            shard.folds.get(&raw as &dyn KeyView)?.clone()
+        };
         // `memo.from` keeps its allocation alive, so a refilled entry can
         // never hold a completion at the same address.
         self.lock_shard(self.shard_for_hash(memo.canonical.hash))
             .hit_if(&memo.canonical, |held| Arc::ptr_eq(held, &memo.from))?;
-        Some(memo.adapted)
+        Some(memo.answer)
     }
 
-    /// Records what `prompt` folded to, clearing its memo shard first
-    /// when the shard already holds a shard's capacity of folds.
+    /// Records what `prompt` was rewritten to, clearing its memo shard
+    /// first when the shard already holds a shard's capacity of entries.
     fn memoize(&self, hash: u64, prompt: &str, folded: Folded) {
         let mut memo = self.lock_shard(self.shard_for_hash(hash));
         if let Some(slot) = memo.folds.get_mut(&(hash, prompt) as &dyn KeyView) {
@@ -1271,6 +1331,25 @@ mod tests {
             );
         }
         assert_eq!(bounded.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "configure a PromptCache before it serves")]
+    fn re_leveling_a_cache_that_has_served_panics() {
+        let (_, llm) = setup();
+        let cache = PromptCache::unbounded(&llm);
+        cache.complete("The quick brown fox").unwrap();
+        // Its resident key would not be canonical at the new level.
+        let _ = cache.with_canonicalization(CanonLevel::Whitespace);
+    }
+
+    #[test]
+    #[should_panic(expected = "configure a PromptCache before it serves")]
+    fn re_sharding_a_cache_that_has_served_panics() {
+        let (_, llm) = setup();
+        let cache = PromptCache::unbounded(&llm);
+        cache.complete("The quick brown fox").unwrap();
+        let _ = cache.with_shards(2);
     }
 
     #[test]

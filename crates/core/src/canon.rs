@@ -26,9 +26,11 @@
 //!
 //! # The allocation-free hot path
 //!
-//! Canonicalization sits on the dispatch hot path: every cache lookup runs
-//! it, and on a warm cache most lookups are hits that should cost nothing
-//! beyond a hash and a map probe. [`CanonicalPrompt::canonicalize`] is the
+//! Canonicalization sits on the dispatch hot path: every cache lookup
+//! that is not served by its raw text alone runs it (the cache serves a
+//! prompt equal to a resident key, or one its fold memo has seen, before
+//! canonicalizing, because canonicalization is idempotent and every
+//! resident key is canonical). [`CanonicalPrompt::canonicalize`] is the
 //! hot-path entry point: it borrows the input (`Cow::Borrowed`) whenever
 //! the prompt is **already canonical** — whitespace-normal, and (at
 //! [`CanonLevel::TableStem`]) with its retrieval query already in
@@ -45,7 +47,8 @@
 //!
 //! [`CanonicalPrompt::hash64`] is [`unidm_text::hash::content_hash`] of
 //! the canonical text — the workspace's one word-at-a-time content hash —
-//! computed **once** per canonicalization. It is deterministic and
+//! computed **once** per canonicalization, and not at all by the cache
+//! when the canonical text is the prompt it already hashed. It is deterministic and
 //! **unkeyed** — the same text hashes the same in every process and on
 //! every platform, which keeps shard placement, and so per-shard eviction,
 //! reproducible — and it lives **in memory only**: the cache selects a
@@ -313,14 +316,6 @@ pub struct CanonicalPrompt<'a> {
 }
 
 impl<'a> CanonicalPrompt<'a> {
-    fn new(text: Cow<'a, str>, replay: Option<ReplayFold>) -> Self {
-        CanonicalPrompt {
-            hash: content_hash(&text),
-            text,
-            replay,
-        }
-    }
-
     /// Canonicalizes `prompt` at `level`, borrowing the input whenever it
     /// is already canonical.
     ///
@@ -334,71 +329,30 @@ impl<'a> CanonicalPrompt<'a> {
     /// [`CanonicalPrompt::text`] again at the same level borrows it back
     /// unchanged.
     pub fn canonicalize(prompt: &'a str, level: CanonLevel) -> CanonicalPrompt<'a> {
-        if level == CanonLevel::Verbatim {
-            return Self::new(Cow::Borrowed(prompt), None);
+        let (text, replay) = canonical_form(prompt, level);
+        CanonicalPrompt {
+            hash: content_hash(&text),
+            text,
+            replay,
         }
-        let norm = normalize_whitespace(prompt);
-        // p_rm — the per-row part is the query. The borrowed scanner
-        // accepts only prompts in the renderer's exact shape, so splicing
-        // at its query range is provably identical to a parse + re-render.
-        if let Some(scan) = scan_prm_exact(&norm) {
-            let (query_start, query_end) = scan.query;
-            let query = &norm[query_start..query_end];
-            if level.generalizes_queries() {
-                if let Cow::Owned(general) = generalize_query(scan.task, query) {
-                    let mut text = String::with_capacity(norm.len() - query.len() + general.len());
-                    text.push_str(&norm[..query_start]);
-                    text.push_str(&general);
-                    text.push_str(&norm[query_end..]);
-                    return Self::new(Cow::Owned(text), None);
-                }
-            }
-            return Self::new(norm, None);
-        }
-        // Oddly spaced p_rm variants the exact scanner refused: re-render
-        // around the (possibly generalized) query so the key is
-        // independent of how the original prompt was spaced.
-        if let Some(req) = parse_prm(&norm) {
-            let query = if level.generalizes_queries() {
-                generalize_query(req.task, &req.query).into_owned()
-            } else {
-                req.query.clone()
-            };
-            let rendered = render_prm(req.task, &query, &req.candidates);
-            return Self::new(Cow::Owned(rendered), None);
-        }
-        if !level.folds_lists() {
-            return Self::new(norm, None);
-        }
-        // p_ri — reorderings of one instance list fold: lines sort and
-        // renumber to one canonical list (a no-op — hence borrowed — when
-        // the list is already sorted). A prompt in this shape is not
-        // looked at again, whether or not its list folds.
-        if norm.contains("Score the relevance") && norm.contains("The target query is") {
-            return match fold_pri_instances(&norm) {
-                Some((folded, perm)) => {
-                    Self::new(Cow::Owned(folded), Some(ReplayFold::PriScores(perm)))
-                }
-                None => Self::new(norm, None),
-            };
-        }
-        // p_dp — record blocks that differ only in row order fold: the
-        // record lines between the marker and the closing bracket sort to
-        // one canonical block (order-insensitive record digest — a no-op,
-        // hence borrowed, when already sorted). The one-byte tail check
-        // runs first: most prompts that are not `p_dp` skip the searches
-        // over their whole text. A cloze-construction prompt (`p_cq`) is
-        // never a record block, whatever its claim ends with.
-        if norm.ends_with(']') && !is_pcq(&norm) {
-            if let Some(pos) = norm.find(PDP_MARKER) {
-                if let Some((text, perm)) = fold_pdp_records(&norm, pos + PDP_MARKER.len()) {
-                    return Self::new(Cow::Owned(text), Some(ReplayFold::PdpLines(perm)));
-                }
-            }
-        }
-        // Target prompts (cloze questions, flat claims), claims to rewrite
-        // and anything unrecognized: the normalized text is the key.
-        Self::new(norm, None)
+    }
+
+    /// [`CanonicalPrompt::canonicalize`] for a caller that has already
+    /// hashed `prompt`: `prompt_hash` is its content hash, and it becomes
+    /// the canonical hash whenever the text is borrowed — a borrowed
+    /// canonical text is always the whole prompt — so only a rewritten
+    /// text is hashed here.
+    pub(crate) fn canonicalize_hashed(
+        prompt: &'a str,
+        level: CanonLevel,
+        prompt_hash: u64,
+    ) -> CanonicalPrompt<'a> {
+        let (text, replay) = canonical_form(prompt, level);
+        let hash = match &text {
+            Cow::Borrowed(_) => prompt_hash,
+            Cow::Owned(rewritten) => content_hash(rewritten),
+        };
+        CanonicalPrompt { text, hash, replay }
     }
 
     /// The canonical prompt text — what a canonicalizing cache completes
@@ -439,6 +393,75 @@ impl<'a> CanonicalPrompt<'a> {
     pub fn into_text(self) -> String {
         self.text.into_owned()
     }
+}
+
+/// The canonical text of `prompt` at `level` — borrowed (the whole
+/// prompt) when no rewrite is needed — and the replay of a fold that
+/// reordered it. [`CanonicalPrompt::canonicalize`] documents the rules.
+fn canonical_form(prompt: &str, level: CanonLevel) -> (Cow<'_, str>, Option<ReplayFold>) {
+    if level == CanonLevel::Verbatim {
+        return (Cow::Borrowed(prompt), None);
+    }
+    let norm = normalize_whitespace(prompt);
+    // p_rm — the per-row part is the query. The borrowed scanner
+    // accepts only prompts in the renderer's exact shape, so splicing
+    // at its query range is provably identical to a parse + re-render.
+    if let Some(scan) = scan_prm_exact(&norm) {
+        let (query_start, query_end) = scan.query;
+        let query = &norm[query_start..query_end];
+        if level.generalizes_queries() {
+            if let Cow::Owned(general) = generalize_query(scan.task, query) {
+                let mut text = String::with_capacity(norm.len() - query.len() + general.len());
+                text.push_str(&norm[..query_start]);
+                text.push_str(&general);
+                text.push_str(&norm[query_end..]);
+                return (Cow::Owned(text), None);
+            }
+        }
+        return (norm, None);
+    }
+    // Oddly spaced p_rm variants the exact scanner refused: re-render
+    // around the (possibly generalized) query so the key is
+    // independent of how the original prompt was spaced.
+    if let Some(req) = parse_prm(&norm) {
+        let query = if level.generalizes_queries() {
+            generalize_query(req.task, &req.query).into_owned()
+        } else {
+            req.query.clone()
+        };
+        let rendered = render_prm(req.task, &query, &req.candidates);
+        return (Cow::Owned(rendered), None);
+    }
+    if !level.folds_lists() {
+        return (norm, None);
+    }
+    // p_ri — reorderings of one instance list fold: lines sort and
+    // renumber to one canonical list (a no-op — hence borrowed — when
+    // the list is already sorted). A prompt in this shape is not
+    // looked at again, whether or not its list folds.
+    if norm.contains("Score the relevance") && norm.contains("The target query is") {
+        return match fold_pri_instances(&norm) {
+            Some((folded, perm)) => (Cow::Owned(folded), Some(ReplayFold::PriScores(perm))),
+            None => (norm, None),
+        };
+    }
+    // p_dp — record blocks that differ only in row order fold: the
+    // record lines between the marker and the closing bracket sort to
+    // one canonical block (order-insensitive record digest — a no-op,
+    // hence borrowed, when already sorted). The one-byte tail check
+    // runs first: most prompts that are not `p_dp` skip the searches
+    // over their whole text. A cloze-construction prompt (`p_cq`) is
+    // never a record block, whatever its claim ends with.
+    if norm.ends_with(']') && !is_pcq(&norm) {
+        if let Some(pos) = norm.find(PDP_MARKER) {
+            if let Some((text, perm)) = fold_pdp_records(&norm, pos + PDP_MARKER.len()) {
+                return (Cow::Owned(text), Some(ReplayFold::PdpLines(perm)));
+            }
+        }
+    }
+    // Target prompts (cloze questions, flat claims), claims to rewrite
+    // and anything unrecognized: the normalized text is the key.
+    (norm, None)
 }
 
 const PDP_MARKER: &str = "logical order: [";
