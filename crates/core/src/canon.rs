@@ -91,6 +91,7 @@ use std::borrow::Cow;
 
 use unidm_llm::protocol::{parse_prm, render_prm, TaskKind};
 use unidm_llm::Completion;
+use unidm_text::format::push_decimal;
 use unidm_text::hash::content_hash;
 
 /// How aggressively [`CanonicalPrompt::canonicalize`] normalizes a prompt
@@ -256,22 +257,6 @@ fn remap_lines(text: &str, perm: &[usize]) -> Option<String> {
         out[slot] = line;
     }
     Some(out.join("\n"))
-}
-
-/// Appends `n` in decimal — `to_string` without its `String`.
-fn push_decimal(out: &mut String, mut n: usize) {
-    // usize::MAX has 20 digits.
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// A canonical prompt: the canonical text (borrowed from the input

@@ -1,6 +1,6 @@
 //! The pipeline prompts: `p_rm`, `p_ri`, `p_dp`, `p_cq`.
 
-use std::fmt::Write as _;
+use unidm_text::format::push_decimal;
 
 use super::record::SerializedRecord;
 use super::{bracketed_after, TaskKind};
@@ -99,7 +99,9 @@ where
     );
     out.extend([HEAD, task, MID, query, TAIL]);
     for (i, line) in lines.enumerate() {
-        let _ = write!(out, "\n{}. ", i + 1);
+        out.push('\n');
+        push_decimal(&mut out, i + 1);
+        out.push_str(". ");
         out.push_str(line);
     }
     out

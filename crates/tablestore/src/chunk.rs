@@ -13,6 +13,11 @@
 //! sealed at ingest and folded by [`Table::column_stats`] instead of
 //! rescanning the column.
 //!
+//! Sealing reads the rows' cells in place: [`ColumnChunk::encode`] borrows
+//! each column's cells, interns text straight from the borrowed strings and
+//! packs integers from the borrowed values. The one cell copy left is a
+//! `Mixed` column's, which stores its values.
+//!
 //! Chunks are immutable once sealed and shared via `Arc`: cloning a table,
 //! projecting columns, or refreshing a lake entry bumps reference counts
 //! instead of deep-copying cell data.
@@ -220,36 +225,34 @@ pub enum ColumnChunk {
 }
 
 impl ColumnChunk {
-    /// Encodes a column of values into the most compact representation:
-    /// all-text columns dictionary-encode, all-integer columns pack as
-    /// offsets from their smallest value, anything mixed (floats, bools,
-    /// text+numbers) stays as values — as does a text column whose
-    /// distinct strings exceed the pool's 4 GiB of offsets, and an integer
-    /// column holding both `i64::MIN` and `i64::MAX` (its offsets and the
-    /// null word do not fit 64 bits).
-    pub fn encode(values: Vec<Value>) -> ColumnChunk {
-        let all_text = values
-            .iter()
-            .all(|v| matches!(v, Value::Null | Value::Text(_)));
-        if all_text {
-            return Self::encode_dict(&values).unwrap_or(ColumnChunk::Mixed(values));
-        }
-        let all_int = values
-            .iter()
-            .all(|v| matches!(v, Value::Null | Value::Int(_)));
-        if all_int {
-            return Self::encode_ints(&values).unwrap_or(ColumnChunk::Mixed(values));
-        }
-        ColumnChunk::Mixed(values)
+    /// Encodes a column into the most compact representation: all-text
+    /// columns dictionary-encode, all-integer columns pack as offsets from
+    /// their smallest value, anything mixed (floats, bools, text+numbers)
+    /// stays as values — as does a text column whose distinct strings
+    /// exceed the pool's 4 GiB of offsets, and an integer column holding
+    /// both `i64::MIN` and `i64::MAX` (its offsets and the null word do not
+    /// fit 64 bits).
+    ///
+    /// The cells are borrowed: text is interned from the borrowed strings
+    /// and integers are packed from the borrowed values. Only the `Mixed`
+    /// fallback clones the cells, because it stores them.
+    pub fn encode<'a, I>(cells: I) -> ColumnChunk
+    where
+        I: IntoIterator<Item = &'a Value, IntoIter: Clone>,
+    {
+        let cells = cells.into_iter();
+        Self::encode_dict(cells.clone())
+            .or_else(|| Self::encode_ints(cells.clone()))
+            .unwrap_or_else(|| ColumnChunk::Mixed(cells.cloned().collect()))
     }
 
-    /// Dictionary-encodes a column of text and nulls; `None` when the pool
-    /// overflows.
-    fn encode_dict(values: &[Value]) -> Option<ColumnChunk> {
+    /// Dictionary-encodes a column of text and nulls; `None` for any other
+    /// cell or when the pool overflows.
+    fn encode_dict<'a>(cells: impl Iterator<Item = &'a Value>) -> Option<ColumnChunk> {
         let mut dict = StringPool::default();
         let mut index: HashMap<&str, u32> = HashMap::new();
-        let mut codes = Vec::with_capacity(values.len());
-        for v in values {
+        let mut codes = Vec::with_capacity(cells.size_hint().0);
+        for v in cells {
             match v {
                 Value::Null => codes.push(0),
                 Value::Text(s) => {
@@ -261,7 +264,7 @@ impl ColumnChunk {
                         codes.push(code);
                     }
                 }
-                _ => unreachable!("caller checked the column is text and nulls"),
+                _ => return None,
             }
         }
         let codes = Words::pack(dict.len() as u64, codes.iter().map(|&c| u64::from(c)));
@@ -269,20 +272,21 @@ impl ColumnChunk {
     }
 
     /// Packs a column of integers and nulls, at least one an integer (an
-    /// all-null column is text and nulls); `None` when its span leaves no
-    /// word for null.
-    fn encode_ints(values: &[Value]) -> Option<ColumnChunk> {
+    /// all-null column is text and nulls); `None` for any other cell or
+    /// when the span leaves no word for null.
+    fn encode_ints<'a>(cells: impl Iterator<Item = &'a Value> + Clone) -> Option<ColumnChunk> {
         let (mut min, mut max) = (i64::MAX, i64::MIN);
-        for v in values {
-            if let Value::Int(i) = *v {
-                min = min.min(i);
-                max = max.max(i);
+        for v in cells.clone() {
+            match *v {
+                Value::Int(i) => (min, max) = (min.min(i), max.max(i)),
+                Value::Null => {}
+                _ => return None,
             }
         }
         let top = (max.wrapping_sub(min) as u64).checked_add(1)?;
         let words = Words::pack(
             top,
-            values.iter().map(|v| match *v {
+            cells.map(|v| match *v {
                 Value::Int(i) => i.wrapping_sub(min) as u64 + 1,
                 _ => 0,
             }),
@@ -402,11 +406,8 @@ impl Chunk {
     pub fn from_rows(width: usize, rows: &[Record]) -> Chunk {
         let mut columns = Vec::with_capacity(width);
         for c in 0..width {
-            let col: Vec<Value> = rows
-                .iter()
-                .map(|r| r.get(c).cloned().expect("row width checked on ingest"))
-                .collect();
-            columns.push(Arc::new(ColumnChunk::encode(col)));
+            let cells = rows.iter().map(|r| &r.values()[c]);
+            columns.push(Arc::new(ColumnChunk::encode(cells)));
         }
         Chunk {
             len: rows.len(),
@@ -505,7 +506,7 @@ impl Chunk {
         let mut stats = self.all_stats().to_vec();
         stats[col] = Arc::new(col_stats);
         let mut columns = self.columns.clone();
-        columns[col] = Arc::new(ColumnChunk::encode(cells));
+        columns[col] = Arc::new(ColumnChunk::encode(&cells));
         Chunk {
             len: self.len,
             columns,
@@ -541,7 +542,7 @@ mod tests {
 
     #[test]
     fn text_columns_dictionary_encode() {
-        let col = ColumnChunk::encode(vec![
+        let col = ColumnChunk::encode(&[
             Value::text("CET"),
             Value::text("GMT"),
             Value::text("CET"),
@@ -584,7 +585,7 @@ mod tests {
 
     #[test]
     fn int_columns_pack() {
-        let col = ColumnChunk::encode(vec![Value::Int(7), Value::Null, Value::Int(-3)]);
+        let col = ColumnChunk::encode(&[Value::Int(7), Value::Null, Value::Int(-3)]);
         assert_eq!(
             col,
             ColumnChunk::Ints {
@@ -599,7 +600,7 @@ mod tests {
 
     #[test]
     fn mixed_columns_fall_back() {
-        let col = ColumnChunk::encode(vec![Value::Int(1), Value::text("x"), Value::Float(2.5)]);
+        let col = ColumnChunk::encode(&[Value::Int(1), Value::text("x"), Value::Float(2.5)]);
         assert!(matches!(col, ColumnChunk::Mixed(_)));
         assert_eq!(col.value(2), Value::Float(2.5));
     }
@@ -612,7 +613,7 @@ mod tests {
             Value::text("GMT"),
             Value::Null,
         ];
-        let col = ColumnChunk::encode(values.clone());
+        let col = ColumnChunk::encode(&values);
         let expect = ColumnStats::compute(values.iter());
         let got = col.stats();
         assert_eq!(got.total(), expect.total());
@@ -623,14 +624,14 @@ mod tests {
 
     #[test]
     fn find_key_on_dict_and_mixed() {
-        let dict = ColumnChunk::encode(vec![
+        let dict = ColumnChunk::encode(&[
             Value::text("Italy"),
             Value::text("Spain"),
             Value::text("ITALY"),
         ]);
         assert_eq!(dict.find_key("italy"), vec![0, 2]);
         assert_eq!(dict.find_key("france"), Vec::<usize>::new());
-        let mixed = ColumnChunk::encode(vec![Value::Int(5), Value::text("5")]);
+        let mixed = ColumnChunk::encode(&[Value::Int(5), Value::text("5")]);
         assert_eq!(mixed.find_key(&Value::Int(5).answer_key()), vec![0, 1]);
     }
 

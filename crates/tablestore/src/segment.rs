@@ -425,9 +425,9 @@ impl SegmentWriter {
         Ok(())
     }
 
-    /// Flushes the trailing partial chunk, writes the directory, and
-    /// reopens the segment as a spilled [`crate::Table`] paging at most
-    /// `budget` chunks at a time.
+    /// Flushes the trailing partial chunk, writes the directory, syncs the
+    /// file's data to disk, and reopens the segment as a spilled
+    /// [`crate::Table`] paging at most `budget` chunks at a time.
     ///
     /// # Errors
     ///
@@ -447,6 +447,10 @@ impl SegmentWriter {
             .write_all(&dir)
             .map_err(|e| io_err("write directory", e))?;
         self.file.flush().map_err(|e| io_err("flush segment", e))?;
+        self.file
+            .get_ref()
+            .sync_data()
+            .map_err(|e| io_err("sync segment", e))?;
         drop(self.file);
         crate::Table::open_segment(&self.path, budget)
     }
@@ -787,7 +791,7 @@ mod tests {
                 base: 0,
                 words: Words::U8(vec![0; 3]),
             }),
-            Arc::new(ColumnChunk::encode(vec![
+            Arc::new(ColumnChunk::encode(&[
                 Value::Int(i64::MIN),
                 Value::Null,
                 Value::Int(i64::MAX),

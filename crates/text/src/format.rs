@@ -5,6 +5,9 @@
 //! them. `"2021-03-15"` becomes `D4 '-' D2 '-' D2`. Signatures drive the TDE
 //! transformation baseline (aligning input/output shapes) and the
 //! error-detection generators (domain-violation detection).
+//!
+//! [`push_decimal`] appends an integer in decimal without going through
+//! `core::fmt`, for prompt builders that number many lines.
 
 use std::fmt;
 
@@ -120,6 +123,32 @@ impl fmt::Display for FormatSignature {
     }
 }
 
+/// Appends `n` in decimal: what `write!(out, "{n}")` appends, without the
+/// formatting machinery and without a `String` of its own.
+///
+/// # Examples
+///
+/// ```
+/// let mut out = String::from("\n");
+/// unidm_text::format::push_decimal(&mut out, 42);
+/// assert_eq!(out, "\n42");
+/// ```
+#[inline]
+pub fn push_decimal(out: &mut String, mut n: usize) {
+    // usize::MAX has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
 /// Classifies a string into a coarse semantic type by format.
 ///
 /// This mirrors the type detectors data-cleaning systems use before applying
@@ -209,6 +238,15 @@ mod tests {
             FormatSignature::of("").agreement(&FormatSignature::of("")),
             1.0
         );
+    }
+
+    #[test]
+    fn push_decimal_matches_format() {
+        for n in (0..=1000).chain([usize::MAX]) {
+            let mut out = String::from("x");
+            push_decimal(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   similarity, the substrate for IMP/Ditto/WarpGate-style baselines.
 //! * [`tfidf`] — a small TF-IDF corpus model for instance weighting.
 //! * [`mod@format`] — string format signatures (digit/letter/punctuation shape)
-//!   used by the TDE baseline and the error-detection generators.
+//!   used by the TDE baseline and the error-detection generators, and
+//!   [`format::push_decimal`], decimal integers without `core::fmt`.
 //! * [`normalize`] — canonicalisation helpers.
 //! * [`hash`] — the workspace's one content hash (word at a time, unkeyed,
 //!   in memory only), [`hash::PromptMap`], the map keyed by whole prompts
