@@ -5,10 +5,9 @@
 //! and `cmp` it with the committed file. Timing has its own authority:
 //! `BENCHMARK.json` + `benchmark/`.
 //!
-//! Every regime runs on **one worker** on the calling thread (so its
-//! allocation count is exact) except the two pipelined ones, whose 64
-//! workers are seated with the [`Dispatcher`] before any of them issues a
-//! call and which report only what the reactor makes schedule-independent.
+//! Every regime runs on the calling thread, so its allocation count is
+//! exact: one worker, or — in the two pipelined ones — a window of 64 runs
+//! in flight through the [`Dispatcher`].
 //!
 //! * **serial / cold cache / warm cache** — no cache, a cold
 //!   [`PromptCache`] at [`CanonLevel::TableStem`], and the same cache warm.
@@ -611,8 +610,8 @@ struct Dispatched {
     makespan_us: u64,
 }
 
-/// The workload through an event-driven dispatcher built from `config`, on
-/// `slots` seated workers, after `warmup` distinct prompts complete
+/// The workload through an event-driven dispatcher built from `config`, in
+/// a window of `slots` runs, after `warmup` distinct prompts complete
 /// serially so even the first wave of dispatches can arm hedge timers.
 fn dispatched(bench: &Bench<'_>, config: BackendConfig, warmup: u64, slots: usize) -> Dispatched {
     let dispatcher = Dispatcher::new(bench.llm, config);
@@ -623,15 +622,10 @@ fn dispatched(bench: &Bench<'_>, config: BackendConfig, warmup: u64, slots: usiz
     }
     bench.llm.reset_usage();
     bench.llm.reset_calls();
-    // Seated workers never wait in the cache's in-flight slot: they
-    // complete below and the reactor coalesces duplicate prompts itself.
-    // The cache's hit/miss split then counts timing-dependent co-leaders,
-    // so the ledger reports the dispatcher's schedule-independent
-    // accounting instead.
     let cache = bench.cache(&dispatcher);
     let report = BatchRunner::new(&cache, bench.pipeline)
         .with_workers(slots)
-        .with_pipeline(&dispatcher)
+        .with_pipeline(&dispatcher, Some(&cache))
         .run_report(&bench.lake, &bench.tasks);
     Dispatched {
         answers: answers_of(&report),
@@ -662,8 +656,8 @@ impl Dispatched {
 
 /// The workload against an endpoint whose attempts carry a 3% /
 /// 2-virtual-second latency tail, three ways. The fault schedule is
-/// deterministic and the pipelined workers are seated before they run, so
-/// every relation below is an exact assertion, not a threshold.
+/// deterministic and the pipelined window runs on one thread, so every
+/// relation below is an exact assertion, not a threshold.
 fn heavy_tail(bench: &Bench<'_>, reference: &[String], regimes: &mut Vec<String>) -> String {
     let hedge_policy = HedgePolicy::at_quantile(900);
     let warmup = hedge_policy.min_samples;

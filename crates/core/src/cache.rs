@@ -3,56 +3,44 @@
 //!
 //! Tasks on the same table issue near-identical retrieval (`p_rm`,
 //! `p_ri`) and parsing (`p_dp`) prompts; a prompt-level memo turns that
-//! redundancy into saved tokens and throughput. The cache composes four
-//! mechanisms:
+//! redundancy into saved tokens and throughput. The cache composes:
 //!
 //! * **Canonical keys** ([`crate::canon`]) — prompts are keyed by their
 //!   canonical text, so whitespace variants and (at
 //!   [`CanonLevel::TableStem`]) per-row retrieval preambles share entries.
-//!   A prompt equal to a resident key is served before anything
-//!   canonicalizes it: every resident key is canonical at the cache's
-//!   level and canonicalization is idempotent, so such a prompt is its own
-//!   canonical form. Other prompts go through
+//!   Every resident key is canonical at the cache's level and
+//!   canonicalization is idempotent, so a prompt equal to a resident key is
+//!   served before anything canonicalizes it; other prompts go through
 //!   [`CanonicalPrompt::canonicalize`], which borrows already-canonical
-//!   prompts instead of copying them — a warm hit on a canonical prompt
-//!   performs **zero heap allocations**.
-//! * **A fold memo** — at a level that folds lists, each shard also maps
-//!   a rewritten raw prompt (a reordered list, a per-row `p_rm` query,
-//!   loose whitespace) to what canonicalization produced: the resident
-//!   canonical key, the completion the answer came from and the answer. A
-//!   repeat of that raw text is served without canonicalizing or adapting
-//!   again, and allocates nothing; only the first sighting pays the
-//!   rewrite's buffers and the memo entry.
-//! * **One content hash per text** — a lookup hashes the raw prompt once
-//!   ([`unidm_text::hash::content_hash`]: word-at-a-time, deterministic,
-//!   unkeyed, in memory only) and everything here reuses it: the shard is
-//!   selected by it, and the resident, eviction-ring and in-flight keys
-//!   carry it, so the maps hash those 8 bytes (under std's keyed
-//!   `RandomState`) instead of the text. A warm lookup is that hash pass,
-//!   one 8-byte table hash and one text compare (a memo hit adds a probe
-//!   of the canonical entry, whose key it shares by `Arc`, so no second
-//!   compare). A lookup that misses both canonicalizes, reusing the raw
-//!   hash when the canonical text is the prompt itself and hashing only a
-//!   rewritten text; a miss additionally copies the text once, into the
-//!   `Arc<str>` its in-flight slot and its resident entry share. Texts
-//!   with equal content hashes share a probe chain — every probe compares
-//!   the full text, so answers stay right and only lookup time degrades.
-//! * **Sharding** — the memo is split across N independently locked maps
-//!   selected by key hash (8 unless [`PromptCache::with_shards`] says
-//!   otherwise), so concurrent workers contend on 1/N of the lock traffic.
+//!   prompts — a warm hit on a canonical prompt allocates nothing.
+//! * **A fold memo** — at a level that folds lists, each shard also maps a
+//!   rewritten raw prompt to the resident canonical key, the completion
+//!   the answer came from and the answer, so a repeat is served without
+//!   canonicalizing or adapting again, allocation-free.
+//! * **One content hash per text** ([`unidm_text::hash::content_hash`]:
+//!   word-at-a-time, deterministic, in memory only) — it selects the shard
+//!   and rides in every key, so the maps hash those 8 bytes instead of the
+//!   text and compare the full text only on a probe. A miss copies the
+//!   canonical text once, into the `Arc<str>` its in-flight slot and its
+//!   resident entry share.
+//! * **Sharding** — N independently locked maps (8 unless
+//!   [`PromptCache::with_shards`] says otherwise).
 //! * **Single-flight coalescing** — each shard keeps an in-flight table of
-//!   canonical keys currently being completed. Concurrent duplicate
-//!   lookups issue exactly **one** endpoint call: the first arrival leads,
-//!   the rest block on the slot and share the leader's completion
-//!   ([`CacheStats::coalesced`] counts them). Because misses complete the
-//!   canonical text against a deterministic substrate, coalesced answers
-//!   are bit-identical to what each caller would have fetched itself. (A
-//!   worker seated at a [`crate::Dispatcher`] never waits: see below.)
+//!   keys being completed: the first lookup leads, and a duplicate arriving
+//!   meanwhile shares the leader's completion ([`CacheStats::coalesced`])
+//!   instead of issuing its own endpoint call. A thread waits on the
+//!   leader's slot; [`crate::BatchRunner::with_pipeline`], which runs a
+//!   window of lookups on one thread, submits the duplicate to the
+//!   [`crate::Dispatcher`] below instead, which attaches it to the
+//!   leader's request.
 //! * **Persistence** — [`PromptCache::with_store`] attaches a
-//!   [`CacheStore`] beneath the shards: tier-0 misses probe the file —
-//!   under the same content hash, which the store does not recompute —
-//!   before the model and fresh completions are appended to it, so a
+//!   [`CacheStore`]: tier-0 misses probe the file under the same content
+//!   hash before the model, and fresh completions are appended to it, so a
 //!   second run over the same file answers without any model call.
+//!
+//! [`LanguageModel::complete`] is `lookup` (everything up to the fetch),
+//! the fetch below, and `fill` (tier-0 insert, store offer, replay
+//! adaptation, fold memo); the pipelined runner calls the halves itself.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -62,8 +50,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use unidm_llm::{Completion, LanguageModel, LlmError, Usage};
 use unidm_text::hash::content_hash;
 
-use crate::canon::{CanonLevel, CanonicalPrompt};
-use crate::dispatch;
+use crate::canon::{CanonLevel, CanonicalPrompt, ReplayFold};
 use crate::store::{CacheStore, StoreStats};
 
 /// Hit/miss/saving statistics of a [`PromptCache`].
@@ -71,16 +58,16 @@ use crate::store::{CacheStore, StoreStats};
 pub struct CacheStats {
     /// Completions served from the cache.
     pub hits: usize,
-    /// Completions that had to go to the model. With single-flight
-    /// coalescing this counts **leaders only**, so for a fixed workload it
-    /// equals the number of unique canonical keys completed — exactly,
-    /// under every interleaving.
+    /// Tier-0 misses that led a fetch — from the disk tier or the model.
+    /// Single-flight makes each key's leader the only one, so for a fixed
+    /// workload this equals the number of unique canonical keys completed
+    /// — exactly, under every interleaving.
     pub misses: usize,
     /// Lookups that arrived while the same canonical key was already in
     /// flight and shared the leader's completion instead of issuing their
-    /// own endpoint call. In a serial run this is always zero; under
-    /// parallelism, `hits + coalesced` is exact while the split between
-    /// the two depends on timing.
+    /// own endpoint call. In a serial run this is always zero; across
+    /// threads, `hits + coalesced` is exact while the split between the two
+    /// depends on timing.
     pub coalesced: usize,
     /// Entries evicted to stay within capacity.
     pub evictions: usize,
@@ -375,7 +362,7 @@ impl CacheInner {
         Some(completion)
     }
 
-    /// Inserts (or refreshes) `key`, evicting one entry by second-chance
+    /// Inserts `key`, evicting one entry by second-chance
     /// when the shard is at `capacity`.
     ///
     /// Eviction is O(1) amortized: the clock hand sweeps the ring,
@@ -390,13 +377,8 @@ impl CacheInner {
     /// functions of the insert/hit sequence. `stats.evictions` stays
     /// exact — exactly one eviction per insert beyond capacity.
     fn insert(&mut self, key: Key, completion: Arc<Completion>, capacity: usize) {
-        if let Some(entry) = self.entries.get_mut(&key) {
-            // Refresh in place (re-admission or a racing co-leader): the
-            // key keeps its ring slot.
-            entry.completion = completion;
-            entry.referenced = true;
-            return;
-        }
+        // Only a key's leader inserts it, and only after a miss.
+        debug_assert!(!self.entries.contains_key(&key), "one leader per key");
         let entry = CacheEntry {
             completion,
             // A fresh entry starts unreferenced: it earns its second
@@ -441,7 +423,7 @@ impl CacheInner {
 }
 
 /// A concurrent prompt → completion memo layered over any
-/// [`LanguageModel`].
+/// [`LanguageModel`] (the [module docs](self) describe its mechanisms).
 ///
 /// The cache is itself a `LanguageModel`, so it slots transparently under
 /// [`crate::UniDm`] or [`crate::BatchRunner`]: repeated prompts —
@@ -449,106 +431,28 @@ impl CacheInner {
 /// duplicate final claims — are answered from memory without consuming
 /// model tokens.
 ///
-/// # Keying and canonicalization
+/// # Keying, allocation and accounting
 ///
 /// Lookups are keyed by [`CanonicalPrompt::canonicalize`] at the cache's
 /// [`CanonLevel`] (default [`CanonLevel::Verbatim`], i.e. exact
-/// memoization). The level is fixed before the cache serves
-/// ([`PromptCache::with_canonicalization`] panics on a cache that holds
-/// an entry), so every resident key is canonical at it, and a prompt
-/// equal to one is served without canonicalizing it again. At higher
-/// levels a miss completes the *canonical* prompt
-/// text rather than the raw variant, which makes the memo a pure function
-/// of the canonical key: whichever worker populates an entry, the stored
-/// completion is identical, so serial and parallel batches stay
-/// bit-for-bit equal even when many raw prompts fold into one entry.
+/// memoization), fixed before the cache serves. A miss completes the
+/// *canonical* text rather than the raw variant, so the memo is a pure
+/// function of the canonical key: whichever worker fills an entry, serial
+/// and parallel batches stay bit-for-bit equal.
 ///
-/// # What a warm hit allocates
+/// A warm hit on a canonical prompt, or on a rewritten prompt the fold
+/// memo holds, allocates nothing (the bench suite asserts it with a
+/// counting allocator); a first-seen rewrite pays its buffers and one
+/// memo entry, and a bounded cache clears a memo shard at the shard's
+/// entry capacity. [`PromptCache::len`] never counts memo entries.
 ///
-/// * **A canonical prompt: nothing.** An already-canonical prompt (every
-///   re-lookup of a canonical text, and every rendered prompt that needs
-///   no rewriting) is hashed once; the shard map is probed with that hash
-///   and the prompt itself (compared in full against the resident key),
-///   the entry is refreshed by setting its reference bit in place, and the
-///   lookup is answered by bumping the reference count of the stored
-///   [`Arc<Completion>`]. Nothing canonicalizes it. No `String`, no node,
-///   no clone, at every [`CanonLevel`].
-/// * **A memoized rewritten prompt: nothing.** At a level that folds lists
-///   ([`CanonLevel::folds_lists`]) a prompt that is not a resident key is
-///   looked up, under the same hash, in the fold memo. A raw prompt that
-///   canonicalization rewrote before (reordered, generalized or
-///   whitespace-normalized) is served from there while its canonical entry
-///   is resident and still holds the completion the memoized answer came
-///   from: the hit is counted exactly as the canonicalizing path counts
-///   it, and the answer is returned by `Arc`. Any other lookup takes the
-///   canonicalizing path, which memoizes a rewritten prompt afresh.
-/// * **A first-seen rewrite** pays the rewrite's buffers — for a fold,
-///   the replay's and the adapted completion too — plus the memo entry:
-///   one copy of the raw text. The memo keeps one entry per distinct
-///   rewritten raw prompt in an unbounded cache; in a bounded one a memo
-///   shard is cleared when it reaches the shard's entry capacity.
-///   [`PromptCache::len`] and [`PromptCache::canonical_prompts`] never see
-///   memo entries.
-///
-/// The bench suite asserts the first two with a counting allocator.
-///
-/// # Sharding and single-flight coalescing
-///
-/// Entries are distributed over [`PromptCache::shards`] independently
-/// locked maps by key hash, cutting lock contention under
-/// [`crate::BatchRunner`] parallelism. Each shard also keeps an **in-flight
-/// table**: when a miss is already being completed by another worker,
-/// later arrivals of the same canonical key do not issue a second endpoint
-/// call — they block on the leader's slot and share its completion
-/// ([`CacheStats::coalesced`]). Statistics are counted per shard (exactly
-/// — every counter update happens under its shard's lock) and aggregated
-/// by [`PromptCache::stats`]. Lookups never block on the underlying model
-/// except when coalescing onto the same key: the shard lock is released
-/// while a miss is being completed.
-///
-/// A thread seated at a [`crate::Dispatcher`] ([`crate::Dispatcher::register`]
-/// — every worker of [`crate::BatchRunner::with_pipeline`]) never waits in
-/// a slot: the reactor advances only once every seated thread is parked
-/// inside it, so waiting up here on a leader parked down there would stall
-/// both. After a tier-0 miss it completes below as a co-leader and the
-/// dispatcher coalesces instead, so endpoint calls still equal unique
-/// canonical keys; [`CacheStats::misses`] then counts every co-leader of a
-/// key, and the exact count is [`crate::BackendStats`]'s.
-///
-/// # Persistence
-///
-/// [`PromptCache::with_store`] attaches a [`CacheStore`] — a versioned,
-/// checksummed, append-only `UDMCACHE3` file — beneath the shards; it is
-/// the only way a completion outlives the process. Tier-0 misses probe
-/// the store before reaching the model (a disk hit populates tier 0 and
-/// costs zero model calls), and fresh completions are offered back
-/// through the store's TinyLFU admission filter, so a sequential scan
-/// cannot flush the disk-resident hot set. Tier-0 hits never touch the
-/// store, preserving the zero-allocation warm-hit path, and disk traffic
-/// is accounted separately in [`StoreStats`] so [`CacheStats`] exactness
-/// is unaffected.
-///
-/// # Determinism and accounting
-///
-/// The deterministic substrate returns the same completion for the same
-/// prompt, so serving a memoized (or coalesced) completion changes no
-/// answer. A served completion reports the usage of the call that filled
-/// its entry, and that call completed the *canonical* text, so per-run
-/// accounting via [`unidm_llm::UsageMeter`] depends on the level:
-///
-/// * at [`CanonLevel::Verbatim`] the canonical text is the prompt itself,
-///   and per-run usage is identical with and without the cache;
-/// * above it, every lookup reports the canonical prompt's usage. Where
-///   canonicalization rewrote the text (a folded retrieval preamble at
-///   [`CanonLevel::TableStem`], say), that differs from what the raw
-///   prompt would have cost the model, by a few tokens per rewritten
-///   prompt.
-///
-/// The inner model's own counter only grows on leader misses, and the
-/// difference is tracked as [`CacheStats::tokens_saved`]. For a fixed
-/// workload, [`CacheStats::misses`] equals the number of unique canonical
-/// keys completed — exactly, under every interleaving — because the
-/// in-flight table guarantees one leader per key.
+/// Statistics are counted per shard under its lock and aggregated by
+/// [`PromptCache::stats`]. A served completion reports the usage of the
+/// call that filled its entry — the canonical text's — so per-run usage is
+/// identical with and without the cache at [`CanonLevel::Verbatim`], and
+/// off by a few tokens per rewritten prompt above it. The inner model's
+/// counter only grows on leader misses; the difference is
+/// [`CacheStats::tokens_saved`].
 ///
 /// # Examples
 ///
@@ -601,27 +505,6 @@ const DEFAULT_SHARDS: usize = 8;
 
 fn build_shards(n: usize) -> Box<[Mutex<CacheInner>]> {
     (0..n).map(|_| Mutex::new(CacheInner::default())).collect()
-}
-
-/// Disarms the in-flight slot if the leader unwinds before filling it, so
-/// a panicking worker cannot wedge every thread coalesced onto its key.
-struct LeaderGuard<'c> {
-    shard: &'c Mutex<CacheInner>,
-    slot: &'c Arc<InFlight>,
-    key: &'c Key,
-    armed: bool,
-}
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let mut state = self.shard.lock().unwrap_or_else(PoisonError::into_inner);
-        state.inflight.remove(self.key);
-        drop(state);
-        self.slot.abandon();
-    }
 }
 
 impl<'a> PromptCache<'a> {
@@ -727,25 +610,6 @@ impl<'a> PromptCache<'a> {
         }
     }
 
-    /// Resolves a tier-0 miss from the layers below: the disk tier first
-    /// (a hit there never calls the model), then the inner model, offering
-    /// a fresh completion back to the store's admission filter. The store
-    /// reuses the canonicalizer's content hash instead of hashing the text
-    /// again. Runs without any shard lock held.
-    fn fetch_below(&self, canonical: &CanonicalPrompt<'_>) -> Result<Arc<Completion>, LlmError> {
-        let (hash, text) = (canonical.hash64(), canonical.text());
-        if let Some(store) = &self.store {
-            if let Some(completion) = store.get_hashed(hash, text) {
-                return Ok(completion);
-            }
-        }
-        let result = self.inner.complete(text);
-        if let (Some(store), Ok(completion)) = (&self.store, &result) {
-            store.offer_hashed(hash, text, completion);
-        }
-        result
-    }
-
     fn shard_for_hash(&self, hash: u64) -> &Mutex<CacheInner> {
         // Shard count is a power of two, so masking the content hash
         // picks a shard uniformly. The maps inside a shard re-hash it under
@@ -810,40 +674,25 @@ impl LanguageModel for PromptCache<'_> {
     }
 
     fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-        // The one hash of the raw text: a warm prompt is served by it
-        // alone, and a borrowed canonical text reuses it.
-        let hash = content_hash(prompt);
-        if let Some(served) = self.serve_warm(hash, prompt) {
-            return Ok(served);
-        }
-        let canonical = CanonicalPrompt::canonicalize_hashed(prompt, self.level, hash);
-        let completion = self.complete_canonical(&canonical)?;
-        // A v2 fold that reordered this request replays the canonical
-        // completion permutation-corrected into the request's own element
-        // order.
-        let answer = match canonical.replay() {
-            Some(fold) => Arc::new(fold.adapt(&completion)),
-            None => completion.clone(),
-        };
-        if canonical.is_borrowed() || !self.level.folds_lists() {
-            return Ok(answer);
-        }
-        // The memo shares the resident entry's key, so it never copies the
-        // canonical text; an entry that is not resident is not memoized.
-        let resident = self
-            .lock_shard(self.shard_for_hash(canonical.hash64()))
-            .entries
-            .get_key_value(&canonical as &dyn KeyView)
-            .map(|(key, _)| key.clone());
-        if let Some(canonical) = resident {
-            let folded = Folded {
-                canonical,
-                from: completion,
-                answer: answer.clone(),
+        loop {
+            let miss = match self.lookup(prompt) {
+                Lookup::Hit(answer) => return Ok(answer),
+                Lookup::Miss(miss) => miss,
             };
-            self.memoize(hash, prompt, folded);
+            // Single-flight: the leader completes the canonical text below
+            // without holding any lock; a later arrival waits for it.
+            let result = if miss.leads {
+                self.inner.complete(miss.text())
+            } else {
+                match miss.slot.wait() {
+                    Some(result) => result,
+                    // The leader unwound before publishing: look up again
+                    // (one of the waiters becomes the new leader).
+                    None => continue,
+                }
+            };
+            return self.fill(miss, result);
         }
-        Ok(answer)
     }
 
     fn usage(&self) -> Usage {
@@ -893,111 +742,219 @@ impl PromptCache<'_> {
         Some(memo.answer)
     }
 
-    /// Records what `prompt` was rewritten to, clearing its memo shard
-    /// first when the shard already holds a shard's capacity of entries.
-    fn memoize(&self, hash: u64, prompt: &str, folded: Folded) {
-        let mut memo = self.lock_shard(self.shard_for_hash(hash));
-        if let Some(slot) = memo.folds.get_mut(&(hash, prompt) as &dyn KeyView) {
+    /// Looks `prompt` up without waiting: served from tier 0, the fold
+    /// memo or the disk tier, or a [`Miss`] — one that leads its key (it
+    /// took the in-flight slot and counts a miss) or one that found the key
+    /// already in flight (counted coalesced). Complete a miss's
+    /// [`Miss::text`] below and hand the result to [`PromptCache::fill`].
+    #[inline]
+    pub(crate) fn lookup(&self, prompt: &str) -> Lookup<'_> {
+        // The one hash of the raw text: a warm prompt is served by it
+        // alone, and a borrowed canonical text reuses it.
+        let hash = content_hash(prompt);
+        match self.serve_warm(hash, prompt) {
+            Some(served) => Lookup::Hit(served),
+            None => self.lookup_canonical(hash, prompt),
+        }
+    }
+
+    /// [`PromptCache::lookup`] past the raw probe: canonicalization, tier
+    /// 0, the in-flight table and the disk tier.
+    fn lookup_canonical(&self, hash: u64, prompt: &str) -> Lookup<'_> {
+        let mut canonical = CanonicalPrompt::canonicalize_hashed(prompt, self.level, hash);
+        // A rewrite at a level that folds lists is memoized by its raw text.
+        let memoized = !canonical.is_borrowed() && self.level.folds_lists();
+        let shard = self.shard_for_hash(canonical.hash64());
+        let mut state = self.lock_shard(shard);
+        if let Some(completion) = state.hit(&canonical) {
+            // The memo shares the resident entry's key, so it never copies
+            // the canonical text.
+            let resident = memoized
+                .then(|| state.entries.get_key_value(&canonical as &dyn KeyView))
+                .flatten()
+                .map(|(key, _)| key.clone());
+            drop(state);
+            let answer = adapt(canonical.replay(), &completion);
+            if let Some(key) = resident {
+                let raw = (hash, prompt);
+                self.memoize(&raw, || Key::new(hash, prompt), key, completion, &answer);
+            }
+            return Lookup::Hit(answer);
+        }
+        let inflight = state.inflight.get_key_value(&canonical as &dyn KeyView);
+        let (key, slot, leads) = match inflight.map(|(key, slot)| (key.clone(), slot.clone())) {
+            Some((key, slot)) => {
+                state.stats.coalesced += 1;
+                (key, slot, false)
+            }
+            None => {
+                // The miss's one copy of the text: the in-flight slot holds
+                // it now, the resident entry later.
+                let key = Key::of(&canonical);
+                let slot = InFlight::new();
+                state.inflight.insert(key.clone(), slot.clone());
+                state.stats.misses += 1;
+                (key, slot, true)
+            }
+        };
+        drop(state);
+        let miss = Miss {
+            shard,
+            replay: canonical.take_replay(),
+            raw: memoized.then(|| Key::new(hash, prompt)),
+            key,
+            slot,
+            leads,
+        };
+        if let (true, Some(store)) = (leads, &self.store) {
+            // The disk tier, probed under the canonicalizer's hash: a hit
+            // there fills tier 0 without reaching below.
+            if let Some(completion) = store.get_hashed(miss.key.hash, &miss.key.text) {
+                return Lookup::Hit(
+                    self.settle(miss, Ok(completion), false)
+                        .expect("a hit is Ok"),
+                );
+            }
+        }
+        Lookup::Miss(miss)
+    }
+
+    /// Settles `miss` with `result`, the completion of [`Miss::text`] from
+    /// below: a leader inserts a success into tier 0 and the disk tier,
+    /// clears its in-flight slot and wakes the lookups waiting on it (an
+    /// error is not memoized: the next lookup retries). Returns the answer
+    /// in the prompt's own element order.
+    pub(crate) fn fill(
+        &self,
+        miss: Miss<'_>,
+        result: Result<Arc<Completion>, LlmError>,
+    ) -> Result<Arc<Completion>, LlmError> {
+        self.settle(miss, result, true)
+    }
+
+    /// [`PromptCache::fill`]; `fetched` says whether `result` came from
+    /// the model (and is offered to the disk tier) rather than the store.
+    fn settle(
+        &self,
+        mut miss: Miss<'_>,
+        result: Result<Arc<Completion>, LlmError>,
+        fetched: bool,
+    ) -> Result<Arc<Completion>, LlmError> {
+        let resident = {
+            let mut state = self.lock_shard(miss.shard);
+            if miss.leads {
+                if let Ok(completion) = &result {
+                    state.insert(miss.key.clone(), completion.clone(), self.shard_capacity);
+                }
+                state.inflight.remove(&miss.key);
+            } else if let Ok(completion) = &result {
+                // The leader's endpoint call covered this lookup too:
+                // account the share like a hit's saving.
+                state.stats.tokens_saved += completion.usage.total();
+            }
+            miss.raw.is_some() && state.entries.contains_key(&miss.key)
+        };
+        if std::mem::take(&mut miss.leads) {
+            miss.slot.fill(result.clone());
+            if let (true, Some(store), Ok(completion)) = (fetched, &self.store, &result) {
+                store.offer_hashed(miss.key.hash, &miss.key.text, completion);
+            }
+        }
+        let completion = result?;
+        let answer = adapt(miss.replay.as_ref(), &completion);
+        if let (true, Some(raw)) = (resident, miss.raw.take()) {
+            let key = miss.key.clone();
+            self.memoize(&raw, || raw.clone(), key, completion, &answer);
+        }
+        Ok(answer)
+    }
+
+    /// Records that the raw prompt `raw` was rewritten to the resident key
+    /// `canonical`, whose completion `from` answered it as `answer`;
+    /// `owned` builds the memo's own key when `raw` is new to it. A memo
+    /// shard already holding a shard's capacity of entries is cleared first.
+    fn memoize(
+        &self,
+        raw: &dyn KeyView,
+        owned: impl FnOnce() -> Key,
+        canonical: Key,
+        from: Arc<Completion>,
+        answer: &Arc<Completion>,
+    ) {
+        let folded = Folded {
+            canonical,
+            from,
+            answer: answer.clone(),
+        };
+        let mut memo = self.lock_shard(self.shard_for_hash(raw.hash64()));
+        if let Some(slot) = memo.folds.get_mut(raw) {
             *slot = folded;
             return;
         }
         if memo.folds.len() >= self.shard_capacity {
             memo.folds.clear();
         }
-        memo.folds.insert(Key::new(hash, prompt), folded);
+        memo.folds.insert(owned(), folded);
     }
+}
 
-    /// Completes the canonical text of `canonical` through the tiered
-    /// cache: tier-0 hit, single-flight coalescing, disk-tier probe, and
-    /// finally the model. The memoized entry is always the canonical
-    /// completion — replay adaptation happens in
-    /// [`LanguageModel::complete`] above, outside every lock.
-    fn complete_canonical(
-        &self,
-        canonical: &CanonicalPrompt<'_>,
-    ) -> Result<Arc<Completion>, LlmError> {
-        let shard = self.shard_for_hash(canonical.hash64());
-        let (key, slot) = loop {
-            // One locked section decides hit / coalesce / lead; everything
-            // slow (waiting, completing) happens outside it.
-            let waiting = {
-                let mut state = self.lock_shard(shard);
-                if let Some(completion) = state.hit(canonical) {
-                    return Ok(completion);
-                }
-                if dispatch::seated() {
-                    // Co-leader: no in-flight slot taken, none waited on.
-                    state.stats.misses += 1;
-                    drop(state);
-                    let result = self.fetch_below(canonical);
-                    if let Ok(completion) = &result {
-                        let key = Key::of(canonical);
-                        self.lock_shard(shard)
-                            .insert(key, completion.clone(), self.shard_capacity);
-                    }
-                    return result;
-                }
-                match state.inflight.get(canonical as &dyn KeyView) {
-                    Some(slot) => {
-                        let slot = slot.clone();
-                        state.stats.coalesced += 1;
-                        slot
-                    }
-                    None => {
-                        // The miss's one copy of the text: the in-flight
-                        // slot holds it now, the resident entry later.
-                        let key = Key::of(canonical);
-                        let slot = InFlight::new();
-                        state.inflight.insert(key.clone(), slot.clone());
-                        state.stats.misses += 1;
-                        break (key, slot);
-                    }
-                }
-            };
-            match waiting.wait() {
-                Some(Ok(completion)) => {
-                    // The leader's endpoint call covered this lookup too:
-                    // account the share like a hit's saving.
-                    self.lock_shard(shard).stats.tokens_saved += completion.usage.total();
-                    return Ok(completion);
-                }
-                Some(Err(e)) => return Err(e),
-                // Leader panicked before publishing: retry the lookup (one
-                // of the waiters becomes the new leader).
-                None => continue,
-            }
-        };
-        // Leader: complete the canonical text without holding any lock —
-        // concurrent workers on *other* keys must not serialize on the
-        // model. The guard un-wedges waiters if this unwinds.
-        let mut guard = LeaderGuard {
-            shard,
-            slot: &slot,
-            key: &key,
-            armed: true,
-        };
-        let result = self.fetch_below(canonical);
-        {
-            let mut state = self.lock_shard(shard);
-            if let Ok(completion) = &result {
-                state.insert(key.clone(), completion.clone(), self.shard_capacity);
-            }
-            // Errors are not memoized: clearing the slot lets the next
-            // lookup retry the model.
-            state.inflight.remove(&key);
+/// A completion of the canonical text as the prompt asked for it: a v2
+/// fold that reordered the prompt replays it permutation-corrected into
+/// the prompt's own element order.
+fn adapt(replay: Option<&ReplayFold>, completion: &Arc<Completion>) -> Arc<Completion> {
+    match replay {
+        Some(fold) => Arc::new(fold.adapt(completion)),
+        None => completion.clone(),
+    }
+}
+
+/// What [`PromptCache::lookup`] found.
+pub(crate) enum Lookup<'c> {
+    /// The answer, served without reaching below the cache.
+    Hit(Arc<Completion>),
+    /// A tier-0 miss: complete [`Miss::text`] below, then fill it.
+    Miss(Miss<'c>),
+}
+
+/// A tier-0 miss between [`PromptCache::lookup`] and [`PromptCache::fill`].
+/// A leader dropped unfilled (its fetch unwound) clears its in-flight slot
+/// and wakes the lookups waiting on it to look up again, so a panicking
+/// worker cannot wedge every thread coalesced onto its key.
+pub(crate) struct Miss<'c> {
+    shard: &'c Mutex<CacheInner>,
+    /// The canonical key: the text to complete below.
+    key: Key,
+    replay: Option<ReplayFold>,
+    /// The raw prompt under its own hash, when the fold memo learns it.
+    raw: Option<Key>,
+    /// The key's in-flight slot: this lookup's own when it leads, the
+    /// leader's otherwise.
+    slot: Arc<InFlight>,
+    leads: bool,
+}
+
+impl Miss<'_> {
+    /// The canonical text to complete below.
+    pub(crate) fn text(&self) -> &str {
+        &self.key.text
+    }
+}
+
+impl Drop for Miss<'_> {
+    fn drop(&mut self) {
+        if !self.leads {
+            return;
         }
-        guard.armed = false;
-        slot.fill(result.clone());
-        result
+        let mut state = self.shard.lock().unwrap_or_else(PoisonError::into_inner);
+        state.inflight.remove(&self.key);
+        drop(state);
+        self.slot.abandon();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BackendConfig, Dispatcher};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Barrier;
     use unidm_llm::{LlmProfile, MockLlm};
     use unidm_world::World;
 
@@ -1005,93 +962,6 @@ mod tests {
         let world = World::generate(7);
         let llm = MockLlm::new(&world, LlmProfile::gpt4_turbo(), 1);
         (world, llm)
-    }
-
-    fn pipelined(llm: &MockLlm) -> Dispatcher<'_> {
-        Dispatcher::new(llm, BackendConfig::resilient(1).with_pipelined())
-    }
-
-    #[test]
-    fn cache_without_single_flight_still_hits_and_skips_memoizing_errors() {
-        let (_, llm) = setup();
-        // The lookups run from a thread holding a dispatcher seat, which
-        // is what takes the cache's co-leader path.
-        let dispatcher = pipelined(&llm);
-        let _seat = dispatcher.register();
-        assert!(dispatch::seated());
-        let cache = PromptCache::unbounded(&llm);
-        let a = cache.complete("The quick brown fox").unwrap();
-        let b = cache.complete("The quick brown fox").unwrap();
-        assert_eq!(a, b, "hit must return the memoized completion verbatim");
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(llm.usage(), a.usage, "inner model completed exactly once");
-        assert!(cache.complete("  ").is_err());
-        assert!(cache.complete("  ").is_err(), "errors are not memoized");
-        assert_eq!(cache.stats().misses, 3);
-    }
-
-    /// Holds its first caller inside `complete` until the test lets go.
-    struct HeldLeader<'a> {
-        inner: &'a MockLlm,
-        first: AtomicBool,
-        entered: Barrier,
-        release: Barrier,
-    }
-
-    impl LanguageModel for HeldLeader<'_> {
-        fn name(&self) -> &str {
-            self.inner.name()
-        }
-
-        fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-            if self.first.swap(false, Ordering::SeqCst) {
-                self.entered.wait();
-                self.release.wait();
-            }
-            self.inner.complete(prompt)
-        }
-
-        fn usage(&self) -> Usage {
-            self.inner.usage()
-        }
-
-        fn reset_usage(&self) {
-            self.inner.reset_usage();
-        }
-    }
-
-    #[test]
-    fn seated_thread_does_not_wait_on_an_unseated_leader() {
-        let (_, llm) = setup();
-        let held = HeldLeader {
-            inner: &llm,
-            first: AtomicBool::new(true),
-            entered: Barrier::new(2),
-            release: Barrier::new(2),
-        };
-        let cache = PromptCache::unbounded(&held);
-        let dispatcher = pipelined(&llm);
-        std::thread::scope(|scope| {
-            // Unseated: leads the key and is held below with its in-flight
-            // slot still open.
-            let leader = scope.spawn(|| cache.complete("The quick brown fox").unwrap());
-            held.entered.wait();
-            // Seated, arriving meanwhile: returns before the leader is
-            // released, having waited in no slot.
-            let seat = dispatcher.register();
-            let arrived = cache.complete("The quick brown fox").unwrap();
-            drop(seat);
-            let stats = cache.stats();
-            assert_eq!((stats.misses, stats.coalesced), (2, 0));
-            held.release.wait();
-            assert_eq!(leader.join().unwrap(), arrived);
-        });
-        assert_eq!(cache.len(), 1);
-        // Unseated again, the thread is served from the entry they both
-        // wrote.
-        cache.complete("The quick brown fox").unwrap();
-        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

@@ -373,6 +373,11 @@ impl<'a> CanonicalPrompt<'a> {
         self.replay.as_ref()
     }
 
+    /// Takes the replay out (see [`CanonicalPrompt::replay`]).
+    pub(crate) fn take_replay(&mut self) -> Option<ReplayFold> {
+        self.replay.take()
+    }
+
     /// Takes ownership of the canonical text (allocating only when it was
     /// still borrowed).
     pub fn into_text(self) -> String {

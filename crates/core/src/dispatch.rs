@@ -28,47 +28,18 @@
 //! endpoint with no injector nothing draws until a retry does, so a
 //! request that never backs off never reads its prompt for a draw.
 //!
-//! # The quiescence protocol
+//! # Submit, step, redeem
 //!
-//! There is no reactor thread. Caller threads submit a request and park on
-//! one condvar; the reactor steps only when **every registered thread is
-//! parked** (quiescent), at which point the last parker becomes the driver:
-//! it drains newly-submitted requests in canonical (prompt-sorted) order,
-//! then pops timer events — advancing the clock deadline by deadline —
-//! until at least one request resolves, and wakes everyone. Because time
-//! only moves at quiescent points and submissions are admitted in a
-//! canonical order, the entire virtual timeline (dispatch times, hedge
-//! decisions, every counter) is a pure function of the *set* of requests,
-//! independent of thread scheduling.
-//!
-//! Threads register in one of two ways:
-//!
-//! * **Transient** — any unregistered caller of `complete` is registered
-//!   for the duration of the call. This mode is deadlock-free by
-//!   construction (every registered thread is inside the dispatcher and
-//!   will park), and it makes single-threaded use fully self-driving, so
-//!   the ten eval drivers work unchanged. Time may advance while another
-//!   thread is *between* calls, so cross-run timeline determinism is only
-//!   guaranteed serially.
-//! * **Long-lived** — [`Dispatcher::register`] returns an RAII guard; a
-//!   registered worker counts toward quiescence even between calls. This
-//!   is what [`crate::BatchRunner`]'s pipelined mode uses, and it seats
-//!   every worker before any of them issues a call: the timeline is
-//!   deterministic at any worker count *because* seats precede work — a
-//!   worker that registered and ran while its peers were still being
-//!   spawned would be quiescent alone and drive the clock on whatever
-//!   the OS had started so far.
-//!
-//! Liveness needs no clock: a parked thread waits on the condvar until the
-//! last thread to park drives the reactor and wakes everyone, or a thread
-//! leaving makes the rest quiescent and wakes them to elect a driver. That
-//! holds as long as a seated thread between calls is running towards its
-//! next call or its exit, never waiting on a peer. The one place a worker
-//! waits on a peer is the in-flight slot of a [`crate::PromptCache`] above
-//! the dispatcher, and the cache rules it out itself: a seated thread that
-//! misses there completes below as a co-leader instead of waiting, and the
-//! dispatcher's request-level single-flight and memo coalesce one layer
-//! lower (endpoint calls == unique prompts).
+//! There is no reactor thread and no parking protocol: a caller
+//! [`Dispatcher::submit`]s prompts, [`Dispatcher::step`]s the reactor and
+//! [`Dispatcher::redeem`]s its tickets. Time moves only inside a step, and
+//! a step admits its fresh requests in canonical (prompt-sorted) order, so
+//! the whole virtual timeline (dispatch times, hedge decisions, every
+//! counter) is a pure function of what was submitted before each step.
+//! [`crate::BatchRunner::with_pipeline`] drives a window of runs this way
+//! on one thread; [`LanguageModel::complete`] is the one-request case —
+//! submit, then step until its own ticket resolves, under the dispatcher's
+//! one mutex — so any caller, on any thread, is self-driving.
 //!
 //! # Hedged requests
 //!
@@ -82,11 +53,8 @@
 //! memoized. Hedging is fully accounted by the
 //! `hedges_*` counters and bit-for-bit deterministic under the seeded sim.
 
-use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
-use std::marker::PhantomData;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::{self, ThreadId};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use unidm_llm::{
     AttemptSample, Completion, Dice, FaultStats, LanguageModel, LatencyProfile, LlmError,
@@ -96,18 +64,6 @@ use unidm_text::hash::PromptMap;
 
 use crate::backend::{BackendConfig, BackendStats};
 use crate::resilience::{backoff_us, tally_fault, Bucket, Endpoint};
-
-thread_local! {
-    /// Long-lived seats ([`Dispatcher::register`]) this thread holds.
-    static SEATS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Whether the calling thread holds a long-lived seat at some dispatcher:
-/// it counts toward quiescence between calls, so it must not wait on a
-/// peer anywhere but inside that dispatcher.
-pub(crate) fn seated() -> bool {
-    SEATS.get() > 0
-}
 
 /// When to issue a hedged duplicate for a straggling attempt.
 ///
@@ -160,7 +116,7 @@ struct InFlightCopy {
 }
 
 /// One logical request: submitted once, possibly coalescing several
-/// callers, retried and hedged as needed, resolved exactly once.
+/// tickets, retried and hedged as needed, resolved exactly once.
 struct Request {
     /// The stack's copy of the prompt, shared with the request's key in
     /// [`Core::prompts`] and lent to the endpoint and the retry backoff;
@@ -172,7 +128,8 @@ struct Request {
     hedged: u32,
     copies: Vec<InFlightCopy>,
     hedge_timer: Option<u64>,
-    waiters: usize,
+    /// Tickets not yet redeemed; the request is dropped with the last.
+    tickets: usize,
     resolved: Option<Result<Arc<Completion>, LlmError>>,
 }
 
@@ -208,8 +165,6 @@ struct Core {
     /// Newly submitted request ids, admitted in canonical (prompt-sorted)
     /// order at the next reactor step.
     fresh: Vec<u64>,
-    registered: HashSet<ThreadId>,
-    parked: usize,
     /// Rate-limit bucket; its grant times become `Dispatch` events.
     bucket: Option<Bucket>,
     stats: BackendStats,
@@ -240,7 +195,6 @@ pub struct Dispatcher<'a> {
     clock: Arc<VirtualClock>,
     dice: Dice,
     core: Mutex<Core>,
-    wakeup: Condvar,
 }
 
 impl std::fmt::Debug for Dispatcher<'_> {
@@ -269,13 +223,10 @@ impl<'a> Dispatcher<'a> {
                 requests: HashMap::new(),
                 prompts: PromptMap::default(),
                 fresh: Vec::new(),
-                registered: HashSet::new(),
-                parked: 0,
                 bucket: config.rate.map(|policy| Bucket::new(policy, 0)),
                 stats: BackendStats::default(),
                 next_id: 0,
             }),
-            wakeup: Condvar::new(),
             config,
         }
     }
@@ -296,31 +247,6 @@ impl<'a> Dispatcher<'a> {
     /// [`BackendConfig::faults`] is set.
     pub fn fault_stats(&self) -> Option<FaultStats> {
         self.endpoint.fault_stats()
-    }
-
-    /// Registers the current thread as long-lived for the quiescence
-    /// protocol until the returned guard drops, and marks it as seated
-    /// (see the [module docs](self)) for as long. Re-registering an
-    /// already-registered thread returns a no-op guard.
-    pub fn register(&self) -> DispatchRegistration<'_, 'a> {
-        let active = self.lock().registered.insert(thread::current().id());
-        if active {
-            SEATS.set(SEATS.get() + 1);
-        }
-        DispatchRegistration {
-            dispatcher: self,
-            active,
-            on_seated_thread: PhantomData,
-        }
-    }
-
-    /// Unregisters `tid`. If its departure leaves every remaining thread
-    /// parked, that is quiescence: wake them to elect a driver.
-    fn unregister(&self, core: &mut Core, tid: ThreadId) {
-        core.registered.remove(&tid);
-        if core.parked > 0 && core.parked == core.registered.len() {
-            self.wakeup.notify_all();
-        }
     }
 
     fn lock(&self) -> MutexGuard<'_, Core> {
@@ -435,7 +361,6 @@ impl<'a> Dispatcher<'a> {
                     .get_mut(&*req.prompt)
                     .expect("pending prompt has a slot") = PromptSlot::Done(completion.clone());
                 req.resolved = Some(Ok(completion));
-                core.parked -= req.waiters;
                 1
             }
             Err(_) if !req.copies.is_empty() => {
@@ -461,7 +386,6 @@ impl<'a> Dispatcher<'a> {
                 core.stats.failures += 1;
                 core.prompts.remove(&*req.prompt);
                 req.resolved = Some(Err(err));
-                core.parked -= req.waiters;
                 1
             }
         };
@@ -475,9 +399,6 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// One reactor run: admit fresh submissions in canonical order, then
-    /// advance deadline by deadline until at least one request resolves.
-    /// Must only be called at quiescence.
     fn drive(&self, core: &mut Core) {
         if !core.fresh.is_empty() {
             let mut fresh = std::mem::take(&mut core.fresh);
@@ -488,11 +409,10 @@ impl<'a> Dispatcher<'a> {
         }
         let mut resolutions = 0usize;
         while resolutions == 0 {
+            // Every unresolved request owns a pending event, so an empty
+            // wheel means nothing is in flight.
             let Some(deadline) = core.wheel.next_deadline() else {
-                // Unreachable by the admission invariant: every unresolved
-                // request owns a pending event.
-                // Failing loudly beats spinning.
-                panic!("dispatcher stalled: pending requests but no scheduled events");
+                return;
             };
             self.clock.advance_to_micros(deadline);
             while core.wheel.next_deadline() == Some(deadline) {
@@ -505,24 +425,36 @@ impl<'a> Dispatcher<'a> {
                 }
             }
         }
-        self.wakeup.notify_all();
-    }
-}
-
-impl LanguageModel for Dispatcher<'_> {
-    fn name(&self) -> &str {
-        self.endpoint.model().name()
     }
 
-    fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-        let tid = thread::current().id();
-        let mut core = self.lock();
+    /// Submits `prompt`: the memoized completion of an identical prompt,
+    /// or a ticket on the pending request an identical prompt opened
+    /// (request-level single-flight) or on a fresh one the next
+    /// [`Dispatcher::step`] admits.
+    pub fn submit(&self, prompt: &str) -> Reply {
+        self.submit_in(&mut self.lock(), prompt)
+    }
+
+    /// One reactor run: admits every fresh request in canonical order, then
+    /// advances virtual time until at least one request resolves (at once
+    /// when nothing is in flight).
+    pub fn step(&self) {
+        self.drive(&mut self.lock());
+    }
+
+    /// The result of `ticket`'s request once a [`Dispatcher::step`] has
+    /// resolved it, or the ticket back while it is pending.
+    pub fn redeem(&self, ticket: Ticket) -> Reply {
+        self.redeem_in(&mut self.lock(), ticket)
+    }
+
+    fn submit_in(&self, core: &mut Core, prompt: &str) -> Reply {
         core.stats.calls += 1;
         let id = match core.prompts.get(prompt) {
             Some(PromptSlot::Done(hit)) => {
                 let hit = hit.clone();
                 core.stats.dispatch_coalesced += 1;
-                return Ok(hit);
+                return Reply::Ready(Ok(hit));
             }
             Some(&PromptSlot::Pending(id)) => {
                 core.stats.dispatch_coalesced += 1;
@@ -545,7 +477,7 @@ impl LanguageModel for Dispatcher<'_> {
                         hedged: 0,
                         copies: Vec::new(),
                         hedge_timer: None,
-                        waiters: 0,
+                        tickets: 0,
                         resolved: None,
                     },
                 );
@@ -553,32 +485,56 @@ impl LanguageModel for Dispatcher<'_> {
                 id
             }
         };
-        let transient = core.registered.insert(tid);
-        core.request(id).waiters += 1;
-        core.parked += 1;
-        let result = loop {
-            if let Some(resolved) = core.requests.get(&id).and_then(|r| r.resolved.clone()) {
-                // The resolver already moved this thread out of `parked`.
-                break resolved;
-            }
-            if core.parked == core.registered.len() {
-                self.drive(&mut core);
-                continue;
-            }
-            core = self
-                .wakeup
-                .wait(core)
-                .unwrap_or_else(PoisonError::into_inner);
+        core.request(id).tickets += 1;
+        Reply::Pending(Ticket(id))
+    }
+
+    fn redeem_in(&self, core: &mut Core, ticket: Ticket) -> Reply {
+        let req = core.request(ticket.0);
+        let Some(result) = req.resolved.clone() else {
+            return Reply::Pending(ticket);
         };
-        let req = core.request(id);
-        req.waiters -= 1;
-        if req.waiters == 0 {
-            core.requests.remove(&id);
+        req.tickets -= 1;
+        if req.tickets == 0 {
+            core.requests.remove(&ticket.0);
         }
-        if transient {
-            self.unregister(&mut core, tid);
+        Reply::Ready(result)
+    }
+}
+
+/// A submitted prompt's claim on its request's result (see
+/// [`Dispatcher::submit`]); [`Dispatcher::redeem`] consumes it once the
+/// request resolves.
+#[derive(Debug, PartialEq, Eq)]
+#[must_use = "a ticket's result is only delivered by redeeming it"]
+pub struct Ticket(u64);
+
+/// What [`Dispatcher::submit`] and [`Dispatcher::redeem`] return.
+#[derive(Debug)]
+pub enum Reply {
+    /// The result: a memoized completion, or the resolved request's.
+    Ready(Result<Arc<Completion>, LlmError>),
+    /// Not resolved yet: [`Dispatcher::step`], then redeem the ticket.
+    Pending(Ticket),
+}
+
+impl LanguageModel for Dispatcher<'_> {
+    fn name(&self) -> &str {
+        self.endpoint.model().name()
+    }
+
+    fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
+        let mut core = self.lock();
+        let mut reply = self.submit_in(&mut core, prompt);
+        loop {
+            match reply {
+                Reply::Ready(result) => return result,
+                Reply::Pending(ticket) => {
+                    self.drive(&mut core);
+                    reply = self.redeem_in(&mut core, ticket);
+                }
+            }
         }
-        result
     }
 
     fn usage(&self) -> Usage {
@@ -595,26 +551,6 @@ impl LanguageModel for Dispatcher<'_> {
 
     fn latency_profile(&self) -> LatencyProfile {
         self.endpoint.model().latency_profile()
-    }
-}
-
-/// RAII guard of a long-lived registration (see [`Dispatcher::register`]).
-pub struct DispatchRegistration<'d, 'a> {
-    dispatcher: &'d Dispatcher<'a>,
-    active: bool,
-    /// A seat is its thread's: the guard must drop where it was taken.
-    on_seated_thread: PhantomData<*const ()>,
-}
-
-impl Drop for DispatchRegistration<'_, '_> {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        SEATS.set(SEATS.get() - 1);
-        let mut core = self.dispatcher.lock();
-        self.dispatcher
-            .unregister(&mut core, thread::current().id());
     }
 }
 
@@ -650,32 +586,48 @@ mod tests {
         assert_eq!((stats.calls, stats.attempts, stats.failures), (1, 1, 0));
     }
 
-    /// Spawns `n` registered workers that all pass a barrier before
-    /// submitting — so every first submission lands in the same reactor
-    /// step and the whole timeline is schedule-independent.
-    fn fan_out(dispatcher: &Dispatcher<'_>, n: usize, work: impl Fn(usize) + Sync) {
-        let barrier = std::sync::Barrier::new(n);
-        std::thread::scope(|scope| {
-            for t in 0..n {
-                let (d, b, work) = (dispatcher, &barrier, &work);
-                scope.spawn(move || {
-                    let _reg = d.register();
-                    b.wait();
-                    work(t);
-                });
+    /// Runs `lanes` sequences of `per_lane` prompts on the calling thread:
+    /// every lane's first prompt is submitted before the first step, and a
+    /// lane submits its next prompt the moment its previous one resolves —
+    /// so every first submission lands in the same reactor step.
+    fn fan_out(
+        dispatcher: &Dispatcher<'_>,
+        lanes: usize,
+        per_lane: usize,
+        prompt: impl Fn(usize, usize) -> String,
+    ) {
+        let mut sent = vec![0; lanes];
+        let mut pending: Vec<Option<Ticket>> = (0..lanes).map(|_| None).collect();
+        loop {
+            for (lane, slot) in pending.iter_mut().enumerate() {
+                while slot.is_none() && sent[lane] < per_lane {
+                    match dispatcher.submit(&prompt(lane, sent[lane])) {
+                        Reply::Ready(result) => drop(result.unwrap()),
+                        Reply::Pending(ticket) => *slot = Some(ticket),
+                    }
+                    sent[lane] += 1;
+                }
             }
-        });
+            if pending.iter().all(Option::is_none) {
+                return;
+            }
+            dispatcher.step();
+            for slot in &mut pending {
+                if let Some(ticket) = slot.take() {
+                    match dispatcher.redeem(ticket) {
+                        Reply::Ready(result) => drop(result.unwrap()),
+                        Reply::Pending(ticket) => *slot = Some(ticket),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn overlapped_requests_share_virtual_time() {
         let llm = model();
         let dispatcher = Dispatcher::new(&llm, pipelined(2).with_faults(FaultPlan::none(2)));
-        fan_out(&dispatcher, 16, |i| {
-            dispatcher
-                .complete(&format!("overlapped prompt {i}"))
-                .unwrap();
-        });
+        fan_out(&dispatcher, 16, 1, |i, _| format!("overlapped prompt {i}"));
         // 16 concurrent 50ms attempts: the blocking stack would charge
         // 800ms of virtual time; the reactor overlaps them into one wave.
         assert_eq!(dispatcher.clock().now_micros(), 50_000);
@@ -686,15 +638,16 @@ mod tests {
     fn identical_pending_prompts_coalesce_and_memoize() {
         let llm = model();
         let dispatcher = Dispatcher::new(&llm, pipelined(3).with_faults(FaultPlan::none(3)));
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let d = &dispatcher;
-                scope.spawn(move || {
-                    let _reg = d.register();
-                    d.complete("the one shared prompt").unwrap();
-                });
-            }
-        });
+        let tickets: Vec<Ticket> = (0..8)
+            .map(|_| match dispatcher.submit("the one shared prompt") {
+                Reply::Pending(ticket) => ticket,
+                Reply::Ready(_) => panic!("nothing has resolved yet"),
+            })
+            .collect();
+        dispatcher.step();
+        for ticket in tickets {
+            assert!(matches!(dispatcher.redeem(ticket), Reply::Ready(Ok(_))));
+        }
         // A late arrival after resolution hits the memo.
         dispatcher.complete("the one shared prompt").unwrap();
         let stats = dispatcher.stats();
@@ -713,9 +666,7 @@ mod tests {
                 .with_faults(FaultPlan::none(5))
                 .with_rate_limit(10, 1),
         );
-        fan_out(&dispatcher, 20, |i| {
-            dispatcher.complete(&format!("paced prompt {i}")).unwrap();
-        });
+        fan_out(&dispatcher, 20, 1, |i, _| format!("paced prompt {i}"));
         let stats = dispatcher.stats();
         assert_eq!(stats.rate_tokens, 20, "one token per logical attempt");
         assert_eq!(stats.throttle_waits, 19, "everything after the burst waits");
@@ -757,18 +708,12 @@ mod tests {
         let config = pipelined(11)
             .with_faults(FaultPlan::heavy_tail(11))
             .with_hedge(HedgePolicy::at_quantile(900).with_min_samples(16));
-        // 10 workers × 30 sequential prompts: submissions trickle in
+        // 10 lanes × 30 sequential prompts: submissions trickle in
         // waves, so the latency estimator warms up and later stragglers
         // get hedged.
         let run = || {
             let dispatcher = Dispatcher::new(&llm, config);
-            fan_out(&dispatcher, 10, |t| {
-                for i in 0..30 {
-                    dispatcher
-                        .complete(&format!("tail prompt {t}-{i}"))
-                        .unwrap();
-                }
-            });
+            fan_out(&dispatcher, 10, 30, |t, i| format!("tail prompt {t}-{i}"));
             (dispatcher.stats(), dispatcher.fault_stats().unwrap())
         };
         let (stats, faults) = run();
@@ -805,10 +750,10 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_callers_are_transiently_registered_and_safe() {
+    fn concurrent_callers_each_drive_their_own_calls() {
         let llm = model();
         let dispatcher = Dispatcher::new(&llm, pipelined(6).with_faults(FaultPlan::light(6)));
-        // Plain threads, no registration guards: still deadlock-free.
+        // Plain threads: each call steps the reactor until it resolves.
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let d = &dispatcher;

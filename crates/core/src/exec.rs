@@ -3,31 +3,26 @@
 //!
 //! The paper's experiments (Tables 1–11) execute thousands of independent
 //! pipeline runs per dataset. Each run is a pure function of `(model,
-//! config, lake, task)`, so runs can execute on any thread in any order
-//! and still produce bit-identical answers and per-run usage
-//! ([`BatchRunner`]). The redundancy between runs — tasks on the same
-//! table issue near-identical retrieval and parsing prompts — is handled
-//! one layer down, by putting a [`crate::PromptCache`] under the runner.
+//! config, lake, task)`, so [`BatchRunner`] may run them in any order on
+//! any thread and still return bit-identical answers and per-run usage, in
+//! task order. Before anything executes, a dedup planner groups
+//! byte-identical tasks, runs one representative per group and copies its
+//! output to every duplicate slot — duplicates never reach the cache, which
+//! handles the near-identical prompts *between* runs one layer down.
+//! [`BatchRunner::run_streaming`] is the same batch run once per partition
+//! of a task stream, so what it holds live is bounded by the partition.
 //!
-//! [`BatchRunner`] adds scheduler-level deduplication on top: a
-//! pre-dispatch planner groups byte-identical tasks, runs one
-//! representative per group on the pool, and copies the representative's
-//! output to every duplicate slot — so duplicate tasks never even reach
-//! the cache. [`BatchRunner::run_streaming`] is that same batch run once
-//! per partition of a task stream, so what it holds live is bounded by
-//! the partition.
-//!
-//! A runner has one worker unless [`BatchRunner::with_workers`] sets more.
-//! The offline model answers in microseconds of CPU and a second worker
-//! has never beaten one on it, so the pool is for workers that *wait*: a
-//! [`Dispatcher`]'s seats ([`BatchRunner::with_pipeline`]), each one
-//! request in the reactor's in-flight window, or calls to a blocking
-//! endpoint with real latency. The pool is one loop whatever the mode:
-//! each worker builds its own [`UniDm`], claims the next representative
-//! from a shared cursor (`fetch_add`) and fills that representative's
-//! slot. One worker runs the loop on the calling thread; more run it under
-//! [`std::thread::scope`]; a pipelined worker also holds a [`Dispatcher`]
-//! registration while it runs, taken before any worker starts.
+//! Representatives are claimed in order from one cursor the moment a
+//! worker is free, so a straggler cannot serialize the tail of a batch. A
+//! runner has one worker unless [`BatchRunner::with_workers`] sets more:
+//! the offline model answers in microseconds of CPU and a second worker has
+//! never beaten one on it, so the scoped thread pool is for workers that
+//! wait on a blocking endpoint with real latency. Waiting needs no thread
+//! in **pipelined mode** ([`BatchRunner::with_pipeline`]): one thread keeps
+//! up to `workers` [`Run`]s in flight over an event-driven [`Dispatcher`].
+//! It submits every run's pending prompt, steps the reactor once, feeds
+//! each resolved run its reply and submits that run's next prompt at once —
+//! hundreds of requests in flight, no thread spawned.
 //!
 //! ```
 //! use unidm::{BatchRunner, PipelineConfig, PromptCache, Task};
@@ -55,13 +50,14 @@
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-use unidm_llm::LanguageModel;
+use unidm_llm::{Completion, LanguageModel, LlmError};
 use unidm_tablestore::DataLake;
 
-use crate::dispatch::Dispatcher;
-use crate::pipeline::{RunOutput, UniDm};
+use crate::cache::{Lookup, Miss, PromptCache};
+use crate::dispatch::{Dispatcher, Reply, Ticket};
+use crate::pipeline::{Run, RunOutput, Step, UniDm};
 use crate::task::Task;
 use crate::{PipelineConfig, UniDmError};
 
@@ -120,21 +116,7 @@ impl Hash for TaskKey<'_> {
     }
 }
 
-/// A batch executor for [`UniDm`] runs.
-///
-/// Before anything executes, a **dedup planner** groups byte-identical
-/// tasks: each run is a pure function of `(model, config, lake, task)`, so
-/// one representative per group executes and every duplicate slot receives
-/// a copy of its output — duplicate tasks cost zero model calls and zero
-/// cache lookups. The representatives then run in order on the calling
-/// thread or, with [`BatchRunner::with_workers`], on a pool of scoped
-/// worker threads sharing one model reference and one **cursor**: a worker
-/// claims the next unique task the moment it finishes its previous one, so
-/// a straggler task cannot serialize the tail of a batch. Results come
-/// back in task order, each carrying its own
-/// [`RunOutput::usage`] metered per run — never diffed from the model's
-/// global counter — so the output is bit-for-bit identical to running the
-/// same tasks serially, whatever the interleaving.
+/// A batch executor for [`UniDm`] runs (see the [module docs](self)).
 ///
 /// # Examples
 ///
@@ -168,7 +150,8 @@ pub struct BatchRunner<'a> {
     config: PipelineConfig,
     workers: usize,
     dedup: bool,
-    pipeline: Option<&'a Dispatcher<'a>>,
+    /// Pipelined mode's dispatcher, and the cache above it if any.
+    pipeline: Option<(&'a Dispatcher<'a>, Option<&'a PromptCache<'a>>)>,
     partition_tasks: usize,
 }
 
@@ -218,7 +201,8 @@ impl<'a> BatchRunner<'a> {
     }
 
     /// Overrides the worker count (default and minimum `1`: serially on
-    /// the calling thread); the [module docs](self) say when more pay.
+    /// the calling thread); the [module docs](self) say when more pay. In
+    /// pipelined mode it is the number of runs in flight.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -233,30 +217,24 @@ impl<'a> BatchRunner<'a> {
         self
     }
 
-    /// Runs the batch in **pipelined mode** against an event-driven
-    /// [`Dispatcher`]: every worker registers with the dispatcher for the
-    /// whole batch and claims the next unique task from a shared cursor
-    /// the moment its previous one finishes — continuous admission into
-    /// the dispatcher's in-flight window instead of whole-batch barriers.
-    /// No worker issues a call until all of them are registered, so the
-    /// dispatcher's virtual timeline (makespan, hedges, every counter) is a
-    /// function of the task list and the worker count, never of the order
-    /// the OS started the threads in. The dedup planner still runs first,
-    /// so duplicate tasks never reach the dispatcher at all.
-    ///
-    /// The `llm` this runner drives must bottom out in `dispatcher` — that
-    /// is how worker calls become reactor events. A [`crate::PromptCache`]
-    /// may sit between them as it is: a seated worker never waits in the
-    /// cache's in-flight slot, and the dispatcher coalesces duplicate
-    /// prompts itself.
-    pub fn with_pipeline(mut self, dispatcher: &'a Dispatcher<'a>) -> Self {
-        self.pipeline = Some(dispatcher);
+    /// Runs the batch in **pipelined mode** (see the [module docs](self))
+    /// against `dispatcher`, through `cache` when a [`PromptCache`] sits
+    /// directly above it; the runner's own model is not used. The virtual
+    /// timeline (makespan, hedges, every counter) is a function of the task
+    /// list and the window. The dedup planner still runs first, so
+    /// duplicate tasks never reach the dispatcher at all.
+    pub fn with_pipeline(
+        mut self,
+        dispatcher: &'a Dispatcher<'a>,
+        cache: Option<&'a PromptCache<'a>>,
+    ) -> Self {
+        self.pipeline = Some((dispatcher, cache));
         self
     }
 
     /// The dispatcher batches run against in pipelined mode, if any.
     pub fn pipeline(&self) -> Option<&'a Dispatcher<'a>> {
-        self.pipeline
+        self.pipeline.map(|(dispatcher, _)| dispatcher)
     }
 
     /// The configured worker count.
@@ -341,26 +319,15 @@ impl<'a> BatchRunner<'a> {
         tasks: &[Task],
         reps: &[usize],
     ) -> Vec<Result<RunOutput, UniDmError>> {
+        if let Some((dispatcher, cache)) = self.pipeline {
+            return self.execute_pipelined(dispatcher, cache, lake, tasks, reps);
+        }
         let slots: Vec<OnceLock<Result<RunOutput, UniDmError>>> =
             reps.iter().map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
         // A shared cursor hands each worker the next unique task as soon
-        // as it finishes the previous one, so a freshly ready task flows
-        // into an open in-flight slot while stragglers are still pending.
-        // In pipelined mode a worker holds its dispatcher registration for
-        // the whole batch, so the reactor only advances virtual time when
-        // every worker is parked inside it (quiescence) — and no worker
-        // issues a call until all of them are seated: a worker that ran
-        // ahead of its unspawned peers would be quiescent alone and drive
-        // the clock on an OS-scheduling-dependent request set.
-        let workers = self.workers.min(reps.len()).max(1);
-        let seated = Barrier::new(workers);
+        // as it finishes the previous one.
         let worker = || {
-            let _registration = self.pipeline.map(|dispatcher| {
-                let registration = dispatcher.register();
-                seated.wait();
-                registration
-            });
             let unidm = UniDm::new(self.llm, self.config);
             loop {
                 let position = cursor.fetch_add(1, Ordering::Relaxed);
@@ -373,7 +340,7 @@ impl<'a> BatchRunner<'a> {
                     .expect("slot claimed exactly once");
             }
         };
-        match workers {
+        match self.workers.min(reps.len()).max(1) {
             1 => worker(),
             workers => std::thread::scope(|scope| {
                 for _ in 0..workers {
@@ -384,6 +351,63 @@ impl<'a> BatchRunner<'a> {
         slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("every slot filled"))
+            .collect()
+    }
+
+    /// [`BatchRunner::execute_reps`] in pipelined mode (see
+    /// [`BatchRunner::with_pipeline`]).
+    fn execute_pipelined(
+        &self,
+        dispatcher: &Dispatcher<'_>,
+        cache: Option<&PromptCache<'_>>,
+        lake: &DataLake,
+        tasks: &[Task],
+        reps: &[usize],
+    ) -> Vec<Result<RunOutput, UniDmError>> {
+        let model: &dyn LanguageModel = match cache {
+            Some(cache) => cache,
+            None => dispatcher,
+        };
+        let unidm = UniDm::new(model, self.config);
+        let mut results = vec![None; reps.len()];
+        let mut flights: Vec<Flight<'_, '_>> = Vec::new();
+        let mut claims = reps.iter().enumerate();
+        loop {
+            // Runs fed a reply go on to their next prompt, and a free slot
+            // claims the next representative, until every run waits.
+            loop {
+                flights.retain_mut(|flight| {
+                    flight.waiting.is_some() || flight.advance(dispatcher, cache, &mut results)
+                });
+                let claim = (flights.len() < self.workers).then(|| claims.next());
+                let Some(Some((position, &index))) = claim else {
+                    break;
+                };
+                match unidm.start(lake, &tasks[index]) {
+                    Ok(run) => flights.push(Flight {
+                        position,
+                        run,
+                        waiting: None,
+                    }),
+                    Err(err) => results[position] = Some(Err(err)),
+                }
+            }
+            if flights.is_empty() {
+                break;
+            }
+            dispatcher.step();
+            for flight in &mut flights {
+                if let Some((ticket, miss)) = flight.waiting.take() {
+                    match dispatcher.redeem(ticket) {
+                        Reply::Pending(ticket) => flight.waiting = Some((ticket, miss)),
+                        Reply::Ready(result) => flight.run.feed(fill(cache, miss, result)),
+                    }
+                }
+            }
+        }
+        results
+            .into_iter()
+            .map(|result| result.expect("every representative ran"))
             .collect()
     }
 
@@ -436,6 +460,64 @@ impl<'a> BatchRunner<'a> {
             .into_iter()
             .map(|r| r.map(|o| o.answer).unwrap_or_default())
             .collect()
+    }
+}
+
+/// A run in a pipelined window: the representative it answers and, while
+/// it waits, its ticket and the cache miss the reply fills.
+struct Flight<'r, 'c> {
+    position: usize,
+    run: Run<'r>,
+    waiting: Option<(Ticket, Option<Miss<'c>>)>,
+}
+
+impl<'c> Flight<'_, 'c> {
+    /// Runs until the run waits on a pending request (`true`) or is over,
+    /// its result in `results`. A reply served at once — a cache hit, a
+    /// dispatcher memo hit — is fed straight back.
+    fn advance(
+        &mut self,
+        dispatcher: &Dispatcher<'_>,
+        cache: Option<&'c PromptCache<'_>>,
+        results: &mut [Option<Result<RunOutput, UniDmError>>],
+    ) -> bool {
+        loop {
+            let (reply, miss) = match self.run.next() {
+                Ok(Step::Prompt(prompt)) => match cache.map(|cache| cache.lookup(prompt)) {
+                    Some(Lookup::Hit(answer)) => (Reply::Ready(Ok(answer)), None),
+                    Some(Lookup::Miss(miss)) => (dispatcher.submit(miss.text()), Some(miss)),
+                    None => (dispatcher.submit(prompt), None),
+                },
+                Ok(Step::Done(output)) => {
+                    results[self.position] = Some(Ok(output));
+                    return false;
+                }
+                Err(err) => {
+                    results[self.position] = Some(Err(err));
+                    return false;
+                }
+            };
+            match reply {
+                Reply::Ready(result) => self.run.feed(fill(cache, miss, result)),
+                Reply::Pending(ticket) => {
+                    self.waiting = Some((ticket, miss));
+                    return true;
+                }
+            }
+        }
+    }
+}
+
+/// The reply a run is fed: `result`, filled into `cache` when it completes
+/// a cache miss.
+fn fill(
+    cache: Option<&PromptCache<'_>>,
+    miss: Option<Miss<'_>>,
+    result: Result<Arc<Completion>, LlmError>,
+) -> Result<Arc<Completion>, LlmError> {
+    match (cache, miss) {
+        (Some(cache), Some(miss)) => cache.fill(miss, result),
+        _ => result,
     }
 }
 
@@ -590,7 +672,7 @@ mod tests {
         let cache = PromptCache::unbounded(&dispatcher);
         let report = BatchRunner::new(&cache, config)
             .with_workers(4)
-            .with_pipeline(&dispatcher)
+            .with_pipeline(&dispatcher, Some(&cache))
             .run_report(&lake, &tasks);
         let answers: Vec<String> = report
             .results
@@ -603,13 +685,88 @@ mod tests {
         );
 
         // Exact accounting through the stack: every cache miss became one
-        // dispatcher call, and every call either launched a fresh request
-        // or coalesced onto a pending/memoized one — nothing double-fires.
+        // dispatcher call, every leading one an endpoint attempt, and every
+        // call either launched a fresh request or coalesced onto a
+        // pending/memoized one — nothing double-fires.
         let stats = dispatcher.stats();
+        let cached = cache.stats();
         assert_eq!(stats.calls, stats.attempts + stats.dispatch_coalesced);
-        assert_eq!(stats.calls as usize, cache.stats().misses);
+        assert_eq!(stats.calls as usize, cached.misses + cached.coalesced);
+        assert_eq!(stats.attempts as usize, cached.misses);
         assert!(stats.attempts > 0);
         assert_eq!(stats.failures, 0);
+    }
+
+    /// A model that rejects, as too long for its window, every prompt
+    /// naming one of `marks`.
+    struct Rejects<'a> {
+        inner: &'a MockLlm,
+        marks: Vec<String>,
+    }
+
+    impl LanguageModel for Rejects<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
+            if self.marks.iter().any(|mark| prompt.contains(mark.as_str())) {
+                return Err(LlmError::PromptTooLong {
+                    tokens: unidm_text::count_tokens(prompt),
+                    limit: 0,
+                });
+            }
+            self.inner.complete(prompt)
+        }
+
+        fn usage(&self) -> unidm_llm::Usage {
+            self.inner.usage()
+        }
+
+        fn reset_usage(&self) {
+            self.inner.reset_usage();
+        }
+    }
+
+    #[test]
+    fn a_failing_run_does_not_stall_its_window() {
+        let (world, llm) = setup();
+        let ds = imputation::restaurant(&world, 3, 24);
+        let lake: DataLake = [ds.table.clone()].into_iter().collect();
+        let tasks = imputation_tasks(&ds, 24);
+        // Every fourth task's meta-wise query ("<name>, city") is rejected
+        // for good: its run fails at its first prompt.
+        let marks = ds.targets.iter().step_by(4).map(|target| {
+            let name = ds.table.cell_value(target.row, "name").unwrap();
+            format!("{name}, city")
+        });
+        let rejects = Rejects {
+            inner: &llm,
+            marks: marks.collect(),
+        };
+        let config = PipelineConfig::paper_default();
+        let serial = BatchRunner::new(&rejects, config).run(&lake, &tasks);
+        let failed = serial.iter().filter(|result| result.is_err()).count();
+        assert_eq!(failed, 6, "one failing run in four");
+
+        for window in [1, 8, 64] {
+            for cached in [false, true] {
+                let backend = crate::BackendConfig::resilient(7)
+                    .without_breaker()
+                    .with_pipelined();
+                let dispatcher = Dispatcher::new(&rejects, backend);
+                let cache = cached.then(|| PromptCache::unbounded(&dispatcher));
+                let pipelined = BatchRunner::new(&rejects, config)
+                    .with_workers(window)
+                    .with_pipeline(&dispatcher, cache.as_ref())
+                    .run(&lake, &tasks);
+                assert_eq!(
+                    pipelined, serial,
+                    "window {window}, cached: {cached}: every slot as the serial runner left it"
+                );
+                assert_eq!(dispatcher.stats().failures, 6);
+            }
+        }
     }
 
     #[test]
@@ -645,7 +802,7 @@ mod tests {
             let dispatcher = Dispatcher::new(&llm, backend);
             let pipelined = BatchRunner::new(&dispatcher, config)
                 .with_workers(workers)
-                .with_pipeline(&dispatcher);
+                .with_pipeline(&dispatcher, None);
             assert_eq!(
                 pipelined.run(&lake, &tasks),
                 serial,

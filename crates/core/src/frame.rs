@@ -11,10 +11,11 @@
 //!
 //! * **Owner.** One `Frames` per [`crate::UniDm`]; [`crate::BatchRunner`]
 //!   builds one `UniDm` per worker, so nothing is shared across threads.
-//! * **Access.** Rows are lent, not handed out: [`Frames::with_rows`] runs
-//!   its caller over `&FrameRow`s that stay where they are, and the caller
-//!   copies out the little it keeps (a kept row's rendered line). Showing
-//!   the model fifty candidates touches no reference count.
+//! * **Access.** Rows are lent, not handed out: [`Frames::with_frame`]
+//!   runs its caller over the frame, whose `FrameRow`s stay where they
+//!   are, and the caller copies out the little it keeps (a kept row's
+//!   rendered line). Showing the model fifty candidates touches no
+//!   reference count.
 //! * **Freshness.** Frames are keyed by [`Table::version`], a stamp that
 //!   changes on every `push_row` / `set_cell` and differs between tables
 //!   built separately, so a stale row cannot be served; a table name seen
@@ -70,7 +71,7 @@ pub(crate) fn cell_text(value: Value) -> String {
 /// sampler drew, never outside input, and a frame is probed fifty times a
 /// task: SipHash was most of what a lookup cost.
 #[derive(Default)]
-struct RowHasher(u64);
+pub(crate) struct RowHasher(u64);
 
 impl Hasher for RowHasher {
     fn write(&mut self, _: &[u8]) {
@@ -90,7 +91,7 @@ impl Hasher for RowHasher {
 
 /// The rows one projection of a table has shown so far, by row index,
 /// held in the map itself: a probe reaches the row without a second hop.
-type Frame = HashMap<usize, FrameRow, BuildHasherDefault<RowHasher>>;
+pub(crate) type Frame = HashMap<usize, FrameRow, BuildHasherDefault<RowHasher>>;
 
 /// The frames of one table name, all filled at one version.
 #[derive(Debug, Clone)]
@@ -117,16 +118,17 @@ pub(crate) struct Frames {
 }
 
 impl Frames {
-    /// Lends `read` rows `rows` of `table` projected on columns `cols`, in
-    /// that order, serializing first the ones this version of the table has
-    /// not shown yet. The rows stay in the frame — a caller copies out what
-    /// it keeps — and the frame stays borrowed while `read` runs.
-    pub(crate) fn with_rows<T>(
+    /// Lends `read` the frame of `table` projected on columns `cols`,
+    /// serializing first the rows of `rows` this version of the table has
+    /// not shown yet. The rows stay in the frame — a caller indexes it by
+    /// row and copies out what it keeps — and the frame stays borrowed
+    /// while `read` runs.
+    pub(crate) fn with_frame<T>(
         &self,
         table: &Table,
         cols: &[usize],
-        rows: &[usize],
-        read: impl FnOnce(&[&FrameRow]) -> T,
+        rows: impl IntoIterator<Item = usize>,
+        read: impl FnOnce(&Frame) -> T,
     ) -> Result<T, TableError> {
         let mut tables = self.tables.borrow_mut();
         let frames = match tables.get_mut(table.name()) {
@@ -151,7 +153,7 @@ impl Frames {
         };
         let frame = &mut frames.projections[at].1;
         let columns = table.schema().columns();
-        for &row in rows {
+        for row in rows {
             if frame.contains_key(&row) {
                 continue;
             }
@@ -163,8 +165,7 @@ impl Frames {
             });
             frame.insert(row, FrameRow::new(SerializedRecord::new(pairs.collect())));
         }
-        let shown: Vec<&FrameRow> = rows.iter().map(|row| &frame[row]).collect();
-        Ok(read(&shown))
+        Ok(read(frame))
     }
 
     /// The candidates of demonstration pool `pool`: the memoized ones when

@@ -22,60 +22,28 @@
 //! # Batch execution
 //!
 //! One evaluation regenerates thousands of independent pipeline runs, so
-//! the crate ships a parallel batch engine ([`exec`]) over a two-tier
-//! prompt cache ([`cache`], [`store`]):
+//! the crate ships an execution stack, each layer behind the same
+//! `LanguageModel` trait and documented in its module:
 //!
-//! * [`BatchRunner`] fans a `Vec<Task>` out across a scoped worker pool
-//!   sharing one `&dyn LanguageModel` (the trait requires `Send + Sync`).
-//!   Results return in task order and are bit-for-bit identical to a
-//!   serial loop — including per-run [`RunOutput`] usage, which is metered
-//!   locally per run (via [`unidm_llm::UsageMeter`]) rather than diffed
-//!   from the model's global counter.
-//! * [`PromptCache`] memoizes prompt → completion pairs behind the same
-//!   `LanguageModel` trait. Tasks over the same table repeat most of their
-//!   retrieval (`p_rm`, `p_ri`) and parsing (`p_dp`) prompts, so layering
-//!   the cache under a batch deduplicates those calls; [`CacheStats`]
-//!   reports hits, misses, evictions and tokens saved — per shard and in
-//!   aggregate.
-//! * [`canon`] canonicalizes prompts into cache keys
-//!   ([`CanonicalPrompt`]): whitespace normalization and (at
-//!   [`CanonLevel::TableStem`]) generalization of per-row retrieval
-//!   queries, which lifts imputation-workload hit rates from ~2% to ≥20%;
-//!   [`CanonLevel::Semantic`] additionally folds `p_dp` record blocks that
-//!   differ only in row order and reorderings of `p_ri` instance lists.
-//!   The cache is sharded across independently locked maps keyed by
-//!   [`CanonicalPrompt::hash64`].
-//! * [`store`] is the disk tier beneath the in-memory shards: a
-//!   versioned, checksummed, append-only `UDMCACHE3` segment
-//!   ([`CacheStore`]) with TinyLFU admission control (so a table scan
-//!   cannot flush the hot set) and compaction.
-//!   Attach it with [`PromptCache::with_store`]; misses probe the disk
-//!   tier before reaching the model, so a warm replay — even into a cold
-//!   process — uses zero model calls. It is the only way a completion
-//!   outlives the process.
-//! * [`backend`] is the resilient client layer beneath the cache:
-//!   token-bucket rate limiting, exponential-backoff retry with seeded
-//!   jitter and a circuit breaker over any `LanguageModel` — blocking, or
-//!   as events on the [`dispatch`] reactor with optional hedging — all on
-//!   a virtual clock, and testable offline against the seeded fault injector
-//!   [`unidm_llm::SimBackend`]. Cache hits never reach the backend, so
-//!   they consume zero rate-limit budget; faulty runs return answers
-//!   bit-identical to fault-free ones.
-//! * [`route`] spreads traffic over a fleet: [`RoutedBackend`] routes
-//!   each call uniformly to one of N endpoints — per-endpoint circuit
-//!   breakers, latency sketches and AIMD rate adaptation driven by
-//!   observed 429s — and [`CascadeBackend`] sends every prompt to a cheap
-//!   model first, escalating to the large model only when the answer is
-//!   unparseable or below a confidence gate. Both report exact
-//!   [`RouterStats`] and keep answers byte-identical to a direct call.
+//! * [`exec`] — [`BatchRunner`] runs a `Vec<Task>` serially, on a scoped
+//!   worker pool, or as a window of [`Run`] step machines on one thread
+//!   over the [`dispatch`] reactor; results are bit-for-bit those of a
+//!   serial loop, per-run [`RunOutput`] usage included.
+//! * [`cache`], [`canon`], [`store`] — [`PromptCache`] memoizes
+//!   completions under [`CanonicalPrompt`] keys (whitespace, per-row
+//!   retrieval preambles and, at [`CanonLevel::Semantic`], list order
+//!   folded), single-flight and sharded, over an optional `UDMCACHE3`
+//!   disk tier ([`CacheStore`], TinyLFU admission) through which a warm
+//!   replay into a cold process makes zero model calls.
+//! * [`backend`], [`dispatch`], [`route`] — rate limiting, seeded-jitter
+//!   retry, circuit breaking, hedging, fleet routing and model cascades on
+//!   a virtual clock, testable offline against [`unidm_llm::SimBackend`];
+//!   faulty runs answer bit-identically to fault-free ones.
 //!
 //! The eval harness (`unidm-eval`) drives every per-table accuracy loop
-//! through this engine (opt into caching with
-//! `unidm_eval::CacheConfig`, into the backend with
-//! `ExperimentConfig::backend`), and `cargo run -p unidm-bench --bin
-//! throughput` writes the counters-only ledger `BENCH_<n>.json`: exact
-//! model calls, tokens, cache and backend counters and virtual-time
-//! timelines for every regime, byte-reproducible from the tree.
+//! through this stack, and `cargo run -p unidm-bench --bin throughput`
+//! writes the counters-only ledger `BENCH_<n>.json`, byte-reproducible
+//! from the tree.
 //!
 //! # Quickstart
 //!
@@ -140,10 +108,10 @@ pub use backend::{
 pub use cache::{CacheStats, PromptCache};
 pub use canon::{CanonLevel, CanonicalPrompt, ReplayFold};
 pub use config::PipelineConfig;
-pub use dispatch::{DispatchRegistration, Dispatcher, HedgePolicy};
+pub use dispatch::{Dispatcher, HedgePolicy, Reply, Ticket};
 pub use error::UniDmError;
 pub use exec::{BatchReport, BatchRunner, StreamReport, DEFAULT_PARTITION_TASKS};
-pub use pipeline::{RunOutput, Trace, UniDm};
+pub use pipeline::{Run, RunOutput, Step, Trace, UniDm};
 pub use route::{
     AimdPolicy, CascadeBackend, CascadePolicy, EndpointConfig, EndpointStats, RoutePlan,
     RoutedBackend, RouterStats,

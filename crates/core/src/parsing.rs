@@ -19,7 +19,7 @@ fn rendered(records: &[SerializedRecord]) -> Vec<String> {
 }
 
 /// `V` from rendered records: a record without a value has no line.
-fn join_lines(lines: &[String]) -> String {
+pub(crate) fn join_lines(lines: &[String]) -> String {
     let stated = lines
         .iter()
         .map(String::as_str)
@@ -38,25 +38,19 @@ pub fn parse_context(
     config: &PipelineConfig,
     records: &[SerializedRecord],
 ) -> Result<String, UniDmError> {
-    parse_lines(llm, config, &rendered(records))
+    let lines = rendered(records);
+    match pdp_prompt(config, &lines) {
+        Some(prompt) => Ok(llm.complete(&prompt)?.text.clone()),
+        None => Ok(join_lines(&lines)),
+    }
 }
 
-/// [`parse_context`] over records that are already rendered, which is how
-/// [`crate::UniDm::run`] holds them.
-pub(crate) fn parse_lines(
-    llm: &dyn LanguageModel,
-    config: &PipelineConfig,
-    lines: &[String],
-) -> Result<String, UniDmError> {
-    if lines.is_empty() {
-        return Ok(String::new());
-    }
-    if !config.context_parsing {
-        return Ok(join_lines(lines));
-    }
-    let prompt = render_pdp_lines(lines.iter().map(String::as_str));
-    let reply = llm.complete(&prompt)?;
-    Ok(reply.text.clone())
+/// Context parsing's render half over rendered records: the `p_dp`
+/// prompt, or `None` when the context is `V` itself ([`join_lines`]) —
+/// there are no records, or parsing is off. The reply is `C'`.
+pub(crate) fn pdp_prompt(config: &PipelineConfig, lines: &[String]) -> Option<String> {
+    let asks = config.context_parsing && !lines.is_empty();
+    asks.then(|| render_pdp_lines(lines.iter().map(String::as_str)))
 }
 
 #[cfg(test)]

@@ -26,12 +26,17 @@ pub fn build_target_prompt(
     config: &PipelineConfig,
     claim: &Claim,
 ) -> Result<String, UniDmError> {
-    if !config.prompt_construction {
-        return Ok(render_simple(claim));
+    match pcq_prompt(config, claim) {
+        Some(prompt) => Ok(llm.complete(&prompt)?.text.clone()),
+        None => Ok(render_simple(claim)),
     }
-    let prompt = render_pcq(claim);
-    let reply = llm.complete(&prompt)?;
-    Ok(reply.text.clone())
+}
+
+/// Target prompt construction's render half: the `p_cq` prompt, or `None`
+/// when construction is off and the claim is concatenated directly
+/// ([`render_simple`]). The reply is the target prompt.
+pub(crate) fn pcq_prompt(config: &PipelineConfig, claim: &Claim) -> Option<String> {
+    config.prompt_construction.then(|| render_pcq(claim))
 }
 
 /// Feeds the target prompt to the LLM and returns the raw answer text.

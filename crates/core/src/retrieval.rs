@@ -26,7 +26,7 @@ use unidm_llm::protocol::{
     parse_pri_response, render_pri_lines, render_prm, SerializedRecord, TaskKind,
 };
 use unidm_llm::LanguageModel;
-use unidm_tablestore::Table;
+use unidm_tablestore::{Table, TableError};
 
 use crate::frame::{FrameRow, Frames};
 use crate::{PipelineConfig, UniDmError};
@@ -58,28 +58,41 @@ pub fn meta_wise(
     table: &Table,
     target_attr: &str,
 ) -> Result<Vec<String>, UniDmError> {
-    let candidates: Vec<String> = table
-        .schema()
-        .names()
-        .filter(|n| !n.eq_ignore_ascii_case(target_attr))
-        .map(str::to_string)
-        .collect();
-    if candidates.is_empty() {
-        return Ok(Vec::new());
+    match prm_prompt(config, task, query, table, target_attr) {
+        (Some(prompt), candidates) => Ok(read_prm(&candidates, &llm.complete(&prompt)?.text)),
+        (None, picks) => Ok(picks),
     }
-    if !config.meta_retrieval {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5e7a);
-        let mut pool = candidates;
-        pool.shuffle(&mut rng);
-        pool.truncate(1);
-        return Ok(pool);
+}
+
+/// Meta-wise retrieval's render half: the `p_rm` prompt with the
+/// attributes it chooses among (all but the target), or no prompt with the
+/// picks made without the model — none of no candidates, one seeded random
+/// pick when meta-wise retrieval is off.
+pub(crate) fn prm_prompt(
+    config: &PipelineConfig,
+    task: TaskKind,
+    query: &str,
+    table: &Table,
+    target_attr: &str,
+) -> (Option<String>, Vec<String>) {
+    let names = table.schema().names();
+    let others = names.filter(|n| !n.eq_ignore_ascii_case(target_attr));
+    let mut candidates: Vec<String> = others.map(str::to_string).collect();
+    if config.meta_retrieval && !candidates.is_empty() {
+        return (Some(render_prm(task, query, &candidates)), candidates);
     }
-    let prompt = render_prm(task, query, &candidates);
-    let reply = llm.complete(&prompt)?;
-    // The schema's spelling, each attribute once, in order of first mention:
-    // the picks name columns from here on, whatever the model wrote.
+    candidates.shuffle(&mut StdRng::seed_from_u64(config.seed ^ 0x5e7a));
+    candidates.truncate(1);
+    (None, candidates)
+}
+
+/// Meta-wise retrieval's read half: the schema's spelling, each attribute
+/// once, in order of first mention — the picks name columns from here on,
+/// whatever the model wrote — or the first candidate when the reply names
+/// none.
+pub(crate) fn read_prm(candidates: &[String], reply: &str) -> Vec<String> {
     let mut picked: Vec<String> = Vec::new();
-    for mention in reply.text.split(',') {
+    for mention in reply.split(',') {
         let mention = mention.trim();
         if let Some(name) = candidates.iter().find(|c| c.eq_ignore_ascii_case(mention)) {
             if !picked.contains(name) {
@@ -90,7 +103,7 @@ pub fn meta_wise(
     if picked.is_empty() {
         picked.push(candidates[0].clone());
     }
-    Ok(picked)
+    picked
 }
 
 /// Runs instance-wise retrieval: samples `config.sample_size` candidate
@@ -119,95 +132,125 @@ pub fn instance_wise(
     target_attr: &str,
     key_attr: &str,
 ) -> Result<Context, UniDmError> {
-    // The one place a kept row is copied out of its frame: the public
-    // `Context` owns its records.
-    let records = instance_wise_in(
-        &Frames::default(),
-        llm,
-        config,
-        task,
-        query,
-        table,
-        exclude_row,
-        attrs,
-        target_attr,
-        key_attr,
-        |row| row.record.clone(),
-    )?;
+    let frames = Frames::default();
+    let sample = Sample::draw(config, table, exclude_row, attrs, target_attr, key_attr);
+    let window = llm.context_window();
+    let records = match sample.prompt(&frames, window, config, task, query)? {
+        Some((prompt, shown)) => {
+            let kept = read_pri(config, &llm.complete(&prompt)?.text, shown);
+            sample.keep(&frames, kept.iter().copied(), |row| row.record.clone())?
+        }
+        None => sample.keep(&frames, 0..sample.len(), |row| row.record.clone())?,
+    };
     Ok(Context {
         attrs: attrs.to_vec(),
         records,
     })
 }
 
-/// [`instance_wise`] with the candidates' serialization read from (and
-/// left in) `frames`: what `keep` takes of each kept row, best first.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn instance_wise_in<T>(
-    frames: &Frames,
-    llm: &dyn LanguageModel,
-    config: &PipelineConfig,
-    task: TaskKind,
-    query: &str,
-    table: &Table,
-    exclude_row: Option<usize>,
-    attrs: &[String],
-    target_attr: &str,
-    key_attr: &str,
-    keep: impl Fn(&FrameRow) -> T,
-) -> Result<Vec<T>, UniDmError> {
-    // Projection: the key (subject), the helper attrs and the target, each
-    // once, presented in schema order — the table's own column order is the
-    // natural "logical order" the parsing step expects.
-    let mut cols: Vec<usize> = Vec::with_capacity(attrs.len() + 2);
-    let wanted = [key_attr]
-        .into_iter()
-        .chain(attrs.iter().map(String::as_str))
-        .chain([target_attr]);
-    for attr in wanted {
-        let col = table
-            .schema()
-            .names()
-            .position(|n| n.eq_ignore_ascii_case(attr));
-        if let Some(col) = col.filter(|col| !cols.contains(col)) {
-            cols.push(col);
-        }
-    }
-    cols.sort_unstable();
-
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x1457);
-    let mut sampled = table.sample_rows(&mut rng, config.sample_size, exclude_row.as_slice());
-    if sampled.is_empty() {
-        return Ok(Vec::new());
-    }
-    if !config.instance_retrieval {
-        sampled.truncate(config.top_k);
-    }
-    // The candidates keep what the sample walk read: scoring never goes
-    // back to the table, which would re-fault evicted chunks.
-    frames.with_rows(table, &cols, &sampled, |candidates| {
-        let kept = if config.instance_retrieval {
-            score_candidates(llm, config, task, query, candidates)?
-        } else {
-            (0..candidates.len()).collect()
-        };
-        Ok(kept.into_iter().map(|at| keep(candidates[at])).collect())
-    })?
+/// The rows instance-wise retrieval draws from a table: their projection
+/// and their indices, in the order the model sees them.
+pub(crate) struct Sample<'t> {
+    table: &'t Table,
+    cols: Vec<usize>,
+    rows: Vec<usize>,
 }
 
-/// Scores `candidates` against `query` with `p_ri` and returns the
-/// positions of the top `config.top_k`, best first — shared by table rows
-/// and entity-resolution demonstrations.
-pub(crate) fn score_candidates<R: Borrow<FrameRow>>(
-    llm: &dyn LanguageModel,
-    config: &PipelineConfig,
+impl<'t> Sample<'t> {
+    /// Projects on the key (subject), the helper attrs and the target,
+    /// each once, in schema order — the table's own column order is the
+    /// natural "logical order" the parsing step expects — and draws
+    /// `config.sample_size` seeded rows other than `exclude_row`; only
+    /// `config.top_k` of them when instance-wise retrieval is off.
+    pub(crate) fn draw(
+        config: &PipelineConfig,
+        table: &'t Table,
+        exclude_row: Option<usize>,
+        attrs: &[String],
+        target_attr: &str,
+        key_attr: &str,
+    ) -> Self {
+        let mut cols: Vec<usize> = Vec::with_capacity(attrs.len() + 2);
+        let wanted = [key_attr]
+            .into_iter()
+            .chain(attrs.iter().map(String::as_str))
+            .chain([target_attr]);
+        for attr in wanted {
+            let col = table
+                .schema()
+                .names()
+                .position(|n| n.eq_ignore_ascii_case(attr));
+            if let Some(col) = col.filter(|col| !cols.contains(col)) {
+                cols.push(col);
+            }
+        }
+        cols.sort_unstable();
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x1457);
+        let mut rows = table.sample_rows(&mut rng, config.sample_size, exclude_row.as_slice());
+        if !config.instance_retrieval {
+            rows.truncate(config.top_k);
+        }
+        Sample { table, cols, rows }
+    }
+
+    /// How many rows were drawn.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Instance-wise retrieval's render half: the `p_ri` prompt over the
+    /// sample and how many rows it shows, or `None` when every row drawn is
+    /// kept as drawn (none was, or instance-wise retrieval is off).
+    pub(crate) fn prompt(
+        &self,
+        frames: &Frames,
+        window: usize,
+        config: &PipelineConfig,
+        task: TaskKind,
+        query: &str,
+    ) -> Result<Option<(String, usize)>, TableError> {
+        if self.rows.is_empty() || !config.instance_retrieval {
+            return Ok(None);
+        }
+        // The candidates keep what the sample walk read: scoring never
+        // goes back to the table, which would re-fault evicted chunks.
+        let rows = self.rows.iter().copied();
+        frames.with_frame(self.table, &self.cols, rows, |frame| {
+            let candidates: Vec<&FrameRow> = self.rows.iter().map(|row| &frame[row]).collect();
+            Some(pri_prompt(window, task, query, &candidates))
+        })
+    }
+
+    /// What `keep` takes of the rows at sample positions `kept`, in that
+    /// order.
+    pub(crate) fn keep<T>(
+        &self,
+        frames: &Frames,
+        kept: impl Iterator<Item = usize> + Clone,
+        keep: impl Fn(&FrameRow) -> T,
+    ) -> Result<Vec<T>, TableError> {
+        if self.rows.is_empty() {
+            return Ok(Vec::new());
+        }
+        let rows = kept.map(|at| self.rows[at]);
+        frames.with_frame(self.table, &self.cols, rows.clone(), |frame| {
+            rows.map(|row| keep(&frame[&row])).collect()
+        })
+    }
+}
+
+/// Instance-wise retrieval's render half over `candidates`: the `p_ri`
+/// prompt scoring them against `query`, and how many it shows — trailing
+/// candidates are dropped to keep the prompt inside a `window`-token
+/// context (e.g. GPT-J's 2k). Shared by table rows and entity-resolution
+/// demonstrations.
+pub(crate) fn pri_prompt<R: Borrow<FrameRow>>(
+    window: usize,
     task: TaskKind,
     query: &str,
     candidates: &[R],
-) -> Result<Vec<usize>, UniDmError> {
-    // Keep the scoring prompt inside the model's context window: drop
-    // trailing candidates when the window is small (e.g. GPT-J's 2k).
-    let budget = llm.context_window().saturating_sub(256);
+) -> (String, usize) {
+    let budget = window.saturating_sub(256);
     let mut used = unidm_text::count_tokens(query) + 64;
     let mut fit = 0usize;
     for candidate in candidates {
@@ -220,8 +263,13 @@ pub(crate) fn score_candidates<R: Borrow<FrameRow>>(
     }
     let shown = fit.max(1).min(candidates.len());
     let lines = candidates[..shown].iter().map(|c| c.borrow().line.as_str());
-    let reply = llm.complete(&render_pri_lines(task, query, lines))?;
-    let mut scores = parse_pri_response(&reply.text);
+    (render_pri_lines(task, query, lines), shown)
+}
+
+/// Instance-wise retrieval's read half: the positions of the top
+/// `config.top_k` of the `shown` candidates, best first.
+pub(crate) fn read_pri(config: &PipelineConfig, reply: &str, shown: usize) -> Vec<usize> {
+    let mut scores = parse_pri_response(reply);
     // Best score first, earliest candidate first among equals. Equal keys
     // are equal entries, so selecting the top k and sorting those alone is
     // the head of the whole list sorted.
@@ -232,7 +280,7 @@ pub(crate) fn score_candidates<R: Borrow<FrameRow>>(
     }
     scores.sort_unstable_by_key(rank);
     let kept = scores.into_iter().map(|(i, _)| i);
-    Ok(kept.filter(|&i| i < shown).collect())
+    kept.filter(|&i| i < shown).collect()
 }
 
 #[cfg(test)]

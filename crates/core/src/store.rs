@@ -726,8 +726,8 @@ impl CacheStore {
         let mut guard = self.lock();
         let state = &mut *guard;
         if state.index.contains_key(&(hash, prompt) as &dyn KeyView) {
-            // Already resident (a racing co-leader or a re-admission):
-            // refresh the touch, keep the existing frame.
+            // Already resident (a re-admission): refresh the touch, keep
+            // the existing frame.
             state.filter.touch(hash);
             return false;
         }
@@ -861,7 +861,9 @@ impl CacheStore {
 
 /// Streams the `live` frames, in order, from the store file into a fresh
 /// `tmp` file — each verified, then copied as it is — and points every
-/// entry at its new offset. Returns the new file's length.
+/// entry at its new offset. The file is synced before the caller renames it
+/// over the store, so a crash cannot leave a renamed but unwritten file.
+/// Returns the new file's length.
 fn write_compacted(
     tmp: &Path,
     model: &str,
@@ -883,6 +885,7 @@ fn write_compacted(
         end += buf.len() as u64;
     }
     out.flush()?;
+    out.get_ref().sync_data()?;
     Ok(end)
 }
 

@@ -8,17 +8,19 @@
 //! memoized (neither in the dispatcher's memo nor in a `PromptCache`
 //! above it); a hedge duplicate consumes **no** rate-limit token, so the
 //! budget is charged exactly once per winner;
-//! and because the reactor only advances virtual time at quiescence, the
-//! aggregate hedge counters are a pure function of the request set —
-//! independent of OS thread scheduling.
+//! and because the reactor only advances virtual time inside a step, and a
+//! pipelined batch steps it from one thread, the aggregate hedge counters
+//! are a pure function of the request set.
 //!
 //! The fault-schedule seed honors `UNIDM_FAULT_SEED` (CI runs the suite
 //! at two distinct seeds), so schedule sensitivity is exercised on every
 //! push.
 
 use unidm::backend::BackendConfig;
-use unidm::dispatch::{Dispatcher, HedgePolicy};
-use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
+use unidm::dispatch::{Dispatcher, HedgePolicy, Reply, Ticket};
+use unidm::{
+    BatchRunner, CacheStats, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task,
+};
 use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -70,11 +72,15 @@ fn hedged_config(seed: u64) -> BackendConfig {
         .with_hedge(HedgePolicy::at_quantile(900).with_min_samples(8))
 }
 
-/// Warms the dispatcher's latency estimator with `n` distinct throwaway
-/// prompts so the measured workload can arm hedge timers from its very
-/// first wave, then clears the inner model's usage ledger.
-fn warm_estimator(dispatcher: &Dispatcher<'_>, llm: &MockLlm, n: u64) {
-    for i in 0..n {
+/// Distinct throwaway prompts each dispatcher completes before the
+/// measured workload.
+const WARMUP: u64 = 8;
+
+/// Warms the dispatcher's latency estimator with [`WARMUP`] distinct
+/// throwaway prompts so the measured workload can arm hedge timers from
+/// its very first wave, then clears the inner model's usage ledger.
+fn warm_estimator(dispatcher: &Dispatcher<'_>, llm: &MockLlm) {
+    for i in 0..WARMUP {
         dispatcher
             .complete(&format!("latency estimator warmup {i}"))
             .expect("warmup prompt completes");
@@ -82,28 +88,49 @@ fn warm_estimator(dispatcher: &Dispatcher<'_>, llm: &MockLlm, n: u64) {
     llm.reset_usage();
 }
 
-/// Spawns `workers` registered threads that all pass a barrier before
-/// touching the dispatcher, then run `work(worker_index)` — the
-/// registered-worker shape `BatchRunner`'s pipelined mode uses.
-fn fan_out(dispatcher: &Dispatcher<'_>, workers: usize, work: impl Fn(usize) + Sync) {
-    let barrier = std::sync::Barrier::new(workers);
-    std::thread::scope(|scope| {
-        for t in 0..workers {
-            let (d, b, work) = (dispatcher, &barrier, &work);
-            scope.spawn(move || {
-                let _registration = d.register();
-                b.wait();
-                work(t);
-            });
+/// Runs `lanes` sequences of `per_lane` prompts on the calling thread:
+/// every lane's first prompt is submitted before the first step, and a
+/// lane submits its next prompt the moment its previous one resolves — the
+/// shape `BatchRunner`'s pipelined mode drives the dispatcher in.
+fn fan_out(
+    dispatcher: &Dispatcher<'_>,
+    lanes: usize,
+    per_lane: usize,
+    prompt: impl Fn(usize, usize) -> String,
+) {
+    let mut sent = vec![0; lanes];
+    let mut pending: Vec<Option<Ticket>> = (0..lanes).map(|_| None).collect();
+    loop {
+        for (lane, slot) in pending.iter_mut().enumerate() {
+            while slot.is_none() && sent[lane] < per_lane {
+                match dispatcher.submit(&prompt(lane, sent[lane])) {
+                    Reply::Ready(result) => drop(result.expect("prompt completes")),
+                    Reply::Pending(ticket) => *slot = Some(ticket),
+                }
+                sent[lane] += 1;
+            }
         }
-    });
+        if pending.iter().all(Option::is_none) {
+            return;
+        }
+        dispatcher.step();
+        for slot in &mut pending {
+            if let Some(ticket) = slot.take() {
+                match dispatcher.redeem(ticket) {
+                    Reply::Ready(result) => drop(result.expect("prompt completes")),
+                    Reply::Pending(ticket) => *slot = Some(ticket),
+                }
+            }
+        }
+    }
 }
 
 /// First-response-wins determinism: the full production shape
 /// (`BatchRunner` pipelined mode → `PromptCache` →
 /// `Dispatcher` with hedging → heavy-tail `SimBackend`) returns answers
-/// bit-identical to the fault-free serial run at 1 and 8 workers and at
-/// two fault seeds.
+/// bit-identical to the fault-free serial run at windows of 1 and 8 runs
+/// and at two fault seeds. The cache leads each unique canonical key once,
+/// and each leader costs the endpoint one attempt plus its hedges.
 #[test]
 fn hedged_answers_bit_identical_across_seeds_and_worker_counts() {
     let (llm, lake, tasks) = workload();
@@ -111,17 +138,22 @@ fn hedged_answers_bit_identical_across_seeds_and_worker_counts() {
     let reference = BatchRunner::new(&llm, pipeline)
         .with_workers(1)
         .answers(&lake, &tasks);
+    let unique = {
+        let serial = PromptCache::unbounded(&llm).with_canonicalization(CanonLevel::TableStem);
+        BatchRunner::new(&serial, pipeline).answers(&lake, &tasks);
+        serial.stats().misses
+    };
 
     let base = fault_seed();
     for seed in [base, base.wrapping_mul(31).wrapping_add(1000)] {
         for workers in [1usize, 8] {
             let dispatcher = Dispatcher::new(&llm, hedged_config(seed));
-            warm_estimator(&dispatcher, &llm, 8);
+            warm_estimator(&dispatcher, &llm);
             let cache =
                 PromptCache::unbounded(&dispatcher).with_canonicalization(CanonLevel::TableStem);
             let report = BatchRunner::new(&cache, pipeline)
                 .with_workers(workers)
-                .with_pipeline(&dispatcher)
+                .with_pipeline(&dispatcher, Some(&cache))
                 .run_report(&lake, &tasks);
             let answers: Vec<String> = report
                 .results
@@ -130,7 +162,7 @@ fn hedged_answers_bit_identical_across_seeds_and_worker_counts() {
                 .collect();
             assert_eq!(
                 answers, reference,
-                "hedging must never change answers (seed {seed}, {workers} workers)"
+                "hedging must never change answers (seed {seed}, window {workers})"
             );
             let stats = dispatcher.stats();
             assert_eq!(stats.failures, 0, "heavy-tail injects no errors");
@@ -138,17 +170,26 @@ fn hedged_answers_bit_identical_across_seeds_and_worker_counts() {
                 stats.hedges_cancelled, stats.hedges_issued,
                 "no errors, so every issued hedge has exactly one cancelled loser"
             );
+            assert_eq!(cache.stats().misses, unique, "one leader per canonical key");
+            assert_eq!(
+                stats.attempts - WARMUP - stats.hedges_issued,
+                unique as u64,
+                "one endpoint attempt per leader, beside warmup and hedges"
+            );
         }
     }
 }
 
-/// Answers, virtual makespan and the full `BackendStats` of one batch.
-type Timeline = (Vec<String>, u64, unidm::BackendStats);
+/// Answers, virtual makespan, the full `BackendStats` and, under a cache,
+/// its `CacheStats` of one batch.
+type Timeline = (Vec<String>, u64, unidm::BackendStats, Option<CacheStats>);
 
-/// One pipelined batch of `tasks` on 64 seated workers over a fresh,
-/// warmed dispatcher, driven directly or through a cache keyed at `cache`.
+/// One pipelined batch of `tasks` in a window of `window` runs over a
+/// fresh, warmed dispatcher, driven directly or through a cache keyed at
+/// `cache`.
 fn timeline(
     (llm, lake, tasks): &(MockLlm, DataLake, Vec<Task>),
+    window: usize,
     hedged: bool,
     cache: Option<CanonLevel>,
 ) -> Timeline {
@@ -161,74 +202,66 @@ fn timeline(
         config = config.with_hedge(HedgePolicy::at_quantile(900).with_min_samples(8));
     }
     let dispatcher = Dispatcher::new(llm, config);
-    warm_estimator(&dispatcher, llm, 8);
+    warm_estimator(&dispatcher, llm);
     let cache = cache.map(|level| PromptCache::unbounded(&dispatcher).with_canonicalization(level));
-    let model: &dyn LanguageModel = match &cache {
-        Some(cache) => cache,
-        None => &dispatcher,
-    };
-    let answers = BatchRunner::new(model, PipelineConfig::paper_default())
-        .with_workers(64)
-        .with_pipeline(&dispatcher)
+    let answers = BatchRunner::new(llm, PipelineConfig::paper_default())
+        .with_workers(window)
+        .with_pipeline(&dispatcher, cache.as_ref())
         .answers(lake, tasks);
-    (answers, dispatcher.clock().now_micros(), dispatcher.stats())
+    let cached = cache.as_ref().map(PromptCache::stats);
+    (
+        answers,
+        dispatcher.clock().now_micros(),
+        dispatcher.stats(),
+        cached,
+    )
 }
 
-/// Under a cache, woken workers race the winner's cache insert: a repeat
-/// of a resolved prompt is a cache hit or a dispatcher memo hit, both
-/// immediate. Only their sum is a function of the request set (with no
-/// cache it is the memo's alone), so the repeats are folded out.
-fn without_repeats((answers, makespan_us, mut stats): Timeline) -> Timeline {
-    stats.calls -= stats.dispatch_coalesced;
-    stats.dispatch_coalesced = 0;
-    (answers, makespan_us, stats)
-}
-
-/// Seats precede work: a pipelined `BatchRunner` registers all 64 workers
-/// with the dispatcher before any of them issues a call, so the virtual
-/// timeline — makespan and the full `BackendStats`, latency sketches
-/// included — is a function of the request set, not of which OS thread
-/// started first. Plain and hedged, straight onto the dispatcher and
-/// through the cache the ledger's regimes use, five runs each, all
-/// identical.
+/// The pipelined batch runs on one thread, so its whole virtual timeline —
+/// answers, makespan, the full `BackendStats` (latency sketches included)
+/// and the cache's counters — is a function of the request set and the
+/// window. Plain and hedged, straight onto the dispatcher and through the
+/// cache the ledger's regimes use, at windows of 1, 8 and 64 runs: five
+/// runs each, all identical.
 #[test]
 fn pipelined_batch_timeline_is_identical_across_runs() {
-    // One task per worker, so all 64 are spawned.
     let workload = workload_of(64);
-    for cache in [None, Some(CanonLevel::TableStem)] {
-        for hedged in [false, true] {
-            let run = || match cache {
-                None => timeline(&workload, hedged, None),
-                Some(_) => without_repeats(timeline(&workload, hedged, cache)),
-            };
-            let first = run();
-            for rerun in 1..5 {
-                assert_eq!(
-                    run(),
-                    first,
-                    "rerun {rerun} (hedged: {hedged}, {cache:?}) moved the virtual timeline"
-                );
+    for window in [1, 8, 64] {
+        for cache in [None, Some(CanonLevel::TableStem)] {
+            for hedged in [false, true] {
+                let first = timeline(&workload, window, hedged, cache);
+                for rerun in 1..5 {
+                    assert_eq!(
+                        timeline(&workload, window, hedged, cache),
+                        first,
+                        "rerun {rerun} (window {window}, hedged: {hedged}, {cache:?}) moved the \
+                         virtual timeline"
+                    );
+                }
             }
         }
     }
 }
 
 /// A cache nobody configured (`Verbatim` is the level it starts at: exact
-/// keys, so the dispatcher sees the prompts a direct run sends it) sits
-/// above a pipelined dispatcher without being told to: its seated workers
-/// never wait in an in-flight slot, so the reactor reaches quiescence on
-/// its own and the batch is the batch a direct run produces — answers,
-/// makespan and every backend counter — plain and hedged, five runs each.
+/// keys, so the dispatcher sees the prompts a direct run sends it) keeps
+/// the batch a direct run produces — answers, makespan and every backend
+/// counter — plain and hedged, five runs each. Its one visible trace: each
+/// cache hit is a dispatcher memo hit the direct run takes instead.
 #[test]
 fn default_cache_above_a_pipelined_dispatcher_keeps_the_direct_timeline() {
     let workload = workload_of(64);
     for hedged in [false, true] {
-        let direct = without_repeats(timeline(&workload, hedged, None));
-        let default_cache = Some(CanonLevel::Verbatim);
+        let (answers, makespan, direct, _) = timeline(&workload, 64, hedged, None);
         for run in 0..5 {
+            let (cached_answers, cached_makespan, mut stats, cached) =
+                timeline(&workload, 64, hedged, Some(CanonLevel::Verbatim));
+            let hits = cached.expect("a cache sits above").hits as u64;
+            stats.calls += hits;
+            stats.dispatch_coalesced += hits;
             assert_eq!(
-                without_repeats(timeline(&workload, hedged, default_cache)),
-                direct,
+                (cached_answers, cached_makespan, stats),
+                (answers.clone(), makespan, direct),
                 "run {run} (hedged: {hedged}) through a default cache left the direct timeline"
             );
         }
@@ -250,7 +283,7 @@ fn losing_copies_are_never_memoized() {
 
     let seed = fault_seed();
     let dispatcher = Dispatcher::new(&llm, hedged_config(seed));
-    warm_estimator(&dispatcher, &llm, 8);
+    warm_estimator(&dispatcher, &llm);
     let path = std::env::temp_dir().join(format!(
         "unidm-hedged-dispatch-{}.udmstore",
         std::process::id()
@@ -263,7 +296,7 @@ fn losing_copies_are_never_memoized() {
         .with_store(open_store());
     BatchRunner::new(&cache, pipeline)
         .with_workers(8)
-        .with_pipeline(&dispatcher)
+        .with_pipeline(&dispatcher, Some(&cache))
         .run_report(&lake, &tasks);
     let stats = dispatcher.stats();
     assert_eq!(stats.failures, 0);
@@ -322,16 +355,12 @@ fn hedges_consume_rate_limit_budget_once_per_winner() {
     let seed = fault_seed();
     let config = hedged_config(seed).with_rate_limit(500, 50);
     let dispatcher = Dispatcher::new(&llm, config);
-    warm_estimator(&dispatcher, &llm, 8);
+    warm_estimator(&dispatcher, &llm);
     let before = dispatcher.stats();
 
     const PROMPTS_PER_WORKER: usize = 40;
-    fan_out(&dispatcher, 8, |t| {
-        for i in 0..PROMPTS_PER_WORKER {
-            dispatcher
-                .complete(&format!("budget probe {t}-{i}"))
-                .expect("prompt completes");
-        }
+    fan_out(&dispatcher, 8, PROMPTS_PER_WORKER, |t, i| {
+        format!("budget probe {t}-{i}")
     });
 
     let stats = dispatcher.stats();
@@ -354,24 +383,20 @@ fn hedges_consume_rate_limit_budget_once_per_winner() {
 }
 
 /// The aggregate hedge counters are a pure function of the request set:
-/// re-running the same registered-worker workload reproduces the whole
+/// re-running the same lanes of prompts reproduces the whole
 /// `BackendStats` (latency sketches included — integer micros only) and
-/// the injector's `FaultStats` bit-for-bit, at 1 worker and at 8.
+/// the injector's `FaultStats` bit-for-bit, at 1 lane and at 8.
 #[test]
 fn hedge_counters_are_scheduling_independent() {
     let world = World::generate(42);
     let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 42);
     let seed = fault_seed();
-    for workers in [1usize, 8] {
+    for lanes in [1usize, 8] {
         let run = || {
             let dispatcher = Dispatcher::new(&llm, hedged_config(seed));
-            warm_estimator(&dispatcher, &llm, 8);
-            fan_out(&dispatcher, workers, |t| {
-                for i in 0..24 {
-                    dispatcher
-                        .complete(&format!("schedule probe {t}-{i}"))
-                        .expect("prompt completes");
-                }
+            warm_estimator(&dispatcher, &llm);
+            fan_out(&dispatcher, lanes, 24, |t, i| {
+                format!("schedule probe {t}-{i}")
             });
             (dispatcher.stats(), dispatcher.fault_stats().unwrap())
         };
@@ -379,13 +404,13 @@ fn hedge_counters_are_scheduling_independent() {
         let (stats_b, faults_b) = run();
         assert_eq!(
             stats_a, stats_b,
-            "every backend counter (incl. sketches) must reproduce at {workers} workers"
+            "every backend counter (incl. sketches) must reproduce at {lanes} lanes"
         );
         assert_eq!(
             faults_a, faults_b,
-            "the injector's schedule must reproduce at {workers} workers"
+            "the injector's schedule must reproduce at {lanes} lanes"
         );
-        if workers > 1 {
+        if lanes > 1 {
             assert!(
                 stats_a.hedges_issued > 0,
                 "overlapped waves over a 3% tail must hedge: {stats_a:?}"
@@ -411,14 +436,8 @@ fn hedging_cuts_the_observed_p99() {
             config = config.with_hedge(HedgePolicy::at_quantile(900).with_min_samples(8));
         }
         let dispatcher = Dispatcher::new(&llm, config);
-        warm_estimator(&dispatcher, &llm, 8);
-        fan_out(&dispatcher, 8, |t| {
-            for i in 0..40 {
-                dispatcher
-                    .complete(&format!("tail probe {t}-{i}"))
-                    .expect("prompt completes");
-            }
-        });
+        warm_estimator(&dispatcher, &llm);
+        fan_out(&dispatcher, 8, 40, |t, i| format!("tail probe {t}-{i}"));
         dispatcher.stats()
     };
     let plain = run(false);

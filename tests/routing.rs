@@ -103,7 +103,7 @@ fn routed_answers_bit_identical_across_seeds_workers_and_modes() {
                 PromptCache::unbounded(&dispatcher).with_canonicalization(CanonLevel::TableStem);
             let answers = BatchRunner::new(&cache, pipeline)
                 .with_workers(workers)
-                .with_pipeline(&dispatcher)
+                .with_pipeline(&dispatcher, Some(&cache))
                 .answers(&lake, &tasks);
             assert_eq!(
                 answers, reference,

@@ -254,14 +254,14 @@ fn streaming_through_the_pipelined_dispatcher_matches_blocking() {
             .with_faults(FaultPlan::heavy_tail(seed))
             .with_pipelined(),
     );
-    // Seated workers never wait in the cache's in-flight slot (the reactor
-    // coalesces duplicate prompts itself).
+    // One thread keeps the window in flight; a lookup of a key already in
+    // flight is coalesced by the reactor below.
     let cache = PromptCache::unbounded(&dispatcher).with_canonicalization(CanonLevel::TableStem);
     let runner = BatchRunner::new(&cache, pipeline)
         .with_workers(8)
         .with_dedup(true)
         .with_partition_tasks(16)
-        .with_pipeline(&dispatcher);
+        .with_pipeline(&dispatcher, Some(&cache));
     let (streamed, stream_report) = stream_all(&runner, &lake, &tasks);
     let streamed_answers: Vec<Option<String>> = streamed
         .iter()
