@@ -213,7 +213,9 @@ fn repeat_attempts_through_the_fault_injector_allocate_nothing() {
 /// Three replicas behind `FaultPlan::moderate`, or — without `faults` —
 /// behind nothing. No breaker: a skipped replica is collected in a `Vec`.
 fn fleet(model: &dyn LanguageModel, faults: bool) -> RoutedBackend<'_> {
-    let config = BackendConfig::resilient(7).with_route(RoutePlan::replicas(3).without_breaker());
+    let config = BackendConfig::resilient(7)
+        .without_breaker()
+        .with_route(RoutePlan::replicas(3));
     let faults = faults.then(|| FaultPlan::moderate(7));
     RoutedBackend::from_plan(model, BackendConfig { faults, ..config })
 }

@@ -67,6 +67,10 @@ use crate::route::{AimdPolicy, RoutePlan, RoutedBackend, RouterStats};
 
 /// Retry policy: bounded exponential backoff with seeded jitter.
 ///
+/// [`RetryPolicy::default()`] is the one schedule every stack runs
+/// ([`RoutedBackend`] and the [`Dispatcher`] alike); the type names its
+/// numbers for the backoff kernel and the tests that re-derive it.
+///
 /// Backoff for retry `n` (1-based) doubles from
 /// [`RetryPolicy::base_backoff_us`] up to [`RetryPolicy::max_backoff_us`],
 /// then is jittered into `[50%, 100%]` of that value by a deterministic
@@ -119,6 +123,11 @@ impl Default for BreakerPolicy {
 
 /// Configuration of the resilient backend layer.
 ///
+/// Every enabled stack retries on the one schedule,
+/// [`RetryPolicy::default()`], and [`BackendConfig::breaker`] is the one
+/// circuit-breaker switch, for the single stack and for each replica of
+/// a [`BackendConfig::route`] fleet alike.
+///
 /// Integer-only fields keep the config `Eq`/`Hash` and every timing
 /// decision exactly reproducible. The derived default is **disabled**
 /// (`enabled: false`, no rate limit, no breaker, no faults) — wrapping
@@ -135,9 +144,8 @@ pub struct BackendConfig {
     /// the endpoint; an empty bucket makes the caller *wait* on the clock
     /// (it never errors), so client-side throttling cannot change answers.
     pub rate: Option<AimdPolicy>,
-    /// Retry policy for transient failures.
-    pub retry: RetryPolicy,
-    /// Circuit breaker (`None` = disabled).
+    /// Circuit breaker (`None` = disabled): the blocking stack's one
+    /// breaker, or each replica's under [`BackendConfig::route`].
     pub breaker: Option<BreakerPolicy>,
     /// Optional fault-injection plan: when set, [`BackendConfig::wrap`]
     /// interposes a [`unidm_llm::SimBackend`] between the retry loop and
@@ -156,8 +164,9 @@ pub struct BackendConfig {
     pub hedge: Option<HedgePolicy>,
     /// Replica-routing plan (`None` = single endpoint): when set,
     /// [`BackendConfig::wrap`] builds a [`RoutedBackend`] fleet over the
-    /// inner model — N replicas, each with its own breaker, AIMD
-    /// bucket and endpoint-aware fault injector. Routing takes precedence
+    /// inner model — N replicas, each with its own copy of
+    /// [`BackendConfig::breaker`], an AIMD bucket and an endpoint-aware
+    /// fault injector. Routing takes precedence
     /// over [`BackendConfig::pipelined`]; to pipeline *over* a fleet,
     /// build the router explicitly and hand it to a
     /// [`crate::dispatch::Dispatcher`].
@@ -180,12 +189,6 @@ impl BackendConfig {
     /// `burst` headroom, both clamped to at least 1 (builder-style).
     pub fn with_rate_limit(mut self, tokens_per_sec: u64, burst: u64) -> Self {
         self.rate = Some(AimdPolicy::fixed(tokens_per_sec, burst));
-        self
-    }
-
-    /// Replaces the retry policy (builder-style).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -416,7 +419,7 @@ impl LatencySketch {
 /// the event-driven dispatcher (`unidm::dispatch`) and stay zero under
 /// the blocking [`RoutedBackend`]; under the dispatcher's pipelined
 /// mode they are fully deterministic. The two [`LatencySketch`] fields
-/// aggregate exactly (see [`BackendStats::merge`]).
+/// aggregate exactly (see [`LatencySketch::merge`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendStats {
     /// Logical `complete` calls that entered the backend.
@@ -467,32 +470,6 @@ pub struct BackendStats {
     pub attempt_latency: LatencySketch,
     /// End-to-end latencies of successful logical calls (submit → deliver).
     pub request_latency: LatencySketch,
-}
-
-impl BackendStats {
-    /// Folds `other` into `self`. Every field is an exact integer
-    /// addition (sketches merge bucket-wise), so aggregation across
-    /// dispatchers or shards is order-independent and drift-free.
-    pub fn merge(&mut self, other: &BackendStats) {
-        self.calls += other.calls;
-        self.attempts += other.attempts;
-        self.retries += other.retries;
-        self.timeouts += other.timeouts;
-        self.rate_limited += other.rate_limited;
-        self.transients += other.transients;
-        self.breaker_trips += other.breaker_trips;
-        self.breaker_fast_fails += other.breaker_fast_fails;
-        self.throttle_waits += other.throttle_waits;
-        self.throttle_wait_us += other.throttle_wait_us;
-        self.rate_tokens += other.rate_tokens;
-        self.failures += other.failures;
-        self.hedges_issued += other.hedges_issued;
-        self.hedges_won += other.hedges_won;
-        self.hedges_cancelled += other.hedges_cancelled;
-        self.dispatch_coalesced += other.dispatch_coalesced;
-        self.attempt_latency.merge(&other.attempt_latency);
-        self.request_latency.merge(&other.request_latency);
-    }
 }
 
 /// A model reference optionally wrapped in a configured backend stack (see
@@ -649,6 +626,22 @@ mod tests {
     }
 
     #[test]
+    fn any_rate_limit_builds_a_bucket_that_never_throttles() {
+        // `--rate-limit N` passes any u64 through: the largest rate and
+        // burst must still build a bucket, not overflow its micro-tokens.
+        let llm = model();
+        let config = BackendConfig::resilient(1).with_rate_limit(u64::MAX, u64::MAX);
+        let wrapped = config.wrap(&llm);
+        wrapped.model().complete("unthrottled prompt").unwrap();
+        let dispatcher = Dispatcher::new(&llm, config);
+        dispatcher.complete("unthrottled prompt").unwrap();
+        for stats in [wrapped.stats().unwrap(), dispatcher.stats()] {
+            let (calls, tokens, waits) = (stats.calls, stats.rate_tokens, stats.throttle_waits);
+            assert_eq!((calls, tokens, waits), (1, 1, 0), "{stats:?}");
+        }
+    }
+
+    #[test]
     fn rate_limited_errors_honor_retry_after() {
         let llm = model();
         let plan = FaultPlan {
@@ -667,7 +660,8 @@ mod tests {
         let stats = backend.backend_stats();
         assert_eq!(stats.rate_limited, 2, "two 429s before the forced success");
         // Each retry slept at least the server's retry-after hint.
-        assert!(backend.clock().now_micros() >= 2 * config.retry.base_backoff_us.min(250_000));
+        let base_backoff_us = RetryPolicy::default().base_backoff_us;
+        assert!(backend.clock().now_micros() >= 2 * base_backoff_us.min(250_000));
     }
 
     #[test]
@@ -828,51 +822,5 @@ mod tests {
         sketch.merge(&other);
         assert_eq!(sketch.min_us(), 40);
         assert_eq!(LatencySketch::default().min_us(), 0, "empty reports zero");
-    }
-
-    #[test]
-    fn backend_stats_merge_adds_every_counter_exactly() {
-        let llm = model();
-        // Two independent faulty backends produce two non-trivial stats.
-        let run = |seed: u64| {
-            let backend = RoutedBackend::single(
-                &llm,
-                BackendConfig::resilient(seed)
-                    .without_breaker()
-                    .with_faults(FaultPlan::moderate(seed)),
-            );
-            for i in 0..10 {
-                backend
-                    .complete(&format!("merge probe {seed}-{i}"))
-                    .unwrap();
-            }
-            backend.backend_stats()
-        };
-        let a = run(7);
-        let b = run(1337);
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge is commutative, sketches included");
-        assert_eq!(ab.calls, a.calls + b.calls);
-        assert_eq!(ab.attempts, a.attempts + b.attempts);
-        assert_eq!(ab.retries, a.retries + b.retries);
-        assert_eq!(
-            ab.attempt_latency.samples(),
-            a.attempt_latency.samples() + b.attempt_latency.samples()
-        );
-        assert_eq!(
-            ab.request_latency.samples(),
-            a.request_latency.samples() + b.request_latency.samples()
-        );
-        assert_eq!(
-            ab.attempt_latency.max_us(),
-            a.attempt_latency.max_us().max(b.attempt_latency.max_us())
-        );
-        // Merging a default is the identity.
-        let mut id = a;
-        id.merge(&BackendStats::default());
-        assert_eq!(id, a);
     }
 }

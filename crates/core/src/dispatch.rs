@@ -62,7 +62,7 @@ use unidm_llm::{
 };
 use unidm_text::hash::PromptMap;
 
-use crate::backend::{BackendConfig, BackendStats};
+use crate::backend::{BackendConfig, BackendStats, RetryPolicy};
 use crate::resilience::{backoff_us, tally_fault, Bucket, Endpoint};
 
 /// When to issue a hedged duplicate for a straggling attempt.
@@ -368,12 +368,12 @@ impl<'a> Dispatcher<'a> {
                 // drop this one quietly and let the race finish.
                 0
             }
-            Err(err) if err.is_transient() && req.retries < self.config.retry.max_retries => {
+            Err(err) if err.is_transient() && req.retries < RetryPolicy::default().max_retries => {
                 req.retries += 1;
                 core.stats.retries += 1;
                 self.cancel_hedge_timer(core, &mut req);
                 let draws = req.prompt.draws(&self.dice);
-                let backoff = backoff_us(self.config.retry, &draws, req.retries, &err);
+                let backoff = backoff_us(RetryPolicy::default(), &draws, req.retries, &err);
                 core.wheel
                     .schedule(self.clock.now_micros() + backoff, Event::Retry(id));
                 0

@@ -195,11 +195,6 @@ impl<'a> BatchRunner<'a> {
         self
     }
 
-    /// The tasks-per-partition window streaming runs use.
-    pub fn partition_tasks(&self) -> usize {
-        self.partition_tasks
-    }
-
     /// Overrides the worker count (default and minimum `1`: serially on
     /// the calling thread); the [module docs](self) say when more pay. In
     /// pipelined mode it is the number of runs in flight.
@@ -245,11 +240,6 @@ impl<'a> BatchRunner<'a> {
     /// Whether the pre-dispatch dedup planner is enabled.
     pub fn dedup(&self) -> bool {
         self.dedup
-    }
-
-    /// The pipeline configuration the workers run with.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
     }
 
     /// Runs every task over `lake`, returning one result per task in task
@@ -413,7 +403,7 @@ impl<'a> BatchRunner<'a> {
 
     /// Runs a task **stream** partition-by-partition in bounded space
     /// instead of materializing the full task vector: at most
-    /// [`BatchRunner::partition_tasks`] tasks are resident at a time, each
+    /// [`BatchRunner::with_partition_tasks`] tasks are resident at a time, each
     /// window is one [`BatchRunner::run_report`], and every result is
     /// handed to `sink` by value with its global task index, in task order,
     /// as soon as its partition completes.

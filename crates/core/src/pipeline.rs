@@ -91,11 +91,6 @@ impl<'a> UniDm<'a> {
         }
     }
 
-    /// The pipeline's configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
     /// The record frame's footprint for the table named `table`: the
     /// [`unidm_tablestore::Table::version`] its rows were serialized at
     /// and how many rows each projection holds. `None` until a run has

@@ -146,9 +146,11 @@ pub(crate) struct Bucket {
 }
 
 impl Bucket {
-    /// A full bucket at the policy's initial rate.
+    /// A full bucket at the policy's initial rate. The burst is clamped
+    /// to what a `u64` holds in micro-tokens, so any policy's capacity
+    /// (and every grant's arithmetic under it) fits.
     pub(crate) fn new(policy: AimdPolicy, now_us: u64) -> Self {
-        let burst = policy.burst.max(1);
+        let burst = policy.burst.clamp(1, u64::MAX / TOKEN);
         Bucket {
             rate_per_sec: policy.initial_per_sec.max(1),
             min: policy.min_per_sec,

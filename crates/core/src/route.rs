@@ -148,34 +148,27 @@ impl AimdPolicy {
 /// A `Copy` description of a replica-routing fleet, carried inside
 /// [`BackendConfig`] so the eval drivers opt into routing without any
 /// wiring changes: [`BackendConfig::wrap`] fans the single inner model out
-/// into `replicas` endpoints, each with its own breaker, AIMD bucket and
-/// (when [`BackendConfig::faults`] is set) an endpoint-aware fault
-/// injector.
+/// into `replicas` endpoints, each with its own copy of
+/// [`BackendConfig::breaker`], an AIMD bucket and (when
+/// [`BackendConfig::faults`] is set) an endpoint-aware fault injector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RoutePlan {
     /// Number of replica endpoints (at least 1).
     pub replicas: u32,
-    /// Per-endpoint circuit breaker (`None` disables breakers).
-    pub breaker: Option<BreakerPolicy>,
     /// Per-endpoint AIMD rate adaptation (`None` = unlimited).
     pub aimd: Option<AimdPolicy>,
 }
 
 impl RoutePlan {
-    /// A fleet of `n` replicas (at least 1) with default per-endpoint
-    /// breakers and no rate adaptation.
+    /// A fleet of `n` replicas (at least 1) with no rate adaptation. Each
+    /// replica's breaker is the config's: [`BackendConfig::resilient`]
+    /// gives every replica the default one, and
+    /// [`BackendConfig::without_breaker`] none.
     pub fn replicas(n: u32) -> Self {
         RoutePlan {
             replicas: n.max(1),
-            breaker: Some(BreakerPolicy::default()),
             aimd: None,
         }
-    }
-
-    /// Disables per-endpoint breakers (builder-style).
-    pub fn without_breaker(mut self) -> Self {
-        self.breaker = None;
-        self
     }
 
     /// Adds per-endpoint AIMD rate adaptation (builder-style).
@@ -225,8 +218,7 @@ impl EndpointConfig {
 }
 
 /// Exact counters for one endpoint of a router (or one tier of a
-/// cascade). Every field is an integer (the sketch is integer buckets),
-/// so [`EndpointStats::merge`] is exact and order-independent.
+/// cascade). Every field is an integer (the sketch is integer buckets).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EndpointStats {
     /// Logical calls whose *first* attempt was routed to this endpoint.
@@ -267,27 +259,6 @@ pub struct EndpointStats {
 }
 
 impl EndpointStats {
-    /// Folds `other` into `self` — exact integer addition on every field.
-    pub fn merge(&mut self, other: &EndpointStats) {
-        self.calls += other.calls;
-        self.attempts += other.attempts;
-        self.successes += other.successes;
-        self.timeouts += other.timeouts;
-        self.rate_limited += other.rate_limited;
-        self.transients += other.transients;
-        self.breaker_trips += other.breaker_trips;
-        self.breaker_open_skips += other.breaker_open_skips;
-        self.throttle_waits += other.throttle_waits;
-        self.throttle_wait_us += other.throttle_wait_us;
-        self.rate_tokens += other.rate_tokens;
-        self.aimd_increases += other.aimd_increases;
-        self.aimd_decreases += other.aimd_decreases;
-        self.prompt_tokens += other.prompt_tokens;
-        self.completion_tokens += other.completion_tokens;
-        self.billed_micro += other.billed_micro;
-        self.latency.merge(&other.latency);
-    }
-
     /// Total tokens billed to this endpoint.
     pub fn tokens(&self) -> u64 {
         self.prompt_tokens + self.completion_tokens
@@ -302,8 +273,7 @@ impl EndpointStats {
 }
 
 /// Exact counters of everything a router (or cascade) did, mirroring
-/// [`BackendStats`]: every field is an integer, [`RouterStats::merge`] is
-/// commutative bucket-and-counter addition, and a serial rerun of the
+/// [`BackendStats`]: every field is an integer, and a serial rerun of the
 /// same workload reproduces the whole struct bit-for-bit.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RouterStats {
@@ -337,29 +307,6 @@ pub struct RouterStats {
 }
 
 impl RouterStats {
-    /// Folds `other` into `self` — exact integer addition on every
-    /// counter, endpoint-wise on the per-endpoint vectors (shorter
-    /// vectors are padded), commutative like [`BackendStats::merge`].
-    pub fn merge(&mut self, other: &RouterStats) {
-        self.calls += other.calls;
-        self.answers += other.answers;
-        self.failures += other.failures;
-        self.retries += other.retries;
-        self.all_open += other.all_open;
-        self.escalations += other.escalations;
-        self.unparseable += other.unparseable;
-        self.low_confidence += other.low_confidence;
-        self.error_escalations += other.error_escalations;
-        self.request_latency.merge(&other.request_latency);
-        if self.endpoints.len() < other.endpoints.len() {
-            self.endpoints
-                .resize(other.endpoints.len(), EndpointStats::default());
-        }
-        for (mine, theirs) in self.endpoints.iter_mut().zip(other.endpoints.iter()) {
-            mine.merge(theirs);
-        }
-    }
-
     /// Total attempts across all endpoints.
     pub fn attempts(&self) -> u64 {
         self.endpoints.iter().map(|e| e.attempts).sum()
@@ -479,7 +426,6 @@ impl CallPrompt<'_> {
 pub struct RoutedBackend<'a> {
     name: String,
     endpoints: Vec<EndpointState<'a>>,
-    retry: RetryPolicy,
     dice: Dice,
     clock: Arc<VirtualClock>,
     /// The stack's prompt table: its one copy of every distinct prompt,
@@ -508,18 +454,11 @@ impl<'a> RoutedBackend<'a> {
         RoutedBackend {
             name: "routed[]".to_string(),
             endpoints: Vec::new(),
-            retry: RetryPolicy::default(),
             dice: Dice::new(seed),
             clock: Arc::new(VirtualClock::new()),
             prompts: None,
             scalars: Mutex::new(RouterStats::default()),
         }
-    }
-
-    /// Replaces the cross-endpoint retry policy (builder-style).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Adds an endpoint (builder-style). The endpoint id is its index in
@@ -552,17 +491,17 @@ impl<'a> RoutedBackend<'a> {
     }
 
     /// Builds a replica fleet over one shared `inner` model from
-    /// `config.route` (identity plan when unset), on `config`'s seed and
-    /// retry policy: each replica gets the plan's breaker, the plan's AIMD
-    /// policy or else `config`'s rate limit, and an endpoint-aware copy of
+    /// `config.route` (identity plan when unset), on `config`'s seed: each
+    /// replica gets `config.breaker`, the plan's AIMD policy or else
+    /// `config`'s rate limit, and an endpoint-aware copy of
     /// `config.faults`.
     pub fn from_plan(inner: &'a dyn LanguageModel, config: BackendConfig) -> Self {
         let plan = config.route.unwrap_or_else(|| RoutePlan::replicas(1));
-        let mut router = RoutedBackend::new(config.seed).with_retry(config.retry);
+        let mut router = RoutedBackend::new(config.seed);
         for _ in 0..plan.replicas.max(1) {
             let endpoint = EndpointConfig {
                 faults: config.faults,
-                breaker: plan.breaker,
+                breaker: config.breaker,
                 aimd: plan.aimd.or(config.rate),
             };
             router = router.endpoint(inner, endpoint);
@@ -571,11 +510,11 @@ impl<'a> RoutedBackend<'a> {
     }
 
     /// The blocking protection stack over one endpoint, on a fresh
-    /// [`VirtualClock`] and `config`'s seed and retry policy: one
+    /// [`VirtualClock`] and `config`'s seed: one
     /// *untagged* endpoint (fault-slot keys carry no endpoint id) named
     /// after `inner`, with `config`'s breaker and rate-limit bucket.
     pub fn single(inner: &'a dyn LanguageModel, config: BackendConfig) -> Self {
-        let mut router = RoutedBackend::new(config.seed).with_retry(config.retry);
+        let mut router = RoutedBackend::new(config.seed);
         let endpoint = EndpointConfig {
             faults: config.faults,
             breaker: config.breaker,
@@ -769,6 +708,7 @@ impl LanguageModel for RoutedBackend<'_> {
         let start = self.clock.now_micros();
         let prompt = self.hold(prompt);
         let draws = || prompt.draws(&self.dice);
+        let policy = RetryPolicy::default();
         let mut retry = 0u32;
         loop {
             let err = match self.select(draws, retry) {
@@ -793,14 +733,14 @@ impl LanguageModel for RoutedBackend<'_> {
                     }
                 },
             };
-            if retry >= self.retry.max_retries {
+            if retry >= policy.max_retries {
                 self.lock_scalars().failures += 1;
                 return Err(err);
             }
             retry += 1;
             self.lock_scalars().retries += 1;
             self.clock
-                .sleep_micros(backoff_us(self.retry, &draws(), retry, &err));
+                .sleep_micros(backoff_us(policy, &draws(), retry, &err));
         }
     }
 
@@ -1304,41 +1244,6 @@ mod tests {
     }
 
     #[test]
-    fn router_stats_merge_is_commutative_and_exact() {
-        let llm = model();
-        let run = |seed: u64| {
-            let router = faulty_router(&llm, seed, 2);
-            for i in 0..15 {
-                router.complete(&format!("merge probe {seed}-{i}")).unwrap();
-            }
-            router.stats()
-        };
-        let a = run(7);
-        let b = run(1337);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge is commutative");
-        assert_eq!(ab.calls, a.calls + b.calls);
-        assert_eq!(ab.attempts(), a.attempts() + b.attempts());
-        assert_eq!(ab.tokens(), a.tokens() + b.tokens());
-        let mut id = a.clone();
-        id.merge(&RouterStats::default());
-        assert_eq!(id, a, "merging a default is the identity");
-        // Padded merge: fewer endpoints fold into more.
-        let mut wide = a.clone();
-        let mut narrow = RouterStats::default();
-        narrow.endpoints.push(b.endpoints[0]);
-        wide.merge(&narrow);
-        assert_eq!(wide.endpoints.len(), 2);
-        assert_eq!(
-            wide.endpoints[0].attempts,
-            a.endpoints[0].attempts + b.endpoints[0].attempts
-        );
-    }
-
-    #[test]
     fn backend_stats_projection_adds_up() {
         let llm = model();
         let router = faulty_router(&llm, 3, 3);
@@ -1478,6 +1383,32 @@ mod tests {
         assert_eq!(flat.calls, 1);
         assert!(attached.fault_stats().is_some());
         assert!(attached.elapsed_us() > 0);
+    }
+
+    #[test]
+    fn fleet_breakers_follow_the_backend_config() {
+        // Every replica carries `BackendConfig::breaker`: the resilient
+        // default trips each of them under an always-faulty plan, and
+        // `without_breaker` leaves the whole fleet without one.
+        let llm = model();
+        let run = |config: BackendConfig| {
+            let config = config
+                .with_faults(FaultPlan::always_faulty(11, 6))
+                .with_route(RoutePlan::replicas(3));
+            let router = RoutedBackend::from_plan(&llm, config);
+            for i in 0..12 {
+                router
+                    .complete(&format!("stormy fleet prompt {i}"))
+                    .unwrap();
+            }
+            router.stats()
+        };
+        let guarded = run(BackendConfig::resilient(11));
+        for (id, endpoint) in guarded.endpoints.iter().enumerate() {
+            assert!(endpoint.breaker_trips > 0, "replica {id}: {guarded:?}");
+        }
+        let bare = run(BackendConfig::resilient(11).without_breaker());
+        assert_eq!((bare.breaker_trips(), bare.all_open), (0, 0), "{bare:?}");
     }
 
     #[test]

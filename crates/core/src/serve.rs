@@ -488,11 +488,6 @@ impl ServeSim {
         self
     }
 
-    /// The configured tenants, in declaration order.
-    pub fn tenants(&self) -> &[TenantSpec] {
-        &self.tenants
-    }
-
     /// Samples every tenant's arrival schedule and merges them into one
     /// globally ordered request list. Ties break by tenant declaration
     /// order, then per-tenant sequence — fully deterministic.

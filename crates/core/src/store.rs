@@ -173,11 +173,6 @@ impl From<Truncated> for StoreError {
 }
 
 /// Exact counters of one [`CacheStore`] (or one tier's view of it).
-///
-/// Every field is a plain sum, so [`StoreStats::merge`] is exact and
-/// commutative — the same contract as `BackendStats::merge` and
-/// [`crate::CacheStats::merge`]: folding per-tier (or per-run) snapshots
-/// in any order yields the same aggregate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// Lookups answered from the disk tier (no model call).
@@ -207,19 +202,6 @@ impl StoreStats {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-
-    /// Adds another stats snapshot into this one. Pure field-wise sums:
-    /// exact and commutative, so tier and run aggregates are
-    /// order-independent.
-    pub fn merge(&mut self, other: StoreStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.evicted += other.evicted;
-        self.compactions += other.compactions;
-        self.compacted_frames += other.compacted_frames;
     }
 }
 
@@ -1144,35 +1126,6 @@ mod tests {
             }
         }
         cleanup(&path);
-    }
-
-    #[test]
-    fn store_stats_merge_is_commutative_and_exact() {
-        let a = StoreStats {
-            hits: 3,
-            misses: 5,
-            admitted: 2,
-            rejected: 7,
-            evicted: 1,
-            compactions: 1,
-            compacted_frames: 9,
-        };
-        let b = StoreStats {
-            hits: 11,
-            misses: 13,
-            admitted: 17,
-            rejected: 19,
-            evicted: 23,
-            compactions: 31,
-            compacted_frames: 37,
-        };
-        let mut ab = a;
-        ab.merge(b);
-        let mut ba = b;
-        ba.merge(a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.hits, 14);
-        assert_eq!(ab.compacted_frames, 46);
     }
 
     #[test]

@@ -61,6 +61,6 @@ pub use determinism::{Dice, DiceContext};
 pub use error::LlmError;
 pub use kb::KnowledgeBase;
 pub use mock::MockLlm;
-pub use model::{Completion, LanguageModel, Usage, UsageMeter};
+pub use model::{Completion, LanguageModel, Usage};
 pub use profile::{LatencyProfile, LlmProfile};
 pub use sim::{AttemptSample, FaultPlan, FaultStats, SimBackend, StackPrompt};

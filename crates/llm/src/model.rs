@@ -1,6 +1,6 @@
 //! The `LanguageModel` trait and token accounting.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::profile::LatencyProfile;
 use crate::LlmError;
@@ -93,100 +93,12 @@ pub trait LanguageModel: Send + Sync {
 
     /// The serving-latency shape of this endpoint, used by event-driven
     /// schedulers (`unidm::dispatch`) to place completion deadlines when no
-    /// fault plan supplies latencies. Pass-through layers (meters, caches,
+    /// fault plan supplies latencies. Pass-through layers (caches,
     /// backends) should forward their inner model's profile; producing
     /// models override it (see [`crate::LlmProfile::latency`]). The default
     /// is a generic hosted-endpoint shape.
     fn latency_profile(&self) -> LatencyProfile {
         LatencyProfile::default()
-    }
-}
-
-/// A pass-through model wrapper that meters the tokens of every completion
-/// it forwards.
-///
-/// This is how the pipeline attributes cost to a single run without
-/// touching the underlying model's global counter: wrap the shared model in
-/// a fresh `UsageMeter` for the run, make every call through the meter, and
-/// read [`UsageMeter::used`] at the end. Sound under concurrency because
-/// the meter is private to the run while the inner model is shared.
-///
-/// # Examples
-///
-/// ```
-/// use unidm_llm::{LanguageModel, LlmProfile, MockLlm, UsageMeter};
-/// use unidm_world::World;
-///
-/// # fn main() -> Result<(), unidm_llm::LlmError> {
-/// let world = World::generate(42);
-/// let shared = MockLlm::new(&world, LlmProfile::gpt3_175b(), 1);
-/// shared.complete("traffic from another tenant")?;
-///
-/// let meter = UsageMeter::new(&shared);
-/// let reply = meter.complete("The capital of Denmark is __.")?;
-/// // The meter saw exactly this run's tokens, not the shared counter.
-/// assert_eq!(meter.used(), reply.usage);
-/// assert!(shared.usage().total() > meter.used().total());
-/// # Ok(())
-/// # }
-/// ```
-pub struct UsageMeter<'a> {
-    inner: &'a dyn LanguageModel,
-    used: Mutex<Usage>,
-}
-
-impl<'a> UsageMeter<'a> {
-    /// Wraps `inner`, starting from zero used tokens.
-    pub fn new(inner: &'a dyn LanguageModel) -> Self {
-        UsageMeter {
-            inner,
-            used: Mutex::new(Usage::default()),
-        }
-    }
-
-    /// Tokens consumed through this meter so far.
-    pub fn used(&self) -> Usage {
-        *self.used.lock().expect("usage lock poisoned")
-    }
-}
-
-impl std::fmt::Debug for UsageMeter<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UsageMeter")
-            .field("inner", &self.inner.name())
-            .field("used", &self.used())
-            .finish()
-    }
-}
-
-impl LanguageModel for UsageMeter<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-        let completion = self.inner.complete(prompt)?;
-        self.used
-            .lock()
-            .expect("usage lock poisoned")
-            .add(completion.usage);
-        Ok(completion)
-    }
-
-    fn usage(&self) -> Usage {
-        self.used()
-    }
-
-    fn reset_usage(&self) {
-        *self.used.lock().expect("usage lock poisoned") = Usage::default();
-    }
-
-    fn context_window(&self) -> usize {
-        self.inner.context_window()
-    }
-
-    fn latency_profile(&self) -> LatencyProfile {
-        self.inner.latency_profile()
     }
 }
 
@@ -218,60 +130,5 @@ mod tests {
     fn models_are_send_sync() {
         fn assert_send_sync<T: Send + Sync + ?Sized>() {}
         assert_send_sync::<dyn LanguageModel>();
-        assert_send_sync::<UsageMeter<'_>>();
-    }
-
-    struct FixedModel;
-
-    impl LanguageModel for FixedModel {
-        fn name(&self) -> &str {
-            "fixed"
-        }
-
-        fn complete(&self, _prompt: &str) -> Result<Arc<Completion>, LlmError> {
-            Ok(Completion::shared(
-                "ok".into(),
-                Usage {
-                    prompt_tokens: 7,
-                    completion_tokens: 3,
-                },
-            ))
-        }
-
-        fn usage(&self) -> Usage {
-            Usage::default()
-        }
-
-        fn reset_usage(&self) {}
-    }
-
-    #[test]
-    fn usage_meter_accounts_locally() {
-        let model = FixedModel;
-        let meter = UsageMeter::new(&model);
-        assert_eq!(meter.used(), Usage::default());
-        meter.complete("a").unwrap();
-        meter.complete("b").unwrap();
-        assert_eq!(
-            meter.used(),
-            Usage {
-                prompt_tokens: 14,
-                completion_tokens: 6
-            }
-        );
-        // The meter is its own counter: the inner model's global usage is
-        // untouched, and resetting the meter does not reach through.
-        assert_eq!(model.usage(), Usage::default());
-        meter.reset_usage();
-        assert_eq!(meter.used(), Usage::default());
-    }
-
-    #[test]
-    fn usage_meter_forwards_identity() {
-        let model = FixedModel;
-        let meter = UsageMeter::new(&model);
-        assert_eq!(meter.name(), "fixed");
-        assert_eq!(meter.context_window(), usize::MAX);
-        assert_eq!(meter.complete("x").unwrap().text, "ok");
     }
 }

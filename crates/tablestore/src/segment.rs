@@ -583,11 +583,6 @@ impl SegmentReader {
         self.entries.len()
     }
 
-    /// Rows in chunk `idx`.
-    pub fn chunk_len(&self, idx: usize) -> usize {
-        self.entries[idx].rows
-    }
-
     /// Total rows across all chunks.
     pub fn row_count(&self) -> usize {
         self.rows
@@ -654,11 +649,6 @@ impl Pager {
     /// The underlying segment.
     pub fn segment(&self) -> &SegmentReader {
         &self.segment
-    }
-
-    /// The configured chunk budget.
-    pub fn budget(&self) -> usize {
-        self.budget
     }
 
     /// Chunks currently resident in the cache.

@@ -190,11 +190,6 @@ impl GeoWorld {
         self.cities.iter().find(|c| c.name.to_lowercase() == key)
     }
 
-    /// A random city index.
-    pub fn random_city<R: Rng>(&self, rng: &mut R) -> usize {
-        rng.gen_range(0..self.cities.len())
-    }
-
     /// All facts this domain contributes to the world knowledge.
     pub fn facts(&self) -> Vec<Fact> {
         let mut out = Vec::new();

@@ -20,8 +20,9 @@
 //! 4. **Rate-token exactness** — with a rate limit configured, a
 //!    fault-free serial workload consumes exactly one token per attempt,
 //!    one attempt per call.
-//! 5. **Stats-merge commutativity** — wrapper stats merge like
-//!    `BackendStats`: exact, commutative, with `default()` as identity.
+//! 5. **Stats-merge commutativity** — the latency sketches in a
+//!    wrapper's stats merge exactly and commutatively, with `default()`
+//!    as identity.
 //! 6. **Pinned counters** — one fixed serial workload reproduces a
 //!    committed golden ledger (every counter, the injector's, the clock),
 //!    so a change that shifts every run the same way is still caught.
@@ -32,7 +33,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use unidm::backend::BackendStats;
+use unidm::backend::{BackendStats, LatencySketch};
 use unidm_llm::{Completion, FaultPlan, LanguageModel, LlmError, LlmProfile, MockLlm, Usage};
 use unidm_world::World;
 
@@ -252,8 +253,9 @@ pub fn check_rate_token_exactness(factory: Factory, label: &str) {
     );
 }
 
-/// Invariant 5: wrapper stats merge exactly and commutatively, with the
-/// default as identity — so aggregation across shards is order-free.
+/// Invariant 5: the latency sketches in two runs' stats merge exactly and
+/// commutatively, with the default as identity — so pooling latencies
+/// across wrappers is order-free.
 pub fn check_stats_merge_commutativity(factory: Factory, label: &str) {
     let llm = inner_model();
     let stats_for = |tag: &str, seed: u64| {
@@ -275,21 +277,23 @@ pub fn check_stats_merge_commutativity(factory: Factory, label: &str) {
     };
     let a = stats_for("merge-a", fault_seed());
     let b = stats_for("merge-b", fault_seed() ^ 0x5eed);
-    let mut ab = a;
-    ab.merge(&b);
-    let mut ba = b;
-    ba.merge(&a);
-    assert_eq!(ab, ba, "{label}: merge must be commutative");
-    assert_eq!(ab.calls, a.calls + b.calls, "{label}");
-    assert_eq!(ab.attempts, a.attempts + b.attempts, "{label}");
-    assert_eq!(
-        ab.attempt_latency.samples(),
-        a.attempt_latency.samples() + b.attempt_latency.samples(),
-        "{label}: sketches merge exactly"
-    );
-    let mut id = a;
-    id.merge(&BackendStats::default());
-    assert_eq!(id, a, "{label}: merging a default is the identity");
+    for (x, y) in [
+        (a.attempt_latency, b.attempt_latency),
+        (a.request_latency, b.request_latency),
+    ] {
+        let (mut xy, mut yx) = (x, y);
+        xy.merge(&y);
+        yx.merge(&x);
+        assert_eq!(xy, yx, "{label}: merge must be commutative");
+        assert_eq!(
+            xy.samples(),
+            x.samples() + y.samples(),
+            "{label}: sketches merge exactly"
+        );
+        let mut id = x;
+        id.merge(&LatencySketch::default());
+        assert_eq!(id, x, "{label}: merging a default is the identity");
+    }
 }
 
 /// Invariant 6: a fixed serial workload — 40 prompts under

@@ -417,7 +417,7 @@ impl<'p> ReferenceRouter<'p> {
         let plan = config.faults.expect("the oracle stacks inject faults");
         ReferenceRouter {
             seed: config.seed,
-            retry: config.retry,
+            retry: RetryPolicy::default(),
             weights: weights.to_vec(),
             injectors: (0..weights.len() as u64)
                 .map(|id| ReferenceInjector::new(plan, tagged.then_some(id)))
@@ -501,7 +501,7 @@ impl<'p, E: FnMut(&'p str) -> Attempt> ReferenceDispatcher<'p, E> {
     fn new(config: &BackendConfig, endpoint: E) -> Self {
         ReferenceDispatcher {
             seed: config.seed,
-            retry: config.retry,
+            retry: RetryPolicy::default(),
             hedge: config.hedge.expect("the oracle dispatchers hedge"),
             endpoint,
             memo: HashMap::new(),
@@ -621,7 +621,7 @@ fn stack_draws_equal_their_rederivation_whichever_layer_absorbed_the_prompt() {
     let model = LengthModel;
     let seed = fault_seed();
     let fleet_weights = [1u64, 1, 1];
-    let fleet = RoutePlan::replicas(3).without_breaker();
+    let fleet = RoutePlan::replicas(3);
     let hedge = HedgePolicy::at_quantile(900).with_min_samples(8);
     let calls = || (0..ROUNDS).flat_map(|_| prompts.iter());
     let (mut retried, mut hedges) = (0, 0);

@@ -12,7 +12,7 @@
 //! two distinct seeds), so schedule sensitivity is exercised on every
 //! push.
 
-use unidm::backend::{BackendConfig, BackendStats, RetryPolicy};
+use unidm::backend::{BackendConfig, BackendStats};
 use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
 use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
@@ -51,16 +51,12 @@ fn workload() -> (World, MockLlm, DataLake, Vec<Task>) {
 }
 
 /// A full protection stack for tests: default breaker, a rate limit, and
-/// a retry budget deep enough that no interleaving of breaker fast-fails
-/// can exhaust it (virtual-clock backoff is free).
+/// the one retry schedule, whose 32 retries no interleaving of breaker
+/// fast-fails can exhaust (virtual-clock backoff is free).
 fn stack_config(seed: u64, plan: FaultPlan) -> BackendConfig {
     BackendConfig::resilient(seed)
         .with_faults(plan)
         .with_rate_limit(500, 50)
-        .with_retry(RetryPolicy {
-            max_retries: 32,
-            ..RetryPolicy::default()
-        })
 }
 
 #[test]

@@ -14,6 +14,8 @@
 
 mod common;
 
+use std::sync::{Arc, Mutex};
+
 use common::{task_mix, Gen, PromptLog};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -24,7 +26,7 @@ use unidm_llm::protocol::{
     claim_query_er, claim_query_imputation, naturalize_record, parse_pri_response, render_pdp,
     render_pdp_lines, render_pri, Claim, SerializedRecord, TaskKind,
 };
-use unidm_llm::{LanguageModel, LlmProfile, MockLlm, UsageMeter};
+use unidm_llm::{Completion, LanguageModel, LlmError, LlmProfile, MockLlm, Usage};
 use unidm_tablestore::{DataLake, Table};
 use unidm_world::World;
 
@@ -293,6 +295,37 @@ fn score_by_hand(
         .collect())
 }
 
+/// A pass-through that sums the usage of the completions it forwards: one
+/// run's tokens, apart from the shared model's counter.
+struct Meter<'a> {
+    inner: &'a dyn LanguageModel,
+    used: Mutex<Usage>,
+}
+
+impl LanguageModel for Meter<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
+        let completion = self.inner.complete(prompt)?;
+        self.used.lock().expect("meter lock").add(completion.usage);
+        Ok(completion)
+    }
+
+    fn usage(&self) -> Usage {
+        *self.used.lock().expect("meter lock")
+    }
+
+    fn reset_usage(&self) {
+        *self.used.lock().expect("meter lock") = Usage::default();
+    }
+
+    fn context_window(&self) -> usize {
+        self.inner.context_window()
+    }
+}
+
 /// Algorithm 1 for `task`, composed from the public step functions the way
 /// PR 19's `UniDm::run` composed them: context records are owned
 /// `SerializedRecord`s, rendered for `p_dp` and again for the trace.
@@ -302,7 +335,10 @@ fn by_hand(
     lake: &DataLake,
     task: &Task,
 ) -> Result<RunOutput, UniDmError> {
-    let meter = UsageMeter::new(model);
+    let meter = Meter {
+        inner: model,
+        used: Mutex::default(),
+    };
     let llm: &dyn LanguageModel = &meter;
     let kind = task.kind();
     let over_table = |table: &Table,
@@ -432,7 +468,7 @@ fn by_hand(
     let answer = prompting::answer(llm, &target_prompt)?;
     Ok(RunOutput {
         answer,
-        usage: meter.used(),
+        usage: meter.usage(),
         trace: Trace {
             selected_attrs,
             context_records: records.iter().map(SerializedRecord::render).collect(),
