@@ -267,9 +267,28 @@ pub(crate) fn pri_prompt<R: Borrow<FrameRow>>(
 }
 
 /// Instance-wise retrieval's read half: the positions of the top
-/// `config.top_k` of the `shown` candidates, best first.
+/// `config.top_k` of the `shown` candidates, best first. A position the
+/// reply names twice keeps its first entry, and a position past `shown`
+/// takes no place in the ranking.
 pub(crate) fn read_pri(config: &PipelineConfig, reply: &str, shown: usize) -> Vec<usize> {
     let mut scores = parse_pri_response(reply);
+    // A bit per shown position: on the stack for up to 256 candidates, so
+    // the common reply costs no allocation.
+    let (mut stack, mut heap) = ([0u64; 4], Vec::new());
+    let named: &mut [u64] = if shown <= 256 {
+        &mut stack
+    } else {
+        heap.resize(shown.div_ceil(64), 0);
+        &mut heap
+    };
+    scores.retain(|&(i, _)| {
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        let first = i < shown && named[word] & bit == 0;
+        if first {
+            named[word] |= bit;
+        }
+        first
+    });
     // Best score first, earliest candidate first among equals. Equal keys
     // are equal entries, so selecting the top k and sorting those alone is
     // the head of the whole list sorted.
@@ -279,13 +298,13 @@ pub(crate) fn read_pri(config: &PipelineConfig, reply: &str, shown: usize) -> Ve
         scores.truncate(config.top_k);
     }
     scores.sort_unstable_by_key(rank);
-    let kept = scores.into_iter().map(|(i, _)| i);
-    kept.filter(|&i| i < shown).collect()
+    scores.into_iter().map(|(i, _)| i).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
     use unidm_llm::{LlmProfile, MockLlm};
     use unidm_synthdata::imputation;
     use unidm_world::World;
@@ -358,6 +377,205 @@ mod tests {
             ["addr", "phone"]
         );
         assert_eq!(pick("nothing usable").unwrap(), ["name"], "first candidate");
+    }
+
+    /// A model that keeps every prompt it forwards.
+    struct Capture<'a> {
+        inner: &'a dyn LanguageModel,
+        prompts: std::sync::Mutex<Vec<String>>,
+    }
+
+    impl LanguageModel for Capture<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn complete(
+            &self,
+            prompt: &str,
+        ) -> Result<std::sync::Arc<unidm_llm::Completion>, unidm_llm::LlmError> {
+            self.prompts.lock().unwrap().push(prompt.to_string());
+            self.inner.complete(prompt)
+        }
+
+        fn usage(&self) -> unidm_llm::Usage {
+            self.inner.usage()
+        }
+
+        fn reset_usage(&self) {}
+    }
+
+    /// `text` with one seeded mutation: truncated, a span deleted, a line
+    /// duplicated or renumbered, uppercased, or `[`, `]`, `: `, `; ` or a
+    /// newline injected. Cuts fall on character boundaries.
+    fn mutate(text: &str, rng: &mut StdRng) -> String {
+        let cuts: Vec<usize> = (text.char_indices().map(|(i, _)| i))
+            .chain([text.len()])
+            .collect();
+        let mut cut = || cuts[rng.gen_range(0..cuts.len())];
+        let (a, b) = (cut(), cut());
+        let (from, to) = (a.min(b), a.max(b));
+        let lines: Vec<&str> = text.split('\n').collect();
+        let line = rng.gen_range(0..lines.len());
+        match rng.gen_range(0..7) {
+            0 => text[..from].to_string(),
+            1 => format!("{}{}", &text[..from], &text[to..]),
+            2 => {
+                let mut lines = lines.clone();
+                lines.insert(line, lines[line]);
+                lines.join("\n")
+            }
+            3 => {
+                let number = ["0", "1", "7", "48", "-1", "99999999999999999999999"];
+                let rest = lines[line].trim_start_matches(|c: char| c.is_ascii_digit());
+                let mut lines = lines.clone();
+                let renumbered = format!("{}{rest}", number[rng.gen_range(0..number.len())]);
+                lines[line] = &renumbered;
+                lines.join("\n")
+            }
+            4 => format!(
+                "{}{}{}",
+                &text[..from],
+                text[from..to].to_uppercase(),
+                &text[to..]
+            ),
+            _ => {
+                let inject = ["[", "]", ": ", "; ", "\n"][rng.gen_range(0..5)];
+                format!("{}{inject}{}", &text[..from], &text[from..])
+            }
+        }
+    }
+
+    /// The pipeline's config for the mutant runs: a small candidate sample
+    /// keeps each `p_ri` prompt short.
+    fn mutant_config() -> PipelineConfig {
+        PipelineConfig {
+            sample_size: 6,
+            ..PipelineConfig::paper_default()
+        }
+    }
+
+    /// Every prompt the pipeline sends for an imputation and an
+    /// error-detection run, by class: `p_rm`, `p_ri`, `p_dp`, `p_cq`,
+    /// answer. Captured once for the five mutant tests.
+    fn prompts_by_class() -> &'static [Vec<String>; 5] {
+        use unidm_llm::protocol::{parse_pcq, parse_pdp, parse_pri, parse_prm};
+        use unidm_synthdata::errors;
+        use unidm_tablestore::DataLake;
+
+        static CLASSES: std::sync::OnceLock<[Vec<String>; 5]> = std::sync::OnceLock::new();
+        CLASSES.get_or_init(|| {
+            let (world, llm) = setup();
+            let capture = Capture {
+                inner: &llm,
+                prompts: Default::default(),
+            };
+            let unidm = crate::UniDm::new(&capture, mutant_config());
+            let restaurant = imputation::restaurant(&world, 7, 2);
+            let lake: DataLake = [restaurant.table.clone()].into_iter().collect();
+            for target in &restaurant.targets {
+                let task = crate::Task::imputation(
+                    restaurant.table.name(),
+                    target.row,
+                    restaurant.target_attr.clone(),
+                    restaurant.key_attr.clone(),
+                );
+                unidm.run(&lake, &task).unwrap();
+            }
+            let hospital = errors::hospital(&world, 7, 0.05);
+            let lake: DataLake = [hospital.table.clone()].into_iter().collect();
+            for cell in hospital.cells.iter().take(2) {
+                let task =
+                    crate::Task::error_detection(hospital.table.name(), cell.row, &cell.attr);
+                unidm.run(&lake, &task).unwrap();
+            }
+            let mut classes: [Vec<String>; 5] = Default::default();
+            for prompt in capture.prompts.into_inner().unwrap() {
+                let class = if parse_prm(&prompt).is_some() {
+                    0
+                } else if parse_pri(&prompt).is_some() {
+                    1
+                } else if parse_pdp(&prompt).is_some() {
+                    2
+                } else if parse_pcq(&prompt).is_some() {
+                    3
+                } else {
+                    4
+                };
+                classes[class].push(prompt);
+            }
+            classes
+        })
+    }
+
+    /// 10^4 seeded mutants of the class's prompts through the model, and
+    /// each reply, a mutant of it and the mutant prompt itself through
+    /// `read_prm`, `read_pri` and `parse_pri_response`: none may panic.
+    fn mutants_never_panic(class: usize) {
+        let prompts = &prompts_by_class()[class];
+        assert!(!prompts.is_empty(), "no prompt of class {class}");
+        let (_, llm) = setup();
+        let config = mutant_config();
+        let candidates: Vec<String> = ["name", "addr", "city", "phone"].map(String::from).into();
+        let mut rng = StdRng::seed_from_u64(0x6d75_7461 + class as u64);
+        for k in 0..10_000 {
+            let mut mutant = prompts[k % prompts.len()].clone();
+            for _ in 0..rng.gen_range(1..4) {
+                mutant = mutate(&mutant, &mut rng);
+            }
+            let reply = llm.complete(&mutant).map(|c| c.text.clone());
+            let reply = reply.as_deref().unwrap_or("");
+            let mutated_reply = mutate(reply, &mut rng);
+            for text in [reply, &mutated_reply, &mutant] {
+                read_prm(&candidates, text);
+                read_pri(&config, text, config.sample_size);
+                parse_pri_response(text);
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_prm_prompts_and_replies_never_panic() {
+        mutants_never_panic(0);
+    }
+
+    #[test]
+    fn mutated_pri_prompts_and_replies_never_panic() {
+        mutants_never_panic(1);
+    }
+
+    #[test]
+    fn mutated_pdp_prompts_and_replies_never_panic() {
+        mutants_never_panic(2);
+    }
+
+    #[test]
+    fn mutated_pcq_prompts_and_replies_never_panic() {
+        mutants_never_panic(3);
+    }
+
+    #[test]
+    fn mutated_answer_prompts_and_replies_never_panic() {
+        mutants_never_panic(4);
+    }
+
+    #[test]
+    fn read_pri_keeps_a_repeated_position_once_at_its_first_entry() {
+        let config = PipelineConfig::paper_default();
+        assert_eq!(config.top_k, 3);
+        assert_eq!(read_pri(&config, "1:3, 1:3, 1:3", 5), [0]);
+        // The first entry decides the rank: candidate 2's later 3 is not
+        // read, so candidate 3's 2 outranks it.
+        assert_eq!(read_pri(&config, "2:0, 1:1, 2:3, 3:2", 5), [2, 0, 1]);
+        // A position past the shown candidates takes no top-k place.
+        assert_eq!(read_pri(&config, "9:3, 9:3, 1:1, 2:0, 3:0", 5), [0, 1, 2]);
+        assert_eq!(read_pri(&config, "", 5), Vec::<usize>::new());
+        assert_eq!(read_pri(&config, "1:3", 0), Vec::<usize>::new());
+        // Past 256 candidates the bits move to the heap.
+        assert_eq!(
+            read_pri(&config, "300:3, 300:3, 2:1, 299:2", 300),
+            [299, 298, 1]
+        );
     }
 
     #[test]

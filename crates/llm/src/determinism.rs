@@ -44,10 +44,38 @@ impl Dice {
     /// and a backoff per retry) keeps the returned state and never reads
     /// the context's bytes again.
     pub fn context(&self, context: &str) -> DiceContext {
-        let h = absorb(self.seed ^ 0x9e37_79b9_7f4a_7c15, context.as_bytes());
+        let h = absorb(self.start(), context.as_bytes());
         DiceContext {
             state: absorb(h, &[0xff]),
         }
+    }
+
+    /// [`Dice::context`] of the text `context` formats to, absorbed as it is
+    /// rendered: `dice.context_args(format_args!("{text}#{i}"))` is
+    /// `dice.context(&format!("{text}#{i}"))` **to the bit**, with no
+    /// `String` in between.
+    ///
+    /// ```
+    /// use unidm_llm::Dice;
+    ///
+    /// let dice = Dice::new(7);
+    /// let (text, i) = ("city: Florence", 3);
+    /// assert_eq!(
+    ///     dice.context_args(format_args!("{text}#{i}")),
+    ///     dice.context(&format!("{text}#{i}")),
+    /// );
+    /// ```
+    pub fn context_args(&self, context: fmt::Arguments<'_>) -> DiceContext {
+        let mut sink = TagSink(self.start());
+        sink.write_fmt(context).expect("the sink never fails");
+        DiceContext {
+            state: absorb(sink.0, &[0xff]),
+        }
+    }
+
+    /// The chain's state before any context byte.
+    fn start(&self) -> u64 {
+        self.seed ^ 0x9e37_79b9_7f4a_7c15
     }
 
     /// A uniform sample in `[0, 1)` for the given decision context.

@@ -18,6 +18,15 @@ use crate::{Dice, LlmError};
 /// scoring, context parsing, cloze generation, final answering) and accounts
 /// tokens on every call. The same prompt always yields the same completion.
 ///
+/// A completion is a function of the prompt's bytes only: the model holds
+/// no state a call could change but its usage total. `p_ri` and `p_dp` are
+/// answered off the prompt's own record lines
+/// ([`PriPrompt`](crate::protocol::PriPrompt),
+/// [`PdpPrompt`](crate::protocol::PdpPrompt)); a line that is not its own
+/// [`render`](crate::protocol::SerializedRecord::render) is scored on its
+/// render, so two prompts that spell one record differently get the answer
+/// the canonical spelling gets.
+///
 /// # Examples
 ///
 /// ```
@@ -88,11 +97,11 @@ impl MockLlm {
         if let Some(req) = protocol::parse_prm(prompt) {
             return skills::retrieval::select_attributes(&req, &self.profile, &self.dice, &self.kb);
         }
-        if let Some(req) = protocol::parse_pri(prompt) {
-            return skills::retrieval::score_instances(&req, &self.profile, &self.dice, &self.kb);
+        if let Some(read) = protocol::PriPrompt::read(prompt) {
+            return skills::retrieval::score_instances(&read, &self.profile, &self.dice, &self.kb);
         }
-        if let Some(req) = protocol::parse_pdp(prompt) {
-            return skills::parsing::parse_context(&req, &self.profile, &self.dice);
+        if let Some(read) = protocol::PdpPrompt::read(prompt) {
+            return skills::parsing::parse_context(&read, &self.profile, &self.dice);
         }
         if let Some(claim) = protocol::parse_pcq(prompt) {
             return skills::cloze_gen::generate_cloze(&claim, &self.profile, &self.dice);

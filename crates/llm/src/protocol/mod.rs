@@ -7,11 +7,16 @@
 //! the pipeline can only communicate through strings a real LLM could also
 //! have received.
 //!
+//! The simulated model reads `p_ri` and `p_dp` through [`PriPrompt`] and
+//! [`PdpPrompt`], whose record lines a [`RecordReader`] reads where they
+//! stand in the prompt instead of building owned records; [`parse_pri`]
+//! and [`parse_pdp`] are the same readers with the pairs copied out.
+//!
 //! | Paper object | Renderer | Parser |
 //! |---|---|---|
 //! | `p_rm` (meta-wise retrieval) | [`render_prm`] | [`parse_prm`] |
-//! | `p_ri` (instance-wise retrieval) | [`render_pri`] | [`parse_pri`] |
-//! | `p_dp` (context data parsing) | [`render_pdp`] | [`parse_pdp`] |
+//! | `p_ri` (instance-wise retrieval) | [`render_pri`] | [`parse_pri`], [`PriPrompt`] |
+//! | `p_dp` (context data parsing) | [`render_pdp`] | [`parse_pdp`], [`PdpPrompt`] |
 //! | `p_cq` (cloze-question generation) | [`render_pcq`] | [`parse_pcq`] |
 //! | cloze questions / `p_as` | [`render_cloze`] | [`parse_answer_request`] |
 //! | FM-style prompts | [`render_fm_imputation`] and friends | [`parse_fm`] |
@@ -31,10 +36,11 @@ pub use fm::{
 };
 pub use prompts::{
     parse_pcq, parse_pdp, parse_pri, parse_pri_response, parse_prm, render_pcq, render_pdp,
-    render_pdp_lines, render_pri, render_pri_lines, render_prm, Claim, PdpRequest, PriRequest,
-    PrmRequest,
+    render_pdp_lines, render_pri, render_pri_lines, render_prm, Claim, PdpPrompt, PdpRequest,
+    PriPrompt, PriRequest, PrmRequest,
 };
-pub use record::{naturalize_record, parse_natural_sentence, SerializedRecord};
+pub(crate) use record::naturalize_pairs_into;
+pub use record::{naturalize_record, parse_natural_sentence, RecordReader, SerializedRecord};
 
 /// The data manipulation tasks the unified framework covers (Section 3 plus
 /// the appendix extensions).

@@ -107,26 +107,48 @@ where
     out
 }
 
+/// A `p_ri` prompt read where it stands: the task, the query and the
+/// candidate lines, borrowed from the prompt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PriPrompt<'a> {
+    /// The task.
+    pub task: TaskKind,
+    /// The target query.
+    pub query: &'a str,
+    prompt: &'a str,
+}
+
+impl<'a> PriPrompt<'a> {
+    /// Reads a `p_ri` prompt; `None` exactly when [`parse_pri`] is.
+    pub fn read(prompt: &'a str) -> Option<Self> {
+        if !prompt.contains("Score the relevance") {
+            return None;
+        }
+        let task = TaskKind::from_description(bracketed_after(prompt, "The task is")?)?;
+        let query = bracketed_after(prompt, "The target query is")?;
+        Some(PriPrompt {
+            task,
+            query,
+            prompt,
+        })
+    }
+
+    /// The candidate lines in order: after the first line, each line's
+    /// text past its first `". "`. A candidate is a line that reads as a
+    /// record ([`super::RecordReader::read`]); the others take no
+    /// position.
+    pub fn lines(&self) -> impl Iterator<Item = &'a str> {
+        (self.prompt.lines().skip(1)).filter_map(|line| Some(line.split_once(". ")?.1))
+    }
+}
+
 /// Parses a `p_ri` prompt.
 pub fn parse_pri(prompt: &str) -> Option<PriRequest> {
-    if !prompt.contains("Score the relevance") {
-        return None;
-    }
-    let task = TaskKind::from_description(bracketed_after(prompt, "The task is")?)?;
-    let query = bracketed_after(prompt, "The target query is")?.to_string();
-    let mut instances = Vec::new();
-    for line in prompt.lines().skip(1) {
-        let Some((_num, rest)) = line.split_once(". ") else {
-            continue;
-        };
-        if let Some(rec) = SerializedRecord::parse(rest) {
-            instances.push(rec);
-        }
-    }
+    let read = PriPrompt::read(prompt)?;
     Some(PriRequest {
-        task,
-        query,
-        instances,
+        task: read.task,
+        query: read.query.to_string(),
+        instances: read.lines().filter_map(SerializedRecord::parse).collect(),
     })
 }
 
@@ -250,16 +272,35 @@ where
     out
 }
 
+/// A `p_dp` prompt read where it stands: the bracketed record lines,
+/// borrowed from the prompt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PdpPrompt<'a> {
+    body: &'a str,
+}
+
+impl<'a> PdpPrompt<'a> {
+    /// Reads a `p_dp` prompt; `None` exactly when [`parse_pdp`] is.
+    pub fn read(prompt: &'a str) -> Option<Self> {
+        if !prompt.contains("convert the items into a textual format") {
+            return None;
+        }
+        let body = bracketed_after(prompt, "logical order:")?;
+        Some(PdpPrompt { body })
+    }
+
+    /// The lines of the bracketed body in order. A record is a line that
+    /// reads as one ([`super::RecordReader::read`]); the others take no
+    /// position.
+    pub fn lines(&self) -> impl Iterator<Item = &'a str> {
+        self.body.lines()
+    }
+}
+
 /// Parses a `p_dp` prompt.
 pub fn parse_pdp(prompt: &str) -> Option<PdpRequest> {
-    if !prompt.contains("convert the items into a textual format") {
-        return None;
-    }
-    let body = bracketed_after(prompt, "logical order:")?;
-    let records = body
-        .lines()
-        .filter_map(SerializedRecord::parse)
-        .collect::<Vec<_>>();
+    let read = PdpPrompt::read(prompt)?;
+    let records = read.lines().filter_map(SerializedRecord::parse).collect();
     Some(PdpRequest { records })
 }
 

@@ -48,16 +48,10 @@ impl SerializedRecord {
 
     /// Appends [`SerializedRecord::render`]'s text to `out`.
     pub fn render_into(&self, out: &mut String) {
-        let mut first = true;
-        for (attr, value) in self.pairs.iter().filter(|(_, v)| !v.is_empty()) {
-            if !first {
-                out.push_str("; ");
-            }
-            first = false;
-            out.push_str(attr);
-            out.push_str(": ");
-            out.push_str(value);
-        }
+        render_pairs_into(
+            self.pairs.iter().map(|(a, v)| (a.as_str(), v.as_str())),
+            out,
+        );
     }
 
     /// Parses a `attr: value; attr: value` line.
@@ -65,16 +59,126 @@ impl SerializedRecord {
     /// Returns `None` when no pair can be extracted.
     pub fn parse(line: &str) -> Option<SerializedRecord> {
         let mut pairs = Vec::new();
-        for chunk in line.split("; ") {
-            let (attr, value) = chunk.split_once(':')?;
-            pairs.push((attr.trim().to_string(), value.trim().to_string()));
-        }
-        if pairs.is_empty() {
-            None
-        } else {
-            Some(SerializedRecord { pairs })
-        }
+        let read = read_pairs(line, |attr, value, _| {
+            pairs.push((attr.to_string(), value.to_string()));
+        });
+        read.then_some(SerializedRecord { pairs })
     }
+}
+
+/// Appends `attr: value; attr: value` for the pairs with a non-empty value.
+fn render_pairs_into<'a>(pairs: impl Iterator<Item = (&'a str, &'a str)>, out: &mut String) {
+    let mut first = true;
+    for (attr, value) in pairs.filter(|(_, v)| !v.is_empty()) {
+        if !first {
+            out.push_str("; ");
+        }
+        first = false;
+        out.push_str(attr);
+        out.push_str(": ");
+        out.push_str(value);
+    }
+}
+
+/// Reads `attr: value; attr: value` lines where they stand: the pairs
+/// [`SerializedRecord::parse`] would own, borrowed from the line and kept
+/// in storage that the next line reuses.
+///
+/// The grammar is [`SerializedRecord::parse`]'s (both read through one
+/// function): chunks split at `"; "`, each chunk split at its first `:`,
+/// both sides trimmed, and no record when a chunk has no `:`. A line whose
+/// every chunk already reads `attr: value` with nothing to trim and a
+/// non-empty value is its own [`SerializedRecord::render`], so
+/// [`RecordReader::rendered`] hands back the line itself and renders only
+/// the others.
+///
+/// ```
+/// use unidm_llm::protocol::{RecordReader, SerializedRecord};
+///
+/// let line = "city: Florence; country : Italy";
+/// let mut reader = RecordReader::default();
+/// assert!(reader.read(line));
+/// assert_eq!(reader.get("COUNTRY"), Some("Italy"));
+/// let mut scratch = String::new();
+/// let rendered = reader.rendered(&mut scratch);
+/// assert_eq!(rendered, SerializedRecord::parse(line).unwrap().render());
+/// assert!(!reader.read("no pairs here"));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct RecordReader<'a> {
+    line: &'a str,
+    pairs: Vec<(&'a str, &'a str)>,
+    canonical: bool,
+}
+
+impl<'a> RecordReader<'a> {
+    /// Reads `line`, in one pass, in place of the line read before; false
+    /// (and no pairs) exactly when [`SerializedRecord::parse`] is `None`.
+    pub fn read(&mut self, line: &'a str) -> bool {
+        self.line = line;
+        self.pairs.clear();
+        self.canonical = true;
+        let (pairs, canonical) = (&mut self.pairs, &mut self.canonical);
+        let read = read_pairs(line, |attr, value, verbatim| {
+            pairs.push((attr, value));
+            *canonical &= verbatim;
+        });
+        if !read {
+            self.pairs.clear();
+        }
+        read
+    }
+
+    /// The trimmed `(attribute, value)` pairs in order, blank values
+    /// included, as [`SerializedRecord::parse`] would hold them.
+    pub fn pairs(&self) -> &[(&'a str, &'a str)] {
+        &self.pairs
+    }
+
+    /// [`SerializedRecord::get`] over the line: the value of the first pair
+    /// whose attribute is `attr` (ASCII case-insensitively), if non-empty.
+    pub fn get(&self, attr: &str) -> Option<&'a str> {
+        let (_, value) = self
+            .pairs
+            .iter()
+            .find(|(a, _)| a.eq_ignore_ascii_case(attr))?;
+        Some(*value).filter(|v| !v.is_empty())
+    }
+
+    /// The line's [`SerializedRecord::render`]: the line itself when it is
+    /// canonical, else the render written into `scratch` (cleared first).
+    pub fn rendered<'s>(&self, scratch: &'s mut String) -> &'s str
+    where
+        'a: 's,
+    {
+        if self.canonical {
+            return self.line;
+        }
+        scratch.clear();
+        render_pairs_into(self.pairs.iter().copied(), scratch);
+        scratch
+    }
+}
+
+/// The record grammar: hands each trimmed `(attribute, value)` pair of
+/// `line` to `pair`, with whether the chunk was spelled as
+/// [`SerializedRecord::render`] spells it, and returns false at the first
+/// chunk without a `:` (the line is no record).
+fn read_pairs<'a>(line: &'a str, mut pair: impl FnMut(&'a str, &'a str, bool)) -> bool {
+    for chunk in line.split("; ") {
+        let Some((raw_attr, raw_value)) = chunk.split_once(':') else {
+            return false;
+        };
+        let (attr, value) = (raw_attr.trim(), raw_value.trim());
+        // `attr: value`, verbatim: nothing trimmed off the attribute,
+        // exactly one space before a value that is not blank.
+        let verbatim = !value.is_empty()
+            && attr.len() == raw_attr.len()
+            && raw_value.len() == value.len() + 1
+            && raw_value.starts_with(' ');
+        pair(attr, value, verbatim);
+    }
+    true
 }
 
 /// Clause templates, keyed by an attribute-name keyword. Order matters:
@@ -153,14 +257,27 @@ fn clause_for(attr: &str) -> Option<&'static str> {
 /// pair becomes a clause ("Florence belongs to the country Italy and is in
 /// the timezone Central European Time").
 pub fn naturalize_record(rec: &SerializedRecord) -> String {
-    let Some(subject) = rec.subject() else {
-        return String::new();
-    };
     let mut out = String::with_capacity(128);
+    naturalize_pairs_into(
+        rec.pairs.iter().map(|(a, v)| (a.as_str(), v.as_str())),
+        &mut out,
+    );
+    out
+}
+
+/// Appends [`naturalize_record`]'s sentence for the record made of `pairs`
+/// to `out` (nothing for a record without a non-empty value).
+pub(crate) fn naturalize_pairs_into<'a, I>(pairs: I, out: &mut String)
+where
+    I: Iterator<Item = (&'a str, &'a str)> + Clone,
+{
+    let Some(subject) = pairs.clone().map(|(_, v)| v).find(|v| !v.is_empty()) else {
+        return;
+    };
     out.push_str(subject);
     let mut subject_seen = false;
     let mut joiner = " ";
-    for (attr, value) in &rec.pairs {
+    for (attr, value) in pairs {
         if value.is_empty() {
             continue;
         }
@@ -181,7 +298,6 @@ pub fn naturalize_record(rec: &SerializedRecord) -> String {
         out.push_str(value);
     }
     out.push('.');
-    out
 }
 
 /// Where a naturalized sentence's subject ends: at the earliest

@@ -239,7 +239,7 @@ fn impute(
                             && facts.iter().any(|g| {
                                 g.subject == f.subject
                                     && attr_matches(&g.attr, "phone")
-                                    && area_code(&g.value).as_deref() == Some(code.as_str())
+                                    && area_code(&g.value) == Some(code)
                             })
                     }) {
                         return f.value.clone();
@@ -315,7 +315,7 @@ fn impute(
                 }
             }
             if let Some(code) = record.get("phone").and_then(area_code) {
-                if let Some(city) = kb.lookup(&code, Predicate::AreaCodeCity) {
+                if let Some(city) = kb.lookup(code, Predicate::AreaCodeCity) {
                     return city.to_string();
                 }
             }

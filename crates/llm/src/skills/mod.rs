@@ -51,9 +51,9 @@ pub(crate) fn street_base(addr: &str) -> String {
 }
 
 /// The leading area code of a phone number ("310/859-8744" → "310").
-pub(crate) fn area_code(phone: &str) -> Option<String> {
-    let code: String = phone.chars().take_while(|c| c.is_ascii_digit()).collect();
-    (code.len() >= 3).then_some(code)
+pub(crate) fn area_code(phone: &str) -> Option<&str> {
+    let digits = phone.bytes().take_while(u8::is_ascii_digit).count();
+    (digits >= 3).then(|| &phone[..digits])
 }
 
 #[cfg(test)]

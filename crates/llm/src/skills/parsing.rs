@@ -6,42 +6,56 @@
 //! costs them at answer time.
 
 use crate::profile::LlmProfile;
-use crate::protocol::{naturalize_record, PdpRequest, SerializedRecord};
+use crate::protocol::{naturalize_pairs_into, PdpPrompt, RecordReader};
 use crate::Dice;
 
 /// Answers `p_dp`: one natural sentence per record, newline separated.
-pub fn parse_context(req: &PdpRequest, profile: &LlmProfile, dice: &Dice) -> String {
-    let mut out = Vec::with_capacity(req.records.len());
-    for (i, rec) in req.records.iter().enumerate() {
-        let rendered = rec.render();
+///
+/// The reply is a function of the prompt's bytes only. Each record line is
+/// read where it stands ([`RecordReader`]) and its dice are drawn over its
+/// [`SerializedRecord::render`](crate::protocol::SerializedRecord::render):
+/// a line that is its own render is used in place, any other line is
+/// rendered once into a reused buffer.
+pub fn parse_context(prompt: &PdpPrompt<'_>, profile: &LlmProfile, dice: &Dice) -> String {
+    let mut out = String::new();
+    let mut rec = RecordReader::default();
+    let mut rendered = String::new();
+    let mut i = 0;
+    for line in prompt.lines() {
+        if !rec.read(line) {
+            continue;
+        }
+        let text = rec.rendered(&mut rendered);
         // A weak model sometimes drops a clause while rewriting.
-        let keep_all = dice.chance(
-            &format!("{rendered}#{i}"),
-            "pdp-complete",
-            profile.effective_instruction(),
-        );
-        let rec = if keep_all || rec.pairs.len() <= 2 {
-            rec.clone()
+        let keep_all = dice
+            .context_args(format_args!("{text}#{i}"))
+            .chance("pdp-complete", profile.effective_instruction());
+        let pairs = rec.pairs();
+        let drop = if keep_all || pairs.len() <= 2 {
+            None
         } else {
-            let drop = dice.pick(&rendered, "pdp-drop", rec.pairs.len() - 1) + 1;
-            SerializedRecord::new(
-                rec.pairs
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != drop)
-                    .map(|(_, p)| p.clone())
-                    .collect(),
-            )
+            Some(dice.pick(text, "pdp-drop", pairs.len() - 1) + 1)
         };
-        out.push(naturalize_record(&rec));
+        if i > 0 {
+            out.push('\n');
+        }
+        let kept = pairs.iter().enumerate().filter(|&(j, _)| Some(j) != drop);
+        naturalize_pairs_into(kept.map(|(_, &pair)| pair), &mut out);
+        i += 1;
     }
-    out.join("\n")
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::parse_natural_sentence;
+    use crate::protocol::{parse_natural_sentence, render_pdp, SerializedRecord};
+
+    /// The skill's answer to the `p_dp` prompt over `records`.
+    fn answer(records: &[SerializedRecord], profile: &LlmProfile, dice: &Dice) -> String {
+        let prompt = render_pdp(records);
+        parse_context(&PdpPrompt::read(&prompt).unwrap(), profile, dice)
+    }
 
     fn record() -> SerializedRecord {
         SerializedRecord::new(vec![
@@ -53,10 +67,8 @@ mod tests {
 
     #[test]
     fn strong_model_keeps_all_clauses() {
-        let req = PdpRequest {
-            records: vec![record()],
-        };
-        let out = parse_context(&req, &LlmProfile::gpt4_turbo(), &Dice::new(1));
+        let req = vec![record()];
+        let out = answer(&req, &LlmProfile::gpt4_turbo(), &Dice::new(1));
         let back = parse_natural_sentence(&out).unwrap();
         assert_eq!(back.get("country"), Some("Italy"));
         assert_eq!(back.get("timezone"), Some("Central European Time"));
@@ -64,10 +76,8 @@ mod tests {
 
     #[test]
     fn one_sentence_per_record() {
-        let req = PdpRequest {
-            records: vec![record(), record(), record()],
-        };
-        let out = parse_context(&req, &LlmProfile::gpt3_175b(), &Dice::new(1));
+        let req = vec![record(), record(), record()];
+        let out = answer(&req, &LlmProfile::gpt3_175b(), &Dice::new(1));
         assert_eq!(out.lines().count(), 3);
     }
 
@@ -78,8 +88,8 @@ mod tests {
         for i in 0..50 {
             let mut rec = record();
             rec.pairs[0].1 = format!("City{i}");
-            let req = PdpRequest { records: vec![rec] };
-            let out = parse_context(&req, &profile, &Dice::new(9));
+            let req = vec![rec];
+            let out = answer(&req, &profile, &Dice::new(9));
             let back = parse_natural_sentence(&out).unwrap();
             if back.pairs.len() < 3 {
                 dropped += 1;
@@ -90,11 +100,9 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let req = PdpRequest {
-            records: vec![record()],
-        };
-        let a = parse_context(&req, &LlmProfile::gpt3_175b(), &Dice::new(4));
-        let b = parse_context(&req, &LlmProfile::gpt3_175b(), &Dice::new(4));
+        let req = vec![record()];
+        let a = answer(&req, &LlmProfile::gpt3_175b(), &Dice::new(4));
+        let b = answer(&req, &LlmProfile::gpt3_175b(), &Dice::new(4));
         assert_eq!(a, b);
     }
 }

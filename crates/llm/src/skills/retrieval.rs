@@ -1,13 +1,14 @@
 //! Retrieval skills: answering `p_rm` (attribute selection) and `p_ri`
 //! (instance relevance scoring).
 
-use unidm_text::distance::WordSet;
+use unidm_text::distance::{WordScratch, WordSet};
+use unidm_text::format::push_decimal;
 use unidm_text::Embedder;
 
 use super::{area_code, street_base};
 use crate::kb::KnowledgeBase;
 use crate::profile::LlmProfile;
-use crate::protocol::{PriRequest, PrmRequest, SerializedRecord, TaskKind};
+use crate::protocol::{PriPrompt, PrmRequest, RecordReader, TaskKind};
 use crate::Dice;
 
 /// Attribute pairs a pretrained model "knows" to be semantically linked —
@@ -113,31 +114,53 @@ pub fn select_attributes(
 /// Relevance is lexical-semantic similarity between the instance and the
 /// query — what an LLM actually computes when asked this — with per-instance
 /// capability noise.
+///
+/// The reply is a function of the prompt's bytes only. Each candidate line
+/// is read where it stands ([`RecordReader`]) and scored on its
+/// [`SerializedRecord::render`](crate::protocol::SerializedRecord::render):
+/// a line that is its own render is scored in place, any other line is
+/// rendered once into a reused buffer, so an oddly spelled line scores as
+/// its canonical spelling does. Nothing about the query is recomputed per
+/// candidate, and a candidate costs no allocation once the buffers are
+/// warm.
 pub fn score_instances(
-    req: &PriRequest,
+    prompt: &PriPrompt<'_>,
     profile: &LlmProfile,
     dice: &Dice,
     _kb: &KnowledgeBase,
 ) -> String {
+    let mut query = RecordReader::default();
+    let query = query.read(prompt.query).then_some(query);
     // The attribute the query marks as missing ("city: ?"): an instance
     // that lacks it cannot demonstrate anything, however similar it looks.
-    let query_rec = SerializedRecord::parse(&req.query);
-    let missing_attr: Option<&str> = query_rec
-        .as_ref()
-        .and_then(|r| r.pairs.iter().find(|(_, v)| v == "?"))
-        .map(|(a, _)| a.as_str());
-    let query_words = WordSet::new(&req.query);
-    let rendered: Vec<String> = req.instances.iter().map(|inst| inst.render()).collect();
-    let mut sims: Vec<f64> = Vec::with_capacity(req.instances.len());
-    for (inst, text) in req.instances.iter().zip(&rendered) {
-        let mut sim = query_words.jaccard(&WordSet::new(text));
+    let missing_attr = (query.iter())
+        .find_map(|q| q.pairs().iter().find(|&&(_, v)| v == "?"))
+        .map(|&(a, _)| a);
+    let links: Vec<Link<'_>> = match &query {
+        Some(q) if matches!(prompt.task, TaskKind::Imputation | TaskKind::ErrorDetection) => q
+            .pairs()
+            .iter()
+            .filter_map(|&pair| Link::of(pair))
+            .collect(),
+        _ => Vec::new(),
+    };
+    let query_words = WordSet::new(prompt.query);
+    let mut inst = RecordReader::default();
+    let mut words = WordScratch::default();
+    let mut rendered = String::new();
+    // (similarity, noise draw) per candidate: the draw does not depend on
+    // the other candidates, so one pass over the lines takes both.
+    let mut scored: Vec<(f64, f64)> = Vec::new();
+    for line in prompt.lines() {
+        if !inst.read(line) {
+            continue;
+        }
+        let text = inst.rendered(&mut rendered);
+        let mut sim = query_words.jaccard_text(text, &mut words);
         // Semantic bonus: instances sharing a KB-linked value with the query
         // (e.g. same street, same brand) are more relevant than raw token
         // overlap suggests.
-        if query_rec
-            .as_ref()
-            .is_some_and(|q| shares_linked_value(q, inst, req.task))
-        {
+        if links.iter().any(|link| link.holds(&inst)) {
             sim = (sim + 0.6).min(1.0);
         }
         if let Some(attr) = missing_attr {
@@ -145,62 +168,123 @@ pub fn score_instances(
                 sim *= 0.15;
             }
         }
-        sims.push(sim);
+        let i = scored.len();
+        let draw = dice
+            .context_args(format_args!("{text}#{i}"))
+            .uniform("pri-noise");
+        scored.push((sim, draw));
     }
     // Relevance is judged relative to the best candidate, like a model
     // ranking instances against each other rather than on an absolute scale.
-    let max_sim = sims.iter().copied().fold(0.0f64, f64::max).max(1e-9);
-    let mut out: Vec<String> = Vec::with_capacity(req.instances.len());
-    for (i, (text, sim)) in rendered.iter().zip(&sims).enumerate() {
+    let max_sim = scored
+        .iter()
+        .map(|&(sim, _)| sim)
+        .fold(0.0f64, f64::max)
+        .max(1e-9);
+    let noise_span = (1.0 - profile.effective_instruction()) * 1.5;
+    let mut out = String::with_capacity(scored.len() * 6);
+    for (i, &(sim, draw)) in scored.iter().enumerate() {
         let rel = sim / max_sim;
-        let noise_span = (1.0 - profile.effective_instruction()) * 1.5;
-        let noisy = rel + noise_span * (dice.uniform(&format!("{text}#{i}"), "pri-noise") - 0.5);
+        let noisy = rel + noise_span * (draw - 0.5);
         let score = (noisy * 3.4).floor().clamp(0.0, 3.0) as u8;
-        out.push(format!("{}:{}", i + 1, score));
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_decimal(&mut out, i + 1);
+        out.push(':');
+        push_decimal(&mut out, usize::from(score));
     }
-    out.join(", ")
+    out
 }
 
-/// True when the instance and the query share a discriminative linked value
-/// — same street, same phone area code, same leading brand token, or (for
-/// error detection) the same exact attribute value. Venue-type words like
-/// "Cafe" are deliberately not enough: relevance is judged per attribute,
-/// the way a model reading both records attribute-by-attribute would.
-fn shares_linked_value(query: &SerializedRecord, inst: &SerializedRecord, task: TaskKind) -> bool {
-    if task != TaskKind::Imputation && task != TaskKind::ErrorDetection {
-        return false;
-    }
-    for (attr, qv) in &query.pairs {
-        if qv.is_empty() || qv == "?" {
-            continue;
+/// A discriminative value of the query that an instance can share — same
+/// street, same phone area code, same leading brand token — read off the
+/// query once per prompt. Venue-type words like "Cafe" are deliberately
+/// not enough: relevance is judged per attribute, the way a model reading
+/// both records attribute-by-attribute would. Only imputation and error
+/// detection queries have links.
+enum Link<'a> {
+    /// An address attribute and the query's street ([`street_base`]).
+    Street(&'a str, String),
+    /// A phone attribute and the query's area code.
+    AreaCode(&'a str, &'a str),
+    /// A name or title attribute and the query's leading token (3+ bytes).
+    Brand(&'a str, &'a str),
+}
+
+impl<'a> Link<'a> {
+    /// The link a query pair offers, if any instance could ever share it.
+    fn of((attr, value): (&'a str, &'a str)) -> Option<Self> {
+        if value.is_empty() || value == "?" {
+            return None;
         }
-        let Some(iv) = inst.get(attr) else { continue };
         let a = attr.to_lowercase();
-        let matched = if a.contains("addr") || a.contains("address") {
-            let base = street_base(qv);
-            !base.is_empty() && street_base(iv) == base
+        if a.contains("addr") || a.contains("address") {
+            let base = street_base(value);
+            (!base.is_empty()).then_some(Link::Street(attr, base))
         } else if a.contains("phone") {
-            area_code(qv).is_some() && area_code(qv) == area_code(iv)
+            area_code(value).map(|code| Link::AreaCode(attr, code))
         } else if a.contains("name") || a.contains("title") {
             // Shared leading brand/venue token, if it is not the last word
             // (avoids matching on generic suffixes).
-            let qb = qv.split_whitespace().next().unwrap_or("");
-            let ib = iv.split_whitespace().next().unwrap_or("");
-            qb.len() >= 3 && qb.eq_ignore_ascii_case(ib)
+            let brand = value.split_whitespace().next().unwrap_or("");
+            (brand.len() >= 3).then_some(Link::Brand(attr, brand))
         } else {
-            false
-        };
-        if matched {
-            return true;
+            None
         }
     }
-    false
+
+    /// True when `inst` has a non-empty value for the link's attribute and
+    /// it shares the link's value.
+    fn holds(&self, inst: &RecordReader<'_>) -> bool {
+        match *self {
+            Link::Street(attr, ref base) => inst.get(attr).is_some_and(|v| street_is(v, base)),
+            Link::AreaCode(attr, code) => {
+                inst.get(attr).is_some_and(|v| area_code(v) == Some(code))
+            }
+            Link::Brand(attr, brand) => inst.get(attr).is_some_and(|v| {
+                brand.eq_ignore_ascii_case(v.split_whitespace().next().unwrap_or(""))
+            }),
+        }
+    }
+}
+
+/// `street_base(addr) == base`, compared word by word without building
+/// `addr`'s street when `addr` is ASCII.
+fn street_is(addr: &str, base: &str) -> bool {
+    if !addr.is_ascii() {
+        return street_base(addr) == base;
+    }
+    let mut rest = base.as_bytes();
+    let words = addr
+        .split_whitespace()
+        .skip_while(|w| w.bytes().all(|b| b.is_ascii_digit()));
+    for (i, word) in words.enumerate() {
+        if i > 0 {
+            let [b' ', after @ ..] = rest else {
+                return false;
+            };
+            rest = after;
+        }
+        let Some((head, after)) = rest.split_at_checked(word.len()) else {
+            return false;
+        };
+        if !head
+            .iter()
+            .zip(word.bytes())
+            .all(|(&h, w)| h == w.to_ascii_lowercase())
+        {
+            return false;
+        }
+        rest = after;
+    }
+    rest.is_empty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::SerializedRecord;
+    use crate::protocol::{render_pri, SerializedRecord};
     use unidm_world::World;
 
     fn setup() -> (LlmProfile, Dice, KnowledgeBase) {
@@ -263,12 +347,12 @@ mod tests {
             ("name".into(), "Tofu Palace".into()),
             ("addr".into(), "99 Elm St".into()),
         ]);
-        let req = PriRequest {
-            task: TaskKind::Imputation,
-            query: "Border Grill, 100 Pico Blvd, city".into(),
-            instances: vec![relevant, irrelevant],
-        };
-        let out = score_instances(&req, &p, &d, &kb);
+        let prompt = render_pri(
+            TaskKind::Imputation,
+            "Border Grill, 100 Pico Blvd, city",
+            &[relevant, irrelevant],
+        );
+        let out = score_instances(&PriPrompt::read(&prompt).unwrap(), &p, &d, &kb);
         let scores = crate::protocol::parse_pri_response(&out);
         assert_eq!(scores.len(), 2);
         assert!(scores[0].1 >= scores[1].1, "{out}");
@@ -277,12 +361,9 @@ mod tests {
     #[test]
     fn score_output_parseable() {
         let (p, d, kb) = setup();
-        let req = PriRequest {
-            task: TaskKind::Imputation,
-            query: "x, y".into(),
-            instances: vec![SerializedRecord::new(vec![("a".into(), "b".into())]); 5],
-        };
-        let out = score_instances(&req, &p, &d, &kb);
+        let instances = vec![SerializedRecord::new(vec![("a".into(), "b".into())]); 5];
+        let prompt = render_pri(TaskKind::Imputation, "x, y", &instances);
+        let out = score_instances(&PriPrompt::read(&prompt).unwrap(), &p, &d, &kb);
         assert_eq!(crate::protocol::parse_pri_response(&out).len(), 5);
     }
 }

@@ -8,18 +8,22 @@
 //! [`WordSet`]: the distinct lowercase [`words`](crate::tokenize::words) of a
 //! text, sorted once, so that a pair costs one merge. A caller comparing one
 //! fixed text against many builds its `WordSet` once and calls
-//! [`WordSet::jaccard`] / [`WordSet::overlap`] directly.
+//! [`WordSet::jaccard`] / [`WordSet::overlap`] directly, or
+//! [`WordSet::jaccard_text`] with one [`WordScratch`] to build no set for the
+//! other side at all.
 
 use std::cmp::Ordering;
 use std::ops::Range;
 
 use crate::tokenize::{char_ngrams, raw_words};
 
-/// The distinct lowercase words of a text, sorted by their bytes.
+/// The distinct lowercase words of a text, ordered by key and then by
+/// bytes.
 ///
 /// A word is what [`words`](crate::tokenize::words) yields. The words live
-/// back to back in one buffer beside a list of their spans, not in one
-/// `String` each.
+/// back to back in one buffer beside a list of their keys and spans, not in
+/// one `String` each. A word's key packs its first eight bytes and its
+/// length, so most comparisons between words end at the key.
 ///
 /// # Examples
 ///
@@ -33,52 +37,47 @@ use crate::tokenize::{char_ngrams, raw_words};
 /// ```
 #[derive(Debug, Clone)]
 pub struct WordSet {
-    buf: String,
-    spans: Vec<Range<usize>>,
+    buf: Vec<u8>,
+    words: Vec<(u64, Range<usize>)>,
 }
 
 impl WordSet {
     /// Tokenizes `text` and keeps each distinct lowercase word once.
     pub fn new(text: &str) -> Self {
-        let mut buf = String::with_capacity(text.len());
-        let mut spans = Vec::new();
+        let mut buf = Vec::with_capacity(text.len());
+        let mut words = Vec::new();
         for raw in raw_words(text) {
             let start = buf.len();
-            if raw.is_ascii() {
-                buf.push_str(raw);
-                buf[start..].make_ascii_lowercase();
-            } else {
-                buf.extend(raw.chars().flat_map(char::to_lowercase));
-            }
-            spans.push(start..buf.len());
+            push_lowercase(&mut buf, raw);
+            words.push((word_key(&buf[start..]), start..buf.len()));
         }
-        // `str` orders by its bytes, so byte slices sort the same and skip
-        // the char-boundary checks.
-        let bytes = buf.as_bytes();
-        spans.sort_unstable_by(|x, y| bytes[x.clone()].cmp(&bytes[y.clone()]));
-        spans.dedup_by(|x, y| bytes[x.clone()] == bytes[y.clone()]);
-        WordSet { buf, spans }
+        let word = |(key, span): &(u64, Range<usize>)| (*key, &buf[span.clone()]);
+        words.sort_unstable_by(|x, y| word(x).cmp(&word(y)));
+        words.dedup_by(|x, y| word(x) == word(y));
+        WordSet { buf, words }
     }
 
     /// Number of distinct words.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.words.len()
     }
 
     /// True for a text with no words at all.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.words.is_empty()
     }
 
-    fn word(&self, i: usize) -> &[u8] {
-        &self.buf.as_bytes()[self.spans[i].clone()]
+    /// The `i`-th word and its key, in the set's order.
+    fn word(&self, i: usize) -> (u64, &[u8]) {
+        let (key, span) = &self.words[i];
+        (*key, &self.buf[span.clone()])
     }
 
     /// `|self ∩ other|`, counted in one merge of the two sorted lists.
     fn intersection_len(&self, other: &WordSet) -> usize {
         let (mut i, mut j, mut n) = (0, 0, 0);
         while i < self.len() && j < other.len() {
-            match self.word(i).cmp(other.word(j)) {
+            match self.word(i).cmp(&other.word(j)) {
                 Ordering::Less => i += 1,
                 Ordering::Greater => j += 1,
                 Ordering::Equal => {
@@ -89,6 +88,64 @@ impl WordSet {
             }
         }
         n
+    }
+
+    /// `self.jaccard(&WordSet::new(text))` to the bit, without building
+    /// `text`'s set: `scratch` holds a hash table over `self`'s words, and
+    /// each word of `text`, lowercased into `scratch`, is looked up there
+    /// and added if new, so each distinct word is counted once and a word
+    /// of `self` is recognized with one probe. An ASCII `text` is split by
+    /// bytes; any other goes through the rule of
+    /// [`words`](crate::tokenize::words). `scratch` keeps its buffers, so a
+    /// warm call allocates nothing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use unidm_text::distance::{WordScratch, WordSet};
+    /// let query = WordSet::new("Red, blue; RED");
+    /// let mut scratch = WordScratch::default();
+    /// let j = query.jaccard_text("blue green BLUE", &mut scratch);
+    /// assert_eq!(j, query.jaccard(&WordSet::new("blue green BLUE")));
+    /// ```
+    pub fn jaccard_text(&self, text: &str, scratch: &mut WordScratch) -> f64 {
+        scratch.start(self, text.len());
+        let (mut distinct, mut inter) = (0, 0);
+        let mut note = |scratch: &mut WordScratch, start| match scratch.note(self, start) {
+            Noted::Again => {}
+            Noted::New => distinct += 1,
+            Noted::InSet => {
+                distinct += 1;
+                inter += 1;
+            }
+        };
+        if text.is_ascii() {
+            let bytes = text.as_bytes();
+            let mut at = 0;
+            while at < bytes.len() {
+                if !bytes[at].is_ascii_alphanumeric() {
+                    at += 1;
+                    continue;
+                }
+                let start = scratch.buf.len();
+                while let Some(&b) = bytes.get(at).filter(|b| b.is_ascii_alphanumeric()) {
+                    scratch.buf.push(b.to_ascii_lowercase());
+                    at += 1;
+                }
+                note(scratch, start);
+            }
+        } else {
+            for raw in raw_words(text) {
+                let start = scratch.buf.len();
+                push_lowercase(&mut scratch.buf, raw);
+                note(scratch, start);
+            }
+        }
+        if self.is_empty() && distinct == 0 {
+            return 1.0;
+        }
+        let union = self.len() + distinct - inter;
+        inter as f64 / union as f64
     }
 
     /// Jaccard similarity `|A ∩ B| / |A ∪ B|`; two empty sets have `1.0`.
@@ -107,6 +164,117 @@ impl WordSet {
             return 0.0;
         }
         self.intersection_len(other) as f64 / self.len().min(other.len()) as f64
+    }
+}
+
+/// The reusable buffers of [`WordSet::jaccard_text`]: one text's distinct
+/// lowercase words, back to back, and a hash table over them and the
+/// set's words.
+#[derive(Debug, Clone, Default)]
+pub struct WordScratch {
+    /// The text's distinct words so far, lowercase, back to back.
+    buf: Vec<u8>,
+    /// The set's words, then the text's: key, span (in the set's buffer or
+    /// in `buf`, by origin) and origin.
+    words: Vec<(u64, Range<usize>, Origin)>,
+    /// Linear-probing table over `words`: an index plus one, 0 when empty.
+    slots: Vec<u32>,
+}
+
+/// Where a [`WordScratch`] word came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// A word of the set the text has not had yet.
+    Set,
+    /// A word of the set the text has had.
+    SetSeen,
+    /// A word of the text only.
+    Text,
+}
+
+/// What [`WordScratch::note`] made of a word.
+enum Noted {
+    /// The text had the word before.
+    Again,
+    /// The text's first time with a word the set lacks.
+    New,
+    /// The text's first time with a word of the set.
+    InSet,
+}
+
+impl WordScratch {
+    /// Empties the scratch for a text of `text_len` bytes and tables
+    /// `set`'s words, sized so the table stays at most half full.
+    fn start(&mut self, set: &WordSet, text_len: usize) {
+        self.buf.clear();
+        self.words.clear();
+        // A text word is at least a byte and a separator long.
+        let most = set.len() + text_len / 2 + 1;
+        self.slots.clear();
+        self.slots.resize((2 * most).next_power_of_two().max(16), 0);
+        for (key, span) in &set.words {
+            let mut slot = self.home(*key);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & (self.slots.len() - 1);
+            }
+            self.words.push((*key, span.clone(), Origin::Set));
+            self.slots[slot] = self.words.len() as u32;
+        }
+    }
+
+    /// The slot a key's probe starts at.
+    fn home(&self, key: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize
+    }
+
+    /// Looks up the word just appended at `buf[start..]`: kept and tabled
+    /// if the text had not had it, dropped from `buf` if it had.
+    fn note(&mut self, set: &WordSet, start: usize) -> Noted {
+        let key = word_key(&self.buf[start..]);
+        let mut slot = self.home(key);
+        loop {
+            let Some(index) = self.slots[slot].checked_sub(1) else {
+                self.words.push((key, start..self.buf.len(), Origin::Text));
+                self.slots[slot] = self.words.len() as u32;
+                return Noted::New;
+            };
+            let (k, span, origin) = &mut self.words[index as usize];
+            let held = match origin {
+                Origin::Text => &self.buf,
+                Origin::Set | Origin::SetSeen => &set.buf,
+            };
+            if *k == key && held[span.clone()] == self.buf[start..] {
+                self.buf.truncate(start);
+                return match origin {
+                    Origin::Set => {
+                        *origin = Origin::SetSeen;
+                        Noted::InSet
+                    }
+                    Origin::SetSeen | Origin::Text => Noted::Again,
+                };
+            }
+            slot = (slot + 1) & (self.slots.len() - 1);
+        }
+    }
+}
+
+/// A word's key: its first eight bytes and its length, packed. Equal words
+/// have equal keys, and unequal short words almost never share one.
+fn word_key(word: &[u8]) -> u64 {
+    let head = (word.iter().take(8)).fold(0u64, |key, &b| key << 8 | u64::from(b));
+    head ^ (word.len() as u64).rotate_right(8)
+}
+
+/// Appends `raw`, lowercased as [`words`](crate::tokenize::words) does, to
+/// `buf`.
+fn push_lowercase(buf: &mut Vec<u8>, raw: &str) {
+    if raw.is_ascii() {
+        buf.extend(raw.bytes().map(|b| b.to_ascii_lowercase()));
+    } else {
+        for ch in raw.chars().flat_map(char::to_lowercase) {
+            buf.extend_from_slice(ch.encode_utf8(&mut [0; 4]).as_bytes());
+        }
     }
 }
 
@@ -344,17 +512,32 @@ mod tests {
         ];
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let seeded = (0..10_000).map(|_| (random_text(&mut state), random_text(&mut state)));
+        // A long text against a short one and against itself, repeats
+        // included: far more distinct words than one set of either holds.
+        let long: String = (0..600)
+            .map(|i| format!("w{} W{} ", i % 400, i % 7))
+            .collect();
         let pairs = fixed
             .iter()
             .map(|&(a, b)| (a.to_string(), b.to_string()))
+            .chain([
+                ("w3 w399 x".to_string(), long.clone()),
+                (long.clone(), long),
+            ])
             .chain(seeded);
         let mut nonzero = 0;
+        let mut scratch = WordScratch::default();
         for (a, b) in pairs {
             let (j, o) = (jaccard(&a, &b), overlap_coefficient(&a, &b));
             assert_eq!(
                 j.to_bits(),
                 jaccard_oracle(&a, &b).to_bits(),
                 "{a:?} ~ {b:?}"
+            );
+            assert_eq!(
+                WordSet::new(&a).jaccard_text(&b, &mut scratch).to_bits(),
+                j.to_bits(),
+                "{a:?} ~ {b:?}, scratch"
             );
             assert_eq!(
                 o.to_bits(),

@@ -80,14 +80,31 @@ const SUBWORD_CHARS: usize = 4;
 pub fn count_tokens(text: &str) -> usize {
     // One streaming pass over what [`lex`] would split: a word costs one
     // token per started chunk when it ends, punctuation costs one where it
-    // stands, whitespace only ends the word. Nothing is allocated.
+    // stands, whitespace only ends the word. Nothing is allocated. An ASCII
+    // byte is classified in place, as `char::is_alphanumeric` and
+    // `char::is_whitespace` would (whose whitespace includes VT, `0x0b`,
+    // which `u8::is_ascii_whitespace` does not); any other byte starts a
+    // character that is decoded and asked.
+    let bytes = text.as_bytes();
     let mut tokens = 0usize;
     let mut word = 0usize;
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
+    let mut at = 0;
+    while let Some(&byte) = bytes.get(at) {
+        let (alphanumeric, whitespace) = if byte.is_ascii() {
+            at += 1;
+            (
+                byte.is_ascii_alphanumeric(),
+                matches!(byte, b'\t'..=b'\r' | b' '),
+            )
+        } else {
+            let ch = text[at..].chars().next().expect("a char starts here");
+            at += ch.len_utf8();
+            (ch.is_alphanumeric(), ch.is_whitespace())
+        };
+        if alphanumeric {
             word += 1;
         } else {
-            tokens += word.div_ceil(SUBWORD_CHARS) + usize::from(!ch.is_whitespace());
+            tokens += word.div_ceil(SUBWORD_CHARS) + usize::from(!whitespace);
             word = 0;
         }
     }
@@ -165,6 +182,81 @@ mod tests {
         let joined = format!("{a}{b}");
         assert!(count_tokens(&joined) >= count_tokens(a));
         assert!(count_tokens(&joined) >= count_tokens(b));
+    }
+
+    /// `count_tokens` as [`lex`] defines it: one token per started
+    /// four-character chunk of a word, one per punctuation character.
+    fn count_tokens_oracle(text: &str) -> usize {
+        lex(text)
+            .iter()
+            .map(|token| {
+                let chars = token.chars().count();
+                if token.chars().all(char::is_alphanumeric) {
+                    chars.div_ceil(SUBWORD_CHARS)
+                } else {
+                    chars
+                }
+            })
+            .sum()
+    }
+
+    #[test]
+    fn count_tokens_byte_loop_matches_lex_on_every_ascii_byte() {
+        // Every ASCII byte alone, after a word and between two words, and
+        // the non-ASCII blanks and letters next to the ASCII rules: NEL
+        // (U+0085), NBSP (U+00A0), LINE SEPARATOR (U+2028), a Greek and a
+        // Han letter and a combining accent.
+        let specials = [
+            "\u{85}", "\u{a0}", "\u{2028}", "\u{3a3}", "\u{4e2d}", "e\u{301}",
+        ];
+        let mut fixed: Vec<String> = (0u8..0x80)
+            .map(char::from)
+            .flat_map(|ch| {
+                [
+                    format!("{ch}"),
+                    format!("abcde{ch}"),
+                    format!("ab{ch}cdefghi"),
+                ]
+            })
+            .collect();
+        fixed.extend(
+            specials
+                .iter()
+                .flat_map(|s| [s.to_string(), format!("word{s}word")]),
+        );
+        // Seeded strings over the same alphabet: ASCII bytes weighted
+        // towards letters, digits and the blanks, plus the specials.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let seeded = (0..20_000).map(|_| {
+            let len = next() % 24;
+            let mut text = String::new();
+            for _ in 0..len {
+                match next() % 8 {
+                    0 => text.push_str(specials[(next() % specials.len() as u64) as usize]),
+                    1 => text.push(char::from(
+                        b"\t\n\x0b\x0c\r \x1c\x1f"[(next() % 8) as usize],
+                    )),
+                    2 | 3 => text.push(char::from((next() % 0x80) as u8)),
+                    _ => text.push(char::from(b"aZ09xQ"[(next() % 6) as usize])),
+                }
+            }
+            text
+        });
+        let mut counted = 0;
+        for text in fixed.into_iter().chain(seeded) {
+            assert_eq!(count_tokens(&text), count_tokens_oracle(&text), "{text:?}");
+            counted += usize::from(count_tokens(&text) > 0);
+        }
+        assert!(counted > 15_000, "{counted}");
+        // VT is whitespace to `char` but not to `u8::is_ascii_whitespace`.
+        assert_eq!(count_tokens("a\x0bb"), 2);
+        assert_eq!(count_tokens("a\x1cb"), 3);
     }
 
     #[test]
