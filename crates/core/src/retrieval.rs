@@ -272,23 +272,17 @@ pub(crate) fn pri_prompt<R: Borrow<FrameRow>>(
 /// takes no place in the ranking.
 pub(crate) fn read_pri(config: &PipelineConfig, reply: &str, shown: usize) -> Vec<usize> {
     let mut scores = parse_pri_response(reply);
-    // A bit per shown position: on the stack for up to 256 candidates, so
-    // the common reply costs no allocation.
-    let (mut stack, mut heap) = ([0u64; 4], Vec::new());
-    let named: &mut [u64] = if shown <= 256 {
-        &mut stack
-    } else {
-        heap.resize(shown.div_ceil(64), 0);
-        &mut heap
-    };
-    scores.retain(|&(i, _)| {
-        let (word, bit) = (i / 64, 1u64 << (i % 64));
-        let first = i < shown && named[word] & bit == 0;
-        if first {
-            named[word] |= bit;
+    // Compact in place: an entry stays when its position is shown and no
+    // kept entry names it yet.
+    let mut kept = 0;
+    for j in 0..scores.len() {
+        let i = scores[j].0;
+        if i < shown && !scores[..kept].iter().any(|s| s.0 == i) {
+            scores[kept] = scores[j];
+            kept += 1;
         }
-        first
-    });
+    }
+    scores.truncate(kept);
     // Best score first, earliest candidate first among equals. Equal keys
     // are equal entries, so selecting the top k and sorting those alone is
     // the head of the whole list sorted.
@@ -459,7 +453,7 @@ mod tests {
     /// error-detection run, by class: `p_rm`, `p_ri`, `p_dp`, `p_cq`,
     /// answer. Captured once for the five mutant tests.
     fn prompts_by_class() -> &'static [Vec<String>; 5] {
-        use unidm_llm::protocol::{parse_pcq, parse_pdp, parse_pri, parse_prm};
+        use unidm_llm::protocol::{parse_pcq, parse_prm, PdpPrompt, PriPrompt};
         use unidm_synthdata::errors;
         use unidm_tablestore::DataLake;
 
@@ -493,9 +487,9 @@ mod tests {
             for prompt in capture.prompts.into_inner().unwrap() {
                 let class = if parse_prm(&prompt).is_some() {
                     0
-                } else if parse_pri(&prompt).is_some() {
+                } else if PriPrompt::read(&prompt).is_some() {
                     1
-                } else if parse_pdp(&prompt).is_some() {
+                } else if PdpPrompt::read(&prompt).is_some() {
                     2
                 } else if parse_pcq(&prompt).is_some() {
                     3

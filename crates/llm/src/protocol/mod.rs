@@ -9,14 +9,14 @@
 //!
 //! The simulated model reads `p_ri` and `p_dp` through [`PriPrompt`] and
 //! [`PdpPrompt`], whose record lines a [`RecordReader`] reads where they
-//! stand in the prompt instead of building owned records; [`parse_pri`]
-//! and [`parse_pdp`] are the same readers with the pairs copied out.
+//! stand in the prompt instead of building owned records; a caller that
+//! wants owned records maps the lines through [`SerializedRecord::parse`].
 //!
 //! | Paper object | Renderer | Parser |
 //! |---|---|---|
 //! | `p_rm` (meta-wise retrieval) | [`render_prm`] | [`parse_prm`] |
-//! | `p_ri` (instance-wise retrieval) | [`render_pri`] | [`parse_pri`], [`PriPrompt`] |
-//! | `p_dp` (context data parsing) | [`render_pdp`] | [`parse_pdp`], [`PdpPrompt`] |
+//! | `p_ri` (instance-wise retrieval) | [`render_pri`] | [`PriPrompt`] |
+//! | `p_dp` (context data parsing) | [`render_pdp`] | [`PdpPrompt`] |
 //! | `p_cq` (cloze-question generation) | [`render_pcq`] | [`parse_pcq`] |
 //! | cloze questions / `p_as` | [`render_cloze`] | [`parse_answer_request`] |
 //! | FM-style prompts | [`render_fm_imputation`] and friends | [`parse_fm`] |
@@ -35,9 +35,8 @@ pub use fm::{
     render_fm_transformation,
 };
 pub use prompts::{
-    parse_pcq, parse_pdp, parse_pri, parse_pri_response, parse_prm, render_pcq, render_pdp,
-    render_pdp_lines, render_pri, render_pri_lines, render_prm, Claim, PdpPrompt, PdpRequest,
-    PriPrompt, PriRequest, PrmRequest,
+    parse_pcq, parse_pri_response, parse_prm, render_pcq, render_pdp, render_pdp_lines, render_pri,
+    render_pri_lines, render_prm, Claim, PdpPrompt, PriPrompt, PrmRequest,
 };
 pub(crate) use record::naturalize_pairs_into;
 pub use record::{naturalize_record, parse_natural_sentence, RecordReader, SerializedRecord};

@@ -50,17 +50,6 @@ pub fn parse_prm(prompt: &str) -> Option<PrmRequest> {
     })
 }
 
-/// A parsed instance-wise retrieval request (`p_ri`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PriRequest {
-    /// The task.
-    pub task: TaskKind,
-    /// The target query.
-    pub query: String,
-    /// The candidate instances, projected on the task-relevant attributes.
-    pub instances: Vec<SerializedRecord>,
-}
-
 /// Renders `p_ri` (paper §4.2): the relevance-scoring prompt over numbered
 /// candidate instances.
 pub fn render_pri(task: TaskKind, query: &str, instances: &[SerializedRecord]) -> String {
@@ -119,7 +108,8 @@ pub struct PriPrompt<'a> {
 }
 
 impl<'a> PriPrompt<'a> {
-    /// Reads a `p_ri` prompt; `None` exactly when [`parse_pri`] is.
+    /// Reads a `p_ri` prompt: `None` unless it asks to score relevance
+    /// and names a known task and a bracketed query.
     pub fn read(prompt: &'a str) -> Option<Self> {
         if !prompt.contains("Score the relevance") {
             return None;
@@ -140,16 +130,6 @@ impl<'a> PriPrompt<'a> {
     pub fn lines(&self) -> impl Iterator<Item = &'a str> {
         (self.prompt.lines().skip(1)).filter_map(|line| Some(line.split_once(". ")?.1))
     }
-}
-
-/// Parses a `p_ri` prompt.
-pub fn parse_pri(prompt: &str) -> Option<PriRequest> {
-    let read = PriPrompt::read(prompt)?;
-    Some(PriRequest {
-        task: read.task,
-        query: read.query.to_string(),
-        instances: read.lines().filter_map(SerializedRecord::parse).collect(),
-    })
 }
 
 /// Parses the `p_ri` *response*: `"1:3, 2:0, ..."` → 0-based `(index, score)`.
@@ -232,13 +212,6 @@ fn scan_number(bytes: &[u8]) -> Option<(usize, &[u8])> {
     Some((value, skip_blanks(bytes)))
 }
 
-/// A parsed context-data-parsing request (`p_dp`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PdpRequest {
-    /// The serialized records to naturalize.
-    pub records: Vec<SerializedRecord>,
-}
-
 /// Renders `p_dp` (paper §4.3):
 ///
 /// > Given the data, convert the items into a textual format that
@@ -280,7 +253,8 @@ pub struct PdpPrompt<'a> {
 }
 
 impl<'a> PdpPrompt<'a> {
-    /// Reads a `p_dp` prompt; `None` exactly when [`parse_pdp`] is.
+    /// Reads a `p_dp` prompt: `None` unless it asks to convert items and
+    /// brackets its data.
     pub fn read(prompt: &'a str) -> Option<Self> {
         if !prompt.contains("convert the items into a textual format") {
             return None;
@@ -295,13 +269,6 @@ impl<'a> PdpPrompt<'a> {
     pub fn lines(&self) -> impl Iterator<Item = &'a str> {
         self.body.lines()
     }
-}
-
-/// Parses a `p_dp` prompt.
-pub fn parse_pdp(prompt: &str) -> Option<PdpRequest> {
-    let read = PdpPrompt::read(prompt)?;
-    let records = read.lines().filter_map(SerializedRecord::parse).collect();
-    Some(PdpRequest { records })
 }
 
 /// The claim fed to the cloze-question generator: task, parsed context, and
@@ -405,9 +372,11 @@ mod tests {
     #[test]
     fn pri_roundtrip() {
         let p = render_pri(TaskKind::Imputation, "Copenhagen, timezone", &recs());
-        let req = parse_pri(&p).unwrap();
-        assert_eq!(req.instances.len(), 2);
-        assert_eq!(req.instances[1].get("city"), Some("Florence"));
+        let read = PriPrompt::read(&p).unwrap();
+        assert_eq!(read.task, TaskKind::Imputation);
+        assert_eq!(read.query, "Copenhagen, timezone");
+        let instances: Vec<_> = read.lines().filter_map(SerializedRecord::parse).collect();
+        assert_eq!(instances, recs());
     }
 
     #[test]
@@ -444,8 +413,9 @@ mod tests {
     #[test]
     fn pdp_roundtrip() {
         let p = render_pdp(&recs());
-        let req = parse_pdp(&p).unwrap();
-        assert_eq!(req.records, recs());
+        let read = PdpPrompt::read(&p).unwrap();
+        let records: Vec<_> = read.lines().filter_map(SerializedRecord::parse).collect();
+        assert_eq!(records, recs());
     }
 
     #[test]
@@ -464,8 +434,8 @@ mod tests {
     #[test]
     fn parsers_reject_other_prompts() {
         assert!(parse_prm("hello").is_none());
-        assert!(parse_pri("hello").is_none());
-        assert!(parse_pdp("hello").is_none());
+        assert!(PriPrompt::read("hello").is_none());
+        assert!(PdpPrompt::read("hello").is_none());
         assert!(parse_pcq("hello").is_none());
     }
 

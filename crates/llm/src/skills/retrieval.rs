@@ -238,7 +238,7 @@ impl<'a> Link<'a> {
     /// it shares the link's value.
     fn holds(&self, inst: &RecordReader<'_>) -> bool {
         match *self {
-            Link::Street(attr, ref base) => inst.get(attr).is_some_and(|v| street_is(v, base)),
+            Link::Street(attr, ref base) => inst.get(attr).is_some_and(|v| street_base(v) == *base),
             Link::AreaCode(attr, code) => {
                 inst.get(attr).is_some_and(|v| area_code(v) == Some(code))
             }
@@ -247,38 +247,6 @@ impl<'a> Link<'a> {
             }),
         }
     }
-}
-
-/// `street_base(addr) == base`, compared word by word without building
-/// `addr`'s street when `addr` is ASCII.
-fn street_is(addr: &str, base: &str) -> bool {
-    if !addr.is_ascii() {
-        return street_base(addr) == base;
-    }
-    let mut rest = base.as_bytes();
-    let words = addr
-        .split_whitespace()
-        .skip_while(|w| w.bytes().all(|b| b.is_ascii_digit()));
-    for (i, word) in words.enumerate() {
-        if i > 0 {
-            let [b' ', after @ ..] = rest else {
-                return false;
-            };
-            rest = after;
-        }
-        let Some((head, after)) = rest.split_at_checked(word.len()) else {
-            return false;
-        };
-        if !head
-            .iter()
-            .zip(word.bytes())
-            .all(|(&h, w)| h == w.to_ascii_lowercase())
-        {
-            return false;
-        }
-        rest = after;
-    }
-    rest.is_empty()
 }
 
 #[cfg(test)]

@@ -94,10 +94,9 @@ impl WordSet {
     /// `text`'s set: `scratch` holds a hash table over `self`'s words, and
     /// each word of `text`, lowercased into `scratch`, is looked up there
     /// and added if new, so each distinct word is counted once and a word
-    /// of `self` is recognized with one probe. An ASCII `text` is split by
-    /// bytes; any other goes through the rule of
-    /// [`words`](crate::tokenize::words). `scratch` keeps its buffers, so a
-    /// warm call allocates nothing.
+    /// of `self` is recognized with one probe. `text` is split by the rule
+    /// of [`words`](crate::tokenize::words). `scratch` keeps its buffers, so
+    /// a warm call allocates nothing.
     ///
     /// # Examples
     ///
@@ -119,27 +118,10 @@ impl WordSet {
                 inter += 1;
             }
         };
-        if text.is_ascii() {
-            let bytes = text.as_bytes();
-            let mut at = 0;
-            while at < bytes.len() {
-                if !bytes[at].is_ascii_alphanumeric() {
-                    at += 1;
-                    continue;
-                }
-                let start = scratch.buf.len();
-                while let Some(&b) = bytes.get(at).filter(|b| b.is_ascii_alphanumeric()) {
-                    scratch.buf.push(b.to_ascii_lowercase());
-                    at += 1;
-                }
-                note(scratch, start);
-            }
-        } else {
-            for raw in raw_words(text) {
-                let start = scratch.buf.len();
-                push_lowercase(&mut scratch.buf, raw);
-                note(scratch, start);
-            }
+        for raw in raw_words(text) {
+            let start = scratch.buf.len();
+            push_lowercase(&mut scratch.buf, raw);
+            note(scratch, start);
         }
         if self.is_empty() && distinct == 0 {
             return 1.0;

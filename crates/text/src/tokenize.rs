@@ -80,31 +80,14 @@ const SUBWORD_CHARS: usize = 4;
 pub fn count_tokens(text: &str) -> usize {
     // One streaming pass over what [`lex`] would split: a word costs one
     // token per started chunk when it ends, punctuation costs one where it
-    // stands, whitespace only ends the word. Nothing is allocated. An ASCII
-    // byte is classified in place, as `char::is_alphanumeric` and
-    // `char::is_whitespace` would (whose whitespace includes VT, `0x0b`,
-    // which `u8::is_ascii_whitespace` does not); any other byte starts a
-    // character that is decoded and asked.
-    let bytes = text.as_bytes();
+    // stands, whitespace only ends the word. Nothing is allocated.
     let mut tokens = 0usize;
     let mut word = 0usize;
-    let mut at = 0;
-    while let Some(&byte) = bytes.get(at) {
-        let (alphanumeric, whitespace) = if byte.is_ascii() {
-            at += 1;
-            (
-                byte.is_ascii_alphanumeric(),
-                matches!(byte, b'\t'..=b'\r' | b' '),
-            )
-        } else {
-            let ch = text[at..].chars().next().expect("a char starts here");
-            at += ch.len_utf8();
-            (ch.is_alphanumeric(), ch.is_whitespace())
-        };
-        if alphanumeric {
+    for ch in text.chars() {
+        if ch.is_alphanumeric() {
             word += 1;
         } else {
-            tokens += word.div_ceil(SUBWORD_CHARS) + usize::from(!whitespace);
+            tokens += word.div_ceil(SUBWORD_CHARS) + usize::from(!ch.is_whitespace());
             word = 0;
         }
     }
@@ -201,7 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn count_tokens_byte_loop_matches_lex_on_every_ascii_byte() {
+    fn count_tokens_matches_lex_on_every_ascii_byte() {
         // Every ASCII byte alone, after a word and between two words, and
         // the non-ASCII blanks and letters next to the ASCII rules: NEL
         // (U+0085), NBSP (U+00A0), LINE SEPARATOR (U+2028), a Greek and a
@@ -254,7 +237,7 @@ mod tests {
             counted += usize::from(count_tokens(&text) > 0);
         }
         assert!(counted > 15_000, "{counted}");
-        // VT is whitespace to `char` but not to `u8::is_ascii_whitespace`.
+        // VT is whitespace to `char` (not to `u8::is_ascii_whitespace`).
         assert_eq!(count_tokens("a\x0bb"), 2);
         assert_eq!(count_tokens("a\x1cb"), 3);
     }

@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use unidm::{CacheStats, CanonLevel, CanonicalPrompt, PromptCache};
 use unidm_llm::protocol::{
-    parse_pdp, parse_pri, render_pdp, render_pri, render_prm, SerializedRecord, TaskKind,
+    render_pdp, render_pri, render_prm, PdpPrompt, PriPrompt, SerializedRecord, TaskKind,
 };
 use unidm_llm::{Completion, LanguageModel, LlmError, Usage};
 use unidm_text::hash::content_hash;
@@ -72,18 +72,16 @@ impl LanguageModel for Stub {
     fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
         let call = self.calls.fetch_add(1, Ordering::SeqCst);
         let tag = if self.varies { call } else { 0 };
-        let text = if let Some(request) = parse_pri(prompt) {
-            let scores: Vec<String> = request
-                .instances
-                .iter()
+        let text = if let Some(request) = PriPrompt::read(prompt) {
+            let scores: Vec<String> = (request.lines())
+                .filter_map(SerializedRecord::parse)
                 .enumerate()
                 .map(|(i, record)| format!("{}:{}", i + 1, (record.render().len() + tag) % 4))
                 .collect();
             scores.join(", ")
-        } else if let Some(request) = parse_pdp(prompt) {
-            let lines: Vec<String> = request
-                .records
-                .iter()
+        } else if let Some(request) = PdpPrompt::read(prompt) {
+            let lines: Vec<String> = (request.lines())
+                .filter_map(SerializedRecord::parse)
                 .map(|record| format!("{} (call {tag})", record.render()))
                 .collect();
             lines.join("\n")

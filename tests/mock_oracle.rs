@@ -7,7 +7,9 @@
 //! reused scratch. The reference below is the code it replaces, copied: a
 //! prompt parsed into owned records (`parse_pri`, `parse_pdp`, with the
 //! record parser and renderer they called), then `score_instances` and
-//! `parse_context` over them, and tokens counted a character at a time.
+//! `parse_context` over them (with the sentence builder
+//! `naturalize_record` and its clause table), and tokens counted a
+//! character at a time.
 //!
 //! Inputs are every `p_ri` and `p_dp` prompt the quick Table 1 and Table 3
 //! drivers send (their UniDM rows; the other rows send neither), plus
@@ -18,15 +20,17 @@
 //! the reference's. The seeds derive from `UNIDM_FAULT_SEED` (the CI
 //! matrix runs 7 and 1337; 7 otherwise).
 
+use std::collections::BTreeSet;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use unidm::PipelineConfig;
 use unidm_eval::{errors, imputation};
-use unidm_llm::protocol::{naturalize_record, parse_prm, SerializedRecord, TaskKind};
+use unidm_llm::protocol::{parse_prm, SerializedRecord, TaskKind};
 use unidm_llm::{
     Completion, Dice, KnowledgeBase, LanguageModel, LlmError, LlmProfile, MockLlm, Usage,
 };
-use unidm_text::distance::WordSet;
+use unidm_text::tokenize::words;
 use unidm_world::World;
 
 /// The seed the generated prompts derive from.
@@ -137,6 +141,20 @@ fn area_code(phone: &str) -> Option<String> {
     (code.len() >= 3).then_some(code)
 }
 
+/// A text's distinct lowercase words, as `WordSet` holds them.
+fn word_set(text: &str) -> BTreeSet<String> {
+    words(text).into_iter().collect()
+}
+
+/// `WordSet::jaccard`, as it was defined: `|A ∩ B| / |A ∪ B|`, two empty
+/// sets `1.0`.
+fn jaccard(a: &BTreeSet<String>, b: &BTreeSet<String>) -> f64 {
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    a.intersection(b).count() as f64 / a.union(b).count() as f64
+}
+
 /// `score_instances`, as it was.
 fn score_instances(req: &PriRequest, profile: &LlmProfile, dice: &Dice) -> String {
     let query_rec = parse_record(&req.query);
@@ -144,11 +162,11 @@ fn score_instances(req: &PriRequest, profile: &LlmProfile, dice: &Dice) -> Strin
         .as_ref()
         .and_then(|r| r.pairs.iter().find(|(_, v)| v == "?"))
         .map(|(a, _)| a.as_str());
-    let query_words = WordSet::new(&req.query);
+    let query_words = word_set(&req.query);
     let rendered: Vec<String> = req.instances.iter().map(render).collect();
     let mut sims: Vec<f64> = Vec::with_capacity(req.instances.len());
     for (inst, text) in req.instances.iter().zip(&rendered) {
-        let mut sim = query_words.jaccard(&WordSet::new(text));
+        let mut sim = jaccard(&query_words, &word_set(text));
         if query_rec
             .as_ref()
             .is_some_and(|q| shares_linked_value(q, inst, req.task))
@@ -211,6 +229,115 @@ fn parse_pdp(prompt: &str) -> Option<Vec<SerializedRecord>> {
     }
     let body = bracketed_after(prompt, "logical order:")?;
     Some(body.lines().filter_map(parse_record).collect())
+}
+
+/// The clause templates, as they were: keyed by an attribute-name
+/// keyword, first match wins.
+const CLAUSES: &[(&str, &str)] = &[
+    ("after", "can be transformed to"),
+    ("country", "belongs to the country"),
+    ("timezone", "is in the timezone"),
+    ("city", "is located in the city of"),
+    ("addr", "is located at"),
+    ("address", "is located at"),
+    ("phone", "has phone number"),
+    ("cuisine", "serves cuisine"),
+    ("type", "serves cuisine"),
+    ("manufacturer", "is manufactured by"),
+    ("brand", "is branded"),
+    ("modelno", "has model number"),
+    ("model_code", "has model number"),
+    ("description", "is described as"),
+    ("price", "is priced at"),
+    ("artist", "is performed by"),
+    ("album", "appears on the album"),
+    ("song", "is the song"),
+    ("brewery", "is brewed by"),
+    ("style", "is of style"),
+    ("abv", "has alcohol content"),
+    ("county", "is in the county"),
+    ("state", "is in the state"),
+    ("zip", "has zip code"),
+    ("postal", "has postal code"),
+    ("population", "has a population of"),
+    ("measure_code", "reports the measure"),
+    ("iso", "has the ISO code"),
+    ("height", "has height"),
+    ("position", "plays the position"),
+    ("college", "attended the college"),
+    ("gold", "won gold medals numbering"),
+    ("silver", "won silver medals numbering"),
+    ("bronze", "won bronze medals numbering"),
+    ("total", "has a medal total of"),
+    ("rank", "is ranked"),
+    ("time", "has duration"),
+    ("hours_per_week", "works weekly hours of"),
+    ("education", "has education level"),
+    ("workclass", "has work class"),
+    ("occupation", "has occupation"),
+    ("marital_status", "has marital status"),
+    ("sex", "has sex"),
+    ("income", "has income bracket"),
+    ("age", "is aged"),
+];
+
+/// `clause_for`, as it was.
+fn clause_for(attr: &str) -> Option<&'static str> {
+    // Schema names are ASCII, which matches in place; anything else is
+    // lowercased first because a few non-ASCII letters lowercase *to* ASCII.
+    let lowered;
+    let key = if attr.is_ascii() {
+        attr.as_bytes()
+    } else {
+        lowered = attr.to_lowercase();
+        lowered.as_bytes()
+    };
+    CLAUSES
+        .iter()
+        .find(|(k, _)| {
+            key.windows(k.len())
+                .any(|w| w.eq_ignore_ascii_case(k.as_bytes()))
+        })
+        .map(|(_, c)| *c)
+}
+
+/// `naturalize_record`, as it was.
+fn naturalize_record(rec: &SerializedRecord) -> String {
+    // `SerializedRecord::subject`, as it was: the first non-empty value.
+    let subject = rec
+        .pairs
+        .iter()
+        .map(|(_, v)| v.as_str())
+        .find(|v| !v.is_empty());
+    let Some(subject) = subject else {
+        return String::new();
+    };
+    let mut out = String::with_capacity(128);
+    out.push_str(subject);
+    let mut subject_seen = false;
+    let mut joiner = " ";
+    for (attr, value) in &rec.pairs {
+        if value.is_empty() {
+            continue;
+        }
+        if !subject_seen && value == subject {
+            subject_seen = true;
+            continue;
+        }
+        out.push_str(joiner);
+        joiner = " and ";
+        match clause_for(attr) {
+            Some(clause) => out.push_str(clause),
+            None => {
+                out.push_str("has ");
+                out.push_str(attr);
+            }
+        }
+        out.push(' ');
+        out.push_str(value);
+    }
+    out.push('.');
+    out
 }
 
 /// `parse_context`, as it was.

@@ -10,9 +10,9 @@ mod common;
 use common::Gen;
 
 use unidm_llm::protocol::{
-    claim_query_imputation, parse_answer_request, parse_natural_sentence, parse_pcq, parse_pdp,
-    parse_pri, parse_pri_response, parse_prm, render_cloze, render_pcq, render_pdp, render_pri,
-    render_prm, AnswerPayload, Claim, SerializedRecord, TaskKind,
+    claim_query_imputation, parse_answer_request, parse_natural_sentence, parse_pcq,
+    parse_pri_response, parse_prm, render_cloze, render_pcq, render_pdp, render_pri, render_prm,
+    AnswerPayload, Claim, PdpPrompt, PriPrompt, SerializedRecord, TaskKind,
 };
 
 const CASES: usize = 128;
@@ -61,8 +61,9 @@ fn pri_roundtrips() {
         let n = g.usize(1, 6);
         let recs: Vec<SerializedRecord> = (0..n).map(|_| record(&mut g)).collect();
         let prompt = render_pri(TaskKind::ErrorDetection, &query, &recs);
-        let req = parse_pri(&prompt).expect("parseable");
-        assert_eq!(req.instances, recs);
+        let read = PriPrompt::read(&prompt).expect("parseable");
+        let instances: Vec<_> = read.lines().filter_map(SerializedRecord::parse).collect();
+        assert_eq!(instances, recs);
     }
 }
 
@@ -94,8 +95,9 @@ fn pdp_roundtrips() {
         let n = g.usize(1, 5);
         let recs: Vec<SerializedRecord> = (0..n).map(|_| record(&mut g)).collect();
         let prompt = render_pdp(&recs);
-        let req = parse_pdp(&prompt).expect("parseable");
-        assert_eq!(req.records, recs);
+        let read = PdpPrompt::read(&prompt).expect("parseable");
+        let records: Vec<_> = read.lines().filter_map(SerializedRecord::parse).collect();
+        assert_eq!(records, recs);
     }
 }
 
