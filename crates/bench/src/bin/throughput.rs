@@ -44,11 +44,11 @@
 //!   under moderate faults, one replay worker.
 //!
 //! What the deleted regimes and flags asserted is held by tier-1 tests:
-//! parallel == serial (`tests/batch_exec.rs`), one endpoint call per key
-//! at 2/8 workers × 1/8 shards (`tests/coalescing.rs`), faulty and routed
-//! answers (`tests/fault_injection.rs`, `tests/routing.rs`), streaming ==
-//! materialized (`tests/streaming_exec.rs`), serving reports identical
-//! across worker counts and reruns (`tests/serving.rs`).
+//! pipelined == serial (`tests/batch_exec.rs`), one endpoint call per key
+//! in windows of 1/8/64 runs × 1/8 shards (`tests/coalescing.rs`), faulty
+//! and routed answers (`tests/fault_injection.rs`, `tests/routing.rs`),
+//! streaming == materialized (`tests/streaming_exec.rs`), serving reports
+//! identical across worker counts and reruns (`tests/serving.rs`).
 //!
 //! ```text
 //! cargo run -p unidm-bench --release --bin throughput            # paper scale

@@ -34,9 +34,9 @@
 //! All timing — token refill, backoff, breaker cooldown, injected latency
 //! — runs on the stack's one [`unidm_llm::VirtualClock`], so tests replay
 //! multi-second fault schedules in microseconds of wall time and no stack
-//! reads the host's clock. A [`crate::BatchRunner`] runs one worker unless
-//! told otherwise, so an eval run's backend counters are the serial run's
-//! on every host.
+//! reads the host's clock. A [`crate::BatchRunner`] without a pipeline runs
+//! its tasks one after another, so an eval run's backend counters are the
+//! serial run's on every host.
 //!
 //! # Examples
 //!

@@ -21,18 +21,17 @@
 //!   word-at-a-time, deterministic, in memory only) — it selects the shard
 //!   and rides in every key, so the maps hash those 8 bytes instead of the
 //!   text and compare the full text only on a probe. A miss copies the
-//!   canonical text once, into the `Arc<str>` its in-flight slot and its
+//!   canonical text once, into the `Arc<str>` its in-flight key and its
 //!   resident entry share.
 //! * **Sharding** — N independently locked maps (8 unless
 //!   [`PromptCache::with_shards`] says otherwise).
-//! * **Single-flight coalescing** — each shard keeps an in-flight table of
-//!   keys being completed: the first lookup leads, and a duplicate arriving
-//!   meanwhile shares the leader's completion ([`CacheStats::coalesced`])
-//!   instead of issuing its own endpoint call. A thread waits on the
-//!   leader's slot; [`crate::BatchRunner::with_pipeline`], which runs a
-//!   window of lookups on one thread, submits the duplicate to the
-//!   [`crate::Dispatcher`] below instead, which attaches it to the
-//!   leader's request.
+//! * **Single-flight coalescing** — each shard keeps the set of keys being
+//!   completed: the first lookup leads, and a duplicate arriving meanwhile
+//!   in a window of [`crate::BatchRunner::with_pipeline`] is counted
+//!   [`CacheStats::coalesced`] and submitted to the [`crate::Dispatcher`]
+//!   below, which attaches it to the leader's request. Nothing waits: a
+//!   blocking [`LanguageModel::complete`] that finds its key in flight on
+//!   another thread fetches the key itself (see [`CacheStats::misses`]).
 //! * **Persistence** — [`PromptCache::with_store`] attaches a
 //!   [`CacheStore`]: tier-0 misses probe the file under the same content
 //!   hash before the model, and fresh completions are appended to it, so a
@@ -43,9 +42,9 @@
 //! adaptation, fold memo); the pipelined runner calls the halves itself.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use unidm_llm::{Completion, LanguageModel, LlmError, Usage};
 use unidm_text::hash::content_hash;
@@ -58,21 +57,26 @@ use crate::store::{CacheStore, StoreStats};
 pub struct CacheStats {
     /// Completions served from the cache.
     pub hits: usize,
-    /// Tier-0 misses that led a fetch — from the disk tier or the model.
-    /// Single-flight makes each key's leader the only one, so for a fixed
-    /// workload this equals the number of unique canonical keys completed
-    /// — exactly, under every interleaving.
+    /// Tier-0 misses that fetched from below — the disk tier or the model:
+    /// each key's leader, and a blocking [`LanguageModel::complete`] that
+    /// found its key in flight on another thread. Nothing waits for a
+    /// leader, so such a lookup fetches the key itself and inserts nothing.
+    /// `misses` equals the fetches below under every interleaving (a
+    /// coalesced lookup fetches nothing of its own); it equals the unique
+    /// canonical keys completed only in serial and pipelined runs, where no
+    /// two threads race on one key.
     pub misses: usize,
-    /// Lookups that arrived while the same canonical key was already in
-    /// flight and shared the leader's completion instead of issuing their
-    /// own endpoint call. In a serial run this is always zero; across
-    /// threads, `hits + coalesced` is exact while the split between the two
-    /// depends on timing.
+    /// Lookups of a pipelined window ([`crate::BatchRunner::with_pipeline`])
+    /// that found their canonical key already in flight: the dispatcher
+    /// below attaches each to the leader's request instead of issuing an
+    /// endpoint call of its own. Always zero without a pipeline.
     pub coalesced: usize,
     /// Entries evicted to stay within capacity.
     pub evictions: usize,
     /// Tokens (prompt + completion) the model did not have to process
-    /// because a hit — or a coalesced wait — short-circuited the call.
+    /// because a hit or a coalesced lookup short-circuited the call; exact
+    /// under every interleaving, since a lookup that fetched its key itself
+    /// saves nothing.
     pub tokens_saved: usize,
 }
 
@@ -89,7 +93,7 @@ impl CacheStats {
         }
     }
 
-    /// Total lookups accounted (hits, coalesced waits, and misses).
+    /// Total lookups accounted (hits, coalesced lookups, and misses).
     pub fn lookups(&self) -> usize {
         self.hits + self.coalesced + self.misses
     }
@@ -113,87 +117,6 @@ struct CacheEntry {
     /// sweeps past. An entry is evicted only if the hand finds the bit
     /// clear — i.e. it was not used for a whole revolution.
     referenced: bool,
-}
-
-/// Outcome of a single-flight slot.
-enum SlotState {
-    /// The leader is still completing the canonical text.
-    Pending,
-    /// The leader finished; every waiter shares this result.
-    Done(Result<Arc<Completion>, LlmError>),
-    /// The leader panicked before filling the slot; waiters must retry
-    /// (and one of them becomes the new leader).
-    Abandoned,
-}
-
-/// What a single-flight slot's mutex guards: its outcome, and how many
-/// coalesced lookups are blocked on it.
-struct Slot {
-    state: SlotState,
-    waiters: usize,
-}
-
-/// A single-flight slot: the rendezvous between the leader completing a
-/// canonical key and the coalesced waiters blocked on it.
-struct InFlight {
-    slot: Mutex<Slot>,
-    ready: Condvar,
-}
-
-impl InFlight {
-    fn new() -> Arc<InFlight> {
-        Arc::new(InFlight {
-            slot: Mutex::new(Slot {
-                state: SlotState::Pending,
-                waiters: 0,
-            }),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Publishes the leader's result and wakes every waiter.
-    fn fill(&self, result: Result<Arc<Completion>, LlmError>) {
-        self.publish(SlotState::Done(result));
-    }
-
-    /// Marks the slot abandoned (leader panicked) and wakes every waiter.
-    fn abandon(&self) {
-        self.publish(SlotState::Abandoned);
-    }
-
-    /// Sets the outcome, then notifies only if someone waits: a waiter
-    /// counts itself under the mutex before it sleeps, so a count of zero
-    /// here means nobody can miss the outcome, and the uncontended miss
-    /// skips the wake-up syscall.
-    fn publish(&self, state: SlotState) {
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        slot.state = state;
-        let waited = slot.waiters > 0;
-        drop(slot);
-        if waited {
-            self.ready.notify_all();
-        }
-    }
-
-    /// Blocks until the leader publishes; `None` means the slot was
-    /// abandoned and the caller should retry its lookup.
-    fn wait(&self) -> Option<Result<Arc<Completion>, LlmError>> {
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            match &slot.state {
-                SlotState::Pending => {
-                    slot.waiters += 1;
-                    slot = self
-                        .ready
-                        .wait(slot)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    slot.waiters -= 1;
-                }
-                SlotState::Done(result) => return Some(result.clone()),
-                SlotState::Abandoned => return None,
-            }
-        }
-    }
 }
 
 /// What a probe needs of a key: a content hash and the text it hashes.
@@ -248,7 +171,7 @@ impl PartialEq for dyn KeyView + '_ {
 impl Eq for dyn KeyView + '_ {}
 
 /// An owned map key: the canonical text, shared (`Arc<str>`) between the
-/// resident entry, its eviction-ring slot and the in-flight slot that
+/// resident entry, its eviction-ring slot and the in-flight key that
 /// preceded them — or between the disk tier's index, FIFO queue and
 /// compaction order — plus its content hash.
 #[derive(Clone)]
@@ -327,9 +250,8 @@ struct CacheInner {
     /// the ring never reallocates once the shard is full.
     ring: Vec<Key>,
     hand: usize,
-    /// canonical key → single-flight slot for keys currently being
-    /// completed by a leader.
-    inflight: HashMap<Key, Arc<InFlight>>,
+    /// Canonical keys a leader is completing.
+    inflight: HashSet<Key>,
     /// The fold memo, at a level that folds lists: raw prompt (its own
     /// content hash, compared in full) → what canonicalization that
     /// rewrote it produced. The shard is picked by the raw text's hash,
@@ -437,8 +359,8 @@ impl CacheInner {
 /// [`CanonLevel`] (default [`CanonLevel::Verbatim`], i.e. exact
 /// memoization), fixed before the cache serves. A miss completes the
 /// *canonical* text rather than the raw variant, so the memo is a pure
-/// function of the canonical key: whichever worker fills an entry, serial
-/// and parallel batches stay bit-for-bit equal.
+/// function of the canonical key: whichever run fills an entry, serial
+/// and pipelined batches stay bit-for-bit equal.
 ///
 /// A warm hit on a canonical prompt, or on a rewritten prompt the fold
 /// memo holds, allocates nothing (the bench suite asserts it with a
@@ -451,7 +373,7 @@ impl CacheInner {
 /// call that filled its entry — the canonical text's — so per-run usage is
 /// identical with and without the cache at [`CanonLevel::Verbatim`], and
 /// off by a few tokens per rewritten prompt above it. The inner model's
-/// counter only grows on leader misses; the difference is
+/// counter only grows on misses; the difference is
 /// [`CacheStats::tokens_saved`].
 ///
 /// # Examples
@@ -499,8 +421,9 @@ impl std::fmt::Debug for PromptCache<'_> {
     }
 }
 
-/// The shard count [`PromptCache::new`] starts with: enough to keep eight
-/// workers off each other's locks without fragmenting small caches.
+/// The shard count [`PromptCache::new`] starts with. A batch runs on one
+/// thread, so shards rarely contend; the count stays because per-shard
+/// capacity decides which entries a bounded cache evicts.
 const DEFAULT_SHARDS: usize = 8;
 
 fn build_shards(n: usize) -> Box<[Mutex<CacheInner>]> {
@@ -619,9 +542,9 @@ impl<'a> PromptCache<'a> {
     }
 
     /// Locks a shard, recovering from poison: the shard state is a plain
-    /// map plus counters, valid at every instruction boundary, so a worker
+    /// map plus counters, valid at every instruction boundary, so a caller
     /// that panicked while holding the lock cannot leave it corrupt — and
-    /// must not wedge every other worker of the batch.
+    /// must not wedge every other caller of the cache.
     fn lock_shard<'s>(&self, shard: &'s Mutex<CacheInner>) -> MutexGuard<'s, CacheInner> {
         shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -674,24 +597,14 @@ impl LanguageModel for PromptCache<'_> {
     }
 
     fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-        loop {
-            let miss = match self.lookup(prompt) {
-                Lookup::Hit(answer) => return Ok(answer),
-                Lookup::Miss(miss) => miss,
-            };
-            // Single-flight: the leader completes the canonical text below
-            // without holding any lock; a later arrival waits for it.
-            let result = if miss.leads {
-                self.inner.complete(miss.text())
-            } else {
-                match miss.slot.wait() {
-                    Some(result) => result,
-                    // The leader unwound before publishing: look up again
-                    // (one of the waiters becomes the new leader).
-                    None => continue,
-                }
-            };
-            return self.fill(miss, result);
+        match self.lookup(prompt, false) {
+            Lookup::Hit(answer) => Ok(answer),
+            // The canonical text is completed below without holding any
+            // lock, by the leader or by a lookup that lost the race to it.
+            Lookup::Miss(miss) => {
+                let result = self.inner.complete(miss.text());
+                self.fill(miss, result)
+            }
         }
     }
 
@@ -743,24 +656,26 @@ impl PromptCache<'_> {
     }
 
     /// Looks `prompt` up without waiting: served from tier 0, the fold
-    /// memo or the disk tier, or a [`Miss`] — one that leads its key (it
-    /// took the in-flight slot and counts a miss) or one that found the key
-    /// already in flight (counted coalesced). Complete a miss's
+    /// memo or the disk tier, or a [`Miss`]. A miss leads its key (it put
+    /// the key in flight and counts a miss) or found the key already in
+    /// flight: with `coalesce` (a pipelined window, whose dispatcher
+    /// attaches it to the leader's request) it counts coalesced, otherwise
+    /// it counts a miss and fetches the key itself. Complete a miss's
     /// [`Miss::text`] below and hand the result to [`PromptCache::fill`].
     #[inline]
-    pub(crate) fn lookup(&self, prompt: &str) -> Lookup<'_> {
+    pub(crate) fn lookup(&self, prompt: &str, coalesce: bool) -> Lookup<'_> {
         // The one hash of the raw text: a warm prompt is served by it
         // alone, and a borrowed canonical text reuses it.
         let hash = content_hash(prompt);
         match self.serve_warm(hash, prompt) {
             Some(served) => Lookup::Hit(served),
-            None => self.lookup_canonical(hash, prompt),
+            None => self.lookup_canonical(hash, prompt, coalesce),
         }
     }
 
     /// [`PromptCache::lookup`] past the raw probe: canonicalization, tier
     /// 0, the in-flight table and the disk tier.
-    fn lookup_canonical(&self, hash: u64, prompt: &str) -> Lookup<'_> {
+    fn lookup_canonical(&self, hash: u64, prompt: &str, coalesce: bool) -> Lookup<'_> {
         let mut canonical = CanonicalPrompt::canonicalize_hashed(prompt, self.level, hash);
         // A rewrite at a level that folds lists is memoized by its raw text.
         let memoized = !canonical.is_borrowed() && self.level.folds_lists();
@@ -781,30 +696,32 @@ impl PromptCache<'_> {
             }
             return Lookup::Hit(answer);
         }
-        let inflight = state.inflight.get_key_value(&canonical as &dyn KeyView);
-        let (key, slot, leads) = match inflight.map(|(key, slot)| (key.clone(), slot.clone())) {
-            Some((key, slot)) => {
-                state.stats.coalesced += 1;
-                (key, slot, false)
-            }
+        let (key, leads) = match state.inflight.get(&canonical as &dyn KeyView).cloned() {
+            Some(key) => (key, false),
             None => {
-                // The miss's one copy of the text: the in-flight slot holds
+                // The miss's one copy of the text: the in-flight set holds
                 // it now, the resident entry later.
                 let key = Key::of(&canonical);
-                let slot = InFlight::new();
-                state.inflight.insert(key.clone(), slot.clone());
-                state.stats.misses += 1;
-                (key, slot, true)
+                state.inflight.insert(key.clone());
+                (key, true)
             }
         };
+        let coalesced = !leads && coalesce;
+        if coalesced {
+            state.stats.coalesced += 1;
+        } else {
+            state.stats.misses += 1;
+        }
         drop(state);
         let miss = Miss {
             shard,
             replay: canonical.take_replay(),
-            raw: memoized.then(|| Key::new(hash, prompt)),
+            // A lookup that fetches a key in flight inserts nothing, not
+            // even into the fold memo.
+            raw: (memoized && (leads || coalesced)).then(|| Key::new(hash, prompt)),
             key,
-            slot,
             leads,
+            coalesced,
         };
         if let (true, Some(store)) = (leads, &self.store) {
             // The disk tier, probed under the canonicalizer's hash: a hit
@@ -820,10 +737,10 @@ impl PromptCache<'_> {
     }
 
     /// Settles `miss` with `result`, the completion of [`Miss::text`] from
-    /// below: a leader inserts a success into tier 0 and the disk tier,
-    /// clears its in-flight slot and wakes the lookups waiting on it (an
-    /// error is not memoized: the next lookup retries). Returns the answer
-    /// in the prompt's own element order.
+    /// below: a leader inserts a success into tier 0 and the disk tier and
+    /// clears its in-flight key (an error is not memoized: the next lookup
+    /// retries), and a coalesced lookup counts its success saved. Returns
+    /// the answer in the prompt's own element order.
     pub(crate) fn fill(
         &self,
         miss: Miss<'_>,
@@ -847,7 +764,7 @@ impl PromptCache<'_> {
                     state.insert(miss.key.clone(), completion.clone(), self.shard_capacity);
                 }
                 state.inflight.remove(&miss.key);
-            } else if let Ok(completion) = &result {
+            } else if let (true, Ok(completion)) = (miss.coalesced, &result) {
                 // The leader's endpoint call covered this lookup too:
                 // account the share like a hit's saving.
                 state.stats.tokens_saved += completion.usage.total();
@@ -855,7 +772,6 @@ impl PromptCache<'_> {
             miss.raw.is_some() && state.entries.contains_key(&miss.key)
         };
         if std::mem::take(&mut miss.leads) {
-            miss.slot.fill(result.clone());
             if let (true, Some(store), Ok(completion)) = (fetched, &self.store, &result) {
                 store.offer_hashed(miss.key.hash, &miss.key.text, completion);
             }
@@ -917,9 +833,8 @@ pub(crate) enum Lookup<'c> {
 }
 
 /// A tier-0 miss between [`PromptCache::lookup`] and [`PromptCache::fill`].
-/// A leader dropped unfilled (its fetch unwound) clears its in-flight slot
-/// and wakes the lookups waiting on it to look up again, so a panicking
-/// worker cannot wedge every thread coalesced onto its key.
+/// A leader dropped unfilled (its fetch unwound) clears its in-flight key,
+/// so the next lookup of the key leads afresh.
 pub(crate) struct Miss<'c> {
     shard: &'c Mutex<CacheInner>,
     /// The canonical key: the text to complete below.
@@ -927,10 +842,10 @@ pub(crate) struct Miss<'c> {
     replay: Option<ReplayFold>,
     /// The raw prompt under its own hash, when the fold memo learns it.
     raw: Option<Key>,
-    /// The key's in-flight slot: this lookup's own when it leads, the
-    /// leader's otherwise.
-    slot: Arc<InFlight>,
+    /// Whether this lookup put the key in flight and has yet to clear it.
     leads: bool,
+    /// Whether it found the key in flight and coalesced onto the leader.
+    coalesced: bool,
 }
 
 impl Miss<'_> {
@@ -942,13 +857,10 @@ impl Miss<'_> {
 
 impl Drop for Miss<'_> {
     fn drop(&mut self) {
-        if !self.leads {
-            return;
+        if self.leads {
+            let mut state = self.shard.lock().unwrap_or_else(PoisonError::into_inner);
+            state.inflight.remove(&self.key);
         }
-        let mut state = self.shard.lock().unwrap_or_else(PoisonError::into_inner);
-        state.inflight.remove(&self.key);
-        drop(state);
-        self.slot.abandon();
     }
 }
 
@@ -1121,8 +1033,8 @@ mod tests {
         let cache = PromptCache::unbounded(&llm);
         assert!(cache.complete("  ").is_err());
         assert_eq!(cache.len(), 0, "errors must not be memoized");
-        // The in-flight slot is cleared, so a retry reaches the model
-        // again rather than deadlocking or caching the error.
+        // The in-flight key is cleared, so a retry reaches the model
+        // again rather than caching the error.
         assert!(cache.complete("  ").is_err());
         assert_eq!(cache.stats().misses, 2);
     }

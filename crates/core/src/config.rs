@@ -8,8 +8,8 @@
 ///
 /// Everything here is a pure function of the task — a run with a given
 /// config is deterministic whatever executes it, which is what lets
-/// [`crate::BatchRunner`] reorder runs across workers (and, in pipelined
-/// mode, overlap their endpoint calls through [`crate::Dispatcher`])
+/// [`crate::BatchRunner`] interleave runs in a pipelined window (and
+/// overlap their endpoint calls through [`crate::Dispatcher`])
 /// without changing a single output byte. Serving-side behaviour —
 /// retries, rate limits, hedging — lives in [`crate::BackendConfig`]
 /// instead, keeping "what the pipeline computes" and "how calls reach the

@@ -4,8 +4,8 @@
 //!
 //! # Why a reactor
 //!
-//! The blocking [`crate::route::RoutedBackend`] parks one worker
-//! thread per round-trip, so in-flight concurrency is capped by thread
+//! The blocking [`crate::route::RoutedBackend`] parks its calling
+//! thread for each round-trip, so in-flight concurrency is capped by thread
 //! count, and on a [`VirtualClock`] every concurrent sleep *adds* (elapsed
 //! virtual time is total latency, never the makespan). The [`Dispatcher`]
 //! replaces sleeping with scheduling: each attempt is *sampled*

@@ -1,28 +1,25 @@
-//! Batch execution: [`UniDm`] runs over many tasks, on the calling thread
-//! unless asked otherwise.
+//! Batch execution: [`UniDm`] runs over many tasks, on the calling thread.
 //!
 //! The paper's experiments (Tables 1–11) execute thousands of independent
 //! pipeline runs per dataset. Each run is a pure function of `(model,
-//! config, lake, task)`, so [`BatchRunner`] may run them in any order on
-//! any thread and still return bit-identical answers and per-run usage, in
-//! task order. Before anything executes, a dedup planner groups
+//! config, lake, task)`, so [`BatchRunner`] may interleave them in any
+//! order and still return bit-identical answers and per-run usage, in task
+//! order. Before anything executes, a dedup planner groups
 //! byte-identical tasks, runs one representative per group and copies its
 //! output to every duplicate slot — duplicates never reach the cache, which
 //! handles the near-identical prompts *between* runs one layer down.
 //! [`BatchRunner::run_streaming`] is the same batch run once per partition
 //! of a task stream, so what it holds live is bounded by the partition.
 //!
-//! Representatives are claimed in order from one cursor the moment a
-//! worker is free, so a straggler cannot serialize the tail of a batch. A
-//! runner has one worker unless [`BatchRunner::with_workers`] sets more:
-//! the offline model answers in microseconds of CPU and a second worker has
-//! never beaten one on it, so the scoped thread pool is for workers that
-//! wait on a blocking endpoint with real latency. Waiting needs no thread
-//! in **pipelined mode** ([`BatchRunner::with_pipeline`]): one thread keeps
-//! up to `workers` [`Run`]s in flight over an event-driven [`Dispatcher`].
-//! It submits every run's pending prompt, steps the reactor once, feeds
-//! each resolved run its reply and submits that run's next prompt at once —
-//! hundreds of requests in flight, no thread spawned.
+//! A runner without a pipeline is the serial loop over [`UniDm::run`]: one
+//! representative after another, whatever [`BatchRunner::with_workers`]
+//! says. It is the reference every other schedule must match. Concurrency
+//! needs no thread: in **pipelined mode** ([`BatchRunner::with_pipeline`])
+//! one thread keeps a window of up to `with_workers` [`Run`]s in flight
+//! over an event-driven [`Dispatcher`]. It submits every run's pending
+//! prompt, steps the reactor once, feeds each resolved run its reply and
+//! submits that run's next prompt at once — hundreds of requests in
+//! flight, no thread spawned.
 //!
 //! ```
 //! use unidm::{BatchRunner, PipelineConfig, PromptCache, Task};
@@ -49,8 +46,7 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use unidm_llm::{Completion, LanguageModel, LlmError};
 use unidm_tablestore::DataLake;
@@ -74,9 +70,9 @@ pub struct BatchReport {
     /// Tasks that duplicated an earlier task byte-for-byte and received a
     /// copy of its representative's output instead of executing.
     pub coalesced_tasks: usize,
-    /// Always 0: workers claim tasks from one shared cursor, and nothing
-    /// is stolen. The field is kept only because the repository benchmark
-    /// (`benchmark/`, which a PR may not edit) reads it.
+    /// Always 0: one thread runs the batch, and nothing is stolen. The
+    /// field is kept only because the repository benchmark (`benchmark/`)
+    /// reads it.
     pub steals: usize,
 }
 
@@ -121,7 +117,7 @@ impl Hash for TaskKey<'_> {
 /// # Examples
 ///
 /// ```
-/// use unidm::{BatchRunner, PipelineConfig, Task};
+/// use unidm::{BackendConfig, BatchRunner, Dispatcher, PipelineConfig, Task};
 /// use unidm_llm::{LlmProfile, MockLlm};
 /// use unidm_tablestore::{DataLake, Table, Value};
 /// use unidm_world::World;
@@ -137,10 +133,13 @@ impl Hash for TaskKey<'_> {
 ///
 /// let tasks = vec![Task::imputation("cities", 1, "timezone", "city")];
 /// let serial = BatchRunner::new(&llm, PipelineConfig::paper_default());
-/// let pooled = serial.with_workers(4);
+/// let dispatcher = Dispatcher::new(&llm, BackendConfig::resilient(7).with_pipelined());
+/// let window = BatchRunner::new(&dispatcher, PipelineConfig::paper_default())
+///     .with_workers(4)
+///     .with_pipeline(&dispatcher, None);
 /// assert_eq!(
 ///     serial.answers(&lake, &tasks),
-///     pooled.answers(&lake, &tasks),
+///     window.answers(&lake, &tasks),
 ///     "scheduling must not change answers",
 /// );
 /// ```
@@ -172,8 +171,8 @@ impl std::fmt::Debug for BatchRunner<'_> {
 pub const DEFAULT_PARTITION_TASKS: usize = 256;
 
 impl<'a> BatchRunner<'a> {
-    /// Creates a runner with one worker (the calling thread) and the dedup
-    /// planner enabled.
+    /// Creates a serial runner (a window of one) with the dedup planner
+    /// enabled.
     pub fn new(llm: &'a dyn LanguageModel, config: PipelineConfig) -> Self {
         BatchRunner {
             llm,
@@ -188,16 +187,17 @@ impl<'a> BatchRunner<'a> {
     /// Overrides the tasks-per-partition window
     /// [`BatchRunner::run_streaming`] plans and dispatches at a time
     /// (default [`DEFAULT_PARTITION_TASKS`], minimum 1). Smaller windows
-    /// lower the peak of live bytes; larger windows give each dispatch wave
-    /// more parallelism to chew on.
+    /// lower the peak of live bytes; larger ones give the dedup planner and
+    /// a pipelined window more tasks to work on at once.
     pub fn with_partition_tasks(mut self, tasks: usize) -> Self {
         self.partition_tasks = tasks.max(1);
         self
     }
 
-    /// Overrides the worker count (default and minimum `1`: serially on
-    /// the calling thread); the [module docs](self) say when more pay. In
-    /// pipelined mode it is the number of runs in flight.
+    /// Sets the width of the pipelined window: how many runs
+    /// [`BatchRunner::with_pipeline`] keeps in flight (default and minimum
+    /// `1`). A runner without a pipeline runs its tasks one after another
+    /// whatever this says.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -232,7 +232,7 @@ impl<'a> BatchRunner<'a> {
         self.pipeline.map(|(dispatcher, _)| dispatcher)
     }
 
-    /// The configured worker count.
+    /// The configured window width (see [`BatchRunner::with_workers`]).
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -312,35 +312,9 @@ impl<'a> BatchRunner<'a> {
         if let Some((dispatcher, cache)) = self.pipeline {
             return self.execute_pipelined(dispatcher, cache, lake, tasks, reps);
         }
-        let slots: Vec<OnceLock<Result<RunOutput, UniDmError>>> =
-            reps.iter().map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(0);
-        // A shared cursor hands each worker the next unique task as soon
-        // as it finishes the previous one.
-        let worker = || {
-            let unidm = UniDm::new(self.llm, self.config);
-            loop {
-                let position = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&index) = reps.get(position) else {
-                    break;
-                };
-                let result = unidm.run(lake, &tasks[index]);
-                slots[position]
-                    .set(result)
-                    .expect("slot claimed exactly once");
-            }
-        };
-        match self.workers.min(reps.len()).max(1) {
-            1 => worker(),
-            workers => std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(worker);
-                }
-            }),
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every slot filled"))
+        let unidm = UniDm::new(self.llm, self.config);
+        reps.iter()
+            .map(|&index| unidm.run(lake, &tasks[index]))
             .collect()
     }
 
@@ -473,7 +447,7 @@ impl<'c> Flight<'_, 'c> {
     ) -> bool {
         loop {
             let (reply, miss) = match self.run.next() {
-                Ok(Step::Prompt(prompt)) => match cache.map(|cache| cache.lookup(prompt)) {
+                Ok(Step::Prompt(prompt)) => match cache.map(|cache| cache.lookup(prompt, true)) {
                     Some(Lookup::Hit(answer)) => (Reply::Ready(Ok(answer)), None),
                     Some(Lookup::Miss(miss)) => (dispatcher.submit(miss.text()), Some(miss)),
                     None => (dispatcher.submit(prompt), None),
@@ -534,6 +508,18 @@ mod tests {
             .collect()
     }
 
+    /// The window widths the pipelined tests sweep: one run in flight,
+    /// a few, and more than any batch here has tasks.
+    const WIDTHS: [usize; 3] = [1, 8, 64];
+
+    /// A fault-free pipelined dispatcher over `llm`.
+    fn dispatcher(llm: &dyn LanguageModel) -> Dispatcher<'_> {
+        let backend = crate::BackendConfig::resilient(7)
+            .without_breaker()
+            .with_pipelined();
+        Dispatcher::new(llm, backend)
+    }
+
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
         let (world, llm) = setup();
@@ -542,23 +528,77 @@ mod tests {
         let tasks = imputation_tasks(&ds, 30);
         let config = PipelineConfig::paper_default();
 
-        let serial = BatchRunner::new(&llm, config)
-            .with_workers(1)
-            .run(&lake, &tasks);
-        let parallel = BatchRunner::new(&llm, config)
-            .with_workers(6)
-            .run(&lake, &tasks);
-
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            let s = s.as_ref().expect("serial run ok");
-            let p = p.as_ref().expect("parallel run ok");
-            assert_eq!(s.answer, p.answer);
-            assert_eq!(
-                s.usage, p.usage,
-                "per-run usage must not depend on scheduling"
-            );
+        let serial = BatchRunner::new(&llm, config).run(&lake, &tasks);
+        for width in WIDTHS {
+            let dispatcher = dispatcher(&llm);
+            let windowed = BatchRunner::new(&dispatcher, config)
+                .with_workers(width)
+                .with_pipeline(&dispatcher, None)
+                .run(&lake, &tasks);
+            assert_eq!(serial.len(), windowed.len());
+            for (s, p) in serial.iter().zip(&windowed) {
+                let s = s.as_ref().expect("serial run ok");
+                let p = p.as_ref().expect("windowed run ok");
+                assert_eq!(s.answer, p.answer, "window {width}");
+                assert_eq!(
+                    s.usage, p.usage,
+                    "per-run usage must not depend on scheduling (window {width})"
+                );
+            }
         }
+    }
+
+    /// A model that records every prompt it is sent, in order.
+    struct Recorder<'a> {
+        inner: &'a MockLlm,
+        prompts: std::sync::Mutex<Vec<String>>,
+    }
+
+    impl LanguageModel for Recorder<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
+            self.prompts.lock().unwrap().push(prompt.to_string());
+            self.inner.complete(prompt)
+        }
+
+        fn usage(&self) -> unidm_llm::Usage {
+            self.inner.usage()
+        }
+
+        fn reset_usage(&self) {
+            self.inner.reset_usage();
+        }
+    }
+
+    #[test]
+    fn a_plain_runner_sends_the_serial_prompt_sequence_at_any_worker_count() {
+        let (world, llm) = setup();
+        let ds = imputation::restaurant(&world, 3, 12);
+        let lake: DataLake = [ds.table.clone()].into_iter().collect();
+        let tasks = imputation_tasks(&ds, 12);
+        let config = PipelineConfig::paper_default();
+        let recorder = || Recorder {
+            inner: &llm,
+            prompts: Default::default(),
+        };
+
+        let serial = recorder();
+        let unidm = UniDm::new(&serial, config);
+        let reference: Vec<_> = tasks.iter().map(|task| unidm.run(&lake, task)).collect();
+        let eight = recorder();
+        let results = BatchRunner::new(&eight, config)
+            .with_workers(8)
+            .run(&lake, &tasks);
+        assert_eq!(results, reference);
+        let sent = eight.prompts.into_inner().unwrap();
+        assert!(!sent.is_empty());
+        assert!(
+            sent == serial.prompts.into_inner().unwrap(),
+            "eight workers without a pipeline send the serial run's prompts, in its order"
+        );
     }
 
     #[test]
@@ -588,14 +628,21 @@ mod tests {
         // Poison the middle of the batch with a reference to a missing
         // table; its neighbours must still succeed.
         tasks.insert(3, Task::imputation("no_such_table", 0, "a", "b"));
-        let results = BatchRunner::new(&llm, PipelineConfig::paper_default())
-            .with_workers(4)
-            .run(&lake, &tasks);
-        assert_eq!(results.len(), 7);
-        assert!(matches!(results[3], Err(UniDmError::Table(_))));
-        for (i, r) in results.iter().enumerate() {
-            if i != 3 {
-                assert!(r.is_ok(), "slot {i} should have survived the poisoned slot");
+        for width in WIDTHS {
+            let dispatcher = dispatcher(&llm);
+            let results = BatchRunner::new(&dispatcher, PipelineConfig::paper_default())
+                .with_workers(width)
+                .with_pipeline(&dispatcher, None)
+                .run(&lake, &tasks);
+            assert_eq!(results.len(), 7);
+            assert!(matches!(results[3], Err(UniDmError::Table(_))));
+            for (i, r) in results.iter().enumerate() {
+                if i != 3 {
+                    assert!(
+                        r.is_ok(),
+                        "slot {i} should have survived the poisoned slot (window {width})"
+                    );
+                }
             }
         }
     }
@@ -622,9 +669,7 @@ mod tests {
         let plain_tokens = llm.usage().total();
 
         llm.reset_usage();
-        let report = BatchRunner::new(&llm, config)
-            .with_workers(4)
-            .run_report(&lake, &tasks);
+        let report = BatchRunner::new(&llm, config).run_report(&lake, &tasks);
         let dedup_tokens = llm.usage().total();
 
         assert_eq!(report.unique_tasks, 8);
@@ -641,6 +686,17 @@ mod tests {
             plain_tokens,
             "deduped batch pays for each unique task exactly once"
         );
+
+        // The planner runs before a pipelined window, whatever its width.
+        for width in WIDTHS {
+            let dispatcher = dispatcher(&llm);
+            let windowed = BatchRunner::new(&dispatcher, config)
+                .with_workers(width)
+                .with_pipeline(&dispatcher, None)
+                .run_report(&lake, &tasks);
+            assert_eq!((windowed.unique_tasks, windowed.coalesced_tasks), (8, 16));
+            assert_eq!(windowed.results, report.results, "window {width}");
+        }
     }
 
     #[test]
@@ -775,33 +831,18 @@ mod tests {
         let lake: DataLake = [ds.table.clone()].into_iter().collect();
         let tasks = imputation_tasks(&ds, 6);
         let config = PipelineConfig::paper_default();
-        let serial = BatchRunner::new(&llm, config)
-            .with_workers(1)
-            .run(&lake, &tasks);
+        let serial = BatchRunner::new(&llm, config).run(&lake, &tasks);
         assert_eq!(serial.len(), tasks.len());
+        assert!(BatchRunner::new(&llm, config).run(&lake, &[]).is_empty());
 
-        // 1, 2 and 8 workers, and more workers than there are tasks.
-        for workers in [1, 2, 8, tasks.len() + 3] {
-            let pool = BatchRunner::new(&llm, config).with_workers(workers);
-            assert_eq!(pool.run(&lake, &tasks), serial, "pool, {workers} workers");
-            assert!(pool.run(&lake, &[]).is_empty(), "zero tasks, {workers}");
-
-            let backend = crate::BackendConfig::resilient(7)
-                .without_breaker()
-                .with_pipelined();
-            let dispatcher = Dispatcher::new(&llm, backend);
+        // The widest window holds more runs than there are tasks.
+        for width in WIDTHS {
+            let dispatcher = dispatcher(&llm);
             let pipelined = BatchRunner::new(&dispatcher, config)
-                .with_workers(workers)
+                .with_workers(width)
                 .with_pipeline(&dispatcher, None);
-            assert_eq!(
-                pipelined.run(&lake, &tasks),
-                serial,
-                "pipelined, {workers} workers"
-            );
-            assert!(
-                pipelined.run(&lake, &[]).is_empty(),
-                "zero tasks, {workers}"
-            );
+            assert_eq!(pipelined.run(&lake, &tasks), serial, "window {width}");
+            assert!(pipelined.run(&lake, &[]).is_empty(), "zero tasks, {width}");
             let stats = dispatcher.stats();
             assert!(stats.calls > 0 && stats.failures == 0, "{stats:?}");
         }
@@ -816,30 +857,32 @@ mod tests {
         let config = PipelineConfig::paper_default();
 
         llm.reset_usage();
-        let plain = BatchRunner::new(&llm, config)
-            .with_workers(4)
-            .run(&lake, &tasks);
+        let plain = BatchRunner::new(&llm, config).run(&lake, &tasks);
         let plain_tokens = llm.usage().total();
 
-        llm.reset_usage();
-        let cache = PromptCache::unbounded(&llm);
-        let cached = BatchRunner::new(&cache, config)
-            .with_workers(4)
-            .run(&lake, &tasks);
-        let cached_tokens = llm.usage().total();
+        for width in WIDTHS {
+            llm.reset_usage();
+            let dispatcher = dispatcher(&llm);
+            let cache = PromptCache::unbounded(&dispatcher);
+            let cached = BatchRunner::new(&cache, config)
+                .with_workers(width)
+                .with_pipeline(&dispatcher, Some(&cache))
+                .run(&lake, &tasks);
+            let cached_tokens = llm.usage().total();
 
-        for (a, b) in plain.iter().zip(&cached) {
-            assert_eq!(a.as_ref().unwrap().answer, b.as_ref().unwrap().answer);
+            for (a, b) in plain.iter().zip(&cached) {
+                assert_eq!(a.as_ref().unwrap().answer, b.as_ref().unwrap().answer);
+            }
+            let stats = cache.stats();
+            assert!(
+                stats.hits + stats.coalesced > 0,
+                "tasks on one table must share prompts (window {width})"
+            );
+            assert!(
+                cached_tokens < plain_tokens,
+                "cache should save model tokens at window {width}: {cached_tokens} vs {plain_tokens}"
+            );
         }
-        let stats = cache.stats();
-        assert!(
-            stats.hits + stats.coalesced > 0,
-            "tasks on one table must share prompts"
-        );
-        assert!(
-            cached_tokens < plain_tokens,
-            "cache should save model tokens: {cached_tokens} vs {plain_tokens}"
-        );
     }
 
     #[test]
@@ -897,29 +940,36 @@ mod tests {
         ];
         tasks.extend(imputation_tasks(&imp, 4));
 
+        let config = PipelineConfig::paper_default();
         let cache = PromptCache::new(&llm, 256);
-        let runner = BatchRunner::new(&cache, PipelineConfig::paper_default()).with_workers(7);
-        let serial = runner.with_workers(1).run(&lake, &tasks);
-        let parallel = runner.run(&lake, &tasks);
-        for (kind, (s, p)) in tasks
-            .iter()
-            .map(Task::kind)
-            .zip(serial.iter().zip(&parallel))
-        {
-            let s = s
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{kind:?} serial failed: {e}"));
-            let p = p
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{kind:?} parallel failed: {e}"));
-            assert_eq!(
-                s.answer, p.answer,
-                "{kind:?} answer must not depend on scheduling"
-            );
-            assert_eq!(
-                s.usage, p.usage,
-                "{kind:?} usage must not depend on scheduling"
-            );
+        let serial = BatchRunner::new(&cache, config).run(&lake, &tasks);
+        for width in WIDTHS {
+            let dispatcher = dispatcher(&llm);
+            let cache = PromptCache::new(&dispatcher, 256);
+            let windowed = BatchRunner::new(&cache, config)
+                .with_workers(width)
+                .with_pipeline(&dispatcher, Some(&cache))
+                .run(&lake, &tasks);
+            for (kind, (s, p)) in tasks
+                .iter()
+                .map(Task::kind)
+                .zip(serial.iter().zip(&windowed))
+            {
+                let s = s
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("{kind:?} serial failed: {e}"));
+                let p = p
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("{kind:?} window {width} failed: {e}"));
+                assert_eq!(
+                    s.answer, p.answer,
+                    "{kind:?} answer must not depend on scheduling (window {width})"
+                );
+                assert_eq!(
+                    s.usage, p.usage,
+                    "{kind:?} usage must not depend on scheduling (window {width})"
+                );
+            }
         }
     }
 }

@@ -25,10 +25,10 @@
 //! the crate ships an execution stack, each layer behind the same
 //! `LanguageModel` trait and documented in its module:
 //!
-//! * [`exec`] — [`BatchRunner`] runs a `Vec<Task>` serially, on a scoped
-//!   worker pool, or as a window of [`Run`] step machines on one thread
-//!   over the [`dispatch`] reactor; results are bit-for-bit those of a
-//!   serial loop, per-run [`RunOutput`] usage included.
+//! * [`exec`] — [`BatchRunner`] runs a `Vec<Task>` serially, or as a
+//!   window of [`Run`] step machines on one thread over the [`dispatch`]
+//!   reactor; results are bit-for-bit those of the serial loop, per-run
+//!   [`RunOutput`] usage included.
 //! * [`cache`], [`canon`], [`store`] — [`PromptCache`] memoizes
 //!   completions under [`CanonicalPrompt`] keys (whitespace, per-row
 //!   retrieval preambles and, at [`CanonLevel::Semantic`], list order

@@ -504,7 +504,9 @@ mod tests {
 
     /// 10^4 seeded mutants of the class's prompts through the model, and
     /// each reply, a mutant of it and the mutant prompt itself through
-    /// `read_prm`, `read_pri` and `parse_pri_response`: none may panic.
+    /// `read_prm`, `read_pri`, `parse_pri_response` and
+    /// `answer_confidence_permille`: none may panic, and the confidence
+    /// stays at most 1000.
     fn mutants_never_panic(class: usize) {
         let prompts = &prompts_by_class()[class];
         assert!(!prompts.is_empty(), "no prompt of class {class}");
@@ -524,6 +526,8 @@ mod tests {
                 read_prm(&candidates, text);
                 read_pri(&config, text, config.sample_size);
                 parse_pri_response(text);
+                let confidence = crate::route::answer_confidence_permille(text);
+                assert!(confidence <= 1000, "{text:?}: {confidence}");
             }
         }
     }

@@ -11,8 +11,8 @@ use crate::metrics::Confusion;
 use crate::report::TableReport;
 use crate::ExperimentConfig;
 
-/// F1 of the UniDM pipeline on an error-detection dataset (runs batched
-/// across the worker pool).
+/// F1 of the UniDM pipeline on an error-detection dataset (runs as one
+/// batch).
 pub fn unidm_f1(
     llm: &dyn LanguageModel,
     ds: &ErrorDetectionDataset,

@@ -12,7 +12,7 @@ use crate::report::TableReport;
 use crate::ExperimentConfig;
 
 /// Mean text F1 of the UniDM pipeline over documents × attributes (runs
-/// batched across the worker pool).
+/// as one batch).
 pub fn unidm_f1(
     llm: &dyn LanguageModel,
     ds: &ExtractionDataset,

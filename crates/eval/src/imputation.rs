@@ -11,8 +11,8 @@ use crate::metrics::{answers_match, Accuracy};
 use crate::report::TableReport;
 use crate::ExperimentConfig;
 
-/// Accuracy of the UniDM pipeline on an imputation dataset (runs batched
-/// across the worker pool).
+/// Accuracy of the UniDM pipeline on an imputation dataset (runs as one
+/// batch).
 pub fn unidm_accuracy(
     llm: &dyn LanguageModel,
     ds: &ImputationDataset,

@@ -72,7 +72,7 @@ impl fmt::Display for SweepReport {
 }
 
 /// Joinability scores of the UniDM pipeline over a dataset's pairs (runs
-/// batched across the worker pool).
+/// as one batch).
 pub fn unidm_scores(
     llm: &dyn LanguageModel,
     ds: &JoinDiscoveryDataset,
@@ -98,7 +98,10 @@ pub fn unidm_scores(
         .collect()
 }
 
-/// Parses "Yes (joinability: 83%)" into `0.83`.
+/// Parses "Yes (joinability: 83%)" into `0.83`. Total: the result is
+/// always a finite value in `[0, 1]`, and a reply without a percentage in
+/// 0–100 (none at all, `NaN`, an infinity, `-20%`, `250%`) reads as the
+/// fallback 0.0 — not joinable at any threshold.
 pub fn parse_joinability(answer: &str) -> f64 {
     answer
         .split("joinability:")
@@ -111,6 +114,7 @@ pub fn parse_joinability(answer: &str) -> f64 {
                 .parse::<f64>()
                 .ok()
         })
+        .filter(|p| (0.0..=100.0).contains(p))
         .map(|p| p / 100.0)
         .unwrap_or(0.0)
 }
@@ -177,7 +181,80 @@ mod tests {
     fn parse_joinability_cases() {
         assert!((parse_joinability("Yes (joinability: 83%)") - 0.83).abs() < 1e-9);
         assert!((parse_joinability("No (joinability: 5%)") - 0.05).abs() < 1e-9);
+        assert_eq!(parse_joinability("Yes (joinability: 100%)"), 1.0);
         assert_eq!(parse_joinability("garbled"), 0.0);
+        // Rust's float parser reads these; a joinability they are not.
+        assert_eq!(parse_joinability("Yes (joinability: NaN%)"), 0.0);
+        assert_eq!(parse_joinability("Yes (joinability: inf%)"), 0.0);
+        assert_eq!(parse_joinability("joinability: 250%"), 0.0);
+        assert_eq!(parse_joinability("No (joinability: -20%)"), 0.0);
+    }
+
+    /// 10^4 seeded mutants of the model's own join replies: whatever the
+    /// text, the parse stays a finite value in `[0, 1]`.
+    #[test]
+    fn mutated_join_replies_parse_into_the_unit_interval() {
+        const JUNK: [&str; 14] = [
+            "NaN",
+            "inf",
+            "-inf",
+            "-20",
+            "250",
+            "1e308",
+            "1e999",
+            "-0",
+            "+5",
+            "e",
+            "%",
+            ")",
+            "joinability:",
+            " ",
+        ];
+        let world = World::generate(7);
+        let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 7);
+        let ds = joins::nextiajd(&world, 7, 40);
+        let lake = DataLake::new();
+        let tasks: Vec<Task> = ds
+            .pairs
+            .iter()
+            .map(|pair| Task::JoinDiscovery {
+                left_name: pair.left_name.clone(),
+                left_values: pair.left_values.clone(),
+                right_name: pair.right_name.clone(),
+                right_values: pair.right_values.clone(),
+            })
+            .collect();
+        let replies =
+            BatchRunner::new(&llm, PipelineConfig::paper_default()).answers(&lake, &tasks);
+        assert!(replies
+            .iter()
+            .all(|r| r.contains("joinability:") && r.is_ascii()));
+        // xorshift64: the crate has no RNG dependency.
+        let mut state = 0x6a6f_696e_u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for k in 0..10_000 {
+            let mut text = replies[k % replies.len()].clone();
+            for _ in 0..1 + next(3) {
+                let from = next(text.len() + 1);
+                let to = from + next(text.len() - from + 1);
+                let junk = JUNK[next(JUNK.len())];
+                text = match next(3) {
+                    0 => format!("{}{junk}{}", &text[..from], &text[to..]),
+                    1 => format!("{}{}", &text[..from], &text[to..]),
+                    _ => format!("{}{junk}{}", &text[..from], &text[from..]),
+                };
+            }
+            let p = parse_joinability(&text);
+            assert!(
+                p.is_finite() && (0.0..=1.0).contains(&p),
+                "{text:?} parsed to {p}"
+            );
+        }
     }
 
     #[test]

@@ -24,8 +24,7 @@ pub fn to_serialized(schema: &Schema, record: &Record) -> SerializedRecord {
     )
 }
 
-/// F1 of the UniDM pipeline on an ER dataset (runs batched across the
-/// worker pool).
+/// F1 of the UniDM pipeline on an ER dataset (runs as one batch).
 pub fn unidm_f1(
     llm: &dyn LanguageModel,
     ds: &MatchingDataset,

@@ -12,7 +12,7 @@ use crate::report::TableReport;
 use crate::ExperimentConfig;
 
 /// Exact-match accuracy of the UniDM pipeline on a transformation dataset
-/// (runs batched across the worker pool).
+/// (runs as one batch).
 pub fn unidm_accuracy(
     llm: &dyn LanguageModel,
     ds: &TransformationDataset,

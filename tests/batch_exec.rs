@@ -1,5 +1,5 @@
-//! Acceptance test for the parallel batch execution engine: a 50+-task
-//! imputation workload run serially, batched, and batched+cached must
+//! Acceptance test for the batch execution engine: a 50+-task imputation
+//! workload run serially, in pipelined windows, and batched+cached must
 //! produce identical answers, with the cached path consuming strictly
 //! fewer model tokens — and per-run usage must come from the run's own
 //! meter, never from the model's global counter.
@@ -7,7 +7,10 @@
 mod common;
 
 use common::{task_mix, PromptLog};
-use unidm::{BatchRunner, PipelineConfig, PromptCache, RunOutput, Task, UniDm};
+use unidm::backend::BackendConfig;
+use unidm::{
+    BatchRunner, Dispatcher, PipelineConfig, PromptCache, RunOutput, Task, UniDm, UniDmError,
+};
 use unidm_llm::{LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -35,6 +38,30 @@ fn workload() -> (MockLlm, DataLake, Vec<Task>) {
     (llm, lake, tasks)
 }
 
+/// The window widths the pipelined runs sweep.
+const WIDTHS: [usize; 3] = [1, 8, 64];
+
+/// `tasks` in a pipelined window of `width` runs over a fault-free
+/// dispatcher above `llm`.
+fn windowed(
+    llm: &dyn LanguageModel,
+    config: PipelineConfig,
+    width: usize,
+    lake: &DataLake,
+    tasks: &[Task],
+) -> Vec<Result<RunOutput, UniDmError>> {
+    let dispatcher = Dispatcher::new(
+        llm,
+        BackendConfig::resilient(42)
+            .without_breaker()
+            .with_pipelined(),
+    );
+    BatchRunner::new(&dispatcher, config)
+        .with_workers(width)
+        .with_pipeline(&dispatcher, None)
+        .run(lake, tasks)
+}
+
 #[test]
 fn batched_cached_workload_saves_tokens_with_identical_answers() {
     let (llm, lake, tasks) = workload();
@@ -48,7 +75,7 @@ fn batched_cached_workload_saves_tokens_with_identical_answers() {
         .run(&lake, &tasks);
     let serial_tokens = llm.usage().total();
 
-    // Batched + cached: shared worker pool over a prompt cache.
+    // Batched + cached: the same runner over a prompt cache.
     llm.reset_usage();
     let cache = PromptCache::unbounded(&llm);
     let cached = BatchRunner::new(&cache, config).run(&lake, &tasks);
@@ -106,17 +133,15 @@ fn per_run_usage_is_independent_of_global_counter() {
 fn parallel_equals_serial_on_the_workload() {
     let (llm, lake, tasks) = workload();
     let config = PipelineConfig::paper_default().with_seed(42);
-    let serial = BatchRunner::new(&llm, config)
-        .with_workers(1)
-        .run(&lake, &tasks);
-    let parallel = BatchRunner::new(&llm, config)
-        .with_workers(8)
-        .run(&lake, &tasks);
-    for (s, p) in serial.iter().zip(&parallel) {
-        let s = s.as_ref().expect("serial ok");
-        let p = p.as_ref().expect("parallel ok");
-        assert_eq!(s.answer, p.answer);
-        assert_eq!(s.usage, p.usage);
+    let serial = BatchRunner::new(&llm, config).run(&lake, &tasks);
+    for width in WIDTHS {
+        let parallel = windowed(&llm, config, width, &lake, &tasks);
+        for (s, p) in serial.iter().zip(&parallel) {
+            let s = s.as_ref().expect("serial ok");
+            let p = p.as_ref().expect("windowed ok");
+            assert_eq!(s.answer, p.answer, "window {width}");
+            assert_eq!(s.usage, p.usage, "window {width}");
+        }
     }
 }
 
@@ -159,12 +184,13 @@ fn long_lived_pipeline_sends_the_prompts_a_fresh_one_would() {
             "prompts differ"
         );
         assert!(kept == fresh, "outputs differ");
-        for workers in [1, 8] {
-            let batched = BatchRunner::new(&llm, config)
-                .with_workers(workers)
-                .run(&lake, &tasks);
+        let batched = BatchRunner::new(&llm, config).run(&lake, &tasks);
+        let batched: Vec<RunOutput> = batched.into_iter().map(|r| r.expect("ok")).collect();
+        assert!(batched == kept, "the batch differs");
+        for width in WIDTHS {
+            let batched = windowed(&llm, config, width, &lake, &tasks);
             let batched: Vec<RunOutput> = batched.into_iter().map(|r| r.expect("ok")).collect();
-            assert!(batched == kept, "{workers} workers differ");
+            assert!(batched == kept, "window {width} differs");
         }
     }
 }

@@ -3,10 +3,16 @@
 //! of magnitude (≥ 20%, up from ~2% verbatim), the disk tier must
 //! warm-start a second run so it answers before any model call, sharded
 //! statistics must stay exact under seeded concurrent access, and
-//! serial/parallel answers must remain bit-for-bit identical with
+//! serial and pipelined answers must remain bit-for-bit identical with
 //! canonicalization on.
 
-use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
+mod common;
+
+use common::PromptLog;
+use unidm::backend::BackendConfig;
+use unidm::{
+    BatchRunner, CacheStore, CanonLevel, Dispatcher, PipelineConfig, PromptCache, StoreConfig, Task,
+};
 use unidm_llm::{LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -73,14 +79,31 @@ fn serial_and_parallel_stay_identical_with_canonicalization_on() {
     let (_, llm, lake, tasks) = workload();
     let config = PipelineConfig::paper_default().with_seed(42);
     let cache = canonical_cache(&llm);
-    let runner = BatchRunner::new(&cache, config);
-    let serial = runner.with_workers(1).run(&lake, &tasks);
-    let parallel = runner.with_workers(8).run(&lake, &tasks);
-    for (s, p) in serial.iter().zip(&parallel) {
-        let s = s.as_ref().expect("serial ok");
-        let p = p.as_ref().expect("parallel ok");
-        assert_eq!(s.answer, p.answer, "answers must not depend on scheduling");
-        assert_eq!(s.usage, p.usage, "usage must not depend on scheduling");
+    let serial = BatchRunner::new(&cache, config).run(&lake, &tasks);
+    for width in [1, 8, 64] {
+        let dispatcher = Dispatcher::new(
+            &llm,
+            BackendConfig::resilient(42)
+                .without_breaker()
+                .with_pipelined(),
+        );
+        let cache = canonical_cache(&dispatcher);
+        let windowed = BatchRunner::new(&cache, config)
+            .with_workers(width)
+            .with_pipeline(&dispatcher, Some(&cache))
+            .run(&lake, &tasks);
+        for (s, p) in serial.iter().zip(&windowed) {
+            let s = s.as_ref().expect("serial ok");
+            let p = p.as_ref().expect("windowed ok");
+            assert_eq!(
+                s.answer, p.answer,
+                "answers must not depend on scheduling (window {width})"
+            );
+            assert_eq!(
+                s.usage, p.usage,
+                "usage must not depend on scheduling (window {width})"
+            );
+        }
     }
 }
 
@@ -231,15 +254,15 @@ fn sharded_stats_stay_exact_under_seeded_concurrent_access() {
 
 #[test]
 fn stats_remain_consistent_when_threads_race_on_one_key() {
-    // All threads fight over the same prompts. Single-flight elects one
-    // leader per distinct prompt (exactly one miss each); a racer either
-    // coalesces onto the leader or hits later, and the ledger balances
-    // over all three outcomes.
+    // All threads fight over the same prompts. One lookup per distinct
+    // prompt leads it; a racer that finds it in flight fetches it too
+    // (a miss that inserts nothing), and every later lookup hits.
     const THREADS: usize = 8;
     const ROUNDS: usize = 20;
     let world = World::generate(7);
     let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 7);
-    let cache = PromptCache::unbounded(&llm).with_shards(2);
+    let log = PromptLog::new(&llm);
+    let cache = PromptCache::unbounded(&log).with_shards(2);
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
             let cache = &cache;
@@ -254,7 +277,7 @@ fn stats_remain_consistent_when_threads_race_on_one_key() {
     });
     let stats = cache.stats();
     assert_eq!(stats.lookups(), THREADS * ROUNDS, "every lookup counted");
-    assert_eq!(stats.misses, 3, "one leader per distinct prompt");
+    assert_eq!(stats.misses, log.prompts().len(), "one inner call per miss");
     assert_eq!(
         cache.len(),
         3,

@@ -1,16 +1,15 @@
 //! Acceptance tests for single-flight request coalescing: a
-//! duplicate-heavy workload across 1/2/8 workers and 1/8 cache shards must
-//! issue **exactly one** endpoint call per unique canonical key, produce answers
-//! bit-identical to serial, and report exact `CacheStats` — including the
-//! new `coalesced` counter, pinned precisely under a forced-overlap
-//! schedule.
+//! duplicate-heavy workload in pipelined windows of 1/8/64 runs over 1/8
+//! cache shards must issue **exactly one** endpoint call per unique
+//! canonical key, produce answers bit-identical to serial, and report exact
+//! `CacheStats`; and two threads racing blocking lookups on one key set
+//! keep `misses`, `tokens_saved` and the resident keys exact.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
 
-use unidm::{BatchRunner, CanonLevel, PipelineConfig, PromptCache, Task};
+use unidm::backend::BackendConfig;
+use unidm::{BatchRunner, CanonLevel, Dispatcher, PipelineConfig, PromptCache, Task};
 use unidm_llm::{Completion, LanguageModel, LlmError, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -34,6 +33,10 @@ impl<'a> CountingModel<'a> {
     fn per_prompt_calls(&self) -> HashMap<String, usize> {
         self.calls.lock().unwrap().clone()
     }
+
+    fn calls(&self) -> usize {
+        self.calls.lock().unwrap().values().sum()
+    }
 }
 
 impl LanguageModel for CountingModel<'_> {
@@ -48,6 +51,9 @@ impl LanguageModel for CountingModel<'_> {
             .unwrap()
             .entry(prompt.to_string())
             .or_insert(0) += 1;
+        // Give up the time slice while the key is in flight, so a racing
+        // thread gets to look it up meanwhile.
+        std::thread::yield_now();
         self.inner.complete(prompt)
     }
 
@@ -111,198 +117,99 @@ fn one_endpoint_call_per_unique_canonical_key_across_worker_counts() {
         assert_eq!(calls, 1, "serial: duplicate call for {prompt:?}");
     }
 
-    // One shard puts every leader and waiter on one lock; eight is the
-    // default.
-    for (workers, shards) in [(2usize, 1usize), (2, 8), (8, 1), (8, 8)] {
+    // A window of one run never coalesces; 64 runs hold every task of a
+    // round in flight at once. One shard puts every key on one lock; eight
+    // is the default.
+    for (width, shards) in [(1usize, 1usize), (8, 1), (8, 8), (64, 1), (64, 8)] {
         let model = CountingModel::new(&llm);
-        let cache = PromptCache::unbounded(&model)
+        let dispatcher = Dispatcher::new(
+            &model,
+            BackendConfig::resilient(1301)
+                .without_breaker()
+                .with_pipelined(),
+        );
+        let cache = PromptCache::unbounded(&dispatcher)
             .with_shards(shards)
             .with_canonicalization(CanonLevel::TableStem);
         let answers = BatchRunner::new(&cache, config)
-            .with_workers(workers)
+            .with_workers(width)
             .with_dedup(false)
+            .with_pipeline(&dispatcher, Some(&cache))
             .answers(&lake, &tasks);
         assert_eq!(
             answers, serial_answers,
-            "{workers} workers, {shards} shards: answers must be bit-identical to serial"
+            "window {width}, {shards} shards: answers must be bit-identical to serial"
         );
         let per_prompt = model.per_prompt_calls();
         assert_eq!(
             per_prompt.len(),
             unique_keys,
-            "{workers} workers, {shards} shards: endpoint must see exactly the unique canonical keys"
+            "window {width}, {shards} shards: endpoint must see exactly the unique canonical keys"
         );
         for (prompt, calls) in per_prompt {
             assert_eq!(
                 calls, 1,
-                "{workers} workers, {shards} shards: single-flight must fold duplicate calls for {prompt:?}"
+                "window {width}, {shards} shards: single-flight must fold duplicate calls for {prompt:?}"
             );
         }
         let stats = cache.stats();
         assert_eq!(
             stats.misses, unique_keys,
-            "{workers} workers, {shards} shards: misses count leaders only, one per unique key"
+            "window {width}, {shards} shards: misses count leaders only, one per unique key"
         );
         assert_eq!(
             stats.lookups(),
             serial_stats.lookups(),
-            "{workers} workers, {shards} shards: total lookups are schedule-independent"
+            "window {width}, {shards} shards: total lookups are schedule-independent"
         );
         assert_eq!(
             stats.hits + stats.coalesced,
             serial_stats.hits,
-            "{workers} workers, {shards} shards: every duplicate lookup is served without an endpoint call"
+            "window {width}, {shards} shards: every duplicate lookup is served without an endpoint call"
         );
         assert_eq!(
             stats.tokens_saved, serial_stats.tokens_saved,
-            "{workers} workers, {shards} shards: tokens saved are exact whatever the hit/coalesce split"
+            "window {width}, {shards} shards: tokens saved are exact whatever the hit/coalesce split"
         );
     }
 }
 
-/// A model whose completions block until the test opens the gate — this
-/// pins the coalesced counter exactly: with the leader parked inside the
-/// endpoint, every other thread *must* join its in-flight slot.
-struct GateModel<'a> {
-    inner: &'a MockLlm,
-    open: Mutex<bool>,
-    opened: Condvar,
-    calls: AtomicUsize,
-    fail: bool,
-}
-
-impl<'a> GateModel<'a> {
-    fn new(inner: &'a MockLlm, fail: bool) -> Self {
-        GateModel {
-            inner,
-            open: Mutex::new(false),
-            opened: Condvar::new(),
-            calls: AtomicUsize::new(0),
-            fail,
-        }
-    }
-
-    fn open(&self) {
-        *self.open.lock().unwrap() = true;
-        self.opened.notify_all();
-    }
-
-    fn calls(&self) -> usize {
-        self.calls.load(Ordering::SeqCst)
-    }
-}
-
-impl LanguageModel for GateModel<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-        self.calls.fetch_add(1, Ordering::SeqCst);
-        let mut open = self.open.lock().unwrap();
-        while !*open {
-            open = self.opened.wait(open).unwrap();
-        }
-        drop(open);
-        if self.fail {
-            return Err(LlmError::Transient { status: 503 });
-        }
-        self.inner.complete(prompt)
-    }
-
-    fn usage(&self) -> Usage {
-        self.inner.usage()
-    }
-
-    fn reset_usage(&self) {
-        self.inner.reset_usage();
-    }
-
-    fn context_window(&self) -> usize {
-        self.inner.context_window()
-    }
-}
-
-fn spin_until(deadline: Duration, mut done: impl FnMut() -> bool) {
-    let start = Instant::now();
-    while !done() {
-        assert!(
-            start.elapsed() < deadline,
-            "condition not reached within {deadline:?}"
-        );
-        std::thread::yield_now();
-    }
-}
-
+/// Two threads race blocking lookups over one key set, in the same order
+/// and with no gate: a lookup that finds its key in flight on the other
+/// thread fetches it itself. However the race falls, the counters stay
+/// exact.
 #[test]
-fn forced_overlap_pins_the_coalesced_counter_exactly() {
-    const FOLLOWERS: usize = 5;
+fn racing_blocking_lookups_fetch_for_themselves_and_keep_the_counters_exact() {
+    const KEYS: usize = 64;
+    const ROUNDS: usize = 3;
     let world = World::generate(7);
-    let inner = MockLlm::new(&world, LlmProfile::gpt3_175b(), 7);
-    let gate = GateModel::new(&inner, false);
-    let cache = PromptCache::unbounded(&gate);
-    let prompt = "the capital of Denmark is __.";
-
+    let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 7);
+    let model = CountingModel::new(&llm);
+    let cache = PromptCache::unbounded(&model).with_shards(2);
+    let prompts: Vec<String> = (0..KEYS)
+        .map(|k| format!("contended prompt number {k}"))
+        .collect();
+    let usages = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..1 + FOLLOWERS {
-            handles.push(scope.spawn(|| cache.complete(prompt).unwrap()));
-        }
-        // The leader is parked inside the endpoint; every follower must
-        // have joined its slot before we open the gate — so the coalesced
-        // count is exact, not a race.
-        spin_until(Duration::from_secs(10), || {
-            cache.stats().coalesced == FOLLOWERS
-        });
-        assert_eq!(gate.calls(), 1, "only the leader may reach the endpoint");
-        gate.open();
-        let replies: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for reply in &replies {
-            assert_eq!(reply, &replies[0], "all callers share one completion");
+        for _ in 0..2 {
+            let (cache, prompts, usages) = (&cache, &prompts, &usages);
+            scope.spawn(move || {
+                for i in 0..ROUNDS * KEYS {
+                    let reply = cache.complete(&prompts[i % KEYS]).expect("completes");
+                    usages.lock().unwrap().push(reply.usage.total());
+                }
+            });
         }
     });
-
+    let usages = usages.into_inner().unwrap();
     let stats = cache.stats();
+    assert_eq!(stats.lookups(), usages.len(), "every lookup counted");
+    assert_eq!(stats.coalesced, 0, "a blocking lookup never coalesces");
+    assert_eq!(stats.misses, model.calls(), "one inner call per miss");
     assert_eq!(
-        (stats.misses, stats.coalesced, stats.hits),
-        (1, FOLLOWERS, 0),
-        "exact stats under the forced overlap"
+        stats.tokens_saved + llm.usage().total(),
+        usages.iter().sum::<usize>(),
+        "every lookup's tokens were either processed below or saved"
     );
-    assert_eq!(gate.calls(), 1, "exactly one endpoint call in total");
-    // Follow-up lookups are plain hits.
-    cache.complete(prompt).unwrap();
-    assert_eq!(cache.stats().hits, 1);
-}
-
-#[test]
-fn leader_errors_propagate_to_coalesced_waiters_and_are_not_memoized() {
-    const FOLLOWERS: usize = 3;
-    let world = World::generate(7);
-    let inner = MockLlm::new(&world, LlmProfile::gpt3_175b(), 7);
-    let gate = GateModel::new(&inner, true);
-    let cache = PromptCache::unbounded(&gate);
-    let prompt = "doomed prompt";
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..1 + FOLLOWERS {
-            handles.push(scope.spawn(|| cache.complete(prompt)));
-        }
-        spin_until(Duration::from_secs(10), || {
-            cache.stats().coalesced == FOLLOWERS
-        });
-        gate.open();
-        for handle in handles {
-            assert_eq!(
-                handle.join().unwrap(),
-                Err(LlmError::Transient { status: 503 }),
-                "waiters share the leader's error"
-            );
-        }
-    });
-    assert_eq!(gate.calls(), 1, "the error cost one endpoint call, not 4");
-    assert!(cache.is_empty(), "errors must not be memoized");
-    // The slot was cleared: a retry reaches the endpoint again.
-    let _ = cache.complete(prompt);
-    assert_eq!(gate.calls(), 2, "retry after error leads afresh");
+    assert_eq!(cache.len(), KEYS, "one resident entry per distinct key");
 }

@@ -1,25 +1,30 @@
 //! Acceptance tests for the resilient backend substrate under seeded
 //! fault injection.
 //!
-//! The contract (ISSUE 3): under any seeded fault schedule — timeouts,
-//! 429 rate limits, transient 5xx errors, latency spikes — a batched run
-//! through [`SimBackend`] completes with answers bit-identical to the
-//! fault-free serial run; re-running the same seed reproduces identical
-//! retry/breaker statistics; and cache hits consume zero rate-limit
-//! budget.
+//! The contract: under any seeded fault schedule — timeouts, 429 rate
+//! limits, transient 5xx errors, latency spikes — a batched run through
+//! [`SimBackend`], serial or in a pipelined window, completes with answers
+//! bit-identical to the fault-free serial run; re-running the same seed
+//! reproduces identical retry/breaker statistics; and cache hits consume
+//! zero rate-limit budget.
 //!
 //! The fault-schedule seed honors `UNIDM_FAULT_SEED` (CI runs the suite at
 //! two distinct seeds), so schedule sensitivity is exercised on every
 //! push.
 
 use unidm::backend::{BackendConfig, BackendStats};
-use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
+use unidm::{
+    BatchRunner, CacheStore, CanonLevel, Dispatcher, PipelineConfig, PromptCache, StoreConfig, Task,
+};
 use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
 use unidm_world::World;
 
 const WORKLOAD: usize = 40;
+
+/// The pipelined window widths the schedule tests sweep.
+const WIDTHS: [usize; 3] = [1, 8, 64];
 
 /// The fault-schedule seed: `UNIDM_FAULT_SEED` when set (the CI matrix
 /// runs two), 7 otherwise.
@@ -75,23 +80,30 @@ fn batched_faulty_answers_are_bit_identical_to_fault_free_serial() {
             FaultPlan::heavy(seed),
             FaultPlan::always_faulty(seed, 5),
         ] {
-            let backend = stack_config(seed, plan).wrap(&llm);
-            let cache = PromptCache::unbounded(backend.model())
-                .with_canonicalization(CanonLevel::TableStem);
-            let answers = BatchRunner::new(&cache, pipeline)
-                .with_workers(4)
-                .answers(&lake, &tasks);
-            assert_eq!(
-                answers, baseline,
-                "plan {plan:?} changed answers despite retries"
-            );
-            let stats = backend.stats().expect("backend enabled");
-            assert_eq!(stats.failures, 0, "plan {plan:?}: every call completes");
-            if plan.timeout_permille + plan.rate_limit_permille + plan.transient_permille > 100 {
-                assert!(
-                    stats.retries > 0,
-                    "plan {plan:?} should actually have injected faults: {stats:?}"
+            for width in WIDTHS {
+                let dispatcher = Dispatcher::new(&llm, stack_config(seed, plan).with_pipelined());
+                let cache = PromptCache::unbounded(&dispatcher)
+                    .with_canonicalization(CanonLevel::TableStem);
+                let answers = BatchRunner::new(&cache, pipeline)
+                    .with_workers(width)
+                    .with_pipeline(&dispatcher, Some(&cache))
+                    .answers(&lake, &tasks);
+                assert_eq!(
+                    answers, baseline,
+                    "plan {plan:?}, window {width}: answers changed despite retries"
                 );
+                let stats = dispatcher.stats();
+                assert_eq!(
+                    stats.failures, 0,
+                    "plan {plan:?}, window {width}: every call completes"
+                );
+                if plan.timeout_permille + plan.rate_limit_permille + plan.transient_permille > 100
+                {
+                    assert!(
+                        stats.retries > 0,
+                        "plan {plan:?} should actually have injected faults: {stats:?}"
+                    );
+                }
             }
         }
     }
@@ -133,33 +145,40 @@ fn rerunning_the_same_seed_reproduces_identical_statistics() {
 #[test]
 fn aggregate_retry_statistics_are_scheduling_independent() {
     // Fault outcomes are consumed from a fixed per-prompt schedule, so the
-    // schedule-driven counters must not depend on thread interleaving.
-    // (Breaker and throttle counters are order-sensitive, so this runs
-    // breaker-less and compares only the schedule-driven ones.)
+    // schedule-driven counters must not depend on how many runs a
+    // pipelined window keeps in flight. (Throttle counters are
+    // order-sensitive, so this compares only the schedule-driven ones.)
     let (_, llm, lake, tasks) = workload();
     let pipeline = PipelineConfig::paper_default().with_seed(42);
     let seed = fault_seed();
-    let run = |workers: usize| {
-        let config = stack_config(seed, FaultPlan::moderate(seed)).without_breaker();
-        let backend = config.wrap(&llm);
-        let answers = BatchRunner::new(backend.model(), pipeline)
-            .with_workers(workers)
+    let run = |width: usize| {
+        let config = stack_config(seed, FaultPlan::moderate(seed)).with_pipelined();
+        let dispatcher = Dispatcher::new(&llm, config);
+        let answers = BatchRunner::new(&dispatcher, pipeline)
+            .with_workers(width)
+            .with_pipeline(&dispatcher, None)
             .answers(&lake, &tasks);
-        (answers, backend.stats().expect("backend enabled"))
+        (answers, dispatcher.stats())
     };
-    let (serial_answers, serial) = run(1);
-    let (parallel_answers, parallel) = run(6);
-    assert_eq!(serial_answers, parallel_answers);
-    for (name, a, b) in [
-        ("calls", serial.calls, parallel.calls),
-        ("attempts", serial.attempts, parallel.attempts),
-        ("retries", serial.retries, parallel.retries),
-        ("timeouts", serial.timeouts, parallel.timeouts),
-        ("rate_limited", serial.rate_limited, parallel.rate_limited),
-        ("transients", serial.transients, parallel.transients),
-        ("failures", serial.failures, parallel.failures),
-    ] {
-        assert_eq!(a, b, "{name} must be scheduling-independent");
+    let (serial_answers, serial) = run(WIDTHS[0]);
+    assert!(serial.retries > 0, "the moderate plan injects faults");
+    for width in &WIDTHS[1..] {
+        let (parallel_answers, parallel) = run(*width);
+        assert_eq!(serial_answers, parallel_answers, "window {width}");
+        for (name, a, b) in [
+            ("calls", serial.calls, parallel.calls),
+            ("attempts", serial.attempts, parallel.attempts),
+            ("retries", serial.retries, parallel.retries),
+            ("timeouts", serial.timeouts, parallel.timeouts),
+            ("rate_limited", serial.rate_limited, parallel.rate_limited),
+            ("transients", serial.transients, parallel.transients),
+            ("failures", serial.failures, parallel.failures),
+        ] {
+            assert_eq!(
+                a, b,
+                "{name} must be scheduling-independent (window {width})"
+            );
+        }
     }
 }
 
@@ -183,9 +202,7 @@ fn cache_hits_consume_zero_rate_limit_budget() {
     let cold_cache = PromptCache::unbounded(cold_backend.model())
         .with_canonicalization(CanonLevel::TableStem)
         .with_store(open_store());
-    let cold = BatchRunner::new(&cold_cache, pipeline)
-        .with_workers(4)
-        .answers(&lake, &tasks);
+    let cold = BatchRunner::new(&cold_cache, pipeline).answers(&lake, &tasks);
     assert!(cold_backend.stats().expect("enabled").attempts > 0);
     drop(cold_cache);
 
@@ -198,9 +215,7 @@ fn cache_hits_consume_zero_rate_limit_budget() {
     let warm_cache = PromptCache::unbounded(warm_backend.model())
         .with_canonicalization(CanonLevel::TableStem)
         .with_store(open_store());
-    let warm = BatchRunner::new(&warm_cache, pipeline)
-        .with_workers(4)
-        .answers(&lake, &tasks);
+    let warm = BatchRunner::new(&warm_cache, pipeline).answers(&lake, &tasks);
 
     assert_eq!(warm, cold, "warm answers match the cold faulty run");
     let store_stats = warm_cache.store_stats().expect("store attached");
@@ -253,20 +268,26 @@ fn batch_isolates_per_task_failures_under_faults() {
     tasks.insert(5, Task::imputation("no_such_table", 0, "a", "b"));
 
     let seed = fault_seed();
-    let backend = stack_config(seed, FaultPlan::heavy(seed)).wrap(&llm);
-    let results = BatchRunner::new(backend.model(), pipeline)
-        .with_workers(4)
-        .run(&lake, &tasks);
-    assert!(results[5].is_err(), "poisoned slot fails");
-    for (i, r) in results.iter().enumerate() {
-        if i == 5 {
-            continue;
-        }
-        let baseline_i = if i < 5 { i } else { i - 1 };
-        assert_eq!(
-            r.as_ref().expect("healthy slot completes").answer,
-            baseline[baseline_i].as_ref().unwrap().answer,
-            "slot {i} answer must survive faults around a poisoned neighbour"
+    for width in WIDTHS {
+        let dispatcher = Dispatcher::new(
+            &llm,
+            stack_config(seed, FaultPlan::heavy(seed)).with_pipelined(),
         );
+        let results = BatchRunner::new(&dispatcher, pipeline)
+            .with_workers(width)
+            .with_pipeline(&dispatcher, None)
+            .run(&lake, &tasks);
+        assert!(results[5].is_err(), "poisoned slot fails (window {width})");
+        for (i, r) in results.iter().enumerate() {
+            if i == 5 {
+                continue;
+            }
+            let baseline_i = if i < 5 { i } else { i - 1 };
+            assert_eq!(
+                r.as_ref().expect("healthy slot completes").answer,
+                baseline[baseline_i].as_ref().unwrap().answer,
+                "slot {i} answer must survive faults around a poisoned neighbour (window {width})"
+            );
+        }
     }
 }

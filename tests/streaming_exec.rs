@@ -176,19 +176,28 @@ fn streaming_on_eight_workers_matches_the_serial_run() {
         .with_workers(1)
         .with_dedup(true)
         .run_report(&lake, &tasks);
-    let runner = BatchRunner::new(&llm, pipeline)
-        .with_workers(8)
-        .with_dedup(true)
-        .with_partition_tasks(16);
-    let (streamed, stream_report) = stream_all(&runner, &lake, &tasks);
-    assert_eq!(
-        streamed, serial.results,
-        "8-worker streaming partitions must match the serial materialized run"
-    );
-    assert_eq!(
-        (stream_report.unique_tasks, stream_report.coalesced_tasks),
-        per_partition_counts(&runner, &lake, &tasks, 16)
-    );
+    for width in [1, 8, 64] {
+        let dispatcher = Dispatcher::new(
+            &llm,
+            BackendConfig::resilient(42)
+                .without_breaker()
+                .with_pipelined(),
+        );
+        let runner = BatchRunner::new(&dispatcher, pipeline)
+            .with_workers(width)
+            .with_dedup(true)
+            .with_partition_tasks(16)
+            .with_pipeline(&dispatcher, None);
+        let (streamed, stream_report) = stream_all(&runner, &lake, &tasks);
+        assert_eq!(
+            streamed, serial.results,
+            "streaming partitions in a window of {width} must match the serial materialized run"
+        );
+        assert_eq!(
+            (stream_report.unique_tasks, stream_report.coalesced_tasks),
+            per_partition_counts(&runner, &lake, &tasks, 16)
+        );
+    }
 }
 
 #[test]
