@@ -7,7 +7,7 @@
 //!
 //! Every regime runs on the calling thread, so its allocation count is
 //! exact: one worker, or — in the two pipelined ones — a window of 64 runs
-//! in flight through the [`Dispatcher`].
+//! in flight through the [`RoutedBackend`] reactor.
 //!
 //! * **serial / cold cache / warm cache** — no cache, a cold
 //!   [`PromptCache`] at [`CanonLevel::TableStem`], and the same cache warm.
@@ -62,8 +62,8 @@ use std::sync::Arc;
 use unidm::serve::{ArrivalProcess, ServeConfig, ServeSim, TenantSpec};
 use unidm::{
     AimdPolicy, BackendConfig, BackendStats, BatchReport, BatchRunner, CacheStats, CacheStore,
-    CanonLevel, CascadeBackend, CascadePolicy, Dispatcher, HedgePolicy, PipelineConfig,
-    PromptCache, RoutePlan, RoutedBackend, RouterStats, StoreConfig, StoreStats, Task,
+    CanonLevel, CascadeBackend, CascadePolicy, HedgePolicy, PipelineConfig, PromptCache, RoutePlan,
+    RoutedBackend, RouterStats, StoreConfig, StoreStats, Task,
 };
 use unidm_bench::alloc_counter::{self, AllocationDelta};
 use unidm_bench::{config_from_args, json_array, CallCounter, JsonObject, BASELINE_PR};
@@ -614,7 +614,7 @@ struct Dispatched {
 /// a window of `slots` runs, after `warmup` distinct prompts complete
 /// serially so even the first wave of dispatches can arm hedge timers.
 fn dispatched(bench: &Bench<'_>, config: BackendConfig, warmup: u64, slots: usize) -> Dispatched {
-    let dispatcher = Dispatcher::new(bench.llm, config);
+    let dispatcher = RoutedBackend::single(bench.llm, config);
     for i in 0..warmup {
         dispatcher
             .complete(&format!("latency estimator warmup {i}"))
@@ -631,7 +631,7 @@ fn dispatched(bench: &Bench<'_>, config: BackendConfig, warmup: u64, slots: usiz
         answers: answers_of(&report),
         model_tokens: bench.llm.usage().total() as u64,
         model_calls: bench.llm.calls(),
-        stats: dispatcher.stats(),
+        stats: dispatcher.backend_stats(),
         fault_attempts: dispatcher.fault_stats().expect("faults attached").attempts,
         makespan_us: dispatcher.clock().now_micros(),
     }

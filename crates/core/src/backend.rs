@@ -4,39 +4,30 @@
 //! The paper assumes a well-behaved LLM endpoint; a deployed system must
 //! survive timeouts, 429 rate limits and transient 5xx errors without
 //! corrupting results. [`BackendConfig::wrap`] puts any [`LanguageModel`]
-//! behind the protection stack a hosted deployment needs, composed in this
-//! order:
+//! behind the protection stack a hosted deployment needs: a pass-through
+//! when disabled, the reactor ([`RoutedBackend`]) otherwise.
 //!
 //! ```text
 //! PromptCache                  (hits stop here: zero rate-limit budget)
-//!   └─ RoutedBackend::single   (the router over one untagged endpoint)
-//!        ├─ circuit breaker    (fail fast while the endpoint is down)
-//!        ├─ token bucket       (client-side rate limiting, waits not errors)
-//!        └─ retry loop         (exponential backoff, seeded jitter)
-//!             └─ endpoint      (SimBackend fault injector → MockLlm, offline)
+//!   └─ RoutedBackend           (the reactor: one attempt loop on a timer wheel)
+//!        ├─ routing draw       (over the replicas whose breakers admit: one
+//!        │                      untagged endpoint unless `route` is set)
+//!        ├─ token bucket       (client-side rate limiting, a grant time, not an error)
+//!        ├─ retry              (exponential backoff, seeded jitter)
+//!        ├─ hedge              (with `hedge`: a straggler's copy)
+//!        └─ endpoint           (SimBackend fault injector → MockLlm, offline)
 //! ```
 //!
 //! Breaker, bucket and backoff come from the crate's one resilience
-//! kernel, and the loop that drives them is [`RoutedBackend`]'s; the
-//! [`Dispatcher`] schedules the same decisions on a timer wheel.
-//!
-//! The cache sits *above* the backend, so hits never consume rate-limit
-//! budget or retry attempts; misses flow down through the stack. Because
-//! fault injection ([`unidm_llm::SimBackend`]) decides each attempt's fate
-//! as a pure function of `(seed, prompt, attempt index)`, and successes
-//! always return the inner model's deterministic completion, a faulty run
-//! produces answers bit-identical to a fault-free run — serial, parallel,
-//! cached or not — and aggregate endpoint-attempt counts are a pure
-//! function of the workload and the plan, independent of thread
-//! scheduling (retry counts too, unless the breaker is enabled — its
-//! fast-fails consume retries in an order-sensitive way).
-//!
-//! All timing — token refill, backoff, breaker cooldown, injected latency
-//! — runs on the stack's one [`unidm_llm::VirtualClock`], so tests replay
-//! multi-second fault schedules in microseconds of wall time and no stack
-//! reads the host's clock. A [`crate::BatchRunner`] without a pipeline runs
-//! its tasks one after another, so an eval run's backend counters are the
-//! serial run's on every host.
+//! kernel, and the one loop that drives them is the reactor's
+//! ([`crate::dispatch`]). The cache sits *above* the backend, so hits
+//! never consume rate-limit budget or retries. Fault injection
+//! ([`unidm_llm::SimBackend`]) decides each attempt's fate as a pure
+//! function of `(seed, prompt, attempt index)` and successes return the
+//! inner model's completion, so a faulty run answers bit-identically to a
+//! fault-free one, and a rerun of the same calls reproduces every
+//! counter. All timing runs on the stack's one
+//! [`unidm_llm::VirtualClock`]: no stack reads the host's clock.
 //!
 //! # Examples
 //!
@@ -62,14 +53,14 @@
 
 use unidm_llm::{FaultPlan, FaultStats, LanguageModel};
 
-use crate::dispatch::{Dispatcher, HedgePolicy};
+use crate::dispatch::HedgePolicy;
 use crate::route::{AimdPolicy, RoutePlan, RoutedBackend, RouterStats};
 
 /// Retry policy: bounded exponential backoff with seeded jitter.
 ///
-/// [`RetryPolicy::default()`] is the one schedule every stack runs
-/// ([`RoutedBackend`] and the [`Dispatcher`] alike); the type names its
-/// numbers for the backoff kernel and the tests that re-derive it.
+/// [`RetryPolicy::default()`] is the one schedule the reactor runs; the
+/// type names its numbers for the backoff kernel and the tests that
+/// re-derive it.
 ///
 /// Backoff for retry `n` (1-based) doubles from
 /// [`RetryPolicy::base_backoff_us`] up to [`RetryPolicy::max_backoff_us`],
@@ -78,11 +69,10 @@ use crate::route::{AimdPolicy, RoutePlan, RoutedBackend, RouterStats};
 /// identical runs reproduce exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RetryPolicy {
-    /// Maximum retries per call (0 disables retrying). The default (32)
-    /// covers every stock [`FaultPlan`]'s consecutive-fault cap with room
-    /// for breaker fast-fails, whose count under parallel contention is
-    /// interleaving-dependent (each is preceded by a cooldown-length
-    /// sleep, so a deep budget costs nothing on a virtual clock).
+    /// Maximum retries per call after failed attempts (0 disables
+    /// retrying). The default (32) covers every stock [`FaultPlan`]'s
+    /// consecutive-fault cap. A breaker fast-fail is not charged: the call
+    /// waits out the cooldown and tries again.
     pub max_retries: u32,
     /// Backoff before the first retry, in microseconds.
     pub base_backoff_us: u64,
@@ -144,32 +134,29 @@ pub struct BackendConfig {
     /// the endpoint; an empty bucket makes the caller *wait* on the clock
     /// (it never errors), so client-side throttling cannot change answers.
     pub rate: Option<AimdPolicy>,
-    /// Circuit breaker (`None` = disabled): the blocking stack's one
-    /// breaker, or each replica's under [`BackendConfig::route`].
+    /// Circuit breaker (`None` = disabled): the single endpoint's, or
+    /// each replica's under [`BackendConfig::route`], under every stack.
     pub breaker: Option<BreakerPolicy>,
     /// Optional fault-injection plan: when set, [`BackendConfig::wrap`]
-    /// interposes a [`unidm_llm::SimBackend`] between the retry loop and
-    /// the inner model, sharing the backend's clock.
+    /// interposes a [`unidm_llm::SimBackend`] between the reactor and the
+    /// inner model, sharing the backend's clock.
     pub faults: Option<FaultPlan>,
-    /// Route calls through the event-driven dispatcher
-    /// ([`crate::dispatch::Dispatcher`]) instead of the blocking stack:
-    /// completions become scheduled events on a timer wheel, so concurrent
-    /// requests overlap in virtual time instead of summing it. The
-    /// dispatcher implements rate pacing, retries and request coalescing;
-    /// the breaker applies only to the blocking loop ([`RoutedBackend`]).
+    /// Pipelined mode: identical pending prompts coalesce into one request
+    /// and resolved prompts are memoized, so a
+    /// [`crate::BatchRunner::with_pipeline`] window reaches the endpoint
+    /// once per distinct prompt. Without it (and without a hedge) every
+    /// call reaches the endpoint.
     pub pipelined: bool,
-    /// Hedged-request policy (implies the dispatcher): stragglers
-    /// exceeding the observed attempt-latency quantile get a duplicate
-    /// attempt, first response wins, the loser is cancelled.
+    /// Hedged-request policy (implies pipelined mode): stragglers
+    /// exceeding the observed attempt-latency quantile get a copy, on
+    /// another replica when routed; first response wins, the loser is
+    /// cancelled.
     pub hedge: Option<HedgePolicy>,
     /// Replica-routing plan (`None` = single endpoint): when set,
     /// [`BackendConfig::wrap`] builds a [`RoutedBackend`] fleet over the
     /// inner model — N replicas, each with its own copy of
     /// [`BackendConfig::breaker`], an AIMD bucket and an endpoint-aware
-    /// fault injector. Routing takes precedence
-    /// over [`BackendConfig::pipelined`]; to pipeline *over* a fleet,
-    /// build the router explicitly and hand it to a
-    /// [`crate::dispatch::Dispatcher`].
+    /// fault injector. Pipelining and hedging apply to the fleet.
     pub route: Option<RoutePlan>,
 }
 
@@ -210,13 +197,13 @@ impl BackendConfig {
         self
     }
 
-    /// Routes calls through the event-driven dispatcher (builder-style).
+    /// Coalesces and memoizes identical prompts (builder-style).
     pub fn with_pipelined(mut self) -> Self {
         self.pipelined = true;
         self
     }
 
-    /// Enables hedged requests under the dispatcher (builder-style).
+    /// Enables hedged requests (builder-style).
     pub fn with_hedge(mut self, hedge: HedgePolicy) -> Self {
         self.hedge = Some(hedge);
         self
@@ -229,22 +216,18 @@ impl BackendConfig {
     }
 
     /// Wraps `inner` according to this configuration: a pass-through when
-    /// disabled, a [`RoutedBackend`] replica fleet when
-    /// [`BackendConfig::route`] is set, the event-driven dispatcher when
-    /// [`BackendConfig::pipelined`] or a hedge policy is set, the blocking
-    /// protection stack ([`RoutedBackend::single`]) otherwise — each on a
-    /// fresh [`unidm_llm::VirtualClock`].
+    /// disabled, else the reactor on a fresh [`unidm_llm::VirtualClock`] —
+    /// a replica fleet ([`RoutedBackend::from_plan`]) when
+    /// [`BackendConfig::route`] is set, the single-endpoint stack
+    /// ([`RoutedBackend::single`]) otherwise.
     pub fn wrap<'a>(&self, inner: &'a dyn LanguageModel) -> AttachedBackend<'a> {
         if !self.enabled {
             return AttachedBackend::Passthrough(inner);
         }
-        if self.route.is_some() {
-            return AttachedBackend::Routed(Box::new(RoutedBackend::from_plan(inner, *self)));
-        }
-        if self.pipelined || self.hedge.is_some() {
-            return AttachedBackend::Dispatched(Box::new(Dispatcher::new(inner, *self)));
-        }
-        AttachedBackend::Routed(Box::new(RoutedBackend::single(inner, *self)))
+        AttachedBackend::Routed(Box::new(match self.route {
+            Some(_) => RoutedBackend::from_plan(inner, *self),
+            None => RoutedBackend::single(inner, *self),
+        }))
     }
 }
 
@@ -394,7 +377,7 @@ impl LatencySketch {
 
     /// Adds every sample of `other` into this sketch — exact integer
     /// bucket addition, associative and commutative, so per-shard or
-    /// per-dispatcher sketches fold into the same aggregate in any order.
+    /// per-replica sketches fold into the same aggregate in any order.
     pub fn merge(&mut self, other: &LatencySketch) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
             *mine += theirs;
@@ -405,21 +388,14 @@ impl LatencySketch {
     }
 }
 
-/// Counters of everything the backend layer did.
+/// Counters of everything the backend layer did, the flat projection of
+/// [`RouterStats`] ([`RouterStats::backend_stats`]).
 ///
-/// With a deterministic endpoint and fault schedule, re-running the same
-/// serial workload reproduces these counters exactly. Under parallelism
-/// the schedule-driven counters (`attempts` and the per-kind fault
-/// tallies) stay workload-determined, while timing- and order-sensitive
-/// ones (`breaker_*`, `throttle_*`) may vary with interleaving —
-/// `retries` is schedule-driven only with the breaker disabled, because
-/// each breaker fast-fail also consumes a retry.
-///
-/// The hedge counters (`hedges_*`, `dispatch_coalesced`) are produced by
-/// the event-driven dispatcher (`unidm::dispatch`) and stay zero under
-/// the blocking [`RoutedBackend`]; under the dispatcher's pipelined
-/// mode they are fully deterministic. The two [`LatencySketch`] fields
-/// aggregate exactly (see [`LatencySketch::merge`]).
+/// The reactor runs one request's events at a time in a fixed order, so a
+/// rerun of the same calls reproduces every counter, and a pipelined
+/// window's counters are a pure function of the task list and the
+/// window. The two [`LatencySketch`] fields aggregate exactly (see
+/// [`LatencySketch::merge`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendStats {
     /// Logical `complete` calls that entered the backend.
@@ -458,15 +434,12 @@ pub struct BackendStats {
     /// Attempts cancelled because the other copy won — the "losers", never
     /// delivered and never memoized.
     pub hedges_cancelled: u64,
-    /// Logical calls the dispatcher served without a new endpoint
-    /// dispatch: attached to an already-pending identical request
-    /// (request-level single-flight) or answered from the dispatcher's
-    /// memo of resolved prompts.
+    /// Logical calls served without a new endpoint dispatch: attached to
+    /// an already-pending identical request (request-level single-flight)
+    /// or answered from the memo of resolved prompts.
     pub dispatch_coalesced: u64,
-    /// Latencies of successful endpoint attempts, the estimator hedge
-    /// timers arm from. Exact under the event-driven dispatcher; under the
-    /// blocking backend on a shared virtual clock, concurrent sleeps bleed
-    /// into each other's measurements (informational there).
+    /// Latencies of successful endpoint attempts, merged over the replicas
+    /// (each replica's own sketch is what its hedge timers arm from).
     pub attempt_latency: LatencySketch,
     /// End-to-end latencies of successful logical calls (submit → deliver).
     pub request_latency: LatencySketch,
@@ -478,16 +451,8 @@ pub struct BackendStats {
 pub enum AttachedBackend<'a> {
     /// Backend disabled: calls go straight to the inner model.
     Passthrough(&'a dyn LanguageModel),
-    /// The event-driven dispatcher ([`BackendConfig::pipelined`] or a
-    /// hedge policy): completions are scheduled events on a timer wheel,
-    /// concurrent requests overlap in virtual time, and stragglers can be
-    /// hedged. Calls through [`AttachedBackend::model`] use the
-    /// dispatcher's self-driving mode, so existing eval drivers work
-    /// unchanged.
-    Dispatched(Box<Dispatcher<'a>>),
-    /// The blocking stack (boxed — it carries limiter, breaker and stats
-    /// state the pass-through should not pay for): the protection stack
-    /// over one endpoint, or a replica-routing fleet
+    /// The reactor (boxed — it carries replica, timer and stats state the
+    /// pass-through should not pay for): one endpoint, or a replica fleet
     /// ([`BackendConfig::route`]) spreading calls uniformly over N
     /// endpoints, each with its own breaker, AIMD bucket and
     /// endpoint-aware fault injector.
@@ -500,49 +465,39 @@ impl<'a> AttachedBackend<'a> {
     pub fn model(&self) -> &dyn LanguageModel {
         match self {
             AttachedBackend::Passthrough(m) => *m,
-            AttachedBackend::Dispatched(d) => d.as_ref(),
             AttachedBackend::Routed(r) => r.as_ref(),
         }
     }
 
-    /// Backend counters, when the stack is enabled (for a router: its
-    /// counters projected into the flat shape, per
-    /// [`RouterStats::backend_stats`]).
+    /// The reactor, when the stack is enabled.
+    fn routed(&self) -> Option<&RoutedBackend<'a>> {
+        match self {
+            AttachedBackend::Passthrough(_) => None,
+            AttachedBackend::Routed(r) => Some(r),
+        }
+    }
+
+    /// Backend counters, when the stack is enabled: the router's counters
+    /// projected into the flat shape, per [`RouterStats::backend_stats`].
     pub fn stats(&self) -> Option<BackendStats> {
-        match self {
-            AttachedBackend::Passthrough(_) => None,
-            AttachedBackend::Dispatched(d) => Some(d.stats()),
-            AttachedBackend::Routed(r) => Some(r.backend_stats()),
-        }
+        Some(self.routed()?.backend_stats())
     }
 
-    /// Per-endpoint router counters, when this backend is a
-    /// [`RoutedBackend`].
+    /// Per-endpoint router counters, when the stack is enabled.
     pub fn router_stats(&self) -> Option<RouterStats> {
-        match self {
-            AttachedBackend::Routed(r) => Some(r.stats()),
-            _ => None,
-        }
+        Some(self.routed()?.stats())
     }
 
-    /// Fault-injection counters, when a [`FaultPlan`] is configured (for
-    /// a router: merged across all endpoint injectors).
+    /// Fault-injection counters, when a [`FaultPlan`] is configured
+    /// (merged across all endpoint injectors).
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        match self {
-            AttachedBackend::Passthrough(_) => None,
-            AttachedBackend::Dispatched(d) => d.fault_stats(),
-            AttachedBackend::Routed(r) => r.fault_stats(),
-        }
+        self.routed()?.fault_stats()
     }
 
     /// Virtual elapsed time of the backend's clock, in microseconds (0
     /// for a pass-through).
     pub fn elapsed_us(&self) -> u64 {
-        match self {
-            AttachedBackend::Passthrough(_) => 0,
-            AttachedBackend::Dispatched(d) => d.clock().now_micros(),
-            AttachedBackend::Routed(r) => r.clock().now_micros(),
-        }
+        self.routed().map_or(0, |r| r.clock().now_micros())
     }
 }
 
@@ -608,21 +563,25 @@ mod tests {
     #[test]
     fn rate_limiter_paces_attempts_on_the_clock() {
         let llm = model();
-        // 10 attempts/sec, burst 1: 20 calls need >= 1.9 virtual seconds.
+        // 10 attempts/sec, burst 1: attempt i starts at i × 100 ms.
         let backend =
             RoutedBackend::single(&llm, BackendConfig::resilient(1).with_rate_limit(10, 1));
-        for i in 0..20 {
-            backend.complete(&format!("paced prompt {i}")).unwrap();
-        }
+        let profile = llm.latency_profile();
+        let latencies: Vec<u64> = (0..20)
+            .map(|i| {
+                let reply = backend.complete(&format!("paced prompt {i}")).unwrap();
+                profile.latency_us(reply.usage)
+            })
+            .collect();
+        assert!(latencies.iter().all(|&l| l < 100_000), "{latencies:?}");
         let stats = backend.backend_stats();
         assert_eq!(stats.attempts, 20);
         assert_eq!(stats.throttle_waits, 19, "everything after the burst waits");
-        assert!(
-            backend.clock().now_micros() >= 1_900_000,
-            "virtual time must cover the token deficit: {}us",
-            backend.clock().now_micros()
-        );
-        assert!(stats.throttle_wait_us >= 1_900_000);
+        // Each wait is the 100 ms token gap less the previous attempt's
+        // latency, and the last attempt ends its latency after 1.9 s.
+        let waits: u64 = latencies[..19].iter().map(|l| 100_000 - l).sum();
+        assert_eq!(stats.throttle_wait_us, waits);
+        assert_eq!(backend.clock().now_micros(), 1_900_000 + latencies[19]);
     }
 
     #[test]
@@ -633,9 +592,9 @@ mod tests {
         let config = BackendConfig::resilient(1).with_rate_limit(u64::MAX, u64::MAX);
         let wrapped = config.wrap(&llm);
         wrapped.model().complete("unthrottled prompt").unwrap();
-        let dispatcher = Dispatcher::new(&llm, config);
-        dispatcher.complete("unthrottled prompt").unwrap();
-        for stats in [wrapped.stats().unwrap(), dispatcher.stats()] {
+        let pipelined = RoutedBackend::single(&llm, config.with_pipelined());
+        pipelined.complete("unthrottled prompt").unwrap();
+        for stats in [wrapped.stats().unwrap(), pipelined.backend_stats()] {
             let (calls, tokens, waits) = (stats.calls, stats.rate_tokens, stats.throttle_waits);
             assert_eq!((calls, tokens, waits), (1, 1, 0), "{stats:?}");
         }

@@ -28,7 +28,7 @@
 //! * **Single-flight coalescing** — each shard keeps the set of keys being
 //!   completed: the first lookup leads, and a duplicate arriving meanwhile
 //!   in a window of [`crate::BatchRunner::with_pipeline`] is counted
-//!   [`CacheStats::coalesced`] and submitted to the [`crate::Dispatcher`]
+//!   [`CacheStats::coalesced`] and submitted to the [`crate::RoutedBackend`]
 //!   below, which attaches it to the leader's request. Nothing waits: a
 //!   blocking [`LanguageModel::complete`] that finds its key in flight on
 //!   another thread fetches the key itself (see [`CacheStats::misses`]).

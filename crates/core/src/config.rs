@@ -9,7 +9,7 @@
 /// Everything here is a pure function of the task — a run with a given
 /// config is deterministic whatever executes it, which is what lets
 /// [`crate::BatchRunner`] interleave runs in a pipelined window (and
-/// overlap their endpoint calls through [`crate::Dispatcher`])
+/// overlap their endpoint calls through [`crate::RoutedBackend`])
 /// without changing a single output byte. Serving-side behaviour —
 /// retries, rate limits, hedging — lives in [`crate::BackendConfig`]
 /// instead, keeping "what the pipeline computes" and "how calls reach the

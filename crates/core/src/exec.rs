@@ -16,7 +16,7 @@
 //! says. It is the reference every other schedule must match. Concurrency
 //! needs no thread: in **pipelined mode** ([`BatchRunner::with_pipeline`])
 //! one thread keeps a window of up to `with_workers` [`Run`]s in flight
-//! over an event-driven [`Dispatcher`]. It submits every run's pending
+//! over the [`RoutedBackend`] reactor. It submits every run's pending
 //! prompt, steps the reactor once, feeds each resolved run its reply and
 //! submits that run's next prompt at once — hundreds of requests in
 //! flight, no thread spawned.
@@ -52,8 +52,9 @@ use unidm_llm::{Completion, LanguageModel, LlmError};
 use unidm_tablestore::DataLake;
 
 use crate::cache::{Lookup, Miss, PromptCache};
-use crate::dispatch::{Dispatcher, Reply, Ticket};
+use crate::dispatch::{Reply, Ticket};
 use crate::pipeline::{Run, RunOutput, Step, UniDm};
+use crate::route::RoutedBackend;
 use crate::task::Task;
 use crate::{PipelineConfig, UniDmError};
 
@@ -117,7 +118,7 @@ impl Hash for TaskKey<'_> {
 /// # Examples
 ///
 /// ```
-/// use unidm::{BackendConfig, BatchRunner, Dispatcher, PipelineConfig, Task};
+/// use unidm::{BackendConfig, BatchRunner, PipelineConfig, RoutedBackend, Task};
 /// use unidm_llm::{LlmProfile, MockLlm};
 /// use unidm_tablestore::{DataLake, Table, Value};
 /// use unidm_world::World;
@@ -133,7 +134,7 @@ impl Hash for TaskKey<'_> {
 ///
 /// let tasks = vec![Task::imputation("cities", 1, "timezone", "city")];
 /// let serial = BatchRunner::new(&llm, PipelineConfig::paper_default());
-/// let dispatcher = Dispatcher::new(&llm, BackendConfig::resilient(7).with_pipelined());
+/// let dispatcher = RoutedBackend::single(&llm, BackendConfig::resilient(7).with_pipelined());
 /// let window = BatchRunner::new(&dispatcher, PipelineConfig::paper_default())
 ///     .with_workers(4)
 ///     .with_pipeline(&dispatcher, None);
@@ -150,7 +151,7 @@ pub struct BatchRunner<'a> {
     workers: usize,
     dedup: bool,
     /// Pipelined mode's dispatcher, and the cache above it if any.
-    pipeline: Option<(&'a Dispatcher<'a>, Option<&'a PromptCache<'a>>)>,
+    pipeline: Option<(&'a RoutedBackend<'a>, Option<&'a PromptCache<'a>>)>,
     partition_tasks: usize,
 }
 
@@ -220,7 +221,7 @@ impl<'a> BatchRunner<'a> {
     /// duplicate tasks never reach the dispatcher at all.
     pub fn with_pipeline(
         mut self,
-        dispatcher: &'a Dispatcher<'a>,
+        dispatcher: &'a RoutedBackend<'a>,
         cache: Option<&'a PromptCache<'a>>,
     ) -> Self {
         self.pipeline = Some((dispatcher, cache));
@@ -228,7 +229,7 @@ impl<'a> BatchRunner<'a> {
     }
 
     /// The dispatcher batches run against in pipelined mode, if any.
-    pub fn pipeline(&self) -> Option<&'a Dispatcher<'a>> {
+    pub fn pipeline(&self) -> Option<&'a RoutedBackend<'a>> {
         self.pipeline.map(|(dispatcher, _)| dispatcher)
     }
 
@@ -322,7 +323,7 @@ impl<'a> BatchRunner<'a> {
     /// [`BatchRunner::with_pipeline`]).
     fn execute_pipelined(
         &self,
-        dispatcher: &Dispatcher<'_>,
+        dispatcher: &RoutedBackend<'_>,
         cache: Option<&PromptCache<'_>>,
         lake: &DataLake,
         tasks: &[Task],
@@ -441,7 +442,7 @@ impl<'c> Flight<'_, 'c> {
     /// dispatcher memo hit — is fed straight back.
     fn advance(
         &mut self,
-        dispatcher: &Dispatcher<'_>,
+        dispatcher: &RoutedBackend<'_>,
         cache: Option<&'c PromptCache<'_>>,
         results: &mut [Option<Result<RunOutput, UniDmError>>],
     ) -> bool {
@@ -513,11 +514,11 @@ mod tests {
     const WIDTHS: [usize; 3] = [1, 8, 64];
 
     /// A fault-free pipelined dispatcher over `llm`.
-    fn dispatcher(llm: &dyn LanguageModel) -> Dispatcher<'_> {
+    fn dispatcher(llm: &dyn LanguageModel) -> RoutedBackend<'_> {
         let backend = crate::BackendConfig::resilient(7)
             .without_breaker()
             .with_pipelined();
-        Dispatcher::new(llm, backend)
+        RoutedBackend::single(llm, backend)
     }
 
     #[test]
@@ -714,7 +715,7 @@ mod tests {
         let backend = crate::BackendConfig::resilient(7)
             .without_breaker()
             .with_pipelined();
-        let dispatcher = Dispatcher::new(&llm, backend);
+        let dispatcher = RoutedBackend::single(&llm, backend);
         let cache = PromptCache::unbounded(&dispatcher);
         let report = BatchRunner::new(&cache, config)
             .with_workers(4)
@@ -734,7 +735,7 @@ mod tests {
         // dispatcher call, every leading one an endpoint attempt, and every
         // call either launched a fresh request or coalesced onto a
         // pending/memoized one — nothing double-fires.
-        let stats = dispatcher.stats();
+        let stats = dispatcher.backend_stats();
         let cached = cache.stats();
         assert_eq!(stats.calls, stats.attempts + stats.dispatch_coalesced);
         assert_eq!(stats.calls as usize, cached.misses + cached.coalesced);
@@ -800,7 +801,7 @@ mod tests {
                 let backend = crate::BackendConfig::resilient(7)
                     .without_breaker()
                     .with_pipelined();
-                let dispatcher = Dispatcher::new(&rejects, backend);
+                let dispatcher = RoutedBackend::single(&rejects, backend);
                 let cache = cached.then(|| PromptCache::unbounded(&dispatcher));
                 let pipelined = BatchRunner::new(&rejects, config)
                     .with_workers(window)
@@ -810,7 +811,7 @@ mod tests {
                     pipelined, serial,
                     "window {window}, cached: {cached}: every slot as the serial runner left it"
                 );
-                assert_eq!(dispatcher.stats().failures, 6);
+                assert_eq!(dispatcher.backend_stats().failures, 6);
             }
         }
     }
@@ -843,7 +844,7 @@ mod tests {
                 .with_pipeline(&dispatcher, None);
             assert_eq!(pipelined.run(&lake, &tasks), serial, "window {width}");
             assert!(pipelined.run(&lake, &[]).is_empty(), "zero tasks, {width}");
-            let stats = dispatcher.stats();
+            let stats = dispatcher.backend_stats();
             assert!(stats.calls > 0 && stats.failures == 0, "{stats:?}");
         }
     }

@@ -108,7 +108,7 @@ pub use backend::{
 pub use cache::{CacheStats, PromptCache};
 pub use canon::{CanonLevel, CanonicalPrompt, ReplayFold};
 pub use config::PipelineConfig;
-pub use dispatch::{Dispatcher, HedgePolicy, Reply, Ticket};
+pub use dispatch::{HedgePolicy, Reply, Ticket};
 pub use error::UniDmError;
 pub use exec::{BatchReport, BatchRunner, StreamReport, DEFAULT_PARTITION_TASKS};
 pub use pipeline::{Run, RunOutput, Step, Trace, UniDm};

@@ -2,16 +2,15 @@
 //! of the serving stacks, held once.
 //!
 //! Each piece is a pure, clock-parameterised state machine: it takes no
-//! locks, never sleeps, and receives `now_us` from its caller. The stacks
-//! are drivers over it: [`crate::route::RoutedBackend`] sleeps on these
-//! decisions in the one blocking attempt loop, and
-//! [`crate::dispatch::Dispatcher`] schedules them on its timer wheel.
+//! locks, never sleeps, and receives `now_us` from its caller. The one
+//! driver over it is the reactor ([`crate::route::RoutedBackend`]), which
+//! schedules every decision on its timer wheel.
 
 use std::sync::Arc;
 
 use unidm_llm::{
-    AttemptSample, Completion, DiceContext, FaultPlan, FaultStats, LanguageModel, LlmError,
-    SimBackend, StackPrompt, VirtualClock,
+    AttemptSample, DiceContext, FaultPlan, FaultStats, LanguageModel, LlmError, SimBackend,
+    StackPrompt, VirtualClock,
 };
 
 use crate::backend::{BreakerPolicy, RetryPolicy};
@@ -43,22 +42,6 @@ pub(crate) fn backoff_us(
         LlmError::RateLimited { retry_after_us } => backoff.max(retry_after_us),
         LlmError::CircuitOpen { cooldown_us } => backoff.max(cooldown_us),
         _ => backoff,
-    }
-}
-
-/// Counts `err` into the matching per-kind fault counter; errors that are
-/// not endpoint faults count nowhere.
-pub(crate) fn tally_fault(
-    err: &LlmError,
-    timeouts: &mut u64,
-    rate_limited: &mut u64,
-    transients: &mut u64,
-) {
-    match err {
-        LlmError::Timeout { .. } => *timeouts += 1,
-        LlmError::RateLimited { .. } => *rate_limited += 1,
-        LlmError::Transient { .. } => *transients += 1,
-        _ => {}
     }
 }
 
@@ -102,6 +85,12 @@ impl Breaker {
         Ok(())
     }
 
+    /// Whether the breaker is open: after an [`Breaker::admit`] at the
+    /// current time, exactly the breakers that refused it.
+    pub(crate) fn is_open(&self) -> bool {
+        self.health == Health::Open
+    }
+
     pub(crate) fn success(&mut self) {
         self.health = Health::Closed;
         self.consecutive_failures = 0;
@@ -126,8 +115,7 @@ impl Breaker {
 /// A token bucket with AIMD rate adaptation and a grant-time API.
 ///
 /// [`Bucket::grant`] always reserves a token and answers *when* it is
-/// available, so one bucket serves both kinds of caller: a blocking one
-/// sleeps `at_us - now_us`, the reactor schedules the dispatch at `at_us`.
+/// available: the reactor schedules the dispatch at that time.
 /// A fixed-rate bucket is the degenerate policy `min == max`,
 /// `increase 0` ([`AimdPolicy::fixed`]).
 #[derive(Debug)]
@@ -246,18 +234,9 @@ impl<'a> Endpoint<'a> {
         }
     }
 
-    /// One blocking attempt of the stack's `prompt`: the injector's next
-    /// schedule slot slept on its clock, or a direct call.
-    pub(crate) fn complete(&self, prompt: &StackPrompt) -> Result<Arc<Completion>, LlmError> {
-        match self {
-            Endpoint::Sim(sim) => sim.complete_prompt(prompt),
-            Endpoint::Direct(model) => model.complete(prompt),
-        }
-    }
-
-    /// Commits one attempt without sleeping: the injector's next schedule
-    /// slot, or a direct call whose virtual latency comes from the model's
-    /// latency profile.
+    /// Commits one attempt of the stack's `prompt` without sleeping: the
+    /// injector's next schedule slot, or a direct call whose virtual
+    /// latency comes from the model's latency profile.
     pub(crate) fn sample(&self, prompt: &StackPrompt) -> AttemptSample {
         match self {
             Endpoint::Sim(sim) => sim.sample_prompt(prompt),

@@ -212,23 +212,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rows_match_paper_layout() {
-        assert_eq!(AblationRow::imputation_rows().len(), 6);
-        assert_eq!(AblationRow::transformation_rows().len(), 4);
-        assert_eq!(
-            AblationRow {
-                instance: true,
-                meta: true,
-                prompt: true,
-                parsing: true
-            }
-            .label(),
-            "I+M+T+C"
-        );
-        assert_eq!(AblationRow::imputation_rows()[0].label(), "none");
-    }
-
-    #[test]
     fn table8_full_config_best() {
         let report = table8(ExperimentConfig::quick());
         let none = report.cell("none", "Acc").unwrap();

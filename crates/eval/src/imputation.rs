@@ -268,29 +268,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn table1_shape_holds() {
-        let report = table1(ExperimentConfig::quick());
-        // Paper orderings that must survive: UniDM tops the chart, the
-        // statistical baseline trails everything, FM(manual) ≥ FM(random).
-        for ds in ["Restaurant", "Buy"] {
-            let unidm = report.cell("UniDM", ds).unwrap();
-            let holoclean = report.cell("HoloClean", ds).unwrap();
-            let fm_rand = report.cell("FM (random)", ds).unwrap();
-            let fm_man = report.cell("FM (manual)", ds).unwrap();
-            assert!(
-                unidm > holoclean,
-                "{ds}: unidm {unidm} vs holoclean {holoclean}"
-            );
-            assert!(
-                unidm + 1e-9 >= fm_rand,
-                "{ds}: unidm {unidm} vs fm-random {fm_rand}"
-            );
-            assert!(
-                fm_man + 10.0 >= fm_rand,
-                "{ds}: manual {fm_man} vs random {fm_rand}"
-            );
-        }
-    }
 }

@@ -8,7 +8,7 @@
 //! 30-second rate-limit stall costs nothing in wall time. No code in the
 //! workspace's crates reads the host's clock.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A deterministic logical clock: an atomic microsecond counter that
@@ -77,14 +77,18 @@ impl VirtualClock {
 /// structure behind `unidm::dispatch`'s reactor.
 ///
 /// Each timer carries a payload — what its firing means to the scheduler —
-/// and is identified by the `u64` sequence number [`TimerWheel::schedule`]
-/// returns. The wheel pops timers in `(deadline, sequence)` order — ties on
-/// the deadline break by scheduling order — so a reactor that schedules
-/// deterministically pops deterministically. A cancelled timer hands its
-/// payload back at once, its heap entry is dropped lazily on pop, and it
-/// **never** surfaces, which is what lets a hedged-request loser be
-/// cancelled without its (stale) deadline dragging the virtual clock
-/// forward.
+/// and is identified by the `u64` handle [`TimerWheel::schedule`] returns.
+/// The wheel pops timers in deadline order, ties broken by scheduling
+/// order, so a reactor that schedules deterministically pops
+/// deterministically. A cancelled timer hands its payload back at once, its
+/// heap entry is dropped lazily on pop, and it **never** surfaces, which is
+/// what lets a hedged-request loser be cancelled without its (stale)
+/// deadline dragging the virtual clock forward.
+///
+/// Payloads live in a slab of reused slots, so scheduling, popping and
+/// cancelling hash nothing and, once the wheel has held its peak number of
+/// timers, allocate nothing. A handle is its slot and the slot's reuse
+/// count: a handle from before a reuse never matches the new timer.
 ///
 /// # Examples
 ///
@@ -100,21 +104,19 @@ impl VirtualClock {
 /// ```
 #[derive(Debug)]
 pub struct TimerWheel<T> {
-    // Min-heap via Reverse ordering on (deadline, seq).
-    heap: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-    /// The payload of every live timer by sequence number; a heap entry
-    /// whose number is absent was cancelled.
-    pending: HashMap<u64, T>,
-    next_seq: u64,
+    /// Min-heap via `Reverse` on (deadline, scheduling order, handle).
+    heap: BinaryHeap<std::cmp::Reverse<(u64, u64, u64)>>,
+    /// Each slot's current handle and, while its timer is live, payload.
+    slots: Vec<(u64, Option<T>)>,
+    /// Slots whose timer popped or was cancelled.
+    free: Vec<usize>,
+    next_order: u64,
+    live: usize,
 }
 
 impl<T> Default for TimerWheel<T> {
     fn default() -> Self {
-        TimerWheel {
-            heap: BinaryHeap::new(),
-            pending: HashMap::new(),
-            next_seq: 0,
-        }
+        TimerWheel::with_capacity(0)
     }
 }
 
@@ -124,29 +126,56 @@ impl<T> TimerWheel<T> {
         TimerWheel::default()
     }
 
+    /// Creates an empty wheel with room for `timers` live timers before it
+    /// allocates.
+    pub fn with_capacity(timers: usize) -> Self {
+        TimerWheel {
+            heap: BinaryHeap::with_capacity(timers),
+            slots: Vec::with_capacity(timers),
+            free: Vec::with_capacity(timers),
+            next_order: 0,
+            live: 0,
+        }
+    }
+
     /// Schedules a timer carrying `payload` at `deadline_us`, returning its
-    /// sequence number.
+    /// handle.
     pub fn schedule(&mut self, deadline_us: u64, payload: T) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(std::cmp::Reverse((deadline_us, seq)));
-        self.pending.insert(seq, payload);
-        seq
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push((0, None));
+            self.slots.len() - 1
+        });
+        let reuse = (self.slots[slot].0 >> 32) + 1;
+        let handle = reuse << 32 | slot as u64;
+        self.slots[slot] = (handle, Some(payload));
+        self.heap
+            .push(std::cmp::Reverse((deadline_us, self.next_order, handle)));
+        self.next_order += 1;
+        self.live += 1;
+        handle
     }
 
     /// Cancels a pending timer and returns its payload. Cancelling an
-    /// already-popped, already-cancelled or unknown sequence number is a
-    /// no-op returning `None`; the wheel never yields a cancelled timer.
-    pub fn cancel(&mut self, seq: u64) -> Option<T> {
-        self.pending.remove(&seq)
+    /// already-popped, already-cancelled or unknown handle is a no-op
+    /// returning `None`; the wheel never yields a cancelled timer.
+    pub fn cancel(&mut self, handle: u64) -> Option<T> {
+        let slot = (handle & u64::from(u32::MAX)) as usize;
+        let (current, payload) = self.slots.get_mut(slot)?;
+        if *current != handle {
+            return None;
+        }
+        let payload = payload.take()?;
+        self.free.push(slot);
+        self.live -= 1;
+        Some(payload)
     }
 
-    /// Pops the earliest live timer as `(deadline_us, seq, payload)`,
+    /// Pops the earliest live timer as `(deadline_us, handle, payload)`,
     /// skipping (and forgetting) cancelled entries.
     pub fn pop_next(&mut self) -> Option<(u64, u64, T)> {
-        while let Some(std::cmp::Reverse((deadline, seq))) = self.heap.pop() {
-            if let Some(payload) = self.pending.remove(&seq) {
-                return Some((deadline, seq, payload));
+        while let Some(std::cmp::Reverse((deadline, _, handle))) = self.heap.pop() {
+            if let Some(payload) = self.cancel(handle) {
+                return Some((deadline, handle, payload));
             }
         }
         None
@@ -154,8 +183,9 @@ impl<T> TimerWheel<T> {
 
     /// The deadline of the earliest live timer, without popping it.
     pub fn next_deadline(&mut self) -> Option<u64> {
-        while let Some(std::cmp::Reverse((deadline, seq))) = self.heap.peek().copied() {
-            if self.pending.contains_key(&seq) {
+        while let Some(&std::cmp::Reverse((deadline, _, handle))) = self.heap.peek() {
+            let slot = &self.slots[(handle & u64::from(u32::MAX)) as usize];
+            if slot.0 == handle && slot.1.is_some() {
                 return Some(deadline);
             }
             self.heap.pop();
@@ -165,12 +195,12 @@ impl<T> TimerWheel<T> {
 
     /// Live (scheduled and not yet popped or cancelled) timer count.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// True when no live timer is pending.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.live == 0
     }
 }
 

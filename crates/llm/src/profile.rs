@@ -16,7 +16,7 @@ use crate::model::Usage;
 /// decode — decode dominates, as it does on real endpoints). Integer fields
 /// keep the profile `Eq`/`Hash` and virtual timelines exactly reproducible.
 ///
-/// The event-driven dispatcher (`unidm::dispatch`) uses this to schedule a
+/// The serving reactor (`unidm::dispatch`) uses this to schedule a
 /// completion deadline for endpoints that have no [`crate::FaultPlan`]
 /// attached; absolute values are illustrative, only the ordering across the
 /// zoo is meaningful.

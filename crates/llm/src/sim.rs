@@ -30,7 +30,7 @@
 //! prompt's text and that text absorbed into its [`Dice`]. Called with a
 //! `&str` it makes both itself. A serving stack that owns injectors makes
 //! them once at its root instead, as a [`StackPrompt`], and hands that down
-//! ([`SimBackend::sample_prompt`], [`SimBackend::complete_prompt`]): every
+//! ([`SimBackend::sample_prompt`]): every
 //! replica's injector, the router's routing draws and every backoff then
 //! share one allocation and — when the stack is built on one seed — one
 //! pass over the prompt's bytes. The two ways in consume one attempt
@@ -243,7 +243,7 @@ impl FaultStats {
 /// result it will deliver once that latency has elapsed.
 ///
 /// Produced by [`SimBackend::sample_attempt`], which commits a schedule
-/// slot **without sleeping** — the event-driven dispatcher
+/// slot **without sleeping** — the reactor
 /// (`unidm::dispatch`) uses this to place the attempt's completion on a
 /// timer wheel at `now + latency_us` and keep hundreds of attempts in
 /// flight on one thread, instead of blocking a worker per round-trip.
@@ -257,7 +257,7 @@ pub struct AttemptSample {
 
 /// A serving stack's one copy of a prompt, with the stack's draws over it.
 ///
-/// The layer at the root of a stack (the router, the dispatcher) copies a
+/// The layer at the root of a stack (the reactor) copies a
 /// distinct prompt once and hands this handle down instead of `&str`:
 /// every layer below keys its per-prompt state by a clone of
 /// [`StackPrompt::text`] — one allocation per stack, not one per layer —
@@ -342,7 +342,7 @@ struct PromptState {
 /// layer stacks on top of this exactly as it would on a real endpoint:
 ///
 /// ```text
-/// PromptCache → RoutedBackend (limiter/retry/breaker) → SimBackend → MockLlm
+/// PromptCache → RoutedBackend (reactor: limiter/retry/breaker) → SimBackend → MockLlm
 ///               prompt table: StackPrompt ─────────────▶ state keyed by its Arc<str>
 /// ```
 pub struct SimBackend<'a> {
@@ -523,21 +523,6 @@ impl<'a> SimBackend<'a> {
         self.sample(prompt, || (prompt.text().clone(), prompt.draws(&self.dice)))
     }
 
-    /// [`LanguageModel::complete`] for a prompt the stack above already
-    /// holds: [`SimBackend::sample_prompt`], then the injected latency
-    /// slept on the clock.
-    pub fn complete_prompt(&self, prompt: &StackPrompt) -> Result<Arc<Completion>, LlmError> {
-        self.deliver(self.sample_prompt(prompt))
-    }
-
-    /// The blocking path is the sampling path plus a sleep: both consume
-    /// the same schedule slots, so a blocking stack and the event-driven
-    /// dispatcher see identical outcome sequences per prompt.
-    fn deliver(&self, sample: AttemptSample) -> Result<Arc<Completion>, LlmError> {
-        self.clock.sleep_micros(sample.latency_us);
-        sample.result
-    }
-
     fn sample(
         &self,
         prompt: &str,
@@ -600,8 +585,13 @@ impl LanguageModel for SimBackend<'_> {
         self.inner.name()
     }
 
+    /// [`SimBackend::sample_attempt`], then the injected latency slept on
+    /// the clock: the same schedule slots as sampling, so a caller that
+    /// blocks and one that schedules see identical outcomes per prompt.
     fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
-        self.deliver(self.sample_attempt(prompt))
+        let sample = self.sample_attempt(prompt);
+        self.clock.sleep_micros(sample.latency_us);
+        sample.result
     }
 
     fn usage(&self) -> Usage {

@@ -5,11 +5,12 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────────┐
-//! │ magic "UDMSEG3\0" │ u32 header length                            │
+//! │ magic "UDMSEG4\0" │ u32 header length │ u64 header checksum64    │
 //! │ header: table name, schema (names + dtypes), u64 chunk_rows      │
 //! │ chunk 0 payload │ chunk 1 payload │ ... │ chunk N payload        │
 //! │ directory: u64 chunk count, per chunk (offset, bytes, rows,      │
 //! │            checksum64 of the payload) u64s                       │
+//! │ u64 directory checksum64                                         │
 //! │ u64 directory offset (last 8 bytes)                              │
 //! └──────────────────────────────────────────────────────────────────┘
 //!
@@ -31,14 +32,17 @@
 //!
 //! A segment is scratch: written by one process, read back by the same
 //! build, never committed. The format is therefore *replaced, never
-//! migrated* — a file with any other magic (`UDMSEG1` and `UDMSEG2`
+//! migrated* — a file with any other magic (`UDMSEG1` to `UDMSEG3`
 //! included) is rejected by name, there is no second reader.
 //!
 //! Everything read from the file is checked before it sizes an allocation
 //! or indexes anything, and a failed check is a [`TableError::Segment`]:
 //!
-//! * open: magic; header length, directory offset and chunk count against
-//!   the file length; every chunk inside the payload region; every chunk
+//! * open: magic; header length and directory offset against the file
+//!   length; the header's and the directory's `checksum64`s before either
+//!   is decoded, so a flipped bit in them is an error rather than a wrong
+//!   name, schema or chunk location; the chunk count against the
+//!   directory's size; every chunk inside the payload region; every chunk
 //!   but the last exactly `chunk_rows` long, the last at most that;
 //! * page-in: the payload's `checksum64` against its directory entry's, so
 //!   a flipped bit is an error rather than a wrong cell; then the payload
@@ -66,9 +70,11 @@ use crate::chunk::{Chunk, ColumnChunk, StringPool, Words};
 use crate::codec::{put_str, put_u32, put_u64, Cursor, Truncated};
 use crate::{DataType, Record, Schema, TableError, Value};
 
-const MAGIC: &[u8; 8] = b"UDMSEG3\0";
-/// Magic plus the header length field.
-const PREAMBLE: usize = MAGIC.len() + 4;
+const MAGIC: &[u8; 8] = b"UDMSEG4\0";
+/// Magic, the header length and the header checksum.
+const PREAMBLE: usize = MAGIC.len() + 4 + 8;
+/// The directory checksum and the directory offset, the file's last bytes.
+const TAIL: usize = 16;
 /// Bytes of one directory entry: offset, byte length, row count, checksum.
 const ENTRY_BYTES: usize = 32;
 
@@ -272,7 +278,7 @@ fn dtype_from_tag(tag: u8) -> Result<DataType, TableError> {
     })
 }
 
-/// Magic, header length, header.
+/// Magic, header length, header checksum, header.
 fn encode_header(name: &str, schema: &Schema, chunk_rows: usize) -> Vec<u8> {
     let mut header = Vec::new();
     put_str(&mut header, name);
@@ -284,6 +290,7 @@ fn encode_header(name: &str, schema: &Schema, chunk_rows: usize) -> Vec<u8> {
     put_u64(&mut header, chunk_rows as u64);
     let mut out = MAGIC.to_vec();
     put_u32(&mut out, header.len() as u32);
+    put_u64(&mut out, checksum64(&header));
     out.extend_from_slice(&header);
     out
 }
@@ -442,6 +449,8 @@ impl SegmentWriter {
             put_u64(&mut dir, e.rows as u64);
             put_u64(&mut dir, e.checksum);
         }
+        let checksum = checksum64(&dir);
+        put_u64(&mut dir, checksum);
         put_u64(&mut dir, self.offset); // directory offset, last 8 bytes
         self.file
             .write_all(&dir)
@@ -486,8 +495,8 @@ impl SegmentReader {
             .metadata()
             .map_err(|e| io_err("stat segment", e))?
             .len();
-        // Preamble, an empty directory's chunk count, the directory offset.
-        if file_len < (PREAMBLE + 16) as u64 {
+        // Preamble, an empty directory's chunk count, the tail.
+        if file_len < (PREAMBLE + 8 + TAIL) as u64 {
             return Err(format_err("segment file too short"));
         }
         let read_at = |len: u64, offset: u64, what: &str| -> Result<Vec<u8>, TableError> {
@@ -498,28 +507,39 @@ impl SegmentReader {
         };
 
         let preamble = read_at(PREAMBLE as u64, 0, "read magic")?;
-        let (magic, header_len) = preamble.split_at(MAGIC.len());
+        let (magic, rest) = preamble.split_at(MAGIC.len());
         if magic != MAGIC {
             return Err(format_err(format!(
-                "not a UDMSEG3 segment (magic {:?}): segments are scratch files of one \
+                "not a UDMSEG4 segment (magic {:?}): segments are scratch files of one \
                  format, spill the table again",
                 String::from_utf8_lossy(magic)
             )));
         }
+        let (header_len, header_sum) = rest.split_at(4);
         let header_len = u64::from(u32::from_le_bytes(header_len.try_into().unwrap()));
+        let header_sum = u64::from_le_bytes(header_sum.try_into().unwrap());
         let payload_start = PREAMBLE as u64 + header_len;
 
-        // Directory offset in the last 8 bytes; the directory runs from
-        // there to them.
-        let tail = read_at(8, file_len - 8, "read directory offset")?;
-        let dir_offset = u64::from_le_bytes(tail.try_into().unwrap());
-        if dir_offset < payload_start || dir_offset > file_len - 16 {
+        // Directory checksum and offset in the last 16 bytes; the
+        // directory runs from the offset to them.
+        let tail = read_at(TAIL as u64, file_len - TAIL as u64, "read directory offset")?;
+        let (dir_sum, dir_offset) = tail.split_at(8);
+        let dir_sum = u64::from_le_bytes(dir_sum.try_into().unwrap());
+        let dir_offset = u64::from_le_bytes(dir_offset.try_into().unwrap());
+        if dir_offset < payload_start || dir_offset > file_len - (8 + TAIL) as u64 {
             return Err(format_err("header or directory offset out of range"));
         }
-        let (name, schema, chunk_rows) =
-            decode_header(&read_at(header_len, PREAMBLE as u64, "read header")?)?;
+        let header = read_at(header_len, PREAMBLE as u64, "read header")?;
+        if checksum64(&header) != header_sum {
+            return Err(format_err("the header fails its checksum"));
+        }
+        let (name, schema, chunk_rows) = decode_header(&header)?;
 
-        let dir = read_at(file_len - 8 - dir_offset, dir_offset, "read directory")?;
+        let dir_len = file_len - TAIL as u64 - dir_offset;
+        let dir = read_at(dir_len, dir_offset, "read directory")?;
+        if checksum64(&dir) != dir_sum {
+            return Err(format_err("the directory fails its checksum"));
+        }
         let mut cur = Cursor::new(&dir);
         let nchunks = to_usize(cur.u64()?)?;
         if nchunks.checked_mul(ENTRY_BYTES) != Some(cur.remaining()) {

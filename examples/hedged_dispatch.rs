@@ -1,12 +1,12 @@
 //! Hedged-dispatch quickstart: run a batched workload through the
-//! event-driven dispatcher against an endpoint with a heavy latency tail,
+//! reactor with hedging on, against an endpoint with a heavy latency tail,
 //! and watch hedged requests cut the virtual-time P99 and makespan — with
 //! answers bit-identical to the synchronous path.
 //!
 //! The stack assembled here is the pipelined production shape:
 //!
 //! ```text
-//! BatchRunner (pipelined) → PromptCache → Dispatcher → SimBackend → MockLlm
+//! BatchRunner (pipelined) → PromptCache → RoutedBackend (reactor) → SimBackend → MockLlm
 //!    one thread, a window    lookup / fill:  reactor:     3% of       inner
 //!    of runs in flight,      a key already   pacing,      attempts    model
 //!    continuous admission    in flight is    retry,       stall 40×
@@ -24,7 +24,8 @@
 //! ```
 
 use unidm::backend::BackendConfig;
-use unidm::dispatch::{Dispatcher, HedgePolicy};
+use unidm::dispatch::HedgePolicy;
+use unidm::RoutedBackend;
 use unidm::{BatchRunner, CanonLevel, PipelineConfig, PromptCache, Task};
 use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
@@ -94,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if let Some(policy) = hedge {
             config = config.with_hedge(policy);
         }
-        let dispatcher = Dispatcher::new(&llm, config);
+        let dispatcher = RoutedBackend::single(&llm, config);
         // Warm the latency estimator so the first wave can arm hedges.
         for i in 0..8 {
             dispatcher
@@ -115,7 +116,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .map(|r| r.as_ref().expect("task completes").answer.clone())
             .collect();
-        (answers, dispatcher.stats(), dispatcher.clock().now_micros())
+        (
+            answers,
+            dispatcher.backend_stats(),
+            dispatcher.clock().now_micros(),
+        )
     };
 
     let (pipe_answers, pipe_stats, pipe_makespan) = run_dispatched(None);

@@ -8,9 +8,8 @@ mod common;
 
 use common::{task_mix, PromptLog};
 use unidm::backend::BackendConfig;
-use unidm::{
-    BatchRunner, Dispatcher, PipelineConfig, PromptCache, RunOutput, Task, UniDm, UniDmError,
-};
+use unidm::RoutedBackend;
+use unidm::{BatchRunner, PipelineConfig, PromptCache, RunOutput, Task, UniDm, UniDmError};
 use unidm_llm::{LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -50,7 +49,7 @@ fn windowed(
     lake: &DataLake,
     tasks: &[Task],
 ) -> Vec<Result<RunOutput, UniDmError>> {
-    let dispatcher = Dispatcher::new(
+    let dispatcher = RoutedBackend::single(
         llm,
         BackendConfig::resilient(42)
             .without_breaker()

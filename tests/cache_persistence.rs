@@ -10,9 +10,8 @@ mod common;
 
 use common::PromptLog;
 use unidm::backend::BackendConfig;
-use unidm::{
-    BatchRunner, CacheStore, CanonLevel, Dispatcher, PipelineConfig, PromptCache, StoreConfig, Task,
-};
+use unidm::RoutedBackend;
+use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
 use unidm_llm::{LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -81,7 +80,7 @@ fn serial_and_parallel_stay_identical_with_canonicalization_on() {
     let cache = canonical_cache(&llm);
     let serial = BatchRunner::new(&cache, config).run(&lake, &tasks);
     for width in [1, 8, 64] {
-        let dispatcher = Dispatcher::new(
+        let dispatcher = RoutedBackend::single(
             &llm,
             BackendConfig::resilient(42)
                 .without_breaker()

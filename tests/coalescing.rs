@@ -9,7 +9,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use unidm::backend::BackendConfig;
-use unidm::{BatchRunner, CanonLevel, Dispatcher, PipelineConfig, PromptCache, Task};
+use unidm::RoutedBackend;
+use unidm::{BatchRunner, CanonLevel, PipelineConfig, PromptCache, Task};
 use unidm_llm::{Completion, LanguageModel, LlmError, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -122,7 +123,7 @@ fn one_endpoint_call_per_unique_canonical_key_across_worker_counts() {
     // is the default.
     for (width, shards) in [(1usize, 1usize), (8, 1), (8, 8), (64, 1), (64, 8)] {
         let model = CountingModel::new(&llm);
-        let dispatcher = Dispatcher::new(
+        let dispatcher = RoutedBackend::single(
             &model,
             BackendConfig::resilient(1301)
                 .without_breaker()

@@ -20,8 +20,9 @@ use unidm_tablestore::{Chunk, ColumnChunk, ColumnStats, Record, StringPool, Valu
 use unidm_text::hash::fnv1a64;
 
 /// `fnv1a64` of the `ScaleSpec::new(20_000, 7)` segment file as the
-/// cloning encoder wrote it.
-const SCALE_SEGMENT_FNV: u64 = 0x392b_2702_3642_bc44;
+/// cloning encoder wrote it, in the `UDMSEG4` layout (chunk payloads as
+/// before; the header and directory checksums shift every offset).
+const SCALE_SEGMENT_FNV: u64 = 0x7930_92d9_d091_08bb;
 
 /// Row counts on each side of the 1-byte word boundary, one full default
 /// chunk, and more than one.

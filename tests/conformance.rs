@@ -1,7 +1,8 @@
 //! Runs the backend-conformance suite (`common::conformance`) against
-//! every `LanguageModel` wrapper in the repository: the blocking
-//! single-endpoint stack (`RoutedBackend::single`), the event-driven
-//! `Dispatcher`, and the multi-endpoint `RoutedBackend`.
+//! every shape of the one `LanguageModel` wrapper in the repository, the
+//! reactor `RoutedBackend`: the single-endpoint stack
+//! (`RoutedBackend::single`), the same stack pipelined (coalescing and
+//! memoizing), and the multi-endpoint fleet.
 //!
 //! Each wrapper supplies one [`Factory`] translating the suite's
 //! [`Scenario`] knobs into its own configuration; the suite then holds
@@ -14,7 +15,6 @@ mod common;
 
 use common::conformance::{self as conf, BackendUnderTest, Scenario};
 use unidm::backend::{BackendConfig, BackendStats};
-use unidm::dispatch::Dispatcher;
 use unidm::route::{AimdPolicy, RoutePlan, RoutedBackend};
 use unidm_llm::LanguageModel;
 
@@ -32,25 +32,6 @@ impl BackendUnderTest for Resilient<'_> {
         format!(
             "{:?}\n{:?}\nnow={now}",
             self.0.backend_stats(),
-            self.0.fault_stats()
-        )
-    }
-}
-
-struct Dispatched<'a>(Dispatcher<'a>);
-
-impl BackendUnderTest for Dispatched<'_> {
-    fn model(&self) -> &dyn LanguageModel {
-        &self.0
-    }
-    fn stats(&self) -> BackendStats {
-        self.0.stats()
-    }
-    fn ledger(&self) -> String {
-        let now = self.0.clock().now_micros();
-        format!(
-            "{:?}\n{:?}\nnow={now}",
-            self.0.stats(),
             self.0.fault_stats()
         )
     }
@@ -100,7 +81,7 @@ fn resilient(inner: &dyn LanguageModel, s: Scenario) -> Box<dyn BackendUnderTest
 }
 
 fn dispatched(inner: &dyn LanguageModel, s: Scenario) -> Box<dyn BackendUnderTest + '_> {
-    Box::new(Dispatched(Dispatcher::new(
+    Box::new(Resilient(RoutedBackend::single(
         inner,
         base_config(s).with_pipelined(),
     )))

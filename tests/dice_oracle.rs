@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use common::{fault_seed, Gen, ANY};
 use unidm::backend::{BackendConfig, LatencySketch, RetryPolicy};
-use unidm::dispatch::{Dispatcher, HedgePolicy};
+use unidm::dispatch::HedgePolicy;
 use unidm::route::{RoutePlan, RoutedBackend};
 use unidm_llm::{
     Completion, Dice, FaultPlan, LanguageModel, LatencyProfile, LlmError, SimBackend, StackPrompt,
@@ -304,7 +304,7 @@ fn sim_backend_schedules_equal_their_rederivation_in_any_interleaving() {
 
 #[test]
 fn str_and_handle_entry_points_walk_one_schedule() {
-    // One injector, one prompt, four ways in: whichever entry point sees
+    // One injector, one prompt, three ways in: whichever entry point sees
     // the prompt first, and whether or not the handle's dice is the
     // plan's, attempt `i` in call order is slot `i` of the one schedule.
     const ATTEMPTS: u64 = 64;
@@ -326,18 +326,14 @@ fn str_and_handle_entry_points_walk_one_schedule() {
             .map(|i| {
                 let before = sim.clock().now_micros();
                 // `case / 4` rotates which entry point has the first sight.
-                match (i + case / 4) % 4 {
+                match (i + case / 4) % 3 {
                     0 => sample(&sim, prompt),
                     1 => {
                         let sample = sim.sample_prompt(&handle);
                         (sample.latency_us, text(sample.result))
                     }
-                    2 => {
-                        let result = text(sim.complete(prompt));
-                        (sim.clock().now_micros() - before, result)
-                    }
                     _ => {
-                        let result = text(sim.complete_prompt(&handle));
+                        let result = text(sim.complete(prompt));
                         (sim.clock().now_micros() - before, result)
                     }
                 }
@@ -590,10 +586,10 @@ fn observe_router(
 }
 
 fn observe_dispatcher(
-    dispatcher: &Dispatcher<'_>,
+    dispatcher: &RoutedBackend<'_>,
     result: Result<Arc<Completion>, LlmError>,
 ) -> Observed {
-    let stats = dispatcher.stats();
+    let stats = dispatcher.backend_stats();
     (
         result.map(|c| c.text.clone()),
         dispatcher.clock().now_micros(),
@@ -652,7 +648,7 @@ fn stack_draws_equal_their_rederivation_whichever_layer_absorbed_the_prompt() {
         assert!(want.attempts.iter().all(|&n| n > 0), "every replica served");
 
         // Pipelined and hedged, untagged: the dispatcher over its injector.
-        let dispatcher = Dispatcher::new(&model, pipelined);
+        let dispatcher = RoutedBackend::single(&model, pipelined);
         let mut injector = ReferenceInjector::new(FaultPlan::moderate(plan_seed), None);
         let mut want = ReferenceDispatcher::new(&pipelined, |prompt| injector.attempt(prompt));
         for (call, prompt) in calls().enumerate() {
@@ -670,7 +666,7 @@ fn stack_draws_equal_their_rederivation_whichever_layer_absorbed_the_prompt() {
             .without_breaker()
             .with_pipelined()
             .with_hedge(hedge);
-        let dispatcher = Dispatcher::new(&router, over_fleet);
+        let dispatcher = RoutedBackend::single(&router, over_fleet);
         let mut below = ReferenceRouter::new(&blocking, &fleet_weights, true);
         let profile_us = LatencyProfile::default().latency_us(Usage::default());
         let mut want =

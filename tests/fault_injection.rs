@@ -13,9 +13,8 @@
 //! push.
 
 use unidm::backend::{BackendConfig, BackendStats};
-use unidm::{
-    BatchRunner, CacheStore, CanonLevel, Dispatcher, PipelineConfig, PromptCache, StoreConfig, Task,
-};
+use unidm::RoutedBackend;
+use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
 use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -81,7 +80,8 @@ fn batched_faulty_answers_are_bit_identical_to_fault_free_serial() {
             FaultPlan::always_faulty(seed, 5),
         ] {
             for width in WIDTHS {
-                let dispatcher = Dispatcher::new(&llm, stack_config(seed, plan).with_pipelined());
+                let config = stack_config(seed, plan).with_pipelined();
+                let dispatcher = RoutedBackend::single(&llm, config);
                 let cache = PromptCache::unbounded(&dispatcher)
                     .with_canonicalization(CanonLevel::TableStem);
                 let answers = BatchRunner::new(&cache, pipeline)
@@ -92,7 +92,7 @@ fn batched_faulty_answers_are_bit_identical_to_fault_free_serial() {
                     answers, baseline,
                     "plan {plan:?}, window {width}: answers changed despite retries"
                 );
-                let stats = dispatcher.stats();
+                let stats = dispatcher.backend_stats();
                 assert_eq!(
                     stats.failures, 0,
                     "plan {plan:?}, window {width}: every call completes"
@@ -152,13 +152,15 @@ fn aggregate_retry_statistics_are_scheduling_independent() {
     let pipeline = PipelineConfig::paper_default().with_seed(42);
     let seed = fault_seed();
     let run = |width: usize| {
-        let config = stack_config(seed, FaultPlan::moderate(seed)).with_pipelined();
-        let dispatcher = Dispatcher::new(&llm, config);
+        let config = stack_config(seed, FaultPlan::moderate(seed))
+            .without_breaker()
+            .with_pipelined();
+        let dispatcher = RoutedBackend::single(&llm, config);
         let answers = BatchRunner::new(&dispatcher, pipeline)
             .with_workers(width)
             .with_pipeline(&dispatcher, None)
             .answers(&lake, &tasks);
-        (answers, dispatcher.stats())
+        (answers, dispatcher.backend_stats())
     };
     let (serial_answers, serial) = run(WIDTHS[0]);
     assert!(serial.retries > 0, "the moderate plan injects faults");
@@ -269,7 +271,7 @@ fn batch_isolates_per_task_failures_under_faults() {
 
     let seed = fault_seed();
     for width in WIDTHS {
-        let dispatcher = Dispatcher::new(
+        let dispatcher = RoutedBackend::single(
             &llm,
             stack_config(seed, FaultPlan::heavy(seed)).with_pipelined(),
         );

@@ -17,10 +17,11 @@
 //! push.
 
 use unidm::backend::BackendConfig;
-use unidm::dispatch::{Dispatcher, HedgePolicy, Reply, Ticket};
+use unidm::dispatch::{HedgePolicy, Reply, Ticket};
 use unidm::{
     BatchRunner, CacheStats, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task,
 };
+use unidm::{RoutePlan, RoutedBackend};
 use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -79,7 +80,7 @@ const WARMUP: u64 = 8;
 /// Warms the dispatcher's latency estimator with [`WARMUP`] distinct
 /// throwaway prompts so the measured workload can arm hedge timers from
 /// its very first wave, then clears the inner model's usage ledger.
-fn warm_estimator(dispatcher: &Dispatcher<'_>, llm: &MockLlm) {
+fn warm_estimator(dispatcher: &RoutedBackend<'_>, llm: &MockLlm) {
     for i in 0..WARMUP {
         dispatcher
             .complete(&format!("latency estimator warmup {i}"))
@@ -93,7 +94,7 @@ fn warm_estimator(dispatcher: &Dispatcher<'_>, llm: &MockLlm) {
 /// lane submits its next prompt the moment its previous one resolves — the
 /// shape `BatchRunner`'s pipelined mode drives the dispatcher in.
 fn fan_out(
-    dispatcher: &Dispatcher<'_>,
+    dispatcher: &RoutedBackend<'_>,
     lanes: usize,
     per_lane: usize,
     prompt: impl Fn(usize, usize) -> String,
@@ -127,7 +128,7 @@ fn fan_out(
 
 /// First-response-wins determinism: the full production shape
 /// (`BatchRunner` pipelined mode → `PromptCache` →
-/// `Dispatcher` with hedging → heavy-tail `SimBackend`) returns answers
+/// `RoutedBackend` with hedging → heavy-tail `SimBackend`) returns answers
 /// bit-identical to the fault-free serial run at windows of 1 and 8 runs
 /// and at two fault seeds. The cache leads each unique canonical key once,
 /// and each leader costs the endpoint one attempt plus its hedges.
@@ -147,7 +148,7 @@ fn hedged_answers_bit_identical_across_seeds_and_worker_counts() {
     let base = fault_seed();
     for seed in [base, base.wrapping_mul(31).wrapping_add(1000)] {
         for workers in [1usize, 8] {
-            let dispatcher = Dispatcher::new(&llm, hedged_config(seed));
+            let dispatcher = RoutedBackend::single(&llm, hedged_config(seed));
             warm_estimator(&dispatcher, &llm);
             let cache =
                 PromptCache::unbounded(&dispatcher).with_canonicalization(CanonLevel::TableStem);
@@ -164,7 +165,7 @@ fn hedged_answers_bit_identical_across_seeds_and_worker_counts() {
                 answers, reference,
                 "hedging must never change answers (seed {seed}, window {workers})"
             );
-            let stats = dispatcher.stats();
+            let stats = dispatcher.backend_stats();
             assert_eq!(stats.failures, 0, "heavy-tail injects no errors");
             assert_eq!(
                 stats.hedges_cancelled, stats.hedges_issued,
@@ -201,7 +202,7 @@ fn timeline(
     if hedged {
         config = config.with_hedge(HedgePolicy::at_quantile(900).with_min_samples(8));
     }
-    let dispatcher = Dispatcher::new(llm, config);
+    let dispatcher = RoutedBackend::single(llm, config);
     warm_estimator(&dispatcher, llm);
     let cache = cache.map(|level| PromptCache::unbounded(&dispatcher).with_canonicalization(level));
     let answers = BatchRunner::new(llm, PipelineConfig::paper_default())
@@ -212,7 +213,7 @@ fn timeline(
     (
         answers,
         dispatcher.clock().now_micros(),
-        dispatcher.stats(),
+        dispatcher.backend_stats(),
         cached,
     )
 }
@@ -282,7 +283,7 @@ fn losing_copies_are_never_memoized() {
         .answers(&lake, &tasks);
 
     let seed = fault_seed();
-    let dispatcher = Dispatcher::new(&llm, hedged_config(seed));
+    let dispatcher = RoutedBackend::single(&llm, hedged_config(seed));
     warm_estimator(&dispatcher, &llm);
     let path = std::env::temp_dir().join(format!(
         "unidm-hedged-dispatch-{}.udmstore",
@@ -298,13 +299,13 @@ fn losing_copies_are_never_memoized() {
         .with_workers(8)
         .with_pipeline(&dispatcher, Some(&cache))
         .run_report(&lake, &tasks);
-    let stats = dispatcher.stats();
+    let stats = dispatcher.backend_stats();
     assert_eq!(stats.failures, 0);
 
     // Requests the dispatcher resolved stay memoized as the winner's
     // bytes: replaying a unique prompt adds zero endpoint attempts.
     let attempts_before = stats.attempts;
-    let memo_hit = dispatcher.stats().dispatch_coalesced;
+    let memo_hit = dispatcher.backend_stats().dispatch_coalesced;
     let direct = llm.complete("The capital of Denmark is __.").unwrap();
     let first = dispatcher
         .complete("The capital of Denmark is __.")
@@ -315,11 +316,11 @@ fn losing_copies_are_never_memoized() {
     assert_eq!(first, direct, "the winner's completion is the model's");
     assert_eq!(replay, first, "the memo serves the winner verbatim");
     assert_eq!(
-        dispatcher.stats().attempts,
+        dispatcher.backend_stats().attempts,
         attempts_before + 1,
         "one fresh prompt dispatches once; the replay is pure memo"
     );
-    assert_eq!(dispatcher.stats().dispatch_coalesced, memo_hit + 1);
+    assert_eq!(dispatcher.backend_stats().dispatch_coalesced, memo_hit + 1);
 
     // The cache above the dispatcher holds only winners too: what it
     // persisted, replayed over the *bare* model, serves the entire
@@ -354,16 +355,16 @@ fn hedges_consume_rate_limit_budget_once_per_winner() {
     let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 42);
     let seed = fault_seed();
     let config = hedged_config(seed).with_rate_limit(500, 50);
-    let dispatcher = Dispatcher::new(&llm, config);
+    let dispatcher = RoutedBackend::single(&llm, config);
     warm_estimator(&dispatcher, &llm);
-    let before = dispatcher.stats();
+    let before = dispatcher.backend_stats();
 
     const PROMPTS_PER_WORKER: usize = 40;
     fan_out(&dispatcher, 8, PROMPTS_PER_WORKER, |t, i| {
         format!("budget probe {t}-{i}")
     });
 
-    let stats = dispatcher.stats();
+    let stats = dispatcher.backend_stats();
     let unique = (8 * PROMPTS_PER_WORKER) as u64;
     assert!(
         stats.hedges_issued > before.hedges_issued,
@@ -393,12 +394,15 @@ fn hedge_counters_are_scheduling_independent() {
     let seed = fault_seed();
     for lanes in [1usize, 8] {
         let run = || {
-            let dispatcher = Dispatcher::new(&llm, hedged_config(seed));
+            let dispatcher = RoutedBackend::single(&llm, hedged_config(seed));
             warm_estimator(&dispatcher, &llm);
             fan_out(&dispatcher, lanes, 24, |t, i| {
                 format!("schedule probe {t}-{i}")
             });
-            (dispatcher.stats(), dispatcher.fault_stats().unwrap())
+            (
+                dispatcher.backend_stats(),
+                dispatcher.fault_stats().unwrap(),
+            )
         };
         let (stats_a, faults_a) = run();
         let (stats_b, faults_b) = run();
@@ -435,10 +439,10 @@ fn hedging_cuts_the_observed_p99() {
         if hedge {
             config = config.with_hedge(HedgePolicy::at_quantile(900).with_min_samples(8));
         }
-        let dispatcher = Dispatcher::new(&llm, config);
+        let dispatcher = RoutedBackend::single(&llm, config);
         warm_estimator(&dispatcher, &llm);
         fan_out(&dispatcher, 8, 40, |t, i| format!("tail probe {t}-{i}"));
-        dispatcher.stats()
+        dispatcher.backend_stats()
     };
     let plain = run(false);
     let hedged = run(true);
@@ -450,4 +454,44 @@ fn hedging_cuts_the_observed_p99() {
         hedged_p99 < plain_p99,
         "hedged P99 {hedged_p99}us must beat unhedged P99 {plain_p99}us"
     );
+}
+
+/// A routed fleet with a hedge policy hedges across its replicas: in a
+/// window of 64, stragglers get copies on another replica, answers stay
+/// the bare model's, and a rerun reproduces every counter.
+#[test]
+fn a_routed_hedged_fleet_hedges_across_replicas() {
+    let (llm, lake, tasks) = workload_of(150);
+    let pipeline = PipelineConfig::paper_default();
+    let reference = BatchRunner::new(&llm, pipeline)
+        .with_workers(1)
+        .answers(&lake, &tasks);
+    let seed = fault_seed();
+    let config = BackendConfig::resilient(seed)
+        .without_breaker()
+        .with_faults(FaultPlan::heavy_tail(seed))
+        .with_route(RoutePlan::replicas(3))
+        .with_hedge(HedgePolicy::at_quantile(900));
+    let run = || {
+        let fleet = RoutedBackend::from_plan(&llm, config);
+        let answers = BatchRunner::new(&fleet, pipeline)
+            .with_workers(64)
+            .with_pipeline(&fleet, None)
+            .answers(&lake, &tasks);
+        (answers, fleet.stats())
+    };
+    let (answers, stats) = run();
+    assert_eq!(
+        answers, reference,
+        "hedging across replicas changed an answer"
+    );
+    assert!(
+        stats.hedges_issued > 0,
+        "the heavy tail must arm hedges: {stats:?}"
+    );
+    assert!(
+        stats.hedges_won + stats.hedges_cancelled > 0,
+        "every issued hedge races its primary: {stats:?}"
+    );
+    assert_eq!(run().1, stats, "a rerun reproduces every counter");
 }

@@ -12,7 +12,6 @@
 //! two), so schedule sensitivity is exercised on every push.
 
 use unidm::backend::{BackendConfig, BreakerPolicy};
-use unidm::dispatch::Dispatcher;
 use unidm::route::{EndpointConfig, RoutePlan, RoutedBackend};
 use unidm::{BatchRunner, CanonLevel, PipelineConfig, PromptCache, Task};
 use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm};
@@ -74,9 +73,8 @@ fn routed_answers_bit_identical_across_seeds_workers_and_modes() {
 
     let base = fault_seed();
     for seed in [base, base.wrapping_mul(31).wrapping_add(1000)] {
-        // Blocking: cache → router → per-endpoint breaker/injector. The
-        // blocking fleet cannot sit under the dispatcher, so it runs
-        // serially.
+        // Blocking: cache → router → per-endpoint breaker/injector, one
+        // call at a time.
         let router = fleet(&llm, seed);
         let cache = PromptCache::unbounded(&router).with_canonicalization(CanonLevel::TableStem);
         let answers = BatchRunner::new(&cache, pipeline).answers(&lake, &tasks);
@@ -92,12 +90,12 @@ fn routed_answers_bit_identical_across_seeds_workers_and_modes() {
         );
 
         for workers in [1usize, 8, 64] {
-            // Pipelined: the event-driven dispatcher drives the same
-            // fleet (faults live inside the router, so the dispatcher
-            // itself is fault-free).
+            // Pipelined: a pipelined single stack drives the same fleet
+            // (faults live inside the router, so the outer stack itself is
+            // fault-free).
             let router = fleet(&llm, seed);
             let dispatcher =
-                Dispatcher::new(&router, BackendConfig::resilient(seed).with_pipelined());
+                RoutedBackend::single(&router, BackendConfig::resilient(seed).with_pipelined());
             let cache =
                 PromptCache::unbounded(&dispatcher).with_canonicalization(CanonLevel::TableStem);
             let answers = BatchRunner::new(&cache, pipeline)
@@ -108,7 +106,7 @@ fn routed_answers_bit_identical_across_seeds_workers_and_modes() {
                 answers, reference,
                 "pipelined routed run changed answers (seed {seed}, window {workers})"
             );
-            assert_eq!(dispatcher.stats().failures, 0);
+            assert_eq!(dispatcher.backend_stats().failures, 0);
             assert_eq!(router.stats().failures, 0);
         }
     }

@@ -1,4 +1,4 @@
-//! The `UDMSEG3` spill format, from outside the crate: what a writer
+//! The `UDMSEG4` spill format, from outside the crate: what a writer
 //! spills a reader pages back cell for cell, and a file that is not what a
 //! writer wrote — cut short anywhere, a payload bit flipped, or one field
 //! changed by hand — is a [`TableError::Segment`], never a panic, a wrong
@@ -10,8 +10,8 @@
 //! The hand corruptions patch bytes at offsets computed from the layout
 //! documented in `crates/tablestore/src/segment.rs`; a layout change has to
 //! touch this file too, which is the point. A hand corruption of a
-//! payload re-seals the chunk's checksum, so the check it names is the
-//! one that catches it.
+//! payload re-seals the chunk's checksum, and one of the directory the
+//! directory's, so the check it names is the one that catches it.
 
 mod common;
 
@@ -191,6 +191,11 @@ fn specimen_of(tag: &str, chunk0: &[Option<&str>]) -> Specimen {
     table.spill_to(&scratch.0, 1).unwrap();
     let bytes = std::fs::read(&scratch.0).unwrap();
     let dir = u64_at(&bytes, bytes.len() - 8) as usize;
+    assert_eq!(
+        u64_at(&bytes, bytes.len() - 16),
+        checksum64(&bytes[dir..bytes.len() - 16]),
+        "the directory checksum precedes its offset"
+    );
     assert_eq!(u64_at(&bytes, dir), 2, "two chunks");
     let p = u64_at(&bytes, dir + 8) as usize;
     Specimen {
@@ -215,9 +220,12 @@ impl Specimen {
         self.patch_dir(32, &checksum.to_le_bytes())
     }
 
-    /// Patches the directory at `dir + at`.
+    /// Patches the directory at `dir + at` and re-seals its checksum.
     fn patch_dir(&mut self, at: usize, with: &[u8]) -> &mut Self {
-        self.patch(self.dir + at, with)
+        self.patch(self.dir + at, with);
+        let end = self.bytes.len() - 16;
+        let checksum = checksum64(&self.bytes[self.dir..end]);
+        self.patch(end, &checksum.to_le_bytes())
     }
 
     fn write(&self) {
@@ -285,12 +293,40 @@ fn every_flipped_payload_bit_fails_the_checksum() {
             s.bytes[at] ^= 1 << bit;
         }
     }
-    // The checksum's own bytes are covered the same way.
-    for at in s.dir + 32..s.dir + 40 {
-        s.bytes[at] ^= 0x10;
+    // The checksum's own bytes are covered the same way (the directory
+    // re-sealed, so the chunk's check is the one that catches it).
+    for at in 32..40 {
+        let byte = s.bytes[s.dir + at];
+        s.patch_dir(at, &[byte ^ 0x10]);
         s.chunk0_fails("chunk 0 fails its checksum");
-        s.bytes[at] ^= 0x10;
+        s.patch_dir(at, &[byte]);
     }
+}
+
+#[test]
+fn every_flipped_header_or_directory_bit_fails_at_open() {
+    let mut s = specimen("flip-meta");
+    let p = s.p;
+    let dir = s.dir;
+    let len = s.bytes.len();
+    // Magic, header length, header checksum and header; then the
+    // directory, its checksum and its offset.
+    for at in (0..p).chain(dir..len) {
+        for bit in 0..8 {
+            s.bytes[at] ^= 1 << bit;
+            s.write();
+            assert!(
+                matches!(
+                    SegmentReader::open(&s.scratch.0),
+                    Err(TableError::Segment(_))
+                ),
+                "byte {at} bit {bit} opened"
+            );
+            s.bytes[at] ^= 1 << bit;
+        }
+    }
+    s.write();
+    SegmentReader::open(&s.scratch.0).expect("the specimen opens once restored");
 }
 
 #[test]
@@ -400,5 +436,6 @@ fn the_old_magic_is_rejected_by_name() {
     let mut s = specimen("magic");
     s.patch(0, b"UDMSEG1\0").open_fails("UDMSEG1");
     s.patch(0, b"UDMSEG2\0").open_fails("UDMSEG2");
-    s.patch(0, b"PARQUET1").open_fails("not a UDMSEG3 segment");
+    s.patch(0, b"UDMSEG3\0").open_fails("UDMSEG3");
+    s.patch(0, b"PARQUET1").open_fails("not a UDMSEG4 segment");
 }

@@ -11,9 +11,10 @@
 //! fault-schedule seed honors `UNIDM_FAULT_SEED` (the CI matrix runs seeds
 //! 7/1337), so both axes are exercised on every push.
 
+use unidm::RoutedBackend;
 use unidm::{
-    BackendConfig, BatchRunner, CanonLevel, Dispatcher, PipelineConfig, PromptCache, RunOutput,
-    Task, UniDmError,
+    BackendConfig, BatchRunner, CanonLevel, PipelineConfig, PromptCache, RunOutput, Task,
+    UniDmError,
 };
 use unidm_llm::{FaultPlan, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
@@ -177,7 +178,7 @@ fn streaming_on_eight_workers_matches_the_serial_run() {
         .with_dedup(true)
         .run_report(&lake, &tasks);
     for width in [1, 8, 64] {
-        let dispatcher = Dispatcher::new(
+        let dispatcher = RoutedBackend::single(
             &llm,
             BackendConfig::resilient(42)
                 .without_breaker()
@@ -256,7 +257,7 @@ fn streaming_through_the_pipelined_dispatcher_matches_blocking() {
         .collect();
 
     let seed = fault_seed();
-    let dispatcher = Dispatcher::new(
+    let dispatcher = RoutedBackend::single(
         &llm,
         BackendConfig::resilient(seed)
             .without_breaker()
@@ -284,5 +285,5 @@ fn streaming_through_the_pipelined_dispatcher_matches_blocking() {
         (stream_report.unique_tasks, stream_report.coalesced_tasks),
         per_partition_counts(&BatchRunner::new(&llm, pipeline), &lake, &tasks, 16)
     );
-    assert_eq!(dispatcher.stats().failures, 0);
+    assert_eq!(dispatcher.backend_stats().failures, 0);
 }
