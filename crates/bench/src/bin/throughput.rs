@@ -39,7 +39,8 @@
 //!   gate versus large-only: fewer large-tier tokens, lower bill.
 //! * **scale** — a 10^6-row lake (10^5 under `--quick`) spilled to a disk
 //!   segment and streamed through [`BatchRunner::run_streaming`]: peak
-//!   live allocation stays under a budget that does not grow with rows.
+//!   live allocation stays under a budget that does not grow with rows,
+//!   and the segment's length and `fnv1a64` pin it byte for byte.
 //! * **serving** — the open-loop ten-tenant simulation of `unidm::serve`
 //!   under moderate faults, one replay worker.
 //!
@@ -56,6 +57,8 @@
 //! cargo run -p unidm-bench --release --bin throughput -- --bench-json out/BENCH.json
 //! ```
 
+use std::fs::File;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -962,6 +965,8 @@ fn scale(bench: &Bench<'_>, rows: usize) -> String {
         .table(SCALE_TABLE)
         .expect("scale table in lake")
         .resident_chunks();
+    // Read after the peak is taken, so the read buffer is not part of it.
+    let (segment_bytes, segment_fnv) = file_digest(&seg_path);
     std::fs::remove_file(&seg_path).ok();
 
     assert_eq!(report.tasks, SCALE_TASKS, "task stream ran dry early");
@@ -994,7 +999,24 @@ fn scale(bench: &Bench<'_>, rows: usize) -> String {
         .field_u64("allocs_per_task", allocs_per_task)
         .field_u64("peak_live_bytes", peak)
         .field_u64("peak_budget_bytes", SCALE_PEAK_BUDGET_BYTES)
+        .field_u64("segment_bytes", segment_bytes)
+        .field_u64("segment_fnv", segment_fnv)
         .finish()
+}
+
+/// Length and `fnv1a64` of the file at `path`, streamed in 64 KiB reads.
+fn file_digest(path: &Path) -> (u64, u64) {
+    let mut file = File::open(path).expect("scale segment reopens");
+    let mut buf = vec![0u8; 1 << 16];
+    let (mut len, mut fnv) = (0u64, fnv1a64(b""));
+    loop {
+        let n = file.read(&mut buf).expect("scale segment reads");
+        if n == 0 {
+            return (len, fnv);
+        }
+        len += n as u64;
+        fnv = fnv1a64_extend(fnv, &buf[..n]);
+    }
 }
 
 /// The open-loop serving section: a ten-tenant mix of the paper

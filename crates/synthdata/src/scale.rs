@@ -7,9 +7,10 @@
 //! `(rows, seed)`:
 //!
 //! * each row is a pure function of its index, so [`ScaleSpec::users_table`]
-//!   (in-memory, chunked) and [`ScaleSpec::users_segment`] (streamed
-//!   straight to a spill segment, peak memory one chunk) produce identical
-//!   logical rows at any scale;
+//!   (in-memory, chunked) and [`ScaleSpec::users_segment`] (drawn into one
+//!   reused row and streamed straight to a spill segment, whose writer
+//!   holds one chunk's dictionaries and words, never its rows) produce
+//!   identical logical rows at any scale;
 //! * low-cardinality columns (`city`, `country`, `plan`) exercise
 //!   dictionary encoding, `user_id`/`age` exercise integer packing, and
 //!   `name` is high-cardinality text;
@@ -44,6 +45,19 @@ const CITIES: &[(&str, &str)] = &[
 ];
 
 const PLANS: &[&str] = &["free", "pro", "team", "enterprise"];
+
+/// Empties `cell` as a text cell, keeping its buffer if it is one, and
+/// returns the buffer to write into.
+fn text_cell(cell: &mut Value) -> &mut String {
+    if !matches!(cell, Value::Text(_)) {
+        *cell = Value::Text(String::new());
+    }
+    let Value::Text(s) = cell else {
+        unreachable!("made text above")
+    };
+    s.clear();
+    s
+}
 
 /// Parameters of a synthetic scale lake: row count, seed, and the
 /// chunk partition size of the generated table.
@@ -89,24 +103,30 @@ impl ScaleSpec {
     /// Generates row `i` — a pure function of `(seed, i)`, so any two
     /// materializations (in-memory, spilled, partial) agree cell-for-cell.
     pub fn row(&self, i: usize) -> Vec<Value> {
+        let mut row = Vec::new();
+        self.row_into(i, &mut row);
+        row
+    }
+
+    /// Draws row `i` into `row` (the same draws as [`ScaleSpec::row`]),
+    /// reusing its cells: a text cell that stays text keeps its buffer, so
+    /// drawing row after row into one `Vec` allocates only when a cell
+    /// comes back from null or outgrows its buffer.
+    pub fn row_into(&self, i: usize, row: &mut Vec<Value>) {
         let mut rng = self.row_rng(i);
         let missing = rng.gen_range(0..10usize) == 7;
         let (city, country) = CITIES[rng.gen_range(0..CITIES.len())];
-        let name = names::person(&mut rng);
-        let plan = PLANS[rng.gen_range(0..PLANS.len())];
-        let age = rng.gen_range(18..=79i64);
-        vec![
-            Value::Int(i as i64),
-            Value::text(name),
-            if missing {
-                Value::Null
-            } else {
-                Value::text(city)
-            },
-            Value::text(country),
-            Value::text(plan),
-            Value::Int(age),
-        ]
+        row.resize(6, Value::Null);
+        row[0] = Value::Int(i as i64);
+        names::person_into(&mut rng, text_cell(&mut row[1]));
+        if missing {
+            row[2] = Value::Null;
+        } else {
+            text_cell(&mut row[2]).push_str(city);
+        }
+        text_cell(&mut row[3]).push_str(country);
+        text_cell(&mut row[4]).push_str(PLANS[rng.gen_range(0..PLANS.len())]);
+        row[5] = Value::Int(rng.gen_range(18..=79i64));
     }
 
     fn row_rng(&self, i: usize) -> StdRng {
@@ -126,9 +146,10 @@ impl ScaleSpec {
     }
 
     /// Streams the table straight into a spill segment at `path` and
-    /// returns the read-only spilled table paging at most `budget` chunks:
-    /// peak memory during generation is one chunk, independent of
-    /// `self.rows`.
+    /// returns the read-only spilled table paging at most `budget` chunks.
+    /// Every row is drawn into one reused row ([`ScaleSpec::row_into`]) and
+    /// encoded as it arrives; the writer holds one chunk's dictionaries and
+    /// words, never its rows, so memory does not grow with `self.rows`.
     ///
     /// # Errors
     ///
@@ -139,8 +160,10 @@ impl ScaleSpec {
         budget: usize,
     ) -> Result<Table, TableError> {
         let mut writer = SegmentWriter::create(path, TABLE_NAME, Self::schema(), self.chunk_rows)?;
+        let mut row = Vec::new();
         for i in 0..self.rows {
-            writer.push_row(self.row(i))?;
+            self.row_into(i, &mut row);
+            writer.push_row(&row)?;
         }
         writer.finish(budget)
     }

@@ -13,10 +13,11 @@
 //! sealed at ingest and folded by [`Table::column_stats`] instead of
 //! rescanning the column.
 //!
-//! Sealing reads the rows' cells in place: [`ColumnChunk::encode`] borrows
-//! each column's cells, interns text straight from the borrowed strings and
-//! packs integers from the borrowed values. The one cell copy left is a
-//! `Mixed` column's, which stores its values.
+//! Sealing is a streaming encode: one column encoder per column is fed
+//! each borrowed cell once, in row order, interning text straight from the
+//! borrowed string and packing integers from the borrowed value, so it
+//! keeps a chunk's dictionary and words and never its rows. The one cell
+//! copy left is a `Mixed` column's, which stores its values.
 //!
 //! Chunks are immutable once sealed and shared via `Arc`: cloning a table,
 //! projecting columns, or refreshing a lake entry bumps reference counts
@@ -24,7 +25,7 @@
 //!
 //! [`Table::column_stats`]: crate::Table::column_stats
 
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::{Arc, OnceLock};
 
 use crate::value::canonical_key;
@@ -233,65 +234,16 @@ impl ColumnChunk {
     /// both `i64::MIN` and `i64::MAX` (its offsets and the null word do not
     /// fit 64 bits).
     ///
-    /// The cells are borrowed: text is interned from the borrowed strings
-    /// and integers are packed from the borrowed values. Only the `Mixed`
-    /// fallback clones the cells, because it stores them.
-    pub fn encode<'a, I>(cells: I) -> ColumnChunk
-    where
-        I: IntoIterator<Item = &'a Value, IntoIter: Clone>,
-    {
-        let cells = cells.into_iter();
-        Self::encode_dict(cells.clone())
-            .or_else(|| Self::encode_ints(cells.clone()))
-            .unwrap_or_else(|| ColumnChunk::Mixed(cells.cloned().collect()))
-    }
-
-    /// Dictionary-encodes a column of text and nulls; `None` for any other
-    /// cell or when the pool overflows.
-    fn encode_dict<'a>(cells: impl Iterator<Item = &'a Value>) -> Option<ColumnChunk> {
-        let mut dict = StringPool::default();
-        let mut index: HashMap<&str, u32> = HashMap::new();
-        let mut codes = Vec::with_capacity(cells.size_hint().0);
+    /// The cells are borrowed and read once, in order: text is interned
+    /// from the borrowed strings and integers are packed from the borrowed
+    /// values. Only a `Mixed` column clones its cells, because it stores
+    /// them.
+    pub fn encode<'a>(cells: impl IntoIterator<Item = &'a Value>) -> ColumnChunk {
+        let mut encoder = ColumnEncoder::default();
         for v in cells {
-            match v {
-                Value::Null => codes.push(0),
-                Value::Text(s) => {
-                    if let Some(&code) = index.get(s.as_str()) {
-                        codes.push(code);
-                    } else {
-                        let code = dict.push(s)?.checked_add(1)?;
-                        index.insert(s.as_str(), code);
-                        codes.push(code);
-                    }
-                }
-                _ => return None,
-            }
+            encoder.push(v);
         }
-        let codes = Words::pack(dict.len() as u64, codes.iter().map(|&c| u64::from(c)));
-        Some(ColumnChunk::Dict { dict, codes })
-    }
-
-    /// Packs a column of integers and nulls, at least one an integer (an
-    /// all-null column is text and nulls); `None` for any other cell or
-    /// when the span leaves no word for null.
-    fn encode_ints<'a>(cells: impl Iterator<Item = &'a Value> + Clone) -> Option<ColumnChunk> {
-        let (mut min, mut max) = (i64::MAX, i64::MIN);
-        for v in cells.clone() {
-            match *v {
-                Value::Int(i) => (min, max) = (min.min(i), max.max(i)),
-                Value::Null => {}
-                _ => return None,
-            }
-        }
-        let top = (max.wrapping_sub(min) as u64).checked_add(1)?;
-        let words = Words::pack(
-            top,
-            cells.map(|v| match *v {
-                Value::Int(i) => i.wrapping_sub(min) as u64 + 1,
-                _ => 0,
-            }),
-        );
-        Some(ColumnChunk::Ints { base: min, words })
+        encoder.seal()
     }
 
     /// Number of cells in the column.
@@ -387,6 +339,195 @@ impl ColumnChunk {
     }
 }
 
+/// What a [`ColumnEncoder`] has seen of its column since the last seal.
+#[derive(Debug, Default, Clone, Copy)]
+enum Seen {
+    /// Text and nulls, or nothing yet: an all-null column is a dictionary.
+    #[default]
+    Dict,
+    /// Integers and nulls, at least one integer, spanning `min..=max`.
+    Ints { min: i64, max: i64 },
+    /// Anything else: the cells are kept as values.
+    Mixed,
+}
+
+/// The one column encoder behind [`ColumnChunk::encode`], [`Chunk::from_rows`],
+/// [`Chunk::with_cell`] and the segment writer: fed one borrowed cell at a
+/// time, it keeps the column's dictionary and words, never its rows, and
+/// seals the encoding [`ColumnChunk::encode`] documents.
+///
+/// A cell the column's encoding so far cannot hold (an integer after text,
+/// text after an integer, a float or a bool, a string past the pool's
+/// offsets) turns the cells seen so far back into values once; from then
+/// on every cell is cloned. Sealing empties the encoder and keeps its
+/// buffers for the next chunk.
+#[derive(Debug, Default)]
+pub(crate) struct ColumnEncoder {
+    seen: Seen,
+    dict: StringPool,
+    index: DictIndex,
+    /// `Dict`: one word per cell, dictionary code + 1, 0 for null.
+    codes: Vec<u32>,
+    /// `Ints`: one per cell, `None` for null.
+    ints: Vec<Option<i64>>,
+    /// `Mixed`: the cells themselves.
+    values: Vec<Value>,
+}
+
+impl ColumnEncoder {
+    /// Appends one cell.
+    pub(crate) fn push(&mut self, v: &Value) {
+        match (self.seen, v) {
+            (Seen::Dict, Value::Null) => self.codes.push(0),
+            (Seen::Dict, Value::Text(s)) => match self.index.intern(&mut self.dict, s) {
+                Some(word) => self.codes.push(word),
+                None => self.push_mixed(v),
+            },
+            (Seen::Dict, &Value::Int(i)) if self.dict.is_empty() => {
+                // Only nulls so far: the column is integers after all.
+                self.ints.resize(self.codes.len(), None);
+                self.ints.push(Some(i));
+                self.codes.clear();
+                self.seen = Seen::Ints { min: i, max: i };
+            }
+            (Seen::Ints { min, max }, &Value::Int(i)) => {
+                self.ints.push(Some(i));
+                self.seen = Seen::Ints {
+                    min: min.min(i),
+                    max: max.max(i),
+                };
+            }
+            (Seen::Ints { .. }, Value::Null) => self.ints.push(None),
+            _ => self.push_mixed(v),
+        }
+    }
+
+    /// Appends `v` as a value, the column being mixed from now on.
+    fn push_mixed(&mut self, v: &Value) {
+        self.become_mixed();
+        self.values.push(v.clone());
+    }
+
+    /// Turns the cells seen so far back into values, once.
+    fn become_mixed(&mut self) {
+        match self.seen {
+            Seen::Dict => {
+                let dict = &self.dict;
+                self.values.extend(self.codes.iter().map(|&w| match w {
+                    0 => Value::Null,
+                    w => Value::text(dict.get(w as usize - 1)),
+                }));
+                self.dict = StringPool::default();
+            }
+            Seen::Ints { .. } => {
+                let cells = self.ints.iter().map(|c| c.map_or(Value::Null, Value::Int));
+                self.values.extend(cells);
+            }
+            Seen::Mixed => return,
+        }
+        self.seen = Seen::Mixed;
+        self.clear_words();
+    }
+
+    fn clear_words(&mut self) {
+        self.index.clear();
+        self.codes.clear();
+        self.ints.clear();
+    }
+
+    /// The column of every cell pushed since the last seal; the encoder is
+    /// left empty.
+    pub(crate) fn seal(&mut self) -> ColumnChunk {
+        let column = match self.seen {
+            Seen::Dict => ColumnChunk::Dict {
+                codes: Words::pack(
+                    self.dict.len() as u64,
+                    self.codes.iter().map(|&w| u64::from(w)),
+                ),
+                dict: std::mem::take(&mut self.dict),
+            },
+            // Packed unless the span leaves no word for null (`i64::MIN`
+            // and `i64::MAX` both present).
+            Seen::Ints { min, max } if max.wrapping_sub(min) as u64 != u64::MAX => {
+                ColumnChunk::Ints {
+                    base: min,
+                    words: Words::pack(
+                        max.wrapping_sub(min) as u64 + 1,
+                        self.ints
+                            .iter()
+                            .map(|c| c.map_or(0, |i| i.wrapping_sub(min) as u64 + 1)),
+                    ),
+                }
+            }
+            Seen::Ints { .. } | Seen::Mixed => {
+                self.become_mixed();
+                ColumnChunk::Mixed(std::mem::take(&mut self.values))
+            }
+        };
+        self.seen = Seen::Dict;
+        self.clear_words();
+        column
+    }
+}
+
+/// A dictionary's index: an open-addressed probe table of pool codes, so
+/// no key borrows a cell. Strings are hashed with std's keyed
+/// [`RandomState`] (cells are outside input), and a probe compares the
+/// stored hash before the pooled string.
+#[derive(Debug, Default)]
+struct DictIndex {
+    hasher: RandomState,
+    /// The hash of each pooled string, by code.
+    hashes: Vec<u64>,
+    /// Code + 1 of the string hashed near this slot, 0 for none; a power
+    /// of two long and never more than half full.
+    slots: Vec<u32>,
+}
+
+impl DictIndex {
+    /// The word (code + 1) of `s` in `dict`, pooling it if it is new;
+    /// `None` (pool unchanged) when the pool's offsets overflow.
+    fn intern(&mut self, dict: &mut StringPool, s: &str) -> Option<u32> {
+        if self.hashes.len() * 2 >= self.slots.len() {
+            self.grow();
+        }
+        let hash = self.hasher.hash_one(s);
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        while let word @ 1.. = self.slots[slot] {
+            let code = word as usize - 1;
+            if self.hashes[code] == hash && dict.get(code) == s {
+                return Some(word);
+            }
+            slot = (slot + 1) & mask;
+        }
+        let word = dict.push(s)?.checked_add(1)?;
+        self.slots[slot] = word;
+        self.hashes.push(hash);
+        Some(word)
+    }
+
+    /// Doubles the table and re-seats every code by its stored hash.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(16);
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        for (code, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = hash as usize & (len - 1);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & (len - 1);
+            }
+            self.slots[slot] = code as u32 + 1;
+        }
+    }
+
+    /// Forgets every string, keeping the table's size.
+    fn clear(&mut self) {
+        self.hashes.clear();
+        self.slots.fill(0);
+    }
+}
+
 /// One sealed row partition of a table: column-major storage plus lazily
 /// materialized per-column statistics.
 #[derive(Debug)]
@@ -404,14 +545,23 @@ impl Chunk {
     /// Panics if a row's width differs from `width`; the table checks
     /// arity on ingest.
     pub fn from_rows(width: usize, rows: &[Record]) -> Chunk {
-        let mut columns = Vec::with_capacity(width);
-        for c in 0..width {
-            let cells = rows.iter().map(|r| &r.values()[c]);
-            columns.push(Arc::new(ColumnChunk::encode(cells)));
+        let mut encoders: Vec<ColumnEncoder> =
+            (0..width).map(|_| ColumnEncoder::default()).collect();
+        for row in rows {
+            assert_eq!(row.len(), width, "row width differs from the chunk's");
+            for (encoder, v) in encoders.iter_mut().zip(row.values()) {
+                encoder.push(v);
+            }
         }
+        Chunk::seal(rows.len(), &mut encoders)
+    }
+
+    /// Seals the `len` rows pushed cell by cell into `encoders`, one per
+    /// column, leaving every encoder empty for the next chunk.
+    pub(crate) fn seal(len: usize, encoders: &mut [ColumnEncoder]) -> Chunk {
         Chunk {
-            len: rows.len(),
-            columns,
+            len,
+            columns: encoders.iter_mut().map(|e| Arc::new(e.seal())).collect(),
             stats: OnceLock::new(),
         }
     }
@@ -498,15 +648,22 @@ impl Chunk {
     ///
     /// Panics if `row >= len()` or `col >= width()`.
     pub fn with_cell(&self, row: usize, col: usize, value: Value) -> Chunk {
-        let mut cells: Vec<Value> = self.columns[col].iter().collect();
+        let old = &self.columns[col];
         let mut col_stats = ColumnStats::clone(self.stats(col));
-        col_stats.retract(&cells[row]);
+        col_stats.retract(&old.value(row));
         col_stats.accumulate(&value);
-        cells[row] = value;
         let mut stats = self.all_stats().to_vec();
         stats[col] = Arc::new(col_stats);
+        let mut encoder = ColumnEncoder::default();
+        for r in 0..self.len {
+            if r == row {
+                encoder.push(&value);
+            } else {
+                encoder.push(&old.value(r));
+            }
+        }
         let mut columns = self.columns.clone();
-        columns[col] = Arc::new(ColumnChunk::encode(&cells));
+        columns[col] = Arc::new(encoder.seal());
         Chunk {
             len: self.len,
             columns,

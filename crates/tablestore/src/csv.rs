@@ -6,8 +6,9 @@
 //! Parsing is incremental: the state machine consumes input line-by-line
 //! (quote state carries across reads), so [`from_csv_path`] ingests a file
 //! chunk-by-chunk without ever holding the whole text or row set in memory,
-//! and [`csv_to_segment`] streams rows straight into a spill segment —
-//! peak memory is one chunk regardless of file size.
+//! and [`csv_to_segment`] streams rows straight into a spill segment, whose
+//! writer holds one chunk's dictionaries and words, never its rows —
+//! memory does not grow with the file.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader};
@@ -93,6 +94,7 @@ pub fn csv_to_segment(
         segment_path: segment_path.as_ref().to_path_buf(),
         chunk_rows,
         writer: None,
+        row: Vec::new(),
         data_rows: 0,
     };
     run_parser(BufReader::new(file), &mut |cells| ingest.accept(cells))?;
@@ -251,6 +253,8 @@ struct SegmentIngest {
     segment_path: std::path::PathBuf,
     chunk_rows: usize,
     writer: Option<SegmentWriter>,
+    /// The parsed row, its buffer reused from row to row.
+    row: Vec<Value>,
     data_rows: usize,
 }
 
@@ -270,7 +274,9 @@ impl SegmentIngest {
             Some(writer) => {
                 self.data_rows += 1;
                 check_arity(self.data_rows, cells.len(), writer_width(writer))?;
-                writer.push_row(cells.iter().map(|c| Value::parse(c)).collect())
+                self.row.clear();
+                self.row.extend(cells.iter().map(|c| Value::parse(c)));
+                writer.push_row(&self.row)
             }
         }
     }

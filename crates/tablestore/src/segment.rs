@@ -52,7 +52,8 @@
 //!   character boundaries; the blob valid UTF-8; every dictionary word
 //!   inside the dictionary; no bytes left over.
 //!
-//! [`SegmentWriter`] streams rows chunk-by-chunk (peak memory: one chunk),
+//! [`SegmentWriter`] encodes rows as they arrive (it holds one chunk's
+//! dictionaries and words, never its rows),
 //! and [`Pager`] serves random chunk reads through an LRU cache bounded by
 //! a configurable chunk *budget* — the knob that caps resident memory for
 //! spilled tables regardless of row count.
@@ -66,9 +67,9 @@ use std::sync::{Arc, Mutex};
 
 use unidm_text::hash::checksum64;
 
-use crate::chunk::{Chunk, ColumnChunk, StringPool, Words};
+use crate::chunk::{Chunk, ColumnChunk, ColumnEncoder, StringPool, Words};
 use crate::codec::{put_str, put_u32, put_u64, Cursor, Truncated};
-use crate::{DataType, Record, Schema, TableError, Value};
+use crate::{DataType, Schema, TableError, Value};
 
 const MAGIC: &[u8; 8] = b"UDMSEG4\0";
 /// Magic, the header length and the header checksum.
@@ -328,11 +329,13 @@ struct ChunkEntry {
 
 // ── Writer ──────────────────────────────────────────────────────────────
 
-/// Streams rows into a segment file chunk-by-chunk: peak memory is one
-/// chunk's rows plus its encoded payload, independent of the total row
-/// count. This is the ingest path for lakes larger than RAM — the
-/// streaming CSV reader and the synthetic scale generator both bottom out
-/// here.
+/// Streams rows into a segment file chunk-by-chunk, encoding each row's
+/// cells as it arrives: the writer holds one column encoder per column
+/// (one chunk's dictionaries and words, never its rows) and, while it
+/// writes a chunk, that chunk's payload, independent of the total row
+/// count. This is the ingest path
+/// for lakes larger than RAM — the streaming CSV reader and the synthetic
+/// scale generator both bottom out here.
 #[derive(Debug)]
 pub struct SegmentWriter {
     path: PathBuf,
@@ -340,7 +343,10 @@ pub struct SegmentWriter {
     name: String,
     schema: Schema,
     chunk_rows: usize,
-    buffer: Vec<Record>,
+    /// One per column, holding the open chunk's cells.
+    columns: Vec<ColumnEncoder>,
+    /// Rows in the open chunk.
+    open_rows: usize,
     entries: Vec<ChunkEntry>,
     offset: u64,
 }
@@ -368,9 +374,12 @@ impl SegmentWriter {
             path,
             file,
             name,
+            columns: (0..schema.len())
+                .map(|_| ColumnEncoder::default())
+                .collect(),
             schema,
             chunk_rows: chunk_rows.max(1),
-            buffer: Vec::new(),
+            open_rows: 0,
             entries: Vec::new(),
             offset: header.len() as u64,
         })
@@ -388,35 +397,39 @@ impl SegmentWriter {
 
     /// Rows accepted so far.
     pub fn rows_written(&self) -> usize {
-        self.entries.iter().map(|e| e.rows).sum::<usize>() + self.buffer.len()
+        self.entries.iter().map(|e| e.rows).sum::<usize>() + self.open_rows
     }
 
-    /// Appends one row, sealing and writing a chunk whenever the buffer
-    /// fills.
+    /// Appends one row, encoding its cells into the open chunk and sealing
+    /// and writing the chunk whenever it fills.
     ///
     /// # Errors
     ///
     /// Returns [`TableError::ArityMismatch`] for rows of the wrong width
-    /// and [`TableError::Segment`] on I/O failure.
-    pub fn push_row(&mut self, values: Vec<Value>) -> Result<(), TableError> {
-        if values.len() != self.schema.len() {
+    /// (before any cell is encoded) and [`TableError::Segment`] on I/O
+    /// failure.
+    pub fn push_row(&mut self, values: &[Value]) -> Result<(), TableError> {
+        if values.len() != self.columns.len() {
             return Err(TableError::ArityMismatch {
                 got: values.len(),
-                expected: self.schema.len(),
+                expected: self.columns.len(),
             });
         }
-        self.buffer.push(Record::new(values));
-        if self.buffer.len() >= self.chunk_rows {
+        for (column, v) in self.columns.iter_mut().zip(values) {
+            column.push(v);
+        }
+        self.open_rows += 1;
+        if self.open_rows >= self.chunk_rows {
             self.flush_chunk()?;
         }
         Ok(())
     }
 
     fn flush_chunk(&mut self) -> Result<(), TableError> {
-        if self.buffer.is_empty() {
+        if self.open_rows == 0 {
             return Ok(());
         }
-        let chunk = Chunk::from_rows(self.schema.len(), &self.buffer);
+        let chunk = Chunk::seal(self.open_rows, &mut self.columns);
         let payload = encode_chunk(&chunk);
         self.file
             .write_all(&payload)
@@ -428,7 +441,7 @@ impl SegmentWriter {
             checksum: checksum64(&payload),
         });
         self.offset += payload.len() as u64;
-        self.buffer.clear();
+        self.open_rows = 0;
         Ok(())
     }
 
@@ -743,14 +756,14 @@ mod tests {
         let path = tmp("roundtrip");
         let mut w = SegmentWriter::create(&path, "cities", schema(), 8).unwrap();
         for i in 0..21 {
-            w.push_row(row(i)).unwrap();
+            w.push_row(&row(i)).unwrap();
         }
         assert_eq!(w.rows_written(), 21);
         let table = w.finish(2).unwrap();
         assert_eq!(table.name(), "cities");
         assert_eq!(table.row_count(), 21);
         for i in 0..21 {
-            assert_eq!(table.row_at(i).unwrap(), Record::new(row(i)));
+            assert_eq!(table.row_at(i).unwrap().values(), row(i));
         }
         std::fs::remove_file(&path).ok();
     }
@@ -760,7 +773,7 @@ mod tests {
         let path = tmp("budget");
         let mut w = SegmentWriter::create(&path, "t", schema(), 4).unwrap();
         for i in 0..40 {
-            w.push_row(row(i)).unwrap();
+            w.push_row(&row(i)).unwrap();
         }
         w.finish(16).unwrap();
         let reader = SegmentReader::open(&path).unwrap();

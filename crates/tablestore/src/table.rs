@@ -278,7 +278,10 @@ impl Table {
     ///
     /// # Panics
     ///
-    /// The iterator panics if a spilled chunk cannot be read mid-scan.
+    /// The iterator panics if a spilled chunk cannot be read mid-scan (I/O
+    /// failure or a corrupt payload). Callers that must survive a damaged
+    /// segment read through [`Table::row_at`], [`Table::find`] or
+    /// [`Table::spill_to`], which return the [`TableError::Segment`].
     pub fn iter_rows(&self) -> RowIter<'_> {
         RowIter(ChunkWalk::new(self))
     }
@@ -292,7 +295,9 @@ impl Table {
     ///
     /// # Panics
     ///
-    /// The iterator panics if a spilled chunk cannot be read mid-scan.
+    /// The iterator panics if a spilled chunk cannot be read mid-scan (I/O
+    /// failure or a corrupt payload). [`Table::cell_value`] and
+    /// [`Table::column_stats`] return the [`TableError::Segment`] instead.
     pub fn column(&self, attr: &str) -> Result<ColumnIter<'_>, TableError> {
         let col = self.schema.require(attr)?;
         Ok(ColumnIter {
@@ -437,7 +442,8 @@ impl Table {
     ///
     /// # Errors
     ///
-    /// Returns [`TableError::Segment`] on I/O failure.
+    /// Returns [`TableError::Segment`] on I/O failure, or if a chunk of a
+    /// spilled source table cannot be read.
     pub fn spill_to(&self, path: impl AsRef<Path>, budget: usize) -> Result<Table, TableError> {
         let mut writer = SegmentWriter::create(
             path,
@@ -445,8 +451,17 @@ impl Table {
             self.schema.clone(),
             self.chunk_rows,
         )?;
-        for rec in self.iter_rows() {
-            writer.push_row(rec.into_values())?;
+        let mut row = Vec::with_capacity(self.schema.len());
+        for slot in 0..self.chunk_count() {
+            let chunk = self.chunk(slot)?;
+            for r in 0..chunk.len() {
+                row.clear();
+                row.extend((0..chunk.width()).map(|c| chunk.value(r, c)));
+                writer.push_row(&row)?;
+            }
+        }
+        for rec in &self.tail {
+            writer.push_row(rec.values())?;
         }
         writer.finish(budget)
     }

@@ -119,11 +119,17 @@ const LAST_NAMES: &[&str] = &[
 
 /// Generates a person name ("First Last").
 pub fn person<R: Rng>(rng: &mut R) -> String {
-    format!(
-        "{} {}",
-        FIRST_NAMES.choose(rng).expect("non-empty"),
-        LAST_NAMES.choose(rng).expect("non-empty")
-    )
+    let mut name = String::new();
+    person_into(rng, &mut name);
+    name
+}
+
+/// Appends the name [`person`] would draw to `out` (the same draws), so a
+/// caller generating many names can reuse one buffer.
+pub fn person_into<R: Rng>(rng: &mut R, out: &mut String) {
+    out.push_str(FIRST_NAMES.choose(rng).expect("non-empty"));
+    out.push(' ');
+    out.push_str(LAST_NAMES.choose(rng).expect("non-empty"));
 }
 
 const STREET_KINDS: &[&str] = &["St.", "Ave.", "Blvd.", "Dr.", "Rd.", "Ln.", "Way"];

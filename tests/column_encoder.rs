@@ -1,7 +1,8 @@
-//! The column encoder seals a chunk from borrowed cells, and what it seals
-//! is what the cloning encoder it replaced sealed: the same dictionary in
-//! the same order, the same codes and word widths, the same fallbacks and
-//! the same statistics.
+//! The column encoder seals a chunk from borrowed cells, fed one at a time,
+//! and what it seals is what the cloning encoder it replaced sealed: the
+//! same dictionary in the same order, the same codes and word widths, the
+//! same fallbacks and the same statistics — through `encode`, `from_rows`,
+//! `with_cell` and the segment writer, at every chunk boundary.
 //!
 //! The cloning encoder is kept below as the reference, written over the
 //! crate's public parts. Generated columns are seeded from
@@ -16,7 +17,10 @@ use std::path::PathBuf;
 
 use common::{fault_seed, Gen, ANY};
 use unidm_synthdata::ScaleSpec;
-use unidm_tablestore::{Chunk, ColumnChunk, ColumnStats, Record, StringPool, Value, Words};
+use unidm_tablestore::{
+    Chunk, ColumnChunk, ColumnStats, Record, Schema, SegmentReader, SegmentWriter, StringPool,
+    Value, Words,
+};
 use unidm_text::hash::fnv1a64;
 
 /// `fnv1a64` of the `ScaleSpec::new(20_000, 7)` segment file as the
@@ -258,4 +262,105 @@ fn scale_segment_bytes_are_pinned() {
     spilled.unwrap();
     let digest = fnv1a64(&bytes.unwrap());
     assert_eq!(digest, SCALE_SEGMENT_FNV, "{digest:#018x}");
+}
+
+/// Columns of the chunk-boundary test, each a function of the row's place
+/// in its chunk, so the type switches inside a chunk and the encoder must
+/// start the next chunk afresh.
+const BOUNDARY_COLUMNS: [&str; 9] = [
+    "null_then_int",
+    "text_then_int",
+    "int_then_text",
+    "all_null",
+    "full_span",
+    "floats",
+    "text_chunk_then_int_chunk",
+    "many_strings",
+    "ints",
+];
+
+fn boundary_row(gen: &mut Gen, i: usize, chunk_rows: usize) -> Vec<Value> {
+    let first_half = i % chunk_rows < chunk_rows / 2;
+    let int = |gen: &mut Gen| Value::Int(gen.usize(0, 1 << 20) as i64 - (1 << 19));
+    let text = |gen: &mut Gen| Value::text(["é", "", "CET", "日本語"][gen.usize(0, 4)]);
+    vec![
+        if first_half { Value::Null } else { int(gen) },
+        if first_half { text(gen) } else { int(gen) },
+        if first_half { int(gen) } else { text(gen) },
+        Value::Null,
+        match i % 3 {
+            0 => Value::Int(i64::MIN),
+            1 => Value::Int(i64::MAX),
+            _ => Value::Null,
+        },
+        match gen.usize(0, 3) {
+            0 => Value::Null,
+            _ => Value::Float(gen.f64(-1e6, 1e6)),
+        },
+        match ((i / chunk_rows) % 2, gen.usize(0, 4)) {
+            (_, 0) => Value::Null,
+            (0, _) => text(gen),
+            _ => int(gen),
+        },
+        // Past 256 distinct strings in a full chunk, with repeats: the
+        // dictionary's probe table grows while it is being hit.
+        Value::text(format!("s{}", gen.usize(0, 600))),
+        int(gen),
+    ]
+}
+
+#[test]
+fn the_segment_writer_seals_what_the_cloning_encoder_sealed_at_every_chunk_boundary() {
+    let mut gen = Gen::new(fault_seed() ^ 0xb0da);
+    let schema = Schema::from_names(BOUNDARY_COLUMNS).unwrap();
+    let mut path: PathBuf = std::env::temp_dir();
+    path.push(format!(
+        "unidm-encoder-{}-boundaries.seg",
+        std::process::id()
+    ));
+    for chunk_rows in [1, 255, 256, 1024] {
+        let rows = (3 * chunk_rows).max(64) + 1;
+        let mut writer =
+            SegmentWriter::create(&path, "boundaries", schema.clone(), chunk_rows).unwrap();
+        let mut columns = vec![Vec::new(); BOUNDARY_COLUMNS.len()];
+        for i in 0..rows {
+            let row = boundary_row(&mut gen, i, chunk_rows);
+            writer.push_row(&row).unwrap();
+            for (column, v) in columns.iter_mut().zip(row) {
+                column.push(v);
+            }
+        }
+        assert_eq!(writer.rows_written(), rows);
+        writer.finish(1).unwrap();
+        let reader = SegmentReader::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(reader.chunk_count(), rows.div_ceil(chunk_rows));
+        for k in 0..reader.chunk_count() {
+            let chunk = reader.read_chunk(k).unwrap();
+            let span = k * chunk_rows..rows.min((k + 1) * chunk_rows);
+            for (c, cells) in columns.iter().enumerate() {
+                assert_eq!(
+                    **chunk.column(c),
+                    reference_encode(cells[span.clone()].to_vec()),
+                    "{}: chunk {k} of {chunk_rows} rows",
+                    BOUNDARY_COLUMNS[c]
+                );
+            }
+        }
+        if chunk_rows == 256 {
+            // The first chunk reaches every switch the columns name.
+            let chunk = reader.read_chunk(0).unwrap();
+            let shapes: Vec<_> = (0..chunk.width())
+                .map(|c| match **chunk.column(c) {
+                    ColumnChunk::Dict { .. } => "dict",
+                    ColumnChunk::Ints { .. } => "ints",
+                    ColumnChunk::Mixed(_) => "mixed",
+                })
+                .collect();
+            assert_eq!(
+                shapes,
+                ["ints", "mixed", "mixed", "dict", "mixed", "mixed", "dict", "dict", "ints"]
+            );
+        }
+    }
 }

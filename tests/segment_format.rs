@@ -303,6 +303,28 @@ fn every_flipped_payload_bit_fails_the_checksum() {
     }
 }
 
+/// Spilling a table whose segment has gone bad is an error, not a panic:
+/// `spill_to` reads the source's chunks through the pager, so a flipped
+/// payload bit surfaces as the chunk's checksum failure.
+#[test]
+fn every_flipped_payload_bit_fails_a_spill() {
+    let mut s = specimen("flip-spill");
+    let copy = Scratch(tmp("flip-spill-copy"));
+    let len = u64_at(&s.bytes, s.dir + 16) as usize;
+    for at in s.p..s.p + len {
+        for bit in 0..8 {
+            s.bytes[at] ^= 1 << bit;
+            s.write();
+            let table = Table::open_segment(&s.scratch.0, 1).expect("the directory is intact");
+            match table.spill_to(&copy.0, 1) {
+                Err(TableError::Segment(msg)) if msg.contains("chunk 0 fails its checksum") => {}
+                other => panic!("byte {at} bit {bit}: spill_to gave {other:?}"),
+            }
+            s.bytes[at] ^= 1 << bit;
+        }
+    }
+}
+
 #[test]
 fn every_flipped_header_or_directory_bit_fails_at_open() {
     let mut s = specimen("flip-meta");
