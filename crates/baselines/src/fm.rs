@@ -7,6 +7,8 @@
 //! lexical similarity (`ContextStrategy::Manual`). Only serialization is
 //! applied; there is no context parsing and no cloze construction.
 
+use std::cell::RefCell;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -17,7 +19,7 @@ use unidm_llm::protocol::{
 };
 use unidm_llm::{LanguageModel, LlmError};
 use unidm_tablestore::Table;
-use unidm_text::tfidf::TfIdf;
+use unidm_text::tfidf::{TfIdf, TfIdfVector};
 
 /// How FM selects its demonstration records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +38,49 @@ pub struct Fm<'a> {
     strategy: ContextStrategy,
     demos: usize,
     seed: u64,
+    /// The manual strategy's imputation pool of the last table and
+    /// attribute imputed.
+    pool: RefCell<Option<ImputePool>>,
+}
+
+/// FM (manual)'s imputation demonstrations for one table version and
+/// target attribute: the rows whose target is known, serialized, fitted
+/// and vectorized once, since every query of a dataset (a row whose target
+/// is missing) draws from the same pool.
+#[derive(Debug, Clone)]
+struct ImputePool {
+    version: u64,
+    attr: String,
+    /// Row indices, ascending.
+    rows: Vec<usize>,
+    fitted: Fitted,
+}
+
+/// A demonstration pool's serializations, fitted once: the TF-IDF model
+/// and each member's vector.
+#[derive(Debug, Clone)]
+struct Fitted {
+    model: TfIdf,
+    vectors: Vec<TfIdfVector>,
+}
+
+impl Fitted {
+    fn fit(texts: &[String]) -> Fitted {
+        let model = TfIdf::fit(texts.iter().map(String::as_str));
+        let vectors = texts.iter().map(|t| model.vector(t)).collect();
+        Fitted { model, vectors }
+    }
+
+    /// Positions of the `k` members most similar to `query`, best first,
+    /// ties in pool order.
+    fn nearest(&self, query: &str, k: usize) -> impl Iterator<Item = usize> {
+        let query = self.model.vector(query);
+        let mut scored: Vec<(f64, usize)> = (self.vectors.iter().enumerate())
+            .map(|(i, v)| (TfIdfVector::cosine(&query, v), i))
+            .collect();
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        scored.into_iter().take(k).map(|(_, i)| i)
+    }
 }
 
 impl std::fmt::Debug for Fm<'_> {
@@ -56,6 +101,7 @@ impl<'a> Fm<'a> {
             strategy,
             demos: 3,
             seed,
+            pool: RefCell::new(None),
         }
     }
 
@@ -66,20 +112,11 @@ impl<'a> Fm<'a> {
     /// Propagates LLM and table errors.
     pub fn impute(&self, table: &Table, row: usize, attr: &str) -> Result<String, FmError> {
         let record = serialize_row(table, row, attr)?;
-        // Demonstration pool: rows with a known target value.
         table.schema().require(attr).map_err(FmError::Table)?;
-        let pool: Vec<usize> = (0..table.row_count())
-            .filter(|&r| r != row)
-            .filter(|&r| table.cell_value(r, attr).is_ok_and(|v| !v.is_null()))
-            .collect();
-        let chosen = self.select(
-            &pool,
-            |r| {
-                let rec = serialize_row(table, *r, attr).unwrap_or_default();
-                rec.render()
-            },
-            &record.render(),
-        );
+        let chosen = match self.strategy {
+            ContextStrategy::Manual => self.nearest_rows(table, row, attr, &record.render()),
+            ContextStrategy::Random => self.random(&known_rows(table, Some(row), attr)),
+        };
         let mut demos = Vec::with_capacity(chosen.len());
         for r in chosen {
             let demo_rec = serialize_row(table, r, attr)?;
@@ -163,30 +200,65 @@ impl<'a> Fm<'a> {
     /// Selects up to `self.demos` pool members per the strategy.
     fn select<T: Copy>(&self, pool: &[T], text_of: impl Fn(&T) -> String, query: &str) -> Vec<T> {
         match self.strategy {
-            ContextStrategy::Random => {
-                let mut rng = StdRng::seed_from_u64(self.seed);
-                let mut v: Vec<T> = pool.to_vec();
-                v.shuffle(&mut rng);
-                v.truncate(self.demos);
-                v
-            }
+            ContextStrategy::Random => self.random(pool),
             ContextStrategy::Manual => {
                 let texts: Vec<String> = pool.iter().map(text_of).collect();
-                let model = TfIdf::fit(texts.iter().map(String::as_str));
-                let mut scored: Vec<(f64, usize)> = texts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, text)| (model.similarity(query, text), i))
-                    .collect();
-                scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-                scored
-                    .into_iter()
-                    .take(self.demos)
-                    .map(|(_, i)| pool[i])
-                    .collect()
+                let nearest = Fitted::fit(&texts).nearest(query, self.demos);
+                nearest.map(|i| pool[i]).collect()
             }
         }
     }
+
+    /// Up to `self.demos` pool members in seeded random order.
+    fn random<T: Copy>(&self, pool: &[T]) -> Vec<T> {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut v: Vec<T> = pool.to_vec();
+        v.shuffle(&mut rng);
+        v.truncate(self.demos);
+        v
+    }
+
+    /// FM (manual)'s imputation demonstrations for `row`: the rows with a
+    /// known `attr` whose serializations are nearest `query`, from the
+    /// pool kept for `table`'s version and `attr`. A row whose own target
+    /// is known leaves a pool of one row fewer, fitted afresh.
+    fn nearest_rows(&self, table: &Table, row: usize, attr: &str, query: &str) -> Vec<usize> {
+        let mut memo = self.pool.borrow_mut();
+        let kept = memo
+            .as_ref()
+            .is_some_and(|p| p.version == table.version() && p.attr == attr);
+        if !kept {
+            let rows = known_rows(table, None, attr);
+            let texts: Vec<String> = rows.iter().map(|&r| row_text(table, r, attr)).collect();
+            *memo = Some(ImputePool {
+                version: table.version(),
+                attr: attr.to_string(),
+                rows,
+                fitted: Fitted::fit(&texts),
+            });
+        }
+        let pool = memo.as_ref().expect("filled above");
+        if pool.rows.binary_search(&row).is_ok() {
+            let rows = known_rows(table, Some(row), attr);
+            return self.select(&rows, |&r| row_text(table, r, attr), query);
+        }
+        let nearest = pool.fitted.nearest(query, self.demos);
+        nearest.map(|i| pool.rows[i]).collect()
+    }
+}
+
+/// The rows of `table` with a known `attr`, `row` left out: FM's
+/// imputation demonstration pool.
+fn known_rows(table: &Table, row: Option<usize>, attr: &str) -> Vec<usize> {
+    (0..table.row_count())
+        .filter(|&r| Some(r) != row)
+        .filter(|&r| table.cell_value(r, attr).is_ok_and(|v| !v.is_null()))
+        .collect()
+}
+
+/// Row `r` as a demonstration is scored: serialized without `attr`.
+fn row_text(table: &Table, r: usize, attr: &str) -> String {
+    serialize_row(table, r, attr).unwrap_or_default().render()
 }
 
 /// Errors from FM runs.
@@ -270,6 +342,46 @@ mod tests {
         let manual = run(ContextStrategy::Manual);
         let random = run(ContextStrategy::Random);
         assert!(manual >= random, "manual {manual} vs random {random}");
+    }
+
+    /// The pool kept across queries picks what a fresh fit over the rows
+    /// other than the query's would, for every row: the targets (their
+    /// city missing, so the kept pool is exactly theirs) and the rows
+    /// whose city is known (which leave their own row out).
+    #[test]
+    fn the_kept_pool_picks_what_a_fresh_fit_picks_for_every_row() {
+        let (world, llm) = setup();
+        // The first 48 restaurants, every fourth city missing.
+        let full = imputation::restaurant_table(&world);
+        let city = full.schema().require("city").unwrap();
+        let mut table = Table::new("restaurant", full.schema().clone());
+        for r in 0..48 {
+            let mut values = full.row_at(r).unwrap().into_values();
+            if r % 4 == 1 {
+                values[city] = unidm_tablestore::Value::Null;
+            }
+            table.push_row(values).unwrap();
+        }
+        let table = &table;
+        let fm = Fm::new(&llm, ContextStrategy::Manual, 5);
+        let mut known = 0;
+        for row in 0..table.row_count() {
+            let query = serialize_row(table, row, "city").unwrap().render();
+            let fresh = fm.select(
+                &known_rows(table, Some(row), "city"),
+                |&r| row_text(table, r, "city"),
+                &query,
+            );
+            assert_eq!(fresh.len(), 3);
+            assert_eq!(
+                fm.nearest_rows(table, row, "city", &query),
+                fresh,
+                "row {row}"
+            );
+            known += usize::from(!table.cell_value(row, "city").unwrap().is_null());
+        }
+        assert!(known > 0 && known < table.row_count(), "{known} known");
+        assert!(fm.pool.borrow().is_some(), "the pool was kept");
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! it owns no injector. The disk tier holds a prompt once as well: a hit
 //! copies out the completion and nothing of the prompt, and compaction
 //! streams the file instead of building it in memory. A streamed batch
-//! holds one partition live, whatever the stream's length.
+//! holds one partition live, whatever the stream's length. A lake row
+//! reaches its prompt uncopied: a full pager pages in without allocating,
+//! lowering an imputation task allocates its two queries and nothing of
+//! the row, and a frame fill allocates one rendered line per row.
 //! Counted by `unidm_bench`'s global counting allocator, which is why this
 //! lives here (`unidm` itself forbids the `unsafe` an allocator needs).
 //!
@@ -20,7 +23,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use unidm::{
     BackendConfig, BatchRunner, CacheStore, CanonLevel, CanonicalPrompt, PipelineConfig,
-    PromptCache, RoutePlan, RoutedBackend, StoreConfig, Task,
+    PromptCache, RoutePlan, RoutedBackend, StoreConfig, Task, UniDm,
 };
 use unidm_bench::alloc_counter::{
     live_bytes, peak_live_bytes, reset_peak_to_live, AllocationDelta,
@@ -31,7 +34,8 @@ use unidm_llm::protocol::{
 use unidm_llm::{
     Completion, FaultPlan, LanguageModel, LlmError, LlmProfile, MockLlm, SimBackend, Usage,
 };
-use unidm_tablestore::DataLake;
+use unidm_synthdata::scale::{ScaleSpec, TABLE_NAME};
+use unidm_tablestore::{DataLake, Pager, SegmentReader};
 use unidm_world::World;
 
 /// Held by each test for its whole body.
@@ -422,5 +426,129 @@ fn a_deduplicated_stream_holds_one_partition_whatever_its_length() {
     assert!(
         long < 2 * short,
         "8x the tasks raised the stream's peak from {short} B to {long} B"
+    );
+}
+
+/// A scale lake of `chunks` full 1 024-row chunks spilled to a scratch
+/// segment (every full chunk packs each column at the same word width),
+/// and the segment's path.
+fn scale_segment(tag: &str, chunks: usize) -> (ScaleSpec, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("unidm-warm-allocs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join(format!("{tag}.udmseg"));
+    let spec = ScaleSpec::new(chunks * 1024, 42);
+    spec.users_segment(&path, 1).expect("segment written");
+    (spec, path)
+}
+
+#[test]
+fn a_full_pager_pages_in_without_allocating() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let (_, path) = scale_segment("pager", 16);
+    let pager = Pager::new(SegmentReader::open(&path).expect("reopens"), 4);
+    // Sixteen chunks over four slots in order: chunk i always lands in the
+    // chunk evicted for it one cycle before, so one cycle fills the pager
+    // and sizes every slot's buffers for the chunks it takes.
+    for idx in 0..16 {
+        pager.chunk(idx).expect("pages in");
+    }
+    // The harness's own threads may allocate beside a pass; they can only
+    // add, so one clean pass proves the path.
+    let fewest = (0..3)
+        .map(|_| {
+            let section = AllocationDelta::start();
+            for idx in 0..16 {
+                let chunk = std::hint::black_box(pager.chunk(idx).expect("pages in"));
+                assert_eq!(chunk.len(), 1024);
+            }
+            section.allocations()
+        })
+        .min();
+    assert_eq!(fewest, Some(0), "16 page-ins into a full pager allocated");
+    assert_eq!(pager.resident_chunks(), 4);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn lowering_an_imputation_task_over_a_paged_table_allocates_its_two_queries() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let (spec, path) = scale_segment("lower", 2);
+    let table = unidm_tablestore::Table::open_segment(&path, 1).expect("reopens");
+    let row = spec.target_rows().nth(3).expect("a target row");
+    let record = table.row_at(row).expect("the row reads");
+    let lake: DataLake = [table].into_iter().collect();
+    let task = Task::imputation(TABLE_NAME, row, "city", "name");
+    let model = SharedAnswer(Completion::shared("name".to_string(), Usage::default()));
+    let unidm = UniDm::new(&model, PipelineConfig::paper_default());
+    // What the two queries hold: every known cell but the target's, then
+    // `city: ?`; and the row's name with the target.
+    let schema = ScaleSpec::schema();
+    let known = (schema.names())
+        .zip(record.values())
+        .filter(|(name, cell)| *name != "city" && !cell.is_null())
+        .map(|(name, cell)| name.len() + cell.to_string().len() + 4);
+    let claim = known.sum::<usize>() + "city: ?".len();
+    let meta = record.values()[1].to_string().len() + ", city".len();
+    // The first start pages the row's chunk in.
+    drop(unidm.start(&lake, &task).expect("starts"));
+    let fewest = (0..3)
+        .map(|_| {
+            let section = AllocationDelta::start();
+            let run = std::hint::black_box(unidm.start(&lake, &task).expect("starts"));
+            let spent = (section.allocations(), section.bytes());
+            drop(run);
+            spent
+        })
+        .min();
+    assert_eq!(
+        fewest,
+        Some((2, (claim + meta) as u64)),
+        "lowering allocates the claim query and the meta-query, each once, exactly sized"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_frame_fill_allocates_one_line_per_row() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let spec = ScaleSpec::new(2048, 42);
+    let lake: DataLake = [spec.users_table()].into_iter().collect();
+    let mut targets = spec.target_rows();
+    let (x, y) = (targets.next().unwrap(), targets.last().unwrap());
+    let task = |row| Task::imputation(TABLE_NAME, row, "city", "name");
+    let (tx, ty) = (task(x), task(y));
+    let model = SharedAnswer(Completion::shared(
+        "1: 3, 2: 2, 3: 1".to_string(),
+        Usage::default(),
+    ));
+    let config = PipelineConfig::paper_default();
+    // Runs `ty` on a pipeline that ran `warm` first: its allocations and
+    // the rows its frame gained. The seeded sampler shuffles the rows but
+    // the excluded one, so a sampled row between `x` and `y` is one off
+    // between the tasks: after `tx` alone the run fills a few rows.
+    let run = |warm: &[&Task]| {
+        let unidm = UniDm::new(&model, config);
+        for t in warm {
+            unidm.run(&lake, t).expect("runs");
+        }
+        let rows = |u: &UniDm<'_>| u.frame_rows(TABLE_NAME).map_or(0, |(_, p)| p.iter().sum());
+        let before = rows(&unidm);
+        let section = AllocationDelta::start();
+        let out = std::hint::black_box(unidm.run(&lake, &ty).expect("runs"));
+        let allocations = section.allocations();
+        drop(out);
+        (allocations, rows(&unidm) - before)
+    };
+    // The harness's own threads may allocate beside a run; they can only
+    // add, so the fewest over three fresh pipelines are the run's.
+    let (filling, filled) = (0..3).map(|_| run(&[&tx])).min().expect("three runs");
+    let (warm, none) = (0..3).map(|_| run(&[&tx, &ty])).min().expect("three runs");
+    assert_eq!(none, 0, "the warm pipeline's frame holds every row");
+    assert!(filled > 0, "the sample shifted by no row");
+    assert_eq!(
+        filling - warm,
+        filled as u64,
+        "filling {filled} rows cost {} allocations",
+        filling - warm
     );
 }

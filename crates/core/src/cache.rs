@@ -53,6 +53,12 @@ use crate::canon::{CanonLevel, CanonicalPrompt, ReplayFold};
 use crate::store::{CacheStore, StoreStats};
 
 /// Hit/miss/saving statistics of a [`PromptCache`].
+///
+/// A hit is counted whatever a parser later makes of the reply: the cache
+/// memoizes the model's text, so a reply the pipeline rejects (a `p_ri`
+/// reply in which `read_pri` finds no score, so the run keeps no row) is
+/// stored like any other, and a repeat of its prompt is a hit with no
+/// second model call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Completions served from the cache.
@@ -874,6 +880,77 @@ mod tests {
         let world = World::generate(7);
         let llm = MockLlm::new(&world, LlmProfile::gpt4_turbo(), 1);
         (world, llm)
+    }
+
+    /// The mock, but for `p_ri` prompts, which it answers with text no
+    /// parser reads; it counts its calls.
+    struct GarbledScores<'a> {
+        inner: &'a MockLlm,
+        calls: std::sync::atomic::AtomicUsize,
+        pri_calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl LanguageModel for GarbledScores<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn complete(&self, prompt: &str) -> Result<Arc<Completion>, LlmError> {
+            use std::sync::atomic::Ordering::Relaxed;
+            self.calls.fetch_add(1, Relaxed);
+            if unidm_llm::protocol::PriPrompt::read(prompt).is_some() {
+                self.pri_calls.fetch_add(1, Relaxed);
+                return Ok(Completion::shared(
+                    "no scores here".into(),
+                    Usage::default(),
+                ));
+            }
+            self.inner.complete(prompt)
+        }
+
+        fn usage(&self) -> Usage {
+            self.inner.usage()
+        }
+
+        fn reset_usage(&self) {
+            self.inner.reset_usage();
+        }
+    }
+
+    #[test]
+    fn a_reply_the_pipeline_rejects_is_memoized_like_any_other() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let (world, llm) = setup();
+        let model = GarbledScores {
+            inner: &llm,
+            calls: Default::default(),
+            pri_calls: Default::default(),
+        };
+        let cache = PromptCache::unbounded(&model);
+        let ds = unidm_synthdata::imputation::restaurant(&world, 3, 4);
+        let lake: unidm_tablestore::DataLake = [ds.table.clone()].into_iter().collect();
+        let task = crate::Task::imputation(ds.table.name(), ds.targets[0].row, "city", "name");
+        let config = crate::PipelineConfig::paper_default();
+        let first = crate::UniDm::new(&cache, config).run(&lake, &task).unwrap();
+        assert_eq!(model.pri_calls.load(Relaxed), 1);
+        assert!(
+            first.trace.context_records.is_empty(),
+            "read_pri's fallback: no score read, no row kept"
+        );
+        let (calls, before) = (model.calls.load(Relaxed), cache.stats());
+        let second = crate::UniDm::new(&cache, config).run(&lake, &task).unwrap();
+        assert_eq!(second, first);
+        assert_eq!(
+            model.calls.load(Relaxed),
+            calls,
+            "the repeat made no model call, the rejected p_ri reply included"
+        );
+        let after = cache.stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses),
+            (calls, before.misses),
+            "every prompt of the repeat hit"
+        );
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The record frame: a lake row serialized once, its tokens counted once.
 //!
 //! Instance-wise retrieval shows the model `sample_size` candidate rows per
-//! task, and everything it needs of a candidate — the projected
-//! [`SerializedRecord`], its rendered `attr: value` line, that line's token
-//! count — is a function of the *table*, not of the task. A [`Frames`] keeps
-//! those per `(table version, projection)`, filled lazily, so the hundreds
-//! of tasks that share a table serialize each sampled row once. The
-//! entity-resolution demonstration pool gets the same treatment through a
-//! one-slot memo.
+//! task, and everything it needs of a candidate — the projected row's
+//! rendered `attr: value` line and that line's token count — is a function
+//! of the *table*, not of the task. A [`Frames`] keeps those per `(table
+//! version, projection)`, filled lazily, so the hundreds of tasks that
+//! share a table serialize each sampled row once; a row is rendered
+//! straight from the cells [`Table::row_ref`] lends, so filling it costs
+//! its line and nothing else. The entity-resolution demonstration pool
+//! gets the same treatment through a one-slot memo.
 //!
 //! * **Owner.** One `Frames` per [`crate::UniDm`]; [`crate::BatchRunner`]
 //!   builds one `UniDm` per worker, so nothing is shared across threads.
@@ -30,42 +31,28 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use unidm_llm::protocol::SerializedRecord;
-use unidm_tablestore::{Table, TableError, Value};
+use unidm_llm::protocol::{render_pairs, SerializedRecord};
+use unidm_tablestore::{Table, TableError};
 
 /// One candidate, as every prompt that shows it needs it.
 #[derive(Debug, Clone)]
 pub(crate) struct FrameRow {
-    /// The candidate projected on the task-relevant attributes.
-    pub(crate) record: SerializedRecord,
-    /// `record.render()`.
+    /// The candidate projected on the task-relevant attributes, rendered
+    /// (`attr: value; attr: value`).
     pub(crate) line: String,
     /// `count_tokens(&line)`.
     pub(crate) tokens: usize,
 }
 
 impl FrameRow {
-    pub(crate) fn new(record: SerializedRecord) -> Self {
-        let line = record.render();
+    pub(crate) fn new(line: String) -> Self {
         let tokens = unidm_text::count_tokens(&line);
-        FrameRow {
-            record,
-            line,
-            tokens,
-        }
+        FrameRow { line, tokens }
     }
 }
 
 /// A labelled entity pair of an entity-resolution demonstration pool.
 pub(crate) type LabelledPair = (SerializedRecord, SerializedRecord, bool);
-
-/// A cell as a record states it, the text of a text cell moved, not copied.
-pub(crate) fn cell_text(value: Value) -> String {
-    match value {
-        Value::Text(text) => text,
-        other => other.to_string(),
-    }
-}
 
 /// Hashes a row index with one multiply. The keys are positions a seeded
 /// sampler drew, never outside input, and a frame is probed fifty times a
@@ -144,10 +131,15 @@ impl Frames {
             frames.version = table.version();
             frames.projections.clear();
         }
+        let rows = rows.into_iter();
         let at = match frames.projections.iter().position(|(key, _)| key == cols) {
             Some(at) => at,
             None => {
-                frames.projections.push((cols.to_vec(), Frame::default()));
+                // Room for the ~2 samples a projection comes to hold (see
+                // "Size"), so a later fill adds its lines and nothing else.
+                let room = 2 * rows.size_hint().0;
+                let frame = Frame::with_capacity_and_hasher(room, Default::default());
+                frames.projections.push((cols.to_vec(), frame));
                 frames.projections.len() - 1
             }
         };
@@ -157,13 +149,13 @@ impl Frames {
             if frame.contains_key(&row) {
                 continue;
             }
-            // One read of the row (one pager visit), projected here.
-            let mut cells = table.row_at(row)?.into_values();
-            let pairs = cols.iter().map(|&col| {
-                let cell = std::mem::take(&mut cells[col]);
-                (columns[col].name().to_string(), cell_text(cell))
-            });
-            frame.insert(row, FrameRow::new(SerializedRecord::new(pairs.collect())));
+            // One read of the row (one pager visit), rendered projected
+            // from the cells it lends.
+            let cells = table.row_ref(row)?;
+            let pairs = cols
+                .iter()
+                .map(|&col| (columns[col].name(), cells.cell(col)));
+            frame.insert(row, FrameRow::new(render_pairs(pairs, None)));
         }
         Ok(read(frame))
     }

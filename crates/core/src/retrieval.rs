@@ -114,8 +114,9 @@ pub(crate) fn read_prm(candidates: &[String], reply: &str) -> Vec<String> {
 /// the context both identifies its subjects and exhibits target values.
 ///
 /// This free function serializes its candidates into a record frame it
-/// throws away; [`crate::UniDm::run`] is the same code over the frame the
-/// pipeline keeps across tasks.
+/// throws away, and reads the rows it keeps from the table once more as
+/// owned records; [`crate::UniDm::run`] is the same code over the frame the
+/// pipeline keeps across tasks, which holds rendered lines only.
 ///
 /// # Errors
 ///
@@ -135,16 +136,13 @@ pub fn instance_wise(
     let frames = Frames::default();
     let sample = Sample::draw(config, table, exclude_row, attrs, target_attr, key_attr);
     let window = llm.context_window();
-    let records = match sample.prompt(&frames, window, config, task, query)? {
-        Some((prompt, shown)) => {
-            let kept = read_pri(config, &llm.complete(&prompt)?.text, shown);
-            sample.keep(&frames, kept.iter().copied(), |row| row.record.clone())?
-        }
-        None => sample.keep(&frames, 0..sample.len(), |row| row.record.clone())?,
+    let kept = match sample.prompt(&frames, window, config, task, query)? {
+        Some((prompt, shown)) => read_pri(config, &llm.complete(&prompt)?.text, shown),
+        None => (0..sample.len()).collect(),
     };
     Ok(Context {
         attrs: attrs.to_vec(),
-        records,
+        records: sample.records(&kept)?,
     })
 }
 
@@ -219,6 +217,22 @@ impl<'t> Sample<'t> {
             let candidates: Vec<&FrameRow> = self.rows.iter().map(|row| &frame[row]).collect();
             Some(pri_prompt(window, task, query, &candidates))
         })
+    }
+
+    /// The rows at sample positions `kept`, in that order, projected and
+    /// read from the table as owned records (a null cell as an empty
+    /// value).
+    fn records(&self, kept: &[usize]) -> Result<Vec<SerializedRecord>, TableError> {
+        let columns = self.table.schema().columns();
+        let record = |at: usize| {
+            let cells = self.table.row_ref(self.rows[at])?;
+            let pairs = self
+                .cols
+                .iter()
+                .map(|&col| (columns[col].name().to_string(), cells.cell(col).to_string()));
+            Ok(SerializedRecord::new(pairs.collect()))
+        };
+        kept.iter().map(|&at| record(at)).collect()
     }
 
     /// What `keep` takes of the rows at sample positions `kept`, in that

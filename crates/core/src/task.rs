@@ -13,11 +13,12 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use unidm_llm::protocol::{
-    claim_query_er, claim_query_imputation, naturalize_record, SerializedRecord, TaskKind,
+    claim_query_er, naturalize_record, render_pairs, SerializedRecord, TaskKind,
 };
-use unidm_tablestore::{DataLake, Table};
+use unidm_tablestore::{CellRef, DataLake, Table};
+use unidm_text::format::format_exact;
 
-use crate::frame::{cell_text, FrameRow, LabelledPair};
+use crate::frame::{FrameRow, LabelledPair};
 use crate::UniDmError;
 
 /// A data-manipulation task in the unified form of paper §3: a task kind
@@ -166,15 +167,24 @@ impl Task {
                 // The attribute is checked before the row is read: a task
                 // wrong in both reports the attribute.
                 table.schema().require(attr)?;
-                let record = target_record(table, *row, attr)?;
-                let key = record.get(key_attr).unwrap_or_default();
+                // The row is lent, not copied: both queries are written
+                // straight from its cells. The claim states every cell but
+                // the target's, the empty ones skipped.
+                let cells = table.row_ref(*row)?;
+                let names = table.schema().names();
+                let known = names
+                    .zip(cells.cells())
+                    .filter(|(name, _)| !name.eq_ignore_ascii_case(attr));
+                let key = (known.clone())
+                    .find(|(name, cell)| !cell.is_empty() && name.eq_ignore_ascii_case(key_attr))
+                    .map_or(CellRef::Null, |(_, cell)| cell);
                 let source = Source::Table {
                     table,
-                    meta_query: Some(format!("{key}, {attr}")),
+                    meta_query: Some(format_exact(format_args!("{key}, {attr}"))),
                     exclude_row: Some(*row),
                     roles: Some((attr, key_attr)),
                 };
-                (claim_query_imputation(&record, attr), source)
+                (render_pairs(known, Some(attr)), source)
             }
             Task::Transformation { examples, input } => {
                 let line = |(before, after): &(String, String)| {
@@ -290,23 +300,6 @@ pub(crate) enum Source<'t> {
     Text(String),
 }
 
-/// The record of `row` as a claim states it: every non-empty cell but the
-/// attribute under imputation.
-fn target_record(table: &Table, row: usize, attr: &str) -> Result<SerializedRecord, UniDmError> {
-    let cells = table.row_at(row)?.into_values();
-    let mut pairs = Vec::with_capacity(cells.len());
-    for (name, cell) in table.schema().names().zip(cells) {
-        if name.eq_ignore_ascii_case(attr) {
-            continue;
-        }
-        let text = cell_text(cell);
-        if !text.is_empty() {
-            pairs.push((name.to_string(), text));
-        }
-    }
-    Ok(SerializedRecord::new(pairs))
-}
-
 /// An entity as a sentence fragment: naturalized, without the full stop.
 fn naturalized(record: &SerializedRecord) -> String {
     let mut text = naturalize_record(record);
@@ -328,13 +321,11 @@ pub(crate) fn demonstrations(pool: &[LabelledPair], seed: u64) -> Vec<FrameRow> 
         .iter()
         .map(|(a, b, same)| {
             let label = if *same { "the same" } else { "different" };
-            FrameRow::new(SerializedRecord::new(vec![
-                (
-                    "entities".to_string(),
-                    versus(&naturalized(a), &naturalized(b)),
-                ),
-                ("label".to_string(), label.to_string()),
-            ]))
+            let entities = versus(&naturalized(a), &naturalized(b));
+            FrameRow::new(render_pairs(
+                [("entities", entities.as_str()), ("label", label)].into_iter(),
+                None,
+            ))
         })
         .collect();
     demos.shuffle(&mut StdRng::seed_from_u64(seed ^ 0xE12));

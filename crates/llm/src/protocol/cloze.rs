@@ -7,7 +7,7 @@
 //! [`AnswerRequest`] the answering skill consumes.
 
 use super::prompts::Claim;
-use super::record::{naturalize_record, parse_natural_sentence, SerializedRecord};
+use super::record::{naturalize_record, parse_natural_sentence, render_pairs, SerializedRecord};
 use super::TaskKind;
 
 /// The shape of a final-answer prompt.
@@ -197,19 +197,13 @@ fn push_context(lines: &mut Vec<String>, context: &str) {
     }
 }
 
-/// Encodes an imputation query: the target record with `attr: ?`.
+/// Encodes an imputation query: the target record's known pairs, `attr`'s
+/// left out, then `attr: ?` ([`render_pairs`], which a caller holding
+/// borrowed cells calls the same way).
 pub fn claim_query_imputation(record: &SerializedRecord, attr: &str) -> String {
-    let known = || {
-        let pairs = record.pairs.iter();
-        pairs.filter(|(a, v)| !a.eq_ignore_ascii_case(attr) && !v.is_empty())
-    };
-    let len: usize = known().map(|(a, v)| a.len() + v.len() + 4).sum();
-    let mut out = String::with_capacity(len + attr.len() + 3);
-    for (a, v) in known() {
-        out.extend([a.as_str(), ": ", v.as_str(), "; "]);
-    }
-    out.extend([attr, ": ?"]);
-    out
+    let pairs = record.pairs.iter();
+    let known = pairs.filter(|(a, _)| !a.eq_ignore_ascii_case(attr));
+    render_pairs(known.map(|(a, v)| (a.as_str(), v.as_str())), Some(attr))
 }
 
 /// Encodes an entity-resolution query from two descriptions.

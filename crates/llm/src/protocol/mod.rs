@@ -39,7 +39,9 @@ pub use prompts::{
     render_pri_lines, render_prm, Claim, PdpPrompt, PriPrompt, PrmRequest,
 };
 pub(crate) use record::naturalize_pairs_into;
-pub use record::{naturalize_record, parse_natural_sentence, RecordReader, SerializedRecord};
+pub use record::{
+    naturalize_record, parse_natural_sentence, render_pairs, RecordReader, SerializedRecord,
+};
 
 /// The data manipulation tasks the unified framework covers (Section 3 plus
 /// the appendix extensions).

@@ -5,6 +5,10 @@
 //! directions live here so the pipeline (rendering) and the simulated model
 //! (parsing) agree on the grammar.
 
+use std::fmt::{self, Write};
+
+use unidm_text::format::formatted_len;
+
 /// A record serialized as ordered `attr: value` pairs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct SerializedRecord {
@@ -40,18 +44,17 @@ impl SerializedRecord {
     /// The `; ` separator (rather than the paper's `, `) keeps values that
     /// contain commas unambiguous; an LLM is indifferent, a parser is not.
     pub fn render(&self) -> String {
-        let len = self.pairs.iter().map(|(a, v)| a.len() + v.len() + 4).sum();
-        let mut out = String::with_capacity(len);
-        self.render_into(&mut out);
-        out
+        render_pairs(self.borrowed(), None)
     }
 
     /// Appends [`SerializedRecord::render`]'s text to `out`.
     pub fn render_into(&self, out: &mut String) {
-        render_pairs_into(
-            self.pairs.iter().map(|(a, v)| (a.as_str(), v.as_str())),
-            out,
-        );
+        render_pairs_into(self.borrowed(), None, out);
+    }
+
+    /// The pairs, borrowed.
+    fn borrowed(&self) -> impl Iterator<Item = (&str, &str)> + Clone {
+        self.pairs.iter().map(|(a, v)| (a.as_str(), v.as_str()))
     }
 
     /// Parses a `attr: value; attr: value` line.
@@ -66,17 +69,63 @@ impl SerializedRecord {
     }
 }
 
-/// Appends `attr: value; attr: value` for the pairs with a non-empty value.
-fn render_pairs_into<'a>(pairs: impl Iterator<Item = (&'a str, &'a str)>, out: &mut String) {
-    let mut first = true;
-    for (attr, value) in pairs.filter(|(_, v)| !v.is_empty()) {
-        if !first {
+/// The one pair formatter: `attr: value; attr: value` over borrowed
+/// pairs, a pair whose value displays as nothing skipped, then `ask: ?`
+/// when `ask` is given (an imputation query, see
+/// [`claim_query_imputation`](super::claim_query_imputation)). A value need
+/// only display, so a table cell is written where it lies instead of
+/// becoming a `String` first. The text is measured before it is written:
+/// one allocation.
+///
+/// ```
+/// use unidm_llm::protocol::{render_pairs, SerializedRecord};
+///
+/// let cells = [("name", "Cork"), ("note", ""), ("pop", "210853")];
+/// assert_eq!(render_pairs(cells.into_iter(), None), "name: Cork; pop: 210853");
+/// assert_eq!(render_pairs([("pop", 210853)].into_iter(), Some("country")), "pop: 210853; country: ?");
+/// let record = SerializedRecord::new(vec![("name".into(), "Cork".into())]);
+/// assert_eq!(record.render(), "name: Cork");
+/// ```
+pub fn render_pairs<'a, V: fmt::Display>(
+    pairs: impl Iterator<Item = (&'a str, V)> + Clone,
+    ask: Option<&str>,
+) -> String {
+    let shown = pairs.clone().map(
+        |(attr, value)| match formatted_len(format_args!("{value}")) {
+            0 => 0,
+            n => attr.len() + n + 4,
+        },
+    );
+    let mut out = String::with_capacity(shown.sum::<usize>() + ask.map_or(0, |a| a.len() + 3));
+    render_pairs_into(pairs, ask, &mut out);
+    out
+}
+
+/// Appends [`render_pairs`]'s text to `out`.
+fn render_pairs_into<'a, V: fmt::Display>(
+    pairs: impl Iterator<Item = (&'a str, V)>,
+    ask: Option<&str>,
+    out: &mut String,
+) {
+    let start = out.len();
+    for (attr, value) in pairs {
+        if formatted_len(format_args!("{value}")) == 0 {
+            continue;
+        }
+        if out.len() > start {
             out.push_str("; ");
         }
-        first = false;
         out.push_str(attr);
         out.push_str(": ");
-        out.push_str(value);
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{value}");
+    }
+    if let Some(attr) = ask {
+        if out.len() > start {
+            out.push_str("; ");
+        }
+        out.push_str(attr);
+        out.push_str(": ?");
     }
 }
 
@@ -155,7 +204,7 @@ impl<'a> RecordReader<'a> {
             return self.line;
         }
         scratch.clear();
-        render_pairs_into(self.pairs.iter().copied(), scratch);
+        render_pairs_into(self.pairs.iter().copied(), None, scratch);
         scratch
     }
 }

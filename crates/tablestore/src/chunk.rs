@@ -29,7 +29,7 @@ use std::hash::{BuildHasher, RandomState};
 use std::sync::{Arc, OnceLock};
 
 use crate::value::canonical_key;
-use crate::{ColumnStats, Record, Value};
+use crate::{CellRef, ColumnStats, Record, Value};
 
 /// One unsigned word per cell, stored at the narrowest of 1, 2, 4 or 8
 /// bytes that holds the largest word. [`ColumnChunk`] reserves word 0 for
@@ -144,16 +144,53 @@ impl StringPool {
     /// inside a multi-byte character.
     pub fn from_parts(blob: Vec<u8>, ends: Vec<u32>) -> Result<StringPool, &'static str> {
         let blob = String::from_utf8(blob).map_err(|_| "invalid utf-8 in dictionary blob")?;
-        if !ends.is_sorted() {
+        let pool = StringPool { blob, ends };
+        pool.check()?;
+        Ok(pool)
+    }
+
+    /// Replaces the pool's strings with `blob` cut at `ends`, in the
+    /// buffers the pool already has (the segment page-in path), checking
+    /// the parts as [`StringPool::from_parts`] does. A refused pool is left
+    /// empty.
+    pub(crate) fn refill(
+        &mut self,
+        blob: &[u8],
+        ends: impl ExactSizeIterator<Item = u32>,
+    ) -> Result<(), &'static str> {
+        let text = std::str::from_utf8(blob).map_err(|_| "invalid utf-8 in dictionary blob")?;
+        // Exact reservations: a refilled pool keeps the largest dictionary
+        // it has held, not twice it.
+        self.blob.clear();
+        self.blob.reserve_exact(text.len());
+        self.blob.push_str(text);
+        self.ends.clear();
+        self.ends.reserve_exact(ends.len());
+        self.ends.extend(ends);
+        let checked = self.check();
+        if checked.is_err() {
+            *self = StringPool::default();
+        }
+        checked
+    }
+
+    /// What [`StringPool::get`] relies on: the offsets ascend, the last one
+    /// is the blob length, and each falls on a character boundary.
+    fn check(&self) -> Result<(), &'static str> {
+        if !self.ends.is_sorted() {
             return Err("dictionary end offsets descend");
         }
-        if ends.last().map_or(0, |&e| e as usize) != blob.len() {
+        if self.ends.last().map_or(0, |&e| e as usize) != self.blob.len() {
             return Err("dictionary end offsets do not cover the blob");
         }
-        if !ends.iter().all(|&e| blob.is_char_boundary(e as usize)) {
+        if !self
+            .ends
+            .iter()
+            .all(|&e| self.blob.is_char_boundary(e as usize))
+        {
             return Err("dictionary end offset inside a character");
         }
-        Ok(StringPool { blob, ends })
+        Ok(())
     }
 
     /// Appends `s` and returns its code, or `None` (pool unchanged) when
@@ -267,16 +304,25 @@ impl ColumnChunk {
     /// Panics if `row >= len()`; chunk-internal offsets are validated by
     /// the table before decoding.
     pub fn value(&self, row: usize) -> Value {
+        self.cell(row).into()
+    }
+
+    /// The cell at `row`, borrowed: a dictionary cell is its pooled string.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= len()`.
+    pub fn cell(&self, row: usize) -> CellRef<'_> {
         match self {
             ColumnChunk::Dict { dict, codes } => match codes.get(row) {
-                0 => Value::Null,
-                w => Value::text(dict.get(w as usize - 1)),
+                0 => CellRef::Null,
+                w => CellRef::Text(dict.get(w as usize - 1)),
             },
             ColumnChunk::Ints { base, words } => match words.get(row) {
-                0 => Value::Null,
-                w => Value::Int(base.wrapping_add((w - 1) as i64)),
+                0 => CellRef::Null,
+                w => CellRef::Int(base.wrapping_add((w - 1) as i64)),
             },
-            ColumnChunk::Mixed(values) => values[row].clone(),
+            ColumnChunk::Mixed(values) => values[row].as_cell(),
         }
     }
 
@@ -566,7 +612,21 @@ impl Chunk {
         }
     }
 
-    /// Builds a chunk directly from encoded columns (segment reload path).
+    /// A chunk of no rows and no columns: the buffers a page-in decodes
+    /// into when it has no evicted chunk to refill.
+    pub(crate) fn empty() -> Chunk {
+        Chunk::from_columns(0, Vec::new())
+    }
+
+    /// The row count and columns, for a page-in to decode over in place;
+    /// the statistics of what the chunk held are dropped. The caller
+    /// leaves every column `len` cells long or discards the chunk.
+    pub(crate) fn refill(&mut self) -> (&mut usize, &mut Vec<Arc<ColumnChunk>>) {
+        self.stats.take();
+        (&mut self.len, &mut self.columns)
+    }
+
+    /// Builds a chunk directly from encoded columns.
     ///
     /// # Panics
     ///
@@ -605,6 +665,11 @@ impl Chunk {
     /// Decodes the cell at (`row`, `col`).
     pub fn value(&self, row: usize, col: usize) -> Value {
         self.columns[col].value(row)
+    }
+
+    /// The cell at (`row`, `col`), borrowed.
+    pub fn cell(&self, row: usize, col: usize) -> CellRef<'_> {
+        self.columns[col].cell(row)
     }
 
     /// Decodes one full row.

@@ -72,18 +72,19 @@ impl<'a> Cursor<'a> {
     }
 
     /// The next `n` `N`-byte little-endian words, each decoded by `word`
-    /// (`u32::from_le_bytes`, say), failing before anything is allocated
-    /// for them if the buffer cannot hold that many.
-    pub fn words<const N: usize, T>(
+    /// (`u32::from_le_bytes`, say) as the iterator reaches it, borrowed
+    /// from the buffer; fails before anything is read if the buffer cannot
+    /// hold that many.
+    pub fn words<const N: usize, T: 'a>(
         &mut self,
         n: usize,
-        word: impl Fn([u8; N]) -> T,
-    ) -> Result<Vec<T>, Truncated> {
+        word: fn([u8; N]) -> T,
+    ) -> Result<impl DoubleEndedIterator<Item = T> + ExactSizeIterator + Clone + 'a, Truncated>
+    {
         let bytes = self.take(n.checked_mul(N).ok_or(Truncated)?)?;
         Ok(bytes
             .chunks_exact(N)
-            .map(|c| word(c.try_into().unwrap()))
-            .collect())
+            .map(move |c| word(c.try_into().expect("chunks_exact yields N bytes"))))
     }
 
     /// A `u32` length-prefixed byte string (what [`put_str`] wrote),
@@ -117,10 +118,11 @@ mod tests {
             assert_eq!(cur.bytes(), Err(Truncated), "cut at {cut}");
         }
         // A word count whose byte size overflows is truncated, not a panic.
-        assert_eq!(
+        assert!(matches!(
             Cursor::new(&out).words(usize::MAX, u64::from_le_bytes),
             Err(Truncated)
-        );
-        assert_eq!(Cursor::new(&out).words(1, u32::from_le_bytes), Ok(vec![7]));
+        ));
+        let words = Cursor::new(&out).words(1, u32::from_le_bytes);
+        assert_eq!(words.map(Iterator::collect::<Vec<_>>), Ok(vec![7]));
     }
 }

@@ -105,7 +105,7 @@ impl Schema {
     }
 
     /// Attribute names in declaration order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
+    pub fn names(&self) -> impl Iterator<Item = &str> + Clone {
         self.columns.iter().map(|c| c.name())
     }
 

@@ -27,8 +27,10 @@
 //! is null, word `w` dictionary string `w - 1` or the value `base + w -
 //! 1`). Paging a chunk in is a few bulk little-endian copies (a `memcpy`
 //! for 1-byte words) and one UTF-8 pass over the blob, with no per-cell
-//! parsing and no per-string allocation. All integers are little-endian;
-//! the format is versioned by the magic.
+//! parsing and no per-string allocation — and, once a [`Pager`] is full,
+//! no allocation at all: the payload is read into one buffer the pager
+//! keeps and decoded into the buffers of the chunk it evicts. All integers
+//! are little-endian; the format is versioned by the magic.
 //!
 //! A segment is scratch: written by one process, read back by the same
 //! build, never committed. The format is therefore *replaced, never
@@ -56,9 +58,11 @@
 //! dictionaries and words, never its rows),
 //! and [`Pager`] serves random chunk reads through an LRU cache bounded by
 //! a configurable chunk *budget* — the knob that caps resident memory for
-//! spilled tables regardless of row count.
+//! spilled tables regardless of row count. A pager reads under the lock it
+//! takes for its lookup, so the page-ins of one pager are serial: that is
+//! what lets them share one buffer, and it costs nothing here, because the
+//! library starts no reader threads.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
@@ -138,16 +142,40 @@ impl Words {
         }
     }
 
-    /// Reads `n` words as [`Words::put`] wrote them.
-    fn read(cur: &mut Cursor<'_>, n: usize) -> Result<Words, TableError> {
-        Ok(match cur.u8()? {
-            1 => Words::U8(cur.take(n)?.to_vec()),
-            2 => Words::U16(cur.words(n, u16::from_le_bytes)?),
-            4 => Words::U32(cur.words(n, u32::from_le_bytes)?),
-            8 => Words::U64(cur.words(n, u64::from_le_bytes)?),
-            w => return Err(format_err(format!("word width {w} is not 1, 2, 4 or 8"))),
-        })
+    /// Reads `n` words as [`Words::put`] wrote them over these words: into
+    /// their buffer when it has the width read, into a new one otherwise.
+    fn read_into(&mut self, cur: &mut Cursor<'_>, n: usize) -> Result<(), TableError> {
+        let width = cur.u8()?;
+        if self.width() != usize::from(width) {
+            *self = match width {
+                1 => Words::U8(Vec::new()),
+                2 => Words::U16(Vec::new()),
+                4 => Words::U32(Vec::new()),
+                8 => Words::U64(Vec::new()),
+                w => return Err(format_err(format!("word width {w} is not 1, 2, 4 or 8"))),
+            };
+        }
+        match self {
+            Words::U8(w) => {
+                let bytes = cur.take(n)?;
+                w.clear();
+                w.reserve_exact(n);
+                w.extend_from_slice(bytes);
+            }
+            Words::U16(w) => refill(w, cur.words(n, u16::from_le_bytes)?),
+            Words::U32(w) => refill(w, cur.words(n, u32::from_le_bytes)?),
+            Words::U64(w) => refill(w, cur.words(n, u64::from_le_bytes)?),
+        }
+        Ok(())
     }
+}
+
+/// Replaces `buf`'s contents with `items`, growing it to what they need,
+/// not beyond.
+fn refill<T>(buf: &mut Vec<T>, items: impl ExactSizeIterator<Item = T>) {
+    buf.clear();
+    buf.reserve_exact(items.len());
+    buf.extend(items);
 }
 
 fn encode_column(out: &mut Vec<u8>, col: &ColumnChunk) {
@@ -191,32 +219,62 @@ fn encode_column(out: &mut Vec<u8>, col: &ColumnChunk) {
     }
 }
 
-fn decode_column(cur: &mut Cursor<'_>, rows: usize) -> Result<ColumnChunk, TableError> {
+/// Decodes one column over `col`, keeping its buffers when it already
+/// has the encoding read.
+fn decode_column(
+    cur: &mut Cursor<'_>,
+    rows: usize,
+    col: &mut ColumnChunk,
+) -> Result<(), TableError> {
     match cur.u8()? {
         TAG_DICT => {
             let n = cur.u32()? as usize;
             let ends = cur.words(n, u32::from_le_bytes)?;
-            let blob = cur.take(ends.last().map_or(0, |&e| e as usize))?;
-            let dict = StringPool::from_parts(blob.to_vec(), ends).map_err(format_err)?;
-            let codes = Words::read(cur, rows)?;
+            let blob = cur.take(ends.clone().next_back().map_or(0, |e| e as usize))?;
+            if !matches!(col, ColumnChunk::Dict { .. }) {
+                *col = ColumnChunk::Dict {
+                    dict: StringPool::default(),
+                    codes: Words::U8(Vec::new()),
+                };
+            }
+            let ColumnChunk::Dict { dict, codes } = col else {
+                unreachable!("made a dictionary column above")
+            };
+            dict.refill(blob, ends).map_err(format_err)?;
+            codes.read_into(cur, rows)?;
             // Word w is string w - 1, so the largest word is the
             // dictionary size a column of these words needs.
             if codes.max() > dict.len() as u64 {
                 return Err(format_err("dictionary code out of range"));
             }
-            Ok(ColumnChunk::Dict { dict, codes })
         }
         TAG_INTS => {
-            let base = cur.u64()? as i64;
-            let words = Words::read(cur, rows)?;
-            Ok(ColumnChunk::Ints { base, words })
+            let read_base = cur.u64()? as i64;
+            if !matches!(col, ColumnChunk::Ints { .. }) {
+                *col = ColumnChunk::Ints {
+                    base: 0,
+                    words: Words::U8(Vec::new()),
+                };
+            }
+            let ColumnChunk::Ints { base, words } = col else {
+                unreachable!("made an integer column above")
+            };
+            *base = read_base;
+            words.read_into(cur, rows)?;
         }
         TAG_MIXED => {
             // A cell is at least its tag byte.
             if rows > cur.remaining() {
                 return Err(Truncated.into());
             }
-            let mut values = Vec::with_capacity(rows);
+            if !matches!(col, ColumnChunk::Mixed(_)) {
+                *col = ColumnChunk::Mixed(Vec::new());
+            }
+            let ColumnChunk::Mixed(values) = col else {
+                unreachable!("made a mixed column above")
+            };
+            values.clear();
+            values.reserve_exact(rows);
             for _ in 0..rows {
                 values.push(match cur.u8()? {
                     VTAG_NULL => Value::Null,
@@ -227,10 +285,10 @@ fn decode_column(cur: &mut Cursor<'_>, rows: usize) -> Result<ColumnChunk, Table
                     tag => return Err(format_err(format!("unknown value tag {tag}"))),
                 });
             }
-            Ok(ColumnChunk::Mixed(values))
         }
-        tag => Err(format_err(format!("unknown column tag {tag}"))),
+        tag => return Err(format_err(format!("unknown column tag {tag}"))),
     }
+    Ok(())
 }
 
 /// Serializes one chunk into its segment payload.
@@ -244,20 +302,38 @@ fn encode_chunk(chunk: &Chunk) -> Vec<u8> {
 }
 
 /// Decodes a payload the directory says holds `rows` rows of `width`
-/// columns.
-fn decode_chunk(buf: &[u8], width: usize, rows: usize) -> Result<Chunk, TableError> {
+/// columns over `chunk`: the one decode, a cold read's and a page-in's. A
+/// column `chunk` alone holds keeps its buffers; a shared one is replaced.
+/// On error `chunk` is half decoded, and the caller drops it.
+fn decode_chunk(
+    buf: &[u8],
+    width: usize,
+    rows: usize,
+    chunk: &mut Chunk,
+) -> Result<(), TableError> {
     let mut cur = Cursor::new(buf);
     if cur.u64()? != rows as u64 {
         return Err(format_err(
             "chunk row count differs from its directory entry",
         ));
     }
-    let mut columns = Vec::with_capacity(width);
-    for _ in 0..width {
-        columns.push(Arc::new(decode_column(&mut cur, rows)?));
+    let (len, columns) = chunk.refill();
+    columns.truncate(width);
+    columns.reserve_exact(width - columns.len());
+    for c in 0..width {
+        if c == columns.len() {
+            columns.push(Arc::new(ColumnChunk::Mixed(Vec::new())));
+        }
+        let slot = &mut columns[c];
+        if Arc::get_mut(slot).is_none() {
+            *slot = Arc::new(ColumnChunk::Mixed(Vec::new()));
+        }
+        let col = Arc::get_mut(slot).expect("unshared after the replacement above");
+        decode_column(&mut cur, rows, col)?;
     }
     finish(&cur)?;
-    Ok(Chunk::from_columns(rows, columns))
+    *len = rows;
+    Ok(())
 }
 
 fn dtype_tag(d: DataType) -> u8 {
@@ -481,8 +557,8 @@ impl SegmentWriter {
 // ── Reader / pager ──────────────────────────────────────────────────────
 
 /// An open segment file: header metadata plus random chunk reads. Reads
-/// are positional (`pread`), so threads faulting different chunks do not
-/// wait on one another.
+/// are positional (`pread`) and take no lock of their own; a [`Pager`]
+/// makes them under its cache lock.
 #[derive(Debug)]
 pub struct SegmentReader {
     file: File,
@@ -634,28 +710,54 @@ impl SegmentReader {
     /// Returns [`TableError::Segment`] on I/O failure, a checksum
     /// mismatch or a malformed payload.
     pub fn read_chunk(&self, idx: usize) -> Result<Chunk, TableError> {
+        let mut chunk = Chunk::empty();
+        self.read_into(idx, &mut Vec::new(), &mut chunk)?;
+        Ok(chunk)
+    }
+
+    /// Reads chunk `idx` into `buf` (its capacity reused), checks it
+    /// against its checksum and decodes it over `chunk`
+    /// ([`decode_chunk`]); on error `chunk` is to be dropped.
+    fn read_into(
+        &self,
+        idx: usize,
+        buf: &mut Vec<u8>,
+        chunk: &mut Chunk,
+    ) -> Result<(), TableError> {
         let entry = *self
             .entries
             .get(idx)
             .ok_or_else(|| format_err(format!("chunk {idx} out of range")))?;
-        let mut buf = vec![0u8; entry.bytes];
+        // The read overwrites the buffer: only bytes it grows by are zeroed.
+        buf.reserve_exact(entry.bytes.saturating_sub(buf.len()));
+        buf.resize(entry.bytes, 0);
         self.file
-            .read_exact_at(&mut buf, entry.offset)
+            .read_exact_at(buf, entry.offset)
             .map_err(|e| io_err("read chunk", e))?;
-        if checksum64(&buf) != entry.checksum {
+        if checksum64(buf) != entry.checksum {
             return Err(format_err(format!(
                 "chunk {idx} fails its checksum: the payload is corrupt"
             )));
         }
-        decode_chunk(&buf, self.schema.len(), entry.rows)
+        decode_chunk(buf, self.schema.len(), entry.rows, chunk)
     }
 }
 
 /// A bounded LRU cache of decoded chunks over a [`SegmentReader`] — the
 /// memory budget for a spilled table. At most `budget` chunks are resident
-/// at once; a lookup past the budget evicts the least recently used chunk
-/// (outstanding `Arc`s keep evicted chunks alive until their readers
-/// drop).
+/// at once (outstanding `Arc`s keep evicted chunks alive until their
+/// readers drop).
+///
+/// A miss on a full cache evicts the least recently used chunk *before*
+/// it reads, and when no reader holds that chunk any more the new one is
+/// decoded into it in place: its dictionary strings, offset and word
+/// vectors and column `Arc`s keep their capacity, and the payload is read
+/// into one buffer the pager keeps. Once the cache has filled, a page-in
+/// allocates nothing while the evicted chunks are unshared and the new
+/// chunks fit their buffers. The read happens under the pager's lock, the
+/// one it already takes for the lookup: the page-ins of one pager are
+/// serial, which costs nothing here because the library starts no reader
+/// threads, and it is what lets them share the one buffer.
 #[derive(Debug)]
 pub struct Pager {
     segment: SegmentReader,
@@ -665,8 +767,20 @@ pub struct Pager {
 
 #[derive(Debug, Default)]
 struct PageCache {
-    resident: HashMap<usize, (Arc<Chunk>, u64)>,
+    /// The resident chunks, at most `budget`, in no order: a budget is a
+    /// handful of chunks, so a scan beats hashing.
+    resident: Vec<Page>,
     tick: u64,
+    /// The payload bytes of the last page-in, the next one's buffer.
+    buf: Vec<u8>,
+}
+
+#[derive(Debug)]
+struct Page {
+    idx: usize,
+    chunk: Arc<Chunk>,
+    /// The tick of the last lookup that returned it.
+    stamp: u64,
 }
 
 impl Pager {
@@ -689,39 +803,41 @@ impl Pager {
         self.cache.lock().expect("pager lock").resident.len()
     }
 
-    /// Returns chunk `idx`, reading it from disk on a miss and evicting
-    /// the least recently used chunk when over budget.
+    /// Returns chunk `idx`, reading it from disk on a miss, into the least
+    /// recently used chunk when the cache is full (see [`Pager`]).
     ///
     /// # Errors
     ///
-    /// Returns [`TableError::Segment`] on I/O failure.
+    /// Returns [`TableError::Segment`] on I/O failure or a corrupt chunk;
+    /// the cache then holds one chunk fewer.
     pub fn chunk(&self, idx: usize) -> Result<Arc<Chunk>, TableError> {
-        {
-            let mut cache = self.cache.lock().expect("pager lock");
-            cache.tick += 1;
-            let tick = cache.tick;
-            if let Some((chunk, stamp)) = cache.resident.get_mut(&idx) {
-                *stamp = tick;
-                return Ok(chunk.clone());
-            }
-        }
-        // Miss: read outside the cache lock (positional reads need no lock
-        // of their own), then insert. A racing thread may have inserted
-        // the same chunk meanwhile; either copy is identical.
-        let chunk = Arc::new(self.segment.read_chunk(idx)?);
-        let mut cache = self.cache.lock().expect("pager lock");
+        let mut guard = self.cache.lock().expect("pager lock");
+        let cache = &mut *guard;
         cache.tick += 1;
         let tick = cache.tick;
-        cache.resident.insert(idx, (chunk.clone(), tick));
-        while cache.resident.len() > self.budget {
-            let victim = cache
-                .resident
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(&k, _)| k)
-                .expect("non-empty over-budget cache");
-            cache.resident.remove(&victim);
+        if let Some(page) = cache.resident.iter_mut().find(|p| p.idx == idx) {
+            page.stamp = tick;
+            return Ok(page.chunk.clone());
         }
+        let mut chunk = if cache.resident.len() >= self.budget {
+            let lru = (0..cache.resident.len())
+                .min_by_key(|&i| cache.resident[i].stamp)
+                .expect("a full cache holds a chunk");
+            cache.resident.swap_remove(lru).chunk
+        } else {
+            Arc::new(Chunk::empty())
+        };
+        if Arc::get_mut(&mut chunk).is_none() {
+            // A reader still holds the evicted chunk: decode into new buffers.
+            chunk = Arc::new(Chunk::empty());
+        }
+        let decoded = Arc::get_mut(&mut chunk).expect("unshared after the replacement above");
+        self.segment.read_into(idx, &mut cache.buf, decoded)?;
+        cache.resident.push(Page {
+            idx,
+            chunk: chunk.clone(),
+            stamp: tick,
+        });
         Ok(chunk)
     }
 }
@@ -791,6 +907,60 @@ mod tests {
     }
 
     #[test]
+    fn a_page_in_refills_the_evicted_chunk_in_place_whatever_its_encoding() {
+        // One column whose chunks are a 1-byte dictionary, a 2-byte one,
+        // 4-byte integers, mixed values and all nulls, in turn.
+        let rows = 300;
+        let cell = |chunk: usize, r: usize| match chunk {
+            0 => Value::text(format!("s{}", r % 3)),
+            1 => Value::text(format!("w{r}")),
+            2 => Value::Int(r as i64 * 1000),
+            3 if r.is_multiple_of(2) => Value::Float(r as f64 / 4.0),
+            3 => Value::text("x"),
+            _ => Value::Null,
+        };
+        let path = tmp("refill");
+        let schema = Schema::from_names(["c"]).unwrap();
+        let mut w = SegmentWriter::create(&path, "t", schema, rows).unwrap();
+        for chunk in 0..5 {
+            for r in 0..rows {
+                w.push_row(&[cell(chunk, r)]).unwrap();
+            }
+        }
+        w.finish(1).unwrap();
+        let pager = Pager::new(SegmentReader::open(&path).unwrap(), 1);
+        let mut buffers = None;
+        for chunk in [0, 1, 2, 3, 4, 1, 0, 3, 2, 4, 0] {
+            let got = pager.chunk(chunk).unwrap();
+            assert!(
+                got.stats_if_computed(0).is_none(),
+                "chunk {chunk}: stale stats"
+            );
+            for r in 0..rows {
+                assert_eq!(got.value(r, 0), cell(chunk, r), "chunk {chunk} row {r}");
+            }
+            got.all_stats();
+            let at = Arc::as_ptr(&got);
+            assert_eq!(
+                *buffers.get_or_insert(at),
+                at,
+                "chunk {chunk} was not refilled"
+            );
+        }
+        // A chunk a reader still holds is left alone: the page-in decodes
+        // into new buffers.
+        let held = pager.chunk(0).unwrap();
+        let next = pager.chunk(1).unwrap();
+        assert!(!Arc::ptr_eq(&held, &next));
+        assert_eq!(
+            (held.value(7, 0), next.value(7, 0)),
+            (cell(0, 7), cell(1, 7))
+        );
+        assert_eq!(pager.resident_chunks(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn malformed_files_rejected() {
         let path = tmp("malformed");
         std::fs::write(&path, b"definitely not a segment").unwrap();
@@ -821,7 +991,8 @@ mod tests {
             ])),
         ];
         let chunk = Chunk::from_columns(3, columns);
-        let back = decode_chunk(&encode_chunk(&chunk), 2, 3).unwrap();
+        let mut back = Chunk::empty();
+        decode_chunk(&encode_chunk(&chunk), 2, 3, &mut back).unwrap();
         for c in 0..2 {
             assert_eq!(back.column(c), chunk.column(c));
         }

@@ -12,7 +12,8 @@
 //! Every accessor ([`Table::row_at`], [`Table::cell_value`],
 //! [`Table::iter_rows`], [`Table::column`]) returns owned values decoded on
 //! the fly, so memory stays bounded by the pager budget regardless of table
-//! size.
+//! size. [`Table::row_ref`] lends a row instead: its cells borrow the
+//! chunk the row lives in, so reading a row copies nothing.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -24,7 +25,7 @@ use rand::Rng;
 
 use crate::chunk::Chunk;
 use crate::segment::{Pager, SegmentReader, SegmentWriter};
-use crate::{ColumnStats, Record, Schema, TableError, Value};
+use crate::{CellRef, ColumnStats, Record, Schema, TableError, Value};
 
 /// Default number of rows per sealed chunk.
 pub const DEFAULT_CHUNK_ROWS: usize = 256;
@@ -222,10 +223,26 @@ impl Table {
     /// Returns [`TableError::RowOutOfBounds`] if `index >= row_count()`, or
     /// [`TableError::Segment`] if a spilled chunk cannot be read.
     pub fn row_at(&self, index: usize) -> Result<Record, TableError> {
-        match self.locate(index)? {
-            RowAddr::Sealed { slot, offset } => Ok(self.chunk(slot)?.record(offset)),
-            RowAddr::Tail(i) => Ok(self.tail[i].clone()),
-        }
+        Ok(self.row_ref(index)?.to_record())
+    }
+
+    /// The row at `index`, lent as borrowed cells: a view over the chunk
+    /// the row lives in (the `Arc` the table or its pager holds), or over
+    /// the tail record. Nothing is decoded until a cell is read, and a
+    /// text cell is read as the chunk's own string.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TableError::RowOutOfBounds`] if `index >= row_count()`, or
+    /// [`TableError::Segment`] if a spilled chunk cannot be read.
+    pub fn row_ref(&self, index: usize) -> Result<RowRef<'_>, TableError> {
+        Ok(match self.locate(index)? {
+            RowAddr::Sealed { slot, offset } => RowRef::Sealed {
+                chunk: self.chunk(slot)?,
+                offset,
+            },
+            RowAddr::Tail(i) => RowRef::Tail(&self.tail[i]),
+        })
     }
 
     /// The cell at (`row`, `attr`), decoded on the fly.
@@ -280,8 +297,9 @@ impl Table {
     ///
     /// The iterator panics if a spilled chunk cannot be read mid-scan (I/O
     /// failure or a corrupt payload). Callers that must survive a damaged
-    /// segment read through [`Table::row_at`], [`Table::find`] or
-    /// [`Table::spill_to`], which return the [`TableError::Segment`].
+    /// segment read through [`Table::row_at`], [`Table::row_ref`],
+    /// [`Table::find`], [`Table::same_content`] or [`Table::spill_to`],
+    /// which return the [`TableError::Segment`].
     pub fn iter_rows(&self) -> RowIter<'_> {
         RowIter(ChunkWalk::new(self))
     }
@@ -484,16 +502,85 @@ impl Table {
             version: fresh_version(),
         })
     }
+
+    /// Logical equality: the same name, schema and rows, cell by cell
+    /// (chunking and spill state are representation details).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TableError::Segment`] if a spilled chunk of either table
+    /// cannot be read.
+    pub fn same_content(&self, other: &Table) -> Result<bool, TableError> {
+        if self.name != other.name
+            || self.schema != other.schema
+            || self.row_count() != other.row_count()
+        {
+            return Ok(false);
+        }
+        for index in 0..self.row_count() {
+            if !self
+                .row_ref(index)?
+                .cells()
+                .eq(other.row_ref(index)?.cells())
+            {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
 }
 
-/// Logical equality: same name, schema, and row sequence (chunking and
-/// spill state are representation details).
-impl PartialEq for Table {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.schema == other.schema
-            && self.row_count() == other.row_count()
-            && self.iter_rows().eq(other.iter_rows())
+/// One row lent by [`Table::row_ref`].
+#[derive(Debug, Clone)]
+pub enum RowRef<'t> {
+    /// Row `offset` of a sealed chunk, held by its `Arc`.
+    Sealed {
+        /// The chunk the row lives in.
+        chunk: Arc<Chunk>,
+        /// The row's offset in the chunk.
+        offset: usize,
+    },
+    /// A row of the table's row-major tail.
+    Tail(&'t Record),
+}
+
+impl RowRef<'_> {
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        match self {
+            RowRef::Sealed { chunk, .. } => chunk.width(),
+            RowRef::Tail(record) => record.len(),
+        }
+    }
+
+    /// True if the row has no cells.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The cell of column `col`, borrowed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col >= len()`.
+    pub fn cell(&self, col: usize) -> CellRef<'_> {
+        match self {
+            RowRef::Sealed { chunk, offset } => chunk.cell(*offset, col),
+            RowRef::Tail(record) => record.values()[col].as_cell(),
+        }
+    }
+
+    /// The cells in schema order, borrowed.
+    pub fn cells(&self) -> impl Iterator<Item = CellRef<'_>> + Clone + '_ {
+        (0..self.len()).map(|col| self.cell(col))
+    }
+
+    /// The row as an owned record.
+    pub fn to_record(&self) -> Record {
+        match self {
+            RowRef::Sealed { chunk, offset } => chunk.record(*offset),
+            RowRef::Tail(record) => Record::clone(record),
+        }
     }
 }
 
@@ -689,7 +776,10 @@ mod tests {
                 a.cell_value(i, "timezone").unwrap()
             );
         }
-        assert_eq!(a, b, "logical equality ignores chunking");
+        assert!(
+            a.same_content(&b).unwrap(),
+            "logical equality ignores chunking"
+        );
     }
 
     #[test]
@@ -907,7 +997,7 @@ mod tests {
             _ => panic!("expected resident chunks"),
         };
         assert!(Arc::ptr_eq(&a, &b), "clone must share sealed chunks");
-        assert_eq!(t, c);
+        assert!(t.same_content(&c).unwrap());
     }
 
     #[test]
@@ -917,7 +1007,10 @@ mod tests {
         let t = chunked_city_table();
         let mut spilled = t.spill_to(&path, 1).unwrap();
         assert!(spilled.is_spilled());
-        assert_eq!(spilled, t, "spill → reload preserves every row");
+        assert!(
+            spilled.same_content(&t).unwrap(),
+            "spill → reload preserves every row"
+        );
         assert!(spilled.resident_chunks() <= 1);
         assert!(matches!(
             spilled.push_row(vec![Value::Null, Value::Null, Value::Null]),

@@ -38,12 +38,11 @@ impl Value {
     /// Unlike `to_string` this avoids allocating for text values it can
     /// borrow; use it in hot paths.
     pub fn as_text(&self) -> std::borrow::Cow<'_, str> {
-        match self {
-            Value::Null => "".into(),
-            Value::Text(s) => s.as_str().into(),
-            Value::Int(i) => i.to_string().into(),
-            Value::Float(x) => format_float(*x).into(),
-            Value::Bool(b) => if *b { "true" } else { "false" }.into(),
+        match self.as_cell() {
+            CellRef::Null => "".into(),
+            CellRef::Text(s) => s.into(),
+            CellRef::Bool(b) => if b { "true" } else { "false" }.into(),
+            cell => cell.to_string().into(),
         }
     }
 
@@ -104,7 +103,10 @@ pub(crate) fn canonical_key(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut last_space = true;
     for ch in s.trim().chars() {
-        if ch.is_alphanumeric() {
+        if ch.is_ascii_alphanumeric() {
+            out.push(ch.to_ascii_lowercase());
+            last_space = false;
+        } else if ch.is_alphanumeric() {
             out.extend(ch.to_lowercase());
             last_space = false;
         } else if !last_space {
@@ -112,20 +114,83 @@ pub(crate) fn canonical_key(s: &str) -> String {
             last_space = true;
         }
     }
-    out.trim_end().to_string()
+    // Separators collapse and a lowercased letter is no space, so at most
+    // one trailing separator is left to drop.
+    if last_space {
+        out.pop();
+    }
+    out
 }
 
 fn format_float(x: f64) -> String {
-    if x.fract() == 0.0 && x.abs() < 1e15 {
-        format!("{x:.1}")
-    } else {
-        format!("{x}")
-    }
+    CellRef::Float(x).to_string()
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.as_text())
+        self.as_cell().fmt(f)
+    }
+}
+
+impl Value {
+    /// The value as a borrowed cell: text is lent, not copied.
+    pub fn as_cell(&self) -> CellRef<'_> {
+        match self {
+            Value::Null => CellRef::Null,
+            Value::Text(s) => CellRef::Text(s),
+            &Value::Int(i) => CellRef::Int(i),
+            &Value::Float(x) => CellRef::Float(x),
+            &Value::Bool(b) => CellRef::Bool(b),
+        }
+    }
+}
+
+/// A cell lent by its table: dictionary or value text as `&str`, numbers
+/// and booleans by value. It displays exactly as the [`Value`] it stands
+/// for, and [`Value::from`] makes that value when one must be owned.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CellRef<'a> {
+    /// A missing value. Displayed as an empty string.
+    Null,
+    /// A text value.
+    Text(&'a str),
+    /// A 64-bit integer.
+    Int(i64),
+    /// A 64-bit float.
+    Float(f64),
+    /// A boolean.
+    Bool(bool),
+}
+
+impl CellRef<'_> {
+    /// True when the cell displays as nothing: null or empty text.
+    pub fn is_empty(&self) -> bool {
+        matches!(self, CellRef::Null | CellRef::Text(""))
+    }
+}
+
+impl fmt::Display for CellRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            CellRef::Null => Ok(()),
+            CellRef::Text(s) => f.write_str(s),
+            CellRef::Int(i) => write!(f, "{i}"),
+            CellRef::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => write!(f, "{x:.1}"),
+            CellRef::Float(x) => write!(f, "{x}"),
+            CellRef::Bool(b) => f.write_str(if b { "true" } else { "false" }),
+        }
+    }
+}
+
+impl From<CellRef<'_>> for Value {
+    fn from(cell: CellRef<'_>) -> Self {
+        match cell {
+            CellRef::Null => Value::Null,
+            CellRef::Text(s) => Value::text(s),
+            CellRef::Int(i) => Value::Int(i),
+            CellRef::Float(x) => Value::Float(x),
+            CellRef::Bool(b) => Value::Bool(b),
+        }
     }
 }
 
@@ -196,9 +261,67 @@ mod tests {
     }
 
     #[test]
+    fn canonical_key_matches_the_char_by_char_fold() {
+        let fold = |s: &str| {
+            let mut out = String::new();
+            let mut last_space = true;
+            for ch in s.trim().chars() {
+                if ch.is_alphanumeric() {
+                    out.extend(ch.to_lowercase());
+                    last_space = false;
+                } else if !last_space {
+                    out.push(' ');
+                    last_space = true;
+                }
+            }
+            out.trim_end().to_string()
+        };
+        for s in [
+            "",
+            "  ",
+            ".",
+            "Beverly Hills.",
+            "BEVERLY  HILLS",
+            " a-b_c ",
+            "x..",
+            "..x..",
+            "İstanbul",
+            "ΣΊΣΥΦΟΣ",
+            "Straße 12!",
+            "日本 語",
+            "Ǆemal\u{2003}",
+            "a\u{a0}",
+        ] {
+            assert_eq!(canonical_key(s), fold(s), "{s:?}");
+        }
+    }
+
+    #[test]
     fn float_formatting_stable() {
         assert_eq!(Value::Float(3.0).to_string(), "3.0");
         assert_eq!(Value::Float(3.25).to_string(), "3.25");
+    }
+
+    #[test]
+    fn a_cell_displays_as_its_value_and_converts_back() {
+        for v in [
+            Value::Null,
+            Value::text(""),
+            Value::text("Florence"),
+            Value::Int(-42),
+            Value::Float(3.0),
+            Value::Float(3.25),
+            Value::Float(1e15),
+            Value::Float(f64::NAN),
+            Value::Bool(false),
+        ] {
+            let cell = v.as_cell();
+            assert_eq!(cell.to_string(), v.as_text(), "{v:?}");
+            assert_eq!(cell.is_empty(), v.to_string().is_empty(), "{v:?}");
+            if !matches!(v, Value::Float(x) if x.is_nan()) {
+                assert_eq!(Value::from(cell), v);
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! error-detection generators (domain-violation detection).
 //!
 //! [`push_decimal`] appends an integer in decimal without going through
-//! `core::fmt`, for prompt builders that number many lines.
+//! `core::fmt`, for prompt builders that number many lines, and
+//! [`format_exact`] formats into one exactly sized allocation.
 
 use std::fmt;
 
@@ -147,6 +148,39 @@ pub fn push_decimal(out: &mut String, mut n: usize) {
         }
     }
     out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// The length of `args` once formatted, measured without writing it
+/// anywhere.
+pub fn formatted_len(args: fmt::Arguments<'_>) -> usize {
+    struct Count(usize);
+    impl fmt::Write for Count {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut count = Count(0);
+    // Counting cannot fail.
+    let _ = fmt::write(&mut count, args);
+    count.0
+}
+
+/// `format!` in one exactly sized allocation: `args` is measured, then
+/// written. (`format!` sizes its text from the literal pieces alone, so a
+/// text that starts with an argument grows by reallocation.)
+///
+/// ```
+/// use unidm_text::format::format_exact;
+/// let key = "Copenhagen";
+/// let query = format_exact(format_args!("{key}, {}", 42));
+/// assert_eq!((query.as_str(), query.capacity()), ("Copenhagen, 42", 14));
+/// ```
+pub fn format_exact(args: fmt::Arguments<'_>) -> String {
+    let mut out = String::with_capacity(formatted_len(args));
+    // Writing into a `String` cannot fail.
+    let _ = fmt::write(&mut out, args);
+    out
 }
 
 /// Classifies a string into a coarse semantic type by format.

@@ -64,30 +64,12 @@ impl TfIdf {
 
     /// TF-IDF weighted cosine similarity between two texts, in `[0, 1]`.
     pub fn similarity(&self, a: &str, b: &str) -> f64 {
-        let va = self.vectorize(a);
-        let vb = self.vectorize(b);
-        if va.is_empty() || vb.is_empty() {
-            return if va.is_empty() && vb.is_empty() {
-                1.0
-            } else {
-                0.0
-            };
-        }
-        let mut dot = 0.0;
-        for (tok, wa) in &va {
-            if let Some(wb) = vb.get(tok) {
-                dot += wa * wb;
-            }
-        }
-        let na: f64 = va.values().map(|w| w * w).sum::<f64>().sqrt();
-        let nb: f64 = vb.values().map(|w| w * w).sum::<f64>().sqrt();
-        (dot / (na * nb)).clamp(0.0, 1.0)
+        TfIdfVector::cosine(&self.vector(a), &self.vector(b))
     }
 
-    /// Token → weight, in token order: the float sums in
-    /// [`TfIdf::similarity`] must add in the same order on every run, or
-    /// near-tied scores rank differently from one process to the next.
-    fn vectorize(&self, text: &str) -> BTreeMap<String, f64> {
+    /// `text`'s weighted token vector, for comparing one text with many
+    /// without re-weighting it ([`TfIdfVector::cosine`]).
+    pub fn vector(&self, text: &str) -> TfIdfVector {
         let mut tf: BTreeMap<String, f64> = BTreeMap::new();
         for w in words(text) {
             *tf.entry(w).or_insert(0.0) += 1.0;
@@ -95,7 +77,39 @@ impl TfIdf {
         for (tok, f) in tf.iter_mut() {
             *f *= self.idf(tok);
         }
-        tf
+        let norm = tf.values().map(|w| w * w).sum::<f64>().sqrt();
+        TfIdfVector { weights: tf, norm }
+    }
+}
+
+/// A text's TF-IDF weights by token, in token order, and their norm: the
+/// float sums in [`TfIdfVector::cosine`] must add in the same order on
+/// every run, or near-tied scores rank differently from one process to
+/// the next.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TfIdfVector {
+    weights: BTreeMap<String, f64>,
+    norm: f64,
+}
+
+impl TfIdfVector {
+    /// The cosine of two vectors, in `[0, 1]`: 1 for two empty texts, 0
+    /// for one. [`TfIdf::similarity`] is this over fresh vectors.
+    pub fn cosine(a: &TfIdfVector, b: &TfIdfVector) -> f64 {
+        if a.weights.is_empty() || b.weights.is_empty() {
+            return if a.weights.is_empty() && b.weights.is_empty() {
+                1.0
+            } else {
+                0.0
+            };
+        }
+        let mut dot = 0.0;
+        for (tok, wa) in &a.weights {
+            if let Some(wb) = b.weights.get(tok) {
+                dot += wa * wb;
+            }
+        }
+        (dot / (a.norm * b.norm)).clamp(0.0, 1.0)
     }
 }
 

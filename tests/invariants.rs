@@ -291,7 +291,7 @@ fn csv_roundtrip() {
             t.push_row(row.iter().map(|c| Value::text(c.clone())).collect())
                 .unwrap();
         }
-        let text = csv::to_csv(&t);
+        let text = csv::to_csv(&t).expect("a resident table reads");
         let back = csv::from_csv("t", &text).expect("roundtrip parse");
         assert_eq!(back.row_count(), t.row_count());
         for (i, row) in rows.iter().enumerate() {

@@ -18,7 +18,7 @@ mod common;
 use std::path::PathBuf;
 
 use common::{Gen, ANY};
-use unidm_tablestore::{Schema, SegmentReader, Table, TableError, Value};
+use unidm_tablestore::{csv, Schema, SegmentReader, Table, TableError, Value};
 use unidm_text::hash::checksum64;
 
 fn seed() -> u64 {
@@ -85,7 +85,10 @@ fn spilled_tables_read_back_equal() {
         let reopened = Table::open_segment(&scratch.0, 1).unwrap();
         assert_eq!(spilled.chunk_count(), chunks + 1, "1-row trailing chunk");
         for paged in [&spilled, &reopened] {
-            assert_eq!(paged, &table, "case {case}: rows differ after spill");
+            assert!(
+                paged.same_content(&table).unwrap(),
+                "case {case}: rows differ after spill"
+            );
             for attr in ["id", "label", "void", "any"] {
                 assert_eq!(
                     paged.column_stats(attr).unwrap(),
@@ -319,6 +322,45 @@ fn every_flipped_payload_bit_fails_a_spill() {
             match table.spill_to(&copy.0, 1) {
                 Err(TableError::Segment(msg)) if msg.contains("chunk 0 fails its checksum") => {}
                 other => panic!("byte {at} bit {bit}: spill_to gave {other:?}"),
+            }
+            s.bytes[at] ^= 1 << bit;
+        }
+    }
+}
+
+/// Reading a damaged spilled table whole is an error, not a panic:
+/// `csv::to_csv` and `Table::same_content` read each row through
+/// `Table::row_ref`, so a flipped payload bit surfaces as the chunk's
+/// checksum failure from both.
+#[test]
+fn every_flipped_payload_bit_fails_to_csv_and_same_content() {
+    let mut s = specimen("flip-read");
+    let mut resident = Table::with_chunk_rows("specimen", Schema::from_names(["t"]).unwrap(), 4);
+    for cell in [Some("é"), Some("ab"), Some("é"), None, Some("z")] {
+        resident
+            .push_row(vec![cell.map_or(Value::Null, Value::text)])
+            .unwrap();
+    }
+    s.write();
+    let intact = Table::open_segment(&s.scratch.0, 1).unwrap();
+    assert!(intact.same_content(&resident).unwrap());
+    assert_eq!(csv::to_csv(&intact), csv::to_csv(&resident));
+    fn checksum<T>(read: &Result<T, TableError>) -> bool {
+        matches!(read, Err(TableError::Segment(msg)) if msg.contains("chunk 0 fails its checksum"))
+    }
+    let len = u64_at(&s.bytes, s.dir + 16) as usize;
+    for at in s.p..s.p + len {
+        for bit in 0..8 {
+            s.bytes[at] ^= 1 << bit;
+            s.write();
+            let table = Table::open_segment(&s.scratch.0, 1).expect("the directory is intact");
+            let csv = csv::to_csv(&table);
+            assert!(checksum(&csv), "byte {at} bit {bit}: to_csv gave {csv:?}");
+            for eq in [table.same_content(&resident), resident.same_content(&table)] {
+                assert!(
+                    checksum(&eq),
+                    "byte {at} bit {bit}: same_content gave {eq:?}"
+                );
             }
             s.bytes[at] ^= 1 << bit;
         }
