@@ -41,17 +41,18 @@ impl Cmi {
             .unwrap_or_else(|| ((n as f64).sqrt() * 2.0).round() as usize)
             .clamp(1, n.max(1));
         let target_idx = table.schema().require(target_attr)?;
-        let keys: Vec<Vec<String>> = table
-            .iter_rows()
+        let keys: Vec<Vec<String>> = (0..n)
             .map(|r| {
-                r.values()
+                Ok(table
+                    .row_at(r)?
+                    .values()
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| *i != target_idx)
                     .map(|(_, v)| category_key(&v.to_string()))
-                    .collect()
+                    .collect())
             })
-            .collect();
+            .collect::<Result<_, TableError>>()?;
 
         let mut rng = StdRng::seed_from_u64(seed);
         let mut centroid_rows: Vec<usize> = (0..n).collect();
@@ -121,7 +122,8 @@ impl Cmi {
         }
         let cluster = self.assignments[row];
         let mut counts: HashMap<String, usize> = HashMap::new();
-        for (r, rec) in table.iter_rows().enumerate() {
+        for r in 0..table.row_count() {
+            let rec = table.row_at(r)?;
             if self.assignments.get(r) == Some(&cluster) && r != row {
                 if let Some(v) = rec.get(target_idx) {
                     if !v.is_null() {

@@ -39,7 +39,8 @@ pub fn impute(table: &Table, row: usize, attr: &str) -> Result<String, TableErro
         // Conditional distribution P(target | evidence attribute value).
         let mut counts: HashMap<String, usize> = HashMap::new();
         let mut total = 0usize;
-        for r in table.iter_rows() {
+        for r in 0..table.row_count() {
+            let r = table.row_at(r)?;
             let same = r.get(i).is_some_and(|v| v.answer_key() == ev_key);
             if !same {
                 continue;
@@ -86,10 +87,10 @@ pub fn detect_error(table: &Table, row: usize, attr: &str) -> Result<bool, Table
     }
     // Numeric columns: flag > 3 sigma outliers.
     if let Some(x) = numeric_only(&value) {
-        let nums: Vec<f64> = table
-            .column(attr)?
-            .filter_map(|v| numeric_only(&v))
-            .collect();
+        let mut nums = Vec::new();
+        for r in 0..table.row_count() {
+            nums.extend(numeric_only(&table.cell_value(r, attr)?));
+        }
         if nums.len() >= 8 {
             let mean = nums.iter().sum::<f64>() / nums.len() as f64;
             let var = nums.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / nums.len() as f64;

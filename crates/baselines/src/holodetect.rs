@@ -67,7 +67,9 @@ impl ColumnModel {
         let mut trigrams: HashMap<String, usize> = HashMap::new();
         let mut nums: Vec<f64> = Vec::new();
         let mut non_null = 0usize;
-        for v in table.column(attr)? {
+        table.schema().require(attr)?;
+        for r in 0..table.row_count() {
+            let v = table.cell_value(r, attr)?;
             if v.is_null() {
                 continue;
             }

@@ -30,7 +30,8 @@ impl Imp {
         let target_idx = table.schema().require(target_attr)?;
         let mut texts = Vec::with_capacity(table.row_count());
         let mut labels = Vec::with_capacity(table.row_count());
-        for rec in table.iter_rows() {
+        for row in 0..table.row_count() {
+            let rec = table.row_at(row)?;
             let fields: Vec<String> = rec
                 .values()
                 .iter()

@@ -253,7 +253,7 @@ impl TenantSpec {
     fn sample_arrivals(&self, dice: &Dice) -> Vec<(u64, usize)> {
         // The tenant context is absorbed once; every draw renders its
         // numbered tag straight into it.
-        let ctx = dice.context(&format!("serve-{}", self.name));
+        let ctx = dice.context(format_args!("serve-{}", self.name));
         let mean = self.mean_gap_us();
         let mut schedule = Vec::with_capacity(self.requests as usize);
         let mut at_us = 0u64;

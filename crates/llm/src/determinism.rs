@@ -43,17 +43,10 @@ impl Dice {
     /// long context (a fault schedule slot per attempt of a prompt, a route
     /// and a backoff per retry) keeps the returned state and never reads
     /// the context's bytes again.
-    pub fn context(&self, context: &str) -> DiceContext {
-        let h = absorb(self.start(), context.as_bytes());
-        DiceContext {
-            state: absorb(h, &[0xff]),
-        }
-    }
-
-    /// [`Dice::context`] of the text `context` formats to, absorbed as it is
-    /// rendered: `dice.context_args(format_args!("{text}#{i}"))` is
-    /// `dice.context(&format!("{text}#{i}"))` **to the bit**, with no
-    /// `String` in between.
+    ///
+    /// The context is anything that displays as its text, absorbed as it
+    /// is rendered, as a [`DiceContext`] tag is: a numbered context needs
+    /// no `String` in between.
     ///
     /// ```
     /// use unidm_llm::Dice;
@@ -61,13 +54,13 @@ impl Dice {
     /// let dice = Dice::new(7);
     /// let (text, i) = ("city: Florence", 3);
     /// assert_eq!(
-    ///     dice.context_args(format_args!("{text}#{i}")),
+    ///     dice.context(format_args!("{text}#{i}")),
     ///     dice.context(&format!("{text}#{i}")),
     /// );
     /// ```
-    pub fn context_args(&self, context: fmt::Arguments<'_>) -> DiceContext {
+    pub fn context(&self, context: impl fmt::Display) -> DiceContext {
         let mut sink = TagSink(self.start());
-        sink.write_fmt(context).expect("the sink never fails");
+        write!(sink, "{context}").expect("the sink never fails");
         DiceContext {
             state: absorb(sink.0, &[0xff]),
         }

@@ -139,77 +139,20 @@ impl<'a> PriPrompt<'a> {
 /// that — no colon, no digits, index 0, a number out of range — are skipped.
 pub fn parse_pri_response(text: &str) -> Vec<(usize, u8)> {
     // Sized for the reply the model is asked for, `"1:3, 2:0, ..."`: five
-    // bytes an entry or more.
+    // bytes an entry or more. A collected `Vec` grows by doubling and
+    // raises `mix_batch`'s `allocs_per_op`.
     let mut out = Vec::with_capacity(text.len() / 5 + 1);
-    // From the start of the entry being read to the end of the text.
-    let mut rest = text.as_bytes();
-    loop {
-        let (entry, after) = match scan_pri_entry(rest) {
-            Some((entry, after)) => (Some(entry), after),
-            None => {
-                // Only Unicode blanks make an entry the byte scan refuses
-                // readable: those go the long way round, `trim` and `parse`.
-                let start = text.len() - rest.len();
-                let len = rest.iter().position(|&b| b == b',').unwrap_or(rest.len());
-                let chunk = &text[start..start + len];
-                let entry = if chunk.is_ascii() {
-                    None
-                } else {
-                    chunk.trim().split_once(':').and_then(|(index, score)| {
-                        Some((index.trim().parse().ok()?, score.trim().parse().ok()?))
-                    })
-                };
-                (entry, &rest[len..])
-            }
+    for chunk in text.split(',') {
+        let Some((index, score)) = chunk.split_once(':') else {
+            continue;
         };
-        if let Some((index @ 1.., score)) = entry {
-            out.push((index - 1, u8::min(score, 3)));
-        }
-        match after {
-            [_comma, next @ ..] => rest = next,
-            [] => return out,
+        if let (Ok(index @ 1..), Ok(score)) =
+            (index.trim().parse::<usize>(), score.trim().parse::<u8>())
+        {
+            out.push((index - 1, score.min(3)));
         }
     }
-}
-
-/// Scans one ASCII `index:score` entry off the front of `bytes`, up to the
-/// comma that ends it or the end of the text; returns the entry and the
-/// bytes from there on. `None` for anything else.
-fn scan_pri_entry(bytes: &[u8]) -> Option<((usize, u8), &[u8])> {
-    let (index, bytes) = scan_number(bytes)?;
-    let [b':', bytes @ ..] = bytes else {
-        return None;
-    };
-    let (score, bytes) = scan_number(bytes)?;
-    let score = u8::try_from(score).ok()?;
-    matches!(bytes, [] | [b',', ..]).then_some(((index, score), bytes))
-}
-
-/// Scans `blank* [+] digit+ blank*` off the front of `bytes`, reading ASCII
-/// as `str::trim` and `usize::from_str` do: `None` without a digit or past
-/// `usize::MAX`.
-fn scan_number(bytes: &[u8]) -> Option<(usize, &[u8])> {
-    fn skip_blanks(mut bytes: &[u8]) -> &[u8] {
-        while let [b'\t'..=b'\r' | b' ', rest @ ..] = bytes {
-            bytes = rest;
-        }
-        bytes
-    }
-    let mut bytes = skip_blanks(bytes);
-    if let [b'+', rest @ ..] = bytes {
-        bytes = rest;
-    }
-    let [b'0'..=b'9', ..] = bytes else {
-        return None;
-    };
-    let mut value = 0usize;
-    while let [digit @ b'0'..=b'9', rest @ ..] = bytes {
-        value = value
-            .checked_mul(10)?
-            .checked_add(usize::from(digit - b'0'))?;
-        bytes = rest;
-    }
-    Some((value, skip_blanks(bytes)))
+    out
 }
 
 /// Renders `p_dp` (paper §4.3):

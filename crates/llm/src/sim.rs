@@ -276,10 +276,10 @@ pub struct AttemptSample {
 /// let dice = Dice::new(7);
 /// let prompt = StackPrompt::new("a long prompt, read once", dice);
 /// assert_eq!(&*prompt, "a long prompt, read once");
-/// assert_eq!(prompt.draws(&dice), dice.context(&prompt));
+/// assert_eq!(prompt.draws(&dice), dice.context(&*prompt));
 /// // Another seed's draws are its own: absorbed afresh, never stored.
 /// let other = Dice::new(8);
-/// assert_eq!(prompt.draws(&other), other.context(&prompt));
+/// assert_eq!(prompt.draws(&other), other.context(&*prompt));
 /// ```
 #[derive(Debug, Clone)]
 pub struct StackPrompt {

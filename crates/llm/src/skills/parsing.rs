@@ -28,7 +28,7 @@ pub fn parse_context(prompt: &PdpPrompt<'_>, profile: &LlmProfile, dice: &Dice) 
         let text = rec.rendered(&mut rendered);
         // A weak model sometimes drops a clause while rewriting.
         let keep_all = dice
-            .context_args(format_args!("{text}#{i}"))
+            .context(format_args!("{text}#{i}"))
             .chance("pdp-complete", profile.effective_instruction());
         let pairs = rec.pairs();
         let drop = if keep_all || pairs.len() <= 2 {

@@ -170,7 +170,7 @@ pub fn score_instances(
         }
         let i = scored.len();
         let draw = dice
-            .context_args(format_args!("{text}#{i}"))
+            .context(format_args!("{text}#{i}"))
             .uniform("pri-noise");
         scored.push((sim, draw));
     }
@@ -219,7 +219,7 @@ impl<'a> Link<'a> {
             return None;
         }
         let a = attr.to_lowercase();
-        if a.contains("addr") || a.contains("address") {
+        if a.contains("addr") {
             let base = street_base(value);
             (!base.is_empty()).then_some(Link::Street(attr, base))
         } else if a.contains("phone") {
@@ -238,7 +238,7 @@ impl<'a> Link<'a> {
     /// it shares the link's value.
     fn holds(&self, inst: &RecordReader<'_>) -> bool {
         match *self {
-            Link::Street(attr, ref base) => inst.get(attr).is_some_and(|v| same_street(v, base)),
+            Link::Street(attr, ref base) => inst.get(attr).is_some_and(|v| street_base(v) == *base),
             Link::AreaCode(attr, code) => {
                 inst.get(attr).is_some_and(|v| area_code(v) == Some(code))
             }
@@ -249,58 +249,11 @@ impl<'a> Link<'a> {
     }
 }
 
-/// `street_base(addr) == base`, for a `base` [`street_base`] made. An
-/// ASCII address is compared word by word where it stands, building
-/// nothing; any other goes through [`street_base`], whose
-/// `str::to_lowercase` a byte-wise fold would not match (final sigma).
-fn same_street(addr: &str, base: &str) -> bool {
-    if !addr.is_ascii() {
-        return street_base(addr) == base;
-    }
-    let mut words = (addr.split_whitespace()).skip_while(|w| w.bytes().all(|b| b.is_ascii_digit()));
-    // The words `street_base` joined with single spaces; none for "".
-    let mut base_words = base.split(' ').filter(|w| !w.is_empty());
-    loop {
-        match (words.next(), base_words.next()) {
-            (None, None) => return true,
-            (Some(word), Some(want)) if word.eq_ignore_ascii_case(want) => {}
-            _ => return false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{render_pri, SerializedRecord};
 
-    #[test]
-    fn same_street_agrees_with_street_base() {
-        let addrs = [
-            "100 Pico Blvd",
-            "200  pico   BLVD",
-            "Pico Blvd",
-            "12 34 Pico Blvd",
-            "100 Pico Blvd.",
-            "100 Pico",
-            "100",
-            "",
-            "9th 100 Pico Blvd",
-            "100 ΟΔΟΣ Pico",
-            "100 οδος pico",
-            "100 Straße Pico",
-        ];
-        for a in addrs {
-            let base = street_base(a);
-            for b in addrs {
-                assert_eq!(
-                    same_street(b, &base),
-                    street_base(b) == base,
-                    "{b:?} vs {a:?}"
-                );
-            }
-        }
-    }
     use unidm_world::World;
 
     fn setup() -> (LlmProfile, Dice, KnowledgeBase) {

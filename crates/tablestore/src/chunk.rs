@@ -520,6 +520,9 @@ impl ColumnEncoder {
 /// no key borrows a cell. Strings are hashed with std's keyed
 /// [`RandomState`] (cells are outside input), and a probe compares the
 /// stored hash before the pooled string.
+///
+/// Its cost, measured on two vCPUs: with a `HashMap<Box<str>, u32>` in its
+/// place, `lake_stream` `setup_s` rose 20 % (0.371 → 0.446 s).
 #[derive(Debug, Default)]
 struct DictIndex {
     hasher: RandomState,

@@ -60,5 +60,5 @@ pub use record::Record;
 pub use schema::{Column, DataType, Schema};
 pub use segment::{Pager, SegmentReader, SegmentWriter, DEFAULT_PAGE_BUDGET};
 pub use stats::ColumnStats;
-pub use table::{ColumnIter, RowIter, RowRef, Table, TableBuilder, DEFAULT_CHUNK_ROWS};
+pub use table::{RowRef, Table, TableBuilder, DEFAULT_CHUNK_ROWS};
 pub use value::{CellRef, Value};

@@ -9,11 +9,12 @@
 //! [`Table::open_segment`]) after which chunks page in and out through a
 //! budget-bounded LRU [`Pager`] — spilled tables are read-only.
 //!
-//! Every accessor ([`Table::row_at`], [`Table::cell_value`],
-//! [`Table::iter_rows`], [`Table::column`]) returns owned values decoded on
-//! the fly, so memory stays bounded by the pager budget regardless of table
-//! size. [`Table::row_ref`] lends a row instead: its cells borrow the
-//! chunk the row lives in, so reading a row copies nothing.
+//! The owned accessors ([`Table::row_at`], [`Table::cell_value`]) return
+//! values decoded on the fly, so memory stays bounded by the pager budget
+//! regardless of table size. [`Table::row_ref`] lends a row instead: its
+//! cells borrow the chunk the row lives in, so reading a row copies
+//! nothing. A scan is a loop over `0..row_count()` through these, so a
+//! chunk that cannot be read is a [`TableError::Segment`], never a panic.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -289,41 +290,6 @@ impl Table {
         Ok(())
     }
 
-    /// Iterator over all rows in order, decoding chunk-by-chunk (owned
-    /// records). For a spilled table, memory stays bounded by the pager
-    /// budget.
-    ///
-    /// # Panics
-    ///
-    /// The iterator panics if a spilled chunk cannot be read mid-scan (I/O
-    /// failure or a corrupt payload). Callers that must survive a damaged
-    /// segment read through [`Table::row_at`], [`Table::row_ref`],
-    /// [`Table::find`], [`Table::same_content`] or [`Table::spill_to`],
-    /// which return the [`TableError::Segment`].
-    pub fn iter_rows(&self) -> RowIter<'_> {
-        RowIter(ChunkWalk::new(self))
-    }
-
-    /// Iterator over the values of one column, decoding cell-by-cell from
-    /// the encoded chunks (owned values).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TableError::UnknownAttribute`] for an unknown column.
-    ///
-    /// # Panics
-    ///
-    /// The iterator panics if a spilled chunk cannot be read mid-scan (I/O
-    /// failure or a corrupt payload). [`Table::cell_value`] and
-    /// [`Table::column_stats`] return the [`TableError::Segment`] instead.
-    pub fn column(&self, attr: &str) -> Result<ColumnIter<'_>, TableError> {
-        let col = self.schema.require(attr)?;
-        Ok(ColumnIter {
-            walk: ChunkWalk::new(self),
-            col,
-        })
-    }
-
     /// Statistics over one column, folded incrementally: each sealed
     /// chunk's statistics (computed once at ingest, or lazily after a page
     /// from disk) are merged, then the tail is accumulated — the column is
@@ -589,96 +555,6 @@ enum RowAddr {
     Tail(usize),
 }
 
-/// The walk [`RowIter`] and [`ColumnIter`] share: the next row index and
-/// the last sealed chunk it fell in, fetched once per chunk.
-#[derive(Debug)]
-struct ChunkWalk<'a> {
-    table: &'a Table,
-    index: usize,
-    cached: Option<(usize, Arc<Chunk>)>,
-}
-
-impl<'a> ChunkWalk<'a> {
-    fn new(table: &'a Table) -> Self {
-        ChunkWalk {
-            table,
-            index: 0,
-            cached: None,
-        }
-    }
-
-    /// Reads the next row through `sealed` (its chunk and offset) or
-    /// `tail` (its record), or `None` past the last row.
-    fn step<T>(
-        &mut self,
-        sealed: impl FnOnce(&Chunk, usize) -> T,
-        tail: impl FnOnce(&'a Record) -> T,
-    ) -> Option<T> {
-        let t = self.table;
-        let item = match t.locate(self.index).ok()? {
-            RowAddr::Sealed { slot, offset } => {
-                if self.cached.as_ref().is_none_or(|(s, _)| *s != slot) {
-                    let chunk = t.chunk(slot).expect("segment read during a scan");
-                    self.cached = Some((slot, chunk));
-                }
-                sealed(&self.cached.as_ref().expect("chunk cached above").1, offset)
-            }
-            RowAddr::Tail(i) => tail(&t.tail[i]),
-        };
-        self.index += 1;
-        Some(item)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.table.row_count().saturating_sub(self.index);
-        (left, Some(left))
-    }
-}
-
-/// Chunk-wise row iterator returned by [`Table::iter_rows`].
-#[derive(Debug)]
-pub struct RowIter<'a>(ChunkWalk<'a>);
-
-impl Iterator for RowIter<'_> {
-    type Item = Record;
-
-    fn next(&mut self) -> Option<Record> {
-        self.0
-            .step(|chunk, offset| chunk.record(offset), Record::clone)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-/// Chunk-wise column iterator returned by [`Table::column`].
-#[derive(Debug)]
-pub struct ColumnIter<'a> {
-    walk: ChunkWalk<'a>,
-    col: usize,
-}
-
-impl Iterator for ColumnIter<'_> {
-    type Item = Value;
-
-    fn next(&mut self) -> Option<Value> {
-        let col = self.col;
-        self.walk.step(
-            |chunk, offset| chunk.value(offset, col),
-            |rec| {
-                rec.get(col)
-                    .cloned()
-                    .expect("tail row width checked on ingest")
-            },
-        )
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.walk.size_hint()
-    }
-}
-
 /// Builder for [`Table`], collecting column names before creation.
 ///
 /// # Examples
@@ -750,8 +626,8 @@ mod tests {
     fn chunked_city_table() -> Table {
         let src = city_table();
         let mut t = Table::with_chunk_rows("cities", src.schema().clone(), 2);
-        for rec in src.iter_rows() {
-            t.push_row(rec.into_values()).unwrap();
+        for i in 0..src.row_count() {
+            t.push_row(src.row_at(i).unwrap().into_values()).unwrap();
         }
         t
     }
@@ -825,22 +701,22 @@ mod tests {
     }
 
     #[test]
-    fn column_iterator() {
+    fn a_column_reads_cell_by_cell_across_chunks() {
         let t = chunked_city_table();
-        let countries: Vec<String> = t
-            .column("country")
-            .unwrap()
-            .map(|v| v.to_string())
+        let countries: Vec<String> = (0..t.row_count())
+            .map(|r| t.cell_value(r, "country").unwrap().to_string())
             .collect();
         assert_eq!(countries, vec!["Italy", "Spain", "Belgium", "Denmark"]);
-        assert!(t.column("nope").is_err());
+        assert!(t.cell_value(0, "nope").is_err());
     }
 
     #[test]
     fn column_stats_fold_matches_compute() {
         let t = chunked_city_table();
         let folded = t.column_stats("timezone").unwrap();
-        let whole: Vec<Value> = t.column("timezone").unwrap().collect();
+        let whole: Vec<Value> = (0..t.row_count())
+            .map(|r| t.cell_value(r, "timezone").unwrap())
+            .collect();
         let expect = ColumnStats::compute(whole.iter());
         assert_eq!(folded.total(), expect.total());
         assert_eq!(folded.sorted_counts(), expect.sorted_counts());

@@ -103,10 +103,7 @@ pub(crate) fn canonical_key(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut last_space = true;
     for ch in s.trim().chars() {
-        if ch.is_ascii_alphanumeric() {
-            out.push(ch.to_ascii_lowercase());
-            last_space = false;
-        } else if ch.is_alphanumeric() {
+        if ch.is_alphanumeric() {
             out.extend(ch.to_lowercase());
             last_space = false;
         } else if !last_space {

@@ -98,6 +98,9 @@ impl WordSet {
     /// of [`words`](crate::tokenize::words). `scratch` keeps its buffers, so
     /// a warm call allocates nothing.
     ///
+    /// Its cost, measured on two vCPUs: with `jaccard(&WordSet::new(text))`
+    /// in its place, `replay_warm` `setup_s` rose 28 % (0.536 → 0.686 s).
+    ///
     /// # Examples
     ///
     /// ```
@@ -250,6 +253,9 @@ fn word_key(word: &[u8]) -> u64 {
 
 /// Appends `raw`, lowercased as [`words`](crate::tokenize::words) does, to
 /// `buf`.
+///
+/// The ASCII branch's cost, measured on two vCPUs: without it,
+/// `replay_warm` `setup_s` rose 22 % (0.521 → 0.637 s, 9 of 10 pairs).
 fn push_lowercase(buf: &mut Vec<u8>, raw: &str) {
     if raw.is_ascii() {
         buf.extend(raw.bytes().map(|b| b.to_ascii_lowercase()));

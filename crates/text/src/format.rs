@@ -170,6 +170,10 @@ pub fn formatted_len(args: fmt::Arguments<'_>) -> usize {
 /// written. (`format!` sizes its text from the literal pieces alone, so a
 /// text that starts with an argument grows by reallocation.)
 ///
+/// Its cost: without the exact sizing of this and [`formatted_len`]'s
+/// other callers, `allocs_per_op` rose from 33.60 to 39.26 on
+/// `lake_stream` and from 33.33 to 37.94 on `mix_batch`.
+///
 /// ```
 /// use unidm_text::format::format_exact;
 /// let key = "Copenhagen";

@@ -1,8 +1,8 @@
 //! Oracle tests for the absorbed draw context: `Dice::uniform` as it was
 //! before the split at the `0xff` separator is kept below as
 //! [`reference_uniform`], and every draw the program now makes through a
-//! `DiceContext` — plain tags, numbered tags rendered without a
-//! `String`, the whole fault schedule of a [`SimBackend`], and every
+//! `DiceContext` — plain tags, numbered tags and contexts rendered
+//! without a `String`, the whole fault schedule of a [`SimBackend`], and every
 //! route, backoff and hedge of a serving stack that hands one
 //! [`StackPrompt`] down its layers — must equal what the one-loop version
 //! yields, to the bit.
@@ -97,16 +97,22 @@ fn absorbed_context_draws_equal_the_one_loop_draw_to_the_bit() {
 
 #[test]
 fn numbered_tags_draw_as_their_formatted_text() {
-    // The tags the stacks number: rendered straight into the draw, they
-    // must read as the `String` that `format!` used to build.
+    // The tags the stacks number, and the contexts the stand-in model
+    // numbers (a candidate and its position): rendered straight into the
+    // draw, they must read as the `String` that `format!` used to build.
     let mut g = Gen::new(0x7a65);
     let numbers = [0, 9, 10, 99, u64::from(u32::MAX), u64::MAX];
     let endpoints = [0, 7, u64::MAX];
     for context in contexts(&mut g).iter().take(12) {
         let seed = g.u64();
-        let draws = Dice::new(seed).context(context);
+        let dice = Dice::new(seed);
+        let draws = dice.context(context);
         let want = |tag: String| reference_uniform(seed, context, &tag).to_bits();
         for n in numbers {
+            assert_eq!(
+                dice.context(format_args!("{context}#{n}")),
+                dice.context(format!("{context}#{n}"))
+            );
             assert_eq!(
                 draws.uniform(format_args!("fault-{n}")).to_bits(),
                 want(format!("fault-{n}"))

@@ -3,8 +3,8 @@
 //! must agree with them on every input.
 //!
 //! * [`reference_parse_pri_response`] / [`reference_claim_query_imputation`]
-//!   — the parent's bodies, against the byte scanner and the renderer that
-//!   no longer clones the record.
+//!   — the parent's bodies, against the current parser and the renderer
+//!   that no longer clones the record.
 //! * [`by_hand`] — Algorithm 1 composed from the *public* step functions
 //!   (`retrieval`, `parsing`, `prompting`), records cloned and rendered as
 //!   the parent's `UniDm::run` did, against `UniDm::run` over the frame.
@@ -61,7 +61,7 @@ fn reference_claim_query_imputation(record: &SerializedRecord, attr: &str) -> St
 }
 
 #[test]
-fn byte_scanner_reads_every_reply_as_trim_and_parse_did() {
+fn pri_replies_read_as_the_reference_parser_reads_them() {
     let pinned = [
         ("", vec![]),
         ("garbage", vec![]),

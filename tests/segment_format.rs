@@ -18,6 +18,7 @@ mod common;
 use std::path::PathBuf;
 
 use common::{Gen, ANY};
+use unidm_baselines::imp::Imp;
 use unidm_tablestore::{csv, Schema, SegmentReader, Table, TableError, Value};
 use unidm_text::hash::checksum64;
 
@@ -95,8 +96,9 @@ fn spilled_tables_read_back_equal() {
                     table.column_stats(attr).unwrap(),
                     "case {case}: column_stats({attr})"
                 );
-                let mut needles: Vec<Value> = table.column(attr).unwrap().collect();
-                needles.truncate(12);
+                let mut needles: Vec<Value> = (0..12.min(table.row_count()))
+                    .map(|r| table.cell_value(r, attr).unwrap())
+                    .collect();
                 needles.push(Value::Null);
                 needles.push(Value::text("absent from every column"));
                 for needle in &needles {
@@ -272,7 +274,9 @@ impl Specimen {
 fn specimen_reads_back_before_any_patch() {
     let s = specimen("intact");
     let table = Table::open_segment(&s.scratch.0, 1).unwrap();
-    let cells: Vec<Value> = table.column("t").unwrap().collect();
+    let cells: Vec<Value> = (0..table.row_count())
+        .map(|r| table.cell_value(r, "t").unwrap())
+        .collect();
     assert_eq!(
         cells,
         [
@@ -361,6 +365,30 @@ fn every_flipped_payload_bit_fails_to_csv_and_same_content() {
                     checksum(&eq),
                     "byte {at} bit {bit}: same_content gave {eq:?}"
                 );
+            }
+            s.bytes[at] ^= 1 << bit;
+        }
+    }
+}
+
+/// A baseline that scans a damaged spilled table returns the error: IMP's
+/// fit reads every row through `Table::row_at`, so a flipped payload bit
+/// surfaces as the chunk's checksum failure.
+#[test]
+fn every_flipped_payload_bit_fails_an_imp_fit() {
+    let mut s = specimen("flip-imp");
+    s.write();
+    let intact = Table::open_segment(&s.scratch.0, 1).unwrap();
+    assert!(Imp::fit(&intact, "t", 3).is_ok());
+    let len = u64_at(&s.bytes, s.dir + 16) as usize;
+    for at in s.p..s.p + len {
+        for bit in 0..8 {
+            s.bytes[at] ^= 1 << bit;
+            s.write();
+            let table = Table::open_segment(&s.scratch.0, 1).expect("the directory is intact");
+            match Imp::fit(&table, "t", 3) {
+                Err(TableError::Segment(msg)) if msg.contains("chunk 0 fails its checksum") => {}
+                other => panic!("byte {at} bit {bit}: Imp::fit gave {:?}", other.err()),
             }
             s.bytes[at] ^= 1 << bit;
         }
