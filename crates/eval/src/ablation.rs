@@ -206,27 +206,3 @@ pub fn table10(config: ExperimentConfig) -> TableReport {
     }
     report
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table8_full_config_best() {
-        let report = table8(ExperimentConfig::quick());
-        let none = report.cell("none", "Acc").unwrap();
-        let full = report.cell("I+M+T+C", "Acc").unwrap();
-        assert!(
-            full + 1e-9 >= none,
-            "full pipeline should not lose to the bare one: {full} vs {none}"
-        );
-    }
-
-    #[test]
-    fn table10_components_help() {
-        let report = table10(ExperimentConfig::quick());
-        let none = report.cell("none", "StackOverflow").unwrap();
-        let full = report.cell("T+C", "StackOverflow").unwrap();
-        assert!(full + 5.0 >= none, "T+C {full} vs none {none}");
-    }
-}

@@ -92,29 +92,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table5_shape_holds() {
-        let report = table5(ExperimentConfig::quick());
-        let raw = report.cell("GPT-J-6B", "UniDM").unwrap();
-        let tuned = report.cell("GPT-J-6B (fine-tune)", "UniDM").unwrap();
-        let gpt3 = report.cell("GPT-3-175B", "UniDM").unwrap();
-        let llama_tuned = report.cell("LLaMA2-7B (fine-tune)", "UniDM").unwrap();
-        // Fine-tuning lifts the small models dramatically, approaching the
-        // 175B model — the paper's central Table 5 claim.
-        assert!(
-            tuned > raw + 15.0,
-            "fine-tune should lift GPT-J: {raw} -> {tuned}"
-        );
-        assert!(
-            llama_tuned + 25.0 > gpt3,
-            "tuned 7B approaches 175B: {llama_tuned} vs {gpt3}"
-        );
-        assert!(
-            report.cell("LLaMA2-7B", "FM").unwrap().is_nan(),
-            "paper reports NA"
-        );
-    }
-
-    #[test]
     fn table5_cached_run_matches_uncached() {
         use crate::CacheConfig;
         // The per-variant cache path must not change any cell: each

@@ -134,7 +134,7 @@ impl ScaleSpec {
         StdRng::seed_from_u64(self.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
-    /// Builds the table in memory (chunked columnar, stats at ingest).
+    /// Builds the table in memory (chunked columnar).
     /// Fine up to ~10^6 rows; beyond that, prefer
     /// [`ScaleSpec::users_segment`].
     pub fn users_table(&self) -> Table {

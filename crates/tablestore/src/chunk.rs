@@ -9,9 +9,8 @@
 //! are a base plus one offset per cell. Both keep their per-cell words in
 //! [`Words`], at the narrowest width the chunk's data needs, with word 0
 //! meaning null; anything heterogeneous falls back to a plain value
-//! vector. Per-column [`ColumnStats`] are computed once when the chunk is
-//! sealed at ingest and folded by [`Table::column_stats`] instead of
-//! rescanning the column.
+//! vector. A chunk is its encoded columns and nothing else;
+//! [`Table::column_stats`] scans a column when asked.
 //!
 //! Sealing is a streaming encode: one column encoder per column is fed
 //! each borrowed cell once, in row order, interning text straight from the
@@ -26,10 +25,10 @@
 //! [`Table::column_stats`]: crate::Table::column_stats
 
 use std::hash::{BuildHasher, RandomState};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::value::canonical_key;
-use crate::{CellRef, ColumnStats, Record, Value};
+use crate::{CellRef, Record, Value};
 
 /// One unsigned word per cell, stored at the narrowest of 1, 2, 4 or 8
 /// bytes that holds the largest word. [`ColumnChunk`] reserves word 0 for
@@ -326,11 +325,6 @@ impl ColumnChunk {
         }
     }
 
-    /// Iterator over all cells (owned, decode-on-the-fly).
-    pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
-        (0..self.len()).map(move |i| self.value(i))
-    }
-
     /// Offsets of cells equal to `key` (a [`Value::answer_key`]).
     ///
     /// For dictionary columns this matches against the (small) dictionary
@@ -356,31 +350,6 @@ impl ColumnChunk {
             _ => (0..self.len())
                 .filter(|&i| self.value(i).answer_key() == key)
                 .collect(),
-        }
-    }
-
-    /// Frequency statistics over the column (same accounting as
-    /// [`ColumnStats::compute`]).
-    pub fn stats(&self) -> ColumnStats {
-        match self {
-            ColumnChunk::Dict { dict, codes } => {
-                // Count per word first (integer keys), then fold strings
-                // that collide under the answer key — cheaper than hashing
-                // a string per row.
-                let mut per_word = vec![0usize; dict.len() + 1];
-                codes.for_each(|_, w| per_word[w] += 1);
-                let mut stats = ColumnStats::with_counts(codes.len(), per_word[0]);
-                for (s, &n) in dict.iter().zip(&per_word[1..]) {
-                    if n > 0 {
-                        stats.add_key(canonical_key(s), n);
-                    }
-                }
-                stats
-            }
-            _ => {
-                let values: Vec<Value> = self.iter().collect();
-                ColumnStats::compute(values.iter())
-            }
         }
     }
 }
@@ -577,13 +546,11 @@ impl DictIndex {
     }
 }
 
-/// One sealed row partition of a table: column-major storage plus lazily
-/// materialized per-column statistics.
+/// One sealed row partition of a table: column-major storage.
 #[derive(Debug)]
 pub struct Chunk {
     len: usize,
     columns: Vec<Arc<ColumnChunk>>,
-    stats: OnceLock<Vec<Arc<ColumnStats>>>,
 }
 
 impl Chunk {
@@ -611,7 +578,6 @@ impl Chunk {
         Chunk {
             len,
             columns: encoders.iter_mut().map(|e| Arc::new(e.seal())).collect(),
-            stats: OnceLock::new(),
         }
     }
 
@@ -621,11 +587,10 @@ impl Chunk {
         Chunk::from_columns(0, Vec::new())
     }
 
-    /// The row count and columns, for a page-in to decode over in place;
-    /// the statistics of what the chunk held are dropped. The caller
-    /// leaves every column `len` cells long or discards the chunk.
+    /// The row count and columns, for a page-in to decode over in place.
+    /// The caller leaves every column `len` cells long or discards the
+    /// chunk.
     pub(crate) fn refill(&mut self) -> (&mut usize, &mut Vec<Arc<ColumnChunk>>) {
-        self.stats.take();
         (&mut self.len, &mut self.columns)
     }
 
@@ -638,11 +603,7 @@ impl Chunk {
         for col in &columns {
             assert_eq!(col.len(), len, "column length mismatch");
         }
-        Chunk {
-            len,
-            columns,
-            stats: OnceLock::new(),
-        }
+        Chunk { len, columns }
     }
 
     /// Number of rows in the chunk.
@@ -686,42 +647,17 @@ impl Chunk {
         (0..self.len).map(|r| self.record(r)).collect()
     }
 
-    /// Per-column statistics, computed once on first use (eagerly at seal
-    /// time on the ingest path, lazily for chunks paged back from disk).
-    pub fn stats(&self, col: usize) -> &Arc<ColumnStats> {
-        &self.all_stats()[col]
-    }
-
-    /// Statistics for every column, computing them on first call.
-    pub fn all_stats(&self) -> &[Arc<ColumnStats>] {
-        self.stats
-            .get_or_init(|| self.columns.iter().map(|c| Arc::new(c.stats())).collect())
-    }
-
-    /// Statistics for `col` only if they are already materialized — used
-    /// by `find` to prune chunks without paying for a stats build.
-    pub fn stats_if_computed(&self, col: usize) -> Option<&Arc<ColumnStats>> {
-        self.stats.get().map(|s| &s[col])
-    }
-
     /// This chunk with the cell at (`row`, `col`) replaced by `value`.
     ///
-    /// Only column `col` is re-encoded, and its encoding and statistics are
-    /// what [`Chunk::from_rows`] would build from the edited rows: the
-    /// statistics are the old ones with the old cell taken out and the new
-    /// one counted. Every other column and its statistics are shared (`Arc`
-    /// bumps). The new chunk's statistics are always materialized.
+    /// Only column `col` is re-encoded, to what [`Chunk::from_rows`] would
+    /// build from the edited rows; every other column is shared (`Arc`
+    /// bumps).
     ///
     /// # Panics
     ///
     /// Panics if `row >= len()` or `col >= width()`.
     pub fn with_cell(&self, row: usize, col: usize, value: Value) -> Chunk {
         let old = &self.columns[col];
-        let mut col_stats = ColumnStats::clone(self.stats(col));
-        col_stats.retract(&old.value(row));
-        col_stats.accumulate(&value);
-        let mut stats = self.all_stats().to_vec();
-        stats[col] = Arc::new(col_stats);
         let mut encoder = ColumnEncoder::default();
         for r in 0..self.len {
             if r == row {
@@ -735,25 +671,16 @@ impl Chunk {
         Chunk {
             len: self.len,
             columns,
-            stats: OnceLock::from(stats),
         }
     }
 
     /// A chunk over a subset of columns, sharing the encoded column data
     /// (`Arc` bumps, no cell copies).
     pub fn project(&self, cols: &[usize]) -> Chunk {
-        let columns = cols.iter().map(|&c| self.columns[c].clone()).collect();
-        let projected = Chunk {
+        Chunk {
             len: self.len,
-            columns,
-            stats: OnceLock::new(),
-        };
-        if let Some(all) = self.stats.get() {
-            let _ = projected
-                .stats
-                .set(cols.iter().map(|&c| all[c].clone()).collect());
+            columns: cols.iter().map(|&c| self.columns[c].clone()).collect(),
         }
-        projected
     }
 }
 
@@ -831,23 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_match_row_major_compute() {
-        let values = vec![
-            Value::text("CET"),
-            Value::text("cet"),
-            Value::text("GMT"),
-            Value::Null,
-        ];
-        let col = ColumnChunk::encode(&values);
-        let expect = ColumnStats::compute(values.iter());
-        let got = col.stats();
-        assert_eq!(got.total(), expect.total());
-        assert_eq!(got.null_count(), expect.null_count());
-        assert_eq!(got.distinct(), expect.distinct());
-        assert_eq!(got.count(&Value::text("CET")), 2);
-    }
-
-    #[test]
     fn find_key_on_dict_and_mixed() {
         let dict = ColumnChunk::encode(&[
             Value::text("Italy"),
@@ -890,14 +800,5 @@ mod tests {
             proj.record(0),
             rec(vec![Value::Bool(true), Value::text("a")])
         );
-    }
-
-    #[test]
-    fn projection_carries_computed_stats() {
-        let rows = vec![rec(vec![Value::text("a"), Value::Int(1)])];
-        let chunk = Chunk::from_rows(2, &rows);
-        chunk.all_stats();
-        let proj = chunk.project(&[1]);
-        assert!(proj.stats_if_computed(0).is_some());
     }
 }

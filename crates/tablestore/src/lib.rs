@@ -10,9 +10,9 @@
 //! * [`Record`] — one tuple, aligned with a schema.
 //! * [`Table`] — named schema + rows over chunked columnar storage
 //!   ([`Chunk`] / [`ColumnChunk`]): dictionary-encoded text (one
-//!   [`StringPool`] per column chunk), packed ints,
-//!   per-chunk statistics computed at ingest, `Arc`-shared immutable
-//!   chunks, with builders, projection, sampling and per-column statistics.
+//!   [`StringPool`] per column chunk), packed ints, `Arc`-shared
+//!   immutable chunks, with builders, projection, sampling and per-column
+//!   statistics computed on demand ([`Table::column_stats`]).
 //! * [`SegmentWriter`] / [`Pager`] — a spill-to-disk segment format and a
 //!   budget-bounded LRU pager so lakes larger than RAM page chunks in and
 //!   out behind the same `Table` API ([`Table::spill_to`],

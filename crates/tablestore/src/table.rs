@@ -156,8 +156,7 @@ impl Table {
         self.row_count() == 0
     }
 
-    /// Appends a row, sealing a columnar chunk (with its per-column
-    /// statistics) whenever the tail fills.
+    /// Appends a row, sealing a columnar chunk whenever the tail fills.
     ///
     /// # Errors
     ///
@@ -176,11 +175,7 @@ impl Table {
         }
         self.tail.push(Record::new(values));
         if self.tail.len() >= self.chunk_rows {
-            // Seal the full tail into a columnar chunk, computing its
-            // per-column statistics eagerly — the "stats at ingest" path
-            // that [`Table::column_stats`] folds instead of rescanning.
             let chunk = Chunk::from_rows(self.schema.len(), &self.tail);
-            chunk.all_stats();
             self.sealed_rows += chunk.len();
             chunks.push(Arc::new(chunk));
             self.tail.clear();
@@ -266,8 +261,7 @@ impl Table {
     /// Overwrites the cell at (`row`, `attr`). A write into a sealed chunk
     /// is copy-on-write ([`Chunk::with_cell`]): the chunk is replaced by one
     /// that re-encodes only the written column and shares every other
-    /// column and its statistics, so tables sharing the old chunk are
-    /// unaffected.
+    /// column, so tables sharing the old chunk are unaffected.
     ///
     /// # Errors
     ///
@@ -290,10 +284,7 @@ impl Table {
         Ok(())
     }
 
-    /// Statistics over one column, folded incrementally: each sealed
-    /// chunk's statistics (computed once at ingest, or lazily after a page
-    /// from disk) are merged, then the tail is accumulated — the column is
-    /// never rescanned as a whole.
+    /// Statistics over one column, computed by one scan over its cells.
     ///
     /// # Errors
     ///
@@ -301,14 +292,11 @@ impl Table {
     /// [`TableError::Segment`] if a spilled chunk cannot be read.
     pub fn column_stats(&self, attr: &str) -> Result<ColumnStats, TableError> {
         let col = self.schema.require(attr)?;
-        let mut folded = ColumnStats::default();
-        for slot in 0..self.chunk_count() {
-            folded.merge(self.chunk(slot)?.stats(col));
+        let mut stats = ColumnStats::default();
+        for index in 0..self.row_count() {
+            stats.accumulate(&self.row_ref(index)?.cell(col).into());
         }
-        for rec in &self.tail {
-            folded.accumulate(rec.get(col).expect("tail row width checked on ingest"));
-        }
-        Ok(folded)
+        Ok(stats)
     }
 
     /// A new in-memory table with only the given attributes (in the given
@@ -383,9 +371,8 @@ impl Table {
     }
 
     /// Indices of rows whose `attr` value equals `value` (by answer key),
-    /// searched chunk-wise: chunks whose already-computed statistics show a
-    /// zero count are skipped without decoding, dictionary columns match
-    /// against the dictionary instead of materializing cells.
+    /// searched chunk-wise: dictionary columns match against the
+    /// dictionary instead of materializing cells.
     ///
     /// # Errors
     ///
@@ -398,18 +385,13 @@ impl Table {
         let mut base = 0usize;
         for slot in 0..self.chunk_count() {
             let chunk = self.chunk(slot)?;
-            let prunable = chunk
-                .stats_if_computed(col)
-                .is_some_and(|s| s.count(value) == 0 && !(key.is_empty() && s.null_count() > 0));
-            if !prunable {
-                hits.extend(
-                    chunk
-                        .column(col)
-                        .find_key(&key)
-                        .into_iter()
-                        .map(|o| base + o),
-                );
-            }
+            hits.extend(
+                chunk
+                    .column(col)
+                    .find_key(&key)
+                    .into_iter()
+                    .map(|o| base + o),
+            );
             base += chunk.len();
         }
         for (i, rec) in self.tail.iter().enumerate() {
@@ -717,9 +699,7 @@ mod tests {
         let whole: Vec<Value> = (0..t.row_count())
             .map(|r| t.cell_value(r, "timezone").unwrap())
             .collect();
-        let expect = ColumnStats::compute(whole.iter());
-        assert_eq!(folded.total(), expect.total());
-        assert_eq!(folded.sorted_counts(), expect.sorted_counts());
+        assert_eq!(folded, ColumnStats::compute(whole.iter()));
     }
 
     #[test]

@@ -168,7 +168,7 @@ fn incremental_stats_match_whole_column_compute() {
             assert_eq!(
                 folded,
                 whole,
-                "per-chunk folded stats diverged on column {}",
+                "column_stats diverged from compute on column {}",
                 col.name()
             );
         }

@@ -8,6 +8,8 @@
 //! * [`by_hand`] — Algorithm 1 composed from the *public* step functions
 //!   (`retrieval`, `parsing`, `prompting`), records cloned and rendered as
 //!   the parent's `UniDm::run` did, against `UniDm::run` over the frame.
+//! * `RecordReader` against `SerializedRecord::parse` and `render` over
+//!   seeded mutants of rendered record lines.
 //! * The dedup planner hashes a fingerprint of a task and compares whole
 //!   tasks: two entity-resolution tasks that differ in one cell of their
 //!   pools share a fingerprint and must both run.
@@ -23,8 +25,9 @@ use rand::SeedableRng;
 use unidm::{parsing, prompting, retrieval, BatchRunner, PipelineConfig};
 use unidm::{RunOutput, Task, Trace, UniDm, UniDmError};
 use unidm_llm::protocol::{
-    claim_query_er, claim_query_imputation, naturalize_record, parse_pri_response, render_pdp,
-    render_pdp_lines, render_pri, Claim, SerializedRecord, TaskKind,
+    claim_query_er, claim_query_imputation, naturalize_record, parse_natural_sentence,
+    parse_pri_response, render_pdp, render_pdp_lines, render_pri, Claim, RecordReader,
+    SerializedRecord, TaskKind,
 };
 use unidm_llm::{Completion, LanguageModel, LlmError, LlmProfile, MockLlm, Usage};
 use unidm_tablestore::{DataLake, Table};
@@ -240,6 +243,119 @@ fn pdp_spliced_from_lines_is_pdp_rendered_from_records() {
         "Given the data, convert the items into a textual format that encompasses all relevant \
          information in a logical order: [city: Alicante; country: Spain\n\ncity: Florence; zip: \
          50100]"
+    );
+}
+
+/// `line` with one occurrence of `from`, chosen by `g`, replaced by `to`
+/// (unchanged when `from` does not occur).
+fn replace_one(g: &mut Gen, line: &str, from: &str, to: &str) -> String {
+    let hits: Vec<usize> = line.match_indices(from).map(|(at, _)| at).collect();
+    if hits.is_empty() {
+        return line.to_string();
+    }
+    let at = hits[g.usize(0, hits.len())];
+    format!("{}{to}{}", &line[..at], &line[at + from.len()..])
+}
+
+/// `line` with `what` inserted at a char boundary chosen by `g`.
+fn insert_one(g: &mut Gen, line: &str, what: &str) -> String {
+    let bounds: Vec<usize> = line
+        .char_indices()
+        .map(|(at, _)| at)
+        .chain([line.len()])
+        .collect();
+    let at = bounds[g.usize(0, bounds.len())];
+    format!("{}{what}{}", &line[..at], &line[at..])
+}
+
+/// A `SerializedRecord::render` line with one to three of the slips a
+/// model that misbehaves makes in a record line.
+fn mutated_record_line(g: &mut Gen) -> String {
+    const NON_ASCII: [&str; 6] = ["é", "ß", "Ü", "日本", "\u{a0}", "\u{2003}"];
+    let pairs = (0..g.usize(0, 6))
+        .map(|_| {
+            let mut attr = g.attr();
+            if g.usize(0, 4) == 0 {
+                let letter = NON_ASCII[g.usize(0, 4)];
+                attr = insert_one(g, &attr, letter);
+            }
+            (attr, g.value())
+        })
+        .collect();
+    let mut line = SerializedRecord::new(pairs).render();
+    for _ in 0..g.usize(1, 4) {
+        let non_ascii = NON_ASCII[g.usize(0, NON_ASCII.len())];
+        line = match g.usize(0, 13) {
+            // Doubled or missing spaces around `:`.
+            0 => replace_one(g, &line, ": ", ":  "),
+            1 => replace_one(g, &line, ": ", "  : "),
+            2 => replace_one(g, &line, ": ", ":"),
+            3 => replace_one(g, &line, ": ", " : "),
+            // Doubled or missing spaces around `; `.
+            4 => replace_one(g, &line, "; ", ";  "),
+            5 => replace_one(g, &line, "; ", " ; "),
+            6 => replace_one(g, &line, "; ", ";"),
+            // A chunk without `:`.
+            7 => insert_one(g, &line, "; no colon here; "),
+            // An empty value, with and without its space.
+            8 => format!("{line}; {}:{}", g.attr(), [" ", ""][g.usize(0, 2)]),
+            // A trailing `;`.
+            9 => format!("{line}{}", [";", "; "][g.usize(0, 2)]),
+            // Extra colons.
+            10 => insert_one(g, &line, ":"),
+            11 => replace_one(g, &line, ": ", ": : "),
+            // Non-ASCII letters and blanks.
+            _ => insert_one(g, &line, non_ascii),
+        };
+    }
+    line
+}
+
+/// A model's `p_dp` record lines, mutated: `RecordReader` (one reader,
+/// reused line after line) reads each as `SerializedRecord::parse` does,
+/// its canonical shortcut hands back exactly the parsed record's render,
+/// and the sentence parser takes every line without panicking.
+#[test]
+fn record_reader_reads_mutated_lines_as_parse_does() {
+    let mut g = Gen::new(0x48_5eed);
+    let lines: Vec<String> = (0..10_000).map(|_| mutated_record_line(&mut g)).collect();
+    let mut reader = RecordReader::default();
+    let mut scratch = String::new();
+    let (mut records, mut verbatim) = (0, 0);
+    for (case, line) in lines.iter().enumerate() {
+        let parsed = SerializedRecord::parse(line);
+        assert_eq!(reader.read(line), parsed.is_some(), "case {case}: {line:?}");
+        let _ = parse_natural_sentence(line);
+        let Some(record) = parsed else {
+            assert!(reader.pairs().is_empty(), "case {case}: {line:?}");
+            continue;
+        };
+        records += 1;
+        let pairs: Vec<(&str, &str)> = record
+            .pairs
+            .iter()
+            .map(|(a, v)| (a.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(reader.pairs(), &pairs[..], "case {case}: {line:?}");
+        for (attr, _) in &record.pairs {
+            for attr in [attr.clone(), attr.to_ascii_uppercase()] {
+                assert_eq!(
+                    reader.get(&attr),
+                    record.get(&attr),
+                    "case {case}: get({attr:?}) of {line:?}"
+                );
+            }
+        }
+        let rendered = reader.rendered(&mut scratch);
+        verbatim += usize::from(std::ptr::eq(rendered, line.as_str()));
+        assert_eq!(rendered, record.render(), "case {case}: {line:?}");
+    }
+    // Every path is taken: lines that are no record, canonical lines
+    // handed back as they are, and lines rendered anew.
+    assert!(
+        records < lines.len() && verbatim > 0 && verbatim < records,
+        "{records} records, {verbatim} verbatim of {} lines",
+        lines.len()
     );
 }
 

@@ -304,8 +304,9 @@ use Op::{Ge, Gt};
 use Status::{Gap, Holds};
 
 /// Every ordering claim, grouped by table, checked at paper scale. Slack
-/// (`plus`) and factors (`times`) are those of the quick-scale shape tests
-/// in `crates/eval`.
+/// (`plus`) and factors (`times`) are those the quick-scale shape tests in
+/// `crates/eval` used; at quick scale the quick golden pins every cell
+/// those tests read, so they are gone.
 #[rustfmt::skip]
 const LEDGER: &[Claim] = &[
     // Table 1: UniDM tops the chart, HoloClean trails, manual ≈ random FM.
