@@ -12,7 +12,11 @@
 //! holds one partition live, whatever the stream's length. A lake row
 //! reaches its prompt uncopied: a full pager pages in without allocating,
 //! lowering an imputation task allocates its two queries and nothing of
-//! the row, and a frame fill allocates one rendered line per row.
+//! the row, and a frame fill allocates one rendered line per row. Lowering
+//! borrows what the task brought: a join-discovery task allocates the same
+//! whatever its columns' lengths, a transformation task its query, its
+//! `Vec` and a line per example; `render_pcq` and `render_prm` allocate
+//! once, exactly sized.
 //! Counted by `unidm_bench`'s global counting allocator, which is why this
 //! lives here (`unidm` itself forbids the `unsafe` an allocator needs).
 //!
@@ -469,6 +473,23 @@ fn a_full_pager_pages_in_without_allocating() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The fewest allocations and bytes of three `unidm.start`s of `task`, each
+/// run dropped unread: the lowering's.
+fn lowering_cost(lake: &DataLake, task: &Task) -> (u64, u64) {
+    let model = SharedAnswer(Completion::shared(String::new(), Usage::default()));
+    let unidm = UniDm::new(&model, PipelineConfig::paper_default());
+    (0..3)
+        .map(|_| {
+            let section = AllocationDelta::start();
+            let run = std::hint::black_box(unidm.start(lake, task).expect("starts"));
+            let spent = (section.allocations(), section.bytes());
+            drop(run);
+            spent
+        })
+        .min()
+        .expect("three starts")
+}
+
 #[test]
 fn lowering_an_imputation_task_over_a_paged_table_allocates_its_two_queries() {
     let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
@@ -478,8 +499,6 @@ fn lowering_an_imputation_task_over_a_paged_table_allocates_its_two_queries() {
     let record = table.row_at(row).expect("the row reads");
     let lake: DataLake = [table].into_iter().collect();
     let task = Task::imputation(TABLE_NAME, row, "city", "name");
-    let model = SharedAnswer(Completion::shared("name".to_string(), Usage::default()));
-    let unidm = UniDm::new(&model, PipelineConfig::paper_default());
     // What the two queries hold: every known cell but the target's, then
     // `city: ?`; and the row's name with the target.
     let schema = ScaleSpec::schema();
@@ -489,23 +508,95 @@ fn lowering_an_imputation_task_over_a_paged_table_allocates_its_two_queries() {
         .map(|(name, cell)| name.len() + cell.to_string().len() + 4);
     let claim = known.sum::<usize>() + "city: ?".len();
     let meta = record.values()[1].to_string().len() + ", city".len();
-    // The first start pages the row's chunk in.
-    drop(unidm.start(&lake, &task).expect("starts"));
-    let fewest = (0..3)
-        .map(|_| {
-            let section = AllocationDelta::start();
-            let run = std::hint::black_box(unidm.start(&lake, &task).expect("starts"));
-            let spent = (section.allocations(), section.bytes());
-            drop(run);
-            spent
-        })
-        .min();
+    // The first start pages the row's chunk in; the fewest are the later
+    // starts'.
     assert_eq!(
-        fewest,
-        Some((2, (claim + meta) as u64)),
+        lowering_cost(&lake, &task),
+        (2, (claim + meta) as u64),
         "lowering allocates the claim query and the meta-query, each once, exactly sized"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn render_pcq_and_render_prm_allocate_once_exactly_sized() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let claim = Claim {
+        task: TaskKind::Imputation,
+        context: "Florence belongs to the country Italy.".into(),
+        query: "city: Copenhagen; country: ?".into(),
+    };
+    let candidates = ["country".to_string(), "population".to_string()];
+    let renders: [&dyn Fn() -> String; 2] = [&|| render_pcq(&claim), &|| {
+        render_prm(TaskKind::Imputation, "Copenhagen, timezone", &candidates)
+    }];
+    for render in renders {
+        // The harness's own threads may allocate beside a render; they can
+        // only add, so the fewest over three renders are the render's.
+        let fewest = (0..3)
+            .map(|_| {
+                let section = AllocationDelta::start();
+                let text = std::hint::black_box(render());
+                (section.allocations(), section.bytes(), text.len() as u64)
+            })
+            .min()
+            .expect("three renders");
+        assert_eq!((fewest.0, fewest.1), (1, fewest.2), "{:?}", render());
+    }
+}
+
+#[test]
+fn lowering_a_join_discovery_task_allocates_the_same_whatever_its_column_lengths() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let lake = DataLake::new();
+    let task = |len: usize| Task::JoinDiscovery {
+        left_name: "city".into(),
+        left_values: (0..len).map(|i| format!("city {i}")).collect(),
+        right_name: "town".into(),
+        right_values: (0..len).map(|i| format!("town {i}")).collect(),
+    };
+    let (short, long) = (
+        lowering_cost(&lake, &task(30)),
+        lowering_cost(&lake, &task(300)),
+    );
+    // One shuffled order for both columns, the context text and the query.
+    assert_eq!(
+        (short.0, long.0),
+        (3, 3),
+        "30 values a column allocate {short:?}, 300 allocate {long:?}"
+    );
+}
+
+#[test]
+fn lowering_a_transformation_task_allocates_its_query_its_vec_and_a_line_per_example() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let lake = DataLake::new();
+    let examples: Vec<(String, String)> = vec![
+        ("20000101".into(), "2000-01-01".into()),
+        ("19991231".into(), String::new()),
+        ("19990415".into(), "1999-04-15".into()),
+    ];
+    let lines: usize = examples
+        .iter()
+        .map(|(b, a)| {
+            SerializedRecord::new(vec![
+                ("before".into(), b.clone()),
+                ("after".into(), a.clone()),
+            ])
+        })
+        .map(|record| record.render().len())
+        .sum();
+    let task = Task::Transformation {
+        examples,
+        input: "20210101".into(),
+    };
+    let query = "20210101: ?".len();
+    let vec = 3 * std::mem::size_of::<String>();
+    assert_eq!(
+        lowering_cost(&lake, &task),
+        (2 + 3, (query + vec + lines) as u64),
+        "the query, the Vec of lines and each line, once and exactly sized"
+    );
 }
 
 #[test]

@@ -400,12 +400,14 @@ fn canonical_form(prompt: &str, level: CanonLevel) -> (Cow<'_, str>, Option<Repl
         let (query_start, query_end) = scan.query;
         let query = &norm[query_start..query_end];
         if level.generalizes_queries() {
-            if let Cow::Owned(general) = generalize_query(scan.task, query) {
-                let mut text = String::with_capacity(norm.len() - query.len() + general.len());
-                text.push_str(&norm[..query_start]);
-                text.push_str(&general);
-                text.push_str(&norm[query_end..]);
-                return (Cow::Owned(text), None);
+            if let Some(general) = generalize_query(scan.task, query) {
+                let parts = [
+                    &norm[..query_start],
+                    general[0],
+                    general[1],
+                    &norm[query_end..],
+                ];
+                return (Cow::Owned(parts.concat()), None);
             }
         }
         return (norm, None);
@@ -414,11 +416,10 @@ fn canonical_form(prompt: &str, level: CanonLevel) -> (Cow<'_, str>, Option<Repl
     // around the (possibly generalized) query so the key is
     // independent of how the original prompt was spaced.
     if let Some(req) = parse_prm(&norm) {
-        let query = if level.generalizes_queries() {
-            generalize_query(req.task, &req.query).into_owned()
-        } else {
-            req.query.clone()
-        };
+        let general = (level.generalizes_queries())
+            .then(|| generalize_query(req.task, &req.query))
+            .flatten();
+        let query = general.map_or_else(|| req.query.clone(), |g| g.concat());
         let rendered = render_prm(req.task, &query, &req.candidates);
         return (Cow::Owned(rendered), None);
     }
@@ -709,9 +710,10 @@ fn task_from_exact_description(desc: &str) -> Option<TaskKind> {
     TaskKind::ALL.into_iter().find(|t| t.description() == desc)
 }
 
-/// Rewrites a per-row retrieval query to its table-level form, borrowing
-/// the input when no rewrite is needed (already-general queries, task
-/// kinds whose query genuinely determines the answer).
+/// Rewrites a per-row retrieval query to its table-level form, as the two
+/// borrowed pieces it is written from, or `None` when the query stands
+/// (already-general queries, task kinds whose query genuinely determines
+/// the answer).
 ///
 /// Meta-wise retrieval asks which attributes help a *task* — the answer
 /// depends on the table schema and the target attribute, not on which row
@@ -719,31 +721,21 @@ fn task_from_exact_description(desc: &str) -> Option<TaskKind> {
 /// key; error-detection queries (`"<attr>: <value>?"`) drop the cell
 /// value. Other task kinds (table QA questions, entity pairs) keep their
 /// query.
-fn generalize_query(task: TaskKind, query: &str) -> Cow<'_, str> {
+fn generalize_query(task: TaskKind, query: &str) -> Option<[&str; 2]> {
     match task {
-        TaskKind::Imputation => match query.rsplit_once(',') {
-            Some((head, tail)) => {
-                let target = tail.trim();
-                // Identity iff the query is already exactly "*, <target>".
-                if head == "*" && tail.strip_prefix(' ') == Some(target) {
-                    Cow::Borrowed(query)
-                } else {
-                    Cow::Owned(format!("*, {target}"))
-                }
-            }
-            None => Cow::Borrowed(query),
-        },
-        TaskKind::ErrorDetection => match query.split_once(':') {
-            Some((attr, value)) if value.trim_end().ends_with('?') => {
-                if attr == attr.trim() && value == " *?" {
-                    Cow::Borrowed(query)
-                } else {
-                    Cow::Owned(format!("{}: *?", attr.trim()))
-                }
-            }
-            _ => Cow::Borrowed(query),
-        },
-        _ => Cow::Borrowed(query),
+        TaskKind::Imputation => {
+            let (head, tail) = query.rsplit_once(',')?;
+            let target = tail.trim();
+            // The query stands iff it is already exactly "*, <target>".
+            let general = head == "*" && tail.strip_prefix(' ') == Some(target);
+            (!general).then_some(["*, ", target])
+        }
+        TaskKind::ErrorDetection => {
+            let (attr, value) = query.split_once(':')?;
+            let general = attr == attr.trim() && value == " *?";
+            (value.trim_end().ends_with('?') && !general).then_some([attr.trim(), ": *?"])
+        }
+        _ => None,
     }
 }
 
@@ -1006,32 +998,22 @@ mod tests {
 
     #[test]
     fn already_general_queries_take_the_borrowed_path() {
-        assert!(matches!(
-            generalize_query(TaskKind::Imputation, "*, timezone"),
-            Cow::Borrowed(_)
-        ));
-        assert!(matches!(
+        assert_eq!(generalize_query(TaskKind::Imputation, "*, timezone"), None);
+        assert_eq!(
             generalize_query(TaskKind::Imputation, "Copenhagen, timezone"),
-            Cow::Owned(_)
-        ));
-        assert!(matches!(
-            generalize_query(TaskKind::ErrorDetection, "city: *?"),
-            Cow::Borrowed(_)
-        ));
-        assert!(matches!(
+            Some(["*, ", "timezone"])
+        );
+        assert_eq!(generalize_query(TaskKind::ErrorDetection, "city: *?"), None);
+        assert_eq!(
             generalize_query(TaskKind::ErrorDetection, "city: chicago?"),
-            Cow::Owned(_)
-        ));
-        // No-rewrite fallbacks borrow instead of copying (the old code
-        // allocated a fresh String here).
-        assert!(matches!(
-            generalize_query(TaskKind::Imputation, "no comma"),
-            Cow::Borrowed(_)
-        ));
-        assert!(matches!(
+            Some(["city", ": *?"])
+        );
+        // Queries with nothing to rewrite stand as they are.
+        assert_eq!(generalize_query(TaskKind::Imputation, "no comma"), None);
+        assert_eq!(
             generalize_query(TaskKind::TableQa, "Which nation won?"),
-            Cow::Borrowed(_)
-        ));
+            None
+        );
     }
 
     #[test]

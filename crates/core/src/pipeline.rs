@@ -183,8 +183,8 @@ impl std::fmt::Debug for Run<'_> {
 enum Stage<'r> {
     /// Step 1, over the lowered task's source.
     Retrieve(Source<'r>),
-    /// `p_rm` over these candidate attributes.
-    AttrsSent(OnTable<'r>, Vec<String>),
+    /// `p_rm` over these candidate attributes, borrowed from the schema.
+    AttrsSent(OnTable<'r>, Vec<&'r str>),
     /// `p_ri` over the first `shown` rows of a table sample.
     RowsSent(Sample<'r>, usize),
     /// `p_ri` over the first `shown` demonstrations.
@@ -343,7 +343,7 @@ impl<'r> Run<'r> {
                         self.send(prompt, Stage::AttrsSent(on, candidates));
                     }
                     (None, picks) => {
-                        self.trace.selected_attrs = picks;
+                        self.trace.selected_attrs = picks.into_iter().map(str::to_string).collect();
                         return self.instances(on);
                     }
                 }

@@ -23,7 +23,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use unidm_llm::protocol::{
-    parse_pri_response, render_pri_lines, render_prm, SerializedRecord, TaskKind,
+    parse_pri_response, render_pri_lines, render_prm_names, SerializedRecord, TaskKind,
 };
 use unidm_llm::LanguageModel;
 use unidm_tablestore::{Table, TableError};
@@ -60,26 +60,31 @@ pub fn meta_wise(
 ) -> Result<Vec<String>, UniDmError> {
     match prm_prompt(config, task, query, table, target_attr) {
         (Some(prompt), candidates) => Ok(read_prm(&candidates, &llm.complete(&prompt)?.text)),
-        (None, picks) => Ok(picks),
+        (None, picks) => Ok(picks.into_iter().map(str::to_string).collect()),
     }
 }
 
 /// Meta-wise retrieval's render half: the `p_rm` prompt with the
-/// attributes it chooses among (all but the target), or no prompt with the
-/// picks made without the model — none of no candidates, one seeded random
-/// pick when meta-wise retrieval is off.
-pub(crate) fn prm_prompt(
+/// attributes it chooses among (all but the target), borrowed from the
+/// schema, or no prompt with the picks made without the model — none of
+/// no candidates, one seeded random pick when meta-wise retrieval is off.
+pub(crate) fn prm_prompt<'t>(
     config: &PipelineConfig,
     task: TaskKind,
     query: &str,
-    table: &Table,
+    table: &'t Table,
     target_attr: &str,
-) -> (Option<String>, Vec<String>) {
-    let names = table.schema().names();
-    let others = names.filter(|n| !n.eq_ignore_ascii_case(target_attr));
-    let mut candidates: Vec<String> = others.map(str::to_string).collect();
+) -> (Option<String>, Vec<&'t str>) {
+    let schema = table.schema();
+    let mut candidates = Vec::with_capacity(schema.len());
+    candidates.extend(
+        schema
+            .names()
+            .filter(|n| !n.eq_ignore_ascii_case(target_attr)),
+    );
     if config.meta_retrieval && !candidates.is_empty() {
-        return (Some(render_prm(task, query, &candidates)), candidates);
+        let prompt = render_prm_names(task, query, candidates.iter().copied());
+        return (Some(prompt), candidates);
     }
     candidates.shuffle(&mut StdRng::seed_from_u64(config.seed ^ 0x5e7a));
     candidates.truncate(1);
@@ -89,19 +94,19 @@ pub(crate) fn prm_prompt(
 /// Meta-wise retrieval's read half: the schema's spelling, each attribute
 /// once, in order of first mention — the picks name columns from here on,
 /// whatever the model wrote — or the first candidate when the reply names
-/// none.
-pub(crate) fn read_prm(candidates: &[String], reply: &str) -> Vec<String> {
+/// none. Only the picks are copied out of the borrowed candidates.
+pub(crate) fn read_prm(candidates: &[&str], reply: &str) -> Vec<String> {
     let mut picked: Vec<String> = Vec::new();
     for mention in reply.split(',') {
         let mention = mention.trim();
-        if let Some(name) = candidates.iter().find(|c| c.eq_ignore_ascii_case(mention)) {
-            if !picked.contains(name) {
-                picked.push(name.clone());
+        if let Some(&name) = candidates.iter().find(|c| c.eq_ignore_ascii_case(mention)) {
+            if !picked.iter().any(|p| p == name) {
+                picked.push(name.to_string());
             }
         }
     }
     if picked.is_empty() {
-        picked.push(candidates[0].clone());
+        picked.push(candidates[0].to_string());
     }
     picked
 }
@@ -516,17 +521,81 @@ mod tests {
         })
     }
 
+    /// `read_prm`'s picks for `reply`: each candidate the reply names,
+    /// once, in order of first mention, or the first candidate when it
+    /// names none.
+    fn check_prm(candidates: &[&str], reply: &str, picks: &[String]) {
+        let mentions: Vec<&str> = reply.split(',').map(str::trim).collect();
+        let first_mention = |name: &str| mentions.iter().position(|m| m.eq_ignore_ascii_case(name));
+        let named = candidates.iter().filter(|c| first_mention(c).is_some());
+        assert!(!picks.is_empty(), "{reply:?}: no pick");
+        for (i, pick) in picks.iter().enumerate() {
+            assert!(
+                candidates.contains(&pick.as_str()),
+                "{reply:?}: {pick:?} is no candidate"
+            );
+            assert!(
+                !picks[..i].contains(pick),
+                "{reply:?}: {pick:?} picked twice"
+            );
+        }
+        match named.count() {
+            0 => assert_eq!(picks, [candidates[0]], "{reply:?} names no candidate"),
+            named => {
+                assert_eq!(
+                    picks.len(),
+                    named,
+                    "{reply:?}: a named candidate is not picked"
+                );
+                let at: Vec<_> = picks.iter().map(|p| first_mention(p)).collect();
+                assert!(
+                    at.is_sorted(),
+                    "{reply:?}: {picks:?} not in first-mention order"
+                );
+            }
+        }
+    }
+
+    /// `read_pri`'s positions for `reply`: the best `top_k` of the shown
+    /// positions it scores, each once, by score (its first entry's) and
+    /// then by position.
+    fn check_pri(config: &PipelineConfig, reply: &str, shown: usize, kept: &[usize]) {
+        let entries = parse_pri_response(reply);
+        let score = |at: usize| entries.iter().find(|e| e.0 == at).map(|e| e.1);
+        let rank = |at: usize| score(at).map(|s| (std::cmp::Reverse(s), at));
+        assert!(kept.len() <= config.top_k, "{reply:?}: {kept:?} past top_k");
+        for (i, &at) in kept.iter().enumerate() {
+            assert!(at < shown, "{reply:?}: {at} not shown");
+            assert!(!kept[..i].contains(&at), "{reply:?}: {at} kept twice");
+            assert!(score(at).is_some(), "{reply:?}: {at} not scored");
+        }
+        let ranks: Vec<_> = kept.iter().map(|&at| rank(at)).collect();
+        assert!(ranks.is_sorted(), "{reply:?}: {kept:?} out of rank order");
+        let scored = (0..shown).filter(|&at| score(at).is_some());
+        let left_out: Vec<_> = scored.filter(|at| !kept.contains(at)).map(rank).collect();
+        if let Some(last) = ranks.last() {
+            assert!(
+                left_out.iter().all(|r| r > last),
+                "{reply:?}: {kept:?} not the best"
+            );
+        }
+        if kept.len() < config.top_k {
+            assert!(left_out.is_empty(), "{reply:?}: a scored position left out");
+        }
+    }
+
     /// 10^4 seeded mutants of the class's prompts through the model, and
     /// each reply, a mutant of it and the mutant prompt itself through
-    /// `read_prm`, `read_pri`, `parse_pri_response` and
-    /// `answer_confidence_permille`: none may panic, and the confidence
-    /// stays at most 1000.
+    /// `read_prm`, `read_pri` (and the `parse_pri_response` it reads) and
+    /// `answer_confidence_permille`: none may panic, the readers return
+    /// what [`check_prm`] and [`check_pri`] ask, and the confidence stays
+    /// at most 1000.
     fn mutants_never_panic(class: usize) {
         let prompts = &prompts_by_class()[class];
         assert!(!prompts.is_empty(), "no prompt of class {class}");
         let (_, llm) = setup();
         let config = mutant_config();
-        let candidates: Vec<String> = ["name", "addr", "city", "phone"].map(String::from).into();
+        let candidates = ["name", "addr", "city", "phone"];
         let mut rng = StdRng::seed_from_u64(0x6d75_7461 + class as u64);
         for k in 0..10_000 {
             let mut mutant = prompts[k % prompts.len()].clone();
@@ -537,9 +606,9 @@ mod tests {
             let reply = reply.as_deref().unwrap_or("");
             let mutated_reply = mutate(reply, &mut rng);
             for text in [reply, &mutated_reply, &mutant] {
-                read_prm(&candidates, text);
-                read_pri(&config, text, config.sample_size);
-                parse_pri_response(text);
+                check_prm(&candidates, text, &read_prm(&candidates, text));
+                let kept = read_pri(&config, text, config.sample_size);
+                check_pri(&config, text, config.sample_size, &kept);
                 let confidence = crate::route::answer_confidence_permille(text);
                 assert!(confidence <= 1000, "{text:?}: {confidence}");
             }

@@ -6,6 +6,7 @@
 //! finds its candidates ([`Source`]). [`crate::UniDm::run`] sees only the
 //! lowered [`Unified`] value and never matches on a `Task`.
 
+use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use rand::rngs::StdRng;
@@ -144,8 +145,10 @@ impl Task {
     }
 
     /// Lowers the task to the unified form `Y = F_T(R, S, D)` of paper §3,
-    /// borrowing from the task and from `lake`. `seed` seeds the sampling
-    /// a task does of what it brought (join discovery's column values).
+    /// borrowing from the task and from `lake`: what the task brought is
+    /// written into the queries and the source where it lies, never copied
+    /// first. `seed` seeds the sampling a task does of what it brought
+    /// (join discovery shuffles the positions of its column values).
     ///
     /// # Errors
     ///
@@ -187,15 +190,16 @@ impl Task {
                 (render_pairs(known, Some(attr)), source)
             }
             Task::Transformation { examples, input } => {
+                // Each example is rendered where it lies, as the record
+                // `before: …; after: …` would render.
                 let line = |(before, after): &(String, String)| {
-                    SerializedRecord::new(vec![
-                        ("before".to_string(), before.clone()),
-                        ("after".to_string(), after.clone()),
-                    ])
-                    .render()
+                    render_pairs([("before", before), ("after", after)].into_iter(), None)
                 };
                 let records = examples.iter().map(line).collect();
-                (format!("{input}: ?"), Source::Records(records))
+                (
+                    format_exact(format_args!("{input}: ?")),
+                    Source::Records(records),
+                )
             }
             Task::ErrorDetection { table, row, attr } => {
                 let table = lake.require(table)?;
@@ -230,19 +234,23 @@ impl Task {
                 right_name,
                 right_values,
             } => {
+                // Positions are shuffled, not values: Fisher–Yates permutes
+                // by length alone, so the sample is the one a shuffled copy
+                // of the values gives, and the text is written once.
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x7014);
-                let mut sample = |values: &[String]| {
-                    let mut values = values.to_vec();
-                    values.shuffle(&mut rng);
-                    values.truncate(20);
-                    values.join("; ")
-                };
-                let (left, right) = (sample(left_values), sample(right_values));
-                let text = format!(
+                let mut order: Vec<usize> = (0..left_values.len())
+                    .chain(0..right_values.len())
+                    .collect();
+                let (left, right) = order.split_at_mut(left_values.len());
+                left.shuffle(&mut rng);
+                right.shuffle(&mut rng);
+                let left = ColumnSample(left_values, left);
+                let right = ColumnSample(right_values, right);
+                let text = format_exact(format_args!(
                     "Column \"{left_name}\" contains {left}.\nColumn \"{right_name}\" contains \
                      {right}."
-                );
-                let query = format!("{left_name} VERSUS {right_name}");
+                ));
+                let query = format_exact(format_args!("{left_name} VERSUS {right_name}"));
                 (query, Source::Text(text))
             }
             Task::Extraction { document, attr } => {
@@ -255,6 +263,22 @@ impl Task {
             query,
             source,
         })
+    }
+}
+
+/// Join discovery's sample of a column: the values at its first 20
+/// shuffled positions, `"; "`-separated.
+struct ColumnSample<'a>(&'a [String], &'a [usize]);
+
+impl fmt::Display for ColumnSample<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (n, &at) in self.1.iter().take(20).enumerate() {
+            if n > 0 {
+                f.write_str("; ")?;
+            }
+            f.write_str(&self.0[at])?;
+        }
+        Ok(())
     }
 }
 
@@ -379,6 +403,77 @@ mod tests {
             right_values: vec!["2".into()],
         };
         assert!(!retrieves(&t));
+    }
+
+    /// Join discovery samples positions, not values: its text is the one a
+    /// shuffled, truncated and joined copy of each column gives.
+    #[test]
+    fn join_discovery_samples_as_a_shuffled_copy_would() {
+        use rand::Rng;
+
+        let lake = DataLake::new();
+        let mut values = StdRng::seed_from_u64(11);
+        let mut column = |len: usize| -> Vec<String> {
+            (0..len)
+                .map(|_| format!("v{}", values.gen_range(0..1000)))
+                .collect()
+        };
+        for (left_len, right_len) in [(0, 0), (5, 20), (20, 300), (300, 5), (300, 0)] {
+            let task = Task::JoinDiscovery {
+                left_name: "l".into(),
+                left_values: column(left_len),
+                right_name: "r".into(),
+                right_values: column(right_len),
+            };
+            let Task::JoinDiscovery {
+                left_values,
+                right_values,
+                ..
+            } = &task
+            else {
+                unreachable!()
+            };
+            for seed in [0, 7, 42] {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x7014);
+                let mut sample = |values: &[String]| {
+                    let mut values = values.to_vec();
+                    values.shuffle(&mut rng);
+                    values.truncate(20);
+                    values.join("; ")
+                };
+                let (left, right) = (sample(left_values), sample(right_values));
+                let oracle =
+                    format!("Column \"l\" contains {left}.\nColumn \"r\" contains {right}.");
+                let lowered = task.lower(&lake, seed).expect("nothing read from the lake");
+                assert_eq!(lowered.query, "l VERSUS r");
+                assert!(matches!(lowered.source, Source::Text(t) if t == oracle));
+            }
+        }
+    }
+
+    /// A transformation example renders as the record `before: …; after: …`
+    /// does, an empty side skipped.
+    #[test]
+    fn transformation_lines_render_as_records() {
+        let lake = DataLake::new();
+        let sides = ["20000101", "", "2000-01-01"];
+        let examples: Vec<(String, String)> = (sides.iter())
+            .flat_map(|b| sides.iter().map(|a| (b.to_string(), a.to_string())))
+            .collect();
+        let oracle: Vec<String> = (examples.iter())
+            .map(|(b, a)| {
+                let pairs = vec![("before".into(), b.clone()), ("after".into(), a.clone())];
+                SerializedRecord::new(pairs).render()
+            })
+            .collect();
+        assert!(oracle.contains(&String::new()), "both sides empty");
+        let task = Task::Transformation {
+            examples,
+            input: "19990415".into(),
+        };
+        let lowered = task.lower(&lake, 0).expect("nothing read from the lake");
+        assert_eq!(lowered.query, "19990415: ?");
+        assert!(matches!(lowered.source, Source::Records(lines) if lines == oracle));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use fm::{
 };
 pub use prompts::{
     parse_pcq, parse_pri_response, parse_prm, render_pcq, render_pdp, render_pdp_lines, render_pri,
-    render_pri_lines, render_prm, Claim, PdpPrompt, PriPrompt, PrmRequest,
+    render_pri_lines, render_prm, render_prm_names, Claim, PdpPrompt, PriPrompt, PrmRequest,
 };
 pub(crate) use record::naturalize_pairs_into;
 pub use record::{

@@ -22,13 +22,37 @@ pub struct PrmRequest {
 /// > are \[s1, s2, ..., sn\]. Which attributes are helpful for the task and
 /// > the query?
 pub fn render_prm(task: TaskKind, query: &str, candidates: &[String]) -> String {
-    format!(
-        "The task is [{}]. The target query is [{}]. The candidate attributes are [{}]. \
-         Which attributes are helpful for the task and the query?",
+    render_prm_names(task, query, candidates.iter().map(String::as_str))
+}
+
+/// [`render_prm`] over borrowed candidate names (a table's schema, say),
+/// written into one buffer sized exactly in advance.
+pub fn render_prm_names<'a, I>(task: TaskKind, query: &str, candidates: I) -> String
+where
+    I: IntoIterator<Item = &'a str>,
+    I::IntoIter: Clone,
+{
+    const TAIL: &str = "]. Which attributes are helpful for the task and the query?";
+    let head = [
+        "The task is [",
         task.description(),
+        "]. The target query is [",
         query,
-        candidates.join(", ")
-    )
+        "]. The candidate attributes are [",
+    ];
+    let candidates = candidates.into_iter();
+    let names = candidates.clone().map(|c| c.len() + 2).sum::<usize>();
+    let head_len = head.iter().map(|p| p.len()).sum::<usize>();
+    let mut out = String::with_capacity(head_len + names.saturating_sub(2) + TAIL.len());
+    out.extend(head);
+    for (i, name) in candidates.enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(name);
+    }
+    out.push_str(TAIL);
+    out
 }
 
 /// Parses a `p_rm` prompt.
@@ -251,16 +275,21 @@ Cloze question: Entity A is the Punch! Home Design Architectural Series 4000 v10
 $199.99. Entity B is the Punch Software 41100 Punch! Home Design Architectural Series 18 \
 priced at $18.99. Are entity A and entity B the same? Yes or No: __.";
 
-/// Renders `p_cq` (paper §4.4): demonstrations plus the claim to rewrite.
+/// Renders `p_cq` (paper §4.4): demonstrations plus the claim to rewrite,
+/// spliced into one buffer sized exactly in advance.
 pub fn render_pcq(claim: &Claim) -> String {
-    format!(
-        "Write the claim as a cloze question.\n{demos}\nClaim: The task is [{task}]. The \
-         context is [{context}]. The target query is [{query}].\nCloze question:",
-        demos = PCQ_DEMONSTRATIONS,
-        task = claim.task.description(),
-        context = claim.context,
-        query = claim.query,
-    )
+    [
+        "Write the claim as a cloze question.\n",
+        PCQ_DEMONSTRATIONS,
+        "\nClaim: The task is [",
+        claim.task.description(),
+        "]. The context is [",
+        &claim.context,
+        "]. The target query is [",
+        &claim.query,
+        "].\nCloze question:",
+    ]
+    .concat()
 }
 
 /// Parses a `p_cq` prompt back into the final claim (ignoring the

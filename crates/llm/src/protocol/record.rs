@@ -75,7 +75,7 @@ impl SerializedRecord {
 /// [`claim_query_imputation`](super::claim_query_imputation)). A value need
 /// only display, so a table cell is written where it lies instead of
 /// becoming a `String` first. The text is measured before it is written:
-/// one allocation.
+/// one allocation, exactly sized.
 ///
 /// ```
 /// use unidm_llm::protocol::{render_pairs, SerializedRecord};
@@ -96,7 +96,10 @@ pub fn render_pairs<'a, V: fmt::Display>(
             n => attr.len() + n + 4,
         },
     );
-    let mut out = String::with_capacity(shown.sum::<usize>() + ask.map_or(0, |a| a.len() + 3));
+    // Each shown pair counts the separator after it, which the last one
+    // takes only before an ask.
+    let body = shown.sum::<usize>();
+    let mut out = String::with_capacity(ask.map_or(body.saturating_sub(2), |a| body + a.len() + 3));
     render_pairs_into(pairs, ask, &mut out);
     out
 }

@@ -218,14 +218,15 @@ fn impute(
     if dice.chance(&tag, "analogy", reason_p) {
         if a.contains("city") {
             if let Some(addr) = record.get("addr").or_else(|| record.get("address")) {
-                let base = street_base(addr);
+                let mut words = String::new();
+                let base = street_base(addr, &mut words);
                 if !base.is_empty() {
                     if let Some(f) = facts.iter().find(|f| {
                         attr_matches(&f.attr, "city")
                             && facts.iter().any(|g| {
                                 g.subject == f.subject
                                     && attr_matches(&g.attr, "addr")
-                                    && street_base(&g.value) == base
+                                    && street_base(&g.value, &mut words) == base
                             })
                     }) {
                         return f.value.clone();
@@ -306,7 +307,7 @@ fn impute(
         }
         if a.contains("city") {
             if let Some(addr) = record.get("addr").or_else(|| record.get("address")) {
-                let base = street_base(addr);
+                let base = street_base(addr, &mut String::new());
                 if let Some(city) = kb.lookup(
                     &unidm_world::names::capitalize(&base),
                     Predicate::StreetCity,

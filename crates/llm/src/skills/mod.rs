@@ -41,13 +41,20 @@ pub fn prompt_form_factor(form: PromptForm) -> f64 {
     }
 }
 
-/// The street part of an address ("224 S. Beverly Dr." → "s. beverly dr.").
-pub(crate) fn street_base(addr: &str) -> String {
-    addr.split_whitespace()
-        .skip_while(|w| w.chars().all(|c| c.is_ascii_digit()))
-        .collect::<Vec<_>>()
-        .join(" ")
-        .to_lowercase()
+/// The street part of an address ("224 S. Beverly Dr." → "s. beverly dr."):
+/// its words past the house number, joined by single spaces in `words`
+/// (cleared first), lowercased as a whole so that a final sigma reads its
+/// context. One allocation once `words` is warm.
+pub(crate) fn street_base(addr: &str, words: &mut String) -> String {
+    words.clear();
+    let street = addr.split_whitespace();
+    for word in street.skip_while(|w| w.chars().all(|c| c.is_ascii_digit())) {
+        if !words.is_empty() {
+            words.push(' ');
+        }
+        words.push_str(word);
+    }
+    words.to_lowercase()
 }
 
 /// The leading area code of a phone number ("310/859-8744" → "310").
@@ -70,6 +77,29 @@ mod tests {
             context_kind_factor(ContextKind::Serialized)
                 > context_kind_factor(ContextKind::Tabular)
         );
+    }
+
+    #[test]
+    fn street_base_joins_then_lowercases_as_a_whole() {
+        let oracle = |addr: &str| {
+            (addr.split_whitespace())
+                .skip_while(|w| w.chars().all(|c| c.is_ascii_digit()))
+                .collect::<Vec<_>>()
+                .join(" ")
+                .to_lowercase()
+        };
+        let mut words = String::new();
+        for addr in [
+            "224 S. Beverly Dr.",
+            "  12\t 7  Main\t\tSt  ",
+            "12 34",
+            "",
+            "9 ΟΔΟΣ ΣΟΦΟΚΛΕΟΥΣ",
+            "Rue de l'Église",
+        ] {
+            assert_eq!(street_base(addr, &mut words), oracle(addr), "{addr:?}");
+        }
+        assert_eq!(street_base("9 ΟΔΟΣ ΑΣ", &mut words), "οδος ας");
     }
 
     #[test]

@@ -148,6 +148,7 @@ pub fn score_instances(
     let mut inst = RecordReader::default();
     let mut words = WordScratch::default();
     let mut rendered = String::new();
+    let mut street = String::new();
     // (similarity, noise draw) per candidate: the draw does not depend on
     // the other candidates, so one pass over the lines takes both.
     let mut scored: Vec<(f64, f64)> = Vec::new();
@@ -160,7 +161,7 @@ pub fn score_instances(
         // Semantic bonus: instances sharing a KB-linked value with the query
         // (e.g. same street, same brand) are more relevant than raw token
         // overlap suggests.
-        if links.iter().any(|link| link.holds(&inst)) {
+        if links.iter().any(|link| link.holds(&inst, &mut street)) {
             sim = (sim + 0.6).min(1.0);
         }
         if let Some(attr) = missing_attr {
@@ -220,7 +221,7 @@ impl<'a> Link<'a> {
         }
         let a = attr.to_lowercase();
         if a.contains("addr") {
-            let base = street_base(value);
+            let base = street_base(value, &mut String::new());
             (!base.is_empty()).then_some(Link::Street(attr, base))
         } else if a.contains("phone") {
             area_code(value).map(|code| Link::AreaCode(attr, code))
@@ -235,10 +236,12 @@ impl<'a> Link<'a> {
     }
 
     /// True when `inst` has a non-empty value for the link's attribute and
-    /// it shares the link's value.
-    fn holds(&self, inst: &RecordReader<'_>) -> bool {
+    /// it shares the link's value. `words` is [`street_base`]'s scratch.
+    fn holds(&self, inst: &RecordReader<'_>, words: &mut String) -> bool {
         match *self {
-            Link::Street(attr, ref base) => inst.get(attr).is_some_and(|v| street_base(v) == *base),
+            Link::Street(attr, ref base) => inst
+                .get(attr)
+                .is_some_and(|v| street_base(v, words) == *base),
             Link::AreaCode(attr, code) => {
                 inst.get(attr).is_some_and(|v| area_code(v) == Some(code))
             }
