@@ -761,25 +761,16 @@ fn rate_limited(stats: &RouterStats) -> u64 {
     stats.endpoints.iter().map(|e| e.rate_limited).sum()
 }
 
-fn throttle_wait_us(stats: &RouterStats) -> u64 {
-    stats.endpoints.iter().map(|e| e.throttle_wait_us).sum()
-}
-
-/// Runs the routed regime keeps in flight.
-const ROUTED_WINDOW: usize = 16;
-
 /// Routed fleet vs any single endpoint. Every replica carries its own
 /// fault schedule, breaker, and adaptive AIMD token bucket seeded at
-/// 5 attempts/sec, and the batch keeps `ROUTED_WINDOW` runs in flight
-/// through the router, one endpoint call per unique canonical key. That
-/// makes the regime throttle-bound: the summed AIMD waits
-/// (`throttle_wait_us`) fill 73–82 % of the window's slot time
-/// (`ROUTED_WINDOW` × makespan) on a single endpoint and 58–68 % on the
-/// fleet, at both scales and both fault seeds. So aggregate fleet capacity,
-/// not fault luck, decides the virtual-time makespan. (One run at a time,
-/// the waits were 15 % of the makespan and the fault draws decided it.)
-/// The fleet size is pinned so that "beats every single endpoint" is a
-/// property of the committed configuration.
+/// 5 attempts/sec, and the batch keeps 16 runs in flight through the
+/// router, one endpoint call per unique canonical key. That makes the
+/// regime throttle-bound: the summed AIMD waits (`throttle_wait_us`) fill
+/// 73–84 % of the window's slot time (16 × makespan) on a single endpoint
+/// and 61–72 % on the fleet, at both scales and both fault seeds, so
+/// aggregate fleet capacity, not fault luck, decides the virtual-time
+/// makespan. The fleet size is pinned so that "beats every single
+/// endpoint" is a property of the committed configuration.
 fn routed(bench: &Bench<'_>, reference: &[String]) -> String {
     let replicas: u32 = 3;
     let aimd = AimdPolicy::per_sec(5);
@@ -801,7 +792,7 @@ fn routed(bench: &Bench<'_>, reference: &[String]) -> String {
         let cache = bench.cache(&router);
         let answers = BatchRunner::new(&cache, bench.pipeline)
             .with_pipeline(&router, Some(&cache))
-            .with_workers(ROUTED_WINDOW)
+            .with_workers(16)
             .answers(&bench.lake, &bench.tasks);
         let stats = router.stats();
         assert_eq!(
@@ -851,7 +842,7 @@ fn routed(bench: &Bench<'_>, reference: &[String]) -> String {
                     .field_u64("rate_limited", rate_limited(stats))
                     .field_u64("breaker_trips", stats.breaker_trips())
                     .field_u64("tokens_per_answer_milli", stats.tokens_per_answer_milli())
-                    .field_u64("throttle_wait_us", throttle_wait_us(stats))
+                    .field_u64("throttle_wait_us", stats.backend_stats().throttle_wait_us)
                     .field_raw("endpoint_calls", &json_array(&calls))
                     .finish()
             })

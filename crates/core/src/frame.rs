@@ -2,20 +2,21 @@
 //!
 //! Instance-wise retrieval shows the model `sample_size` candidate rows per
 //! task, and everything it needs of a candidate — the projected row's
-//! rendered `attr: value` line and that line's token count — is a function
-//! of the *table*, not of the task. A [`Frames`] keeps those per `(table
-//! version, projection)`, filled lazily, so the hundreds of tasks that
-//! share a table serialize each sampled row once; a row is rendered
-//! straight from the cells [`Table::row_ref`] lends, so filling it costs
-//! its line and nothing else. The entity-resolution demonstration pool
-//! gets the same treatment through a one-slot memo.
+//! `p_ri` value row, that row's token count, and the `attr: value` line a
+//! kept candidate becomes — is a function of the *table*, not of the task.
+//! A [`Frames`] keeps those per `(table version, projection)`, filled
+//! lazily, so the hundreds of tasks that share a table serialize each
+//! sampled row once; a row is rendered straight from the cells
+//! [`Table::row_ref`] lends, each cell formatted once, so filling it costs
+//! its one buffer and nothing else. The entity-resolution demonstration
+//! pool gets the same treatment through a one-slot memo.
 //!
 //! * **Owner.** One `Frames` per [`crate::UniDm`]; [`crate::BatchRunner`]
 //!   builds one `UniDm` per worker, so nothing is shared across threads.
 //! * **Access.** Rows are lent, not handed out: [`Frames::with_frame`]
 //!   runs its caller over the frame, whose `FrameRow`s stay where they
 //!   are, and the caller copies out the little it keeps (a kept row's
-//!   rendered line). Showing the model fifty candidates touches no
+//!   `attr: value` line). Showing the model fifty candidates touches no
 //!   reference count.
 //! * **Freshness.** Frames are keyed by [`Table::version`], a stamp that
 //!   changes on every `push_row` / `set_cell` and differs between tables
@@ -28,26 +29,62 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use unidm_llm::protocol::{render_pairs, SerializedRecord};
+use unidm_llm::protocol::{pri_row, SerializedRecord};
 use unidm_tablestore::{Table, TableError};
 
-/// One candidate, as every prompt that shows it needs it.
+/// One candidate, as every prompt that shows it needs it: both of its
+/// forms in one buffer.
 #[derive(Debug, Clone)]
 pub(crate) struct FrameRow {
-    /// The candidate projected on the task-relevant attributes, rendered
-    /// (`attr: value; attr: value`).
-    pub(crate) line: String,
-    /// `count_tokens(&line)`.
-    pub(crate) tokens: usize,
+    /// The `p_ri` value row ([`pri_row`]), then the `attr: value` line
+    /// ([`unidm_llm::protocol::render_pairs`]) that a kept candidate and
+    /// `p_dp` show.
+    text: String,
+    /// Where the row ends and the line begins.
+    row_end: u32,
+    /// `count_tokens` of the row.
+    pub(crate) tokens: u32,
 }
 
 impl FrameRow {
-    pub(crate) fn new(line: String) -> Self {
-        let tokens = unidm_text::count_tokens(&line);
-        FrameRow { line, tokens }
+    /// The candidate whose values are `fields`, under attribute `names`.
+    pub(crate) fn new<'n, 'f>(
+        names: impl Iterator<Item = &'n str> + Clone,
+        fields: impl Iterator<Item = &'f str> + Clone,
+    ) -> Self {
+        let row = pri_row(fields.clone());
+        // The line is `render_pairs`' over the fields, written here without
+        // its `Display` round trips: a field is a `&str` already.
+        let pairs = names.zip(fields).filter(|(_, field)| !field.is_empty());
+        let line = pairs
+            .clone()
+            .map(|(name, field)| name.len() + field.len() + 4);
+        let len = row.clone().map(str::len).sum::<usize>() + line.sum::<usize>().saturating_sub(2);
+        let mut text = String::with_capacity(len);
+        text.extend(row);
+        let (row_end, tokens) = (text.len() as u32, unidm_text::count_tokens(&text) as u32);
+        for (i, (name, field)) in pairs.enumerate() {
+            text.extend([if i == 0 { "" } else { "; " }, name, ": ", field]);
+        }
+        FrameRow {
+            text,
+            row_end,
+            tokens,
+        }
+    }
+
+    /// The `p_ri` value row.
+    pub(crate) fn row(&self) -> &str {
+        &self.text[..self.row_end as usize]
+    }
+
+    /// The `attr: value` line.
+    pub(crate) fn line(&self) -> &str {
+        &self.text[self.row_end as usize..]
     }
 }
 
@@ -102,6 +139,9 @@ pub(crate) struct Frames {
     tables: RefCell<HashMap<String, TableFrames>>,
     /// The last demonstration pool seen.
     demos: RefCell<Option<DemoMemo>>,
+    /// A row's cells, each formatted once, and where each ends: the
+    /// scratch a new [`FrameRow`] is written from.
+    cells: RefCell<(String, Vec<usize>)>,
 }
 
 impl Frames {
@@ -145,6 +185,8 @@ impl Frames {
         };
         let frame = &mut frames.projections[at].1;
         let columns = table.schema().columns();
+        let names = cols.iter().map(|&col| columns[col].name());
+        let (text, ends) = &mut *self.cells.borrow_mut();
         for row in rows {
             if frame.contains_key(&row) {
                 continue;
@@ -152,10 +194,19 @@ impl Frames {
             // One read of the row (one pager visit), rendered projected
             // from the cells it lends.
             let cells = table.row_ref(row)?;
-            let pairs = cols
-                .iter()
-                .map(|&col| (columns[col].name(), cells.cell(col)));
-            frame.insert(row, FrameRow::new(render_pairs(pairs, None)));
+            text.clear();
+            ends.clear();
+            for &col in cols {
+                // Writing into a `String` cannot fail.
+                let _ = write!(text, "{}", cells.cell(col));
+                ends.push(text.len());
+            }
+            let fields = ends.iter().scan(0, |start, &end| {
+                let field = &text[*start..end];
+                *start = end;
+                Some(field)
+            });
+            frame.insert(row, FrameRow::new(names.clone(), fields));
         }
         Ok(read(frame))
     }

@@ -35,7 +35,7 @@ use crate::frame::{FrameRow, Frames};
 use crate::parsing::{join_lines, pdp_prompt};
 use crate::prompting::pcq_prompt;
 use crate::retrieval::{pri_prompt, prm_prompt, read_pri, read_prm, Sample};
-use crate::task::{demonstrations, versus, Source, Task, Unified};
+use crate::task::{demonstrations, versus, Source, Task, Unified, DEMO_HEADER};
 use crate::{PipelineConfig, UniDmError};
 
 /// What the pipeline did on one run — retrieved attributes and records, the
@@ -358,7 +358,9 @@ impl<'r> Run<'r> {
                     let sampled = &demos[..config.sample_size.min(demos.len())];
                     let query = versus(&pair.0, &pair.1);
                     let window = unidm.llm.context_window();
-                    let (prompt, shown) = pri_prompt(window, self.kind, &query, sampled);
+                    let header = DEMO_HEADER.into_iter();
+                    let (prompt, shown) =
+                        pri_prompt(window, self.kind, &query, header, sampled.iter());
                     self.send(prompt, Stage::DemosSent(demos, shown));
                 } else {
                     let records = demos.iter().take(config.top_k).map(line);
@@ -399,9 +401,9 @@ impl<'r> Run<'r> {
     }
 }
 
-/// A kept row as the rest of a run holds it: its rendered line.
+/// A kept row as the rest of a run holds it: its `attr: value` line.
 fn line(kept: &FrameRow) -> String {
-    kept.line.clone()
+    kept.line().to_string()
 }
 
 #[cfg(test)]

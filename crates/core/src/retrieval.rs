@@ -16,14 +16,12 @@
 //! What *is* shared under `p_ri` is its raw material: the candidates'
 //! serialization comes from the pipeline's record frame (`frame.rs`).
 
-use std::borrow::Borrow;
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use unidm_llm::protocol::{
-    parse_pri_response, render_pri_lines, render_prm_names, SerializedRecord, TaskKind,
+    parse_pri_response, render_pri_rows, render_prm_names, SerializedRecord, TaskKind,
 };
 use unidm_llm::LanguageModel;
 use unidm_tablestore::{Table, TableError};
@@ -121,7 +119,7 @@ pub(crate) fn read_prm(candidates: &[&str], reply: &str) -> Vec<String> {
 /// This free function serializes its candidates into a record frame it
 /// throws away, and reads the rows it keeps from the table once more as
 /// owned records; [`crate::UniDm::run`] is the same code over the frame the
-/// pipeline keeps across tasks, which holds rendered lines only.
+/// pipeline keeps across tasks, which holds rendered rows and lines only.
 ///
 /// # Errors
 ///
@@ -218,9 +216,11 @@ impl<'t> Sample<'t> {
         // The candidates keep what the sample walk read: scoring never
         // goes back to the table, which would re-fault evicted chunks.
         let rows = self.rows.iter().copied();
+        let columns = self.table.schema().columns();
+        let header = self.cols.iter().map(|&col| columns[col].name());
         frames.with_frame(self.table, &self.cols, rows, |frame| {
-            let candidates: Vec<&FrameRow> = self.rows.iter().map(|row| &frame[row]).collect();
-            Some(pri_prompt(window, task, query, &candidates))
+            let candidates = self.rows.iter().map(|row| &frame[row]);
+            Some(pri_prompt(window, task, query, header, candidates))
         })
     }
 
@@ -259,21 +259,26 @@ impl<'t> Sample<'t> {
 }
 
 /// Instance-wise retrieval's render half over `candidates`: the `p_ri`
-/// prompt scoring them against `query`, and how many it shows — trailing
-/// candidates are dropped to keep the prompt inside a `window`-token
-/// context (e.g. GPT-J's 2k). Shared by table rows and entity-resolution
-/// demonstrations.
-pub(crate) fn pri_prompt<R: Borrow<FrameRow>>(
+/// prompt scoring them against `query`, in header form under the
+/// attribute names `header`, and how many it shows — trailing candidates
+/// are dropped to keep the prompt inside a `window`-token context (e.g.
+/// GPT-J's 2k), which the header's tokens take from once. Shared by table
+/// rows and entity-resolution demonstrations.
+pub(crate) fn pri_prompt<'h, 'c>(
     window: usize,
     task: TaskKind,
     query: &str,
-    candidates: &[R],
+    header: impl Iterator<Item = &'h str> + Clone,
+    candidates: impl ExactSizeIterator<Item = &'c FrameRow> + Clone,
 ) -> (String, usize) {
     let budget = window.saturating_sub(256);
-    let mut used = unidm_text::count_tokens(query) + 64;
+    let names = header
+        .clone()
+        .map(|name| unidm_text::count_tokens(name) + 1);
+    let mut used = unidm_text::count_tokens(query) + 64 + names.sum::<usize>();
     let mut fit = 0usize;
-    for candidate in candidates {
-        let cost = candidate.borrow().tokens + 4;
+    for candidate in candidates.clone() {
+        let cost = candidate.tokens as usize + 4;
         if used + cost > budget {
             break;
         }
@@ -281,8 +286,8 @@ pub(crate) fn pri_prompt<R: Borrow<FrameRow>>(
         fit += 1;
     }
     let shown = fit.max(1).min(candidates.len());
-    let lines = candidates[..shown].iter().map(|c| c.borrow().line.as_str());
-    (render_pri_lines(task, query, lines), shown)
+    let rows = candidates.take(shown).map(FrameRow::row);
+    (render_pri_rows(task, query, header, rows), shown)
 }
 
 /// Instance-wise retrieval's read half: the positions of the top

@@ -482,7 +482,21 @@ pub fn answer_confidence_permille(text: &str) -> u32 {
     if trimmed.is_empty() {
         return 0;
     }
-    let lower = trimmed.to_lowercase();
+    // An ASCII answer of at most 1 KiB lowercases on the stack. Allocating
+    // it was 0.63 of `serve_fleet`'s 0.74 allocations per op.
+    let mut stack = [0u8; 1024];
+    let owned;
+    let lower: &str = match stack.get_mut(..trimmed.len()) {
+        Some(buf) if trimmed.is_ascii() => {
+            buf.copy_from_slice(trimmed.as_bytes());
+            buf.make_ascii_lowercase();
+            std::str::from_utf8(buf).expect("ASCII is UTF-8")
+        }
+        _ => {
+            owned = trimmed.to_lowercase();
+            &owned
+        }
+    };
     let unparseable = lower == "unknown"
         || lower == "unknown."
         || lower == "n/a"
@@ -980,6 +994,75 @@ mod tests {
         let hedged = answer_confidence_permille("It is probably Copenhagen");
         assert!(hedged < 1000 && hedged > 0);
         assert!(answer_confidence_permille("maybe Paris? or Rome?") < hedged);
+    }
+
+    /// `answer_confidence_permille` as it was before an ASCII answer
+    /// lowercased on the stack: every answer through `to_lowercase`.
+    fn confidence_through_to_lowercase(text: &str) -> u32 {
+        let trimmed = text.trim();
+        if trimmed.is_empty() {
+            return 0;
+        }
+        let lower = trimmed.to_lowercase();
+        let unparseable = lower == "unknown"
+            || lower == "unknown."
+            || lower == "n/a"
+            || lower == "n/a."
+            || lower.starts_with("i'm not sure")
+            || lower.starts_with("i am not sure");
+        if unparseable {
+            return 0;
+        }
+        let mut score: i64 = 1000;
+        for hedge in ["probably", "perhaps", "possibly", "might", "maybe"] {
+            if lower.contains(hedge) {
+                score -= 300;
+            }
+        }
+        score -= 250 * lower.matches('?').count() as i64;
+        if trimmed.len() > 240 {
+            score -= 200;
+        }
+        score.clamp(0, 1000) as u32
+    }
+
+    #[test]
+    fn confidence_agrees_with_lowercasing_every_answer() {
+        let markers = [
+            "unknown",
+            "UNKNOWN.",
+            "N/A",
+            "n/a.",
+            "I'm Not Sure",
+            "I AM NOT SURE, sorry",
+        ];
+        let hedges = ["Probably", "PERHAPS", "possibly", "Might", "mayBe"];
+        let mut answers: Vec<String> = Vec::new();
+        for word in markers.iter().chain(&hedges) {
+            answers.push(word.to_string());
+            answers.push(format!("  \t{word} Paris? \n"));
+            answers.push(format!("It is {word} Rome"));
+        }
+        // Letters whose lowercase is longer, ASCII or context-dependent:
+        // capital I with dot, the Kelvin sign, a final sigma.
+        for odd in ["İ", "\u{212A}", "ΟΔΟΣ", "UN\u{212A}NOWN", "\u{212A}elvin?"] {
+            answers.push(odd.to_string());
+            answers.push(format!(" Maybe {odd} "));
+        }
+        // Around the 1 KiB stack buffer, and past the 240-byte ramble.
+        for len in [240, 241, 1023, 1024, 1025, 4096] {
+            answers.push("A".repeat(len));
+            answers.push(format!(" {}? ", "b".repeat(len)));
+            answers.push(format!("maybe {}", "ä".repeat(len / 2)));
+        }
+        answers.extend(["", " ", "?", "Copenhagen", "I'm not sure."].map(String::from));
+        for answer in &answers {
+            assert_eq!(
+                answer_confidence_permille(answer),
+                confidence_through_to_lowercase(answer),
+                "{answer:?}"
+            );
+        }
     }
 
     #[test]

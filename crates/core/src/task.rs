@@ -337,6 +337,9 @@ pub(crate) fn versus(a: &str, b: &str) -> String {
     format!("{a} versus {b}")
 }
 
+/// The attributes of a demonstration: the `p_ri` header its rows sit under.
+pub(crate) const DEMO_HEADER: [&str; 2] = ["entities", "label"];
+
 /// The candidates of a labelled pool, in scoring order: one labelled
 /// `versus` record per pair, shuffled by `seed`. They depend on the pool
 /// alone, so [`crate::frame::Frames::demos`] keeps them across tasks.
@@ -346,10 +349,8 @@ pub(crate) fn demonstrations(pool: &[LabelledPair], seed: u64) -> Vec<FrameRow> 
         .map(|(a, b, same)| {
             let label = if *same { "the same" } else { "different" };
             let entities = versus(&naturalized(a), &naturalized(b));
-            FrameRow::new(render_pairs(
-                [("entities", entities.as_str()), ("label", label)].into_iter(),
-                None,
-            ))
+            let fields = [entities.as_str(), label].into_iter();
+            FrameRow::new(DEMO_HEADER.into_iter(), fields)
         })
         .collect();
     demos.shuffle(&mut StdRng::seed_from_u64(seed ^ 0xE12));

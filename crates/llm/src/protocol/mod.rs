@@ -12,10 +12,16 @@
 //! stand in the prompt instead of building owned records; a caller that
 //! wants owned records maps the lines through [`SerializedRecord::parse`].
 //!
+//! `p_ri` departs from the paper's per-instance `attr: value`
+//! serialization: it is in **header form**, the attribute names once after
+//! the instruction on its first line and one numbered row of values per
+//! candidate ([`pri_row`]). [`PriPrompt::lines_into`] reads each row back
+//! as the `attr: value` line the paper's form shows.
+//!
 //! | Paper object | Renderer | Parser |
 //! |---|---|---|
 //! | `p_rm` (meta-wise retrieval) | [`render_prm`] | [`parse_prm`] |
-//! | `p_ri` (instance-wise retrieval) | [`render_pri`] | [`PriPrompt`] |
+//! | `p_ri` (instance-wise retrieval), header form | [`render_pri`], [`render_pri_rows`] | [`PriPrompt`] |
 //! | `p_dp` (context data parsing) | [`render_pdp`] | [`PdpPrompt`] |
 //! | `p_cq` (cloze-question generation) | [`render_pcq`] | [`parse_pcq`] |
 //! | cloze questions / `p_as` | [`render_cloze`] | [`parse_answer_request`] |
@@ -35,8 +41,9 @@ pub use fm::{
     render_fm_transformation,
 };
 pub use prompts::{
-    parse_pcq, parse_pri_response, parse_prm, render_pcq, render_pdp, render_pdp_lines, render_pri,
-    render_pri_lines, render_prm, render_prm_names, Claim, PdpPrompt, PriPrompt, PrmRequest,
+    parse_pcq, parse_pri_response, parse_prm, pri_row, render_pcq, render_pdp, render_pdp_lines,
+    render_pri, render_pri_rows, render_prm, render_prm_names, Claim, PdpPrompt, PriPrompt,
+    PrmRequest,
 };
 pub(crate) use record::naturalize_pairs_into;
 pub use record::{

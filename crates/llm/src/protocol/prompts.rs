@@ -2,7 +2,7 @@
 
 use unidm_text::format::push_decimal;
 
-use super::record::SerializedRecord;
+use super::record::{render_pairs_into, SerializedRecord};
 use super::{bracketed_after, TaskKind};
 
 /// A parsed meta-wise retrieval request (`p_rm`).
@@ -74,85 +74,172 @@ pub fn parse_prm(prompt: &str) -> Option<PrmRequest> {
     })
 }
 
+/// Where `p_ri`'s instruction ends and its header begins.
+const PRI_HEADER_AFTER: &str = "based on the task and the query:";
+
 /// Renders `p_ri` (paper §4.2): the relevance-scoring prompt over numbered
-/// candidate instances.
+/// candidate instances, in header form — unlike the paper's `attr: value`
+/// pairs per instance, the attributes are named once, after the
+/// instruction on the first line (`city | country`), in order of first
+/// appearance, and each instance is one numbered row of its values
+/// ([`pri_row`]), a missing value an empty field.
 pub fn render_pri(task: TaskKind, query: &str, instances: &[SerializedRecord]) -> String {
-    // Every instance goes into one scratch buffer; the lines are its slices.
+    let mut header: Vec<&str> = Vec::new();
+    for (attr, _) in instances.iter().flat_map(|inst| &inst.pairs) {
+        if !header.contains(&attr.as_str()) {
+            header.push(attr);
+        }
+    }
+    // Every row goes into one scratch buffer; the rows are its slices.
     let mut scratch = String::new();
     let mut ends = Vec::with_capacity(instances.len());
     for inst in instances {
-        inst.render_into(&mut scratch);
+        let value = |name: &&str| inst.pairs.iter().find(|(a, _)| a == name);
+        let fields = header.iter().map(|name| value(name).map_or("", |(_, v)| v));
+        scratch.extend(pri_row(fields));
         ends.push(scratch.len());
     }
-    let lines = ends.iter().scan(0, |start, &end| {
-        let line = &scratch[*start..end];
+    let rows = ends.iter().scan(0, |start, &end| {
+        let row = &scratch[*start..end];
         *start = end;
-        Some(line)
+        Some(row)
     });
-    render_pri_lines(task, query, lines)
+    render_pri_rows(task, query, header.iter().copied(), rows)
 }
 
-/// [`render_pri`] over instances that are already rendered
-/// ([`SerializedRecord::render`]), spliced into one pre-sized buffer.
-pub fn render_pri_lines<'a, I>(task: TaskKind, query: &str, lines: I) -> String
+/// [`render_pri`] over candidates whose value rows are already written
+/// ([`pri_row`]) under `header`, spliced into one exactly sized buffer.
+pub fn render_pri_rows<'h, 'r, H, I>(task: TaskKind, query: &str, header: H, rows: I) -> String
 where
-    I: IntoIterator<Item = &'a str>,
+    H: IntoIterator<Item = &'h str>,
+    H::IntoIter: Clone,
+    I: IntoIterator<Item = &'r str>,
     I::IntoIter: Clone,
 {
     const HEAD: &str = "The task is [";
     const MID: &str = "]. The target query is [";
     const TAIL: &str = "]. Score the relevance (range from 0 to 3) of the given instances \
                         based on the task and the query:";
-    let lines = lines.into_iter();
+    let (header, rows) = (header.into_iter(), rows.into_iter());
     let task = task.description();
-    // "\n<number>. " is at most 8 bytes for any realistic candidate count.
-    let body: usize = lines.clone().map(|line| line.len() + 8).sum();
-    let mut out = String::with_capacity(
-        HEAD.len() + task.len() + MID.len() + query.len() + TAIL.len() + body,
-    );
+    // " a | b | c" after the instruction, "\n<number>. " before each row.
+    let names = header.clone().map(|name| name.len() + 3).sum::<usize>();
+    let numbered = rows.clone().enumerate();
+    let body: usize = numbered
+        .map(|(i, row)| (i + 1).ilog10() as usize + 4 + row.len())
+        .sum();
+    let head = HEAD.len() + task.len() + MID.len() + query.len() + TAIL.len();
+    let mut out = String::with_capacity(head + names.saturating_sub(2) + body);
     out.extend([HEAD, task, MID, query, TAIL]);
-    for (i, line) in lines.enumerate() {
+    for (i, name) in header.enumerate() {
+        out.push_str(if i == 0 { " " } else { " | " });
+        out.push_str(name);
+    }
+    for (i, row) in rows.enumerate() {
         out.push('\n');
         push_decimal(&mut out, i + 1);
         out.push_str(". ");
-        out.push_str(line);
+        out.push_str(row);
     }
     out
 }
 
-/// A `p_ri` prompt read where it stands: the task, the query and the
-/// candidate lines, borrowed from the prompt.
+/// The pieces of one `p_ri` value row, in order: the fields, ` | `
+/// between two non-empty ones and a bare `|` beside an empty one (`A | B`,
+/// `A || C`, `| B`, `A |`). A row of whitespace-normal fields is
+/// whitespace-normal as written, so canonicalization borrows its prompt;
+/// a reader splits it at `|` and trims each field ([`PriPrompt::fields`]).
+pub fn pri_row<'a, I>(fields: I) -> impl Iterator<Item = &'a str> + Clone
+where
+    I: Iterator<Item = &'a str> + Clone,
+{
+    let mut before: Option<bool> = None;
+    fields.flat_map(move |field| {
+        let full = !field.is_empty();
+        let separator = match (before, full) {
+            (None, _) => "",
+            (Some(true), true) => " | ",
+            (Some(true), false) => " |",
+            (Some(false), true) => "| ",
+            (Some(false), false) => "|",
+        };
+        before = Some(full);
+        [separator, field]
+    })
+}
+
+/// A `p_ri` prompt read where it stands: the task, the query, the header
+/// and the candidate rows, borrowed from the prompt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PriPrompt<'a> {
     /// The task.
     pub task: TaskKind,
     /// The target query.
     pub query: &'a str,
-    prompt: &'a str,
+    /// The header's text: what follows the instruction on its line.
+    header: &'a str,
+    /// The lines after the header's.
+    rows: &'a str,
 }
 
 impl<'a> PriPrompt<'a> {
     /// Reads a `p_ri` prompt: `None` unless it asks to score relevance
-    /// and names a known task and a bracketed query.
+    /// and names a known task and a bracketed query. A prompt whose
+    /// instruction line carries no header reads with an empty one.
     pub fn read(prompt: &'a str) -> Option<Self> {
         if !prompt.contains("Score the relevance") {
             return None;
         }
         let task = TaskKind::from_description(bracketed_after(prompt, "The task is")?)?;
         let query = bracketed_after(prompt, "The target query is")?;
+        let query_end = query.as_ptr() as usize - prompt.as_ptr() as usize + query.len();
+        let rest = &prompt[query_end..];
+        let (first, rows) = rest.split_once('\n').unwrap_or((rest, ""));
+        let header = (first.find(PRI_HEADER_AFTER))
+            .map_or("", |at| first[at + PRI_HEADER_AFTER.len()..].trim());
         Some(PriPrompt {
             task,
             query,
-            prompt,
+            header,
+            rows,
         })
     }
 
-    /// The candidate lines in order: after the first line, each line's
-    /// text past its first `". "`. A candidate is a line that reads as a
-    /// record ([`super::RecordReader::read`]); the others take no
-    /// position.
-    pub fn lines(&self) -> impl Iterator<Item = &'a str> {
-        (self.prompt.lines().skip(1)).filter_map(|line| Some(line.split_once(". ")?.1))
+    /// The attribute names of the header, in order (none for a blank
+    /// header).
+    pub fn header(&self) -> impl Iterator<Item = &'a str> + Clone {
+        let names = (!self.header.is_empty()).then_some(self.header);
+        names.into_iter().flat_map(Self::fields)
+    }
+
+    /// The candidate rows in order: each line after the header's, past its
+    /// first `". "`. A line without one takes no position.
+    pub fn rows(&self) -> impl Iterator<Item = &'a str> {
+        (self.rows.lines()).filter_map(|line| Some(line.split_once(". ")?.1))
+    }
+
+    /// The fields of a row (or of the header): its text split at `|`, each
+    /// piece trimmed.
+    pub fn fields(row: &str) -> impl Iterator<Item = &str> + Clone {
+        row.split('|').map(str::trim)
+    }
+
+    /// Writes every row back into `out` as the `attr: value` line a record
+    /// renders to ([`SerializedRecord::render`]), a line each, each ended
+    /// by `\n`: the header's names beside the row's fields, in order, an
+    /// empty field skipped. A field past the header is dropped, and a
+    /// missing one is empty. Returns how many rows there were; `out` grows
+    /// once at most.
+    pub fn lines_into(&self, out: &mut String) -> usize {
+        let names = self.header();
+        let per_row = names.clone().map(|name| name.len() + 4).sum::<usize>() + 1;
+        let (rows, bytes) = (self.rows()).fold((0, 0), |(n, b), row| (n + 1, b + row.len()));
+        out.reserve(bytes + rows * per_row);
+        for row in self.rows() {
+            render_pairs_into(names.clone().zip(Self::fields(row)), None, out);
+            out.push('\n');
+        }
+        rows
     }
 }
 
@@ -347,7 +434,10 @@ mod tests {
         let read = PriPrompt::read(&p).unwrap();
         assert_eq!(read.task, TaskKind::Imputation);
         assert_eq!(read.query, "Copenhagen, timezone");
-        let instances: Vec<_> = read.lines().filter_map(SerializedRecord::parse).collect();
+        assert_eq!(read.header().collect::<Vec<_>>(), ["city", "country"]);
+        let mut lines = String::new();
+        assert_eq!(read.lines_into(&mut lines), 2);
+        let instances: Vec<_> = lines.lines().filter_map(SerializedRecord::parse).collect();
         assert_eq!(instances, recs());
     }
 
@@ -358,19 +448,41 @@ mod tests {
             p,
             "The task is [data imputation]. The target query is [Copenhagen, timezone]. Score \
              the relevance (range from 0 to 3) of the given instances based on the task and the \
-             query:\n1. city: Alicante; country: Spain\n2. city: Florence; country: Italy"
+             query: city | country\n1. Alicante | Spain\n2. Florence | Italy"
         );
-        let lines: Vec<String> = recs().iter().map(SerializedRecord::render).collect();
-        let spliced = render_pri_lines(
+        assert_eq!(p.capacity(), p.len(), "one exactly sized buffer");
+        let rows = ["Alicante | Spain", "Florence | Italy"];
+        let spliced = render_pri_rows(
             TaskKind::Imputation,
             "Copenhagen, timezone",
-            lines.iter().map(String::as_str),
+            ["city", "country"],
+            rows,
         );
         assert_eq!(spliced, p);
-        assert!(
-            spliced.capacity() <= p.len() + 8 * lines.len(),
-            "one pre-sized buffer, never regrown"
-        );
+        assert_eq!(spliced.capacity(), p.len(), "one exactly sized buffer");
+    }
+
+    #[test]
+    fn pri_rows_leave_an_empty_field_for_a_missing_value() {
+        let rec = |pairs: &[(&str, &str)]| {
+            SerializedRecord::new(pairs.iter().map(|&(a, v)| (a.into(), v.into())).collect())
+        };
+        let instances = [
+            rec(&[("a", "A"), ("b", ""), ("c", "C")]),
+            rec(&[("b", "B")]),
+            rec(&[("a", "A"), ("b", "B")]),
+            rec(&[("c", "")]),
+        ];
+        let p = render_pri(TaskKind::Imputation, "q", &instances);
+        let (first, rows) = p.split_once('\n').unwrap();
+        assert!(first.ends_with("the query: a | b | c"), "{first}");
+        assert_eq!(rows, "1. A || C\n2. | B |\n3. A | B |\n4. ||");
+        assert_eq!(p.capacity(), p.len());
+        // Read back, each row is its record's line.
+        let mut lines = String::new();
+        PriPrompt::read(&p).unwrap().lines_into(&mut lines);
+        let rendered: Vec<String> = instances.iter().map(SerializedRecord::render).collect();
+        assert_eq!(lines.lines().collect::<Vec<_>>(), rendered);
     }
 
     #[test]

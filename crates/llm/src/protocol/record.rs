@@ -105,7 +105,7 @@ pub fn render_pairs<'a, V: fmt::Display>(
 }
 
 /// Appends [`render_pairs`]'s text to `out`.
-fn render_pairs_into<'a, V: fmt::Display>(
+pub(crate) fn render_pairs_into<'a, V: fmt::Display>(
     pairs: impl Iterator<Item = (&'a str, V)>,
     ask: Option<&str>,
     out: &mut String,

@@ -115,14 +115,16 @@ pub fn select_attributes(
 /// query — what an LLM actually computes when asked this — with per-instance
 /// capability noise.
 ///
-/// The reply is a function of the prompt's bytes only. Each candidate line
-/// is read where it stands ([`RecordReader`]) and scored on its
-/// [`SerializedRecord::render`](crate::protocol::SerializedRecord::render):
-/// a line that is its own render is scored in place, any other line is
-/// rendered once into a reused buffer, so an oddly spelled line scores as
-/// its canonical spelling does. Nothing about the query is recomputed per
-/// candidate, and a candidate costs no allocation once the buffers are
-/// warm.
+/// The reply is a function of the prompt's bytes only. Each header-form
+/// row is read back as the `attr: value` line the per-instance form showed
+/// ([`PriPrompt::lines_into`], every row into one buffer), and that line is
+/// scored exactly as such a line was: read where it stands
+/// ([`RecordReader`]) and scored on its
+/// [`SerializedRecord::render`](crate::protocol::SerializedRecord::render),
+/// with the same Jaccard text and the same `pri-noise` draw. So each reply
+/// is the one the per-instance form got. Nothing about the query is
+/// recomputed per candidate, and a candidate costs no allocation of its
+/// own.
 pub fn score_instances(
     prompt: &PriPrompt<'_>,
     profile: &LlmProfile,
@@ -145,14 +147,16 @@ pub fn score_instances(
         _ => Vec::new(),
     };
     let query_words = WordSet::new(prompt.query);
+    let mut lines = String::new();
+    let rows = prompt.lines_into(&mut lines);
     let mut inst = RecordReader::default();
     let mut words = WordScratch::default();
     let mut rendered = String::new();
     let mut street = String::new();
     // (similarity, noise draw) per candidate: the draw does not depend on
     // the other candidates, so one pass over the lines takes both.
-    let mut scored: Vec<(f64, f64)> = Vec::new();
-    for line in prompt.lines() {
+    let mut scored: Vec<(f64, f64)> = Vec::with_capacity(rows);
+    for line in lines.split_terminator('\n') {
         if !inst.read(line) {
             continue;
         }

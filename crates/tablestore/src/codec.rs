@@ -74,12 +74,15 @@ impl<'a> Cursor<'a> {
     /// The next `n` `N`-byte little-endian words, each decoded by `word`
     /// (`u32::from_le_bytes`, say) as the iterator reaches it, borrowed
     /// from the buffer; fails before anything is read if the buffer cannot
-    /// hold that many.
-    pub fn words<const N: usize, T: 'a>(
+    /// hold that many. `word` is a type parameter, not a function pointer,
+    /// so the decode inlines into the caller's loop.
+    pub fn words<const N: usize, T: 'a, F>(
         &mut self,
         n: usize,
-        word: fn([u8; N]) -> T,
+        word: F,
     ) -> Result<impl DoubleEndedIterator<Item = T> + ExactSizeIterator + Clone + 'a, Truncated>
+    where
+        F: Fn([u8; N]) -> T + Clone + 'a,
     {
         let bytes = self.take(n.checked_mul(N).ok_or(Truncated)?)?;
         Ok(bytes

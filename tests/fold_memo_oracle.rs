@@ -73,7 +73,9 @@ impl LanguageModel for Stub {
         let call = self.calls.fetch_add(1, Ordering::SeqCst);
         let tag = if self.varies { call } else { 0 };
         let text = if let Some(request) = PriPrompt::read(prompt) {
-            let scores: Vec<String> = (request.lines())
+            let mut lines = String::new();
+            request.lines_into(&mut lines);
+            let scores: Vec<String> = (lines.lines())
                 .filter_map(SerializedRecord::parse)
                 .enumerate()
                 .map(|(i, record)| format!("{}:{}", i + 1, (record.render().len() + tag) % 4))

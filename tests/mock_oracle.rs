@@ -11,14 +11,22 @@
 //! `naturalize_record` and its clause table), and tokens counted a
 //! character at a time.
 //!
+//! `p_ri` is sent in header form (the attribute names once, then a row of
+//! values per candidate), and the model reads each row back as the
+//! `attr: value` line the per-instance form sent; the reference reads it
+//! back the same way, line by line into owned strings, and then scores
+//! the line exactly as the replaced code did.
+//!
 //! Inputs are every `p_ri` and `p_dp` prompt the quick Table 1 and Table 3
 //! drivers send (their UniDM rows; the other rows send neither), plus
-//! seeded prompts written line by line: blank values, spaces around `:`,
-//! `"; "` inside a value, repeated and mixed-case attributes, non-ASCII
-//! words, lines without `". "`, queries without `?`, every task. Under
-//! every zoo profile the completion's text and usage must be byte-equal to
-//! the reference's. The seeds derive from `UNIDM_FAULT_SEED` (the CI
-//! matrix runs 7 and 1337; 7 otherwise).
+//! seeded prompts: for `p_dp`, record lines with blank values, spaces
+//! around `:` and `"; "` inside a value; for `p_ri`, headers and rows with
+//! empty, padded, missing and extra fields and `|` inside a value; both
+//! with repeated and mixed-case attributes, non-ASCII words, lines without
+//! `". "`, queries without `?`, every task. Under every zoo profile the
+//! completion's text and usage must be byte-equal to the reference's. The
+//! seeds derive from `UNIDM_FAULT_SEED` (the CI matrix runs 7 and 1337; 7
+//! otherwise).
 
 use std::collections::BTreeSet;
 
@@ -103,19 +111,38 @@ struct PriRequest {
     instances: Vec<SerializedRecord>,
 }
 
-/// `parse_pri`, as it was.
+/// `parse_pri`, reading the header form: the header is what follows
+/// `"based on the task and the query:"` on the first line, split at `|`;
+/// each later line past its first `". "` is a row of `|`-split fields,
+/// and a row is the record its line used to be — each header name beside
+/// its field, both trimmed, an empty field left out — read by the parser
+/// as it was.
 fn parse_pri(prompt: &str) -> Option<PriRequest> {
     if !prompt.contains("Score the relevance") {
         return None;
     }
     let task = TaskKind::from_description(bracketed_after(prompt, "The task is")?)?;
     let query = bracketed_after(prompt, "The target query is")?.to_string();
+    let first = prompt.lines().next().unwrap_or("");
+    let header = first
+        .split_once("based on the task and the query:")
+        .map_or("", |(_, header)| header.trim());
+    let names: Vec<&str> = if header.is_empty() {
+        Vec::new()
+    } else {
+        header.split('|').map(str::trim).collect()
+    };
     let mut instances = Vec::new();
     for line in prompt.lines().skip(1) {
-        let Some((_num, rest)) = line.split_once(". ") else {
+        let Some((_num, row)) = line.split_once(". ") else {
             continue;
         };
-        if let Some(rec) = parse_record(rest) {
+        let pairs: Vec<String> = (names.iter())
+            .zip(row.split('|').map(str::trim))
+            .filter(|(_, value)| !value.is_empty())
+            .map(|(name, value)| format!("{name}: {value}"))
+            .collect();
+        if let Some(rec) = parse_record(&pairs.join("; ")) {
             instances.push(rec);
         }
     }
@@ -693,9 +720,13 @@ fn query(rng: &mut StdRng) -> String {
     }
 }
 
-/// A `p_ri` prompt for any task, its candidate lines numbered, unnumbered,
-/// blank or not records at all.
+/// A header-form `p_ri` prompt for any task: a header of one to six
+/// attribute spellings (or none), its rows numbered, unnumbered, blank or
+/// not rows at all, and a row's fields from every value spelling, with a
+/// `|` inside some, fewer or more of them than the header names, and odd
+/// spacing around the separators.
 fn pri_prompt(rng: &mut StdRng) -> String {
+    const BARS: &[&str] = &[" | ", " | ", "|", " |", "|  ", "\t| "];
     let task = TaskKind::ALL[rng.gen_range(0..TaskKind::ALL.len())];
     let mut prompt = format!(
         "The task is [{}]. The target query is [{}]. Score the relevance (range from 0 to 3) \
@@ -703,15 +734,40 @@ fn pri_prompt(rng: &mut StdRng) -> String {
         task.description(),
         query(rng)
     );
+    let names = if rng.gen_bool(0.1) {
+        0
+    } else {
+        rng.gen_range(1..7)
+    };
+    for i in 0..names {
+        prompt.push_str(if i == 0 { " " } else { pick(rng, BARS) });
+        prompt.push_str(pick(rng, ATTRS));
+    }
     for n in 1..=rng.gen_range(0..9) {
         prompt.push('\n');
+        let fields = match rng.gen_range(0..4) {
+            0 => rng.gen_range(0..names + 3),
+            _ => names,
+        };
+        let mut row = String::new();
+        for i in 0..fields {
+            if i > 0 {
+                row.push_str(pick(rng, BARS));
+            }
+            let value = pick(rng, VALUES);
+            if rng.gen_bool(0.05) {
+                row.push_str(&format!("{value}|{value}"));
+            } else {
+                row.push_str(value);
+            }
+        }
         match rng.gen_range(0..12) {
-            0 => prompt.push_str(&record_line(rng)),
-            1 => prompt.push_str(&format!("{n}.{}", record_line(rng))),
+            0 => prompt.push_str(&row),
+            1 => prompt.push_str(&format!("{n}.{row}")),
             2 => {}
             3 => prompt.push_str(&format!("{n}. no pairs here")),
-            4 => prompt.push_str(&format!("{n}. {}\r", record_line(rng))),
-            _ => prompt.push_str(&format!("{n}. {}", record_line(rng))),
+            4 => prompt.push_str(&format!("{n}. {row}\r")),
+            _ => prompt.push_str(&format!("{n}. {row}")),
         }
     }
     prompt
@@ -762,23 +818,43 @@ impl Coverage {
     }
 }
 
+/// What the seeded header-form rows exercise, counted with the reference
+/// parser.
+#[derive(Default, Debug)]
+struct RowCoverage {
+    records: usize,
+    misaligned: usize,
+    empty_field: usize,
+    non_ascii: usize,
+}
+
 #[test]
 fn seeded_pri_prompts_answer_as_the_parsers_did() {
     let seed = fault_seed();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x70e1);
     let prompts: Vec<String> = (0..5_000).map(|_| pri_prompt(&mut rng)).collect();
-    let mut coverage = Coverage::default();
+    let mut coverage = RowCoverage::default();
     for prompt in &prompts {
-        for line in prompt.lines().skip(1) {
-            coverage.line(line.split_once(". ").map_or(line, |(_, rest)| rest));
+        let header = prompt.lines().next().unwrap_or("");
+        let names = header.split('|').count();
+        coverage.records += parse_pri(prompt).map_or(0, |req| req.instances.len());
+        for row in prompt
+            .lines()
+            .skip(1)
+            .filter_map(|line| line.split_once(". "))
+        {
+            let fields: Vec<&str> = row.1.split('|').map(str::trim).collect();
+            coverage.misaligned += usize::from(fields.len() != names);
+            coverage.empty_field += usize::from(fields.contains(&""));
+            coverage.non_ascii += usize::from(!row.1.is_ascii());
         }
     }
     assert!(
-        coverage.canonical > 2_000 && coverage.other > 2_000,
+        coverage.records > 2_000 && coverage.misaligned > 2_000,
         "{coverage:?}"
     );
     assert!(
-        coverage.blank_value > 1_000 && coverage.non_ascii > 1_000,
+        coverage.empty_field > 1_000 && coverage.non_ascii > 1_000,
         "{coverage:?}"
     );
     let zoo = LlmProfile::zoo();

@@ -87,20 +87,20 @@ const PROMPTS_PER_TASK: [(TaskKind, [usize; 4]); 7] = [
 const DIGESTS: [(u64, u64); 16] = [
     (0xa59c76ab618658e8, 0xcc6fae39e8ca7b92),
     (0x30beea320b3cec70, 0x6ea960f96c123d65),
-    (0xae10976da9328d2f, 0x8b0fda0233efdfc2),
-    (0xea975eaef5f107df, 0x77f5f37826c622fe),
+    (0xdd274543329e1520, 0x2d84c4b13063c2d0),
+    (0x5782642dd284fad7, 0x6aaa90e08ed9228f),
     (0xf1af5455671829eb, 0xf9c9458a3dc98b53),
     (0x0202508e1e337ac8, 0x669c54b993b52494),
-    (0x52cd82d9a72902de, 0x5e8968abb6973932),
-    (0x455146fda34c2dae, 0x4baed4a5db45dc64),
+    (0xa6b38e9dbc28cc71, 0xb7c9609079ca1d42),
+    (0x8efd8ea04ec00ff2, 0xff9028d6948c32cb),
     (0xa84af68661804dfb, 0x3fd5f4a6ce1c6b82),
     (0xb2a99cbcdb7eebf5, 0x2dcf983a97942a57),
-    (0x3bf2eec6923276d8, 0x0ac3a8f951a49b5b),
-    (0xfeeb749c60cc25a2, 0x1c642f8a7bc107fc),
+    (0x269352d37eb7964b, 0xac80fce96a89b36b),
+    (0x6e9889afa96e90be, 0x75d183d1319f86c3),
     (0xa429099e4043afb9, 0xc8733cbceb355ddd),
     (0xf9e789605e1de2ac, 0x63133d0645406397),
-    (0x2de037418426a940, 0x92a6cc41d3a5a6c9),
-    (0x8e26bf5434c585de, 0xeea0716b79859d29),
+    (0x0c941c704e96c975, 0x40b5956f6e38ff4a),
+    (0x3517585d97c6de32, 0xdd65b5a9124dade8),
 ];
 
 #[test]

@@ -62,8 +62,23 @@ fn pri_roundtrips() {
         let recs: Vec<SerializedRecord> = (0..n).map(|_| record(&mut g)).collect();
         let prompt = render_pri(TaskKind::ErrorDetection, &query, &recs);
         let read = PriPrompt::read(&prompt).expect("parseable");
-        let instances: Vec<_> = read.lines().filter_map(SerializedRecord::parse).collect();
-        assert_eq!(instances, recs);
+        assert_eq!(read.query, query);
+        // The header names every attribute once; each row reads back as
+        // its record's pairs, in header order.
+        let header: Vec<&str> = read.header().collect();
+        let mut lines = String::new();
+        assert_eq!(read.lines_into(&mut lines), recs.len());
+        for (line, rec) in lines.lines().zip(&recs) {
+            let mut back = SerializedRecord::parse(line).expect("a record").pairs;
+            let at = |attr: &str| header.iter().position(|h| *h == attr);
+            assert!(back.iter().all(|(a, _)| at(a).is_some()), "{back:?}");
+            assert!(
+                back.is_sorted_by_key(|(a, _)| at(a)),
+                "{header:?}: {back:?}"
+            );
+            back.sort();
+            assert_eq!(back, rec.pairs);
+        }
     }
 }
 
