@@ -5,8 +5,13 @@
 //! `tests/batch_exec.rs` compares two runs of the same code, so it cannot
 //! see a lowering that changes a prompt; this file can.
 //!
-//! To re-record after an intended change of prompts: run the test, copy
-//! the `actual` table its failure prints over [`DIGESTS`].
+//! Each switch combination keeps three digests: the prompts sent, the
+//! whole [`RunOutput`]s (token counts and target prompt included), and
+//! the answers alone (answer, selected attributes, kept context records:
+//! no prompt text, no token count). A change of prompt form re-records
+//! the first two and never the third: the answers it pins stay put.
+//! To re-record: run the test, copy the `actual` table its failure
+//! prints over [`DIGESTS`].
 
 mod common;
 
@@ -53,6 +58,12 @@ impl Fnv {
         self.field(&out.trace.context_text);
         self.field(&out.trace.target_prompt);
     }
+
+    fn answer(&mut self, out: &RunOutput) {
+        self.field(&out.answer);
+        self.list(&out.trace.selected_attrs);
+        self.list(&out.trace.context_records);
+    }
 }
 
 /// The four pipeline prompts a model call can be, by the text only that
@@ -81,26 +92,26 @@ const PROMPTS_PER_TASK: [(TaskKind, [usize; 4]); 7] = [
     (TaskKind::Extraction, [0, 0, 0, 1]),
 ];
 
-/// `(prompt-sequence digest, RunOutput digest)` of the task mix under
-/// each combination of the four switches; bit `i` of the index is the
-/// switch of `SHAPES[i]`.
-const DIGESTS: [(u64, u64); 16] = [
-    (0xa59c76ab618658e8, 0xcc6fae39e8ca7b92),
-    (0x30beea320b3cec70, 0x6ea960f96c123d65),
-    (0xdd274543329e1520, 0x2d84c4b13063c2d0),
-    (0x5782642dd284fad7, 0x6aaa90e08ed9228f),
-    (0xf1af5455671829eb, 0xf9c9458a3dc98b53),
-    (0x0202508e1e337ac8, 0x669c54b993b52494),
-    (0xa6b38e9dbc28cc71, 0xb7c9609079ca1d42),
-    (0x8efd8ea04ec00ff2, 0xff9028d6948c32cb),
-    (0xa84af68661804dfb, 0x3fd5f4a6ce1c6b82),
-    (0xb2a99cbcdb7eebf5, 0x2dcf983a97942a57),
-    (0x269352d37eb7964b, 0xac80fce96a89b36b),
-    (0x6e9889afa96e90be, 0x75d183d1319f86c3),
-    (0xa429099e4043afb9, 0xc8733cbceb355ddd),
-    (0xf9e789605e1de2ac, 0x63133d0645406397),
-    (0x0c941c704e96c975, 0x40b5956f6e38ff4a),
-    (0x3517585d97c6de32, 0xdd65b5a9124dade8),
+/// `(prompt-sequence digest, RunOutput digest, answer digest)` of the
+/// task mix under each combination of the four switches; bit `i` of the
+/// index is the switch of `SHAPES[i]`.
+const DIGESTS: [(u64, u64, u64); 16] = [
+    (0xa59c76ab618658e8, 0xcc6fae39e8ca7b92, 0x7221149a87720a9f),
+    (0x30beea320b3cec70, 0x6ea960f96c123d65, 0x9cc0cb355436d817),
+    (0xdd274543329e1520, 0x2d84c4b13063c2d0, 0xb982f2ce8dc129d1),
+    (0x5782642dd284fad7, 0x6aaa90e08ed9228f, 0xe09140d8225a7c6b),
+    (0xf1af5455671829eb, 0xf9c9458a3dc98b53, 0x7221149a87720a9f),
+    (0x0202508e1e337ac8, 0x669c54b993b52494, 0xb7fd76ab8aaa7e00),
+    (0xa6b38e9dbc28cc71, 0xb7c9609079ca1d42, 0x2a12096036bc19ec),
+    (0x8efd8ea04ec00ff2, 0xff9028d6948c32cb, 0xe75d21199d4c5518),
+    (0xa84af68661804dfb, 0x3fd5f4a6ce1c6b82, 0xc8f16b06c7eb2213),
+    (0xb2a99cbcdb7eebf5, 0x2dcf983a97942a57, 0x17009da34d561040),
+    (0x269352d37eb7964b, 0xac80fce96a89b36b, 0xf89667518f14d389),
+    (0x6e9889afa96e90be, 0x75d183d1319f86c3, 0x6e3819127c08eafa),
+    (0xa429099e4043afb9, 0xc8733cbceb355ddd, 0xafac741c46a75786),
+    (0xf9e789605e1de2ac, 0x63133d0645406397, 0x17009da34d561040),
+    (0x0c941c704e96c975, 0x40b5956f6e38ff4a, 0x1b85d0b2b6b511b6),
+    (0x3517585d97c6de32, 0xdd65b5a9124dade8, 0xc1bea4885139c0d3),
 ];
 
 #[test]
@@ -122,11 +133,12 @@ fn task_mix_sends_the_recorded_prompts_under_every_switch_combination() {
         };
         let log = PromptLog::new(&llm);
         let unidm = UniDm::new(&log, config);
-        let (mut prompt_fnv, mut output_fnv) = (Fnv::new(), Fnv::new());
+        let (mut prompt_fnv, mut output_fnv, mut answer_fnv) = (Fnv::new(), Fnv::new(), Fnv::new());
         let mut seen = 0usize;
         for task in &tasks {
             let out = unidm.run(&lake, task).expect("the mix runs clean");
             output_fnv.output(&out);
+            answer_fnv.answer(&out);
             let prompts = log.prompts();
             let sent = &prompts[seen..];
             seen = prompts.len();
@@ -150,11 +162,11 @@ fn task_mix_sends_the_recorded_prompts_under_every_switch_combination() {
             }
             assert_eq!(sent.len(), expected, "{:?} at {bits:#06b}", task.kind());
         }
-        actual.push((prompt_fnv.0, output_fnv.0));
+        actual.push((prompt_fnv.0, output_fnv.0, answer_fnv.0));
     }
     let table: Vec<String> = actual
         .iter()
-        .map(|(p, o)| format!("    ({p:#018x}, {o:#018x}),"))
+        .map(|(p, o, a)| format!("    ({p:#018x}, {o:#018x}, {a:#018x}),"))
         .collect();
     assert!(
         actual == DIGESTS,
