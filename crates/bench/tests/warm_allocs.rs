@@ -521,16 +521,7 @@ fn lowering_an_imputation_task_over_a_paged_table_allocates_its_two_queries() {
 #[test]
 fn render_pcq_and_render_prm_allocate_once_exactly_sized() {
     let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
-    let claim = Claim {
-        task: TaskKind::Imputation,
-        context: "Florence belongs to the country Italy.".into(),
-        query: "city: Copenhagen; country: ?".into(),
-    };
-    let candidates = ["country".to_string(), "population".to_string()];
-    let renders: [&dyn Fn() -> String; 2] = [&|| render_pcq(&claim), &|| {
-        render_prm(TaskKind::Imputation, "Copenhagen, timezone", &candidates)
-    }];
-    for render in renders {
+    let once_exactly_sized = |render: &dyn Fn() -> String| {
         // The harness's own threads may allocate beside a render; they can
         // only add, so the fewest over three renders are the render's.
         let fewest = (0..3)
@@ -542,7 +533,18 @@ fn render_pcq_and_render_prm_allocate_once_exactly_sized() {
             .min()
             .expect("three renders");
         assert_eq!((fewest.0, fewest.1), (1, fewest.2), "{:?}", render());
+    };
+    // `p_cq` for every task kind: its one demonstration, or all four.
+    for task in TaskKind::ALL {
+        let claim = Claim {
+            task,
+            context: "Florence belongs to the country Italy.".into(),
+            query: "city: Copenhagen; country: ?".into(),
+        };
+        once_exactly_sized(&|| render_pcq(&claim));
     }
+    let candidates = ["country".to_string(), "population".to_string()];
+    once_exactly_sized(&|| render_prm(TaskKind::Imputation, "Copenhagen, timezone", &candidates));
 }
 
 #[test]

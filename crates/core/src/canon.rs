@@ -270,9 +270,9 @@ fn remap_lines(text: &str, perm: &[usize]) -> Option<String> {
 ///
 /// # Examples
 ///
-/// A `p_cq` prompt is dominated by a demonstration block that is the same
-/// in every cloze-construction prompt; what makes two of them one entry
-/// is that context and query coincide, never a rewrite:
+/// A `p_cq` prompt leads with its task's demonstrations, the same in
+/// every cloze-construction prompt of that task; what makes two of them
+/// one entry is that task, context and query coincide, never a rewrite:
 ///
 /// ```
 /// use unidm::{CanonLevel, CanonicalPrompt};
@@ -854,23 +854,28 @@ mod tests {
         }
     }
 
-    /// Demonstration block and claim alike: no level rewrites a `p_cq`.
+    /// Demonstrations and claim alike: no level rewrites a `p_cq`, whether
+    /// it shows its task's one demonstration or, for a task the paper
+    /// gives none, all four.
     #[test]
     fn pcq_demonstrations_land_in_the_stem() {
-        let claim = Claim {
-            task: TaskKind::Imputation,
-            context: "Florence belongs to the country Italy.".into(),
-            query: "city: Copenhagen; country: ?".into(),
-        };
-        let p = render_pcq(&claim);
-        assert!(p.contains("Punch! Home Design") && p.contains("Copenhagen"));
-        // Not even one whose claim ends like a record block.
-        let bracketed = format!("{p} logical order: [b\na]");
-        for level in [CanonLevel::TableStem, CanonLevel::Semantic] {
-            for prompt in [&p, &bracketed] {
-                let canon = CanonicalPrompt::canonicalize(prompt, level);
-                assert_eq!(canon.text(), prompt.as_str(), "{level}");
-                assert!(canon.is_borrowed() && canon.replay().is_none(), "{level}");
+        for (task, demos) in [(TaskKind::Imputation, 1), (TaskKind::TableQa, 4)] {
+            let claim = Claim {
+                task,
+                context: "Florence belongs to the country Italy.".into(),
+                query: "city: Copenhagen; country: ?".into(),
+            };
+            let p = render_pcq(&claim);
+            assert_eq!(p.matches("Cloze question: ").count(), demos, "{task:?}");
+            assert!(p.contains("Wenham, Marysville") && p.contains("Copenhagen"));
+            // Not even one whose claim ends like a record block.
+            let bracketed = format!("{p} logical order: [b\na]");
+            for level in [CanonLevel::TableStem, CanonLevel::Semantic] {
+                for prompt in [&p, &bracketed] {
+                    let canon = CanonicalPrompt::canonicalize(prompt, level);
+                    assert_eq!(canon.text(), prompt.as_str(), "{level} {task:?}");
+                    assert!(canon.is_borrowed() && canon.replay().is_none(), "{level}");
+                }
             }
         }
     }

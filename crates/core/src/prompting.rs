@@ -5,11 +5,12 @@
 //! concatenated directly. Either way the resulting target prompt is fed
 //! back to the LLM for the final answer.
 //!
-//! Caching note: the `p_cq` prompt is dominated by a fixed demonstration
-//! block (paper appendix A); only the final claim varies, and
-//! [`crate::canon`] never rewrites it. Two runs share one
+//! Caching note: the `p_cq` prompt leads with its task's demonstration
+//! (paper appendix A), or all four for a task the paper gives none, the
+//! same text in every prompt of that task; only the final claim varies,
+//! and [`crate::canon`] never rewrites it. Two runs share one
 //! cloze-construction entry under a [`crate::PromptCache`] exactly when
-//! their context and query coincide.
+//! their task, context and query coincide.
 
 use unidm_llm::protocol::{render_pcq, render_simple, Claim};
 use unidm_llm::LanguageModel;

@@ -18,6 +18,10 @@
 //! candidate ([`pri_row`]). [`PriPrompt::lines_into`] reads each row back
 //! as the `attr: value` line the paper's form shows.
 //!
+//! `p_cq` shows a claim only its own task's appendix A demonstration;
+//! table QA, join discovery and extraction, which have none in the paper,
+//! are shown all four ([`render_pcq`]).
+//!
 //! | Paper object | Renderer | Parser |
 //! |---|---|---|
 //! | `p_rm` (meta-wise retrieval) | [`render_prm`] | [`parse_prm`] |

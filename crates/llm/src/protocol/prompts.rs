@@ -337,64 +337,110 @@ pub struct Claim {
     pub query: String,
 }
 
-/// The in-context demonstrations of `p_cq` (paper appendix A), shared by
-/// every render so the prompt cost is realistic.
-const PCQ_DEMONSTRATIONS: &str = "\
+/// Defines each `p_cq` demonstration of paper appendix A as a `&'static
+/// str` ending in a newline, and [`PCQ_EVERY_DEMONSTRATION`] as all of
+/// them in order.
+macro_rules! pcq_demonstrations {
+    ($($name:ident = $text:literal;)*) => {
+        $(const $name: &str = $text;)*
+        /// Every demonstration, in appendix order.
+        const PCQ_EVERY_DEMONSTRATION: &str = concat!($($text),*);
+    };
+}
+
+pcq_demonstrations! {
+    PCQ_IMPUTATION = "\
 Claim: The task is [data imputation]. The context is [Wenham, Marysville, and Westmont are \
 cities in the United States, identified by the ISO3 code USA]. The target query is [city: New \
 Cassel; iso3: USA; country: ?].
 Cloze question: Wenham, Marysville, and Westmont are cities in the United States, identified \
 by the ISO3 code USA. New Cassel belongs to the country __.
+";
+    PCQ_TRANSFORMATION = "\
 Claim: The task is [data transformation]. The context is [data before transformation: 20000101 \
 data after transformation: 2000-01-01]. The target query is [19990415: ?].
 Cloze question: 20000101 can be transformed to 2000-01-01, and 19990415 can be transformed \
 to __.
+";
+    PCQ_ERROR_DETECTION = "\
 Claim: The task is [error detection]. The context is [the address of 2505 u s highway 431 \
 north is not an error, the county name of mxrshxll is an error]. The target query is [city: \
 sheffxeld?].
 Cloze question: The address 2505 u s highway 431 north has no error, whereas the county name \
 mxrshxll contains an error. Is there an error in the city sheffxeld? Yes or No: __.
+";
+    PCQ_ENTITY_RESOLUTION = "\
 Claim: The task is [entity resolution]. The context is [A is the Punch! Home Design \
 Architectural Series 4000 v10, priced at $199.99. B is the Punch Software 41100 Punch! Home \
 Design Architectural Series 18, priced at $18.99]. The target query is [are A and B the \
 same?].
 Cloze question: Entity A is the Punch! Home Design Architectural Series 4000 v10 priced at \
 $199.99. Entity B is the Punch Software 41100 Punch! Home Design Architectural Series 18 \
-priced at $18.99. Are entity A and entity B the same? Yes or No: __.";
+priced at $18.99. Are entity A and entity B the same? Yes or No: __.
+";
+}
 
-/// Renders `p_cq` (paper §4.4): demonstrations plus the claim to rewrite,
-/// spliced into one buffer sized exactly in advance.
+/// The demonstrations `p_cq` shows a claim of `task` (see [`render_pcq`]).
+fn pcq_demonstrations_for(task: TaskKind) -> &'static str {
+    match task {
+        TaskKind::Imputation => PCQ_IMPUTATION,
+        TaskKind::Transformation => PCQ_TRANSFORMATION,
+        TaskKind::ErrorDetection => PCQ_ERROR_DETECTION,
+        TaskKind::EntityResolution => PCQ_ENTITY_RESOLUTION,
+        TaskKind::TableQa | TaskKind::JoinDiscovery | TaskKind::Extraction => {
+            PCQ_EVERY_DEMONSTRATION
+        }
+    }
+}
+
+const PCQ_INSTRUCTION: &str = "Write the claim as a cloze question.\n";
+const PCQ_TASK: &str = "Claim: The task is [";
+const PCQ_CONTEXT: &str = "]. The context is [";
+const PCQ_QUERY: &str = "]. The target query is [";
+const PCQ_TAIL: &str = "].\nCloze question:";
+
+/// Renders `p_cq` (paper §4.4) into one buffer sized exactly in advance:
+/// the instruction, the appendix A demonstration of the claim's task, and
+/// the claim to rewrite. Table QA, join discovery and extraction have no
+/// demonstration in the paper, and a demonstration is paper text that is
+/// not invented here, so their claims are shown all four, in appendix order.
 pub fn render_pcq(claim: &Claim) -> String {
     [
-        "Write the claim as a cloze question.\n",
-        PCQ_DEMONSTRATIONS,
-        "\nClaim: The task is [",
+        PCQ_INSTRUCTION,
+        pcq_demonstrations_for(claim.task),
+        PCQ_TASK,
         claim.task.description(),
-        "]. The context is [",
+        PCQ_CONTEXT,
         &claim.context,
-        "]. The target query is [",
+        PCQ_QUERY,
         &claim.query,
-        "].\nCloze question:",
+        PCQ_TAIL,
     ]
     .concat()
 }
 
-/// Parses a `p_cq` prompt back into the final claim (ignoring the
-/// demonstrations, which are fixed).
+/// Parses a `p_cq` prompt back into the claim [`render_pcq`] wrote: the
+/// one after the instruction and its task's demonstrations, whatever its
+/// context and query hold (`Claim:` or `The task is [` included), up to
+/// the one ambiguity the form has: the context ends at the claim's first
+/// `]. The target query is [`. `None` unless the prompt is the
+/// instruction, a task's demonstrations, that task's claim and the
+/// closing cue.
 pub fn parse_pcq(prompt: &str) -> Option<Claim> {
-    if !prompt.starts_with("Write the claim as a cloze question.") {
-        return None;
-    }
-    // The final claim follows the last "Claim:" marker.
-    let last = prompt.rfind("Claim:")?;
-    let tail = &prompt[last..];
-    let task = TaskKind::from_description(bracketed_after(tail, "The task is")?)?;
-    let context = bracketed_after(tail, "The context is")?.to_string();
-    let query = bracketed_after(tail, "The target query is")?.to_string();
-    Some(Claim {
-        task,
-        context,
-        query,
+    let rest = prompt.strip_prefix(PCQ_INSTRUCTION)?;
+    TaskKind::ALL.into_iter().find_map(|task| {
+        let claim = rest
+            .strip_prefix(pcq_demonstrations_for(task))?
+            .strip_prefix(PCQ_TASK)?
+            .strip_prefix(task.description())?
+            .strip_prefix(PCQ_CONTEXT)?
+            .strip_suffix(PCQ_TAIL)?;
+        let (context, query) = claim.split_once(PCQ_QUERY)?;
+        Some(Claim {
+            task,
+            context: context.to_string(),
+            query: query.to_string(),
+        })
     })
 }
 
@@ -510,9 +556,103 @@ mod tests {
             query: "city: Copenhagen; country: Denmark; timezone: ?".to_string(),
         };
         let p = render_pcq(&claim);
-        assert!(p.contains("Punch! Home Design"), "demonstrations included");
+        assert!(p.contains("Wenham, Marysville"), "its own demonstration");
+        assert!(!p.contains("Punch! Home Design"), "no other task's");
+        assert_eq!(
+            p.matches("Claim:").count(),
+            2,
+            "one demonstration, one claim"
+        );
         let back = parse_pcq(&p).unwrap();
         assert_eq!(back, claim);
+    }
+
+    /// The four appendix A demonstrations as one block, as every `p_cq`
+    /// showed them before each task got its own.
+    const FOUR_DEMONSTRATIONS: &str = "\
+Claim: The task is [data imputation]. The context is [Wenham, Marysville, and Westmont are \
+cities in the United States, identified by the ISO3 code USA]. The target query is [city: New \
+Cassel; iso3: USA; country: ?].
+Cloze question: Wenham, Marysville, and Westmont are cities in the United States, identified \
+by the ISO3 code USA. New Cassel belongs to the country __.
+Claim: The task is [data transformation]. The context is [data before transformation: 20000101 \
+data after transformation: 2000-01-01]. The target query is [19990415: ?].
+Cloze question: 20000101 can be transformed to 2000-01-01, and 19990415 can be transformed \
+to __.
+Claim: The task is [error detection]. The context is [the address of 2505 u s highway 431 \
+north is not an error, the county name of mxrshxll is an error]. The target query is [city: \
+sheffxeld?].
+Cloze question: The address 2505 u s highway 431 north has no error, whereas the county name \
+mxrshxll contains an error. Is there an error in the city sheffxeld? Yes or No: __.
+Claim: The task is [entity resolution]. The context is [A is the Punch! Home Design \
+Architectural Series 4000 v10, priced at $199.99. B is the Punch Software 41100 Punch! Home \
+Design Architectural Series 18, priced at $18.99]. The target query is [are A and B the \
+same?].
+Cloze question: Entity A is the Punch! Home Design Architectural Series 4000 v10 priced at \
+$199.99. Entity B is the Punch Software 41100 Punch! Home Design Architectural Series 18 \
+priced at $18.99. Are entity A and entity B the same? Yes or No: __.";
+
+    #[test]
+    fn pcq_shows_its_task_demonstration_or_all_four_where_the_task_has_none() {
+        let demos: Vec<&str> = FOUR_DEMONSTRATIONS
+            .split_inclusive("__.\n")
+            .map(|d| d.trim_end())
+            .collect();
+        assert_eq!(demos.len(), 4);
+        for (i, task) in TaskKind::ALL.into_iter().enumerate() {
+            let claim = Claim {
+                task,
+                context: "ctx".to_string(),
+                query: "q".to_string(),
+            };
+            let p = render_pcq(&claim);
+            let shown = if i < 4 { demos[i] } else { FOUR_DEMONSTRATIONS };
+            let want = format!(
+                "Write the claim as a cloze question.\n{shown}\nClaim: The task is [{}]. The \
+                 context is [ctx]. The target query is [q].\nCloze question:",
+                task.description()
+            );
+            assert_eq!(p, want, "{task:?}");
+            assert_eq!(p.capacity(), p.len(), "{task:?}: one exactly sized buffer");
+            // A demonstration is shown for its own task only.
+            for (j, demo) in demos.iter().enumerate() {
+                assert_eq!(
+                    p.contains(demo),
+                    i == j || i >= 4,
+                    "{task:?} shows demo {j}"
+                );
+            }
+        }
+    }
+
+    /// A claim whose context or query holds the form's own markers reads
+    /// back as itself, for every task kind.
+    #[test]
+    fn pcq_reads_back_claims_that_hold_its_markers() {
+        let texts = [
+            "Claim: the seller says so.",
+            "see [Claim: x]",
+            "The task is [data imputation]. The context is [",
+            "The task is [table question answering]",
+            "Write the claim as a cloze question.\nClaim: a\nCloze question: b __.",
+            "unbalanced ] and [ brackets",
+            "]. The context is [",
+            "ends in a bracket]",
+            "",
+        ];
+        for task in TaskKind::ALL {
+            for context in texts {
+                for query in texts {
+                    let claim = Claim {
+                        task,
+                        context: context.to_string(),
+                        query: query.to_string(),
+                    };
+                    let p = render_pcq(&claim);
+                    assert_eq!(parse_pcq(&p).as_ref(), Some(&claim), "{p}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl SerializedRecord {
     }
 
     /// The pairs, borrowed.
-    fn borrowed(&self) -> impl Iterator<Item = (&str, &str)> + Clone {
+    pub(crate) fn borrowed(&self) -> impl Iterator<Item = (&str, &str)> + Clone {
         self.pairs.iter().map(|(a, v)| (a.as_str(), v.as_str()))
     }
 

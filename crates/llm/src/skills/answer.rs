@@ -18,13 +18,16 @@
 //! Better context and better prompts mechanically raise the probability
 //! that step 1 or 3 succeeds; that is where UniDM's gains come from.
 
+use std::fmt::Write;
+
 use unidm_text::distance::{jaccard, jaro_winkler, WordSet};
 use unidm_world::Predicate;
 
 use crate::kb::KnowledgeBase;
 use crate::profile::LlmProfile;
 use crate::protocol::{
-    parse_natural_sentence, AnswerPayload, AnswerRequest, ContextKind, SerializedRecord,
+    parse_natural_sentence, AnswerPayload, AnswerRequest, ContextKind, RecordReader,
+    SerializedRecord,
 };
 use crate::skills::{area_code, context_kind_factor, prompt_form_factor, street_base};
 use crate::Dice;
@@ -85,31 +88,48 @@ pub fn answer(
 }
 
 /// Reads facts out of the context lines, dropping each with the read
-/// failure probability.
+/// failure probability. A serialized line is read where it stands
+/// ([`RecordReader`]); a natural sentence is parsed.
 fn read_context(req: &AnswerRequest, read_p: f64, dice: &Dice) -> Vec<ContextFact> {
     let mut out = Vec::new();
+    let mut reader = RecordReader::default();
+    let mut key = String::new();
     for (li, line) in req.context_lines.iter().enumerate() {
-        let rec = match req.context_kind {
-            ContextKind::Serialized => SerializedRecord::parse(line),
-            _ => parse_natural_sentence(line).or_else(|| SerializedRecord::parse(line)),
+        let natural = match req.context_kind {
+            ContextKind::Serialized => None,
+            _ => parse_natural_sentence(line),
         };
-        let Some(rec) = rec else { continue };
-        let subject = rec
-            .get("@subject")
-            .or_else(|| rec.subject())
-            .unwrap_or("")
-            .to_string();
-        for (attr, value) in &rec.pairs {
-            if attr == "@subject" || value.is_empty() {
-                continue;
+        let mut read = |subject: &str, pairs: &mut dyn Iterator<Item = (&str, &str)>| {
+            for (attr, v) in pairs {
+                if attr == "@subject" || v.is_empty() {
+                    continue;
+                }
+                key.clear();
+                let _ = write!(key, "{line}#{li}#{attr}");
+                if dice.chance(&key, "ctx-read", read_p) {
+                    out.push(ContextFact {
+                        subject: subject.to_string(),
+                        attr: attr.to_lowercase(),
+                        value: v.to_string(),
+                    });
+                }
             }
-            if dice.chance(&format!("{line}#{li}#{attr}"), "ctx-read", read_p) {
-                out.push(ContextFact {
-                    subject: subject.clone(),
-                    attr: attr.to_lowercase(),
-                    value: value.clone(),
-                });
+        };
+        match natural {
+            Some(rec) => {
+                let subject = rec.get("@subject").or_else(|| rec.subject());
+                read(subject.unwrap_or(""), &mut rec.borrowed());
             }
+            None if reader.read(line) => {
+                let first = reader
+                    .pairs()
+                    .iter()
+                    .map(|&(_, v)| v)
+                    .find(|v| !v.is_empty());
+                let subject = reader.get("@subject").or(first);
+                read(subject.unwrap_or(""), &mut reader.pairs().iter().copied());
+            }
+            None => {}
         }
     }
     out
@@ -542,31 +562,45 @@ fn value_agreement(x: &str, y: &str) -> f64 {
 
 /// Field-wise agreement of two entity descriptions, when both parse into at
 /// least two shared fields. This is the "compare attribute by attribute"
-/// reading a capable model applies to structured entity descriptions.
+/// reading a capable model applies to structured entity descriptions. A
+/// description with at least two serialized fields is read where it stands
+/// ([`RecordReader`]); another is parsed as a natural sentence.
 fn field_agreement(a: &str, b: &str) -> Option<f64> {
-    let parse = |s: &str| {
-        SerializedRecord::parse(s)
-            .filter(|r| r.pairs.len() >= 2)
-            .or_else(|| parse_natural_sentence(s))
-    };
-    let ra = parse(a)?;
-    let rb = parse(b)?;
+    fn serialized<'a>(reader: &mut RecordReader<'a>, s: &'a str) -> bool {
+        reader.read(s) && reader.pairs().len() >= 2
+    }
+    let (mut read_a, mut read_b) = (RecordReader::default(), RecordReader::default());
+    match (serialized(&mut read_a, a), serialized(&mut read_b, b)) {
+        (true, true) => pair_agreement(read_a.pairs().iter().copied(), |k| read_b.get(k)),
+        (true, false) => {
+            let rb = parse_natural_sentence(b)?;
+            pair_agreement(read_a.pairs().iter().copied(), |k| rb.get(k))
+        }
+        (false, true) => {
+            let ra = parse_natural_sentence(a)?;
+            pair_agreement(ra.borrowed(), |k| read_b.get(k))
+        }
+        (false, false) => {
+            let (ra, rb) = (parse_natural_sentence(a)?, parse_natural_sentence(b)?);
+            pair_agreement(ra.borrowed(), |k| rb.get(k))
+        }
+    }
+}
+
+/// [`field_agreement`] over the first description's pairs and the second's
+/// lookup by attribute.
+fn pair_agreement<'a, 'b>(
+    ra: impl Iterator<Item = (&'a str, &'a str)>,
+    rb: impl Fn(&str) -> Option<&'b str>,
+) -> Option<f64> {
     let mut shared = 0usize;
     let mut agree = 0.0;
     let mut strong_disagreements = 0u32;
-    for (attr, va) in &ra.pairs {
+    for (attr, va) in ra {
         if va.is_empty() {
             continue;
         }
-        let key = if attr == "@subject" {
-            "@subject"
-        } else {
-            attr.as_str()
-        };
-        let Some(vb) = rb
-            .get(key)
-            .or_else(|| (key == "@subject").then(|| rb.get("@subject")).flatten())
-        else {
+        let Some(vb) = rb(attr) else {
             continue;
         };
         shared += 1;

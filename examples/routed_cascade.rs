@@ -68,18 +68,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // its own breaker, and an adaptive AIMD token bucket seeded at
     // 5 attempts/sec. `run(1)` is the single-endpoint reference; `run(3)`
     // the fleet. Identical per-endpoint capacity — only the replica count
-    // differs.
+    // differs. The batch keeps a window of 16 runs in flight through the
+    // router, so the buckets throttle it and capacity, not the fault
+    // draws, decides the makespan (one run at a time, the draws did).
     let seed = 7;
     let run_fleet = |replicas: u32| {
         let router = RoutedBackend::from_plan(
             &llm,
             BackendConfig::resilient(seed)
                 .with_faults(FaultPlan::moderate(seed))
+                .with_pipelined()
                 .with_route(RoutePlan::replicas(replicas).with_aimd(AimdPolicy::per_sec(5))),
         );
         let cache = PromptCache::unbounded(&router).with_canonicalization(CanonLevel::TableStem);
         let answers = BatchRunner::new(&cache, pipeline)
-            .with_workers(1)
+            .with_pipeline(&router, Some(&cache))
+            .with_workers(16)
             .answers(&lake, &tasks);
         let makespan = router.clock().now_micros();
         (answers, router.stats(), makespan)

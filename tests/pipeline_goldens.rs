@@ -104,14 +104,14 @@ const DIGESTS: [(u64, u64, u64); 16] = [
     (0x0202508e1e337ac8, 0x669c54b993b52494, 0xb7fd76ab8aaa7e00),
     (0xa6b38e9dbc28cc71, 0xb7c9609079ca1d42, 0x2a12096036bc19ec),
     (0x8efd8ea04ec00ff2, 0xff9028d6948c32cb, 0xe75d21199d4c5518),
-    (0xa84af68661804dfb, 0x3fd5f4a6ce1c6b82, 0xc8f16b06c7eb2213),
-    (0xb2a99cbcdb7eebf5, 0x2dcf983a97942a57, 0x17009da34d561040),
-    (0x269352d37eb7964b, 0xac80fce96a89b36b, 0xf89667518f14d389),
-    (0x6e9889afa96e90be, 0x75d183d1319f86c3, 0x6e3819127c08eafa),
-    (0xa429099e4043afb9, 0xc8733cbceb355ddd, 0xafac741c46a75786),
-    (0xf9e789605e1de2ac, 0x63133d0645406397, 0x17009da34d561040),
-    (0x0c941c704e96c975, 0x40b5956f6e38ff4a, 0x1b85d0b2b6b511b6),
-    (0x3517585d97c6de32, 0xdd65b5a9124dade8, 0xc1bea4885139c0d3),
+    (0xcda9a8a826c70365, 0x7a6ccfaeaf5a35eb, 0xc8f16b06c7eb2213),
+    (0xebbe4c1769e5fbca, 0xbf5036b2b8b94420, 0x17009da34d561040),
+    (0x828c78df700aec41, 0x960dbb94eaa79078, 0xf89667518f14d389),
+    (0x2929b1d3d7298c5c, 0xe9b5d4de11cc6e31, 0x6e3819127c08eafa),
+    (0x3653fc15fcb586bd, 0x2d2aa977e14cc341, 0xafac741c46a75786),
+    (0x04d45a46ce51cd50, 0xd82c5c118371cb05, 0x17009da34d561040),
+    (0x67ae38fa8176b12e, 0x786dc01be879c46d, 0x1b85d0b2b6b511b6),
+    (0x3150ecd9e7eea5e1, 0x256f7233e499947b, 0xc1bea4885139c0d3),
 ];
 
 #[test]

@@ -3,7 +3,9 @@
 //! Renderers and parsers live on opposite sides of the text-only interface;
 //! these properties guarantee no pipeline state is lost in transit. Inputs
 //! are sampled deterministically (see `common::Gen`) — 128 randomized cases
-//! per property, reproducible from the fixed seed.
+//! per property, reproducible from the fixed seed — and `parse_pcq` is
+//! also held to what it returns over 10^4 seeded mutants of rendered
+//! prompts.
 
 mod common;
 
@@ -138,15 +140,119 @@ fn naturalize_preserves_values() {
 #[test]
 fn pcq_roundtrips() {
     let mut g = Gen::new(0x9c0);
-    for _ in 0..CASES {
+    for i in 0..CASES {
         let claim = Claim {
-            task: TaskKind::ErrorDetection,
+            task: TaskKind::ALL[i % TaskKind::ALL.len()],
             context: g.value(),
             query: g.value(),
         };
         let back = parse_pcq(&render_pcq(&claim)).expect("parseable");
         assert_eq!(back, claim);
     }
+}
+
+/// Text a `p_cq` mutant splices in: the form's own markers, and others.
+const PCQ_SPLICES: [&str; 10] = [
+    "Claim: ",
+    "The task is [",
+    "]. The context is [",
+    "]. The target query is [",
+    "].\nCloze question:",
+    "Write the claim as a cloze question.\n",
+    "[data imputation]",
+    "]",
+    "\n",
+    "  ",
+];
+
+/// A claim for a mutant's seed: values, and now and then a form marker in
+/// its context or its query.
+fn pcq_claim(g: &mut Gen, task: TaskKind) -> Claim {
+    let mut text = || match g.usize(0, 4) {
+        0 => format!("{}{}", PCQ_SPLICES[g.usize(0, 3)], g.value()),
+        _ => g.value(),
+    };
+    Claim {
+        task,
+        context: text(),
+        query: text(),
+    }
+}
+
+/// A seeded mutant of a rendered `p_cq` prompt.
+fn mutate_pcq(g: &mut Gen, prompt: &str) -> String {
+    // Half the cuts fall in the claim's end, where a mutant can still parse.
+    let from = if g.bool() {
+        prompt.len().saturating_sub(80)
+    } else {
+        0
+    };
+    let cuts: Vec<usize> = (from..=prompt.len())
+        .filter(|&i| prompt.is_char_boundary(i))
+        .collect();
+    let at = cuts[g.usize(0, cuts.len())];
+    let (head, tail) = prompt.split_at(at);
+    match g.usize(0, 8) {
+        // A marker spliced in anywhere, the front included.
+        0 | 1 => format!("{head}{}{tail}", PCQ_SPLICES[g.usize(0, PCQ_SPLICES.len())]),
+        // A cut: the head alone, the tail alone, or a span dropped.
+        2 => head.to_string(),
+        3 => tail.to_string(),
+        4 => {
+            let to = cuts[g.usize(0, cuts.len())].max(at);
+            format!("{head}{}", &prompt[to..])
+        }
+        // A task description, anywhere it stands, swapped for another
+        // task's or for its own in capitals.
+        5 => {
+            let descriptions = TaskKind::ALL.map(|t| t.description());
+            let found: Vec<(usize, &str)> = (descriptions.iter())
+                .flat_map(|d| prompt.match_indices(d))
+                .collect();
+            let Some(&(pos, d)) = found.get(g.usize(0, found.len().max(1))) else {
+                return prompt.to_string();
+            };
+            let other = match g.usize(0, 4) {
+                0 => d.to_uppercase(),
+                _ => descriptions[g.usize(0, descriptions.len())].to_string(),
+            };
+            format!("{}{other}{}", &prompt[..pos], &prompt[pos + d.len()..])
+        }
+        // The tail in capitals, or a span doubled.
+        6 => format!("{head}{}", tail.to_uppercase()),
+        _ => format!("{head}{head}{tail}"),
+    }
+}
+
+#[test]
+fn ten_thousand_pcq_mutants_parse_to_what_they_hold() {
+    const INSTRUCTION: &str = "Write the claim as a cloze question.";
+    let mut g = Gen::new(0x0051_9c0d);
+    let (mut parsed, mut rejected) = (0usize, 0usize);
+    for k in 0..10_000 {
+        let claim = pcq_claim(&mut g, TaskKind::ALL[k % TaskKind::ALL.len()]);
+        let prompt = render_pcq(&claim);
+        // An unmutated render reads back as exactly its claim.
+        assert_eq!(parse_pcq(&prompt).as_ref(), Some(&claim), "{prompt:?}");
+        let mut mutant = prompt;
+        for _ in 0..g.usize(1, 3) {
+            mutant = mutate_pcq(&mut g, &mutant);
+        }
+        let Some(back) = parse_pcq(&mutant) else {
+            rejected += 1;
+            continue;
+        };
+        parsed += 1;
+        assert!(mutant.starts_with(INSTRUCTION), "{mutant:?}");
+        let bracketed = format!("[{}]", back.task.description());
+        assert!(mutant.contains(&bracketed), "{bracketed} in {mutant:?}");
+        assert!(mutant.contains(&back.context), "{back:?} in {mutant:?}");
+        assert!(mutant.contains(&back.query), "{back:?} in {mutant:?}");
+        // Whatever parses is a render: of the claim it parsed to.
+        assert_eq!(render_pcq(&back), mutant);
+    }
+    // The mutants reach both sides of the parser.
+    assert!(parsed > 1_000 && rejected > 1_000, "{parsed} / {rejected}");
 }
 
 #[test]
