@@ -156,6 +156,88 @@ impl LanguageModel for SharedAnswer {
     fn reset_usage(&self) {}
 }
 
+#[test]
+fn a_miss_whose_tail_is_resident_copies_only_its_first_line() {
+    let _turn = QUIESCENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let model = SharedAnswer(Completion::shared("yes".to_string(), Usage::default()));
+    let body: Vec<String> = (0..40)
+        .map(|i| format!("{i}. row {i} | value {i}"))
+        .collect();
+    let body = body.join("\n");
+    let head = "Candidates for Florence:\n";
+    let (first, second) = (
+        format!("Candidates for Cork:\n{body}"),
+        format!("{head}{body}"),
+    );
+    let sized = {
+        let section = AllocationDelta::start();
+        std::hint::black_box(Arc::<str>::from(head));
+        (section.allocations(), section.bytes())
+    };
+    assert_eq!(sized.0, 1);
+    for level in [
+        CanonLevel::Verbatim,
+        CanonLevel::Whitespace,
+        CanonLevel::TableStem,
+        CanonLevel::Semantic,
+    ] {
+        let cache = || {
+            let cache = PromptCache::unbounded(&model)
+                .with_shards(1)
+                .with_canonicalization(level);
+            // Registers the body as a tail, and sizes the shard's maps.
+            cache.complete(&first).expect("completes");
+            cache
+        };
+        // The harness's own threads may allocate beside a miss; they can
+        // only add, so one clean miss proves the path.
+        let miss = (0..3)
+            .map(|_| {
+                let cache = cache();
+                let section = AllocationDelta::start();
+                cache.complete(&second).expect("completes");
+                (section.allocations(), section.bytes())
+            })
+            .min();
+        assert_eq!(
+            miss,
+            Some(sized),
+            "the miss copied more than its first line at {level}"
+        );
+        let cache = cache();
+        cache.complete(&second).expect("completes");
+        let mut warm = vec![first.clone(), second.clone()];
+        if level.folds_lists() {
+            // Loose whitespace, rewritten once here: its repeats are served
+            // from the fold memo, which shares the resident key.
+            let loose = second.replacen("for Florence", "for  Florence", 1);
+            cache.complete(&loose).expect("completes");
+            warm.push(loose);
+        }
+        let before = cache.stats();
+        let fewest = (0..3)
+            .map(|_| {
+                let section = AllocationDelta::start();
+                for prompt in &warm {
+                    let _ = std::hint::black_box(cache.complete(prompt));
+                }
+                section.allocations()
+            })
+            .min();
+        assert_eq!(
+            fewest,
+            Some(0),
+            "warm hits on a shared tail allocated at {level}"
+        );
+        let after = cache.stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses),
+            (3 * warm.len(), before.misses),
+            "every re-lookup hit at {level}"
+        );
+    }
+}
+
 /// `count` distinct stream-sized (2 kB) prompts, told apart by `tag`.
 fn stream_prompts(tag: &str, count: usize) -> Vec<String> {
     (0..count)

@@ -20,9 +20,13 @@
 //! * **One content hash per text** ([`unidm_text::hash::content_hash`]:
 //!   word-at-a-time, deterministic, in memory only) — it selects the shard
 //!   and rides in every key, so the maps hash those 8 bytes instead of the
-//!   text and compare the full text only on a probe. A miss copies the
-//!   canonical text once, into the `Arc<str>` its in-flight key and its
-//!   resident entry share.
+//!   text and compare the full text only on a probe.
+//! * **Shared tails** — a key is its first line plus a tail (the text
+//!   after the first `\n`; a `p_ri` pool's prompts differ only in their
+//!   query line). A miss copies once, into the `Arc<str>` its in-flight key
+//!   and its resident entry share: only the first line when the cache's
+//!   tail table holds the tail, otherwise the whole text, whose tail joins
+//!   the table. A tail leaves it with the last key that holds it.
 //! * **Sharding** — N independently locked maps (8 unless
 //!   [`PromptCache::with_shards`] says otherwise).
 //! * **Single-flight coalescing** — each shard keeps the set of keys being
@@ -42,12 +46,13 @@
 //! adaptation, fold memo); the pipelined runner calls the halves itself.
 
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use unidm_llm::{Completion, LanguageModel, LlmError, Usage};
-use unidm_text::hash::content_hash;
+use unidm_text::hash::{content_hash, PromptHasher};
 
 use crate::canon::{CanonLevel, CanonicalPrompt, ReplayFold};
 use crate::store::{CacheStore, StoreStats};
@@ -129,10 +134,11 @@ struct CacheEntry {
 /// The maps are keyed by [`Key`] and probed through `&dyn KeyView`, so a
 /// lookup borrows its [`CanonicalPrompt`] — or a `(hash, text)` pair: the
 /// raw prompt, or the disk tier's index text — instead of building an
-/// owned key.
+/// owned key. The text comes in two parts, read one after the other: a
+/// resident key's first line and its shared tail, or a whole text and `""`.
 pub(crate) trait KeyView {
     fn hash64(&self) -> u64;
-    fn text(&self) -> &str;
+    fn parts(&self) -> (&str, &str);
 }
 
 impl KeyView for CanonicalPrompt<'_> {
@@ -140,8 +146,8 @@ impl KeyView for CanonicalPrompt<'_> {
         CanonicalPrompt::hash64(self)
     }
 
-    fn text(&self) -> &str {
-        CanonicalPrompt::text(self)
+    fn parts(&self) -> (&str, &str) {
+        (CanonicalPrompt::text(self), "")
     }
 }
 
@@ -151,9 +157,27 @@ impl KeyView for (u64, &str) {
         self.0
     }
 
-    fn text(&self) -> &str {
-        self.1
+    fn parts(&self) -> (&str, &str) {
+        (self.1, "")
     }
+}
+
+/// Whether two texts given in parts ([`KeyView::parts`]) are equal: one
+/// `memcmp` for two whole texts, at most three otherwise.
+fn same_text(a: (&str, &str), b: (&str, &str)) -> bool {
+    if a.1.is_empty() && b.1.is_empty() {
+        return a.0 == b.0;
+    }
+    // `a` has the shorter head, so its tail opens with the rest of `b`'s.
+    if a.0.len() > b.0.len() {
+        return same_text(b, a);
+    }
+    let (b_head, b_rest) = b.0.as_bytes().split_at(a.0.len());
+    let a_tail = a.1.as_bytes();
+    a.0.len() + a.1.len() == b.0.len() + b.1.len()
+        && a.0.as_bytes() == b_head
+        && a_tail.starts_with(b_rest)
+        && a_tail[b_rest.len()..] == *b.1.as_bytes()
 }
 
 /// Hashing a key writes only the precomputed content hash — the text is
@@ -166,24 +190,30 @@ impl Hash for dyn KeyView + '_ {
 
 /// Key equality is always decided by the full text; the hash comparison
 /// in front of it only skips the `memcmp` for chain neighbours, and the
-/// pointer comparison skips it for two keys sharing one `Arc<str>`.
+/// pointer comparison skips it for two clones of one key.
 impl PartialEq for dyn KeyView + '_ {
     fn eq(&self, other: &Self) -> bool {
-        let (a, b) = (self.text(), other.text());
-        self.hash64() == other.hash64() && (std::ptr::eq(a, b) || a == b)
+        let (a, b) = (self.parts(), other.parts());
+        self.hash64() == other.hash64()
+            && ((std::ptr::eq(a.0, b.0) && std::ptr::eq(a.1, b.1)) || same_text(a, b))
     }
 }
 
 impl Eq for dyn KeyView + '_ {}
 
-/// An owned map key: the canonical text, shared (`Arc<str>`) between the
-/// resident entry, its eviction-ring slot and the in-flight key that
-/// preceded them — or between the disk tier's index, FIFO queue and
-/// compaction order — plus its content hash.
+/// The tail of `text`: what follows its first `\n`, when anything does.
+fn tail_of(text: &str) -> Option<&str> {
+    let at = text.find('\n')? + 1;
+    (at < text.len()).then(|| &text[at..])
+}
+
+/// An owned whole-text key: the canonical text, shared (`Arc<str>`)
+/// between the disk tier's index, FIFO queue and compaction order, or the
+/// raw prompt the fold memo is keyed by, plus its content hash.
 #[derive(Clone)]
 pub(crate) struct Key {
     hash: u64,
-    text: Arc<str>,
+    pub(crate) text: Arc<str>,
 }
 
 impl Key {
@@ -195,11 +225,6 @@ impl Key {
             text: Arc::from(text),
         }
     }
-
-    /// The one copy of the canonical text a miss makes.
-    fn of(canonical: &CanonicalPrompt<'_>) -> Key {
-        Key::new(canonical.hash64(), canonical.text())
-    }
 }
 
 impl KeyView for Key {
@@ -207,32 +232,122 @@ impl KeyView for Key {
         self.hash
     }
 
-    fn text(&self) -> &str {
-        &self.text
+    fn parts(&self) -> (&str, &str) {
+        (&self.text, "")
     }
 }
 
-impl<'a> Borrow<dyn KeyView + 'a> for Key {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
+/// A tier-0 key, shared (by `Arc`) between the resident entry, its
+/// eviction-ring slot, the in-flight key that preceded them and the fold
+/// memo: its content hash and its text, as a first line and a tail. It
+/// holds its whole text when it registered its tail in the tail table (or
+/// has none), and only its first line, plus the registering key's copy,
+/// when another key had ([`PromptCache::key_of`]).
+#[derive(Clone)]
+pub(crate) struct SharedKey {
+    hash: u64,
+    /// The content hash of the tail, when the key has one.
+    tail_hash: u64,
+    /// The key's one copy: its whole text, or its first line when `tail`
+    /// holds the rest.
+    own: Arc<str>,
+    /// The whole copy of the key that registered this key's tail: the
+    /// tail is what follows that copy's first line.
+    tail: Option<Arc<str>>,
+}
+
+impl SharedKey {
+    /// The text after the first line, when anything follows it.
+    fn tail(&self) -> Option<&str> {
+        tail_of(self.tail.as_deref().unwrap_or(&self.own))
+    }
+
+    /// The text, joined.
+    fn to_text(&self) -> String {
+        let (head, tail) = self.parts();
+        [head, tail].concat()
+    }
+
+    /// The disk tier's key for this text: the same copy when this key
+    /// holds its whole text.
+    fn whole(&self) -> Key {
+        let text = match self.tail {
+            None => self.own.clone(),
+            Some(_) => Arc::from(self.to_text()),
+        };
+        Key {
+            hash: self.hash,
+            text,
+        }
     }
 }
 
-// `Borrow` requires the owned key to hash and compare exactly like its
-// borrowed view.
-impl Hash for Key {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (self as &dyn KeyView).hash(state);
+impl KeyView for SharedKey {
+    fn hash64(&self) -> u64 {
+        self.hash
+    }
+
+    fn parts(&self) -> (&str, &str) {
+        match &self.tail {
+            Some(copy) => (&self.own, tail_of(copy).unwrap_or_default()),
+            // Empty, but at one address for every clone of the key.
+            None => (&self.own, &self.own[self.own.len()..]),
+        }
     }
 }
 
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        (self as &dyn KeyView) == (other as &dyn KeyView)
+/// A tail-table key: the whole copy of the key that registered a tail —
+/// the tail is what follows its first line — under the tail's content
+/// hash.
+struct TailKey {
+    hash: u64,
+    copy: Arc<str>,
+}
+
+impl KeyView for TailKey {
+    fn hash64(&self) -> u64 {
+        self.hash
+    }
+
+    fn parts(&self) -> (&str, &str) {
+        (tail_of(&self.copy).unwrap_or_default(), "")
     }
 }
 
-impl Eq for Key {}
+/// `Borrow` requires an owned key to hash and compare exactly like its
+/// borrowed view.
+macro_rules! owned_key {
+    ($key:ty) => {
+        impl<'a> Borrow<dyn KeyView + 'a> for $key {
+            fn borrow(&self) -> &(dyn KeyView + 'a) {
+                self
+            }
+        }
+
+        impl Hash for $key {
+            fn hash<H: Hasher>(&self, state: &mut H) {
+                (self as &dyn KeyView).hash(state);
+            }
+        }
+
+        impl PartialEq for $key {
+            fn eq(&self, other: &Self) -> bool {
+                (self as &dyn KeyView) == (other as &dyn KeyView)
+            }
+        }
+
+        impl Eq for $key {}
+    };
+}
+
+owned_key!(Key);
+owned_key!(SharedKey);
+owned_key!(TailKey);
+
+/// Each tail of a tier-0 key, once, with the number of keys — in flight or
+/// resident — that hold it. The table is not sharded, so it hashes the
+/// tail's content hash with a plain fold instead of a keyed `RandomState`.
+type Tails = HashMap<TailKey, Cell<u32>, BuildHasherDefault<PromptHasher>>;
 
 /// What one rewritten raw prompt canonicalized to, kept by the fold memo:
 /// the resident canonical key, the canonical completion the answer came
@@ -240,7 +355,7 @@ impl Eq for Key {}
 /// itself when nothing was reordered.
 #[derive(Clone)]
 struct Folded {
-    canonical: Key,
+    canonical: SharedKey,
     from: Arc<Completion>,
     answer: Arc<Completion>,
 }
@@ -249,15 +364,16 @@ struct Folded {
 struct CacheInner {
     /// canonical key → memoized completion. Probed through a borrowed
     /// [`KeyView`], so a warm hit allocates nothing.
-    entries: HashMap<Key, CacheEntry>,
+    entries: HashMap<SharedKey, CacheEntry>,
     /// Second-chance eviction ring: every resident key, in insertion
     /// order, with `hand` pointing at the next eviction candidate. An
     /// evicted slot is reused in place by the entry that displaced it, so
-    /// the ring never reallocates once the shard is full.
-    ring: Vec<Key>,
+    /// the ring never reallocates once the shard is full. An unbounded
+    /// shard never evicts, and keeps it empty.
+    ring: Vec<SharedKey>,
     hand: usize,
     /// Canonical keys a leader is completing.
-    inflight: HashSet<Key>,
+    inflight: HashSet<SharedKey>,
     /// The fold memo, at a level that folds lists: raw prompt (its own
     /// content hash, compared in full) → what canonicalization that
     /// rewrote it produced. The shard is picked by the raw text's hash,
@@ -291,7 +407,7 @@ impl CacheInner {
     }
 
     /// Inserts `key`, evicting one entry by second-chance
-    /// when the shard is at `capacity`.
+    /// when the shard is at `capacity`; returns the evicted key.
     ///
     /// Eviction is O(1) amortized: the clock hand sweeps the ring,
     /// clearing reference bits until it finds an entry not used since the
@@ -304,7 +420,12 @@ impl CacheInner {
     /// order: the hand position and every reference bit are pure
     /// functions of the insert/hit sequence. `stats.evictions` stays
     /// exact — exactly one eviction per insert beyond capacity.
-    fn insert(&mut self, key: Key, completion: Arc<Completion>, capacity: usize) {
+    fn insert(
+        &mut self,
+        key: SharedKey,
+        completion: Arc<Completion>,
+        capacity: usize,
+    ) -> Option<SharedKey> {
         // Only a key's leader inserts it, and only after a miss.
         debug_assert!(!self.entries.contains_key(&key), "one leader per key");
         let entry = CacheEntry {
@@ -314,13 +435,17 @@ impl CacheInner {
             // cannot flush the referenced working set.
             referenced: false,
         };
-        if self.entries.len() >= capacity {
+        let evicted = if self.entries.len() >= capacity {
             let slot = self.evict_one();
-            self.ring[slot] = key.clone();
+            Some(std::mem::replace(&mut self.ring[slot], key.clone()))
         } else {
-            self.ring.push(key.clone());
-        }
+            if capacity != usize::MAX {
+                self.ring.push(key.clone());
+            }
+            None
+        };
         self.entries.insert(key, entry);
+        evicted
     }
 
     /// Runs the clock hand until it claims a victim; removes the victim
@@ -412,6 +537,9 @@ pub struct PromptCache<'a> {
     /// its admission filter. The tier-0 hit path never touches it, so the
     /// zero-allocation warm hit is unchanged.
     store: Option<CacheStore>,
+    /// The tail table, one for all shards: the keys of one candidate pool
+    /// spread over every shard. Locked after a shard's lock, never before.
+    tails: Mutex<Tails>,
 }
 
 impl std::fmt::Debug for PromptCache<'_> {
@@ -453,6 +581,7 @@ impl<'a> PromptCache<'a> {
             level: CanonLevel::Verbatim,
             shards: build_shards(DEFAULT_SHARDS),
             store: None,
+            tails: Mutex::default(),
         };
         cache.shard_capacity = cache.capacity_per_shard();
         cache
@@ -555,6 +684,56 @@ impl<'a> PromptCache<'a> {
         shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Locks the tail table, recovering from poison like a shard.
+    fn lock_tails(&self) -> MutexGuard<'_, Tails> {
+        self.tails.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The leader's one copy of `canonical`'s text: its first line alone
+    /// when a key already holds its tail in the tail table, otherwise the
+    /// whole text, whose tail — if any — joins the table as a slice of
+    /// that copy. One hash of the tail and one probe either way.
+    fn key_of(&self, canonical: &CanonicalPrompt<'_>) -> SharedKey {
+        let (hash, text) = (canonical.hash64(), canonical.text());
+        let key = |tail_hash, own, tail| SharedKey {
+            hash,
+            tail_hash,
+            own,
+            tail,
+        };
+        let Some(tail) = tail_of(text) else {
+            return key(0, Arc::from(text), None);
+        };
+        let tail_hash = content_hash(tail);
+        let mut tails = self.lock_tails();
+        if let Some((shared, holders)) = tails.get_key_value(&(tail_hash, tail) as &dyn KeyView) {
+            holders.set(holders.get() + 1);
+            let head = Arc::from(&text[..text.len() - tail.len()]);
+            return key(tail_hash, head, Some(shared.copy.clone()));
+        }
+        let copy: Arc<str> = Arc::from(text);
+        let shared = TailKey {
+            hash: tail_hash,
+            copy: copy.clone(),
+        };
+        tails.insert(shared, Cell::new(1));
+        key(tail_hash, copy, None)
+    }
+
+    /// Drops the hold a key made by [`PromptCache::key_of`] has on its
+    /// tail, once the key leaves tier 0 (evicted, or its fetch failed): the
+    /// tail leaves the table with its last holder.
+    fn release(&self, key: &SharedKey) {
+        if let Some(tail) = key.tail() {
+            let mut tails = self.lock_tails();
+            let held = tails.remove_entry(&(key.tail_hash, tail) as &dyn KeyView);
+            if let Some((shared, holders)) = held.filter(|(_, holders)| holders.get() > 1) {
+                holders.set(holders.get() - 1);
+                tails.insert(shared, holders);
+            }
+        }
+    }
+
     /// A snapshot of the aggregated hit/miss/eviction statistics.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
@@ -575,7 +754,7 @@ impl<'a> PromptCache<'a> {
                 self.lock_shard(shard)
                     .entries
                     .keys()
-                    .map(|key| key.text.to_string())
+                    .map(SharedKey::to_text)
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -607,8 +786,8 @@ impl LanguageModel for PromptCache<'_> {
             Lookup::Hit(answer) => Ok(answer),
             // The canonical text is completed below without holding any
             // lock, by the leader or by a lookup that lost the race to it.
-            Lookup::Miss(miss) => {
-                let result = self.inner.complete(miss.text());
+            Lookup::Miss(miss, canonical) => {
+                let result = self.inner.complete(canonical.text());
                 self.fill(miss, result)
             }
         }
@@ -666,10 +845,10 @@ impl PromptCache<'_> {
     /// the key in flight and counts a miss) or found the key already in
     /// flight: with `coalesce` (a pipelined window, whose dispatcher
     /// attaches it to the leader's request) it counts coalesced, otherwise
-    /// it counts a miss and fetches the key itself. Complete a miss's
-    /// [`Miss::text`] below and hand the result to [`PromptCache::fill`].
+    /// it counts a miss and fetches the key itself. Complete the miss's
+    /// canonical text below and hand the result to [`PromptCache::fill`].
     #[inline]
-    pub(crate) fn lookup(&self, prompt: &str, coalesce: bool) -> Lookup<'_> {
+    pub(crate) fn lookup<'p>(&self, prompt: &'p str, coalesce: bool) -> Lookup<'_, 'p> {
         // The one hash of the raw text: a warm prompt is served by it
         // alone, and a borrowed canonical text reuses it.
         let hash = content_hash(prompt);
@@ -681,7 +860,7 @@ impl PromptCache<'_> {
 
     /// [`PromptCache::lookup`] past the raw probe: canonicalization, tier
     /// 0, the in-flight table and the disk tier.
-    fn lookup_canonical(&self, hash: u64, prompt: &str, coalesce: bool) -> Lookup<'_> {
+    fn lookup_canonical<'p>(&self, hash: u64, prompt: &'p str, coalesce: bool) -> Lookup<'_, 'p> {
         let mut canonical = CanonicalPrompt::canonicalize_hashed(prompt, self.level, hash);
         // A rewrite at a level that folds lists is memoized by its raw text.
         let memoized = !canonical.is_borrowed() && self.level.folds_lists();
@@ -707,7 +886,7 @@ impl PromptCache<'_> {
             None => {
                 // The miss's one copy of the text: the in-flight set holds
                 // it now, the resident entry later.
-                let key = Key::of(&canonical);
+                let key = self.key_of(&canonical);
                 state.inflight.insert(key.clone());
                 (key, true)
             }
@@ -720,7 +899,7 @@ impl PromptCache<'_> {
         }
         drop(state);
         let miss = Miss {
-            shard,
+            cache: self,
             replay: canonical.take_replay(),
             // A lookup that fetches a key in flight inserts nothing, not
             // even into the fold memo.
@@ -732,21 +911,21 @@ impl PromptCache<'_> {
         if let (true, Some(store)) = (leads, &self.store) {
             // The disk tier, probed under the canonicalizer's hash: a hit
             // there fills tier 0 without reaching below.
-            if let Some(completion) = store.get_hashed(miss.key.hash, &miss.key.text) {
+            if let Some(completion) = store.get_hashed(miss.key.hash, canonical.text()) {
                 return Lookup::Hit(
                     self.settle(miss, Ok(completion), false)
                         .expect("a hit is Ok"),
                 );
             }
         }
-        Lookup::Miss(miss)
+        Lookup::Miss(miss, canonical)
     }
 
-    /// Settles `miss` with `result`, the completion of [`Miss::text`] from
-    /// below: a leader inserts a success into tier 0 and the disk tier and
-    /// clears its in-flight key (an error is not memoized: the next lookup
-    /// retries), and a coalesced lookup counts its success saved. Returns
-    /// the answer in the prompt's own element order.
+    /// Settles `miss` with `result`, the completion of its canonical text
+    /// from below: a leader inserts a success into tier 0 and the disk tier
+    /// and clears its in-flight key (an error is not memoized: the next
+    /// lookup retries), and a coalesced lookup counts its success saved.
+    /// Returns the answer in the prompt's own element order.
     pub(crate) fn fill(
         &self,
         miss: Miss<'_>,
@@ -764,10 +943,17 @@ impl PromptCache<'_> {
         fetched: bool,
     ) -> Result<Arc<Completion>, LlmError> {
         let resident = {
-            let mut state = self.lock_shard(miss.shard);
+            let mut state = self.lock_shard(self.shard_for_hash(miss.key.hash));
             if miss.leads {
-                if let Ok(completion) = &result {
-                    state.insert(miss.key.clone(), completion.clone(), self.shard_capacity);
+                // An evicted key leaves tier 0, or this one, never resident.
+                let leaves = match &result {
+                    Ok(completion) => {
+                        state.insert(miss.key.clone(), completion.clone(), self.shard_capacity)
+                    }
+                    Err(_) => Some(miss.key.clone()),
+                };
+                if let Some(key) = leaves {
+                    self.release(&key);
                 }
                 state.inflight.remove(&miss.key);
             } else if let (true, Ok(completion)) = (miss.coalesced, &result) {
@@ -779,7 +965,7 @@ impl PromptCache<'_> {
         };
         if std::mem::take(&mut miss.leads) {
             if let (true, Some(store), Ok(completion)) = (fetched, &self.store, &result) {
-                store.offer_hashed(miss.key.hash, &miss.key.text, completion);
+                store.offer_with(&miss.key, || miss.key.whole(), completion);
             }
         }
         let completion = result?;
@@ -799,7 +985,7 @@ impl PromptCache<'_> {
         &self,
         raw: &dyn KeyView,
         owned: impl FnOnce() -> Key,
-        canonical: Key,
+        canonical: SharedKey,
         from: Arc<Completion>,
         answer: &Arc<Completion>,
     ) {
@@ -831,20 +1017,22 @@ fn adapt(replay: Option<&ReplayFold>, completion: &Arc<Completion>) -> Arc<Compl
 }
 
 /// What [`PromptCache::lookup`] found.
-pub(crate) enum Lookup<'c> {
+pub(crate) enum Lookup<'c, 'p> {
     /// The answer, served without reaching below the cache.
     Hit(Arc<Completion>),
-    /// A tier-0 miss: complete [`Miss::text`] below, then fill it.
-    Miss(Miss<'c>),
+    /// A tier-0 miss: complete the canonical prompt's text below — the
+    /// lookup's own, not a copy — then fill the miss.
+    Miss(Miss<'c>, CanonicalPrompt<'p>),
 }
 
 /// A tier-0 miss between [`PromptCache::lookup`] and [`PromptCache::fill`].
-/// A leader dropped unfilled (its fetch unwound) clears its in-flight key,
-/// so the next lookup of the key leads afresh.
+/// A leader dropped unfilled (its fetch unwound) clears its in-flight key
+/// and its hold on the key's tail, so the next lookup of the key leads
+/// afresh.
 pub(crate) struct Miss<'c> {
-    shard: &'c Mutex<CacheInner>,
-    /// The canonical key: the text to complete below.
-    key: Key,
+    cache: &'c PromptCache<'c>,
+    /// The canonical key.
+    key: SharedKey,
     replay: Option<ReplayFold>,
     /// The raw prompt under its own hash, when the fold memo learns it.
     raw: Option<Key>,
@@ -854,18 +1042,14 @@ pub(crate) struct Miss<'c> {
     coalesced: bool,
 }
 
-impl Miss<'_> {
-    /// The canonical text to complete below.
-    pub(crate) fn text(&self) -> &str {
-        &self.key.text
-    }
-}
-
 impl Drop for Miss<'_> {
     fn drop(&mut self) {
         if self.leads {
-            let mut state = self.shard.lock().unwrap_or_else(PoisonError::into_inner);
-            state.inflight.remove(&self.key);
+            let cache = self.cache;
+            (cache.lock_shard(cache.shard_for_hash(self.key.hash)))
+                .inflight
+                .remove(&self.key);
+            cache.release(&self.key);
         }
     }
 }
@@ -1102,6 +1286,63 @@ mod tests {
             (cache.canonical_prompts(), cache.stats().evictions)
         };
         assert_eq!(replay(), replay(), "same ops, same survivors");
+    }
+
+    /// The tail table's tails, sorted.
+    fn table_tails(cache: &PromptCache<'_>) -> Vec<String> {
+        let tails = cache.lock_tails();
+        let mut held: Vec<String> = tails.keys().map(|k| k.parts().0.to_string()).collect();
+        held.sort();
+        held
+    }
+
+    /// The distinct tails of the resident keys, sorted.
+    fn resident_tails(cache: &PromptCache<'_>) -> Vec<String> {
+        let mut tails: Vec<String> = (cache.shards.iter())
+            .flat_map(|shard| {
+                let state = cache.lock_shard(shard);
+                let keys = state.entries.keys();
+                keys.filter_map(|k| k.tail().map(str::to_string))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        tails.sort();
+        tails.dedup();
+        tails
+    }
+
+    #[test]
+    fn a_bounded_cache_keeps_only_the_tails_of_its_resident_keys() {
+        let (_, llm) = setup();
+        let cache = PromptCache::new(&llm, 4).with_shards(1);
+        // Three pools of four queries over one body each: twelve keys, three
+        // tails, each key displacing an older one.
+        let pools: Vec<String> = (0..3)
+            .flat_map(|pool| {
+                (0..4).map(move |q| format!("query {q} of pool {pool}\nrow a {pool}\nrow b {pool}"))
+            })
+            .collect();
+        for prompt in &pools {
+            cache.complete(prompt).unwrap();
+            assert_eq!(table_tails(&cache), resident_tails(&cache));
+        }
+        assert_eq!(table_tails(&cache), ["row a 2\nrow b 2"]);
+        assert_eq!(cache.canonical_prompts(), pools[8..]);
+        {
+            let state = cache.lock_shard(&cache.shards[0]);
+            let sharing = state.entries.keys().filter(|k| k.tail.is_some()).count();
+            assert_eq!(sharing, 3, "one key copies the body, three share it");
+        }
+        // A failed fetch lets go of the tail it registered.
+        assert!(cache.complete(" \n ").is_err());
+        assert_eq!(table_tails(&cache), resident_tails(&cache));
+        // Single-line keys displace every key that holds a tail.
+        for i in 0..4 {
+            cache.complete(&format!("single-line prompt {i}")).unwrap();
+        }
+        assert_eq!(cache.stats().evictions, 12);
+        assert!(resident_tails(&cache).is_empty());
+        assert!(table_tails(&cache).is_empty(), "the table is bounded too");
     }
 
     #[test]

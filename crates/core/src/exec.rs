@@ -450,7 +450,9 @@ impl<'c> Flight<'_, 'c> {
             let (reply, miss) = match self.run.next() {
                 Ok(Step::Prompt(prompt)) => match cache.map(|cache| cache.lookup(prompt, true)) {
                     Some(Lookup::Hit(answer)) => (Reply::Ready(Ok(answer)), None),
-                    Some(Lookup::Miss(miss)) => (dispatcher.submit(miss.text()), Some(miss)),
+                    Some(Lookup::Miss(miss, canonical)) => {
+                        (dispatcher.submit(canonical.text()), Some(miss))
+                    }
                     None => (dispatcher.submit(prompt), None),
                 },
                 Ok(Step::Done(output)) => {

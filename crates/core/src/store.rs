@@ -456,11 +456,14 @@ impl std::fmt::Debug for CacheStore {
     }
 }
 
-/// Encodes one frame (length prefix + payload + checksum) into `out`.
-fn encode_frame(out: &mut Vec<u8>, prompt: &str, completion: &Completion) {
+/// Encodes one frame (length prefix + payload + checksum) into `out`; the
+/// prompt comes in the two parts of a [`KeyView`].
+fn encode_frame(out: &mut Vec<u8>, (head, tail): (&str, &str), completion: &Completion) {
     out.clear();
     put_u32(out, 0); // the payload length, known once it is written
-    put_str(out, prompt);
+    put_u32(out, (head.len() + tail.len()) as u32);
+    out.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(tail.as_bytes());
     put_str(out, &completion.text);
     put_u32(out, completion.usage.prompt_tokens as u32);
     put_u32(out, completion.usage.completion_tokens as u32);
@@ -699,15 +702,23 @@ impl CacheStore {
     /// Append failures are recorded as rejections (the store is an
     /// optimization, never a correctness dependency).
     pub fn offer(&self, prompt: &str, completion: &Arc<Completion>) -> bool {
-        self.offer_hashed(content_hash(prompt), prompt, completion)
+        let hash = content_hash(prompt);
+        self.offer_with(&(hash, prompt), || Key::new(hash, prompt), completion)
     }
 
-    /// [`CacheStore::offer`] for a prompt whose content hash the caller
-    /// already holds.
-    pub(crate) fn offer_hashed(&self, hash: u64, prompt: &str, completion: &Completion) -> bool {
+    /// [`CacheStore::offer`] of `prompt`, a view of tier 0's key or a
+    /// plain text; `owned` makes the index's key when the frame is
+    /// appended.
+    pub(crate) fn offer_with(
+        &self,
+        prompt: &dyn KeyView,
+        owned: impl FnOnce() -> Key,
+        completion: &Completion,
+    ) -> bool {
+        let hash = prompt.hash64();
         let mut guard = self.lock();
         let state = &mut *guard;
-        if state.index.contains_key(&(hash, prompt) as &dyn KeyView) {
+        if state.index.contains_key(prompt) {
             // Already resident (a re-admission): refresh the touch, keep
             // the existing frame.
             state.filter.touch(hash);
@@ -733,7 +744,10 @@ impl CacheStore {
         } else {
             state.filter.touch(hash);
         }
-        if self.append_frame(state, hash, prompt, completion).is_err() {
+        if self
+            .append_frame(state, prompt.parts(), owned, completion)
+            .is_err()
+        {
             state.stats.rejected += 1;
             return false;
         }
@@ -752,8 +766,8 @@ impl CacheStore {
     fn append_frame(
         &self,
         state: &mut StoreState,
-        hash: u64,
-        prompt: &str,
+        prompt: (&str, &str),
+        owned: impl FnOnce() -> Key,
         completion: &Completion,
     ) -> Result<(), StoreError> {
         encode_frame(&mut state.buf, prompt, completion);
@@ -769,7 +783,7 @@ impl CacheStore {
         };
         state.end += state.buf.len() as u64;
         state.frames += 1;
-        let key = Key::new(hash, prompt);
+        let key = owned();
         state.index.insert(key.clone(), entry);
         state.queue.push_back(key);
         Ok(())
@@ -794,7 +808,7 @@ impl CacheStore {
         let state = &mut *guard;
         let mut live: Vec<(Key, IndexEntry)> =
             state.index.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        live.sort_unstable_by(|a, b| a.0.text().cmp(b.0.text()));
+        live.sort_unstable_by(|a, b| a.0.text.cmp(&b.0.text));
         let dropped = state.frames - live.len();
 
         let path = &self.inner.path;
@@ -835,7 +849,7 @@ impl CacheStore {
     /// The live canonical prompts, sorted (diagnostics and tests).
     pub fn canonical_prompts(&self) -> Vec<String> {
         let state = self.lock();
-        let mut prompts: Vec<String> = state.index.keys().map(|k| k.text().to_string()).collect();
+        let mut prompts: Vec<String> = state.index.keys().map(|k| k.text.to_string()).collect();
         prompts.sort();
         prompts
     }
@@ -859,7 +873,7 @@ fn write_compacted(
     let buf = &mut state.buf;
     for (key, entry) in live.iter_mut() {
         let payload = read_frame(&state.file, entry.offset, entry.frame_len, buf)?;
-        if payload.prompt != key.text().as_bytes() {
+        if payload.prompt != key.text.as_bytes() {
             return Err(StoreError::format("index out of sync during compaction"));
         }
         out.write_all(buf)?;

@@ -520,3 +520,67 @@ fn two_threads_on_one_key_set_are_served_like_the_folding_path() {
     );
     assert!(stats.evictions > 0 && stats.hits > 0, "{stats:?}");
 }
+
+/// The tail table's cases: `p_ri` prompts that differ only in their query
+/// line, two keys with one first line and different tails, single-line
+/// keys, and the colliding pair as tails, under one first line and under
+/// two.
+fn tail_pool() -> Vec<String> {
+    let rows = [
+        record("Cork", "Ireland", "210000"),
+        record("Alicante", "Spain", "337000"),
+        record("Bergen", "Norway", "285000"),
+    ];
+    let mut prompts: Vec<String> = ["Copenhagen, Denmark", "Florence, Italy", "Turku, Finland"]
+        .iter()
+        .map(|query| render_pri(TaskKind::Imputation, query, &rows))
+        .collect();
+    prompts.push(render_pri(
+        TaskKind::Imputation,
+        "Copenhagen, Denmark",
+        &rows[..2],
+    ));
+    prompts.push("Copenhagen belongs to the country __.".to_string());
+    prompts.push("Florence belongs to the country __.".to_string());
+    for head in ["One first line.", "Another first line."] {
+        for tail in colliding_pair() {
+            prompts.push(format!("{head}\n{tail}"));
+        }
+    }
+    prompts
+}
+
+#[test]
+fn keys_that_share_a_tail_answer_and_count_like_whole_keys() {
+    let prompts = tail_pool();
+    let split = |p: &str| -> (String, String) {
+        let (head, tail) = p.split_once('\n').expect("two lines");
+        (head.to_string(), tail.to_string())
+    };
+    let (pri, colliding) = (&prompts[..4], &prompts[6..]);
+    for w in pri[..3].windows(2) {
+        let (a, b) = (split(&w[0]), split(&w[1]));
+        assert!(a.0 != b.0 && a.1 == b.1, "only the query line differs");
+    }
+    let (a, b) = (split(&pri[0]), split(&pri[3]));
+    assert!(a.0 == b.0 && a.1 != b.1, "one first line, two tails");
+    assert!(prompts[4..6].iter().all(|p| !p.contains('\n')));
+    let tails: Vec<String> = colliding.iter().map(|p| split(p).1).collect();
+    assert_ne!(tails[0], tails[1]);
+    assert_eq!(content_hash(&tails[0]), content_hash(&tails[1]));
+    for level in LEVELS {
+        for text in colliding {
+            let canonical = CanonicalPrompt::canonicalize(text, level);
+            assert!(canonical.is_borrowed(), "{level}: {text:?}");
+        }
+    }
+    for level in LEVELS {
+        for capacity in [Some(1), Some(4), None] {
+            for shards in [1, 8] {
+                for seed in sequence_seeds() {
+                    check_sequence(&prompts, level, capacity, shards, seed);
+                }
+            }
+        }
+    }
+}
